@@ -18,11 +18,13 @@
 use crate::classify::{second_level_domain, Classifier, ClassifyCache};
 use crate::report::*;
 use satwatch_internet::ResolverId;
+use satwatch_monitor::tsv::{push_ipv4, push_u64, read_rows, write_rows};
 use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol};
 use satwatch_simcore::stats::{BoxplotSummary, Cdf};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::{ordered_par_fold, FxHashMap, FxHashSet};
 use satwatch_traffic::{Category, Country};
+use std::io::{self, BufRead, Write};
 use std::net::Ipv4Addr;
 
 /// Operator-provided enrichment: anonymized customer address →
@@ -53,6 +55,44 @@ impl Enrichment {
     pub fn customers_in(&self, c: Country) -> usize {
         self.country_of.values().filter(|&&cc| cc == c).count()
     }
+}
+
+const ENRICHMENT_HEADER: &str = "client\tcountry\tbeam";
+
+/// Beam column of a customer the operator mapped to no beam.
+const NO_BEAM: u16 = u16::MAX;
+
+/// Write the customer map (anonymized address → country, beam) as the
+/// operator would hand it to the analysts: TSV, one row per customer
+/// in address order. `beams` and `days` are not part of the log.
+pub fn write_enrichment_log<W: Write>(w: &mut W, enr: &Enrichment) -> io::Result<()> {
+    let mut rows: Vec<_> = enr.country_of.iter().collect();
+    rows.sort_by_key(|(addr, _)| **addr);
+    write_rows(w, Some(ENRICHMENT_HEADER), rows, |b, (addr, country)| {
+        push_ipv4(b, *addr);
+        b.push(b'\t');
+        b.extend_from_slice(country.code().as_bytes());
+        b.push(b'\t');
+        push_u64(b, u64::from(enr.beam_of.get(addr).copied().unwrap_or(NO_BEAM)));
+        b.push(b'\n');
+    })
+}
+
+/// Read the customer map back. `beams` comes back empty and `days`
+/// zero: the caller knows the capture's span, the log does not.
+pub fn read_enrichment_log<R: BufRead>(r: R) -> io::Result<Enrichment> {
+    let mut enr = Enrichment::default();
+    read_rows(r, ENRICHMENT_HEADER, "enrichment log", |mut f| {
+        let addr: Ipv4Addr = f.parse("client")?;
+        let country = Country::from_code(f.text()).ok_or_else(|| f.bad("country"))?;
+        enr.country_of.insert(addr, country);
+        let beam: u16 = f.uint("beam")?;
+        if beam != NO_BEAM {
+            enr.beam_of.insert(addr, beam);
+        }
+        Ok(())
+    })?;
+    Ok(enr)
 }
 
 /// Night window in local time (paper Fig 8a: 2:00–5:00).

@@ -47,7 +47,7 @@ pub mod report;
 pub mod segment;
 pub mod topdomains;
 
-pub use agg::{customer_days, Enrichment};
+pub use agg::{customer_days, read_enrichment_log, write_enrichment_log, Enrichment};
 pub use classify::{second_level_domain, Classifier, ClassifyCache};
 pub use engine::{report_all, PaperReports, ReportCtx, ReportFold};
 pub use frame::{FlowFrame, FrameBuilder};

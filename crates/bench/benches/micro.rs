@@ -426,11 +426,40 @@ fn stamp_loop(c: &mut Criterion) {
     group.finish();
 }
 
+/// The flow-log codec on its own (ISSUE 12 / DESIGN.md "Log codec"):
+/// `write_flows` into a reused `Vec` and `read_flows` back, over 1024
+/// records of a real run, reported once as rows/s and once as MiB/s,
+/// so the formatter's trajectory shows outside the CLI wall.
+fn tsv_codec(c: &mut Criterion) {
+    use satwatch_monitor::record::{read_flows, write_flows};
+    let mut flows = satwatch_scenario::run(satwatch_scenario::ScenarioConfig::tiny().with_customers(8)).flows;
+    flows.truncate(1024);
+    assert_eq!(flows.len(), 1024, "the fixture run yields at least 1024 flows");
+    let mut tsv = Vec::new();
+    write_flows(&mut tsv, &flows).unwrap();
+    for (name, per_iter) in
+        [("tsv_rows", Throughput::Elements(flows.len() as u64)), ("tsv_bytes", Throughput::Bytes(tsv.len() as u64))]
+    {
+        let mut group = c.benchmark_group(name);
+        group.throughput(per_iter);
+        group.bench_function("tsv_encode_1k", |b| {
+            let mut out = Vec::with_capacity(tsv.len());
+            b.iter(|| {
+                out.clear();
+                write_flows(&mut out, black_box(&flows)).unwrap();
+                black_box(out.len())
+            })
+        });
+        group.bench_function("tsv_decode_1k", |b| b.iter(|| black_box(read_flows(black_box(&tsv[..])).unwrap().len())));
+        group.finish();
+    }
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default();
     targets = probe_packet_throughput, cryptopan_anonymize, dpi_sni_extraction, dns_codec,
               classifier_throughput, event_queue_ops, satellite_channel_sampling, column_synthesis,
-              synthesis_two_pass, stamp_loop
+              synthesis_two_pass, stamp_loop, tsv_codec
 }
 criterion_main!(micro);

@@ -40,9 +40,9 @@ use satwatch_analytics::agg::Enrichment;
 use satwatch_analytics::segment::{read_segment_file, write_segment_file, SegmentError};
 use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
 use satwatch_monitor::checkpoint::CheckpointError;
-use satwatch_monitor::record::{write_flow_row, write_flows};
+use satwatch_monitor::record::{write_flow_rows, write_flows};
 use satwatch_monitor::{dns_cmp, flow_sort_key, DnsRecord, FlowRecord, FlowSink, ProbeState, ShardedProbe};
-use satwatch_scenario::digest::{fnv1a, fnv1a_update, write_dns_line};
+use satwatch_scenario::digest::{fnv1a, write_dns_lines, Fnv1aSink, FNV1A_INIT};
 use satwatch_scenario::experiments::FIG6_SERVICES;
 use satwatch_scenario::{DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
@@ -157,9 +157,9 @@ pub struct Campaign {
 
 /// FNV-1a of the flow-log TSV header — the initial flow-digest state.
 fn header_digest() -> u64 {
-    let mut buf = Vec::new();
-    write_flows(&mut buf, &[]).expect("write to Vec cannot fail");
-    fnv1a(&buf)
+    let mut h = Fnv1aSink(FNV1A_INIT);
+    write_flows(&mut h, &[]).expect("hashing cannot fail");
+    h.0
 }
 
 struct CampaignMetrics {
@@ -390,11 +390,9 @@ impl Campaign {
         self.seal_dns_buckets(None)?;
 
         let dns = self.read_all_dns()?;
-        let mut tail = Vec::new();
-        for d in &dns {
-            write_dns_line(&mut tail, d).expect("write to Vec cannot fail");
-        }
-        let dataset_digest = fnv1a_update(self.flow_digest, &tail);
+        let mut digest = Fnv1aSink(self.flow_digest);
+        write_dns_lines(&mut digest, &dns).expect("hashing cannot fail");
+        let dataset_digest = digest.0;
 
         let (report_text, report_digest) = self.fold_report(&enr, &dns, opts.min_flows)?;
         std::fs::write(self.dir.join("report.txt"), &report_text)?;
@@ -459,11 +457,9 @@ impl Campaign {
             // (vanishingly rare) canonical-key ties, same as the
             // batch path's stable merge
             flows.sort_by_key(flow_sort_key);
-            let mut rows = Vec::with_capacity(flows.len() * 192);
-            for f in &flows {
-                write_flow_row(&mut rows, f).expect("write to Vec cannot fail");
-            }
-            self.flow_digest = fnv1a_update(self.flow_digest, &rows);
+            let mut digest = Fnv1aSink(self.flow_digest);
+            write_flow_rows(&mut digest, &flows).expect("hashing cannot fail");
+            self.flow_digest = digest.0;
             self.flow_rows += flows.len() as u64;
             let frame = FlowFrame::from_records(&flows, enr);
             let (bytes, fnv) = write_segment_file(&self.segment_path(next), &frame)?;

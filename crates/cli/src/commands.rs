@@ -1,15 +1,15 @@
 //! Subcommand implementations for the `satwatch` binary.
 
 use crate::args::{Args, ReportMode, REPORT_MODE_HELP};
-use satwatch_analytics::{Enrichment, FlowFrame, ReportCtx};
+use satwatch_analytics::{read_enrichment_log, write_enrichment_log, Enrichment, FlowFrame, ReportCtx};
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
-use satwatch_monitor::record::write_flows;
+use satwatch_monitor::record::{read_dns_log, read_flows, write_dns_log, write_flows};
 use satwatch_monitor::DnsRecord;
 use satwatch_scenario::{experiments, run, Dataset, ScenarioConfig};
 use satwatch_traffic::Country;
 use std::error::Error;
 use std::fs;
-use std::io::Write as _;
+use std::io::BufReader;
 use std::path::Path;
 
 /// The full help text. A function (not a const) so the one shared
@@ -320,37 +320,12 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
         None => run_with_banner(cfg),
     };
     fs::create_dir_all(out_dir)?;
-    let flow_path = Path::new(out_dir).join("flows.tsv");
-    let mut f = fs::File::create(&flow_path)?;
-    write_flows(&mut f, &ds.flows)?;
-    // DNS log: simple TSV
-    let dns_path = Path::new(out_dir).join("dns.tsv");
-    let mut d = fs::File::create(&dns_path)?;
-    writeln!(d, "client\tresolver\tquery\tts_ns\tresponse_ms\tanswers")?;
-    for rec in &ds.dns {
-        writeln!(
-            d,
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            rec.client,
-            rec.resolver,
-            rec.query,
-            rec.ts.as_nanos(),
-            rec.response_ms.map_or("-".into(), |v| format!("{v:.3}")),
-            rec.answers.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(","),
-        )?;
-    }
-    // enrichment map (anonymized address → country), as the operator
-    // would hand to the analysts
-    let enr_path = Path::new(out_dir).join("enrichment.tsv");
-    let mut e = fs::File::create(&enr_path)?;
-    writeln!(e, "client\tcountry\tbeam")?;
-    let mut rows: Vec<_> = ds.enrichment.country_of.iter().collect();
-    rows.sort_by_key(|(a, _)| **a);
-    for (addr, country) in rows {
-        let beam = ds.enrichment.beam_of.get(addr).copied().unwrap_or(u16::MAX);
-        writeln!(e, "{addr}\t{}\t{beam}", country.code())?;
-    }
-    eprintln!("wrote {}, {}, {}", flow_path.display(), dns_path.display(), enr_path.display());
+    let [flows, dns, enr] = ["flows.tsv", "dns.tsv", "enrichment.tsv"].map(|name| Path::new(out_dir).join(name));
+    write_flows(&mut fs::File::create(&flows)?, &ds.flows)?;
+    write_dns_log(&mut fs::File::create(&dns)?, &ds.dns)?;
+    // the customer map, as the operator would hand it to the analysts
+    write_enrichment_log(&mut fs::File::create(&enr)?, &ds.enrichment)?;
+    eprintln!("wrote {}, {}, {}", flows.display(), dns.display(), enr.display());
     Ok(())
 }
 
@@ -577,57 +552,22 @@ fn topdomains(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// Open `dir/name` and decode it with `read`; errors name the file.
+fn read_log<T>(
+    dir: &str,
+    name: &str,
+    read: impl FnOnce(BufReader<fs::File>) -> std::io::Result<T>,
+) -> Result<T, String> {
+    let path = Path::new(dir).join(name);
+    fs::File::open(&path).and_then(|f| read(BufReader::new(f))).map_err(|e| format!("{}: {e}", path.display()))
+}
+
 fn replay(args: &Args) -> Result<(), Box<dyn Error>> {
-    use satwatch_monitor::record::read_flows;
-    use satwatch_simcore::SimTime;
     let dir = args.get("logs").ok_or("replay needs --logs DIR (from `simulate --out DIR`)")?;
-    let d = Path::new(dir);
-    let flows = read_flows(std::io::BufReader::new(fs::File::open(d.join("flows.tsv"))?))?;
-    // DNS log
-    let mut dns = Vec::new();
-    for (i, line) in fs::read_to_string(d.join("dns.tsv"))?.lines().enumerate() {
-        if i == 0 || line.is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 6 {
-            return Err(format!("dns.tsv line {}: expected 6 fields", i + 1).into());
-        }
-        dns.push(DnsRecord {
-            client: f[0].parse()?,
-            resolver: f[1].parse()?,
-            query: f[2].into(),
-            ts: SimTime::from_nanos(f[3].parse()?),
-            response_ms: if f[4] == "-" { None } else { Some(f[4].parse()?) },
-            answers: if f[5].is_empty() {
-                Vec::new()
-            } else {
-                f[5].split(',').map(|a| a.parse()).collect::<Result<_, _>>()?
-            },
-        });
-    }
-    // enrichment
-    let mut enr = Enrichment::default();
-    let mut max_day = 0u64;
-    for (i, line) in fs::read_to_string(d.join("enrichment.tsv"))?.lines().enumerate() {
-        if i == 0 || line.is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 3 {
-            return Err(format!("enrichment.tsv line {}: expected 3 fields", i + 1).into());
-        }
-        let addr: std::net::Ipv4Addr = f[0].parse()?;
-        let country = Country::from_code(f[1]).ok_or_else(|| format!("unknown country {}", f[1]))?;
-        enr.country_of.insert(addr, country);
-        if let Ok(beam) = f[2].parse::<u16>() {
-            enr.beam_of.insert(addr, beam);
-        }
-    }
-    for f in &flows {
-        max_day = max_day.max(f.first.day());
-    }
-    enr.days = max_day + 1;
+    let flows = read_log(dir, "flows.tsv", read_flows)?;
+    let dns = read_log(dir, "dns.tsv", read_dns_log)?;
+    let mut enr = read_log(dir, "enrichment.tsv", read_enrichment_log)?;
+    enr.days = flows.iter().map(|f| f.first.day()).max().unwrap_or(0) + 1;
     // beams are not persisted; Fig 8b is unavailable on replay
     let ds = Dataset { flows, dns, enrichment: enr, packets: 0 };
     eprintln!("replaying {} flows / {} DNS transactions from {dir}", ds.flows.len(), ds.dns.len());
@@ -1095,7 +1035,33 @@ mod tests {
         // and the logs replay into the same Table 1
         let r = parse(&["replay", "--logs", &dir_s, "--figure", "table1"]);
         dispatch(&r).unwrap();
+        // replayed domains are interned, so the pointer-keyed classify
+        // memo holds one entry per distinct name, not one per flow
+        let flows = read_log(&dir_s, "flows.tsv", read_flows).unwrap();
+        let (classifier, mut cache) = (satwatch_analytics::Classifier::standard(), Default::default());
+        for d in flows.iter().filter_map(|f| f.domain.as_ref()) {
+            classifier.classify_cached(d, &mut cache);
+        }
+        let names: std::collections::BTreeSet<&str> = flows.iter().filter_map(|f| f.domain.as_deref()).collect();
+        assert!(names.len() > 20 && flows.len() > 20 * names.len(), "{} names, {} flows", names.len(), flows.len());
+        assert_eq!(cache.len(), names.len());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A log file that cannot take the bytes (`/dev/full` fails every
+    /// write with ENOSPC) fails the command, whichever log it is.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn simulate_returns_the_write_error_of_a_full_disk() {
+        for full in ["flows.tsv", "dns.tsv", "enrichment.tsv"] {
+            let dir = std::env::temp_dir().join(format!("satwatch-full-test-{}-{full}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::os::unix::fs::symlink("/dev/full", dir.join(full)).unwrap();
+            let a = parse(&["simulate", "--customers", "8", "--seed", "3", "--out", dir.to_str().unwrap()]);
+            let err = dispatch(&a).expect_err(full).to_string();
+            assert!(err.contains("No space left"), "{full}: {err}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   P² percentile tracking (the paper's §3.1 reduction step).
 //! * [`pcap`] — libpcap export/import with snap-length support, so the
 //!   simulated span traffic feeds real tools (Wireshark, real Tstat).
-//! * [`record`] — Tstat-like flow/DNS records with TSV round-trip.
+//! * [`record`] — Tstat-like flow/DNS records and their TSV logs.
+//! * [`tsv`] — the block codec those logs are built from: allocation-free
+//!   field encoders, 64 KiB block writes, a line-buffer reader.
 //! * [`probe`] — the composed probe: one `observe()` per packet,
 //!   `finish()` yields anonymized records.
 //! * [`sharded`] — the probe partitioned across worker threads by host
@@ -60,6 +62,7 @@ pub mod record;
 pub mod rollup;
 pub mod rtt;
 pub mod sharded;
+pub mod tsv;
 
 pub use anon::CryptoPan;
 pub use checkpoint::{CheckpointError, ProbeState};

@@ -672,6 +672,19 @@ mod tests {
     }
 
     #[test]
+    fn observe_wire_counts_a_wrapped_total_len_as_a_parse_error() {
+        // 65 536 + 7 bytes on the wire: the stored 16-bit length is 7,
+        // shorter than the IP header. A parse error, not a panic, and
+        // the probe keeps going.
+        let mut p = probe();
+        let (c, srv) = (Ipv4Addr::new(10, 1, 1, 1), Ipv4Addr::new(198, 18, 0, 1));
+        let huge = Packet::udp(c, srv, 1, 2, Bytes::from(vec![0u8; 65_536 + 7 - 28]));
+        p.observe_wire(t(0), &huge.encode()[..256]);
+        p.observe_wire(t(1), &Packet::udp(c, srv, 1, 2, Bytes::new()).encode());
+        assert_eq!((p.packets, p.parse_errors, p.active_flows()), (2, 1, 1));
+    }
+
+    #[test]
     fn sweep_runs_on_interval() {
         let mut p = probe();
         let c = Ipv4Addr::new(10, 1, 1, 1);

@@ -8,6 +8,8 @@
 //! domain). One [`DnsRecord`] per observed DNS transaction.
 
 pub use crate::intern::Domain;
+use crate::intern::DomainInterner;
+use crate::tsv::{push_fixed3, push_ipv4, push_u64, read_rows, write_rows};
 use satwatch_simcore::stats::Running;
 use satwatch_simcore::SimTime;
 use std::io::{self, BufRead, Write};
@@ -150,8 +152,9 @@ pub struct FlowRecord {
     /// ClientKeyExchange gap, if the flow completed a TLS handshake.
     pub sat_rtt_ms: Option<f64>,
     pub l7: L7Protocol,
-    /// Domain from SNI (TLS/QUIC) or Host (HTTP). Interned: one
-    /// shared `Arc<str>` per unique name across all records.
+    /// Domain from SNI (TLS/QUIC) or Host (HTTP). Interned: records
+    /// from one probe shard, or read from one log, share an
+    /// `Arc<str>` per unique name.
     pub domain: Option<Domain>,
 }
 
@@ -195,28 +198,39 @@ pub struct DnsRecord {
 
 const FLOW_HEADER: &str = "client\tserver\tcport\tsport\tproto\tfirst_ns\tlast_ns\tc2s_pkts\tc2s_bytes\tc2s_payload\ts2c_pkts\ts2c_bytes\ts2c_payload\tc2s_rtx\ts2c_rtx\tsyn\tfin\trst\trtt_n\trtt_min\trtt_avg\trtt_max\trtt_std\tdata_first_ns\tdata_last_ns\tsat_rtt_ms\tl7\tdomain";
 
-/// Write flow records as TSV (one header line + one line per flow).
+const DNS_HEADER: &str = "client\tresolver\tquery\tts_ns\tresponse_ms\tanswers";
+
+/// Write flow records as TSV (one header line + one line per flow),
+/// in 64 KiB blocks (see [`write_rows`]); the sink is flushed.
 pub fn write_flows<W: Write>(w: &mut W, flows: &[FlowRecord]) -> io::Result<()> {
-    writeln!(w, "{FLOW_HEADER}")?;
-    for f in flows {
-        write_flow_row(w, f)?;
-    }
-    Ok(())
+    write_rows(w, Some(FLOW_HEADER), flows, encode_flow_row)
 }
 
-/// Write one flow record as a TSV row (no header). Extracted from
-/// [`write_flows`] so streaming consumers — the campaign engine's
-/// incremental dataset digest — hash exactly the bytes the batch flow
-/// log would contain, one row at a time.
+/// The rows of [`write_flows`] without the header, for consumers that
+/// stream the log in pieces — the campaign engine's per-day digest
+/// fold hashes exactly the bytes the batch flow log would contain.
+pub fn write_flow_rows<W: Write>(w: &mut W, flows: &[FlowRecord]) -> io::Result<()> {
+    write_rows(w, None, flows, encode_flow_row)
+}
+
+/// Write one flow record as a TSV row (no header).
 pub fn write_flow_row<W: Write>(w: &mut W, f: &FlowRecord) -> io::Result<()> {
-    writeln!(
-        w,
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{}\t{}\t{}\t{}\t{}",
-        f.client,
-        f.server,
-        f.client_port,
-        f.server_port,
-        f.ip_proto,
+    let mut row = Vec::with_capacity(256);
+    encode_flow_row(&mut row, f);
+    w.write_all(&row)
+}
+
+/// Append one flow-log row, newline included, without allocating
+/// (beyond `out`'s own growth). The one formatter of the flow log.
+pub fn encode_flow_row(out: &mut Vec<u8>, f: &FlowRecord) {
+    let tab = |out: &mut Vec<u8>| out.push(b'\t');
+    push_ipv4(out, f.client);
+    tab(out);
+    push_ipv4(out, f.server);
+    for v in [
+        u64::from(f.client_port),
+        u64::from(f.server_port),
+        u64::from(f.ip_proto),
         f.first.as_nanos(),
         f.last.as_nanos(),
         f.c2s_packets,
@@ -227,88 +241,139 @@ pub fn write_flow_row<W: Write>(w: &mut W, f: &FlowRecord) -> io::Result<()> {
         f.s2c_payload_bytes,
         f.c2s_retrans,
         f.s2c_retrans,
-        u8::from(f.syn_seen),
-        u8::from(f.fin_seen),
-        u8::from(f.rst_seen),
-        f.ground_rtt.samples,
-        f.ground_rtt.min_ms,
-        f.ground_rtt.avg_ms,
-        f.ground_rtt.max_ms,
-        f.ground_rtt.std_ms,
-        f.s2c_data_first.map_or("-".to_string(), |t| t.as_nanos().to_string()),
-        f.s2c_data_last.map_or("-".to_string(), |t| t.as_nanos().to_string()),
-        f.sat_rtt_ms.map_or("-".to_string(), |v| format!("{v:.3}")),
-        f.l7.label(),
-        f.domain.as_deref().unwrap_or("-"),
-    )
+    ] {
+        tab(out);
+        push_u64(out, v);
+    }
+    for flag in [f.syn_seen, f.fin_seen, f.rst_seen] {
+        out.extend_from_slice(&[b'\t', b'0' + u8::from(flag)]);
+    }
+    tab(out);
+    push_u64(out, f.ground_rtt.samples);
+    for v in [f.ground_rtt.min_ms, f.ground_rtt.avg_ms, f.ground_rtt.max_ms, f.ground_rtt.std_ms] {
+        tab(out);
+        push_fixed3(out, v);
+    }
+    for t in [f.s2c_data_first, f.s2c_data_last] {
+        tab(out);
+        push_or_dash(out, t, |out, t| push_u64(out, t.as_nanos()));
+    }
+    tab(out);
+    push_or_dash(out, f.sat_rtt_ms, push_fixed3);
+    tab(out);
+    out.extend_from_slice(f.l7.label().as_bytes());
+    tab(out);
+    out.extend_from_slice(f.domain.as_deref().unwrap_or("-").as_bytes());
+    out.push(b'\n');
+}
+
+fn push_or_dash<T>(out: &mut Vec<u8>, v: Option<T>, push: impl FnOnce(&mut Vec<u8>, T)) {
+    match v {
+        Some(v) => push(out, v),
+        None => out.push(b'-'),
+    }
 }
 
 /// Read flow records back from TSV. Early-packet timing is not
 /// serialised (Tstat's default logs omit it too); the field comes
-/// back empty.
+/// back empty. Domains are interned: rows naming the same domain
+/// share one `Arc<str>`.
 pub fn read_flows<R: BufRead>(r: R) -> io::Result<Vec<FlowRecord>> {
     let mut out = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        if lineno == 0 {
-            if line != FLOW_HEADER {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "bad flow log header"));
-            }
-            continue;
-        }
-        if line.is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 28 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {lineno}: expected 28 fields, got {}", f.len()),
-            ));
-        }
-        let parse_err = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("line {lineno}: bad {what}"));
+    let mut names = DomainInterner::new();
+    read_rows(r, FLOW_HEADER, "flow log", |mut f| {
         out.push(FlowRecord {
-            client: f[0].parse().map_err(|_| parse_err("client"))?,
-            server: f[1].parse().map_err(|_| parse_err("server"))?,
-            client_port: f[2].parse().map_err(|_| parse_err("cport"))?,
-            server_port: f[3].parse().map_err(|_| parse_err("sport"))?,
-            ip_proto: f[4].parse().map_err(|_| parse_err("proto"))?,
-            first: SimTime::from_nanos(f[5].parse().map_err(|_| parse_err("first"))?),
-            last: SimTime::from_nanos(f[6].parse().map_err(|_| parse_err("last"))?),
-            c2s_packets: f[7].parse().map_err(|_| parse_err("c2s_pkts"))?,
-            c2s_bytes: f[8].parse().map_err(|_| parse_err("c2s_bytes"))?,
-            c2s_payload_bytes: f[9].parse().map_err(|_| parse_err("c2s_payload"))?,
-            s2c_packets: f[10].parse().map_err(|_| parse_err("s2c_pkts"))?,
-            s2c_bytes: f[11].parse().map_err(|_| parse_err("s2c_bytes"))?,
-            s2c_payload_bytes: f[12].parse().map_err(|_| parse_err("s2c_payload"))?,
-            c2s_retrans: f[13].parse().map_err(|_| parse_err("c2s_rtx"))?,
-            s2c_retrans: f[14].parse().map_err(|_| parse_err("s2c_rtx"))?,
+            client: f.parse("client")?,
+            server: f.parse("server")?,
+            client_port: f.uint("cport")?,
+            server_port: f.uint("sport")?,
+            ip_proto: f.uint("proto")?,
+            first: SimTime::from_nanos(f.uint("first")?),
+            last: SimTime::from_nanos(f.uint("last")?),
+            c2s_packets: f.uint("c2s_pkts")?,
+            c2s_bytes: f.uint("c2s_bytes")?,
+            c2s_payload_bytes: f.uint("c2s_payload")?,
+            s2c_packets: f.uint("s2c_pkts")?,
+            s2c_bytes: f.uint("s2c_bytes")?,
+            s2c_payload_bytes: f.uint("s2c_payload")?,
+            c2s_retrans: f.uint("c2s_rtx")?,
+            s2c_retrans: f.uint("s2c_rtx")?,
             early: Vec::new(),
-            syn_seen: f[15] == "1",
-            fin_seen: f[16] == "1",
-            rst_seen: f[17] == "1",
+            syn_seen: f.text() == "1",
+            fin_seen: f.text() == "1",
+            rst_seen: f.text() == "1",
             ground_rtt: RttSummary {
-                samples: f[18].parse().map_err(|_| parse_err("rtt_n"))?,
-                min_ms: f[19].parse().map_err(|_| parse_err("rtt_min"))?,
-                avg_ms: f[20].parse().map_err(|_| parse_err("rtt_avg"))?,
-                max_ms: f[21].parse().map_err(|_| parse_err("rtt_max"))?,
-                std_ms: f[22].parse().map_err(|_| parse_err("rtt_std"))?,
+                samples: f.uint("rtt_n")?,
+                min_ms: f.parse("rtt_min")?,
+                avg_ms: f.parse("rtt_avg")?,
+                max_ms: f.parse("rtt_max")?,
+                std_ms: f.parse("rtt_std")?,
             },
-            s2c_data_first: if f[23] == "-" {
-                None
-            } else {
-                Some(SimTime::from_nanos(f[23].parse().map_err(|_| parse_err("data_first"))?))
-            },
-            s2c_data_last: if f[24] == "-" {
-                None
-            } else {
-                Some(SimTime::from_nanos(f[24].parse().map_err(|_| parse_err("data_last"))?))
-            },
-            sat_rtt_ms: if f[25] == "-" { None } else { Some(f[25].parse().map_err(|_| parse_err("sat_rtt"))?) },
-            l7: L7Protocol::from_label(f[26]).ok_or_else(|| parse_err("l7"))?,
-            domain: if f[27] == "-" { None } else { Some(Domain::from(f[27])) },
+            s2c_data_first: f.uint_opt("data_first")?.map(SimTime::from_nanos),
+            s2c_data_last: f.uint_opt("data_last")?.map(SimTime::from_nanos),
+            sat_rtt_ms: f.parse_opt("sat_rtt")?,
+            l7: L7Protocol::from_label(f.text()).ok_or_else(|| f.bad("l7"))?,
+            domain: Some(f.text()).filter(|&d| d != "-").map(|d| names.intern(d)),
         });
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Write the DNS transaction log as TSV: one header line, then one
+/// line per transaction with the answers comma-separated.
+pub fn write_dns_log<W: Write>(w: &mut W, dns: &[DnsRecord]) -> io::Result<()> {
+    write_rows(w, Some(DNS_HEADER), dns, |b, d| {
+        encode_dns_head(b, d);
+        push_answers(b, &d.answers, b",");
+        b.push(b'\n');
+    })
+}
+
+/// Append the five columns of a DNS row that precede the answers,
+/// each followed by a tab. The DNS log and the dataset digest's DNS
+/// lines share them and differ only in how they list the answers.
+pub fn encode_dns_head(out: &mut Vec<u8>, d: &DnsRecord) {
+    push_ipv4(out, d.client);
+    out.push(b'\t');
+    push_ipv4(out, d.resolver);
+    out.push(b'\t');
+    out.extend_from_slice(d.query.as_bytes());
+    out.push(b'\t');
+    push_u64(out, d.ts.as_nanos());
+    out.push(b'\t');
+    push_or_dash(out, d.response_ms, push_fixed3);
+    out.push(b'\t');
+}
+
+/// Append `answers` as dotted quads joined by `sep`.
+pub fn push_answers(out: &mut Vec<u8>, answers: &[Ipv4Addr], sep: &[u8]) {
+    for (i, a) in answers.iter().enumerate() {
+        if i > 0 {
+            out.extend_from_slice(sep);
+        }
+        push_ipv4(out, *a);
     }
+}
+
+/// Read the DNS transaction log back; query names are interned.
+pub fn read_dns_log<R: BufRead>(r: R) -> io::Result<Vec<DnsRecord>> {
+    let mut out = Vec::new();
+    let mut names = DomainInterner::new();
+    read_rows(r, DNS_HEADER, "DNS log", |mut f| {
+        out.push(DnsRecord {
+            client: f.parse("client")?,
+            resolver: f.parse("resolver")?,
+            query: names.intern(f.text()),
+            ts: SimTime::from_nanos(f.uint("ts")?),
+            response_ms: f.parse_opt("response_ms")?,
+            answers: match f.text() {
+                "" => Vec::new(),
+                list => list.split(',').map(str::parse).collect::<Result<_, _>>().map_err(|_| f.bad("answers"))?,
+            },
+        });
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -409,6 +474,229 @@ mod tests {
         assert!(read_flows(io::BufReader::new(&b"not a header\n"[..])).is_err());
         let bad = format!("{FLOW_HEADER}\nonly\tthree\tfields\n");
         assert!(read_flows(io::BufReader::new(bad.as_bytes())).is_err());
+    }
+
+    /// The `writeln!` body [`encode_flow_row`] replaced: the byte
+    /// oracle of the flow log.
+    fn flow_row_oracle(w: &mut Vec<u8>, f: &FlowRecord) {
+        writeln!(
+            w,
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{}\t{}\t{}\t{}\t{}",
+            f.client,
+            f.server,
+            f.client_port,
+            f.server_port,
+            f.ip_proto,
+            f.first.as_nanos(),
+            f.last.as_nanos(),
+            f.c2s_packets,
+            f.c2s_bytes,
+            f.c2s_payload_bytes,
+            f.s2c_packets,
+            f.s2c_bytes,
+            f.s2c_payload_bytes,
+            f.c2s_retrans,
+            f.s2c_retrans,
+            u8::from(f.syn_seen),
+            u8::from(f.fin_seen),
+            u8::from(f.rst_seen),
+            f.ground_rtt.samples,
+            f.ground_rtt.min_ms,
+            f.ground_rtt.avg_ms,
+            f.ground_rtt.max_ms,
+            f.ground_rtt.std_ms,
+            f.s2c_data_first.map_or("-".to_string(), |t| t.as_nanos().to_string()),
+            f.s2c_data_last.map_or("-".to_string(), |t| t.as_nanos().to_string()),
+            f.sat_rtt_ms.map_or("-".to_string(), |v| format!("{v:.3}")),
+            f.l7.label(),
+            f.domain.as_deref().unwrap_or("-"),
+        )
+        .unwrap();
+    }
+
+    /// A float of the class `class` selects, shaped by `raw`: every
+    /// branch of `push_fixed3` and every value std prints specially.
+    fn float_of(class: u8, raw: u64) -> f64 {
+        match class % 10 {
+            0 => f64::from_bits(raw),                   // anything, NaN payloads included
+            1 => (raw % 64_000_000) as f64 / 16_000.0,  // decimal ties k/16000 and their neighbours
+            2 => f64::from_bits(raw & ((1 << 52) - 1)), // subnormals
+            3 => -0.0,
+            4 => f64::NAN,
+            5 => [f64::INFINITY, f64::NEG_INFINITY][(raw & 1) as usize],
+            6 => 1e20,
+            7 => (raw % 10_000_000) as f64 / 1e4, // an RTT in ms
+            8 => (raw >> 11) as f64 / 1000.0,     // up to and past the 2^53/1000 fallback bound
+            _ => -((raw % 1_000_000) as f64) / 1e3,
+        }
+    }
+
+    fn counter_of(class: u8, raw: u64) -> u64 {
+        [raw, u64::MAX, 0, raw % 100_000][(class % 4) as usize]
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn encode_flow_row_matches_the_fmt_oracle(
+            addrs in any::<[u32; 2]>(),
+            ports in any::<[u16; 2]>(),
+            proto in any::<u8>(),
+            raw in any::<[u64; 20]>(),
+            classes in any::<[u8; 20]>(),
+            flags in any::<[bool; 6]>(),
+            l7 in 0usize..7,
+            domain in "[a-zäé.日本\\-]{1,40}"
+        ) {
+            let n = |i: usize| counter_of(classes[i], raw[i]);
+            let x = |i: usize| float_of(classes[i], raw[i]);
+            let f = FlowRecord {
+                client: Ipv4Addr::from(addrs[0]),
+                server: Ipv4Addr::from(addrs[1]),
+                client_port: ports[0],
+                server_port: ports[1],
+                ip_proto: proto,
+                first: SimTime::from_nanos(n(0)),
+                last: SimTime::from_nanos(n(1)),
+                c2s_packets: n(2),
+                c2s_bytes: n(3),
+                c2s_payload_bytes: n(4),
+                s2c_packets: n(5),
+                s2c_bytes: n(6),
+                s2c_payload_bytes: n(7),
+                c2s_retrans: n(8),
+                s2c_retrans: n(9),
+                early: Vec::new(),
+                syn_seen: flags[0],
+                fin_seen: flags[1],
+                rst_seen: flags[2],
+                ground_rtt: RttSummary { samples: n(10), min_ms: x(11), avg_ms: x(12), max_ms: x(13), std_ms: x(14) },
+                s2c_data_first: flags[3].then(|| SimTime::from_nanos(n(15))),
+                s2c_data_last: flags[3].then(|| SimTime::from_nanos(n(16))),
+                sat_rtt_ms: flags[4].then(|| x(17)),
+                l7: L7Protocol::ALL[l7],
+                domain: flags[5].then(|| domain.as_str().into()),
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            encode_flow_row(&mut got, &f);
+            flow_row_oracle(&mut want, &f);
+            prop_assert_eq!(String::from_utf8_lossy(&got), String::from_utf8_lossy(&want));
+            let mut one = Vec::new();
+            write_flow_row(&mut one, &f).unwrap();
+            prop_assert_eq!(one, want);
+        }
+
+        #[test]
+        fn dns_log_round_trips(
+            rows in proptest::collection::vec(
+                (any::<[u32; 2]>(), "[a-zé.\\-]{0,30}", any::<u64>(), proptest::option::of(0u32..4_000_000),
+                 proptest::collection::vec(any::<u32>(), 0..4)),
+                0..20)
+        ) {
+            let dns: Vec<DnsRecord> = rows
+                .into_iter()
+                .map(|(addrs, query, ts, response, answers)| DnsRecord {
+                    client: Ipv4Addr::from(addrs[0]),
+                    resolver: Ipv4Addr::from(addrs[1]),
+                    query: query.as_str().into(),
+                    ts: SimTime::from_nanos(ts),
+                    // thousandths survive the 3-decimal column exactly
+                    response_ms: response.map(|r| f64::from(r) / 1000.0),
+                    answers: answers.into_iter().map(Ipv4Addr::from).collect(),
+                })
+                .collect();
+            let mut log = Vec::new();
+            write_dns_log(&mut log, &dns).unwrap();
+            prop_assert_eq!(read_dns_log(&log[..]).unwrap(), dns);
+        }
+    }
+
+    /// Counts `write` calls; fails every write once `room` bytes are in.
+    struct Meter {
+        calls: usize,
+        bytes: usize,
+        room: usize,
+    }
+
+    impl Write for Meter {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.bytes + b.len() > self.room {
+                return Err(io::Error::other("disk full"));
+            }
+            self.bytes += b.len();
+            Ok(b.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writers_issue_block_writes_and_return_sink_errors() {
+        let flows = vec![sample_flow(); 5_000];
+        let dns = vec![
+            DnsRecord {
+                client: Ipv4Addr::new(10, 9, 8, 7),
+                resolver: Ipv4Addr::new(8, 8, 8, 8),
+                query: "static.whatsapp.net".into(),
+                ts: SimTime::from_secs(100),
+                response_ms: Some(31.25),
+                answers: vec![Ipv4Addr::new(198, 18, 0, 1)],
+            };
+            5_000
+        ];
+        let mut flow_sink = Meter { calls: 0, bytes: 0, room: usize::MAX };
+        write_flows(&mut flow_sink, &flows).unwrap();
+        let mut dns_sink = Meter { calls: 0, bytes: 0, room: usize::MAX };
+        write_dns_log(&mut dns_sink, &dns).unwrap();
+        for sink in [&flow_sink, &dns_sink] {
+            assert!(sink.bytes > 4 * crate::tsv::BLOCK, "several blocks: {} bytes", sink.bytes);
+            assert!(sink.calls <= sink.bytes / (32 * 1024) + 2, "{} writes for {} bytes", sink.calls, sink.bytes);
+        }
+        // a sink that fills up fails the call, wherever it fills up:
+        // mid-stream, and in the final partial block
+        for room in [0, 100_000, flow_sink.bytes - 1] {
+            assert!(write_flows(&mut Meter { calls: 0, bytes: 0, room }, &flows).is_err(), "room {room}");
+        }
+        assert!(write_dns_log(&mut Meter { calls: 0, bytes: 0, room: dns_sink.bytes - 1 }, &dns).is_err());
+    }
+
+    #[test]
+    fn readers_intern_domains() {
+        let mut other = sample_flow();
+        other.domain = Some("video.tiktokv.com".into());
+        let mut buf = Vec::new();
+        write_flows(&mut buf, &[sample_flow(), other, sample_flow()]).unwrap();
+        let back = read_flows(&buf[..]).unwrap();
+        let domain = |i: usize| back[i].domain.as_ref().unwrap();
+        assert!(std::sync::Arc::ptr_eq(domain(0), domain(2)), "one Arc per distinct name");
+        assert!(!std::sync::Arc::ptr_eq(domain(0), domain(1)));
+
+        let q = |name: &str| DnsRecord {
+            client: Ipv4Addr::new(10, 9, 8, 7),
+            resolver: Ipv4Addr::new(8, 8, 8, 8),
+            query: name.into(),
+            ts: SimTime::from_secs(1),
+            response_ms: None,
+            answers: Vec::new(),
+        };
+        let mut buf = Vec::new();
+        write_dns_log(&mut buf, &[q("a.example"), q("b.example"), q("a.example")]).unwrap();
+        let back = read_dns_log(&buf[..]).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&back[0].query, &back[2].query));
+        assert!(!std::sync::Arc::ptr_eq(&back[0].query, &back[1].query));
+    }
+
+    #[test]
+    fn dns_reader_rejects_garbage() {
+        let err = |log: &str| read_dns_log(log.as_bytes()).unwrap_err().to_string();
+        assert_eq!(err("client\tquery\n"), "bad DNS log header");
+        assert_eq!(err(&format!("{DNS_HEADER}\n1.2.3.4\t8.8.8.8\n")), "line 1: expected 6 fields, got 2");
+        assert_eq!(err(&format!("{DNS_HEADER}\n1.2.3.4\t8.8.8.8\tq\t5\t-\t1.2.3\n")), "line 1: bad answers");
+        assert_eq!(err(&format!("{DNS_HEADER}\n1.2.3.4\t8.8.8.8\tq\tsoon\t-\t\n")), "line 1: bad ts");
     }
 
     #[test]

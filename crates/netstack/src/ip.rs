@@ -102,6 +102,12 @@ impl Ipv4Header {
         if internet_checksum(&buf[..ihl]) != 0 {
             return Err(ParseError::BadChecksum);
         }
+        let total_len = u16::from_be_bytes([buf[2], buf[3]]);
+        // a datagram cannot be shorter than its own header; a length
+        // that wrapped past 16 bits on encode reads as one that is
+        if usize::from(total_len) < ihl {
+            return Err(ParseError::BadField("total_len"));
+        }
         let hdr = Ipv4Header {
             src: Ipv4Addr::new(buf[12], buf[13], buf[14], buf[15]),
             dst: Ipv4Addr::new(buf[16], buf[17], buf[18], buf[19]),
@@ -109,7 +115,7 @@ impl Ipv4Header {
             ttl: buf[8],
             identification: u16::from_be_bytes([buf[4], buf[5]]),
             dscp: buf[1] >> 2,
-            total_len: u16::from_be_bytes([buf[2], buf[3]]),
+            total_len,
         };
         Ok((hdr, ihl))
     }

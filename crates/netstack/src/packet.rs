@@ -258,6 +258,18 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_total_len_wrapped_below_the_header() {
+        // 20 + 8 + payload = 65 536 + 7: `encode` stores the length
+        // mod 2^16, i.e. 7, less than the header it sits in
+        let p = Packet::udp(addr(1), addr(2), 1, 2, Bytes::from(vec![0u8; 65_536 + 7 - 28]));
+        assert_eq!(p.wire_len(), 65_536 + 7);
+        let wire = p.encode();
+        assert_eq!(Packet::parse(&wire).unwrap_err(), ParseError::BadField("total_len"));
+        // snapped to a capture's snaplen it is still the same bad header
+        assert_eq!(Packet::parse(&wire[..256]).unwrap_err(), ParseError::BadField("total_len"));
+    }
+
+    #[test]
     fn parse_rejects_unknown_protocol() {
         let hdr = Ipv4Header::new(addr(1), addr(2), 47 /* GRE */, 0);
         let wire = hdr.encode();
