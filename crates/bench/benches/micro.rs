@@ -362,43 +362,48 @@ fn synthesis_two_pass(c: &mut Criterion) {
     group.finish();
 }
 
+/// Synthesized per-flow runs holding at least 1k rows between them,
+/// sorted the way the merge would hand them to the probe.
+fn synth_runs_1k() -> (Vec<PacketColumns>, usize) {
+    use satwatch_netstack::SortScratch;
+
+    let f = synth_fixture(256);
+    let mut runs: Vec<PacketColumns> = Vec::new();
+    let mut rows = 0usize;
+    let mut rng = f.seeds.rng_idx("flows", 0);
+    let mut arena = satwatch_simcore::PayloadArena::new();
+    let mut scratch = SortScratch::default();
+    for intent in &f.intents {
+        let customer = &f.population.customers[intent.customer_index];
+        let beam = f.population.beam(customer.terminal.beam);
+        let mut out = PacketColumns::default();
+        f.model.simulate_flow(intent, customer, &f.catalog, beam, &mut rng, &mut arena, &mut out);
+        out.clamp_and_sort(intent.start, &mut scratch);
+        rows += out.len();
+        runs.push(out);
+        if rows >= 1024 {
+            break;
+        }
+    }
+    (runs, rows)
+}
+
+fn wire_probe() -> Probe {
+    let subnet = satwatch_satcom::GroundStation::italy_default().customer_subnet;
+    Probe::new(ProbeConfig::new(FlowTableConfig::new(subnet)))
+}
+
 /// The probe's stamp sweep (ISSUE 10 / DESIGN.md §15) against the
 /// per-row walker it replaced: identical synthesized runs go through
 /// `observe_cols` (branch-light scalar-column sweep + deferred DPI)
 /// and through per-packet `observe` on materialized rows.
 fn stamp_loop(c: &mut Criterion) {
-    use satwatch_netstack::SortScratch;
-
-    let f = synth_fixture(256);
-    // Synthesize per-flow runs until we hold at least 1k rows, sorted
-    // the way the merge would hand them to the probe.
-    let mut runs: Vec<PacketColumns> = Vec::new();
-    let mut rows = 0usize;
-    {
-        let mut rng = f.seeds.rng_idx("flows", 0);
-        let mut arena = satwatch_simcore::PayloadArena::new();
-        let mut scratch = SortScratch::default();
-        for intent in &f.intents {
-            let customer = &f.population.customers[intent.customer_index];
-            let beam = f.population.beam(customer.terminal.beam);
-            let mut out = PacketColumns::default();
-            f.model.simulate_flow(intent, customer, &f.catalog, beam, &mut rng, &mut arena, &mut out);
-            out.clamp_and_sort(intent.start, &mut scratch);
-            rows += out.len();
-            runs.push(out);
-            if rows >= 1024 {
-                break;
-            }
-        }
-    }
-    let subnet = satwatch_satcom::GroundStation::italy_default().customer_subnet;
-    let probe = || Probe::new(ProbeConfig::new(FlowTableConfig::new(subnet)));
-
+    let (runs, rows) = synth_runs_1k();
     let mut group = c.benchmark_group("stamp");
     group.throughput(Throughput::Elements(rows as u64));
     group.bench_function("stamp_loop_1k", |b| {
         b.iter_batched(
-            probe,
+            wire_probe,
             |mut p| {
                 for run in &runs {
                     p.observe_cols(run, 0, run.len());
@@ -410,7 +415,7 @@ fn stamp_loop(c: &mut Criterion) {
     });
     group.bench_function("stamp_rows_1k", |b| {
         b.iter_batched(
-            probe,
+            wire_probe,
             |mut p| {
                 for run in &runs {
                     for i in 0..run.len() {
@@ -422,6 +427,96 @@ fn stamp_loop(c: &mut Criterion) {
             },
             criterion::BatchSize::SmallInput,
         )
+    });
+    group.finish();
+}
+
+/// The pieces of the borrowed probe path (ISSUE 13 / DESIGN.md §17),
+/// each on its own so it has a trajectory outside the end-to-end wall:
+/// `observe_wire` over recorded frames (handshakes, data, ACKs, DNS —
+/// the same synthesized runs `stamp_loop_1k` walks, as wire bytes),
+/// the canonical sort `finish` ends with, and the inspect buffer under
+/// a TLS stream cut at segment size.
+fn borrowed_probe_path(c: &mut Criterion) {
+    use satwatch_monitor::inspect::InspectBuffer;
+    use satwatch_monitor::sort_flows_canonical;
+
+    let (runs, _) = synth_runs_1k();
+    let mut frames: Vec<(SimTime, Bytes)> = Vec::new();
+    for run in &runs {
+        for i in 0..run.len() {
+            let pkt = run.materialize(i);
+            // (coalesced super-chunks have no wire form)
+            if pkt.wire_len() <= 65_535 {
+                frames.push((run.ts[i], pkt.encode()));
+            }
+        }
+    }
+    let mut group = c.benchmark_group("wire");
+    group.throughput(Throughput::Elements(frames.len() as u64));
+    group.bench_function("probe_wire_1k", |b| {
+        b.iter_batched(
+            wire_probe,
+            |mut p| {
+                for (t, frame) in &frames {
+                    p.observe_wire(*t, frame);
+                }
+                black_box(p.active_flows())
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+
+    // 50k records in eviction order: a real run's flows, tiled forward
+    // in time and shuffled
+    let day = satwatch_scenario::run(satwatch_scenario::ScenarioConfig::tiny().with_customers(8)).flows;
+    let mut flows = Vec::with_capacity(50_000);
+    'tile: for lap in 0.. {
+        for f in &day {
+            if flows.len() == 50_000 {
+                break 'tile;
+            }
+            let mut f = f.clone();
+            f.first += satwatch_simcore::SimDuration::from_secs(lap * 86_400);
+            flows.push(f);
+        }
+    }
+    let mut rng = Rng::new(0x50f7);
+    for i in (1..flows.len()).rev() {
+        flows.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut group = c.benchmark_group("finish");
+    group.throughput(Throughput::Elements(flows.len() as u64));
+    group.bench_function("finish_sort_50k", |b| {
+        b.iter_batched(
+            || flows.clone(),
+            |mut f| {
+                sort_flows_canonical(&mut f);
+                black_box(f.len())
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+
+    let mut stream = tls::client_hello("www.youtube.com", [1; 32]).to_vec();
+    stream.extend_from_slice(&tls::client_key_exchange(2));
+    stream.extend_from_slice(&tls::change_cipher_spec());
+    for i in 0..40 {
+        stream.extend_from_slice(&tls::application_data(1_200 + 37 * i, i as u8));
+    }
+    let mut group = c.benchmark_group("inspect");
+    group.throughput(Throughput::Bytes(stream.len() as u64));
+    group.bench_function("inspect_feed_tls", |b| {
+        b.iter(|| {
+            let mut inspect = InspectBuffer::default();
+            let mut units = 0usize;
+            for segment in stream.chunks(1_460) {
+                inspect.feed(black_box(segment), |unit| units += unit.len());
+            }
+            black_box(units)
+        })
     });
     group.finish();
 }
@@ -460,6 +555,6 @@ criterion_group! {
     config = Criterion::default();
     targets = probe_packet_throughput, cryptopan_anonymize, dpi_sni_extraction, dns_codec,
               classifier_throughput, event_queue_ops, satellite_channel_sampling, column_synthesis,
-              synthesis_two_pass, stamp_loop, tsv_codec
+              synthesis_two_pass, stamp_loop, borrowed_probe_path, tsv_codec
 }
 criterion_main!(micro);

@@ -41,7 +41,7 @@ use satwatch_analytics::segment::{read_segment_file, write_segment_file, Segment
 use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
 use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{write_flow_rows, write_flows};
-use satwatch_monitor::{dns_cmp, flow_sort_key, DnsRecord, FlowRecord, FlowSink, ProbeState, ShardedProbe};
+use satwatch_monitor::{dns_cmp, sort_flows_canonical, DnsRecord, FlowRecord, FlowSink, ProbeState, ShardedProbe};
 use satwatch_scenario::digest::{fnv1a, write_dns_lines, Fnv1aSink, FNV1A_INIT};
 use satwatch_scenario::experiments::FIG6_SERVICES;
 use satwatch_scenario::{DayRunner, ScenarioConfig};
@@ -453,10 +453,10 @@ impl Campaign {
                 return Ok(());
             }
             let mut flows = self.flow_buckets.remove(&next).unwrap_or_default();
-            // stable sort: per-shard eviction order breaks the
+            // stable order: per-shard eviction order breaks the
             // (vanishingly rare) canonical-key ties, same as the
             // batch path's stable merge
-            flows.sort_by_key(flow_sort_key);
+            sort_flows_canonical(&mut flows);
             let mut digest = Fnv1aSink(self.flow_digest);
             write_flow_rows(&mut digest, &flows).expect("hashing cannot fail");
             self.flow_digest = digest.0;

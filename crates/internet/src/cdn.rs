@@ -209,6 +209,26 @@ mod tests {
         assert!(matches!(node, Region::MiddleEast | Region::AfricaEast));
     }
 
+    /// Node selection reads distances off a table now; it must pick
+    /// what the per-call great-circle computation picked, for every
+    /// operator and every hint.
+    #[test]
+    fn select_node_matches_direct_haversine_selection() {
+        use crate::region::haversine_km;
+        let km = |a: Region, b: Region| {
+            let ((la1, lo1), (la2, lo2)) = (a.coordinates(), b.coordinates());
+            haversine_km(la1, lo1, la2, lo2)
+        };
+        for op in CdnCatalog::standard().operators() {
+            for hint in Region::ALL {
+                let target = if op.policy == SelectionPolicy::Anycast { Region::PeeringCdn } else { hint };
+                let want =
+                    *op.footprint.iter().min_by(|a, b| km(**a, target).partial_cmp(&km(**b, target)).unwrap()).unwrap();
+                assert_eq!(op.select_node(hint), want, "{} hinted {hint:?}", op.name);
+            }
+        }
+    }
+
     #[test]
     fn hosting_resolution() {
         let cat = CdnCatalog::standard();

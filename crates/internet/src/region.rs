@@ -10,6 +10,7 @@
 
 use satwatch_simcore::dist::{LogNormal, Sample};
 use satwatch_simcore::{Rng, SimDuration};
+use std::sync::OnceLock;
 
 /// Server/infrastructure regions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -106,9 +107,7 @@ impl Region {
     /// Great-circle distance to another region, km. Used by server
     /// selection, never by the RTT model (which is measurement-anchored).
     pub fn distance_km(self, other: Region) -> f64 {
-        let (la1, lo1) = self.coordinates();
-        let (la2, lo2) = other.coordinates();
-        haversine_km(la1, lo1, la2, lo2)
+        distance_table()[self as usize][other as usize]
     }
 
     /// Region whose coordinates are closest to the given point.
@@ -137,6 +136,22 @@ impl Region {
     pub fn is_european(self) -> bool {
         matches!(self, Region::PeeringCdn | Region::EuropeSouth | Region::EuropeWest | Region::EuropeFar)
     }
+}
+
+/// Every region-to-region distance, computed once with
+/// [`haversine_km`] from [`Region::coordinates`] — the same calls, so
+/// the same bits, that server selection used to make per flow. Indexed
+/// by discriminant, which is the position in [`Region::ALL`].
+fn distance_table() -> &'static [[f64; 12]; 12] {
+    static TABLE: OnceLock<[[f64; 12]; 12]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        Region::ALL.map(|a| {
+            Region::ALL.map(|b| {
+                let ((la1, lo1), (la2, lo2)) = (a.coordinates(), b.coordinates());
+                haversine_km(la1, lo1, la2, lo2)
+            })
+        })
+    })
 }
 
 /// Great-circle distance between two points, km.
@@ -194,6 +209,17 @@ mod tests {
         assert!(!Region::AfricaWest.is_european());
         assert!(Region::EuropeWest.is_european());
         assert!(!Region::China.is_european() && !Region::China.is_african());
+    }
+
+    #[test]
+    fn distance_table_is_haversine_bit_for_bit() {
+        for (i, a) in Region::ALL.into_iter().enumerate() {
+            assert_eq!(a as usize, i, "the table is indexed by position in ALL");
+            for b in Region::ALL {
+                let ((la1, lo1), (la2, lo2)) = (a.coordinates(), b.coordinates());
+                assert_eq!(a.distance_km(b).to_bits(), haversine_km(la1, lo1, la2, lo2).to_bits(), "{a:?} {b:?}");
+            }
+        }
     }
 
     #[test]

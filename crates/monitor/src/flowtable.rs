@@ -7,12 +7,13 @@
 
 use crate::checkpoint::{self, CheckpointError, FlowEntry, Reader};
 use crate::dpi::Dpi;
+use crate::inspect::InspectBuffer;
 use crate::intern::{Domain, DomainInterner};
 use crate::reassembly::StreamReassembler;
 use crate::record::{EarlyPacket, FlowRecord, L7Protocol, RttSummary};
 use crate::rtt::{GroundRtt, SatRtt};
 use satwatch_netstack::ip::proto;
-use satwatch_netstack::{FiveTuple, Packet, PacketColumns, SeqNum, Subnet, TcpFlags, Transport};
+use satwatch_netstack::{FiveTuple, Ipv4Header, Packet, PacketColumns, SeqNum, Subnet, TcpFlags, Transport};
 use satwatch_simcore::stats::Running;
 use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
 use std::net::Ipv4Addr;
@@ -99,136 +100,6 @@ pub enum Direction {
     S2c,
 }
 
-/// Per-direction inspection buffer: accumulates the in-order stream
-/// head and hands *complete units* to the DPI. TLS streams are cut at
-/// record boundaries (a ClientHello split across segments is inspected
-/// whole); anything that does not look like TLS records is passed
-/// through chunk-by-chunk (HTTP heads and opaque payloads are
-/// self-contained in practice).
-#[derive(Debug, Default)]
-struct InspectBuffer {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf`. Advancing a cursor instead of
-    /// `drain(..consumed)` avoids a memmove of the pending tail on
-    /// every delivered record; the buffer compacts only when the dead
-    /// prefix grows past [`INSPECT_COMPACT_AT`].
-    start: usize,
-    mode: InspectMode,
-}
-
-#[derive(Debug, Default, PartialEq, Clone, Copy)]
-enum InspectMode {
-    #[default]
-    Unknown,
-    /// TLS: parse and deliver whole records.
-    Records,
-    /// Non-TLS: deliver chunks as they come, no buffering.
-    Raw,
-    /// Inspection finished (cap reached or DPI satisfied).
-    Done,
-}
-
-/// Bound on the buffered head while waiting for a record to complete.
-const INSPECT_BUF_CAP: usize = 16_384;
-
-/// Compact the buffer once this much dead prefix accumulates.
-const INSPECT_COMPACT_AT: usize = 4_096;
-
-impl InspectBuffer {
-    /// Pending (not yet consumed) bytes.
-    fn pending(&self) -> &[u8] {
-        &self.buf[self.start..]
-    }
-
-    /// Feed one in-order chunk; invokes `sink` for every complete unit.
-    fn feed(&mut self, chunk: &[u8], mut sink: impl FnMut(&[u8])) {
-        use satwatch_netstack::ip::ParseError;
-        match self.mode {
-            InspectMode::Done => {}
-            InspectMode::Raw => sink(chunk),
-            InspectMode::Unknown | InspectMode::Records => {
-                self.buf.extend_from_slice(chunk);
-                if self.mode == InspectMode::Unknown {
-                    // sniff: TLS record = content type 20..=23, major 3
-                    // (start == 0 here — nothing is consumed before the
-                    // mode is decided)
-                    if self.buf.len() >= 2 {
-                        if (20..=23).contains(&self.buf[0]) && self.buf[1] == 3 {
-                            self.mode = InspectMode::Records;
-                        } else {
-                            self.mode = InspectMode::Raw;
-                            let pending = std::mem::take(&mut self.buf);
-                            sink(&pending);
-                            return;
-                        }
-                    } else {
-                        return; // need more bytes to sniff
-                    }
-                }
-                // Records mode: deliver complete records
-                loop {
-                    match satwatch_netstack::tls::parse_record(self.pending()) {
-                        Ok((_, used)) => {
-                            sink(&self.buf[self.start..self.start + used]);
-                            self.start += used;
-                        }
-                        Err(ParseError::Truncated { .. }) => break,
-                        Err(_) => {
-                            // stream stopped looking like TLS (e.g.
-                            // encrypted app data with a mangled header):
-                            // flush and fall back to raw
-                            sink(self.pending());
-                            self.start = self.buf.len();
-                            self.mode = InspectMode::Raw;
-                            break;
-                        }
-                    }
-                }
-                if self.start == self.buf.len() {
-                    self.buf.clear();
-                    self.start = 0;
-                } else if self.start > INSPECT_COMPACT_AT {
-                    self.buf.drain(..self.start);
-                    self.start = 0;
-                }
-                if self.pending().len() > INSPECT_BUF_CAP {
-                    // a record that never completes cannot pin memory
-                    let buf = std::mem::take(&mut self.buf);
-                    sink(&buf[self.start..]);
-                    self.start = 0;
-                    self.mode = InspectMode::Done;
-                }
-            }
-        }
-    }
-
-    /// Checkpoint serialization: mode tag + pending tail. The consumed
-    /// prefix before `start` is dead (never read again), so only the
-    /// pending bytes persist; restore rebases them at `start = 0`,
-    /// which is observationally identical.
-    fn write_state(&self, w: &mut Vec<u8>) {
-        let mode = match self.mode {
-            InspectMode::Unknown => 0u8,
-            InspectMode::Records => 1,
-            InspectMode::Raw => 2,
-            InspectMode::Done => 3,
-        };
-        checkpoint::put_u8(w, mode);
-        checkpoint::put_bytes(w, self.pending());
-    }
-
-    fn read_state(r: &mut Reader<'_>) -> Result<InspectBuffer, CheckpointError> {
-        let mode = match r.u8()? {
-            0 => InspectMode::Unknown,
-            1 => InspectMode::Records,
-            2 => InspectMode::Raw,
-            3 => InspectMode::Done,
-            _ => return Err(CheckpointError::Corrupt("inspect mode")),
-        };
-        Ok(InspectBuffer { buf: r.bytes()?.to_vec(), start: 0, mode })
-    }
-}
-
 #[derive(Debug)]
 struct FlowState {
     key: FiveTuple, // client-first orientation
@@ -263,7 +134,9 @@ struct FlowState {
 }
 
 impl FlowState {
-    fn new(key: FiveTuple, t: SimTime) -> FlowState {
+    /// `early_cap` sizes the early-packet log once, for good: it
+    /// never grows, and `finish_record` hands the allocation on.
+    fn new(key: FiveTuple, t: SimTime, early_cap: usize) -> FlowState {
         FlowState {
             key,
             first: t,
@@ -274,7 +147,7 @@ impl FlowState {
             s2c_packets: 0,
             s2c_bytes: 0,
             s2c_payload: 0,
-            early: Vec::new(),
+            early: Vec::with_capacity(early_cap),
             syn_seen: false,
             fin_c2s: false,
             fin_s2c: false,
@@ -324,13 +197,13 @@ impl FlowState {
     /// the flow table — so the batch path can hold one `&mut` to the
     /// flow across a whole stretch.
     ///
-    /// Takes scalar header fields plus a *lazy* payload so the
-    /// columnar path only pays for `Bytes` construction when the
-    /// segment actually reaches the reassembler: `payload` is invoked
-    /// at most once, and only when `payload_len > 0` and inspection is
-    /// still live. (An empty insert is a no-op in the reassembler —
-    /// it returns before even anchoring the base — so gating the call
-    /// on `payload_len` is output-identical to the eager path.)
+    /// Takes scalar header fields and the payload as a slice of the
+    /// caller's buffer — a wire frame, a `Packet`'s `Bytes`, a column
+    /// run's arena block. `owned` is the same bytes as a `Bytes` and is
+    /// invoked at most once, only when the reassembler has to keep the
+    /// segment behind a hole: the one place payload outlives the call.
+    /// The sequence space the segment occupies is `payload.len()`, the
+    /// bytes in hand, also on a snapped frame (DESIGN.md §17).
     #[allow(clippy::too_many_arguments)]
     fn on_tcp(
         &mut self,
@@ -339,10 +212,11 @@ impl FlowState {
         flags: TcpFlags,
         seq: SeqNum,
         ack: SeqNum,
-        payload_len: usize,
-        payload: impl FnOnce() -> bytes::Bytes,
+        payload: &[u8],
+        owned: impl FnOnce() -> bytes::Bytes,
         names: &mut DomainInterner,
     ) {
+        let payload_len = payload.len();
         if flags.syn() {
             self.syn_seen = true;
             // anchor the direction's stream at ISN + 1
@@ -397,16 +271,14 @@ impl FlowState {
                 if consumed > 0 {
                     self.ground.on_data_out(t, seq + consumed);
                 }
-                if !inspect_done && payload_len > 0 {
-                    let payload = payload();
-                    let sat = &mut self.sat;
-                    let dpi = &mut self.dpi;
-                    for chunk in self.c2s_stream.insert(seq, &payload) {
-                        self.c2s_inspect.feed(&chunk, |unit| {
+                if !inspect_done {
+                    let FlowState { sat, dpi, c2s_stream, c2s_inspect, .. } = self;
+                    c2s_stream.insert(seq, payload, owned, |chunk| {
+                        c2s_inspect.feed(chunk, |unit| {
                             sat.on_c2s_payload(t, unit);
                             dpi.inspect(unit, true, names);
-                        });
-                    }
+                        })
+                    });
                 }
             }
             Direction::S2c => {
@@ -416,22 +288,23 @@ impl FlowState {
                 if flags.ack() {
                     self.ground.on_ack_in(t, ack);
                 }
-                if !inspect_done && payload_len > 0 {
-                    let payload = payload();
-                    let sat = &mut self.sat;
-                    let dpi = &mut self.dpi;
-                    for chunk in self.s2c_stream.insert(seq, &payload) {
-                        self.s2c_inspect.feed(&chunk, |unit| {
+                if !inspect_done {
+                    let FlowState { sat, dpi, s2c_stream, s2c_inspect, .. } = self;
+                    s2c_stream.insert(seq, payload, owned, |chunk| {
+                        s2c_inspect.feed(chunk, |unit| {
                             sat.on_s2c_payload(t, unit);
                             dpi.inspect(unit, false, names);
-                        });
-                    }
+                        })
+                    });
                 }
             }
         }
     }
 
-    fn into_record(self) -> FlowRecord {
+    /// The flow's output record. Called once, on the boxed state a
+    /// finalising path just took out of the map: the state stays where
+    /// it is, only the early log's allocation moves into the record.
+    fn finish_record(&mut self) -> FlowRecord {
         let ground_rtt = RttSummary::from_running(self.ground.stats());
         let l7 = self.dpi.verdict();
         metrics().verdicts[verdict_index(l7)].inc();
@@ -452,7 +325,7 @@ impl FlowState {
             s2c_packets: self.s2c_packets,
             s2c_bytes: self.s2c_bytes,
             s2c_payload_bytes: self.s2c_payload,
-            early: self.early,
+            early: std::mem::take(&mut self.early),
             c2s_retrans: self.c2s_retrans,
             s2c_retrans: self.s2c_retrans,
             syn_seen: self.syn_seen,
@@ -564,7 +437,11 @@ impl FlowState {
     /// Inverse of [`write_state`](Self::write_state). Domain names are
     /// re-interned through `names` so restored flows share one
     /// allocation per name like freshly-tracked ones.
-    fn read_state(r: &mut Reader<'_>, names: &mut DomainInterner) -> Result<FlowState, CheckpointError> {
+    fn read_state(
+        r: &mut Reader<'_>,
+        names: &mut DomainInterner,
+        early_cap: usize,
+    ) -> Result<FlowState, CheckpointError> {
         let key = FiveTuple { src: r.ip()?, dst: r.ip()?, src_port: r.u16()?, dst_port: r.u16()?, protocol: r.u8()? };
         let first = SimTime::from_nanos(r.u64()?);
         let last = SimTime::from_nanos(r.u64()?);
@@ -575,7 +452,8 @@ impl FlowState {
         let s2c_bytes = r.u64()?;
         let s2c_payload = r.u64()?;
         let nearly = r.u32()? as usize;
-        let mut early = Vec::with_capacity(nearly.min(64));
+        // room for the log to fill up, as `new` gives a fresh flow
+        let mut early = Vec::with_capacity(nearly.max(early_cap).min(64));
         for _ in 0..nearly {
             early.push(EarlyPacket { offset_ms: r.f64()?, wire_len: r.u16()?, c2s: r.bool()? });
         }
@@ -683,6 +561,13 @@ pub struct FlowTable {
     pub transit_packets: u64,
 }
 
+/// Take a finished flow out of the map and log its record.
+fn finalise(flows: &mut FxHashMap<FiveTuple, Box<FlowState>>, finished: &mut Vec<FlowRecord>, key: &FiveTuple) {
+    let mut flow = flows.remove(key).expect("finished flow is in the map");
+    metrics().live_flows.dec();
+    finished.push(flow.finish_record());
+}
+
 /// Typical concurrent-flow population per probe (or shard): enough to
 /// avoid rehashing during warm-up without wasting memory when idle.
 const FLOW_TABLE_PRESIZE: usize = 1_024;
@@ -719,14 +604,39 @@ impl FlowTable {
 
     /// Process one packet observed at time `t`.
     pub fn process(&mut self, t: SimTime, pkt: &Packet) {
-        let Some(dir) = self.direction(pkt) else {
+        self.process_parts(t, &pkt.ip, &pkt.transport, pkt.wire_len(), pkt.payload_len(), &pkt.payload, || {
+            pkt.payload.clone()
+        });
+    }
+
+    /// The per-packet walker, on borrowed parts: what
+    /// [`process`](Self::process) and the probe's wire path both run.
+    ///
+    /// `wire_len` and `payload_len` are the lengths on the wire, which
+    /// the byte counters and the early-packet log account; `payload`
+    /// is the bytes in hand, which is all DPI and reassembly can look
+    /// at. They differ only for a frame a capture snapped. `owned`
+    /// yields `payload` as a `Bytes`, should the reassembler have to
+    /// keep it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn process_parts(
+        &mut self,
+        t: SimTime,
+        ip: &Ipv4Header,
+        transport: &Transport,
+        wire_len: usize,
+        payload_len: usize,
+        payload: &[u8],
+        owned: impl FnOnce() -> bytes::Bytes,
+    ) {
+        let Some(dir) = self.direction_of(ip.src, ip.dst) else {
             self.transit_packets += 1;
             metrics().transit.inc();
             return;
         };
         let key = match dir {
-            Direction::C2s => pkt.five_tuple(),
-            Direction::S2c => pkt.five_tuple().reversed(),
+            Direction::C2s => FiveTuple::of(ip, transport),
+            Direction::S2c => FiveTuple::of(ip, transport).reversed(),
         };
         // Split borrows: the flow entry stays borrowed across the whole
         // touch (one hash lookup per packet, where this used to be
@@ -735,36 +645,33 @@ impl FlowTable {
         let mut inserted = false;
         let flow = flows.entry(key).or_insert_with(|| {
             inserted = true;
-            Box::new(FlowState::new(key, t))
+            Box::new(FlowState::new(key, t, cfg.early_packets))
         });
         if inserted {
             metrics().live_flows.inc();
         }
-        let wire = pkt.wire_len() as u64;
-        let payload = pkt.payload_len() as u64;
+        let (wire, on_wire_payload) = (wire_len as u64, payload_len as u64);
         match dir {
             Direction::C2s => {
                 flow.c2s_packets += 1;
                 flow.c2s_bytes += wire;
-                flow.c2s_payload += payload;
+                flow.c2s_payload += on_wire_payload;
             }
             Direction::S2c => {
                 flow.s2c_packets += 1;
                 flow.s2c_bytes += wire;
-                flow.s2c_payload += payload;
+                flow.s2c_payload += on_wire_payload;
             }
         }
-        flow.stamp(t, dir, pkt.wire_len(), payload, cfg.early_packets);
-        if let Transport::Tcp(tcp) = &pkt.transport {
-            flow.on_tcp(t, dir, tcp.flags, tcp.seq, tcp.ack, pkt.payload.len(), || pkt.payload.clone(), names);
+        flow.stamp(t, dir, wire_len, on_wire_payload, cfg.early_packets);
+        if let Transport::Tcp(tcp) = transport {
+            flow.on_tcp(t, dir, tcp.flags, tcp.seq, tcp.ack, payload, owned, names);
         } else if !flow.dpi.is_satisfied() {
-            flow.dpi.inspect(&pkt.payload, dir == Direction::C2s, names);
+            flow.dpi.inspect(payload, dir == Direction::C2s, names);
         }
         // Closed TCP flows are finalised immediately (like Tstat).
         if flow.closed() {
-            let flow = flows.remove(&key).expect("flow present");
-            metrics().live_flows.dec();
-            finished.push(flow.into_record());
+            finalise(flows, finished, &key);
         }
     }
 
@@ -805,7 +712,7 @@ impl FlowTable {
         let mut inserted = false;
         let flow = flows.entry(key).or_insert_with(|| {
             inserted = true;
-            Box::new(FlowState::new(key, *t0))
+            Box::new(FlowState::new(key, *t0, cfg.early_packets))
         });
         if inserted {
             metrics().live_flows.inc();
@@ -825,7 +732,7 @@ impl FlowTable {
             payloads[di] += payload;
             flow.stamp(*t, dir, pkt.wire_len(), payload, cfg.early_packets);
             if let Transport::Tcp(tcp) = &pkt.transport {
-                flow.on_tcp(*t, dir, tcp.flags, tcp.seq, tcp.ack, pkt.payload.len(), || pkt.payload.clone(), names);
+                flow.on_tcp(*t, dir, tcp.flags, tcp.seq, tcp.ack, &pkt.payload, || pkt.payload.clone(), names);
                 if flow.closed() {
                     consumed = start + i + 1;
                     closed = true;
@@ -842,9 +749,7 @@ impl FlowTable {
         flow.s2c_bytes += bytes[1];
         flow.s2c_payload += payloads[1];
         if closed {
-            let flow = flows.remove(&key).expect("flow present");
-            metrics().live_flows.dec();
-            finished.push(flow.into_record());
+            finalise(flows, finished, &key);
         }
         consumed
     }
@@ -891,7 +796,7 @@ impl FlowTable {
         let mut inserted = false;
         let flow = flows.entry(key).or_insert_with(|| {
             inserted = true;
-            Box::new(FlowState::new(key, t0))
+            Box::new(FlowState::new(key, t0, cfg.early_packets))
         });
         if inserted {
             metrics().live_flows.inc();
@@ -1030,30 +935,29 @@ impl FlowTable {
                         break;
                     }
                     let t = cols.ts[i];
-                    let payload = cols.payload_bytes(i);
                     let seq = SeqNum(cols.seq[i]);
+                    // a buffered segment shares the arena block, zero-copy
+                    let (payload, owned) = (cols.payload_slice(i), || cols.payload_bytes(i));
                     if di == 0 {
-                        for chunk in c2s_stream.insert(seq, &payload) {
-                            c2s_inspect.feed(&chunk, |unit| {
+                        c2s_stream.insert(seq, payload, owned, |chunk| {
+                            c2s_inspect.feed(chunk, |unit| {
                                 sat.on_c2s_payload(t, unit);
                                 dpi.inspect(unit, true, names);
-                            });
-                        }
+                            })
+                        });
                     } else {
-                        for chunk in s2c_stream.insert(seq, &payload) {
-                            s2c_inspect.feed(&chunk, |unit| {
+                        s2c_stream.insert(seq, payload, owned, |chunk| {
+                            s2c_inspect.feed(chunk, |unit| {
                                 sat.on_s2c_payload(t, unit);
                                 dpi.inspect(unit, false, names);
-                            });
-                        }
+                            })
+                        });
                     }
                 }
             }
         }
         if closed {
-            let flow = flows.remove(&key).expect("flow present");
-            metrics().live_flows.dec();
-            finished.push(flow.into_record());
+            finalise(flows, finished, &key);
         }
         consumed
     }
@@ -1067,11 +971,8 @@ impl FlowTable {
         // protocol makes the key total over distinct five-tuples
         expired.sort_by_key(|k| (self.flows[k].first, k.src, k.src_port, k.dst, k.dst_port, k.protocol));
         for k in expired {
-            let flow = self.flows.remove(&k).expect("expired flow present");
-            let m = metrics();
-            m.live_flows.dec();
-            m.evictions.inc();
-            self.finished.push(flow.into_record());
+            metrics().evictions.inc();
+            finalise(&mut self.flows, &mut self.finished, &k);
         }
     }
 
@@ -1081,9 +982,7 @@ impl FlowTable {
         // deterministic output order: by first-seen time then key
         keys.sort_by_key(|k| (self.flows[k].first, k.src, k.src_port, k.dst, k.dst_port, k.protocol));
         for k in keys {
-            let flow = self.flows.remove(&k).expect("flow present");
-            metrics().live_flows.dec();
-            self.finished.push(flow.into_record());
+            finalise(&mut self.flows, &mut self.finished, &k);
         }
         std::mem::take(&mut self.finished)
     }
@@ -1126,9 +1025,9 @@ impl FlowTable {
 
     /// Restore one exported flow into the table (checkpoint resume).
     pub(crate) fn import_flow(&mut self, entry: &FlowEntry) -> Result<(), CheckpointError> {
-        let FlowTable { flows, names, .. } = self;
+        let FlowTable { cfg, flows, names, .. } = self;
         let mut r = Reader::new(entry.state_bytes());
-        let flow = FlowState::read_state(&mut r, names)?;
+        let flow = FlowState::read_state(&mut r, names, cfg.early_packets)?;
         if r.remaining() != 0 {
             return Err(CheckpointError::Corrupt("flow trailing bytes"));
         }

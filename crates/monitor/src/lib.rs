@@ -14,6 +14,8 @@
 //!   from-scratch Speck64/128 as the PRF; see DESIGN.md).
 //! * [`reassembly`] — bounded in-order TCP payload delivery feeding
 //!   the DPI/TLS path (out-of-order robustness).
+//! * [`inspect`] — cuts the delivered stream into the complete units
+//!   (TLS records, raw chunks) the DPI inspects.
 //! * [`rollup`] — streaming hourly aggregation with constant-memory
 //!   P² percentile tracking (the paper's §3.1 reduction step).
 //! * [`pcap`] — libpcap export/import with snap-length support, so the
@@ -54,6 +56,7 @@ pub mod anon;
 pub mod checkpoint;
 pub mod dpi;
 pub mod flowtable;
+pub mod inspect;
 pub mod intern;
 pub mod pcap;
 pub mod probe;
@@ -62,12 +65,14 @@ pub mod record;
 pub mod rollup;
 pub mod rtt;
 pub mod sharded;
+#[cfg(test)]
+mod stream_oracle;
 pub mod tsv;
 
 pub use anon::CryptoPan;
 pub use checkpoint::{CheckpointError, ProbeState};
 pub use flowtable::{Direction, FlowTable, FlowTableConfig};
 pub use intern::{Domain, DomainInterner};
-pub use probe::{dns_cmp, flow_sort_key, FlowSink, Probe, ProbeConfig};
+pub use probe::{dns_cmp, flow_sort_key, sort_flows_canonical, FlowSink, Probe, ProbeConfig};
 pub use record::{DnsRecord, FlowRecord, L7Protocol, RttSummary};
 pub use sharded::ShardedProbe;

@@ -9,6 +9,7 @@
 //! what header-only capture deployments do (and what keeps 4.3 PB of
 //! traffic storable).
 
+use bytes::Bytes;
 use satwatch_netstack::{Packet, ParseError};
 use satwatch_simcore::SimTime;
 use std::io::{self, Read, Write};
@@ -66,8 +67,9 @@ impl<W: Write> PcapWriter<W> {
 #[derive(Clone, Debug)]
 pub struct PcapRecord {
     pub t: SimTime,
-    /// Bytes on disk (possibly snapped).
-    pub data: Vec<u8>,
+    /// Bytes on disk (possibly snapped): a slice of the block the
+    /// whole capture was read into.
+    pub data: Bytes,
     /// Original on-the-wire length.
     pub orig_len: u32,
 }
@@ -82,35 +84,47 @@ impl PcapRecord {
 
 /// Read an entire pcap file written by [`PcapWriter`] (or any classic
 /// little-endian microsecond pcap with LINKTYPE_RAW).
+///
+/// The capture is read in one block and every record's `data` is a
+/// slice of it: one allocation for the bytes however many frames,
+/// memory bounded by the input's length. A capture that ends inside a
+/// record header ends there; one that ends inside the file header or a
+/// record body is an error.
 pub fn read_pcap<R: Read>(mut input: R) -> io::Result<Vec<PcapRecord>> {
-    let mut hdr = [0u8; 24];
-    input.read_exact(&mut hdr)?;
-    let magic = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-    if magic != MAGIC {
+    let mut block = Vec::new();
+    input.read_to_end(&mut block)?;
+    let block = Bytes::from(block);
+    let truncated = || io::Error::from(io::ErrorKind::UnexpectedEof);
+    let le32 = |at: usize| u32::from_le_bytes(block[at..at + 4].try_into().unwrap());
+    if block.len() < 24 {
+        return Err(truncated());
+    }
+    if le32(0) != MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "not a little-endian usec pcap"));
     }
-    let linktype = u32::from_le_bytes(hdr[20..24].try_into().unwrap());
+    let linktype = le32(20);
     if linktype != LINKTYPE_RAW {
         return Err(io::Error::new(io::ErrorKind::InvalidData, format!("unsupported linktype {linktype}")));
     }
     let mut out = Vec::new();
-    loop {
-        let mut rec = [0u8; 16];
-        match input.read_exact(&mut rec) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e),
-        }
-        let sec = u32::from_le_bytes(rec[0..4].try_into().unwrap()) as u64;
-        let usec = u32::from_le_bytes(rec[4..8].try_into().unwrap()) as u64;
-        let incl = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-        let orig = u32::from_le_bytes(rec[12..16].try_into().unwrap());
+    let mut at = 24;
+    while at + 16 <= block.len() {
+        let (sec, usec) = (u64::from(le32(at)), u64::from(le32(at + 4)));
+        let (incl, orig) = (le32(at + 8), le32(at + 12));
         if incl > 256 * 1024 * 1024 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible record length"));
         }
-        let mut data = vec![0u8; incl as usize];
-        input.read_exact(&mut data)?;
-        out.push(PcapRecord { t: SimTime::from_nanos(sec * 1_000_000_000 + usec * 1_000), data, orig_len: orig });
+        at += 16;
+        let end = at + incl as usize;
+        if end > block.len() {
+            return Err(truncated());
+        }
+        out.push(PcapRecord {
+            t: SimTime::from_nanos(sec * 1_000_000_000 + usec * 1_000),
+            data: block.slice(at..end),
+            orig_len: orig,
+        });
+        at = end;
     }
     Ok(out)
 }
@@ -118,7 +132,6 @@ pub fn read_pcap<R: Read>(mut input: R) -> io::Result<Vec<PcapRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use satwatch_netstack::tcp::{TcpFlags, TcpHeader};
     use std::net::Ipv4Addr;
 
@@ -182,7 +195,30 @@ mod tests {
         let mut buf = Vec::new();
         let mut w = PcapWriter::new(&mut buf, 65_535).unwrap();
         w.write(SimTime::from_secs(1), &pkt(50)).unwrap();
-        buf.truncate(buf.len() - 10);
+        let whole = buf.len();
+        buf.truncate(whole - 10);
         assert!(read_pcap(&buf[..]).is_err());
+        assert!(read_pcap(&buf[..20]).is_err(), "file header cut short");
+        // a capture that stops inside the next record's header stops there
+        buf.resize(whole + 7, 0);
+        assert_eq!(read_pcap(&buf[..]).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn records_share_the_one_block_the_capture_was_read_into() {
+        let mut buf = Vec::new();
+        let mut w = PcapWriter::new(&mut buf, 96).unwrap();
+        for i in 0..50 {
+            w.write(SimTime::from_secs(i), &pkt(10 * i as usize)).unwrap();
+        }
+        let recs = read_pcap(&buf[..]).unwrap();
+        assert_eq!(recs.len(), 50);
+        // every record's bytes lie inside one allocation the size of the file
+        let base = recs[0].data.as_ptr() as usize - (24 + 16);
+        for r in &recs {
+            let at = r.data.as_ptr() as usize;
+            assert!(at >= base && at + r.data.len() <= base + buf.len());
+            assert_eq!(r.parse().unwrap().five_tuple().dst_port, 443);
+        }
     }
 }

@@ -10,8 +10,8 @@ use crate::anon::CryptoPan;
 use crate::flowtable::{Direction, FlowTable, FlowTableConfig};
 use crate::intern::Domain;
 use crate::record::{DnsRecord, FlowRecord};
-use satwatch_netstack::dns::DnsMessage;
-use satwatch_netstack::{Packet, PacketColumns, Transport};
+use satwatch_netstack::dns::DnsHeader;
+use satwatch_netstack::{Ipv4Header, Packet, PacketColumns, PacketView, Transport};
 use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
@@ -113,6 +113,9 @@ pub struct Probe {
     /// triples, touched for every DNS packet.
     pending_dns: FxHashMap<DnsKey, PendingDns>,
     dns_log: Vec<DnsRecord>,
+    /// The question name of the DNS message being looked at, decoded
+    /// here and interned from here: one buffer for the whole capture.
+    dns_qname: String,
     flow_sink: Option<FlowSink>,
     last_sweep: SimTime,
     /// Total packets observed.
@@ -137,6 +140,7 @@ impl Probe {
             anon_memo: fx_map_with_capacity(64),
             pending_dns: fx_map_with_capacity(64),
             dns_log: Vec::new(),
+            dns_qname: String::new(),
             flow_sink: None,
             last_sweep: SimTime::ZERO,
             packets: 0,
@@ -157,6 +161,12 @@ impl Probe {
     /// Observe one packet at the span port.
     pub fn observe(&mut self, t: SimTime, pkt: &Packet) {
         self.process_packet(t, pkt);
+        self.sweep_if_due(t);
+    }
+
+    /// The periodic sweep: fires on the first packet at or past
+    /// `sweep_interval` since the last one, at that packet's time.
+    fn sweep_if_due(&mut self, t: SimTime) {
         if t - self.last_sweep >= self.cfg.sweep_interval {
             self.sweep_now(t);
         }
@@ -221,9 +231,30 @@ impl Probe {
     /// globally, so eviction timing is identical at any shard count
     /// (a shard seeing few packets must not sweep late).
     pub fn process_packet(&mut self, t: SimTime, pkt: &Packet) {
+        self.process_parts(t, &pkt.ip, &pkt.transport, pkt.wire_len(), pkt.payload_len(), &pkt.payload, || {
+            pkt.payload.clone()
+        });
+    }
+
+    /// One packet through the flow table and the DNS log, on borrowed
+    /// parts (see [`FlowTable::process_parts`]): the parsed and the
+    /// wire entry points both end here.
+    #[allow(clippy::too_many_arguments)]
+    fn process_parts(
+        &mut self,
+        t: SimTime,
+        ip: &Ipv4Header,
+        transport: &Transport,
+        wire_len: usize,
+        payload_len: usize,
+        payload: &[u8],
+        owned: impl FnOnce() -> bytes::Bytes,
+    ) {
         self.note_packets(1);
-        self.table.process(t, pkt);
-        self.maybe_log_dns(t, pkt);
+        self.table.process_parts(t, ip, transport, wire_len, payload_len, payload, owned);
+        if let Transport::Udp(udp) = transport {
+            self.maybe_log_dns_udp(t, ip.src, ip.dst, udp.src_port, udp.dst_port, payload);
+        }
         self.drain_to_sink();
     }
 
@@ -336,14 +367,22 @@ impl Probe {
         }
     }
 
-    /// Observe a packet from raw wire bytes (exercises the full parse
-    /// path; used where the feeding side serialises). Counting goes
+    /// Observe a packet from raw wire bytes — the deployment's entry
+    /// point. The frame is parsed in place ([`PacketView`]) and its
+    /// payload reaches the flow table and the DNS log as a slice of
+    /// `wire`: no `Packet`, no `Bytes`. A snapped frame is accounted at
+    /// the length its IP header gives, as Tstat does. Counting goes
     /// through [`note_packets`](Self::note_packets) on both arms, so
     /// the wire path agrees with batch accounting even on parse
     /// errors.
     pub fn observe_wire(&mut self, t: SimTime, wire: &[u8]) {
-        match Packet::parse(wire) {
-            Ok(pkt) => self.observe(t, &pkt),
+        match PacketView::parse(wire) {
+            Ok(v) => {
+                self.process_parts(t, &v.ip, &v.transport, v.wire_len(), v.payload_len(), v.payload, || {
+                    bytes::Bytes::copy_from_slice(v.payload)
+                });
+                self.sweep_if_due(t);
+            }
             Err(_) => {
                 self.note_packets(1);
                 self.parse_errors += 1;
@@ -352,26 +391,13 @@ impl Probe {
         }
     }
 
-    /// Observe a time-sorted batch of wire-encoded packets. Maximal
-    /// contiguous parseable sub-batches go through
-    /// [`observe_batch`](Self::observe_batch); each unparseable frame
-    /// is counted exactly once at its position, like
-    /// [`observe_wire`](Self::observe_wire) would.
+    /// Observe a time-sorted batch of wire-encoded packets:
+    /// [`observe_wire`](Self::observe_wire) per frame, nothing staged.
+    /// Each unparseable frame is counted once, at its position.
     pub fn observe_wire_batch(&mut self, batch: &[(SimTime, Vec<u8>)]) {
-        let mut parsed: Vec<(SimTime, Packet)> = Vec::with_capacity(batch.len());
         for (t, wire) in batch {
-            match Packet::parse(wire) {
-                Ok(pkt) => parsed.push((*t, pkt)),
-                Err(_) => {
-                    self.observe_batch(&parsed);
-                    parsed.clear();
-                    self.note_packets(1);
-                    self.parse_errors += 1;
-                    metrics().parse_errors.inc();
-                }
-            }
+            self.observe_wire(*t, wire);
         }
-        self.observe_batch(&parsed);
     }
 
     fn maybe_log_dns(&mut self, t: SimTime, pkt: &Packet) {
@@ -379,9 +405,11 @@ impl Probe {
         self.maybe_log_dns_udp(t, pkt.ip.src, pkt.ip.dst, udp.src_port, udp.dst_port, &pkt.payload);
     }
 
-    /// The DNS transaction log on bare UDP fields — shared by the
-    /// per-packet path (above) and the columnar path, which has no
-    /// `Packet` to hand over.
+    /// The DNS transaction log on bare UDP fields and a borrowed
+    /// payload — shared by the per-packet, wire and columnar paths.
+    /// The message is walked in place: a query costs one name decode
+    /// into a reused buffer and an intern, a response that matches no
+    /// pending query costs twelve header bytes.
     fn maybe_log_dns_udp(
         &mut self,
         t: SimTime,
@@ -394,41 +422,43 @@ impl Probe {
         if dst_port != 53 && src_port != 53 {
             return;
         }
-        let Ok(msg) = DnsMessage::parse(payload) else { return };
+        // id and direction first; the body is walked in place, and
+        // only for a message the log will use
+        let Ok(msg) = DnsHeader::parse(payload) else { return };
         if !msg.is_response && dst_port == 53 {
-            let Some(dir) = self.table.direction_of(src, dst) else { return };
-            if dir != Direction::C2s {
+            if self.table.direction_of(src, dst) != Some(Direction::C2s) {
+                return;
+            }
+            if msg.walk(payload, &mut self.dns_qname, |_| {}).is_err() {
                 return;
             }
             let key = DnsKey { client: src, resolver: dst, id: msg.id };
-            let name = msg.question.map(|(n, _)| n).unwrap_or_default();
-            let query = self.table.intern(&name);
+            let query = self.table.intern(&self.dns_qname);
             if self.pending_dns.insert(key, PendingDns { query, asked_at: t }).is_none() {
                 metrics().pending_dns.inc();
             }
         } else if msg.is_response && src_port == 53 {
             let key = DnsKey { client: dst, resolver: src, id: msg.id };
-            if let Some(pending) = self.pending_dns.remove(&key) {
-                let m = metrics();
-                m.dns_answered.inc();
-                m.pending_dns.dec();
-                let answers = msg
-                    .answers
-                    .iter()
-                    .filter_map(|a| match a {
-                        satwatch_netstack::dns::Answer::A { addr, .. } => Some(*addr),
-                        _ => None,
-                    })
-                    .collect();
-                self.dns_log.push(DnsRecord {
-                    client: anon_memoized(&self.anon, &mut self.anon_memo, key.client),
-                    resolver: key.resolver,
-                    query: pending.query,
-                    ts: pending.asked_at,
-                    response_ms: Some((t - pending.asked_at).as_millis_f64().max(0.0)),
-                    answers,
-                });
+            if !self.pending_dns.contains_key(&key) {
+                return;
             }
+            // a malformed response answers nothing: the query stays pending
+            let mut answers = Vec::new();
+            if msg.walk(payload, &mut self.dns_qname, |addr| answers.push(addr)).is_err() {
+                return;
+            }
+            let pending = self.pending_dns.remove(&key).expect("checked above");
+            let m = metrics();
+            m.dns_answered.inc();
+            m.pending_dns.dec();
+            self.dns_log.push(DnsRecord {
+                client: anon_memoized(&self.anon, &mut self.anon_memo, key.client),
+                resolver: key.resolver,
+                query: pending.query,
+                ts: pending.asked_at,
+                response_ms: Some((t - pending.asked_at).as_millis_f64().max(0.0)),
+                answers,
+            });
         }
     }
 
@@ -489,7 +519,7 @@ impl Probe {
             }
         }
         // canonical output order regardless of eviction history
-        flows.sort_by_key(flow_sort_key);
+        sort_flows_canonical(&mut flows);
         let mut dns = self.dns_log;
         dns.sort_by(dns_cmp);
         (flows, dns)
@@ -567,6 +597,35 @@ impl Probe {
 /// restore this order after ingesting evictions out of order.
 pub fn flow_sort_key(f: &FlowRecord) -> (SimTime, Ipv4Addr, u16, Ipv4Addr, u16, u8) {
     (f.first, f.client, f.client_port, f.server, f.server_port, f.ip_proto)
+}
+
+/// Sort `flows` into the canonical output order, exactly as the stable
+/// `sort_by_key(flow_sort_key)` would, without moving a record more
+/// than about once.
+///
+/// The sort runs over `(key, original index)` pairs: the index makes
+/// every pair distinct, so an unstable sort has one possible result,
+/// and among equal keys it is input order — the stable sort's. The
+/// permutation is then applied in place by following its cycles with
+/// `swap`. Scratch is 32 bytes per flow, where the stable sort of the
+/// 232-byte records took half the vector again.
+pub fn sort_flows_canonical(flows: &mut [FlowRecord]) {
+    let mut order: Vec<_> = flows.iter().enumerate().map(|(i, f)| (flow_sort_key(f), i)).collect();
+    order.sort_unstable();
+    // `order[k].1` is the record that belongs at `k`. Walk each cycle
+    // once: a swap puts the right record at `k` and leaves the
+    // cycle's first record one step further along; a slot is marked
+    // done by pointing it at itself.
+    for start in 0..order.len() {
+        let mut k = start;
+        while order[k].1 != start {
+            let from = order[k].1;
+            flows.swap(k, from);
+            order[k].1 = k;
+            k = from;
+        }
+        order[k].1 = k;
+    }
 }
 
 /// Canonical output order for DNS records, as a borrowed-key

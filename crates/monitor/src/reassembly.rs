@@ -16,6 +16,14 @@
 //! Internally every segment is mapped to a *stream offset* relative to
 //! the first byte seen on the direction, so sequence-number wraparound
 //! within the inspected head is a non-issue.
+//!
+//! Delivery borrows: [`StreamReassembler::insert`] takes the segment as
+//! a slice of the caller's buffer and hands deliverable data to a
+//! callback as `&[u8]` chunks. The next expected segment with nothing
+//! pending — all but a sliver of real traffic — is delivered straight
+//! out of that slice: no allocation, no copy, no refcount. Only a
+//! segment that arrives ahead of a hole has to outlive the call, and
+//! only then is the caller asked for an owned `Bytes` of it.
 
 use bytes::Bytes;
 use satwatch_netstack::SeqNum;
@@ -35,9 +43,9 @@ fn dropped_counter() -> &'static satwatch_telemetry::Counter {
 }
 
 /// Out-of-order buffer cap per direction, bytes.
-const MAX_BUFFERED: usize = 262_144;
+pub(crate) const MAX_BUFFERED: usize = 262_144;
 /// Deliver at most this much stream per direction (DPI inspects heads).
-const INSPECT_LIMIT: u64 = 131_072;
+pub(crate) const INSPECT_LIMIT: u64 = 131_072;
 
 /// Per-direction reassembler.
 #[derive(Debug, Default)]
@@ -69,11 +77,19 @@ impl StreamReassembler {
         }
     }
 
-    /// Insert one segment; returns the contiguous chunks now
-    /// deliverable, in stream order.
-    pub fn insert(&mut self, seq: SeqNum, payload: &Bytes) -> Vec<Bytes> {
+    /// Insert one segment and hand every chunk that is now deliverable
+    /// to `deliver`, in stream order. `payload` is borrowed for the
+    /// call; `owned` is asked for the same bytes as a `Bytes` only when
+    /// the segment has to be buffered behind a hole.
+    pub fn insert(
+        &mut self,
+        seq: SeqNum,
+        payload: &[u8],
+        owned: impl FnOnce() -> Bytes,
+        mut deliver: impl FnMut(&[u8]),
+    ) {
         if payload.is_empty() || self.delivered >= INSPECT_LIMIT {
-            return Vec::new();
+            return;
         }
         let base = *self.base.get_or_insert(seq);
         let rel = i64::from(seq.distance(base));
@@ -81,63 +97,59 @@ impl StreamReassembler {
             // data from before the observed stream head: a
             // retransmission of bytes we never saw — nothing the DPI
             // can anchor to; drop.
-            return Vec::new();
+            return;
         }
         let off = rel as u64;
         if off <= self.next_off {
             let skip = (self.next_off - off) as usize;
-            if skip >= payload.len() {
-                return Vec::new(); // fully duplicate
+            if skip < payload.len() {
+                // (else fully duplicate)
+                self.deliver_from(&payload[skip..], &mut deliver);
             }
-            self.deliver_from(self.next_off, payload.slice(skip..))
+        } else if self.pending_bytes + payload.len() > MAX_BUFFERED {
+            // future segment, buffer full
+            self.dropped_segments += 1;
+            dropped_counter().inc();
+            // the hole may never fill: skip the stream forward so
+            // inspection continues on fresh data
+            self.pending.clear();
+            pending_gauge().sub(self.pending_bytes as i64);
+            self.pending_bytes = 0;
+            self.next_off = off;
+            self.deliver_from(payload, &mut deliver);
         } else {
             // future segment: buffer, bounded
-            if self.pending_bytes + payload.len() > MAX_BUFFERED {
-                self.dropped_segments += 1;
-                dropped_counter().inc();
-                // the hole may never fill: skip the stream forward so
-                // inspection continues on fresh data
-                self.pending.clear();
-                pending_gauge().sub(self.pending_bytes as i64);
-                self.pending_bytes = 0;
-                self.next_off = off;
-                self.deliver_from(off, payload.clone())
-            } else {
-                self.pending_bytes += payload.len();
-                pending_gauge().add(payload.len() as i64);
-                self.pending.entry(off).or_insert_with(|| payload.clone());
-                Vec::new()
-            }
+            self.pending_bytes += payload.len();
+            pending_gauge().add(payload.len() as i64);
+            self.pending.entry(off).or_insert_with(owned);
         }
     }
 
-    /// Deliver `chunk` at stream offset `at` (== self.next_off), then
-    /// drain any pending segments that became contiguous.
-    fn deliver_from(&mut self, at: u64, chunk: Bytes) -> Vec<Bytes> {
-        debug_assert_eq!(at, self.next_off);
-        let mut out = Vec::new();
-        self.push_chunk(chunk, &mut out);
-        while let Some((&off, _)) = self.pending.iter().next() {
+    /// Deliver `chunk`, which starts at `self.next_off`, then drain
+    /// any pending segments that became contiguous.
+    fn deliver_from(&mut self, chunk: &[u8], deliver: &mut impl FnMut(&[u8])) {
+        self.push_chunk(chunk, deliver);
+        while let Some(entry) = self.pending.first_entry() {
+            let off = *entry.key();
             if off > self.next_off {
                 break; // still a hole
             }
-            let seg = self.pending.remove(&off).expect("present");
+            let seg = entry.remove();
             self.pending_bytes -= seg.len();
             pending_gauge().sub(seg.len() as i64);
             let skip = (self.next_off - off) as usize;
             if skip < seg.len() {
-                self.push_chunk(seg.slice(skip..), &mut out);
+                self.push_chunk(&seg[skip..], deliver);
             }
         }
-        out
     }
 
-    fn push_chunk(&mut self, chunk: Bytes, out: &mut Vec<Bytes>) {
+    fn push_chunk(&mut self, chunk: &[u8], deliver: &mut impl FnMut(&[u8])) {
         let take = chunk.len().min((INSPECT_LIMIT - self.delivered) as usize);
         self.next_off += chunk.len() as u64;
         if take > 0 {
             self.delivered += take as u64;
-            out.push(chunk.slice(0..take));
+            deliver(&chunk[..take]);
         }
     }
 
@@ -200,72 +212,71 @@ impl Drop for StreamReassembler {
 mod tests {
     use super::*;
 
-    fn b(s: &[u8]) -> Bytes {
-        Bytes::copy_from_slice(s)
-    }
-
-    fn collect(chunks: Vec<Bytes>) -> Vec<u8> {
-        chunks.into_iter().flat_map(|c| c.to_vec()).collect()
+    /// Insert `data` at `seq`; returns what became deliverable.
+    fn ins(r: &mut StreamReassembler, seq: u32, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        r.insert(SeqNum(seq), data, || Bytes::copy_from_slice(data), |chunk| out.extend_from_slice(chunk));
+        out
     }
 
     #[test]
     fn in_order_fast_path() {
         let mut r = StreamReassembler::new();
-        let d1 = r.insert(SeqNum(100), &b(b"hello "));
-        let d2 = r.insert(SeqNum(106), &b(b"world"));
-        assert_eq!(collect(d1), b"hello ");
-        assert_eq!(collect(d2), b"world");
+        assert_eq!(ins(&mut r, 100, b"hello "), b"hello ");
+        assert_eq!(ins(&mut r, 106, b"world"), b"world");
         assert_eq!(r.delivered_bytes(), 11);
+    }
+
+    #[test]
+    fn in_order_segments_never_ask_for_an_owned_copy() {
+        let mut r = StreamReassembler::new();
+        let mut chunks = 0;
+        for i in 0..50u32 {
+            r.insert(SeqNum(i * 4), b"data", || panic!("in-order data must not be copied"), |_| chunks += 1);
+        }
+        assert_eq!((chunks, r.delivered_bytes()), (50, 200));
     }
 
     #[test]
     fn out_of_order_two_segments() {
         let mut r = StreamReassembler::new();
-        let d0 = r.insert(SeqNum(100), &b(b"AB"));
-        assert_eq!(collect(d0), b"AB");
-        let d1 = r.insert(SeqNum(106), &b(b"world"));
-        assert!(d1.is_empty(), "future segment buffered");
-        let d2 = r.insert(SeqNum(102), &b(b"CDhl"));
-        assert_eq!(collect(d2), b"CDhlworld", "hole filled, both delivered");
+        assert_eq!(ins(&mut r, 100, b"AB"), b"AB");
+        assert!(ins(&mut r, 106, b"world").is_empty(), "future segment buffered");
+        assert_eq!(ins(&mut r, 102, b"CDhl"), b"CDhlworld", "hole filled, both delivered");
         assert_eq!(r.delivered_bytes(), 11);
     }
 
     #[test]
     fn three_way_shuffle() {
         let mut r = StreamReassembler::new();
-        assert!(collect(r.insert(SeqNum(0), &b(b"AA"))) == b"AA");
-        assert!(r.insert(SeqNum(6), &b(b"DD")).is_empty());
-        assert!(r.insert(SeqNum(4), &b(b"CC")).is_empty());
-        let d = r.insert(SeqNum(2), &b(b"BB"));
-        assert_eq!(collect(d), b"BBCCDD");
+        assert_eq!(ins(&mut r, 0, b"AA"), b"AA");
+        assert!(ins(&mut r, 6, b"DD").is_empty());
+        assert!(ins(&mut r, 4, b"CC").is_empty());
+        assert_eq!(ins(&mut r, 2, b"BB"), b"BBCCDD");
     }
 
     #[test]
     fn duplicates_not_redelivered() {
         let mut r = StreamReassembler::new();
-        r.insert(SeqNum(0), &b(b"0123456789"));
-        let dup = r.insert(SeqNum(0), &b(b"0123456789"));
-        assert!(dup.is_empty());
-        let tail = r.insert(SeqNum(5), &b(b"56789abc"));
-        assert_eq!(collect(tail), b"abc");
+        ins(&mut r, 0, b"0123456789");
+        assert!(ins(&mut r, 0, b"0123456789").is_empty());
+        assert_eq!(ins(&mut r, 5, b"56789abc"), b"abc");
     }
 
     #[test]
     fn overlapping_pending_segments_trimmed() {
         let mut r = StreamReassembler::new();
-        r.insert(SeqNum(0), &b(b"XX")); // head 0..2
-        assert!(r.insert(SeqNum(4), &b(b"4567")).is_empty()); // 4..8
-        assert!(r.insert(SeqNum(6), &b(b"67ab")).is_empty()); // overlaps 6..10
-        let d = r.insert(SeqNum(2), &b(b"23")); // fills the hole
-        assert_eq!(collect(d), b"234567ab");
+        ins(&mut r, 0, b"XX"); // head 0..2
+        assert!(ins(&mut r, 4, b"4567").is_empty()); // 4..8
+        assert!(ins(&mut r, 6, b"67ab").is_empty()); // overlaps 6..10
+        assert_eq!(ins(&mut r, 2, b"23"), b"234567ab"); // fills the hole
     }
 
     #[test]
     fn pre_head_retransmission_dropped() {
         let mut r = StreamReassembler::new();
-        r.insert(SeqNum(1000), &b(b"head"));
-        let d = r.insert(SeqNum(500), &b(b"old data"));
-        assert!(d.is_empty());
+        ins(&mut r, 1000, b"head");
+        assert!(ins(&mut r, 500, b"old data").is_empty());
         assert_eq!(r.delivered_bytes(), 4);
     }
 
@@ -278,10 +289,8 @@ mod tests {
         // the SYN anchored the stream (ISN 0 → first byte 1) …
         r.set_base(SeqNum(1));
         // … so even segments arriving swapped reassemble
-        let d1 = r.insert(SeqNum(1 + 40), &Bytes::copy_from_slice(rest));
-        assert!(d1.is_empty());
-        let d2 = r.insert(SeqNum(1), &Bytes::copy_from_slice(a));
-        let stream = collect(d2);
+        assert!(ins(&mut r, 1 + 40, rest).is_empty());
+        let stream = ins(&mut r, 1, a);
         assert_eq!(stream.len(), ch.len());
         let (rec, _) = tls::parse_record(&stream).unwrap();
         assert_eq!(tls::extract_sni(rec.body).as_deref(), Some("split.example.com"));
@@ -292,42 +301,37 @@ mod tests {
         let mut r = StreamReassembler::new();
         r.set_base(SeqNum(100));
         r.set_base(SeqNum(999)); // ignored
-        let d = r.insert(SeqNum(100), &b(b"hi"));
-        assert_eq!(collect(d), b"hi");
+        assert_eq!(ins(&mut r, 100, b"hi"), b"hi");
     }
 
     #[test]
     fn buffer_cap_skips_forward() {
         let mut r = StreamReassembler::new();
-        r.insert(SeqNum(0), &b(b"x"));
-        let big = Bytes::from(vec![0u8; 100_000]);
-        r.insert(SeqNum(10_000), &big);
-        r.insert(SeqNum(200_000), &big);
-        let d = r.insert(SeqNum(400_000), &big);
-        assert!(!d.is_empty(), "stream skipped past the unfillable hole");
+        ins(&mut r, 0, b"x");
+        let big = vec![0u8; 100_000];
+        ins(&mut r, 10_000, &big);
+        ins(&mut r, 200_000, &big);
+        assert!(!ins(&mut r, 400_000, &big).is_empty(), "stream skipped past the unfillable hole");
         assert_eq!(r.dropped_segments, 1);
     }
 
     #[test]
     fn inspect_limit_stops_delivery() {
         let mut r = StreamReassembler::new();
-        let chunk = Bytes::from(vec![1u8; 60_000]);
+        let chunk = vec![1u8; 60_000];
         let mut total = 0;
         for i in 0..5u32 {
-            let d = r.insert(SeqNum(i * 60_000), &chunk);
-            total += collect(d).len();
+            total += ins(&mut r, i * 60_000, &chunk).len();
         }
         assert!(total as u64 <= INSPECT_LIMIT);
         assert_eq!(r.delivered_bytes(), INSPECT_LIMIT);
-        let d = r.insert(SeqNum(999_999), &chunk);
-        assert!(d.is_empty());
+        assert!(ins(&mut r, 999_999, &chunk).is_empty());
     }
 
     #[test]
     fn empty_payloads_ignored() {
         let mut r = StreamReassembler::new();
-        assert!(r.insert(SeqNum(5), &Bytes::new()).is_empty());
-        let d = r.insert(SeqNum(9), &b(b"ok"));
-        assert_eq!(collect(d), b"ok");
+        assert!(ins(&mut r, 5, b"").is_empty());
+        assert_eq!(ins(&mut r, 9, b"ok"), b"ok");
     }
 }

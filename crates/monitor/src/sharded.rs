@@ -34,7 +34,7 @@
 //!    equals the single-probe order.
 
 use crate::checkpoint::ProbeState;
-use crate::probe::{dns_cmp, flow_sort_key, FlowSink, Probe, ProbeConfig};
+use crate::probe::{dns_cmp, sort_flows_canonical, FlowSink, Probe, ProbeConfig};
 use crate::record::{DnsRecord, FlowRecord};
 use satwatch_netstack::{Packet, PacketColumns};
 use satwatch_simcore::{fx_hash_one, resolve_workers, SimDuration, SimTime};
@@ -105,7 +105,7 @@ impl ShardedProbe {
     /// per shard, on the caller's thread, before the shard starts.
     /// `finish()` then returns an empty flow vector. Evictions reach
     /// the sinks in per-shard eviction order — any global order must
-    /// be restored by the consumer (sort by [`flow_sort_key`]).
+    /// be restored by the consumer ([`sort_flows_canonical`]).
     pub fn with_flow_sink<F>(cfg: ProbeConfig, shards: usize, make_sink: F) -> ShardedProbe
     where
         F: FnMut(usize) -> FlowSink,
@@ -362,7 +362,7 @@ impl ShardedProbe {
                 }
                 // Stable sorts + total/tie-safe keys ⇒ identical bytes
                 // to the single probe (see module docs).
-                flows.sort_by_key(flow_sort_key);
+                sort_flows_canonical(&mut flows);
                 dns.sort_by(dns_cmp);
                 (flows, dns)
             }
@@ -524,7 +524,7 @@ mod tests {
             assert_eq!(dns, batch_dns, "dns path unaffected by the sink");
             let mut streamed = Arc::try_unwrap(collected).unwrap().into_inner().unwrap();
             // eviction order is not canonical; the sort key recovers it
-            streamed.sort_by_key(flow_sort_key);
+            sort_flows_canonical(&mut streamed);
             assert_eq!(streamed, batch_flows, "shards={shards}");
         }
     }

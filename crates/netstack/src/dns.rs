@@ -194,19 +194,11 @@ impl DnsMessage {
     }
 
     pub fn parse(buf: &[u8]) -> Result<DnsMessage, ParseError> {
-        if buf.len() < DNS_HEADER_LEN {
-            return Err(ParseError::Truncated { needed: DNS_HEADER_LEN, got: buf.len() });
-        }
-        let id = u16::from_be_bytes([buf[0], buf[1]]);
+        let DnsHeader { id, is_response, has_question, ancount } = DnsHeader::parse(buf)?;
         let flags = u16::from_be_bytes([buf[2], buf[3]]);
-        let qdcount = u16::from_be_bytes([buf[4], buf[5]]);
-        let ancount = u16::from_be_bytes([buf[6], buf[7]]);
-        if qdcount > 1 {
-            return Err(ParseError::BadField("dns qdcount"));
-        }
         let mut i = DNS_HEADER_LEN;
         let mut question = None;
-        if qdcount == 1 {
+        if has_question {
             let (name, used) = decode_name(buf, i)?;
             i += used;
             if i + 4 > buf.len() {
@@ -248,7 +240,7 @@ impl DnsMessage {
         }
         Ok(DnsMessage {
             id,
-            is_response: flags & 0x8000 != 0,
+            is_response,
             recursion_desired: flags & 0x0100 != 0,
             rcode: Rcode::from_u8((flags & 0x000f) as u8),
             question,
@@ -266,11 +258,104 @@ fn encode_name(b: &mut Vec<u8>, name: &str) {
     b.push(0);
 }
 
+/// The fixed header of a message, read in place, and from it a walk
+/// of the body that builds no owned names: what the monitor's DNS
+/// transaction log needs of a packet (id and direction first, then the
+/// question name or the answered addresses).
+///
+/// [`parse`](DnsHeader::parse) followed by [`walk`](DnsHeader::walk)
+/// accepts and rejects exactly the messages [`DnsMessage::parse`] does
+/// (a property test pins it): a message with one malformed record is
+/// rejected whole.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DnsHeader {
+    pub id: u16,
+    pub is_response: bool,
+    has_question: bool,
+    ancount: u16,
+}
+
+impl DnsHeader {
+    pub fn parse(buf: &[u8]) -> Result<DnsHeader, ParseError> {
+        if buf.len() < DNS_HEADER_LEN {
+            return Err(ParseError::Truncated { needed: DNS_HEADER_LEN, got: buf.len() });
+        }
+        let flags = u16::from_be_bytes([buf[2], buf[3]]);
+        let qdcount = u16::from_be_bytes([buf[4], buf[5]]);
+        if qdcount > 1 {
+            return Err(ParseError::BadField("dns qdcount"));
+        }
+        Ok(DnsHeader {
+            id: u16::from_be_bytes([buf[0], buf[1]]),
+            is_response: flags & 0x8000 != 0,
+            has_question: qdcount == 1,
+            ancount: u16::from_be_bytes([buf[6], buf[7]]),
+        })
+    }
+
+    /// Validate the question and every answer of `buf` (the message
+    /// this header was parsed from). `qname` is cleared and receives
+    /// the question name (empty without a question); `on_a` sees the
+    /// address of each A answer, in message order. On `Err` whatever
+    /// `on_a` saw belongs to a message to ignore.
+    pub fn walk(&self, buf: &[u8], qname: &mut String, mut on_a: impl FnMut(Ipv4Addr)) -> Result<(), ParseError> {
+        qname.clear();
+        let mut i = DNS_HEADER_LEN;
+        if self.has_question {
+            i += walk_name(buf, i, |label| push_label(qname, label))?;
+            if i + 4 > buf.len() {
+                return Err(ParseError::Truncated { needed: i + 4, got: buf.len() });
+            }
+            RecordType::from_u16(u16::from_be_bytes([buf[i], buf[i + 1]])).ok_or(ParseError::BadField("dns qtype"))?;
+            i += 4; // type + class
+        }
+        for _ in 0..self.ancount {
+            i += walk_name(buf, i, |_| {})?;
+            if i + 10 > buf.len() {
+                return Err(ParseError::Truncated { needed: i + 10, got: buf.len() });
+            }
+            let rtype = u16::from_be_bytes([buf[i], buf[i + 1]]);
+            let rdlen = u16::from_be_bytes([buf[i + 8], buf[i + 9]]) as usize;
+            i += 10;
+            if i + rdlen > buf.len() {
+                return Err(ParseError::Truncated { needed: i + rdlen, got: buf.len() });
+            }
+            match RecordType::from_u16(rtype) {
+                Some(RecordType::A) if rdlen == 4 => on_a(Ipv4Addr::new(buf[i], buf[i + 1], buf[i + 2], buf[i + 3])),
+                Some(RecordType::Cname) => {
+                    walk_name(buf, i, |_| {})?;
+                }
+                _ => {} // skip unknown rdata
+            }
+            i += rdlen;
+        }
+        Ok(())
+    }
+}
+
+fn push_label(name: &mut String, label: &str) {
+    if !name.is_empty() {
+        name.push('.');
+    }
+    name.push_str(label);
+}
+
 /// Decode a (possibly compressed) name starting at `start`. Returns
 /// the name and the bytes consumed *at the call site* (pointers count
 /// as 2 bytes regardless of target length).
 fn decode_name(buf: &[u8], start: usize) -> Result<(String, usize), ParseError> {
     let mut name = String::new();
+    let consumed = walk_name(buf, start, |label| push_label(&mut name, label))?;
+    Ok((name, consumed))
+}
+
+/// Walk the labels of the name at `start`, handing each (lossily
+/// decoded) to `on_label`; returns the bytes consumed at the call
+/// site. The one place name syntax is checked: pointer direction and
+/// count, label bounds, and the 255-byte cap on the dotted name.
+fn walk_name(buf: &[u8], start: usize, mut on_label: impl FnMut(&str)) -> Result<usize, ParseError> {
+    // length of the dotted name so far, as `decode_name` would hold it
+    let mut name_len = 0;
     let mut i = start;
     let mut consumed = None;
     let mut jumps = 0;
@@ -292,20 +377,17 @@ fn decode_name(buf: &[u8], start: usize) -> Result<(String, usize), ParseError> 
             }
             i = target;
         } else if len == 0 {
-            if consumed.is_none() {
-                consumed = Some(i + 1 - start);
-            }
-            return Ok((name, consumed.unwrap()));
+            // after a jump `i` is behind `start`: only the first terminator counts
+            return Ok(consumed.unwrap_or_else(|| i + 1 - start));
         } else {
-            if name.len() + len + 1 > MAX_NAME_LEN {
+            if name_len + len + 1 > MAX_NAME_LEN {
                 return Err(ParseError::BadField("dns name too long"));
             }
             let label =
                 buf.get(i + 1..i + 1 + len).ok_or(ParseError::Truncated { needed: i + 1 + len, got: buf.len() })?;
-            if !name.is_empty() {
-                name.push('.');
-            }
-            name.push_str(&String::from_utf8_lossy(label));
+            let label = String::from_utf8_lossy(label);
+            name_len += usize::from(name_len > 0) + label.len();
+            on_label(&label);
             i += 1 + len;
         }
     }

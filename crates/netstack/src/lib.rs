@@ -13,7 +13,8 @@
 //! * [`quic`] — QUIC v1 framing and Initial-packet SNI extraction.
 //! * [`rtp`] — RTP header and detection heuristic.
 //! * [`packet`] — the composed [`packet::Packet`] moved through the
-//!   simulated network, with full-datagram encode/parse.
+//!   simulated network, with full-datagram encode/parse, and
+//!   [`packet::PacketView`], the same parse borrowing its payload.
 //! * [`columns`] — struct-of-arrays packet runs
 //!   ([`columns::PacketColumns`]), the columnar hot-path twin of
 //!   [`packet::Packet`] with on-demand materialization.
@@ -46,6 +47,6 @@ pub mod udp;
 
 pub use columns::{PacketColumns, SortScratch};
 pub use ip::{Ipv4Header, ParseError, Subnet};
-pub use packet::{FiveTuple, Packet, Transport};
+pub use packet::{FiveTuple, Packet, PacketView, Transport};
 pub use tcp::{SeqNum, TcpFlags, TcpHeader, TcpOption};
 pub use udp::UdpHeader;

@@ -108,13 +108,7 @@ impl Packet {
     }
 
     pub fn five_tuple(&self) -> FiveTuple {
-        FiveTuple {
-            src: self.ip.src,
-            dst: self.ip.dst,
-            src_port: self.transport.src_port(),
-            dst_port: self.transport.dst_port(),
-            protocol: self.transport.protocol(),
-        }
+        FiveTuple::of(&self.ip, &self.transport)
     }
 
     /// Serialise the full datagram.
@@ -135,22 +129,66 @@ impl Packet {
         b.freeze()
     }
 
-    /// Parse a full datagram.
+    /// Parse a full datagram into an owned packet: the borrowed
+    /// [`PacketView::parse`] plus one copy of the captured payload.
     pub fn parse(buf: &[u8]) -> Result<Packet, ParseError> {
+        PacketView::parse(buf).map(PacketView::to_packet)
+    }
+}
+
+/// A datagram parsed in place: the headers by value, the L4 payload as
+/// a slice of the caller's buffer. This is what the probe's wire path
+/// works on — no `Bytes`, no copy.
+///
+/// A capture may have snapped the frame: `payload` is what the buffer
+/// holds, while [`wire_len`](PacketView::wire_len) and
+/// [`payload_len`](PacketView::payload_len) are what the IP header
+/// says was on the wire (Tstat's accounting rule).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PacketView<'a> {
+    pub ip: Ipv4Header,
+    pub transport: Transport,
+    /// Captured L4 payload bytes.
+    pub payload: &'a [u8],
+    /// IP + L4 header bytes in front of the payload.
+    header_len: usize,
+}
+
+impl<'a> PacketView<'a> {
+    /// Parse the headers of a full or snapped datagram.
+    pub fn parse(buf: &'a [u8]) -> Result<PacketView<'a>, ParseError> {
         let (ip, ip_len) = Ipv4Header::parse(buf)?;
         let total = (ip.total_len as usize).min(buf.len());
         let l4 = &buf[ip_len..total];
-        match ip.protocol {
+        let (transport, used) = match ip.protocol {
             proto::TCP => {
                 let (tcp, used) = TcpHeader::parse(l4)?;
-                Ok(Packet { ip, transport: Transport::Tcp(tcp), payload: Bytes::copy_from_slice(&l4[used..]) })
+                (Transport::Tcp(tcp), used)
             }
             proto::UDP => {
                 let (udp, used) = UdpHeader::parse(l4)?;
-                Ok(Packet { ip, transport: Transport::Udp(udp), payload: Bytes::copy_from_slice(&l4[used..]) })
+                (Transport::Udp(udp), used)
             }
-            _ => Err(ParseError::BadField("unsupported protocol")),
-        }
+            _ => return Err(ParseError::BadField("unsupported protocol")),
+        };
+        Ok(PacketView { ip, transport, payload: &l4[used..], header_len: ip_len + used })
+    }
+
+    /// On-the-wire length of the datagram: the IP header's total
+    /// length, whatever the capture kept of it.
+    pub fn wire_len(&self) -> usize {
+        self.ip.total_len as usize
+    }
+
+    /// On-the-wire L4 payload length, from the IP header. At least
+    /// `payload.len()`: the L4 header parsed inside `total_len`.
+    pub fn payload_len(&self) -> usize {
+        self.wire_len() - self.header_len
+    }
+
+    /// Copy the captured payload into an owned [`Packet`].
+    pub fn to_packet(self) -> Packet {
+        Packet { ip: self.ip, transport: self.transport, payload: Bytes::copy_from_slice(self.payload) }
     }
 }
 
@@ -165,6 +203,17 @@ pub struct FiveTuple {
 }
 
 impl FiveTuple {
+    /// The 5-tuple a packet's headers spell, in the packet's direction.
+    pub fn of(ip: &Ipv4Header, transport: &Transport) -> FiveTuple {
+        FiveTuple {
+            src: ip.src,
+            dst: ip.dst,
+            src_port: transport.src_port(),
+            dst_port: transport.dst_port(),
+            protocol: transport.protocol(),
+        }
+    }
+
     /// The same flow seen from the opposite direction.
     pub fn reversed(&self) -> FiveTuple {
         FiveTuple {
@@ -267,6 +316,29 @@ mod tests {
         assert_eq!(Packet::parse(&wire).unwrap_err(), ParseError::BadField("total_len"));
         // snapped to a capture's snaplen it is still the same bad header
         assert_eq!(Packet::parse(&wire[..256]).unwrap_err(), ParseError::BadField("total_len"));
+    }
+
+    #[test]
+    fn view_borrows_the_payload_and_reads_lengths_off_the_ip_header() {
+        let p = Packet::tcp(
+            addr(1),
+            addr(2),
+            TcpHeader::new(443, 55_000, TcpFlags::PSH_ACK),
+            Bytes::from(vec![7u8; 1_400]),
+        );
+        let wire = p.encode();
+        let full = PacketView::parse(&wire).unwrap();
+        assert_eq!((full.wire_len(), full.payload_len(), full.payload.len()), (1_440, 1_400, 1_400));
+        assert_eq!(full.clone().to_packet(), p);
+        // snapped to 256 bytes: the slice is what was captured, the
+        // lengths are still the wire's
+        let snapped = PacketView::parse(&wire[..256]).unwrap();
+        assert_eq!((snapped.wire_len(), snapped.payload_len(), snapped.payload.len()), (1_440, 1_400, 216));
+        assert_eq!((&snapped.ip, &snapped.transport), (&full.ip, &full.transport));
+        // trailing bytes past total_len are not payload
+        let mut padded = wire.to_vec();
+        padded.extend_from_slice(&[0xee; 6]);
+        assert_eq!(PacketView::parse(&padded).unwrap(), full);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use satwatch_netstack::dns::{Answer, DnsMessage, RecordType};
+use satwatch_netstack::dns::{Answer, DnsHeader, DnsMessage, RecordType};
 use satwatch_netstack::ip::{common_prefix_len, internet_checksum, Ipv4Header, Subnet};
-use satwatch_netstack::packet::{Packet, Transport};
+use satwatch_netstack::packet::{Packet, PacketView, Transport};
 use satwatch_netstack::quic;
 use satwatch_netstack::tcp::{SeqNum, TcpFlags, TcpHeader, TcpOption};
 use satwatch_netstack::tls;
@@ -136,6 +136,50 @@ proptest! {
         let _ = DnsMessage::parse(&buf);
     }
 
+    /// The in-place walk the monitor's DNS log uses must accept and
+    /// reject exactly what the owning parser does, with the same error,
+    /// and see the same id, question name and A addresses — also on a
+    /// message with flipped bytes, a cut tail, or no shape at all.
+    #[test]
+    fn dns_walk_agrees_with_owned_parse(id in any::<u16>(), name in arb_domain(),
+                                        addrs in proptest::collection::vec(arb_addr(), 0..5),
+                                        cname in proptest::option::of(arb_domain()),
+                                        flips in proptest::collection::vec((any::<u16>(), 0u8..8), 0..4),
+                                        cut in proptest::option::of(any::<u16>()),
+                                        noise in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let q = DnsMessage::query(id, &name, RecordType::A);
+        let mut r = DnsMessage::answer_a(&q, &addrs, 300);
+        if let Some(target) = cname {
+            r.answers.insert(addrs.len() / 2, Answer::Cname { name: name.clone(), target, ttl: 60 });
+        }
+        let mut wire = r.encode().to_vec();
+        for (at, bit) in flips {
+            let at = at as usize % wire.len();
+            wire[at] ^= 1 << bit;
+        }
+        if let Some(cut) = cut {
+            wire.truncate(cut as usize % (wire.len() + 1));
+        }
+        for msg in [q.encode().to_vec(), wire, noise] {
+            let mut qname = String::from("left over from the last message");
+            let mut seen = Vec::new();
+            let walked = DnsHeader::parse(&msg).and_then(|h| h.walk(&msg, &mut qname, |a| seen.push(a)).map(|()| h));
+            match DnsMessage::parse(&msg) {
+                Ok(owned) => {
+                    let h = walked.expect("the walk accepts what the parser accepts");
+                    prop_assert_eq!((h.id, h.is_response), (owned.id, owned.is_response));
+                    prop_assert_eq!(qname, owned.question.map(|(n, _)| n).unwrap_or_default());
+                    let a_records: Vec<Ipv4Addr> = owned.answers.iter().filter_map(|a| match a {
+                        Answer::A { addr, .. } => Some(*addr),
+                        Answer::Cname { .. } => None,
+                    }).collect();
+                    prop_assert_eq!(seen, a_records);
+                }
+                Err(e) => prop_assert_eq!(walked.unwrap_err(), e),
+            }
+        }
+    }
+
     #[test]
     fn quic_varint_round_trip(v in 0u64..(1 << 62)) {
         let mut b = bytes::BytesMut::new();
@@ -185,6 +229,33 @@ proptest! {
     #[test]
     fn packet_parse_never_panics(buf in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = Packet::parse(&buf);
+    }
+
+    /// The owned parse is the borrowed one plus a copy, at every cut.
+    #[test]
+    fn view_and_packet_agree_at_every_length(src in arb_addr(), dst in arb_addr(), udp in any::<bool>(),
+                                             opts in arb_tcp_options(),
+                                             payload in proptest::collection::vec(any::<u8>(), 0..200)) {
+        let pkt = if udp {
+            Packet::udp(src, dst, 1, 2, Bytes::from(payload))
+        } else {
+            let mut h = TcpHeader::new(1, 2, TcpFlags::PSH_ACK);
+            h.options = opts;
+            Packet::tcp(src, dst, h, Bytes::from(payload))
+        };
+        let wire = pkt.encode();
+        for cut in 0..=wire.len() {
+            match (PacketView::parse(&wire[..cut]), Packet::parse(&wire[..cut])) {
+                (Ok(v), Ok(p)) => {
+                    prop_assert_eq!((v.wire_len(), v.payload_len()), (pkt.wire_len(), pkt.payload_len()));
+                    prop_assert_eq!(v.payload, &p.payload[..]);
+                    prop_assert_eq!(v.to_packet(), p);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (v, p) => prop_assert!(false, "cut {}: view {:?}, packet {:?}", cut, v, p),
+            }
+        }
+        prop_assert_eq!(Packet::parse(&wire).unwrap(), pkt);
     }
 
     #[test]

@@ -1,0 +1,156 @@
+//! Allocation budget of the probe's wire path.
+//!
+//! `Probe::observe_wire` borrows: a frame is parsed in place, in-order
+//! stream data reaches the DPI as slices of the frame, and a flow's
+//! record is written once. This test counts heap allocations to keep
+//! it that way — a steady-state data frame costs none, and a whole
+//! capture costs a small, pinned number per flow (flow state, early
+//! log, the handshake's SYN options and DPI strings, the record).
+//!
+//! The counter is per thread, so the two tests can share the binary's
+//! one global allocator while the harness runs them side by side.
+//! Implementing `GlobalAlloc` is the one thing here that needs
+//! `unsafe`; it forwards to `System` untouched.
+
+use bytes::Bytes;
+use satwatch_monitor::{FlowTableConfig, Probe, ProbeConfig};
+use satwatch_netstack::{tls, Packet, SeqNum, TcpFlags, TcpHeader, TcpOption};
+use satwatch_scenario::{run_with_tap, ScenarioConfig};
+use satwatch_simcore::{SimDuration, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+
+thread_local! {
+    // const-initialised and without a destructor: touching it from
+    // inside the allocator cannot itself allocate or re-enter
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// thread-local counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they came
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as above
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes while `f` runs.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+fn probe() -> Probe {
+    let gs = satwatch_satcom::GroundStation::italy_default();
+    Probe::new(ProbeConfig::new(FlowTableConfig::new(gs.customer_subnet)))
+}
+
+#[test]
+fn an_in_order_data_frame_of_an_established_tls_flow_allocates_nothing() {
+    let gs = satwatch_satcom::GroundStation::italy_default();
+    let (client, server) = (gs.customer_subnet.host(7), Ipv4Addr::new(198, 18, 0, 1));
+    let seg = |c2s: bool, flags: TcpFlags, seq: u32, ack: u32, payload: &[u8]| {
+        let (src, dst, sp, dp) = if c2s { (client, server, 50_000, 443) } else { (server, client, 443, 50_000) };
+        let mut h = TcpHeader::new(sp, dp, flags);
+        (h.seq, h.ack) = (SeqNum(seq), SeqNum(ack));
+        if flags.syn() {
+            h.options = vec![TcpOption::Mss(1460), TcpOption::SackPermitted, TcpOption::WindowScale(7)];
+        }
+        Packet::tcp(src, dst, h, Bytes::copy_from_slice(payload)).encode()
+    };
+    let ms = |n: i64| SimTime::ZERO + SimDuration::from_millis(n);
+
+    let hello = tls::client_hello("video.example.net", [1; 32]);
+    let mut flight = tls::server_hello([2; 32]).to_vec();
+    flight.extend_from_slice(&tls::certificate(1_000, 3));
+    flight.extend_from_slice(&tls::server_hello_done());
+    let mut reply = tls::client_key_exchange(4).to_vec();
+    reply.extend_from_slice(&tls::change_cipher_spec());
+    let (mut up, mut down) = (101 + hello.len() as u32, 901 + flight.len() as u32);
+    let handshake = [
+        seg(true, TcpFlags::SYN, 100, 0, &[]),
+        seg(false, TcpFlags::SYN_ACK, 900, 101, &[]),
+        seg(true, TcpFlags::ACK, 101, 901, &[]),
+        seg(true, TcpFlags::PSH_ACK, 101, 901, &hello),
+        seg(false, TcpFlags::PSH_ACK, 901, up, &flight),
+        seg(true, TcpFlags::PSH_ACK, up, down, &reply),
+    ];
+    up += reply.len() as u32;
+    // 10 000 in-order frames: 1 400-byte records down, requests and ACKs up
+    let mut data = Vec::new();
+    for i in 0..5_000u32 {
+        let body = tls::application_data(1_395, i as u8);
+        data.push(seg(false, TcpFlags::PSH_ACK, down, up, &body));
+        down += body.len() as u32;
+        let request = if i % 50 == 0 { tls::application_data(300, 9) } else { Bytes::new() };
+        data.push(seg(true, TcpFlags::PSH_ACK, up, down, &request));
+        up += request.len() as u32;
+    }
+
+    let mut p = probe();
+    for (i, frame) in handshake.iter().enumerate() {
+        p.observe_wire(ms(i as i64 * 300), frame);
+    }
+    // 20 ms apart: the run crosses three periodic sweeps
+    let spent = allocations_in(|| {
+        for (i, frame) in data.iter().enumerate() {
+            p.observe_wire(ms(2_000 + i as i64 * 20), frame);
+        }
+    });
+    assert_eq!((p.packets, p.parse_errors, p.active_flows()), (10_006, 0, 1));
+    let (flows, _) = p.finish();
+    assert_eq!(flows[0].domain.as_deref(), Some("video.example.net"));
+    assert!(flows[0].sat_rtt_ms.is_some(), "the handshake was seen whole");
+    assert_eq!(flows[0].s2c_packets, 5_002);
+    assert_eq!(spent, 0, "allocations over 10 000 in-order data frames");
+}
+
+/// What the wire path needs per flow on a real mix, pinned: 12
+/// customers' span port, every frame through `observe_wire`, then
+/// `finish`. Measured 5.46 when written; the budget allows ×1.5.
+#[test]
+fn a_whole_capture_stays_inside_its_allocation_budget_per_flow() {
+    const BUDGET_PER_FLOW: f64 = 8.1;
+    let cfg = ScenarioConfig::tiny().with_customers(12).with_seed(7).with_threads(1).with_probe_shards(1);
+    let mut frames: Vec<(SimTime, Bytes)> = Vec::new();
+    run_with_tap(cfg, |t, pkt| {
+        // (the synthesizer's coalesced super-chunks have no wire form)
+        if pkt.wire_len() <= 65_535 {
+            frames.push((t, pkt.encode()));
+        }
+    });
+    let mut p = probe();
+    let mut flows = 0;
+    let spent = allocations_in(|| {
+        for (t, frame) in &frames {
+            p.observe_wire(*t, frame);
+        }
+        assert_eq!(p.parse_errors, 0);
+        flows = p.finish().0.len();
+    });
+    assert!(flows > 1_000, "the capture holds a day of 12 customers: {flows} flows");
+    let per_flow = spent as f64 / flows as f64;
+    eprintln!("{spent} allocations, {flows} flows, {} frames: {per_flow:.2} per flow", frames.len());
+    assert!(per_flow <= BUDGET_PER_FLOW, "{per_flow:.2} allocations per flow, budget {BUDGET_PER_FLOW}");
+}
