@@ -257,13 +257,13 @@ fn synth_fixture(n_intents: usize) -> SynthFixture {
     SynthFixture { seeds, population, catalog, model, intents }
 }
 
-/// The two-pass flow synthesis measured head-to-head (ISSUE 10 /
-/// DESIGN.md §15): `synth_plan_1k` runs the cohort driver's shape —
-/// one batched sampling pass over the shared RNG stream, then
-/// RNG-free emission — against `synth_scalar_1k`, the
-/// plan+emit-per-flow scalar oracle. `synth_sample_only_1k` isolates
-/// the sampling pass, the serial section the parallel dispatch
-/// cannot hide.
+/// The two-pass flow synthesis measured head-to-head (DESIGN.md "The
+/// packet path and its reference"): `synth_plan_1k` runs the cohort
+/// driver's shape — one batched sampling pass over the shared RNG
+/// stream, then RNG-free emission — against `synth_reference_1k`, the
+/// flow-at-a-time `simulate_flow` the reference run uses.
+/// `synth_sample_only_1k` isolates the sampling pass, the serial
+/// section the parallel dispatch cannot hide.
 fn synthesis_two_pass(c: &mut Criterion) {
     let f = synth_fixture(1024);
     let n = f.intents.len() as u64;
@@ -330,20 +330,7 @@ fn synthesis_two_pass(c: &mut Criterion) {
             black_box((plans.len(), delay_col.len()))
         })
     });
-    group.bench_function("synth_sample_uncached_1k", |b| {
-        b.iter(|| {
-            let mut rng = f.seeds.rng_idx("flows", 0);
-            let mut delay_col = Vec::new();
-            let mut plans = Vec::with_capacity(f.intents.len());
-            for intent in &f.intents {
-                let customer = &f.population.customers[intent.customer_index];
-                let beam = f.population.beam(customer.terminal.beam);
-                plans.push(f.model.plan_flow(intent, customer, &f.catalog, beam, &mut rng, &mut delay_col));
-            }
-            black_box((plans.len(), delay_col.len()))
-        })
-    });
-    group.bench_function("synth_scalar_1k", |b| {
+    group.bench_function("synth_reference_1k", |b| {
         let mut arena = satwatch_simcore::PayloadArena::new();
         let mut out = PacketColumns::default();
         b.iter(|| {
@@ -393,8 +380,8 @@ fn wire_probe() -> Probe {
     Probe::new(ProbeConfig::new(FlowTableConfig::new(subnet)))
 }
 
-/// The probe's stamp sweep (ISSUE 10 / DESIGN.md §15) against the
-/// per-row walker it replaced: identical synthesized runs go through
+/// The probe's stamp sweep (DESIGN.md §8) against the per-packet
+/// walker: identical synthesized runs go through
 /// `observe_cols` (branch-light scalar-column sweep + deferred DPI)
 /// and through per-packet `observe` on materialized rows.
 fn stamp_loop(c: &mut Criterion) {

@@ -247,12 +247,11 @@ impl Campaign {
         })
     }
 
-    /// Override the perf knobs (worker threads / probe shards /
-    /// batched packet path) for this process. Legitimate on resume:
-    /// the output is bit-identical at any value, which is why
-    /// [`config_hash`] excludes all three.
-    pub fn override_perf(&mut self, threads: usize, probe_shards: usize, packet_batching: bool) {
-        self.cfg = self.cfg.with_threads(threads).with_probe_shards(probe_shards).with_packet_batching(packet_batching);
+    /// Override the perf knobs (worker threads / probe shards) for
+    /// this process. Legitimate on resume: the output is bit-identical
+    /// at any value, which is why [`config_hash`] excludes both.
+    pub fn override_perf(&mut self, threads: usize, probe_shards: usize) {
+        self.cfg = self.cfg.with_threads(threads).with_probe_shards(probe_shards);
     }
 
     pub fn config(&self) -> ScenarioConfig {

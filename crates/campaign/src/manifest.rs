@@ -65,10 +65,9 @@ pub struct Manifest {
 }
 
 /// Hash of the config fields that determine the output bytes. The
-/// perf knobs (`threads`, `probe_shards`, `packet_batching`,
-/// `vectorized_synthesis`) are excluded on purpose: output is
-/// bit-identical at any value, so a resume may legitimately run with
-/// different ones.
+/// perf knobs (`threads`, `probe_shards`) are excluded on purpose:
+/// output is bit-identical at any value, so a resume may legitimately
+/// run with different ones.
 pub fn config_hash(cfg: &ScenarioConfig) -> u64 {
     let semantic = format!(
         "seed={} customers={} days={} pep={} african_gs={} forced_dns={}",
@@ -91,7 +90,7 @@ impl Manifest {
             s,
             "  \"config\": {{\"seed\": {}, \"customers\": {}, \"days\": {}, \"pep_enabled\": {}, \
              \"african_ground_station\": {}, \"force_operator_dns\": {}, \"threads\": {}, \
-             \"probe_shards\": {}, \"packet_batching\": {}}},",
+             \"probe_shards\": {}}},",
             c.seed,
             c.customers,
             c.days,
@@ -99,8 +98,7 @@ impl Manifest {
             c.african_ground_station,
             c.force_operator_dns,
             c.threads,
-            c.probe_shards,
-            c.packet_batching
+            c.probe_shards
         );
         let _ = writeln!(s, "  \"config_hash\": \"{}\",", hex(self.config_hash));
         let _ = writeln!(s, "  \"days_completed\": {},", self.days_completed);
@@ -160,6 +158,8 @@ impl Manifest {
         s
     }
 
+    /// Unknown keys are ignored, so a manifest written when the config
+    /// had perf knobs that have since been removed still parses.
     pub fn parse(src: &str) -> Result<Manifest, CampaignError> {
         let j = Json::parse(src).map_err(|e| CampaignError::Corrupt(format!("manifest: {e}")))?;
         let version = get_i64(&j, "version")?;
@@ -172,8 +172,7 @@ impl Manifest {
             .with_customers(get_i64(cj, "customers")? as u32)
             .with_days(get_i64(cj, "days")? as u64)
             .with_threads(get_i64(cj, "threads")? as usize)
-            .with_probe_shards(get_i64(cj, "probe_shards")? as usize)
-            .with_packet_batching(get_bool(cj, "packet_batching")?);
+            .with_probe_shards(get_i64(cj, "probe_shards")? as usize);
         if !get_bool(cj, "pep_enabled")? {
             cfg = cfg.without_pep();
         }
@@ -291,7 +290,9 @@ mod tests {
             dataset_digest: None,
             report_digest: None,
         };
-        let back = Manifest::parse(&m.to_json()).unwrap();
+        let json = m.to_json();
+        assert!(!json.contains("packet_batching"), "removed knob still written: {json}");
+        let back = Manifest::parse(&json).unwrap();
         assert_eq!(back, m);
 
         let done = Manifest {
@@ -303,6 +304,36 @@ mod tests {
         };
         let back = Manifest::parse(&done.to_json()).unwrap();
         assert_eq!(back, done);
+    }
+
+    /// A manifest exactly as the last version with a batching knob in
+    /// the config wrote it (`satwatch campaign --customers 6 --days 3
+    /// --seed 11 --shards 2 --abort-after-day 0`): it must still resume.
+    #[test]
+    fn manifest_with_a_removed_config_key_still_parses() {
+        let old = r#"{
+  "version": 1,
+  "config": {"seed": 11, "customers": 6, "days": 3, "pep_enabled": true, "african_ground_station": false, "force_operator_dns": false, "threads": 1, "probe_shards": 2, "packet_batching": true},
+  "config_hash": "d69187951bbd9e86",
+  "days_completed": 1,
+  "flow_digest": "55cafed88bf2cf0d",
+  "flow_rows": 0,
+  "segments": [],
+  "dns_files": [
+    {"day": 0, "file": "dns/dns-0.bin", "records": 1349, "fnv": "bb2e2f5963eeb7c6"}
+  ],
+  "state_file": {"file": "state-0.bin", "fnv": "d37aa0ffee83bdef"},
+  "dataset_digest": null,
+  "report_digest": null,
+  "complete": false
+}
+"#;
+        let m = Manifest::parse(old).unwrap();
+        assert_eq!(m.cfg, ScenarioConfig::tiny().with_customers(6).with_days(3).with_seed(11).with_probe_shards(2));
+        assert_eq!(m.config_hash, 0xd691_8795_1bbd_9e86);
+        // what this version writes differs from `old` by that key only
+        assert_eq!(m.to_json(), old.replace(", \"packet_batching\": true", ""));
+        assert_eq!(Manifest::parse(&m.to_json()).unwrap(), m);
     }
 
     #[test]
@@ -328,7 +359,7 @@ mod tests {
     #[test]
     fn perf_knobs_do_not_affect_config_hash() {
         let a = ScenarioConfig::tiny();
-        let b = a.with_threads(8).with_probe_shards(4).with_packet_batching(false);
+        let b = a.with_threads(8).with_probe_shards(4);
         assert_eq!(config_hash(&a), config_hash(&b));
         assert_ne!(config_hash(&a), config_hash(&a.with_seed(1)));
     }

@@ -90,7 +90,7 @@ fn kill_after_each_day_and_resume_is_bit_identical() {
     let out = {
         let mut c = Campaign::resume(&dir).unwrap();
         assert_eq!(c.days_completed(), 2);
-        c.override_perf(2, 2, cfg.packet_batching);
+        c.override_perf(2, 2);
         c.run(&RunOptions::default()).unwrap()
     };
     assert!(out.completed);

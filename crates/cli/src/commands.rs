@@ -58,9 +58,9 @@ commands:
                                      (default: satwatch-campaign)
                 --resume DIR         continue the campaign in DIR;
                                      scenario options come from its
-                                     manifest (--threads/--shards/
-                                     --no-batching still apply: they
-                                     never change the output bytes)
+                                     manifest (--threads/--shards
+                                     still apply: they never change
+                                     the output bytes)
                 --abort-after-day N  commit day N's checkpoint
                                      (0-based), then exit — the CI
                                      kill simulation
@@ -77,7 +77,8 @@ commands:
                           analytics_ms is measurable (default 1)
                 --smoke   tiny single-worker workload; exercises the
                           bench path in CI without meaningful timings
-                          and diffs batched vs per-packet digests
+                          and diffs its digests against the naive
+                          single-heap reference run
   help        show this message
 
 scenario options (all commands):
@@ -90,12 +91,6 @@ scenario options (all commands):
   --shards N             probe shards for the span-port stream
                          (default 1 = inline probe, 0 = one per core;
                           output is bit-identical at any value)
-  --no-batching          drive the probe per packet instead of in
-                         run-granular batches (the slow reference
-                         path; output is byte-identical either way)
-  --no-vectorized-synth  plan and emit each flow one at a time instead
-                         of in batched cohorts (the scalar reference
-                         path; output is byte-identical either way)
   --no-pep               disable the split-TCP PEP (A3)
   --african-gs           add an African ground station (A1)
   --force-operator-dns   force the operator resolver (A2)
@@ -200,12 +195,6 @@ fn scenario_from(args: &Args) -> Result<ScenarioConfig, Box<dyn Error>> {
         .with_seed(args.get_parsed("seed", 42u64)?)
         .with_threads(threads)
         .with_probe_shards(shards);
-    if args.flag("no-batching") {
-        cfg = cfg.with_packet_batching(false);
-    }
-    if args.flag("no-vectorized-synth") {
-        cfg = cfg.with_vectorized_synthesis(false);
-    }
     if args.flag("no-pep") {
         cfg = cfg.without_pep();
     }
@@ -248,7 +237,7 @@ fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
                 satwatch_simcore::resolve_workers_or_warn(args.get_parsed("threads", stored.threads)?, "threads");
             let shards =
                 satwatch_simcore::resolve_workers_or_warn(args.get_parsed("shards", stored.probe_shards)?, "shards");
-            c.override_perf(threads, shards, stored.packet_batching && !args.flag("no-batching"));
+            c.override_perf(threads, shards);
             eprintln!(
                 "campaign: resuming {} at day {}/{} ({} segments sealed)",
                 dir,
@@ -737,6 +726,7 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
     let mut runs = Vec::new();
     let mut dataset_ref: Option<u64> = None;
     let mut report_ref: Option<u64> = None;
+    let mut packets_ref: Option<u64> = None;
     for &w in &worker_counts {
         // The shared resolver warns (and raises the telemetry gauge)
         // when a count exceeds the cores the runner actually has —
@@ -761,6 +751,7 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
             None => report_ref = Some(r.report_digest),
             Some(d) => assert_eq!(d, r.report_digest, "worker count changed the report"),
         }
+        packets_ref.get_or_insert(r.packets);
         let pps = r.packets as f64 / r.scenario_s;
         // Per-phase attribution of the scenario wall time, straight
         // from the drive loop's histograms (summed over days): flow
@@ -803,37 +794,25 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         ));
     }
     // Smoke mode doubles as the equivalence gate: re-run the same
-    // workload through the slow reference paths and diff both digests
-    // against the vectorized runs above. A mismatch is a hot-path
-    // ordering bug, so it fails CI loudly.
-    let mut batch_oracle = String::new();
+    // workload through the naive single-heap reference
+    // (`scenario::run_reference`) and diff its digests and packet
+    // count against the runs above. A mismatch is a hot-path ordering
+    // bug, so it fails CI loudly.
+    let mut reference_check = "";
     if smoke {
-        let resolved = satwatch_simcore::resolve_workers_or_warn(worker_counts[0], "workers");
-        // per-packet oracle: probe driven row by row, no batch drains
-        let cfg = base.with_threads(resolved).with_probe_shards(resolved).with_packet_batching(false);
-        let r = bench_once(mode, cfg, replicate, resolved);
-        if let (Some(want), Some(got)) = (dataset_ref, r.dataset_digest) {
-            assert_eq!(want, got, "per-packet oracle changed the dataset digest");
+        use satwatch_scenario::digest::fnv1a;
+        let ds = satwatch_scenario::run_reference(base);
+        if let Some(want) = dataset_ref {
+            assert_eq!(want, satwatch_scenario::dataset_digest(&ds), "reference run has a different dataset digest");
         }
-        assert_eq!(report_ref, Some(r.report_digest), "per-packet oracle changed the report digest");
-        eprintln!("  columnar-vs-per-packet digest diff: ok");
-        // scalar-synthesis oracle: flows planned and emitted one at a
-        // time (`simulate_flow`) instead of in batched cohorts
-        let cfg = base.with_threads(resolved).with_probe_shards(resolved).with_vectorized_synthesis(false);
-        let r = bench_once(mode, cfg, replicate, resolved);
-        if let (Some(want), Some(got)) = (dataset_ref, r.dataset_digest) {
-            assert_eq!(want, got, "scalar-synthesis oracle changed the dataset digest");
-        }
-        assert_eq!(report_ref, Some(r.report_digest), "scalar-synthesis oracle changed the report digest");
-        eprintln!("  vectorized-vs-scalar-synthesis digest diff: ok");
-        // Three markers: the historical row-batched name, the columnar
-        // one, and the cohort-synthesis one CI greps now that flow
-        // planning/emission is batched too.
-        batch_oracle = concat!(
-            "\n      \"batch_oracle_check\": \"ok\",\n      \"column_oracle_check\": \"ok\",",
-            "\n      \"synth_oracle_check\": \"ok\","
-        )
-        .to_string();
+        assert_eq!(packets_ref, Some(ds.packets), "reference run saw a different packet count");
+        // the report bytes are the same in every report mode
+        let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment).replicate(replicate);
+        let reports = experiments::paper_reports_columnar(&fr, &ds.dns, &ds.enrichment, BENCH_MIN_FLOWS, 1);
+        let got = fnv1a(reports.render_all().as_bytes());
+        assert_eq!(report_ref, Some(got), "reference run has a different report digest");
+        eprintln!("  production-vs-reference digest diff: ok");
+        reference_check = "\n      \"reference_check\": \"ok\",";
     }
     // process-lifetime high-water mark: a whole-process figure for the
     // bench summary, not a per-run peak (earlier runs inflate it)
@@ -853,7 +832,7 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         concat!(
             "    {{\n      \"rev\": \"{rev}\",\n      \"change\": \"{change}\",\n",
             "      \"workload\": \"{workload}\",\n      \"report_mode\": \"{mode}\",\n",
-            "      \"replicate\": {replicate},\n      \"cores\": {cores},{batch_oracle}\n",
+            "      \"replicate\": {replicate},\n      \"cores\": {cores},{reference_check}\n",
             "      \"peak_rss_process_bytes\": {peak_rss},\n      \"runs\": [\n{runs}\n      ]\n    }}"
         ),
         rev = rev,
@@ -862,7 +841,7 @@ fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
         mode = mode.name(),
         replicate = replicate,
         cores = cores,
-        batch_oracle = batch_oracle,
+        reference_check = reference_check,
         peak_rss = peak_rss,
         runs = format!("    {}", runs.join(",\n").replace('\n', "\n    "))
     );

@@ -675,90 +675,20 @@ impl FlowTable {
         }
     }
 
-    /// Process the maximal same-flow stretch of `batch` starting at
-    /// `start`, returning the index one past the last packet consumed.
+    /// Process the maximal same-flow stretch of columnar rows
+    /// `[start, limit)` of `cols`, without materializing a single
+    /// [`Packet`]; returns the index one past the last row consumed.
     ///
-    /// Equivalent to calling [`process`](Self::process) per packet,
-    /// but the flow-table entry is resolved once for the whole stretch
-    /// and the per-direction packet/byte/payload counters accumulate
-    /// in locals, written back once. A mid-stretch close (FIN/RST)
-    /// ends the stretch at that packet — per-packet semantics let a
-    /// later same-key packet open a *new* flow, so the caller must
+    /// Equivalent to calling [`process`](Self::process) per row, but
+    /// the flow-table entry is resolved once for the whole stretch and
+    /// the per-direction packet/byte/payload counters accumulate in
+    /// locals, written back once. A mid-stretch close (FIN/RST) ends
+    /// the stretch at that row — per-packet semantics let a later
+    /// same-key packet open a *new* flow, so the caller must
     /// re-resolve.
-    pub fn process_stretch(&mut self, batch: &[(SimTime, Packet)], start: usize) -> usize {
-        let (t0, first) = &batch[start];
-        let Some(dir0) = self.direction(first) else {
-            self.transit_packets += 1;
-            metrics().transit.inc();
-            return start + 1;
-        };
-        let key = match dir0 {
-            Direction::C2s => first.five_tuple(),
-            Direction::S2c => first.five_tuple().reversed(),
-        };
-        // Extend the stretch while packets belong to this flow (either
-        // orientation). `key.src` is in the customer subnet and
-        // `key.dst` is not, so stretch membership implies a definite
-        // direction — no subnet checks in the loop.
-        let mut end = start + 1;
-        while end < batch.len() {
-            let ft = batch[end].1.five_tuple();
-            if ft != key && ft.reversed() != key {
-                break;
-            }
-            end += 1;
-        }
-        let FlowTable { cfg, flows, finished, names, .. } = self;
-        let mut inserted = false;
-        let flow = flows.entry(key).or_insert_with(|| {
-            inserted = true;
-            Box::new(FlowState::new(key, *t0, cfg.early_packets))
-        });
-        if inserted {
-            metrics().live_flows.inc();
-        }
-        // [C2s, S2c] accumulators, indexed branchlessly by direction.
-        let mut pkts = [0u64; 2];
-        let mut bytes = [0u64; 2];
-        let mut payloads = [0u64; 2];
-        let mut consumed = end;
-        let mut closed = false;
-        for (i, (t, pkt)) in batch[start..end].iter().enumerate() {
-            let di = usize::from(pkt.ip.src != key.src);
-            let dir = if di == 0 { Direction::C2s } else { Direction::S2c };
-            let payload = pkt.payload_len() as u64;
-            pkts[di] += 1;
-            bytes[di] += pkt.wire_len() as u64;
-            payloads[di] += payload;
-            flow.stamp(*t, dir, pkt.wire_len(), payload, cfg.early_packets);
-            if let Transport::Tcp(tcp) = &pkt.transport {
-                flow.on_tcp(*t, dir, tcp.flags, tcp.seq, tcp.ack, &pkt.payload, || pkt.payload.clone(), names);
-                if flow.closed() {
-                    consumed = start + i + 1;
-                    closed = true;
-                    break;
-                }
-            } else if !flow.dpi.is_satisfied() {
-                flow.dpi.inspect(&pkt.payload, di == 0, names);
-            }
-        }
-        flow.c2s_packets += pkts[0];
-        flow.c2s_bytes += bytes[0];
-        flow.c2s_payload += payloads[0];
-        flow.s2c_packets += pkts[1];
-        flow.s2c_bytes += bytes[1];
-        flow.s2c_payload += payloads[1];
-        if closed {
-            finalise(flows, finished, &key);
-        }
-        consumed
-    }
-
-    /// [`process_stretch`](Self::process_stretch) over columnar rows
-    /// `[start, limit)` of `cols`: the maximal same-flow stretch is
-    /// consumed without materializing a single [`Packet`].
     ///
-    /// Two passes per stretch (DESIGN.md §15). The **stamp sweep**
+    /// Two passes per stretch (DESIGN.md "The packet path and its
+    /// reference"). The **stamp sweep**
     /// walks the scalar columns only — counters, early log, download
     /// timing, handshake/teardown flags, the retransmission
     /// high-water mark and the ground-RTT estimator — with no map
@@ -769,8 +699,8 @@ impl FlowTable {
     /// of the stretch the moment inspection turns terminal. Because
     /// terminality is permanent and only ever advances inside a
     /// payload feed, one liveness check at stretch entry (and one per
-    /// candidate) reproduces the fused loop's per-row gate exactly.
-    /// Returns the index one past the last row consumed.
+    /// candidate) reproduces the per-row gate of
+    /// [`process_parts`](Self::process_parts) exactly.
     pub fn process_stretch_cols(&mut self, cols: &PacketColumns, start: usize, limit: usize) -> usize {
         let t0 = cols.ts[start];
         let Some(dir0) = self.direction_of(cols.src[start], cols.dst[start]) else {
@@ -783,7 +713,9 @@ impl FlowTable {
             Direction::S2c => cols.five_tuple(start).reversed(),
         };
         // Extend the stretch while rows belong to this flow (either
-        // orientation), exactly like the row-oriented path.
+        // orientation). `key.src` is in the customer subnet and
+        // `key.dst` is not, so stretch membership implies a definite
+        // direction — no subnet checks in the loops below.
         let mut end = start + 1;
         while end < limit {
             let ft = cols.five_tuple(end);
@@ -908,7 +840,7 @@ impl FlowTable {
             }
         }
         // Rows arrive in merged time order, so one write covers every
-        // per-row `last = last.max(t)` of the fused loop.
+        // per-row `last = last.max(t)` of `FlowState::stamp`.
         flow.last = flow.last.max(cols.ts[consumed - 1]);
         flow.c2s_packets += pkts[0];
         flow.c2s_bytes += bytes[0];

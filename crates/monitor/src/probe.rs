@@ -160,7 +160,9 @@ impl Probe {
 
     /// Observe one packet at the span port.
     pub fn observe(&mut self, t: SimTime, pkt: &Packet) {
-        self.process_packet(t, pkt);
+        self.process_parts(t, &pkt.ip, &pkt.transport, pkt.wire_len(), pkt.payload_len(), &pkt.payload, || {
+            pkt.payload.clone()
+        });
         self.sweep_if_due(t);
     }
 
@@ -172,36 +174,16 @@ impl Probe {
         }
     }
 
-    /// Observe a time-sorted batch of packets (one merge-drain slice —
-    /// typically a contiguous stretch of a single flow's run).
-    ///
-    /// Equivalent to calling [`observe`](Self::observe) per packet: a
-    /// batch that straddles one or more periodic-sweep moments is
-    /// split at each boundary (binary search on the sorted
-    /// timestamps), so every sub-slice still takes the amortized
-    /// [`process_batch`](Self::process_batch) path and the sweep fires
-    /// at exactly the per-packet moment — after the first packet at or
-    /// past the boundary, at that packet's timestamp.
-    pub fn observe_batch(&mut self, batch: &[(SimTime, Packet)]) {
-        let mut rest = batch;
-        while !rest.is_empty() {
-            let boundary = self.last_sweep + self.cfg.sweep_interval;
-            let j = rest.partition_point(|p| p.0 < boundary);
-            if j == rest.len() {
-                self.process_batch(rest);
-                return;
-            }
-            self.process_batch(&rest[..=j]);
-            self.sweep_now(rest[j].0);
-            rest = &rest[j + 1..];
-        }
-    }
-
     /// Observe columnar rows `[start, end)` of `cols` (one merge-drain
-    /// span). The columnar twin of
-    /// [`observe_batch`](Self::observe_batch): identical sweep-boundary
-    /// splitting, with per-row processing delegated to
-    /// [`process_cols`](Self::process_cols).
+    /// span, time-sorted).
+    ///
+    /// Equivalent to calling [`observe`](Self::observe) per row: a span
+    /// that straddles one or more periodic-sweep moments is split at
+    /// each boundary (binary search on the sorted timestamps), so every
+    /// sub-span still takes the amortized
+    /// [`process_cols`](Self::process_cols) path and the sweep fires at
+    /// exactly the per-packet moment — after the first row at or past
+    /// the boundary, at that row's timestamp.
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         let mut i = start;
         while i < end {
@@ -217,23 +199,12 @@ impl Probe {
         }
     }
 
-    /// The single place packet counts are maintained, so the batch,
-    /// per-packet and wire-error paths can never disagree: one counter
-    /// bump per batch instead of a thread-local metrics lookup per
-    /// packet.
+    /// Where the per-packet and wire-error paths count a packet (the
+    /// columnar path batches its counts, see
+    /// [`flush_span_metrics`](Self::flush_span_metrics)).
     fn note_packets(&mut self, n: u64) {
         self.packets += n;
         metrics().packets.add(n);
-    }
-
-    /// Process one packet *without* the periodic-sweep check. The
-    /// sharded probe uses this and drives [`Probe::sweep_now`]
-    /// globally, so eviction timing is identical at any shard count
-    /// (a shard seeing few packets must not sweep late).
-    pub fn process_packet(&mut self, t: SimTime, pkt: &Packet) {
-        self.process_parts(t, &pkt.ip, &pkt.transport, pkt.wire_len(), pkt.payload_len(), &pkt.payload, || {
-            pkt.payload.clone()
-        });
     }
 
     /// One packet through the flow table and the DNS log, on borrowed
@@ -258,43 +229,18 @@ impl Probe {
         self.drain_to_sink();
     }
 
-    /// Process a time-sorted batch *without* the periodic-sweep check
-    /// (the batch counterpart of [`process_packet`](Self::process_packet),
-    /// used by the sharded workers). The flow table walks the batch in
-    /// same-flow stretches — entry resolved once, counters accumulated
-    /// in locals — and the DNS transaction log only sees the port-53
-    /// UDP stretches. Sink draining happens once per batch; eviction
-    /// order within a batch is not observable (the [`FlowSink`]
-    /// contract already requires consumers to re-sort).
-    pub fn process_batch(&mut self, batch: &[(SimTime, Packet)]) {
-        self.note_packets(batch.len() as u64);
-        let m = metrics();
-        m.batches.inc();
-        m.batch_len.record(batch.len() as u64);
-        let mut i = 0;
-        while i < batch.len() {
-            let j = self.table.process_stretch(batch, i);
-            // Every packet in a stretch shares its flow's port pair, so
-            // one check gates the per-packet DNS inspection loop.
-            if let Transport::Udp(udp) = &batch[i].1.transport {
-                if udp.dst_port == 53 || udp.src_port == 53 {
-                    for (t, pkt) in &batch[i..j] {
-                        self.maybe_log_dns(*t, pkt);
-                    }
-                }
-            }
-            i = j;
-        }
-        self.drain_to_sink();
-    }
-
     /// Process columnar rows `[start, end)` *without* the
-    /// periodic-sweep check — the columnar counterpart of
-    /// [`process_batch`](Self::process_batch), used by the sharded
-    /// workers and [`observe_cols`](Self::observe_cols). Rows walk the
-    /// flow table in same-flow stretches with zero `Packet`
-    /// materialization; only port-53 UDP stretches reach the DNS
-    /// transaction log, which parses straight from the payload slice.
+    /// periodic-sweep check. The sharded workers use this and have
+    /// [`Probe::sweep_now`] driven globally, so eviction timing is
+    /// identical at any shard count (a shard seeing few packets must
+    /// not sweep late); [`observe_cols`](Self::observe_cols) is this
+    /// plus the sweep clock. Rows walk the flow table in same-flow
+    /// stretches — entry resolved once, counters accumulated in locals
+    /// — with zero `Packet` materialization; only port-53 UDP stretches
+    /// reach the DNS transaction log, which parses straight from the
+    /// payload slice. Sink draining happens once per span; eviction
+    /// order within a span is not observable (the [`FlowSink`] contract
+    /// already requires consumers to re-sort).
     pub fn process_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         // Packet-rate span accounting stays local (no atomics); the
         // batched counts reach the registry via `flush_span_metrics`.
@@ -373,8 +319,7 @@ impl Probe {
     /// `wire`: no `Packet`, no `Bytes`. A snapped frame is accounted at
     /// the length its IP header gives, as Tstat does. Counting goes
     /// through [`note_packets`](Self::note_packets) on both arms, so
-    /// the wire path agrees with batch accounting even on parse
-    /// errors.
+    /// an unparseable frame is still a packet seen.
     pub fn observe_wire(&mut self, t: SimTime, wire: &[u8]) {
         match PacketView::parse(wire) {
             Ok(v) => {
@@ -389,20 +334,6 @@ impl Probe {
                 metrics().parse_errors.inc();
             }
         }
-    }
-
-    /// Observe a time-sorted batch of wire-encoded packets:
-    /// [`observe_wire`](Self::observe_wire) per frame, nothing staged.
-    /// Each unparseable frame is counted once, at its position.
-    pub fn observe_wire_batch(&mut self, batch: &[(SimTime, Vec<u8>)]) {
-        for (t, wire) in batch {
-            self.observe_wire(*t, wire);
-        }
-    }
-
-    fn maybe_log_dns(&mut self, t: SimTime, pkt: &Packet) {
-        let Transport::Udp(udp) = &pkt.transport else { return };
-        self.maybe_log_dns_udp(t, pkt.ip.src, pkt.ip.dst, udp.src_port, udp.dst_port, &pkt.payload);
     }
 
     /// The DNS transaction log on bare UDP fields and a borrowed

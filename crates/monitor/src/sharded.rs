@@ -36,7 +36,7 @@
 use crate::checkpoint::ProbeState;
 use crate::probe::{dns_cmp, sort_flows_canonical, FlowSink, Probe, ProbeConfig};
 use crate::record::{DnsRecord, FlowRecord};
-use satwatch_netstack::{Packet, PacketColumns};
+use satwatch_netstack::PacketColumns;
 use satwatch_simcore::{fx_hash_one, resolve_workers, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -47,10 +47,6 @@ use std::thread::JoinHandle;
 const SHARD_QUEUE_DEPTH: usize = 4_096;
 
 enum ShardMsg {
-    Packet(SimTime, Packet),
-    /// A time-sorted same-host-pair slice, processed by the worker as
-    /// one [`Probe::process_batch`] call.
-    Batch(Vec<(SimTime, Packet)>),
     /// A time-sorted same-host-pair columnar run, processed by the
     /// worker as one [`Probe::process_cols`] call. Boxed: the column
     /// struct is ~200 bytes of Vec headers and would dominate the
@@ -86,7 +82,7 @@ enum Mode {
 ///
 /// Construct with the desired shard count (`0` = one per core,
 /// `1` = inline single probe) and use exactly like [`Probe`]:
-/// `observe()` per packet in global time order, then `finish()`.
+/// `observe_cols()` per span in global time order, then `finish()`.
 pub struct ShardedProbe {
     mode: Mode,
     sweep_interval: SimDuration,
@@ -146,14 +142,6 @@ impl ShardedProbe {
                         );
                         while let Ok(msg) = rx.recv() {
                             match msg {
-                                ShardMsg::Packet(t, pkt) => {
-                                    shard_packets.inc();
-                                    probe.process_packet(t, &pkt);
-                                }
-                                ShardMsg::Batch(b) => {
-                                    shard_packets.add(b.len() as u64);
-                                    probe.process_batch(&b);
-                                }
                                 ShardMsg::Cols(c) => {
                                     shard_packets.add(c.len() as u64);
                                     probe.process_cols(&c, 0, c.len());
@@ -188,68 +176,15 @@ impl ShardedProbe {
         }
     }
 
-    /// Observe one packet. Must be called in global time order, like
-    /// [`Probe::observe`].
-    pub fn observe(&mut self, t: SimTime, pkt: &Packet) {
-        self.packets += 1;
-        match &mut self.mode {
-            Mode::Single(probe) => probe.observe(t, pkt),
-            Mode::Threaded { senders, .. } => {
-                let shard = shard_of(pkt.ip.src, pkt.ip.dst, senders.len());
-                senders[shard].send(ShardMsg::Packet(t, pkt.clone())).expect("probe shard alive");
-                if t - self.last_sweep >= self.sweep_interval {
-                    for tx in senders.iter() {
-                        tx.send(ShardMsg::Sweep(t)).expect("probe shard alive");
-                    }
-                    self.last_sweep = t;
-                }
-            }
-        }
-    }
-
-    /// Observe a time-sorted batch of packets (one merge-drain slice).
-    /// Equivalent to per-packet [`observe`](Self::observe): the slice
-    /// is routed in same-host-pair sub-batches (shard hash computed
-    /// once per pair change, one channel send per sub-batch). A batch
-    /// that straddles one or more sweep moments is split at each
-    /// boundary, so every sub-slice still takes the batch path and the
-    /// sweep broadcast lands at exactly the single-probe moment —
-    /// after the first packet at or past the boundary, at its
-    /// timestamp.
-    pub fn observe_batch(&mut self, batch: &[(SimTime, Packet)]) {
-        if batch.is_empty() {
-            return;
-        }
-        self.packets += batch.len() as u64;
-        match &mut self.mode {
-            // the inline probe keeps its own sweep clock
-            Mode::Single(probe) => probe.observe_batch(batch),
-            Mode::Threaded { senders, .. } => {
-                let mut rest = batch;
-                while !rest.is_empty() {
-                    let boundary = self.last_sweep + self.sweep_interval;
-                    let j = rest.partition_point(|p| p.0 < boundary);
-                    if j == rest.len() {
-                        dispatch_batch(senders, rest);
-                        return;
-                    }
-                    dispatch_batch(senders, &rest[..=j]);
-                    for tx in senders.iter() {
-                        tx.send(ShardMsg::Sweep(rest[j].0)).expect("probe shard alive");
-                    }
-                    self.last_sweep = rest[j].0;
-                    rest = &rest[j + 1..];
-                }
-            }
-        }
-    }
-
     /// Observe columnar rows `[start, end)` of `cols` (one merge-drain
-    /// span). The columnar twin of
-    /// [`observe_batch`](Self::observe_batch): identical sweep-boundary
-    /// splitting and host-pair routing, with each sub-run shipped to
-    /// its shard as an extracted [`PacketColumns`] (payload blocks
-    /// shared zero-copy).
+    /// span), which must follow every earlier span in global time
+    /// order. Equivalent to [`Probe::observe_cols`] on one probe: the
+    /// span is routed in same-host-pair sub-runs, each shipped to its
+    /// shard as an extracted [`PacketColumns`] (payload blocks shared
+    /// zero-copy). A span that straddles one or more sweep moments is
+    /// split at each boundary, so the sweep broadcast lands at exactly
+    /// the single-probe moment — after the first row at or past the
+    /// boundary, at its timestamp.
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         if start >= end {
             return;
@@ -376,33 +311,12 @@ fn shard_of(src: Ipv4Addr, dst: Ipv4Addr, shards: usize) -> usize {
     (fx_hash_one(&pair) % shards as u64) as usize
 }
 
-/// Ship a sweep-free batch to the shards in same-host-pair
-/// sub-batches: the shard hash is recomputed only when the address
-/// pair changes (a run alternates between at most a couple of pairs).
-fn dispatch_batch(senders: &[SyncSender<ShardMsg>], batch: &[(SimTime, Packet)]) {
-    let n = senders.len();
-    let mut start = 0;
-    let (mut last_src, mut last_dst) = (batch[0].1.ip.src, batch[0].1.ip.dst);
-    let mut cur_shard = shard_of(last_src, last_dst, n);
-    for (i, (_, pkt)) in batch.iter().enumerate().skip(1) {
-        let (s, d) = (pkt.ip.src, pkt.ip.dst);
-        if (s == last_src && d == last_dst) || (s == last_dst && d == last_src) {
-            continue;
-        }
-        (last_src, last_dst) = (s, d);
-        let shard = shard_of(s, d, n);
-        if shard != cur_shard {
-            senders[cur_shard].send(ShardMsg::Batch(batch[start..i].to_vec())).expect("probe shard alive");
-            start = i;
-            cur_shard = shard;
-        }
-    }
-    senders[cur_shard].send(ShardMsg::Batch(batch[start..].to_vec())).expect("probe shard alive");
-}
-
-/// [`dispatch_batch`] over columnar rows `[start, end)`: sub-runs are
-/// carved out with [`PacketColumns::extract`], which copies only the
-/// scalar columns and shares the payload blocks zero-copy.
+/// Ship the sweep-free rows `[start, end)` to the shards in
+/// same-host-pair sub-runs: the shard hash is recomputed only when the
+/// address pair changes (a run alternates between at most a couple of
+/// pairs). Sub-runs are carved out with [`PacketColumns::extract`],
+/// which copies only the scalar columns and shares the payload blocks
+/// zero-copy.
 fn dispatch_cols(senders: &[SyncSender<ShardMsg>], cols: &PacketColumns, start: usize, end: usize) {
     let n = senders.len();
     let mut seg = start;
@@ -429,7 +343,7 @@ mod tests {
     use super::*;
     use crate::flowtable::FlowTableConfig;
     use bytes::Bytes;
-    use satwatch_netstack::Subnet;
+    use satwatch_netstack::{SortScratch, Subnet};
 
     fn cfg() -> ProbeConfig {
         ProbeConfig::new(FlowTableConfig::new(Subnet::new(Ipv4Addr::new(10, 0, 0, 0), 8)))
@@ -440,49 +354,47 @@ mod tests {
     }
 
     /// A little synthetic stream spanning many host pairs, both
-    /// directions, DNS, and a long idle gap that exercises sweeps.
-    fn stream() -> Vec<(SimTime, Packet)> {
+    /// directions, DNS, and a long idle gap that exercises sweeps —
+    /// as one time-sorted columnar run.
+    fn stream() -> PacketColumns {
         use satwatch_netstack::dns::{DnsMessage, RecordType};
-        let mut pkts = Vec::new();
+        let mut cols = PacketColumns::default();
+        let mut arena = Vec::new();
+        let mut udp = |at: SimTime, src, dst, sport, dport, payload: &[u8]| {
+            let off = arena.len() as u32;
+            arena.extend_from_slice(payload);
+            cols.push_udp(at, src, dst, sport, dport, off, payload.len() as u32);
+        };
         for i in 0..40u8 {
             let client = Ipv4Addr::new(10, 1, (i % 8) + 1, i + 1);
             let server = Ipv4Addr::new(198, 18, 0, (i % 5) + 1);
             let sport = 40_000 + u16::from(i);
-            pkts.push((t(i64::from(i) * 25), Packet::udp(client, server, sport, 443, Bytes::from_static(&[7; 100]))));
-            pkts.push((
-                t(i64::from(i) * 25 + 600),
-                Packet::udp(server, client, 443, sport, Bytes::from_static(&[7; 900])),
-            ));
+            udp(t(i64::from(i) * 25), client, server, sport, 443, &[7; 100]);
+            udp(t(i64::from(i) * 25 + 600), server, client, 443, sport, &[7; 900]);
             // a DNS transaction per client
             let q = DnsMessage::query(u16::from(i), "cdn.example", RecordType::A);
             let resolver = Ipv4Addr::new(8, 8, 8, 8);
-            pkts.push((t(i64::from(i) * 25 + 2), Packet::udp(client, resolver, 30_000 + u16::from(i), 53, q.encode())));
+            udp(t(i64::from(i) * 25 + 2), client, resolver, 30_000 + u16::from(i), 53, &q.encode());
             if i % 3 != 0 {
                 let r = DnsMessage::answer_a(&q, &[Ipv4Addr::new(198, 18, 9, 9)], 60);
-                pkts.push((
-                    t(i64::from(i) * 25 + 610),
-                    Packet::udp(resolver, client, 53, 30_000 + u16::from(i), r.encode()),
-                ));
+                udp(t(i64::from(i) * 25 + 610), resolver, client, 53, 30_000 + u16::from(i), &r.encode());
             }
         }
         // long gap, then fresh traffic triggering idle sweeps
         for i in 0..10u8 {
             let client = Ipv4Addr::new(10, 2, 0, i + 1);
             let server = Ipv4Addr::new(198, 18, 1, 1);
-            pkts.push((
-                t(400_000 + i64::from(i) * 10),
-                Packet::udp(client, server, 999, 80, Bytes::from_static(&[1; 60])),
-            ));
+            udp(t(400_000 + i64::from(i) * 10), client, server, 999, 80, &[1; 60]);
         }
-        pkts.sort_by_key(|(time, _)| *time);
-        pkts
+        cols.payload = Bytes::from(arena);
+        cols.clamp_and_sort(SimTime::ZERO, &mut SortScratch::default());
+        cols
     }
 
     fn run_with_shards(shards: usize) -> (Vec<FlowRecord>, Vec<DnsRecord>) {
         let mut probe = ShardedProbe::new(cfg(), shards);
-        for (time, pkt) in stream() {
-            probe.observe(time, &pkt);
-        }
+        let cols = stream();
+        probe.observe_cols(&cols, 0, cols.len());
         probe.finish()
     }
 
@@ -516,9 +428,8 @@ mod tests {
                 let collected = Arc::clone(&collected);
                 Box::new(move |f| collected.lock().unwrap().push(f)) as FlowSink
             });
-            for (time, pkt) in stream() {
-                probe.observe(time, &pkt);
-            }
+            let cols = stream();
+            probe.observe_cols(&cols, 0, cols.len());
             let (rest, dns) = probe.finish();
             assert!(rest.is_empty(), "sink mode returns no batch flows");
             assert_eq!(dns, batch_dns, "dns path unaffected by the sink");
@@ -541,9 +452,7 @@ mod tests {
         let cut = pkts.len() / 2;
         for (shards_before, shards_after) in [(1usize, 4usize), (4, 1), (3, 5)] {
             let mut first = ShardedProbe::new(cfg(), shards_before);
-            for (time, pkt) in &pkts[..cut] {
-                first.observe(*time, pkt);
-            }
+            first.observe_cols(&pkts, 0, cut);
             let state = first.export_state();
             drop(first.finish()); // the killed process's output is discarded
             let bytes = state.encode();
@@ -554,9 +463,7 @@ mod tests {
             let mut decoded = decoded;
             early_dns.append(&mut decoded.dns_log);
             resumed.import_state(decoded).expect("state imports");
-            for (time, pkt) in &pkts[cut..] {
-                resumed.observe(*time, pkt);
-            }
+            resumed.observe_cols(&pkts, cut, pkts.len());
             let (flows, late_dns) = resumed.finish();
             let mut dns = early_dns;
             dns.extend(late_dns);
@@ -575,9 +482,7 @@ mod tests {
         let mut bytes = Vec::new();
         for shards in [1usize, 2, 4] {
             let mut probe = ShardedProbe::new(cfg(), shards);
-            for (time, pkt) in &pkts[..cut] {
-                probe.observe(*time, pkt);
-            }
+            probe.observe_cols(&pkts, 0, cut);
             let state = probe.export_state();
             assert!(!state.flows.is_empty(), "capture has live flows at the cut");
             bytes.push(state.encode());
@@ -591,9 +496,10 @@ mod tests {
     fn packet_count_matches_single_probe() {
         let mut sharded = ShardedProbe::new(cfg(), 4);
         let mut single = Probe::new(cfg());
-        for (time, pkt) in stream() {
-            sharded.observe(time, &pkt);
-            single.observe(time, &pkt);
+        let cols = stream();
+        sharded.observe_cols(&cols, 0, cols.len());
+        for i in 0..cols.len() {
+            single.observe(cols.ts[i], &cols.materialize(i));
         }
         assert_eq!(sharded.packets, single.packets);
         assert_eq!(sharded.shards(), 4);

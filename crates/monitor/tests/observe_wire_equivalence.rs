@@ -97,36 +97,3 @@ fn observe_and_observe_wire_produce_identical_records() {
     assert_eq!(flows_p, flows_w, "flow records differ between parsed and wire paths");
     assert_eq!(dns_p, dns_w, "dns records differ between parsed and wire paths");
 }
-
-/// The batched wire entry point must agree with the per-frame one —
-/// including around unparseable frames, which split the batch and are
-/// counted exactly once at their position.
-#[test]
-fn observe_wire_batch_matches_observe_wire() {
-    let garbage: &[&[u8]] = &[&[0xde, 0xad], &[0x45], &[]];
-    for chunk in [1usize, 3, 7, 1024] {
-        let mut per_frame = probe();
-        let mut batched = probe();
-        // interleave a junk frame after every 5th packet
-        let mut wires: Vec<(SimTime, Vec<u8>)> = Vec::new();
-        for (i, (time, pkt)) in stream().into_iter().enumerate() {
-            wires.push((time, pkt.encode().to_vec()));
-            if i % 5 == 4 {
-                wires.push((time, garbage[i % garbage.len()].to_vec()));
-            }
-        }
-        for (time, w) in &wires {
-            per_frame.observe_wire(*time, w);
-        }
-        for batch in wires.chunks(chunk) {
-            batched.observe_wire_batch(batch);
-        }
-        assert_eq!(per_frame.packets, batched.packets, "chunk {chunk}");
-        assert_eq!(per_frame.parse_errors, batched.parse_errors, "chunk {chunk}");
-        assert!(batched.parse_errors > 0, "junk frames must exercise the error path");
-        let (flows_a, dns_a) = per_frame.finish();
-        let (flows_b, dns_b) = batched.finish();
-        assert_eq!(flows_a, flows_b, "flow records differ at wire-batch size {chunk}");
-        assert_eq!(dns_a, dns_b, "dns records differ at wire-batch size {chunk}");
-    }
-}

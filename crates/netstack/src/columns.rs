@@ -10,7 +10,7 @@
 //! [`TimedRun`](satwatch_simcore::TimedRun)), the flow table consumes
 //! scalar columns directly, and a real [`Packet`] is materialized only
 //! where something needs one: the pcap/tap boundary, the wire-byte
-//! oracle, and the per-packet property-test path.
+//! round-trip test, and the scenario's per-packet reference run.
 //!
 //! ## Payload resolution
 //!
@@ -243,7 +243,8 @@ impl PacketColumns {
     }
 
     /// Materialize every row, appending `(time, packet)` tuples to
-    /// `out` in row order. The per-packet oracle path.
+    /// `out` in row order — what the scenario's per-packet reference
+    /// run schedules.
     pub fn materialize_into(&self, out: &mut Vec<(SimTime, Packet)>) {
         out.reserve(self.len());
         for i in 0..self.len() {
@@ -274,9 +275,8 @@ impl PacketColumns {
 
     /// Clamp every timestamp to `>= t0`, then stable-sort all columns
     /// by time (emission order breaks ties) — the columnar equivalent
-    /// of the oracle path's `p.0 = p.0.max(t)` +
-    /// `sort_by_key(|&(t, _)| t)`. No-op when already sorted, which
-    /// is the common case.
+    /// of scheduling row `i` into an event heap at `max(ts[i], t0)`.
+    /// No-op when already sorted, which is the common case.
     pub fn clamp_and_sort(&mut self, t0: SimTime, scratch: &mut SortScratch) {
         for t in &mut self.ts {
             if *t < t0 {

@@ -326,7 +326,7 @@ impl<'a> DelaySnapshot<'a> {
 /// to a shared per-cohort delay column. The flow's `(start, end)`
 /// slice of that column (from [`finish`](Self::finish)) lets the
 /// emission pass replay the terms positionally without touching the
-/// parent RNG — the batched-synthesis contract of DESIGN.md §15.
+/// parent RNG — the cohort-synthesis contract of DESIGN.md §8.
 pub struct DelayPlanner<'a, 'c> {
     snap: DelaySnapshot<'a>,
     col: &'c mut Vec<SimDuration>,

@@ -29,16 +29,6 @@ pub struct ScenarioConfig {
     /// inline probe, `0` = one per core. Output is byte-identical at
     /// any shard count.
     pub probe_shards: usize,
-    /// Hand packets to the probe in run-granular batches (the fast
-    /// path). `false` keeps the per-packet drive loop — the test
-    /// oracle the batch path is pinned byte-identical against.
-    pub packet_batching: bool,
-    /// Cohort-batched flow synthesis (the fast path): plan a cohort
-    /// of pending flows' RNG draws serially, then emit their packet
-    /// runs RNG-free (in parallel when `threads > 1`). `false` keeps
-    /// the flow-at-a-time plan+emit loop — the scalar oracle the
-    /// cohort path is pinned byte-identical against (DESIGN.md §15).
-    pub vectorized_synthesis: bool,
 }
 
 impl ScenarioConfig {
@@ -53,8 +43,6 @@ impl ScenarioConfig {
             force_operator_dns: false,
             threads: 1,
             probe_shards: 1,
-            packet_batching: true,
-            vectorized_synthesis: true,
         }
     }
 
@@ -109,20 +97,6 @@ impl ScenarioConfig {
         self.probe_shards = shards;
         self
     }
-
-    /// Toggle the run-granular batched packet path (`true` by
-    /// default; `false` drives the per-packet oracle).
-    pub fn with_packet_batching(mut self, on: bool) -> ScenarioConfig {
-        self.packet_batching = on;
-        self
-    }
-
-    /// Toggle cohort-batched flow synthesis (`true` by default;
-    /// `false` drives the flow-at-a-time scalar oracle).
-    pub fn with_vectorized_synthesis(mut self, on: bool) -> ScenarioConfig {
-        self.vectorized_synthesis = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -139,9 +113,7 @@ mod tests {
             .with_african_ground_station()
             .with_forced_operator_dns()
             .with_threads(4)
-            .with_probe_shards(2)
-            .with_packet_batching(false)
-            .with_vectorized_synthesis(false);
+            .with_probe_shards(2);
         assert_eq!(c.seed, 1);
         assert_eq!(c.customers, 10);
         assert_eq!(c.days, 3);
@@ -150,8 +122,6 @@ mod tests {
         assert!(c.force_operator_dns);
         assert_eq!(c.threads, 4);
         assert_eq!(c.probe_shards, 2);
-        assert!(!c.packet_batching);
-        assert!(!c.vectorized_synthesis);
     }
 
     #[test]

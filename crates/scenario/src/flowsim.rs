@@ -180,9 +180,10 @@ impl<'a> FlowBuilder<'a> {
 }
 
 /// All values one flow pulled off the **parent** RNG stream, recorded
-/// by [`NetModel::plan_flow`] in exactly the order the one-pass
-/// synthesis drew them, so [`NetModel::emit_flow`] can replay the flow
-/// without touching the parent stream at all (DESIGN.md §15).
+/// by [`NetModel::plan_flow_cached`] in exactly the order a one-pass
+/// synthesis would draw them, so [`NetModel::emit_flow`] can replay
+/// the flow without touching the parent stream at all (DESIGN.md "The
+/// packet path and its reference").
 ///
 /// Scalar draws land in named fields; the variable-length delay draws
 /// (uplink/downlink traversals, PEP setup, resolver latency, home-RTT
@@ -313,13 +314,14 @@ impl NetModel {
     /// (unsorted relative to other flows; the caller merges). All
     /// payload bytes are bump-allocated in `arena` and frozen into one
     /// `Bytes` block per run — the arena is drained (`take`) before
-    /// returning. Materialize rows via
-    /// [`PacketColumns::materialize_into`] for the per-packet oracle.
+    /// returning.
     ///
-    /// Implemented as [`plan_flow`](Self::plan_flow) (all parent-RNG
+    /// This is the reference's synthesis
+    /// ([`run_reference`](crate::reference::run_reference)): the
+    /// sampling pass over an uncached delay snapshot (all parent-RNG
     /// draws) followed by [`emit_flow`](Self::emit_flow) (RNG-free
-    /// packet emission) — the scalar composition of the same two
-    /// passes the cohort driver batches (DESIGN.md §15).
+    /// packet emission) — the flow-at-a-time composition of the same
+    /// two passes the cohort driver batches.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_flow(
         &self,
@@ -332,43 +334,31 @@ impl NetModel {
         out: &mut PacketColumns,
     ) {
         let mut delay_col = Vec::new();
-        let plan = self.plan_flow(intent, customer, catalog, beam, rng, &mut delay_col);
-        self.emit_flow(intent, customer, &plan, &delay_col, arena, out);
-    }
-
-    /// Sampling pass: consume the parent RNG stream for one flow, in
-    /// exactly the order the one-pass synthesis did, and record every
-    /// drawn value. Serial per cohort (the stream is shared across
-    /// flows in intent-pop order); the recorded plan makes
-    /// [`emit_flow`](Self::emit_flow) parent-RNG-free so cohort
-    /// emission can run out-of-order or on worker threads.
-    ///
-    /// Delay-term draws go through [`satwatch_satcom::DelayPlanner`],
-    /// which appends each sample to `delay_col` — the cohort's shared
-    /// delay column — and hands back `(start, end)` for the plan.
-    pub fn plan_flow(
-        &self,
-        intent: &FlowIntent,
-        customer: &Customer,
-        catalog: &[ServiceSpec],
-        beam: &Beam,
-        rng: &mut Rng,
-        delay_col: &mut Vec<SimDuration>,
-    ) -> FlowPlan {
         let hour = intent.start.local_hour(customer.country.tz_offset());
         // One snapshot of the RNG-free delay terms for the whole flow:
         // identical draws, minus two haversines + a rain-fade lookup
         // per packet (see `SatelliteAccess::delay_snapshot`).
         let snap = self.access.delay_snapshot(beam, &customer.terminal, hour, intent.start);
-        self.plan_with(intent, customer, catalog, beam, snap, rng, delay_col)
+        let plan = self.plan_with(intent, customer, catalog, beam, snap, rng, &mut delay_col);
+        self.emit_flow(intent, customer, &plan, &delay_col, arena, out);
     }
 
-    /// [`plan_flow`](Self::plan_flow) with the snapshot's
-    /// per-flow-constant inputs memoized — the cohort driver's fast
-    /// path. The terminal's bent-pipe propagation comes in
-    /// precomputed (a pure per-terminal constant) and the
-    /// rain/utilization terms from `cache`; the assembled snapshot is
-    /// value-identical to the uncached one (see
+    /// Sampling pass, the cohort driver's: consume the parent RNG
+    /// stream for one flow and record every drawn value. Serial per
+    /// cohort (the stream is shared across flows in intent-pop order);
+    /// the recorded plan makes [`emit_flow`](Self::emit_flow)
+    /// parent-RNG-free so cohort emission can run out-of-order or on
+    /// worker threads.
+    ///
+    /// Delay-term draws go through [`satwatch_satcom::DelayPlanner`],
+    /// which appends each sample to `delay_col` — the cohort's shared
+    /// delay column — and hands back `(start, end)` for the plan.
+    ///
+    /// The snapshot's per-flow-constant inputs are memoized: the
+    /// terminal's bent-pipe propagation comes in precomputed (a pure
+    /// per-terminal constant) and the rain/utilization terms from
+    /// `cache`; the assembled snapshot is value-identical to the
+    /// uncached one [`simulate_flow`](Self::simulate_flow) builds (see
     /// [`SatelliteAccess::delay_snapshot_cached`]), so the RNG stream
     /// and the plan are byte-for-byte the same.
     #[allow(clippy::too_many_arguments)]

@@ -14,7 +14,7 @@ use satwatch_satcom::link::{LinkConfig, LinkModel};
 use satwatch_satcom::mac::{Mac, MacConfig};
 use satwatch_satcom::pep::{PepConfig, PepModel};
 use satwatch_satcom::{GroundStation, SatelliteAccess};
-use satwatch_simcore::{ordered_par_map, ColMerge, RunMerge, SeedTree, SimTime};
+use satwatch_simcore::{ordered_par_map, ColMerge, SeedTree, SimTime};
 use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, Population};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -81,22 +81,23 @@ pub struct ColumnarDataset {
     pub packets: u64,
 }
 
-/// Everything `run`/`run_streaming` share: the deterministic inputs
-/// derived from the config before a single packet moves.
-struct SimSetup {
-    seeds: SeedTree,
-    population: Population,
-    catalog: Vec<satwatch_traffic::ServiceSpec>,
-    model: NetModel,
-    anon_seed: u64,
-    probe_cfg: ProbeConfig,
+/// Everything `run`/`run_streaming`/`run_reference` share: the
+/// deterministic inputs derived from the config before a single packet
+/// moves.
+pub(crate) struct SimSetup {
+    pub(crate) seeds: SeedTree,
+    pub(crate) population: Population,
+    pub(crate) catalog: Vec<satwatch_traffic::ServiceSpec>,
+    pub(crate) model: NetModel,
+    pub(crate) anon_seed: u64,
+    pub(crate) probe_cfg: ProbeConfig,
     /// Bent-pipe propagation per customer (indexed by customer
     /// index): a pure per-terminal constant — two haversines — hoisted
     /// out of the per-flow snapshot for the cohort planner.
     prop_delays: Vec<satwatch_simcore::SimDuration>,
 }
 
-fn setup(cfg: ScenarioConfig) -> SimSetup {
+pub(crate) fn setup(cfg: ScenarioConfig) -> SimSetup {
     let seeds = SeedTree::new(cfg.seed);
     let population = build_population(cfg.customers, &seeds);
     let catalog = standard_catalog();
@@ -133,24 +134,20 @@ type Tap<'a> = &'a mut dyn FnMut(SimTime, &Packet);
 /// end of each day, so a fresh `DayScratch` per day would produce the
 /// same dataset — reuse is purely an allocation optimization.
 struct DayScratch {
-    /// Event loop: StartFlow intents go through the (small)
-    /// event-queue heap; the packets each flow expands into stay in
-    /// per-flow runs merged by a tournament tree (`ColMerge`). The
-    /// merge key `(time, run_id)` with runs pushed in flow-start order
-    /// reproduces the old all-packets-through-the-heap `(at, seq)`
-    /// order bit for bit — see DESIGN.md "Run-merge scheduler" — while
+    /// Flow intents pop from a sorted [`IntentQueue`]; the packets
+    /// each flow expands into stay in per-flow runs merged by a
+    /// tournament tree (`ColMerge`). The merge key `(time, run_id)`
+    /// with runs pushed in flow-start order reproduces the
+    /// all-packets-through-one-heap `(at, seq)` order of
+    /// [`run_reference`](crate::reference::run_reference) bit for bit
+    /// — see DESIGN.md "The packet path and its reference" — while
     /// moving no packet data and recycling every run buffer.
     merge: ColMerge<PacketColumns>,
-    /// The per-packet oracle's merge (batching off only).
-    oracle: RunMerge<Packet>,
     scratch: SortScratch,
-    /// Staging run for the oracle path: synthesis is columnar either
-    /// way (one synthesis path, one RNG draw order); the oracle
-    /// materializes every row out of this scratch run.
-    staging: PacketColumns,
-    /// Payload bytes for each flow's packets are bump-allocated here
-    /// and frozen into one refcounted block per flow; the arena's
-    /// capacity hint keeps the steady state at one allocation per flow.
+    /// Payload bytes for a serial cohort's packets are bump-allocated
+    /// here and frozen into one refcounted block per cohort; the
+    /// arena's capacity hint keeps the steady state at one allocation
+    /// per cohort.
     arena: satwatch_simcore::PayloadArena,
     /// Memo of the per-flow-constant delay-snapshot inputs (rain
     /// schedule per beam-day, diurnal utilization) for the cohort
@@ -162,9 +159,7 @@ impl DayScratch {
     fn new() -> DayScratch {
         DayScratch {
             merge: ColMerge::new(),
-            oracle: RunMerge::new(),
             scratch: SortScratch::default(),
-            staging: PacketColumns::default(),
             arena: satwatch_simcore::PayloadArena::new(),
             delay_cache: satwatch_satcom::DelayCache::new(),
         }
@@ -261,17 +256,7 @@ impl DayRunner {
 
 /// Run a scenario to completion.
 pub fn run(cfg: ScenarioConfig) -> Dataset {
-    let sim = {
-        let _s = satwatch_telemetry::Span::over(metrics().setup_us);
-        setup(cfg)
-    };
-    let mut probe = ShardedProbe::new(sim.probe_cfg, cfg.probe_shards);
-    drive(cfg, &sim, &mut probe, None);
-    let _s = satwatch_telemetry::Span::over(metrics().finish_us);
-    let packets = probe.packets;
-    let (flows, dns) = probe.finish();
-    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
-    Dataset { flows, dns, enrichment, packets }
+    run_batch(cfg, None)
 }
 
 /// Run a scenario, additionally invoking `tap` for every packet the
@@ -280,9 +265,18 @@ pub fn run(cfg: ScenarioConfig) -> Dataset {
 /// materialized into a real [`Packet`] for the tap — the probe itself
 /// consumes the columns directly.
 pub fn run_with_tap(cfg: ScenarioConfig, mut tap: impl FnMut(SimTime, &Packet)) -> Dataset {
-    let sim = setup(cfg);
+    run_batch(cfg, Some(&mut tap))
+}
+
+/// The one body of [`run`] and [`run_with_tap`].
+fn run_batch(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
+    let sim = {
+        let _s = satwatch_telemetry::Span::over(metrics().setup_us);
+        setup(cfg)
+    };
     let mut probe = ShardedProbe::new(sim.probe_cfg, cfg.probe_shards);
-    drive(cfg, &sim, &mut probe, Some(&mut tap));
+    drive(cfg, &sim, &mut probe, tap);
+    let _s = satwatch_telemetry::Span::over(metrics().finish_us);
     let packets = probe.packets;
     let (flows, dns) = probe.finish();
     let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
@@ -324,13 +318,11 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
 /// The day loop: generate intents, expand flows to packets, feed the
 /// span port in global time order.
 ///
-/// With packet batching on (the default), flows synthesize straight
-/// into columnar [`PacketColumns`] runs and the probe consumes column
-/// slices — no `Packet` struct exists on the hot path unless a `tap`
-/// asks for materialized packets. With batching off, every row is
-/// materialized and driven through the original per-packet
-/// `RunMerge<Packet>` loop: the oracle the columnar path is pinned
-/// byte-identical against.
+/// Flows synthesize straight into columnar [`PacketColumns`] runs and
+/// the probe consumes column slices — no `Packet` struct exists on the
+/// hot path unless a `tap` asks for materialized packets. The
+/// per-packet semantics this is pinned byte-identical against live in
+/// [`run_reference`](crate::reference::run_reference).
 fn drive(cfg: ScenarioConfig, sim: &SimSetup, probe: &mut ShardedProbe, mut tap: Option<Tap<'_>>) {
     let mut scratch = DayScratch::new();
     export_beam_gauges(&sim.population);
@@ -353,7 +345,7 @@ fn drive_day(
     s: &mut DayScratch,
 ) {
     let SimSetup { seeds, population, catalog, model, prop_delays, .. } = sim;
-    let DayScratch { merge, oracle, scratch, staging, arena, delay_cache } = s;
+    let DayScratch { merge, scratch, arena, delay_cache } = s;
     let m = metrics();
     // Per-phase wall-clock attribution (flow synthesis vs merge vs
     // probe), recorded per day. Gated on the telemetry switch: timing
@@ -389,284 +381,148 @@ fn drive_day(
         intents.seal();
         let horizon = SimTime::from_secs((day + 1) * satwatch_simcore::time::SECS_PER_DAY + 3_600);
         let mut flow_rng = seeds.rng_idx("flows", day);
-        if cfg.packet_batching && cfg.vectorized_synthesis {
-            // Cohort-batched drive (DESIGN.md §15): pop a cohort of
-            // consecutive pending intents, run the *planning* pass
-            // serially over the shared flow RNG (same stream, same
-            // draw order per flow as the scalar loop), then expand
-            // every plan to packets RNG-free — serially into recycled
-            // buffers, or via `ordered_par_map` when `threads > 1`.
-            // Runs are pushed in intent-pop order, so run-id
-            // assignment — the merge tie-break — is unchanged; each
-            // run is clamped to its intent time, so deferring the
-            // intervening drains to one drain per cohort pops the
-            // same (time, run_id)-ordered packet sequence in fewer,
-            // larger spans. The drain bound before each cohort is the
-            // cohort's first intent time − 1 ns, exactly the bound the
-            // scalar loop uses for that intent.
-            // Serial cohorts stay small enough that a cohort's shared
-            // payload block fits the arena's 1 MiB capacity hint —
-            // larger cohorts pay geometric-growth memcpy per block.
-            let cohort_cap = if cfg.threads == 1 { 64 } else { 256 };
-            delay_cache.begin_day(day);
-            let mut cohort: Vec<(SimTime, satwatch_traffic::FlowIntent, crate::flowsim::FlowPlan)> =
-                Vec::with_capacity(cohort_cap);
-            let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(cohort_cap);
-            let mut delay_col: Vec<satwatch_simcore::SimDuration> = Vec::new();
-            let (mut synth_ns, mut drain_ns) = (0u64, 0u64);
-            let (mut plan_ns, mut emit_ns) = (0u64, 0u64);
-            // Probe attribution is *sampled*: clock reads per span are
-            // themselves measurable at ~4-row spans, so one span in
-            // SAMPLE_EVERY is timed and scaled up by the span count at
-            // day end. `drain_ns` (two reads per drain call) stays
-            // exact; only the probe/merge split within it is estimated.
-            const SAMPLE_EVERY: u32 = 8;
-            let (mut span_total, mut span_sampled, mut sampled_probe_ns) = (0u64, 0u64, 0u64);
-            let mut drained_pkts = 0u64;
-            loop {
-                let ti = intents.peek_time();
-                let upto = match ti {
-                    Some(ti) if ti <= horizon => (ti != SimTime::ZERO).then(|| SimTime::from_nanos(ti.as_nanos() - 1)),
-                    _ => Some(horizon),
-                };
-                if let Some(upto) = upto {
-                    let t_drain = timed.then(Instant::now);
-                    while let Some(n) = merge.next_span_upto(upto, |cols, start, end| {
-                        if let Some(tap) = tap.as_mut() {
-                            for i in start..end {
-                                let p = cols.materialize(i);
-                                tap(cols.ts[i], &p);
-                            }
+        // Cohort-batched drive (DESIGN.md "The packet path and its
+        // reference"): pop a cohort of consecutive pending intents,
+        // run the *planning* pass serially over the shared flow RNG
+        // (same stream, same draw order per flow as the reference's
+        // flow-at-a-time `simulate_flow`), then expand every plan to
+        // packets RNG-free — serially into recycled buffers, or via
+        // `ordered_par_map` when `threads > 1`. Runs are pushed in
+        // intent-pop order, so run-id assignment — the merge
+        // tie-break — is the reference heap's sequence order; each
+        // run is clamped to its intent time, so one drain per cohort
+        // pops the same (time, run_id)-ordered packet sequence a
+        // drain before every intent would, in fewer, larger spans.
+        // Intents win time ties against packets, so the inclusive
+        // drain bound before each cohort is its first intent time
+        // − 1 ns (no packet exists strictly before t = 0).
+        // Serial cohorts stay small enough that a cohort's shared
+        // payload block fits the arena's 1 MiB capacity hint —
+        // larger cohorts pay geometric-growth memcpy per block.
+        let cohort_cap = if cfg.threads == 1 { 64 } else { 256 };
+        delay_cache.begin_day(day);
+        let mut cohort: Vec<(SimTime, satwatch_traffic::FlowIntent, crate::flowsim::FlowPlan)> =
+            Vec::with_capacity(cohort_cap);
+        let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(cohort_cap);
+        let mut delay_col: Vec<satwatch_simcore::SimDuration> = Vec::new();
+        let (mut synth_ns, mut drain_ns) = (0u64, 0u64);
+        // Probe attribution is *sampled*: clock reads per span are
+        // themselves measurable at ~4-row spans, so one span in
+        // SAMPLE_EVERY is timed and scaled up by the span count at
+        // day end. `drain_ns` (two reads per drain call) stays
+        // exact; only the probe/merge split within it is estimated.
+        const SAMPLE_EVERY: u32 = 8;
+        let (mut span_total, mut span_sampled, mut sampled_probe_ns) = (0u64, 0u64, 0u64);
+        let mut drained_pkts = 0u64;
+        loop {
+            let ti = intents.peek_time();
+            let upto = match ti {
+                Some(ti) if ti <= horizon => (ti != SimTime::ZERO).then(|| SimTime::from_nanos(ti.as_nanos() - 1)),
+                _ => Some(horizon),
+            };
+            if let Some(upto) = upto {
+                let t_drain = timed.then(Instant::now);
+                while let Some(n) = merge.next_span_upto(upto, |cols, start, end| {
+                    if let Some(tap) = tap.as_mut() {
+                        for i in start..end {
+                            let p = cols.materialize(i);
+                            tap(cols.ts[i], &p);
                         }
-                        let t_probe = (timed && span_total % u64::from(SAMPLE_EVERY) == 0).then(Instant::now);
-                        probe.observe_cols(cols, start, end);
-                        if let Some(t0) = t_probe {
-                            sampled_probe_ns += t0.elapsed().as_nanos() as u64;
-                            span_sampled += 1;
-                        }
-                        span_total += 1;
-                        (end - start) as u64
-                    }) {
-                        drained_pkts += n;
                     }
-                    m.packets.add(std::mem::take(&mut drained_pkts));
-                    if let Some(t0) = t_drain {
-                        drain_ns += t0.elapsed().as_nanos() as u64;
+                    let t_probe = (timed && span_total % u64::from(SAMPLE_EVERY) == 0).then(Instant::now);
+                    probe.observe_cols(cols, start, end);
+                    if let Some(t0) = t_probe {
+                        sampled_probe_ns += t0.elapsed().as_nanos() as u64;
+                        span_sampled += 1;
                     }
+                    span_total += 1;
+                    (end - start) as u64
+                }) {
+                    drained_pkts += n;
                 }
-                if !matches!(ti, Some(ti) if ti <= horizon) {
-                    break;
-                }
-                let t_synth = timed.then(Instant::now);
-                // Planning pass: serial, in intent-pop order — the
-                // shared `flow_rng` stream is consumed exactly as the
-                // scalar loop consumes it.
-                cohort.clear();
-                delay_col.clear();
-                while cohort.len() < cohort_cap {
-                    match intents.peek_time() {
-                        Some(ti) if ti <= horizon => {
-                            let (t, intent) = intents.pop().expect("peeked intent vanished");
-                            let customer = &population.customers[intent.customer_index];
-                            let beam = population.beam(customer.terminal.beam);
-                            let plan = model.plan_flow_cached(
-                                &intent,
-                                customer,
-                                catalog,
-                                beam,
-                                prop_delays[intent.customer_index],
-                                delay_cache,
-                                &mut flow_rng,
-                                &mut delay_col,
-                            );
-                            cohort.push((t, intent, plan));
-                        }
-                        _ => break,
-                    }
-                }
-                m.flows.add(cohort.len() as u64);
-                if let Some(t0) = t_synth {
-                    plan_ns += t0.elapsed().as_nanos() as u64;
-                }
-                let t_emit = timed.then(Instant::now);
-                // Emission pass: parent-RNG-free, so order (and
-                // thread) is free; results are pushed in intent order.
-                if cfg.threads == 1 {
-                    // All of the cohort's payload bytes accumulate in
-                    // one arena block, frozen once below: offsets are
-                    // absolute within the block, so every run shares
-                    // the same `Bytes` — one allocation per cohort
-                    // instead of one per flow, identical resolved
-                    // payloads (see `emit_flow_open`).
-                    for (t, intent, plan) in &cohort {
-                        let customer = &population.customers[intent.customer_index];
-                        let mut run = merge.take_buffer();
-                        model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
-                        run.clamp_and_sort(*t, scratch);
-                        cohort_runs.push(run);
-                    }
-                    let block = bytes::Bytes::from(arena.take());
-                    for mut run in cohort_runs.drain(..) {
-                        run.payload = block.clone();
-                        merge.push(run);
-                    }
-                } else {
-                    let runs = ordered_par_map(cfg.threads, &cohort, |_, (t, intent, plan)| {
-                        let customer = &population.customers[intent.customer_index];
-                        let mut arena = satwatch_simcore::PayloadArena::new();
-                        let mut run = PacketColumns::default();
-                        model.emit_flow(intent, customer, plan, &delay_col, &mut arena, &mut run);
-                        run.clamp_and_sort(*t, &mut SortScratch::default());
-                        run
-                    });
-                    for run in runs {
-                        merge.push(run);
-                    }
-                }
-                if let Some(t0) = t_emit {
-                    emit_ns += t0.elapsed().as_nanos() as u64;
-                }
-                if let Some(t0) = t_synth {
-                    synth_ns += t0.elapsed().as_nanos() as u64;
+                m.packets.add(std::mem::take(&mut drained_pkts));
+                if let Some(t0) = t_drain {
+                    drain_ns += t0.elapsed().as_nanos() as u64;
                 }
             }
-            if timed {
-                // scale the sampled probe time up to all spans
-                let probe_ns = (sampled_probe_ns * span_total).checked_div(span_sampled).unwrap_or_default();
-                m.flow_synth_us.record(synth_ns / 1_000);
-                m.probe_us.record(probe_ns / 1_000);
-                m.merge_us.record(drain_ns.saturating_sub(probe_ns) / 1_000);
-                if std::env::var_os("SATWATCH_SYNTH_SPLIT").is_some() {
-                    eprintln!(
-                        "synth split day {day}: plan {:.1} ms, emit {:.1} ms, total {:.1} ms",
-                        plan_ns as f64 / 1e6,
-                        emit_ns as f64 / 1e6,
-                        synth_ns as f64 / 1e6
-                    );
-                }
+            if !matches!(ti, Some(ti) if ti <= horizon) {
+                break;
             }
-        } else if cfg.packet_batching {
-            // Batched drive: every iteration first drains, in whole-run
-            // column slices, all packets that must precede the next
-            // intent — intents win time ties, so the inclusive drain
-            // bound is `ti − 1 ns` (no packet exists strictly before
-            // t = 0) — then starts that flow. With no intent left (or
-            // the next one past the horizon) the bound is the horizon
-            // itself. Slice order is pinned identical to the per-packet
-            // loop below by `ColMerge::next_span_upto`'s contract.
-            let (mut synth_ns, mut drain_ns, mut probe_ns) = (0u64, 0u64, 0u64);
-            loop {
-                let ti = intents.peek_time();
-                let upto = match ti {
-                    Some(ti) if ti <= horizon => (ti != SimTime::ZERO).then(|| SimTime::from_nanos(ti.as_nanos() - 1)),
-                    _ => Some(horizon),
-                };
-                if let Some(upto) = upto {
-                    let t_drain = timed.then(Instant::now);
-                    while let Some(n) = merge.next_span_upto(upto, |cols, start, end| {
-                        if let Some(tap) = tap.as_mut() {
-                            for i in start..end {
-                                let p = cols.materialize(i);
-                                tap(cols.ts[i], &p);
-                            }
-                        }
-                        let t_probe = timed.then(Instant::now);
-                        probe.observe_cols(cols, start, end);
-                        if let Some(t0) = t_probe {
-                            probe_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        (end - start) as u64
-                    }) {
-                        m.packets.add(n);
-                    }
-                    if let Some(t0) = t_drain {
-                        drain_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-                match ti {
+            let t_synth = timed.then(Instant::now);
+            // Planning pass: serial, in intent-pop order — the
+            // shared `flow_rng` stream is consumed exactly as the
+            // reference consumes it.
+            cohort.clear();
+            delay_col.clear();
+            while cohort.len() < cohort_cap {
+                match intents.peek_time() {
                     Some(ti) if ti <= horizon => {
-                        let t_synth = timed.then(Instant::now);
                         let (t, intent) = intents.pop().expect("peeked intent vanished");
-                        debug_assert_eq!(t, ti);
                         let customer = &population.customers[intent.customer_index];
                         let beam = population.beam(customer.terminal.beam);
-                        m.flows.inc();
-                        let mut run = merge.take_buffer();
-                        model.simulate_flow(&intent, customer, catalog, beam, &mut flow_rng, arena, &mut run);
-                        // The builder may interleave directions out of
-                        // time order and emit pre-start timestamps the
-                        // heap used to clamp; normalise, then
-                        // stable-sort so equal-time packets keep
-                        // emission (= old sequence) order.
-                        run.clamp_and_sort(t, scratch);
-                        merge.push(run);
-                        if let Some(t0) = t_synth {
-                            synth_ns += t0.elapsed().as_nanos() as u64;
-                        }
+                        let plan = model.plan_flow_cached(
+                            &intent,
+                            customer,
+                            catalog,
+                            beam,
+                            prop_delays[intent.customer_index],
+                            delay_cache,
+                            &mut flow_rng,
+                            &mut delay_col,
+                        );
+                        cohort.push((t, intent, plan));
                     }
                     _ => break,
                 }
             }
-            if timed {
-                // merge time is the drain loop minus the probe's share
-                // (and minus any tap materialization, absent in bench).
-                m.flow_synth_us.record(synth_ns / 1_000);
-                m.probe_us.record(probe_ns / 1_000);
-                m.merge_us.record(drain_ns.saturating_sub(probe_ns) / 1_000);
-            }
-        } else {
-            // Per-packet oracle loop: the reference semantics the batch
-            // path above is tested byte-identical against. Synthesis
-            // is columnar either way; here every row is materialized
-            // into a real `Packet` before entering the merge.
-            loop {
-                let ti = intents.peek_time();
-                let tp = oracle.peek();
-                // Intents win time ties: in the single-heap formulation
-                // all StartFlow events were scheduled before any packet,
-                // so their sequence numbers were strictly smaller.
-                let start_flow = match (ti, tp) {
-                    (Some(ti), Some(tp)) => ti <= tp,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if start_flow {
-                    let (t, intent) = intents.pop().expect("peeked intent vanished");
-                    if t > horizon {
-                        break;
-                    }
+            m.flows.add(cohort.len() as u64);
+            // Emission pass: parent-RNG-free, so order (and
+            // thread) is free; results are pushed in intent order.
+            if cfg.threads == 1 {
+                // All of the cohort's payload bytes accumulate in
+                // one arena block, frozen once below: offsets are
+                // absolute within the block, so every run shares
+                // the same `Bytes` — one allocation per cohort
+                // instead of one per flow, identical resolved
+                // payloads (see `emit_flow_open`).
+                for (t, intent, plan) in &cohort {
                     let customer = &population.customers[intent.customer_index];
-                    let beam = population.beam(customer.terminal.beam);
-                    m.flows.inc();
-                    staging.clear();
-                    model.simulate_flow(&intent, customer, catalog, beam, &mut flow_rng, arena, staging);
-                    let mut run = oracle.take_buffer();
-                    staging.materialize_into(&mut run);
-                    for p in &mut run {
-                        p.0 = p.0.max(t);
-                    }
-                    run.sort_by_key(|&(pt, _)| pt);
-                    oracle.push(run);
-                } else {
-                    if tp.expect("merge peeked empty") > horizon {
-                        break;
-                    }
-                    m.packets.inc();
-                    oracle
-                        .pop_with(|t, pkt| {
-                            if let Some(tap) = tap.as_mut() {
-                                tap(t, pkt);
-                            }
-                            probe.observe(t, pkt);
-                        })
-                        .expect("peeked packet vanished");
+                    let mut run = merge.take_buffer();
+                    model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
+                    run.clamp_and_sort(*t, scratch);
+                    cohort_runs.push(run);
+                }
+                let block = bytes::Bytes::from(arena.take());
+                for mut run in cohort_runs.drain(..) {
+                    run.payload = block.clone();
+                    merge.push(run);
+                }
+            } else {
+                let runs = ordered_par_map(cfg.threads, &cohort, |_, (t, intent, plan)| {
+                    let customer = &population.customers[intent.customer_index];
+                    let mut arena = satwatch_simcore::PayloadArena::new();
+                    let mut run = PacketColumns::default();
+                    model.emit_flow(intent, customer, plan, &delay_col, &mut arena, &mut run);
+                    run.clamp_and_sort(*t, &mut SortScratch::default());
+                    run
+                });
+                for run in runs {
+                    merge.push(run);
                 }
             }
+            if let Some(t0) = t_synth {
+                synth_ns += t0.elapsed().as_nanos() as u64;
+            }
+        }
+        if timed {
+            // scale the sampled probe time up to all spans
+            let probe_ns = (sampled_probe_ns * span_total).checked_div(span_sampled).unwrap_or_default();
+            m.flow_synth_us.record(synth_ns / 1_000);
+            m.probe_us.record(probe_ns / 1_000);
+            m.merge_us.record(drain_ns.saturating_sub(probe_ns) / 1_000);
         }
         // Truncate the post-horizon tail, keeping the buffers.
         merge.clear();
-        oracle.clear();
     }
 }
 

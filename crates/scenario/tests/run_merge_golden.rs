@@ -14,7 +14,7 @@
 //! workload model), refresh the constants with
 //! `cargo run --release --example golden_digest`.
 
-use satwatch_scenario::{dataset_digest, run, ScenarioConfig};
+use satwatch_scenario::{dataset_digest, run, run_reference, ScenarioConfig};
 
 /// Digest captured from the pre-run-merge heap scheduler at this
 /// workload (tiny, 12 customers, seed 42, 2 days).
@@ -40,4 +40,13 @@ fn run_merge_output_matches_heap_scheduler_golden() {
          (got {digest:#018x}); if the change is intentional, refresh \
          via `cargo run --release --example golden_digest`"
     );
+}
+
+/// The reference run *is* an all-packets-through-one-heap loop, so it
+/// must reproduce the digest captured from the original one.
+#[test]
+fn reference_run_matches_heap_scheduler_golden() {
+    let ds = run_reference(ScenarioConfig::tiny().with_customers(12).with_seed(42).with_days(2));
+    assert_eq!(ds.packets, GOLDEN_PACKETS);
+    assert_eq!(dataset_digest(&ds), GOLDEN_DIGEST);
 }

@@ -5,7 +5,7 @@
 //! regressed. Kept in its own integration binary so nothing here races
 //! with the on/off toggling in `telemetry_determinism.rs`.
 
-use satwatch_scenario::{run, ScenarioConfig};
+use satwatch_scenario::{run, run_with_tap, ScenarioConfig};
 use satwatch_telemetry::Snapshot;
 
 #[test]
@@ -41,10 +41,11 @@ fn snapshot_covers_every_pipeline_layer() {
     // monitor layer (probe counts packets; the sharded dispatcher adds
     // per-shard labelled series)
     assert!(counter("monitor_packets_total") >= ds.packets);
-    // run-granular hot path: the probe consumed its packets in batches.
-    // Both instruments tick together in `process_batch`, and the
-    // histogram's sum is bounded by the total packet count (the rare
-    // sweep-straddling batch replays per packet, outside the histogram).
+    // span-granular hot path: the probe consumed its packets in
+    // column spans. Both instruments tick together, once per span
+    // `Probe::process_cols` sees (flushed to the registry at every
+    // sweep and at finish), so the histogram's sum is bounded by the
+    // total packet count.
     let batches = counter("monitor_probe_batches_total");
     assert!(batches > 0, "batched drive is the default path");
     let batch_len = snap.histogram("monitor_probe_batch_len").expect("batch-length histogram registered");
@@ -95,4 +96,15 @@ fn snapshot_covers_every_pipeline_layer() {
         snap.values.keys().any(|k| k.starts_with("scenario_beam_peak_utilization_pct{")),
         "per-beam labelled gauges present"
     );
+
+    // a tapped run (`simulate --pcap`) is timed like a plain one
+    let before = Snapshot::take();
+    let mut tapped = 0u64;
+    let ds = run_with_tap(ScenarioConfig::tiny().with_customers(3), |_, _| tapped += 1);
+    assert_eq!(tapped, ds.packets, "the tap sees every packet the probe does");
+    let during = Snapshot::take().delta(&before);
+    for span in ["scenario_setup_us", "scenario_finish_us"] {
+        let h = during.histogram(span).unwrap_or_else(|| panic!("{span} missing from snapshot"));
+        assert_eq!(h.count, 1, "{span} records once per tapped run");
+    }
 }

@@ -64,7 +64,7 @@ pub mod units;
 pub use arena::PayloadArena;
 pub use event::EventQueue;
 pub use fxhash::{fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxBuildHasher, FxHashMap, FxHashSet};
-pub use merge::{ColMerge, RunMerge, TimedRun};
+pub use merge::{ColMerge, TimedRun};
 pub use par::{
     available_parallelism, available_workers, ordered_par_chunks, ordered_par_fold, ordered_par_map,
     ordered_par_ranges, resolve_workers, resolve_workers_or_warn,

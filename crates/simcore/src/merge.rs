@@ -21,19 +21,19 @@
 //! node can name its sibling subtree's winner.
 //!
 //! The merge is generic over [`TimedRun`]: any indexable container of
-//! time-sorted rows. `Vec<(SimTime, T)>` is the row-oriented instance
-//! (wrapped by [`RunMerge`], the original API), and the scenario's
-//! struct-of-arrays `PacketColumns` is the columnar one — the merge
-//! only touches `time_at`, never the row payloads.
+//! time-sorted rows. The scenario's struct-of-arrays `PacketColumns`
+//! is the production instance; `Vec<(SimTime, T)>` is the row-oriented
+//! one the unit tests below drive. The merge only touches `time_at`,
+//! never the row payloads.
 //!
 //! # Ordering contract
 //!
 //! The merge key is `(SimTime, run_id)` where `run_id` is assigned
 //! monotonically at [`push`](ColMerge::push) time; within a run,
-//! items pop in index order. DESIGN.md ("Run-merge scheduler") spells
-//! out why this reproduces the event queue's `(at, seq)` FIFO order
-//! exactly when runs are pushed in flow-start order and each run is
-//! stable-sorted by time.
+//! items pop in index order. DESIGN.md ("The packet path and its
+//! reference") spells out why this reproduces the event queue's
+//! `(at, seq)` FIFO order exactly when runs are pushed in flow-start
+//! order and each run is stable-sorted by time.
 
 use crate::time::SimTime;
 use std::sync::OnceLock;
@@ -361,83 +361,22 @@ impl<R: TimedRun> Default for ColMerge<R> {
     }
 }
 
-/// The row-oriented merge: `Vec<(SimTime, T)>` runs, one tuple per
-/// packet. Thin wrapper over [`ColMerge`] preserving the original
-/// slice-based API; kept as the per-packet oracle path.
-pub struct RunMerge<T> {
-    inner: ColMerge<Vec<(SimTime, T)>>,
-}
-
-impl<T> RunMerge<T> {
-    pub fn new() -> RunMerge<T> {
-        RunMerge { inner: ColMerge::new() }
-    }
-
-    /// Items remaining across all runs.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// A recycled (or fresh) buffer to build the next run in.
-    pub fn take_buffer(&mut self) -> Vec<(SimTime, T)> {
-        self.inner.take_buffer()
-    }
-
-    /// Add a run. `items` must already be sorted by time (stable with
-    /// respect to emission order — equal-time items keep their order).
-    /// Runs pushed earlier win time ties against runs pushed later.
-    pub fn push(&mut self, items: Vec<(SimTime, T)>) {
-        self.inner.push(items)
-    }
-
-    /// Timestamp of the next item, if any.
-    pub fn peek(&self) -> Option<SimTime> {
-        self.inner.peek()
-    }
-
-    /// Pop the next item, passing it to `f` by reference (items stay
-    /// in their run's buffer; nothing is moved). Returns `None` if the
-    /// merge is empty.
-    pub fn pop_with<R>(&mut self, f: impl FnOnce(SimTime, &T) -> R) -> Option<R> {
-        self.inner.pop_with(|t, run, i| f(t, &run[i].1))
-    }
-
-    /// Drain a contiguous batch of the winning run, passing it to `f`
-    /// as one slice. See [`ColMerge::next_span_upto`] for the exact
-    /// ordering contract.
-    pub fn next_run_upto<R>(&mut self, upto: SimTime, f: impl FnOnce(&[(SimTime, T)]) -> R) -> Option<R> {
-        self.inner.next_span_upto(upto, |run, start, end| f(&run[start..end]))
-    }
-
-    /// Drop all remaining items, recycling every buffer.
-    pub fn clear(&mut self) {
-        self.inner.clear()
-    }
-}
-
-impl<T> Default for RunMerge<T> {
-    fn default() -> Self {
-        RunMerge::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
     use crate::EventQueue;
 
-    fn drain<T: Clone>(m: &mut RunMerge<T>) -> Vec<(SimTime, T)> {
-        std::iter::from_fn(|| m.pop_with(|t, v| (t, v.clone()))).collect()
+    /// The row-oriented instance every test below merges.
+    type RowMerge<T> = ColMerge<Vec<(SimTime, T)>>;
+
+    fn drain<T: Clone>(m: &mut RowMerge<T>) -> Vec<(SimTime, T)> {
+        std::iter::from_fn(|| m.pop_with(|t, run, i| (t, run[i].1.clone()))).collect()
     }
 
     #[test]
     fn merges_two_runs_in_time_order() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         m.push(vec![(SimTime::from_secs(1), "a1"), (SimTime::from_secs(4), "a2")]);
         m.push(vec![(SimTime::from_secs(2), "b1"), (SimTime::from_secs(3), "b2")]);
         let order: Vec<&str> = drain(&mut m).into_iter().map(|(_, v)| v).collect();
@@ -447,7 +386,7 @@ mod tests {
 
     #[test]
     fn earlier_run_wins_time_ties() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         let t = SimTime::from_secs(5);
         m.push(vec![(t, "first")]);
         m.push(vec![(t, "second")]);
@@ -458,7 +397,7 @@ mod tests {
 
     #[test]
     fn within_run_order_is_preserved_at_equal_times() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         let t = SimTime::from_secs(1);
         m.push(vec![(t, 0), (t, 1), (t, 2)]);
         let order: Vec<i32> = drain(&mut m).into_iter().map(|(_, v)| v).collect();
@@ -467,7 +406,7 @@ mod tests {
 
     #[test]
     fn empty_runs_are_ignored_and_buffers_recycle() {
-        let mut m: RunMerge<u8> = RunMerge::new();
+        let mut m: RowMerge<u8> = ColMerge::new();
         let buf = m.take_buffer();
         m.push(buf);
         assert!(m.is_empty());
@@ -483,7 +422,7 @@ mod tests {
 
     #[test]
     fn grows_past_initial_capacity() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         for i in 0..100u64 {
             m.push(vec![(SimTime::from_secs(i), i)]);
         }
@@ -494,7 +433,7 @@ mod tests {
 
     #[test]
     fn clear_recycles_everything() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         for i in 0..10u64 {
             m.push(vec![(SimTime::from_secs(i), i), (SimTime::from_secs(i + 1), i)]);
         }
@@ -506,12 +445,12 @@ mod tests {
         assert_eq!(drain(&mut m), vec![(SimTime::from_secs(3), 42)]);
     }
 
-    fn drain_batched<T: Clone>(m: &mut RunMerge<T>, upto: SimTime) -> (Vec<(SimTime, T)>, Vec<usize>) {
+    fn drain_batched<T: Clone>(m: &mut RowMerge<T>, upto: SimTime) -> (Vec<(SimTime, T)>, Vec<usize>) {
         let mut out = Vec::new();
         let mut lens = Vec::new();
-        while let Some(n) = m.next_run_upto(upto, |batch| {
-            out.extend(batch.iter().map(|(t, v)| (*t, v.clone())));
-            batch.len()
+        while let Some(n) = m.next_span_upto(upto, |run, start, end| {
+            out.extend_from_slice(&run[start..end]);
+            end - start
         }) {
             lens.push(n);
         }
@@ -520,7 +459,7 @@ mod tests {
 
     #[test]
     fn batch_drain_yields_whole_run_when_uncontended() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         m.push(vec![(SimTime::from_secs(1), "a1"), (SimTime::from_secs(2), "a2"), (SimTime::from_secs(3), "a3")]);
         m.push(vec![(SimTime::from_secs(10), "b1")]);
         let (items, lens) = drain_batched(&mut m, SimTime::MAX);
@@ -531,7 +470,7 @@ mod tests {
 
     #[test]
     fn batch_drain_respects_upto_bound() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         m.push(vec![(SimTime::from_secs(1), 1), (SimTime::from_secs(5), 5), (SimTime::from_secs(9), 9)]);
         let (items, _) = drain_batched(&mut m, SimTime::from_secs(5));
         assert_eq!(items.iter().map(|&(_, v)| v).collect::<Vec<_>>(), [1, 5]);
@@ -541,7 +480,7 @@ mod tests {
 
     #[test]
     fn batch_drain_splits_interleaved_runs_correctly() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         m.push(vec![(SimTime::from_secs(1), "a1"), (SimTime::from_secs(4), "a2")]);
         m.push(vec![(SimTime::from_secs(2), "b1"), (SimTime::from_secs(3), "b2")]);
         let (items, _) = drain_batched(&mut m, SimTime::MAX);
@@ -550,7 +489,7 @@ mod tests {
 
     #[test]
     fn batch_drain_gives_ties_to_earlier_run() {
-        let mut m = RunMerge::new();
+        let mut m = RowMerge::new();
         let t = SimTime::from_secs(5);
         // run 0: head at t, tail past t. run 1: head at t. The tie at
         // t goes to run 0, which may emit *through* t before run 1.
@@ -566,8 +505,8 @@ mod tests {
     fn batch_drain_matches_pop_order_under_random_interleaving() {
         let mut rng = Rng::new(0xba7c4);
         for _round in 0..20 {
-            let mut batched = RunMerge::new();
-            let mut popped = RunMerge::new();
+            let mut batched = RowMerge::new();
+            let mut popped = RowMerge::new();
             for _ in 0..rng.below(40) {
                 let n = rng.below(12) as usize;
                 let mut run: Vec<(SimTime, u32)> =
@@ -595,7 +534,7 @@ mod tests {
     fn matches_event_queue_order_under_random_interleaving() {
         let mut rng = Rng::new(0xa11_0c8);
         for _round in 0..20 {
-            let mut m = RunMerge::new();
+            let mut m = RowMerge::new();
             let mut q = EventQueue::new();
             let mut expected_pushes = 0usize;
             for _ in 0..rng.below(40) {
@@ -617,58 +556,6 @@ mod tests {
             }
             assert_eq!(got.len(), expected_pushes);
             assert_eq!(got, want);
-        }
-    }
-
-    /// A minimal columnar `TimedRun` driven through `ColMerge` must
-    /// match the row-oriented `RunMerge` span for span.
-    #[test]
-    fn col_merge_matches_run_merge_on_columnar_runs() {
-        #[derive(Default, Clone)]
-        struct Cols {
-            ts: Vec<SimTime>,
-            val: Vec<u32>,
-        }
-        impl TimedRun for Cols {
-            fn len(&self) -> usize {
-                self.ts.len()
-            }
-            fn time_at(&self, i: usize) -> SimTime {
-                self.ts[i]
-            }
-            fn clear(&mut self) {
-                self.ts.clear();
-                self.val.clear();
-            }
-        }
-        let mut rng = Rng::new(0xc01);
-        for _round in 0..20 {
-            let mut cm: ColMerge<Cols> = ColMerge::new();
-            let mut rm = RunMerge::new();
-            for _ in 0..rng.below(30) {
-                let n = rng.below(10) as usize;
-                let mut rows: Vec<(SimTime, u32)> =
-                    (0..n).map(|_| (SimTime::from_secs(rng.below(5)), rng.next_u32())).collect();
-                rows.sort_by_key(|&(t, _)| t);
-                let mut cols = cm.take_buffer();
-                for &(t, v) in &rows {
-                    cols.ts.push(t);
-                    cols.val.push(v);
-                }
-                cm.push(cols);
-                rm.push(rows);
-            }
-            let mut got = Vec::new();
-            for upto_s in [2u64, 5] {
-                while let Some(()) = cm.next_span_upto(SimTime::from_secs(upto_s), |run, s, e| {
-                    for i in s..e {
-                        got.push((run.ts[i], run.val[i]));
-                    }
-                }) {}
-            }
-            let want = drain(&mut rm);
-            assert_eq!(got, want);
-            assert!(cm.is_empty());
         }
     }
 }
