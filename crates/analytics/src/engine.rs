@@ -24,12 +24,13 @@
 
 use crate::agg::{self, CustomerDay, Enrichment, THROUGHPUT_MIN_BYTES};
 use crate::classify::second_level_domain;
-use crate::frame::{category_of, FlowFrame, NO_BEAM, NO_CATEGORY, NO_COUNTRY};
+use crate::frame::{FlowFrame, NO_BEAM, NO_CATEGORY, NO_COUNTRY, NO_DOMAIN};
 use crate::report::*;
 use satwatch_internet::ResolverId;
 use satwatch_monitor::{DnsRecord, L7Protocol};
 use satwatch_simcore::{ordered_par_ranges, FxHashMap, SimDuration, SimTime};
-use satwatch_traffic::Country;
+use satwatch_traffic::{Category, Country};
+use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
 
 const N_PROTO: usize = L7Protocol::ALL.len();
@@ -284,40 +285,123 @@ pub fn fig4_frame(fr: &FlowFrame, _ctx: ReportCtx<'_>, workers: usize) -> Fig4 {
 
 // ------------------------------------------------- customer-days (Fig 5–7)
 
+const N_CATEGORY: usize = Category::ALL.len();
+// `DayCell::cats_seen` is one bit per category
+const _: () = assert!(N_CATEGORY <= u16::BITS as usize);
+
+/// One customer-day while a frame is being swept: plain integers and
+/// the frame's own category / service indices. It becomes a
+/// [`CustomerDay`] — hash map, hash set, `&'static str`s — once, when
+/// the frame's sweep is over, not once per flow.
+#[derive(Default)]
+struct DayCell {
+    flows: u64,
+    down: u64,
+    up: u64,
+    cat_bytes: [u64; N_CATEGORY],
+    /// Bit `c` set = a flow of category `c` was seen (its bytes may
+    /// still sum to zero, and `CustomerDay` keeps such an entry).
+    cats_seen: u16,
+    /// Bit `s` (word `s / 64`) set = `FlowFrame::service` index `s`
+    /// was seen; grows to the highest index seen.
+    services: Vec<u64>,
+}
+
 #[derive(Default)]
 struct DaysAcc {
-    map: FxHashMap<(Ipv4Addr, u64), CustomerDay>,
+    cells: FxHashMap<(Ipv4Addr, u32), DayCell>,
 }
 
 impl DaysAcc {
     fn absorb(&mut self, fr: &FlowFrame, i: usize) {
-        let e = self.map.entry((fr.client[i], u64::from(fr.day[i]))).or_default();
+        let e = self.cells.entry((fr.client[i], fr.day[i])).or_default();
         e.flows += 1;
         e.down += fr.bytes_down[i];
         e.up += fr.bytes_up[i];
-        if fr.category[i] != NO_CATEGORY {
-            *e.by_category.entry(category_of(fr.category[i])).or_default() += fr.flow_bytes(i);
-            e.services.insert(fr.services[fr.service[i] as usize]);
+        let cat = fr.category[i];
+        if cat != NO_CATEGORY {
+            e.cat_bytes[cat as usize] += fr.flow_bytes(i);
+            e.cats_seen |= 1 << cat;
+            let s = fr.service[i] as usize;
+            if e.services.len() <= s / 64 {
+                e.services.resize(s / 64 + 1, 0);
+            }
+            e.services[s / 64] |= 1 << (s % 64);
         }
     }
 
     fn merge(mut self, o: Self) -> Self {
-        for (k, cd) in o.map {
-            match self.map.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().absorb(cd),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(cd);
+        for (k, cell) in o.cells {
+            match self.cells.entry(k) {
+                Entry::Occupied(mut e) => {
+                    let e = e.get_mut();
+                    e.flows += cell.flows;
+                    e.down += cell.down;
+                    e.up += cell.up;
+                    for (a, b) in e.cat_bytes.iter_mut().zip(cell.cat_bytes) {
+                        *a += b;
+                    }
+                    e.cats_seen |= cell.cats_seen;
+                    if e.services.len() < cell.services.len() {
+                        e.services.resize(cell.services.len(), 0);
+                    }
+                    for (a, b) in e.services.iter_mut().zip(cell.services) {
+                        *a |= b;
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(cell);
                 }
             }
         }
         self
+    }
+
+    /// Resolve the cells of a sweep over `fr` into [`CustomerDay`]s.
+    fn finish(self, fr: &FlowFrame) -> CustomerDays {
+        self.cells
+            .into_iter()
+            .map(|((client, day), cell)| {
+                let cd = CustomerDay {
+                    flows: cell.flows,
+                    down: cell.down,
+                    up: cell.up,
+                    by_category: (0..N_CATEGORY)
+                        .filter(|c| cell.cats_seen & (1 << c) != 0)
+                        .map(|c| (Category::ALL[c], cell.cat_bytes[c]))
+                        .collect(),
+                    services: (0..cell.services.len() * 64)
+                        .filter(|s| cell.services[s / 64] & (1 << (s % 64)) != 0)
+                        .map(|s| fr.services[s])
+                        .collect(),
+                };
+                ((client, u64::from(day)), cd)
+            })
+            .collect()
+    }
+}
+
+/// The customer-day rollup behind Figures 5–7.
+type CustomerDays = FxHashMap<(Ipv4Addr, u64), CustomerDay>;
+
+/// Add the customer-days of a later frame. Every field is an exact
+/// sum or a set union, so a customer-day split across frames ends up
+/// as if one sweep had seen it whole.
+fn merge_customer_days(days: &mut CustomerDays, later: CustomerDays) {
+    for (k, cd) in later {
+        match days.entry(k) {
+            Entry::Occupied(mut e) => e.get_mut().absorb(cd),
+            Entry::Vacant(e) => {
+                e.insert(cd);
+            }
+        }
     }
 }
 
 /// [`agg::customer_days`] rebuilt from the frame's pre-resolved
 /// category/service columns — no classifier in sight.
 pub fn customer_days_frame(fr: &FlowFrame, workers: usize) -> FxHashMap<(Ipv4Addr, u64), CustomerDay> {
-    fold_rows(fr.len(), workers, |a: &mut DaysAcc, i| a.absorb(fr, i), DaysAcc::merge).map
+    fold_rows(fr.len(), workers, |a: &mut DaysAcc, i| a.absorb(fr, i), DaysAcc::merge).finish(fr)
 }
 
 /// [`agg::fig5`] from a frame-built customer-day rollup.
@@ -569,24 +653,79 @@ pub fn fig11_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, workers: usize) -> Fig11 
 
 // ------------------------------------------------------- Table 2 (DNS join)
 
-/// Pre-built DNS side of the Table 2 join: `(client, fqdn)` →
+/// "This domain is never looked up" in [`CdnJoin::names_of`].
+const NO_NAME: u32 = u32::MAX;
+
+/// Pre-built DNS side of the Table 2 join: `(client, query name)` →
 /// time-sorted lookups, exactly as `agg::table_cdn_selection` builds
-/// it. Built once, shared read-only by all workers.
+/// it, with every distinct query name replaced by a small id. Built
+/// once, shared read-only by all workers.
 pub struct CdnJoin<'a> {
-    lookups: FxHashMap<(Ipv4Addr, &'a str), Vec<(SimTime, ResolverId)>>,
+    /// Query name → name id.
+    names: FxHashMap<&'a str, u32>,
+    /// Second-level domain of each name, by name id (the Table 2 row
+    /// label), as an index into `slds`.
+    sld_of: Vec<u32>,
+    slds: Vec<String>,
+    lookups: FxHashMap<(Ipv4Addr, u32), Vec<(SimTime, ResolverId)>>,
 }
 
 impl<'a> CdnJoin<'a> {
     pub fn build(dns: &'a [DnsRecord]) -> CdnJoin<'a> {
-        let mut lookups: FxHashMap<(Ipv4Addr, &'a str), Vec<(SimTime, ResolverId)>> = FxHashMap::default();
+        let mut names: FxHashMap<&'a str, u32> = FxHashMap::default();
+        let mut sld_ids: FxHashMap<String, u32> = FxHashMap::default();
+        let mut sld_of = Vec::new();
+        let mut lookups: FxHashMap<(Ipv4Addr, u32), Vec<(SimTime, ResolverId)>> = FxHashMap::default();
         for d in dns {
             let r = ResolverId::from_address(d.resolver).unwrap_or(ResolverId::Other);
-            lookups.entry((d.client, &*d.query)).or_default().push((d.ts, r));
+            let name = match names.get(&*d.query) {
+                Some(&name) => name,
+                None => {
+                    let name = names.len() as u32;
+                    names.insert(&d.query, name);
+                    let next_sld = sld_ids.len() as u32;
+                    sld_of.push(*sld_ids.entry(second_level_domain(&d.query)).or_insert(next_sld));
+                    name
+                }
+            };
+            lookups.entry((d.client, name)).or_default().push((d.ts, r));
         }
         for v in lookups.values_mut() {
             v.sort_by_key(|(t, _)| *t);
         }
-        CdnJoin { lookups }
+        let mut slds = vec![String::new(); sld_ids.len()];
+        for (sld, id) in sld_ids {
+            slds[id as usize] = sld;
+        }
+        CdnJoin { names, sld_of, slds, lookups }
+    }
+
+    /// Resolve a frame's domain dictionary against the join, once:
+    /// the name id of each dictionary code, or [`NO_NAME`]. After
+    /// this the sweep looks at no domain string at all.
+    fn names_of(&self, fr: &FlowFrame) -> Vec<u32> {
+        fr.domains.iter().map(|d| self.names.get(&**d).copied().unwrap_or(NO_NAME)).collect()
+    }
+}
+
+/// What one frame's sweep reads besides the frame: the DNS join, the
+/// frame's dictionary resolved against it, and the country selection
+/// as a table.
+struct SweepCtx<'a> {
+    fr: &'a FlowFrame,
+    join: &'a CdnJoin<'a>,
+    /// [`CdnJoin::names_of`] this frame.
+    names: Vec<u32>,
+    selected: [bool; N_COUNTRY],
+}
+
+impl<'a> SweepCtx<'a> {
+    fn new(fr: &'a FlowFrame, join: &'a CdnJoin<'a>, countries: &[Country]) -> SweepCtx<'a> {
+        let mut selected = [false; N_COUNTRY];
+        for c in countries {
+            selected[c.index()] = true;
+        }
+        SweepCtx { fr, join, names: join.names_of(fr), selected }
     }
 }
 
@@ -596,21 +735,25 @@ const CDN_FRESH: SimDuration = SimDuration::from_secs(30);
 
 #[derive(Default)]
 struct CdnAcc {
-    /// Per-key RTT observations in row order. Kept as a vector (not a
-    /// running sum) so the finisher can reproduce the record path's
-    /// exact left-to-right f64 summation order.
-    acc: FxHashMap<(String, Country, ResolverId), Vec<f64>>,
+    /// Per-key RTT observations in row order, keyed by
+    /// `(second-level-domain id, country index, resolver)`. Kept as a
+    /// vector (not a running sum) so the finisher can reproduce the
+    /// record path's exact left-to-right f64 summation order.
+    acc: FxHashMap<(u32, u8, ResolverId), Vec<f64>>,
 }
 
 impl CdnAcc {
-    fn absorb(&mut self, fr: &FlowFrame, i: usize, join: &CdnJoin<'_>, countries: &[Country]) {
-        let (Some(c), Some(domain)) = (fr.country_at(i), fr.domain[i].as_deref()) else {
-            return;
-        };
-        if !countries.contains(&c) || fr.ground_rtt_samples[i] == 0 {
+    fn absorb(&mut self, cx: &SweepCtx<'_>, i: usize) {
+        let fr = cx.fr;
+        let (ci, d) = (fr.country[i], fr.domain[i]);
+        if ci == NO_COUNTRY || d == NO_DOMAIN || !cx.selected[ci as usize] || fr.ground_rtt_samples[i] == 0 {
             return;
         }
-        let Some(entries) = join.lookups.get(&(fr.client[i], domain)) else {
+        let name = cx.names[d as usize];
+        if name == NO_NAME {
+            return;
+        }
+        let Some(entries) = cx.join.lookups.get(&(fr.client[i], name)) else {
             return;
         };
         let idx = entries.partition_point(|(t, _)| *t <= fr.first[i]);
@@ -621,8 +764,7 @@ impl CdnAcc {
         if fr.first[i] - ts > CDN_FRESH {
             return; // stale: likely a different device's lookup
         }
-        let sld = second_level_domain(domain);
-        self.acc.entry((sld, c, r)).or_default().push(fr.ground_rtt_avg[i]);
+        self.acc.entry((cx.join.sld_of[name as usize], ci, r)).or_default().push(fr.ground_rtt_avg[i]);
     }
 
     fn merge(mut self, o: Self) -> Self {
@@ -632,15 +774,15 @@ impl CdnAcc {
         self
     }
 
-    fn finish(self, min_flows: usize) -> TableCdnSelection {
+    fn finish(self, join: &CdnJoin<'_>, min_flows: usize) -> TableCdnSelection {
         let mut rows: Vec<(String, Country, ResolverId, f64, usize)> = self
             .acc
             .into_iter()
             .filter(|(_, v)| v.len() >= min_flows)
-            .map(|((sld, c, r), v)| {
+            .map(|((sld, ci, r), v)| {
                 let n = v.len();
                 let sum: f64 = v.into_iter().sum();
-                (sld, c, r, sum / n as f64, n)
+                (join.slds[sld as usize].clone(), Country::ALL[ci as usize], r, sum / n as f64, n)
             })
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
@@ -659,8 +801,8 @@ pub fn table_cdn_frame(
     workers: usize,
 ) -> TableCdnSelection {
     let join = CdnJoin::build(dns);
-    let countries = ctx.countries;
-    fold_rows(fr.len(), workers, |a: &mut CdnAcc, i| a.absorb(fr, i, &join, countries), CdnAcc::merge).finish(min_flows)
+    let cx = SweepCtx::new(fr, &join, ctx.countries);
+    fold_rows(fr.len(), workers, |a: &mut CdnAcc, i| a.absorb(&cx, i), CdnAcc::merge).finish(&join, min_flows)
 }
 
 // ------------------------------------------------------------ fused sweep
@@ -723,7 +865,8 @@ struct MegaAcc {
 }
 
 impl MegaAcc {
-    fn absorb(&mut self, fr: &FlowFrame, i: usize, join: &CdnJoin<'_>, countries: &[Country]) {
+    fn absorb(&mut self, cx: &SweepCtx<'_>, i: usize) {
+        let fr = cx.fr;
         self.table1.absorb(fr, i);
         self.fig2.absorb(fr, i);
         self.fig3.absorb(fr, i);
@@ -733,7 +876,7 @@ impl MegaAcc {
         self.fig8b.absorb(fr, i);
         self.fig9.absorb(fr, i);
         self.fig11.absorb(fr, i);
-        self.cdn.absorb(fr, i, join, countries);
+        self.cdn.absorb(cx, i);
     }
 
     fn merge(self, o: Self) -> Self {
@@ -765,25 +908,9 @@ pub fn report_all(
     workers: usize,
 ) -> PaperReports {
     let _span = satwatch_telemetry::span("analytics_report_all_us");
-    let (enr, countries) = (ctx.enrichment, ctx.countries);
-    let join = CdnJoin::build(dns);
-    let mega = fold_rows(fr.len(), workers, |a: &mut MegaAcc, i| a.absorb(fr, i, &join, countries), MegaAcc::merge);
-    let days = mega.days.map;
-    PaperReports {
-        table1: mega.table1.finish(),
-        fig2: mega.fig2.finish(enr),
-        fig3: mega.fig3.finish(),
-        fig4: mega.fig4.finish(),
-        fig5: agg::fig5(&days, enr),
-        fig6: agg::fig6(&days, enr, services, countries),
-        fig7: agg::fig7(&days, enr, countries),
-        fig8a: mega.fig8a.finish(countries),
-        fig8b: mega.fig8b.finish(enr),
-        fig9: mega.fig9.finish(countries),
-        fig10: agg::fig10_par(dns, enr, countries, workers),
-        table2: mega.cdn.finish(min_flows),
-        fig11: mega.fig11.finish(countries),
-    }
+    let mut fold = ReportFold::new(dns, ctx);
+    fold.absorb_frame(fr, workers);
+    fold.finish(services, min_flows, workers)
 }
 
 // ------------------------------------------------------- incremental fold
@@ -803,8 +930,14 @@ pub fn report_all(
 /// leads with `first`), so the merged accumulator — and therefore
 /// every rendered report — is bit-identical to `report_all` over the
 /// concatenated frame.
+///
+/// What is frame-local never crosses a frame boundary: domain codes
+/// are resolved to the join's name ids per frame, and the
+/// customer-day cells (frame-local service indices) are resolved to
+/// [`CustomerDay`]s at the end of each frame's sweep.
 pub struct ReportFold<'a> {
     acc: MegaAcc,
+    days: CustomerDays,
     join: CdnJoin<'a>,
     dns: &'a [DnsRecord],
     ctx: ReportCtx<'a>,
@@ -813,15 +946,15 @@ pub struct ReportFold<'a> {
 impl<'a> ReportFold<'a> {
     /// Build the DNS join side once; frames stream in afterwards.
     pub fn new(dns: &'a [DnsRecord], ctx: ReportCtx<'a>) -> ReportFold<'a> {
-        ReportFold { acc: MegaAcc::default(), join: CdnJoin::build(dns), dns, ctx }
+        ReportFold { acc: MegaAcc::default(), days: CustomerDays::default(), join: CdnJoin::build(dns), dns, ctx }
     }
 
     /// Absorb one frame. Frames must arrive in canonical row order
     /// across calls (e.g. day-partitioned segments in day order).
     pub fn absorb_frame(&mut self, fr: &FlowFrame, workers: usize) {
-        let join = &self.join;
-        let countries = self.ctx.countries;
-        let part = fold_rows(fr.len(), workers, |a: &mut MegaAcc, i| a.absorb(fr, i, join, countries), MegaAcc::merge);
+        let cx = SweepCtx::new(fr, &self.join, self.ctx.countries);
+        let mut part = fold_rows(fr.len(), workers, |a: &mut MegaAcc, i| a.absorb(&cx, i), MegaAcc::merge);
+        merge_customer_days(&mut self.days, std::mem::take(&mut part.days).finish(fr));
         self.acc = std::mem::take(&mut self.acc).merge(part);
     }
 
@@ -829,7 +962,7 @@ impl<'a> ReportFold<'a> {
     /// [`report_all`] over the concatenation of the absorbed frames.
     pub fn finish(self, services: &[&'static str], min_flows: usize, workers: usize) -> PaperReports {
         let (enr, countries) = (self.ctx.enrichment, self.ctx.countries);
-        let days = self.acc.days.map;
+        let days = self.days;
         PaperReports {
             table1: self.acc.table1.finish(),
             fig2: self.acc.fig2.finish(enr),
@@ -842,7 +975,7 @@ impl<'a> ReportFold<'a> {
             fig8b: self.acc.fig8b.finish(enr),
             fig9: self.acc.fig9.finish(countries),
             fig10: agg::fig10_par(self.dns, enr, countries, workers),
-            table2: self.acc.cdn.finish(min_flows),
+            table2: self.acc.cdn.finish(&self.join, min_flows),
             fig11: self.acc.fig11.finish(countries),
         }
     }

@@ -18,13 +18,14 @@
 //!
 //! Predicate pushdown lives here too: [`compile_match`] splits a
 //! `Match` predicate into conjuncts, and every conjunct that touches
-//! exactly one *small-int* column (country, beam, category, service,
-//! local-hour, hour-utc, l7 — the columns `FrameBuilder` pre-resolved
-//! to `u8`/`u16`) is compiled into a lookup table over that column's
-//! raw domain. The scan then tests one or two bytes per row and never
-//! touches a wide column until the surviving rows are known.
+//! exactly one *code-backed* column (country, beam, category, service,
+//! local-hour, hour-utc, l7, domain — the columns `FrameBuilder`
+//! pre-resolved to small integers, see [`CodeCol`]) is compiled into a
+//! lookup table over that column's codes. The scan then tests one or
+//! two small cells per row and never touches a wide column, or a
+//! string, until the surviving rows are known.
 
-use crate::frame::{FlowFrame, NO_BEAM, NO_CATEGORY, NO_COUNTRY, NO_HOUR, NO_SERVICE};
+use crate::frame::{FlowFrame, NO_BEAM, NO_HOUR};
 use satwatch_monitor::L7Protocol;
 use satwatch_traffic::{Category, Country};
 use std::cmp::Ordering;
@@ -591,30 +592,10 @@ impl FrameCol {
 
     /// The value of this column for row `i`.
     pub fn value(self, fr: &FlowFrame, i: usize) -> Value {
+        if let Some(cc) = self.code_col() {
+            return cc.value_of_code(fr, cc.code(fr, i));
+        }
         match self {
-            FrameCol::Country => match fr.country_at(i) {
-                Some(c) => Value::Str(c.code().to_string()),
-                None => Value::Null,
-            },
-            FrameCol::Beam => match fr.beam_at(i) {
-                Some(b) => Value::Int(i64::from(b)),
-                None => Value::Null,
-            },
-            FrameCol::Category => match fr.category_at(i) {
-                Some(c) => Value::Str(c.label().to_string()),
-                None => Value::Null,
-            },
-            FrameCol::Service => match fr.service_at(i) {
-                Some(s) => Value::Str(s.to_string()),
-                None => Value::Null,
-            },
-            FrameCol::LocalHour => match fr.local_hour_at(i) {
-                Some(h) => Value::Int(i64::from(h)),
-                None => Value::Null,
-            },
-            FrameCol::HourUtc => Value::Int(i64::from(fr.hour_utc[i])),
-            FrameCol::Day => Value::Int(i64::from(fr.day[i])),
-            FrameCol::L7 => Value::Str(crate::frame::l7_of(fr.l7[i]).label().to_string()),
             FrameCol::BytesUp => Value::Int(fr.bytes_up[i] as i64),
             FrameCol::BytesDown => Value::Int(fr.bytes_down[i] as i64),
             FrameCol::Bytes => Value::Int(fr.flow_bytes(i) as i64),
@@ -633,24 +614,42 @@ impl FrameCol {
             FrameCol::DownBps => Value::Num(fr.down_bps[i]),
             FrameCol::DurS => Value::Num(fr.dur_s[i]),
             FrameCol::Client => Value::Str(fr.client[i].to_string()),
-            FrameCol::Domain => match &fr.domain[i] {
-                Some(d) => Value::Str(d.to_string()),
-                None => Value::Null,
-            },
+            _ => unreachable!("code-backed columns are decoded above"),
         }
     }
 
-    /// The pre-resolved small-int view of this column, when it has
-    /// one (the pushdown targets).
-    pub fn small(self) -> Option<SmallCol> {
+    /// The integer in row `i` of an [`is_integer`](Self::is_integer)
+    /// column (`None` = null) — what `value` would wrap in
+    /// [`Value::Int`], without the wrapping. `None` for every other
+    /// column.
+    #[inline]
+    pub fn int_at(self, fr: &FlowFrame, i: usize) -> Option<i64> {
         match self {
-            FrameCol::Country => Some(SmallCol::Country),
-            FrameCol::Beam => Some(SmallCol::Beam),
-            FrameCol::Category => Some(SmallCol::Category),
-            FrameCol::Service => Some(SmallCol::Service),
-            FrameCol::LocalHour => Some(SmallCol::LocalHour),
-            FrameCol::HourUtc => Some(SmallCol::HourUtc),
-            FrameCol::L7 => Some(SmallCol::L7),
+            FrameCol::Beam => (fr.beam[i] != NO_BEAM).then(|| i64::from(fr.beam[i])),
+            FrameCol::LocalHour => (fr.local_hour[i] != NO_HOUR).then(|| i64::from(fr.local_hour[i])),
+            FrameCol::HourUtc => Some(i64::from(fr.hour_utc[i])),
+            FrameCol::Day => Some(i64::from(fr.day[i])),
+            FrameCol::BytesUp => Some(fr.bytes_up[i] as i64),
+            FrameCol::BytesDown => Some(fr.bytes_down[i] as i64),
+            FrameCol::Bytes => Some(fr.flow_bytes(i) as i64),
+            FrameCol::GroundRttSamples => Some(fr.ground_rtt_samples[i] as i64),
+            _ => None,
+        }
+    }
+
+    /// The code-backed view of this column, when it has one: the
+    /// pushdown targets and the group-by's raw keys.
+    pub fn code_col(self) -> Option<CodeCol> {
+        match self {
+            FrameCol::Country => Some(CodeCol::Country),
+            FrameCol::Beam => Some(CodeCol::Beam),
+            FrameCol::Category => Some(CodeCol::Category),
+            FrameCol::Service => Some(CodeCol::Service),
+            FrameCol::LocalHour => Some(CodeCol::LocalHour),
+            FrameCol::HourUtc => Some(CodeCol::HourUtc),
+            FrameCol::L7 => Some(CodeCol::L7),
+            FrameCol::Day => Some(CodeCol::Day),
+            FrameCol::Domain => Some(CodeCol::Domain),
             _ => None,
         }
     }
@@ -672,9 +671,14 @@ impl FrameCol {
     }
 }
 
-/// A small-int column the pushdown can compile lookup tables for.
+/// A column whose cells are small integer *codes*: an index into a
+/// fixed table (`Country::ALL`, `Category::ALL`, `L7Protocol::ALL`),
+/// into one of the frame's dictionaries (`services`, `domains`), or
+/// the number itself (hours, day, beam), with the column's sentinel
+/// for null. A scan compares and hashes the code; the [`Value`] it
+/// stands for is built once per distinct code, not once per row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmallCol {
+pub enum CodeCol {
     Country,
     Beam,
     Category,
@@ -682,80 +686,57 @@ pub enum SmallCol {
     LocalHour,
     HourUtc,
     L7,
+    Day,
+    Domain,
 }
 
-impl SmallCol {
-    /// Size of the raw domain: 256 for `u8`-backed columns, 65536 for
-    /// `u16`-backed ones.
-    pub fn domain(self) -> usize {
-        match self {
-            SmallCol::Beam | SmallCol::Service => 1 << 16,
-            _ => 1 << 8,
-        }
-    }
-
-    /// The raw (sentinel-encoded) value of row `i`, widened to usize.
+impl CodeCol {
+    /// The raw (sentinel-encoded) cell of row `i`, widened to `u32`.
     #[inline]
-    pub fn raw(self, fr: &FlowFrame, i: usize) -> usize {
+    pub fn code(self, fr: &FlowFrame, i: usize) -> u32 {
         match self {
-            SmallCol::Country => fr.country[i] as usize,
-            SmallCol::Beam => fr.beam[i] as usize,
-            SmallCol::Category => fr.category[i] as usize,
-            SmallCol::Service => fr.service[i] as usize,
-            SmallCol::LocalHour => fr.local_hour[i] as usize,
-            SmallCol::HourUtc => fr.hour_utc[i] as usize,
-            SmallCol::L7 => fr.l7[i] as usize,
+            CodeCol::Country => u32::from(fr.country[i]),
+            CodeCol::Beam => u32::from(fr.beam[i]),
+            CodeCol::Category => u32::from(fr.category[i]),
+            CodeCol::Service => u32::from(fr.service[i]),
+            CodeCol::LocalHour => u32::from(fr.local_hour[i]),
+            CodeCol::HourUtc => u32::from(fr.hour_utc[i]),
+            CodeCol::L7 => u32::from(fr.l7[i]),
+            CodeCol::Day => fr.day[i],
+            CodeCol::Domain => fr.domain[i],
         }
     }
 
-    /// The [`Value`] a raw cell decodes to — must agree with
-    /// [`FrameCol::value`] for every raw value that actually occurs
-    /// (asserted by tests).
-    pub fn value_of_raw(self, fr: &FlowFrame, raw: usize) -> Value {
+    /// The [`Value`] a code decodes to: the column's sentinel, and any
+    /// code past the end of its table, is `Null`.
+    pub fn value_of_code(self, fr: &FlowFrame, code: u32) -> Value {
+        let c = code as usize;
+        let label = |s: Option<&str>| s.map_or(Value::Null, |s| Value::Str(s.to_string()));
         match self {
-            SmallCol::Country => {
-                if raw != NO_COUNTRY as usize && raw < Country::ALL.len() {
-                    Value::Str(Country::ALL[raw].code().to_string())
-                } else {
-                    Value::Null
-                }
-            }
-            SmallCol::Beam => {
-                if raw != NO_BEAM as usize {
-                    Value::Int(raw as i64)
-                } else {
-                    Value::Null
-                }
-            }
-            SmallCol::Category => {
-                if raw != NO_CATEGORY as usize && raw < Category::ALL.len() {
-                    Value::Str(Category::ALL[raw].label().to_string())
-                } else {
-                    Value::Null
-                }
-            }
-            SmallCol::Service => {
-                if raw != NO_SERVICE as usize && raw < fr.services.len() {
-                    Value::Str(fr.services[raw].to_string())
-                } else {
-                    Value::Null
-                }
-            }
-            SmallCol::LocalHour => {
-                if raw != NO_HOUR as usize {
-                    Value::Int(raw as i64)
-                } else {
-                    Value::Null
-                }
-            }
-            SmallCol::HourUtc => Value::Int(raw as i64),
-            SmallCol::L7 => {
-                if raw < L7Protocol::ALL.len() {
-                    Value::Str(L7Protocol::ALL[raw].label().to_string())
-                } else {
-                    Value::Null
-                }
-            }
+            CodeCol::Country => label(Country::ALL.get(c).map(|c| c.code())),
+            CodeCol::Category => label(Category::ALL.get(c).map(|c| c.label())),
+            CodeCol::L7 => label(L7Protocol::ALL.get(c).map(|p| p.label())),
+            CodeCol::Service => label(fr.services.get(c).copied()),
+            CodeCol::Domain => label(fr.domains.get(c).map(|d| &**d)),
+            CodeCol::Beam if c == NO_BEAM as usize => Value::Null,
+            CodeCol::LocalHour if c == NO_HOUR as usize => Value::Null,
+            CodeCol::Beam | CodeCol::LocalHour | CodeCol::HourUtc | CodeCol::Day => Value::Int(i64::from(code)),
+        }
+    }
+
+    /// How many lookup-table slots cover every code of this column in
+    /// `fr`: one per non-null code plus a last, null slot that the
+    /// sentinel (and anything else past the table) clamps to — see
+    /// [`Lut::passes`]. The dictionary-coded columns are sized by
+    /// their dictionary, `beam` by the largest beam present; `None`
+    /// for `day`, whose codes are not bounded by any table.
+    fn lut_slots(self, fr: &FlowFrame) -> Option<usize> {
+        match self {
+            CodeCol::Country | CodeCol::Category | CodeCol::L7 | CodeCol::LocalHour | CodeCol::HourUtc => Some(1 << 8),
+            CodeCol::Service => Some(fr.services.len() + 1),
+            CodeCol::Domain => Some(fr.domains.len() + 1),
+            CodeCol::Beam => Some(fr.beam.iter().filter(|&&b| b != NO_BEAM).max().map_or(0, |&b| b as usize + 1) + 1),
+            CodeCol::Day => None,
         }
     }
 }
@@ -924,14 +905,24 @@ fn arith(op: ArithOp, a: Value, b: Value) -> Value {
 // Predicate pushdown
 // ---------------------------------------------------------------------------
 
-/// A compiled lookup table: row passes iff `pass[col.raw(fr, i)]`.
+/// A compiled lookup table over one code column. The last slot
+/// answers for null: the sentinel, like every code past the column's
+/// table, clamps to it.
 pub struct Lut {
-    pub col: SmallCol,
+    pub col: CodeCol,
     pub pass: Vec<bool>,
 }
 
+impl Lut {
+    /// Does row `i` pass this table?
+    #[inline]
+    pub fn passes(&self, fr: &FlowFrame, i: usize) -> bool {
+        self.pass[(self.col.code(fr, i) as usize).min(self.pass.len() - 1)]
+    }
+}
+
 /// A `Match` predicate compiled for the frame scan: lookup-table
-/// conjuncts over small-int columns first, then an optional residual
+/// conjuncts over code columns first, then an optional residual
 /// expression for whatever could not be pushed.
 pub struct CompiledMatch {
     pub luts: Vec<Lut>,
@@ -944,7 +935,7 @@ impl CompiledMatch {
     /// Does row `i` pass every lookup table?
     #[inline]
     pub fn luts_pass(&self, fr: &FlowFrame, i: usize) -> bool {
-        self.luts.iter().all(|l| l.pass[l.col.raw(fr, i)])
+        self.luts.iter().all(|l| l.passes(fr, i))
     }
 }
 
@@ -960,9 +951,9 @@ fn split_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
 }
 
 /// Compile a bound `Match` predicate: flatten the top-level `all`,
-/// turn every conjunct that reads exactly one small-int column into a
-/// [`Lut`] (by evaluating the conjunct over the column's whole raw
-/// domain), and re-join the rest as the residual.
+/// turn every conjunct that reads exactly one code column into a
+/// [`Lut`] (by evaluating the conjunct once per code the column can
+/// hold in `fr`), and re-join the rest as the residual.
 pub fn compile_match(expr: &BoundExpr, fr: &FlowFrame) -> CompiledMatch {
     let mut conjuncts = Vec::new();
     split_and(expr, &mut conjuncts);
@@ -972,17 +963,17 @@ pub fn compile_match(expr: &BoundExpr, fr: &FlowFrame) -> CompiledMatch {
     for c in conjuncts {
         let mut cols = Vec::new();
         c.frame_cols(&mut cols);
-        let small = if cols.len() == 1 { cols[0].small() } else { None };
-        match small {
-            Some(sc) => {
+        let coded = if cols.len() == 1 { cols[0].code_col() } else { None };
+        match coded.and_then(|cc| Some((cc, cc.lut_slots(fr)?))) {
+            Some((cc, slots)) => {
                 let target = cols[0];
-                let pass = (0..sc.domain())
-                    .map(|raw| {
-                        let v = sc.value_of_raw(fr, raw);
+                let pass = (0..slots)
+                    .map(|code| {
+                        let v = if code + 1 == slots { Value::Null } else { cc.value_of_code(fr, code as u32) };
                         truthy(&c.eval(&RowCtx::Subst(target, &v)))
                     })
                     .collect();
-                luts.push(Lut { col: sc, pass });
+                luts.push(Lut { col: cc, pass });
             }
             None => rest.push(c),
         }

@@ -11,6 +11,11 @@
 //!   (classification memoized per interned `Domain` handle) and
 //!   stored as small integers. Every downstream figure reads a byte
 //!   instead of re-probing hash maps and re-matching patterns.
+//! * **Codes, not strings.** The `domain` column is a `u32` code per
+//!   row into the frame's `domains` dictionary — the `.swseg` layout,
+//!   in RAM. Scans, joins and group-bys compare integers; a name is
+//!   looked at once per dictionary entry (DESIGN.md "Codes end to
+//!   end").
 //! * **Struct of arrays.** Each figure touches only the columns it
 //!   needs; a sweep over `bytes_up`/`bytes_down` no longer drags the
 //!   whole ~250-byte `FlowRecord` (plus its `early` vector and domain
@@ -28,13 +33,12 @@
 //! streaming frame equals the batch frame over the same dataset.
 
 use crate::agg::Enrichment;
-use crate::classify::{Classifier, ClassifyCache};
-use satwatch_monitor::{Domain, FlowRecord, L7Protocol};
+use crate::classify::Classifier;
+use satwatch_monitor::{Domain, FlowRecord};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::{FxHashMap, SimTime};
-use satwatch_traffic::{Category, Country};
 use std::net::Ipv4Addr;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no country mapping" in [`FlowFrame::country`].
 pub const NO_COUNTRY: u8 = u8::MAX;
@@ -46,6 +50,8 @@ pub const NO_CATEGORY: u8 = u8::MAX;
 pub const NO_SERVICE: u16 = u16::MAX;
 /// Sentinel for "no local hour" (no country) in [`FlowFrame::local_hour`].
 pub const NO_HOUR: u8 = u8::MAX;
+/// Sentinel for "no domain" in [`FlowFrame::domain`].
+pub const NO_DOMAIN: u32 = u32::MAX;
 
 struct Metrics {
     rows: &'static satwatch_telemetry::Counter,
@@ -89,7 +95,7 @@ struct Row {
     beam: u16,
     service: u16,
     category: u8,
-    domain: Option<Domain>,
+    domain: u32,
 }
 
 /// Struct-of-arrays flow table: one `Vec` per field, all of equal
@@ -131,8 +137,13 @@ pub struct FlowFrame {
     pub service: Vec<u16>,
     /// `Category::ALL[category[i]]`, or [`NO_CATEGORY`].
     pub category: Vec<u8>,
-    /// Interned domain handle (kept for the Table 2 DNS join).
-    pub domain: Vec<Option<Domain>>,
+    /// `domains[domain[i]]` is the flow's server name, or [`NO_DOMAIN`].
+    pub domain: Vec<u32>,
+    /// Domain dictionary: `domain` column values index this. Entries
+    /// are distinct; their order is the builder's first-push order and
+    /// an entry may be unused (`encode_segment` writes the canonical
+    /// first-appearance-over-rows order, see [`FlowFrame::domain_order`]).
+    pub domains: Vec<Domain>,
     /// Service-index table: `service` column values index this.
     pub services: Vec<&'static str>,
 }
@@ -159,45 +170,31 @@ impl FlowFrame {
         self.first.is_empty()
     }
 
-    /// The country of row `i`, if enriched.
-    #[inline]
-    pub fn country_at(&self, i: usize) -> Option<Country> {
-        let idx = self.country[i];
-        (idx != NO_COUNTRY).then(|| Country::ALL[idx as usize])
-    }
-
     /// Total bytes (both directions) of row `i`.
     #[inline]
     pub fn flow_bytes(&self, i: usize) -> u64 {
         self.bytes_up[i] + self.bytes_down[i]
     }
 
-    /// The beam of row `i`, if enriched.
+    /// The server name of row `i`, if the probe saw one.
     #[inline]
-    pub fn beam_at(&self, i: usize) -> Option<u16> {
-        let b = self.beam[i];
-        (b != NO_BEAM).then_some(b)
+    pub fn domain_at(&self, i: usize) -> Option<&str> {
+        let d = self.domain[i];
+        (d != NO_DOMAIN).then(|| &*self.domains[d as usize])
     }
 
-    /// The category of row `i`, if classified.
-    #[inline]
-    pub fn category_at(&self, i: usize) -> Option<Category> {
-        let c = self.category[i];
-        (c != NO_CATEGORY).then(|| Category::ALL[c as usize])
-    }
-
-    /// The classified service name of row `i`, if classified.
-    #[inline]
-    pub fn service_at(&self, i: usize) -> Option<&'static str> {
-        let s = self.service[i];
-        (s != NO_SERVICE).then(|| self.services[s as usize])
-    }
-
-    /// The local hour of row `i`, if the customer's country is known.
-    #[inline]
-    pub fn local_hour_at(&self, i: usize) -> Option<u8> {
-        let h = self.local_hour[i];
-        (h != NO_HOUR).then_some(h)
+    /// The dictionary codes in order of first appearance over rows —
+    /// the canonical dictionary order a segment stores. Codes no row
+    /// uses are absent.
+    pub fn domain_order(&self) -> Vec<u32> {
+        let mut seen = vec![false; self.domains.len()];
+        let mut order = Vec::new();
+        for &d in &self.domain {
+            if d != NO_DOMAIN && !std::mem::replace(&mut seen[d as usize], true) {
+                order.push(d);
+            }
+        }
+        order
     }
 
     /// The satellite RTT of row `i` in ms, if the flow had an estimate.
@@ -237,7 +234,7 @@ impl FlowFrame {
     }
 
     /// Resident size of the column data, bytes (capacity-based; the
-    /// `domain` column counts handles, not the shared string bytes).
+    /// `domain` column counts codes, not the dictionary's strings).
     pub fn memory_bytes(&self) -> usize {
         self.client.capacity() * std::mem::size_of::<Ipv4Addr>()
             + self.first.capacity() * std::mem::size_of::<SimTime>()
@@ -251,8 +248,17 @@ impl FlowFrame {
             + self.day.capacity() * 4
             + (self.beam.capacity() + self.service.capacity()) * 2
             + self.category.capacity()
-            + self.domain.capacity() * std::mem::size_of::<Option<Domain>>()
+            + self.domain.capacity() * 4
     }
+}
+
+/// What the builder resolved for one distinct domain name: its
+/// dictionary code and its Table 3 classification.
+#[derive(Clone, Copy, Debug)]
+struct DomainEntry {
+    code: u32,
+    service: u16,
+    category: u8,
 }
 
 /// Incremental frame builder: the enrichment pass. Owns the
@@ -261,7 +267,15 @@ impl FlowFrame {
 pub struct FrameBuilder {
     enr: Enrichment,
     classifier: Classifier,
-    cache: ClassifyCache,
+    /// Memo per `Domain` handle, keyed by the `Arc`'s address; the
+    /// pinned handle keeps that address from being reused. The probe
+    /// interns names, so almost every push is a hit here and touches
+    /// no string.
+    by_handle: FxHashMap<usize, (Domain, DomainEntry)>,
+    /// One entry per distinct name, consulted on a handle miss:
+    /// handles from different interners (probe shards) share a code.
+    by_name: FxHashMap<Domain, DomainEntry>,
+    domains: Vec<Domain>,
     services: Vec<&'static str>,
     service_idx: FxHashMap<&'static str, u16>,
     rows: Vec<Row>,
@@ -276,7 +290,41 @@ impl FrameBuilder {
         let services: Vec<&'static str> = classifier.rules().iter().map(|r| r.service).collect();
         let service_idx: FxHashMap<&'static str, u16> =
             services.iter().enumerate().map(|(i, s)| (*s, i as u16)).collect();
-        FrameBuilder { enr, classifier, cache: ClassifyCache::default(), services, service_idx, rows: Vec::new() }
+        FrameBuilder {
+            enr,
+            classifier,
+            by_handle: FxHashMap::default(),
+            by_name: FxHashMap::default(),
+            domains: Vec::new(),
+            services,
+            service_idx,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Dictionary code and classification of `d`, interning it on
+    /// first sight. Classification is a pure function of the name, so
+    /// memoizing it cannot change any verdict.
+    fn intern(&mut self, d: &Domain) -> DomainEntry {
+        let key = Arc::as_ptr(d) as *const u8 as usize;
+        if let Some((_pin, entry)) = self.by_handle.get(&key) {
+            return *entry;
+        }
+        let entry = match self.by_name.get(d) {
+            Some(entry) => *entry,
+            None => {
+                let (service, category) = match self.classifier.classify(d) {
+                    Some((svc, cat)) => (self.service_idx[svc], cat.index() as u8),
+                    None => (NO_SERVICE, NO_CATEGORY),
+                };
+                let entry = DomainEntry { code: self.domains.len() as u32, service, category };
+                self.domains.push(d.clone());
+                self.by_name.insert(d.clone(), entry);
+                entry
+            }
+        };
+        self.by_handle.insert(key, (d.clone(), entry));
+        entry
     }
 
     /// Resolve one record into a row. Accepts records in any order;
@@ -285,12 +333,9 @@ impl FrameBuilder {
     /// the probe do) or the enrichment lookups will miss.
     pub fn push(&mut self, f: &FlowRecord) {
         let country = self.enr.country(f.client);
-        let (service, category) = match &f.domain {
-            Some(d) => match self.classifier.classify_cached(d, &mut self.cache) {
-                Some((svc, cat)) => (self.service_idx[svc], cat.index() as u8),
-                None => (NO_SERVICE, NO_CATEGORY),
-            },
-            None => (NO_SERVICE, NO_CATEGORY),
+        let domain = match &f.domain {
+            Some(d) => self.intern(d),
+            None => DomainEntry { code: NO_DOMAIN, service: NO_SERVICE, category: NO_CATEGORY },
         };
         self.rows.push(Row {
             first: f.first,
@@ -312,9 +357,9 @@ impl FrameBuilder {
             hour_utc: f.first.hour_of_day() as u8,
             day: (f.first.as_secs() / SECS_PER_DAY) as u32,
             beam: self.enr.beam_of.get(&f.client).copied().unwrap_or(NO_BEAM),
-            service,
-            category,
-            domain: f.domain.clone(),
+            service: domain.service,
+            category: domain.category,
+            domain: domain.code,
         });
     }
 
@@ -368,6 +413,7 @@ impl FrameBuilder {
             service: Vec::with_capacity(n),
             category: Vec::with_capacity(n),
             domain: Vec::with_capacity(n),
+            domains: self.domains,
             services: self.services,
         };
         for r in self.rows {
@@ -394,23 +440,13 @@ impl FrameBuilder {
     }
 }
 
-/// `L7Protocol` of row value `v` (inverse of `L7Protocol::index`).
-#[inline]
-pub fn l7_of(v: u8) -> L7Protocol {
-    L7Protocol::ALL[v as usize]
-}
-
-/// `Category` of row value `v` (inverse of `Category::index`).
-#[inline]
-pub fn category_of(v: u8) -> Category {
-    Category::ALL[v as usize]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use satwatch_monitor::record::RttSummary;
+    use satwatch_monitor::L7Protocol;
     use satwatch_simcore::SimDuration;
+    use satwatch_traffic::{Category, Country};
 
     fn flow(i: u8, hour: u32, domain: Option<&str>) -> FlowRecord {
         FlowRecord {
@@ -455,20 +491,20 @@ mod tests {
         let fr = FlowFrame::from_records(&flows, &enrichment());
         assert_eq!(fr.len(), 2);
         // enriched row
-        assert_eq!(fr.country_at(0), Some(Country::Congo));
+        assert_eq!(Country::ALL[fr.country[0] as usize], Country::Congo);
         assert_eq!(fr.beam[0], 3);
         assert_eq!(fr.local_hour[0], 15, "Congo is UTC+1");
         assert_eq!(fr.hour_utc[0], 14);
         assert_eq!(fr.services[fr.service[0] as usize], "Tiktok");
-        assert_eq!(category_of(fr.category[0]), Category::Social);
+        assert_eq!(Category::ALL[fr.category[0] as usize], Category::Social);
         // unenriched, unclassified row
-        assert_eq!(fr.country_at(1), None);
+        assert_eq!(fr.country[1], NO_COUNTRY);
         assert_eq!(fr.beam[1], NO_BEAM);
         assert_eq!(fr.local_hour[1], NO_HOUR);
         assert_eq!(fr.service[1], NO_SERVICE);
         assert_eq!(fr.category[1], NO_CATEGORY);
         assert_eq!(fr.flow_bytes(0), flows[0].c2s_bytes + flows[0].s2c_bytes);
-        assert_eq!(l7_of(fr.l7[0]), L7Protocol::TlsHttps);
+        assert_eq!(L7Protocol::ALL[fr.l7[0] as usize], L7Protocol::TlsHttps);
     }
 
     #[test]
@@ -492,6 +528,34 @@ mod tests {
         assert_eq!(sealed.service, batch.service);
         assert_eq!(sealed.category, batch.category);
         assert_eq!(sealed.day, batch.day);
+        for i in 0..batch.len() {
+            assert_eq!(sealed.domain_at(i), batch.domain_at(i));
+        }
+    }
+
+    #[test]
+    fn equal_names_share_one_code_whatever_the_handle() {
+        // three handles, two names: as records from two probe shards
+        // (two interners) carry them
+        let flows = vec![
+            flow(1, 1, Some("a.example")),
+            flow(2, 2, Some("b.example")),
+            flow(3, 3, Some("a.example")),
+            flow(4, 4, None),
+        ];
+        let fr = FlowFrame::from_records(&flows, &enrichment());
+        assert_eq!(fr.domains.len(), 2);
+        assert_eq!(fr.domain, [0, 1, 0, NO_DOMAIN]);
+        assert_eq!(fr.domain_at(2), Some("a.example"));
+        assert_eq!(fr.domain_at(3), None);
+        assert_eq!(fr.domain_order(), [0, 1]);
+        // pushed in another order, the dictionary is in push order and
+        // the canonical order is still first appearance over *rows*
+        let mut b = FrameBuilder::new(enrichment());
+        [1, 0, 2, 3].iter().for_each(|&i| b.push(&flows[i]));
+        let sealed = b.seal();
+        assert_eq!(sealed.domain, [1, 0, 1, NO_DOMAIN]);
+        assert_eq!(sealed.domain_order(), [1, 0]);
     }
 
     #[test]
@@ -500,6 +564,8 @@ mod tests {
         let fr = FlowFrame::from_records(&flows, &enrichment());
         let tiled = fr.replicate(3);
         assert_eq!(tiled.len(), 6);
+        assert_eq!(tiled.domain.len(), 6);
+        assert_eq!(tiled.domains, fr.domains);
         assert_eq!(&tiled.bytes_up[0..2], &tiled.bytes_up[2..4]);
         assert_eq!(tiled.first[4], fr.first[0]);
         assert!(tiled.memory_bytes() > fr.memory_bytes());

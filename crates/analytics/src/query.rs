@@ -25,14 +25,16 @@
 //! engine output, proving the DSL subsumes them.
 
 use crate::agg::Enrichment;
-use crate::expr::{bind, compile_match, truthy, BoundExpr, ColSlot, Expr, Json, QueryError, RowCtx, Value};
+use crate::expr::{
+    bind, compile_match, truthy, BoundExpr, CodeCol, ColSlot, Expr, FrameCol, Json, QueryError, RowCtx, Value,
+};
 use crate::frame::FlowFrame;
 use crate::report::{Fig2, Fig3, Fig4, Table1};
 use satwatch_monitor::L7Protocol;
 use satwatch_simcore::stats::quantile;
 use satwatch_simcore::{ordered_par_chunks, ordered_par_ranges, FxHashMap};
 use satwatch_traffic::Country;
-use std::collections::hash_map::Entry;
+use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
@@ -414,9 +416,10 @@ pub struct QueryStats {
 // Group-by machinery
 // ---------------------------------------------------------------------------
 
-/// A group key: hash/eq by value bits (NaN and -0.0 canonicalized).
+/// A key value under group equality: by value bits, with NaN and
+/// -0.0 canonicalized.
 #[derive(Debug, Clone)]
-struct Key(Vec<Value>);
+struct KeyVal(Value);
 
 fn canon_bits(x: f64) -> u64 {
     if x.is_nan() {
@@ -428,41 +431,71 @@ fn canon_bits(x: f64) -> u64 {
     }
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Key) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(&other.0).all(|(a, b)| match (a, b) {
-                (Value::Num(x), Value::Num(y)) => canon_bits(*x) == canon_bits(*y),
-                _ => a == b,
-            })
+impl PartialEq for KeyVal {
+    fn eq(&self, other: &KeyVal) -> bool {
+        match (&self.0, &other.0) {
+            (Value::Num(x), Value::Num(y)) => canon_bits(*x) == canon_bits(*y),
+            (a, b) => a == b,
+        }
     }
 }
 
-impl Eq for Key {}
+impl Eq for KeyVal {}
 
-impl Hash for Key {
+impl Hash for KeyVal {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            match v {
-                Value::Null => 0u8.hash(state),
-                Value::Bool(b) => {
-                    1u8.hash(state);
-                    b.hash(state);
-                }
-                Value::Int(i) => {
-                    2u8.hash(state);
-                    i.hash(state);
-                }
-                Value::Num(x) => {
-                    3u8.hash(state);
-                    canon_bits(*x).hash(state);
-                }
-                Value::Str(s) => {
-                    4u8.hash(state);
-                    s.hash(state);
-                }
+        match &self.0 {
+            Value::Null => 0u8.hash(state),
+            Value::Bool(b) => {
+                1u8.hash(state);
+                b.hash(state);
+            }
+            Value::Int(i) => {
+                2u8.hash(state);
+                i.hash(state);
+            }
+            Value::Num(x) => {
+                3u8.hash(state);
+                canon_bits(*x).hash(state);
+            }
+            Value::Str(s) => {
+                4u8.hash(state);
+                s.hash(state);
             }
         }
+    }
+}
+
+/// How one `by` expression yields a `u32` code per row.
+enum KeySlot {
+    /// A bare code-backed column: the raw cell is the code.
+    Code(CodeCol),
+    /// Any other expression: evaluated per row and interned, so the
+    /// rest of the group-by sees a code column like any other.
+    Interned(BoundExpr),
+}
+
+/// Intern table of one key slot: a value's code is the position, in
+/// first-seen order, of the first value equal to it under group
+/// equality.
+#[derive(Default)]
+struct Interner {
+    codes: FxHashMap<KeyVal, u32>,
+    values: Vec<Value>,
+}
+
+impl Interner {
+    /// The code of `v`, and `v` back: the caller keeps it as the
+    /// group's representative if this row turns out to open a group.
+    fn intern(&mut self, v: Value) -> (u32, Value) {
+        let v = KeyVal(v);
+        if let Some(&code) = self.codes.get(&v) {
+            return (code, v.0);
+        }
+        let code = self.values.len() as u32;
+        self.values.push(v.0.clone());
+        self.codes.insert(KeyVal(v.0.clone()), code);
+        (code, v.0)
     }
 }
 
@@ -480,15 +513,37 @@ enum AggState {
     Collect(Vec<f64>),
 }
 
+/// What an aggregate folds per row.
+#[derive(Clone)]
+enum AggArg {
+    /// `count` with no argument: every row.
+    Rows,
+    /// A bare integer column: read as `i64`, no [`Value`] in between.
+    IntCol(FrameCol),
+    /// Anything else, through the expression interpreter.
+    Expr(BoundExpr),
+}
+
 #[derive(Clone)]
 struct CompiledAgg {
     func: AggFunc,
-    arg: Option<BoundExpr>,
+    arg: AggArg,
     q: f64,
     int_sum: bool,
 }
 
 impl CompiledAgg {
+    fn compile(a: &Agg) -> Result<CompiledAgg, QueryError> {
+        let bound = a.arg.as_ref().map(crate::expr::bind_frame).transpose()?;
+        let int_sum = a.func == AggFunc::Sum && bound.as_ref().is_some_and(BoundExpr::is_integer);
+        let arg = match bound {
+            None => AggArg::Rows,
+            Some(BoundExpr::Col(ColSlot::Frame(c))) if c.is_integer() => AggArg::IntCol(c),
+            Some(e) => AggArg::Expr(e),
+        };
+        Ok(CompiledAgg { func: a.func, arg, q: a.q, int_sum })
+    }
+
     fn new_state(&self) -> AggState {
         match self.func {
             AggFunc::Sum if self.int_sum => AggState::SumInt(0),
@@ -500,46 +555,17 @@ impl CompiledAgg {
         }
     }
 
-    fn absorb(&self, state: &mut AggState, ctx: &RowCtx<'_>) {
-        let v = self.arg.as_ref().map(|e| e.eval(ctx));
-        match state {
-            AggState::SumInt(acc) => match v {
-                Some(Value::Int(i)) => *acc = acc.wrapping_add(i),
-                Some(Value::Bool(b)) => *acc = acc.wrapping_add(i64::from(b)),
-                _ => {} // Null skipped; Num unreachable (static typing)
-            },
-            AggState::SumFloat(buf) | AggState::Collect(buf) => {
-                if let Some(x) = v.as_ref().and_then(Value::as_f64) {
-                    if !x.is_nan() {
-                        buf.push(x);
-                    }
-                }
-            }
-            AggState::Count(n) => match (&self.arg, v) {
-                (None, _) => *n += 1,
-                (Some(_), Some(val)) if !val.is_null() => *n += 1,
-                _ => {}
-            },
-            AggState::Min(best) => {
-                if let Some(val) = v {
-                    if !val.is_null() && !matches!(val, Value::Num(x) if x.is_nan()) {
-                        let better = best.as_ref().is_none_or(|b| val.cmp_total(b) == std::cmp::Ordering::Less);
-                        if better {
-                            *best = Some(val);
-                        }
-                    }
-                }
-            }
-            AggState::Max(best) => {
-                if let Some(val) = v {
-                    if !val.is_null() && !matches!(val, Value::Num(x) if x.is_nan()) {
-                        let better = best.as_ref().is_none_or(|b| val.cmp_total(b) == std::cmp::Ordering::Greater);
-                        if better {
-                            *best = Some(val);
-                        }
-                    }
-                }
-            }
+    /// Fold row `i` of `fr`. Sums and counts of a bare integer column
+    /// stay in integers; everything else goes through a [`Value`].
+    #[inline]
+    fn absorb(&self, state: &mut AggState, fr: &FlowFrame, i: usize) {
+        match (&self.arg, state) {
+            (AggArg::Rows, AggState::Count(n)) => *n += 1,
+            (AggArg::Rows, _) => unreachable!("only count takes no argument"),
+            (AggArg::IntCol(c), AggState::SumInt(acc)) => *acc = acc.wrapping_add(c.int_at(fr, i).unwrap_or(0)),
+            (AggArg::IntCol(c), AggState::Count(n)) => *n += u64::from(c.int_at(fr, i).is_some()),
+            (AggArg::IntCol(c), state) => absorb_value(state, c.int_at(fr, i).map_or(Value::Null, Value::Int)),
+            (AggArg::Expr(e), state) => absorb_value(state, e.eval(&RowCtx::Frame(fr, i))),
         }
     }
 
@@ -562,27 +588,45 @@ impl CompiledAgg {
     }
 }
 
+/// Replace `best` by `v` when there is none yet or `v` compares
+/// `want` against it (strictly: the first of equal values is kept).
+fn keep_best(best: &mut Option<Value>, v: Value, want: Ordering) {
+    if best.as_ref().is_none_or(|b| v.cmp_total(b) == want) {
+        *best = Some(v);
+    }
+}
+
+/// Fold one evaluated argument into `state`.
+fn absorb_value(state: &mut AggState, v: Value) {
+    let comparable = !v.is_null() && !matches!(v, Value::Num(x) if x.is_nan());
+    match state {
+        AggState::SumInt(acc) => match v {
+            Value::Int(i) => *acc = acc.wrapping_add(i),
+            Value::Bool(b) => *acc = acc.wrapping_add(i64::from(b)),
+            _ => {} // Null skipped; Num unreachable (static typing)
+        },
+        AggState::SumFloat(buf) | AggState::Collect(buf) => {
+            if let Some(x) = v.as_f64() {
+                if !x.is_nan() {
+                    buf.push(x);
+                }
+            }
+        }
+        AggState::Count(n) => *n += u64::from(!v.is_null()),
+        AggState::Min(best) if comparable => keep_best(best, v, Ordering::Less),
+        AggState::Max(best) if comparable => keep_best(best, v, Ordering::Greater),
+        AggState::Min(_) | AggState::Max(_) => {}
+    }
+}
+
 fn merge_states(a: &mut AggState, b: AggState) {
     match (a, b) {
         (AggState::SumInt(x), AggState::SumInt(y)) => *x = x.wrapping_add(y),
         (AggState::SumFloat(x), AggState::SumFloat(y)) => x.extend(y),
         (AggState::Count(x), AggState::Count(y)) => *x += y,
-        (AggState::Min(x), AggState::Min(y)) => {
-            if let Some(vy) = y {
-                let better = x.as_ref().is_none_or(|vx| vy.cmp_total(vx) == std::cmp::Ordering::Less);
-                if better {
-                    *x = Some(vy);
-                }
-            }
-        }
-        (AggState::Max(x), AggState::Max(y)) => {
-            if let Some(vy) = y {
-                let better = x.as_ref().is_none_or(|vx| vy.cmp_total(vx) == std::cmp::Ordering::Greater);
-                if better {
-                    *x = Some(vy);
-                }
-            }
-        }
+        (AggState::Min(x), AggState::Min(Some(y))) => keep_best(x, y, Ordering::Less),
+        (AggState::Max(x), AggState::Max(Some(y))) => keep_best(x, y, Ordering::Greater),
+        (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
         (AggState::Collect(x), AggState::Collect(y)) => x.extend(y),
         _ => unreachable!("mismatched aggregate states"),
     }
@@ -674,7 +718,7 @@ fn materialize(fr: &FlowFrame, sel: Option<Vec<u32>>) -> Vec<u32> {
     sel.unwrap_or_else(|| (0..fr.len() as u32).collect())
 }
 
-/// Match over frame rows: LUT pass first (small-int columns only),
+/// Match over frame rows: LUT pass first (code columns only),
 /// residual predicate on the survivors.
 fn run_match(
     fr: &FlowFrame,
@@ -692,7 +736,7 @@ fn run_match(
     stats.rows_scanned += scanned;
     m.rows_scanned.add(scanned);
 
-    // Pushdown pass: only the small-int columns are touched.
+    // Pushdown pass: only the code columns are touched.
     let after_luts: Vec<u32> = match &sel {
         None => ordered_par_ranges(
             workers,
@@ -735,6 +779,181 @@ fn run_table_match(t: ResultTable, expr: &Expr) -> Result<ResultTable, QueryErro
     Ok(ResultTable { columns: t.columns, rows })
 }
 
+/// Open-addressing index from a fixed-arity tuple of `u32` codes to a
+/// dense group number (first-seen order). The tuples live back to
+/// back in one vector, so a group costs no allocation of its own, and
+/// hashing and comparing a key is a few integer operations — no
+/// `Hash` impl, no `memcmp` call — which is what the scan pays per
+/// row.
+struct GroupIndex {
+    arity: usize,
+    groups: usize,
+    /// `arity` codes per group, in group-number order.
+    keys: Vec<u32>,
+    /// Group number + 1, or 0 for an empty slot; a power of two long,
+    /// at most half full, probed linearly.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a slot is the hash's top bits.
+    shift: u32,
+}
+
+impl GroupIndex {
+    fn new(arity: usize) -> GroupIndex {
+        GroupIndex { arity, groups: 0, keys: Vec::new(), slots: vec![0; 16], shift: 64 - 4 }
+    }
+
+    #[inline]
+    fn home(&self, key: &[u32]) -> usize {
+        let mut h = 0u64;
+        for &k in key {
+            h = (h.rotate_left(5) ^ u64::from(k)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        (h >> self.shift) as usize
+    }
+
+    #[inline]
+    fn key(&self, g: usize) -> &[u32] {
+        &self.keys[g * self.arity..(g + 1) * self.arity]
+    }
+
+    /// The number of the group keyed `key`, and whether this call
+    /// created it.
+    #[inline]
+    fn find_or_insert(&mut self, key: &[u32]) -> (usize, bool) {
+        debug_assert_eq!(key.len(), self.arity);
+        let mask = self.slots.len() - 1;
+        let mut pos = self.home(key);
+        while self.slots[pos] != 0 {
+            let g = self.slots[pos] as usize - 1;
+            if self.key(g).iter().zip(key).all(|(a, b)| a == b) {
+                return (g, false);
+            }
+            pos = (pos + 1) & mask;
+        }
+        let g = self.groups;
+        self.groups += 1;
+        self.keys.extend_from_slice(key);
+        self.slots[pos] = g as u32 + 1;
+        if self.groups * 2 > self.slots.len() {
+            self.grow();
+        }
+        (g, true)
+    }
+
+    fn grow(&mut self) {
+        self.shift -= 1;
+        self.slots = vec![0; self.slots.len() * 2];
+        let mask = self.slots.len() - 1;
+        for g in 0..self.groups {
+            let mut pos = self.home(self.key(g));
+            while self.slots[pos] != 0 {
+                pos = (pos + 1) & mask;
+            }
+            self.slots[pos] = g as u32 + 1;
+        }
+    }
+}
+
+/// One chunk's groups, every key a tuple of `u32` codes (one per
+/// `by` slot, in order).
+struct GroupTable {
+    index: GroupIndex,
+    /// Aggregate states, `n_aggs` per group, in group-number order.
+    states: Vec<AggState>,
+    /// One intern table per key slot; stays empty for a code slot.
+    interned: Vec<Interner>,
+    /// The interned slots' values on the row that opened each group,
+    /// in group-number order: what the group renders as. (A code
+    /// stands for every value equal under group equality — `0.0` and
+    /// `-0.0` alike — so it cannot say which one came first *here*.)
+    firsts: Vec<Value>,
+}
+
+impl GroupTable {
+    fn new(n_slots: usize) -> GroupTable {
+        GroupTable {
+            index: GroupIndex::new(n_slots),
+            states: Vec::new(),
+            interned: (0..n_slots).map(|_| Interner::default()).collect(),
+            firsts: Vec::new(),
+        }
+    }
+
+    /// The states of the group keyed `key`, opened on first sight
+    /// with `first` (drained) as its interned slots' values.
+    #[inline]
+    fn group(&mut self, key: &[u32], first: &mut Vec<Value>, aggs: &[CompiledAgg]) -> &mut [AggState] {
+        let (g, new) = self.index.find_or_insert(key);
+        if new {
+            self.states.extend(aggs.iter().map(CompiledAgg::new_state));
+            self.firsts.append(first);
+        }
+        &mut self.states[g * aggs.len()..(g + 1) * aggs.len()]
+    }
+
+    /// Fold `rows` of `fr`, in order.
+    fn fold(fr: &FlowFrame, slots: &[KeySlot], aggs: &[CompiledAgg], rows: impl Iterator<Item = usize>) -> GroupTable {
+        let mut table = GroupTable::new(slots.len());
+        let mut key = vec![0u32; slots.len()];
+        let mut first = Vec::new();
+        for i in rows {
+            first.clear();
+            for ((slot, interner), k) in slots.iter().zip(&mut table.interned).zip(&mut key) {
+                *k = match slot {
+                    KeySlot::Code(c) => c.code(fr, i),
+                    KeySlot::Interned(e) => {
+                        let (code, v) = interner.intern(e.eval(&RowCtx::Frame(fr, i)));
+                        first.push(v);
+                        code
+                    }
+                };
+            }
+            for (agg, state) in aggs.iter().zip(table.group(&key, &mut first, aggs)) {
+                agg.absorb(state, fr, i);
+            }
+        }
+        table
+    }
+
+    /// Absorb the table of the next chunk. Its interned codes are
+    /// chunk-local: each is re-interned here first, in the chunk's
+    /// first-seen order, so this table's codes are those of one
+    /// serial pass over both chunks; a group both chunks hold keeps
+    /// the representative it has, which is the earlier one.
+    fn merge(mut self, next: GroupTable, aggs: &[CompiledAgg]) -> GroupTable {
+        let GroupTable { index, states, interned, firsts } = next;
+        let recode: Vec<Vec<u32>> = interned
+            .into_iter()
+            .zip(&mut self.interned)
+            .map(|(theirs, ours)| theirs.values.into_iter().map(|v| ours.intern(v).0).collect())
+            .collect();
+        let per_group = firsts.len().checked_div(index.groups).unwrap_or(0);
+        let (mut states, mut firsts) = (states.into_iter(), firsts.into_iter());
+        let mut key = vec![0u32; index.arity];
+        let mut first = Vec::new();
+        for g in 0..index.groups {
+            for ((k, &theirs), recode) in key.iter_mut().zip(index.key(g)).zip(&recode) {
+                // a code slot interned nothing: its raw cells stand
+                *k = recode.get(theirs as usize).copied().unwrap_or(theirs);
+            }
+            first.clear();
+            first.extend(firsts.by_ref().take(per_group));
+            for (ours, theirs) in self.group(&key, &mut first, aggs).iter_mut().zip(&mut states) {
+                merge_states(ours, theirs);
+            }
+        }
+        self
+    }
+}
+
+/// Group the selected rows (`None` = every row) by the `by`
+/// expressions and fold the aggregates.
+///
+/// Every group is keyed by a tuple of `u32` codes: a bare code-backed
+/// column contributes its raw cell, any other expression the code its
+/// value interns to. The scan therefore hashes and compares integers
+/// only; [`Value`]s for the key columns are built once per *group*,
+/// when the table is finished.
 fn run_group(
     fr: &FlowFrame,
     by: &[(String, Expr)],
@@ -744,71 +963,75 @@ fn run_group(
 ) -> Result<ResultTable, QueryError> {
     let m = metrics();
     let _s = satwatch_telemetry::Span::over(m.group_us);
-    let key_exprs = by.iter().map(|(_, e)| crate::expr::bind_frame(e)).collect::<Result<Vec<_>, _>>()?;
-    let compiled: Vec<CompiledAgg> = aggs
+    let slots: Vec<KeySlot> = by
         .iter()
-        .map(|(_, a)| {
-            let arg = a.arg.as_ref().map(crate::expr::bind_frame).transpose()?;
-            let int_sum = a.func == AggFunc::Sum && arg.as_ref().is_some_and(BoundExpr::is_integer);
-            Ok(CompiledAgg { func: a.func, arg, q: a.q, int_sum })
+        .map(|(_, e)| {
+            let bound = crate::expr::bind_frame(e)?;
+            let code_col = match &bound {
+                BoundExpr::Col(ColSlot::Frame(c)) => c.code_col(),
+                _ => None,
+            };
+            Ok(code_col.map_or(KeySlot::Interned(bound), KeySlot::Code))
         })
-        .collect::<Result<Vec<_>, QueryError>>()?;
+        .collect::<Result<_, QueryError>>()?;
+    let compiled: Vec<CompiledAgg> =
+        aggs.iter().map(|(_, a)| CompiledAgg::compile(a)).collect::<Result<_, QueryError>>()?;
 
-    let sel = materialize(fr, sel);
-
-    // Per-chunk partial maps, merged in chunk order: within a chunk
-    // rows are visited in selection (row) order, and the chunk-order
-    // merge concatenates buffered observations in that same order, so
-    // every aggregate sees the serial observation sequence.
-    type Partial = FxHashMap<Key, Vec<AggState>>;
-    let partials: Vec<Partial> = ordered_par_chunks(workers, &sel, |chunk| {
-        let mut map: Partial = FxHashMap::default();
-        for &i in chunk {
-            let ctx = RowCtx::Frame(fr, i as usize);
-            let key = Key(key_exprs.iter().map(|e| e.eval(&ctx)).collect());
-            let states = map.entry(key).or_insert_with(|| compiled.iter().map(CompiledAgg::new_state).collect());
-            for (agg, st) in compiled.iter().zip(states.iter_mut()) {
-                agg.absorb(st, &ctx);
-            }
-        }
-        map
-    });
-
-    let mut merged: Partial = FxHashMap::default();
-    for partial in partials {
-        for (key, states) in partial {
-            match merged.entry(key) {
-                Entry::Vacant(v) => {
-                    v.insert(states);
-                }
-                Entry::Occupied(mut o) => {
-                    for (a, b) in o.get_mut().iter_mut().zip(states) {
-                        merge_states(a, b);
-                    }
-                }
-            }
-        }
+    // Per-chunk tables, merged in chunk order: within a chunk rows
+    // are visited in selection (row) order, and the chunk-order merge
+    // concatenates buffered observations in that same order, so every
+    // aggregate sees the serial observation sequence.
+    let table = match &sel {
+        None => ordered_par_ranges(
+            workers,
+            fr.len(),
+            |range| Some(GroupTable::fold(fr, &slots, &compiled, range)),
+            |a, b| merge_tables(a, b, &compiled),
+        ),
+        Some(sel) => ordered_par_chunks(workers, sel, |chunk| {
+            GroupTable::fold(fr, &slots, &compiled, chunk.iter().map(|&i| i as usize))
+        })
+        .into_iter()
+        .reduce(|a, b| a.merge(b, &compiled)),
     }
+    .unwrap_or_else(|| GroupTable::new(slots.len()));
 
-    // Deterministic output order: sort groups by key under the total
-    // value order (hash-map iteration order never escapes).
-    let mut groups: Vec<(Key, Vec<AggState>)> = merged.into_iter().collect();
-    groups.sort_by(|(a, _), (b, _)| {
-        a.0.iter()
-            .zip(&b.0)
+    // Materialise: one `Value` per key column per group, then the
+    // deterministic output order — groups sorted by key under the
+    // total value order.
+    let GroupTable { index, states, firsts, .. } = table;
+    let (mut states, mut firsts) = (states.into_iter(), firsts.into_iter());
+    let mut rows: Vec<Vec<Value>> = (0..index.groups)
+        .map(|g| {
+            let mut row = Vec::with_capacity(slots.len() + compiled.len());
+            for (&code, slot) in index.key(g).iter().zip(&slots) {
+                row.push(match slot {
+                    KeySlot::Code(c) => c.value_of_code(fr, code),
+                    KeySlot::Interned(_) => firsts.next().expect("one value per interned slot per group"),
+                });
+            }
+            row.extend(compiled.iter().zip(&mut states).map(|(agg, st)| agg.finish(st)));
+            row
+        })
+        .collect();
+    rows.sort_by(|a, b| {
+        a[..slots.len()]
+            .iter()
+            .zip(&b[..slots.len()])
             .map(|(x, y)| x.cmp_total(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .find(|o| *o != Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
     });
 
     let columns: Vec<String> = by.iter().map(|(n, _)| n.clone()).chain(aggs.iter().map(|(n, _)| n.clone())).collect();
-    let rows = groups
-        .into_iter()
-        .map(|(key, states)| {
-            key.0.into_iter().chain(compiled.iter().zip(states).map(|(agg, st)| agg.finish(st))).collect()
-        })
-        .collect();
     Ok(ResultTable { columns, rows })
+}
+
+fn merge_tables(a: Option<GroupTable>, b: Option<GroupTable>, aggs: &[CompiledAgg]) -> Option<GroupTable> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.merge(b, aggs)),
+        (a, b) => a.or(b),
+    }
 }
 
 fn run_frame_project(
@@ -1040,6 +1263,10 @@ pub mod paper {
         Ok(Fig4 { rows })
     }
 }
+
+#[cfg(test)]
+#[path = "query_oracle.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -26,10 +26,10 @@
 //! without a seek table and cheaply reject truncated files.
 
 use crate::classify::Classifier;
-use crate::frame::FlowFrame;
+use crate::frame::{FlowFrame, NO_DOMAIN};
 use satwatch_monitor::checkpoint::{put_str, put_u16, put_u32, put_u64, Reader};
 use satwatch_monitor::Domain;
-use satwatch_simcore::SimTime;
+use satwatch_simcore::{FxHashSet, SimTime};
 use std::net::Ipv4Addr;
 use std::path::Path;
 
@@ -73,17 +73,67 @@ impl From<std::io::Error> for SegmentError {
     }
 }
 
+const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_INIT;
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Index of the `domain` column's "no domain" rows.
-const NO_DOMAIN: u32 = u32::MAX;
+/// FNV-1a 64 of every run, up to four runs at a time in lock-step.
+///
+/// One FNV-1a chain is a serial xor-multiply dependency per byte, so
+/// a single run hashes at the multiplier's latency; chains over
+/// different runs share nothing, so four of them interleaved fill the
+/// multiplier's pipeline instead. Each lane still folds exactly its
+/// own run's bytes in order, so every value equals the serial
+/// [`fnv1a`] of that run — the on-disk checksums are unchanged.
+fn fnv1a_lanes(runs: &[&[u8]]) -> Vec<u64> {
+    const LANES: usize = 4;
+    let mut out = vec![FNV_INIT; runs.len()];
+    // (run index, unhashed tail) of each busy lane
+    let mut lanes: Vec<(usize, &[u8])> = Vec::with_capacity(LANES);
+    let mut pending = runs.iter().copied().enumerate().filter(|(_, r)| !r.is_empty());
+    loop {
+        lanes.retain(|(_, tail)| !tail.is_empty());
+        while lanes.len() < LANES {
+            match pending.next() {
+                Some(lane) => lanes.push(lane),
+                None => break,
+            }
+        }
+        let Some(len) = lanes.iter().map(|(_, tail)| tail.len()).min() else {
+            return out;
+        };
+        match lanes.len() {
+            1 => fnv1a_advance::<1>(&mut out, &mut lanes, len),
+            2 => fnv1a_advance::<2>(&mut out, &mut lanes, len),
+            3 => fnv1a_advance::<3>(&mut out, &mut lanes, len),
+            _ => fnv1a_advance::<4>(&mut out, &mut lanes, len),
+        }
+    }
+}
+
+/// Hash the next `len` bytes of the `N` busy lanes — one byte of
+/// every lane per step — and move their tails past them.
+#[allow(clippy::needless_range_loop)] // `i` walks all N runs at once: that is the lock-step
+fn fnv1a_advance<const N: usize>(out: &mut [u64], lanes: &mut [(usize, &[u8])], len: usize) {
+    let mut h: [u64; N] = std::array::from_fn(|l| out[lanes[l].0]);
+    let runs: [&[u8]; N] = std::array::from_fn(|l| &lanes[l].1[..len]);
+    for i in 0..len {
+        for l in 0..N {
+            h[l] = (h[l] ^ u64::from(runs[l][i])).wrapping_mul(FNV_PRIME);
+        }
+    }
+    for (l, lane) in lanes.iter_mut().enumerate() {
+        out[lane.0] = h[l];
+        lane.1 = &lane.1[len..];
+    }
+}
 
 /// Column names, in file order. The decoder requires exactly this
 /// set in this order — the format has no optional columns.
@@ -142,68 +192,86 @@ struct FooterCol {
     fnv: u64,
 }
 
-/// Serialize a sealed frame into `.swseg` bytes.
-pub fn encode_segment(fr: &FlowFrame) -> Vec<u8> {
-    let n = fr.len();
-    let mut data = Vec::new();
-    data.extend_from_slice(SEGMENT_MAGIC);
-    let mut cols: Vec<FooterCol> = Vec::with_capacity(COLUMNS.len());
-    let mut col = Vec::new();
-    // dictionary-encode domains first so the per-row index column can
-    // be emitted in the fixed order `COLUMNS` declares
-    let mut dict: Vec<&str> = Vec::new();
-    let mut dict_idx: satwatch_simcore::FxHashMap<&str, u32> = satwatch_simcore::FxHashMap::default();
-    let mut domain_rows: Vec<u32> = Vec::with_capacity(n);
-    for d in &fr.domain {
-        match d.as_deref() {
-            None => domain_rows.push(NO_DOMAIN),
-            Some(s) => {
-                let idx = *dict_idx.entry(s).or_insert_with(|| {
-                    dict.push(s);
-                    (dict.len() - 1) as u32
-                });
-                domain_rows.push(idx);
-            }
-        }
+impl FooterCol {
+    fn run<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+        &bytes[self.offset as usize..(self.offset + self.len) as usize]
     }
+}
+
+/// Append one fixed-width column run: `W` little-endian bytes per row.
+fn put_run<const W: usize>(data: &mut Vec<u8>, cells: impl ExactSizeIterator<Item = [u8; W]>) {
+    let start = data.len();
+    data.resize(start + cells.len() * W, 0);
+    for (dst, cell) in data[start..].chunks_exact_mut(W).zip(cells) {
+        dst.copy_from_slice(&cell);
+    }
+}
+
+/// Serialize a sealed frame into `.swseg` bytes.
+///
+/// The stored dictionary is canonical — distinct names in order of
+/// first appearance over rows, unused entries dropped — so the bytes
+/// depend only on the rows, not on the order the frame's builder
+/// happened to meet the names in. Canonicalising is an integer remap
+/// of the code column; no name is hashed or compared.
+pub fn encode_segment(fr: &FlowFrame) -> Vec<u8> {
+    let order = fr.domain_order();
+    let mut remap = vec![NO_DOMAIN; fr.domains.len()];
+    for (new, &old) in order.iter().enumerate() {
+        remap[old as usize] = new as u32;
+    }
+    let dict: Vec<&str> = order.iter().map(|&d| &*fr.domains[d as usize]).collect();
+    let idx: Vec<u32> = fr.domain.iter().map(|&d| if d == NO_DOMAIN { d } else { remap[d as usize] }).collect();
+    encode_columns(fr, &idx, &dict)
+}
+
+/// Lay `fr` out as a segment whose `domain_idx` cells and dictionary
+/// are exactly the ones given.
+fn encode_columns(fr: &FlowFrame, domain_idx: &[u32], dict: &[&str]) -> Vec<u8> {
+    let n = fr.len();
+    let row_bytes: usize = COLUMNS.iter().filter_map(|c| column_width(c)).sum();
+    let mut data = Vec::with_capacity(n * row_bytes + 4096);
+    data.extend_from_slice(SEGMENT_MAGIC);
+    let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(COLUMNS.len());
     for &name in COLUMNS {
-        col.clear();
+        let start = data.len();
         match name {
-            "client" => fr.client.iter().for_each(|ip| col.extend_from_slice(&ip.octets())),
-            "first" => fr.first.iter().for_each(|t| put_u64(&mut col, t.as_nanos())),
-            "bytes_up" => fr.bytes_up.iter().for_each(|&v| put_u64(&mut col, v)),
-            "bytes_down" => fr.bytes_down.iter().for_each(|&v| put_u64(&mut col, v)),
-            "ground_rtt_avg" => fr.ground_rtt_avg.iter().for_each(|&v| put_u64(&mut col, v.to_bits())),
-            "ground_rtt_samples" => fr.ground_rtt_samples.iter().for_each(|&v| put_u64(&mut col, v)),
-            "sat_rtt_ms" => fr.sat_rtt_ms.iter().for_each(|&v| put_u64(&mut col, v.to_bits())),
-            "down_bps" => fr.down_bps.iter().for_each(|&v| put_u64(&mut col, v.to_bits())),
-            "dur_s" => fr.dur_s.iter().for_each(|&v| put_u64(&mut col, v.to_bits())),
-            "l7" => col.extend_from_slice(&fr.l7),
-            "country" => col.extend_from_slice(&fr.country),
-            "local_hour" => col.extend_from_slice(&fr.local_hour),
-            "hour_utc" => col.extend_from_slice(&fr.hour_utc),
-            "day" => fr.day.iter().for_each(|&v| put_u32(&mut col, v)),
-            "beam" => fr.beam.iter().for_each(|&v| put_u16(&mut col, v)),
-            "service" => fr.service.iter().for_each(|&v| put_u16(&mut col, v)),
-            "category" => col.extend_from_slice(&fr.category),
-            "domain_idx" => domain_rows.iter().for_each(|&v| put_u32(&mut col, v)),
+            "client" => put_run(&mut data, fr.client.iter().map(Ipv4Addr::octets)),
+            "first" => put_run(&mut data, fr.first.iter().map(|t| t.as_nanos().to_le_bytes())),
+            "bytes_up" => put_run(&mut data, fr.bytes_up.iter().map(|v| v.to_le_bytes())),
+            "bytes_down" => put_run(&mut data, fr.bytes_down.iter().map(|v| v.to_le_bytes())),
+            "ground_rtt_avg" => put_run(&mut data, fr.ground_rtt_avg.iter().map(|v| v.to_bits().to_le_bytes())),
+            "ground_rtt_samples" => put_run(&mut data, fr.ground_rtt_samples.iter().map(|v| v.to_le_bytes())),
+            "sat_rtt_ms" => put_run(&mut data, fr.sat_rtt_ms.iter().map(|v| v.to_bits().to_le_bytes())),
+            "down_bps" => put_run(&mut data, fr.down_bps.iter().map(|v| v.to_bits().to_le_bytes())),
+            "dur_s" => put_run(&mut data, fr.dur_s.iter().map(|v| v.to_bits().to_le_bytes())),
+            "l7" => data.extend_from_slice(&fr.l7),
+            "country" => data.extend_from_slice(&fr.country),
+            "local_hour" => data.extend_from_slice(&fr.local_hour),
+            "hour_utc" => data.extend_from_slice(&fr.hour_utc),
+            "day" => put_run(&mut data, fr.day.iter().map(|v| v.to_le_bytes())),
+            "beam" => put_run(&mut data, fr.beam.iter().map(|v| v.to_le_bytes())),
+            "service" => put_run(&mut data, fr.service.iter().map(|v| v.to_le_bytes())),
+            "category" => data.extend_from_slice(&fr.category),
+            "domain_idx" => put_run(&mut data, domain_idx.iter().map(|v| v.to_le_bytes())),
             "domain_dict" => {
-                put_u32(&mut col, dict.len() as u32);
-                dict.iter().for_each(|s| put_str(&mut col, s));
+                put_u32(&mut data, dict.len() as u32);
+                dict.iter().for_each(|name| put_str(&mut data, name));
             }
             _ => unreachable!("column list is closed"),
         }
-        cols.push(FooterCol { name, offset: data.len() as u64, len: col.len() as u64, fnv: fnv1a(&col) });
-        data.extend_from_slice(&col);
+        ranges.push(start..data.len());
     }
+    let runs: Vec<&[u8]> = ranges.iter().map(|r| &data[r.clone()]).collect();
+    let sums = fnv1a_lanes(&runs);
     // footer
     let mut footer = Vec::new();
-    put_u32(&mut footer, cols.len() as u32);
-    for c in &cols {
-        put_str(&mut footer, c.name);
-        put_u64(&mut footer, c.offset);
-        put_u64(&mut footer, c.len);
-        put_u64(&mut footer, c.fnv);
+    put_u32(&mut footer, COLUMNS.len() as u32);
+    for ((name, range), fnv) in COLUMNS.iter().zip(&ranges).zip(sums) {
+        put_str(&mut footer, name);
+        put_u64(&mut footer, range.start as u64);
+        put_u64(&mut footer, range.len() as u64);
+        put_u64(&mut footer, fnv);
     }
     put_u64(&mut footer, n as u64);
     let (min_first, max_first) = match (fr.first.iter().min(), fr.first.iter().max()) {
@@ -276,13 +344,13 @@ fn parse_footer(bytes: &[u8]) -> Result<(Vec<FooterCol>, u64, u64, u64, Vec<Stri
         return Err(SegmentError::Corrupt("trailing footer bytes"));
     }
     // verify every column checksum before any row decoding
-    for c in &cols {
-        let run = &bytes[c.offset as usize..(c.offset + c.len) as usize];
-        if fnv1a(run) != c.fnv {
+    let runs: Vec<&[u8]> = cols.iter().map(|c| c.run(bytes)).collect();
+    for (c, fnv) in cols.iter().zip(fnv1a_lanes(&runs)) {
+        if fnv != c.fnv {
             return Err(SegmentError::Checksum { column: c.name });
         }
         if let Some(w) = column_width(c.name) {
-            if c.len != rows * w as u64 {
+            if rows.checked_mul(w as u64) != Some(c.len) {
                 return Err(SegmentError::Corrupt("column length inconsistent with row count"));
             }
         }
@@ -305,12 +373,8 @@ pub fn segment_meta(bytes: &[u8]) -> Result<SegmentMeta, SegmentError> {
 /// encoded. Every column checksum is verified first; any corruption
 /// or truncation yields a typed error, never a panic.
 pub fn decode_segment(bytes: &[u8]) -> Result<FlowFrame, SegmentError> {
-    let (cols, rows64, _min, _max, services) = parse_footer(bytes)?;
-    let rows = rows64 as usize;
-    let run = |name: &str| -> &[u8] {
-        let c = cols.iter().find(|c| c.name == name).expect("closed column list");
-        &bytes[c.offset as usize..(c.offset + c.len) as usize]
-    };
+    let (cols, _rows, _min, _max, services) = parse_footer(bytes)?;
+    let run = |name: &str| -> &[u8] { cols.iter().find(|c| c.name == name).expect("closed column list").run(bytes) };
     // the services table indexes the standard classifier's rule list;
     // map each stored name back to its `&'static str`
     let classifier = Classifier::standard();
@@ -327,24 +391,28 @@ pub fn decode_segment(bytes: &[u8]) -> Result<FlowFrame, SegmentError> {
         |name: &str| run(name).chunks_exact(8).map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())));
     let u32s = |name: &str| run(name).chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap()));
     let u16s = |name: &str| run(name).chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().unwrap()));
-    // domain dictionary
+    // domain dictionary: the frame's code column indexes it as stored,
+    // so its entries must be distinct and every index in range
     let mut dr = Reader::new(run("domain_dict"));
     let bad = |_: satwatch_monitor::CheckpointError| SegmentError::Corrupt("domain dictionary undecodable");
     let dict_len = dr.u32().map_err(bad)? as usize;
-    let mut dict: Vec<Domain> = Vec::with_capacity(dict_len);
+    // every entry takes at least its length prefix: bound the
+    // allocation by the bytes actually present
+    let mut domains: Vec<Domain> = Vec::with_capacity(dict_len.min(dr.remaining()));
+    let mut distinct: FxHashSet<&str> = FxHashSet::default();
     for _ in 0..dict_len {
-        dict.push(Domain::from(dr.str().map_err(bad)?));
+        let name = dr.str().map_err(bad)?;
+        if !distinct.insert(name) {
+            return Err(SegmentError::Corrupt("duplicate dictionary entry"));
+        }
+        domains.push(Domain::from(name));
     }
     if dr.remaining() != 0 {
         return Err(SegmentError::Corrupt("trailing domain dictionary bytes"));
     }
-    let mut domain: Vec<Option<Domain>> = Vec::with_capacity(rows);
-    for idx in u32s("domain_idx") {
-        match idx {
-            NO_DOMAIN => domain.push(None),
-            i if (i as usize) < dict.len() => domain.push(Some(dict[i as usize].clone())),
-            _ => return Err(SegmentError::Corrupt("domain index out of range")),
-        }
+    let domain: Vec<u32> = u32s("domain_idx").collect();
+    if domain.iter().any(|&d| d != NO_DOMAIN && d as usize >= domains.len()) {
+        return Err(SegmentError::Corrupt("domain index out of range"));
     }
     let fr = FlowFrame {
         client: run("client").chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])).collect(),
@@ -365,6 +433,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<FlowFrame, SegmentError> {
         service: u16s("service").collect(),
         category: run("category").to_vec(),
         domain,
+        domains,
         services: svc_static,
     };
     Ok(fr)
@@ -464,7 +533,9 @@ mod tests {
         assert_eq!(a.beam, b.beam);
         assert_eq!(a.service, b.service);
         assert_eq!(a.category, b.category);
-        assert_eq!(a.domain, b.domain);
+        // codes may differ (dictionary order is the frame's own); names may not
+        let names = |fr: &FlowFrame| (0..fr.len()).map(|i| fr.domain_at(i).map(str::to_string)).collect::<Vec<_>>();
+        assert_eq!(names(a), names(b));
         assert_eq!(a.services, b.services);
     }
 
@@ -478,6 +549,82 @@ mod tests {
         assert_eq!(meta.rows, fr.len() as u64);
         assert_eq!(meta.min_first, Some(fr.first[0]));
         assert_eq!(meta.max_first, Some(*fr.first.last().unwrap()));
+    }
+
+    /// The `domain_idx` cells and dictionary `encode_segment` stores
+    /// for `fr`, for tests that lay out a doctored variant.
+    fn stored_domains(fr: &FlowFrame) -> (Vec<u32>, Vec<String>) {
+        let back = decode_segment(&encode_segment(fr)).unwrap();
+        (back.domain.clone(), back.domains.iter().map(|d| d.to_string()).collect())
+    }
+
+    fn lay_out(fr: &FlowFrame, idx: Vec<u32>, dict: &[String]) -> Vec<u8> {
+        let dict: Vec<&str> = dict.iter().map(String::as_str).collect();
+        encode_columns(fr, &idx, &dict)
+    }
+
+    #[test]
+    fn stored_dictionary_is_canonical_whatever_the_frame_order() {
+        let fr = sample_frame();
+        let (idx, dict) = stored_domains(&fr);
+        assert_eq!(dict, ["video.tiktokv.com", "docs.google.com"], "first appearance over rows");
+        assert_eq!(idx, [NO_DOMAIN, 0, 1, NO_DOMAIN, 0, 1, NO_DOMAIN]);
+        // the same rows under a reversed dictionary with a stray entry
+        let mut other = fr.clone();
+        other.domains = vec!["unused.example".into(), "docs.google.com".into(), "video.tiktokv.com".into()];
+        other.domain = fr.domain.iter().map(|&d| if d == NO_DOMAIN { d } else { 2 - d }).collect();
+        frames_equal(&fr, &other);
+        assert_eq!(encode_segment(&other), encode_segment(&fr));
+    }
+
+    #[test]
+    fn duplicate_dictionary_entry_is_rejected() {
+        let fr = sample_frame();
+        let (idx, mut dict) = stored_domains(&fr);
+        dict.push(dict[0].clone());
+        let bytes = lay_out(&fr, idx, &dict);
+        assert!(matches!(decode_segment(&bytes), Err(SegmentError::Corrupt("duplicate dictionary entry"))));
+    }
+
+    #[test]
+    fn out_of_range_domain_index_is_rejected() {
+        let fr = sample_frame();
+        let (mut idx, dict) = stored_domains(&fr);
+        idx[1] = dict.len() as u32;
+        let bytes = lay_out(&fr, idx, &dict);
+        assert!(matches!(decode_segment(&bytes), Err(SegmentError::Corrupt("domain index out of range"))));
+    }
+
+    #[test]
+    fn unused_dictionary_entry_decodes_and_is_dropped_on_reencode() {
+        let fr = sample_frame();
+        let (idx, mut dict) = stored_domains(&fr);
+        dict.insert(0, "unused.example".to_string());
+        let shifted = idx.into_iter().map(|d| if d == NO_DOMAIN { d } else { d + 1 }).collect();
+        let bytes = lay_out(&fr, shifted, &dict);
+        let back = decode_segment(&bytes).expect("an unused entry is valid v1");
+        assert_eq!(back.domains.len(), 3, "the frame keeps the dictionary as stored");
+        frames_equal(&fr, &back);
+        assert_eq!(encode_segment(&back), encode_segment(&fr), "re-encoding drops it");
+    }
+
+    #[test]
+    fn row_count_overflow_is_corrupt_not_a_panic() {
+        let bytes = encode_segment(&sample_frame());
+        let footer_len = u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap()) as usize;
+        let footer_start = bytes.len() - 16 - footer_len;
+        let rows_at = footer_start + 4 + COLUMNS.iter().map(|c| 4 + c.len() + 24).sum::<usize>();
+        assert_eq!(bytes[rows_at..rows_at + 8], 7u64.to_le_bytes(), "located the row count");
+        // 2^61 * 8 wraps to 0; u64::MAX * 2 wraps too: neither may
+        // panic (debug) or pass for a wrapped length (release)
+        for rows in [1u64 << 61, u64::MAX, (1 << 63) + 7] {
+            let mut bad = bytes.clone();
+            bad[rows_at..rows_at + 8].copy_from_slice(&rows.to_le_bytes());
+            assert!(
+                matches!(decode_segment(&bad), Err(SegmentError::Corrupt("column length inconsistent with row count"))),
+                "rows = {rows}"
+            );
+        }
     }
 
     #[test]
@@ -507,5 +654,35 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(matches!(decode_segment(&bad), Err(SegmentError::Corrupt(_))));
+    }
+
+    proptest::proptest! {
+        /// Lock-step hashing is only a schedule: every lane's value
+        /// is the serial FNV-1a of its own run, for any number of
+        /// runs of any (unequal, possibly zero) lengths.
+        #[test]
+        fn lockstep_fnv_equals_the_serial_loop(seed in proptest::any::<u64>(), n_runs in 1usize..10) {
+            let mut rng = proptest::TestRng::new(seed);
+            let runs: Vec<Vec<u8>> = (0..n_runs)
+                .map(|_| {
+                    let len = match rng.below(4) {
+                        0 => 0,
+                        1 => rng.below(8) as usize,
+                        _ => rng.below(700) as usize,
+                    };
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
+                })
+                .collect();
+            let slices: Vec<&[u8]> = runs.iter().map(Vec::as_slice).collect();
+            let serial: Vec<u64> = slices.iter().map(|r| fnv1a(r)).collect();
+            proptest::prop_assert_eq!(fnv1a_lanes(&slices), serial);
+        }
+    }
+
+    #[test]
+    fn lockstep_fnv_of_no_runs_and_known_vectors() {
+        assert!(fnv1a_lanes(&[]).is_empty());
+        // FNV-1a 64 test vectors: "" and "a"
+        assert_eq!(fnv1a_lanes(&[b"", b"a"]), [0xcbf2_9ce4_8422_2325, 0xaf63_dc4c_8601_ec8c]);
     }
 }

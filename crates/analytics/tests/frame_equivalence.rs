@@ -7,7 +7,7 @@ use satwatch_analytics::engine::{
     fig11_frame, fig2_frame, fig8a_frame, fig9_frame, table1_frame, table_cdn_frame, ReportCtx,
 };
 use satwatch_analytics::frame::FrameBuilder;
-use satwatch_analytics::{Classifier, FlowFrame};
+use satwatch_analytics::{encode_segment, Classifier, FlowFrame};
 use satwatch_monitor::record::RttSummary;
 use satwatch_monitor::{flow_sort_key, FlowRecord, L7Protocol};
 use satwatch_simcore::{SimDuration, SimTime};
@@ -175,5 +175,14 @@ proptest! {
         prop_assert_eq!(&sealed.beam, &batch.beam);
         prop_assert_eq!(&sealed.service, &batch.service);
         prop_assert_eq!(&sealed.category, &batch.category);
+        // the coded column: the builders met the names in different
+        // orders, so codes and dictionaries may differ — the names per
+        // row may not, and once the dictionary is canonicalised (as a
+        // segment stores it) the two frames are the same bytes
+        for i in 0..batch.len() {
+            prop_assert_eq!(sealed.domain_at(i), batch.domain_at(i), "row {}", i);
+        }
+        prop_assert_eq!(batch.domain_order(), (0..batch.domains.len() as u32).collect::<Vec<_>>());
+        prop_assert_eq!(encode_segment(&sealed), encode_segment(&batch));
     }
 }

@@ -5,6 +5,9 @@
 //!   dictionary-encoded unicode domains. Losslessness is checked as
 //!   `encode(decode(bytes)) == bytes`: the encoder is deterministic,
 //!   so byte-stable re-encoding proves every column survived.
+//! * The frame's `domain` column is codes into its own dictionary; the
+//!   stored dictionary is canonical, so frames that hold the same rows
+//!   under differently ordered dictionaries are the same bytes.
 //! * Any truncation and any byte flip in the column data is rejected
 //!   with a typed error — never a panic, never a silently-wrong frame.
 
@@ -92,6 +95,33 @@ proptest! {
         // byte-stable re-encode == every column (bit patterns, dict,
         // services table) survived the round trip
         prop_assert_eq!(encode_segment(&back), bytes);
+        // the coded column: same name on every row, and the decoded
+        // dictionary is the canonical one — distinct names in order of
+        // first appearance over rows, every entry used
+        for i in 0..fr.len() {
+            prop_assert_eq!(back.domain_at(i), fr.domain_at(i), "row {}", i);
+        }
+        prop_assert_eq!(back.domain_order(), (0..back.domains.len() as u32).collect::<Vec<_>>());
+        let distinct: std::collections::HashSet<&str> = back.domains.iter().map(|d| &**d).collect();
+        prop_assert_eq!(distinct.len(), back.domains.len());
+    }
+
+    #[test]
+    fn dictionary_order_and_unused_entries_never_reach_the_bytes(seed in any::<u64>(), n in 0usize..60) {
+        let fr = frame(seed, n);
+        // the same rows under a rotated dictionary with a stray entry
+        // in front, as a builder that met the names in another order
+        // (and one name no sealed row uses) would hold them
+        let k = fr.domains.len() as u32;
+        let mut other = fr.clone();
+        other.domains = std::iter::once("unused.example".into())
+            .chain((0..k).map(|c| fr.domains[((c + 1) % k) as usize].clone()))
+            .collect();
+        other.domain = fr.domain.iter().map(|&d| if d == u32::MAX { d } else { (d + k - 1) % k + 1 }).collect();
+        for i in 0..fr.len() {
+            prop_assert_eq!(other.domain_at(i), fr.domain_at(i), "row {}", i);
+        }
+        prop_assert_eq!(encode_segment(&other), encode_segment(&fr));
     }
 
     #[test]

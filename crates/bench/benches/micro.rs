@@ -537,11 +537,62 @@ fn tsv_codec(c: &mut Criterion) {
     }
 }
 
+/// The warehouse's three legs on one 100 000-row frame (ISSUE 15 /
+/// DESIGN.md "Codes end to end"), so each can be read apart from
+/// `satbench`'s `warehouse_scan`: the code-keyed group-by over two
+/// small columns and over the largest dictionary, the lock-step
+/// column checksums of an ~8 MB segment (`segment_meta` verifies and
+/// decodes no row), and the fused report fold with its DNS join.
+fn warehouse(c: &mut Criterion) {
+    use satwatch_analytics::engine::{report_all, ReportCtx};
+    use satwatch_analytics::segment::segment_meta;
+    use satwatch_analytics::{encode_segment, query, FlowFrame, Pipeline};
+    use satwatch_traffic::Country;
+
+    const ROWS: usize = 100_000;
+    let ds = satwatch_scenario::run(satwatch_scenario::ScenarioConfig::tiny().with_customers(24));
+    let flows: Vec<_> = ds.flows.iter().cycle().take(ROWS).cloned().collect();
+    let frame = FlowFrame::from_records(&flows, &ds.enrichment);
+
+    let mut group = c.benchmark_group("query");
+    group.throughput(Throughput::Elements(ROWS as u64));
+    for (name, by) in
+        [("group_by_country_service_100k", r#"["country", "service"]"#), ("group_by_domain_100k", r#"["domain"]"#)]
+    {
+        let pipeline = Pipeline::parse(&format!(
+            r#"[{{"group": {{"by": {by}, "aggs": {{"bytes": {{"sum": "bytes"}}, "flows": {{"count": true}}}}}}}}]"#
+        ))
+        .unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(query::run(black_box(&frame), &pipeline, 1).unwrap().rows.len()))
+        });
+    }
+    group.finish();
+
+    let segment = encode_segment(&frame);
+    let mut group = c.benchmark_group("segment");
+    group.throughput(Throughput::Bytes(segment.len() as u64));
+    group.bench_function("segment_verify_8mb", |b| {
+        b.iter(|| black_box(segment_meta(black_box(&segment)).unwrap().rows))
+    });
+    group.finish();
+
+    let ctx = ReportCtx { enrichment: &ds.enrichment, countries: &Country::TOP6 };
+    let mut group = c.benchmark_group("engine");
+    group.throughput(Throughput::Elements(ROWS as u64));
+    group.bench_function("report_fold_100k", |b| {
+        b.iter(|| {
+            black_box(report_all(black_box(&frame), &ds.dns, ctx, &["Tiktok", "Google"], 10, 1).table2.rows.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default();
     targets = probe_packet_throughput, cryptopan_anonymize, dpi_sni_extraction, dns_codec,
               classifier_throughput, event_queue_ops, satellite_channel_sampling, column_synthesis,
-              synthesis_two_pass, stamp_loop, borrowed_probe_path, tsv_codec
+              synthesis_two_pass, stamp_loop, borrowed_probe_path, tsv_codec, warehouse
 }
 criterion_main!(micro);

@@ -121,12 +121,43 @@ impl Default for RunOptions {
     }
 }
 
+/// What one simulated day left on disk and in RAM: the progress line
+/// `run` prints, as data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DaySummary {
+    /// The day just simulated (0-based).
+    pub day: u64,
+    /// Segments this day's watermark sealed: usually one, none while
+    /// a long-lived flow still pins the oldest bucket, several when
+    /// it finally lets go.
+    pub segments_sealed: u64,
+    /// Rows in those segments.
+    pub rows_sealed: u64,
+    /// Evicted flow records still unsealed — carried in the day
+    /// buckets and serialised into this day's state file.
+    pub rows_carried: u64,
+    /// Flows still live in the probe (carried in the state file too).
+    pub live_flows: u64,
+}
+
+impl std::fmt::Display for DaySummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} segment(s) sealed ({} rows), {} rows carried unsealed, {} live flows carried",
+            self.segments_sealed, self.rows_sealed, self.rows_carried, self.live_flows
+        )
+    }
+}
+
 /// What a [`Campaign::run`] call achieved.
 #[derive(Debug)]
 pub struct CampaignOutcome {
     /// `true` when the campaign ran to completion (report written).
     pub completed: bool,
     pub days_completed: u64,
+    /// One entry per day simulated by *this* call, in day order.
+    pub days: Vec<DaySummary>,
     /// FNV-1a 64 of the full serialized dataset — byte-identical to
     /// [`satwatch_scenario::dataset_digest`] of a batch run. Set when
     /// complete.
@@ -290,6 +321,7 @@ impl Campaign {
             return Ok(CampaignOutcome {
                 completed: true,
                 days_completed: self.days_completed,
+                days: Vec::new(),
                 dataset_digest: self.dataset_digest,
                 report_digest: self.report_digest,
                 report_text: None,
@@ -319,6 +351,7 @@ impl Campaign {
         }
 
         let mut prev_snap = telemetry::Snapshot::take();
+        let mut days = Vec::new();
         for day in self.days_completed..self.cfg.days {
             let t0 = std::time::Instant::now();
             runner.run_day(&mut probe, day);
@@ -333,8 +366,17 @@ impl Campaign {
             let next_midnight = SimTime::from_secs((day + 1) * SECS_PER_DAY);
             let flow_mark = state.min_live_flow_first().map_or(next_midnight, |t| t.min(next_midnight));
             let dns_mark = state.min_pending_dns_ts().map_or(next_midnight, |t| t.min(next_midnight));
+            let sealed_before = self.segments.len();
             self.seal_flow_buckets(Some(flow_mark), &enr)?;
             self.seal_dns_buckets(Some(dns_mark))?;
+            let sealed = &self.segments[sealed_before..];
+            let summary = DaySummary {
+                day,
+                segments_sealed: sealed.len() as u64,
+                rows_sealed: sealed.iter().map(|s| s.rows).sum(),
+                rows_carried: bucket_len(&self.flow_buckets) as u64,
+                live_flows: state.flows.len() as u64,
+            };
 
             self.checkpoint(day, &state)?;
             self.days_completed = day + 1;
@@ -352,22 +394,21 @@ impl Campaign {
                 prev_snap = snap;
             }
             if !opts.quiet {
-                let seg = self.segments.last();
                 eprintln!(
-                    "campaign: day {}/{} in {:.1?} — {} segment rows sealed, {} live flows carried, rss {} MiB",
+                    "campaign: day {}/{} in {:.1?} — {summary}, rss {} MiB",
                     self.days_completed,
                     self.cfg.days,
                     t0.elapsed(),
-                    seg.map_or(0, |s| s.rows),
-                    state.flows.len(),
                     telemetry::current_rss_bytes().unwrap_or(0) / (1 << 20),
                 );
             }
+            days.push(summary);
             if opts.abort_after_day == Some(day) {
                 self.probe_carry = Some(state);
                 return Ok(CampaignOutcome {
                     completed: false,
                     days_completed: self.days_completed,
+                    days,
                     dataset_digest: None,
                     report_digest: None,
                     report_text: None,
@@ -412,6 +453,7 @@ impl Campaign {
         Ok(CampaignOutcome {
             completed: true,
             days_completed: self.days_completed,
+            days,
             dataset_digest: Some(dataset_digest),
             report_digest: Some(report_digest),
             report_text: Some(report_text),
@@ -573,8 +615,7 @@ fn append_metrics_final(path: &Path, snap: &telemetry::Snapshot) -> std::io::Res
     writeln!(f, "{{\"campaign_final\": true, \"total\": {}}}", snap.to_json().trim_end())
 }
 
-/// Map a day-bucketed map's contents back to a flat count (tests).
-#[doc(hidden)]
+/// Total records across a day-bucketed map.
 pub fn bucket_len<T>(m: &BTreeMap<u64, Vec<T>>) -> usize {
     m.values().map(Vec::len).sum()
 }

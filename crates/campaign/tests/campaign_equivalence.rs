@@ -8,7 +8,7 @@
 //!    different thread/shard counts) reproduces those bytes exactly.
 
 use satwatch_analytics::FlowFrame;
-use satwatch_campaign::{Campaign, RunOptions};
+use satwatch_campaign::{Campaign, DaySummary, RunOptions};
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
 use satwatch_scenario::{dataset_digest, run, ScenarioConfig};
@@ -119,5 +119,42 @@ fn corrupted_state_file_is_rejected_on_resume() {
     let msg = err.to_string();
     assert!(msg.contains("checksum") || msg.contains("corrupt"), "unexpected error: {msg}");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The per-day summary (what the progress line prints) accounts for
+/// this day's seals only: a day whose bucket is still pinned by a live
+/// flow reports nothing sealed — not the previous day's segment again —
+/// and the running totals agree with the manifest after every day.
+#[test]
+fn day_summaries_count_what_each_day_sealed() {
+    let cfg = cfg();
+    let dir = tmp_dir("summaries");
+    let mut c = Campaign::create(&dir, cfg).unwrap();
+    let (mut segments, mut rows, mut quiet_days) = (0, 0, 0);
+    for day in 0..cfg.days {
+        let out = c.run(&RunOptions { abort_after_day: Some(day), ..RunOptions::default() }).unwrap();
+        assert_eq!(out.days.len(), 1, "one summary per day simulated by the call");
+        let s = &out.days[0];
+        assert_eq!(s.day, day);
+        segments += s.segments_sealed;
+        rows += s.rows_sealed;
+        assert_eq!(segments, c.segments().len() as u64, "day {day}: segments sealed so far");
+        assert_eq!(rows, c.segments().iter().map(|s| s.rows).sum::<u64>(), "day {day}: rows sealed so far");
+        if s.segments_sealed == 0 {
+            quiet_days += 1;
+            assert_eq!(s.rows_sealed, 0, "day {day} sealed nothing");
+            assert!(s.rows_carried > 0, "day {day}: its evicted flows wait in the state file");
+        }
+    }
+    assert!(quiet_days > 0, "the fixture has a day that seals nothing");
+    let quiet = DaySummary { day: 2, segments_sealed: 0, rows_sealed: 0, rows_carried: 46_021, live_flows: 9 };
+    assert_eq!(
+        quiet.to_string(),
+        "0 segment(s) sealed (0 rows), 46021 rows carried unsealed, 9 live flows carried",
+        "the text after `campaign: day N/M in T — `"
+    );
+    let out = c.run(&RunOptions::default()).unwrap();
+    assert!(out.completed && out.days.is_empty(), "only the final flush was left");
     std::fs::remove_dir_all(&dir).unwrap();
 }
