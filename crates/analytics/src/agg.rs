@@ -6,14 +6,12 @@
 //! by the operator) and the service (via the domain classifier), then
 //! build the aggregate views.
 //!
-//! The heavy group-bys come in two forms: the classic serial function
-//! (`table1`, `fig2`, …) and a `*_par` variant taking a worker count.
-//! The parallel form folds contiguous chunks of the record slice into
-//! per-worker partial maps and reduces them **in chunk order**
-//! ([`ordered_par_fold`]); every accumulator is either an exact
-//! integer sum or an order-preserving concatenation, so any worker
-//! count produces bit-identical reports. Serial is just `workers = 1`
-//! of the same code path.
+//! These are the reference the columnar engine is pinned to
+//! (`columnar_equivalence.rs`, `frame_equivalence.rs`): one plain pass
+//! over the record slice per figure, written to be audited by eye.
+//! They are also what the log-replay commands run. Only [`fig10_par`]
+//! takes a worker count — the DNS log has no frame, so the engine's
+//! `ReportFold::finish` calls it in production.
 
 use crate::classify::{second_level_domain, Classifier, ClassifyCache};
 use crate::report::*;
@@ -115,32 +113,14 @@ fn local_hour_of(f: &FlowRecord, c: Country) -> u32 {
 
 /// Table 1: protocol volume shares.
 pub fn table1(flows: &[FlowRecord]) -> Table1 {
-    table1_par(flows, 1)
-}
-
-/// [`table1`] on `workers` threads; identical output at any count.
-pub fn table1_par(flows: &[FlowRecord], workers: usize) -> Table1 {
     let _span = satwatch_telemetry::span("analytics_table1_us");
-    let (by_proto, total) = ordered_par_fold(
-        workers,
-        flows,
-        |chunk| {
-            let mut by: FxHashMap<L7Protocol, u64> = FxHashMap::default();
-            let mut total = 0u64;
-            for f in chunk {
-                let b = flow_bytes(f);
-                *by.entry(f.l7).or_default() += b;
-                total += b;
-            }
-            (by, total)
-        },
-        |(mut a, at), (b, bt)| {
-            for (k, v) in b {
-                *a.entry(k).or_default() += v;
-            }
-            (a, at + bt)
-        },
-    );
+    let mut by_proto: FxHashMap<L7Protocol, u64> = FxHashMap::default();
+    let mut total = 0u64;
+    for f in flows {
+        let b = flow_bytes(f);
+        *by_proto.entry(f.l7).or_default() += b;
+        total += b;
+    }
     let rows = L7Protocol::ALL
         .into_iter()
         .map(|p| (p, 100.0 * by_proto.get(&p).copied().unwrap_or(0) as f64 / total.max(1) as f64))
@@ -150,34 +130,16 @@ pub fn table1_par(flows: &[FlowRecord], workers: usize) -> Table1 {
 
 /// Figure 2: per-country volume & customer shares.
 pub fn fig2(flows: &[FlowRecord], enr: &Enrichment) -> Fig2 {
-    fig2_par(flows, enr, 1)
-}
-
-/// [`fig2`] on `workers` threads; identical output at any count.
-pub fn fig2_par(flows: &[FlowRecord], enr: &Enrichment, workers: usize) -> Fig2 {
     let _span = satwatch_telemetry::span("analytics_fig2_us");
-    let (vol, total) = ordered_par_fold(
-        workers,
-        flows,
-        |chunk| {
-            let mut vol: FxHashMap<Country, u64> = FxHashMap::default();
-            let mut total = 0u64;
-            for f in chunk {
-                if let Some(c) = enr.country(f.client) {
-                    let b = flow_bytes(f);
-                    *vol.entry(c).or_default() += b;
-                    total += b;
-                }
-            }
-            (vol, total)
-        },
-        |(mut a, at), (b, bt)| {
-            for (k, v) in b {
-                *a.entry(k).or_default() += v;
-            }
-            (a, at + bt)
-        },
-    );
+    let mut vol: FxHashMap<Country, u64> = FxHashMap::default();
+    let mut total = 0u64;
+    for f in flows {
+        if let Some(c) = enr.country(f.client) {
+            let b = flow_bytes(f);
+            *vol.entry(c).or_default() += b;
+            total += b;
+        }
+    }
     let total_customers: usize = enr.country_of.len();
     let mut rows: Vec<(Country, f64, f64, f64)> = Country::ALL
         .into_iter()
@@ -200,34 +162,13 @@ pub fn fig2_par(flows: &[FlowRecord], enr: &Enrichment, workers: usize) -> Fig2 
 
 /// Figure 3: protocol share per country (descending volume order).
 pub fn fig3(flows: &[FlowRecord], enr: &Enrichment) -> Fig3 {
-    fig3_par(flows, enr, 1)
-}
-
-/// [`fig3`] on `workers` threads; identical output at any count.
-pub fn fig3_par(flows: &[FlowRecord], enr: &Enrichment, workers: usize) -> Fig3 {
     let _span = satwatch_telemetry::span("analytics_fig3_us");
-    let vol = ordered_par_fold(
-        workers,
-        flows,
-        |chunk| {
-            let mut vol: FxHashMap<Country, FxHashMap<L7Protocol, u64>> = FxHashMap::default();
-            for f in chunk {
-                if let Some(c) = enr.country(f.client) {
-                    *vol.entry(c).or_default().entry(f.l7).or_default() += flow_bytes(f);
-                }
-            }
-            vol
-        },
-        |mut a, b| {
-            for (c, protos) in b {
-                let dst = a.entry(c).or_default();
-                for (p, v) in protos {
-                    *dst.entry(p).or_default() += v;
-                }
-            }
-            a
-        },
-    );
+    let mut vol: FxHashMap<Country, FxHashMap<L7Protocol, u64>> = FxHashMap::default();
+    for f in flows {
+        if let Some(c) = enr.country(f.client) {
+            *vol.entry(c).or_default().entry(f.l7).or_default() += flow_bytes(f);
+        }
+    }
     let mut rows: Vec<(Country, Vec<(L7Protocol, f64)>)> = vol
         .into_iter()
         .map(|(c, protos)| {
@@ -243,39 +184,17 @@ pub fn fig3_par(flows: &[FlowRecord], enr: &Enrichment, workers: usize) -> Fig3 
     Fig3 { rows }
 }
 
-/// Figure 4: hourly traffic profile normalised per country.
+/// Figure 4: hourly traffic profile normalised per country. Byte
+/// counts accumulate in `u64` and only become `f64` at the final
+/// normalisation.
 pub fn fig4(flows: &[FlowRecord], enr: &Enrichment) -> Fig4 {
-    fig4_par(flows, enr, 1)
-}
-
-/// [`fig4`] on `workers` threads; identical output at any count.
-/// Byte counts accumulate in `u64` (exact and associative) and only
-/// become `f64` at the final normalisation, so the parallel reduce
-/// cannot drift from the serial fold by rounding.
-pub fn fig4_par(flows: &[FlowRecord], enr: &Enrichment, workers: usize) -> Fig4 {
     let _span = satwatch_telemetry::span("analytics_fig4_us");
-    let by_hour = ordered_par_fold(
-        workers,
-        flows,
-        |chunk| {
-            let mut by: FxHashMap<Country, [u64; 24]> = FxHashMap::default();
-            for f in chunk {
-                if let Some(c) = enr.country(f.client) {
-                    by.entry(c).or_insert([0; 24])[f.first.hour_of_day() as usize] += flow_bytes(f);
-                }
-            }
-            by
-        },
-        |mut a, b| {
-            for (c, hours) in b {
-                let dst = a.entry(c).or_insert([0; 24]);
-                for (d, h) in dst.iter_mut().zip(hours) {
-                    *d += h;
-                }
-            }
-            a
-        },
-    );
+    let mut by_hour: FxHashMap<Country, [u64; 24]> = FxHashMap::default();
+    for f in flows {
+        if let Some(c) = enr.country(f.client) {
+            by_hour.entry(c).or_insert([0; 24])[f.first.hour_of_day() as usize] += flow_bytes(f);
+        }
+    }
     let mut rows: Vec<(Country, [f64; 24])> = by_hour
         .into_iter()
         .map(|(c, bytes)| {
@@ -318,52 +237,26 @@ impl CustomerDay {
 
 /// Roll flows up into per-(client, day) summaries.
 pub fn customer_days(flows: &[FlowRecord], classifier: &Classifier) -> FxHashMap<(Ipv4Addr, u64), CustomerDay> {
-    customer_days_par(flows, classifier, 1)
-}
-
-/// [`customer_days`] on `workers` threads; identical output at any count.
-pub fn customer_days_par(
-    flows: &[FlowRecord],
-    classifier: &Classifier,
-    workers: usize,
-) -> FxHashMap<(Ipv4Addr, u64), CustomerDay> {
     let _span = satwatch_telemetry::span("analytics_customer_days_us");
-    ordered_par_fold(
-        workers,
-        flows,
-        |chunk| {
-            let mut map: FxHashMap<(Ipv4Addr, u64), CustomerDay> = FxHashMap::default();
-            // SNIs are interned, so the distinct-handle count is tiny;
-            // memoizing per handle skips the pattern scan on repeats
-            // without changing any verdict (classification is pure).
-            let mut cache = ClassifyCache::default();
-            for f in chunk {
-                let day = f.first.as_secs() / SECS_PER_DAY;
-                let e = map.entry((f.client, day)).or_default();
-                e.flows += 1;
-                e.down += f.s2c_bytes;
-                e.up += f.c2s_bytes;
-                if let Some(domain) = &f.domain {
-                    if let Some((svc, cat)) = classifier.classify_cached(domain, &mut cache) {
-                        *e.by_category.entry(cat).or_default() += flow_bytes(f);
-                        e.services.insert(svc);
-                    }
-                }
+    let mut map: FxHashMap<(Ipv4Addr, u64), CustomerDay> = FxHashMap::default();
+    // SNIs are interned, so the distinct-handle count is tiny;
+    // memoizing per handle skips the pattern scan on repeats
+    // without changing any verdict (classification is pure).
+    let mut cache = ClassifyCache::default();
+    for f in flows {
+        let day = f.first.as_secs() / SECS_PER_DAY;
+        let e = map.entry((f.client, day)).or_default();
+        e.flows += 1;
+        e.down += f.s2c_bytes;
+        e.up += f.c2s_bytes;
+        if let Some(domain) = &f.domain {
+            if let Some((svc, cat)) = classifier.classify_cached(domain, &mut cache) {
+                *e.by_category.entry(cat).or_default() += flow_bytes(f);
+                e.services.insert(svc);
             }
-            map
-        },
-        |mut a, b| {
-            for (k, cd) in b {
-                match a.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().absorb(cd),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(cd);
-                    }
-                }
-            }
-            a
-        },
-    )
+        }
+    }
+    map
 }
 
 /// Threshold defining an *active* customer-day (paper §4: ≥ 250 flows).
@@ -917,17 +810,10 @@ mod tests {
         assert!(is_peak(13) && is_peak(19) && !is_peak(20) && !is_peak(12));
     }
 
+    /// The one record-slice fold that still takes a worker count.
     #[test]
     fn parallel_aggregations_match_serial() {
-        let mut flows = Vec::new();
-        for i in 0..211u32 {
-            let c = client(1 + (i % 2) as u8);
-            let l7 = if i % 3 == 0 { L7Protocol::Quic } else { L7Protocol::TlsHttps };
-            let domain = if i % 4 == 0 { Some("video.tiktokv.com") } else { None };
-            flows.push(flow(c, l7, 1_000 + u64::from(i) * 7, 100 + u64::from(i), i % 24, domain));
-        }
         let enr = enrichment();
-        let classifier = Classifier::standard();
         let dns: Vec<DnsRecord> = (0..50)
             .map(|i| DnsRecord {
                 client: client(1 + (i % 2) as u8),
@@ -938,13 +824,7 @@ mod tests {
                 answers: vec![],
             })
             .collect();
-        let days_serial = customer_days(&flows, &classifier);
         for workers in [2, 3, 8] {
-            assert_eq!(format!("{:?}", table1(&flows)), format!("{:?}", table1_par(&flows, workers)));
-            assert_eq!(format!("{:?}", fig2(&flows, &enr)), format!("{:?}", fig2_par(&flows, &enr, workers)));
-            assert_eq!(format!("{:?}", fig3(&flows, &enr)), format!("{:?}", fig3_par(&flows, &enr, workers)));
-            assert_eq!(format!("{:?}", fig4(&flows, &enr)), format!("{:?}", fig4_par(&flows, &enr, workers)));
-            assert_eq!(days_serial, customer_days_par(&flows, &classifier, workers));
             assert_eq!(
                 format!("{:?}", fig10(&dns, &enr, &[Country::Congo, Country::Spain])),
                 format!("{:?}", fig10_par(&dns, &enr, &[Country::Congo, Country::Spain], workers)),

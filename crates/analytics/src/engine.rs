@@ -1,6 +1,6 @@
 //! Columnar analytics engine: every paper table/figure as a fold over
-//! a [`FlowFrame`], plus the fused [`report_all`] sweep that fills all
-//! of them in a single pass.
+//! a [`FlowFrame`], filled together by the fused [`report_all`] sweep
+//! (or, frame by frame, by [`ReportFold`]) — the one way in.
 //!
 //! Each figure is an accumulator with three operations — `absorb` a
 //! row, `merge` two partials in chunk order, `finish` into the typed
@@ -36,16 +36,9 @@ use std::net::Ipv4Addr;
 const N_PROTO: usize = L7Protocol::ALL.len();
 const N_COUNTRY: usize = Country::ALL.len();
 
-/// Shared context for every per-figure fold: the enrichment tables
-/// and the country selection. One struct instead of the three ad-hoc
-/// call conventions the engine grew historically (`(fr, workers)` vs
-/// `(fr, enr, workers)` vs `(fr, enr, countries, workers)`): every
-/// `*_frame` entry point now takes `(fr, ctx, workers)`, with
-/// genuinely per-figure inputs (the Fig 6 service list, the Table 2
-/// DNS log and flow floor) remaining explicit parameters.
-///
-/// Figures that need only part of the context simply ignore the rest
-/// — building a `ReportCtx` costs two pointers.
+/// Shared context of the fold: the enrichment tables and the country
+/// selection. Genuinely per-figure inputs (the Fig 6 service list, the
+/// Table 2 DNS log and flow floor) stay explicit parameters.
 #[derive(Clone, Copy)]
 pub struct ReportCtx<'a> {
     pub enrichment: &'a Enrichment,
@@ -105,12 +98,6 @@ impl Table1Acc {
     }
 }
 
-/// [`agg::table1`] as a frame fold (`ctx` unused — kept for the
-/// uniform `(fr, ctx, workers)` convention).
-pub fn table1_frame(fr: &FlowFrame, _ctx: ReportCtx<'_>, workers: usize) -> Table1 {
-    fold_rows(fr.len(), workers, |a: &mut Table1Acc, i| a.absorb(fr, i), Table1Acc::merge).finish()
-}
-
 // ---------------------------------------------------------------- Figure 2
 
 #[derive(Default)]
@@ -160,11 +147,6 @@ impl Fig2Acc {
         rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         Fig2 { rows }
     }
-}
-
-/// [`agg::fig2`] as a frame fold.
-pub fn fig2_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, workers: usize) -> Fig2 {
-    fold_rows(fr.len(), workers, |a: &mut Fig2Acc, i| a.absorb(fr, i), Fig2Acc::merge).finish(ctx.enrichment)
 }
 
 // ---------------------------------------------------------------- Figure 3
@@ -221,11 +203,6 @@ impl Fig3Acc {
     }
 }
 
-/// [`agg::fig3`] as a frame fold.
-pub fn fig3_frame(fr: &FlowFrame, _ctx: ReportCtx<'_>, workers: usize) -> Fig3 {
-    fold_rows(fr.len(), workers, |a: &mut Fig3Acc, i| a.absorb(fr, i), Fig3Acc::merge).finish()
-}
-
 // ---------------------------------------------------------------- Figure 4
 
 struct Fig4Acc {
@@ -276,11 +253,6 @@ impl Fig4Acc {
             .collect();
         Fig4 { rows }
     }
-}
-
-/// [`agg::fig4`] as a frame fold.
-pub fn fig4_frame(fr: &FlowFrame, _ctx: ReportCtx<'_>, workers: usize) -> Fig4 {
-    fold_rows(fr.len(), workers, |a: &mut Fig4Acc, i| a.absorb(fr, i), Fig4Acc::merge).finish()
 }
 
 // ------------------------------------------------- customer-days (Fig 5–7)
@@ -381,7 +353,8 @@ impl DaysAcc {
     }
 }
 
-/// The customer-day rollup behind Figures 5–7.
+/// The customer-day rollup behind Figures 5–7: [`agg::customer_days`]
+/// rebuilt from the frame's pre-resolved category/service columns.
 type CustomerDays = FxHashMap<(Ipv4Addr, u64), CustomerDay>;
 
 /// Add the customer-days of a later frame. Every field is an exact
@@ -396,28 +369,6 @@ fn merge_customer_days(days: &mut CustomerDays, later: CustomerDays) {
             }
         }
     }
-}
-
-/// [`agg::customer_days`] rebuilt from the frame's pre-resolved
-/// category/service columns — no classifier in sight.
-pub fn customer_days_frame(fr: &FlowFrame, workers: usize) -> FxHashMap<(Ipv4Addr, u64), CustomerDay> {
-    fold_rows(fr.len(), workers, |a: &mut DaysAcc, i| a.absorb(fr, i), DaysAcc::merge).finish(fr)
-}
-
-/// [`agg::fig5`] from a frame-built customer-day rollup.
-pub fn fig5_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, workers: usize) -> Fig5 {
-    agg::fig5(&customer_days_frame(fr, workers), ctx.enrichment)
-}
-
-/// [`agg::fig6`] from a frame-built customer-day rollup. The service
-/// list is genuinely per-figure, so it stays an explicit parameter.
-pub fn fig6_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, services: &[&'static str], workers: usize) -> Fig6 {
-    agg::fig6(&customer_days_frame(fr, workers), ctx.enrichment, services, ctx.countries)
-}
-
-/// [`agg::fig7`] from a frame-built customer-day rollup.
-pub fn fig7_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, workers: usize) -> Fig7 {
-    agg::fig7(&customer_days_frame(fr, workers), ctx.enrichment, ctx.countries)
 }
 
 // --------------------------------------------------------------- Figure 8a
@@ -474,11 +425,6 @@ impl Fig8aAcc {
     }
 }
 
-/// [`agg::fig8a`] as a frame fold.
-pub fn fig8a_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, workers: usize) -> Fig8a {
-    fold_rows(fr.len(), workers, |a: &mut Fig8aAcc, i| a.absorb(fr, i), Fig8aAcc::merge).finish(ctx.countries)
-}
-
 // --------------------------------------------------------------- Figure 8b
 
 #[derive(Default)]
@@ -516,11 +462,6 @@ impl Fig8bAcc {
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         Fig8b { rows }
     }
-}
-
-/// [`agg::fig8b`] as a frame fold.
-pub fn fig8b_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, workers: usize) -> Fig8b {
-    fold_rows(fr.len(), workers, |a: &mut Fig8bAcc, i| a.absorb(fr, i), Fig8bAcc::merge).finish(ctx.enrichment)
 }
 
 // ---------------------------------------------------------------- Figure 9
@@ -568,11 +509,6 @@ impl Fig9Acc {
             .collect();
         Fig9 { rows }
     }
-}
-
-/// [`agg::fig9`] as a frame fold.
-pub fn fig9_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, workers: usize) -> Fig9 {
-    fold_rows(fr.len(), workers, |a: &mut Fig9Acc, i| a.absorb(fr, i), Fig9Acc::merge).finish(ctx.countries)
 }
 
 // --------------------------------------------------------------- Figure 11
@@ -644,11 +580,6 @@ impl Fig11Acc {
             .collect();
         Fig11 { rows }
     }
-}
-
-/// [`agg::fig11`] as a frame fold.
-pub fn fig11_frame(fr: &FlowFrame, ctx: ReportCtx<'_>, workers: usize) -> Fig11 {
-    fold_rows(fr.len(), workers, |a: &mut Fig11Acc, i| a.absorb(fr, i), Fig11Acc::merge).finish(ctx.countries)
 }
 
 // ------------------------------------------------------- Table 2 (DNS join)
@@ -790,9 +721,10 @@ impl CdnAcc {
     }
 }
 
-/// [`agg::table_cdn_selection`] as a frame fold over a pre-built
-/// [`CdnJoin`]. The DNS log and the minimum-flow floor are join
-/// inputs, not report context, so they stay explicit.
+/// [`agg::table_cdn_selection`] as a frame fold of its own: Table 2 at
+/// another flow floor than the fused sweep's (the CSV export's). The
+/// DNS log and the minimum-flow floor are join inputs, not report
+/// context, so they stay explicit.
 pub fn table_cdn_frame(
     fr: &FlowFrame,
     dns: &[DnsRecord],
@@ -1074,32 +1006,33 @@ mod tests {
         let dns = sample_dns();
         let enr = enrichment();
         let fr = FlowFrame::from_records(&flows, &enr);
-        let classifier = Classifier::standard();
+        let days = agg::customer_days(&flows, &Classifier::standard());
         let top = [Country::Congo, Country::Spain];
+        let services = ["Tiktok", "Google"];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
         for workers in [1, 3] {
-            assert_eq!(format!("{:?}", agg::table1(&flows)), format!("{:?}", table1_frame(&fr, ctx, workers)));
-            assert_eq!(format!("{:?}", agg::fig2(&flows, &enr)), format!("{:?}", fig2_frame(&fr, ctx, workers)));
-            assert_eq!(format!("{:?}", agg::fig3(&flows, &enr)), format!("{:?}", fig3_frame(&fr, ctx, workers)));
-            assert_eq!(format!("{:?}", agg::fig4(&flows, &enr)), format!("{:?}", fig4_frame(&fr, ctx, workers)));
-            assert_eq!(agg::customer_days(&flows, &classifier), customer_days_frame(&fr, workers));
-            assert_eq!(
-                format!("{:?}", agg::fig8a(&flows, &enr, &top)),
-                format!("{:?}", fig8a_frame(&fr, ctx, workers))
-            );
-            assert_eq!(format!("{:?}", agg::fig8b(&flows, &enr)), format!("{:?}", fig8b_frame(&fr, ctx, workers)));
-            assert_eq!(format!("{:?}", agg::fig9(&flows, &enr, &top)), format!("{:?}", fig9_frame(&fr, ctx, workers)));
-            assert_eq!(
-                format!("{:?}", agg::fig11(&flows, &enr, &top)),
-                format!("{:?}", fig11_frame(&fr, ctx, workers))
-            );
+            let all = report_all(&fr, &dns, ctx, &services, 1, workers);
+            assert_eq!(format!("{:?}", agg::table1(&flows)), format!("{:?}", all.table1));
+            assert_eq!(format!("{:?}", agg::fig2(&flows, &enr)), format!("{:?}", all.fig2));
+            assert_eq!(format!("{:?}", agg::fig3(&flows, &enr)), format!("{:?}", all.fig3));
+            assert_eq!(format!("{:?}", agg::fig4(&flows, &enr)), format!("{:?}", all.fig4));
+            assert_eq!(format!("{:?}", agg::fig5(&days, &enr)), format!("{:?}", all.fig5));
+            assert_eq!(format!("{:?}", agg::fig6(&days, &enr, &services, &top)), format!("{:?}", all.fig6));
+            assert_eq!(format!("{:?}", agg::fig7(&days, &enr, &top)), format!("{:?}", all.fig7));
+            assert_eq!(format!("{:?}", agg::fig8a(&flows, &enr, &top)), format!("{:?}", all.fig8a));
+            assert_eq!(format!("{:?}", agg::fig8b(&flows, &enr)), format!("{:?}", all.fig8b));
+            assert_eq!(format!("{:?}", agg::fig9(&flows, &enr, &top)), format!("{:?}", all.fig9));
+            assert_eq!(format!("{:?}", agg::fig10(&dns, &enr, &top)), format!("{:?}", all.fig10));
+            assert_eq!(format!("{:?}", agg::fig11(&flows, &enr, &top)), format!("{:?}", all.fig11));
             assert_eq!(
                 format!("{:?}", agg::table_cdn_selection(&flows, &dns, &enr, &top, 1)),
-                format!("{:?}", table_cdn_frame(&fr, &dns, ctx, 1, workers))
+                format!("{:?}", all.table2)
             );
         }
     }
 
+    /// The one fold that still runs on its own — Table 2 at the CSV
+    /// export's floor — is the fused sweep's Table 2 at that floor.
     #[test]
     fn fused_sweep_matches_individual_folds() {
         let flows = sample_flows();
@@ -1107,15 +1040,10 @@ mod tests {
         let enr = enrichment();
         let fr = FlowFrame::from_records(&flows, &enr);
         let top = [Country::Congo, Country::Spain];
-        let services = ["Tiktok", "Google"];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
-        for workers in [1, 4] {
-            let all = report_all(&fr, &dns, ctx, &services, 1, workers);
-            assert_eq!(format!("{:?}", all.table1), format!("{:?}", table1_frame(&fr, ctx, 1)));
-            assert_eq!(format!("{:?}", all.fig4), format!("{:?}", fig4_frame(&fr, ctx, 1)));
-            assert_eq!(format!("{:?}", all.fig9), format!("{:?}", fig9_frame(&fr, ctx, 1)));
-            assert_eq!(format!("{:?}", all.table2), format!("{:?}", table_cdn_frame(&fr, &dns, ctx, 1, 1)));
-            assert_eq!(format!("{:?}", all.fig6), format!("{:?}", fig6_frame(&fr, ctx, &services, 1)));
+        for (floor, workers) in [(1, 1), (1, 4), (20, 1), (20, 4)] {
+            let all = report_all(&fr, &dns, ctx, &["Tiktok", "Google"], floor, workers);
+            assert_eq!(format!("{:?}", all.table2), format!("{:?}", table_cdn_frame(&fr, &dns, ctx, floor, 1)));
             assert!(!all.render_all().is_empty());
         }
     }

@@ -205,8 +205,8 @@ impl FlowFrame {
     }
 
     /// Tile the frame `n` times: rows `0..len` repeated back to back.
-    /// Used by `bench --replicate` to scale the analytics workload
-    /// without changing the dataset; equals building a frame from the
+    /// `satbench`'s `warehouse_scan` scales the analytics workload this
+    /// way without changing the dataset; equals building a frame from the
     /// record slice repeated `n` times.
     pub fn replicate(&self, n: usize) -> FlowFrame {
         let mut out = self.clone();

@@ -7,19 +7,20 @@
 //!
 //! * [`classify`] — Table 3 classifier + second-level-domain
 //!   extraction (two-label TLD aware).
-//! * [`agg`] — aggregation builders from monitor records to reports.
+//! * [`agg`] — one plain pass over the record slice per figure: the
+//!   reference the engine is pinned to, and what log replay runs.
 //! * [`frame`] — struct-of-arrays [`FlowFrame`] with pre-resolved
 //!   enrichment columns, buildable incrementally from an eviction
 //!   stream.
-//! * [`engine`] — every figure as a fold over the frame, plus the
-//!   fused [`report_all`] single-pass sweep.
+//! * [`engine`] — every figure as a fold over the frame, all filled by
+//!   the fused [`report_all`] single-pass sweep: production.
 //! * [`expr`] / [`query`] — the aggregation-pipeline DSL: JSON-parsed
 //!   `match → group → project → sort → limit` pipelines compiled
 //!   against the frame with small-int predicate pushdown and a
 //!   deterministic parallel group-by (DESIGN.md §11).
 //! * [`segment`] — on-disk columnar `.swseg` segments: one sealed
 //!   frame per file with per-column checksums, the campaign engine's
-//!   spill format (DESIGN.md §14).
+//!   spill format (DESIGN.md §12).
 //! * [`report`] — typed report structs with text renderers.
 //! * [`topdomains`] — the top-domain rankings behind the paper's
 //!   manual service-list curation.

@@ -1147,7 +1147,7 @@ pub mod paper {
     }
 
     /// Table 1 through the DSL; byte-identical to
-    /// [`crate::engine::table1_frame`].
+    /// [`crate::engine::report_all`]'s `table1`.
     pub fn table1_via_query(fr: &FlowFrame, workers: usize) -> Result<Table1, QueryError> {
         let t = run(fr, &Pipeline::parse(TABLE1_PIPELINE)?, workers)?;
         let mut by = [0u64; L7Protocol::ALL.len()];
@@ -1165,7 +1165,7 @@ pub mod paper {
     }
 
     /// Figure 2 through the DSL; byte-identical to
-    /// [`crate::engine::fig2_frame`].
+    /// [`crate::engine::report_all`]'s `fig2`.
     pub fn fig2_via_query(fr: &FlowFrame, enr: &Enrichment, workers: usize) -> Result<Fig2, QueryError> {
         let t = run(fr, &Pipeline::parse(FIG2_PIPELINE)?, workers)?;
         let mut vol = [0u64; Country::ALL.len()];
@@ -1201,7 +1201,7 @@ pub mod paper {
     }
 
     /// Figure 3 through the DSL; byte-identical to
-    /// [`crate::engine::fig3_frame`].
+    /// [`crate::engine::report_all`]'s `fig3`.
     pub fn fig3_via_query(fr: &FlowFrame, workers: usize) -> Result<Fig3, QueryError> {
         let t = run(fr, &Pipeline::parse(FIG3_PIPELINE)?, workers)?;
         const N_PROTO: usize = L7Protocol::ALL.len();
@@ -1232,7 +1232,7 @@ pub mod paper {
     }
 
     /// Figure 4 through the DSL; byte-identical to
-    /// [`crate::engine::fig4_frame`].
+    /// [`crate::engine::report_all`]'s `fig4`.
     pub fn fig4_via_query(fr: &FlowFrame, workers: usize) -> Result<Fig4, QueryError> {
         let t = run(fr, &Pipeline::parse(FIG4_PIPELINE)?, workers)?;
         let mut by = [[0u64; 24]; Country::ALL.len()];

@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 use satwatch_analytics::agg::{self, Enrichment};
-use satwatch_analytics::engine::{
-    fig11_frame, fig2_frame, fig8a_frame, fig9_frame, table1_frame, table_cdn_frame, ReportCtx,
-};
+use satwatch_analytics::engine::{report_all, table_cdn_frame, ReportCtx};
 use satwatch_analytics::frame::FrameBuilder;
 use satwatch_analytics::{encode_segment, Classifier, FlowFrame};
 use satwatch_monitor::record::RttSummary;
@@ -110,34 +108,26 @@ proptest! {
         let fr = FlowFrame::from_records(&flows, &enr);
         let top = [Country::Congo, Country::Spain, Country::Nigeria];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
-        prop_assert_eq!(
-            format!("{:?}", agg::table1(&flows)),
-            format!("{:?}", table1_frame(&fr, ctx, workers))
-        );
-        prop_assert_eq!(
-            format!("{:?}", agg::fig2(&flows, &enr)),
-            format!("{:?}", fig2_frame(&fr, ctx, workers))
-        );
-        prop_assert_eq!(
-            format!("{:?}", agg::fig8a(&flows, &enr, &top)),
-            format!("{:?}", fig8a_frame(&fr, ctx, workers))
-        );
-        prop_assert_eq!(
-            format!("{:?}", agg::fig9(&flows, &enr, &top)),
-            format!("{:?}", fig9_frame(&fr, ctx, workers))
-        );
-        prop_assert_eq!(
-            format!("{:?}", agg::fig11(&flows, &enr, &top)),
-            format!("{:?}", fig11_frame(&fr, ctx, workers))
-        );
+        // the fused sweep — the path production runs — against one
+        // record pass per figure
+        let services = ["Tiktok", "Google"];
+        let all = report_all(&fr, &[], ctx, &services, 1, workers);
+        let days = agg::customer_days(&flows, &Classifier::standard());
+        prop_assert_eq!(format!("{:?}", agg::table1(&flows)), format!("{:?}", all.table1));
+        prop_assert_eq!(format!("{:?}", agg::fig2(&flows, &enr)), format!("{:?}", all.fig2));
+        prop_assert_eq!(format!("{:?}", agg::fig3(&flows, &enr)), format!("{:?}", all.fig3));
+        prop_assert_eq!(format!("{:?}", agg::fig4(&flows, &enr)), format!("{:?}", all.fig4));
+        // Figs 5-7 are functions of the customer-day rollup alone
+        prop_assert_eq!(format!("{:?}", agg::fig5(&days, &enr)), format!("{:?}", all.fig5));
+        prop_assert_eq!(format!("{:?}", agg::fig6(&days, &enr, &services, &top)), format!("{:?}", all.fig6));
+        prop_assert_eq!(format!("{:?}", agg::fig7(&days, &enr, &top)), format!("{:?}", all.fig7));
+        prop_assert_eq!(format!("{:?}", agg::fig8a(&flows, &enr, &top)), format!("{:?}", all.fig8a));
+        prop_assert_eq!(format!("{:?}", agg::fig8b(&flows, &enr)), format!("{:?}", all.fig8b));
+        prop_assert_eq!(format!("{:?}", agg::fig9(&flows, &enr, &top)), format!("{:?}", all.fig9));
+        prop_assert_eq!(format!("{:?}", agg::fig11(&flows, &enr, &top)), format!("{:?}", all.fig11));
         prop_assert_eq!(
             format!("{:?}", agg::table_cdn_selection(&flows, &[], &enr, &top, 1)),
             format!("{:?}", table_cdn_frame(&fr, &[], ctx, 1, workers))
-        );
-        let classifier = Classifier::standard();
-        prop_assert_eq!(
-            agg::customer_days(&flows, &classifier),
-            satwatch_analytics::engine::customer_days_frame(&fr, workers)
         );
     }
 

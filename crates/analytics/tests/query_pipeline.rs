@@ -1,12 +1,11 @@
 //! End-to-end pipeline tests: every stage against hand-computed
 //! expectations on a synthetic frame, byte-identical output at every
 //! worker count, and the four paper figures re-expressed as pipelines
-//! pinned against the hand-rolled engine folds.
+//! pinned against the fused engine sweep production runs.
 
 use satwatch_analytics::agg::{self, Enrichment};
-use satwatch_analytics::engine::{fig2_frame, fig3_frame, fig4_frame, table1_frame, ReportCtx};
 use satwatch_analytics::query::{self, paper, run_with_stats};
-use satwatch_analytics::{FlowFrame, Pipeline};
+use satwatch_analytics::{report_all, FlowFrame, Pipeline, ReportCtx};
 use satwatch_monitor::record::RttSummary;
 use satwatch_monitor::{FlowRecord, L7Protocol};
 use satwatch_simcore::{SimDuration, SimTime};
@@ -195,24 +194,25 @@ fn paper_pipelines_match_engine_folds_on_synthetic_frame() {
     let enr = enrichment();
     let top = [Country::Congo, Country::Spain, Country::Nigeria];
     let ctx = ReportCtx { enrichment: &enr, countries: &top };
+    let engine = report_all(&fr, &[], ctx, &[], 1, 1);
     for workers in [1usize, 4] {
         assert_eq!(
-            format!("{:?}", table1_frame(&fr, ctx, 1)),
+            format!("{:?}", engine.table1),
             format!("{:?}", paper::table1_via_query(&fr, workers).unwrap()),
             "table1 workers={workers}"
         );
         assert_eq!(
-            format!("{:?}", fig2_frame(&fr, ctx, 1)),
+            format!("{:?}", engine.fig2),
             format!("{:?}", paper::fig2_via_query(&fr, &enr, workers).unwrap()),
             "fig2 workers={workers}"
         );
         assert_eq!(
-            format!("{:?}", fig3_frame(&fr, ctx, 1)),
+            format!("{:?}", engine.fig3),
             format!("{:?}", paper::fig3_via_query(&fr, workers).unwrap()),
             "fig3 workers={workers}"
         );
         assert_eq!(
-            format!("{:?}", fig4_frame(&fr, ctx, 1)),
+            format!("{:?}", engine.fig4),
             format!("{:?}", paper::fig4_via_query(&fr, workers).unwrap()),
             "fig4 workers={workers}"
         );

@@ -418,7 +418,7 @@ fn stamp_loop(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pieces of the borrowed probe path (ISSUE 13 / DESIGN.md §17),
+/// The pieces of the borrowed probe path (ISSUE 13 / DESIGN.md §14),
 /// each on its own so it has a trajectory outside the end-to-end wall:
 /// `observe_wire` over recorded frames (handshakes, data, ACKs, DNS —
 /// the same synthesized runs `stamp_loop_1k` walks, as wire bytes),

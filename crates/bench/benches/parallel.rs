@@ -1,14 +1,13 @@
 //! Parallel-pipeline benchmarks: the deterministic multi-core stages
-//! (intent generation, sharded probe, parallel aggregations) timed at
-//! 1/2/4/8 workers, plus the SipHash-vs-FxHash micro-comparison that
-//! motivated the in-tree hasher.
+//! (intent generation, sharded probe) timed at 1/2/4/8 workers, plus
+//! the SipHash-vs-FxHash micro-comparison that motivated the in-tree
+//! hasher.
 //!
 //! Every worker count produces the identical dataset (asserted in the
 //! setup), so these benches measure pure wall-time scaling.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use satwatch_analytics::agg;
-use satwatch_bench::{bench_config, standard_dataset};
+use satwatch_bench::bench_config;
 use satwatch_scenario::run;
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -33,24 +32,6 @@ fn scenario_scaling(c: &mut Criterion) {
         // determinism cross-check before timing
         assert_eq!(run(cfg).packets, packets, "worker count changed the dataset");
         group.bench_function(&format!("fig2_workload_workers_{w}"), |b| b.iter(|| black_box(run(cfg).packets)));
-    }
-    group.finish();
-}
-
-/// The parallel aggregations over the shared standard dataset.
-fn agg_scaling(c: &mut Criterion) {
-    let ds = standard_dataset();
-    let mut group = c.benchmark_group("agg");
-    group.throughput(Throughput::Elements(ds.flows.len() as u64));
-    for &w in WORKER_COUNTS {
-        group.bench_function(&format!("table1_workers_{w}"), |b| b.iter(|| black_box(agg::table1_par(&ds.flows, w))));
-        group.bench_function(&format!("fig2_workers_{w}"), |b| {
-            b.iter(|| black_box(agg::fig2_par(&ds.flows, &ds.enrichment, w)))
-        });
-        group.bench_function(&format!("customer_days_workers_{w}"), |b| {
-            let classifier = satwatch_analytics::Classifier::standard();
-            b.iter(|| black_box(agg::customer_days_par(&ds.flows, &classifier, w)))
-        });
     }
     group.finish();
 }
@@ -119,6 +100,6 @@ fn par_map_overhead(c: &mut Criterion) {
 criterion_group! {
     name = parallel;
     config = Criterion::default();
-    targets = scenario_scaling, agg_scaling, hasher_comparison, par_map_overhead
+    targets = scenario_scaling, hasher_comparison, par_map_overhead
 }
 criterion_main!(parallel);

@@ -1,6 +1,6 @@
 //! # satwatch-campaign
 //!
-//! Checkpointed multi-day campaign runner (DESIGN.md §14). The paper's
+//! Checkpointed multi-day campaign runner (DESIGN.md §12). The paper's
 //! vantage point observed traffic continuously for ~75 days; this
 //! crate makes such runs practical by never holding more than one day
 //! of evicted flows in memory and by surviving `kill -9` at any

@@ -21,7 +21,13 @@ pub enum ArgError {
     MissingCommand,
     UnexpectedToken(String),
     MissingValue(String),
-    BadValue { key: String, value: String },
+    BadValue {
+        key: String,
+        value: String,
+    },
+    /// An option no command reads — a typo or a removed option. It is
+    /// an error so it cannot silently run the defaults.
+    UnknownOption(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -31,6 +37,7 @@ impl std::fmt::Display for ArgError {
             ArgError::UnexpectedToken(t) => write!(f, "unexpected token: {t}"),
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::BadValue { key, value } => write!(f, "bad value for --{key}: {value}"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option --{k}"),
         }
     }
 }
@@ -38,48 +45,31 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Option keys that are boolean flags (no value).
-const FLAGS: &[&str] = &["no-pep", "african-gs", "force-operator-dns", "smoke", "help", "no-metrics", "print-rss"];
+pub const FLAGS: &[&str] = &["no-pep", "african-gs", "force-operator-dns", "help", "no-metrics", "print-rss"];
 
-/// How a command obtains the analytics inputs — the one shared
-/// `--report-mode` vocabulary for `report`, `bench`, and `query`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReportMode {
-    /// Record path: `Vec<FlowRecord>` + slice-based `agg` passes.
-    Records,
-    /// Batch columnar: run, then build the frame from records.
-    #[default]
-    Columnar,
-    /// Streaming columnar: frames built from the eviction stream,
-    /// no record vector ever materialized.
-    Streaming,
-}
-
-impl ReportMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            ReportMode::Records => "records",
-            ReportMode::Columnar => "columnar",
-            ReportMode::Streaming => "streaming",
-        }
-    }
-}
-
-impl std::str::FromStr for ReportMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ReportMode, String> {
-        match s {
-            "records" => Ok(ReportMode::Records),
-            "columnar" => Ok(ReportMode::Columnar),
-            "streaming" => Ok(ReportMode::Streaming),
-            other => Err(format!("unknown report mode: {other} (expected records|columnar|streaming)")),
-        }
-    }
-}
-
-/// The single help string for `--report-mode`, shared verbatim by
-/// every subcommand that accepts it.
-pub const REPORT_MODE_HELP: &str = "--report-mode M   analytics input: records | columnar (default) | streaming";
+/// Option keys that take a value. With [`FLAGS`], every name some
+/// command reads: [`Args::parse`] rejects anything else.
+pub const OPTIONS: &[&str] = &[
+    "customers",
+    "days",
+    "seed",
+    "threads",
+    "shards",
+    "figure",
+    "csv",
+    "out",
+    "logs",
+    "pcap",
+    "snaplen",
+    "pipeline",
+    "pipeline-file",
+    "format",
+    "n",
+    "resume",
+    "abort-after-day",
+    "metrics-out",
+    "metrics-interval",
+];
 
 impl Args {
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ArgError> {
@@ -99,9 +89,11 @@ impl Args {
             };
             if FLAGS.contains(&key) {
                 flags.push(key.to_string());
-            } else {
+            } else if OPTIONS.contains(&key) {
                 let value = it.next().ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
                 options.insert(key.to_string(), value);
+            } else {
+                return Err(ArgError::UnknownOption(key.to_string()));
             }
         }
         Ok(Args { command, options, flags })
@@ -120,11 +112,6 @@ impl Args {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ArgError::BadValue { key: key.to_string(), value: v.clone() }),
         }
-    }
-
-    /// The shared `--report-mode` option (default [`ReportMode::Columnar`]).
-    pub fn report_mode(&self) -> Result<ReportMode, ArgError> {
-        self.get_parsed("report-mode", ReportMode::default())
     }
 }
 
@@ -165,15 +152,14 @@ mod tests {
         assert_eq!(parse(&["--help"]).unwrap().command, "help");
     }
 
+    /// A misspelt or removed option used to be stored and never read:
+    /// `report --customer 8` ran 300 customers.
     #[test]
-    fn report_mode_parses_and_defaults() {
-        let a = parse(&["report", "--report-mode", "streaming"]).unwrap();
-        assert_eq!(a.report_mode(), Ok(ReportMode::Streaming));
-        let a = parse(&["report"]).unwrap();
-        assert_eq!(a.report_mode(), Ok(ReportMode::Columnar));
-        let a = parse(&["report", "--report-mode", "rowwise"]).unwrap();
-        assert!(matches!(a.report_mode(), Err(ArgError::BadValue { .. })));
-        assert_eq!(ReportMode::Records.name(), "records");
+    fn an_option_no_command_reads_is_an_error() {
+        assert_eq!(parse(&["report", "--customer", "8"]), Err(ArgError::UnknownOption("customer".into())));
+        assert_eq!(parse(&["report", "--report-mode", "records"]), Err(ArgError::UnknownOption("report-mode".into())));
+        // an unknown flag does not swallow the token after it
+        assert_eq!(parse(&["bench", "--smoke", "--out", "x"]), Err(ArgError::UnknownOption("smoke".into())));
     }
 
     #[test]

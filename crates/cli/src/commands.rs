@@ -1,23 +1,19 @@
 //! Subcommand implementations for the `satwatch` binary.
 
-use crate::args::{Args, ReportMode, REPORT_MODE_HELP};
-use satwatch_analytics::{read_enrichment_log, write_enrichment_log, Enrichment, FlowFrame, ReportCtx};
+use crate::args::Args;
+use satwatch_analytics::{read_enrichment_log, write_enrichment_log, ReportCtx};
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
 use satwatch_monitor::record::{read_dns_log, read_flows, write_dns_log, write_flows};
-use satwatch_monitor::DnsRecord;
-use satwatch_scenario::{experiments, run, Dataset, ScenarioConfig};
+use satwatch_scenario::{experiments, run, run_streaming, ColumnarDataset, Dataset, ScenarioConfig};
 use satwatch_traffic::Country;
 use std::error::Error;
 use std::fs;
 use std::io::BufReader;
 use std::path::Path;
 
-/// The full help text. A function (not a const) so the one shared
-/// [`REPORT_MODE_HELP`] string can be spliced into every subcommand
-/// that accepts `--report-mode` — the three never drift apart.
-pub fn usage() -> String {
-    format!(
-        "\
+/// The full help text.
+pub fn usage() -> &'static str {
+    "\
 usage: satwatch <command> [options]
 
 commands:
@@ -25,23 +21,18 @@ commands:
                 --out DIR (default: satwatch-logs)
                 --pcap FILE [--snaplen N]   also write a pcap capture
   replay      re-run the analyses over logs written by `simulate`
-                --logs DIR --figure {{all|table1|…}}
-  report      run a scenario and render figures/tables
-                --figure {{all|table1|fig2|...|fig11|table2}}
-                {rm}
-                             records: per-figure passes over the flow
-                             record slice; columnar: batch frame build
-                             + fused one-pass sweep; streaming: frame
-                             fed by the eviction stream, records never
-                             materialised (same bytes out either way)
+                --logs DIR --figure {all|table1|fig2|fig9|fig10|fig11}
+  report      run a scenario and render figures/tables: evicted flows
+              feed the columnar frame as the run advances, one fused
+              sweep fills every output
+                --figure {all|table1|fig2|...|fig11|table2}
                 --csv DIR    also write plot-ready CSVs
   query       run an aggregation pipeline over the flow frame
                 --pipeline JSON        inline pipeline text
                 --pipeline-file FILE   pipeline from a JSON file
                                 (stages: match, group, project, sort,
                                  limit — see DESIGN.md §11)
-                --format {{text|csv|json}}  table rendering (default text)
-                {rm}
+                --format {text|csv|json}  table rendering (default text)
   profiles    fit and export ERRANT emulation profiles
                 --out FILE (default: stdout)
   ablations   compare baseline vs A1/A2/A3 what-ifs
@@ -53,7 +44,7 @@ commands:
               day is sealed to an on-disk columnar segment and the
               probe state is checkpointed, so `kill -9` at any moment
               loses at most one day — resuming reproduces the exact
-              bytes of an uninterrupted run (DESIGN.md §14)
+              bytes of an uninterrupted run (DESIGN.md §12)
                 --out DIR            directory for a new campaign
                                      (default: satwatch-campaign)
                 --resume DIR         continue the campaign in DIR;
@@ -67,19 +58,7 @@ commands:
                                      (--metrics-out appends one JSON
                                       delta snapshot per sealed day
                                       instead of one final snapshot)
-  bench       time the pipeline at 1/2/4/8 workers, append JSON results
-                --out FILE (default: BENCH_parallel.json; entries
-                          accumulate — history is never overwritten)
-                --change TEXT  one-line description of the change this
-                          run measures (stored next to the git rev)
-                {rm}
-                --replicate N  tile the dataset N× before analytics so
-                          analytics_ms is measurable (default 1)
-                --smoke   tiny single-worker workload; exercises the
-                          bench path in CI without meaningful timings
-                          and diffs its digests against the naive
-                          single-heap reference run
-  help        show this message
+  help        show this message (so does --help on any command)
 
 scenario options (all commands):
   --customers N          number of CPEs (default 300)
@@ -105,9 +84,7 @@ observability (all commands):
                          artifacts are byte-identical either way)
   --print-rss            print `peak_rss_process_bytes: N` to stderr
                          on exit (process VmHWM; used by CI to compare
-                         memory of alternative execution paths)",
-        rm = REPORT_MODE_HELP
-    )
+                         memory of alternative execution paths)"
 }
 
 pub fn dispatch(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -156,7 +133,6 @@ fn run_command(args: &Args) -> Result<(), Box<dyn Error>> {
         "topdomains" => topdomains(args),
         "paper-check" => paper_check(args),
         "campaign" => campaign(args),
-        "bench" => bench(args),
         "query" => query(args),
         "rules" => {
             print!("{}", satwatch_analytics::Classifier::standard().render_rules());
@@ -207,21 +183,30 @@ fn scenario_from(args: &Args) -> Result<ScenarioConfig, Box<dyn Error>> {
     Ok(cfg)
 }
 
-fn run_with_banner(cfg: ScenarioConfig) -> Dataset {
+/// Run `cfg` through `run` between the two progress lines every
+/// scenario command prints (`satbench` reads its counts off the second).
+/// `counts` is `(packets, flows, DNS transactions)` of the result.
+fn with_banner<T>(cfg: ScenarioConfig, run: fn(ScenarioConfig) -> T, counts: fn(&T) -> (u64, usize, usize)) -> T {
     eprintln!(
         "simulating {} customers × {} day(s), seed {} (pep={}, african_gs={}, forced_dns={}) …",
         cfg.customers, cfg.days, cfg.seed, cfg.pep_enabled, cfg.african_ground_station, cfg.force_operator_dns
     );
     let t0 = std::time::Instant::now();
-    let ds = run(cfg);
-    eprintln!(
-        "done in {:.1?}: {} packets, {} flows, {} DNS transactions",
-        t0.elapsed(),
-        ds.packets,
-        ds.flows.len(),
-        ds.dns.len()
-    );
-    ds
+    let out = run(cfg);
+    let (packets, flows, dns) = counts(&out);
+    eprintln!("done in {:.1?}: {packets} packets, {flows} flows, {dns} DNS transactions", t0.elapsed());
+    out
+}
+
+/// The run of every command that works on the record slice.
+fn run_with_banner(cfg: ScenarioConfig) -> Dataset {
+    with_banner(cfg, run, |ds| (ds.packets, ds.flows.len(), ds.dns.len()))
+}
+
+/// The ingest of `report` and `query`: evicted flows go straight into
+/// the frame, the record vector is never materialised.
+fn ingest_with_banner(cfg: ScenarioConfig) -> ColumnarDataset {
+    with_banner(cfg, run_streaming, |cds| (cds.packets, cds.frame.len(), cds.dns.len()))
 }
 
 fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -300,10 +285,18 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
             let file = std::io::BufWriter::new(fs::File::create(path)?);
             let mut writer = PcapWriter::new(file, snaplen)?;
             eprintln!("capturing span traffic to {path} (snaplen {snaplen}) …");
+            // the tap cannot return an error: keep the first one and
+            // write nothing after it
+            let mut failed = None;
             let ds = satwatch_scenario::run_with_tap(cfg, |t, pkt| {
-                let _ = writer.write(t, pkt);
+                if failed.is_none() {
+                    failed = writer.write(t, pkt).err();
+                }
             });
-            eprintln!("pcap: {} packets", writer.packets_written());
+            let packets = writer.packets_written();
+            let flushed = writer.into_inner().into_inner().map(drop).map_err(std::io::IntoInnerError::into_error);
+            failed.map_or(flushed, Err).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!("pcap: {packets} packets");
             ds
         }
         None => run_with_banner(cfg),
@@ -318,127 +311,14 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// `satwatch report`: every figure and table comes from the fused
+/// single-sweep `report_all` over the stream-built [`FlowFrame`].
+///
+/// [`FlowFrame`]: satwatch_analytics::FlowFrame
 fn report(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
-    match args.report_mode()? {
-        ReportMode::Records => report_records(args, cfg),
-        mode => report_frame(args, cfg, mode),
-    }
-}
-
-/// Build the analytics inputs for `mode`. Records and columnar both
-/// batch-run the scenario and build the frame from the completed
-/// record vector; streaming feeds evicted flows straight into the
-/// frame and never materialises the records. All three produce the
-/// same frame bytes (pinned by `columnar_equivalence.rs`).
-fn build_frame(cfg: ScenarioConfig, mode: ReportMode) -> (FlowFrame, Vec<DnsRecord>, Enrichment) {
-    match mode {
-        ReportMode::Records | ReportMode::Columnar => {
-            let ds = run_with_banner(cfg);
-            let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment);
-            (fr, ds.dns, ds.enrichment)
-        }
-        ReportMode::Streaming => {
-            eprintln!(
-                "simulating {} customers × {} day(s), seed {} (streaming columnar ingest) …",
-                cfg.customers, cfg.days, cfg.seed
-            );
-            let t0 = std::time::Instant::now();
-            let cds = satwatch_scenario::run_streaming(cfg);
-            eprintln!(
-                "done in {:.1?}: {} packets, {} flows, {} DNS transactions",
-                t0.elapsed(),
-                cds.packets,
-                cds.frame.len(),
-                cds.dns.len()
-            );
-            (cds.frame, cds.dns, cds.enrichment)
-        }
-    }
-}
-
-fn report_records(args: &Args, cfg: ScenarioConfig) -> Result<(), Box<dyn Error>> {
-    let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
-    let ds = run_with_banner(cfg);
-    let mut printed = false;
-    let mut want = |name: &str| {
-        let hit = which == "all" || which == name;
-        printed |= hit;
-        hit
-    };
-    if want("table1") {
-        println!("{}", experiments::table1(&ds).render());
-    }
-    if want("fig2") {
-        println!("{}", experiments::fig2(&ds).render());
-    }
-    if want("fig3") {
-        println!("{}", experiments::fig3(&ds).render());
-    }
-    if want("fig4") {
-        println!("{}", experiments::fig4(&ds).render());
-    }
-    if want("fig5") {
-        println!("{}", experiments::fig5(&ds).render());
-    }
-    if want("fig6") {
-        println!("{}", experiments::fig6(&ds).render());
-    }
-    if want("fig7") {
-        println!("{}", experiments::fig7(&ds).render());
-    }
-    if want("fig8a") {
-        println!("{}", experiments::fig8a(&ds).render());
-    }
-    if want("fig8b") {
-        println!("{}", experiments::fig8b(&ds).render());
-    }
-    if want("fig9") {
-        println!("{}", experiments::fig9(&ds).render());
-    }
-    if want("fig10") {
-        println!("{}", experiments::fig10(&ds).render());
-    }
-    if want("table2") {
-        println!("{}", experiments::table_cdn(&ds, 10).render());
-    }
-    if want("fig11") {
-        println!("{}", experiments::fig11(&ds).render());
-    }
-    if !printed {
-        return Err(format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)").into());
-    }
-    if let Some(dir) = args.get("csv") {
-        use satwatch_analytics::csv;
-        fs::create_dir_all(dir)?;
-        let d = Path::new(dir);
-        fs::write(d.join("table1.csv"), csv::table1_csv(&experiments::table1(&ds)))?;
-        fs::write(d.join("fig2.csv"), csv::fig2_csv(&experiments::fig2(&ds)))?;
-        fs::write(d.join("fig3.csv"), csv::fig3_csv(&experiments::fig3(&ds)))?;
-        fs::write(d.join("fig4.csv"), csv::fig4_csv(&experiments::fig4(&ds)))?;
-        fs::write(d.join("fig5.csv"), csv::fig5_csv(&experiments::fig5(&ds), 200))?;
-        fs::write(d.join("fig6.csv"), csv::fig6_csv(&experiments::fig6(&ds)))?;
-        fs::write(d.join("fig7.csv"), csv::fig7_csv(&experiments::fig7(&ds)))?;
-        fs::write(d.join("fig8a.csv"), csv::fig8a_csv(&experiments::fig8a(&ds), 200))?;
-        fs::write(d.join("fig8b.csv"), csv::fig8b_csv(&experiments::fig8b(&ds)))?;
-        fs::write(d.join("fig9.csv"), csv::fig9_csv(&experiments::fig9(&ds), 200))?;
-        fs::write(d.join("fig10.csv"), csv::fig10_csv(&experiments::fig10(&ds)))?;
-        fs::write(d.join("table2.csv"), csv::table_cdn_csv(&experiments::table_cdn(&ds, 5)))?;
-        fs::write(d.join("fig11.csv"), csv::fig11_csv(&experiments::fig11(&ds), 200))?;
-        eprintln!("wrote 13 CSV files to {dir}");
-    }
-    Ok(())
-}
-
-/// `report --report-mode {columnar|streaming}`: the same figures and
-/// tables as the records path, but every output comes from the fused
-/// single-sweep `report_all` over a [`FlowFrame`] — batch-built
-/// (columnar) or fed by the eviction stream (streaming). Output is
-/// byte-identical to the records path; the equivalence is pinned by
-/// `columnar_equivalence.rs`.
-fn report_frame(args: &Args, cfg: ScenarioConfig, mode: ReportMode) -> Result<(), Box<dyn Error>> {
     let workers = cfg.threads.max(1);
-    let (frame, dns, enr) = build_frame(cfg, mode);
+    let ColumnarDataset { frame, dns, enrichment: enr, .. } = ingest_with_banner(cfg);
     let reports = experiments::paper_reports_columnar(&frame, &dns, &enr, 10, workers);
     let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
     let mut printed = false;
@@ -504,7 +384,7 @@ fn report_frame(args: &Args, cfg: ScenarioConfig, mode: ReportMode) -> Result<()
         fs::write(d.join("fig8b.csv"), csv::fig8b_csv(&reports.fig8b))?;
         fs::write(d.join("fig9.csv"), csv::fig9_csv(&reports.fig9, 200))?;
         fs::write(d.join("fig10.csv"), csv::fig10_csv(&reports.fig10))?;
-        // the CSV export keeps the records path's lower flow floor
+        // the CSV export keeps a lower flow floor than the rendered table
         let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
         let table2_csv = satwatch_analytics::engine::table_cdn_frame(&frame, &dns, ctx, 5, workers);
         fs::write(d.join("table2.csv"), csv::table_cdn_csv(&table2_csv))?;
@@ -561,20 +441,29 @@ fn replay(args: &Args) -> Result<(), Box<dyn Error>> {
     let ds = Dataset { flows, dns, enrichment: enr, packets: 0 };
     eprintln!("replaying {} flows / {} DNS transactions from {dir}", ds.flows.len(), ds.dns.len());
     let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
-    if which == "all" || which == "table1" {
+    let mut printed = false;
+    let mut want = |name: &str| {
+        let hit = which == "all" || which == name;
+        printed |= hit;
+        hit
+    };
+    if want("table1") {
         println!("{}", experiments::table1(&ds).render());
     }
-    if which == "all" || which == "fig2" {
+    if want("fig2") {
         println!("{}", experiments::fig2(&ds).render());
     }
-    if which == "all" || which == "fig9" {
+    if want("fig9") {
         println!("{}", experiments::fig9(&ds).render());
     }
-    if which == "all" || which == "fig10" {
+    if want("fig10") {
         println!("{}", experiments::fig10(&ds).render());
     }
-    if which == "all" || which == "fig11" {
+    if want("fig11") {
         println!("{}", experiments::fig11(&ds).render());
+    }
+    if !printed {
+        return Err(format!("replay cannot render figure {which:?} (try table1, fig2, fig9, fig10, fig11, all)").into());
     }
     Ok(())
 }
@@ -591,287 +480,10 @@ fn paper_check(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// The min-flows floor the bench's full report sweep runs at (matches
-/// the `report` command's Table 2 default).
-const BENCH_MIN_FLOWS: usize = 10;
-
-/// One timed bench iteration; which pipeline ran is up to the caller.
-struct BenchRun {
-    scenario_s: f64,
-    agg_s: f64,
-    packets: u64,
-    /// Analytics input rows (after `--replicate` tiling).
-    rows: usize,
-    /// Digest of the serialized dataset; `None` for the streaming
-    /// path, which never materialises the record vector.
-    dataset_digest: Option<u64>,
-    /// FNV-1a over the rendered paper report — the cross-mode
-    /// equivalence witness (records == columnar == streaming).
-    report_digest: u64,
-}
-
-fn bench_once(mode: ReportMode, cfg: ScenarioConfig, replicate: usize, workers: usize) -> BenchRun {
-    use satwatch_scenario::digest::fnv1a;
-    match mode {
-        // Baseline: per-figure passes over the flow-record slice.
-        ReportMode::Records => {
-            let t0 = std::time::Instant::now();
-            let ds = run(cfg);
-            let scenario_s = t0.elapsed().as_secs_f64();
-            let tiled: Vec<satwatch_monitor::FlowRecord>;
-            let flows: &[satwatch_monitor::FlowRecord] = if replicate > 1 {
-                tiled = (0..replicate).flat_map(|_| ds.flows.iter().cloned()).collect();
-                &tiled
-            } else {
-                &ds.flows
-            };
-            let t1 = std::time::Instant::now();
-            let reports = experiments::paper_reports_records(flows, &ds.dns, &ds.enrichment, BENCH_MIN_FLOWS, workers);
-            let agg_s = t1.elapsed().as_secs_f64();
-            let report_digest = fnv1a(reports.render_all().as_bytes());
-            std::hint::black_box(&reports);
-            BenchRun {
-                scenario_s,
-                agg_s,
-                packets: ds.packets,
-                rows: flows.len(),
-                dataset_digest: Some(satwatch_scenario::dataset_digest(&ds)),
-                report_digest,
-            }
-        }
-        // Columnar: frame build + fused one-pass sweep are both on the
-        // analytics clock — that is the path being sold.
-        ReportMode::Columnar => {
-            let t0 = std::time::Instant::now();
-            let ds = run(cfg);
-            let scenario_s = t0.elapsed().as_secs_f64();
-            let t1 = std::time::Instant::now();
-            let mut fr = FlowFrame::from_records(&ds.flows, &ds.enrichment);
-            if replicate > 1 {
-                fr = fr.replicate(replicate);
-            }
-            let reports = experiments::paper_reports_columnar(&fr, &ds.dns, &ds.enrichment, BENCH_MIN_FLOWS, workers);
-            let agg_s = t1.elapsed().as_secs_f64();
-            let report_digest = fnv1a(reports.render_all().as_bytes());
-            std::hint::black_box(&reports);
-            BenchRun {
-                scenario_s,
-                agg_s,
-                packets: ds.packets,
-                rows: fr.len(),
-                dataset_digest: Some(satwatch_scenario::dataset_digest(&ds)),
-                report_digest,
-            }
-        }
-        // Streaming: evicted flows feed the frame during the run, so
-        // the frame build cost is inside scenario_s and peak RSS is
-        // bounded by live flows, not total flows.
-        ReportMode::Streaming => {
-            let t0 = std::time::Instant::now();
-            let cds = satwatch_scenario::run_streaming(cfg);
-            let scenario_s = t0.elapsed().as_secs_f64();
-            let t1 = std::time::Instant::now();
-            let fr = if replicate > 1 { cds.frame.replicate(replicate) } else { cds.frame };
-            let reports = experiments::paper_reports_columnar(&fr, &cds.dns, &cds.enrichment, BENCH_MIN_FLOWS, workers);
-            let agg_s = t1.elapsed().as_secs_f64();
-            let report_digest = fnv1a(reports.render_all().as_bytes());
-            std::hint::black_box(&reports);
-            BenchRun { scenario_s, agg_s, packets: cds.packets, rows: fr.len(), dataset_digest: None, report_digest }
-        }
-    }
-}
-
-/// Time the end-to-end pipeline (scenario generation + sharded probe +
-/// the full paper-report sweep) at 1/2/4/8 workers and *append* a
-/// machine-readable entry to the results file. The JSON is hand-rolled
-/// — the offline crate set has no serde — but the schema is stable:
-/// `{entries: [{rev, change, workload, report_mode, replicate, cores,
-/// peak_rss_process_bytes, runs: [{workers, wall_ms, …, digest,
-/// report_digest, metrics}]}]}`. Each bench invocation adds one entry
-/// keyed by the working tree's `git describe` plus the free-text
-/// `--change` string, so the perf trajectory across commits stays
-/// recoverable instead of each run clobbering the last; a legacy
-/// single-report file is wrapped as the first entry rather than
-/// discarded. Each run carries the dataset digest (all worker counts
-/// must agree — the determinism contract; absent in streaming mode,
-/// which never holds the record vector) and the report digest
-/// (identical across modes — the columnar-equivalence contract), plus
-/// the telemetry snapshot delta covering exactly that run. Runs where
-/// the requested worker count exceeds the host's cores time lock/cache
-/// contention, not scaling — they are flagged `oversubscribed` and
-/// labeled `contention_check` so nobody reads them as a speedup curve.
-fn bench(args: &Args) -> Result<(), Box<dyn Error>> {
-    let smoke = args.flag("smoke");
-    let mode = args.report_mode()?;
-    let replicate = args.get_parsed("replicate", 1usize)?.max(1);
-    let base = if smoke {
-        // CI mode: prove the bench path compiles and executes; the
-        // timings of a 12-customer run are not meaningful.
-        scenario_from(args)?.with_customers(args.get_parsed("customers", 12u32)?)
-    } else {
-        scenario_from(args)?
-    };
-    let out_path = args.get("out").unwrap_or("BENCH_parallel.json");
-    let cores = satwatch_simcore::available_parallelism().max(1);
-    let worker_counts: Vec<usize> =
-        if smoke { vec![1] } else { [1usize, 2, 4, 8].iter().copied().filter(|&w| w <= cores * 2).collect() };
-    let workload = format!(
-        "{} customers x {} day(s), seed {}, replicate {replicate}, {} analytics",
-        base.customers,
-        base.days,
-        base.seed,
-        mode.name()
-    );
-    eprintln!("benchmarking {workload} at {worker_counts:?} workers …");
-    let mut runs = Vec::new();
-    let mut dataset_ref: Option<u64> = None;
-    let mut report_ref: Option<u64> = None;
-    let mut packets_ref: Option<u64> = None;
-    for &w in &worker_counts {
-        // The shared resolver warns (and raises the telemetry gauge)
-        // when a count exceeds the cores the runner actually has —
-        // such rows time contention, not scaling — and the JSON flag
-        // is derived from the same comparison.
-        let resolved = satwatch_simcore::resolve_workers_or_warn(w, "workers");
-        let oversubscribed = resolved > cores;
-        let cfg = base.with_threads(resolved).with_probe_shards(resolved);
-        let before = satwatch_telemetry::Snapshot::take();
-        let r = bench_once(mode, cfg, replicate, resolved);
-        let metrics = satwatch_telemetry::Snapshot::take().delta(&before);
-        let wall_s = r.scenario_s + r.agg_s;
-        // cross-checks: every worker count must produce the
-        // byte-identical dataset and the byte-identical report
-        if let Some(digest) = r.dataset_digest {
-            match dataset_ref {
-                None => dataset_ref = Some(digest),
-                Some(d) => assert_eq!(d, digest, "worker count changed the dataset"),
-            }
-        }
-        match report_ref {
-            None => report_ref = Some(r.report_digest),
-            Some(d) => assert_eq!(d, r.report_digest, "worker count changed the report"),
-        }
-        packets_ref.get_or_insert(r.packets);
-        let pps = r.packets as f64 / r.scenario_s;
-        // Per-phase attribution of the scenario wall time, straight
-        // from the drive loop's histograms (summed over days): flow
-        // synthesis vs merge bookkeeping vs probe consumption.
-        let phase_ms = |name: &str| metrics.histogram(name).map_or(0.0, |h| h.sum as f64 / 1e3);
-        let flow_synth_ms = phase_ms("scenario_flow_synth_us");
-        let merge_ms = phase_ms("scenario_merge_us");
-        let probe_ms = phase_ms("scenario_probe_us");
-        eprintln!(
-            "  workers={w}: {:.2}s scenario + {:.3}s analytics ({} rows), {:.0} packets/s (synth {:.0}ms / merge {:.0}ms / probe {:.0}ms)",
-            r.scenario_s, r.agg_s, r.rows, pps, flow_synth_ms, merge_ms, probe_ms
-        );
-        let digest_field = r.dataset_digest.map_or(String::new(), |d| format!(", \"digest\": \"{d:#018x}\""));
-        // more workers than cores measures contention, not scaling —
-        // label the row so it can't be misread as a speedup point
-        let flags = if oversubscribed { ", \"oversubscribed\": true, \"label\": \"contention_check\"" } else { "" };
-        // the snapshot delta is already JSON; re-indent to nest it
-        let metrics_json = metrics.to_json().trim_end().replace('\n', "\n    ");
-        runs.push(format!(
-            concat!(
-                "    {{\"workers\": {}, \"wall_ms\": {:.1}, \"scenario_ms\": {:.1}, ",
-                "\"flow_synth_ms\": {:.1}, \"merge_ms\": {:.1}, \"probe_ms\": {:.1}, ",
-                "\"analytics_ms\": {:.1}, \"packets\": {}, \"packets_per_sec\": {:.0}, ",
-                "\"flows\": {}, \"report_digest\": \"{:#018x}\"{}{},\n    \"metrics\": {}}}"
-            ),
-            w,
-            wall_s * 1e3,
-            r.scenario_s * 1e3,
-            flow_synth_ms,
-            merge_ms,
-            probe_ms,
-            r.agg_s * 1e3,
-            r.packets,
-            pps,
-            r.rows,
-            r.report_digest,
-            digest_field,
-            flags,
-            metrics_json
-        ));
-    }
-    // Smoke mode doubles as the equivalence gate: re-run the same
-    // workload through the naive single-heap reference
-    // (`scenario::run_reference`) and diff its digests and packet
-    // count against the runs above. A mismatch is a hot-path ordering
-    // bug, so it fails CI loudly.
-    let mut reference_check = "";
-    if smoke {
-        use satwatch_scenario::digest::fnv1a;
-        let ds = satwatch_scenario::run_reference(base);
-        if let Some(want) = dataset_ref {
-            assert_eq!(want, satwatch_scenario::dataset_digest(&ds), "reference run has a different dataset digest");
-        }
-        assert_eq!(packets_ref, Some(ds.packets), "reference run saw a different packet count");
-        // the report bytes are the same in every report mode
-        let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment).replicate(replicate);
-        let reports = experiments::paper_reports_columnar(&fr, &ds.dns, &ds.enrichment, BENCH_MIN_FLOWS, 1);
-        let got = fnv1a(reports.render_all().as_bytes());
-        assert_eq!(report_ref, Some(got), "reference run has a different report digest");
-        eprintln!("  production-vs-reference digest diff: ok");
-        reference_check = "\n      \"reference_check\": \"ok\",";
-    }
-    // process-lifetime high-water mark: a whole-process figure for the
-    // bench summary, not a per-run peak (earlier runs inflate it)
-    let peak_rss = satwatch_telemetry::peak_rss_process_bytes().map_or("null".to_string(), |b| b.to_string());
-    // One history entry per invocation, keyed by the working tree's
-    // git rev plus the operator's free-text --change note, so the file
-    // records the perf trajectory instead of only the latest run.
-    let rev = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    let change = args.get("change").unwrap_or("").replace('"', "'");
-    let entry = format!(
-        concat!(
-            "    {{\n      \"rev\": \"{rev}\",\n      \"change\": \"{change}\",\n",
-            "      \"workload\": \"{workload}\",\n      \"report_mode\": \"{mode}\",\n",
-            "      \"replicate\": {replicate},\n      \"cores\": {cores},{reference_check}\n",
-            "      \"peak_rss_process_bytes\": {peak_rss},\n      \"runs\": [\n{runs}\n      ]\n    }}"
-        ),
-        rev = rev,
-        change = change,
-        workload = workload,
-        mode = mode.name(),
-        replicate = replicate,
-        cores = cores,
-        reference_check = reference_check,
-        peak_rss = peak_rss,
-        runs = format!("    {}", runs.join(",\n").replace('\n', "\n    "))
-    );
-    let json = match fs::read_to_string(out_path) {
-        // current schema: splice the new entry before the closing
-        // brackets the writer below always emits
-        Ok(prev) if prev.contains("\"entries\": [") => {
-            let head = prev
-                .trim_end()
-                .strip_suffix("\n  ]\n}")
-                .ok_or("bench history file has an unexpected trailer; refusing to rewrite it")?;
-            format!("{head},\n{entry}\n  ]\n}}\n")
-        }
-        // legacy single-report schema: preserve it as the first entry
-        Ok(prev) if prev.trim_start().starts_with('{') => {
-            let legacy = format!("    {}", prev.trim_end().replace('\n', "\n    "));
-            format!("{{\n  \"entries\": [\n{legacy},\n{entry}\n  ]\n}}\n")
-        }
-        _ => format!("{{\n  \"entries\": [\n{entry}\n  ]\n}}\n"),
-    };
-    fs::write(out_path, &json)?;
-    eprintln!("appended entry {rev} to {out_path}");
-    Ok(())
-}
-
 /// `satwatch query`: run an aggregation pipeline (DESIGN.md §11) over
 /// the flow frame of a scenario run. The pipeline comes from
-/// `--pipeline '<json>'` or `--pipeline-file FILE`; the frame is built
-/// per the shared `--report-mode`. The rendered table goes to stdout,
-/// a one-line pushdown/row-count summary to stderr.
+/// `--pipeline '<json>'` or `--pipeline-file FILE`. The rendered table
+/// goes to stdout, a one-line pushdown/row-count summary to stderr.
 fn query(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
     let workers = cfg.threads.max(1);
@@ -887,7 +499,7 @@ fn query(args: &Args) -> Result<(), Box<dyn Error>> {
         }
     };
     let pipeline = satwatch_analytics::Pipeline::parse(&src)?;
-    let (frame, _dns, _enr) = build_frame(cfg, args.report_mode()?);
+    let frame = ingest_with_banner(cfg).frame;
     let t0 = std::time::Instant::now();
     let (table, stats) = satwatch_analytics::query::run_with_stats(&frame, &pipeline, workers)?;
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -1027,18 +639,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A log file that cannot take the bytes (`/dev/full` fails every
-    /// write with ENOSPC) fails the command, whichever log it is.
+    /// A file that cannot take the bytes (`/dev/full` fails every
+    /// write with ENOSPC) fails the command, whichever log it is — or
+    /// the pcap capture, whose error names the capture.
     #[cfg(target_os = "linux")]
     #[test]
     fn simulate_returns_the_write_error_of_a_full_disk() {
-        for full in ["flows.tsv", "dns.tsv", "enrichment.tsv"] {
+        for full in ["flows.tsv", "dns.tsv", "enrichment.tsv", "span.pcap"] {
             let dir = std::env::temp_dir().join(format!("satwatch-full-test-{}-{full}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             std::os::unix::fs::symlink("/dev/full", dir.join(full)).unwrap();
-            let a = parse(&["simulate", "--customers", "8", "--seed", "3", "--out", dir.to_str().unwrap()]);
+            let pcap = dir.join("span.pcap");
+            let a = parse(&[
+                "simulate",
+                "--customers",
+                "8",
+                "--seed",
+                "3",
+                "--out",
+                dir.to_str().unwrap(),
+                "--pcap",
+                pcap.to_str().unwrap(),
+            ]);
             let err = dispatch(&a).expect_err(full).to_string();
             assert!(err.contains("No space left"), "{full}: {err}");
+            assert!(full != "span.pcap" || err.contains("span.pcap"), "{err}");
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1086,51 +711,56 @@ mod tests {
         assert!(dispatch(&a).is_err());
     }
 
+    /// `replay` renders five of the figures; asking for any other used
+    /// to print nothing and exit 0.
     #[test]
-    fn report_columnar_mode_renders() {
-        let a = parse(&["report", "--report-mode", "columnar", "--figure", "table1", "--customers", "8"]);
-        dispatch(&a).unwrap();
-        let bad = parse(&["report", "--report-mode", "rowwise", "--customers", "8"]);
-        assert!(dispatch(&bad).is_err());
-    }
-
-    #[test]
-    fn bench_smoke_modes_share_one_report_digest() {
-        let dir = std::env::temp_dir().join(format!("satwatch-bench-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rec_path = dir.join("records.json");
-        let strm_path = dir.join("streaming.json");
-        let rec_s = rec_path.to_str().unwrap().to_string();
-        let strm_s = strm_path.to_str().unwrap().to_string();
-        dispatch(&parse(&["bench", "--smoke", "--customers", "8", "--report-mode", "records", "--out", &rec_s]))
-            .unwrap();
-        dispatch(&parse(&["bench", "--smoke", "--customers", "8", "--report-mode", "streaming", "--out", &strm_s]))
-            .unwrap();
-        let rec = std::fs::read_to_string(&rec_path).unwrap();
-        let strm = std::fs::read_to_string(&strm_path).unwrap();
-        let grab = |s: &str| {
-            let tag = "\"report_digest\": \"";
-            let i = s.find(tag).expect("bench JSON has a report digest") + tag.len();
-            s[i..i + 18].to_string()
-        };
-        assert_eq!(grab(&rec), grab(&strm), "records and streaming disagree on the rendered report");
-        assert!(rec.contains("\"digest\": \""), "records mode carries the dataset digest");
-        assert!(!strm.contains("\"digest\": \""), "streaming mode never materialises the record vector");
+    fn replay_rejects_a_figure_it_cannot_render() {
+        let dir = std::env::temp_dir().join(format!("satwatch-replay-figure-test-{}", std::process::id()));
+        let dir_s = dir.to_str().unwrap().to_string();
+        dispatch(&parse(&["simulate", "--customers", "8", "--seed", "3", "--out", &dir_s])).unwrap();
+        for bad in ["fig99", "fig3"] {
+            let err = dispatch(&parse(&["replay", "--logs", &dir_s, "--figure", bad])).expect_err(bad).to_string();
+            assert!(err.contains("table1, fig2, fig9, fig10, fig11"), "{bad}: {err}");
+        }
+        dispatch(&parse(&["replay", "--logs", &dir_s, "--figure", "fig9"])).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The help text and the parser's list of known names are the same
+    /// set: nothing documented is rejected, nothing accepted is hidden.
     #[test]
-    fn query_runs_pipeline_in_every_mode() {
+    fn every_option_in_usage_is_accepted() {
+        use crate::args::{FLAGS, OPTIONS};
+        let documented: std::collections::BTreeSet<&str> = usage()
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter_map(|tok| tok.strip_prefix("--"))
+            .filter(|name| !name.is_empty())
+            .collect();
+        let known: std::collections::BTreeSet<&str> = FLAGS.iter().chain(OPTIONS).copied().collect();
+        assert_eq!(documented, known);
+    }
+
+    /// `query` scans the stream-built frame, whose domain dictionary
+    /// is in eviction order; the table must be the one the batch-built
+    /// frame (first-appearance order) gives.
+    #[test]
+    fn query_table_equals_the_batch_built_frames() {
         let pipeline = r#"[
             {"match": {"not": {"isnull": {"col": "country"}}}},
-            {"group": {"by": ["l7"], "aggs": {"bytes": {"sum": "bytes"}, "flows": {"count": true}}}},
-            {"sort": "-bytes"},
-            {"limit": 3}
+            {"group": {"by": ["domain"], "aggs": {"bytes": {"sum": "bytes"}, "flows": {"count": true}}}},
+            {"sort": ["-bytes", "domain"]},
+            {"limit": 8}
         ]"#;
-        for mode in ["records", "columnar", "streaming"] {
-            let a = parse(&["query", "--customers", "8", "--report-mode", mode, "--pipeline", pipeline]);
-            dispatch(&a).unwrap();
-        }
+        let a = parse(&["query", "--customers", "8", "--pipeline", pipeline]);
+        dispatch(&a).unwrap();
+        let cfg = scenario_from(&a).unwrap();
+        let p = satwatch_analytics::Pipeline::parse(pipeline).unwrap();
+        let ds = run(cfg);
+        let batch = satwatch_analytics::FlowFrame::from_records(&ds.flows, &ds.enrichment);
+        let (want, _) = satwatch_analytics::query::run_with_stats(&batch, &p, 1).unwrap();
+        let (got, stats) = satwatch_analytics::query::run_with_stats(&run_streaming(cfg).frame, &p, 1).unwrap();
+        assert_eq!(got.render_text(), want.render_text());
+        assert_eq!(stats.result_rows, 8, "{stats:?}");
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl FlowState {
     /// invoked at most once, only when the reassembler has to keep the
     /// segment behind a hole: the one place payload outlives the call.
     /// The sequence space the segment occupies is `payload.len()`, the
-    /// bytes in hand, also on a snapped frame (DESIGN.md §17).
+    /// bytes in hand, also on a snapped frame (DESIGN.md §14).
     #[allow(clippy::too_many_arguments)]
     fn on_tcp(
         &mut self,

@@ -2,7 +2,7 @@
 //! test that holds the production code to them.
 //!
 //! [`VecReassembler`] and [`CopyAllInspect`] are the implementations
-//! the probe ran before payloads were borrowed (DESIGN.md §17): the
+//! the probe ran before payloads were borrowed (DESIGN.md §14): the
 //! reassembler returned a `Vec<Bytes>` per segment, the inspect buffer
 //! copied every chunk before looking at it. They are kept verbatim
 //! (telemetry aside; the limits are the production constants, which are

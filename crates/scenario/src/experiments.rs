@@ -90,43 +90,41 @@ pub fn fig11(ds: &Dataset) -> Fig11 {
     agg::fig11(&ds.flows, &ds.enrichment, &Country::TOP6)
 }
 
-/// Every paper output from the record path — the slice-based baseline
+/// Every paper output from the record path — the slice-based reference
 /// the columnar engine's `report_all` is pinned byte-identical to.
 /// One `customer_days` rollup is shared by Figs 5–7 (the classifier
 /// memoizes per interned domain handle, so repeated SNIs cost one
-/// pattern scan each).
+/// pattern scan each). `workers` is ignored, as [`run_reference`]
+/// ignores `threads`: the reference is one plain pass per figure.
+///
+/// [`run_reference`]: crate::run_reference
 pub fn paper_reports_records(
     flows: &[FlowRecord],
     dns: &[DnsRecord],
     enr: &Enrichment,
     min_flows: usize,
-    workers: usize,
+    _workers: usize,
 ) -> PaperReports {
     let classifier = Classifier::standard();
-    let days = agg::customer_days_par(flows, &classifier, workers);
+    let days = agg::customer_days(flows, &classifier);
     PaperReports {
-        table1: agg::table1_par(flows, workers),
-        fig2: agg::fig2_par(flows, enr, workers),
-        fig3: agg::fig3_par(flows, enr, workers),
-        fig4: agg::fig4_par(flows, enr, workers),
+        table1: agg::table1(flows),
+        fig2: agg::fig2(flows, enr),
+        fig3: agg::fig3(flows, enr),
+        fig4: agg::fig4(flows, enr),
         fig5: agg::fig5(&days, enr),
         fig6: agg::fig6(&days, enr, &FIG6_SERVICES, &Country::TOP6),
         fig7: agg::fig7(&days, enr, &Country::TOP6),
         fig8a: agg::fig8a(flows, enr, &Country::TOP6),
         fig8b: agg::fig8b(flows, enr),
         fig9: agg::fig9(flows, enr, &Country::TOP6),
-        fig10: agg::fig10_par(dns, enr, &Country::TOP6, workers),
+        fig10: agg::fig10(dns, enr, &Country::TOP6),
         table2: agg::table_cdn_selection(flows, dns, enr, &Country::TOP6, min_flows),
         fig11: agg::fig11(flows, enr, &Country::TOP6),
     }
 }
 
-/// [`paper_reports_records`] over a dataset.
-pub fn paper_reports(ds: &Dataset, min_flows: usize, workers: usize) -> PaperReports {
-    paper_reports_records(&ds.flows, &ds.dns, &ds.enrichment, min_flows, workers)
-}
-
-/// The columnar twin: frame + fused sweep, same outputs byte for byte.
+/// The production path: frame + fused sweep, same outputs byte for byte.
 pub fn paper_reports_columnar(
     fr: &satwatch_analytics::FlowFrame,
     dns: &[DnsRecord],

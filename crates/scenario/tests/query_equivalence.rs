@@ -1,13 +1,12 @@
 //! Golden: the four paper outputs re-expressed as DSL pipelines
-//! (`query::paper`) must reproduce the hand-rolled engine folds byte
-//! for byte on a real scenario run — at workers 1 and 4, over both
+//! (`query::paper`) must reproduce the engine's fused sweep byte for
+//! byte on a real scenario run — at workers 1 and 4, over both
 //! the batch-built and the stream-built frame.
 
-use satwatch_analytics::engine::{fig2_frame, fig3_frame, fig4_frame, table1_frame, ReportCtx};
 use satwatch_analytics::query::{self, paper};
-use satwatch_analytics::{FlowFrame, Pipeline};
+use satwatch_analytics::{FlowFrame, PaperReports, Pipeline};
+use satwatch_scenario::experiments::paper_reports_columnar;
 use satwatch_scenario::{run, run_streaming, ScenarioConfig};
-use satwatch_traffic::Country;
 
 fn cfg() -> ScenarioConfig {
     ScenarioConfig::tiny().with_seed(42).with_customers(30)
@@ -17,11 +16,7 @@ fn cfg() -> ScenarioConfig {
 fn paper_pipelines_are_byte_identical_to_engine_folds() {
     let ds = run(cfg());
     let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment);
-    let ctx = ReportCtx { enrichment: &ds.enrichment, countries: &Country::TOP6 };
-    let table1 = table1_frame(&fr, ctx, 1);
-    let fig2 = fig2_frame(&fr, ctx, 1);
-    let fig3 = fig3_frame(&fr, ctx, 1);
-    let fig4 = fig4_frame(&fr, ctx, 1);
+    let PaperReports { table1, fig2, fig3, fig4, .. } = paper_reports_columnar(&fr, &ds.dns, &ds.enrichment, 10, 1);
     for workers in [1usize, 4] {
         let q1 = paper::table1_via_query(&fr, workers).unwrap();
         let q2 = paper::fig2_via_query(&fr, &ds.enrichment, workers).unwrap();

@@ -11,7 +11,7 @@ use satwatch_telemetry::Snapshot;
 #[test]
 fn snapshot_covers_every_pipeline_layer() {
     let ds = run(ScenarioConfig::tiny().with_customers(10).with_probe_shards(2));
-    let _ = satwatch_analytics::agg::table1_par(&ds.flows, 2);
+    let _ = satwatch_analytics::agg::table1(&ds.flows);
     let snap = Snapshot::take();
     let counter = |name: &str| snap.counter(name).unwrap_or_else(|| panic!("{name} missing from snapshot"));
 
