@@ -273,7 +273,7 @@ pub struct FrameBuilder {
     /// no string.
     by_handle: FxHashMap<usize, (Domain, DomainEntry)>,
     /// One entry per distinct name, consulted on a handle miss:
-    /// handles from different interners (probe shards) share a code.
+    /// handles from different interners share a code.
     by_name: FxHashMap<Domain, DomainEntry>,
     domains: Vec<Domain>,
     services: Vec<&'static str>,
@@ -535,8 +535,8 @@ mod tests {
 
     #[test]
     fn equal_names_share_one_code_whatever_the_handle() {
-        // three handles, two names: as records from two probe shards
-        // (two interners) carry them
+        // three handles, two names: as records from two interners
+        // carry them
         let flows = vec![
             flow(1, 1, Some("a.example")),
             flow(2, 2, Some("b.example")),

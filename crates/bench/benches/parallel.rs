@@ -1,40 +1,13 @@
-//! Parallel-pipeline benchmarks: the deterministic multi-core stages
-//! (intent generation, sharded probe) timed at 1/2/4/8 workers, plus
-//! the SipHash-vs-FxHash micro-comparison that motivated the in-tree
-//! hasher.
-//!
-//! Every worker count produces the identical dataset (asserted in the
-//! setup), so these benches measure pure wall-time scaling.
+//! The cost of `ordered_par_map`'s scoped pool at 1/2/4/8 workers (the
+//! analytics scans are its only users), plus the SipHash-vs-FxHash
+//! micro-comparison that motivated the in-tree hasher.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use satwatch_bench::bench_config;
-use satwatch_scenario::run;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
 const WORKER_COUNTS: &[usize] = &[1, 2, 4, 8];
-
-/// End-to-end scenario wall time (generation + event loop + probe) at
-/// each worker count. Threads drive intent generation; shards drive
-/// the probe. Throughput is packets observed per second of wall time.
-fn scenario_scaling(c: &mut Criterion) {
-    // Smaller than the shared dataset: each iteration re-runs the
-    // whole pipeline.
-    let base = bench_config()
-        .with_customers(std::env::var("SATWATCH_BENCH_PAR_CUSTOMERS").ok().and_then(|v| v.parse().ok()).unwrap_or(150));
-    let packets = run(base).packets;
-    let mut group = c.benchmark_group("scenario");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(packets));
-    for &w in WORKER_COUNTS {
-        let cfg = base.with_threads(w).with_probe_shards(w);
-        // determinism cross-check before timing
-        assert_eq!(run(cfg).packets, packets, "worker count changed the dataset");
-        group.bench_function(&format!("fig2_workload_workers_{w}"), |b| b.iter(|| black_box(run(cfg).packets)));
-    }
-    group.finish();
-}
 
 /// SipHash (std default) vs the in-tree FxHash on the probe's hottest
 /// key shapes: the 5-tuple-ish NAT key and a full flow key insert/find
@@ -100,6 +73,6 @@ fn par_map_overhead(c: &mut Criterion) {
 criterion_group! {
     name = parallel;
     config = Criterion::default();
-    targets = scenario_scaling, hasher_comparison, par_map_overhead
+    targets = hasher_comparison, par_map_overhead
 }
 criterion_main!(parallel);

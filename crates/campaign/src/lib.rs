@@ -21,8 +21,7 @@
 //!   point. Resuming re-creates the scenario from the config (every
 //!   per-day RNG stream is forked from `(seed, day)` without consuming
 //!   parent state, so `days_completed` *is* the full RNG cursor),
-//!   imports the probe state, and continues — bit-identically, at any
-//!   thread or shard count.
+//!   imports the probe state, and continues — bit-identically.
 //! * **Reports.** At completion the per-day segments are streamed
 //!   through [`ReportFold`] in day order. Day-major concatenation of
 //!   canonically sorted day buckets *is* the canonical global order
@@ -41,7 +40,7 @@ use satwatch_analytics::segment::{read_segment_file, write_segment_file, Segment
 use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
 use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{write_flow_rows, write_flows};
-use satwatch_monitor::{dns_cmp, sort_flows_canonical, DnsRecord, FlowRecord, FlowSink, ProbeState, ShardedProbe};
+use satwatch_monitor::{dns_cmp, sort_flows_canonical, DnsRecord, FlowRecord, ProbeState, ShardedProbe};
 use satwatch_scenario::digest::{fnv1a, write_dns_lines, Fnv1aSink, FNV1A_INIT};
 use satwatch_scenario::experiments::FIG6_SERVICES;
 use satwatch_scenario::{DayRunner, ScenarioConfig};
@@ -113,11 +112,15 @@ pub struct RunOptions {
     pub min_flows: usize,
     /// Suppress the per-day progress lines on stderr.
     pub quiet: bool,
+    /// Worker threads of the final report fold over the sealed
+    /// segments (`0` = one per core). The report bytes are identical
+    /// at any value.
+    pub workers: usize,
 }
 
 impl Default for RunOptions {
     fn default() -> RunOptions {
-        RunOptions { abort_after_day: None, metrics_out: None, min_flows: 10, quiet: true }
+        RunOptions { abort_after_day: None, metrics_out: None, min_flows: 10, quiet: true, workers: 1 }
     }
 }
 
@@ -278,13 +281,6 @@ impl Campaign {
         })
     }
 
-    /// Override the perf knobs (worker threads / probe shards) for
-    /// this process. Legitimate on resume: the output is bit-identical
-    /// at any value, which is why [`config_hash`] excludes both.
-    pub fn override_perf(&mut self, threads: usize, probe_shards: usize) {
-        self.cfg = self.cfg.with_threads(threads).with_probe_shards(probe_shards);
-    }
-
     pub fn config(&self) -> ScenarioConfig {
         self.cfg
     }
@@ -330,22 +326,21 @@ impl Campaign {
         let mut runner = DayRunner::new(self.cfg);
         let enr = runner.enrichment();
 
-        // Evicted flows stream out of the probe shards into day
-        // buckets keyed by the day of the flow's first packet. Each
-        // shard's evictions arrive in its eviction order (one lock per
-        // push); cross-shard interleaving is nondeterministic but
-        // harmless — seal-time sorting is *stable* on the canonical
-        // key, and records that tie on it always come from the same
-        // shard (the dispatcher routes a host pair to one shard), so
-        // the canonical batch order is reproduced exactly.
+        // Evicted flows stream out of the probe into day buckets keyed
+        // by the day of the flow's first packet, in eviction order (one
+        // lock per push). Seal-time sorting is *stable* on the
+        // canonical key, so eviction order breaks a tie as the batch
+        // path's sort does and the canonical batch order is reproduced
+        // exactly.
         let sink_buckets: Arc<Mutex<FlowBuckets>> = Arc::new(Mutex::new(FlowBuckets::new()));
-        let mut probe = ShardedProbe::with_flow_sink(runner.probe_config(), self.cfg.probe_shards, |_shard| {
-            let buckets = Arc::clone(&sink_buckets);
+        let buckets = Arc::clone(&sink_buckets);
+        let mut probe = ShardedProbe::with_flow_sink(
+            runner.probe_config(),
             Box::new(move |f: FlowRecord| {
                 let day = f.first.as_secs() / SECS_PER_DAY;
                 buckets.lock().expect("sink lock").entry(day).or_default().push(f);
-            }) as FlowSink
-        });
+            }),
+        );
         if let Some(state) = self.probe_carry.take() {
             probe.import_state(state)?;
         }
@@ -434,7 +429,7 @@ impl Campaign {
         write_dns_lines(&mut digest, &dns).expect("hashing cannot fail");
         let dataset_digest = digest.0;
 
-        let (report_text, report_digest) = self.fold_report(&enr, &dns, opts.min_flows)?;
+        let (report_text, report_digest) = self.fold_report(&enr, &dns, opts)?;
         std::fs::write(self.dir.join("report.txt"), &report_text)?;
 
         self.complete = true;
@@ -461,7 +456,7 @@ impl Campaign {
     }
 
     /// Merge the flow-sink buckets into the campaign's (append-only —
-    /// per-shard arrival order is preserved).
+    /// eviction order is preserved).
     fn drain_sink(&mut self, sink: &Arc<Mutex<FlowBuckets>>) {
         let drained = std::mem::take(&mut *sink.lock().expect("sink lock"));
         for (day, flows) in drained {
@@ -472,7 +467,7 @@ impl Campaign {
     /// Append a drained DNS log chunk to the day buckets. Chunks
     /// arrive already in canonical [`dns_cmp`] order within
     /// themselves; a stable seal-time sort restores the global order
-    /// (ties share a shard and earlier chunks were observed earlier).
+    /// (earlier chunks were observed earlier).
     fn drain_dns(&mut self, chunk: Vec<DnsRecord>) {
         for d in chunk {
             let day = d.ts.as_secs() / SECS_PER_DAY;
@@ -494,9 +489,8 @@ impl Campaign {
                 return Ok(());
             }
             let mut flows = self.flow_buckets.remove(&next).unwrap_or_default();
-            // stable order: per-shard eviction order breaks the
-            // (vanishingly rare) canonical-key ties, same as the
-            // batch path's stable merge
+            // stable order: eviction order breaks the (vanishingly
+            // rare) canonical-key ties, same as the batch path's sort
             sort_flows_canonical(&mut flows);
             let mut digest = Fnv1aSink(self.flow_digest);
             write_flow_rows(&mut digest, &flows).expect("hashing cannot fail");
@@ -587,15 +581,15 @@ impl Campaign {
         &self,
         enr: &Enrichment,
         dns: &[DnsRecord],
-        min_flows: usize,
+        opts: &RunOptions,
     ) -> Result<(String, u64), CampaignError> {
         let ctx = ReportCtx { enrichment: enr, countries: &Country::TOP6 };
         let mut fold = ReportFold::new(dns, ctx);
         for info in &self.segments {
             let frame = read_segment_file(&self.segment_path(info.day), Some(info.fnv))?;
-            fold.absorb_frame(&frame, self.cfg.threads);
+            fold.absorb_frame(&frame, opts.workers);
         }
-        let reports = fold.finish(&FIG6_SERVICES, min_flows, self.cfg.threads);
+        let reports = fold.finish(&FIG6_SERVICES, opts.min_flows, opts.workers);
         let text = reports.render_all();
         let digest = fnv1a(text.as_bytes());
         Ok((text, digest))

@@ -43,7 +43,7 @@ pub struct DnsFileInfo {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Manifest {
     pub cfg: ScenarioConfig,
-    /// Hash of the output-determining config fields ([`config_hash`]).
+    /// Hash of the config ([`config_hash`]).
     pub config_hash: u64,
     /// Days fully simulated and checkpointed. Because every per-day
     /// RNG stream is forked from `(seed, day)` without consuming
@@ -64,16 +64,15 @@ pub struct Manifest {
     pub report_digest: Option<u64>,
 }
 
-/// Hash of the config fields that determine the output bytes. The
-/// perf knobs (`threads`, `probe_shards`) are excluded on purpose:
-/// output is bit-identical at any value, so a resume may legitimately
-/// run with different ones.
+/// Hash of the config: every field, each of which determines the
+/// output bytes.
 pub fn config_hash(cfg: &ScenarioConfig) -> u64 {
-    let semantic = format!(
-        "seed={} customers={} days={} pep={} african_gs={} forced_dns={}",
-        cfg.seed, cfg.customers, cfg.days, cfg.pep_enabled, cfg.african_ground_station, cfg.force_operator_dns
+    let ScenarioConfig { seed, customers, days, pep_enabled, african_ground_station, force_operator_dns } = *cfg;
+    let fields = format!(
+        "seed={seed} customers={customers} days={days} pep={pep_enabled} african_gs={african_ground_station} \
+         forced_dns={force_operator_dns}"
     );
-    fnv1a(semantic.as_bytes())
+    fnv1a(fields.as_bytes())
 }
 
 fn hex(v: u64) -> String {
@@ -89,16 +88,8 @@ impl Manifest {
         let _ = writeln!(
             s,
             "  \"config\": {{\"seed\": {}, \"customers\": {}, \"days\": {}, \"pep_enabled\": {}, \
-             \"african_ground_station\": {}, \"force_operator_dns\": {}, \"threads\": {}, \
-             \"probe_shards\": {}}},",
-            c.seed,
-            c.customers,
-            c.days,
-            c.pep_enabled,
-            c.african_ground_station,
-            c.force_operator_dns,
-            c.threads,
-            c.probe_shards
+             \"african_ground_station\": {}, \"force_operator_dns\": {}}},",
+            c.seed, c.customers, c.days, c.pep_enabled, c.african_ground_station, c.force_operator_dns
         );
         let _ = writeln!(s, "  \"config_hash\": \"{}\",", hex(self.config_hash));
         let _ = writeln!(s, "  \"days_completed\": {},", self.days_completed);
@@ -159,7 +150,8 @@ impl Manifest {
     }
 
     /// Unknown keys are ignored, so a manifest written when the config
-    /// had perf knobs that have since been removed still parses.
+    /// had perf knobs, all since removed, still parses; none of them
+    /// was ever part of the hash.
     pub fn parse(src: &str) -> Result<Manifest, CampaignError> {
         let j = Json::parse(src).map_err(|e| CampaignError::Corrupt(format!("manifest: {e}")))?;
         let version = get_i64(&j, "version")?;
@@ -170,9 +162,7 @@ impl Manifest {
         let mut cfg = ScenarioConfig::tiny()
             .with_seed(get_i64(cj, "seed")? as u64)
             .with_customers(get_i64(cj, "customers")? as u32)
-            .with_days(get_i64(cj, "days")? as u64)
-            .with_threads(get_i64(cj, "threads")? as usize)
-            .with_probe_shards(get_i64(cj, "probe_shards")? as usize);
+            .with_days(get_i64(cj, "days")? as u64);
         if !get_bool(cj, "pep_enabled")? {
             cfg = cfg.without_pep();
         }
@@ -273,7 +263,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_json() {
-        let cfg = ScenarioConfig::tiny().with_customers(44).with_days(3).with_seed(0xfeed).with_probe_shards(2);
+        let cfg = ScenarioConfig::tiny().with_customers(44).with_days(3).with_seed(0xfeed);
         let m = Manifest {
             cfg,
             config_hash: config_hash(&cfg),
@@ -291,7 +281,9 @@ mod tests {
             report_digest: None,
         };
         let json = m.to_json();
-        assert!(!json.contains("packet_batching"), "removed knob still written: {json}");
+        for removed in ["threads", "probe_shards", "packet_batching"] {
+            assert!(!json.contains(removed), "removed knob {removed} still written: {json}");
+        }
         let back = Manifest::parse(&json).unwrap();
         assert_eq!(back, m);
 
@@ -306,12 +298,24 @@ mod tests {
         assert_eq!(back, done);
     }
 
+    /// `old` still resumes: it parses to the knob-free config under the
+    /// hash it stored, and what this version writes back differs from
+    /// it by `knobs` only.
+    fn assert_parses_and_drops(old: &str, knobs: &str) {
+        assert!(old.contains(knobs));
+        let m = Manifest::parse(old).unwrap();
+        assert_eq!(m.cfg, ScenarioConfig::tiny().with_customers(6).with_days(3).with_seed(11));
+        assert_eq!(m.config_hash, 0xd691_8795_1bbd_9e86);
+        assert_eq!(m.to_json(), old.replace(knobs, ""));
+        assert_eq!(Manifest::parse(&m.to_json()).unwrap(), m);
+    }
+
+    const BATCHING_KNOBS: &str = r#", "threads": 1, "probe_shards": 2, "packet_batching": true"#;
+
     /// A manifest exactly as the last version with a batching knob in
     /// the config wrote it (`satwatch campaign --customers 6 --days 3
-    /// --seed 11 --shards 2 --abort-after-day 0`): it must still resume.
-    #[test]
-    fn manifest_with_a_removed_config_key_still_parses() {
-        let old = r#"{
+    /// --seed 11 --shards 2 --abort-after-day 0`).
+    const BATCHING_ERA: &str = r#"{
   "version": 1,
   "config": {"seed": 11, "customers": 6, "days": 3, "pep_enabled": true, "african_ground_station": false, "force_operator_dns": false, "threads": 1, "probe_shards": 2, "packet_batching": true},
   "config_hash": "d69187951bbd9e86",
@@ -328,12 +332,21 @@ mod tests {
   "complete": false
 }
 "#;
-        let m = Manifest::parse(old).unwrap();
-        assert_eq!(m.cfg, ScenarioConfig::tiny().with_customers(6).with_days(3).with_seed(11).with_probe_shards(2));
-        assert_eq!(m.config_hash, 0xd691_8795_1bbd_9e86);
-        // what this version writes differs from `old` by that key only
-        assert_eq!(m.to_json(), old.replace(", \"packet_batching\": true", ""));
-        assert_eq!(Manifest::parse(&m.to_json()).unwrap(), m);
+
+    #[test]
+    fn manifest_with_a_removed_config_key_still_parses() {
+        assert_parses_and_drops(BATCHING_ERA, BATCHING_KNOBS);
+    }
+
+    /// The same campaign as the last version with perf knobs at all
+    /// wrote it at `--threads 2 --shards 2`: its file differs in the
+    /// knobs and in the checksum of the state file beside it, and not
+    /// in the hash — the knobs were never part of it.
+    #[test]
+    fn perf_knobs_do_not_affect_config_hash() {
+        let perf_knobs = r#", "threads": 2, "probe_shards": 2"#;
+        let perf_era = BATCHING_ERA.replace(BATCHING_KNOBS, perf_knobs).replace("d37aa0ffee83bdef", "584c09605485dfdf");
+        assert_parses_and_drops(&perf_era, perf_knobs);
     }
 
     #[test]
@@ -354,13 +367,5 @@ mod tests {
         };
         let tampered = m.to_json().replace(&format!("\"seed\": {}", cfg.seed), "\"seed\": 777");
         assert!(matches!(Manifest::parse(&tampered), Err(CampaignError::Corrupt(_))));
-    }
-
-    #[test]
-    fn perf_knobs_do_not_affect_config_hash() {
-        let a = ScenarioConfig::tiny();
-        let b = a.with_threads(8).with_probe_shards(4);
-        assert_eq!(config_hash(&a), config_hash(&b));
-        assert_ne!(config_hash(&a), config_hash(&a.with_seed(1)));
     }
 }

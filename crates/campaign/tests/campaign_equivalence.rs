@@ -4,8 +4,9 @@
 //!    report-folded from sealed segments — produces the *byte-same*
 //!    dataset digest and rendered reports as an all-in-RAM batch run
 //!    of the identical config.
-//! 2. Killing the campaign after any checkpoint and resuming (even at
-//!    different thread/shard counts) reproduces those bytes exactly.
+//! 2. Killing the campaign after any checkpoint and resuming (even
+//!    with another worker count for the final fold) reproduces those
+//!    bytes exactly.
 
 use satwatch_analytics::FlowFrame;
 use satwatch_campaign::{Campaign, DaySummary, RunOptions};
@@ -85,13 +86,12 @@ fn kill_after_each_day_and_resume_is_bit_identical() {
         assert!(!out.completed);
         assert_eq!(out.days_completed, 2);
     }
-    // final resume at a *different* shard/thread count: perf knobs
-    // must not change a single output byte
+    // final resume, folding the report on two workers: the worker
+    // count must not change a single output byte
     let out = {
         let mut c = Campaign::resume(&dir).unwrap();
         assert_eq!(c.days_completed(), 2);
-        c.override_perf(2, 2);
-        c.run(&RunOptions::default()).unwrap()
+        c.run(&RunOptions { workers: 2, ..RunOptions::default() }).unwrap()
     };
     assert!(out.completed);
     assert_eq!(out.dataset_digest, Some(want_ds), "kill/resume changed the dataset bytes");

@@ -1,7 +1,7 @@
 //! Subcommand implementations for the `satwatch` binary.
 
 use crate::args::Args;
-use satwatch_analytics::{read_enrichment_log, write_enrichment_log, ReportCtx};
+use satwatch_analytics::{read_enrichment_log, write_enrichment_log, PaperReports, ReportCtx, ResultTable};
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
 use satwatch_monitor::record::{read_dns_log, read_flows, write_dns_log, write_flows};
 use satwatch_scenario::{experiments, run, run_streaming, ColumnarDataset, Dataset, ScenarioConfig};
@@ -47,11 +47,10 @@ commands:
               bytes of an uninterrupted run (DESIGN.md §12)
                 --out DIR            directory for a new campaign
                                      (default: satwatch-campaign)
-                --resume DIR         continue the campaign in DIR;
-                                     scenario options come from its
-                                     manifest (--threads/--shards
-                                     still apply: they never change
-                                     the output bytes)
+                --resume DIR         continue the campaign in DIR; the
+                                     scenario comes from its manifest,
+                                     so the scenario options and --out
+                                     are refused
                 --abort-after-day N  commit day N's checkpoint
                                      (0-based), then exit — the CI
                                      kill simulation
@@ -64,15 +63,18 @@ scenario options (all commands):
   --customers N          number of CPEs (default 300)
   --days N               simulated days (default 1)
   --seed N               root seed (default 42)
-  --threads N            worker threads for parallel stages
-                         (default 1 = serial, 0 = one per core;
-                          output is bit-identical at any value)
-  --shards N             probe shards for the span-port stream
-                         (default 1 = inline probe, 0 = one per core;
-                          output is bit-identical at any value)
   --no-pep               disable the split-TCP PEP (A3)
   --african-gs           add an African ground station (A1)
   --force-operator-dns   force the operator resolver (A2)
+
+execution (all commands):
+  --threads N            worker threads of the analytics scans: the
+                         report fold (report, campaign) and the query
+                         executor (default 1 = serial, 0 = one per
+                         core; output is bit-identical at any value).
+                         The packet path is single-threaded
+  --shards N             accepted and ignored: there is one inline
+                         probe (DESIGN.md §7)
 
 observability (all commands):
   --metrics-out FILE     write the final telemetry snapshot on exit
@@ -124,16 +126,24 @@ pub fn dispatch(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn run_command(args: &Args) -> Result<(), Box<dyn Error>> {
+    // The two execution options are read here, once. `--threads` is the
+    // worker count of the analytics scans and nothing else; `--shards`
+    // is accepted because scripts and the benchmark harness pass it,
+    // and ignored: there is one inline probe (DESIGN.md §7).
+    let workers = args.get_parsed("threads", 1usize)?;
+    if args.get_parsed("shards", 1usize)? != 1 {
+        eprintln!("note: --shards is ignored: the probe is one inline thread");
+    }
     match args.command.as_str() {
         "simulate" => simulate(args),
         "replay" => replay(args),
-        "report" => report(args),
+        "report" => report(args, workers),
         "profiles" => profiles(args),
         "ablations" => ablations(args),
         "topdomains" => topdomains(args),
         "paper-check" => paper_check(args),
-        "campaign" => campaign(args),
-        "query" => query(args),
+        "campaign" => campaign(args, workers),
+        "query" => query(args, workers),
         "rules" => {
             print!("{}", satwatch_analytics::Classifier::standard().render_rules());
             Ok(())
@@ -159,18 +169,14 @@ fn write_metrics(path: &str) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// The options [`scenario_from`] reads.
+const SCENARIO_OPTIONS: [&str; 6] = ["customers", "days", "seed", "no-pep", "african-gs", "force-operator-dns"];
+
 fn scenario_from(args: &Args) -> Result<ScenarioConfig, Box<dyn Error>> {
-    // `0` auto-detects one worker per core; oversubscription (more
-    // workers than cores) warns and raises the
-    // `par_threads_oversubscribed` gauge but is honoured.
-    let threads = satwatch_simcore::resolve_workers_or_warn(args.get_parsed("threads", 1usize)?, "threads");
-    let shards = satwatch_simcore::resolve_workers_or_warn(args.get_parsed("shards", 1usize)?, "shards");
     let mut cfg = ScenarioConfig::tiny()
         .with_customers(args.get_parsed("customers", 300u32)?)
         .with_days(args.get_parsed("days", 1u64)?)
-        .with_seed(args.get_parsed("seed", 42u64)?)
-        .with_threads(threads)
-        .with_probe_shards(shards);
+        .with_seed(args.get_parsed("seed", 42u64)?);
     if args.flag("no-pep") {
         cfg = cfg.without_pep();
     }
@@ -209,20 +215,20 @@ fn ingest_with_banner(cfg: ScenarioConfig) -> ColumnarDataset {
     with_banner(cfg, run_streaming, |cds| (cds.packets, cds.frame.len(), cds.dns.len()))
 }
 
-fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
+fn campaign(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
     use satwatch_campaign::{Campaign, RunOptions};
 
     let mut c = match args.get("resume") {
         Some(dir) => {
-            let mut c = Campaign::resume(Path::new(dir))?;
-            // perf knobs are re-resolvable per process — they never
-            // change the output bytes (config_hash excludes them)
-            let stored = c.config();
-            let threads =
-                satwatch_simcore::resolve_workers_or_warn(args.get_parsed("threads", stored.threads)?, "threads");
-            let shards =
-                satwatch_simcore::resolve_workers_or_warn(args.get_parsed("shards", stored.probe_shards)?, "shards");
-            c.override_perf(threads, shards);
+            // which scenario runs, and where, is the manifest's to say
+            let mut of_a_new_campaign = SCENARIO_OPTIONS.iter().chain(&["out"]);
+            if let Some(name) = of_a_new_campaign.find(|name| args.flag(name) || args.get(name).is_some()) {
+                return Err(format!(
+                    "--{name} cannot be combined with --resume: the scenario comes from the campaign's manifest"
+                )
+                .into());
+            }
+            let c = Campaign::resume(Path::new(dir))?;
             eprintln!(
                 "campaign: resuming {} at day {}/{} ({} segments sealed)",
                 dir,
@@ -249,6 +255,7 @@ fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
         metrics_out: args.get("metrics-out").map(Into::into),
         min_flows: 10,
         quiet: false,
+        workers,
     };
     let outcome = c.run(&opts)?;
     if outcome.completed {
@@ -311,64 +318,56 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// One output a command can print: its `--figure` name and how to
+/// render it from the command's data.
+type Figure<T> = (&'static str, fn(&T) -> String);
+
+/// The `--figure` value (default `all`), checked against the names the
+/// command can render before anything is simulated or read; a name
+/// that is not one of them comes back as the error.
+fn figure_arg<T>(args: &Args, figures: &[Figure<T>]) -> Result<String, String> {
+    let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
+    if which == "all" || figures.iter().any(|(name, _)| *name == which) {
+        Ok(which)
+    } else {
+        Err(which)
+    }
+}
+
+fn print_figures<T>(which: &str, figures: &[Figure<T>], data: &T) {
+    for (_, render) in figures.iter().filter(|(name, _)| which == "all" || which == *name) {
+        println!("{}", render(data));
+    }
+}
+
+/// What `report` renders, in [`PaperReports::render_all`]'s order.
+const REPORT_FIGURES: [Figure<PaperReports>; 13] = [
+    ("table1", |r| r.table1.render()),
+    ("fig2", |r| r.fig2.render()),
+    ("fig3", |r| r.fig3.render()),
+    ("fig4", |r| r.fig4.render()),
+    ("fig5", |r| r.fig5.render()),
+    ("fig6", |r| r.fig6.render()),
+    ("fig7", |r| r.fig7.render()),
+    ("fig8a", |r| r.fig8a.render()),
+    ("fig8b", |r| r.fig8b.render()),
+    ("fig9", |r| r.fig9.render()),
+    ("fig10", |r| r.fig10.render()),
+    ("table2", |r| r.table2.render()),
+    ("fig11", |r| r.fig11.render()),
+];
+
 /// `satwatch report`: every figure and table comes from the fused
 /// single-sweep `report_all` over the stream-built [`FlowFrame`].
 ///
 /// [`FlowFrame`]: satwatch_analytics::FlowFrame
-fn report(args: &Args) -> Result<(), Box<dyn Error>> {
+fn report(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
-    let workers = cfg.threads.max(1);
+    let which = figure_arg(args, &REPORT_FIGURES)
+        .map_err(|which| format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)"))?;
     let ColumnarDataset { frame, dns, enrichment: enr, .. } = ingest_with_banner(cfg);
     let reports = experiments::paper_reports_columnar(&frame, &dns, &enr, 10, workers);
-    let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
-    let mut printed = false;
-    let mut want = |name: &str| {
-        let hit = which == "all" || which == name;
-        printed |= hit;
-        hit
-    };
-    if want("table1") {
-        println!("{}", reports.table1.render());
-    }
-    if want("fig2") {
-        println!("{}", reports.fig2.render());
-    }
-    if want("fig3") {
-        println!("{}", reports.fig3.render());
-    }
-    if want("fig4") {
-        println!("{}", reports.fig4.render());
-    }
-    if want("fig5") {
-        println!("{}", reports.fig5.render());
-    }
-    if want("fig6") {
-        println!("{}", reports.fig6.render());
-    }
-    if want("fig7") {
-        println!("{}", reports.fig7.render());
-    }
-    if want("fig8a") {
-        println!("{}", reports.fig8a.render());
-    }
-    if want("fig8b") {
-        println!("{}", reports.fig8b.render());
-    }
-    if want("fig9") {
-        println!("{}", reports.fig9.render());
-    }
-    if want("fig10") {
-        println!("{}", reports.fig10.render());
-    }
-    if want("table2") {
-        println!("{}", reports.table2.render());
-    }
-    if want("fig11") {
-        println!("{}", reports.fig11.render());
-    }
-    if !printed {
-        return Err(format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)").into());
-    }
+    print_figures(&which, &REPORT_FIGURES, &reports);
     if let Some(dir) = args.get("csv") {
         use satwatch_analytics::csv;
         fs::create_dir_all(dir)?;
@@ -431,40 +430,28 @@ fn read_log<T>(
     fs::File::open(&path).and_then(|f| read(BufReader::new(f))).map_err(|e| format!("{}: {e}", path.display()))
 }
 
+/// What `replay` renders: the figures that need nothing the logs do
+/// not hold (beams are not persisted, so no Fig 8b).
+const REPLAY_FIGURES: [Figure<Dataset>; 5] = [
+    ("table1", |ds| experiments::table1(ds).render()),
+    ("fig2", |ds| experiments::fig2(ds).render()),
+    ("fig9", |ds| experiments::fig9(ds).render()),
+    ("fig10", |ds| experiments::fig10(ds).render()),
+    ("fig11", |ds| experiments::fig11(ds).render()),
+];
+
 fn replay(args: &Args) -> Result<(), Box<dyn Error>> {
     let dir = args.get("logs").ok_or("replay needs --logs DIR (from `simulate --out DIR`)")?;
+    let which = figure_arg(args, &REPLAY_FIGURES).map_err(|which| {
+        format!("replay cannot render figure {which:?} (try table1, fig2, fig9, fig10, fig11, all)")
+    })?;
     let flows = read_log(dir, "flows.tsv", read_flows)?;
     let dns = read_log(dir, "dns.tsv", read_dns_log)?;
     let mut enr = read_log(dir, "enrichment.tsv", read_enrichment_log)?;
     enr.days = flows.iter().map(|f| f.first.day()).max().unwrap_or(0) + 1;
-    // beams are not persisted; Fig 8b is unavailable on replay
     let ds = Dataset { flows, dns, enrichment: enr, packets: 0 };
     eprintln!("replaying {} flows / {} DNS transactions from {dir}", ds.flows.len(), ds.dns.len());
-    let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
-    let mut printed = false;
-    let mut want = |name: &str| {
-        let hit = which == "all" || which == name;
-        printed |= hit;
-        hit
-    };
-    if want("table1") {
-        println!("{}", experiments::table1(&ds).render());
-    }
-    if want("fig2") {
-        println!("{}", experiments::fig2(&ds).render());
-    }
-    if want("fig9") {
-        println!("{}", experiments::fig9(&ds).render());
-    }
-    if want("fig10") {
-        println!("{}", experiments::fig10(&ds).render());
-    }
-    if want("fig11") {
-        println!("{}", experiments::fig11(&ds).render());
-    }
-    if !printed {
-        return Err(format!("replay cannot render figure {which:?} (try table1, fig2, fig9, fig10, fig11, all)").into());
-    }
+    print_figures(&which, &REPLAY_FIGURES, &ds);
     Ok(())
 }
 
@@ -484,9 +471,8 @@ fn paper_check(args: &Args) -> Result<(), Box<dyn Error>> {
 /// the flow frame of a scenario run. The pipeline comes from
 /// `--pipeline '<json>'` or `--pipeline-file FILE`. The rendered table
 /// goes to stdout, a one-line pushdown/row-count summary to stderr.
-fn query(args: &Args) -> Result<(), Box<dyn Error>> {
+fn query(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
-    let workers = cfg.threads.max(1);
     let src = match (args.get("pipeline"), args.get("pipeline-file")) {
         (Some(_), Some(_)) => return Err("pass either --pipeline or --pipeline-file, not both".into()),
         (Some(s), None) => s.to_string(),
@@ -499,16 +485,17 @@ fn query(args: &Args) -> Result<(), Box<dyn Error>> {
         }
     };
     let pipeline = satwatch_analytics::Pipeline::parse(&src)?;
+    let render: fn(&ResultTable) -> String = match args.get("format").unwrap_or("text") {
+        "text" => ResultTable::render_text,
+        "csv" => ResultTable::render_csv,
+        "json" => |table| table.render_json() + "\n",
+        other => return Err(format!("unknown --format {other:?} (try text, csv, json)").into()),
+    };
     let frame = ingest_with_banner(cfg).frame;
     let t0 = std::time::Instant::now();
     let (table, stats) = satwatch_analytics::query::run_with_stats(&frame, &pipeline, workers)?;
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    match args.get("format").unwrap_or("text") {
-        "text" => print!("{}", table.render_text()),
-        "csv" => print!("{}", table.render_csv()),
-        "json" => println!("{}", table.render_json()),
-        other => return Err(format!("unknown --format {other:?} (try text, csv, json)").into()),
-    }
+    print!("{}", render(&table));
     eprintln!(
         "query: scanned {} rows, {} after pushdown, {} result rows in {:.1} ms",
         stats.rows_scanned, stats.rows_after_pushdown, stats.result_rows, elapsed_ms
@@ -784,6 +771,26 @@ mod tests {
             r#"[{"group": {"aggs": {"n": {"count": true}}}}]"#,
         ]);
         assert!(dispatch(&fmt).is_err());
+    }
+
+    /// `--resume` takes the scenario from the manifest: an option that
+    /// would describe another one is refused by name, not dropped.
+    #[test]
+    fn campaign_resume_refuses_the_options_of_a_new_campaign() {
+        let dir = std::env::temp_dir().join(format!("satwatch-resume-test-{}", std::process::id()));
+        let dir_s = dir.to_str().unwrap().to_string();
+        let new = ["campaign", "--out", &dir_s, "--customers", "6", "--days", "2", "--seed", "3"];
+        dispatch(&parse(&[&new[..], &["--abort-after-day", "0"]].concat())).unwrap();
+        // a valued scenario option, a what-if flag, the directory
+        for extra in [&["--customers", "99"][..], &["--no-pep"], &["--out", "elsewhere"]] {
+            let err = dispatch(&parse(&[&["campaign", "--resume", &dir_s], extra].concat())).expect_err(extra[0]);
+            let err = err.to_string();
+            assert!(err.contains(extra[0]) && err.contains("manifest"), "{}: {err}", extra[0]);
+        }
+        // what shapes this invocation, not the scenario, stays legal
+        let legal = ["--threads", "2", "--shards", "2", "--abort-after-day", "1", "--print-rss"];
+        dispatch(&parse(&[&["campaign", "--resume", &dir_s], &legal[..]].concat())).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

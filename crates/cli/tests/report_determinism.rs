@@ -1,6 +1,7 @@
 //! The determinism contract, held by the command everyone runs: one
 //! seed writes one report, whatever `--threads`/`--shards`, and it is
-//! the report golden `satbench check` pins.
+//! the report golden `satbench check` pins. And the arguments of a
+//! command are checked before the run they belong to.
 
 use satwatch_scenario::digest::fnv1a;
 use std::process::{Command, Output};
@@ -9,7 +10,9 @@ fn satwatch(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_satwatch")).args(args).output().expect("satwatch starts")
 }
 
-fn report_stdout(workers: &str) -> Vec<u8> {
+/// The report at `--threads workers --shards workers`: the fold fans
+/// out over `--threads`, and `--shards` is ignored with a note.
+fn report_output(workers: &str) -> Output {
     let out = satwatch(&[
         "report",
         "--customers",
@@ -24,13 +27,17 @@ fn report_stdout(workers: &str) -> Vec<u8> {
         workers,
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    out.stdout
+    out
 }
 
 #[test]
 fn report_stdout_is_the_golden_at_any_threads_and_shards() {
-    let serial = report_stdout("1");
-    assert!(serial == report_stdout("2"), "--threads 2 --shards 2 changed the report");
+    let (one, two) = (report_output("1"), report_output("2"));
+    let serial = one.stdout;
+    assert!(serial == two.stdout, "--threads 2 --shards 2 changed the report");
+    let note = "--shards is ignored";
+    assert!(!String::from_utf8_lossy(&one.stderr).contains(note), "--shards 1 is what the harness passes");
+    assert!(String::from_utf8_lossy(&two.stderr).contains(note), "--shards 2 is ignored, and says so");
     // the golden is over `PaperReports::render_all`, which is stdout
     // without the newline `println!` ends the last figure with
     let body = serial.strip_suffix(b"\n").expect("report ends with a newline");
@@ -46,4 +53,27 @@ fn an_unknown_option_is_refused_before_anything_runs() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option --customer"), "{stderr}");
     assert!(out.stdout.is_empty());
+}
+
+/// A value no run could have used is refused before the scenario is
+/// simulated or a log is read.
+#[test]
+fn a_bad_figure_or_format_is_refused_before_anything_runs() {
+    let pipeline = r#"[{"group": {"aggs": {"n": {"count": true}}}}]"#;
+    for (args, message) in [
+        (&["report", "--customers", "240", "--figure", "fig99"][..], "unknown figure \"fig99\""),
+        (&["query", "--customers", "240", "--format", "xml", "--pipeline", pipeline], "unknown --format \"xml\""),
+        // no such directory: the figure is refused before a log is opened
+        (
+            &["replay", "--logs", "/nonexistent/satwatch-logs", "--figure", "fig3"],
+            "replay cannot render figure \"fig3\"",
+        ),
+    ] {
+        let out = satwatch(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("simulating") && !stderr.contains("replaying"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
 }

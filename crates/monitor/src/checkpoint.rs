@@ -9,16 +9,13 @@
 //! state: RNG streams are re-derived from the scenario seed tree, and
 //! CryptoPan is a pure function of the anonymization seed.
 //!
-//! ## Shard-count independence
+//! ## One unified snapshot
 //!
-//! [`ProbeState`] is a *unified* snapshot: per-shard states are merged
-//! into one global view sorted by total keys (the probe's canonical
-//! flow and DNS orders), so the encoded bytes are identical at any
-//! shard count — and a campaign checkpointed at `--shards 4` can
-//! resume at `--shards 1` (or vice versa). On import the dispatcher
-//! redistributes every entry with the same host-pair hash it routes
-//! packets with, so each flow and each pending DNS transaction lands
-//! on the shard that will see its future packets.
+//! [`ProbeState`] lists live flows and pending DNS transactions in
+//! their canonical orders, so the same capture always encodes to the
+//! same bytes. State files written when the probe could be sharded
+//! hold the same unified view (the shards' states merged and sorted by
+//! those keys) and import into the one probe unchanged.
 //!
 //! ## Encoding
 //!
@@ -29,7 +26,6 @@
 //! job: the campaign manifest records an FNV-1a checksum of the
 //! encoded state and verifies it before decoding.
 
-use crate::probe::dns_cmp;
 use crate::record::DnsRecord;
 use satwatch_simcore::SimTime;
 use std::fmt;
@@ -225,10 +221,10 @@ impl<'a> Reader<'a> {
 
 // ---------------------------------------------------------------- entries
 
-/// One live flow's complete serialized state, tagged with its routing
-/// and ordering keys. The payload bytes are an opaque `FlowState`
-/// encoding owned by the flow table (the key fields below are a parsed
-/// view of its prefix).
+/// One live flow's complete serialized state, tagged with its flow
+/// key and first-packet time. The payload bytes are an opaque
+/// `FlowState` encoding owned by the flow table (the key fields below
+/// are a parsed view of its prefix).
 #[derive(Debug)]
 pub struct FlowEntry {
     pub first: SimTime,
@@ -255,12 +251,6 @@ impl FlowEntry {
         Ok(FlowEntry { first, src, src_port, dst, dst_port, protocol, bytes })
     }
 
-    /// The probe's canonical flow order (same fields as
-    /// `probe::flow_sort_key`, pre-anonymization).
-    fn sort_key(&self) -> (SimTime, Ipv4Addr, u16, Ipv4Addr, u16, u8) {
-        (self.first, self.src, self.src_port, self.dst, self.dst_port, self.protocol)
-    }
-
     /// The opaque `FlowState` payload.
     pub(crate) fn state_bytes(&self) -> &[u8] {
         &self.bytes
@@ -277,15 +267,6 @@ pub struct PendingDnsEntry {
     pub asked_at: SimTime,
 }
 
-impl PendingDnsEntry {
-    /// Total order: `(client, resolver, id)` is the transaction key,
-    /// so leading with `asked_at` still yields a total (deterministic)
-    /// order.
-    fn sort_key(&self) -> (SimTime, Ipv4Addr, Ipv4Addr, u16) {
-        (self.asked_at, self.client, self.resolver, self.id)
-    }
-}
-
 /// Complete probe carry-over state: everything a fresh probe needs to
 /// continue a capture bit-identically. Produced by
 /// [`Probe::export_state`](crate::Probe::export_state) /
@@ -300,9 +281,9 @@ pub struct ProbeState {
     pub pending_dns: Vec<PendingDnsEntry>,
     /// DNS records logged since the last export (export *drains* the
     /// probe's log so the campaign can spill it to disk; ties are in
-    /// observation order, see [`dns_cmp`]).
+    /// observation order, see [`dns_cmp`](crate::dns_cmp)).
     pub dns_log: Vec<DnsRecord>,
-    /// The global sweep clock.
+    /// The sweep clock.
     pub last_sweep: SimTime,
     pub packets: u64,
     pub parse_errors: u64,
@@ -320,31 +301,6 @@ impl ProbeState {
             parse_errors: 0,
             transit_packets: 0,
         }
-    }
-
-    /// Merge per-shard states into one unified view. Sound because the
-    /// shard partition is disjoint (host-pair routing): flow and DNS
-    /// keys never collide across shards, counters are sums, and the
-    /// sweep clock is globally driven (identical in every shard).
-    /// Sorting by the total keys makes the merged state — and its
-    /// [`encode`](Self::encode) bytes — independent of the shard
-    /// count. The stable DNS-log sort preserves per-shard observation
-    /// order for tied records, which always share a shard.
-    pub fn merge(states: Vec<ProbeState>) -> ProbeState {
-        let mut out = ProbeState::empty();
-        for s in states {
-            out.flows.extend(s.flows);
-            out.pending_dns.extend(s.pending_dns);
-            out.dns_log.extend(s.dns_log);
-            out.last_sweep = out.last_sweep.max(s.last_sweep);
-            out.packets += s.packets;
-            out.parse_errors += s.parse_errors;
-            out.transit_packets += s.transit_packets;
-        }
-        out.flows.sort_by_key(FlowEntry::sort_key);
-        out.pending_dns.sort_by_key(PendingDnsEntry::sort_key);
-        out.dns_log.sort_by(dns_cmp);
-        out
     }
 
     /// Earliest `first` timestamp among live flows — the campaign's

@@ -19,10 +19,10 @@ use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
-/// Telemetry handles, shared by every flow table (all shards report
-/// into the same instruments; the sharded gauges sum correctly because
-/// each table only adds/subtracts its own flows). Write-only: the
-/// table never reads these back, so recording cannot perturb output.
+/// Telemetry handles, shared by every flow table (the gauges sum
+/// correctly because each table only adds/subtracts its own flows).
+/// Write-only: the table never reads these back, so recording cannot
+/// perturb output.
 struct Metrics {
     live_flows: &'static satwatch_telemetry::Gauge,
     evictions: &'static satwatch_telemetry::Counter,
@@ -342,10 +342,9 @@ impl FlowState {
 
     /// Checkpoint serialization. The layout leads with the canonical
     /// key prefix `(src, dst, src_port, dst_port, protocol, first)`
-    /// that [`checkpoint::FlowEntry`] parses for routing and ordering
-    /// without decoding the full state. Floats are exact bit patterns;
-    /// a restored flow continues the identical packet-by-packet state
-    /// trajectory.
+    /// that [`checkpoint::FlowEntry`] parses without decoding the full
+    /// state. Floats are exact bit patterns; a restored flow continues
+    /// the identical packet-by-packet state trajectory.
     fn write_state(&self, w: &mut Vec<u8>) {
         use checkpoint::*;
         put_ip(w, self.key.src);
@@ -568,8 +567,8 @@ fn finalise(flows: &mut FxHashMap<FiveTuple, Box<FlowState>>, finished: &mut Vec
     finished.push(flow.finish_record());
 }
 
-/// Typical concurrent-flow population per probe (or shard): enough to
-/// avoid rehashing during warm-up without wasting memory when idle.
+/// Typical concurrent-flow population per probe: enough to avoid
+/// rehashing during warm-up without wasting memory when idle.
 const FLOW_TABLE_PRESIZE: usize = 1_024;
 
 impl FlowTable {
@@ -941,7 +940,7 @@ impl FlowTable {
 
     /// Serialize every live flow, in the table's canonical order
     /// (first-seen time, then key) — the same order `sweep`/`flush`
-    /// evict in, so the export is deterministic and shard-mergeable.
+    /// evict in, so the export is deterministic.
     /// Non-destructive: the table keeps tracking.
     pub(crate) fn export_flows(&self) -> Vec<FlowEntry> {
         let mut keys: Vec<FiveTuple> = self.flows.keys().copied().collect();

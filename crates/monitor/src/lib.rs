@@ -25,12 +25,11 @@
 //!   field encoders, 64 KiB block writes, a line-buffer reader.
 //! * [`probe`] — the composed probe: one `observe()` per packet,
 //!   `finish()` yields anonymized records.
-//! * [`sharded`] — the probe partitioned across worker threads by host
-//!   pair, with globally driven sweeps and a deterministic merge: any
-//!   shard count yields byte-identical output.
+//! * [`sharded`] — the probe under the constructor the day loop and
+//!   the benchmark harness call: one inline `Probe`, no threads.
 //! * [`checkpoint`] — complete probe-state serialization (live flows,
 //!   pending DNS, sweep clock) so multi-day campaigns survive `kill
-//!   -9` and resume bit-identically, at any shard count.
+//!   -9` and resume bit-identically.
 //!
 //! ```
 //! use satwatch_monitor::{FlowTableConfig, Probe, ProbeConfig};

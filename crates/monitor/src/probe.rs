@@ -16,8 +16,8 @@ use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
-/// Telemetry handles shared by every probe instance (shards included —
-/// the counters sum across them). Write-only on the packet path.
+/// Telemetry handles shared by every probe instance. Write-only on
+/// the packet path.
 struct Metrics {
     packets: &'static satwatch_telemetry::Counter,
     batches: &'static satwatch_telemetry::Counter,
@@ -180,10 +180,9 @@ impl Probe {
     /// Equivalent to calling [`observe`](Self::observe) per row: a span
     /// that straddles one or more periodic-sweep moments is split at
     /// each boundary (binary search on the sorted timestamps), so every
-    /// sub-span still takes the amortized
-    /// [`process_cols`](Self::process_cols) path and the sweep fires at
-    /// exactly the per-packet moment — after the first row at or past
-    /// the boundary, at that row's timestamp.
+    /// sub-span still takes the amortized `process_cols` path and the
+    /// sweep fires at exactly the per-packet moment — after the first
+    /// row at or past the boundary, at that row's timestamp.
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         let mut i = start;
         while i < end {
@@ -230,18 +229,15 @@ impl Probe {
     }
 
     /// Process columnar rows `[start, end)` *without* the
-    /// periodic-sweep check. The sharded workers use this and have
-    /// [`Probe::sweep_now`] driven globally, so eviction timing is
-    /// identical at any shard count (a shard seeing few packets must
-    /// not sweep late); [`observe_cols`](Self::observe_cols) is this
-    /// plus the sweep clock. Rows walk the flow table in same-flow
+    /// periodic-sweep check; [`observe_cols`](Self::observe_cols) is
+    /// this plus the sweep clock. Rows walk the flow table in same-flow
     /// stretches — entry resolved once, counters accumulated in locals
     /// — with zero `Packet` materialization; only port-53 UDP stretches
     /// reach the DNS transaction log, which parses straight from the
     /// payload slice. Sink draining happens once per span; eviction
     /// order within a span is not observable (the [`FlowSink`] contract
     /// already requires consumers to re-sort).
-    pub fn process_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
+    fn process_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         // Packet-rate span accounting stays local (no atomics); the
         // batched counts reach the registry via `flush_span_metrics`.
         let n = end - start;
@@ -275,7 +271,7 @@ impl Probe {
 
     /// Run the idle-flow sweep and DNS expiry now, resetting the
     /// periodic-sweep clock.
-    pub fn sweep_now(&mut self, t: SimTime) {
+    fn sweep_now(&mut self, t: SimTime) {
         self.flush_span_metrics();
         self.table.sweep(t);
         self.expire_dns(t);
@@ -521,11 +517,11 @@ impl Probe {
 
 /// Canonical output order for flow records. The key is total over
 /// distinct flows (the `ip_proto` tail disambiguates a TCP and a UDP
-/// flow sharing addresses, ports and start time), so sorting the
-/// concatenation of per-shard outputs reproduces the single-probe
-/// order exactly — the property the sharded probe's merge relies on.
-/// Public so streaming consumers (the columnar `FrameBuilder`) can
-/// restore this order after ingesting evictions out of order.
+/// flow sharing addresses, ports and start time), so sorting any
+/// permutation of a capture's records reproduces the batch order
+/// exactly. Public so streaming consumers (the columnar
+/// `FrameBuilder`, the campaign's day buckets) can restore this order
+/// after ingesting evictions out of order.
 pub fn flow_sort_key(f: &FlowRecord) -> (SimTime, Ipv4Addr, u16, Ipv4Addr, u16, u8) {
     (f.first, f.client, f.client_port, f.server, f.server_port, f.ip_proto)
 }
@@ -562,11 +558,11 @@ pub fn sort_flows_canonical(flows: &mut [FlowRecord]) {
 /// Canonical output order for DNS records, as a borrowed-key
 /// comparator: a `sort_by_key` returning an owned tuple would clone
 /// the query name for every comparison. Records that tie on this
-/// order always share a (client, resolver) pair and therefore a
-/// shard, so a stable sort keeps them in observation order on merge
-/// too. Public for the same reason as [`flow_sort_key`]: external
-/// consumers (the campaign runner's day buckets) must reproduce the
-/// probe's canonical order when stitching partial outputs together.
+/// order share a (client, resolver) pair; a stable sort keeps them in
+/// observation order. Public for the same reason as
+/// [`flow_sort_key`]: external consumers (the campaign runner's day
+/// buckets) must reproduce the probe's canonical order when stitching
+/// partial outputs together.
 pub fn dns_cmp(a: &DnsRecord, b: &DnsRecord) -> std::cmp::Ordering {
     (a.ts, a.client, a.resolver).cmp(&(b.ts, b.client, b.resolver)).then_with(|| a.query.cmp(&b.query))
 }

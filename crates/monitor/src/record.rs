@@ -153,8 +153,8 @@ pub struct FlowRecord {
     pub sat_rtt_ms: Option<f64>,
     pub l7: L7Protocol,
     /// Domain from SNI (TLS/QUIC) or Host (HTTP). Interned: records
-    /// from one probe shard, or read from one log, share an
-    /// `Arc<str>` per unique name.
+    /// from one probe, or read from one log, share an `Arc<str>` per
+    /// unique name.
     pub domain: Option<Domain>,
 }
 

@@ -252,27 +252,6 @@ impl PacketColumns {
         }
     }
 
-    /// Copy rows `[start, end)` into a fresh run (payload blocks are
-    /// shared zero-copy). Used to split a run across probe shards.
-    pub fn extract(&self, start: usize, end: usize) -> PacketColumns {
-        PacketColumns {
-            ts: self.ts[start..end].to_vec(),
-            src: self.src[start..end].to_vec(),
-            dst: self.dst[start..end].to_vec(),
-            sport: self.sport[start..end].to_vec(),
-            dport: self.dport[start..end].to_vec(),
-            flags: self.flags[start..end].to_vec(),
-            mss: self.mss[start..end].to_vec(),
-            seq: self.seq[start..end].to_vec(),
-            ack: self.ack[start..end].to_vec(),
-            wire: self.wire[start..end].to_vec(),
-            pay_off: self.pay_off[start..end].to_vec(),
-            pay_len: self.pay_len[start..end].to_vec(),
-            payload: self.payload.clone(),
-            zeros: self.zeros.clone(),
-        }
-    }
-
     /// Clamp every timestamp to `>= t0`, then stable-sort all columns
     /// by time (emission order breaks ties) — the columnar equivalent
     /// of scheduling row `i` into an event heap at `max(ts[i], t0)`.
@@ -432,16 +411,6 @@ mod tests {
                 assert_eq!(g.1, w.1);
             }
         }
-    }
-
-    #[test]
-    fn extract_preserves_rows_and_payloads() {
-        let c = sample();
-        let sub = c.extract(1, 3);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.payload_slice(0), c.payload_slice(1));
-        assert_eq!(sub.payload_slice(1), c.payload_slice(2));
-        assert_eq!(sub.materialize(0), c.materialize(1));
     }
 
     #[test]

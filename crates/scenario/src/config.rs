@@ -1,6 +1,8 @@
 //! Scenario configuration, including the paper's what-if knobs.
 
-/// Configuration for one end-to-end simulation run.
+/// Configuration for one end-to-end simulation run: *what* is
+/// simulated, nothing about how. Every field changes the dataset, and
+/// the campaign manifest's `config_hash` covers every field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScenarioConfig {
     /// Root seed: identical seeds produce bit-identical datasets.
@@ -19,16 +21,6 @@ pub struct ScenarioConfig {
     /// A2 ablation: force every customer onto the operator resolver
     /// (the §6.4 mitigation).
     pub force_operator_dns: bool,
-    /// Worker threads for the parallel stages (intent generation,
-    /// analytics). `1` = serial, `0` = one per core. Any value
-    /// produces bit-identical output — parallelism only changes wall
-    /// time (see DESIGN.md "Parallelism & determinism").
-    pub threads: usize,
-    /// Probe shards: the span-port stream is partitioned by host pair
-    /// across this many probe worker threads. `1` = the classic
-    /// inline probe, `0` = one per core. Output is byte-identical at
-    /// any shard count.
-    pub probe_shards: usize,
 }
 
 impl ScenarioConfig {
@@ -41,8 +33,6 @@ impl ScenarioConfig {
             pep_enabled: true,
             african_ground_station: false,
             force_operator_dns: false,
-            threads: 1,
-            probe_shards: 1,
         }
     }
 
@@ -86,15 +76,15 @@ impl ScenarioConfig {
         self
     }
 
-    /// Worker threads for parallel stages (`0` = one per core).
-    pub fn with_threads(mut self, threads: usize) -> ScenarioConfig {
-        self.threads = threads;
+    /// No-op: the packet path is single-threaded (DESIGN.md §7). Kept
+    /// because `benchmark/` calls it.
+    pub fn with_threads(self, _threads: usize) -> ScenarioConfig {
         self
     }
 
-    /// Probe shard count (`0` = one per core).
-    pub fn with_probe_shards(mut self, shards: usize) -> ScenarioConfig {
-        self.probe_shards = shards;
+    /// No-op, kept for the same caller as
+    /// [`with_threads`](Self::with_threads): there is one inline probe.
+    pub fn with_probe_shards(self, _shards: usize) -> ScenarioConfig {
         self
     }
 }
@@ -111,24 +101,13 @@ mod tests {
             .with_days(3)
             .without_pep()
             .with_african_ground_station()
-            .with_forced_operator_dns()
-            .with_threads(4)
-            .with_probe_shards(2);
+            .with_forced_operator_dns();
         assert_eq!(c.seed, 1);
         assert_eq!(c.customers, 10);
         assert_eq!(c.days, 3);
         assert!(!c.pep_enabled);
         assert!(c.african_ground_station);
         assert!(c.force_operator_dns);
-        assert_eq!(c.threads, 4);
-        assert_eq!(c.probe_shards, 2);
-    }
-
-    #[test]
-    fn presets_default_to_serial() {
-        let c = ScenarioConfig::tiny();
-        assert_eq!(c.threads, 1);
-        assert_eq!(c.probe_shards, 1);
     }
 
     #[test]

@@ -94,10 +94,8 @@ pub fn fig11(ds: &Dataset) -> Fig11 {
 /// the columnar engine's `report_all` is pinned byte-identical to.
 /// One `customer_days` rollup is shared by Figs 5–7 (the classifier
 /// memoizes per interned domain handle, so repeated SNIs cost one
-/// pattern scan each). `workers` is ignored, as [`run_reference`]
-/// ignores `threads`: the reference is one plain pass per figure.
-///
-/// [`run_reference`]: crate::run_reference
+/// pattern scan each). `workers` is ignored: the reference is one
+/// plain pass per figure.
 pub fn paper_reports_records(
     flows: &[FlowRecord],
     dns: &[DnsRecord],

@@ -171,7 +171,7 @@ impl<'a> FlowBuilder<'a> {
 
     /// Seal the run's shared-zero buffer. The arena block itself is
     /// frozen by the caller — per flow in [`NetModel::emit_flow`],
-    /// once per cohort in the serial drive loop — so recorded
+    /// once per cohort in the drive loop — so recorded
     /// (offset, len) pairs resolve against whichever block the caller
     /// installs as [`PacketColumns::payload`].
     fn finish(self) {
@@ -347,8 +347,8 @@ impl NetModel {
     /// stream for one flow and record every drawn value. Serial per
     /// cohort (the stream is shared across flows in intent-pop order);
     /// the recorded plan makes [`emit_flow`](Self::emit_flow)
-    /// parent-RNG-free so cohort emission can run out-of-order or on
-    /// worker threads.
+    /// parent-RNG-free, so a cohort is planned in one pass and emitted
+    /// in the next.
     ///
     /// Delay-term draws go through [`satwatch_satcom::DelayPlanner`],
     /// which appends each sample to `delay_col` — the cohort's shared
@@ -509,10 +509,10 @@ impl NetModel {
 
     /// Emission pass: expand one planned flow into packet columns.
     /// Touches no RNG except the plan's private "grtt" fork — every
-    /// parent-stream value is read back from the plan, so cohort
-    /// emission order (or thread) cannot perturb any other flow.
+    /// parent-stream value is read back from the plan, so emitting a
+    /// flow cannot perturb any other flow.
     ///
-    /// Freezes the arena into the run's own payload block. The serial
+    /// Freezes the arena into the run's own payload block. The
     /// cohort loop uses [`emit_flow_open`](Self::emit_flow_open)
     /// instead and freezes once per cohort.
     pub fn emit_flow(

@@ -5,8 +5,7 @@
 //! every config, written to be read in one sitting. It shares only the
 //! config-derived inputs and [`build_enrichment`] with the production
 //! path: no tournament merge, no cohorts, no delay cache, no stretch
-//! walker, no shards, no worker threads (`threads` and `probe_shards`
-//! are ignored), no telemetry.
+//! walker, no telemetry.
 //!
 //! Why the two agree. All of a day's intents are scheduled before any
 //! packet, so an intent wins a time tie against a packet. A flow's

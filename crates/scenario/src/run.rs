@@ -14,7 +14,7 @@ use satwatch_satcom::link::{LinkConfig, LinkModel};
 use satwatch_satcom::mac::{Mac, MacConfig};
 use satwatch_satcom::pep::{PepConfig, PepModel};
 use satwatch_satcom::{GroundStation, SatelliteAccess};
-use satwatch_simcore::{ordered_par_map, ColMerge, SeedTree, SimTime};
+use satwatch_simcore::{ColMerge, SeedTree, SimTime};
 use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, Population};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -144,7 +144,7 @@ struct DayScratch {
     /// moving no packet data and recycling every run buffer.
     merge: ColMerge<PacketColumns>,
     scratch: SortScratch,
-    /// Payload bytes for a serial cohort's packets are bump-allocated
+    /// Payload bytes for a cohort's packets are bump-allocated
     /// here and frozen into one refcounted block per cohort; the
     /// arena's capacity hint keeps the steady state at one allocation
     /// per cohort.
@@ -274,7 +274,7 @@ fn run_batch(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
         let _s = satwatch_telemetry::Span::over(metrics().setup_us);
         setup(cfg)
     };
-    let mut probe = ShardedProbe::new(sim.probe_cfg, cfg.probe_shards);
+    let mut probe = ShardedProbe::new(sim.probe_cfg, 1);
     drive(cfg, &sim, &mut probe, tap);
     let _s = satwatch_telemetry::Span::over(metrics().finish_us);
     let packets = probe.packets;
@@ -299,10 +299,11 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
     // so the builder can resolve columns while packets still flow
     let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
     let builder = Arc::new(Mutex::new(FrameBuilder::new(enrichment.clone())));
-    let mut probe = ShardedProbe::with_flow_sink(sim.probe_cfg, cfg.probe_shards, |_shard| {
-        let builder = Arc::clone(&builder);
-        Box::new(move |f: FlowRecord| builder.lock().unwrap().push(&f)) as satwatch_monitor::FlowSink
-    });
+    let sink = Arc::clone(&builder);
+    let mut probe = ShardedProbe::with_flow_sink(
+        sim.probe_cfg,
+        Box::new(move |f: FlowRecord| sink.lock().expect("sink lock").push(&f)),
+    );
     drop(t_setup);
     drive(cfg, &sim, &mut probe, None);
     let _s = satwatch_telemetry::Span::over(metrics().finish_us);
@@ -310,7 +311,7 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
     let (rest, dns) = probe.finish();
     debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
     drop(rest);
-    let builder = Arc::try_unwrap(builder).ok().expect("all shard sinks dropped").into_inner().unwrap();
+    let builder = Arc::try_unwrap(builder).ok().expect("the probe dropped its sink").into_inner().expect("sink lock");
     let frame = builder.seal();
     ColumnarDataset { frame, dns, enrichment, packets }
 }
@@ -357,24 +358,20 @@ fn drive_day(
         // run up to one hour past midnight; later packets are truncated
         // (a negligible tail — flow emission is capped at 20 minutes).
         let mut intents = IntentQueue::new();
-        // Per-customer intent generation is embarrassingly parallel:
-        // each customer draws from its own `rng_idx("intents", …)`
-        // stream, so no RNG state is shared. Scheduling stays serial,
-        // in customer order, because the event queue breaks time ties
-        // FIFO — the insert order is part of the deterministic output.
-        let per_customer = {
+        // Each customer draws from its own `rng_idx("intents", …)`
+        // stream. Customers are scheduled in index order: the queue
+        // breaks time ties FIFO, so the insert order is part of the
+        // deterministic output.
+        {
             let _s = satwatch_telemetry::Span::over(m.intent_gen_us);
-            ordered_par_map(cfg.threads, &population.customers, |i, customer| {
+            for (i, customer) in population.customers.iter().enumerate() {
                 let mut rng = seeds.rng_idx("intents", day * 1_000_000 + i as u64);
-                generate_day(customer, i, catalog, day, &mut rng)
-            })
-        };
-        for day_intents in per_customer {
-            for mut intent in day_intents {
-                if cfg.force_operator_dns {
-                    intent.resolver = ResolverId::OperatorEu;
+                for mut intent in generate_day(customer, i, catalog, day, &mut rng) {
+                    if cfg.force_operator_dns {
+                        intent.resolver = ResolverId::OperatorEu;
+                    }
+                    intents.schedule(intent.start, intent);
                 }
-                intents.schedule(intent.start, intent);
             }
         }
         m.intents.add(intents.v.len() as u64);
@@ -386,8 +383,7 @@ fn drive_day(
         // run the *planning* pass serially over the shared flow RNG
         // (same stream, same draw order per flow as the reference's
         // flow-at-a-time `simulate_flow`), then expand every plan to
-        // packets RNG-free — serially into recycled buffers, or via
-        // `ordered_par_map` when `threads > 1`. Runs are pushed in
+        // packets RNG-free into recycled buffers. Runs are pushed in
         // intent-pop order, so run-id assignment — the merge
         // tie-break — is the reference heap's sequence order; each
         // run is clamped to its intent time, so one drain per cohort
@@ -396,14 +392,14 @@ fn drive_day(
         // Intents win time ties against packets, so the inclusive
         // drain bound before each cohort is its first intent time
         // − 1 ns (no packet exists strictly before t = 0).
-        // Serial cohorts stay small enough that a cohort's shared
-        // payload block fits the arena's 1 MiB capacity hint —
-        // larger cohorts pay geometric-growth memcpy per block.
-        let cohort_cap = if cfg.threads == 1 { 64 } else { 256 };
+        // Cohorts stay small enough that a cohort's shared payload
+        // block fits the arena's 1 MiB capacity hint — larger cohorts
+        // pay geometric-growth memcpy per block.
+        const COHORT: usize = 64;
         delay_cache.begin_day(day);
         let mut cohort: Vec<(SimTime, satwatch_traffic::FlowIntent, crate::flowsim::FlowPlan)> =
-            Vec::with_capacity(cohort_cap);
-        let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(cohort_cap);
+            Vec::with_capacity(COHORT);
+        let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(COHORT);
         let mut delay_col: Vec<satwatch_simcore::SimDuration> = Vec::new();
         let (mut synth_ns, mut drain_ns) = (0u64, 0u64);
         // Probe attribution is *sampled*: clock reads per span are
@@ -454,7 +450,7 @@ fn drive_day(
             // reference consumes it.
             cohort.clear();
             delay_col.clear();
-            while cohort.len() < cohort_cap {
+            while cohort.len() < COHORT {
                 match intents.peek_time() {
                     Some(ti) if ti <= horizon => {
                         let (t, intent) = intents.pop().expect("peeked intent vanished");
@@ -476,39 +472,24 @@ fn drive_day(
                 }
             }
             m.flows.add(cohort.len() as u64);
-            // Emission pass: parent-RNG-free, so order (and
-            // thread) is free; results are pushed in intent order.
-            if cfg.threads == 1 {
-                // All of the cohort's payload bytes accumulate in
-                // one arena block, frozen once below: offsets are
-                // absolute within the block, so every run shares
-                // the same `Bytes` — one allocation per cohort
-                // instead of one per flow, identical resolved
-                // payloads (see `emit_flow_open`).
-                for (t, intent, plan) in &cohort {
-                    let customer = &population.customers[intent.customer_index];
-                    let mut run = merge.take_buffer();
-                    model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
-                    run.clamp_and_sort(*t, scratch);
-                    cohort_runs.push(run);
-                }
-                let block = bytes::Bytes::from(arena.take());
-                for mut run in cohort_runs.drain(..) {
-                    run.payload = block.clone();
-                    merge.push(run);
-                }
-            } else {
-                let runs = ordered_par_map(cfg.threads, &cohort, |_, (t, intent, plan)| {
-                    let customer = &population.customers[intent.customer_index];
-                    let mut arena = satwatch_simcore::PayloadArena::new();
-                    let mut run = PacketColumns::default();
-                    model.emit_flow(intent, customer, plan, &delay_col, &mut arena, &mut run);
-                    run.clamp_and_sort(*t, &mut SortScratch::default());
-                    run
-                });
-                for run in runs {
-                    merge.push(run);
-                }
+            // Emission pass: parent-RNG-free; results are pushed in
+            // intent order. All of the cohort's payload bytes
+            // accumulate in one arena block, frozen once below:
+            // offsets are absolute within the block, so every run
+            // shares the same `Bytes` — one allocation per cohort
+            // instead of one per flow, identical resolved payloads
+            // (see `emit_flow_open`).
+            for (t, intent, plan) in &cohort {
+                let customer = &population.customers[intent.customer_index];
+                let mut run = merge.take_buffer();
+                model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
+                run.clamp_and_sort(*t, scratch);
+                cohort_runs.push(run);
+            }
+            let block = bytes::Bytes::from(arena.take());
+            for mut run in cohort_runs.drain(..) {
+                run.payload = block.clone();
+                merge.push(run);
             }
             if let Some(t0) = t_synth {
                 synth_ns += t0.elapsed().as_nanos() as u64;

@@ -132,7 +132,7 @@ fn an_in_order_data_frame_of_an_established_tls_flow_allocates_nothing() {
 #[test]
 fn a_whole_capture_stays_inside_its_allocation_budget_per_flow() {
     const BUDGET_PER_FLOW: f64 = 8.1;
-    let cfg = ScenarioConfig::tiny().with_customers(12).with_seed(7).with_threads(1).with_probe_shards(1);
+    let cfg = ScenarioConfig::tiny().with_customers(12).with_seed(7);
     let mut frames: Vec<(SimTime, Bytes)> = Vec::new();
     run_with_tap(cfg, |t, pkt| {
         // (the synthesizer's coalesced super-chunks have no wire form)

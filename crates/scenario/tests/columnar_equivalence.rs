@@ -1,20 +1,20 @@
 //! Golden equivalence: the columnar engine's fused `report_all` must
 //! reproduce the record-based paper outputs byte for byte — batch- or
-//! stream-built frame, any worker count, any shard count.
+//! stream-built frame, any worker count.
 
 use satwatch_analytics::FlowFrame;
 use satwatch_scenario::experiments::{paper_reports_columnar, paper_reports_records};
 use satwatch_scenario::{run, run_streaming, ScenarioConfig};
 
-fn cfg(shards: usize) -> ScenarioConfig {
-    ScenarioConfig::tiny().with_seed(42).with_customers(30).with_probe_shards(shards)
+fn cfg() -> ScenarioConfig {
+    ScenarioConfig::tiny().with_seed(42).with_customers(30)
 }
 
 const MIN_FLOWS: usize = 5;
 
 #[test]
 fn columnar_reports_match_record_reports_field_by_field() {
-    let ds = run(cfg(1));
+    let ds = run(cfg());
     let records = paper_reports_records(&ds.flows, &ds.dns, &ds.enrichment, MIN_FLOWS, 1);
     let fr = FlowFrame::from_records(&ds.flows, &ds.enrichment);
     assert_eq!(fr.len(), ds.flows.len());
@@ -40,30 +40,28 @@ fn columnar_reports_match_record_reports_field_by_field() {
 
 #[test]
 fn streamed_frame_equals_batch_frame_at_any_shard_count() {
-    let ds = run(cfg(1));
+    let ds = run(cfg());
     let batch = FlowFrame::from_records(&ds.flows, &ds.enrichment);
     let baseline = paper_reports_records(&ds.flows, &ds.dns, &ds.enrichment, MIN_FLOWS, 1).render_all();
-    for shards in [1usize, 4] {
-        let cds = run_streaming(cfg(shards));
-        assert_eq!(cds.packets, ds.packets, "shards={shards}");
-        assert_eq!(cds.dns, ds.dns, "dns shards={shards}");
-        // the sealed frame is the batch frame, column by column
-        assert_eq!(cds.frame.len(), batch.len(), "shards={shards}");
-        assert_eq!(cds.frame.first, batch.first, "first shards={shards}");
-        assert_eq!(cds.frame.client, batch.client, "client shards={shards}");
-        assert_eq!(cds.frame.bytes_up, batch.bytes_up, "bytes_up shards={shards}");
-        assert_eq!(cds.frame.bytes_down, batch.bytes_down, "bytes_down shards={shards}");
-        assert_eq!(cds.frame.ground_rtt_avg, batch.ground_rtt_avg, "ground_rtt shards={shards}");
-        assert_eq!(cds.frame.l7, batch.l7, "l7 shards={shards}");
-        assert_eq!(cds.frame.country, batch.country, "country shards={shards}");
-        assert_eq!(cds.frame.beam, batch.beam, "beam shards={shards}");
-        assert_eq!(cds.frame.local_hour, batch.local_hour, "local_hour shards={shards}");
-        assert_eq!(cds.frame.service, batch.service, "service shards={shards}");
-        assert_eq!(cds.frame.category, batch.category, "category shards={shards}");
-        // and the reports built from it equal the record baseline
-        let reports = paper_reports_columnar(&cds.frame, &cds.dns, &cds.enrichment, MIN_FLOWS, 2);
-        assert_eq!(reports.render_all(), baseline, "reports shards={shards}");
-    }
+    let cds = run_streaming(cfg());
+    assert_eq!(cds.packets, ds.packets);
+    assert_eq!(cds.dns, ds.dns, "dns");
+    // the sealed frame is the batch frame, column by column
+    assert_eq!(cds.frame.len(), batch.len());
+    assert_eq!(cds.frame.first, batch.first, "first");
+    assert_eq!(cds.frame.client, batch.client, "client");
+    assert_eq!(cds.frame.bytes_up, batch.bytes_up, "bytes_up");
+    assert_eq!(cds.frame.bytes_down, batch.bytes_down, "bytes_down");
+    assert_eq!(cds.frame.ground_rtt_avg, batch.ground_rtt_avg, "ground_rtt");
+    assert_eq!(cds.frame.l7, batch.l7, "l7");
+    assert_eq!(cds.frame.country, batch.country, "country");
+    assert_eq!(cds.frame.beam, batch.beam, "beam");
+    assert_eq!(cds.frame.local_hour, batch.local_hour, "local_hour");
+    assert_eq!(cds.frame.service, batch.service, "service");
+    assert_eq!(cds.frame.category, batch.category, "category");
+    // and the reports built from it equal the record baseline
+    let reports = paper_reports_columnar(&cds.frame, &cds.dns, &cds.enrichment, MIN_FLOWS, 2);
+    assert_eq!(reports.render_all(), baseline, "reports");
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! The production packet path against its reference (DESIGN.md "The
 //! packet path and its reference"): for any small scenario,
-//! `run(cfg)` — cohort synthesis, tournament merge, stretch walker,
-//! at any worker-thread and probe-shard count — must equal
-//! `run_reference(cfg)`, the single-heap per-packet loop: same packet
-//! count, same flow records, same DNS records, same dataset digest.
+//! `run(cfg)` — cohort synthesis, tournament merge, stretch walker —
+//! must equal `run_reference(cfg)`, the single-heap per-packet loop:
+//! same packet count, same flow records, same DNS records, same
+//! dataset digest.
 //!
 //! Drives the proptest strategies by hand instead of through the
-//! `proptest!` macro: each case runs five day-long scenarios, so the
+//! `proptest!` macro: each case runs two day-long scenarios, so the
 //! default 64-case budget would dominate the whole suite's wall time.
 //! The case count is capped; `PROPTEST_CASES` still lowers it further.
 
@@ -14,22 +14,15 @@ use proptest::prelude::*;
 use proptest::test_runner;
 use satwatch_scenario::{dataset_digest, run, run_reference, ScenarioConfig};
 
-/// One reference run of `base`, then the production run at every
-/// thread × shard combination.
-fn assert_matches_reference(base: ScenarioConfig, ctx: &str) {
-    let want = run_reference(base);
+/// One reference run of `cfg` against one production run.
+fn assert_matches_reference(cfg: ScenarioConfig, ctx: &str) {
+    let want = run_reference(cfg);
     assert!(want.packets > 0, "{ctx}: scenario produced no traffic");
-    let want_digest = dataset_digest(&want);
-    for threads in [1usize, 4] {
-        for shards in [1usize, 4] {
-            let got = run(base.with_threads(threads).with_probe_shards(shards));
-            let ctx = format!("{ctx} threads={threads} shards={shards}");
-            assert_eq!(got.packets, want.packets, "{ctx}: packet counts diverge");
-            assert_eq!(got.flows, want.flows, "{ctx}: flow records diverge");
-            assert_eq!(got.dns, want.dns, "{ctx}: dns records diverge");
-            assert_eq!(dataset_digest(&got), want_digest, "{ctx}: dataset digests diverge");
-        }
-    }
+    let got = run(cfg);
+    assert_eq!(got.packets, want.packets, "{ctx}: packet counts diverge");
+    assert_eq!(got.flows, want.flows, "{ctx}: flow records diverge");
+    assert_eq!(got.dns, want.dns, "{ctx}: dns records diverge");
+    assert_eq!(dataset_digest(&got), dataset_digest(&want), "{ctx}: dataset digests diverge");
 }
 
 #[test]

@@ -10,7 +10,7 @@ use satwatch_telemetry::Snapshot;
 
 #[test]
 fn snapshot_covers_every_pipeline_layer() {
-    let ds = run(ScenarioConfig::tiny().with_customers(10).with_probe_shards(2));
+    let ds = run(ScenarioConfig::tiny().with_customers(10));
     let _ = satwatch_analytics::agg::table1(&ds.flows);
     let snap = Snapshot::take();
     let counter = |name: &str| snap.counter(name).unwrap_or_else(|| panic!("{name} missing from snapshot"));
@@ -38,12 +38,11 @@ fn snapshot_covers_every_pipeline_layer() {
     let pep_setup = snap.histogram("satcom_pep_setup_us").expect("PEP setup span registered");
     assert!(pep_setup.count > 0);
 
-    // monitor layer (probe counts packets; the sharded dispatcher adds
-    // per-shard labelled series)
+    // monitor layer
     assert!(counter("monitor_packets_total") >= ds.packets);
     // span-granular hot path: the probe consumed its packets in
     // column spans. Both instruments tick together, once per span
-    // `Probe::process_cols` sees (flushed to the registry at every
+    // `Probe::observe_cols` walks (flushed to the registry at every
     // sweep and at finish), so the histogram's sum is bounded by the
     // total packet count.
     let batches = counter("monitor_probe_batches_total");
@@ -51,13 +50,6 @@ fn snapshot_covers_every_pipeline_layer() {
     let batch_len = snap.histogram("monitor_probe_batch_len").expect("batch-length histogram registered");
     assert_eq!(batch_len.count, batches, "one length sample per batch");
     assert!(batch_len.sum > 0 && batch_len.sum <= counter("monitor_packets_total"));
-    let shard_series: u64 = (0..2)
-        .map(|s| {
-            snap.counter(&satwatch_telemetry::labelled("monitor_shard_packets_total", &[("shard", &s.to_string())]))
-                .unwrap_or(0)
-        })
-        .sum();
-    assert!(shard_series >= ds.packets, "per-shard counters sum to at least this run's packets");
     let verdicts: u64 = ["TCP/HTTPS", "TCP/HTTP", "UDP/QUIC", "UDP/DNS", "UDP/RTP", "Other TCP", "Other UDP"]
         .iter()
         .filter_map(|l| snap.counter(&satwatch_telemetry::labelled("monitor_dpi_verdicts_total", &[("l7", l)])))

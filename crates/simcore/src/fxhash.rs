@@ -119,10 +119,8 @@ pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
-/// Hash one value to a `u64` with Fx — used for shard routing, where
-/// a stable, cheap, platform-independent hash is exactly what's
-/// needed (SipHash's per-process random keys would shard differently
-/// every run).
+/// Hash one value to a `u64` with Fx: stable from run to run and
+/// across platforms, where SipHash's per-process random keys are not.
 pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);

@@ -65,10 +65,7 @@ pub use arena::PayloadArena;
 pub use event::EventQueue;
 pub use fxhash::{fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxBuildHasher, FxHashMap, FxHashSet};
 pub use merge::{ColMerge, TimedRun};
-pub use par::{
-    available_parallelism, available_workers, ordered_par_chunks, ordered_par_fold, ordered_par_map,
-    ordered_par_ranges, resolve_workers, resolve_workers_or_warn,
-};
+pub use par::{ordered_par_chunks, ordered_par_fold, ordered_par_map, ordered_par_ranges};
 pub use rng::{Rng, SeedTree};
 pub use time::{SimDuration, SimTime};
 pub use units::{BitRate, Bytes};

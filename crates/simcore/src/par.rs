@@ -12,7 +12,7 @@
 //! shared atomic counter and stash `(index, result)` pairs locally;
 //! the caller scatters them back into input order after the scope
 //! joins. Spawning threads per call costs ~10 µs each, which is noise
-//! against the multi-millisecond stages (intent generation, analytics
+//! against the multi-millisecond stages (the analytics folds and
 //! group-bys) this is used for.
 
 use std::num::NonZeroUsize;
@@ -23,13 +23,6 @@ pub fn available_workers() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
-/// The machine's detected parallelism (what `--threads 0` resolves
-/// to). Same value as [`available_workers`], exported under the name
-/// callers outside the crate look for.
-pub fn available_parallelism() -> usize {
-    available_workers()
-}
-
 /// Resolve a `--threads`-style knob: `0` means "all cores".
 pub fn resolve_workers(requested: usize) -> usize {
     if requested == 0 {
@@ -37,26 +30,6 @@ pub fn resolve_workers(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// Resolve a `--threads`/`--shards` knob and flag oversubscription:
-/// when the request exceeds the machine's cores, log a warning and
-/// raise the `par_threads_oversubscribed` gauge to the overshoot
-/// (requested − cores). `label` names the knob in the warning. The
-/// requested count is still honoured — oversubscription is legal
-/// (and what `bench` deliberately does), just worth seeing.
-pub fn resolve_workers_or_warn(requested: usize, label: &str) -> usize {
-    let resolved = resolve_workers(requested);
-    let cores = available_workers();
-    if resolved > cores {
-        eprintln!(
-            "warning: --{label} {resolved} exceeds {cores} available core{}; \
-             threads will timeshare",
-            if cores == 1 { "" } else { "s" }
-        );
-        satwatch_telemetry::gauge("par_threads_oversubscribed").set((resolved - cores) as i64);
-    }
-    resolved
 }
 
 /// Map `f` over `items` on `workers` threads, returning results in
@@ -250,17 +223,6 @@ mod tests {
             );
             assert_eq!(par, serial, "concatenation must follow chunk order");
         }
-    }
-
-    #[test]
-    fn warn_variant_resolves_like_plain() {
-        assert_eq!(resolve_workers_or_warn(0, "threads"), available_parallelism());
-        assert_eq!(resolve_workers_or_warn(2, "threads"), 2);
-        // heavy oversubscription resolves (and raises the gauge, which
-        // the CLI exports); the warning itself goes to stderr
-        let huge = available_parallelism() + 100;
-        assert_eq!(resolve_workers_or_warn(huge, "shards"), huge);
-        assert!(satwatch_telemetry::gauge("par_threads_oversubscribed").value() >= 100);
     }
 
     #[test]
