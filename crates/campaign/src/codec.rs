@@ -2,9 +2,10 @@
 //!
 //! * a lossless [`FlowRecord`] codec (the TSV log formats floats with
 //!   `%.3` precision — fine for the digest, fatal for a round trip),
-//! * DNS day-bucket spill files (`dns/dns-<day>.bin`),
+//! * sealed DNS spill files (`dns/dns-<k>.bin`),
 //! * the per-checkpoint state file (`state-<day>.bin`) bundling the
-//!   probe carry-over with the not-yet-sealed flow/DNS day buckets.
+//!   probe carry-over with the not-yet-sealed flow/DNS tail, grouped
+//!   by day — the layout it has had since whole days were carried.
 //!
 //! Every file ends with a trailing FNV-1a 64 of everything before it
 //! and is written via temp-file + rename, so a reader either sees a
@@ -25,7 +26,7 @@ use std::path::Path;
 
 /// Magic for `state-<day>.bin` checkpoint files.
 pub const STATE_FILE_MAGIC: &[u8; 8] = b"SWCP\0v1\0";
-/// Magic for `dns/dns-<day>.bin` spill files.
+/// Magic for `dns/dns-<k>.bin` spill files.
 pub const DNS_FILE_MAGIC: &[u8; 8] = b"SWDN\0v1\0";
 
 /// Serialize one [`FlowRecord`] losslessly (every field, floats as
@@ -172,8 +173,8 @@ pub fn read_checksummed(path: &Path, expect: Option<u64>) -> Result<Vec<u8>, Cam
     Ok(bytes)
 }
 
-/// Write one sealed DNS day bucket. Records must already be in
-/// canonical [`dns_cmp`](satwatch_monitor::dns_cmp) order.
+/// Write one sealed DNS spill. Records must already be in canonical
+/// [`dns_cmp`](satwatch_monitor::dns_cmp) order.
 pub fn write_dns_file(path: &Path, recs: &[DnsRecord]) -> io::Result<u64> {
     let mut buf = Vec::with_capacity(64 + recs.len() * 64);
     buf.extend_from_slice(DNS_FILE_MAGIC);
@@ -202,13 +203,30 @@ pub fn read_dns_file(path: &Path, expect: Option<u64>) -> Result<Vec<DnsRecord>,
     Ok(recs)
 }
 
-/// Day-keyed buckets of records evicted but not yet sealed.
+/// Day-keyed buckets of records evicted but not yet sealed: what a
+/// state file stores them as.
 pub type FlowBuckets = BTreeMap<u64, Vec<FlowRecord>>;
 pub type DnsBuckets = BTreeMap<u64, Vec<DnsRecord>>;
 
-/// Write `state-<day>.bin`: the probe carry-over plus every partial
-/// (unsealed) day bucket. Returns the whole-file checksum recorded in
-/// the manifest.
+/// Group unsealed `rows` by the day of `ts`, order kept within a day.
+pub fn by_day<T: Clone>(rows: &[T], ts: impl Fn(&T) -> SimTime) -> BTreeMap<u64, Vec<T>> {
+    let mut buckets = BTreeMap::<u64, Vec<T>>::new();
+    for r in rows {
+        buckets.entry(ts(r).as_secs() / crate::SECS_PER_DAY).or_default().push(r.clone());
+    }
+    buckets
+}
+
+/// The unsealed rows of a bucket map: day-key order, order within a
+/// bucket kept. Rows that tie on a canonical sort key share a
+/// timestamp, hence a bucket, so a stable seal-time sort orders the
+/// result as it would have ordered the rows before [`by_day`].
+pub fn flatten<T>(buckets: BTreeMap<u64, Vec<T>>) -> Vec<T> {
+    buckets.into_values().flatten().collect()
+}
+
+/// Write `state-<day>.bin`: the probe carry-over plus the unsealed
+/// rows. Returns the whole-file checksum recorded in the manifest.
 pub fn write_state_file(
     path: &Path,
     probe: &ProbeState,
@@ -275,12 +293,12 @@ pub fn read_state_file(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use satwatch_simcore::SimDuration;
     use std::net::Ipv4Addr;
 
-    fn flow(i: u8) -> FlowRecord {
+    pub(crate) fn flow(i: u8) -> FlowRecord {
         FlowRecord {
             client: Ipv4Addr::new(77, 0, 0, i),
             server: Ipv4Addr::new(198, 18, 0, 1),
@@ -333,8 +351,8 @@ mod tests {
         let path = dir.join("state-0.bin");
 
         let mut flow_buckets = FlowBuckets::new();
-        flow_buckets.insert(0, vec![flow(1), flow(2)]);
-        flow_buckets.insert(1, vec![flow(3)]);
+        flow_buckets.insert(1, vec![flow(5), flow(4)]);
+        flow_buckets.insert(0, vec![flow(2), flow(1)]);
         let mut dns_buckets = DnsBuckets::new();
         dns_buckets.insert(
             0,
@@ -354,6 +372,9 @@ mod tests {
         assert_eq!(p2.flows.len(), 0);
         assert_eq!(f2, flow_buckets);
         assert_eq!(d2, dns_buckets);
+        // what a resume makes of the buckets: day-key order, the order
+        // within a bucket kept
+        assert_eq!(flatten(f2), [flow(2), flow(1), flow(5), flow(4)]);
 
         // flip one byte: the trailing checksum must catch it
         let mut bytes = std::fs::read(&path).unwrap();

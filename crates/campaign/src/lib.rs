@@ -2,39 +2,40 @@
 //!
 //! Checkpointed multi-day campaign runner (DESIGN.md §12). The paper's
 //! vantage point observed traffic continuously for ~75 days; this
-//! crate makes such runs practical by never holding more than one day
-//! of evicted flows in memory and by surviving `kill -9` at any
-//! instant:
+//! crate makes such runs practical by holding the evicted flows of the
+//! running day only — what a checkpoint carries over is the live tail,
+//! tens of rows — and by surviving `kill -9` at any instant:
 //!
-//! * **Segments.** Evicted flows are bucketed by the day of their
-//!   first packet. Once the simulation clock (and every live flow)
-//!   has moved past a day boundary, that day's bucket is *sealed*:
-//!   sorted into canonical order, folded into the running dataset
-//!   digest, converted to a columnar [`FlowFrame`] and spilled to
-//!   `segments/seg-<day>.swseg` (per-column checksums, see
-//!   [`satwatch_analytics::segment`]). DNS transactions spill the same
-//!   way to `dns/dns-<day>.bin`.
+//! * **Segments.** Evicted flows collect in one buffer, in eviction
+//!   order. At every checkpoint the rows strictly behind the
+//!   *watermark* (the earlier of next midnight and the oldest live
+//!   flow's first packet) are final — nothing live or future can sort
+//!   before them — and are *sealed*: split off, sorted into canonical
+//!   order, folded into the running dataset digest, converted to a
+//!   columnar [`FlowFrame`] and written as the next segment,
+//!   `segments/seg-<k>.swseg` (`k` is the seal ordinal; per-column
+//!   checksums, see [`satwatch_analytics::segment`]). DNS transactions
+//!   spill the same way to `dns/dns-<k>.bin`.
 //! * **Checkpoints.** After every simulated day the probe's complete
-//!   carry-over (live flows, pending DNS, sweep clock) plus all
-//!   unsealed buckets are written to `state-<day>.bin`, and
+//!   carry-over (live flows, pending DNS, sweep clock) plus the
+//!   unsealed tail are written to `state-<day>.bin`, and
 //!   `manifest.json` is atomically renamed into place as the commit
 //!   point. Resuming re-creates the scenario from the config (every
 //!   per-day RNG stream is forked from `(seed, day)` without consuming
 //!   parent state, so `days_completed` *is* the full RNG cursor),
 //!   imports the probe state, and continues — bit-identically.
-//! * **Reports.** At completion the per-day segments are streamed
-//!   through [`ReportFold`] in day order. Day-major concatenation of
-//!   canonically sorted day buckets *is* the canonical global order
-//!   (the sort key leads with the first-packet time), so both the
-//!   dataset digest and every rendered report are byte-identical to an
-//!   all-in-RAM batch run of the same config.
+//! * **Reports.** At completion the segments are streamed through
+//!   [`ReportFold`] in seal order. Seal-order concatenation of
+//!   canonically sorted pieces, each wholly behind the next, *is* the
+//!   canonical global order (the sort key leads with the first-packet
+//!   time), so both the dataset digest and every rendered report are
+//!   byte-identical to an all-in-RAM batch run of the same config.
 
 pub mod codec;
 pub mod manifest;
 
 pub use manifest::{config_hash, DnsFileInfo, Manifest, SegmentInfo};
 
-use codec::{DnsBuckets, FlowBuckets};
 use satwatch_analytics::agg::Enrichment;
 use satwatch_analytics::segment::{read_segment_file, write_segment_file, SegmentError};
 use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
@@ -47,7 +48,6 @@ use satwatch_scenario::{DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
 use satwatch_telemetry as telemetry;
 use satwatch_traffic::Country;
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -130,14 +130,14 @@ impl Default for RunOptions {
 pub struct DaySummary {
     /// The day just simulated (0-based).
     pub day: u64,
-    /// Segments this day's watermark sealed: usually one, none while
-    /// a long-lived flow still pins the oldest bucket, several when
-    /// it finally lets go.
+    /// Segments this day's checkpoint sealed: one, holding every
+    /// evicted flow behind the watermark.
     pub segments_sealed: u64,
-    /// Rows in those segments.
+    /// Rows in that segment.
     pub rows_sealed: u64,
-    /// Evicted flow records still unsealed — carried in the day
-    /// buckets and serialised into this day's state file.
+    /// Evicted flow records at or past the watermark — the tail that
+    /// stays in RAM and is serialised into this day's state file
+    /// (tens of rows: the watermark trails midnight by minutes).
     pub rows_carried: u64,
     /// Flows still live in the probe (carried in the state file too).
     pub live_flows: u64,
@@ -185,8 +185,24 @@ pub struct Campaign {
     report_digest: Option<u64>,
     /// Probe carry-over loaded by `resume`, consumed by `run`.
     probe_carry: Option<ProbeState>,
-    flow_buckets: FlowBuckets,
-    dns_buckets: DnsBuckets,
+    /// Every evicted flow not yet sealed, in eviction order; the
+    /// probe's sink pushes here and nowhere else. Seal-time sorting is
+    /// *stable* on the canonical key, so eviction order breaks a tie
+    /// as the batch path's sort does.
+    unsealed_flows: Arc<Mutex<Vec<FlowRecord>>>,
+    /// Every logged DNS transaction not yet sealed, in observation
+    /// order (ties under [`dns_cmp`] keep it, as in the batch path).
+    unsealed_dns: Vec<DnsRecord>,
+}
+
+/// Split off, in place, every row strictly behind `mark` (`None`: every
+/// row); both sides keep their order. No row still to come — live now
+/// or not yet begun — starts before the watermark, so what is returned
+/// is final once sorted, and what stays is the tail a checkpoint
+/// carries.
+fn take_behind<T>(rows: &mut Vec<T>, mark: Option<SimTime>, ts: impl Fn(&T) -> SimTime) -> Vec<T> {
+    let tail = mark.map_or_else(Vec::new, |mark| rows.extract_if(.., |r| ts(r) >= mark).collect());
+    std::mem::replace(rows, tail)
 }
 
 /// FNV-1a of the flow-log TSV header — the initial flow-digest state.
@@ -200,6 +216,8 @@ struct CampaignMetrics {
     days: &'static telemetry::Gauge,
     segment_bytes: &'static telemetry::Gauge,
     rss: &'static telemetry::Gauge,
+    rows_carried: &'static telemetry::Gauge,
+    state_bytes: &'static telemetry::Gauge,
     sealed: &'static telemetry::Counter,
 }
 
@@ -209,6 +227,8 @@ fn metrics() -> &'static CampaignMetrics {
         days: telemetry::gauge("campaign_days_completed"),
         segment_bytes: telemetry::gauge("campaign_segment_bytes_total"),
         rss: telemetry::gauge("campaign_rss_bytes"),
+        rows_carried: telemetry::gauge("campaign_rows_carried"),
+        state_bytes: telemetry::gauge("campaign_state_bytes"),
         sealed: telemetry::counter("campaign_segments_sealed_total"),
     })
 }
@@ -237,31 +257,32 @@ impl Campaign {
             dataset_digest: None,
             report_digest: None,
             probe_carry: None,
-            flow_buckets: FlowBuckets::new(),
-            dns_buckets: DnsBuckets::new(),
+            unsealed_flows: Arc::default(),
+            unsealed_dns: Vec::new(),
         };
         c.write_manifest(None)?;
         Ok(c)
     }
 
     /// Reopen the campaign in `dir` from its manifest, verifying the
-    /// state-file checksum and reloading the probe carry-over and
-    /// partial day buckets.
+    /// state-file checksum and reloading the probe carry-over and the
+    /// unsealed tail (however many rows the state file holds: a binary
+    /// that sealed whole days left a day or two of them).
     pub fn resume(dir: &Path) -> Result<Campaign, CampaignError> {
         let path = dir.join("manifest.json");
         let src =
             std::fs::read_to_string(&path).map_err(|e| CampaignError::Corrupt(format!("{}: {e}", path.display())))?;
         let m = Manifest::parse(&src)?;
-        let (probe_carry, flow_buckets, dns_buckets) = match &m.state_file {
+        let (probe_carry, flows, dns) = match &m.state_file {
             Some((file, sum)) => {
                 let (p, f, d) = codec::read_state_file(&dir.join(file), Some(*sum))?;
-                (Some(p), f, d)
+                (Some(p), codec::flatten(f), codec::flatten(d))
             }
             None => {
                 if m.days_completed > 0 && !m.complete {
                     return Err(CampaignError::Corrupt("manifest mid-campaign but no state file".into()));
                 }
-                (None, FlowBuckets::new(), DnsBuckets::new())
+                (None, Vec::new(), Vec::new())
             }
         };
         Ok(Campaign {
@@ -276,8 +297,8 @@ impl Campaign {
             dataset_digest: m.dataset_digest,
             report_digest: m.report_digest,
             probe_carry,
-            flow_buckets,
-            dns_buckets,
+            unsealed_flows: Arc::new(Mutex::new(flows)),
+            unsealed_dns: dns,
         })
     }
 
@@ -301,12 +322,12 @@ impl Campaign {
         &self.segments
     }
 
-    fn segment_path(&self, day: u64) -> PathBuf {
-        self.dir.join("segments").join(format!("seg-{day}.swseg"))
+    fn segment_path(&self, k: u64) -> PathBuf {
+        self.dir.join("segments").join(format!("seg-{k}.swseg"))
     }
 
-    fn dns_path(&self, day: u64) -> PathBuf {
-        self.dir.join("dns").join(format!("dns-{day}.bin"))
+    fn dns_path(&self, k: u64) -> PathBuf {
+        self.dir.join("dns").join(format!("dns-{k}.bin"))
     }
 
     /// Run (or continue) the campaign to completion, or up to
@@ -326,20 +347,12 @@ impl Campaign {
         let mut runner = DayRunner::new(self.cfg);
         let enr = runner.enrichment();
 
-        // Evicted flows stream out of the probe into day buckets keyed
-        // by the day of the flow's first packet, in eviction order (one
-        // lock per push). Seal-time sorting is *stable* on the
-        // canonical key, so eviction order breaks a tie as the batch
-        // path's sort does and the canonical batch order is reproduced
-        // exactly.
-        let sink_buckets: Arc<Mutex<FlowBuckets>> = Arc::new(Mutex::new(FlowBuckets::new()));
-        let buckets = Arc::clone(&sink_buckets);
+        // Evicted flows stream out of the probe onto the unsealed
+        // rows (one lock per push).
+        let sink = Arc::clone(&self.unsealed_flows);
         let mut probe = ShardedProbe::with_flow_sink(
             runner.probe_config(),
-            Box::new(move |f: FlowRecord| {
-                let day = f.first.as_secs() / SECS_PER_DAY;
-                buckets.lock().expect("sink lock").entry(day).or_default().push(f);
-            }),
+            Box::new(move |f: FlowRecord| sink.lock().expect("sink lock").push(f)),
         );
         if let Some(state) = self.probe_carry.take() {
             probe.import_state(state)?;
@@ -353,33 +366,33 @@ impl Campaign {
 
             let _sp = telemetry::span("campaign_checkpoint_us");
             let mut state = probe.export_state();
-            self.drain_sink(&sink_buckets);
-            self.drain_dns(std::mem::take(&mut state.dns_log));
+            self.unsealed_dns.append(&mut state.dns_log);
 
-            // Seal every bucket fully behind the watermark: nothing
-            // live or future can still produce a record in it.
+            // Seal every row behind the watermark: nothing live or
+            // future can still produce a record that sorts before it.
             let next_midnight = SimTime::from_secs((day + 1) * SECS_PER_DAY);
             let flow_mark = state.min_live_flow_first().map_or(next_midnight, |t| t.min(next_midnight));
             let dns_mark = state.min_pending_dns_ts().map_or(next_midnight, |t| t.min(next_midnight));
             let sealed_before = self.segments.len();
-            self.seal_flow_buckets(Some(flow_mark), &enr)?;
-            self.seal_dns_buckets(Some(dns_mark))?;
+            self.seal_flows(Some(flow_mark), &enr)?;
+            self.seal_dns(Some(dns_mark))?;
+            let state_bytes = self.checkpoint(day, &state)?;
+            let rows_carried = self.unsealed_flows.lock().expect("sink lock").len() as u64;
             let sealed = &self.segments[sealed_before..];
             let summary = DaySummary {
                 day,
                 segments_sealed: sealed.len() as u64,
                 rows_sealed: sealed.iter().map(|s| s.rows).sum(),
-                rows_carried: bucket_len(&self.flow_buckets) as u64,
+                rows_carried,
                 live_flows: state.flows.len() as u64,
             };
-
-            self.checkpoint(day, &state)?;
-            self.days_completed = day + 1;
             drop(_sp);
 
             let m = metrics();
             m.days.set(self.days_completed as i64);
             m.segment_bytes.set(self.segments.iter().map(|s| s.bytes as i64).sum());
+            m.rows_carried.set(rows_carried as i64);
+            m.state_bytes.set(state_bytes as i64);
             if let Some(rss) = telemetry::current_rss_bytes() {
                 m.rss.set(rss as i64);
             }
@@ -412,17 +425,13 @@ impl Campaign {
         }
 
         // All days simulated: flush the probe (evictions go through
-        // the sinks; the DNS tail comes back directly), seal every
-        // remaining bucket, and fold the final digest and reports.
-        let (leftover_flows, dns_tail) = probe.finish();
-        for f in leftover_flows {
-            let day = f.first.as_secs() / SECS_PER_DAY;
-            self.flow_buckets.entry(day).or_default().push(f);
-        }
-        self.drain_sink(&sink_buckets);
-        self.drain_dns(dns_tail);
-        self.seal_flow_buckets(None, &enr)?;
-        self.seal_dns_buckets(None)?;
+        // the sink; the DNS tail comes back directly), seal what is
+        // left, and fold the final digest and reports.
+        let (rest, mut dns_tail) = probe.finish();
+        debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
+        self.unsealed_dns.append(&mut dns_tail);
+        self.seal_flows(None, &enr)?;
+        self.seal_dns(None)?;
 
         let dns = self.read_all_dns()?;
         let mut digest = Fnv1aSink(self.flow_digest);
@@ -455,81 +464,50 @@ impl Campaign {
         })
     }
 
-    /// Merge the flow-sink buckets into the campaign's (append-only —
-    /// eviction order is preserved).
-    fn drain_sink(&mut self, sink: &Arc<Mutex<FlowBuckets>>) {
-        let drained = std::mem::take(&mut *sink.lock().expect("sink lock"));
-        for (day, flows) in drained {
-            self.flow_buckets.entry(day).or_default().extend(flows);
-        }
+    /// Seal the unsealed flows strictly behind `watermark` (`None`:
+    /// all of them) as the next segment.
+    fn seal_flows(&mut self, watermark: Option<SimTime>, enr: &Enrichment) -> Result<(), CampaignError> {
+        let mut flows = take_behind(&mut self.unsealed_flows.lock().expect("sink lock"), watermark, |f| f.first);
+        sort_flows_canonical(&mut flows);
+        let mut digest = Fnv1aSink(self.flow_digest);
+        write_flow_rows(&mut digest, &flows).expect("hashing cannot fail");
+        self.flow_digest = digest.0;
+        let rows = flows.len() as u64;
+        self.flow_rows += rows;
+        let frame = FlowFrame::from_records(&flows, enr);
+        // the frame is the segment: the records go before it is encoded
+        drop(flows);
+        let k = self.segments.len() as u64;
+        let (bytes, fnv) = write_segment_file(&self.segment_path(k), &frame)?;
+        self.segments.push(SegmentInfo { day: k, rows, bytes, fnv });
+        metrics().sealed.inc();
+        Ok(())
     }
 
-    /// Append a drained DNS log chunk to the day buckets. Chunks
-    /// arrive already in canonical [`dns_cmp`] order within
-    /// themselves; a stable seal-time sort restores the global order
-    /// (earlier chunks were observed earlier).
-    fn drain_dns(&mut self, chunk: Vec<DnsRecord>) {
-        for d in chunk {
-            let day = d.ts.as_secs() / SECS_PER_DAY;
-            self.dns_buckets.entry(day).or_default().push(d);
-        }
-    }
-
-    /// Seal flow buckets strictly behind `watermark` (`None` = all
-    /// remaining, padding empty days so that days `0..cfg.days` all
-    /// have a segment).
-    fn seal_flow_buckets(&mut self, watermark: Option<SimTime>, enr: &Enrichment) -> Result<(), CampaignError> {
-        loop {
-            let next = self.segments.len() as u64;
-            let sealable = match watermark {
-                Some(mark) => SimTime::from_secs((next + 1) * SECS_PER_DAY) <= mark,
-                None => next < self.cfg.days || self.flow_buckets.keys().next_back().is_some_and(|&max| next <= max),
-            };
-            if !sealable {
-                return Ok(());
-            }
-            let mut flows = self.flow_buckets.remove(&next).unwrap_or_default();
-            // stable order: eviction order breaks the (vanishingly
-            // rare) canonical-key ties, same as the batch path's sort
-            sort_flows_canonical(&mut flows);
-            let mut digest = Fnv1aSink(self.flow_digest);
-            write_flow_rows(&mut digest, &flows).expect("hashing cannot fail");
-            self.flow_digest = digest.0;
-            self.flow_rows += flows.len() as u64;
-            let frame = FlowFrame::from_records(&flows, enr);
-            let (bytes, fnv) = write_segment_file(&self.segment_path(next), &frame)?;
-            self.segments.push(SegmentInfo { day: next, rows: flows.len() as u64, bytes, fnv });
-            metrics().sealed.inc();
-        }
-    }
-
-    /// Seal DNS buckets strictly behind `watermark` (`None` = all).
-    fn seal_dns_buckets(&mut self, watermark: Option<SimTime>) -> Result<(), CampaignError> {
-        loop {
-            let next = self.dns_files.len() as u64;
-            let sealable = match watermark {
-                Some(mark) => SimTime::from_secs((next + 1) * SECS_PER_DAY) <= mark,
-                None => next < self.cfg.days || self.dns_buckets.keys().next_back().is_some_and(|&max| next <= max),
-            };
-            if !sealable {
-                return Ok(());
-            }
-            let mut recs = self.dns_buckets.remove(&next).unwrap_or_default();
-            recs.sort_by(dns_cmp);
-            let fnv = codec::write_dns_file(&self.dns_path(next), &recs)?;
-            self.dns_files.push(DnsFileInfo { day: next, records: recs.len() as u64, fnv });
-        }
+    /// Seal the unsealed DNS records strictly behind `watermark`
+    /// (`None`: all of them) as the next spill.
+    fn seal_dns(&mut self, watermark: Option<SimTime>) -> Result<(), CampaignError> {
+        let mut recs = take_behind(&mut self.unsealed_dns, watermark, |d| d.ts);
+        recs.sort_by(dns_cmp);
+        let k = self.dns_files.len() as u64;
+        let fnv = codec::write_dns_file(&self.dns_path(k), &recs)?;
+        self.dns_files.push(DnsFileInfo { day: k, records: recs.len() as u64, fnv });
+        Ok(())
     }
 
     /// Commit one day: state file first, manifest rename last (the
     /// commit point), then garbage-collect superseded state files.
-    fn checkpoint(&mut self, day: u64, state: &ProbeState) -> Result<(), CampaignError> {
+    /// Returns the state file's size.
+    fn checkpoint(&mut self, day: u64, state: &ProbeState) -> Result<u64, CampaignError> {
         let name = format!("state-{day}.bin");
-        let sum = codec::write_state_file(&self.dir.join(&name), state, &self.flow_buckets, &self.dns_buckets)?;
+        let path = self.dir.join(&name);
+        let flows = codec::by_day(&self.unsealed_flows.lock().expect("sink lock"), |f| f.first);
+        let dns = codec::by_day(&self.unsealed_dns, |d| d.ts);
+        let sum = codec::write_state_file(&path, state, &flows, &dns)?;
         self.days_completed = day + 1;
         self.write_manifest(Some((name.clone(), sum)))?;
         self.remove_stale_state_files(Some(&name))?;
-        Ok(())
+        Ok(std::fs::metadata(&path)?.len())
     }
 
     fn write_manifest(&self, state_file: Option<(String, u64)>) -> Result<(), CampaignError> {
@@ -564,7 +542,7 @@ impl Campaign {
         Ok(())
     }
 
-    /// Load every sealed DNS spill in day order (checksums verified).
+    /// Load every sealed DNS spill in seal order (checksums verified).
     fn read_all_dns(&self) -> Result<Vec<DnsRecord>, CampaignError> {
         let mut dns = Vec::new();
         for info in &self.dns_files {
@@ -574,7 +552,8 @@ impl Campaign {
     }
 
     /// Stream the sealed segments through an incremental report fold
-    /// — one day-frame in memory at a time, never the whole dataset.
+    /// — one segment's frame in memory at a time, never the whole
+    /// dataset.
     /// Returns the rendered text and its digest, byte-identical to
     /// the batch `report_all` over the full frame.
     fn fold_report(
@@ -609,7 +588,110 @@ fn append_metrics_final(path: &Path, snap: &telemetry::Snapshot) -> std::io::Res
     writeln!(f, "{{\"campaign_final\": true, \"total\": {}}}", snap.to_json().trim_end())
 }
 
-/// Total records across a day-bucketed map.
-pub fn bucket_len<T>(m: &BTreeMap<u64, Vec<T>>) -> usize {
-    m.values().map(Vec::len).sum()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::net::Ipv4Addr;
+
+    /// Rows and marks sit on one grid, ten slots a day, coarse enough
+    /// that canonical keys repeat and that a mark often equals a row's
+    /// timestamp.
+    const SLOT: u64 = SECS_PER_DAY / 10;
+
+    /// Seal `evicted` the way a campaign does, one checkpoint per mark
+    /// and a final "seal all", and hold every step to the rule: what
+    /// stays is exactly the rows at or past the mark, in the order they
+    /// had; what was sealed, piece after piece, is the stable canonical
+    /// sort of everything evicted.
+    ///
+    /// Row `i` is evicted `delay[i]` checkpoints in, or just before the
+    /// first checkpoint whose mark passes it if that comes sooner (no
+    /// flow is evicted after the watermark has passed its first
+    /// packet). `resumed[step]` regroups the tail through the state
+    /// file's day buckets, as a kill and resume after that checkpoint
+    /// would.
+    fn check_seal_sequence<T: Clone + PartialEq + std::fmt::Debug>(
+        evicted: &[T],
+        delay: &[usize],
+        mut mark_slots: Vec<u64>,
+        resumed: &[bool],
+        ts: impl Fn(&T) -> SimTime + Copy,
+        sort: impl Fn(&mut Vec<T>),
+    ) {
+        mark_slots.sort_unstable();
+        let marks: Vec<Option<SimTime>> =
+            mark_slots.into_iter().map(|s| Some(SimTime::from_secs(s * SLOT))).chain([None]).collect();
+        let step_of = |i: usize| {
+            let passed_at =
+                marks.iter().position(|m| m.is_none_or(|m| ts(&evicted[i]) < m)).expect("the last seals all");
+            passed_at.min(delay[i % delay.len()])
+        };
+        let (mut unsealed, mut sealed, mut eviction_order) = (Vec::new(), Vec::new(), Vec::new());
+        for (step, &mark) in marks.iter().enumerate() {
+            let arrivals: Vec<T> =
+                (0..evicted.len()).filter(|&i| step_of(i) == step).map(|i| evicted[i].clone()).collect();
+            eviction_order.extend_from_slice(&arrivals);
+            unsealed.extend(arrivals);
+            let before = unsealed.clone();
+            let mut piece = take_behind(&mut unsealed, mark, ts);
+            let kept: Vec<T> = before.iter().filter(|r| mark.is_some_and(|m| ts(r) >= m)).cloned().collect();
+            assert_eq!(unsealed, kept, "step {step}: the tail is the rows at or past the mark, order kept");
+            sort(&mut piece);
+            sealed.extend(piece);
+            if resumed[step % resumed.len()] {
+                unsealed = codec::flatten(codec::by_day(&unsealed, ts));
+            }
+        }
+        assert!(unsealed.is_empty(), "the last seal takes everything");
+        sort(&mut eviction_order);
+        assert_eq!(sealed, eviction_order, "sealed pieces in seal order are the canonical order of the whole");
+    }
+
+    proptest! {
+        /// Rows over four days; `c2s_bytes` tells rows of one canonical
+        /// key apart, so a seal that reordered a tie fails.
+        #[test]
+        fn sealed_flow_pieces_concatenate_to_the_canonical_order(
+            rows in proptest::collection::vec((0u64..40, 0u8..3), 0..120),
+            delay in proptest::collection::vec(0usize..5, 1..8),
+            marks in proptest::collection::vec(0u64..=40, 0..6),
+            resumed in proptest::collection::vec(any::<bool>(), 1..4),
+        ) {
+            let evicted: Vec<FlowRecord> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(slot, host))| FlowRecord {
+                    first: SimTime::from_secs(slot * SLOT),
+                    c2s_bytes: i as u64,
+                    ..codec::tests::flow(host)
+                })
+                .collect();
+            check_seal_sequence(&evicted, &delay, marks, &resumed, |f| f.first, |v| sort_flows_canonical(v));
+        }
+
+        /// The same for the DNS log under `dns_cmp`, `response_ms`
+        /// telling the repeats apart.
+        #[test]
+        fn sealed_dns_pieces_concatenate_to_the_canonical_order(
+            rows in proptest::collection::vec((0u64..40, 0u8..3), 0..120),
+            delay in proptest::collection::vec(0usize..5, 1..8),
+            marks in proptest::collection::vec(0u64..=40, 0..6),
+            resumed in proptest::collection::vec(any::<bool>(), 1..4),
+        ) {
+            let logged: Vec<DnsRecord> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(slot, host))| DnsRecord {
+                    client: Ipv4Addr::new(77, 0, 0, host),
+                    resolver: Ipv4Addr::new(8, 8, 8, 8),
+                    query: "example.org".into(),
+                    ts: SimTime::from_secs(slot * SLOT),
+                    response_ms: Some(i as f64),
+                    answers: Vec::new(),
+                })
+                .collect();
+            check_seal_sequence(&logged, &delay, marks, &resumed, |d| d.ts, |v| v.sort_by(dns_cmp));
+        }
+    }
 }

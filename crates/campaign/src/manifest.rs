@@ -23,6 +23,9 @@ pub const MANIFEST_VERSION: i64 = 1;
 /// One sealed flow segment (`segments/seg-<day>.swseg`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SegmentInfo {
+    /// The seal ordinal — the segment's position in canonical order.
+    /// Named for the time a segment was a day; the interval it covers
+    /// is the min/max-ts of its footer.
     pub day: u64,
     pub rows: u64,
     pub bytes: u64,
@@ -33,6 +36,7 @@ pub struct SegmentInfo {
 /// One sealed DNS spill (`dns/dns-<day>.bin`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DnsFileInfo {
+    /// The seal ordinal, as for [`SegmentInfo::day`].
     pub day: u64,
     pub records: u64,
     /// FNV-1a 64 of the file body (trailing-checksum format).

@@ -1,19 +1,22 @@
 //! The campaign engine's two load-bearing guarantees, end to end:
 //!
-//! 1. A multi-day campaign — day-partitioned, spilled to disk,
-//!    report-folded from sealed segments — produces the *byte-same*
-//!    dataset digest and rendered reports as an all-in-RAM batch run
-//!    of the identical config.
+//! 1. A multi-day campaign — sealed at each day's watermark, spilled
+//!    to disk, report-folded from sealed segments — produces the
+//!    *byte-same* dataset digest and rendered reports as an all-in-RAM
+//!    batch run of the identical config.
 //! 2. Killing the campaign after any checkpoint and resuming (even
 //!    with another worker count for the final fold) reproduces those
 //!    bytes exactly.
 
 use satwatch_analytics::FlowFrame;
-use satwatch_campaign::{Campaign, DaySummary, RunOptions};
+use satwatch_campaign::codec::{write_state_file, DnsBuckets, FlowBuckets};
+use satwatch_campaign::{Campaign, DaySummary, Manifest, RunOptions, SECS_PER_DAY};
+use satwatch_monitor::ShardedProbe;
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
-use satwatch_scenario::{dataset_digest, run, ScenarioConfig};
+use satwatch_scenario::{dataset_digest, run, DayRunner, ScenarioConfig};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, OnceLock};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swcampaign-{tag}-{}", std::process::id()));
@@ -25,12 +28,16 @@ fn cfg() -> ScenarioConfig {
     ScenarioConfig::tiny().with_customers(24).with_days(3).with_seed(0x5eed_0001)
 }
 
-/// Batch reference: dataset digest + report digest, all in RAM.
-fn batch_digests(cfg: ScenarioConfig) -> (u64, u64) {
-    let ds = run(cfg);
-    let frame = FlowFrame::from_records(&ds.flows, &ds.enrichment);
-    let report = paper_reports_columnar(&frame, &ds.dns, &ds.enrichment, 10, 1).render_all();
-    (dataset_digest(&ds), fnv1a(report.as_bytes()))
+/// Batch reference for [`cfg`]: dataset digest, report digest and flow
+/// count, all in RAM; one run serves every test of the binary.
+fn batch_digests() -> (u64, u64, u64) {
+    static BATCH: OnceLock<(u64, u64, u64)> = OnceLock::new();
+    *BATCH.get_or_init(|| {
+        let ds = run(cfg());
+        let frame = FlowFrame::from_records(&ds.flows, &ds.enrichment);
+        let report = paper_reports_columnar(&frame, &ds.dns, &ds.enrichment, 10, 1).render_all();
+        (dataset_digest(&ds), fnv1a(report.as_bytes()), ds.flows.len() as u64)
+    })
 }
 
 #[test]
@@ -42,16 +49,15 @@ fn campaign_is_byte_identical_to_batch() {
     assert!(out.completed);
     assert_eq!(out.days_completed, cfg.days);
 
-    let (want_ds, want_rep) = batch_digests(cfg);
+    let (want_ds, want_rep, want_rows) = batch_digests();
     assert_eq!(out.dataset_digest, Some(want_ds), "dataset digest diverged from the batch run");
     assert_eq!(out.report_digest, Some(want_rep), "report digest diverged from the batch run");
 
-    // one segment per day (plus an optional post-midnight spill day),
-    // and the row total matches the batch flow count
-    let ds = run(cfg);
+    // one segment per day and one for the final flush, and the row
+    // total matches the batch flow count
     assert!(c.segments().len() as u64 >= cfg.days);
     let rows: u64 = c.segments().iter().map(|s| s.rows).sum();
-    assert_eq!(rows, ds.flows.len() as u64);
+    assert_eq!(rows, want_rows);
     assert!(dir.join("report.txt").exists());
     assert!(dir.join("manifest.json").exists());
 
@@ -68,7 +74,7 @@ fn campaign_is_byte_identical_to_batch() {
 #[test]
 fn kill_after_each_day_and_resume_is_bit_identical() {
     let cfg = cfg();
-    let (want_ds, want_rep) = batch_digests(cfg);
+    let (want_ds, want_rep, _) = batch_digests();
 
     let dir = tmp_dir("resume");
     // day 0, then "kill": drop the Campaign (and its probe) entirely
@@ -122,32 +128,55 @@ fn corrupted_state_file_is_rejected_on_resume() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The per-day summary (what the progress line prints) accounts for
-/// this day's seals only: a day whose bucket is still pinned by a live
-/// flow reports nothing sealed — not the previous day's segment again —
-/// and the running totals agree with the manifest after every day.
+/// The per-day summary (what the progress line prints): every simulated
+/// day seals one segment holding all but the live tail of that day's
+/// evictions, the state file that carries the tail is the smaller
+/// artifact, and the running totals agree with the manifest after every
+/// day. The per-day `--metrics-out` delta names every campaign
+/// instrument, the two gauges of the tail included.
 #[test]
 fn day_summaries_count_what_each_day_sealed() {
     let cfg = cfg();
     let dir = tmp_dir("summaries");
+    let metrics = dir.join("metrics.json");
     let mut c = Campaign::create(&dir, cfg).unwrap();
-    let (mut segments, mut rows, mut quiet_days) = (0, 0, 0);
+    let (mut segments, mut rows) = (0, 0);
     for day in 0..cfg.days {
-        let out = c.run(&RunOptions { abort_after_day: Some(day), ..RunOptions::default() }).unwrap();
+        let opts =
+            RunOptions { abort_after_day: Some(day), metrics_out: Some(metrics.clone()), ..RunOptions::default() };
+        let out = c.run(&opts).unwrap();
         assert_eq!(out.days.len(), 1, "one summary per day simulated by the call");
         let s = &out.days[0];
         assert_eq!(s.day, day);
+        assert_eq!(s.segments_sealed, 1, "day {day} seals one segment");
+        assert!(s.rows_carried * 50 < s.rows_sealed, "day {day} carries the live tail, not a day: {s}");
         segments += s.segments_sealed;
         rows += s.rows_sealed;
         assert_eq!(segments, c.segments().len() as u64, "day {day}: segments sealed so far");
         assert_eq!(rows, c.segments().iter().map(|s| s.rows).sum::<u64>(), "day {day}: rows sealed so far");
-        if s.segments_sealed == 0 {
-            quiet_days += 1;
-            assert_eq!(s.rows_sealed, 0, "day {day} sealed nothing");
-            assert!(s.rows_carried > 0, "day {day}: its evicted flows wait in the state file");
+        let sealed = c.segments().last().unwrap();
+        assert_eq!((sealed.day, sealed.rows), (day, s.rows_sealed), "the manifest entry of day {day}'s segment");
+        let state_bytes = std::fs::metadata(dir.join(format!("state-{day}.bin"))).unwrap().len();
+        assert!(state_bytes < sealed.bytes, "day {day}: state file {state_bytes} B, segment {} B", sealed.bytes);
+    }
+    // a stream of JSON objects, one per day
+    let deltas = std::fs::read_to_string(&metrics).unwrap();
+    let deltas: Vec<&str> = deltas.split("{\"campaign_day\": ").skip(1).collect();
+    assert_eq!(deltas.len() as u64, cfg.days, "one delta per day");
+    for (day, delta) in deltas.iter().enumerate() {
+        assert!(delta.starts_with(&format!("{day},")), "deltas are appended in day order");
+        for name in [
+            "campaign_days_completed",
+            "campaign_segment_bytes_total",
+            "campaign_rss_bytes",
+            "campaign_rows_carried",
+            "campaign_state_bytes",
+            "campaign_segments_sealed_total",
+            "campaign_checkpoint_us",
+        ] {
+            assert!(delta.contains(&format!("\"{name}\"")), "day {day}'s delta lacks {name}");
         }
     }
-    assert!(quiet_days > 0, "the fixture has a day that seals nothing");
     let quiet = DaySummary { day: 2, segments_sealed: 0, rows_sealed: 0, rows_carried: 46_021, live_flows: 9 };
     assert_eq!(
         quiet.to_string(),
@@ -156,5 +185,48 @@ fn day_summaries_count_what_each_day_sealed() {
     );
     let out = c.run(&RunOptions::default()).unwrap();
     assert!(out.completed && out.days.is_empty(), "only the final flush was left");
+    assert_eq!(c.segments().len() as u64, cfg.days + 1, "the final flush seals the last tail");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory checkpointed by a binary that sealed whole days — no
+/// segment yet after day 0, every evicted flow of the day in the state
+/// file's day buckets — resumes and completes to the batch bytes.
+#[test]
+fn a_day_bucket_checkpoint_of_an_older_binary_resumes_to_the_batch_digests() {
+    let cfg = cfg();
+    let dir = tmp_dir("day-buckets");
+    drop(Campaign::create(&dir, cfg).unwrap());
+
+    // day 0 as that binary ran it: evictions bucketed by the day of
+    // their first packet, in eviction order
+    let mut runner = DayRunner::new(cfg);
+    let evicted = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&evicted);
+    let mut probe =
+        ShardedProbe::with_flow_sink(runner.probe_config(), Box::new(move |f| sink.lock().unwrap().push(f)));
+    runner.run_day(&mut probe, 0);
+    let mut state = probe.export_state();
+    let (mut flows, mut dns) = (FlowBuckets::new(), DnsBuckets::new());
+    for f in std::mem::take(&mut *evicted.lock().unwrap()) {
+        flows.entry(f.first.as_secs() / SECS_PER_DAY).or_default().push(f);
+    }
+    for d in std::mem::take(&mut state.dns_log) {
+        dns.entry(d.ts.as_secs() / SECS_PER_DAY).or_default().push(d);
+    }
+    assert!(flows[&0].len() > 20_000, "a day of rows in the day-0 bucket");
+    let sum = write_state_file(&dir.join("state-0.bin"), &state, &flows, &dns).unwrap();
+    let manifest = dir.join("manifest.json");
+    let fresh = Manifest::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
+    assert!(fresh.segments.is_empty() && fresh.dns_files.is_empty());
+    let day_one = Manifest { days_completed: 1, state_file: Some(("state-0.bin".into(), sum)), ..fresh };
+    std::fs::write(&manifest, day_one.to_json()).unwrap();
+
+    let mut c = Campaign::resume(&dir).unwrap();
+    assert_eq!((c.days_completed(), c.segments().len()), (1, 0));
+    let out = c.run(&RunOptions::default()).unwrap();
+    let (want_ds, want_rep, _) = batch_digests();
+    assert_eq!(out.dataset_digest, Some(want_ds), "dataset digest diverged from the batch run");
+    assert_eq!(out.report_digest, Some(want_rep), "report digest diverged from the batch run");
     std::fs::remove_dir_all(&dir).unwrap();
 }

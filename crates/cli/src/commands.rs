@@ -40,9 +40,11 @@ commands:
                 --n N (default 20)
   paper-check run every paper-vs-measured shape check (EXPERIMENTS.md)
   rules       print the Table 3 service-classification rule set
-  campaign    run a checkpointed multi-day campaign: each simulated
-              day is sealed to an on-disk columnar segment and the
-              probe state is checkpointed, so `kill -9` at any moment
+  campaign    run a checkpointed multi-day campaign: after each
+              simulated day every evicted flow behind the watermark —
+              all but the live tail, tens of rows — is sealed to an
+              on-disk columnar segment and the probe state is
+              checkpointed with that tail, so `kill -9` at any moment
               loses at most one day — resuming reproduces the exact
               bytes of an uninterrupted run (DESIGN.md §12)
                 --out DIR            directory for a new campaign

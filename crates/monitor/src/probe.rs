@@ -520,7 +520,7 @@ impl Probe {
 /// flow sharing addresses, ports and start time), so sorting any
 /// permutation of a capture's records reproduces the batch order
 /// exactly. Public so streaming consumers (the columnar
-/// `FrameBuilder`, the campaign's day buckets) can restore this order
+/// `FrameBuilder`, the campaign's segment seal) can restore this order
 /// after ingesting evictions out of order.
 pub fn flow_sort_key(f: &FlowRecord) -> (SimTime, Ipv4Addr, u16, Ipv4Addr, u16, u8) {
     (f.first, f.client, f.client_port, f.server, f.server_port, f.ip_proto)
@@ -560,8 +560,8 @@ pub fn sort_flows_canonical(flows: &mut [FlowRecord]) {
 /// the query name for every comparison. Records that tie on this
 /// order share a (client, resolver) pair; a stable sort keeps them in
 /// observation order. Public for the same reason as
-/// [`flow_sort_key`]: external consumers (the campaign runner's day
-/// buckets) must reproduce the probe's canonical order when stitching
+/// [`flow_sort_key`]: external consumers (the campaign runner's
+/// seal) must reproduce the probe's canonical order when stitching
 /// partial outputs together.
 pub fn dns_cmp(a: &DnsRecord, b: &DnsRecord) -> std::cmp::Ordering {
     (a.ts, a.client, a.resolver).cmp(&(b.ts, b.client, b.resolver)).then_with(|| a.query.cmp(&b.query))
