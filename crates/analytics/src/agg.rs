@@ -9,9 +9,9 @@
 //! These are the reference the columnar engine is pinned to
 //! (`columnar_equivalence.rs`, `frame_equivalence.rs`): one plain pass
 //! over the record slice per figure, written to be audited by eye.
-//! They are also what the log-replay commands run. Only [`fig10_par`]
-//! takes a worker count — the DNS log has no frame, so the engine's
-//! `ReportFold::finish` calls it in production.
+//! They are also what the log-replay commands run, and [`fig10`] is
+//! production for every path: the DNS log has no frame, so the
+//! engine's `ReportFold::finish` calls it.
 
 use crate::classify::{second_level_domain, Classifier, ClassifyCache};
 use crate::report::*;
@@ -20,7 +20,7 @@ use satwatch_monitor::tsv::{push_ipv4, push_u64, read_rows, write_rows};
 use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol};
 use satwatch_simcore::stats::{BoxplotSummary, Cdf};
 use satwatch_simcore::time::SECS_PER_DAY;
-use satwatch_simcore::{ordered_par_fold, FxHashMap, FxHashSet};
+use satwatch_simcore::{FxHashMap, FxHashSet};
 use satwatch_traffic::{Category, Country};
 use std::io::{self, BufRead, Write};
 use std::net::Ipv4Addr;
@@ -416,13 +416,6 @@ pub fn fig9(flows: &[FlowRecord], enr: &Enrichment, countries: &[Country]) -> Fi
 
 /// Figure 10: resolver adoption per country + median response times.
 pub fn fig10(dns: &[DnsRecord], enr: &Enrichment, countries: &[Country]) -> Fig10 {
-    fig10_par(dns, enr, countries, 1)
-}
-
-/// [`fig10`] on `workers` threads; identical output at any count.
-/// Response-time vectors concatenate in chunk order, reproducing the
-/// serial observation order before the final sort.
-pub fn fig10_par(dns: &[DnsRecord], enr: &Enrichment, countries: &[Country], workers: usize) -> Fig10 {
     let _span = satwatch_telemetry::span("analytics_fig10_us");
     let resolvers: Vec<ResolverId> = vec![
         ResolverId::OperatorEu,
@@ -436,40 +429,20 @@ pub fn fig10_par(dns: &[DnsRecord], enr: &Enrichment, countries: &[Country], wor
         ResolverId::Other,
     ];
     let rid = |addr: Ipv4Addr| ResolverId::from_address(addr).unwrap_or(ResolverId::Other);
-    type Fig10Acc = (FxHashMap<(ResolverId, Country), u64>, FxHashMap<Country, u64>, FxHashMap<ResolverId, Vec<f64>>);
-    let (counts, totals, times): Fig10Acc = ordered_par_fold(
-        workers,
-        dns,
-        |chunk| {
-            let mut counts: FxHashMap<(ResolverId, Country), u64> = FxHashMap::default();
-            let mut totals: FxHashMap<Country, u64> = FxHashMap::default();
-            let mut times: FxHashMap<ResolverId, Vec<f64>> = FxHashMap::default();
-            for d in chunk {
-                let Some(c) = enr.country(d.client) else { continue };
-                let r = rid(d.resolver);
-                // fold the resolvers we don't break out into "Other"
-                let r = if resolvers.contains(&r) { r } else { ResolverId::Other };
-                *counts.entry((r, c)).or_default() += 1;
-                *totals.entry(c).or_default() += 1;
-                if let Some(ms) = d.response_ms {
-                    times.entry(r).or_default().push(ms);
-                }
-            }
-            (counts, totals, times)
-        },
-        |(mut ac, mut at, mut am), (bc, bt, bm)| {
-            for (k, v) in bc {
-                *ac.entry(k).or_default() += v;
-            }
-            for (k, v) in bt {
-                *at.entry(k).or_default() += v;
-            }
-            for (k, v) in bm {
-                am.entry(k).or_default().extend(v);
-            }
-            (ac, at, am)
-        },
-    );
+    let mut counts: FxHashMap<(ResolverId, Country), u64> = FxHashMap::default();
+    let mut totals: FxHashMap<Country, u64> = FxHashMap::default();
+    let mut times: FxHashMap<ResolverId, Vec<f64>> = FxHashMap::default();
+    for d in dns {
+        let Some(c) = enr.country(d.client) else { continue };
+        let r = rid(d.resolver);
+        // fold the resolvers we don't break out into "Other"
+        let r = if resolvers.contains(&r) { r } else { ResolverId::Other };
+        *counts.entry((r, c)).or_default() += 1;
+        *totals.entry(c).or_default() += 1;
+        if let Some(ms) = d.response_ms {
+            times.entry(r).or_default().push(ms);
+        }
+    }
     let share = resolvers
         .iter()
         .map(|r| {
@@ -808,27 +781,5 @@ mod tests {
     fn night_peak_windows() {
         assert!(is_night(2) && is_night(4) && !is_night(5) && !is_night(1));
         assert!(is_peak(13) && is_peak(19) && !is_peak(20) && !is_peak(12));
-    }
-
-    /// The one record-slice fold that still takes a worker count.
-    #[test]
-    fn parallel_aggregations_match_serial() {
-        let enr = enrichment();
-        let dns: Vec<DnsRecord> = (0..50)
-            .map(|i| DnsRecord {
-                client: client(1 + (i % 2) as u8),
-                resolver: if i % 2 == 0 { ResolverId::Google.address() } else { ResolverId::OperatorEu.address() },
-                query: "x.example".into(),
-                ts: SimTime::from_secs(i),
-                response_ms: Some(20.0 + i as f64),
-                answers: vec![],
-            })
-            .collect();
-        for workers in [2, 3, 8] {
-            assert_eq!(
-                format!("{:?}", fig10(&dns, &enr, &[Country::Congo, Country::Spain])),
-                format!("{:?}", fig10_par(&dns, &enr, &[Country::Congo, Country::Spain], workers)),
-            );
-        }
     }
 }

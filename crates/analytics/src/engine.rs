@@ -2,16 +2,16 @@
 //! a [`FlowFrame`], filled together by the fused [`report_all`] sweep
 //! (or, frame by frame, by [`ReportFold`]) — the one way in.
 //!
-//! Each figure is an accumulator with three operations — `absorb` a
-//! row, `merge` two partials in chunk order, `finish` into the typed
-//! report — driven by [`ordered_par_ranges`]. The byte-equivalence
-//! contract with the record-based `agg` functions rests on three facts
-//! (DESIGN.md §10):
+//! Each figure is an accumulator with two operations — `absorb` a
+//! row, `finish` into the typed report — and rows are absorbed in
+//! order, on the calling thread. The byte-equivalence contract with
+//! the record-based `agg` functions rests on three facts (DESIGN.md
+//! §10):
 //!
-//! 1. integer tallies are exact and associative, so chunked reduction
-//!    equals the serial fold;
-//! 2. every `f64` collection concatenates in chunk order, reproducing
-//!    the serial observation order before any order-sensitive step
+//! 1. integer tallies are exact, so a frame boundary anywhere in the
+//!    row sequence changes no total;
+//! 2. every `f64` collection is filled in row order, the record
+//!    path's observation order, before any order-sensitive step
 //!    (weighted-CDF tie handling, the CDN mean's incremental sum);
 //! 3. map-iteration-order differences between the paths are absorbed
 //!    by finishers that sort (`Cdf`, `BoxplotSummary`, row sorts on
@@ -28,7 +28,7 @@ use crate::frame::{FlowFrame, NO_BEAM, NO_CATEGORY, NO_COUNTRY, NO_DOMAIN};
 use crate::report::*;
 use satwatch_internet::ResolverId;
 use satwatch_monitor::{DnsRecord, L7Protocol};
-use satwatch_simcore::{ordered_par_ranges, FxHashMap, SimDuration, SimTime};
+use satwatch_simcore::{FxHashMap, SimDuration, SimTime};
 use satwatch_traffic::{Category, Country};
 use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
@@ -45,27 +45,6 @@ pub struct ReportCtx<'a> {
     pub countries: &'a [Country],
 }
 
-/// Fold rows `0..len` through per-chunk accumulators, reducing in
-/// chunk order. The engine's single parallel shape.
-fn fold_rows<A, F>(len: usize, workers: usize, absorb: F, merge: fn(A, A) -> A) -> A
-where
-    A: Send + Default,
-    F: Fn(&mut A, usize) + Sync,
-{
-    ordered_par_ranges(
-        workers,
-        len,
-        |range| {
-            let mut acc = A::default();
-            for i in range {
-                absorb(&mut acc, i);
-            }
-            acc
-        },
-        merge,
-    )
-}
-
 // ---------------------------------------------------------------- Table 1
 
 #[derive(Default)]
@@ -79,14 +58,6 @@ impl Table1Acc {
         let b = fr.flow_bytes(i);
         self.by[fr.l7[i] as usize] += b;
         self.total += b;
-    }
-
-    fn merge(mut self, o: Self) -> Self {
-        for (a, b) in self.by.iter_mut().zip(o.by) {
-            *a += b;
-        }
-        self.total += o.total;
-        self
     }
 
     fn finish(self) -> Table1 {
@@ -114,14 +85,6 @@ impl Fig2Acc {
             self.vol[ci as usize] += b;
             self.total += b;
         }
-    }
-
-    fn merge(mut self, o: Self) -> Self {
-        for (a, b) in self.vol.iter_mut().zip(o.vol) {
-            *a += b;
-        }
-        self.total += o.total;
-        self
     }
 
     fn finish(self, enr: &Enrichment) -> Fig2 {
@@ -171,18 +134,6 @@ impl Fig3Acc {
         }
     }
 
-    fn merge(mut self, o: Self) -> Self {
-        for (av, bv) in self.vol.iter_mut().zip(o.vol) {
-            for (a, b) in av.iter_mut().zip(bv) {
-                *a += b;
-            }
-        }
-        for (a, b) in self.seen.iter_mut().zip(o.seen) {
-            *a |= b;
-        }
-        self
-    }
-
     fn finish(self) -> Fig3 {
         // `agg::fig3` sorts its rows by `Country::ALL` position, which
         // is exactly the order this emits.
@@ -223,18 +174,6 @@ impl Fig4Acc {
             self.by[ci as usize][fr.hour_utc[i] as usize] += fr.flow_bytes(i);
             self.seen[ci as usize] = true;
         }
-    }
-
-    fn merge(mut self, o: Self) -> Self {
-        for (av, bv) in self.by.iter_mut().zip(o.by) {
-            for (a, b) in av.iter_mut().zip(bv) {
-                *a += b;
-            }
-        }
-        for (a, b) in self.seen.iter_mut().zip(o.seen) {
-            *a |= b;
-        }
-        self
     }
 
     fn finish(self) -> Fig4 {
@@ -300,33 +239,6 @@ impl DaysAcc {
             }
             e.services[s / 64] |= 1 << (s % 64);
         }
-    }
-
-    fn merge(mut self, o: Self) -> Self {
-        for (k, cell) in o.cells {
-            match self.cells.entry(k) {
-                Entry::Occupied(mut e) => {
-                    let e = e.get_mut();
-                    e.flows += cell.flows;
-                    e.down += cell.down;
-                    e.up += cell.up;
-                    for (a, b) in e.cat_bytes.iter_mut().zip(cell.cat_bytes) {
-                        *a += b;
-                    }
-                    e.cats_seen |= cell.cats_seen;
-                    if e.services.len() < cell.services.len() {
-                        e.services.resize(cell.services.len(), 0);
-                    }
-                    for (a, b) in e.services.iter_mut().zip(cell.services) {
-                        *a |= b;
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(cell);
-                }
-            }
-        }
-        self
     }
 
     /// Resolve the cells of a sweep over `fr` into [`CustomerDay`]s.
@@ -399,16 +311,6 @@ impl Fig8aAcc {
         }
     }
 
-    fn merge(mut self, o: Self) -> Self {
-        for (a, b) in self.night.iter_mut().zip(o.night) {
-            a.extend(b);
-        }
-        for (a, b) in self.peak.iter_mut().zip(o.peak) {
-            a.extend(b);
-        }
-        self
-    }
-
     fn finish(self, countries: &[Country]) -> Fig8a {
         let rows = countries
             .iter()
@@ -443,13 +345,6 @@ impl Fig8bAcc {
         }
     }
 
-    fn merge(mut self, o: Self) -> Self {
-        for (k, v) in o.samples {
-            self.samples.entry(k).or_default().extend(v);
-        }
-        self
-    }
-
     fn finish(self, enr: &Enrichment) -> Fig8b {
         let max_util = enr.beams.iter().map(|b| b.peak_utilization).fold(0.0f64, f64::max).max(1e-9);
         let mut rows = Vec::new();
@@ -482,16 +377,9 @@ impl Fig9Acc {
         if ci == NO_COUNTRY || fr.ground_rtt_samples[i] == 0 {
             return;
         }
-        // chunk-order concatenation keeps these in row order, which
-        // `Cdf::from_weighted` relies on for tie-group weight sums
+        // row order, which `Cdf::from_weighted` relies on for
+        // tie-group weight sums
         self.samples[ci as usize].push((fr.ground_rtt_avg[i], fr.flow_bytes(i) as f64));
-    }
-
-    fn merge(mut self, o: Self) -> Self {
-        for (a, b) in self.samples.iter_mut().zip(o.samples) {
-            a.extend(b);
-        }
-        self
     }
 
     fn finish(self, countries: &[Country]) -> Fig9 {
@@ -548,19 +436,6 @@ impl Fig11Acc {
         }
     }
 
-    fn merge(mut self, o: Self) -> Self {
-        for (a, b) in self.all.iter_mut().zip(o.all) {
-            a.extend(b);
-        }
-        for (a, b) in self.night.iter_mut().zip(o.night) {
-            a.extend(b);
-        }
-        for (a, b) in self.peak.iter_mut().zip(o.peak) {
-            a.extend(b);
-        }
-        self
-    }
-
     fn finish(self, countries: &[Country]) -> Fig11 {
         use satwatch_simcore::stats::{BoxplotSummary, Cdf};
         let rows = countries
@@ -590,7 +465,7 @@ const NO_NAME: u32 = u32::MAX;
 /// Pre-built DNS side of the Table 2 join: `(client, query name)` →
 /// time-sorted lookups, exactly as `agg::table_cdn_selection` builds
 /// it, with every distinct query name replaced by a small id. Built
-/// once, shared read-only by all workers.
+/// once per fold, read-only during the sweeps.
 pub struct CdnJoin<'a> {
     /// Query name → name id.
     names: FxHashMap<&'a str, u32>,
@@ -666,11 +541,10 @@ const CDN_FRESH: SimDuration = SimDuration::from_secs(30);
 
 #[derive(Default)]
 struct CdnAcc {
-    /// Per-key RTT observations in row order, keyed by
-    /// `(second-level-domain id, country index, resolver)`. Kept as a
-    /// vector (not a running sum) so the finisher can reproduce the
-    /// record path's exact left-to-right f64 summation order.
-    acc: FxHashMap<(u32, u8, ResolverId), Vec<f64>>,
+    /// Per-key `(sum, count)` of RTT observations, keyed by
+    /// `(second-level-domain id, country index, resolver)`: a running
+    /// sum from `0.0` in row order, as the record path keeps it.
+    acc: FxHashMap<(u32, u8, ResolverId), (f64, usize)>,
 }
 
 impl CdnAcc {
@@ -695,24 +569,17 @@ impl CdnAcc {
         if fr.first[i] - ts > CDN_FRESH {
             return; // stale: likely a different device's lookup
         }
-        self.acc.entry((cx.join.sld_of[name as usize], ci, r)).or_default().push(fr.ground_rtt_avg[i]);
-    }
-
-    fn merge(mut self, o: Self) -> Self {
-        for (k, v) in o.acc {
-            self.acc.entry(k).or_default().extend(v);
-        }
-        self
+        let (sum, n) = self.acc.entry((cx.join.sld_of[name as usize], ci, r)).or_insert((0.0, 0));
+        *sum += fr.ground_rtt_avg[i];
+        *n += 1;
     }
 
     fn finish(self, join: &CdnJoin<'_>, min_flows: usize) -> TableCdnSelection {
         let mut rows: Vec<(String, Country, ResolverId, f64, usize)> = self
             .acc
             .into_iter()
-            .filter(|(_, v)| v.len() >= min_flows)
-            .map(|((sld, ci, r), v)| {
-                let n = v.len();
-                let sum: f64 = v.into_iter().sum();
+            .filter(|(_, (_, n))| *n >= min_flows)
+            .map(|((sld, ci, r), (sum, n))| {
                 (join.slds[sld as usize].clone(), Country::ALL[ci as usize], r, sum / n as f64, n)
             })
             .collect();
@@ -725,16 +592,14 @@ impl CdnAcc {
 /// another flow floor than the fused sweep's (the CSV export's). The
 /// DNS log and the minimum-flow floor are join inputs, not report
 /// context, so they stay explicit.
-pub fn table_cdn_frame(
-    fr: &FlowFrame,
-    dns: &[DnsRecord],
-    ctx: ReportCtx<'_>,
-    min_flows: usize,
-    workers: usize,
-) -> TableCdnSelection {
+pub fn table_cdn_frame(fr: &FlowFrame, dns: &[DnsRecord], ctx: ReportCtx<'_>, min_flows: usize) -> TableCdnSelection {
     let join = CdnJoin::build(dns);
     let cx = SweepCtx::new(fr, &join, ctx.countries);
-    fold_rows(fr.len(), workers, |a: &mut CdnAcc, i| a.absorb(&cx, i), CdnAcc::merge).finish(&join, min_flows)
+    let mut acc = CdnAcc::default();
+    for i in 0..fr.len() {
+        acc.absorb(&cx, i);
+    }
+    acc.finish(&join, min_flows)
 }
 
 // ------------------------------------------------------------ fused sweep
@@ -781,14 +646,15 @@ impl PaperReports {
 }
 
 /// The whole-sweep accumulator: one `absorb` touches every figure's
-/// partial state, so a single pass over the columns fills the lot.
+/// state, so a single pass over the columns fills the lot. (The
+/// customer-day cells are not in here: they are frame-local, see
+/// [`ReportFold::absorb_frame`].)
 #[derive(Default)]
 struct MegaAcc {
     table1: Table1Acc,
     fig2: Fig2Acc,
     fig3: Fig3Acc,
     fig4: Fig4Acc,
-    days: DaysAcc,
     fig8a: Fig8aAcc,
     fig8b: Fig8bAcc,
     fig9: Fig9Acc,
@@ -803,27 +669,11 @@ impl MegaAcc {
         self.fig2.absorb(fr, i);
         self.fig3.absorb(fr, i);
         self.fig4.absorb(fr, i);
-        self.days.absorb(fr, i);
         self.fig8a.absorb(fr, i);
         self.fig8b.absorb(fr, i);
         self.fig9.absorb(fr, i);
         self.fig11.absorb(fr, i);
         self.cdn.absorb(cx, i);
-    }
-
-    fn merge(self, o: Self) -> Self {
-        MegaAcc {
-            table1: self.table1.merge(o.table1),
-            fig2: self.fig2.merge(o.fig2),
-            fig3: self.fig3.merge(o.fig3),
-            fig4: self.fig4.merge(o.fig4),
-            days: self.days.merge(o.days),
-            fig8a: self.fig8a.merge(o.fig8a),
-            fig8b: self.fig8b.merge(o.fig8b),
-            fig9: self.fig9.merge(o.fig9),
-            fig11: self.fig11.merge(o.fig11),
-            cdn: self.cdn.merge(o.cdn),
-        }
     }
 }
 
@@ -837,12 +687,11 @@ pub fn report_all(
     ctx: ReportCtx<'_>,
     services: &[&'static str],
     min_flows: usize,
-    workers: usize,
 ) -> PaperReports {
     let _span = satwatch_telemetry::span("analytics_report_all_us");
     let mut fold = ReportFold::new(dns, ctx);
-    fold.absorb_frame(fr, workers);
-    fold.finish(services, min_flows, workers)
+    fold.absorb_frame(fr);
+    fold.finish(services, min_flows)
 }
 
 // ------------------------------------------------------- incremental fold
@@ -852,16 +701,13 @@ pub fn report_all(
 /// (read back from on-disk segments) one at a time and finishes into
 /// the same [`PaperReports`] the all-in-RAM sweep produces.
 ///
-/// Byte-identity argument: `fold_rows` already defines the sweep as
-/// per-chunk accumulators merged in chunk order, and every
-/// accumulator's `merge` is associative with order-preserving
-/// concatenation for the order-sensitive `f64` collections. Absorbing
-/// frames in day order is just a coarser chunking of the identical
-/// row sequence (day-major concatenation of canonically sorted
-/// day-frames *is* the canonical global order, because the sort key
-/// leads with `first`), so the merged accumulator — and therefore
-/// every rendered report — is bit-identical to `report_all` over the
-/// concatenated frame.
+/// Byte-identity argument: the fold is one accumulator that absorbs
+/// rows in order, and a frame boundary is not an event for it — the
+/// integer tallies and the `f64` collections after frames `A` then `B`
+/// are those after one frame `A ++ B`. Day-major concatenation of
+/// canonically sorted day-frames *is* the canonical global order (the
+/// sort key leads with `first`), so every rendered report is
+/// bit-identical to `report_all` over the concatenated frame.
 ///
 /// What is frame-local never crosses a frame boundary: domain codes
 /// are resolved to the join's name ids per frame, and the
@@ -883,16 +729,19 @@ impl<'a> ReportFold<'a> {
 
     /// Absorb one frame. Frames must arrive in canonical row order
     /// across calls (e.g. day-partitioned segments in day order).
-    pub fn absorb_frame(&mut self, fr: &FlowFrame, workers: usize) {
+    pub fn absorb_frame(&mut self, fr: &FlowFrame) {
         let cx = SweepCtx::new(fr, &self.join, self.ctx.countries);
-        let mut part = fold_rows(fr.len(), workers, |a: &mut MegaAcc, i| a.absorb(&cx, i), MegaAcc::merge);
-        merge_customer_days(&mut self.days, std::mem::take(&mut part.days).finish(fr));
-        self.acc = std::mem::take(&mut self.acc).merge(part);
+        let mut days = DaysAcc::default();
+        for i in 0..fr.len() {
+            self.acc.absorb(&cx, i);
+            days.absorb(fr, i);
+        }
+        merge_customer_days(&mut self.days, days.finish(fr));
     }
 
     /// Finish into the full report set — identical to
     /// [`report_all`] over the concatenation of the absorbed frames.
-    pub fn finish(self, services: &[&'static str], min_flows: usize, workers: usize) -> PaperReports {
+    pub fn finish(self, services: &[&'static str], min_flows: usize) -> PaperReports {
         let (enr, countries) = (self.ctx.enrichment, self.ctx.countries);
         let days = self.days;
         PaperReports {
@@ -906,7 +755,7 @@ impl<'a> ReportFold<'a> {
             fig8a: self.acc.fig8a.finish(countries),
             fig8b: self.acc.fig8b.finish(enr),
             fig9: self.acc.fig9.finish(countries),
-            fig10: agg::fig10_par(self.dns, enr, countries, workers),
+            fig10: agg::fig10(self.dns, enr, countries),
             table2: self.acc.cdn.finish(&self.join, min_flows),
             fig11: self.acc.fig11.finish(countries),
         }
@@ -918,6 +767,8 @@ mod tests {
     use super::*;
     use crate::agg::BeamInfo;
     use crate::classify::Classifier;
+    use crate::frame::NO_SERVICE;
+    use proptest::prelude::*;
     use satwatch_monitor::record::RttSummary;
     use satwatch_monitor::FlowRecord;
     use satwatch_simcore::SimDuration;
@@ -974,8 +825,10 @@ mod tests {
         for i in 0..211u32 {
             let c = client(1 + (i % 3) as u8); // client 3 has no country
             let l7 = if i % 3 == 0 { L7Protocol::Quic } else { L7Protocol::TlsHttps };
-            let domain = if i % 4 == 0 { Some("video.tiktokv.com") } else { None };
+            let domain = [Some("video.tiktokv.com"), None, Some("www.google.com"), None][i as usize % 4];
             let mut f = flow(c, l7, 1_000 + u64::from(i) * 7, 100 + u64::from(i), i % 24, domain);
+            // distinct, inexact means: Table 2 sums them in row order
+            f.ground_rtt.avg_ms = 9.0 + f64::from(i) * 0.37;
             if i % 5 == 0 {
                 f.sat_rtt_ms = None;
             }
@@ -1010,25 +863,20 @@ mod tests {
         let top = [Country::Congo, Country::Spain];
         let services = ["Tiktok", "Google"];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
-        for workers in [1, 3] {
-            let all = report_all(&fr, &dns, ctx, &services, 1, workers);
-            assert_eq!(format!("{:?}", agg::table1(&flows)), format!("{:?}", all.table1));
-            assert_eq!(format!("{:?}", agg::fig2(&flows, &enr)), format!("{:?}", all.fig2));
-            assert_eq!(format!("{:?}", agg::fig3(&flows, &enr)), format!("{:?}", all.fig3));
-            assert_eq!(format!("{:?}", agg::fig4(&flows, &enr)), format!("{:?}", all.fig4));
-            assert_eq!(format!("{:?}", agg::fig5(&days, &enr)), format!("{:?}", all.fig5));
-            assert_eq!(format!("{:?}", agg::fig6(&days, &enr, &services, &top)), format!("{:?}", all.fig6));
-            assert_eq!(format!("{:?}", agg::fig7(&days, &enr, &top)), format!("{:?}", all.fig7));
-            assert_eq!(format!("{:?}", agg::fig8a(&flows, &enr, &top)), format!("{:?}", all.fig8a));
-            assert_eq!(format!("{:?}", agg::fig8b(&flows, &enr)), format!("{:?}", all.fig8b));
-            assert_eq!(format!("{:?}", agg::fig9(&flows, &enr, &top)), format!("{:?}", all.fig9));
-            assert_eq!(format!("{:?}", agg::fig10(&dns, &enr, &top)), format!("{:?}", all.fig10));
-            assert_eq!(format!("{:?}", agg::fig11(&flows, &enr, &top)), format!("{:?}", all.fig11));
-            assert_eq!(
-                format!("{:?}", agg::table_cdn_selection(&flows, &dns, &enr, &top, 1)),
-                format!("{:?}", all.table2)
-            );
-        }
+        let all = report_all(&fr, &dns, ctx, &services, 1);
+        assert_eq!(format!("{:?}", agg::table1(&flows)), format!("{:?}", all.table1));
+        assert_eq!(format!("{:?}", agg::fig2(&flows, &enr)), format!("{:?}", all.fig2));
+        assert_eq!(format!("{:?}", agg::fig3(&flows, &enr)), format!("{:?}", all.fig3));
+        assert_eq!(format!("{:?}", agg::fig4(&flows, &enr)), format!("{:?}", all.fig4));
+        assert_eq!(format!("{:?}", agg::fig5(&days, &enr)), format!("{:?}", all.fig5));
+        assert_eq!(format!("{:?}", agg::fig6(&days, &enr, &services, &top)), format!("{:?}", all.fig6));
+        assert_eq!(format!("{:?}", agg::fig7(&days, &enr, &top)), format!("{:?}", all.fig7));
+        assert_eq!(format!("{:?}", agg::fig8a(&flows, &enr, &top)), format!("{:?}", all.fig8a));
+        assert_eq!(format!("{:?}", agg::fig8b(&flows, &enr)), format!("{:?}", all.fig8b));
+        assert_eq!(format!("{:?}", agg::fig9(&flows, &enr, &top)), format!("{:?}", all.fig9));
+        assert_eq!(format!("{:?}", agg::fig10(&dns, &enr, &top)), format!("{:?}", all.fig10));
+        assert_eq!(format!("{:?}", agg::fig11(&flows, &enr, &top)), format!("{:?}", all.fig11));
+        assert_eq!(format!("{:?}", agg::table_cdn_selection(&flows, &dns, &enr, &top, 1)), format!("{:?}", all.table2));
     }
 
     /// The one fold that still runs on its own — Table 2 at the CSV
@@ -1041,30 +889,54 @@ mod tests {
         let fr = FlowFrame::from_records(&flows, &enr);
         let top = [Country::Congo, Country::Spain];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
-        for (floor, workers) in [(1, 1), (1, 4), (20, 1), (20, 4)] {
-            let all = report_all(&fr, &dns, ctx, &["Tiktok", "Google"], floor, workers);
-            assert_eq!(format!("{:?}", all.table2), format!("{:?}", table_cdn_frame(&fr, &dns, ctx, floor, 1)));
+        for floor in [1, 20] {
+            let all = report_all(&fr, &dns, ctx, &["Tiktok", "Google"], floor);
+            assert_eq!(format!("{:?}", all.table2), format!("{:?}", table_cdn_frame(&fr, &dns, ctx, floor)));
             assert!(!all.render_all().is_empty());
         }
     }
 
-    #[test]
-    fn incremental_fold_matches_batch_sweep() {
-        let flows = sample_flows();
-        let dns = sample_dns();
-        let enr = enrichment();
-        let fr = FlowFrame::from_records(&flows, &enr);
-        let top = [Country::Congo, Country::Spain];
-        let services = ["Tiktok", "Google"];
-        let ctx = ReportCtx { enrichment: &enr, countries: &top };
-        let batch = report_all(&fr, &dns, ctx, &services, 1, 3).render_all();
-        // split the same row sequence into uneven "day" frames
-        for split in [1, 3, 50, flows.len()] {
+    /// The same rows under another service numbering. A decoded
+    /// segment carries its own service table, so the indices in
+    /// `FlowFrame::service` mean something only beside that frame.
+    fn renumber_services(fr: &mut FlowFrame) {
+        let last = fr.services.len() as u16 - 1;
+        fr.services.reverse();
+        for s in fr.service.iter_mut().filter(|s| **s != NO_SERVICE) {
+            *s = last - *s;
+        }
+    }
+
+    proptest! {
+        /// However the row sequence is cut into frames (1 to 6 of
+        /// them, single-row frames included, every other one under its
+        /// own service numbering), absorbing the frames in order
+        /// finishes to the batch sweep over the whole, to the last bit
+        /// of every float.
+        #[test]
+        fn incremental_fold_matches_batch_sweep(
+            cuts in proptest::collection::btree_set(prop_oneof![1usize..211, 1usize..4, 208usize..211], 0..6),
+        ) {
+            let flows = sample_flows();
+            let dns = sample_dns();
+            let enr = enrichment();
+            let top = [Country::Congo, Country::Spain];
+            let services = ["Tiktok", "Google"];
+            let ctx = ReportCtx { enrichment: &enr, countries: &top };
+            let batch = report_all(&FlowFrame::from_records(&flows, &enr), &dns, ctx, &services, 1);
             let mut fold = ReportFold::new(&dns, ctx);
-            for chunk in flows.chunks(split) {
-                fold.absorb_frame(&FlowFrame::from_records(chunk, &enr), 2);
+            let mut start = 0;
+            for (k, end) in cuts.iter().copied().chain([flows.len()]).enumerate() {
+                let mut piece = FlowFrame::from_records(&flows[start..end], &enr);
+                if k % 2 == 1 {
+                    renumber_services(&mut piece);
+                }
+                fold.absorb_frame(&piece);
+                start = end;
             }
-            assert_eq!(fold.finish(&services, 1, 3).render_all(), batch, "split {split}");
+            let folded = fold.finish(&services, 1);
+            prop_assert_eq!(format!("{folded:?}"), format!("{batch:?}"), "cuts {:?}", cuts);
+            prop_assert_eq!(folded.render_all(), batch.render_all(), "cuts {:?}", cuts);
         }
     }
 }

@@ -17,7 +17,7 @@
 //! * [`expr`] / [`query`] — the aggregation-pipeline DSL: JSON-parsed
 //!   `match → group → project → sort → limit` pipelines compiled
 //!   against the frame with small-int predicate pushdown and a
-//!   deterministic parallel group-by (DESIGN.md §11).
+//!   code-keyed group-by (DESIGN.md §11).
 //! * [`segment`] — on-disk columnar `.swseg` segments: one sealed
 //!   frame per file with per-column checksums, the campaign engine's
 //!   spill format (DESIGN.md §12).

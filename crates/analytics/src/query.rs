@@ -3,37 +3,31 @@
 //!
 //! A [`Pipeline`] is a JSON-specified sequence of stages,
 //! `match → group → project → sort → limit`, compiled against the
-//! frame and executed deterministically in parallel:
+//! frame and executed as serial passes in row order:
 //!
 //! * **Match** filters rows. Conjuncts over the pre-resolved
 //!   small-int columns are pushed down into lookup tables
 //!   ([`crate::expr::compile_match`]) so the scan touches one or two
 //!   bytes per row before any wide column loads.
 //! * **Group** buckets the selection by key expressions and folds
-//!   aggregates (`sum`/`count`/`min`/`max`/`mean`/`quantile`). The
-//!   fold runs as per-chunk partial hash maps over
-//!   [`ordered_par_chunks`], merged *in chunk order*, so the result
-//!   is byte-identical at any worker count (see DESIGN.md §11 for
-//!   the argument). Output rows are sorted by group key.
+//!   aggregates (`sum`/`count`/`min`/`max`/`mean`/`quantile`) in
+//!   one pass, so every aggregate sees its observations in row order
+//!   (DESIGN.md §11). Output rows are sorted by group key.
 //! * **Project** computes derived columns; **Sort**/**Limit** shape
 //!   the final [`ResultTable`], renderable as aligned text, CSV, or
 //!   JSON.
 //!
 //! The hand-rolled figure folds in [`crate::engine`] remain the fused
-//! fast path; [`paper`] re-expresses Table 1 and Figures 2–4 as
-//! pipelines and the test suite pins them byte-for-byte against the
-//! engine output, proving the DSL subsumes them.
+//! fast path; `scenario/tests/query_equivalence.rs` re-expresses
+//! Table 1 and Figures 2–4 as pipelines and pins them byte-for-byte
+//! against the engine output, proving the DSL subsumes them.
 
-use crate::agg::Enrichment;
 use crate::expr::{
     bind, compile_match, truthy, BoundExpr, CodeCol, ColSlot, Expr, FrameCol, Json, QueryError, RowCtx, Value,
 };
 use crate::frame::FlowFrame;
-use crate::report::{Fig2, Fig3, Fig4, Table1};
-use satwatch_monitor::L7Protocol;
 use satwatch_simcore::stats::quantile;
-use satwatch_simcore::{ordered_par_chunks, ordered_par_ranges, FxHashMap};
-use satwatch_traffic::Country;
+use satwatch_simcore::FxHashMap;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
@@ -481,7 +475,6 @@ enum KeySlot {
 #[derive(Default)]
 struct Interner {
     codes: FxHashMap<KeyVal, u32>,
-    values: Vec<Value>,
 }
 
 impl Interner {
@@ -492,24 +485,22 @@ impl Interner {
         if let Some(&code) = self.codes.get(&v) {
             return (code, v.0);
         }
-        let code = self.values.len() as u32;
-        self.values.push(v.0.clone());
+        let code = self.codes.len() as u32;
         self.codes.insert(KeyVal(v.0.clone()), code);
         (code, v.0)
     }
 }
 
-/// Partial aggregate state. The float-feeding variants buffer their
-/// observations and fold them in the finisher, left to right, so the
-/// chunk-order merge reproduces the serial observation order exactly
-/// (same discipline as the engine's CDF accumulators).
+/// Aggregate state. Float sums are running left folds from `0.0` in
+/// row order; only `quantile` keeps its observations.
 #[derive(Debug, Clone)]
 enum AggState {
     SumInt(i64),
-    SumFloat(Vec<f64>),
+    SumFloat(f64),
     Count(u64),
     Min(Option<Value>),
     Max(Option<Value>),
+    Mean { sum: f64, n: u64 },
     Collect(Vec<f64>),
 }
 
@@ -547,11 +538,12 @@ impl CompiledAgg {
     fn new_state(&self) -> AggState {
         match self.func {
             AggFunc::Sum if self.int_sum => AggState::SumInt(0),
-            AggFunc::Sum => AggState::SumFloat(Vec::new()),
+            AggFunc::Sum => AggState::SumFloat(0.0),
             AggFunc::Count => AggState::Count(0),
             AggFunc::Min => AggState::Min(None),
             AggFunc::Max => AggState::Max(None),
-            AggFunc::Mean | AggFunc::Quantile => AggState::Collect(Vec::new()),
+            AggFunc::Mean => AggState::Mean { sum: 0.0, n: 0 },
+            AggFunc::Quantile => AggState::Collect(Vec::new()),
         }
     }
 
@@ -572,18 +564,13 @@ impl CompiledAgg {
     fn finish(&self, state: AggState) -> Value {
         match state {
             AggState::SumInt(acc) => Value::Int(acc),
-            AggState::SumFloat(buf) => Value::Num(buf.iter().fold(0.0, |a, b| a + b)),
+            AggState::SumFloat(sum) => Value::Num(sum),
             AggState::Count(n) => Value::Int(n as i64),
             AggState::Min(best) | AggState::Max(best) => best.unwrap_or(Value::Null),
-            AggState::Collect(buf) => {
-                if buf.is_empty() {
-                    Value::Null
-                } else if self.func == AggFunc::Mean {
-                    Value::Num(buf.iter().fold(0.0, |a, b| a + b) / buf.len() as f64)
-                } else {
-                    Value::Num(quantile(&buf, self.q))
-                }
-            }
+            AggState::Mean { n: 0, .. } => Value::Null,
+            AggState::Mean { sum, n } => Value::Num(sum / n as f64),
+            AggState::Collect(buf) if buf.is_empty() => Value::Null,
+            AggState::Collect(buf) => Value::Num(quantile(&buf, self.q)),
         }
     }
 }
@@ -599,36 +586,30 @@ fn keep_best(best: &mut Option<Value>, v: Value, want: Ordering) {
 /// Fold one evaluated argument into `state`.
 fn absorb_value(state: &mut AggState, v: Value) {
     let comparable = !v.is_null() && !matches!(v, Value::Num(x) if x.is_nan());
+    // what the float aggregates fold: a number that is not NaN
+    let observed = || v.as_f64().filter(|x| !x.is_nan());
     match state {
         AggState::SumInt(acc) => match v {
             Value::Int(i) => *acc = acc.wrapping_add(i),
             Value::Bool(b) => *acc = acc.wrapping_add(i64::from(b)),
             _ => {} // Null skipped; Num unreachable (static typing)
         },
-        AggState::SumFloat(buf) | AggState::Collect(buf) => {
-            if let Some(x) = v.as_f64() {
-                if !x.is_nan() {
-                    buf.push(x);
-                }
+        AggState::SumFloat(sum) => {
+            if let Some(x) = observed() {
+                *sum += x;
             }
         }
+        AggState::Mean { sum, n } => {
+            if let Some(x) = observed() {
+                *sum += x;
+                *n += 1;
+            }
+        }
+        AggState::Collect(buf) => buf.extend(observed()),
         AggState::Count(n) => *n += u64::from(!v.is_null()),
         AggState::Min(best) if comparable => keep_best(best, v, Ordering::Less),
         AggState::Max(best) if comparable => keep_best(best, v, Ordering::Greater),
         AggState::Min(_) | AggState::Max(_) => {}
-    }
-}
-
-fn merge_states(a: &mut AggState, b: AggState) {
-    match (a, b) {
-        (AggState::SumInt(x), AggState::SumInt(y)) => *x = x.wrapping_add(y),
-        (AggState::SumFloat(x), AggState::SumFloat(y)) => x.extend(y),
-        (AggState::Count(x), AggState::Count(y)) => *x += y,
-        (AggState::Min(x), AggState::Min(Some(y))) => keep_best(x, y, Ordering::Less),
-        (AggState::Max(x), AggState::Max(Some(y))) => keep_best(x, y, Ordering::Greater),
-        (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
-        (AggState::Collect(x), AggState::Collect(y)) => x.extend(y),
-        _ => unreachable!("mismatched aggregate states"),
     }
 }
 
@@ -643,18 +624,20 @@ enum State {
     Table(ResultTable),
 }
 
-/// Run `pipeline` over `fr` with `workers` threads.
-pub fn run(fr: &FlowFrame, pipeline: &Pipeline, workers: usize) -> Result<ResultTable, QueryError> {
-    run_with_stats(fr, pipeline, workers).map(|(t, _)| t)
+/// Run `pipeline` over `fr`.
+pub fn run(fr: &FlowFrame, pipeline: &Pipeline) -> Result<ResultTable, QueryError> {
+    run_with_stats(fr, pipeline, 1).map(|(t, _)| t)
 }
 
 /// Like [`run`], also returning scan statistics (rows scanned vs rows
 /// surviving pushdown — the counters behind the
-/// `query_rows_*_total` telemetry).
+/// `query_rows_*_total` telemetry). `_workers` is ignored: the scans
+/// run on the calling thread, and the parameter stays only because
+/// `benchmark/` calls this signature (DESIGN.md §7).
 pub fn run_with_stats(
     fr: &FlowFrame,
     pipeline: &Pipeline,
-    workers: usize,
+    _workers: usize,
 ) -> Result<(ResultTable, QueryStats), QueryError> {
     let m = metrics();
     let _run = satwatch_telemetry::Span::over(m.run_us);
@@ -663,13 +646,13 @@ pub fn run_with_stats(
 
     for stage in &pipeline.stages {
         state = match (stage, state) {
-            (Stage::Match(expr), State::Rows(sel)) => State::Rows(Some(run_match(fr, expr, sel, workers, &mut stats)?)),
+            (Stage::Match(expr), State::Rows(sel)) => State::Rows(Some(run_match(fr, expr, sel, &mut stats)?)),
             (Stage::Match(expr), State::Table(t)) => State::Table(run_table_match(t, expr)?),
-            (Stage::Group { by, aggs }, State::Rows(sel)) => State::Table(run_group(fr, by, aggs, sel, workers)?),
+            (Stage::Group { by, aggs }, State::Rows(sel)) => State::Table(run_group(fr, by, aggs, sel)?),
             (Stage::Group { .. }, State::Table(_)) => {
                 return Err(QueryError::new("\"group\" over an already-grouped result is not supported"))
             }
-            (Stage::Project(cols), State::Rows(sel)) => State::Table(run_frame_project(fr, cols, sel, workers)?),
+            (Stage::Project(cols), State::Rows(sel)) => State::Table(run_frame_project(fr, cols, sel)?),
             (Stage::Project(cols), State::Table(t)) => State::Table(run_table_project(t, cols)?),
             (Stage::Sort(keys), State::Table(mut t)) => {
                 let _s = satwatch_telemetry::Span::over(m.sort_us);
@@ -696,11 +679,11 @@ pub fn run_with_stats(
                 t.rows.truncate(*n);
                 State::Table(t)
             }
-            (Stage::Limit(n), State::Rows(sel)) => {
-                let mut sel = materialize(fr, sel);
+            (Stage::Limit(n), State::Rows(Some(mut sel))) => {
                 sel.truncate(*n);
                 State::Rows(Some(sel))
             }
+            (Stage::Limit(n), State::Rows(None)) => State::Rows(Some((0..fr.len().min(*n) as u32).collect())),
         };
     }
 
@@ -714,17 +697,12 @@ pub fn run_with_stats(
     }
 }
 
-fn materialize(fr: &FlowFrame, sel: Option<Vec<u32>>) -> Vec<u32> {
-    sel.unwrap_or_else(|| (0..fr.len() as u32).collect())
-}
-
 /// Match over frame rows: LUT pass first (code columns only),
 /// residual predicate on the survivors.
 fn run_match(
     fr: &FlowFrame,
     expr: &Expr,
     sel: Option<Vec<u32>>,
-    workers: usize,
     stats: &mut QueryStats,
 ) -> Result<Vec<u32>, QueryError> {
     let m = metrics();
@@ -737,37 +715,21 @@ fn run_match(
     m.rows_scanned.add(scanned);
 
     // Pushdown pass: only the code columns are touched.
-    let after_luts: Vec<u32> = match &sel {
-        None => ordered_par_ranges(
-            workers,
-            fr.len(),
-            |range| range.filter(|&i| cm.luts_pass(fr, i)).map(|i| i as u32).collect::<Vec<u32>>(),
-            |mut a: Vec<u32>, b| {
-                a.extend(b);
-                a
-            },
-        ),
-        Some(sel) => ordered_par_chunks(workers, sel, |chunk| {
-            chunk.iter().copied().filter(|&i| cm.luts_pass(fr, i as usize)).collect::<Vec<u32>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect(),
+    let mut rows: Vec<u32> = match sel {
+        None => (0..fr.len() as u32).filter(|&i| cm.luts_pass(fr, i as usize)).collect(),
+        Some(mut sel) => {
+            sel.retain(|&i| cm.luts_pass(fr, i as usize));
+            sel
+        }
     };
-    stats.rows_after_pushdown += after_luts.len() as u64;
-    m.rows_after_pushdown.add(after_luts.len() as u64);
+    stats.rows_after_pushdown += rows.len() as u64;
+    m.rows_after_pushdown.add(rows.len() as u64);
 
     // Residual pass: whatever could not become a LUT.
-    let out = match &cm.residual {
-        None => after_luts,
-        Some(res) => ordered_par_chunks(workers, &after_luts, |chunk| {
-            chunk.iter().copied().filter(|&i| truthy(&res.eval(&RowCtx::Frame(fr, i as usize)))).collect::<Vec<u32>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect(),
-    };
-    Ok(out)
+    if let Some(res) = &cm.residual {
+        rows.retain(|&i| truthy(&res.eval(&RowCtx::Frame(fr, i as usize))));
+    }
+    Ok(rows)
 }
 
 fn run_table_match(t: ResultTable, expr: &Expr) -> Result<ResultTable, QueryError> {
@@ -854,7 +816,7 @@ impl GroupIndex {
     }
 }
 
-/// One chunk's groups, every key a tuple of `u32` codes (one per
+/// The groups of one scan, every key a tuple of `u32` codes (one per
 /// `by` slot, in order).
 struct GroupTable {
     index: GroupIndex,
@@ -914,36 +876,6 @@ impl GroupTable {
         }
         table
     }
-
-    /// Absorb the table of the next chunk. Its interned codes are
-    /// chunk-local: each is re-interned here first, in the chunk's
-    /// first-seen order, so this table's codes are those of one
-    /// serial pass over both chunks; a group both chunks hold keeps
-    /// the representative it has, which is the earlier one.
-    fn merge(mut self, next: GroupTable, aggs: &[CompiledAgg]) -> GroupTable {
-        let GroupTable { index, states, interned, firsts } = next;
-        let recode: Vec<Vec<u32>> = interned
-            .into_iter()
-            .zip(&mut self.interned)
-            .map(|(theirs, ours)| theirs.values.into_iter().map(|v| ours.intern(v).0).collect())
-            .collect();
-        let per_group = firsts.len().checked_div(index.groups).unwrap_or(0);
-        let (mut states, mut firsts) = (states.into_iter(), firsts.into_iter());
-        let mut key = vec![0u32; index.arity];
-        let mut first = Vec::new();
-        for g in 0..index.groups {
-            for ((k, &theirs), recode) in key.iter_mut().zip(index.key(g)).zip(&recode) {
-                // a code slot interned nothing: its raw cells stand
-                *k = recode.get(theirs as usize).copied().unwrap_or(theirs);
-            }
-            first.clear();
-            first.extend(firsts.by_ref().take(per_group));
-            for (ours, theirs) in self.group(&key, &mut first, aggs).iter_mut().zip(&mut states) {
-                merge_states(ours, theirs);
-            }
-        }
-        self
-    }
 }
 
 /// Group the selected rows (`None` = every row) by the `by`
@@ -959,7 +891,6 @@ fn run_group(
     by: &[(String, Expr)],
     aggs: &[(String, Agg)],
     sel: Option<Vec<u32>>,
-    workers: usize,
 ) -> Result<ResultTable, QueryError> {
     let m = metrics();
     let _s = satwatch_telemetry::Span::over(m.group_us);
@@ -977,24 +908,12 @@ fn run_group(
     let compiled: Vec<CompiledAgg> =
         aggs.iter().map(|(_, a)| CompiledAgg::compile(a)).collect::<Result<_, QueryError>>()?;
 
-    // Per-chunk tables, merged in chunk order: within a chunk rows
-    // are visited in selection (row) order, and the chunk-order merge
-    // concatenates buffered observations in that same order, so every
-    // aggregate sees the serial observation sequence.
+    // rows are visited in selection (row) order, so every aggregate
+    // sees its observations in that order
     let table = match &sel {
-        None => ordered_par_ranges(
-            workers,
-            fr.len(),
-            |range| Some(GroupTable::fold(fr, &slots, &compiled, range)),
-            |a, b| merge_tables(a, b, &compiled),
-        ),
-        Some(sel) => ordered_par_chunks(workers, sel, |chunk| {
-            GroupTable::fold(fr, &slots, &compiled, chunk.iter().map(|&i| i as usize))
-        })
-        .into_iter()
-        .reduce(|a, b| a.merge(b, &compiled)),
-    }
-    .unwrap_or_else(|| GroupTable::new(slots.len()));
+        None => GroupTable::fold(fr, &slots, &compiled, 0..fr.len()),
+        Some(sel) => GroupTable::fold(fr, &slots, &compiled, sel.iter().map(|&i| i as usize)),
+    };
 
     // Materialise: one `Value` per key column per group, then the
     // deterministic output order — groups sorted by key under the
@@ -1027,35 +946,22 @@ fn run_group(
     Ok(ResultTable { columns, rows })
 }
 
-fn merge_tables(a: Option<GroupTable>, b: Option<GroupTable>, aggs: &[CompiledAgg]) -> Option<GroupTable> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.merge(b, aggs)),
-        (a, b) => a.or(b),
-    }
-}
-
 fn run_frame_project(
     fr: &FlowFrame,
     cols: &[(String, Expr)],
     sel: Option<Vec<u32>>,
-    workers: usize,
 ) -> Result<ResultTable, QueryError> {
     let m = metrics();
     let _s = satwatch_telemetry::Span::over(m.project_us);
     let exprs = cols.iter().map(|(_, e)| crate::expr::bind_frame(e)).collect::<Result<Vec<_>, _>>()?;
-    let sel = materialize(fr, sel);
-    let rows: Vec<Vec<Value>> = ordered_par_chunks(workers, &sel, |chunk| {
-        chunk
-            .iter()
-            .map(|&i| {
-                let ctx = RowCtx::Frame(fr, i as usize);
-                exprs.iter().map(|e| e.eval(&ctx)).collect::<Vec<Value>>()
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let row = |i: usize| -> Vec<Value> {
+        let ctx = RowCtx::Frame(fr, i);
+        exprs.iter().map(|e| e.eval(&ctx)).collect()
+    };
+    let rows: Vec<Vec<Value>> = match &sel {
+        None => (0..fr.len()).map(row).collect(),
+        Some(sel) => sel.iter().map(|&i| row(i as usize)).collect(),
+    };
     Ok(ResultTable { columns: cols.iter().map(|(n, _)| n.clone()).collect(), rows })
 }
 
@@ -1080,188 +986,16 @@ fn run_table_project(t: ResultTable, cols: &[(String, Expr)]) -> Result<ResultTa
 
 /// Match rows of `fr` against a bare predicate (no full pipeline) —
 /// the pushdown path. Exposed for the pushdown-vs-naive proptest.
-pub fn match_rows(fr: &FlowFrame, expr: &Expr, workers: usize) -> Result<Vec<u32>, QueryError> {
+pub fn match_rows(fr: &FlowFrame, expr: &Expr) -> Result<Vec<u32>, QueryError> {
     let mut stats = QueryStats::default();
-    run_match(fr, expr, None, workers, &mut stats)
+    run_match(fr, expr, None, &mut stats)
 }
 
-/// Row-at-a-time reference filter: no pushdown, no parallelism. The
+/// Row-at-a-time reference filter: no pushdown. The
 /// oracle the proptest checks [`match_rows`] against.
 pub fn match_rows_naive(fr: &FlowFrame, expr: &Expr) -> Result<Vec<u32>, QueryError> {
     let bound = crate::expr::bind_frame(expr)?;
     Ok((0..fr.len()).filter(|&i| truthy(&bound.eval(&RowCtx::Frame(fr, i)))).map(|i| i as u32).collect())
-}
-
-// ---------------------------------------------------------------------------
-// Paper outputs as pipelines
-// ---------------------------------------------------------------------------
-
-/// The paper outputs re-expressed as pipelines. Each `*_via_query`
-/// runs the JSON pipeline through the full DSL (parse → pushdown →
-/// parallel group-by) and adapts the [`ResultTable`] into the typed
-/// report struct; the tests pin `render()` byte-for-byte against the
-/// hand-rolled [`crate::engine`] folds at workers 1 and 4.
-///
-/// The adapters stay exact because each pipeline's aggregates are
-/// integer sums (exact and order-insensitive in `i64`) and every
-/// derived float below is computed by the same expression, in the
-/// same order, as the corresponding engine finisher.
-pub mod paper {
-    use super::*;
-
-    /// Table 1 — traffic share by L7 protocol.
-    pub const TABLE1_PIPELINE: &str = r#"[
-        {"group": {"by": {"l7": "l7"}, "aggs": {"bytes": {"sum": "bytes"}}}}
-    ]"#;
-
-    /// Figure 2 — traffic and customer share by country.
-    pub const FIG2_PIPELINE: &str = r#"[
-        {"match": {"not": {"isnull": {"col": "country"}}}},
-        {"group": {"by": {"country": "country"}, "aggs": {"bytes": {"sum": "bytes"}}}}
-    ]"#;
-
-    /// Figure 3 — per-country protocol mix.
-    pub const FIG3_PIPELINE: &str = r#"[
-        {"match": {"not": {"isnull": {"col": "country"}}}},
-        {"group": {"by": {"country": "country", "l7": "l7"}, "aggs": {"bytes": {"sum": "bytes"}}}}
-    ]"#;
-
-    /// Figure 4 — per-country diurnal profile (UTC hours).
-    pub const FIG4_PIPELINE: &str = r#"[
-        {"match": {"not": {"isnull": {"col": "country"}}}},
-        {"group": {"by": {"country": "country", "hour": "hour_utc"}, "aggs": {"bytes": {"sum": "bytes"}}}}
-    ]"#;
-
-    fn as_str(v: &Value) -> &str {
-        match v {
-            Value::Str(s) => s,
-            _ => "",
-        }
-    }
-
-    fn as_u64(v: &Value) -> u64 {
-        match v {
-            Value::Int(i) => *i as u64,
-            _ => 0,
-        }
-    }
-
-    /// Table 1 through the DSL; byte-identical to
-    /// [`crate::engine::report_all`]'s `table1`.
-    pub fn table1_via_query(fr: &FlowFrame, workers: usize) -> Result<Table1, QueryError> {
-        let t = run(fr, &Pipeline::parse(TABLE1_PIPELINE)?, workers)?;
-        let mut by = [0u64; L7Protocol::ALL.len()];
-        let mut total = 0u64;
-        for row in &t.rows {
-            let p =
-                L7Protocol::from_label(as_str(&row[0])).ok_or_else(|| QueryError::new("unknown l7 label in result"))?;
-            let b = as_u64(&row[1]);
-            by[p.index()] = b;
-            total += b;
-        }
-        let rows =
-            L7Protocol::ALL.into_iter().map(|p| (p, 100.0 * by[p.index()] as f64 / total.max(1) as f64)).collect();
-        Ok(Table1 { rows })
-    }
-
-    /// Figure 2 through the DSL; byte-identical to
-    /// [`crate::engine::report_all`]'s `fig2`.
-    pub fn fig2_via_query(fr: &FlowFrame, enr: &Enrichment, workers: usize) -> Result<Fig2, QueryError> {
-        let t = run(fr, &Pipeline::parse(FIG2_PIPELINE)?, workers)?;
-        let mut vol = [0u64; Country::ALL.len()];
-        let mut total = 0u64;
-        for row in &t.rows {
-            let c =
-                Country::from_code(as_str(&row[0])).ok_or_else(|| QueryError::new("unknown country code in result"))?;
-            let b = as_u64(&row[1]);
-            vol[c.index()] = b;
-            total += b;
-        }
-        let total_customers = enr.country_of.len();
-        let mut rows: Vec<(Country, f64, f64, f64)> = Country::ALL
-            .into_iter()
-            .map(|c| {
-                let v = vol[c.index()];
-                let customers = enr.customers_in(c);
-                let mb_per_day = if customers == 0 || enr.days == 0 {
-                    0.0
-                } else {
-                    v as f64 / 1e6 / customers as f64 / enr.days as f64
-                };
-                (
-                    c,
-                    100.0 * v as f64 / total.max(1) as f64,
-                    100.0 * customers as f64 / total_customers.max(1) as f64,
-                    mb_per_day,
-                )
-            })
-            .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        Ok(Fig2 { rows })
-    }
-
-    /// Figure 3 through the DSL; byte-identical to
-    /// [`crate::engine::report_all`]'s `fig3`.
-    pub fn fig3_via_query(fr: &FlowFrame, workers: usize) -> Result<Fig3, QueryError> {
-        let t = run(fr, &Pipeline::parse(FIG3_PIPELINE)?, workers)?;
-        const N_PROTO: usize = L7Protocol::ALL.len();
-        let mut vol = [[0u64; N_PROTO]; Country::ALL.len()];
-        let mut seen = [false; Country::ALL.len()];
-        for row in &t.rows {
-            let c =
-                Country::from_code(as_str(&row[0])).ok_or_else(|| QueryError::new("unknown country code in result"))?;
-            let p =
-                L7Protocol::from_label(as_str(&row[1])).ok_or_else(|| QueryError::new("unknown l7 label in result"))?;
-            vol[c.index()][p.index()] = as_u64(&row[2]);
-            seen[c.index()] = true;
-        }
-        let rows = Country::ALL
-            .into_iter()
-            .filter(|c| seen[c.index()])
-            .map(|c| {
-                let protos = &vol[c.index()];
-                let total: u64 = protos.iter().sum();
-                let shares = L7Protocol::ALL
-                    .into_iter()
-                    .map(|p| (p, 100.0 * protos[p.index()] as f64 / total.max(1) as f64))
-                    .collect();
-                (c, shares)
-            })
-            .collect();
-        Ok(Fig3 { rows })
-    }
-
-    /// Figure 4 through the DSL; byte-identical to
-    /// [`crate::engine::report_all`]'s `fig4`.
-    pub fn fig4_via_query(fr: &FlowFrame, workers: usize) -> Result<Fig4, QueryError> {
-        let t = run(fr, &Pipeline::parse(FIG4_PIPELINE)?, workers)?;
-        let mut by = [[0u64; 24]; Country::ALL.len()];
-        let mut seen = [false; Country::ALL.len()];
-        for row in &t.rows {
-            let c =
-                Country::from_code(as_str(&row[0])).ok_or_else(|| QueryError::new("unknown country code in result"))?;
-            let h = match row[1] {
-                Value::Int(h) if (0..24).contains(&h) => h as usize,
-                _ => return Err(QueryError::new("bad hour in result")),
-            };
-            by[c.index()][h] = as_u64(&row[2]);
-            seen[c.index()] = true;
-        }
-        let rows = Country::ALL
-            .into_iter()
-            .filter(|c| seen[c.index()])
-            .map(|c| {
-                let bytes = &by[c.index()];
-                let max = bytes.iter().copied().max().unwrap_or(0).max(1) as f64;
-                let mut prof = [0.0; 24];
-                for (p, b) in prof.iter_mut().zip(bytes) {
-                    *p = *b as f64 / max;
-                }
-                (c, prof)
-            })
-            .collect();
-        Ok(Fig4 { rows })
-    }
 }
 
 #[cfg(test)]

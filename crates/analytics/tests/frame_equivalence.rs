@@ -102,7 +102,7 @@ fn enrichment() -> Enrichment {
 
 proptest! {
     #[test]
-    fn frame_folds_match_record_passes(specs in proptest::collection::vec(spec_strategy(), 0..120), workers in 1usize..5) {
+    fn frame_folds_match_record_passes(specs in proptest::collection::vec(spec_strategy(), 0..120)) {
         let flows: Vec<FlowRecord> = specs.iter().map(build).collect();
         let enr = enrichment();
         let fr = FlowFrame::from_records(&flows, &enr);
@@ -111,7 +111,7 @@ proptest! {
         // the fused sweep — the path production runs — against one
         // record pass per figure
         let services = ["Tiktok", "Google"];
-        let all = report_all(&fr, &[], ctx, &services, 1, workers);
+        let all = report_all(&fr, &[], ctx, &services, 1);
         let days = agg::customer_days(&flows, &Classifier::standard());
         prop_assert_eq!(format!("{:?}", agg::table1(&flows)), format!("{:?}", all.table1));
         prop_assert_eq!(format!("{:?}", agg::fig2(&flows, &enr)), format!("{:?}", all.fig2));
@@ -127,7 +127,7 @@ proptest! {
         prop_assert_eq!(format!("{:?}", agg::fig11(&flows, &enr, &top)), format!("{:?}", all.fig11));
         prop_assert_eq!(
             format!("{:?}", agg::table_cdn_selection(&flows, &[], &enr, &top, 1)),
-            format!("{:?}", table_cdn_frame(&fr, &[], ctx, 1, workers))
+            format!("{:?}", table_cdn_frame(&fr, &[], ctx, 1))
         );
     }
 

@@ -1,10 +1,11 @@
-//! Allocation budget of a full-scan group-by.
+//! Allocation budget of a full-scan group-by, and of a leading `limit`.
 //!
 //! `group by country, service` keys every row by two integer codes:
 //! no `Value`, no `String`, no boxed key per row. This test counts
 //! heap allocations to keep it that way — what the executor allocates
 //! depends on how many *groups* there are, not on how many rows it
-//! scanned to find them.
+//! scanned to find them. Likewise a `limit` ahead of any `match`
+//! allocates for the rows it keeps, not for the frame it keeps them of.
 //!
 //! The counter is the device of `crates/scenario/tests/alloc_budget.rs`:
 //! per thread, forwarding to `System` untouched; implementing
@@ -19,11 +20,13 @@ use satwatch_traffic::Country;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
+use std::thread::LocalKey;
 
 thread_local! {
     // const-initialised and without a destructor: touching it from
     // inside the allocator cannot itself allocate or re-enter
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -34,6 +37,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        ALLOCATED_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: the caller's obligations are passed on as they came
         unsafe { System.alloc(layout) }
     }
@@ -45,6 +49,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        ALLOCATED_BYTES.with(|n| n.set(n.get() + new_size as u64));
         // SAFETY: as above
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -53,11 +58,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations (and reallocations) this thread makes while `f` runs.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+/// How far this thread moves `counter` while `f` runs: [`ALLOCATIONS`]
+/// counts its allocations (and reallocations), [`ALLOCATED_BYTES`] the
+/// bytes they ask for.
+fn counted<T>(counter: &'static LocalKey<Cell<u64>>, f: impl FnOnce() -> T) -> (u64, T) {
+    let before = counter.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    (counter.with(Cell::get) - before, out)
 }
 
 const DOMAINS: [Option<&str>; 6] = [
@@ -121,8 +128,8 @@ fn a_full_scan_group_by_allocates_per_group_not_per_row() {
     let big = small.replicate(8);
     // the first query of a process registers its telemetry series
     query::run_with_stats(&small, &pipeline, 1).unwrap();
-    let (a_small, t_small) = allocations_in(|| query::run_with_stats(&small, &pipeline, 1).unwrap().0);
-    let (a_big, t_big) = allocations_in(|| query::run_with_stats(&big, &pipeline, 1).unwrap().0);
+    let (a_small, t_small) = counted(&ALLOCATIONS, || query::run_with_stats(&small, &pipeline, 1).unwrap().0);
+    let (a_big, t_big) = counted(&ALLOCATIONS, || query::run_with_stats(&big, &pipeline, 1).unwrap().0);
     let groups = t_small.rows.len() as u64;
     assert!(groups >= 20, "a real group-by: {groups} groups");
     assert_eq!(t_big.rows.len() as u64, groups, "tiling the rows adds no group");
@@ -131,4 +138,24 @@ fn a_full_scan_group_by_allocates_per_group_not_per_row() {
     // per group: a row of the result table and the strings of its two
     // key cells; the rest (index, states, columns, sort) is amortised
     assert!(a_small <= 4 * groups + 64, "{a_small} allocations for {groups} groups");
+}
+
+/// `limit` ahead of any `match` is the frame's first `n` row ids,
+/// built as such: listing every row id of the frame to truncate the
+/// list costs 4 bytes per row of a frame the query never scans.
+#[test]
+fn a_leading_limit_allocates_for_its_rows_not_for_the_frame() {
+    let project = r#"{"project": {"client": "client", "domain": "domain", "bytes": "bytes"}}"#;
+    let limited = Pipeline::parse(&format!(r#"[{{"limit": 5}}, {project}]"#)).unwrap();
+    let small = frame();
+    let big = small.replicate(8);
+    query::run(&small, &limited).unwrap();
+    let (b_small, t_small) = counted(&ALLOCATED_BYTES, || query::run(&small, &limited).unwrap());
+    let (b_big, t_big) = counted(&ALLOCATED_BYTES, || query::run(&big, &limited).unwrap());
+    println!("limit 5: {b_small} bytes over {} rows, {b_big} over {}", small.len(), big.len());
+    assert_eq!(b_big, b_small, "eight times the rows, not one byte more");
+    assert!(b_small < 4 * small.len() as u64, "{b_small} bytes: less than one row id per row of the frame");
+    let every_row = query::run(&small, &Pipeline::parse(&format!("[{project}]")).unwrap()).unwrap();
+    assert_eq!(t_small.rows, every_row.rows[..5], "the frame's first five rows");
+    assert_eq!(t_big, t_small);
 }

@@ -181,14 +181,13 @@ proptest! {
     fn pushdown_selects_exactly_the_naive_rows(
         specs in proptest::collection::vec(spec_strategy(), 0..100),
         seed in any::<u64>(),
-        workers in 1usize..5,
     ) {
         let flows: Vec<FlowRecord> = specs.iter().map(build).collect();
         let fr = FlowFrame::from_records(&flows, &enrichment());
         let mut g = Gen(seed);
         for _ in 0..8 {
             let pred = gen_pred(&mut g, 2);
-            let pushed = match_rows(&fr, &pred, workers).unwrap();
+            let pushed = match_rows(&fr, &pred).unwrap();
             let naive = match_rows_naive(&fr, &pred).unwrap();
             prop_assert_eq!(&pushed, &naive, "predicate {:?}", pred);
         }

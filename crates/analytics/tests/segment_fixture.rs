@@ -144,6 +144,6 @@ fn a_segment_written_before_the_coded_column_reads_and_writes_the_same() {
     let enr = enrichment();
     let dns: Vec<DnsRecord> = Vec::new();
     let ctx = ReportCtx { enrichment: &enr, countries: &[Country::Congo, Country::Spain] };
-    let render = |fr: &FlowFrame| report_all(fr, &dns, ctx, &["Tiktok", "Google"], 1, 1).render_all();
+    let render = |fr: &FlowFrame| report_all(fr, &dns, ctx, &["Tiktok", "Google"], 1).render_all();
     assert_eq!(render(&decoded), render(&built));
 }

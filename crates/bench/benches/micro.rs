@@ -9,6 +9,7 @@ use satwatch_monitor::anon::CryptoPan;
 use satwatch_monitor::{FlowTableConfig, Probe, ProbeConfig};
 use satwatch_netstack::{dns, quic, tls, Packet, PacketColumns, Subnet, TcpFlags, TcpHeader};
 use satwatch_simcore::{EventQueue, Rng, SimTime};
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
@@ -537,6 +538,44 @@ fn tsv_codec(c: &mut Criterion) {
     }
 }
 
+/// SipHash (std default) vs the in-tree FxHash on the probe's hottest
+/// key shapes: the 5-tuple-ish NAT key and a full flow key insert/find
+/// cycle. This is the delta that justified swapping the hasher in the
+/// flow table, NAT, and aggregation maps.
+fn hasher_comparison(c: &mut Criterion) {
+    let keys: Vec<(Ipv4Addr, u16)> =
+        (0..4_096u32).map(|i| (Ipv4Addr::from(0x0a00_0000 | i), (i % 60_000) as u16 + 1_024)).collect();
+    let mut group = c.benchmark_group("hasher");
+    group.throughput(Throughput::Elements(keys.len() as u64));
+    group.bench_function("siphash_nat_key_insert_get", |b| {
+        b.iter(|| {
+            let mut m: HashMap<(Ipv4Addr, u16), u64> = HashMap::with_capacity(keys.len());
+            for (i, k) in keys.iter().enumerate() {
+                m.insert(*k, i as u64);
+            }
+            let mut acc = 0u64;
+            for k in &keys {
+                acc = acc.wrapping_add(*m.get(k).unwrap());
+            }
+            black_box(acc)
+        })
+    });
+    group.bench_function("fxhash_nat_key_insert_get", |b| {
+        b.iter(|| {
+            let mut m = satwatch_simcore::fx_map_with_capacity::<(Ipv4Addr, u16), u64>(keys.len());
+            for (i, k) in keys.iter().enumerate() {
+                m.insert(*k, i as u64);
+            }
+            let mut acc = 0u64;
+            for k in &keys {
+                acc = acc.wrapping_add(*m.get(k).unwrap());
+            }
+            black_box(acc)
+        })
+    });
+    group.finish();
+}
+
 /// The warehouse's three legs on one 100 000-row frame (ISSUE 15 /
 /// DESIGN.md "Codes end to end"), so each can be read apart from
 /// `satbench`'s `warehouse_scan`: the code-keyed group-by over two
@@ -564,7 +603,7 @@ fn warehouse(c: &mut Criterion) {
         ))
         .unwrap();
         group.bench_function(name, |b| {
-            b.iter(|| black_box(query::run(black_box(&frame), &pipeline, 1).unwrap().rows.len()))
+            b.iter(|| black_box(query::run(black_box(&frame), &pipeline).unwrap().rows.len()))
         });
     }
     group.finish();
@@ -581,9 +620,7 @@ fn warehouse(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.throughput(Throughput::Elements(ROWS as u64));
     group.bench_function("report_fold_100k", |b| {
-        b.iter(|| {
-            black_box(report_all(black_box(&frame), &ds.dns, ctx, &["Tiktok", "Google"], 10, 1).table2.rows.len())
-        })
+        b.iter(|| black_box(report_all(black_box(&frame), &ds.dns, ctx, &["Tiktok", "Google"], 10).table2.rows.len()))
     });
     group.finish();
 }
@@ -593,6 +630,6 @@ criterion_group! {
     config = Criterion::default();
     targets = probe_packet_throughput, cryptopan_anonymize, dpi_sni_extraction, dns_codec,
               classifier_throughput, event_queue_ops, satellite_channel_sampling, column_synthesis,
-              synthesis_two_pass, stamp_loop, borrowed_probe_path, tsv_codec, warehouse
+              synthesis_two_pass, stamp_loop, borrowed_probe_path, tsv_codec, hasher_comparison, warehouse
 }
 criterion_main!(micro);

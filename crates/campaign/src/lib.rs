@@ -112,15 +112,11 @@ pub struct RunOptions {
     pub min_flows: usize,
     /// Suppress the per-day progress lines on stderr.
     pub quiet: bool,
-    /// Worker threads of the final report fold over the sealed
-    /// segments (`0` = one per core). The report bytes are identical
-    /// at any value.
-    pub workers: usize,
 }
 
 impl Default for RunOptions {
     fn default() -> RunOptions {
-        RunOptions { abort_after_day: None, metrics_out: None, min_flows: 10, quiet: true, workers: 1 }
+        RunOptions { abort_after_day: None, metrics_out: None, min_flows: 10, quiet: true }
     }
 }
 
@@ -566,9 +562,9 @@ impl Campaign {
         let mut fold = ReportFold::new(dns, ctx);
         for info in &self.segments {
             let frame = read_segment_file(&self.segment_path(info.day), Some(info.fnv))?;
-            fold.absorb_frame(&frame, opts.workers);
+            fold.absorb_frame(&frame);
         }
-        let reports = fold.finish(&FIG6_SERVICES, opts.min_flows, opts.workers);
+        let reports = fold.finish(&FIG6_SERVICES, opts.min_flows);
         let text = reports.render_all();
         let digest = fnv1a(text.as_bytes());
         Ok((text, digest))

@@ -70,13 +70,10 @@ scenario options (all commands):
   --force-operator-dns   force the operator resolver (A2)
 
 execution (all commands):
-  --threads N            worker threads of the analytics scans: the
-                         report fold (report, campaign) and the query
-                         executor (default 1 = serial, 0 = one per
-                         core; output is bit-identical at any value).
-                         The packet path is single-threaded
-  --shards N             accepted and ignored: there is one inline
-                         probe (DESIGN.md §7)
+  --threads N, --shards N
+                         accepted and ignored: the packet path and the
+                         analytics scans run on one thread (DESIGN.md
+                         §7)
 
 observability (all commands):
   --metrics-out FILE     write the final telemetry snapshot on exit
@@ -128,24 +125,28 @@ pub fn dispatch(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn run_command(args: &Args) -> Result<(), Box<dyn Error>> {
-    // The two execution options are read here, once. `--threads` is the
-    // worker count of the analytics scans and nothing else; `--shards`
-    // is accepted because scripts and the benchmark harness pass it,
-    // and ignored: there is one inline probe (DESIGN.md §7).
-    let workers = args.get_parsed("threads", 1usize)?;
-    if args.get_parsed("shards", 1usize)? != 1 {
-        eprintln!("note: --shards is ignored: the probe is one inline thread");
+    // The two execution options are accepted because scripts and the
+    // benchmark harness pass them, type-checked, and ignored: every
+    // command runs on one thread (DESIGN.md §7).
+    let mut ignored = Vec::new();
+    for name in ["threads", "shards"] {
+        if args.get_parsed(name, 1usize)? != 1 {
+            ignored.push(format!("--{name}"));
+        }
+    }
+    if !ignored.is_empty() {
+        eprintln!("note: {} ignored: satwatch runs on one thread", ignored.join(" and "));
     }
     match args.command.as_str() {
         "simulate" => simulate(args),
         "replay" => replay(args),
-        "report" => report(args, workers),
+        "report" => report(args),
         "profiles" => profiles(args),
         "ablations" => ablations(args),
         "topdomains" => topdomains(args),
         "paper-check" => paper_check(args),
-        "campaign" => campaign(args, workers),
-        "query" => query(args, workers),
+        "campaign" => campaign(args),
+        "query" => query(args),
         "rules" => {
             print!("{}", satwatch_analytics::Classifier::standard().render_rules());
             Ok(())
@@ -217,7 +218,7 @@ fn ingest_with_banner(cfg: ScenarioConfig) -> ColumnarDataset {
     with_banner(cfg, run_streaming, |cds| (cds.packets, cds.frame.len(), cds.dns.len()))
 }
 
-fn campaign(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
+fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
     use satwatch_campaign::{Campaign, RunOptions};
 
     let mut c = match args.get("resume") {
@@ -257,7 +258,6 @@ fn campaign(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
         metrics_out: args.get("metrics-out").map(Into::into),
         min_flows: 10,
         quiet: false,
-        workers,
     };
     let outcome = c.run(&opts)?;
     if outcome.completed {
@@ -363,12 +363,13 @@ const REPORT_FIGURES: [Figure<PaperReports>; 13] = [
 /// single-sweep `report_all` over the stream-built [`FlowFrame`].
 ///
 /// [`FlowFrame`]: satwatch_analytics::FlowFrame
-fn report(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
+fn report(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
     let which = figure_arg(args, &REPORT_FIGURES)
         .map_err(|which| format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)"))?;
     let ColumnarDataset { frame, dns, enrichment: enr, .. } = ingest_with_banner(cfg);
-    let reports = experiments::paper_reports_columnar(&frame, &dns, &enr, 10, workers);
+    let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
+    let reports = satwatch_analytics::report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, 10);
     print_figures(&which, &REPORT_FIGURES, &reports);
     if let Some(dir) = args.get("csv") {
         use satwatch_analytics::csv;
@@ -386,8 +387,7 @@ fn report(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
         fs::write(d.join("fig9.csv"), csv::fig9_csv(&reports.fig9, 200))?;
         fs::write(d.join("fig10.csv"), csv::fig10_csv(&reports.fig10))?;
         // the CSV export keeps a lower flow floor than the rendered table
-        let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
-        let table2_csv = satwatch_analytics::engine::table_cdn_frame(&frame, &dns, ctx, 5, workers);
+        let table2_csv = satwatch_analytics::engine::table_cdn_frame(&frame, &dns, ctx, 5);
         fs::write(d.join("table2.csv"), csv::table_cdn_csv(&table2_csv))?;
         fs::write(d.join("fig11.csv"), csv::fig11_csv(&reports.fig11, 200))?;
         eprintln!("wrote 13 CSV files to {dir}");
@@ -473,7 +473,7 @@ fn paper_check(args: &Args) -> Result<(), Box<dyn Error>> {
 /// the flow frame of a scenario run. The pipeline comes from
 /// `--pipeline '<json>'` or `--pipeline-file FILE`. The rendered table
 /// goes to stdout, a one-line pushdown/row-count summary to stderr.
-fn query(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
+fn query(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
     let src = match (args.get("pipeline"), args.get("pipeline-file")) {
         (Some(_), Some(_)) => return Err("pass either --pipeline or --pipeline-file, not both".into()),
@@ -495,7 +495,7 @@ fn query(args: &Args, workers: usize) -> Result<(), Box<dyn Error>> {
     };
     let frame = ingest_with_banner(cfg).frame;
     let t0 = std::time::Instant::now();
-    let (table, stats) = satwatch_analytics::query::run_with_stats(&frame, &pipeline, workers)?;
+    let (table, stats) = satwatch_analytics::query::run_with_stats(&frame, &pipeline, 1)?;
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
     print!("{}", render(&table));
     eprintln!(

@@ -10,22 +10,11 @@ fn satwatch(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_satwatch")).args(args).output().expect("satwatch starts")
 }
 
-/// The report at `--threads workers --shards workers`: the fold fans
-/// out over `--threads`, and `--shards` is ignored with a note.
-fn report_output(workers: &str) -> Output {
-    let out = satwatch(&[
-        "report",
-        "--customers",
-        "40",
-        "--seed",
-        "42",
-        "--figure",
-        "all",
-        "--threads",
-        workers,
-        "--shards",
-        workers,
-    ]);
+/// The report at `--threads n --shards n`: both are accepted and
+/// ignored, with one note when either is not 1.
+fn report_output(n: &str) -> Output {
+    let out =
+        satwatch(&["report", "--customers", "40", "--seed", "42", "--figure", "all", "--threads", n, "--shards", n]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     out
 }
@@ -35,9 +24,9 @@ fn report_stdout_is_the_golden_at_any_threads_and_shards() {
     let (one, two) = (report_output("1"), report_output("2"));
     let serial = one.stdout;
     assert!(serial == two.stdout, "--threads 2 --shards 2 changed the report");
-    let note = "--shards is ignored";
-    assert!(!String::from_utf8_lossy(&one.stderr).contains(note), "--shards 1 is what the harness passes");
-    assert!(String::from_utf8_lossy(&two.stderr).contains(note), "--shards 2 is ignored, and says so");
+    let note = "note: --threads and --shards ignored";
+    assert!(!String::from_utf8_lossy(&one.stderr).contains("ignored"), "1/1 is what the harness passes");
+    assert!(String::from_utf8_lossy(&two.stderr).contains(note), "2/2 is ignored, and says so");
     // the golden is over `PaperReports::render_all`, which is stdout
     // without the newline `println!` ends the last figure with
     let body = serial.strip_suffix(b"\n").expect("report ends with a newline");
@@ -63,6 +52,8 @@ fn a_bad_figure_or_format_is_refused_before_anything_runs() {
     for (args, message) in [
         (&["report", "--customers", "240", "--figure", "fig99"][..], "unknown figure \"fig99\""),
         (&["query", "--customers", "240", "--format", "xml", "--pipeline", pipeline], "unknown --format \"xml\""),
+        // ignored, but still a number
+        (&["report", "--customers", "240", "--threads", "x"], "bad value for --threads: x"),
         // no such directory: the figure is refused before a log is opened
         (
             &["replay", "--logs", "/nonexistent/satwatch-logs", "--figure", "fig3"],

@@ -122,16 +122,19 @@ pub fn paper_reports_records(
     }
 }
 
-/// The production path: frame + fused sweep, same outputs byte for byte.
+/// The production path: frame + fused sweep, same outputs byte for
+/// byte. `_workers` is ignored: the sweep runs on the calling thread,
+/// and the parameter stays only because `benchmark/` calls this
+/// signature (DESIGN.md §7).
 pub fn paper_reports_columnar(
     fr: &satwatch_analytics::FlowFrame,
     dns: &[DnsRecord],
     enr: &Enrichment,
     min_flows: usize,
-    workers: usize,
+    _workers: usize,
 ) -> PaperReports {
     let ctx = satwatch_analytics::ReportCtx { enrichment: enr, countries: &Country::TOP6 };
-    satwatch_analytics::report_all(fr, dns, ctx, &FIG6_SERVICES, min_flows, workers)
+    satwatch_analytics::report_all(fr, dns, ctx, &FIG6_SERVICES, min_flows)
 }
 
 /// Summary statistics for ablation comparisons.

@@ -70,7 +70,7 @@ fn snapshot_covers_every_pipeline_layer() {
         ]"#,
     )
     .unwrap();
-    let _ = satwatch_analytics::query::run(&fr, &p, 2).unwrap();
+    let _ = satwatch_analytics::query::run(&fr, &p).unwrap();
     let snap = Snapshot::take();
     let counter = |name: &str| snap.counter(name).unwrap_or_else(|| panic!("{name} missing from snapshot"));
     for span in ["query_run_us", "query_match_us", "query_group_us", "query_sort_us"] {

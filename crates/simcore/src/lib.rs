@@ -18,8 +18,6 @@
 //! * [`stats`] — streaming and batch statistics (Welford, quantiles,
 //!   CDF/CCDF, boxplot summaries) used to build the paper's figures.
 //! * [`units`] — data volume and rate newtypes.
-//! * [`par`] — deterministic data parallelism: ordered map / fold over
-//!   `std::thread::scope`, same bytes at any worker count.
 //! * [`fxhash`] — the rustc multiply-xor hasher for hot maps keyed by
 //!   small simulator-generated values (no DoS adversary here).
 //!
@@ -55,7 +53,6 @@ pub mod dist;
 pub mod event;
 pub mod fxhash;
 pub mod merge;
-pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -65,7 +62,6 @@ pub use arena::PayloadArena;
 pub use event::EventQueue;
 pub use fxhash::{fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxBuildHasher, FxHashMap, FxHashSet};
 pub use merge::{ColMerge, TimedRun};
-pub use par::{ordered_par_chunks, ordered_par_fold, ordered_par_map, ordered_par_ranges};
 pub use rng::{Rng, SeedTree};
 pub use time::{SimDuration, SimTime};
 pub use units::{BitRate, Bytes};

@@ -153,30 +153,6 @@ proptest! {
     }
 
     #[test]
-    fn ordered_par_map_matches_serial(items in proptest::collection::vec(any::<u64>(), 0..300),
-                                      workers in 0usize..9) {
-        let f = |i: usize, &x: &u64| x.wrapping_mul(31).wrapping_add(i as u64);
-        let serial: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        let par = satwatch_simcore::ordered_par_map(workers, &items, f);
-        prop_assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn ordered_par_fold_matches_serial(items in proptest::collection::vec(any::<u8>(), 0..300),
-                                       workers in 0usize..9) {
-        // the reduce is string concatenation — noncommutative, so any
-        // out-of-order chunk merge changes the answer
-        let serial: String = items.iter().map(|b| format!("{b:02x}")).collect();
-        let par = satwatch_simcore::ordered_par_fold(
-            workers,
-            &items,
-            |chunk: &[u8]| chunk.iter().map(|b| format!("{b:02x}")).collect::<String>(),
-            |mut acc: String, part| { acc.push_str(&part); acc },
-        );
-        prop_assert_eq!(par, serial);
-    }
-
-    #[test]
     fn fork_label_independence(seed in any::<u64>()) {
         // two forks of the same tree with different labels never start
         // with the same 4 outputs (overwhelming probability; this is a
