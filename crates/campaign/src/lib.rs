@@ -6,11 +6,13 @@
 //! running day only — what a checkpoint carries over is the live tail,
 //! tens of rows — and by surviving `kill -9` at any instant:
 //!
-//! * **Segments.** Evicted flows collect in one buffer, in eviction
-//!   order. At every checkpoint the rows strictly behind the
-//!   *watermark* (the earlier of next midnight and the oldest live
-//!   flow's first packet) are final — nothing live or future can sort
-//!   before them — and are *sealed*: split off, sorted into canonical
+//! * **Segments.** Evicted flows collect in the probe's
+//!   [`Sealer`](satwatch_monitor::Sealer), in eviction order. At every
+//!   checkpoint the rows strictly behind the *watermark* (the earlier
+//!   of next midnight and the oldest live flow's first packet) are
+//!   final — nothing live or future can sort before them — and are
+//!   *sealed* (DESIGN.md §10: the call `simulate` makes at every
+//!   sweep, here once a day): split off, sorted into canonical
 //!   order, folded into the running dataset digest, converted to a
 //!   columnar [`FlowFrame`] and written as the next segment,
 //!   `segments/seg-<k>.swseg` (`k` is the seal ordinal; per-column
@@ -41,16 +43,17 @@ use satwatch_analytics::segment::{read_segment_file, write_segment_file, Segment
 use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
 use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{write_flow_rows, write_flows};
-use satwatch_monitor::{dns_cmp, sort_flows_canonical, DnsRecord, FlowRecord, ProbeState, ShardedProbe};
+use satwatch_monitor::{DnsRecord, FlowRecord, ProbeState, SealMarks, Sealer, ShardedProbe};
 use satwatch_scenario::digest::{fnv1a, write_dns_lines, Fnv1aSink, FNV1A_INIT};
 use satwatch_scenario::experiments::FIG6_SERVICES;
 use satwatch_scenario::{DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
 use satwatch_telemetry as telemetry;
 use satwatch_traffic::Country;
+use std::cell::RefCell;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 pub const SECS_PER_DAY: u64 = 86_400;
 
@@ -181,24 +184,11 @@ pub struct Campaign {
     report_digest: Option<u64>,
     /// Probe carry-over loaded by `resume`, consumed by `run`.
     probe_carry: Option<ProbeState>,
-    /// Every evicted flow not yet sealed, in eviction order; the
-    /// probe's sink pushes here and nowhere else. Seal-time sorting is
-    /// *stable* on the canonical key, so eviction order breaks a tie
-    /// as the batch path's sort does.
-    unsealed_flows: Arc<Mutex<Vec<FlowRecord>>>,
-    /// Every logged DNS transaction not yet sealed, in observation
-    /// order (ties under [`dns_cmp`] keep it, as in the batch path).
-    unsealed_dns: Vec<DnsRecord>,
-}
-
-/// Split off, in place, every row strictly behind `mark` (`None`: every
-/// row); both sides keep their order. No row still to come — live now
-/// or not yet begun — starts before the watermark, so what is returned
-/// is final once sorted, and what stays is the tail a checkpoint
-/// carries.
-fn take_behind<T>(rows: &mut Vec<T>, mark: Option<SimTime>, ts: impl Fn(&T) -> SimTime) -> Vec<T> {
-    let tail = mark.map_or_else(Vec::new, |mark| rows.extract_if(.., |r| ts(r) >= mark).collect());
-    std::mem::replace(rows, tail)
+    /// Every row of either log not yet sealed: the probe's sink logs
+    /// evicted flows here, each checkpoint the DNS transactions of its
+    /// exported state. What a seal leaves is the tail the state file
+    /// carries.
+    sealer: Rc<RefCell<Sealer>>,
 }
 
 /// FNV-1a of the flow-log TSV header — the initial flow-digest state.
@@ -253,8 +243,7 @@ impl Campaign {
             dataset_digest: None,
             report_digest: None,
             probe_carry: None,
-            unsealed_flows: Arc::default(),
-            unsealed_dns: Vec::new(),
+            sealer: Rc::default(),
         };
         c.write_manifest(None)?;
         Ok(c)
@@ -293,8 +282,7 @@ impl Campaign {
             dataset_digest: m.dataset_digest,
             report_digest: m.report_digest,
             probe_carry,
-            unsealed_flows: Arc::new(Mutex::new(flows)),
-            unsealed_dns: dns,
+            sealer: Rc::new(RefCell::new(Sealer::carrying(flows, dns))),
         })
     }
 
@@ -343,13 +331,7 @@ impl Campaign {
         let mut runner = DayRunner::new(self.cfg);
         let enr = runner.enrichment();
 
-        // Evicted flows stream out of the probe onto the unsealed
-        // rows (one lock per push).
-        let sink = Arc::clone(&self.unsealed_flows);
-        let mut probe = ShardedProbe::with_flow_sink(
-            runner.probe_config(),
-            Box::new(move |f: FlowRecord| sink.lock().expect("sink lock").push(f)),
-        );
+        let mut probe = ShardedProbe::with_flow_sink(runner.probe_config(), Sealer::sink(&self.sealer));
         if let Some(state) = self.probe_carry.take() {
             probe.import_state(state)?;
         }
@@ -362,18 +344,21 @@ impl Campaign {
 
             let _sp = telemetry::span("campaign_checkpoint_us");
             let mut state = probe.export_state();
-            self.unsealed_dns.append(&mut state.dns_log);
 
             // Seal every row behind the watermark: nothing live or
             // future can still produce a record that sorts before it.
+            // The marks are those of the exported state, not of the
+            // probe's last sweep: a resumed campaign must cut the same
+            // segments, and the state is what it resumes from.
             let next_midnight = SimTime::from_secs((day + 1) * SECS_PER_DAY);
-            let flow_mark = state.min_live_flow_first().map_or(next_midnight, |t| t.min(next_midnight));
-            let dns_mark = state.min_pending_dns_ts().map_or(next_midnight, |t| t.min(next_midnight));
+            let marks = SealMarks {
+                flows: state.min_live_flow_first().unwrap_or(next_midnight),
+                dns: state.min_pending_dns_ts().unwrap_or(next_midnight),
+            };
             let sealed_before = self.segments.len();
-            self.seal_flows(Some(flow_mark), &enr)?;
-            self.seal_dns(Some(dns_mark))?;
+            self.seal(std::mem::take(&mut state.dns_log), Some(marks.capped(next_midnight)), &enr)?;
             let state_bytes = self.checkpoint(day, &state)?;
-            let rows_carried = self.unsealed_flows.lock().expect("sink lock").len() as u64;
+            let rows_carried = self.sealer.borrow().unsealed().0.len() as u64;
             let sealed = &self.segments[sealed_before..];
             let summary = DaySummary {
                 day,
@@ -423,11 +408,9 @@ impl Campaign {
         // All days simulated: flush the probe (evictions go through
         // the sink; the DNS tail comes back directly), seal what is
         // left, and fold the final digest and reports.
-        let (rest, mut dns_tail) = probe.finish();
+        let (rest, dns_tail) = probe.finish();
         debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
-        self.unsealed_dns.append(&mut dns_tail);
-        self.seal_flows(None, &enr)?;
-        self.seal_dns(None)?;
+        self.seal(dns_tail, None, &enr)?;
 
         let dns = self.read_all_dns()?;
         let mut digest = Fnv1aSink(self.flow_digest);
@@ -460,11 +443,23 @@ impl Campaign {
         })
     }
 
-    /// Seal the unsealed flows strictly behind `watermark` (`None`:
-    /// all of them) as the next segment.
-    fn seal_flows(&mut self, watermark: Option<SimTime>, enr: &Enrichment) -> Result<(), CampaignError> {
-        let mut flows = take_behind(&mut self.unsealed_flows.lock().expect("sink lock"), watermark, |f| f.first);
-        sort_flows_canonical(&mut flows);
+    /// Log `dns_log`, then seal the rows of both logs strictly behind
+    /// `marks` (`None`: all of them) as the next segment and the next
+    /// DNS spill.
+    fn seal(
+        &mut self,
+        dns_log: Vec<DnsRecord>,
+        marks: Option<SealMarks>,
+        enr: &Enrichment,
+    ) -> Result<(), CampaignError> {
+        let piece = self.sealer.borrow_mut().seal(dns_log, marks);
+        self.write_segment(piece.flows, enr)?;
+        self.write_dns_spill(&piece.dns)
+    }
+
+    /// Fold canonically sorted `flows` into the digest and write them
+    /// as the next segment.
+    fn write_segment(&mut self, flows: Vec<FlowRecord>, enr: &Enrichment) -> Result<(), CampaignError> {
         let mut digest = Fnv1aSink(self.flow_digest);
         write_flow_rows(&mut digest, &flows).expect("hashing cannot fail");
         self.flow_digest = digest.0;
@@ -480,13 +475,10 @@ impl Campaign {
         Ok(())
     }
 
-    /// Seal the unsealed DNS records strictly behind `watermark`
-    /// (`None`: all of them) as the next spill.
-    fn seal_dns(&mut self, watermark: Option<SimTime>) -> Result<(), CampaignError> {
-        let mut recs = take_behind(&mut self.unsealed_dns, watermark, |d| d.ts);
-        recs.sort_by(dns_cmp);
+    /// Write canonically sorted `recs` as the next DNS spill.
+    fn write_dns_spill(&mut self, recs: &[DnsRecord]) -> Result<(), CampaignError> {
         let k = self.dns_files.len() as u64;
-        let fnv = codec::write_dns_file(&self.dns_path(k), &recs)?;
+        let fnv = codec::write_dns_file(&self.dns_path(k), recs)?;
         self.dns_files.push(DnsFileInfo { day: k, records: recs.len() as u64, fnv });
         Ok(())
     }
@@ -497,9 +489,11 @@ impl Campaign {
     fn checkpoint(&mut self, day: u64, state: &ProbeState) -> Result<u64, CampaignError> {
         let name = format!("state-{day}.bin");
         let path = self.dir.join(&name);
-        let flows = codec::by_day(&self.unsealed_flows.lock().expect("sink lock"), |f| f.first);
-        let dns = codec::by_day(&self.unsealed_dns, |d| d.ts);
-        let sum = codec::write_state_file(&path, state, &flows, &dns)?;
+        let sum = {
+            let sealer = self.sealer.borrow();
+            let (flows, dns) = sealer.unsealed();
+            codec::write_state_file(&path, state, &codec::by_day(flows, |f| f.first), &codec::by_day(dns, |d| d.ts))?
+        };
         self.days_completed = day + 1;
         self.write_manifest(Some((name.clone(), sum)))?;
         self.remove_stale_state_files(Some(&name))?;
@@ -599,21 +593,25 @@ mod tests {
     /// and a final "seal all", and hold every step to the rule: what
     /// stays is exactly the rows at or past the mark, in the order they
     /// had; what was sealed, piece after piece, is the stable canonical
-    /// sort of everything evicted.
+    /// sort of everything evicted. (The sealer itself, under marks in
+    /// any order, is `proptest_monitor.rs`'s; this is the campaign's
+    /// use of it, kills and resumes included.)
     ///
     /// Row `i` is evicted `delay[i]` checkpoints in, or just before the
     /// first checkpoint whose mark passes it if that comes sooner (no
     /// flow is evicted after the watermark has passed its first
-    /// packet). `resumed[step]` regroups the tail through the state
-    /// file's day buckets, as a kill and resume after that checkpoint
-    /// would.
+    /// packet). `resumed[step]` carries the tail through the state
+    /// file's day buckets into a fresh sealer, as a kill and resume
+    /// after that checkpoint would. `seal` is one checkpoint's call:
+    /// a sealer carrying the rows, sealed at the mark, gives the piece
+    /// and what is still unsealed.
     fn check_seal_sequence<T: Clone + PartialEq + std::fmt::Debug>(
         evicted: &[T],
         delay: &[usize],
         mut mark_slots: Vec<u64>,
         resumed: &[bool],
         ts: impl Fn(&T) -> SimTime + Copy,
-        sort: impl Fn(&mut Vec<T>),
+        seal: impl Fn(Vec<T>, Option<SealMarks>) -> (Vec<T>, Vec<T>),
     ) {
         mark_slots.sort_unstable();
         let marks: Vec<Option<SimTime>> =
@@ -629,19 +627,15 @@ mod tests {
                 (0..evicted.len()).filter(|&i| step_of(i) == step).map(|i| evicted[i].clone()).collect();
             eviction_order.extend_from_slice(&arrivals);
             unsealed.extend(arrivals);
-            let before = unsealed.clone();
-            let mut piece = take_behind(&mut unsealed, mark, ts);
-            let kept: Vec<T> = before.iter().filter(|r| mark.is_some_and(|m| ts(r) >= m)).cloned().collect();
-            assert_eq!(unsealed, kept, "step {step}: the tail is the rows at or past the mark, order kept");
-            sort(&mut piece);
+            let kept: Vec<T> = unsealed.iter().filter(|r| mark.is_some_and(|m| ts(r) >= m)).cloned().collect();
+            let (piece, tail) = seal(unsealed, mark.map(|m| SealMarks { flows: m, dns: m }));
+            assert_eq!(tail, kept, "step {step}: the tail is the rows at or past the mark, order kept");
             sealed.extend(piece);
-            if resumed[step % resumed.len()] {
-                unsealed = codec::flatten(codec::by_day(&unsealed, ts));
-            }
+            unsealed = if resumed[step % resumed.len()] { codec::flatten(codec::by_day(&tail, ts)) } else { tail };
         }
         assert!(unsealed.is_empty(), "the last seal takes everything");
-        sort(&mut eviction_order);
-        assert_eq!(sealed, eviction_order, "sealed pieces in seal order are the canonical order of the whole");
+        let whole = seal(eviction_order, None).0;
+        assert_eq!(sealed, whole, "sealed pieces in seal order are the canonical order of the whole");
     }
 
     proptest! {
@@ -663,7 +657,10 @@ mod tests {
                     ..codec::tests::flow(host)
                 })
                 .collect();
-            check_seal_sequence(&evicted, &delay, marks, &resumed, |f| f.first, |v| sort_flows_canonical(v));
+            check_seal_sequence(&evicted, &delay, marks, &resumed, |f| f.first, |rows, marks| {
+                let mut sealer = Sealer::carrying(rows, Vec::new());
+                (sealer.seal(Vec::new(), marks).flows, sealer.unsealed().0.to_vec())
+            });
         }
 
         /// The same for the DNS log under `dns_cmp`, `response_ms`
@@ -687,7 +684,10 @@ mod tests {
                     answers: Vec::new(),
                 })
                 .collect();
-            check_seal_sequence(&logged, &delay, marks, &resumed, |d| d.ts, |v| v.sort_by(dns_cmp));
+            check_seal_sequence(&logged, &delay, marks, &resumed, |d| d.ts, |rows, marks| {
+                let mut sealer = Sealer::carrying(Vec::new(), rows);
+                (sealer.seal(Vec::new(), marks).dns, sealer.unsealed().1.to_vec())
+            });
         }
     }
 }

@@ -15,8 +15,10 @@ use satwatch_monitor::ShardedProbe;
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
 use satwatch_scenario::{dataset_digest, run, DayRunner, ScenarioConfig};
+use std::cell::RefCell;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swcampaign-{tag}-{}", std::process::id()));
@@ -200,14 +202,13 @@ fn a_day_bucket_checkpoint_of_an_older_binary_resumes_to_the_batch_digests() {
     // day 0 as that binary ran it: evictions bucketed by the day of
     // their first packet, in eviction order
     let mut runner = DayRunner::new(cfg);
-    let evicted = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&evicted);
-    let mut probe =
-        ShardedProbe::with_flow_sink(runner.probe_config(), Box::new(move |f| sink.lock().unwrap().push(f)));
+    let evicted = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&evicted);
+    let mut probe = ShardedProbe::with_flow_sink(runner.probe_config(), Box::new(move |f| sink.borrow_mut().push(f)));
     runner.run_day(&mut probe, 0);
     let mut state = probe.export_state();
     let (mut flows, mut dns) = (FlowBuckets::new(), DnsBuckets::new());
-    for f in std::mem::take(&mut *evicted.lock().unwrap()) {
+    for f in evicted.take() {
         flows.entry(f.first.as_secs() / SECS_PER_DAY).or_default().push(f);
     }
     for d in std::mem::take(&mut state.dns_log) {

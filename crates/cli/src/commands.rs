@@ -3,13 +3,16 @@
 use crate::args::Args;
 use satwatch_analytics::{read_enrichment_log, write_enrichment_log, PaperReports, ReportCtx, ResultTable};
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
-use satwatch_monitor::record::{read_dns_log, read_flows, write_dns_log, write_flows};
-use satwatch_scenario::{experiments, run, run_streaming, ColumnarDataset, Dataset, ScenarioConfig};
+use satwatch_monitor::record::{read_dns_log, read_flows, write_dns_log, write_dns_rows, write_flow_rows, write_flows};
+use satwatch_monitor::Piece;
+use satwatch_scenario::{experiments, run, run_sealed, run_streaming, ColumnarDataset, Dataset, ScenarioConfig};
 use satwatch_traffic::Country;
 use std::error::Error;
 use std::fs;
-use std::io::BufReader;
-use std::path::Path;
+use std::io::{self, BufReader, Write};
+use std::ops::ControlFlow;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// The full help text.
 pub fn usage() -> &'static str {
@@ -17,7 +20,9 @@ pub fn usage() -> &'static str {
 usage: satwatch <command> [options]
 
 commands:
-  simulate    run a scenario and write TSV flow/DNS logs
+  simulate    run a scenario and write TSV flow/DNS logs, each row once
+              nothing still open can sort before it: the logs grow as
+              the run advances, memory does not grow with --days
                 --out DIR (default: satwatch-logs)
                 --pcap FILE [--snaplen N]   also write a pcap capture
   replay      re-run the analyses over logs written by `simulate`
@@ -112,9 +117,9 @@ pub fn dispatch(args: &Args) -> Result<(), Box<dyn Error>> {
             write_metrics(path)?;
         }
     }
-    // Machine-greppable RSS line for memory regression checks: the CI
-    // campaign smoke compares this between the segment-merge report
-    // path and the all-in-RAM batch baseline on the same config.
+    // Machine-greppable RSS line for memory regression checks: CI
+    // holds `simulate` flat in `--days` with it, and below `report`
+    // and `campaign` on the same config.
     if args.flag("print-rss") {
         match satwatch_telemetry::peak_rss_process_bytes() {
             Some(b) => eprintln!("peak_rss_process_bytes: {b}"),
@@ -192,18 +197,27 @@ fn scenario_from(args: &Args) -> Result<ScenarioConfig, Box<dyn Error>> {
     Ok(cfg)
 }
 
-/// Run `cfg` through `run` between the two progress lines every
-/// scenario command prints (`satbench` reads its counts off the second).
-/// `counts` is `(packets, flows, DNS transactions)` of the result.
-fn with_banner<T>(cfg: ScenarioConfig, run: fn(ScenarioConfig) -> T, counts: fn(&T) -> (u64, usize, usize)) -> T {
+/// The first of the two progress lines every scenario command prints
+/// around its run; the clock of the second starts here.
+fn banner_start(cfg: ScenarioConfig) -> Instant {
     eprintln!(
         "simulating {} customers × {} day(s), seed {} (pep={}, african_gs={}, forced_dns={}) …",
         cfg.customers, cfg.days, cfg.seed, cfg.pep_enabled, cfg.african_ground_station, cfg.force_operator_dns
     );
-    let t0 = std::time::Instant::now();
-    let out = run(cfg);
-    let (packets, flows, dns) = counts(&out);
+    Instant::now()
+}
+
+/// The second line (`satbench` reads the run's counts off it).
+fn banner_done(t0: Instant, (packets, flows, dns): (u64, usize, usize)) {
     eprintln!("done in {:.1?}: {packets} packets, {flows} flows, {dns} DNS transactions", t0.elapsed());
+}
+
+/// Run `cfg` through `run` between the two progress lines. `counts`
+/// is `(packets, flows, DNS transactions)` of the result.
+fn with_banner<T>(cfg: ScenarioConfig, run: fn(ScenarioConfig) -> T, counts: fn(&T) -> (u64, usize, usize)) -> T {
+    let t0 = banner_start(cfg);
+    let out = run(cfg);
+    banner_done(t0, counts(&out));
     out
 }
 
@@ -279,10 +293,68 @@ fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// An I/O error with the file it happened on.
+fn named(path: &Path, e: io::Error) -> String {
+    format!("{}: {e}", path.display())
+}
+
+/// The flow and DNS logs of `simulate`, appended to piece by piece as
+/// the run seals them. The first write that fails is kept, named after
+/// its file, and nothing is written to either log after it.
+struct LogWriter<W> {
+    flows: (PathBuf, W),
+    dns: (PathBuf, W),
+    /// Rows appended so far: `(flows, DNS transactions)`.
+    rows: (usize, usize),
+    failed: Option<String>,
+}
+
+impl<W: Write> LogWriter<W> {
+    /// Start both logs: each gets its header line.
+    fn new(flows: (PathBuf, W), dns: (PathBuf, W)) -> LogWriter<W> {
+        let mut logs = LogWriter { flows, dns, rows: (0, 0), failed: None };
+        let _ = logs.write(|w| write_flows(w, &[]), |w| write_dns_log(w, &[]));
+        logs
+    }
+
+    /// One block to each log, unless a write has failed before;
+    /// `Break` once one has.
+    fn write(
+        &mut self,
+        flows: impl FnOnce(&mut W) -> io::Result<()>,
+        dns: impl FnOnce(&mut W) -> io::Result<()>,
+    ) -> ControlFlow<()> {
+        if self.failed.is_none() {
+            self.failed = flows(&mut self.flows.1)
+                .map_err(|e| named(&self.flows.0, e))
+                .and_then(|()| dns(&mut self.dns.1).map_err(|e| named(&self.dns.0, e)))
+                .err();
+        }
+        match self.failed {
+            None => ControlFlow::Continue(()),
+            Some(_) => ControlFlow::Break(()),
+        }
+    }
+
+    /// Append a sealed piece through the block codec (same bytes as
+    /// one `write_flows` / `write_dns_log` over the whole run).
+    fn append(&mut self, piece: Piece) -> ControlFlow<()> {
+        self.rows.0 += piece.flows.len();
+        self.rows.1 += piece.dns.len();
+        self.write(|w| write_flow_rows(w, &piece.flows), |w| write_dns_rows(w, &piece.dns))
+    }
+}
+
 fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
-    let out_dir = args.get("out").unwrap_or("satwatch-logs");
-    let ds = match args.get("pcap") {
+    let out_dir = Path::new(args.get("out").unwrap_or("satwatch-logs"));
+    fs::create_dir_all(out_dir)?;
+    let [flows, dns, enr] = ["flows.tsv", "dns.tsv", "enrichment.tsv"].map(|name| out_dir.join(name));
+    let create = |path: &Path| fs::File::create(path).map(|f| (path.to_path_buf(), f)).map_err(|e| named(path, e));
+    // rows leave as the probe is done with them: the logs grow while
+    // the run advances, and memory does not grow with `--days`
+    let mut logs = LogWriter::new(create(&flows)?, create(&dns)?);
+    let run = match args.get("pcap") {
         Some(path) => {
             use satwatch_monitor::pcap::PcapWriter;
             let snaplen: u32 = args.get_parsed("snaplen", 256u32)?;
@@ -297,25 +369,35 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
             // the tap cannot return an error: keep the first one and
             // write nothing after it
             let mut failed = None;
-            let ds = satwatch_scenario::run_with_tap(cfg, |t, pkt| {
-                if failed.is_none() {
-                    failed = writer.write(t, pkt).err();
-                }
-            });
+            let run = run_sealed(
+                cfg,
+                Some(&mut |t, pkt| {
+                    if failed.is_none() {
+                        failed = writer.write(t, pkt).err();
+                    }
+                }),
+                |piece| logs.append(piece),
+            );
             let packets = writer.packets_written();
             let flushed = writer.into_inner().into_inner().map(drop).map_err(std::io::IntoInnerError::into_error);
             failed.map_or(flushed, Err).map_err(|e| format!("{path}: {e}"))?;
             eprintln!("pcap: {packets} packets");
-            ds
+            run
         }
-        None => run_with_banner(cfg),
+        None => {
+            let t0 = banner_start(cfg);
+            let run = run_sealed(cfg, None, |piece| logs.append(piece));
+            if logs.failed.is_none() {
+                banner_done(t0, (run.packets, logs.rows.0, logs.rows.1));
+            }
+            run
+        }
     };
-    fs::create_dir_all(out_dir)?;
-    let [flows, dns, enr] = ["flows.tsv", "dns.tsv", "enrichment.tsv"].map(|name| Path::new(out_dir).join(name));
-    write_flows(&mut fs::File::create(&flows)?, &ds.flows)?;
-    write_dns_log(&mut fs::File::create(&dns)?, &ds.dns)?;
+    logs.failed.map_or(Ok(()), Err)?;
     // the customer map, as the operator would hand it to the analysts
-    write_enrichment_log(&mut fs::File::create(&enr)?, &ds.enrichment)?;
+    fs::File::create(&enr)
+        .and_then(|mut f| write_enrichment_log(&mut f, &run.enrichment))
+        .map_err(|e| named(&enr, e))?;
     eprintln!("wrote {}, {}, {}", flows.display(), dns.display(), enr.display());
     Ok(())
 }
@@ -429,7 +511,7 @@ fn read_log<T>(
     read: impl FnOnce(BufReader<fs::File>) -> std::io::Result<T>,
 ) -> Result<T, String> {
     let path = Path::new(dir).join(name);
-    fs::File::open(&path).and_then(|f| read(BufReader::new(f))).map_err(|e| format!("{}: {e}", path.display()))
+    fs::File::open(&path).and_then(|f| read(BufReader::new(f))).map_err(|e| named(&path, e))
 }
 
 /// What `replay` renders: the figures that need nothing the logs do
@@ -630,7 +712,7 @@ mod tests {
 
     /// A file that cannot take the bytes (`/dev/full` fails every
     /// write with ENOSPC) fails the command, whichever log it is — or
-    /// the pcap capture, whose error names the capture.
+    /// the pcap capture — and the error names the file.
     #[cfg(target_os = "linux")]
     #[test]
     fn simulate_returns_the_write_error_of_a_full_disk() {
@@ -651,10 +733,60 @@ mod tests {
                 pcap.to_str().unwrap(),
             ]);
             let err = dispatch(&a).expect_err(full).to_string();
-            assert!(err.contains("No space left"), "{full}: {err}");
-            assert!(full != "span.pcap" || err.contains("span.pcap"), "{err}");
+            assert!(err.contains("No space left") && err.contains(full), "{full}: {err}");
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    type Count = std::rc::Rc<std::cell::Cell<usize>>;
+
+    /// A sink that counts its blocks and fails the `fails_on`-th.
+    struct Blocks {
+        seen: Count,
+        fails_on: usize,
+    }
+
+    impl Write for Blocks {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.seen.set(self.seen.get() + 1);
+            if self.seen.get() == self.fails_on {
+                return Err(io::Error::other("disk full"));
+            }
+            Ok(b.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The piece writer keeps the first failed write under its file's
+    /// name, breaks the run, and attempts no block on either log
+    /// afterwards.
+    #[test]
+    fn log_writer_names_the_first_failed_write_and_stops() {
+        let ds = run(ScenarioConfig::tiny().with_customers(3));
+        let piece = || Piece { flows: ds.flows[..4].to_vec(), dns: ds.dns[..4].to_vec() };
+        let (flow_blocks, dns_blocks) = (Count::default(), Count::default());
+        let sink = |seen: &Count, fails_on| Blocks { seen: seen.clone(), fails_on };
+        // header, piece, piece: the DNS log's third block fails
+        let mut logs = LogWriter::new(
+            ("out/flows.tsv".into(), sink(&flow_blocks, usize::MAX)),
+            ("out/dns.tsv".into(), sink(&dns_blocks, 3)),
+        );
+        assert_eq!(logs.append(piece()), ControlFlow::Continue(()));
+        assert_eq!(logs.append(piece()), ControlFlow::Break(()));
+        assert_eq!((flow_blocks.get(), dns_blocks.get()), (3, 3));
+        assert_eq!(logs.append(piece()), ControlFlow::Break(()), "and stays broken");
+        assert_eq!((flow_blocks.get(), dns_blocks.get()), (3, 3), "no block attempted after the failure");
+        assert_eq!(logs.failed.as_deref(), Some("out/dns.tsv: disk full"));
+        // a header that cannot be written is the first failure
+        let logs = LogWriter::new(
+            ("out/flows.tsv".into(), sink(&Count::default(), 1)),
+            ("out/dns.tsv".into(), sink(&dns_blocks, usize::MAX)),
+        );
+        assert_eq!(logs.failed.as_deref(), Some("out/flows.tsv: disk full"));
+        assert_eq!(dns_blocks.get(), 3, "the other log is not started");
     }
 
     #[test]

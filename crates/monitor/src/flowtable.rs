@@ -893,11 +893,19 @@ impl FlowTable {
         consumed
     }
 
-    /// Evict flows idle at time `t`. Call periodically (the probe does).
-    pub fn sweep(&mut self, t: SimTime) {
+    /// Evict flows idle at time `t`. Call periodically (the probe
+    /// does). Returns the earliest `first` among the flows that stay:
+    /// no record this table still has to produce starts before it.
+    pub fn sweep(&mut self, t: SimTime) -> Option<SimTime> {
         let timeout = self.cfg.idle_timeout;
-        let mut expired: Vec<FiveTuple> =
-            self.flows.iter().filter(|(_, f)| t - f.last > timeout).map(|(k, _)| *k).collect();
+        let (mut expired, mut oldest) = (Vec::new(), None::<SimTime>);
+        for (k, f) in &self.flows {
+            if t - f.last > timeout {
+                expired.push(*k);
+            } else {
+                oldest = Some(oldest.map_or(f.first, |o| o.min(f.first)));
+            }
+        }
         // deterministic eviction order (HashMap iteration is not); the
         // protocol makes the key total over distinct five-tuples
         expired.sort_by_key(|k| (self.flows[k].first, k.src, k.src_port, k.dst, k.dst_port, k.protocol));
@@ -905,6 +913,7 @@ impl FlowTable {
             metrics().evictions.inc();
             finalise(&mut self.flows, &mut self.finished, &k);
         }
+        oldest
     }
 
     /// Finalise every remaining flow and return all records.

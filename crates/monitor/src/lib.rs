@@ -27,6 +27,9 @@
 //!   `finish()` yields anonymized records.
 //! * [`sharded`] — the probe under the constructor the day loop and
 //!   the benchmark harness call: one inline `Probe`, no threads.
+//! * [`seal`] — watermark sealing: the probe's per-sweep marks turn
+//!   rows in eviction order into canonically ordered pieces, so a
+//!   consumer holds the live tail instead of the capture.
 //! * [`checkpoint`] — complete probe-state serialization (live flows,
 //!   pending DNS, sweep clock) so multi-day campaigns survive `kill
 //!   -9` and resume bit-identically.
@@ -63,6 +66,7 @@ pub mod reassembly;
 pub mod record;
 pub mod rollup;
 pub mod rtt;
+pub mod seal;
 pub mod sharded;
 #[cfg(test)]
 mod stream_oracle;
@@ -74,4 +78,5 @@ pub use flowtable::{Direction, FlowTable, FlowTableConfig};
 pub use intern::{Domain, DomainInterner};
 pub use probe::{dns_cmp, flow_sort_key, sort_flows_canonical, FlowSink, Probe, ProbeConfig};
 pub use record::{DnsRecord, FlowRecord, L7Protocol, RttSummary};
+pub use seal::{Piece, SealMarks, Sealer};
 pub use sharded::ShardedProbe;

@@ -10,6 +10,7 @@ use crate::anon::CryptoPan;
 use crate::flowtable::{Direction, FlowTable, FlowTableConfig};
 use crate::intern::Domain;
 use crate::record::{DnsRecord, FlowRecord};
+use crate::seal::SealMarks;
 use satwatch_netstack::dns::DnsHeader;
 use satwatch_netstack::{Ipv4Header, Packet, PacketColumns, PacketView, Transport};
 use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
@@ -18,7 +19,7 @@ use std::sync::OnceLock;
 
 /// Telemetry handles shared by every probe instance. Write-only on
 /// the packet path.
-struct Metrics {
+pub(crate) struct Metrics {
     packets: &'static satwatch_telemetry::Counter,
     batches: &'static satwatch_telemetry::Counter,
     batch_len: &'static satwatch_telemetry::Histogram,
@@ -26,9 +27,14 @@ struct Metrics {
     dns_answered: &'static satwatch_telemetry::Counter,
     dns_timeouts: &'static satwatch_telemetry::Counter,
     pending_dns: &'static satwatch_telemetry::Gauge,
+    /// Pieces the [`Sealer`](crate::seal::Sealer) released.
+    pub(crate) seal_pieces: &'static satwatch_telemetry::Counter,
+    /// Rows of both logs still resident after the last watermark seal
+    /// — the live tail, the number behind a streaming run's RSS.
+    pub(crate) unsealed_rows: &'static satwatch_telemetry::Gauge,
 }
 
-fn metrics() -> &'static Metrics {
+pub(crate) fn metrics() -> &'static Metrics {
     static M: OnceLock<Metrics> = OnceLock::new();
     M.get_or_init(|| Metrics {
         packets: satwatch_telemetry::counter("monitor_packets_total"),
@@ -38,6 +44,8 @@ fn metrics() -> &'static Metrics {
         dns_answered: satwatch_telemetry::counter("monitor_dns_answered_total"),
         dns_timeouts: satwatch_telemetry::counter("monitor_dns_timeouts_total"),
         pending_dns: satwatch_telemetry::gauge("monitor_dns_pending"),
+        seal_pieces: satwatch_telemetry::counter("probe_seal_pieces_total"),
+        unsealed_rows: satwatch_telemetry::gauge("probe_unsealed_rows"),
     })
 }
 
@@ -75,8 +83,10 @@ impl ProbeConfig {
 /// so a streaming consumer bounds peak memory by the *live*-flow
 /// count. Records arrive in eviction order, which is not the
 /// canonical output order; consumers that need it must re-sort by
-/// [`flow_sort_key`] (analytics' `FrameBuilder::seal` does).
-pub type FlowSink = Box<dyn FnMut(FlowRecord) + Send>;
+/// [`flow_sort_key`] (analytics' `FrameBuilder::seal` and the
+/// [`Sealer`](crate::seal::Sealer) do). The probe runs on the thread
+/// that feeds it, so the sink may hold an `Rc`.
+pub type FlowSink = Box<dyn FnMut(FlowRecord)>;
 
 /// Memoized [`CryptoPan::anonymize`]. A free function over the two
 /// fields involved so call sites can split-borrow the probe.
@@ -118,6 +128,8 @@ pub struct Probe {
     dns_qname: String,
     flow_sink: Option<FlowSink>,
     last_sweep: SimTime,
+    /// The watermarks of the latest periodic sweep nobody has taken.
+    marks: Option<SealMarks>,
     /// Total packets observed.
     pub packets: u64,
     /// Packets whose parse failed (should be zero in simulation).
@@ -143,6 +155,7 @@ impl Probe {
             dns_qname: String::new(),
             flow_sink: None,
             last_sweep: SimTime::ZERO,
+            marks: None,
             packets: 0,
             parse_errors: 0,
             pending_span_lens: Vec::new(),
@@ -270,13 +283,30 @@ impl Probe {
     }
 
     /// Run the idle-flow sweep and DNS expiry now, resetting the
-    /// periodic-sweep clock.
+    /// periodic-sweep clock. The two passes see every live flow and
+    /// every pending query anyway, so they also yield the watermarks:
+    /// what survives logs with the `first` / `asked_at` it has, what
+    /// has not begun begins at or after `t`.
     fn sweep_now(&mut self, t: SimTime) {
         self.flush_span_metrics();
-        self.table.sweep(t);
-        self.expire_dns(t);
+        let oldest_flow = self.table.sweep(t);
+        let oldest_query = self.expire_dns(t);
+        self.marks =
+            Some(SealMarks { flows: oldest_flow.map_or(t, |f| f.min(t)), dns: oldest_query.map_or(t, |q| q.min(t)) });
         self.last_sweep = t;
         self.drain_to_sink();
+    }
+
+    /// The [`SealMarks`] of the latest periodic sweep since the last
+    /// call, if there was one.
+    pub fn take_marks(&mut self) -> Option<SealMarks> {
+        self.marks.take()
+    }
+
+    /// The DNS transactions logged since the last call (or the last
+    /// [`export_state`](Self::export_state)), in observation order.
+    pub fn take_dns_log(&mut self) -> Vec<DnsRecord> {
+        std::mem::take(&mut self.dns_log)
     }
 
     /// Flush the locally batched span accounting to the global
@@ -389,10 +419,18 @@ impl Probe {
         }
     }
 
-    fn expire_dns(&mut self, t: SimTime) {
+    /// Log every query unanswered for longer than the timeout;
+    /// returns the earliest `asked_at` still pending.
+    fn expire_dns(&mut self, t: SimTime) -> Option<SimTime> {
         let timeout = self.cfg.dns_timeout;
-        let mut expired: Vec<DnsKey> =
-            self.pending_dns.iter().filter(|(_, p)| t - p.asked_at > timeout).map(|(k, _)| k.clone()).collect();
+        let (mut expired, mut oldest) = (Vec::new(), None::<SimTime>);
+        for (k, p) in &self.pending_dns {
+            if t - p.asked_at > timeout {
+                expired.push(k.clone());
+            } else {
+                oldest = Some(oldest.map_or(p.asked_at, |o| o.min(p.asked_at)));
+            }
+        }
         expired.sort_by(|a, b| {
             (self.pending_dns[a].asked_at, a.client, a.id).cmp(&(self.pending_dns[b].asked_at, b.client, b.id))
         });
@@ -410,6 +448,7 @@ impl Probe {
                 answers: Vec::new(),
             });
         }
+        oldest
     }
 
     /// Finish the capture: flush all live flows and return anonymized

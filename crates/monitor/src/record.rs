@@ -207,8 +207,9 @@ pub fn write_flows<W: Write>(w: &mut W, flows: &[FlowRecord]) -> io::Result<()> 
 }
 
 /// The rows of [`write_flows`] without the header, for consumers that
-/// stream the log in pieces — the campaign engine's per-day digest
-/// fold hashes exactly the bytes the batch flow log would contain.
+/// stream the log in pieces — `simulate` appends each sealed piece,
+/// and the campaign engine's digest fold hashes exactly the bytes the
+/// batch flow log would contain.
 pub fn write_flow_rows<W: Write>(w: &mut W, flows: &[FlowRecord]) -> io::Result<()> {
     write_rows(w, None, flows, encode_flow_row)
 }
@@ -323,11 +324,19 @@ pub fn read_flows<R: BufRead>(r: R) -> io::Result<Vec<FlowRecord>> {
 /// Write the DNS transaction log as TSV: one header line, then one
 /// line per transaction with the answers comma-separated.
 pub fn write_dns_log<W: Write>(w: &mut W, dns: &[DnsRecord]) -> io::Result<()> {
-    write_rows(w, Some(DNS_HEADER), dns, |b, d| {
-        encode_dns_head(b, d);
-        push_answers(b, &d.answers, b",");
-        b.push(b'\n');
-    })
+    write_rows(w, Some(DNS_HEADER), dns, encode_dns_row)
+}
+
+/// The rows of [`write_dns_log`] without the header: one piece of a
+/// log written as it is sealed.
+pub fn write_dns_rows<W: Write>(w: &mut W, dns: &[DnsRecord]) -> io::Result<()> {
+    write_rows(w, None, dns, encode_dns_row)
+}
+
+fn encode_dns_row(out: &mut Vec<u8>, d: &DnsRecord) {
+    encode_dns_head(out, d);
+    push_answers(out, &d.answers, b",");
+    out.push(b'\n');
 }
 
 /// Append the five columns of a DNS row that precede the answers,
@@ -378,7 +387,7 @@ pub fn read_dns_log<R: BufRead>(r: R) -> io::Result<Vec<DnsRecord>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use satwatch_simcore::SimDuration;
 

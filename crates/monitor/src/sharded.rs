@@ -9,6 +9,7 @@
 use crate::checkpoint::{CheckpointError, ProbeState};
 use crate::probe::{FlowSink, Probe, ProbeConfig};
 use crate::record::{DnsRecord, FlowRecord};
+use crate::seal::SealMarks;
 use satwatch_netstack::PacketColumns;
 
 /// One [`Probe`] behind the constructor signature the harness calls.
@@ -41,6 +42,16 @@ impl ShardedProbe {
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         self.probe.observe_cols(cols, start, end);
         self.packets = self.probe.packets;
+    }
+
+    /// [`Probe::take_marks`].
+    pub fn take_marks(&mut self) -> Option<SealMarks> {
+        self.probe.take_marks()
+    }
+
+    /// [`Probe::take_dns_log`].
+    pub fn take_dns_log(&mut self) -> Vec<DnsRecord> {
+        self.probe.take_dns_log()
     }
 
     /// [`Probe::export_state`]: drains the DNS log into the returned
@@ -140,20 +151,51 @@ mod tests {
 
     #[test]
     fn sink_streams_same_flows_as_batch_finish() {
-        use std::sync::{Arc, Mutex};
+        use std::cell::RefCell;
+        use std::rc::Rc;
         let (batch_flows, batch_dns) = run_with_shards(1);
-        let collected: Arc<Mutex<Vec<FlowRecord>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&collected);
-        let mut probe = ShardedProbe::with_flow_sink(cfg(), Box::new(move |f| sink.lock().unwrap().push(f)));
+        let collected: Rc<RefCell<Vec<FlowRecord>>> = Rc::default();
+        let sink = Rc::clone(&collected);
+        let mut probe = ShardedProbe::with_flow_sink(cfg(), Box::new(move |f| sink.borrow_mut().push(f)));
         let cols = stream();
         probe.observe_cols(&cols, 0, cols.len());
         let (rest, dns) = probe.finish();
         assert!(rest.is_empty(), "sink mode returns no batch flows");
         assert_eq!(dns, batch_dns, "dns path unaffected by the sink");
-        let mut streamed = Arc::try_unwrap(collected).unwrap().into_inner().unwrap();
+        let mut streamed = collected.take();
         // eviction order is not canonical; the sort key recovers it
         sort_flows_canonical(&mut streamed);
         assert_eq!(streamed, batch_flows);
+    }
+
+    /// Sealing at every sweep's marks, then once more at `finish`,
+    /// yields the batch output cut into pieces.
+    #[test]
+    fn pieces_sealed_at_the_probes_marks_concatenate_to_batch_finish() {
+        use crate::seal::Sealer;
+        let batch = run_with_shards(1);
+        let sealer = std::rc::Rc::new(std::cell::RefCell::new(Sealer::default()));
+        let mut probe = ShardedProbe::with_flow_sink(cfg(), Sealer::sink(&sealer));
+        assert_eq!(probe.take_marks(), None, "no sweep yet");
+        let (cols, mut got, mut pieces) = (stream(), (Vec::new(), Vec::new()), 0);
+        let mut seal = |dns_log, marks| {
+            let piece = sealer.borrow_mut().seal(dns_log, marks);
+            pieces += usize::from(!piece.flows.is_empty());
+            got.0.extend(piece.flows);
+            got.1.extend(piece.dns);
+        };
+        // one packet per call: a mark is taken after every sweep
+        for i in 0..cols.len() {
+            probe.observe_cols(&cols, i, i + 1);
+            if let Some(marks) = probe.take_marks() {
+                seal(probe.take_dns_log(), Some(marks));
+            }
+        }
+        let (rest, dns_tail) = probe.finish();
+        assert!(rest.is_empty());
+        seal(dns_tail, None);
+        assert!(pieces > 1, "the idle gap's sweep released a piece before the end");
+        assert_eq!(got, batch);
     }
 
     /// Kill-and-resume at an arbitrary mid-stream point must be

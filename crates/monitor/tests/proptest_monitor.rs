@@ -1,12 +1,15 @@
 //! Property tests for the passive monitor: conservation laws on the
 //! flow table, prefix preservation of the anonymizer over random
-//! address pairs, and TSV round trips of arbitrary records.
+//! address pairs, TSV round trips of arbitrary records, and the
+//! sealer's pieces against the sort of the whole capture.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use satwatch_monitor::anon::CryptoPan;
 use satwatch_monitor::record::{read_flows, write_flows, EarlyPacket, FlowRecord, RttSummary};
-use satwatch_monitor::{FlowTable, FlowTableConfig, L7Protocol};
+use satwatch_monitor::{
+    dns_cmp, sort_flows_canonical, DnsRecord, FlowTable, FlowTableConfig, L7Protocol, SealMarks, Sealer,
+};
 use satwatch_netstack::ip::common_prefix_len;
 use satwatch_netstack::{Packet, Subnet};
 use satwatch_simcore::SimTime;
@@ -173,6 +176,95 @@ proptest! {
         prop_assert_eq!(recs.len(), 1);
         prop_assert_eq!(recs[0].domain.as_deref(), Some("prop.whatsapp.net"));
         prop_assert_eq!(recs[0].l7, L7Protocol::TlsHttps);
+    }
+
+    /// Rows of both logs arrive in any order on a grid coarse enough
+    /// that canonical keys repeat and a mark often equals a row's
+    /// timestamp; after any arrival the sealer may be sealed at any
+    /// mark finality allows (none later than a row still to come —
+    /// in no particular order otherwise, and not the same for the two
+    /// logs). The pieces, concatenated, are the stable canonical sort
+    /// of everything that arrived: `c2s_bytes` / `response_ms` number
+    /// the arrivals, so a tie reordered, or a row at the mark sealed
+    /// ahead of a later one that sorts before it, fails.
+    #[test]
+    fn sealed_pieces_concatenate_to_the_canonical_order_under_any_legal_marks(
+        rows in proptest::collection::vec((0u64..30, 0u8..3), 0..160),
+        marks in proptest::collection::vec(proptest::option::of(0u64..=30), 1..40),
+    ) {
+        const SLOT: u64 = 600;
+        let flows: Vec<FlowRecord> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(slot, host))| FlowRecord {
+                client: Ipv4Addr::new(77, 0, 0, host),
+                server: Ipv4Addr::new(198, 18, 0, 1),
+                client_port: 50_000,
+                server_port: 443,
+                ip_proto: 6,
+                first: SimTime::from_secs(slot * SLOT),
+                last: SimTime::from_secs(slot * SLOT + 1),
+                c2s_packets: 1,
+                c2s_bytes: i as u64,
+                c2s_payload_bytes: 0,
+                s2c_packets: 0,
+                s2c_bytes: 0,
+                s2c_payload_bytes: 0,
+                c2s_retrans: 0,
+                s2c_retrans: 0,
+                early: Vec::new(),
+                syn_seen: true,
+                fin_seen: false,
+                rst_seen: false,
+                ground_rtt: RttSummary::default(),
+                s2c_data_first: None,
+                s2c_data_last: None,
+                sat_rtt_ms: None,
+                l7: L7Protocol::OtherTcp,
+                domain: None,
+            })
+            .collect();
+        let dns: Vec<DnsRecord> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(slot, host))| DnsRecord {
+                client: Ipv4Addr::new(77, 0, 0, host),
+                resolver: Ipv4Addr::new(8, 8, 8, 8),
+                query: "example.org".into(),
+                ts: SimTime::from_secs(slot * SLOT),
+                response_ms: Some(i as f64),
+                answers: Vec::new(),
+            })
+            .collect();
+        // the earliest slot among the rows arriving after row `i`
+        let mut to_come = vec![u64::MAX; rows.len() + 1];
+        for i in (0..rows.len()).rev() {
+            to_come[i] = to_come[i + 1].min(rows[i].0);
+        }
+        let legal = |i: usize, at: usize| marks[at % marks.len()].map(|m| SimTime::from_secs(m.min(to_come[i + 1]) * SLOT));
+        let sealer = std::rc::Rc::new(std::cell::RefCell::new(Sealer::default()));
+        let mut sink = Sealer::sink(&sealer);
+        // DNS rows wait in the probe's log until the next seal
+        let (mut got_flows, mut got_dns, mut arrived) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..=rows.len() {
+            let marks = if i < rows.len() {
+                sink(flows[i].clone());
+                arrived.push(dns[i].clone());
+                let Some((flows, dns)) = legal(i, i).zip(legal(i, i + 1)) else { continue };
+                Some(SealMarks { flows, dns })
+            } else {
+                None
+            };
+            let piece = sealer.borrow_mut().seal(std::mem::take(&mut arrived), marks);
+            got_flows.extend(piece.flows);
+            got_dns.extend(piece.dns);
+        }
+        let (mut want_flows, mut want_dns) = (flows, dns);
+        sort_flows_canonical(&mut want_flows);
+        want_dns.sort_by(dns_cmp);
+        prop_assert_eq!(got_flows, want_flows);
+        prop_assert_eq!(got_dns, want_dns);
+        prop_assert_eq!(sealer.borrow().unsealed(), (&[][..], &[][..]));
     }
 
     #[test]

@@ -18,4 +18,6 @@ pub use config::ScenarioConfig;
 pub use digest::dataset_digest;
 pub use flowsim::NetModel;
 pub use reference::run_reference;
-pub use run::{build_enrichment, run, run_streaming, run_with_tap, ColumnarDataset, Dataset, DayRunner};
+pub use run::{
+    build_enrichment, run, run_sealed, run_streaming, run_with_tap, ColumnarDataset, Dataset, DayRunner, SealedRun, Tap,
+};

@@ -6,7 +6,7 @@ use crate::flowsim::NetModel;
 use satwatch_analytics::agg::{BeamInfo, Enrichment};
 use satwatch_internet::{CdnCatalog, ResolverId};
 use satwatch_monitor::anon::CryptoPan;
-use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, ProbeConfig, ShardedProbe};
+use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, Piece, ProbeConfig, SealMarks, Sealer, ShardedProbe};
 use satwatch_netstack::{Packet, PacketColumns, SortScratch};
 use satwatch_satcom::channel::default_peak_hour;
 use satwatch_satcom::geo::places;
@@ -16,6 +16,9 @@ use satwatch_satcom::pep::{PepConfig, PepModel};
 use satwatch_satcom::{GroundStation, SatelliteAccess};
 use satwatch_simcore::{ColMerge, SeedTree, SimTime};
 use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, Population};
+use std::cell::RefCell;
+use std::ops::ControlFlow;
+use std::rc::Rc;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -81,6 +84,13 @@ pub struct ColumnarDataset {
     pub packets: u64,
 }
 
+/// What [`run_sealed`] returns beside the pieces it handed out.
+pub struct SealedRun {
+    pub enrichment: Enrichment,
+    /// Total packets the probe observed.
+    pub packets: u64,
+}
+
 /// Everything `run`/`run_streaming`/`run_reference` share: the
 /// deterministic inputs derived from the config before a single packet
 /// moves.
@@ -127,7 +137,13 @@ pub(crate) fn setup(cfg: ScenarioConfig) -> SimSetup {
 }
 
 /// A per-packet observer handed to [`drive`] (pcap writers, tests).
-type Tap<'a> = &'a mut dyn FnMut(SimTime, &Packet);
+pub type Tap<'a> = &'a mut dyn FnMut(SimTime, &Packet);
+
+/// The consuming end of the sealed-stream drive, handed to [`drive`]
+/// beside the tap: log the probe's DNS transactions, seal behind the
+/// marks (`None`: everything) and pass the piece on. `Break` is the
+/// piece's consumer ending the run.
+type Seal<'a> = &'a mut dyn FnMut(Vec<DnsRecord>, Option<SealMarks>) -> ControlFlow<()>;
 
 /// Reusable per-day driver buffers. Created once per run (or per
 /// campaign) and recycled across days; every buffer is cleared at the
@@ -153,6 +169,14 @@ struct DayScratch {
     /// schedule per beam-day, diurnal utilization) for the cohort
     /// planner — pure-function memoization, value-identical snapshots.
     delay_cache: satwatch_satcom::DelayCache,
+    /// The running day's pending intents: the one buffer here whose
+    /// size is a whole day's (≈ 80 B per intent, 5 MB at 100
+    /// customers). A fresh vector per day regrows through the heap
+    /// every day after the first — the allocator stops `mmap`ing it
+    /// once the first one has been freed — and a multi-day run's peak
+    /// crept up by the steps it left behind (`simulate`, 100 customers
+    /// × 4 days: 22.1 MB against 20.6 MB reusing it).
+    intents: IntentQueue,
 }
 
 impl DayScratch {
@@ -162,6 +186,7 @@ impl DayScratch {
             scratch: SortScratch::default(),
             arena: satwatch_simcore::PayloadArena::new(),
             delay_cache: satwatch_satcom::DelayCache::new(),
+            intents: IntentQueue::new(),
         }
     }
 }
@@ -250,13 +275,13 @@ impl DayRunner {
     /// against a probe carrying the previous day's state (live flows
     /// spill up to one hour past midnight).
     pub fn run_day(&mut self, probe: &mut ShardedProbe, day: u64) {
-        drive_day(self.cfg, &self.sim, probe, &mut None, day, &mut self.scratch);
+        let _ = drive_day(self.cfg, &self.sim, probe, &mut None, &mut None, day, &mut self.scratch);
     }
 }
 
 /// Run a scenario to completion.
 pub fn run(cfg: ScenarioConfig) -> Dataset {
-    run_batch(cfg, None)
+    collect(cfg, None)
 }
 
 /// Run a scenario, additionally invoking `tap` for every packet the
@@ -265,22 +290,52 @@ pub fn run(cfg: ScenarioConfig) -> Dataset {
 /// materialized into a real [`Packet`] for the tap — the probe itself
 /// consumes the columns directly.
 pub fn run_with_tap(cfg: ScenarioConfig, mut tap: impl FnMut(SimTime, &Packet)) -> Dataset {
-    run_batch(cfg, Some(&mut tap))
+    collect(cfg, Some(&mut tap))
 }
 
-/// The one body of [`run`] and [`run_with_tap`].
-fn run_batch(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
+/// The one body of [`run`] and [`run_with_tap`]: the sealed stream,
+/// collected. Pieces arrive in canonical order, so appending them is
+/// the sort of the whole capture.
+fn collect(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
+    let (mut flows, mut dns) = (Vec::new(), Vec::new());
+    let SealedRun { enrichment, packets } = run_sealed(cfg, tap, |mut piece| {
+        flows.append(&mut piece.flows);
+        dns.append(&mut piece.dns);
+        ControlFlow::Continue(())
+    });
+    Dataset { flows, dns, enrichment, packets }
+}
+
+/// Run a scenario as a stream of sealed [`Piece`]s: whenever the probe
+/// has swept, the rows of both logs behind its watermarks go to
+/// `on_piece`, canonically sorted, every piece wholly after the one
+/// before — their concatenation is the flow and DNS logs of [`run`],
+/// while only the live tail (minutes of rows) is ever resident
+/// (DESIGN.md §10). `on_piece` returning `Break` ends the run there:
+/// nothing more is simulated or sealed.
+pub fn run_sealed(
+    cfg: ScenarioConfig,
+    tap: Option<Tap<'_>>,
+    mut on_piece: impl FnMut(Piece) -> ControlFlow<()>,
+) -> SealedRun {
     let sim = {
         let _s = satwatch_telemetry::Span::over(metrics().setup_us);
         setup(cfg)
     };
-    let mut probe = ShardedProbe::new(sim.probe_cfg, 1);
-    drive(cfg, &sim, &mut probe, tap);
+    let sealer = Rc::new(RefCell::new(Sealer::default()));
+    let mut probe = ShardedProbe::with_flow_sink(sim.probe_cfg, Sealer::sink(&sealer));
+    let mut seal = |dns_log, marks| on_piece(sealer.borrow_mut().seal(dns_log, marks));
+    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
+    if drive(cfg, &sim, &mut probe, tap, Some(&mut seal)).is_break() {
+        return SealedRun { enrichment, packets: probe.packets };
+    }
     let _s = satwatch_telemetry::Span::over(metrics().finish_us);
     let packets = probe.packets;
-    let (flows, dns) = probe.finish();
-    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
-    Dataset { flows, dns, enrichment, packets }
+    // the final flush goes through the sink; the DNS tail comes back
+    let (rest, dns_tail) = probe.finish();
+    debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
+    let _ = seal(dns_tail, None);
+    SealedRun { enrichment, packets }
 }
 
 /// Run a scenario with streaming flow ingest: evicted flows go
@@ -292,26 +347,23 @@ fn run_batch(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
 /// §10) — while the full record vector is never materialized.
 pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
     use satwatch_analytics::FrameBuilder;
-    use std::sync::{Arc, Mutex};
     let t_setup = satwatch_telemetry::Span::over(metrics().setup_us);
     let sim = setup(cfg);
     // the operator's enrichment is a pure function of the population,
     // so the builder can resolve columns while packets still flow
     let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
-    let builder = Arc::new(Mutex::new(FrameBuilder::new(enrichment.clone())));
-    let sink = Arc::clone(&builder);
-    let mut probe = ShardedProbe::with_flow_sink(
-        sim.probe_cfg,
-        Box::new(move |f: FlowRecord| sink.lock().expect("sink lock").push(&f)),
-    );
+    let builder = Rc::new(RefCell::new(FrameBuilder::new(enrichment.clone())));
+    let sink = Rc::clone(&builder);
+    let mut probe =
+        ShardedProbe::with_flow_sink(sim.probe_cfg, Box::new(move |f: FlowRecord| sink.borrow_mut().push(&f)));
     drop(t_setup);
-    drive(cfg, &sim, &mut probe, None);
+    let _ = drive(cfg, &sim, &mut probe, None, None);
     let _s = satwatch_telemetry::Span::over(metrics().finish_us);
     let packets = probe.packets;
     let (rest, dns) = probe.finish();
     debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
     drop(rest);
-    let builder = Arc::try_unwrap(builder).ok().expect("the probe dropped its sink").into_inner().expect("sink lock");
+    let builder = Rc::try_unwrap(builder).ok().expect("the probe dropped its sink").into_inner();
     let frame = builder.seal();
     ColumnarDataset { frame, dns, enrichment, packets }
 }
@@ -324,12 +376,23 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
 /// hot path unless a `tap` asks for materialized packets. The
 /// per-packet semantics this is pinned byte-identical against live in
 /// [`run_reference`](crate::reference::run_reference).
-fn drive(cfg: ScenarioConfig, sim: &SimSetup, probe: &mut ShardedProbe, mut tap: Option<Tap<'_>>) {
+///
+/// With a `seal`, the rows the probe is done with leave as sealed
+/// pieces while the loop runs; `Break` is their consumer ending the
+/// run early.
+fn drive(
+    cfg: ScenarioConfig,
+    sim: &SimSetup,
+    probe: &mut ShardedProbe,
+    mut tap: Option<Tap<'_>>,
+    mut seal: Option<Seal<'_>>,
+) -> ControlFlow<()> {
     let mut scratch = DayScratch::new();
     export_beam_gauges(&sim.population);
     for day in 0..cfg.days {
-        drive_day(cfg, sim, probe, &mut tap, day, &mut scratch);
+        drive_day(cfg, sim, probe, &mut tap, &mut seal, day, &mut scratch)?;
     }
+    ControlFlow::Continue(())
 }
 
 /// Drive one simulated day: generate the day's intents, expand flows
@@ -342,11 +405,12 @@ fn drive_day(
     sim: &SimSetup,
     probe: &mut ShardedProbe,
     tap: &mut Option<Tap<'_>>,
+    seal: &mut Option<Seal<'_>>,
     day: u64,
     s: &mut DayScratch,
-) {
+) -> ControlFlow<()> {
     let SimSetup { seeds, population, catalog, model, prop_delays, .. } = sim;
-    let DayScratch { merge, scratch, arena, delay_cache } = s;
+    let DayScratch { merge, scratch, arena, delay_cache, intents } = s;
     let m = metrics();
     // Per-phase wall-clock attribution (flow synthesis vs merge vs
     // probe), recorded per day. Gated on the telemetry switch: timing
@@ -357,7 +421,7 @@ fn drive_day(
         // One queue per day bounds memory to a day's intents. Flows may
         // run up to one hour past midnight; later packets are truncated
         // (a negligible tail — flow emission is capped at 20 minutes).
-        let mut intents = IntentQueue::new();
+        intents.v.clear();
         // Each customer draws from its own `rng_idx("intents", …)`
         // stream. Customers are scheduled in index order: the queue
         // breaks time ties FIFO, so the insert order is part of the
@@ -376,7 +440,8 @@ fn drive_day(
         }
         m.intents.add(intents.v.len() as u64);
         intents.seal();
-        let horizon = SimTime::from_secs((day + 1) * satwatch_simcore::time::SECS_PER_DAY + 3_600);
+        let next_midnight = SimTime::from_secs((day + 1) * satwatch_simcore::time::SECS_PER_DAY);
+        let horizon = next_midnight + satwatch_simcore::SimDuration::from_secs(3_600);
         let mut flow_rng = seeds.rng_idx("flows", day);
         // Cohort-batched drive (DESIGN.md "The packet path and its
         // reference"): pop a cohort of consecutive pending intents,
@@ -439,6 +504,16 @@ fn drive_day(
                 m.packets.add(std::mem::take(&mut drained_pkts));
                 if let Some(t0) = t_drain {
                     drain_ns += t0.elapsed().as_nanos() as u64;
+                }
+                // Seal behind the marks of a sweep in this drain. The
+                // probe's marks trust its clock, and span time steps
+                // back to midnight when the next day starts: a mark
+                // from the spill hour would pass tomorrow's first
+                // flows, so none is used past the coming midnight.
+                if let Some(seal) = seal.as_mut() {
+                    if let Some(marks) = probe.take_marks() {
+                        seal(probe.take_dns_log(), Some(marks.capped(next_midnight)))?;
+                    }
                 }
             }
             if !matches!(ti, Some(ti) if ti <= horizon) {
@@ -505,6 +580,7 @@ fn drive_day(
         // Truncate the post-horizon tail, keeping the buffers.
         merge.clear();
     }
+    ControlFlow::Continue(())
 }
 
 /// Operator-side enrichment: the operator holds the CryptoPan key and

@@ -1,8 +1,8 @@
 //! One end-to-end run must light up instruments in every layer:
 //! scenario (run loop), simcore (run-merge), satcom (channel, PEP,
-//! shaper), monitor (probe, flow table, DPI), and analytics (span
-//! timers). A layer whose counters stay at zero means its wiring
-//! regressed. Kept in its own integration binary so nothing here races
+//! shaper), monitor (probe, flow table, DPI, sealer), analytics (span
+//! timers), and the campaign store. A layer whose counters stay at
+//! zero means its wiring regressed. Kept in its own integration binary so nothing here races
 //! with the on/off toggling in `telemetry_determinism.rs`.
 
 use satwatch_scenario::{run, run_with_tap, ScenarioConfig};
@@ -56,6 +56,13 @@ fn snapshot_covers_every_pipeline_layer() {
         .sum();
     assert!(verdicts >= ds.flows.len() as u64, "every finalised flow got a DPI verdict");
 
+    // watermark sealing: `run` collects the sealed stream, so the
+    // sealer released a piece per sweep, and what stayed resident
+    // after the last of them was a tail, not the capture
+    assert!(counter("probe_seal_pieces_total") > 100, "sealed at the sweeps, not once at the end");
+    let tail = snap.gauge("probe_unsealed_rows").expect("probe_unsealed_rows missing from snapshot");
+    assert!((0..ds.flows.len() as i64 / 4).contains(&tail), "{tail} rows unsealed of {}", ds.flows.len());
+
     // analytics span timers
     let h = snap.histogram("analytics_table1_us").expect("analytics span registered");
     assert!(h.count >= 1);
@@ -99,4 +106,25 @@ fn snapshot_covers_every_pipeline_layer() {
         let h = during.histogram(span).unwrap_or_else(|| panic!("{span} missing from snapshot"));
         assert_eq!(h.count, 1, "{span} records once per tapped run");
     }
+
+    // the campaign store: one checkpoint per day, the tail it carried
+    // and the state file it wrote among its gauges
+    let dir = std::env::temp_dir().join(format!("satwatch-telemetry-coverage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ScenarioConfig::tiny().with_customers(3).with_days(2);
+    let before = Snapshot::take();
+    let mut campaign = satwatch_campaign::Campaign::create(&dir, cfg).unwrap();
+    assert!(campaign.run(&satwatch_campaign::RunOptions::default()).unwrap().completed);
+    let snap = Snapshot::take();
+    std::fs::remove_dir_all(&dir).unwrap();
+    // a seal per day and the closing one, through the probe's sealer
+    assert_eq!(snap.delta(&before).counter("campaign_segments_sealed_total"), Some(3));
+    assert_eq!(snap.delta(&before).counter("probe_seal_pieces_total"), Some(3));
+    assert_eq!(snap.gauge("campaign_days_completed"), Some(2));
+    for gauge in ["campaign_rows_carried", "campaign_state_bytes", "campaign_segment_bytes_total"] {
+        let v = snap.gauge(gauge).unwrap_or_else(|| panic!("{gauge} missing from snapshot"));
+        assert!(v > 0, "{gauge} = {v}");
+    }
+    let h = snap.histogram("campaign_checkpoint_us").expect("checkpoint span registered");
+    assert!(h.count >= 2, "one checkpoint per day");
 }
