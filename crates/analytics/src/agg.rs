@@ -9,9 +9,11 @@
 //! These are the reference the columnar engine is pinned to
 //! (`columnar_equivalence.rs`, `frame_equivalence.rs`): one plain pass
 //! over the record slice per figure, written to be audited by eye.
-//! They are also what the log-replay commands run, and [`fig10`] is
-//! production for every path: the DNS log has no frame, so the
-//! engine's `ReportFold::finish` calls it.
+//! No `satwatch` command folds a record slice through them. What the
+//! engine shares with them is production: [`Enrichment`] and its log,
+//! the customer-day figures [`fig5`] / [`fig6`] / [`fig7`] (functions
+//! of the rollup, whichever path built it) and [`fig10`] — the DNS log
+//! has no frame, so `ReportFold::finish` calls it.
 
 use crate::classify::{second_level_domain, Classifier, ClassifyCache};
 use crate::report::*;
@@ -383,7 +385,8 @@ pub fn fig8b(flows: &[FlowRecord], enr: &Enrichment) -> Fig8b {
     let max_util = enr.beams.iter().map(|b| b.peak_utilization).fold(0.0f64, f64::max).max(1e-9);
     let mut rows = Vec::new();
     for (beam, mut v) in samples {
-        let info = &enr.beams[beam as usize];
+        // the id came with the customer map; a replayed log has no beam table
+        let Some(info) = enr.beams.get(beam as usize) else { continue };
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = v[v.len() / 2];
         rows.push((info.name.clone(), info.country, info.peak_utilization / max_util, median, v.len()));

@@ -349,7 +349,8 @@ impl Fig8bAcc {
         let max_util = enr.beams.iter().map(|b| b.peak_utilization).fold(0.0f64, f64::max).max(1e-9);
         let mut rows = Vec::new();
         for (beam, mut v) in self.samples {
-            let info = &enr.beams[beam as usize];
+            // as `agg::fig8b`: a beam the enrichment does not describe has no row
+            let Some(info) = enr.beams.get(beam as usize) else { continue };
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let median = v[v.len() / 2];
             rows.push((info.name.clone(), info.country, info.peak_utilization / max_util, median, v.len()));

@@ -8,7 +8,8 @@
 //! * [`classify`] — Table 3 classifier + second-level-domain
 //!   extraction (two-label TLD aware).
 //! * [`agg`] — one plain pass over the record slice per figure: the
-//!   reference the engine is pinned to, and what log replay runs.
+//!   reference the engine is pinned to, which no `satwatch` command
+//!   runs.
 //! * [`frame`] — struct-of-arrays [`FlowFrame`] with pre-resolved
 //!   enrichment columns, buildable incrementally from an eviction
 //!   stream.

@@ -3,7 +3,7 @@
 //! and popularity" (§3.1) when curating the Table 3 service lists.
 
 use crate::classify::{second_level_domain, Classifier};
-use satwatch_monitor::FlowRecord;
+use crate::frame::{FlowFrame, NO_DOMAIN};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
@@ -27,31 +27,32 @@ pub struct TopDomains {
     pub by_popularity: Vec<DomainRank>,
 }
 
-/// Compute top-`n` second-level domains over the flow log.
-pub fn top_domains(flows: &[FlowRecord], classifier: &Classifier, n: usize) -> TopDomains {
+/// Compute top-`n` second-level domains over the flow frame.
+pub fn top_domains(fr: &FlowFrame, classifier: &Classifier, n: usize) -> TopDomains {
     struct Acc {
         bytes: u64,
         customers: HashSet<Ipv4Addr>,
         flows: usize,
     }
-    let mut acc: HashMap<String, Acc> = HashMap::new();
-    for f in flows {
-        let Some(domain) = f.domain.as_deref() else { continue };
-        let sld = second_level_domain(domain);
+    // a name is looked at once per dictionary entry, not once per flow
+    let slds: Vec<String> = fr.domains.iter().map(|d| second_level_domain(d)).collect();
+    let mut acc: HashMap<&str, Acc> = HashMap::new();
+    for i in (0..fr.len()).filter(|&i| fr.domain[i] != NO_DOMAIN) {
+        let sld = &*slds[fr.domain[i] as usize];
         let e = acc.entry(sld).or_insert(Acc { bytes: 0, customers: HashSet::new(), flows: 0 });
-        e.bytes += f.c2s_bytes + f.s2c_bytes;
-        e.customers.insert(f.client);
+        e.bytes += fr.flow_bytes(i);
+        e.customers.insert(fr.client[i]);
         e.flows += 1;
     }
     let mut ranks: Vec<DomainRank> = acc
         .into_iter()
         .map(|(sld, a)| {
-            let service = classifier.classify(&sld).map(|(s, _)| s).or_else(|| {
+            let service = classifier.classify(sld).map(|(s, _)| s).or_else(|| {
                 // some SLDs only match with a subdomain prefix; retry
                 // with a representative host
                 classifier.classify(&format!("www.{sld}")).map(|(s, _)| s)
             });
-            DomainRank { sld, bytes: a.bytes, customers: a.customers.len(), flows: a.flows, service }
+            DomainRank { sld: sld.to_string(), bytes: a.bytes, customers: a.customers.len(), flows: a.flows, service }
         })
         .collect();
     let mut by_volume = ranks.clone();
@@ -98,8 +99,12 @@ pub fn render(top: &TopDomains) -> String {
 mod tests {
     use super::*;
     use satwatch_monitor::record::RttSummary;
-    use satwatch_monitor::L7Protocol;
+    use satwatch_monitor::{FlowRecord, L7Protocol};
     use satwatch_simcore::SimTime;
+
+    fn ranked(flows: &[FlowRecord], n: usize) -> TopDomains {
+        top_domains(&FlowFrame::from_records(flows, &Default::default()), &Classifier::standard(), n)
+    }
 
     fn flow(client_last: u8, domain: &str, bytes: u64) -> FlowRecord {
         FlowRecord {
@@ -141,7 +146,7 @@ mod tests {
             flow(2, "media-2.cdn.whatsapp.net", 1_000),
             flow(3, "static.whatsapp.net", 1_000),
         ];
-        let top = top_domains(&flows, &Classifier::standard(), 5);
+        let top = ranked(&flows, 5);
         assert_eq!(top.by_volume[0].sld, "nflxvideo.net");
         assert_eq!(top.by_volume[0].service, Some("Netflix"));
         assert_eq!(top.by_popularity[0].sld, "whatsapp.net");
@@ -156,14 +161,14 @@ mod tests {
     fn flows_without_domains_ignored() {
         let mut f = flow(1, "x", 10);
         f.domain = None;
-        let top = top_domains(&[f], &Classifier::standard(), 5);
+        let top = ranked(&[f], 5);
         assert!(top.by_volume.is_empty());
     }
 
     #[test]
     fn truncates_to_n() {
         let flows: Vec<FlowRecord> = (0..20).map(|i| flow(1, &format!("www.site-{i}.test"), 100)).collect();
-        let top = top_domains(&flows, &Classifier::standard(), 3);
+        let top = ranked(&flows, 3);
         assert_eq!(top.by_volume.len(), 3);
         assert_eq!(top.by_popularity.len(), 3);
     }

@@ -86,6 +86,13 @@ fn build(spec: &FlowSpec) -> FlowRecord {
 }
 
 fn enrichment() -> Enrichment {
+    enrichment_describing(2)
+}
+
+/// The customer map beside a beam table of `beams_known` entries: all
+/// of them (2), one id past the end (1), or none — what a replayed
+/// `enrichment.tsv` gives, which persists `beam_of` and not `beams`.
+fn enrichment_describing(beams_known: usize) -> Enrichment {
     let mut e = Enrichment { days: 2, ..Default::default() };
     // client 0 stays unmapped on purpose
     e.country_of.insert(Ipv4Addr::new(77, 0, 0, 1), Country::Congo);
@@ -97,14 +104,18 @@ fn enrichment() -> Enrichment {
         agg::BeamInfo { name: "cd-0".into(), country: Country::Congo, peak_utilization: 0.8 },
         agg::BeamInfo { name: "es-0".into(), country: Country::Spain, peak_utilization: 0.5 },
     ];
+    e.beams.truncate(beams_known);
     e
 }
 
 proptest! {
     #[test]
-    fn frame_folds_match_record_passes(specs in proptest::collection::vec(spec_strategy(), 0..120)) {
+    fn frame_folds_match_record_passes(
+        specs in proptest::collection::vec(spec_strategy(), 0..120),
+        beams_known in 0usize..=2,
+    ) {
         let flows: Vec<FlowRecord> = specs.iter().map(build).collect();
-        let enr = enrichment();
+        let enr = enrichment_describing(beams_known);
         let fr = FlowFrame::from_records(&flows, &enr);
         let top = [Country::Congo, Country::Spain, Country::Nigeria];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
@@ -123,6 +134,8 @@ proptest! {
         prop_assert_eq!(format!("{:?}", agg::fig7(&days, &enr, &top)), format!("{:?}", all.fig7));
         prop_assert_eq!(format!("{:?}", agg::fig8a(&flows, &enr, &top)), format!("{:?}", all.fig8a));
         prop_assert_eq!(format!("{:?}", agg::fig8b(&flows, &enr)), format!("{:?}", all.fig8b));
+        // a sample of a beam the enrichment does not describe is skipped, not indexed
+        prop_assert!(all.fig8b.rows.len() <= beams_known);
         prop_assert_eq!(format!("{:?}", agg::fig9(&flows, &enr, &top)), format!("{:?}", all.fig9));
         prop_assert_eq!(format!("{:?}", agg::fig11(&flows, &enr, &top)), format!("{:?}", all.fig11));
         prop_assert_eq!(

@@ -1,45 +1,14 @@
 //! # satwatch-bench
 //!
-//! Benchmark harness for the workspace. The Criterion benches under
-//! `benches/` regenerate every table and figure in the paper's
-//! evaluation from a standard simulated dataset and print the rows the
-//! paper reports, then time the analysis kernels:
+//! Criterion benches under `benches/`:
 //!
-//! * `figures` — Table 1, Figures 2–11, Tables 2/4/5 (one bench each).
 //! * `ablations` — the A1/A2/A3 what-ifs from DESIGN.md §5.
 //! * `micro` — hot-path micro-benchmarks: probe packet processing,
 //!   CryptoPan, DPI/SNI extraction, flow synthesis, the event queue,
-//!   the domain classifier, and ERRANT profile fitting.
+//!   the domain classifier, and the warehouse legs (group-bys,
+//!   segment verify, the report fold).
+//! * `telemetry_overhead` — the packet path with telemetry on and off.
 //!
-//! Run with `cargo bench --workspace`. Dataset scale is controlled by
-//! the `SATWATCH_BENCH_CUSTOMERS` / `SATWATCH_BENCH_DAYS` environment
-//! variables (defaults: 500 customers × 1 day).
-
-use satwatch_scenario::{run, Dataset, ScenarioConfig};
-use std::sync::OnceLock;
-
-/// Scale knobs (env-overridable so CI can shrink them).
-pub fn bench_config() -> ScenarioConfig {
-    let customers = std::env::var("SATWATCH_BENCH_CUSTOMERS").ok().and_then(|v| v.parse().ok()).unwrap_or(500);
-    let days = std::env::var("SATWATCH_BENCH_DAYS").ok().and_then(|v| v.parse().ok()).unwrap_or(1);
-    ScenarioConfig::tiny().with_customers(customers).with_days(days).with_seed(0x1107_2022)
-}
-
-/// The shared standard dataset, simulated once per bench binary.
-pub fn standard_dataset() -> &'static Dataset {
-    static DS: OnceLock<Dataset> = OnceLock::new();
-    DS.get_or_init(|| {
-        let cfg = bench_config();
-        eprintln!("[satwatch-bench] simulating standard dataset: {} customers × {} day(s) …", cfg.customers, cfg.days);
-        let t0 = std::time::Instant::now();
-        let ds = run(cfg);
-        eprintln!(
-            "[satwatch-bench] dataset ready in {:.1?}: {} packets, {} flows, {} DNS transactions",
-            t0.elapsed(),
-            ds.packets,
-            ds.flows.len(),
-            ds.dns.len()
-        );
-        ds
-    })
-}
+//! Run with `cargo bench --workspace`. The paper's tables and figures
+//! are timed end to end by `satbench` (`benchmark/`, rows
+//! `engine.report_fold_ms` and `agg.records_reports_ms`), not here.

@@ -1,11 +1,11 @@
 //! Subcommand implementations for the `satwatch` binary.
 
 use crate::args::Args;
-use satwatch_analytics::{read_enrichment_log, write_enrichment_log, PaperReports, ReportCtx, ResultTable};
+use satwatch_analytics::{read_enrichment_log, report_all, write_enrichment_log, PaperReports, ReportCtx, ResultTable};
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
-use satwatch_monitor::record::{read_dns_log, read_flows, write_dns_log, write_dns_rows, write_flow_rows, write_flows};
+use satwatch_monitor::record::{read_dns_log, write_dns_log, write_dns_rows, write_flow_rows, write_flows};
 use satwatch_monitor::Piece;
-use satwatch_scenario::{experiments, run, run_sealed, run_streaming, ColumnarDataset, Dataset, ScenarioConfig};
+use satwatch_scenario::{experiments, run, run_sealed, run_streaming, ColumnarDataset, ScenarioConfig};
 use satwatch_traffic::Country;
 use std::error::Error;
 use std::fs;
@@ -212,24 +212,14 @@ fn banner_done(t0: Instant, (packets, flows, dns): (u64, usize, usize)) {
     eprintln!("done in {:.1?}: {packets} packets, {flows} flows, {dns} DNS transactions", t0.elapsed());
 }
 
-/// Run `cfg` through `run` between the two progress lines. `counts`
-/// is `(packets, flows, DNS transactions)` of the result.
-fn with_banner<T>(cfg: ScenarioConfig, run: fn(ScenarioConfig) -> T, counts: fn(&T) -> (u64, usize, usize)) -> T {
-    let t0 = banner_start(cfg);
-    let out = run(cfg);
-    banner_done(t0, counts(&out));
-    out
-}
-
-/// The run of every command that works on the record slice.
-fn run_with_banner(cfg: ScenarioConfig) -> Dataset {
-    with_banner(cfg, run, |ds| (ds.packets, ds.flows.len(), ds.dns.len()))
-}
-
-/// The ingest of `report` and `query`: evicted flows go straight into
-/// the frame, the record vector is never materialised.
+/// The ingest of every command that renders from a scenario run,
+/// between the two progress lines: evicted flows go straight into the
+/// frame, the record vector is never materialised.
 fn ingest_with_banner(cfg: ScenarioConfig) -> ColumnarDataset {
-    with_banner(cfg, run_streaming, |cds| (cds.packets, cds.frame.len(), cds.dns.len()))
+    let t0 = banner_start(cfg);
+    let cds = run_streaming(cfg);
+    banner_done(t0, (cds.packets, cds.frame.len(), cds.dns.len()));
+    cds
 }
 
 fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -403,29 +393,32 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 /// One output a command can print: its `--figure` name and how to
-/// render it from the command's data.
-type Figure<T> = (&'static str, fn(&T) -> String);
+/// render it from the report fold.
+type Figure = (&'static str, fn(&PaperReports) -> String);
 
 /// The `--figure` value (default `all`), checked against the names the
 /// command can render before anything is simulated or read; a name
 /// that is not one of them comes back as the error.
-fn figure_arg<T>(args: &Args, figures: &[Figure<T>]) -> Result<String, String> {
+fn figure_arg(args: &Args, names: &[&str]) -> Result<String, String> {
     let which = args.get("figure").unwrap_or("all").to_ascii_lowercase();
-    if which == "all" || figures.iter().any(|(name, _)| *name == which) {
+    if which == "all" || names.contains(&which.as_str()) {
         Ok(which)
     } else {
         Err(which)
     }
 }
 
-fn print_figures<T>(which: &str, figures: &[Figure<T>], data: &T) {
-    for (_, render) in figures.iter().filter(|(name, _)| which == "all" || which == *name) {
-        println!("{}", render(data));
+/// Print `which` (one of `names`, or `all` of them) in [`REPORT_FIGURES`]' order.
+fn print_figures(which: &str, names: &[&str], reports: &PaperReports) {
+    for (name, render) in REPORT_FIGURES {
+        if names.contains(&name) && (which == "all" || which == name) {
+            println!("{}", render(reports));
+        }
     }
 }
 
 /// What `report` renders, in [`PaperReports::render_all`]'s order.
-const REPORT_FIGURES: [Figure<PaperReports>; 13] = [
+const REPORT_FIGURES: [Figure; 13] = [
     ("table1", |r| r.table1.render()),
     ("fig2", |r| r.fig2.render()),
     ("fig3", |r| r.fig3.render()),
@@ -447,12 +440,13 @@ const REPORT_FIGURES: [Figure<PaperReports>; 13] = [
 /// [`FlowFrame`]: satwatch_analytics::FlowFrame
 fn report(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
-    let which = figure_arg(args, &REPORT_FIGURES)
+    let names = REPORT_FIGURES.map(|(name, _)| name);
+    let which = figure_arg(args, &names)
         .map_err(|which| format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)"))?;
     let ColumnarDataset { frame, dns, enrichment: enr, .. } = ingest_with_banner(cfg);
     let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
-    let reports = satwatch_analytics::report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, 10);
-    print_figures(&which, &REPORT_FIGURES, &reports);
+    let reports = report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, 10);
+    print_figures(&which, &names, &reports);
     if let Some(dir) = args.get("csv") {
         use satwatch_analytics::csv;
         fs::create_dir_all(dir)?;
@@ -479,8 +473,7 @@ fn report(args: &Args) -> Result<(), Box<dyn Error>> {
 
 fn profiles(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
-    let ds = run_with_banner(cfg);
-    let mut profiles = fit_profiles(&ds.flows, &ds.enrichment, &Country::TOP6);
+    let mut profiles = fit_profiles(&ingest_with_banner(cfg).frame, &Country::TOP6);
     profiles.push(leo::starlink_reference(Period::Night));
     profiles.push(leo::starlink_reference(Period::Peak));
     let text = errant_export::export(&profiles);
@@ -497,9 +490,8 @@ fn profiles(args: &Args) -> Result<(), Box<dyn Error>> {
 fn topdomains(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
     let n = args.get_parsed("n", 20usize)?;
-    let ds = run_with_banner(cfg);
     let classifier = satwatch_analytics::Classifier::standard();
-    let top = satwatch_analytics::top_domains(&ds.flows, &classifier, n);
+    let top = satwatch_analytics::top_domains(&ingest_with_banner(cfg).frame, &classifier, n);
     print!("{}", satwatch_analytics::topdomains::render(&top));
     Ok(())
 }
@@ -516,33 +508,35 @@ fn read_log<T>(
 
 /// What `replay` renders: the figures that need nothing the logs do
 /// not hold (beams are not persisted, so no Fig 8b).
-const REPLAY_FIGURES: [Figure<Dataset>; 5] = [
-    ("table1", |ds| experiments::table1(ds).render()),
-    ("fig2", |ds| experiments::fig2(ds).render()),
-    ("fig9", |ds| experiments::fig9(ds).render()),
-    ("fig10", |ds| experiments::fig10(ds).render()),
-    ("fig11", |ds| experiments::fig11(ds).render()),
-];
+const REPLAY_FIGURES: [&str; 5] = ["table1", "fig2", "fig9", "fig10", "fig11"];
+
+/// The reports of the logs in `dir`, which go the way a run's flows
+/// do: rows into the frame as they decode, one fused fold.
+fn replay_reports(dir: &str) -> Result<PaperReports, String> {
+    let mut enr = read_log(dir, "enrichment.tsv", read_enrichment_log)?;
+    let mut builder = satwatch_analytics::FrameBuilder::new(enr.clone());
+    read_log(dir, "flows.tsv", |r| satwatch_monitor::record::read_flow_rows(r, |f| builder.push(&f)))?;
+    let dns = read_log(dir, "dns.tsv", read_dns_log)?;
+    let frame = builder.seal();
+    // the log does not say how long the capture ran: its last day does
+    enr.days = frame.day.iter().max().map_or(1, |&last| u64::from(last) + 1);
+    eprintln!("replaying {} flows / {} DNS transactions from {dir}", frame.len(), dns.len());
+    let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
+    Ok(report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, 10))
+}
 
 fn replay(args: &Args) -> Result<(), Box<dyn Error>> {
     let dir = args.get("logs").ok_or("replay needs --logs DIR (from `simulate --out DIR`)")?;
     let which = figure_arg(args, &REPLAY_FIGURES).map_err(|which| {
         format!("replay cannot render figure {which:?} (try table1, fig2, fig9, fig10, fig11, all)")
     })?;
-    let flows = read_log(dir, "flows.tsv", read_flows)?;
-    let dns = read_log(dir, "dns.tsv", read_dns_log)?;
-    let mut enr = read_log(dir, "enrichment.tsv", read_enrichment_log)?;
-    enr.days = flows.iter().map(|f| f.first.day()).max().unwrap_or(0) + 1;
-    let ds = Dataset { flows, dns, enrichment: enr, packets: 0 };
-    eprintln!("replaying {} flows / {} DNS transactions from {dir}", ds.flows.len(), ds.dns.len());
-    print_figures(&which, &REPLAY_FIGURES, &ds);
+    print_figures(&which, &REPLAY_FIGURES, &replay_reports(dir)?);
     Ok(())
 }
 
 fn paper_check(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
-    let ds = run_with_banner(cfg);
-    let rows = satwatch_scenario::paper_check::check_all(&ds);
+    let rows = satwatch_scenario::paper_check::check_all(&ingest_with_banner(cfg));
     print!("{}", satwatch_scenario::paper_check::render(&rows));
     let failed = rows.iter().filter(|r| !r.pass).count();
     if failed > 0 {
@@ -625,6 +619,8 @@ fn ablations(args: &Args) -> Result<(), Box<dyn Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use satwatch_monitor::record::read_flows;
+    use satwatch_monitor::FlowRecord;
 
     fn parse(v: &[&str]) -> Args {
         Args::parse(v.iter().map(|s| s.to_string())).unwrap()
@@ -680,6 +676,8 @@ mod tests {
             "simulate",
             "--customers",
             "15",
+            "--days",
+            "2",
             "--seed",
             "4",
             "--out",
@@ -707,6 +705,38 @@ mod tests {
         let names: std::collections::BTreeSet<&str> = flows.iter().filter_map(|f| f.domain.as_deref()).collect();
         assert!(names.len() > 20 && flows.len() > 20 * names.len(), "{} names, {} flows", names.len(), flows.len());
         assert_eq!(cache.len(), names.len());
+
+        // what `replay` renders is the record-slice oracle over the
+        // same directory, `days` taken from the last row's day
+        let dns = read_log(&dir_s, "dns.tsv", read_dns_log).unwrap();
+        let mut enr = read_log(&dir_s, "enrichment.tsv", read_enrichment_log).unwrap();
+        let assert_replays_to = |flows: &[FlowRecord], enr: &satwatch_analytics::Enrichment| {
+            let (got, want) =
+                (replay_reports(&dir_s).unwrap(), experiments::paper_reports_records(flows, &dns, enr, 10, 1));
+            for (name, render) in REPORT_FIGURES {
+                assert_eq!(render(&got), render(&want), "{name} over {} flows", flows.len());
+            }
+        };
+        enr.days = 2;
+        assert_eq!(flows.last().unwrap().first.day(), 1);
+        assert_replays_to(&flows, &enr);
+
+        // a bad field in the middle of the log fails the command under
+        // the file's name and line, before anything is rendered
+        let log = std::fs::read_to_string(dir.join("flows.tsv")).unwrap();
+        let mut lines: Vec<&str> = log.lines().collect();
+        let bad = lines[500].split('\t').enumerate().map(|(i, f)| if i == 3 { "x" } else { f }).collect::<Vec<_>>();
+        let bad = bad.join("\t");
+        lines[500] = &bad;
+        std::fs::write(dir.join("flows.tsv"), lines.join("\n")).unwrap();
+        let err = dispatch(&parse(&["replay", "--logs", &dir_s])).unwrap_err().to_string();
+        assert_eq!(err, format!("{}: line 500: bad sport", dir.join("flows.tsv").display()));
+
+        // a log of no flows is one day of empty figures
+        write_flows(&mut std::fs::File::create(dir.join("flows.tsv")).unwrap(), &[]).unwrap();
+        enr.days = 1;
+        assert_replays_to(&[], &enr);
+        dispatch(&parse(&["replay", "--logs", &dir_s])).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

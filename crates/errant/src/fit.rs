@@ -1,4 +1,4 @@
-//! Fitting emulation profiles from monitor flow records.
+//! Fitting emulation profiles from the monitor's flow frame.
 //!
 //! RTT: the satellite-segment RTT samples (TLS-estimated) plus the
 //! per-flow ground RTT give the end-to-end RTT a client experiences.
@@ -10,8 +10,8 @@
 //! percentile of per-flow download throughput over ≥1 MB flows.
 
 use crate::model::{EmulationProfile, Period};
-use satwatch_analytics::agg::{is_night, is_peak, Enrichment};
-use satwatch_monitor::FlowRecord;
+use satwatch_analytics::agg::{is_night, is_peak};
+use satwatch_analytics::FlowFrame;
 use satwatch_simcore::dist::LogNormal;
 use satwatch_simcore::stats::quantile;
 use satwatch_traffic::Country;
@@ -35,37 +35,34 @@ pub fn fit_lognormal(samples: &[f64]) -> Option<LogNormal> {
 /// Minimum flow size contributing throughput samples to a fit.
 const MIN_RATE_FLOW_BYTES: u64 = 1_000_000;
 
-/// Fit one profile per (country, period) from the dataset.
-pub fn fit_profiles(flows: &[FlowRecord], enr: &Enrichment, countries: &[Country]) -> Vec<EmulationProfile> {
+/// Fit one profile per (country, period) from the flow frame.
+pub fn fit_profiles(fr: &FlowFrame, countries: &[Country]) -> Vec<EmulationProfile> {
     let mut out = Vec::new();
     for &country in countries {
         for period in [Period::Night, Period::Peak] {
-            let in_period = |f: &FlowRecord| {
-                let h = f.first.local_hour(country.tz_offset());
-                match period {
-                    Period::Night => is_night(h),
-                    Period::Peak => is_peak(h),
-                }
+            let in_period = |local_hour: u8| match period {
+                Period::Night => is_night(u32::from(local_hour)),
+                Period::Peak => is_peak(u32::from(local_hour)),
             };
             let mut rtt = Vec::new();
             let mut rate = Vec::new();
             let mut up_rate = Vec::new();
-            for f in flows {
-                if enr.country(f.client) != Some(country) || !in_period(f) {
+            for i in 0..fr.len() {
+                if usize::from(fr.country[i]) != country.index() || !in_period(fr.local_hour[i]) {
                     continue;
                 }
-                if let Some(sat) = f.sat_rtt_ms {
+                if let Some(sat) = fr.sat_rtt_at(i) {
                     // end-to-end RTT = satellite segment + ground segment
-                    let ground = if f.ground_rtt.samples > 0 { f.ground_rtt.avg_ms } else { 0.0 };
+                    let ground = if fr.ground_rtt_samples[i] > 0 { fr.ground_rtt_avg[i] } else { 0.0 };
                     rtt.push(sat + ground);
                 }
-                if f.s2c_bytes >= MIN_RATE_FLOW_BYTES {
-                    rate.push(f.download_throughput_bps() / 1e6);
+                if fr.bytes_down[i] >= MIN_RATE_FLOW_BYTES {
+                    rate.push(fr.down_bps[i] / 1e6);
                 }
-                if f.c2s_bytes >= MIN_RATE_FLOW_BYTES / 4 {
-                    let d = f.duration_s();
+                if fr.bytes_up[i] >= MIN_RATE_FLOW_BYTES / 4 {
+                    let d = fr.dur_s[i];
                     if d > 0.0 {
-                        up_rate.push(f.c2s_bytes as f64 * 8.0 / d / 1e6);
+                        up_rate.push(fr.bytes_up[i] as f64 * 8.0 / d / 1e6);
                     }
                 }
             }

@@ -8,7 +8,7 @@
 //!
 //! * [`model`] — the profile type: per (country, period) RTT
 //!   distribution + rate caps.
-//! * [`fit`] — fit profiles from the monitor's flow records.
+//! * [`fit`] — fit profiles from the flow frame.
 //! * [`export`] — ERRANT-style text export with round-trip parsing.
 //! * [`netem`] — Linux tc/netem script generation from a profile.
 //! * [`leo`] — a Starlink-like LEO reference profile for comparison.

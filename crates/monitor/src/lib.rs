@@ -16,8 +16,6 @@
 //!   the DPI/TLS path (out-of-order robustness).
 //! * [`inspect`] — cuts the delivered stream into the complete units
 //!   (TLS records, raw chunks) the DPI inspects.
-//! * [`rollup`] — streaming hourly aggregation with constant-memory
-//!   P² percentile tracking (the paper's §3.1 reduction step).
 //! * [`pcap`] — libpcap export/import with snap-length support, so the
 //!   simulated span traffic feeds real tools (Wireshark, real Tstat).
 //! * [`record`] — Tstat-like flow/DNS records and their TSV logs.
@@ -64,7 +62,6 @@ pub mod pcap;
 pub mod probe;
 pub mod reassembly;
 pub mod record;
-pub mod rollup;
 pub mod rtt;
 pub mod seal;
 pub mod sharded;

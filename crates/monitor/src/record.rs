@@ -275,15 +275,15 @@ fn push_or_dash<T>(out: &mut Vec<u8>, v: Option<T>, push: impl FnOnce(&mut Vec<u
     }
 }
 
-/// Read flow records back from TSV. Early-packet timing is not
-/// serialised (Tstat's default logs omit it too); the field comes
-/// back empty. Domains are interned: rows naming the same domain
-/// share one `Arc<str>`.
-pub fn read_flows<R: BufRead>(r: R) -> io::Result<Vec<FlowRecord>> {
-    let mut out = Vec::new();
+/// Read the flow log back a row at a time: `row` gets each record as
+/// it decodes, in file order, and the log is never resident as a
+/// whole. Early-packet timing is not serialised (Tstat's default logs
+/// omit it too); the field comes back empty. Domains are interned:
+/// rows naming the same domain share one `Arc<str>`.
+pub fn read_flow_rows<R: BufRead>(r: R, mut row: impl FnMut(FlowRecord)) -> io::Result<()> {
     let mut names = DomainInterner::new();
     read_rows(r, FLOW_HEADER, "flow log", |mut f| {
-        out.push(FlowRecord {
+        row(FlowRecord {
             client: f.parse("client")?,
             server: f.parse("server")?,
             client_port: f.uint("cport")?,
@@ -317,7 +317,13 @@ pub fn read_flows<R: BufRead>(r: R) -> io::Result<Vec<FlowRecord>> {
             domain: Some(f.text()).filter(|&d| d != "-").map(|d| names.intern(d)),
         });
         Ok(())
-    })?;
+    })
+}
+
+/// [`read_flow_rows`], collected.
+pub fn read_flows<R: BufRead>(r: R) -> io::Result<Vec<FlowRecord>> {
+    let mut out = Vec::new();
+    read_flow_rows(r, |f| out.push(f))?;
     Ok(out)
 }
 
@@ -683,6 +689,14 @@ pub(crate) mod tests {
         let domain = |i: usize| back[i].domain.as_ref().unwrap();
         assert!(std::sync::Arc::ptr_eq(domain(0), domain(2)), "one Arc per distinct name");
         assert!(!std::sync::Arc::ptr_eq(domain(0), domain(1)));
+        // the row-at-a-time reader hands out the same records in the
+        // same order, one handle per name (the frame builder's handle
+        // memo counts on it)
+        let mut streamed = Vec::new();
+        read_flow_rows(&buf[..], |f| streamed.push(f)).unwrap();
+        assert_eq!(streamed, back);
+        let handle = |i: usize| streamed[i].domain.as_ref().unwrap();
+        assert!(std::sync::Arc::ptr_eq(handle(0), handle(2)) && !std::sync::Arc::ptr_eq(handle(0), handle(1)));
 
         let q = |name: &str| DnsRecord {
             client: Ipv4Addr::new(10, 9, 8, 7),

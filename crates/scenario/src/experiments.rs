@@ -1,11 +1,13 @@
-//! Per-experiment runners: one function per table/figure of the
-//! paper, plus the ablations DESIGN.md calls out. Each takes an
-//! already-run [`Dataset`] so several figures can share one
-//! (expensive) simulation.
+//! What is left of the per-experiment runners: the Fig 6 service list,
+//! the two whole-report entry points — [`paper_reports_columnar`], the
+//! frame fold every command runs, and [`paper_reports_records`], the
+//! record-slice reference it is pinned to — and the ablation summary.
+//! The five per-figure wrappers stay only because `benchmark/` calls
+//! them (DESIGN.md §7); nothing in `satwatch` does.
 
 use crate::run::Dataset;
 use satwatch_analytics::agg::{self, Enrichment};
-use satwatch_analytics::report::*;
+use satwatch_analytics::report::{Fig10, Fig11, Fig2, Fig9, Table1};
 use satwatch_analytics::{Classifier, PaperReports};
 use satwatch_monitor::{DnsRecord, FlowRecord};
 use satwatch_traffic::Country;
@@ -26,11 +28,6 @@ pub const FIG6_SERVICES: [&str; 12] = [
     "Dropbox",
 ];
 
-/// Top-6 countries as a slice (Fig 6–11 scope).
-pub fn top6() -> Vec<Country> {
-    Country::TOP6.to_vec()
-}
-
 pub fn table1(ds: &Dataset) -> Table1 {
     agg::table1(&ds.flows)
 }
@@ -39,51 +36,12 @@ pub fn fig2(ds: &Dataset) -> Fig2 {
     agg::fig2(&ds.flows, &ds.enrichment)
 }
 
-pub fn fig3(ds: &Dataset) -> Fig3 {
-    agg::fig3(&ds.flows, &ds.enrichment)
-}
-
-pub fn fig4(ds: &Dataset) -> Fig4 {
-    agg::fig4(&ds.flows, &ds.enrichment)
-}
-
-pub fn fig5(ds: &Dataset) -> Fig5 {
-    let classifier = Classifier::standard();
-    let days = agg::customer_days(&ds.flows, &classifier);
-    agg::fig5(&days, &ds.enrichment)
-}
-
-pub fn fig6(ds: &Dataset) -> Fig6 {
-    let classifier = Classifier::standard();
-    let days = agg::customer_days(&ds.flows, &classifier);
-    agg::fig6(&days, &ds.enrichment, &FIG6_SERVICES, &Country::TOP6)
-}
-
-pub fn fig7(ds: &Dataset) -> Fig7 {
-    let classifier = Classifier::standard();
-    let days = agg::customer_days(&ds.flows, &classifier);
-    agg::fig7(&days, &ds.enrichment, &Country::TOP6)
-}
-
-pub fn fig8a(ds: &Dataset) -> Fig8a {
-    agg::fig8a(&ds.flows, &ds.enrichment, &Country::TOP6)
-}
-
-pub fn fig8b(ds: &Dataset) -> Fig8b {
-    agg::fig8b(&ds.flows, &ds.enrichment)
-}
-
 pub fn fig9(ds: &Dataset) -> Fig9 {
     agg::fig9(&ds.flows, &ds.enrichment, &Country::TOP6)
 }
 
 pub fn fig10(ds: &Dataset) -> Fig10 {
     agg::fig10(&ds.dns, &ds.enrichment, &Country::TOP6)
-}
-
-/// Table 2 (and its Appendix B extensions, Tables 4–5).
-pub fn table_cdn(ds: &Dataset, min_flows: usize) -> TableCdnSelection {
-    agg::table_cdn_selection(&ds.flows, &ds.dns, &ds.enrichment, &Country::TOP6, min_flows)
 }
 
 pub fn fig11(ds: &Dataset) -> Fig11 {

@@ -7,8 +7,9 @@
 //! where crossovers fall. Each check therefore states the paper value,
 //! the measured value, and a shape criterion.
 
-use crate::experiments;
-use crate::run::Dataset;
+use crate::experiments::FIG6_SERVICES;
+use crate::run::ColumnarDataset;
+use satwatch_analytics::{report_all, ReportCtx};
 use satwatch_internet::ResolverId;
 use satwatch_monitor::L7Protocol;
 use satwatch_traffic::{Category, Country};
@@ -39,12 +40,15 @@ fn row(
     CheckRow { id, what: what.into(), paper: paper.into(), measured: measured.into(), pass }
 }
 
-/// Run every check against one dataset.
-pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
+/// Run every check against one streamed run: all of them read the one
+/// fused report fold (Table 2 at a floor of 5 flows).
+pub fn check_all(cds: &ColumnarDataset) -> Vec<CheckRow> {
+    let ctx = ReportCtx { enrichment: &cds.enrichment, countries: &Country::TOP6 };
+    let reports = report_all(&cds.frame, &cds.dns, ctx, &FIG6_SERVICES, 5);
     let mut rows = Vec::new();
 
     // ---- Table 1 ----
-    let t1 = experiments::table1(ds);
+    let t1 = &reports.table1;
     let shares = [
         (L7Protocol::TlsHttps, 56.0),
         (L7Protocol::Http, 12.1),
@@ -74,7 +78,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     ));
 
     // ---- Figure 2 ----
-    let f2 = experiments::fig2(ds);
+    let f2 = &reports.fig2;
     rows.push(row("F2", "country with most volume", "Congo", f2.rows[0].0.name(), f2.rows[0].0 == Country::Congo));
     if let (Some(cd), Some(es)) = (f2.row(Country::Congo), f2.row(Country::Spain)) {
         rows.push(row(
@@ -102,7 +106,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 3 ----
-    let f3 = experiments::fig3(ds);
+    let f3 = &reports.fig3;
     let de_other = f3.share(Country::Germany, L7Protocol::OtherTcp) + f3.share(Country::Germany, L7Protocol::OtherUdp);
     rows.push(row(
         "F3",
@@ -122,7 +126,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     ));
 
     // ---- Figure 4 ----
-    let f4 = experiments::fig4(ds);
+    let f4 = &reports.fig4;
     // Peak positions are judged on time-of-day *blocks*: daily argmax
     // is lumpy at simulation scale (a single multi-GB flow spikes one
     // hour bin), while the paper averages ~90 days.
@@ -160,7 +164,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 5 ----
-    let f5 = experiments::fig5(ds);
+    let f5 = &reports.fig5;
     let es_low = 1.0 - f5.ccdf(Country::Spain, 0, 250.0);
     rows.push(row(
         "F5a",
@@ -193,11 +197,11 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     ));
 
     // ---- Figure 6 ----
-    let f6 = experiments::fig6(ds);
+    let f6 = &reports.fig6;
     let mut dev_sum = 0.0;
     let mut dev_n = 0usize;
     let mut dev_max: f64 = 0.0;
-    for svc in experiments::FIG6_SERVICES {
+    for svc in FIG6_SERVICES {
         for c in Country::TOP6 {
             if let Some(measured) = f6.value(svc, c) {
                 let paper = c.service_adoption(svc) * 100.0;
@@ -227,7 +231,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 7 ----
-    let f7 = experiments::fig7(ds);
+    let f7 = &reports.fig7;
     if let (Some(cd), Some(es)) =
         (f7.summary(Country::Congo, Category::Chat), f7.summary(Country::Spain, Category::Chat))
     {
@@ -270,8 +274,9 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 8a ----
-    let f8a = experiments::fig8a(ds);
-    let min_sat = ds.flows.iter().filter_map(|f| f.sat_rtt_ms).fold(f64::INFINITY, f64::min);
+    let f8a = &reports.fig8a;
+    // `f64::min` drops the NaN of a flow without an estimate
+    let min_sat = cds.frame.sat_rtt_ms.iter().copied().fold(f64::INFINITY, f64::min);
     rows.push(row("F8a", "satellite RTT floor", "> 550 ms", format!("{min_sat:.0} ms"), min_sat > 500.0));
     if let Some((_, night, peak)) = f8a.row(Country::Congo) {
         rows.push(row(
@@ -323,7 +328,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 8b ----
-    let f8b = experiments::fig8b(ds);
+    let f8b = &reports.fig8b;
     let worst_beam = f8b.rows.iter().max_by(|a, b| a.3.partial_cmp(&b.3).unwrap());
     if let Some(wb) = worst_beam {
         rows.push(row(
@@ -345,7 +350,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     ));
 
     // ---- Figure 9 ----
-    let f9 = experiments::fig9(ds);
+    let f9 = &reports.fig9;
     if let (Some(cd), Some(es)) = (f9.row(Country::Congo), f9.row(Country::Spain)) {
         rows.push(row(
             "F9",
@@ -373,7 +378,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 10 ----
-    let f10 = experiments::fig10(ds);
+    let f10 = &reports.fig10;
     let resolver_medians = [
         (ResolverId::OperatorEu, 3.98),
         (ResolverId::Google, 21.98),
@@ -427,7 +432,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Table 2 ----
-    let t2 = experiments::table_cdn(ds, 5);
+    let t2 = &reports.table2;
     let op_uk = t2.mean_rtt("apple.com", Country::Uk, ResolverId::OperatorEu);
     let cn_africa = Country::TOP6
         .iter()
@@ -460,7 +465,7 @@ pub fn check_all(ds: &Dataset) -> Vec<CheckRow> {
     }
 
     // ---- Figure 11 ----
-    let f11 = experiments::fig11(ds);
+    let f11 = &reports.fig11;
     if let (Some(es), Some(cd)) = (f11.row(Country::Spain), f11.row(Country::Congo)) {
         rows.push(row(
             "F11a",
@@ -535,8 +540,8 @@ mod tests {
 
     #[test]
     fn checks_mostly_pass_on_a_small_run() {
-        let ds = crate::run::run(ScenarioConfig::tiny().with_customers(220).with_seed(606));
-        let rows = check_all(&ds);
+        let cds = crate::run::run_streaming(ScenarioConfig::tiny().with_customers(220).with_seed(606));
+        let rows = check_all(&cds);
         assert!(rows.len() >= 35, "broad coverage: {} checks", rows.len());
         let passed = rows.iter().filter(|r| r.pass).count();
         let frac = passed as f64 / rows.len() as f64;

@@ -114,117 +114,6 @@ impl Running {
     }
 }
 
-/// Streaming quantile estimation with the P² algorithm (Jain &
-/// Chlamtac 1985): tracks one quantile in O(1) memory — five markers —
-/// without storing samples. Used where the monitor needs percentiles
-/// over unbounded streams (e.g. long-lived per-beam RTT tracking).
-#[derive(Clone, Debug)]
-pub struct P2Quantile {
-    q: f64,
-    /// marker heights
-    heights: [f64; 5],
-    /// marker positions (1-based, as in the paper)
-    pos: [f64; 5],
-    /// desired marker positions
-    desired: [f64; 5],
-    /// desired position increments
-    inc: [f64; 5],
-    n: usize,
-}
-
-impl P2Quantile {
-    pub fn new(q: f64) -> P2Quantile {
-        assert!((0.0..=1.0).contains(&q));
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            inc: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            n: 0,
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        if self.n < 5 {
-            self.heights[self.n] = x;
-            self.n += 1;
-            if self.n == 5 {
-                self.heights.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            }
-            return;
-        }
-        self.n += 1;
-        // find the cell k containing x, adjusting extremes
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-        for p in self.pos.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.inc[i];
-        }
-        // adjust interior markers with the piecewise-parabolic formula
-        for i in 1..4 {
-            let d = self.desired[i] - self.pos[i];
-            if (d >= 1.0 && self.pos[i + 1] - self.pos[i] > 1.0) || (d <= -1.0 && self.pos[i - 1] - self.pos[i] < -1.0)
-            {
-                let d = d.signum();
-                let new = self.parabolic(i, d);
-                self.heights[i] =
-                    if self.heights[i - 1] < new && new < self.heights[i + 1] { new } else { self.linear(i, d) };
-                self.pos[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (qm, q, qp) = (self.heights[i - 1], self.heights[i], self.heights[i + 1]);
-        let (nm, n, np) = (self.pos[i - 1], self.pos[i], self.pos[i + 1]);
-        q + d / (np - nm) * ((n - nm + d) * (qp - q) / (np - n) + (np - n - d) * (q - qm) / (n - nm))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.heights[i] + d * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
-    }
-
-    /// Current estimate. For fewer than five samples, falls back to
-    /// the exact small-sample quantile.
-    pub fn estimate(&self) -> f64 {
-        if self.n == 0 {
-            return f64::NAN;
-        }
-        if self.n < 5 {
-            let mut v = self.heights[..self.n].to_vec();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            return quantile_sorted(&v, self.q);
-        }
-        self.heights[2]
-    }
-
-    pub fn count(&self) -> usize {
-        self.n
-    }
-}
-
 /// Exact quantile of a batch, with linear interpolation
 /// (type-7 estimator, the R/NumPy default). `q` in `[0,1]`.
 /// Sorts a copy — callers with big data should pre-sort and use
@@ -477,112 +366,6 @@ mod tests {
         assert!((a.variance() - whole.variance()).abs() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn p2_tracks_median_of_normal() {
-        use crate::dist::{Normal, Sample};
-        use crate::rng::Rng;
-        let mut p2 = P2Quantile::new(0.5);
-        let d = Normal::new(100.0, 15.0);
-        let mut rng = Rng::new(9);
-        for _ in 0..50_000 {
-            p2.push(d.sample(&mut rng));
-        }
-        let est = p2.estimate();
-        assert!((est - 100.0).abs() < 1.0, "{est}");
-        assert_eq!(p2.count(), 50_000);
-    }
-
-    #[test]
-    fn p2_tracks_tail_quantile_of_lognormal() {
-        use crate::dist::{LogNormal, Sample};
-        use crate::rng::Rng;
-        let d = LogNormal::from_median(600.0, 0.5);
-        let truth = d.quantile(0.95);
-        let mut p2 = P2Quantile::new(0.95);
-        let mut rng = Rng::new(10);
-        for _ in 0..100_000 {
-            p2.push(d.sample(&mut rng));
-        }
-        let est = p2.estimate();
-        assert!((est / truth - 1.0).abs() < 0.08, "est {est} vs truth {truth}");
-    }
-
-    #[test]
-    fn p2_small_samples_exact() {
-        let mut p2 = P2Quantile::new(0.5);
-        assert!(p2.estimate().is_nan());
-        for x in [3.0, 1.0, 2.0] {
-            p2.push(x);
-        }
-        assert_eq!(p2.estimate(), 2.0);
-        p2.push(f64::NAN); // ignored
-        assert_eq!(p2.count(), 3);
-    }
-
-    #[test]
-    fn p2_matches_exact_quantile_on_batch() {
-        use crate::rng::Rng;
-        let mut rng = Rng::new(11);
-        let values: Vec<f64> = (0..20_000).map(|_| rng.f64() * 1000.0).collect();
-        let mut p2 = P2Quantile::new(0.9);
-        for &v in &values {
-            p2.push(v);
-        }
-        let exact = quantile(&values, 0.9);
-        assert!((p2.estimate() - exact).abs() < 12.0, "{} vs {}", p2.estimate(), exact);
-    }
-
-    /// Push `values` through a fresh P² tracker per quantile and
-    /// demand the estimate lands within `tol` (relative to the sample
-    /// spread, which is fairer than relative-to-value near zero).
-    fn assert_p2_accurate(name: &str, values: &[f64], quantiles: &[f64], tol: f64) {
-        let spread = quantile(values, 1.0) - quantile(values, 0.0);
-        for &q in quantiles {
-            let mut p2 = P2Quantile::new(q);
-            for &v in values {
-                p2.push(v);
-            }
-            let exact = quantile(values, q);
-            let err = (p2.estimate() - exact).abs() / spread;
-            assert!(err < tol, "{name} q={q}: est {} vs exact {exact} (err {err:.4} of spread)", p2.estimate());
-        }
-    }
-
-    #[test]
-    fn p2_accuracy_on_uniform_samples() {
-        use crate::rng::Rng;
-        let mut rng = Rng::new(21);
-        let values: Vec<f64> = (0..50_000).map(|_| rng.f64() * 1000.0).collect();
-        assert_p2_accurate("uniform", &values, &[0.05, 0.25, 0.5, 0.75, 0.9, 0.99], 0.01);
-    }
-
-    #[test]
-    fn p2_accuracy_on_exponential_samples() {
-        use crate::rng::Rng;
-        let mut rng = Rng::new(22);
-        // mean-250 exponential: a skewed, long-tailed shape like
-        // response times
-        let values: Vec<f64> = (0..50_000).map(|_| -rng.f64_open().ln() * 250.0).collect();
-        assert_p2_accurate("exponential", &values, &[0.25, 0.5, 0.75, 0.9], 0.01);
-        // the extreme tail of a heavy-tailed sample is harder — the
-        // spread is dominated by a handful of max-order statistics
-        assert_p2_accurate("exponential tail", &values, &[0.99], 0.05);
-    }
-
-    #[test]
-    fn p2_accuracy_on_bimodal_samples() {
-        use crate::rng::Rng;
-        let mut rng = Rng::new(23);
-        // 70 % in a tight low mode, 30 % in a high mode — like RTTs
-        // split between terrestrial and satellite paths. The empty gap
-        // between modes is the classic hard case for marker methods.
-        let values: Vec<f64> = (0..50_000)
-            .map(|_| if rng.chance(0.7) { 40.0 + rng.f64() * 20.0 } else { 560.0 + rng.f64() * 80.0 })
-            .collect();
-        assert_p2_accurate("bimodal low mode", &values, &[0.25, 0.5], 0.02);
-        assert_p2_accurate("bimodal high mode", &values, &[0.9, 0.99], 0.02);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! cargo run --release --example country_dashboard [customers] [days]
 //! ```
 
-use satwatch::scenario::{experiments, run, ScenarioConfig};
+use satwatch::scenario::experiments::paper_reports_columnar;
+use satwatch::scenario::{run_streaming, ScenarioConfig};
 use satwatch::traffic::Country;
 
 fn main() {
@@ -17,20 +18,21 @@ fn main() {
     let days: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
 
     eprintln!("simulating {customers} customers × {days} day(s) …");
-    let ds = run(ScenarioConfig::tiny().with_customers(customers).with_days(days));
+    let ds = run_streaming(ScenarioConfig::tiny().with_customers(customers).with_days(days));
+    let reports = paper_reports_columnar(&ds.frame, &ds.dns, &ds.enrichment, 10, 1);
 
-    println!("{}", experiments::fig2(&ds).render());
-    println!("{}", experiments::fig4(&ds).render());
-    println!("{}", experiments::fig6(&ds).render());
-    println!("{}", experiments::fig7(&ds).render());
-    println!("{}", experiments::fig8a(&ds).render());
-    println!("{}", experiments::fig8b(&ds).render());
-    println!("{}", experiments::fig9(&ds).render());
-    println!("{}", experiments::fig11(&ds).render());
+    println!("{}", reports.fig2.render());
+    println!("{}", reports.fig4.render());
+    println!("{}", reports.fig6.render());
+    println!("{}", reports.fig7.render());
+    println!("{}", reports.fig8a.render());
+    println!("{}", reports.fig8b.render());
+    println!("{}", reports.fig9.render());
+    println!("{}", reports.fig11.render());
 
     // The headline narrative, computed live (time-of-day blocks — the
     // hourly argmax is lumpy on short runs):
-    let fig4 = experiments::fig4(&ds);
+    let fig4 = &reports.fig4;
     if let (Some(cd), Some(es)) = (fig4.profile(Country::Congo), fig4.profile(Country::Spain)) {
         let block = |p: &[f64; 24], lo: usize, hi: usize| p[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
         println!(
@@ -38,7 +40,7 @@ fn main() {
             block(cd, 6, 13), block(cd, 16, 23), block(es, 6, 13), block(es, 16, 23)
         );
     }
-    let fig7 = experiments::fig7(&ds);
+    let fig7 = &reports.fig7;
     if let (Some(cd), Some(es)) = (
         fig7.summary(Country::Congo, satwatch::traffic::Category::Chat),
         fig7.summary(Country::Spain, satwatch::traffic::Category::Chat),

@@ -10,6 +10,7 @@
 //! cargo run --release --example dns_cdn_study [customers]
 //! ```
 
+use satwatch::analytics::FlowFrame;
 use satwatch::scenario::{experiments, run, ScenarioConfig};
 
 fn main() {
@@ -17,11 +18,15 @@ fn main() {
     let cfg = ScenarioConfig::tiny().with_customers(customers);
 
     eprintln!("baseline run ({customers} customers) …");
+    // the ablation summary below reads the records, so this example
+    // keeps them and builds the frame beside them
     let ds = run(cfg);
-    println!("{}", experiments::fig10(&ds).render());
+    let frame = FlowFrame::from_records(&ds.flows, &ds.enrichment);
+    let reports = experiments::paper_reports_columnar(&frame, &ds.dns, &ds.enrichment, 5, 1);
+    println!("{}", reports.fig10.render());
 
     println!("Ground RTT per (domain, resolver) — Table 2/4/5 drill-down:");
-    let table = experiments::table_cdn(&ds, 5);
+    let table = &reports.table2;
     let interesting = ["apple.com", "whatsapp.net", "googlevideo.com", "nflxvideo.net", "qq.com", "tiktokcdn.com"];
     for (d, c, r, rtt, n) in &table.rows {
         if interesting.contains(&d.as_str()) {

@@ -7,7 +7,7 @@
 //! ```
 
 use satwatch::errant::{export, fit_profiles, leo, Period};
-use satwatch::scenario::{run, ScenarioConfig};
+use satwatch::scenario::{run_streaming, ScenarioConfig};
 use satwatch::traffic::Country;
 
 fn main() {
@@ -16,8 +16,8 @@ fn main() {
     let out_path = args.next();
 
     eprintln!("simulating {customers} customers …");
-    let ds = run(ScenarioConfig::tiny().with_customers(customers));
-    let mut profiles = fit_profiles(&ds.flows, &ds.enrichment, &Country::TOP6);
+    let ds = run_streaming(ScenarioConfig::tiny().with_customers(customers));
+    let mut profiles = fit_profiles(&ds.frame, &Country::TOP6);
     profiles.push(leo::starlink_reference(Period::Night));
     profiles.push(leo::starlink_reference(Period::Peak));
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example paper_check [customers] [seed] [days]
 //! ```
 
-use satwatch::scenario::{paper_check, run, ScenarioConfig};
+use satwatch::scenario::{paper_check, run_streaming, ScenarioConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -15,7 +15,7 @@ fn main() {
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0x1107_2022);
     let days: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
     eprintln!("simulating {customers} customers × {days} day(s), seed {seed} …");
-    let ds = run(ScenarioConfig::tiny().with_customers(customers).with_seed(seed).with_days(days));
+    let ds = run_streaming(ScenarioConfig::tiny().with_customers(customers).with_seed(seed).with_days(days));
     let rows = paper_check::check_all(&ds);
     print!("{}", paper_check::render(&rows));
     let failed = rows.iter().filter(|r| !r.pass).count();

@@ -15,20 +15,22 @@
 //! * [`traffic`] — the country-calibrated synthetic population.
 //! * [`monitor`] — the Tstat-style passive probe (the paper's §2.2).
 //! * [`analytics`] — classification, aggregation, figure/table reports.
-//! * [`scenario`] — end-to-end runs and per-experiment harnesses.
+//! * [`scenario`] — end-to-end runs, the report entry points, ablations.
 //! * [`errant`] — ERRANT-style emulation-profile fitting/export.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use satwatch::scenario::{self, ScenarioConfig};
-//! use satwatch::scenario::experiments;
+//! use satwatch::scenario::experiments::paper_reports_columnar;
 //!
-//! // Simulate a small deployment for one day and print Table 1.
-//! let ds = scenario::run(ScenarioConfig::tiny());
-//! let table1 = experiments::table1(&ds);
-//! println!("{}", table1.render());
-//! assert!(table1.share(satwatch::monitor::L7Protocol::TlsHttps) > 20.0);
+//! // Simulate a small deployment for one day — flows stream into the
+//! // columnar frame as the probe evicts them — and print Table 1 off
+//! // the one fold that fills every table and figure.
+//! let ds = scenario::run_streaming(ScenarioConfig::tiny());
+//! let reports = paper_reports_columnar(&ds.frame, &ds.dns, &ds.enrichment, 10, 1);
+//! println!("{}", reports.table1.render());
+//! assert!(reports.table1.share(satwatch::monitor::L7Protocol::TlsHttps) > 20.0);
 //! ```
 
 pub use satwatch_analytics as analytics;

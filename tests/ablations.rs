@@ -2,15 +2,34 @@
 //! paper discusses must move the measurements in the predicted
 //! direction when toggled.
 
-use satwatch::scenario::{experiments, run, ScenarioConfig};
+use satwatch::analytics::{FlowFrame, PaperReports};
+use satwatch::scenario::experiments::{self, paper_reports_columnar, AblationSummary};
+use satwatch::scenario::{run, ScenarioConfig};
+use std::sync::OnceLock;
 
 fn cfg() -> ScenarioConfig {
     ScenarioConfig::tiny().with_customers(150).with_seed(77)
 }
 
+/// The baseline every ablation is compared with, run once per binary.
+fn base() -> &'static AblationSummary {
+    static BASE: OnceLock<AblationSummary> = OnceLock::new();
+    BASE.get_or_init(|| experiments::ablation_summary(&run(cfg())))
+}
+
+/// The A2 run, shared by its two tests: summary and report fold.
+fn forced() -> &'static (AblationSummary, PaperReports) {
+    static FORCED: OnceLock<(AblationSummary, PaperReports)> = OnceLock::new();
+    FORCED.get_or_init(|| {
+        let ds = run(cfg().with_forced_operator_dns());
+        let frame = FlowFrame::from_records(&ds.flows, &ds.enrichment);
+        (experiments::ablation_summary(&ds), paper_reports_columnar(&frame, &ds.dns, &ds.enrichment, 10, 1))
+    })
+}
+
 #[test]
 fn a3_pep_accelerates_connection_setup() {
-    let base = experiments::ablation_summary(&run(cfg()));
+    let base = base();
     let no_pep = experiments::ablation_summary(&run(cfg().without_pep()));
     // Without the split-TCP proxy, the TLS time-to-first-byte grows by
     // at least one extra satellite round trip (~0.6 s).
@@ -21,7 +40,7 @@ fn a3_pep_accelerates_connection_setup() {
 
 #[test]
 fn a1_african_ground_station_cuts_african_ground_rtt() {
-    let base = experiments::ablation_summary(&run(cfg()));
+    let base = base();
     let af = experiments::ablation_summary(&run(cfg().with_african_ground_station()));
     assert!(
         af.african_ground_rtt_ms <= base.african_ground_rtt_ms,
@@ -35,8 +54,8 @@ fn a1_african_ground_station_cuts_african_ground_rtt() {
 
 #[test]
 fn a2_forcing_operator_dns_speeds_resolution() {
-    let base = experiments::ablation_summary(&run(cfg()));
-    let forced = experiments::ablation_summary(&run(cfg().with_forced_operator_dns()));
+    let base = base();
+    let (forced, _) = forced();
     // The operator resolver answers in ~4 ms; the open-resolver mix in
     // tens-to-hundreds.
     assert!(
@@ -51,10 +70,8 @@ fn a2_forcing_operator_dns_speeds_resolution() {
 #[test]
 fn a2_forcing_operator_dns_fixes_cdn_selection() {
     use satwatch::internet::ResolverId;
-    let base = run(cfg());
-    let forced = run(cfg().with_forced_operator_dns());
-    let _f_base = experiments::fig10(&base);
-    let f_forced = experiments::fig10(&forced);
+    let (f, reports) = forced();
+    let f_forced = &reports.fig10;
     // All DNS traffic moves to the operator resolver.
     for c in satwatch::traffic::Country::TOP6 {
         let share = f_forced.share_of(ResolverId::OperatorEu, c).unwrap();
@@ -62,8 +79,7 @@ fn a2_forcing_operator_dns_fixes_cdn_selection() {
     }
     // And African customers' ground RTT improves on average (server
     // selection no longer confused by resolver location).
-    let b = experiments::ablation_summary(&base);
-    let f = experiments::ablation_summary(&forced);
+    let b = base();
     assert!(
         f.african_ground_rtt_ms <= b.african_ground_rtt_ms + 2.0,
         "base {} vs forced {}",

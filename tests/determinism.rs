@@ -2,7 +2,15 @@
 //! (seed, config). Identical inputs must produce bit-identical
 //! datasets and reports; different seeds must diverge.
 
-use satwatch::scenario::{experiments, run, ScenarioConfig};
+use satwatch::analytics::{FlowFrame, PaperReports};
+use satwatch::scenario::experiments::paper_reports_columnar;
+use satwatch::scenario::{run, Dataset, ScenarioConfig};
+
+/// One report fold over a run's records.
+fn reports(ds: &Dataset) -> PaperReports {
+    let frame = FlowFrame::from_records(&ds.flows, &ds.enrichment);
+    paper_reports_columnar(&frame, &ds.dns, &ds.enrichment, 10, 1)
+}
 
 #[test]
 fn identical_seeds_identical_reports() {
@@ -13,9 +21,10 @@ fn identical_seeds_identical_reports() {
     assert_eq!(a.flows, b.flows);
     assert_eq!(a.dns, b.dns);
     // and therefore identical rendered reports
-    assert_eq!(experiments::table1(&a).render(), experiments::table1(&b).render());
-    assert_eq!(experiments::fig10(&a).render(), experiments::fig10(&b).render());
-    assert_eq!(experiments::fig8a(&a).render(), experiments::fig8a(&b).render());
+    let (ra, rb) = (reports(&a), reports(&b));
+    assert_eq!(ra.table1.render(), rb.table1.render());
+    assert_eq!(ra.fig10.render(), rb.fig10.render());
+    assert_eq!(ra.fig8a.render(), rb.fig8a.render());
 }
 
 #[test]

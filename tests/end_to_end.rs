@@ -3,21 +3,35 @@
 //! the paper's *qualitative* findings hold. These are the invariants
 //! EXPERIMENTS.md reports quantitatively at larger scale.
 
-use satwatch::analytics::report::*;
+use satwatch::analytics::PaperReports;
 use satwatch::monitor::L7Protocol;
-use satwatch::scenario::{experiments, run, Dataset, ScenarioConfig};
+use satwatch::scenario::experiments::paper_reports_columnar;
+use satwatch::scenario::{run_streaming, ColumnarDataset, ScenarioConfig};
 use satwatch::traffic::{Category, Country};
 use std::sync::OnceLock;
 
-/// One shared dataset for all assertions (the run is the expensive part).
-fn dataset() -> &'static Dataset {
-    static DS: OnceLock<Dataset> = OnceLock::new();
-    DS.get_or_init(|| run(ScenarioConfig::tiny().with_customers(260).with_seed(2022)))
+/// One shared run and one report fold over it for all assertions (the
+/// run is the expensive part).
+fn fixture() -> &'static (ColumnarDataset, PaperReports) {
+    static RUN: OnceLock<(ColumnarDataset, PaperReports)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let cds = run_streaming(ScenarioConfig::tiny().with_customers(260).with_seed(2022));
+        let reports = paper_reports_columnar(&cds.frame, &cds.dns, &cds.enrichment, 10, 1);
+        (cds, reports)
+    })
+}
+
+fn dataset() -> &'static ColumnarDataset {
+    &fixture().0
+}
+
+fn reports() -> &'static PaperReports {
+    &fixture().1
 }
 
 #[test]
 fn table1_web_dominates_and_quic_bypasses() {
-    let t: Table1 = experiments::table1(dataset());
+    let t = &reports().table1;
     let https = t.share(L7Protocol::TlsHttps);
     let http = t.share(L7Protocol::Http);
     let quic = t.share(L7Protocol::Quic);
@@ -33,7 +47,7 @@ fn table1_web_dominates_and_quic_bypasses() {
 
 #[test]
 fn fig2_congo_dominates_volume_africa_outconsumes_europe() {
-    let f = experiments::fig2(dataset());
+    let f = &reports().fig2;
     assert_eq!(f.rows[0].0, Country::Congo, "Congo generates the most volume");
     let congo = f.row(Country::Congo).unwrap();
     let spain = f.row(Country::Spain).unwrap();
@@ -46,7 +60,7 @@ fn fig2_congo_dominates_volume_africa_outconsumes_europe() {
 
 #[test]
 fn fig3_germany_vpn_and_uk_http() {
-    let f = experiments::fig3(dataset());
+    let f = &reports().fig3;
     let de_other = f.share(Country::Germany, L7Protocol::OtherTcp) + f.share(Country::Germany, L7Protocol::OtherUdp);
     let cd_other = f.share(Country::Congo, L7Protocol::OtherTcp) + f.share(Country::Congo, L7Protocol::OtherUdp);
     assert!(de_other > 1.5 * cd_other, "Germany non-web {de_other}% vs Congo {cd_other}%");
@@ -58,7 +72,7 @@ fn fig3_germany_vpn_and_uk_http() {
 
 #[test]
 fn fig4_africa_peaks_in_the_morning_europe_in_the_evening() {
-    let f = experiments::fig4(dataset());
+    let f = &reports().fig4;
     let congo = f.profile(Country::Congo).expect("Congo profile");
     let spain = f.profile(Country::Spain).expect("Spain profile");
     // Congo (UTC+1): morning block 7–11 UTC strong relative to night
@@ -73,7 +87,7 @@ fn fig4_africa_peaks_in_the_morning_europe_in_the_evening() {
 
 #[test]
 fn fig5_idle_knee_in_europe_heavy_tail_in_africa() {
-    let f = experiments::fig5(dataset());
+    let f = &reports().fig5;
     // Europe: a large fraction of customer-days below 250 flows
     let es_low = 1.0 - f.ccdf(Country::Spain, 0, 250.0);
     assert!(es_low > 0.30, "Spain idle fraction {es_low}");
@@ -89,7 +103,7 @@ fn fig5_idle_knee_in_europe_heavy_tail_in_africa() {
 
 #[test]
 fn fig6_service_popularity_matches_calibration() {
-    let f = experiments::fig6(dataset());
+    let f = &reports().fig6;
     // WhatsApp huge everywhere; WeChat a Congo peculiarity
     let wa_cd = f.value("Whatsapp", Country::Congo).unwrap();
     assert!(wa_cd > 30.0, "{wa_cd}");
@@ -104,7 +118,7 @@ fn fig6_service_popularity_matches_calibration() {
 
 #[test]
 fn fig7_african_chat_orders_of_magnitude_above_europe() {
-    let f = experiments::fig7(dataset());
+    let f = &reports().fig7;
     let cd = f.summary(Country::Congo, Category::Chat).expect("Congo chat");
     let es = f.summary(Country::Spain, Category::Chat).expect("Spain chat");
     assert!(cd.median > 8.0 * es.median, "chat medians: CD {} vs ES {}", cd.median, es.median);
@@ -117,7 +131,7 @@ fn fig7_african_chat_orders_of_magnitude_above_europe() {
 
 #[test]
 fn fig8a_satellite_rtt_floor_and_congestion() {
-    let f = experiments::fig8a(dataset());
+    let f = &reports().fig8a;
     for (c, night, peak) in &f.rows {
         // physics: nothing below ~540 ms
         assert!(night.quantile(0.01) > 0.5, "{c:?} night p1 {}", night.quantile(0.01));
@@ -142,7 +156,7 @@ fn fig8a_satellite_rtt_floor_and_congestion() {
 
 #[test]
 fn fig8b_congested_beams_stand_out() {
-    let f = experiments::fig8b(dataset());
+    let f = &reports().fig8b;
     assert!(f.rows.len() >= 10, "all beams observed");
     let congo_med: f64 = f.rows.iter().filter(|r| r.1 == Country::Congo).map(|r| r.3).fold(0.0, f64::max);
     let spain_med: f64 = f.rows.iter().filter(|r| r.1 == Country::Spain).map(|r| r.3).fold(0.0, f64::max);
@@ -154,7 +168,7 @@ fn fig8b_congested_beams_stand_out() {
 
 #[test]
 fn fig9_african_ground_rtt_exceeds_european() {
-    let f = experiments::fig9(dataset());
+    let f = &reports().fig9;
     let cd = f.row(Country::Congo).expect("congo").2;
     let es = f.row(Country::Spain).expect("spain").2;
     assert!(cd >= es, "Congo median ground RTT {cd} vs Spain {es}");
@@ -167,7 +181,7 @@ fn fig9_african_ground_rtt_exceeds_european() {
 #[test]
 fn fig10_resolver_landscape() {
     use satwatch::internet::ResolverId;
-    let f = experiments::fig10(dataset());
+    let f = &reports().fig10;
     // Google dominates Congo; the operator resolver only matters in Europe
     let g_cd = f.share_of(ResolverId::Google, Country::Congo).unwrap();
     assert!(g_cd > 60.0, "{g_cd}");
@@ -189,7 +203,7 @@ fn fig10_resolver_landscape() {
 
 #[test]
 fn fig11_plan_caps_shape_throughput() {
-    let f = experiments::fig11(dataset());
+    let f = &reports().fig11;
     let es = f.row(Country::Spain).expect("spain");
     let cd = f.row(Country::Congo).expect("congo");
     // Europe reaches tens of Mb/s; Africa rarely beats 10
@@ -208,12 +222,11 @@ fn dns_volume_is_negligible_but_transactions_are_many() {
 
 #[test]
 fn satellite_rtt_only_measured_on_tls_flows() {
-    let ds = dataset();
-    for f in &ds.flows {
-        if f.sat_rtt_ms.is_some() {
-            assert_eq!(f.l7, L7Protocol::TlsHttps, "TLS-handshake estimator only");
-        }
+    let fr = &dataset().frame;
+    let mut measured = 0;
+    for i in (0..fr.len()).filter(|&i| fr.sat_rtt_at(i).is_some()) {
+        assert_eq!(L7Protocol::ALL[fr.l7[i] as usize], L7Protocol::TlsHttps, "TLS-handshake estimator only");
+        measured += 1;
     }
-    let measured = ds.flows.iter().filter(|f| f.sat_rtt_ms.is_some()).count();
     assert!(measured > 1_000, "{measured} sat-RTT samples");
 }

@@ -3,8 +3,10 @@
 //! identical reports from reloaded logs (the paper's workflow:
 //! capture at the ISP, analyse later on the Hadoop cluster).
 
+use satwatch::analytics::FlowFrame;
 use satwatch::monitor::record::{read_flows, write_flows};
-use satwatch::scenario::{experiments, run, ScenarioConfig};
+use satwatch::scenario::experiments::paper_reports_columnar;
+use satwatch::scenario::{run, ScenarioConfig};
 use std::io::BufReader;
 
 #[test]
@@ -35,22 +37,18 @@ fn tsv_round_trip_preserves_analysis() {
         }
     }
 
-    // Analyses on reloaded logs match the originals.
-    let t_orig = experiments::table1(&ds);
-    let ds2 = satwatch::scenario::Dataset {
-        flows: reloaded,
-        dns: ds.dns.clone(),
-        enrichment: ds.enrichment.clone(),
-        packets: ds.packets,
+    // Analyses on reloaded logs match the originals: one report fold
+    // over each side.
+    let reports = |flows| {
+        let frame = FlowFrame::from_records(flows, &ds.enrichment);
+        paper_reports_columnar(&frame, &ds.dns, &ds.enrichment, 10, 1)
     };
-    let t_back = experiments::table1(&ds2);
-    for (a, b) in t_orig.rows.iter().zip(&t_back.rows) {
+    let (orig, back) = (reports(&ds.flows), reports(&reloaded));
+    for (a, b) in orig.table1.rows.iter().zip(&back.table1.rows) {
         assert_eq!(a.0, b.0);
         assert!((a.1 - b.1).abs() < 1e-9);
     }
-    let f9_orig = experiments::fig9(&ds);
-    let f9_back = experiments::fig9(&ds2);
-    for (a, b) in f9_orig.rows.iter().zip(&f9_back.rows) {
+    for (a, b) in orig.fig9.rows.iter().zip(&back.fig9.rows) {
         assert_eq!(a.0, b.0);
         // the TSV stores RTTs with 3 decimals; medians match to ~1 µs
         assert!((a.2 - b.2).abs() < 0.01, "{} vs {}", a.2, b.2);
