@@ -351,7 +351,7 @@ fn synthesis_two_pass(c: &mut Criterion) {
 }
 
 /// Synthesized per-flow runs holding at least 1k rows between them,
-/// sorted the way the merge would hand them to the probe.
+/// each sorted the way the day loop hands runs to the probe.
 fn synth_runs_1k() -> (Vec<PacketColumns>, usize) {
     use satwatch_netstack::SortScratch;
 

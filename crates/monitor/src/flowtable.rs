@@ -548,7 +548,9 @@ pub struct FlowTable {
     /// Fx-hashed: five-tuples are simulator-generated, not adversarial,
     /// and this map is touched once per packet.
     flows: FxHashMap<FiveTuple, Box<FlowState>>,
-    finished: Vec<FlowRecord>,
+    /// Records finalised and not yet taken: the probe hands them to
+    /// its sink, or `flush` returns them.
+    pub(crate) finished: Vec<FlowRecord>,
     /// Shared intern table for every name the DPI (or the probe's DNS
     /// log) extracts.
     names: DomainInterner,
@@ -838,7 +840,7 @@ impl FlowTable {
                 break;
             }
         }
-        // Rows arrive in merged time order, so one write covers every
+        // A flow's rows arrive in time order, so one write covers every
         // per-row `last = last.max(t)` of `FlowState::stamp`.
         flow.last = flow.last.max(cols.ts[consumed - 1]);
         flow.c2s_packets += pkts[0];
@@ -924,11 +926,6 @@ impl FlowTable {
         for k in keys {
             finalise(&mut self.flows, &mut self.finished, &k);
         }
-        std::mem::take(&mut self.finished)
-    }
-
-    /// Take records finalised so far without flushing live flows.
-    pub fn drain_finished(&mut self) -> Vec<FlowRecord> {
         std::mem::take(&mut self.finished)
     }
 

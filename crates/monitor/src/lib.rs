@@ -23,6 +23,8 @@
 //!   field encoders, 64 KiB block writes, a line-buffer reader.
 //! * [`probe`] — the composed probe: one `observe()` per packet,
 //!   `finish()` yields anonymized records.
+//! * [`pass`] — the span port's pending per-flow runs, which the probe
+//!   consumes a pass at a time, one slice per run.
 //! * [`sharded`] — the probe under the constructor the day loop and
 //!   the benchmark harness call: one inline `Probe`, no threads.
 //! * [`seal`] — watermark sealing: the probe's per-sweep marks turn
@@ -58,6 +60,7 @@ pub mod dpi;
 pub mod flowtable;
 pub mod inspect;
 pub mod intern;
+pub mod pass;
 pub mod pcap;
 pub mod probe;
 pub mod reassembly;
@@ -73,6 +76,7 @@ pub use anon::CryptoPan;
 pub use checkpoint::{CheckpointError, ProbeState};
 pub use flowtable::{Direction, FlowTable, FlowTableConfig};
 pub use intern::{Domain, DomainInterner};
+pub use pass::{LiveRuns, PassStats, Tap};
 pub use probe::{dns_cmp, flow_sort_key, sort_flows_canonical, FlowSink, Probe, ProbeConfig};
 pub use record::{DnsRecord, FlowRecord, L7Protocol, RttSummary};
 pub use seal::{Piece, SealMarks, Sealer};

@@ -9,6 +9,7 @@
 use crate::anon::CryptoPan;
 use crate::flowtable::{Direction, FlowTable, FlowTableConfig};
 use crate::intern::Domain;
+use crate::pass::{LiveRuns, PassStats, Tap};
 use crate::record::{DnsRecord, FlowRecord};
 use crate::seal::SealMarks;
 use satwatch_netstack::dns::DnsHeader;
@@ -26,6 +27,7 @@ pub(crate) struct Metrics {
     parse_errors: &'static satwatch_telemetry::Counter,
     dns_answered: &'static satwatch_telemetry::Counter,
     dns_timeouts: &'static satwatch_telemetry::Counter,
+    dns_replaced: &'static satwatch_telemetry::Counter,
     pending_dns: &'static satwatch_telemetry::Gauge,
     /// Pieces the [`Sealer`](crate::seal::Sealer) released.
     pub(crate) seal_pieces: &'static satwatch_telemetry::Counter,
@@ -43,6 +45,7 @@ pub(crate) fn metrics() -> &'static Metrics {
         parse_errors: satwatch_telemetry::counter("monitor_parse_errors_total"),
         dns_answered: satwatch_telemetry::counter("monitor_dns_answered_total"),
         dns_timeouts: satwatch_telemetry::counter("monitor_dns_timeouts_total"),
+        dns_replaced: satwatch_telemetry::counter("monitor_dns_replaced_total"),
         pending_dns: satwatch_telemetry::gauge("monitor_dns_pending"),
         seal_pieces: satwatch_telemetry::counter("probe_seal_pieces_total"),
         unsealed_rows: satwatch_telemetry::gauge("probe_unsealed_rows"),
@@ -108,6 +111,10 @@ struct PendingDns {
     asked_at: SimTime,
 }
 
+/// A row's place in the merged order of a pass: `(time, run, row)`,
+/// runs numbered in push order.
+type RowKey = (SimTime, u32, u32);
+
 /// The probe.
 pub struct Probe {
     cfg: ProbeConfig,
@@ -134,14 +141,27 @@ pub struct Probe {
     pub packets: u64,
     /// Packets whose parse failed (should be zero in simulation).
     pub parse_errors: u64,
-    /// Locally accumulated span-length counts (`pending_span_lens[len]`
-    /// spans of `len` rows) plus the matching packet total, flushed to
-    /// the global registry in bulk at each sweep and at `finish()`.
-    /// The columnar path observes ~4-row spans at packet rate; four
-    /// atomic histogram RMWs per span are measurable, a `u32` bump is
+    /// DNS queries a later query with the same `(client, resolver, id)`
+    /// replaced while pending: the earlier one is never logged, not
+    /// even as a timeout. Observation only — not part of the
+    /// checkpointed state.
+    pub dns_replaced: u64,
+    /// Locally accumulated slice-length counts (`pending_span_lens[len]`
+    /// walker calls on `len` rows) plus the matching packet total,
+    /// flushed to the global registry in bulk at each sweep and at
+    /// `finish()`: a walker call costs tens of nanoseconds, four atomic
+    /// histogram RMWs per call would be measurable, a `u64` bump is
     /// not. Snapshots taken at flush points see identical totals.
     pending_span_lens: Vec<u64>,
     pending_span_packets: u64,
+    /// The pass's DNS rows, logged in merged order when it ends.
+    dns_rows: Vec<RowKey>,
+    /// Flows the pass's walker closed, keyed by their closing row:
+    /// they leave in merged order when the pass ends.
+    closed: Vec<(RowKey, FlowRecord)>,
+    /// Scratch for the pass's merged-order lanes (shared five-tuples,
+    /// the tap).
+    ordered: Vec<RowKey>,
 }
 
 impl Probe {
@@ -158,8 +178,12 @@ impl Probe {
             marks: None,
             packets: 0,
             parse_errors: 0,
+            dns_replaced: 0,
             pending_span_lens: Vec::new(),
             pending_span_packets: 0,
+            dns_rows: Vec::new(),
+            closed: Vec::new(),
+            ordered: Vec::new(),
             cfg,
         }
     }
@@ -187,13 +211,12 @@ impl Probe {
         }
     }
 
-    /// Observe columnar rows `[start, end)` of `cols` (one merge-drain
-    /// span, time-sorted).
+    /// Observe columnar rows `[start, end)` of `cols`, time-sorted: a
+    /// pass over one run (see [`observe_runs`](Self::observe_runs)).
     ///
-    /// Equivalent to calling [`observe`](Self::observe) per row: a span
-    /// that straddles one or more periodic-sweep moments is split at
-    /// each boundary (binary search on the sorted timestamps), so every
-    /// sub-span still takes the amortized `process_cols` path and the
+    /// Equivalent to calling [`observe`](Self::observe) per row: rows
+    /// that straddle one or more periodic-sweep moments are split at
+    /// each boundary (binary search on the sorted timestamps), so the
     /// sweep fires at exactly the per-packet moment — after the first
     /// row at or past the boundary, at that row's timestamp.
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
@@ -201,13 +224,81 @@ impl Probe {
         while i < end {
             let boundary = self.last_sweep + self.cfg.sweep_interval;
             let j = cols.ts[i..end].partition_point(|&t| t < boundary) + i;
+            self.walk(cols, 0, i, (j + 1).min(end));
+            self.end_pass(|_| cols);
             if j == end {
-                self.process_cols(cols, i, end);
                 return;
             }
-            self.process_cols(cols, i, j + 1);
             self.sweep_now(cols.ts[j]);
             i = j + 1;
+        }
+    }
+
+    /// Observe every row of `runs` before `bound`, handing each to
+    /// `tap` as well, and consume them.
+    ///
+    /// Equivalent to [`observe`](Self::observe) per row in the merged
+    /// order of all runs — `(time, push order, row)`, the order a k-way
+    /// merge would deliver — but each *pass* walks every run's rows as
+    /// one slice: flow state is per flow, and a run's rows are in order
+    /// among themselves. A pass ends at `bound` or at the row where the
+    /// periodic sweep falls due ([`LiveRuns::plan`]), and the rest of
+    /// the probe sees merged order where flows meet (DESIGN.md §8):
+    /// * the sweep fires after every row before that cut row and none
+    ///   after it;
+    /// * DNS rows reach the transaction log in merged order — the
+    ///   pending table's key spans flows, and the log keeps
+    ///   observation order;
+    /// * the rows of runs sharing a live five-tuple walk the flow table
+    ///   in merged order, as do the rows `tap` sees;
+    /// * flows closed within a pass leave in the order of their
+    ///   closing rows.
+    pub fn observe_runs(&mut self, runs: &mut LiveRuns, bound: SimTime, mut tap: Option<Tap<'_>>) -> PassStats {
+        let mut stats = PassStats::default();
+        loop {
+            let cut = runs.plan(self.last_sweep + self.cfg.sweep_interval, bound);
+            let mut rows = 0;
+            for (r, run) in runs.live.iter().enumerate() {
+                let slice = run.slice();
+                rows += slice.len();
+                if run.shared {
+                    self.ordered.extend(slice.map(|i| (run.cols.ts[i], r as u32, i as u32)));
+                } else if !slice.is_empty() {
+                    self.walk(&run.cols, r as u32, slice.start, slice.end);
+                }
+            }
+            // shared five-tuples: walk the merged order in same-run
+            // row runs
+            let mut ordered = std::mem::take(&mut self.ordered);
+            ordered.sort_unstable();
+            for group in ordered.chunk_by(|a, b| a.1 == b.1 && a.2 + 1 == b.2) {
+                let (_, r, i) = group[0];
+                self.walk(&runs.live[r as usize].cols, r, i as usize, i as usize + group.len());
+            }
+            stats.ordered_rows += (ordered.len() + self.dns_rows.len()) as u64;
+            ordered.clear();
+            if let Some(tap) = tap.as_deref_mut() {
+                for (r, run) in runs.live.iter().enumerate() {
+                    ordered.extend(run.slice().map(|i| (run.cols.ts[i], r as u32, i as u32)));
+                }
+                ordered.sort_unstable();
+                for &(t, r, i) in &ordered {
+                    tap(t, &runs.live[r as usize].cols.materialize(i as usize));
+                }
+                stats.ordered_rows += ordered.len() as u64;
+                ordered.clear();
+            }
+            self.ordered = ordered;
+            self.end_pass(|r| &runs.live[r as usize].cols);
+            runs.settle();
+            if rows > 0 {
+                stats.passes += 1;
+                stats.rows += rows as u64;
+            }
+            match cut {
+                Some(t) => self.sweep_now(t),
+                None => return stats,
+            }
         }
     }
 
@@ -241,18 +332,17 @@ impl Probe {
         self.drain_to_sink();
     }
 
-    /// Process columnar rows `[start, end)` *without* the
-    /// periodic-sweep check; [`observe_cols`](Self::observe_cols) is
-    /// this plus the sweep clock. Rows walk the flow table in same-flow
-    /// stretches — entry resolved once, counters accumulated in locals
-    /// — with zero `Packet` materialization; only port-53 UDP stretches
-    /// reach the DNS transaction log, which parses straight from the
-    /// payload slice. Sink draining happens once per span; eviction
-    /// order within a span is not observable (the [`FlowSink`] contract
-    /// already requires consumers to re-sort).
-    fn process_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
-        // Packet-rate span accounting stays local (no atomics); the
-        // batched counts reach the registry via `flush_span_metrics`.
+    /// The stretch walker of both columnar entry points: rows `[start,
+    /// end)` of `cols` (run number `run` of the pass), time-sorted,
+    /// through the flow table in same-flow stretches — entry resolved
+    /// once, counters accumulated in locals — with zero `Packet`
+    /// materialization and *without* the periodic-sweep check. Port-53
+    /// UDP rows are noted for the pass's DNS log and a flow closed
+    /// here is held with its closing row; [`end_pass`](Self::end_pass)
+    /// releases both in merged order.
+    fn walk(&mut self, cols: &PacketColumns, run: u32, start: usize, end: usize) {
+        // Packet-rate accounting stays local (no atomics); the batched
+        // counts reach the registry via `flush_span_metrics`.
         let n = end - start;
         self.packets += n as u64;
         self.pending_span_packets += n as u64;
@@ -262,22 +352,39 @@ impl Probe {
         self.pending_span_lens[n] += 1;
         let mut i = start;
         while i < end {
+            let finished = self.table.finished.len();
             let j = self.table.process_stretch_cols(cols, i, end);
             // Every row in a stretch shares its flow's port pair, so
-            // one check gates the per-row DNS inspection loop.
+            // one check decides for all of them.
             if cols.is_udp(i) && (cols.dport[i] == 53 || cols.sport[i] == 53) {
-                for k in i..j {
-                    self.maybe_log_dns_udp(
-                        cols.ts[k],
-                        cols.src[k],
-                        cols.dst[k],
-                        cols.sport[k],
-                        cols.dport[k],
-                        cols.payload_slice(k),
-                    );
-                }
+                self.dns_rows.extend((i..j).map(|k| (cols.ts[k], run, k as u32)));
+            }
+            if self.table.finished.len() > finished {
+                let f = self.table.finished.pop().expect("a stretch closes at most one flow");
+                self.closed.push(((cols.ts[j - 1], run, (j - 1) as u32), f));
             }
             i = j;
+        }
+    }
+
+    /// End a pass: log its DNS rows and release the flows it closed,
+    /// each in merged order; `cols_of` resolves a run number.
+    fn end_pass<'c>(&mut self, cols_of: impl Fn(u32) -> &'c PacketColumns) {
+        let mut rows = std::mem::take(&mut self.dns_rows);
+        if !rows.is_sorted() {
+            rows.sort_unstable();
+        }
+        for &(t, r, k) in &rows {
+            let (cols, k) = (cols_of(r), k as usize);
+            self.maybe_log_dns_udp(t, cols.src[k], cols.dst[k], cols.sport[k], cols.dport[k], cols.payload_slice(k));
+        }
+        rows.clear();
+        self.dns_rows = rows;
+        if !self.closed.is_sorted_by_key(|c| c.0) {
+            self.closed.sort_unstable_by_key(|c| c.0);
+        }
+        if self.flow_sink.is_none() {
+            self.table.finished.extend(self.closed.drain(..).map(|(_, f)| f));
         }
         self.drain_to_sink();
     }
@@ -331,10 +438,11 @@ impl Probe {
 
     /// Hand finished flows to the sink, anonymizing on the way out —
     /// the same transformation `finish()` applies, just incremental.
+    /// The walker's closed flows follow the flow table's.
     fn drain_to_sink(&mut self) {
-        let Some(sink) = &mut self.flow_sink else { return };
-        for mut f in self.table.drain_finished() {
-            f.client = anon_memoized(&self.anon, &mut self.anon_memo, f.client);
+        let Probe { flow_sink: Some(sink), table, closed, anon, anon_memo, .. } = self else { return };
+        for mut f in table.finished.drain(..).chain(closed.drain(..).map(|(_, f)| f)) {
+            f.client = anon_memoized(anon, anon_memo, f.client);
             sink(f);
         }
     }
@@ -391,8 +499,12 @@ impl Probe {
             }
             let key = DnsKey { client: src, resolver: dst, id: msg.id };
             let query = self.table.intern(&self.dns_qname);
+            // a query with the key of one still pending replaces it
             if self.pending_dns.insert(key, PendingDns { query, asked_at: t }).is_none() {
                 metrics().pending_dns.inc();
+            } else {
+                self.dns_replaced += 1;
+                metrics().dns_replaced.inc();
             }
         } else if msg.is_response && src_port == 53 {
             let key = DnsKey { client: dst, resolver: src, id: msg.id };
@@ -668,6 +780,28 @@ mod tests {
         let (_, dns) = p.finish();
         assert_eq!(dns.len(), 1);
         assert_eq!(dns[0].response_ms, None, "unmatched response → query times out");
+    }
+
+    /// Two queries with one `(client, resolver, id)` key from different
+    /// client ports: the second replaces the first, which is counted
+    /// and never logged; the one response answers the later query.
+    #[test]
+    fn a_replaced_dns_query_is_counted_and_the_response_matches_the_later_one() {
+        let mut p = probe();
+        let client = Ipv4Addr::new(10, 5, 5, 8);
+        let resolver = Ipv4Addr::new(8, 8, 8, 8);
+        let first = DnsMessage::query(9, "first.example", RecordType::A);
+        let second = DnsMessage::query(9, "second.example", RecordType::A);
+        p.observe(t(0), &Packet::udp(client, resolver, 40_001, 53, first.encode()));
+        p.observe(t(100), &Packet::udp(client, resolver, 40_002, 53, second.encode()));
+        assert_eq!(p.dns_replaced, 1);
+        let r = DnsMessage::answer_a(&second, &[Ipv4Addr::new(198, 18, 0, 3)], 60);
+        p.observe(t(130), &Packet::udp(resolver, client, 53, 40_002, r.encode()));
+        let (_, dns) = p.finish();
+        assert_eq!(dns.len(), 1, "the replaced query is not logged, not even as a timeout");
+        assert_eq!(&*dns[0].query, "second.example");
+        assert_eq!(dns[0].ts, t(100));
+        assert!((dns[0].response_ms.unwrap() - 30.0).abs() < 1e-6);
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! vantage as the only one.
 
 use crate::checkpoint::{CheckpointError, ProbeState};
+use crate::pass::{LiveRuns, PassStats, Tap};
 use crate::probe::{FlowSink, Probe, ProbeConfig};
 use crate::record::{DnsRecord, FlowRecord};
 use crate::seal::SealMarks;
 use satwatch_netstack::PacketColumns;
+use satwatch_simcore::SimTime;
 
 /// One [`Probe`] behind the constructor signature the harness calls.
-/// Use it like the probe: `observe_cols()` per span in global time
-/// order, then `finish()`.
+/// Use it like the probe: `observe_runs()` up to each bound (or
+/// `observe_cols()` per span in global time order), then `finish()`.
 pub struct ShardedProbe {
     probe: Probe,
     /// Total packets observed (mirrors [`Probe::packets`]).
@@ -42,6 +44,18 @@ impl ShardedProbe {
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         self.probe.observe_cols(cols, start, end);
         self.packets = self.probe.packets;
+    }
+
+    /// [`Probe::observe_runs`].
+    pub fn observe_runs(&mut self, runs: &mut LiveRuns, bound: SimTime, tap: Option<Tap<'_>>) -> PassStats {
+        let stats = self.probe.observe_runs(runs, bound, tap);
+        self.packets = self.probe.packets;
+        stats
+    }
+
+    /// [`Probe::dns_replaced`].
+    pub fn dns_replaced(&self) -> u64 {
+        self.probe.dns_replaced
     }
 
     /// [`Probe::take_marks`].

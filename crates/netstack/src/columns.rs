@@ -5,9 +5,10 @@
 //! arrays — timestamp, endpoints, flags, seq/ack, wire length, and a
 //! (payload-offset, payload-len) pair into the run's frozen
 //! [`PayloadArena`](satwatch_simcore::PayloadArena) block — instead of
-//! a `Vec<(SimTime, Packet)>` of materialized structs. The merge
-//! scheduler only reads the timestamp column (via
-//! [`TimedRun`](satwatch_simcore::TimedRun)), the flow table consumes
+//! a `Vec<(SimTime, Packet)>` of materialized structs. Scheduling (the
+//! probe's passes, the harness's merge via
+//! [`TimedRun`](satwatch_simcore::TimedRun)) only reads the timestamp
+//! column, the flow table consumes
 //! scalar columns directly, and a real [`Packet`] is materialized only
 //! where something needs one: the pcap/tap boundary, the wire-byte
 //! round-trip test, and the scenario's per-packet reference run.

@@ -4,8 +4,8 @@
 //! [`run_reference`] is what [`run`](crate::run::run) must equal on
 //! every config, written to be read in one sitting. It shares only the
 //! config-derived inputs and [`build_enrichment`] with the production
-//! path: no tournament merge, no cohorts, no delay cache, no stretch
-//! walker, no telemetry.
+//! path: no passes over per-flow runs, no cohorts, no delay cache, no
+//! stretch walker, no telemetry.
 //!
 //! Why the two agree. All of a day's intents are scheduled before any
 //! packet, so an intent wins a time tie against a packet. A flow's
@@ -13,9 +13,10 @@
 //! earlier-started flow carry smaller sequence numbers and win time
 //! ties against a later flow's. Within a flow, packets are scheduled in
 //! emission order, which breaks ties among them. The production path's
-//! merge key `(time, run_id)`, with runs pushed in intent-pop order and
-//! each run stably sorted by clamped time, is the same total order
-//! (DESIGN.md "The packet path and its reference").
+//! merged order `(time, push order, row)`, with runs pushed in
+//! intent-pop order and each run stably sorted by clamped time, is the
+//! same total order, and its passes keep that order wherever flows
+//! meet (DESIGN.md "The packet path and its reference").
 
 use crate::config::ScenarioConfig;
 use crate::run::{build_enrichment, setup, Dataset};

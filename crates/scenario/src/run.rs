@@ -6,7 +6,11 @@ use crate::flowsim::NetModel;
 use satwatch_analytics::agg::{BeamInfo, Enrichment};
 use satwatch_internet::{CdnCatalog, ResolverId};
 use satwatch_monitor::anon::CryptoPan;
-use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, Piece, ProbeConfig, SealMarks, Sealer, ShardedProbe};
+/// A per-packet observer of the span port (pcap writers, tests).
+pub use satwatch_monitor::Tap;
+use satwatch_monitor::{
+    DnsRecord, FlowRecord, FlowTableConfig, LiveRuns, Piece, ProbeConfig, SealMarks, Sealer, ShardedProbe,
+};
 use satwatch_netstack::{Packet, PacketColumns, SortScratch};
 use satwatch_satcom::channel::default_peak_hour;
 use satwatch_satcom::geo::places;
@@ -14,7 +18,7 @@ use satwatch_satcom::link::{LinkConfig, LinkModel};
 use satwatch_satcom::mac::{Mac, MacConfig};
 use satwatch_satcom::pep::{PepConfig, PepModel};
 use satwatch_satcom::{GroundStation, SatelliteAccess};
-use satwatch_simcore::{ColMerge, SeedTree, SimTime};
+use satwatch_simcore::{SeedTree, SimTime};
 use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, Population};
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -31,10 +35,15 @@ struct Metrics {
     intent_gen_us: &'static satwatch_telemetry::Histogram,
     day_us: &'static satwatch_telemetry::Histogram,
     flow_synth_us: &'static satwatch_telemetry::Histogram,
-    merge_us: &'static satwatch_telemetry::Histogram,
     probe_us: &'static satwatch_telemetry::Histogram,
     setup_us: &'static satwatch_telemetry::Histogram,
     finish_us: &'static satwatch_telemetry::Histogram,
+    /// Passes over the live runs (one per cohort bound, plus one per
+    /// sweep falling inside one).
+    passes: &'static satwatch_telemetry::Counter,
+    live_runs: &'static satwatch_telemetry::Gauge,
+    /// Rows that took one of the probe's merged-order lanes.
+    ordered_rows: &'static satwatch_telemetry::Counter,
 }
 
 fn metrics() -> &'static Metrics {
@@ -46,8 +55,10 @@ fn metrics() -> &'static Metrics {
         intent_gen_us: satwatch_telemetry::histogram("scenario_intent_gen_us"),
         day_us: satwatch_telemetry::histogram("scenario_day_us"),
         flow_synth_us: satwatch_telemetry::histogram("scenario_flow_synth_us"),
-        merge_us: satwatch_telemetry::histogram("scenario_merge_us"),
         probe_us: satwatch_telemetry::histogram("scenario_probe_us"),
+        passes: satwatch_telemetry::counter("scenario_passes_total"),
+        live_runs: satwatch_telemetry::gauge("scenario_live_runs"),
+        ordered_rows: satwatch_telemetry::counter("scenario_ordered_rows_total"),
         setup_us: satwatch_telemetry::histogram("scenario_setup_us"),
         finish_us: satwatch_telemetry::histogram("scenario_finish_us"),
     })
@@ -136,9 +147,6 @@ pub(crate) fn setup(cfg: ScenarioConfig) -> SimSetup {
     SimSetup { seeds, population, catalog, model, anon_seed, probe_cfg, prop_delays }
 }
 
-/// A per-packet observer handed to [`drive`] (pcap writers, tests).
-pub type Tap<'a> = &'a mut dyn FnMut(SimTime, &Packet);
-
 /// The consuming end of the sealed-stream drive, handed to [`drive`]
 /// beside the tap: log the probe's DNS transactions, seal behind the
 /// marks (`None`: everything) and pass the piece on. `Break` is the
@@ -151,14 +159,14 @@ type Seal<'a> = &'a mut dyn FnMut(Vec<DnsRecord>, Option<SealMarks>) -> ControlF
 /// same dataset — reuse is purely an allocation optimization.
 struct DayScratch {
     /// Flow intents pop from a sorted [`IntentQueue`]; the packets
-    /// each flow expands into stay in per-flow runs merged by a
-    /// tournament tree (`ColMerge`). The merge key `(time, run_id)`
-    /// with runs pushed in flow-start order reproduces the
+    /// each flow expands into stay in per-flow runs, pushed in
+    /// flow-start order, which the probe reads a pass at a time. Its
+    /// merged order `(time, push order, row)` is the
     /// all-packets-through-one-heap `(at, seq)` order of
     /// [`run_reference`](crate::reference::run_reference) bit for bit
     /// — see DESIGN.md "The packet path and its reference" — while
     /// moving no packet data and recycling every run buffer.
-    merge: ColMerge<PacketColumns>,
+    runs: LiveRuns,
     scratch: SortScratch,
     /// Payload bytes for a cohort's packets are bump-allocated
     /// here and frozen into one refcounted block per cohort; the
@@ -182,7 +190,7 @@ struct DayScratch {
 impl DayScratch {
     fn new() -> DayScratch {
         DayScratch {
-            merge: ColMerge::new(),
+            runs: LiveRuns::new(),
             scratch: SortScratch::default(),
             arena: satwatch_simcore::PayloadArena::new(),
             delay_cache: satwatch_satcom::DelayCache::new(),
@@ -410,11 +418,11 @@ fn drive_day(
     s: &mut DayScratch,
 ) -> ControlFlow<()> {
     let SimSetup { seeds, population, catalog, model, prop_delays, .. } = sim;
-    let DayScratch { merge, scratch, arena, delay_cache, intents } = s;
+    let DayScratch { runs, scratch, arena, delay_cache, intents } = s;
     let m = metrics();
-    // Per-phase wall-clock attribution (flow synthesis vs merge vs
-    // probe), recorded per day. Gated on the telemetry switch: timing
-    // reads never influence the dataset, only the metrics snapshot.
+    // Per-phase wall-clock attribution (flow synthesis vs probe),
+    // recorded per day. Gated on the telemetry switch: timing reads
+    // never influence the dataset, only the metrics snapshot.
     let timed = satwatch_telemetry::enabled();
     {
         let _day_span = satwatch_telemetry::Span::over(m.day_us);
@@ -449,14 +457,13 @@ fn drive_day(
         // (same stream, same draw order per flow as the reference's
         // flow-at-a-time `simulate_flow`), then expand every plan to
         // packets RNG-free into recycled buffers. Runs are pushed in
-        // intent-pop order, so run-id assignment — the merge
+        // intent-pop order, so push order — the merged order's
         // tie-break — is the reference heap's sequence order; each
-        // run is clamped to its intent time, so one drain per cohort
-        // pops the same (time, run_id)-ordered packet sequence a
-        // drain before every intent would, in fewer, larger spans.
-        // Intents win time ties against packets, so the inclusive
-        // drain bound before each cohort is its first intent time
-        // − 1 ns (no packet exists strictly before t = 0).
+        // run is clamped to its intent time, so one pass per cohort
+        // reads the rows a pass before every intent would. Intents win
+        // time ties against packets, so the bound before each cohort
+        // is its first intent time, exclusive; the last pass takes
+        // what is left up to the horizon, inclusive.
         // Cohorts stay small enough that a cohort's shared payload
         // block fits the arena's 1 MiB capacity hint — larger cohorts
         // pay geometric-growth memcpy per block.
@@ -466,57 +473,30 @@ fn drive_day(
             Vec::with_capacity(COHORT);
         let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(COHORT);
         let mut delay_col: Vec<satwatch_simcore::SimDuration> = Vec::new();
-        let (mut synth_ns, mut drain_ns) = (0u64, 0u64);
-        // Probe attribution is *sampled*: clock reads per span are
-        // themselves measurable at ~4-row spans, so one span in
-        // SAMPLE_EVERY is timed and scaled up by the span count at
-        // day end. `drain_ns` (two reads per drain call) stays
-        // exact; only the probe/merge split within it is estimated.
-        const SAMPLE_EVERY: u32 = 8;
-        let (mut span_total, mut span_sampled, mut sampled_probe_ns) = (0u64, 0u64, 0u64);
-        let mut drained_pkts = 0u64;
+        let (mut synth_ns, mut probe_ns) = (0u64, 0u64);
         loop {
-            let ti = intents.peek_time();
-            let upto = match ti {
-                Some(ti) if ti <= horizon => (ti != SimTime::ZERO).then(|| SimTime::from_nanos(ti.as_nanos() - 1)),
-                _ => Some(horizon),
-            };
-            if let Some(upto) = upto {
-                let t_drain = timed.then(Instant::now);
-                while let Some(n) = merge.next_span_upto(upto, |cols, start, end| {
-                    if let Some(tap) = tap.as_mut() {
-                        for i in start..end {
-                            let p = cols.materialize(i);
-                            tap(cols.ts[i], &p);
-                        }
-                    }
-                    let t_probe = (timed && span_total % u64::from(SAMPLE_EVERY) == 0).then(Instant::now);
-                    probe.observe_cols(cols, start, end);
-                    if let Some(t0) = t_probe {
-                        sampled_probe_ns += t0.elapsed().as_nanos() as u64;
-                        span_sampled += 1;
-                    }
-                    span_total += 1;
-                    (end - start) as u64
-                }) {
-                    drained_pkts += n;
-                }
-                m.packets.add(std::mem::take(&mut drained_pkts));
-                if let Some(t0) = t_drain {
-                    drain_ns += t0.elapsed().as_nanos() as u64;
-                }
-                // Seal behind the marks of a sweep in this drain. The
-                // probe's marks trust its clock, and span time steps
-                // back to midnight when the next day starts: a mark
-                // from the spill hour would pass tomorrow's first
-                // flows, so none is used past the coming midnight.
-                if let Some(seal) = seal.as_mut() {
-                    if let Some(marks) = probe.take_marks() {
-                        seal(probe.take_dns_log(), Some(marks.capped(next_midnight)))?;
-                    }
+            let ti = intents.peek_time().filter(|&ti| ti <= horizon);
+            let bound = ti.unwrap_or(horizon + satwatch_simcore::SimDuration::from_nanos(1));
+            let t_probe = timed.then(Instant::now);
+            let tap = tap.as_mut().map(|tap| &mut **tap as Tap<'_>);
+            let pass = probe.observe_runs(runs, bound, tap);
+            if let Some(t0) = t_probe {
+                probe_ns += t0.elapsed().as_nanos() as u64;
+            }
+            m.packets.add(pass.rows);
+            m.passes.add(pass.passes);
+            m.ordered_rows.add(pass.ordered_rows);
+            // Seal behind the marks of a sweep in this pass. The
+            // probe's marks trust its clock, and span time steps back
+            // to midnight when the next day starts: a mark from the
+            // spill hour would pass tomorrow's first flows, so none is
+            // used past the coming midnight.
+            if let Some(seal) = seal.as_mut() {
+                if let Some(marks) = probe.take_marks() {
+                    seal(probe.take_dns_log(), Some(marks.capped(next_midnight)))?;
                 }
             }
-            if !matches!(ti, Some(ti) if ti <= horizon) {
+            if ti.is_none() {
                 break;
             }
             let t_synth = timed.then(Instant::now);
@@ -556,7 +536,7 @@ fn drive_day(
             // (see `emit_flow_open`).
             for (t, intent, plan) in &cohort {
                 let customer = &population.customers[intent.customer_index];
-                let mut run = merge.take_buffer();
+                let mut run = runs.spare();
                 model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
                 run.clamp_and_sort(*t, scratch);
                 cohort_runs.push(run);
@@ -564,21 +544,20 @@ fn drive_day(
             let block = bytes::Bytes::from(arena.take());
             for mut run in cohort_runs.drain(..) {
                 run.payload = block.clone();
-                merge.push(run);
+                runs.push(run);
             }
+            m.live_runs.set(runs.len() as i64);
             if let Some(t0) = t_synth {
                 synth_ns += t0.elapsed().as_nanos() as u64;
             }
         }
         if timed {
-            // scale the sampled probe time up to all spans
-            let probe_ns = (sampled_probe_ns * span_total).checked_div(span_sampled).unwrap_or_default();
             m.flow_synth_us.record(synth_ns / 1_000);
             m.probe_us.record(probe_ns / 1_000);
-            m.merge_us.record(drain_ns.saturating_sub(probe_ns) / 1_000);
         }
         // Truncate the post-horizon tail, keeping the buffers.
-        merge.clear();
+        runs.clear();
+        m.live_runs.set(0);
     }
     ControlFlow::Continue(())
 }

@@ -1,9 +1,9 @@
 //! One end-to-end run must light up instruments in every layer:
-//! scenario (run loop), simcore (run-merge), satcom (channel, PEP,
-//! shaper), monitor (probe, flow table, DPI, sealer), analytics (span
-//! timers), and the campaign store. A layer whose counters stay at
-//! zero means its wiring regressed. Kept in its own integration binary so nothing here races
-//! with the on/off toggling in `telemetry_determinism.rs`.
+//! scenario (run loop and its passes), satcom (channel, PEP, shaper),
+//! monitor (probe, flow table, DPI, sealer), analytics (span timers),
+//! and the campaign store. A layer whose counters stay at zero means
+//! its wiring regressed. Kept in its own integration binary so nothing
+//! here races with the on/off toggling in `telemetry_determinism.rs`.
 
 use satwatch_scenario::{run, run_with_tap, ScenarioConfig};
 use satwatch_telemetry::Snapshot;
@@ -23,13 +23,21 @@ fn snapshot_covers_every_pipeline_layer() {
 
     // scenario phase attribution: one sample per simulated day, and
     // every phase saw at least one non-trivial span (sums are in µs).
-    for phase in ["scenario_flow_synth_us", "scenario_merge_us", "scenario_probe_us"] {
+    // A pass is timed whole, so there is no merge phase to estimate.
+    for phase in ["scenario_flow_synth_us", "scenario_probe_us"] {
         let h = snap.histogram(phase).unwrap_or_else(|| panic!("{phase} missing from snapshot"));
         assert!(h.count > 0, "{phase} records once per day");
     }
+    assert!(snap.histogram("scenario_merge_us").is_none(), "the day loop merges nothing");
 
-    // simcore run-merge
-    assert!(counter("simcore_merge_runs_total") > 0);
+    // the passes: at least one per cohort; every DNS record answered
+    // took two rows (query, response) through the merged-order DNS
+    // lane; the live-run gauge exists (zero after the last day's cut)
+    assert!(counter("scenario_passes_total") > 0);
+    let answered = counter("monitor_dns_answered_total");
+    assert!(answered > 0);
+    assert!(counter("scenario_ordered_rows_total") >= 2 * answered);
+    assert_eq!(snap.gauge("scenario_live_runs"), Some(0));
 
     // satcom layer
     assert!(counter("satcom_uplink_traversals_total") > 0);
@@ -39,17 +47,18 @@ fn snapshot_covers_every_pipeline_layer() {
     assert!(pep_setup.count > 0);
 
     // monitor layer
-    assert!(counter("monitor_packets_total") >= ds.packets);
-    // span-granular hot path: the probe consumed its packets in
-    // column spans. Both instruments tick together, once per span
-    // `Probe::observe_cols` walks (flushed to the registry at every
-    // sweep and at finish), so the histogram's sum is bounded by the
-    // total packet count.
+    assert_eq!(counter("monitor_packets_total"), ds.packets);
+    // slice-granular hot path: the probe consumed its packets as
+    // column slices. Both instruments tick together, once per slice
+    // the stretch walker takes (flushed to the registry at every sweep
+    // and at finish), and every packet is in exactly one slice.
     let batches = counter("monitor_probe_batches_total");
     assert!(batches > 0, "batched drive is the default path");
     let batch_len = snap.histogram("monitor_probe_batch_len").expect("batch-length histogram registered");
     assert_eq!(batch_len.count, batches, "one length sample per batch");
-    assert!(batch_len.sum > 0 && batch_len.sum <= counter("monitor_packets_total"));
+    assert_eq!(batch_len.sum, ds.packets, "the slices cover every packet once");
+    // replaced DNS queries are counted, whether or not this run had one
+    assert!(snap.counter("monitor_dns_replaced_total").is_some(), "monitor_dns_replaced_total registered");
     let verdicts: u64 = ["TCP/HTTPS", "TCP/HTTP", "UDP/QUIC", "UDP/DNS", "UDP/RTP", "Other TCP", "Other UDP"]
         .iter()
         .filter_map(|l| snap.counter(&satwatch_telemetry::labelled("monitor_dpi_verdicts_total", &[("l7", l)])))

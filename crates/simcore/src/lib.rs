@@ -7,8 +7,9 @@
 //!   [`SimDuration`]) with wall-clock helpers (hour-of-day, local time)
 //!   used by the diurnal traffic models.
 //! * [`event`] — a deterministic event queue with stable tie-breaking.
-//! * [`merge`] — tournament-tree k-way merge over presorted runs, the
-//!   packet scheduler behind the scenario's span port.
+//! * [`merge`] — tournament-tree k-way merge over presorted runs: the
+//!   benchmark harness's replica loop and the probe's pass-driver
+//!   oracle (the day loop itself reads runs a pass at a time).
 //! * [`arena`] — per-run payload bump arena: one contiguous byte
 //!   block per packet run instead of one allocation per payload.
 //! * [`rng`] — reproducible xoshiro256** PRNG with hierarchical seed

@@ -4,10 +4,12 @@
 //! The scenario's flow synthesizer emits each flow's packets as one
 //! batch (a *run*). Scheduling those packets individually through the
 //! global [`EventQueue`](crate::EventQueue) heap means hundreds of
-//! thousands of ~100-byte events sifting through a binary heap — the
-//! dominant cost of a run once packet synthesis itself is cheap.
-//! Tstat-class span-port pipelines avoid exactly this by merging
-//! presorted streams instead of re-sorting per packet.
+//! thousands of ~100-byte events sifting through a binary heap; this
+//! merge was the day loop's answer until the probe learned to read the
+//! runs a pass at a time (`satwatch_monitor::pass`), which needs no
+//! merged stream at all. It stays for the benchmark harness's replica
+//! of that older loop and as the oracle the pass driver is tested
+//! against (`crates/monitor/tests/pass_equivalence.rs`).
 //!
 //! [`ColMerge`] keeps every run in place (one buffer per live flow,
 //! recycled through an internal pool) and merges them with a
