@@ -24,7 +24,7 @@
 //!   records one at a time, in *any* order, and [`FrameBuilder::seal`]
 //!   restores the probe's canonical record order by sorting on the
 //!   same total key `Probe::finish` uses — so a run can stream flows
-//!   straight from the probe's eviction sink into the frame without
+//!   straight from the probe's eviction log into the frame without
 //!   ever materializing `Vec<FlowRecord>`, and still produce
 //!   byte-identical reports (see DESIGN.md §10).
 //!

@@ -14,10 +14,10 @@ fn ablation_cfg() -> ScenarioConfig {
 fn print_ablations_once() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let base = experiments::ablation_summary(&run(ablation_cfg()));
-        let no_pep = experiments::ablation_summary(&run(ablation_cfg().without_pep()));
-        let af_gs = experiments::ablation_summary(&run(ablation_cfg().with_african_ground_station()));
-        let op_dns = experiments::ablation_summary(&run(ablation_cfg().with_forced_operator_dns()));
+        let base = experiments::ablation_summary(ablation_cfg());
+        let no_pep = experiments::ablation_summary(ablation_cfg().without_pep());
+        let af_gs = experiments::ablation_summary(ablation_cfg().with_african_ground_station());
+        let op_dns = experiments::ablation_summary(ablation_cfg().with_forced_operator_dns());
         println!("\n================ Ablations (A1/A2/A3) ================");
         println!("{:<34} {:>10} {:>10} {:>10} {:>10}", "metric", "baseline", "no PEP", "African GS", "op DNS");
         println!(

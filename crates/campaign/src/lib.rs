@@ -6,8 +6,8 @@
 //! running day only — what a checkpoint carries over is the live tail,
 //! tens of rows — and by surviving `kill -9` at any instant:
 //!
-//! * **Segments.** Evicted flows collect in the probe's
-//!   [`Sealer`](satwatch_monitor::Sealer), in eviction order. At every
+//! * **Segments.** Evicted flows collect in the probe's log (a
+//!   [`Sealer`]), in eviction order. At every
 //!   checkpoint the rows strictly behind the *watermark* (the earlier
 //!   of next midnight and the oldest live flow's first packet) are
 //!   final — nothing live or future can sort before them — and are
@@ -43,17 +43,15 @@ use satwatch_analytics::segment::{read_segment_file, write_segment_file, Segment
 use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
 use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{write_flow_rows, write_flows};
-use satwatch_monitor::{DnsRecord, FlowRecord, ProbeState, SealMarks, Sealer, ShardedProbe};
+use satwatch_monitor::{DnsRecord, FlowRecord, Piece, ProbeState, SealMarks, Sealer, ShardedProbe};
 use satwatch_scenario::digest::{fnv1a, write_dns_lines, Fnv1aSink, FNV1A_INIT};
 use satwatch_scenario::experiments::FIG6_SERVICES;
 use satwatch_scenario::{DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
 use satwatch_telemetry as telemetry;
 use satwatch_traffic::Country;
-use std::cell::RefCell;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 pub const SECS_PER_DAY: u64 = 86_400;
 
@@ -182,13 +180,10 @@ pub struct Campaign {
     complete: bool,
     dataset_digest: Option<u64>,
     report_digest: Option<u64>,
-    /// Probe carry-over loaded by `resume`, consumed by `run`.
-    probe_carry: Option<ProbeState>,
-    /// Every row of either log not yet sealed: the probe's sink logs
-    /// evicted flows here, each checkpoint the DNS transactions of its
-    /// exported state. What a seal leaves is the tail the state file
-    /// carries.
-    sealer: Rc<RefCell<Sealer>>,
+    /// Probe carry-over — the exported state and the rows its
+    /// checkpoint left unsealed — loaded by `resume` or left by a `run`
+    /// that aborted, consumed by the next `run`.
+    probe_carry: Option<(ProbeState, Sealer)>,
 }
 
 /// FNV-1a of the flow-log TSV header — the initial flow-digest state.
@@ -243,7 +238,6 @@ impl Campaign {
             dataset_digest: None,
             report_digest: None,
             probe_carry: None,
-            sealer: Rc::default(),
         };
         c.write_manifest(None)?;
         Ok(c)
@@ -258,16 +252,16 @@ impl Campaign {
         let src =
             std::fs::read_to_string(&path).map_err(|e| CampaignError::Corrupt(format!("{}: {e}", path.display())))?;
         let m = Manifest::parse(&src)?;
-        let (probe_carry, flows, dns) = match &m.state_file {
+        let probe_carry = match &m.state_file {
             Some((file, sum)) => {
                 let (p, f, d) = codec::read_state_file(&dir.join(file), Some(*sum))?;
-                (Some(p), codec::flatten(f), codec::flatten(d))
+                Some((p, Sealer::carrying(codec::flatten(f), codec::flatten(d))))
             }
             None => {
                 if m.days_completed > 0 && !m.complete {
                     return Err(CampaignError::Corrupt("manifest mid-campaign but no state file".into()));
                 }
-                (None, Vec::new(), Vec::new())
+                None
             }
         };
         Ok(Campaign {
@@ -282,7 +276,6 @@ impl Campaign {
             dataset_digest: m.dataset_digest,
             report_digest: m.report_digest,
             probe_carry,
-            sealer: Rc::new(RefCell::new(Sealer::carrying(flows, dns))),
         })
     }
 
@@ -331,9 +324,9 @@ impl Campaign {
         let mut runner = DayRunner::new(self.cfg);
         let enr = runner.enrichment();
 
-        let mut probe = ShardedProbe::with_flow_sink(runner.probe_config(), Sealer::sink(&self.sealer));
-        if let Some(state) = self.probe_carry.take() {
-            probe.import_state(state)?;
+        let mut probe = ShardedProbe::new(runner.probe_config(), 1);
+        if let Some((state, unsealed)) = self.probe_carry.take() {
+            probe.import_state(state, unsealed)?;
         }
 
         let mut prev_snap = telemetry::Snapshot::take();
@@ -343,7 +336,7 @@ impl Campaign {
             runner.run_day(&mut probe, day);
 
             let _sp = telemetry::span("campaign_checkpoint_us");
-            let mut state = probe.export_state();
+            let state = probe.export_state();
 
             // Seal every row behind the watermark: nothing live or
             // future can still produce a record that sorts before it.
@@ -356,9 +349,9 @@ impl Campaign {
                 dns: state.min_pending_dns_ts().unwrap_or(next_midnight),
             };
             let sealed_before = self.segments.len();
-            self.seal(std::mem::take(&mut state.dns_log), Some(marks.capped(next_midnight)), &enr)?;
-            let state_bytes = self.checkpoint(day, &state)?;
-            let rows_carried = self.sealer.borrow().unsealed().0.len() as u64;
+            self.write_piece(probe.seal(marks.capped(next_midnight)), &enr)?;
+            let state_bytes = self.checkpoint(day, &state, &probe)?;
+            let rows_carried = probe.unsealed().0.len() as u64;
             let sealed = &self.segments[sealed_before..];
             let summary = DaySummary {
                 day,
@@ -393,7 +386,8 @@ impl Campaign {
             }
             days.push(summary);
             if opts.abort_after_day == Some(day) {
-                self.probe_carry = Some(state);
+                let (flows, dns) = probe.unsealed();
+                self.probe_carry = Some((state, Sealer::carrying(flows.to_vec(), dns.to_vec())));
                 return Ok(CampaignOutcome {
                     completed: false,
                     days_completed: self.days_completed,
@@ -405,12 +399,10 @@ impl Campaign {
             }
         }
 
-        // All days simulated: flush the probe (evictions go through
-        // the sink; the DNS tail comes back directly), seal what is
-        // left, and fold the final digest and reports.
-        let (rest, dns_tail) = probe.finish();
-        debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
-        self.seal(dns_tail, None, &enr)?;
+        // All days simulated: flush the probe, whose closing seal is
+        // the last piece, and fold the final digest and reports.
+        let (flows, dns) = probe.finish();
+        self.write_piece(Piece { flows, dns }, &enr)?;
 
         let dns = self.read_all_dns()?;
         let mut digest = Fnv1aSink(self.flow_digest);
@@ -443,16 +435,8 @@ impl Campaign {
         })
     }
 
-    /// Log `dns_log`, then seal the rows of both logs strictly behind
-    /// `marks` (`None`: all of them) as the next segment and the next
-    /// DNS spill.
-    fn seal(
-        &mut self,
-        dns_log: Vec<DnsRecord>,
-        marks: Option<SealMarks>,
-        enr: &Enrichment,
-    ) -> Result<(), CampaignError> {
-        let piece = self.sealer.borrow_mut().seal(dns_log, marks);
+    /// Write a sealed piece as the next segment and the next DNS spill.
+    fn write_piece(&mut self, piece: Piece, enr: &Enrichment) -> Result<(), CampaignError> {
         self.write_segment(piece.flows, enr)?;
         self.write_dns_spill(&piece.dns)
     }
@@ -483,17 +467,16 @@ impl Campaign {
         Ok(())
     }
 
-    /// Commit one day: state file first, manifest rename last (the
-    /// commit point), then garbage-collect superseded state files.
-    /// Returns the state file's size.
-    fn checkpoint(&mut self, day: u64, state: &ProbeState) -> Result<u64, CampaignError> {
+    /// Commit one day — `state` and the rows `probe` holds unsealed —
+    /// state file first, manifest rename last (the commit point), then
+    /// garbage-collect superseded state files. Returns the state file's
+    /// size.
+    fn checkpoint(&mut self, day: u64, state: &ProbeState, probe: &ShardedProbe) -> Result<u64, CampaignError> {
         let name = format!("state-{day}.bin");
         let path = self.dir.join(&name);
-        let sum = {
-            let sealer = self.sealer.borrow();
-            let (flows, dns) = sealer.unsealed();
-            codec::write_state_file(&path, state, &codec::by_day(flows, |f| f.first), &codec::by_day(dns, |d| d.ts))?
-        };
+        let (flows, dns) = probe.unsealed();
+        let sum =
+            codec::write_state_file(&path, state, &codec::by_day(flows, |f| f.first), &codec::by_day(dns, |d| d.ts))?;
         self.days_completed = day + 1;
         self.write_manifest(Some((name.clone(), sum)))?;
         self.remove_stale_state_files(Some(&name))?;
@@ -593,8 +576,8 @@ mod tests {
     /// and a final "seal all", and hold every step to the rule: what
     /// stays is exactly the rows at or past the mark, in the order they
     /// had; what was sealed, piece after piece, is the stable canonical
-    /// sort of everything evicted. (The sealer itself, under marks in
-    /// any order, is `proptest_monitor.rs`'s; this is the campaign's
+    /// sort of everything evicted. (The probe's log itself, under marks
+    /// in any order, is `proptest_monitor.rs`'s; this is the campaign's
     /// use of it, kills and resumes included.)
     ///
     /// Row `i` is evicted `delay[i]` checkpoints in, or just before the
@@ -659,7 +642,7 @@ mod tests {
                 .collect();
             check_seal_sequence(&evicted, &delay, marks, &resumed, |f| f.first, |rows, marks| {
                 let mut sealer = Sealer::carrying(rows, Vec::new());
-                (sealer.seal(Vec::new(), marks).flows, sealer.unsealed().0.to_vec())
+                (sealer.seal(marks).flows, sealer.unsealed().0.to_vec())
             });
         }
 
@@ -686,7 +669,7 @@ mod tests {
                 .collect();
             check_seal_sequence(&logged, &delay, marks, &resumed, |d| d.ts, |rows, marks| {
                 let mut sealer = Sealer::carrying(Vec::new(), rows);
-                (sealer.seal(Vec::new(), marks).dns, sealer.unsealed().1.to_vec())
+                (sealer.seal(marks).dns, sealer.unsealed().1.to_vec())
             });
         }
     }

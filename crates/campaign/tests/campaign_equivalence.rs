@@ -15,9 +15,7 @@ use satwatch_monitor::ShardedProbe;
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
 use satwatch_scenario::{dataset_digest, run, DayRunner, ScenarioConfig};
-use std::cell::RefCell;
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::OnceLock;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -134,7 +132,10 @@ fn corrupted_state_file_is_rejected_on_resume() {
 /// evictions, the state file that carries the tail is the smaller
 /// artifact, and the running totals agree with the manifest after every
 /// day. The per-day `--metrics-out` delta names every campaign
-/// instrument, the two gauges of the tail included.
+/// instrument, the two gauges of the tail included. The one `Campaign`
+/// value runs on after every abort in the same process — the tail
+/// crosses each `run` call in the campaign, not in a probe — and ends
+/// on the batch digests.
 #[test]
 fn day_summaries_count_what_each_day_sealed() {
     let cfg = cfg();
@@ -187,12 +188,19 @@ fn day_summaries_count_what_each_day_sealed() {
     let out = c.run(&RunOptions::default()).unwrap();
     assert!(out.completed && out.days.is_empty(), "only the final flush was left");
     assert_eq!(c.segments().len() as u64, cfg.days + 1, "the final flush seals the last tail");
+    let (want_ds, want_rep, _) = batch_digests();
+    assert_eq!(out.dataset_digest, Some(want_ds), "dataset digest diverged from the batch run");
+    assert_eq!(out.report_digest, Some(want_rep), "report digest diverged from the batch run");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A directory checkpointed by a binary that sealed whole days — no
 /// segment yet after day 0, every evicted flow of the day in the state
-/// file's day buckets — resumes and completes to the batch bytes.
+/// file's day buckets — resumes and completes to the batch bytes. The
+/// day's DNS log is split the way a still older binary left it: its
+/// first half in the buckets, the rest drained into the probe state,
+/// so the resumed log is the bucket rows, then the state's DNS log,
+/// then the rows still to come.
 #[test]
 fn a_day_bucket_checkpoint_of_an_older_binary_resumes_to_the_batch_digests() {
     let cfg = cfg();
@@ -202,17 +210,18 @@ fn a_day_bucket_checkpoint_of_an_older_binary_resumes_to_the_batch_digests() {
     // day 0 as that binary ran it: evictions bucketed by the day of
     // their first packet, in eviction order
     let mut runner = DayRunner::new(cfg);
-    let evicted = Rc::new(RefCell::new(Vec::new()));
-    let sink = Rc::clone(&evicted);
-    let mut probe = ShardedProbe::with_flow_sink(runner.probe_config(), Box::new(move |f| sink.borrow_mut().push(f)));
+    let mut probe = ShardedProbe::new(runner.probe_config(), 1);
     runner.run_day(&mut probe, 0);
     let mut state = probe.export_state();
+    let (evicted, logged) = probe.unsealed();
+    let (bucketed, drained) = logged.split_at(logged.len() / 2);
+    state.dns_log = drained.to_vec();
     let (mut flows, mut dns) = (FlowBuckets::new(), DnsBuckets::new());
-    for f in evicted.take() {
-        flows.entry(f.first.as_secs() / SECS_PER_DAY).or_default().push(f);
+    for f in evicted {
+        flows.entry(f.first.as_secs() / SECS_PER_DAY).or_default().push(f.clone());
     }
-    for d in std::mem::take(&mut state.dns_log) {
-        dns.entry(d.ts.as_secs() / SECS_PER_DAY).or_default().push(d);
+    for d in bucketed {
+        dns.entry(d.ts.as_secs() / SECS_PER_DAY).or_default().push(d.clone());
     }
     assert!(flows[&0].len() > 20_000, "a day of rows in the day-0 bucket");
     let sum = write_state_file(&dir.join("state-0.bin"), &state, &flows, &dns).unwrap();

@@ -5,7 +5,7 @@ use satwatch_analytics::{read_enrichment_log, report_all, write_enrichment_log, 
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
 use satwatch_monitor::record::{read_dns_log, write_dns_log, write_dns_rows, write_flow_rows, write_flows};
 use satwatch_monitor::Piece;
-use satwatch_scenario::{experiments, run, run_sealed, run_streaming, ColumnarDataset, ScenarioConfig};
+use satwatch_scenario::{experiments, run_sealed, run_streaming, ColumnarDataset, ScenarioConfig};
 use satwatch_traffic::Country;
 use std::error::Error;
 use std::fs;
@@ -584,10 +584,10 @@ fn query(args: &Args) -> Result<(), Box<dyn Error>> {
 fn ablations(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
     eprintln!("running 4 scenarios (baseline + A1 + A2 + A3) …");
-    let base = experiments::ablation_summary(&run(cfg));
-    let no_pep = experiments::ablation_summary(&run(cfg.without_pep()));
-    let af = experiments::ablation_summary(&run(cfg.with_african_ground_station()));
-    let dns = experiments::ablation_summary(&run(cfg.with_forced_operator_dns()));
+    let base = experiments::ablation_summary(cfg);
+    let no_pep = experiments::ablation_summary(cfg.without_pep());
+    let af = experiments::ablation_summary(cfg.with_african_ground_station());
+    let dns = experiments::ablation_summary(cfg.with_forced_operator_dns());
     println!("{:<34} {:>10} {:>10} {:>10} {:>10}", "metric", "baseline", "no PEP", "African GS", "op DNS");
     println!(
         "{:<34} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
@@ -621,6 +621,7 @@ mod tests {
     use super::*;
     use satwatch_monitor::record::read_flows;
     use satwatch_monitor::FlowRecord;
+    use satwatch_scenario::run;
 
     fn parse(v: &[&str]) -> Args {
         Args::parse(v.iter().map(|s| s.to_string())).unwrap()

@@ -279,9 +279,9 @@ pub struct ProbeState {
     /// In-flight DNS transactions, sorted by
     /// `(asked_at, client, resolver, id)`.
     pub pending_dns: Vec<PendingDnsEntry>,
-    /// DNS records logged since the last export (export *drains* the
-    /// probe's log so the campaign can spill it to disk; ties are in
-    /// observation order, see [`dns_cmp`](crate::dns_cmp)).
+    /// DNS records an older binary drained into its export, in
+    /// observation order; this one keeps its log in the probe and
+    /// exports none. An import logs them after the carried rows.
     pub dns_log: Vec<DnsRecord>,
     /// The sweep clock.
     pub last_sweep: SimTime,

@@ -548,8 +548,8 @@ pub struct FlowTable {
     /// Fx-hashed: five-tuples are simulator-generated, not adversarial,
     /// and this map is touched once per packet.
     flows: FxHashMap<FiveTuple, Box<FlowState>>,
-    /// Records finalised and not yet taken: the probe hands them to
-    /// its sink, or `flush` returns them.
+    /// Records finalised and not yet taken: the probe logs them, or
+    /// `flush` returns them.
     pub(crate) finished: Vec<FlowRecord>,
     /// Shared intern table for every name the DPI (or the probe's DNS
     /// log) extracts.

@@ -27,9 +27,9 @@
 //!   consumes a pass at a time, one slice per run.
 //! * [`sharded`] — the probe under the constructor the day loop and
 //!   the benchmark harness call: one inline `Probe`, no threads.
-//! * [`seal`] — watermark sealing: the probe's per-sweep marks turn
-//!   rows in eviction order into canonically ordered pieces, so a
-//!   consumer holds the live tail instead of the capture.
+//! * [`seal`] — the probe's output log: per-sweep marks seal its rows
+//!   into canonically ordered pieces, so a consumer holds the live
+//!   tail instead of the capture.
 //! * [`checkpoint`] — complete probe-state serialization (live flows,
 //!   pending DNS, sweep clock) so multi-day campaigns survive `kill
 //!   -9` and resume bit-identically.
@@ -77,7 +77,7 @@ pub use checkpoint::{CheckpointError, ProbeState};
 pub use flowtable::{Direction, FlowTable, FlowTableConfig};
 pub use intern::{Domain, DomainInterner};
 pub use pass::{LiveRuns, PassStats, Tap};
-pub use probe::{dns_cmp, flow_sort_key, sort_flows_canonical, FlowSink, Probe, ProbeConfig};
+pub use probe::{dns_cmp, flow_sort_key, sort_flows_canonical, Probe, ProbeConfig};
 pub use record::{DnsRecord, FlowRecord, L7Protocol, RttSummary};
 pub use seal::{Piece, SealMarks, Sealer};
 pub use sharded::ShardedProbe;

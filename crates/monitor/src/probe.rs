@@ -11,7 +11,7 @@ use crate::flowtable::{Direction, FlowTable, FlowTableConfig};
 use crate::intern::Domain;
 use crate::pass::{LiveRuns, PassStats, Tap};
 use crate::record::{DnsRecord, FlowRecord};
-use crate::seal::SealMarks;
+use crate::seal::{Piece, SealMarks, Sealer};
 use satwatch_netstack::dns::DnsHeader;
 use satwatch_netstack::{Ipv4Header, Packet, PacketColumns, PacketView, Transport};
 use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
@@ -80,17 +80,6 @@ impl ProbeConfig {
     }
 }
 
-/// Consumer of evicted flow records. When installed, the probe hands
-/// each finished flow (already anonymized) to the sink as soon as it
-/// leaves the flow table, instead of accumulating it for `finish()` —
-/// so a streaming consumer bounds peak memory by the *live*-flow
-/// count. Records arrive in eviction order, which is not the
-/// canonical output order; consumers that need it must re-sort by
-/// [`flow_sort_key`] (analytics' `FrameBuilder::seal` and the
-/// [`Sealer`](crate::seal::Sealer) do). The probe runs on the thread
-/// that feeds it, so the sink may hold an `Rc`.
-pub type FlowSink = Box<dyn FnMut(FlowRecord)>;
-
 /// Memoized [`CryptoPan::anonymize`]. A free function over the two
 /// fields involved so call sites can split-borrow the probe.
 fn anon_memoized(anon: &CryptoPan, memo: &mut FxHashMap<Ipv4Addr, Ipv4Addr>, addr: Ipv4Addr) -> Ipv4Addr {
@@ -129,11 +118,12 @@ pub struct Probe {
     /// Fx-hashed: keys are simulator-generated (client, resolver, id)
     /// triples, touched for every DNS packet.
     pending_dns: FxHashMap<DnsKey, PendingDns>,
-    dns_log: Vec<DnsRecord>,
+    /// The one way records leave: every finished flow, anonymized the
+    /// moment the flow table drops it, and every DNS transaction.
+    log: Sealer,
     /// The question name of the DNS message being looked at, decoded
     /// here and interned from here: one buffer for the whole capture.
     dns_qname: String,
-    flow_sink: Option<FlowSink>,
     last_sweep: SimTime,
     /// The watermarks of the latest periodic sweep nobody has taken.
     marks: Option<SealMarks>,
@@ -171,9 +161,8 @@ impl Probe {
             anon: CryptoPan::new(cfg.anon_seed),
             anon_memo: fx_map_with_capacity(64),
             pending_dns: fx_map_with_capacity(64),
-            dns_log: Vec::new(),
+            log: Sealer::default(),
             dns_qname: String::new(),
-            flow_sink: None,
             last_sweep: SimTime::ZERO,
             marks: None,
             packets: 0,
@@ -186,13 +175,6 @@ impl Probe {
             ordered: Vec::new(),
             cfg,
         }
-    }
-
-    /// Install a [`FlowSink`]: stream evicted flows out instead of
-    /// accumulating them. `finish()` then returns an empty flow vector
-    /// — every record has already gone through the sink.
-    pub fn set_flow_sink(&mut self, sink: FlowSink) {
-        self.flow_sink = Some(sink);
     }
 
     /// Observe one packet at the span port.
@@ -329,7 +311,9 @@ impl Probe {
         if let Transport::Udp(udp) = transport {
             self.maybe_log_dns_udp(t, ip.src, ip.dst, udp.src_port, udp.dst_port, payload);
         }
-        self.drain_to_sink();
+        if !self.table.finished.is_empty() {
+            self.log_finished();
+        }
     }
 
     /// The stretch walker of both columnar entry points: rows `[start,
@@ -383,10 +367,7 @@ impl Probe {
         if !self.closed.is_sorted_by_key(|c| c.0) {
             self.closed.sort_unstable_by_key(|c| c.0);
         }
-        if self.flow_sink.is_none() {
-            self.table.finished.extend(self.closed.drain(..).map(|(_, f)| f));
-        }
-        self.drain_to_sink();
+        self.log_finished();
     }
 
     /// Run the idle-flow sweep and DNS expiry now, resetting the
@@ -401,7 +382,7 @@ impl Probe {
         self.marks =
             Some(SealMarks { flows: oldest_flow.map_or(t, |f| f.min(t)), dns: oldest_query.map_or(t, |q| q.min(t)) });
         self.last_sweep = t;
-        self.drain_to_sink();
+        self.log_finished();
     }
 
     /// The [`SealMarks`] of the latest periodic sweep since the last
@@ -410,10 +391,21 @@ impl Probe {
         self.marks.take()
     }
 
-    /// The DNS transactions logged since the last call (or the last
-    /// [`export_state`](Self::export_state)), in observation order.
-    pub fn take_dns_log(&mut self) -> Vec<DnsRecord> {
-        std::mem::take(&mut self.dns_log)
+    /// Release every logged row strictly behind `marks` as the next
+    /// canonically ordered piece ([`Sealer::seal`]).
+    pub fn seal(&mut self, marks: SealMarks) -> Piece {
+        self.log.seal(Some(marks))
+    }
+
+    /// The flows logged since the last call, in eviction order
+    /// ([`Sealer::take_flows`]).
+    pub fn take_flows(&mut self) -> std::vec::Drain<'_, FlowRecord> {
+        self.log.take_flows()
+    }
+
+    /// Both logs' rows nobody has taken yet, in arrival order.
+    pub fn unsealed(&self) -> (&[FlowRecord], &[DnsRecord]) {
+        self.log.unsealed()
     }
 
     /// Flush the locally batched span accounting to the global
@@ -436,14 +428,13 @@ impl Probe {
         }
     }
 
-    /// Hand finished flows to the sink, anonymizing on the way out —
-    /// the same transformation `finish()` applies, just incremental.
-    /// The walker's closed flows follow the flow table's.
-    fn drain_to_sink(&mut self) {
-        let Probe { flow_sink: Some(sink), table, closed, anon, anon_memo, .. } = self else { return };
+    /// Log the flows the table finished, then those the walker closed,
+    /// anonymizing on the way: the one way a finished flow leaves.
+    fn log_finished(&mut self) {
+        let Probe { table, closed, anon, anon_memo, log, .. } = self;
         for mut f in table.finished.drain(..).chain(closed.drain(..).map(|(_, f)| f)) {
             f.client = anon_memoized(anon, anon_memo, f.client);
-            sink(f);
+            log.log_flow(f);
         }
     }
 
@@ -520,7 +511,7 @@ impl Probe {
             let m = metrics();
             m.dns_answered.inc();
             m.pending_dns.dec();
-            self.dns_log.push(DnsRecord {
+            self.log.log_dns(DnsRecord {
                 client: anon_memoized(&self.anon, &mut self.anon_memo, key.client),
                 resolver: key.resolver,
                 query: pending.query,
@@ -551,7 +542,7 @@ impl Probe {
             let m = metrics();
             m.dns_timeouts.inc();
             m.pending_dns.dec();
-            self.dns_log.push(DnsRecord {
+            self.log.log_dns(DnsRecord {
                 client: anon_memoized(&self.anon, &mut self.anon_memo, k.client),
                 resolver: k.resolver,
                 query: p.query,
@@ -563,8 +554,10 @@ impl Probe {
         oldest
     }
 
-    /// Finish the capture: flush all live flows and return anonymized
-    /// flow records and the DNS transaction log.
+    /// Finish the capture: flush all live flows and pending queries
+    /// into the log and seal all of it — the anonymized flow records
+    /// and the DNS transaction log nobody has taken yet, in canonical
+    /// order.
     pub fn finish(mut self) -> (Vec<FlowRecord>, Vec<DnsRecord>) {
         self.flush_span_metrics();
         // flush unanswered DNS unconditionally: the capture is over, so
@@ -575,7 +568,7 @@ impl Probe {
             let m = metrics();
             m.dns_timeouts.inc();
             m.pending_dns.dec();
-            self.dns_log.push(DnsRecord {
+            self.log.log_dns(DnsRecord {
                 client: anon_memoized(&self.anon, &mut self.anon_memo, k.client),
                 resolver: k.resolver,
                 query: p.query,
@@ -584,22 +577,11 @@ impl Probe {
                 answers: Vec::new(),
             });
         }
-        let mut flows = self.table.flush();
-        for f in &mut flows {
-            f.client = anon_memoized(&self.anon, &mut self.anon_memo, f.client);
-        }
-        if let Some(sink) = &mut self.flow_sink {
-            // streaming mode: the final flush goes through the sink
-            // like every earlier eviction did; the consumer owns the
-            // records and the ordering
-            for f in flows.drain(..) {
-                sink(f);
-            }
-        }
+        // the live flows leave the way every eviction did
+        self.table.finished = self.table.flush();
+        self.log_finished();
         // canonical output order regardless of eviction history
-        sort_flows_canonical(&mut flows);
-        let mut dns = self.dns_log;
-        dns.sort_by(dns_cmp);
+        let Piece { flows, dns } = self.log.seal(None);
         (flows, dns)
     }
 
@@ -608,11 +590,11 @@ impl Probe {
     }
 
     /// Snapshot the probe's complete carry-over state for a campaign
-    /// checkpoint. Non-destructive for flows and pending DNS (the
-    /// probe keeps running), but **drains** the DNS log: the records
-    /// logged since the previous export move into the returned state,
-    /// so the caller owns spilling them. Flows and pending entries are
-    /// in their canonical orders, making the export deterministic.
+    /// checkpoint. Non-destructive (the probe keeps running); the log
+    /// stays in the probe, so the state's `dns_log` is empty — what a
+    /// checkpoint carries of the log is [`unsealed`](Self::unsealed).
+    /// Flows and pending entries are in their canonical orders, making
+    /// the export deterministic.
     pub fn export_state(&mut self) -> crate::checkpoint::ProbeState {
         let mut pending_dns: Vec<crate::checkpoint::PendingDnsEntry> = self
             .pending_dns
@@ -629,7 +611,7 @@ impl Probe {
         crate::checkpoint::ProbeState {
             flows: self.table.export_flows(),
             pending_dns,
-            dns_log: std::mem::take(&mut self.dns_log),
+            dns_log: Vec::new(),
             last_sweep: self.last_sweep,
             packets: self.packets,
             parse_errors: self.parse_errors,
@@ -638,14 +620,15 @@ impl Probe {
     }
 
     /// Restore exported state into a **fresh** probe (campaign
-    /// resume). Domain names re-intern through the flow table, the
+    /// resume), its log starting with the rows the checkpoint carried
+    /// `unsealed` (then any DNS log an older binary drained into the
+    /// state). Domain names re-intern through the flow table, the
     /// live-flow and pending-DNS gauges re-register every entry, and
-    /// the sweep clock picks up where the checkpoint left it — the
-    /// next periodic sweep fires at exactly the moment it would have
-    /// in the uninterrupted run.
+    /// the sweep clock picks up where the checkpoint left it.
     pub fn import_state(
         &mut self,
         state: crate::checkpoint::ProbeState,
+        unsealed: Sealer,
     ) -> Result<(), crate::checkpoint::CheckpointError> {
         for entry in &state.flows {
             self.table.import_flow(entry)?;
@@ -657,7 +640,10 @@ impl Probe {
                 metrics().pending_dns.inc();
             }
         }
-        self.dns_log.extend(state.dns_log);
+        self.log = unsealed;
+        for d in state.dns_log {
+            self.log.log_dns(d);
+        }
         self.last_sweep = state.last_sweep;
         self.packets = state.packets;
         self.parse_errors = state.parse_errors;

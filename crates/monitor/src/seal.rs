@@ -1,6 +1,6 @@
-//! Watermark sealing (DESIGN.md §10): turn "rows in eviction order +
-//! a mark" into canonically ordered pieces whose concatenation is the
-//! canonical order of the whole capture.
+//! Watermark sealing (DESIGN.md §10): the probe's output log, and how
+//! "rows in eviction order + a mark" become canonically ordered pieces
+//! whose concatenation is the canonical order of the whole capture.
 //!
 //! A *mark* is a time no row still to come can start before. The probe
 //! computes one per log at every periodic sweep ([`SealMarks`]): a live
@@ -11,11 +11,9 @@
 //! them where a sort of the whole capture would. What stays resident
 //! is the live tail — minutes of rows — instead of the capture.
 
-use crate::probe::{dns_cmp, metrics, sort_flows_canonical, FlowSink};
+use crate::probe::{dns_cmp, metrics, sort_flows_canonical};
 use crate::record::{DnsRecord, FlowRecord};
 use satwatch_simcore::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// The two watermarks of one sweep: no flow record still to come has
 /// `first < flows`, no DNS record `ts < dns`.
@@ -46,7 +44,9 @@ pub struct Piece {
     pub dns: Vec<DnsRecord>,
 }
 
-/// The rows a probe has logged and no mark has passed yet.
+/// The probe's output log: the rows it has logged and nobody has taken
+/// yet. Rows leave by [`seal`](Sealer::seal) or, unsorted, by
+/// [`take_flows`](Sealer::take_flows); a caller uses one of the two.
 #[derive(Debug, Default)]
 pub struct Sealer {
     /// Evicted flows in eviction order. Sealing sorts *stably* on the
@@ -77,16 +77,20 @@ fn take_behind<T>(rows: &mut Vec<T>, mark: Option<SimTime>, sealed_to: SimTime, 
 }
 
 impl Sealer {
-    /// A sealer that starts with the unsealed rows of an earlier one
-    /// (a campaign resuming from its state file).
+    /// A log that starts with the unsealed rows of an earlier one (a
+    /// campaign resuming from its state file).
     pub fn carrying(flows: Vec<FlowRecord>, dns: Vec<DnsRecord>) -> Sealer {
         Sealer { flows, dns, ..Sealer::default() }
     }
 
-    /// A [`FlowSink`] that logs every evicted flow with `sealer`.
-    pub fn sink(sealer: &Rc<RefCell<Sealer>>) -> FlowSink {
-        let sealer = Rc::clone(sealer);
-        Box::new(move |f| sealer.borrow_mut().flows.push(f))
+    /// Log a finished (anonymized) flow, in eviction order.
+    pub fn log_flow(&mut self, f: FlowRecord) {
+        self.flows.push(f);
+    }
+
+    /// Log a DNS transaction, in observation order.
+    pub fn log_dns(&mut self, d: DnsRecord) {
+        self.dns.push(d);
     }
 
     /// The rows no mark has passed yet, in arrival order: what a
@@ -95,12 +99,16 @@ impl Sealer {
         (&self.flows, &self.dns)
     }
 
-    /// Log `dns_log` (the probe's, in the order it observed them —
-    /// flows arrive through the [`sink`](Sealer::sink)), then release
-    /// every row strictly behind `marks` (`None`: every row — the
-    /// capture is over) as the next piece.
-    pub fn seal(&mut self, mut dns_log: Vec<DnsRecord>, marks: Option<SealMarks>) -> Piece {
-        self.dns.append(&mut dns_log);
+    /// The flows logged since the last call, in eviction order, drained
+    /// in place (the log keeps its buffer) — for a consumer that
+    /// restores the canonical order itself.
+    pub fn take_flows(&mut self) -> std::vec::Drain<'_, FlowRecord> {
+        self.flows.drain(..)
+    }
+
+    /// Release every row strictly behind `marks` (`None`: every row —
+    /// the capture is over) as the next piece.
+    pub fn seal(&mut self, marks: Option<SealMarks>) -> Piece {
         let mut piece = Piece {
             flows: take_behind(&mut self.flows, marks.map(|m| m.flows), self.sealed_to.flows, |f| f.first),
             dns: take_behind(&mut self.dns, marks.map(|m| m.dns), self.sealed_to.dns, |d| d.ts),
@@ -141,17 +149,15 @@ mod tests {
 
     #[test]
     fn a_row_at_the_mark_stays() {
-        let sealer = Rc::new(RefCell::new(Sealer::default()));
-        let mut sink = Sealer::sink(&sealer);
+        let mut s = Sealer::default();
         for f in [flow(30, 1), flow(10, 2), flow(20, 3), flow(10, 1)] {
-            sink(f);
+            s.log_flow(f);
         }
-        let mut s = sealer.borrow_mut();
-        assert_eq!(s.seal(Vec::new(), marks(20)).flows, [flow(10, 1), flow(10, 2)], "strictly behind, canonical order");
+        assert_eq!(s.seal(marks(20)).flows, [flow(10, 1), flow(10, 2)], "strictly behind, canonical order");
         assert_eq!(s.unsealed().0, [flow(30, 1), flow(20, 3)], "the tail keeps eviction order");
         // an earlier mark afterwards is legal and releases nothing
-        assert_eq!(s.seal(Vec::new(), marks(15)), Piece::default());
-        assert_eq!(s.seal(Vec::new(), None).flows, [flow(20, 3), flow(30, 1)]);
+        assert_eq!(s.seal(marks(15)), Piece::default());
+        assert_eq!(s.seal(None).flows, [flow(20, 3), flow(30, 1)]);
         assert_eq!(s.unsealed(), (&[][..], &[][..]));
     }
 
@@ -160,8 +166,8 @@ mod tests {
     #[should_panic(expected = "arrived behind a mark already sealed")]
     fn a_row_behind_a_sealed_mark_is_caught_in_debug_builds() {
         let mut s = Sealer::carrying(vec![flow(10, 1)], Vec::new());
-        s.seal(Vec::new(), marks(20));
-        s.flows.push(flow(19, 1));
-        s.seal(Vec::new(), None);
+        s.seal(marks(20));
+        s.log_flow(flow(19, 1));
+        s.seal(None);
     }
 }

@@ -8,9 +8,9 @@
 
 use crate::checkpoint::{CheckpointError, ProbeState};
 use crate::pass::{LiveRuns, PassStats, Tap};
-use crate::probe::{FlowSink, Probe, ProbeConfig};
+use crate::probe::{Probe, ProbeConfig};
 use crate::record::{DnsRecord, FlowRecord};
-use crate::seal::SealMarks;
+use crate::seal::{Piece, SealMarks, Sealer};
 use satwatch_netstack::PacketColumns;
 use satwatch_simcore::SimTime;
 
@@ -27,17 +27,6 @@ impl ShardedProbe {
     /// `_shards` is ignored: every value runs the one inline probe.
     pub fn new(cfg: ProbeConfig, _shards: usize) -> ShardedProbe {
         ShardedProbe { probe: Probe::new(cfg), packets: 0 }
-    }
-
-    /// A probe that streams evicted flows into `sink` instead of
-    /// accumulating them; `finish()` then returns an empty flow
-    /// vector. Evictions reach the sink in eviction order — the
-    /// consumer restores the canonical one
-    /// ([`sort_flows_canonical`](crate::sort_flows_canonical)).
-    pub fn with_flow_sink(cfg: ProbeConfig, sink: FlowSink) -> ShardedProbe {
-        let mut probe = ShardedProbe::new(cfg, 1);
-        probe.probe.set_flow_sink(sink);
-        probe
     }
 
     /// [`Probe::observe_cols`].
@@ -63,13 +52,22 @@ impl ShardedProbe {
         self.probe.take_marks()
     }
 
-    /// [`Probe::take_dns_log`].
-    pub fn take_dns_log(&mut self) -> Vec<DnsRecord> {
-        self.probe.take_dns_log()
+    /// [`Probe::seal`].
+    pub fn seal(&mut self, marks: SealMarks) -> Piece {
+        self.probe.seal(marks)
     }
 
-    /// [`Probe::export_state`]: drains the DNS log into the returned
-    /// state, leaves live flows and pending DNS tracking undisturbed.
+    /// [`Probe::take_flows`].
+    pub fn take_flows(&mut self) -> std::vec::Drain<'_, FlowRecord> {
+        self.probe.take_flows()
+    }
+
+    /// [`Probe::unsealed`].
+    pub fn unsealed(&self) -> (&[FlowRecord], &[DnsRecord]) {
+        self.probe.unsealed()
+    }
+
+    /// [`Probe::export_state`]: leaves the probe undisturbed.
     pub fn export_state(&mut self) -> ProbeState {
         self.probe.export_state()
     }
@@ -77,8 +75,8 @@ impl ShardedProbe {
     /// [`Probe::import_state`], into a fresh probe (campaign resume).
     /// A state that an earlier version merged from several shards is
     /// the same unified state and imports the same way.
-    pub fn import_state(&mut self, state: ProbeState) -> Result<(), CheckpointError> {
-        self.probe.import_state(state)?;
+    pub fn import_state(&mut self, state: ProbeState, unsealed: Sealer) -> Result<(), CheckpointError> {
+        self.probe.import_state(state, unsealed)?;
         self.packets = self.probe.packets;
         Ok(())
     }
@@ -93,7 +91,7 @@ impl ShardedProbe {
 mod tests {
     use super::*;
     use crate::flowtable::FlowTableConfig;
-    use crate::probe::{dns_cmp, sort_flows_canonical};
+    use crate::probe::sort_flows_canonical;
     use bytes::Bytes;
     use satwatch_netstack::{SortScratch, Subnet};
     use satwatch_simcore::{SimDuration, SimTime};
@@ -163,61 +161,59 @@ mod tests {
         }
     }
 
+    /// The flows streamed out of the probe — taken after every call, in
+    /// eviction order, which the sort key restores to canonical — and
+    /// `finish`'s rest and DNS log are the batch output.
     #[test]
     fn sink_streams_same_flows_as_batch_finish() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
         let (batch_flows, batch_dns) = run_with_shards(1);
-        let collected: Rc<RefCell<Vec<FlowRecord>>> = Rc::default();
-        let sink = Rc::clone(&collected);
-        let mut probe = ShardedProbe::with_flow_sink(cfg(), Box::new(move |f| sink.borrow_mut().push(f)));
-        let cols = stream();
-        probe.observe_cols(&cols, 0, cols.len());
+        let mut probe = ShardedProbe::new(cfg(), 1);
+        let (cols, mut streamed) = (stream(), Vec::new());
+        for i in 0..cols.len() {
+            probe.observe_cols(&cols, i, i + 1);
+            streamed.extend(probe.take_flows());
+        }
+        assert!(!streamed.is_empty(), "the idle gap's sweep evicted flows before the end");
         let (rest, dns) = probe.finish();
-        assert!(rest.is_empty(), "sink mode returns no batch flows");
-        assert_eq!(dns, batch_dns, "dns path unaffected by the sink");
-        let mut streamed = collected.take();
-        // eviction order is not canonical; the sort key recovers it
+        assert_eq!(dns, batch_dns, "dns path unaffected by taking flows");
+        streamed.extend(rest);
         sort_flows_canonical(&mut streamed);
         assert_eq!(streamed, batch_flows);
     }
 
-    /// Sealing at every sweep's marks, then once more at `finish`,
+    /// Sealing at every sweep's marks, then taking `finish`'s tail,
     /// yields the batch output cut into pieces.
     #[test]
     fn pieces_sealed_at_the_probes_marks_concatenate_to_batch_finish() {
-        use crate::seal::Sealer;
         let batch = run_with_shards(1);
-        let sealer = std::rc::Rc::new(std::cell::RefCell::new(Sealer::default()));
-        let mut probe = ShardedProbe::with_flow_sink(cfg(), Sealer::sink(&sealer));
+        let mut probe = ShardedProbe::new(cfg(), 1);
         assert_eq!(probe.take_marks(), None, "no sweep yet");
         let (cols, mut got, mut pieces) = (stream(), (Vec::new(), Vec::new()), 0);
-        let mut seal = |dns_log, marks| {
-            let piece = sealer.borrow_mut().seal(dns_log, marks);
-            pieces += usize::from(!piece.flows.is_empty());
-            got.0.extend(piece.flows);
-            got.1.extend(piece.dns);
-        };
         // one packet per call: a mark is taken after every sweep
         for i in 0..cols.len() {
             probe.observe_cols(&cols, i, i + 1);
             if let Some(marks) = probe.take_marks() {
-                seal(probe.take_dns_log(), Some(marks));
+                let piece = probe.seal(marks);
+                pieces += usize::from(!piece.flows.is_empty());
+                got.0.extend(piece.flows);
+                got.1.extend(piece.dns);
             }
         }
         let (rest, dns_tail) = probe.finish();
-        assert!(rest.is_empty());
-        seal(dns_tail, None);
+        pieces += usize::from(!rest.is_empty());
+        got.0.extend(rest);
+        got.1.extend(dns_tail);
         assert!(pieces > 1, "the idle gap's sweep released a piece before the end");
         assert_eq!(got, batch);
     }
 
     /// Kill-and-resume at an arbitrary mid-stream point must be
     /// invisible in the output: export, serialize, decode, import into
-    /// a brand-new probe, continue with the remaining packets, and the
-    /// records are byte-identical to the uninterrupted run. The two
-    /// probes are built with different `shards` arguments: the
-    /// argument is ignored.
+    /// a brand-new probe with the rows the checkpoint carried unsealed,
+    /// continue with the remaining packets, and the records are
+    /// byte-identical to the uninterrupted run. The two probes are
+    /// built with different `shards` arguments: the argument is
+    /// ignored.
     #[test]
     fn checkpoint_resume_is_bit_identical_across_shard_counts() {
         let pkts = stream();
@@ -227,30 +223,32 @@ mod tests {
         first.observe_cols(&pkts, 0, cut);
         let state = first.export_state();
         assert!(!state.flows.is_empty(), "capture has live flows at the cut");
+        let (flows, dns) = first.unsealed();
+        assert!(!dns.is_empty(), "the log carries DNS transactions at the cut");
+        let unsealed = Sealer::carrying(flows.to_vec(), dns.to_vec());
         drop(first.finish()); // the killed process's output is discarded
-        let mut decoded = ProbeState::decode(&state.encode()).expect("state decodes");
-        // the log drained at checkpoint time is the campaign's to keep
-        let mut dns = std::mem::take(&mut decoded.dns_log);
+        let decoded = ProbeState::decode(&state.encode()).expect("state decodes");
         let mut resumed = ShardedProbe::new(cfg(), 4);
-        resumed.import_state(decoded).expect("state imports");
+        resumed.import_state(decoded, unsealed).expect("state imports");
         resumed.observe_cols(&pkts, cut, pkts.len());
-        let (flows, late_dns) = resumed.finish();
-        dns.extend(late_dns);
-        dns.sort_by(dns_cmp);
-        assert_eq!(flows, baseline.0);
-        assert_eq!(dns, baseline.1);
+        assert_eq!(resumed.finish(), baseline);
     }
 
     /// The state the one probe exports is, byte for byte, the unified
     /// state the last version that could shard exported from this
     /// capture at 1, 2 and 4 shards (length and Fx hash captured
     /// there): state files of either version import into the other.
+    /// That version drained the DNS log into the state; this one keeps
+    /// it in the probe, so the pin puts it back.
     #[test]
     fn exported_state_is_shard_count_independent() {
         let pkts = stream();
         let mut probe = ShardedProbe::new(cfg(), 1);
         probe.observe_cols(&pkts, 0, pkts.len() / 2);
-        let bytes = probe.export_state().encode();
+        let mut state = probe.export_state();
+        assert!(state.dns_log.is_empty(), "the DNS log stays in the probe");
+        state.dns_log = probe.unsealed().1.to_vec();
+        let bytes = state.encode();
         assert_eq!((bytes.len(), satwatch_simcore::fx_hash_one(&bytes)), (17_143, 0x7be0_900d_fc3a_5efc));
         probe.finish();
     }

@@ -11,20 +11,18 @@
 //! one `(client, resolver, id)`; rows tied to the nanosecond across
 //! runs, on whole seconds, so sweep boundaries land on rows; a
 //! midnight rewind and the horizon cut. Everything the probe lets out
-//! must agree: the evicted flows in eviction order, the DNS log in
-//! observation order before any sort, every `SealMarks`, the rows a tap
-//! sees, and the exported state.
+//! must agree: the log — evicted flows in eviction order, DNS
+//! transactions in observation order, before any sort — every
+//! `SealMarks`, the rows a tap sees, and the exported state.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use satwatch_monitor::{FlowRecord, FlowTableConfig, LiveRuns, ProbeConfig, ShardedProbe};
+use satwatch_monitor::{FlowTableConfig, LiveRuns, ProbeConfig, ShardedProbe};
 use satwatch_netstack::columns::NO_ARENA;
 use satwatch_netstack::dns::{DnsMessage, RecordType};
 use satwatch_netstack::{Packet, PacketColumns, SortScratch, Subnet, TcpFlags};
 use satwatch_simcore::{ColMerge, SimDuration, SimTime};
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 /// Seconds of intents per simulated day, and the spill past it: the
 /// next day starts before the last one's horizon.
@@ -167,19 +165,11 @@ fn random_day(rng: &mut TestRng, day: u64) -> Vec<(SimTime, Vec<PacketColumns>)>
     cohorts
 }
 
-/// A probe whose sink records evictions in the order they happen.
-fn probe_with_log() -> (ShardedProbe, Rc<RefCell<Vec<FlowRecord>>>) {
-    let evicted: Rc<RefCell<Vec<FlowRecord>>> = Rc::default();
-    let sink = Rc::clone(&evicted);
-    (ShardedProbe::with_flow_sink(cfg(), Box::new(move |f| sink.borrow_mut().push(f))), evicted)
-}
-
 proptest! {
     #[test]
     fn pass_driver_matches_the_merge_drain(seed in any::<u64>(), days in 1u64..=2, tapped in any::<bool>()) {
         let mut rng = TestRng::new(seed);
-        let (mut merged, merged_evicted) = probe_with_log();
-        let (mut passed, passed_evicted) = probe_with_log();
+        let (mut merged, mut passed) = (ShardedProbe::new(cfg(), 1), ShardedProbe::new(cfg(), 1));
         let mut merge: ColMerge<PacketColumns> = ColMerge::new();
         let mut runs = LiveRuns::new();
         let (mut merged_tap, mut passed_tap) = (Vec::new(), Vec::new());
@@ -213,8 +203,7 @@ proptest! {
                 prop_assert!(stats.rows == 0 || stats.passes > 0);
                 prop_assert_eq!(passed.packets, merged.packets, "step {}", steps);
                 prop_assert_eq!(passed.take_marks(), merged.take_marks(), "step {}", steps);
-                prop_assert_eq!(passed.take_dns_log(), merged.take_dns_log(), "step {}", steps);
-                prop_assert_eq!(&*passed_evicted.borrow(), &*merged_evicted.borrow(), "step {}", steps);
+                prop_assert_eq!(passed.unsealed(), merged.unsealed(), "step {}", steps);
                 steps += 1;
                 for run in cohort.into_iter().flat_map(|c| c.1) {
                     merge.push(run.clone());
@@ -230,6 +219,5 @@ proptest! {
         prop_assert!(passed.dns_replaced() > 0, "the colliding lookups replaced a query");
         prop_assert_eq!(passed.dns_replaced(), merged.dns_replaced());
         prop_assert_eq!(passed.finish(), merged.finish());
-        prop_assert_eq!(&*passed_evicted.borrow(), &*merged_evicted.borrow());
     }
 }

@@ -242,20 +242,18 @@ proptest! {
             to_come[i] = to_come[i + 1].min(rows[i].0);
         }
         let legal = |i: usize, at: usize| marks[at % marks.len()].map(|m| SimTime::from_secs(m.min(to_come[i + 1]) * SLOT));
-        let sealer = std::rc::Rc::new(std::cell::RefCell::new(Sealer::default()));
-        let mut sink = Sealer::sink(&sealer);
-        // DNS rows wait in the probe's log until the next seal
-        let (mut got_flows, mut got_dns, mut arrived) = (Vec::new(), Vec::new(), Vec::new());
+        let mut sealer = Sealer::default();
+        let (mut got_flows, mut got_dns) = (Vec::new(), Vec::new());
         for i in 0..=rows.len() {
             let marks = if i < rows.len() {
-                sink(flows[i].clone());
-                arrived.push(dns[i].clone());
+                sealer.log_flow(flows[i].clone());
+                sealer.log_dns(dns[i].clone());
                 let Some((flows, dns)) = legal(i, i).zip(legal(i, i + 1)) else { continue };
                 Some(SealMarks { flows, dns })
             } else {
                 None
             };
-            let piece = sealer.borrow_mut().seal(std::mem::take(&mut arrived), marks);
+            let piece = sealer.seal(marks);
             got_flows.extend(piece.flows);
             got_dns.extend(piece.dns);
         }
@@ -264,7 +262,7 @@ proptest! {
         want_dns.sort_by(dns_cmp);
         prop_assert_eq!(got_flows, want_flows);
         prop_assert_eq!(got_dns, want_dns);
-        prop_assert_eq!(sealer.borrow().unsealed(), (&[][..], &[][..]));
+        prop_assert_eq!(sealer.unsealed(), (&[][..], &[][..]));
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! What is left of the per-experiment runners: the Fig 6 service list,
 //! the two whole-report entry points — [`paper_reports_columnar`], the
 //! frame fold every command runs, and [`paper_reports_records`], the
-//! record-slice reference it is pinned to — and the ablation summary.
-//! The five per-figure wrappers stay only because `benchmark/` calls
-//! them (DESIGN.md §7); nothing in `satwatch` does.
+//! record-slice reference it is pinned to — and the sealed-run ablation
+//! summary. The five per-figure wrappers stay only because `benchmark/`
+//! calls them (DESIGN.md §7); nothing in `satwatch` does.
 
-use crate::run::Dataset;
+use crate::config::ScenarioConfig;
+use crate::run::{run_sealed, Dataset};
 use satwatch_analytics::agg::{self, Enrichment};
 use satwatch_analytics::report::{Fig10, Fig11, Fig2, Fig9, Table1};
 use satwatch_analytics::{Classifier, PaperReports};
-use satwatch_monitor::{DnsRecord, FlowRecord};
+use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol};
 use satwatch_traffic::Country;
+use std::ops::ControlFlow;
 
 /// The Fig 6 service subset (services the user intentionally visits).
 pub const FIG6_SERVICES: [&str; 12] = [
@@ -108,25 +110,28 @@ pub struct AblationSummary {
     pub ttfb_s: f64,
 }
 
-pub fn ablation_summary(ds: &Dataset) -> AblationSummary {
-    let enr: &Enrichment = &ds.enrichment;
-    let mut african_rtt: Vec<f64> = ds
-        .flows
-        .iter()
-        .filter(|f| enr.country(f.client).is_some_and(|c| c.is_african()) && f.ground_rtt.samples > 0)
-        .map(|f| f.ground_rtt.avg_ms)
-        .collect();
+/// Run `cfg` and summarise it from its sealed pieces as they arrive,
+/// holding four value lists and no record. Pieces come in canonical
+/// order, so every list — and the mean's `f64` sum — runs in the order
+/// of [`run`](crate::run::run)'s flows.
+pub fn ablation_summary(cfg: ScenarioConfig) -> AblationSummary {
+    let (mut ground, mut dns_ms, mut sat, mut ttfb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let run = run_sealed(cfg, None, |piece| {
+        for f in &piece.flows {
+            ground.extend((f.ground_rtt.samples > 0).then_some((f.client, f.ground_rtt.avg_ms)));
+            sat.extend(f.sat_rtt_ms);
+            let tls = f.l7 == L7Protocol::TlsHttps;
+            ttfb.extend(f.s2c_data_first.filter(|_| tls).map(|t| (t - f.first).as_secs_f64()));
+        }
+        dns_ms.extend(piece.dns.iter().filter_map(|d| d.response_ms));
+        ControlFlow::Continue(())
+    });
+    // a client's country is known once the run returns the enrichment
+    let african = |client| run.enrichment.country(client).is_some_and(|c| c.is_african());
+    let mut african_rtt: Vec<f64> = ground.into_iter().filter(|g| african(g.0)).map(|g| g.1).collect();
     african_rtt.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mut dns_ms: Vec<f64> = ds.dns.iter().filter_map(|d| d.response_ms).collect();
     dns_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mut sat: Vec<f64> = ds.flows.iter().filter_map(|f| f.sat_rtt_ms).collect();
     sat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let ttfb: Vec<f64> = ds
-        .flows
-        .iter()
-        .filter(|f| f.l7 == satwatch_monitor::L7Protocol::TlsHttps)
-        .filter_map(|f| f.s2c_data_first.map(|t| (t - f.first).as_secs_f64()))
-        .collect();
     let med = |v: &[f64]| if v.is_empty() { f64::NAN } else { v[v.len() / 2] };
     AblationSummary {
         african_ground_rtt_ms: med(&african_rtt),

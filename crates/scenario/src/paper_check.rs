@@ -175,8 +175,7 @@ pub fn check_all(cds: &ColumnarDataset) -> Vec<CheckRow> {
     ));
     let cd_low = 1.0 - f5.ccdf(Country::Congo, 0, 250.0);
     rows.push(row("F5a", "Congo has no idle knee", "≈ 0 %", format!("{:.0} %", cd_low * 100.0), cd_low < 0.2));
-    let tail_ratio = f5.ccdf(Country::Congo, 0, 2500.0) / f5.ccdf(Country::Spain, 0, 2500.0).max(1e-6);
-    rows.push(row("F5a", "African flow-count tail vs Europe", "~10×", format!("{tail_ratio:.1}×"), tail_ratio > 2.0));
+    rows.push(flow_count_tail_row(f5.ccdf(Country::Congo, 0, 2500.0), f5.ccdf(Country::Spain, 0, 2500.0)));
     let cd_dl = f5.ccdf(Country::Congo, 1, 1e10) * 100.0;
     let es_dl = f5.ccdf(Country::Spain, 1, 1e10) * 100.0;
     rows.push(row(
@@ -502,6 +501,18 @@ pub fn check_all(cds: &ColumnarDataset) -> Vec<CheckRow> {
     rows
 }
 
+/// F5a's tail row: the shares of Congo's and Spain's customer-days
+/// above 2 500 flows, printed as shares because Spain's can be 0.
+fn flow_count_tail_row(cd: f64, es: f64) -> CheckRow {
+    row(
+        "F5a",
+        "African flow-count tail vs Europe",
+        "~10×",
+        format!("{:.1} % vs {:.1} %", cd * 100.0, es * 100.0),
+        cd > 2.0 * es,
+    )
+}
+
 /// Render the checks as an aligned text table with a pass summary.
 pub fn render(rows: &[CheckRow]) -> String {
     let mut s = String::new();
@@ -551,6 +562,17 @@ mod tests {
         assert!(frac > 0.8, "{passed}/{} checks passed", rows.len());
         let text = render(&rows);
         assert!(text.contains("checks passed"));
+    }
+
+    /// A Spain tail of 0 prints as two shares, not a clamped ratio.
+    #[test]
+    fn a_zero_spain_tail_prints_shares_not_a_clamped_ratio() {
+        let r = flow_count_tail_row(0.111, 0.0);
+        assert_eq!(r.measured, "11.1 % vs 0.0 %");
+        assert!(r.pass);
+        assert!(!flow_count_tail_row(0.0, 0.0).pass, "no tail at all is not a gap");
+        assert!(!flow_count_tail_row(0.1, 0.05).pass, "twice is not more than twice");
+        assert!(flow_count_tail_row(0.11, 0.05).pass);
     }
 
     #[test]

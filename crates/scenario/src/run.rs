@@ -8,9 +8,7 @@ use satwatch_internet::{CdnCatalog, ResolverId};
 use satwatch_monitor::anon::CryptoPan;
 /// A per-packet observer of the span port (pcap writers, tests).
 pub use satwatch_monitor::Tap;
-use satwatch_monitor::{
-    DnsRecord, FlowRecord, FlowTableConfig, LiveRuns, Piece, ProbeConfig, SealMarks, Sealer, ShardedProbe,
-};
+use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, LiveRuns, Piece, ProbeConfig, ShardedProbe};
 use satwatch_netstack::{Packet, PacketColumns, SortScratch};
 use satwatch_satcom::channel::default_peak_hour;
 use satwatch_satcom::geo::places;
@@ -20,9 +18,7 @@ use satwatch_satcom::pep::{PepConfig, PepModel};
 use satwatch_satcom::{GroundStation, SatelliteAccess};
 use satwatch_simcore::{SeedTree, SimTime};
 use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, Population};
-use std::cell::RefCell;
 use std::ops::ControlFlow;
-use std::rc::Rc;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -83,8 +79,8 @@ pub struct Dataset {
     pub packets: u64,
 }
 
-/// A scenario run with the flow log already columnar: the probe
-/// streamed every evicted flow straight into a `FrameBuilder`, so no
+/// A scenario run with the flow log already columnar: the flows the
+/// probe logged went into a `FrameBuilder` after every pass, so no
 /// `Vec<FlowRecord>` for the whole capture ever existed — peak memory
 /// is bounded by the *live*-flow count, not the total flow count.
 pub struct ColumnarDataset {
@@ -147,11 +143,15 @@ pub(crate) fn setup(cfg: ScenarioConfig) -> SimSetup {
     SimSetup { seeds, population, catalog, model, anon_seed, probe_cfg, prop_delays }
 }
 
-/// The consuming end of the sealed-stream drive, handed to [`drive`]
-/// beside the tap: log the probe's DNS transactions, seal behind the
-/// marks (`None`: everything) and pass the piece on. `Break` is the
-/// piece's consumer ending the run.
-type Seal<'a> = &'a mut dyn FnMut(Vec<DnsRecord>, Option<SealMarks>) -> ControlFlow<()>;
+/// What [`drive`] calls after every pass: the probe, to read its log,
+/// and the coming midnight — span time steps back to it when the next
+/// day starts, so no seal mark may lie past it. `Break` ends the run.
+type PassHook<'a> = &'a mut dyn FnMut(&mut ShardedProbe, SimTime) -> ControlFlow<()>;
+
+/// The hook of a run that reads the log only at `finish`.
+fn no_hook(_: &mut ShardedProbe, _: SimTime) -> ControlFlow<()> {
+    ControlFlow::Continue(())
+}
 
 /// Reusable per-day driver buffers. Created once per run (or per
 /// campaign) and recycled across days; every buffer is cleared at the
@@ -283,7 +283,7 @@ impl DayRunner {
     /// against a probe carrying the previous day's state (live flows
     /// spill up to one hour past midnight).
     pub fn run_day(&mut self, probe: &mut ShardedProbe, day: u64) {
-        let _ = drive_day(self.cfg, &self.sim, probe, &mut None, &mut None, day, &mut self.scratch);
+        let _ = drive_day(self.cfg, &self.sim, probe, &mut None, &mut no_hook, day, &mut self.scratch);
     }
 }
 
@@ -301,17 +301,36 @@ pub fn run_with_tap(cfg: ScenarioConfig, mut tap: impl FnMut(SimTime, &Packet)) 
     collect(cfg, Some(&mut tap))
 }
 
-/// The one body of [`run`] and [`run_with_tap`]: the sealed stream,
-/// collected. Pieces arrive in canonical order, so appending them is
-/// the sort of the whole capture.
+/// The one body of [`run`] and [`run_with_tap`]: the probe keeps its
+/// log to the end, and `finish` sorts the whole capture.
 fn collect(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
-    let (mut flows, mut dns) = (Vec::new(), Vec::new());
-    let SealedRun { enrichment, packets } = run_sealed(cfg, tap, |mut piece| {
-        flows.append(&mut piece.flows);
-        dns.append(&mut piece.dns);
-        ControlFlow::Continue(())
-    });
+    let sim = {
+        let _s = satwatch_telemetry::Span::over(metrics().setup_us);
+        setup(cfg)
+    };
+    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
+    let (packets, last) = drive_and_finish(cfg, &sim, tap, &mut no_hook);
+    let Piece { flows, dns } = last.expect("nothing breaks off the run");
     Dataset { flows, dns, enrichment, packets }
+}
+
+/// Drive every day of `cfg` through a fresh probe, `hook` after each
+/// pass, then finish the probe — unless the hook ended the run. Returns
+/// the packets observed and `finish`'s closing seal.
+fn drive_and_finish(
+    cfg: ScenarioConfig,
+    sim: &SimSetup,
+    tap: Option<Tap<'_>>,
+    hook: PassHook<'_>,
+) -> (u64, Option<Piece>) {
+    let mut probe = ShardedProbe::new(sim.probe_cfg, 1);
+    if drive(cfg, sim, &mut probe, tap, hook).is_break() {
+        return (probe.packets, None);
+    }
+    let _s = satwatch_telemetry::Span::over(metrics().finish_us);
+    let packets = probe.packets;
+    let (flows, dns) = probe.finish();
+    (packets, Some(Piece { flows, dns }))
 }
 
 /// Run a scenario as a stream of sealed [`Piece`]s: whenever the probe
@@ -330,29 +349,26 @@ pub fn run_sealed(
         let _s = satwatch_telemetry::Span::over(metrics().setup_us);
         setup(cfg)
     };
-    let sealer = Rc::new(RefCell::new(Sealer::default()));
-    let mut probe = ShardedProbe::with_flow_sink(sim.probe_cfg, Sealer::sink(&sealer));
-    let mut seal = |dns_log, marks| on_piece(sealer.borrow_mut().seal(dns_log, marks));
     let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
-    if drive(cfg, &sim, &mut probe, tap, Some(&mut seal)).is_break() {
-        return SealedRun { enrichment, packets: probe.packets };
+    // seal behind the marks of a sweep in the pass, held at midnight
+    let mut seal = |probe: &mut ShardedProbe, midnight| match probe.take_marks() {
+        Some(marks) => on_piece(probe.seal(marks.capped(midnight))),
+        None => ControlFlow::Continue(()),
+    };
+    let (packets, last) = drive_and_finish(cfg, &sim, tap, &mut seal);
+    if let Some(piece) = last {
+        let _ = on_piece(piece);
     }
-    let _s = satwatch_telemetry::Span::over(metrics().finish_us);
-    let packets = probe.packets;
-    // the final flush goes through the sink; the DNS tail comes back
-    let (rest, dns_tail) = probe.finish();
-    debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
-    let _ = seal(dns_tail, None);
     SealedRun { enrichment, packets }
 }
 
-/// Run a scenario with streaming flow ingest: evicted flows go
-/// through the probe's [`satwatch_monitor::FlowSink`] into an
-/// incremental frame builder as the simulation advances. The sealed
-/// frame is byte-identical to `FlowFrame::from_records` over the
-/// batch run's flows — eviction order is a permutation of the same
-/// record set, and `seal()` restores the canonical order (DESIGN.md
-/// §10) — while the full record vector is never materialized.
+/// Run a scenario with streaming flow ingest: after every pass the
+/// flows the probe logged go into an incremental frame builder, in
+/// eviction order. The sealed frame is byte-identical to
+/// `FlowFrame::from_records` over the batch run's flows — eviction
+/// order is a permutation of the same record set, and `seal()`
+/// restores the canonical order (DESIGN.md §10) — while the full
+/// record vector is never materialized.
 pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
     use satwatch_analytics::FrameBuilder;
     let t_setup = satwatch_telemetry::Span::over(metrics().setup_us);
@@ -360,20 +376,15 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
     // the operator's enrichment is a pure function of the population,
     // so the builder can resolve columns while packets still flow
     let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
-    let builder = Rc::new(RefCell::new(FrameBuilder::new(enrichment.clone())));
-    let sink = Rc::clone(&builder);
-    let mut probe =
-        ShardedProbe::with_flow_sink(sim.probe_cfg, Box::new(move |f: FlowRecord| sink.borrow_mut().push(&f)));
+    let mut builder = FrameBuilder::new(enrichment.clone());
     drop(t_setup);
-    let _ = drive(cfg, &sim, &mut probe, None, None);
-    let _s = satwatch_telemetry::Span::over(metrics().finish_us);
-    let packets = probe.packets;
-    let (rest, dns) = probe.finish();
-    debug_assert!(rest.is_empty(), "sink mode leaves no batch flows");
-    drop(rest);
-    let builder = Rc::try_unwrap(builder).ok().expect("the probe dropped its sink").into_inner();
-    let frame = builder.seal();
-    ColumnarDataset { frame, dns, enrichment, packets }
+    let (packets, last) = drive_and_finish(cfg, &sim, None, &mut |probe, _| {
+        probe.take_flows().for_each(|f| builder.push(&f));
+        ControlFlow::Continue(())
+    });
+    let Piece { flows: rest, dns } = last.expect("nothing breaks off the run");
+    rest.into_iter().for_each(|f| builder.push(&f));
+    ColumnarDataset { frame: builder.seal(), dns, enrichment, packets }
 }
 
 /// The day loop: generate intents, expand flows to packets, feed the
@@ -385,20 +396,19 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
 /// per-packet semantics this is pinned byte-identical against live in
 /// [`run_reference`](crate::reference::run_reference).
 ///
-/// With a `seal`, the rows the probe is done with leave as sealed
-/// pieces while the loop runs; `Break` is their consumer ending the
-/// run early.
+/// `hook` reads the probe's log after every pass; `Break` from it ends
+/// the run early.
 fn drive(
     cfg: ScenarioConfig,
     sim: &SimSetup,
     probe: &mut ShardedProbe,
     mut tap: Option<Tap<'_>>,
-    mut seal: Option<Seal<'_>>,
+    hook: PassHook<'_>,
 ) -> ControlFlow<()> {
     let mut scratch = DayScratch::new();
     export_beam_gauges(&sim.population);
     for day in 0..cfg.days {
-        drive_day(cfg, sim, probe, &mut tap, &mut seal, day, &mut scratch)?;
+        drive_day(cfg, sim, probe, &mut tap, hook, day, &mut scratch)?;
     }
     ControlFlow::Continue(())
 }
@@ -413,7 +423,7 @@ fn drive_day(
     sim: &SimSetup,
     probe: &mut ShardedProbe,
     tap: &mut Option<Tap<'_>>,
-    seal: &mut Option<Seal<'_>>,
+    hook: PassHook<'_>,
     day: u64,
     s: &mut DayScratch,
 ) -> ControlFlow<()> {
@@ -486,16 +496,11 @@ fn drive_day(
             m.packets.add(pass.rows);
             m.passes.add(pass.passes);
             m.ordered_rows.add(pass.ordered_rows);
-            // Seal behind the marks of a sweep in this pass. The
-            // probe's marks trust its clock, and span time steps back
-            // to midnight when the next day starts: a mark from the
-            // spill hour would pass tomorrow's first flows, so none is
-            // used past the coming midnight.
-            if let Some(seal) = seal.as_mut() {
-                if let Some(marks) = probe.take_marks() {
-                    seal(probe.take_dns_log(), Some(marks.capped(next_midnight)))?;
-                }
-            }
+            // The probe's marks trust its clock, and span time steps
+            // back to midnight when the next day starts: a mark from
+            // the spill hour would pass tomorrow's first flows, so the
+            // hook uses none past the coming midnight.
+            hook(probe, next_midnight)?;
             if ti.is_none() {
                 break;
             }

@@ -6,13 +6,11 @@
 //! the probe's marks trust its clock.
 
 use satwatch_monitor::record::{write_dns_log, write_dns_rows, write_flow_rows, write_flows};
-use satwatch_monitor::{Piece, SealMarks, Sealer, ShardedProbe};
+use satwatch_monitor::{Piece, SealMarks, ShardedProbe};
 use satwatch_scenario::{run, run_reference, run_sealed, DayRunner, ScenarioConfig};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::SimTime;
-use std::cell::RefCell;
 use std::ops::ControlFlow;
-use std::rc::Rc;
 
 fn cfg(seed: u64, days: u64) -> ScenarioConfig {
     ScenarioConfig::tiny().with_customers(12).with_seed(seed).with_days(days)
@@ -71,19 +69,17 @@ fn a_break_ends_the_sealed_run() {
 /// sealed at.
 fn seal_daily(cfg: ScenarioConfig, capped: bool) -> Vec<(Option<SealMarks>, Piece)> {
     let mut runner = DayRunner::new(cfg);
-    let sealer = Rc::new(RefCell::new(Sealer::default()));
-    let mut probe = ShardedProbe::with_flow_sink(runner.probe_config(), Sealer::sink(&sealer));
+    let mut probe = ShardedProbe::new(runner.probe_config(), 1);
     let mut pieces = Vec::new();
     for day in 0..cfg.days {
         runner.run_day(&mut probe, day);
         let midnight = SimTime::from_secs((day + 1) * SECS_PER_DAY);
         let marks = probe.take_marks().expect("a day has sweeps");
-        let marks = Some(if capped { marks.capped(midnight) } else { marks });
-        pieces.push((marks, sealer.borrow_mut().seal(probe.take_dns_log(), marks)));
+        let marks = if capped { marks.capped(midnight) } else { marks };
+        pieces.push((Some(marks), probe.seal(marks)));
     }
-    let (rest, dns_tail) = probe.finish();
-    assert!(rest.is_empty());
-    pieces.push((None, sealer.borrow_mut().seal(dns_tail, None)));
+    let (flows, dns) = probe.finish();
+    pieces.push((None, Piece { flows, dns }));
     pieces
 }
 

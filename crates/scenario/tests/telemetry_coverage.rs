@@ -5,8 +5,9 @@
 //! its wiring regressed. Kept in its own integration binary so nothing
 //! here races with the on/off toggling in `telemetry_determinism.rs`.
 
-use satwatch_scenario::{run, run_with_tap, ScenarioConfig};
+use satwatch_scenario::{run, run_sealed, run_with_tap, ScenarioConfig};
 use satwatch_telemetry::Snapshot;
+use std::ops::ControlFlow;
 
 #[test]
 fn snapshot_covers_every_pipeline_layer() {
@@ -65,11 +66,16 @@ fn snapshot_covers_every_pipeline_layer() {
         .sum();
     assert!(verdicts >= ds.flows.len() as u64, "every finalised flow got a DPI verdict");
 
-    // watermark sealing: `run` collects the sealed stream, so the
-    // sealer released a piece per sweep, and what stayed resident
-    // after the last of them was a tail, not the capture
-    assert!(counter("probe_seal_pieces_total") > 100, "sealed at the sweeps, not once at the end");
-    let tail = snap.gauge("probe_unsealed_rows").expect("probe_unsealed_rows missing from snapshot");
+    // watermark sealing: the sealed stream of the same run released a
+    // piece per sweep, and what stayed resident after the last of them
+    // was a tail, not the capture
+    let before = Snapshot::take();
+    let sealed = run_sealed(ScenarioConfig::tiny().with_customers(10), None, |_| ControlFlow::Continue(()));
+    assert_eq!(sealed.packets, ds.packets);
+    let after = Snapshot::take();
+    let pieces = after.delta(&before).counter("probe_seal_pieces_total");
+    assert!(pieces > Some(100), "sealed at the sweeps, not once at the end: {pieces:?}");
+    let tail = after.gauge("probe_unsealed_rows").expect("probe_unsealed_rows missing from snapshot");
     assert!((0..ds.flows.len() as i64 / 4).contains(&tail), "{tail} rows unsealed of {}", ds.flows.len());
 
     // analytics span timers
@@ -126,7 +132,7 @@ fn snapshot_covers_every_pipeline_layer() {
     assert!(campaign.run(&satwatch_campaign::RunOptions::default()).unwrap().completed);
     let snap = Snapshot::take();
     std::fs::remove_dir_all(&dir).unwrap();
-    // a seal per day and the closing one, through the probe's sealer
+    // a seal per day and the closing one, through the probe's log
     assert_eq!(snap.delta(&before).counter("campaign_segments_sealed_total"), Some(3));
     assert_eq!(snap.delta(&before).counter("probe_seal_pieces_total"), Some(3));
     assert_eq!(snap.gauge("campaign_days_completed"), Some(2));

@@ -10,19 +10,15 @@
 //! cargo run --release --example dns_cdn_study [customers]
 //! ```
 
-use satwatch::analytics::FlowFrame;
-use satwatch::scenario::{experiments, run, ScenarioConfig};
+use satwatch::scenario::{experiments, run_streaming, ScenarioConfig};
 
 fn main() {
     let customers: u32 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(400);
     let cfg = ScenarioConfig::tiny().with_customers(customers);
 
     eprintln!("baseline run ({customers} customers) …");
-    // the ablation summary below reads the records, so this example
-    // keeps them and builds the frame beside them
-    let ds = run(cfg);
-    let frame = FlowFrame::from_records(&ds.flows, &ds.enrichment);
-    let reports = experiments::paper_reports_columnar(&frame, &ds.dns, &ds.enrichment, 5, 1);
+    let ds = run_streaming(cfg);
+    let reports = experiments::paper_reports_columnar(&ds.frame, &ds.dns, &ds.enrichment, 5, 1);
     println!("{}", reports.fig10.render());
 
     println!("Ground RTT per (domain, resolver) — Table 2/4/5 drill-down:");
@@ -35,10 +31,9 @@ fn main() {
     }
 
     // The §6.4 mitigation: force everyone onto the operator resolver.
-    eprintln!("\nA2 ablation run (forced operator DNS) …");
-    let forced = run(cfg.with_forced_operator_dns());
-    let base = experiments::ablation_summary(&ds);
-    let with = experiments::ablation_summary(&forced);
+    eprintln!("\nA2 ablation runs (baseline, forced operator DNS) …");
+    let base = experiments::ablation_summary(cfg);
+    let with = experiments::ablation_summary(cfg.with_forced_operator_dns());
     println!("\nA2 ablation: force the operator resolver");
     println!("  median DNS response:     {:>7.1} ms → {:>6.1} ms", base.dns_median_ms, with.dns_median_ms);
     println!(

@@ -10,18 +10,18 @@
 //! cargo run --release --example pep_ablation [customers]
 //! ```
 
-use satwatch::scenario::{experiments, run, ScenarioConfig};
+use satwatch::scenario::{experiments, ScenarioConfig};
 
 fn main() {
     let customers: u32 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(250);
     let cfg = ScenarioConfig::tiny().with_customers(customers);
 
     eprintln!("run 1/3: baseline (PEP on, single EU ground station) …");
-    let base = experiments::ablation_summary(&run(cfg));
+    let base = experiments::ablation_summary(cfg);
     eprintln!("run 2/3: PEP disabled …");
-    let no_pep = experiments::ablation_summary(&run(cfg.without_pep()));
+    let no_pep = experiments::ablation_summary(cfg.without_pep());
     eprintln!("run 3/3: with an African ground station …");
-    let af_gs = experiments::ablation_summary(&run(cfg.with_african_ground_station()));
+    let af_gs = experiments::ablation_summary(cfg.with_african_ground_station());
 
     println!("A3 — split-TCP PEP ablation");
     println!("  mean TLS time-to-first-byte: {:.2} s (PEP) vs {:.2} s (end-to-end)", base.ttfb_s, no_pep.ttfb_s);

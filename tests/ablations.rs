@@ -2,9 +2,9 @@
 //! paper discusses must move the measurements in the predicted
 //! direction when toggled.
 
-use satwatch::analytics::{FlowFrame, PaperReports};
+use satwatch::analytics::PaperReports;
 use satwatch::scenario::experiments::{self, paper_reports_columnar, AblationSummary};
-use satwatch::scenario::{run, ScenarioConfig};
+use satwatch::scenario::{run_streaming, ScenarioConfig};
 use std::sync::OnceLock;
 
 fn cfg() -> ScenarioConfig {
@@ -14,23 +14,23 @@ fn cfg() -> ScenarioConfig {
 /// The baseline every ablation is compared with, run once per binary.
 fn base() -> &'static AblationSummary {
     static BASE: OnceLock<AblationSummary> = OnceLock::new();
-    BASE.get_or_init(|| experiments::ablation_summary(&run(cfg())))
+    BASE.get_or_init(|| experiments::ablation_summary(cfg()))
 }
 
-/// The A2 run, shared by its two tests: summary and report fold.
+/// The A2 scenario, shared by its two tests: summary and report fold.
 fn forced() -> &'static (AblationSummary, PaperReports) {
     static FORCED: OnceLock<(AblationSummary, PaperReports)> = OnceLock::new();
     FORCED.get_or_init(|| {
-        let ds = run(cfg().with_forced_operator_dns());
-        let frame = FlowFrame::from_records(&ds.flows, &ds.enrichment);
-        (experiments::ablation_summary(&ds), paper_reports_columnar(&frame, &ds.dns, &ds.enrichment, 10, 1))
+        let cfg = cfg().with_forced_operator_dns();
+        let cds = run_streaming(cfg);
+        (experiments::ablation_summary(cfg), paper_reports_columnar(&cds.frame, &cds.dns, &cds.enrichment, 10, 1))
     })
 }
 
 #[test]
 fn a3_pep_accelerates_connection_setup() {
     let base = base();
-    let no_pep = experiments::ablation_summary(&run(cfg().without_pep()));
+    let no_pep = experiments::ablation_summary(cfg().without_pep());
     // Without the split-TCP proxy, the TLS time-to-first-byte grows by
     // at least one extra satellite round trip (~0.6 s).
     assert!(no_pep.ttfb_s > base.ttfb_s + 0.4, "pep {:.2}s vs e2e {:.2}s", base.ttfb_s, no_pep.ttfb_s);
@@ -41,7 +41,7 @@ fn a3_pep_accelerates_connection_setup() {
 #[test]
 fn a1_african_ground_station_cuts_african_ground_rtt() {
     let base = base();
-    let af = experiments::ablation_summary(&run(cfg().with_african_ground_station()));
+    let af = experiments::ablation_summary(cfg().with_african_ground_station());
     assert!(
         af.african_ground_rtt_ms <= base.african_ground_rtt_ms,
         "African ground RTT must not get worse: {} vs {}",
