@@ -232,24 +232,6 @@ impl FlowFrame {
         }
         out
     }
-
-    /// Resident size of the column data, bytes (capacity-based; the
-    /// `domain` column counts codes, not the dictionary's strings).
-    pub fn memory_bytes(&self) -> usize {
-        self.client.capacity() * std::mem::size_of::<Ipv4Addr>()
-            + self.first.capacity() * std::mem::size_of::<SimTime>()
-            + (self.bytes_up.capacity() + self.bytes_down.capacity() + self.ground_rtt_samples.capacity()) * 8
-            + (self.ground_rtt_avg.capacity() + self.sat_rtt_ms.capacity()) * 8
-            + (self.down_bps.capacity() + self.dur_s.capacity()) * 8
-            + self.l7.capacity()
-            + self.country.capacity()
-            + self.local_hour.capacity()
-            + self.hour_utc.capacity()
-            + self.day.capacity() * 4
-            + (self.beam.capacity() + self.service.capacity()) * 2
-            + self.category.capacity()
-            + self.domain.capacity() * 4
-    }
 }
 
 /// What the builder resolved for one distinct domain name: its
@@ -263,7 +245,7 @@ struct DomainEntry {
 
 /// Incremental frame builder: the enrichment pass. Owns the
 /// enrichment maps and the Table 3 classifier, resolves every pushed
-/// record to a [`Row`], and seals into a [`FlowFrame`].
+/// record to a `Row`, and seals into a [`FlowFrame`].
 pub struct FrameBuilder {
     enr: Enrichment,
     classifier: Classifier,
@@ -568,6 +550,5 @@ mod tests {
         assert_eq!(tiled.domains, fr.domains);
         assert_eq!(&tiled.bytes_up[0..2], &tiled.bytes_up[2..4]);
         assert_eq!(tiled.first[4], fr.first[0]);
-        assert!(tiled.memory_bytes() > fr.memory_bytes());
     }
 }

@@ -99,11 +99,6 @@ impl Fig4 {
         self.rows.iter().find(|(cc, _)| *cc == c).map(|(_, p)| p)
     }
 
-    pub fn peak_hour_utc(&self, c: Country) -> Option<u32> {
-        self.profile(c)
-            .map(|p| p.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).map(|(h, _)| h as u32).unwrap())
-    }
-
     pub fn render(&self) -> String {
         let mut s = String::from("Figure 4: daily traffic profile per country (fraction of peak, UTC hour)\n");
         let _ = write!(s, "{:<14}", "Country");
@@ -473,7 +468,8 @@ mod tests {
         let mut prof = [0.5f64; 24];
         prof[19] = 1.0;
         let f = Fig4 { rows: vec![(Country::Spain, prof)] };
-        assert_eq!(f.peak_hour_utc(Country::Spain), Some(19));
+        assert_eq!(f.profile(Country::Spain).map(|p| p[19]), Some(1.0));
+        assert!(f.profile(Country::Congo).is_none());
         assert!(f.render().contains("Spain"));
     }
 

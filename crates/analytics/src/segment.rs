@@ -29,6 +29,7 @@ use crate::classify::Classifier;
 use crate::frame::{FlowFrame, NO_DOMAIN};
 use satwatch_monitor::checkpoint::{put_str, put_u16, put_u32, put_u64, Reader};
 use satwatch_monitor::Domain;
+use satwatch_simcore::fnv::{fnv1a, FNV1A_INIT, FNV1A_PRIME};
 use satwatch_simcore::{FxHashSet, SimTime};
 use std::net::Ipv4Addr;
 use std::path::Path;
@@ -73,17 +74,6 @@ impl From<std::io::Error> for SegmentError {
     }
 }
 
-const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_INIT;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// FNV-1a 64 of every run, up to four runs at a time in lock-step.
 ///
 /// One FNV-1a chain is a serial xor-multiply dependency per byte, so
@@ -94,7 +84,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// [`fnv1a`] of that run — the on-disk checksums are unchanged.
 fn fnv1a_lanes(runs: &[&[u8]]) -> Vec<u64> {
     const LANES: usize = 4;
-    let mut out = vec![FNV_INIT; runs.len()];
+    let mut out = vec![FNV1A_INIT; runs.len()];
     // (run index, unhashed tail) of each busy lane
     let mut lanes: Vec<(usize, &[u8])> = Vec::with_capacity(LANES);
     let mut pending = runs.iter().copied().enumerate().filter(|(_, r)| !r.is_empty());
@@ -126,7 +116,7 @@ fn fnv1a_advance<const N: usize>(out: &mut [u64], lanes: &mut [(usize, &[u8])], 
     let runs: [&[u8]; N] = std::array::from_fn(|l| &lanes[l].1[..len]);
     for i in 0..len {
         for l in 0..N {
-            h[l] = (h[l] ^ u64::from(runs[l][i])).wrapping_mul(FNV_PRIME);
+            h[l] = (h[l] ^ u64::from(runs[l][i])).wrapping_mul(FNV1A_PRIME);
         }
     }
     for (l, lane) in lanes.iter_mut().enumerate() {

@@ -5,9 +5,9 @@
 //! Compare the two `pipeline` groups (telemetry enabled vs disabled):
 //! the delta is the full recording cost, since the disabled path still
 //! pays the branch on the `ENABLED` flag. The `instruments` group
-//! prices the primitives themselves — a sharded counter increment is
-//! one relaxed `fetch_add` on a thread-private cache line, a histogram
-//! record is two plus a CAS-free max update.
+//! prices the primitives themselves — a counter increment is one
+//! relaxed `fetch_add`, a histogram record is two plus a CAS-free max
+//! update.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use satwatch_scenario::{dataset_digest, run, ScenarioConfig};

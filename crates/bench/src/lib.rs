@@ -2,13 +2,14 @@
 //!
 //! Criterion benches under `benches/`:
 //!
-//! * `ablations` — the A1/A2/A3 what-ifs from DESIGN.md §5.
-//! * `micro` — hot-path micro-benchmarks: probe packet processing,
-//!   CryptoPan, DPI/SNI extraction, flow synthesis, the event queue,
-//!   the domain classifier, and the warehouse legs (group-bys,
-//!   segment verify, the report fold).
-//! * `telemetry_overhead` — the packet path with telemetry on and off.
+//! * `micro` — the kernels no `satbench` per-layer row times:
+//!   CryptoPan, TLS/QUIC SNI and DNS parsing, the domain classifier,
+//!   the satellite-RTT sample, the probe's stamp sweep, the inspect
+//!   buffer, and SipHash vs FxHash.
+//! * `telemetry_overhead` — the packet path with telemetry on and off
+//!   (the < 2 % budget).
 //!
-//! Run with `cargo bench --workspace`. The paper's tables and figures
-//! are timed end to end by `satbench` (`benchmark/`, rows
-//! `engine.report_fold_ms` and `agg.records_reports_ms`), not here.
+//! Run with `cargo bench --workspace`. Everything else — flow
+//! synthesis, the probe, the log codec, segments, queries, the report
+//! fold, the A1–A3 ablations — is timed end to end and per layer by
+//! `satbench` (`benchmark/`), not here.

@@ -45,7 +45,7 @@ use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{write_flow_rows, write_flows};
 use satwatch_monitor::{DnsRecord, FlowRecord, Piece, ProbeState, SealMarks, Sealer, ShardedProbe};
 use satwatch_scenario::digest::{fnv1a, write_dns_lines, Fnv1aSink, FNV1A_INIT};
-use satwatch_scenario::experiments::FIG6_SERVICES;
+use satwatch_scenario::experiments::{FIG6_SERVICES, MIN_FLOWS};
 use satwatch_scenario::{DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
 use satwatch_telemetry as telemetry;
@@ -108,16 +108,13 @@ pub struct RunOptions {
     /// Append one telemetry delta snapshot per sealed day (and a
     /// final cumulative one) to this file as a stream of JSON objects.
     pub metrics_out: Option<PathBuf>,
-    /// `min_flows` threshold for the final Table 2 CDN report
-    /// (matches the CLI `report` command's default of 10).
-    pub min_flows: usize,
     /// Suppress the per-day progress lines on stderr.
     pub quiet: bool,
 }
 
 impl Default for RunOptions {
     fn default() -> RunOptions {
-        RunOptions { abort_after_day: None, metrics_out: None, min_flows: 10, quiet: true }
+        RunOptions { abort_after_day: None, metrics_out: None, quiet: true }
     }
 }
 
@@ -409,7 +406,7 @@ impl Campaign {
         write_dns_lines(&mut digest, &dns).expect("hashing cannot fail");
         let dataset_digest = digest.0;
 
-        let (report_text, report_digest) = self.fold_report(&enr, &dns, opts)?;
+        let (report_text, report_digest) = self.fold_report(&enr, &dns)?;
         std::fs::write(self.dir.join("report.txt"), &report_text)?;
 
         self.complete = true;
@@ -529,19 +526,14 @@ impl Campaign {
     /// dataset.
     /// Returns the rendered text and its digest, byte-identical to
     /// the batch `report_all` over the full frame.
-    fn fold_report(
-        &self,
-        enr: &Enrichment,
-        dns: &[DnsRecord],
-        opts: &RunOptions,
-    ) -> Result<(String, u64), CampaignError> {
+    fn fold_report(&self, enr: &Enrichment, dns: &[DnsRecord]) -> Result<(String, u64), CampaignError> {
         let ctx = ReportCtx { enrichment: enr, countries: &Country::TOP6 };
         let mut fold = ReportFold::new(dns, ctx);
         for info in &self.segments {
             let frame = read_segment_file(&self.segment_path(info.day), Some(info.fnv))?;
             fold.absorb_frame(&frame);
         }
-        let reports = fold.finish(&FIG6_SERVICES, opts.min_flows);
+        let reports = fold.finish(&FIG6_SERVICES, MIN_FLOWS);
         let text = reports.render_all();
         let digest = fnv1a(text.as_bytes());
         Ok((text, digest))

@@ -257,12 +257,7 @@ fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
         Some(_) => Some(args.get_parsed("abort-after-day", 0u64)?),
         None => None,
     };
-    let opts = RunOptions {
-        abort_after_day,
-        metrics_out: args.get("metrics-out").map(Into::into),
-        min_flows: 10,
-        quiet: false,
-    };
+    let opts = RunOptions { abort_after_day, metrics_out: args.get("metrics-out").map(Into::into), quiet: false };
     let outcome = c.run(&opts)?;
     if outcome.completed {
         // stdout, machine-greppable — the CI smoke diffs these lines
@@ -445,7 +440,7 @@ fn report(args: &Args) -> Result<(), Box<dyn Error>> {
         .map_err(|which| format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)"))?;
     let ColumnarDataset { frame, dns, enrichment: enr, .. } = ingest_with_banner(cfg);
     let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
-    let reports = report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, 10);
+    let reports = report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, experiments::MIN_FLOWS);
     print_figures(&which, &names, &reports);
     if let Some(dir) = args.get("csv") {
         use satwatch_analytics::csv;
@@ -522,7 +517,7 @@ fn replay_reports(dir: &str) -> Result<PaperReports, String> {
     enr.days = frame.day.iter().max().map_or(1, |&last| u64::from(last) + 1);
     eprintln!("replaying {} flows / {} DNS transactions from {dir}", frame.len(), dns.len());
     let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
-    Ok(report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, 10))
+    Ok(report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, experiments::MIN_FLOWS))
 }
 
 fn replay(args: &Args) -> Result<(), Box<dyn Error>> {

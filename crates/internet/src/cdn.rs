@@ -11,7 +11,7 @@
 //!   of Table 2/4/5.
 //! * **Anycast** — the client connects to a fixed address and BGP
 //!   routes it to the nearest node *from the ground station*, which is
-//!   immune to resolver confusion ("nflxvideo.net [is] less affected…
+//!   immune to resolver confusion ("nflxvideo.net \[is\] less affected…
 //!   because they use Anycast-based CDN solutions").
 
 use crate::region::Region;

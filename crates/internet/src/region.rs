@@ -110,18 +110,6 @@ impl Region {
         distance_table()[self as usize][other as usize]
     }
 
-    /// Region whose coordinates are closest to the given point.
-    pub fn nearest_to(lat: f64, lon: f64) -> Region {
-        *Region::ALL
-            .iter()
-            .min_by(|a, b| {
-                let (la, lo) = a.coordinates();
-                let (lb, lob) = b.coordinates();
-                haversine_km(lat, lon, la, lo).partial_cmp(&haversine_km(lat, lon, lb, lob)).unwrap()
-            })
-            .unwrap()
-    }
-
     /// Sample one ground-segment RTT from the ground station to a
     /// server in this region.
     pub fn sample_ground_rtt(self, rng: &mut Rng) -> SimDuration {
@@ -131,10 +119,6 @@ impl Region {
 
     pub fn is_african(self) -> bool {
         matches!(self, Region::AfricaWest | Region::AfricaCentral | Region::AfricaSouth | Region::AfricaEast)
-    }
-
-    pub fn is_european(self) -> bool {
-        matches!(self, Region::PeeringCdn | Region::EuropeSouth | Region::EuropeWest | Region::EuropeFar)
     }
 }
 
@@ -196,19 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn nearest_region_selection() {
-        // Lagos is nearest to AfricaWest
-        assert_eq!(Region::nearest_to(6.5, 3.5), Region::AfricaWest);
-        // Beijing is nearest to China
-        assert_eq!(Region::nearest_to(40.0, 116.0), Region::China);
-    }
-
-    #[test]
     fn continental_predicates() {
-        assert!(Region::AfricaWest.is_african());
-        assert!(!Region::AfricaWest.is_european());
-        assert!(Region::EuropeWest.is_european());
-        assert!(!Region::China.is_european() && !Region::China.is_african());
+        assert!(Region::AfricaWest.is_african() && Region::AfricaEast.is_african());
+        assert!(!Region::EuropeWest.is_african() && !Region::China.is_african());
     }
 
     #[test]

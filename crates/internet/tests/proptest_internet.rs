@@ -59,10 +59,15 @@ proptest! {
 
     #[test]
     fn server_addresses_stay_in_region_blocks(region_idx in 0usize..12, host in any::<u16>()) {
-        use satwatch_internet::server::{region_of_address, server_address};
+        use satwatch_internet::server::server_address;
+        // the /16 block names the region: shared with every address of
+        // the region, with no address of another
         let region = Region::ALL[region_idx];
-        let addr = server_address(region, host);
-        prop_assert_eq!(region_of_address(addr), Some(region));
+        let block = |addr: std::net::Ipv4Addr| addr.octets()[..2].to_vec();
+        let addr = block(server_address(region, host));
+        for other in Region::ALL {
+            prop_assert_eq!(addr == block(server_address(other, 0)), other == region, "{:?}", other);
+        }
     }
 
     #[test]

@@ -255,6 +255,11 @@ impl FlowEntry {
     pub(crate) fn state_bytes(&self) -> &[u8] {
         &self.bytes
     }
+
+    /// The canonical-order key: first-packet time, then flow key.
+    fn order_key(&self) -> (SimTime, Ipv4Addr, u16, Ipv4Addr, u16, u8) {
+        (self.first, self.src, self.src_port, self.dst, self.dst_port, self.protocol)
+    }
 }
 
 /// One in-flight (unanswered, not yet timed out) DNS transaction.
@@ -265,6 +270,13 @@ pub struct PendingDnsEntry {
     pub id: u16,
     pub query: String,
     pub asked_at: SimTime,
+}
+
+impl PendingDnsEntry {
+    /// The canonical-order key.
+    fn order_key(&self) -> (SimTime, Ipv4Addr, Ipv4Addr, u16) {
+        (self.asked_at, self.client, self.resolver, self.id)
+    }
 }
 
 /// Complete probe carry-over state: everything a fresh probe needs to
@@ -347,8 +359,10 @@ impl ProbeState {
         w
     }
 
-    /// Decode an [`encode`](Self::encode) buffer. Integrity beyond
-    /// framing (magic/version/lengths) is the caller's checksum.
+    /// Decode an [`encode`](Self::encode) buffer. Beyond framing
+    /// (magic/version/lengths), `flows` and `pending_dns` must be in
+    /// their canonical orders, strictly — the watermarks read their
+    /// first entries; integrity beyond that is the caller's checksum.
     pub fn decode(buf: &[u8]) -> Result<ProbeState, CheckpointError> {
         let mut r = Reader::new(buf);
         if r.take(4)? != STATE_MAGIC {
@@ -366,6 +380,9 @@ impl ProbeState {
         for _ in 0..nflows {
             flows.push(FlowEntry::from_bytes(r.bytes()?.to_vec())?);
         }
+        if !flows.is_sorted_by(|a, b| a.order_key() < b.order_key()) {
+            return Err(CheckpointError::Corrupt("flow order"));
+        }
         let npending = r.u32()? as usize;
         let mut pending_dns = Vec::with_capacity(npending.min(1 << 20));
         for _ in 0..npending {
@@ -376,6 +393,9 @@ impl ProbeState {
                 query: r.str()?.to_string(),
                 asked_at: SimTime::from_nanos(r.u64()?),
             });
+        }
+        if !pending_dns.is_sorted_by(|a, b| a.order_key() < b.order_key()) {
+            return Err(CheckpointError::Corrupt("pending DNS order"));
         }
         let nlog = r.u32()? as usize;
         let mut dns_log = Vec::with_capacity(nlog.min(1 << 20));

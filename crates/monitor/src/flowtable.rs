@@ -71,6 +71,13 @@ const VERDICT_ORDER: [L7Protocol; 7] = [
     L7Protocol::OtherUdp,
 ];
 
+/// Evict flows idle longer than this (Tstat default is minutes; UDP
+/// flows in particular only end by timeout).
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(120);
+
+/// How many early packets to time-stamp per flow.
+const EARLY_PACKETS: usize = 10;
+
 /// Flow-table configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowTableConfig {
@@ -78,16 +85,11 @@ pub struct FlowTableConfig {
     /// client→server, packets destined here are server→client,
     /// anything else is transit and ignored.
     pub customer_subnet: Subnet,
-    /// Evict flows idle longer than this (Tstat default is minutes;
-    /// UDP flows in particular only end by timeout).
-    pub idle_timeout: SimDuration,
-    /// How many early packets to time-stamp per flow.
-    pub early_packets: usize,
 }
 
 impl FlowTableConfig {
     pub fn new(customer_subnet: Subnet) -> FlowTableConfig {
-        FlowTableConfig { customer_subnet, idle_timeout: SimDuration::from_secs(120), early_packets: 10 }
+        FlowTableConfig { customer_subnet }
     }
 }
 
@@ -134,9 +136,9 @@ struct FlowState {
 }
 
 impl FlowState {
-    /// `early_cap` sizes the early-packet log once, for good: it
-    /// never grows, and `finish_record` hands the allocation on.
-    fn new(key: FiveTuple, t: SimTime, early_cap: usize) -> FlowState {
+    /// The early-packet log is sized once, for good: it never grows,
+    /// and `finish_record` hands the allocation on.
+    fn new(key: FiveTuple, t: SimTime) -> FlowState {
         FlowState {
             key,
             first: t,
@@ -147,7 +149,7 @@ impl FlowState {
             s2c_packets: 0,
             s2c_bytes: 0,
             s2c_payload: 0,
-            early: Vec::with_capacity(early_cap),
+            early: Vec::with_capacity(EARLY_PACKETS),
             syn_seen: false,
             fin_c2s: false,
             fin_s2c: false,
@@ -176,13 +178,13 @@ impl FlowState {
     /// packet log, download-data timing. Counter accumulation lives
     /// with the caller so the stretch path can batch it in locals.
     #[inline]
-    fn stamp(&mut self, t: SimTime, dir: Direction, wire_len: usize, payload_len: u64, early_cap: usize) {
+    fn stamp(&mut self, t: SimTime, dir: Direction, wire_len: usize, payload_len: u64) {
         self.last = self.last.max(t);
         if dir == Direction::S2c && payload_len > 0 {
             self.s2c_data_first.get_or_insert(t);
             self.s2c_data_last = Some(t);
         }
-        if self.early.len() < early_cap {
+        if self.early.len() < EARLY_PACKETS {
             self.early.push(EarlyPacket {
                 offset_ms: (t - self.first).as_millis_f64(),
                 wire_len: wire_len.min(u16::MAX as usize) as u16,
@@ -436,11 +438,7 @@ impl FlowState {
     /// Inverse of [`write_state`](Self::write_state). Domain names are
     /// re-interned through `names` so restored flows share one
     /// allocation per name like freshly-tracked ones.
-    fn read_state(
-        r: &mut Reader<'_>,
-        names: &mut DomainInterner,
-        early_cap: usize,
-    ) -> Result<FlowState, CheckpointError> {
+    fn read_state(r: &mut Reader<'_>, names: &mut DomainInterner) -> Result<FlowState, CheckpointError> {
         let key = FiveTuple { src: r.ip()?, dst: r.ip()?, src_port: r.u16()?, dst_port: r.u16()?, protocol: r.u8()? };
         let first = SimTime::from_nanos(r.u64()?);
         let last = SimTime::from_nanos(r.u64()?);
@@ -452,7 +450,7 @@ impl FlowState {
         let s2c_payload = r.u64()?;
         let nearly = r.u32()? as usize;
         // room for the log to fill up, as `new` gives a fresh flow
-        let mut early = Vec::with_capacity(nearly.max(early_cap).min(64));
+        let mut early = Vec::with_capacity(nearly.clamp(EARLY_PACKETS, 64));
         for _ in 0..nearly {
             early.push(EarlyPacket { offset_ms: r.f64()?, wire_len: r.u16()?, c2s: r.bool()? });
         }
@@ -642,11 +640,11 @@ impl FlowTable {
         // Split borrows: the flow entry stays borrowed across the whole
         // touch (one hash lookup per packet, where this used to be
         // three: entry, TCP re-lookup, closed-check get).
-        let FlowTable { cfg, flows, finished, names, .. } = self;
+        let FlowTable { flows, finished, names, .. } = self;
         let mut inserted = false;
         let flow = flows.entry(key).or_insert_with(|| {
             inserted = true;
-            Box::new(FlowState::new(key, t, cfg.early_packets))
+            Box::new(FlowState::new(key, t))
         });
         if inserted {
             metrics().live_flows.inc();
@@ -664,7 +662,7 @@ impl FlowTable {
                 flow.s2c_payload += on_wire_payload;
             }
         }
-        flow.stamp(t, dir, wire_len, on_wire_payload, cfg.early_packets);
+        flow.stamp(t, dir, wire_len, on_wire_payload);
         if let Transport::Tcp(tcp) = transport {
             flow.on_tcp(t, dir, tcp.flags, tcp.seq, tcp.ack, payload, owned, names);
         } else if !flow.dpi.is_satisfied() {
@@ -725,11 +723,11 @@ impl FlowTable {
             }
             end += 1;
         }
-        let FlowTable { cfg, flows, finished, names, dpi_candidates, .. } = self;
+        let FlowTable { flows, finished, names, dpi_candidates, .. } = self;
         let mut inserted = false;
         let flow = flows.entry(key).or_insert_with(|| {
             inserted = true;
-            Box::new(FlowState::new(key, t0, cfg.early_packets))
+            Box::new(FlowState::new(key, t0))
         });
         if inserted {
             metrics().live_flows.inc();
@@ -750,7 +748,7 @@ impl FlowTable {
         let mut pkts = [0u64; 2];
         let mut bytes = [0u64; 2];
         let mut payloads = [0u64; 2];
-        let mut room = cfg.early_packets.saturating_sub(flow.early.len());
+        let mut room = EARLY_PACKETS.saturating_sub(flow.early.len());
         let mut consumed = end;
         let mut closed = false;
         for i in start..end {
@@ -899,10 +897,9 @@ impl FlowTable {
     /// does). Returns the earliest `first` among the flows that stay:
     /// no record this table still has to produce starts before it.
     pub fn sweep(&mut self, t: SimTime) -> Option<SimTime> {
-        let timeout = self.cfg.idle_timeout;
         let (mut expired, mut oldest) = (Vec::new(), None::<SimTime>);
         for (k, f) in &self.flows {
-            if t - f.last > timeout {
+            if t - f.last > IDLE_TIMEOUT {
                 expired.push(*k);
             } else {
                 oldest = Some(oldest.map_or(f.first, |o| o.min(f.first)));
@@ -939,11 +936,6 @@ impl FlowTable {
         self.names.intern(name)
     }
 
-    /// Distinct domain names interned so far.
-    pub fn unique_domains(&self) -> usize {
-        self.names.len()
-    }
-
     /// Serialize every live flow, in the table's canonical order
     /// (first-seen time, then key) — the same order `sweep`/`flush`
     /// evict in, so the export is deterministic.
@@ -962,9 +954,9 @@ impl FlowTable {
 
     /// Restore one exported flow into the table (checkpoint resume).
     pub(crate) fn import_flow(&mut self, entry: &FlowEntry) -> Result<(), CheckpointError> {
-        let FlowTable { cfg, flows, names, .. } = self;
+        let FlowTable { flows, names, .. } = self;
         let mut r = Reader::new(entry.state_bytes());
-        let flow = FlowState::read_state(&mut r, names, cfg.early_packets)?;
+        let flow = FlowState::read_state(&mut r, names)?;
         if r.remaining() != 0 {
             return Err(CheckpointError::Corrupt("flow trailing bytes"));
         }

@@ -52,6 +52,12 @@ pub(crate) fn metrics() -> &'static Metrics {
     })
 }
 
+/// How often to run the idle-flow sweep.
+const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(60);
+
+/// Unanswered DNS queries older than this are logged as timeouts.
+const DNS_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
 /// Probe configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ProbeConfig {
@@ -59,10 +65,6 @@ pub struct ProbeConfig {
     /// CryptoPan key seed. The operator holds the key; analyses only
     /// ever see anonymized addresses.
     pub anon_seed: u64,
-    /// How often to run the idle-flow sweep.
-    pub sweep_interval: SimDuration,
-    /// Unanswered DNS queries older than this are logged as timeouts.
-    pub dns_timeout: SimDuration,
 }
 
 /// Default CryptoPan key seed used when the operator does not supply
@@ -71,12 +73,7 @@ pub const DEFAULT_ANON_SEED: u64 = 0x5a70_57a7_c4a9_0001;
 
 impl ProbeConfig {
     pub fn new(flow_table: FlowTableConfig) -> ProbeConfig {
-        ProbeConfig {
-            flow_table,
-            anon_seed: DEFAULT_ANON_SEED,
-            sweep_interval: SimDuration::from_secs(60),
-            dns_timeout: SimDuration::from_secs(5),
-        }
+        ProbeConfig { flow_table, anon_seed: DEFAULT_ANON_SEED }
     }
 }
 
@@ -106,7 +103,6 @@ type RowKey = (SimTime, u32, u32);
 
 /// The probe.
 pub struct Probe {
-    cfg: ProbeConfig,
     table: FlowTable,
     anon: CryptoPan,
     /// Memoized CryptoPan results. The client-address population is
@@ -173,7 +169,6 @@ impl Probe {
             dns_rows: Vec::new(),
             closed: Vec::new(),
             ordered: Vec::new(),
-            cfg,
         }
     }
 
@@ -186,9 +181,9 @@ impl Probe {
     }
 
     /// The periodic sweep: fires on the first packet at or past
-    /// `sweep_interval` since the last one, at that packet's time.
+    /// [`SWEEP_INTERVAL`] since the last one, at that packet's time.
     fn sweep_if_due(&mut self, t: SimTime) {
-        if t - self.last_sweep >= self.cfg.sweep_interval {
+        if t - self.last_sweep >= SWEEP_INTERVAL {
             self.sweep_now(t);
         }
     }
@@ -204,7 +199,7 @@ impl Probe {
     pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
         let mut i = start;
         while i < end {
-            let boundary = self.last_sweep + self.cfg.sweep_interval;
+            let boundary = self.last_sweep + SWEEP_INTERVAL;
             let j = cols.ts[i..end].partition_point(|&t| t < boundary) + i;
             self.walk(cols, 0, i, (j + 1).min(end));
             self.end_pass(|_| cols);
@@ -224,7 +219,7 @@ impl Probe {
     /// merge would deliver — but each *pass* walks every run's rows as
     /// one slice: flow state is per flow, and a run's rows are in order
     /// among themselves. A pass ends at `bound` or at the row where the
-    /// periodic sweep falls due ([`LiveRuns::plan`]), and the rest of
+    /// periodic sweep falls due (`LiveRuns::plan`), and the rest of
     /// the probe sees merged order where flows meet (DESIGN.md §8):
     /// * the sweep fires after every row before that cut row and none
     ///   after it;
@@ -238,7 +233,7 @@ impl Probe {
     pub fn observe_runs(&mut self, runs: &mut LiveRuns, bound: SimTime, mut tap: Option<Tap<'_>>) -> PassStats {
         let mut stats = PassStats::default();
         loop {
-            let cut = runs.plan(self.last_sweep + self.cfg.sweep_interval, bound);
+            let cut = runs.plan(self.last_sweep + SWEEP_INTERVAL, bound);
             let mut rows = 0;
             for (r, run) in runs.live.iter().enumerate() {
                 let slice = run.slice();
@@ -443,8 +438,8 @@ impl Probe {
     /// payload reaches the flow table and the DNS log as a slice of
     /// `wire`: no `Packet`, no `Bytes`. A snapped frame is accounted at
     /// the length its IP header gives, as Tstat does. Counting goes
-    /// through [`note_packets`](Self::note_packets) on both arms, so
-    /// an unparseable frame is still a packet seen.
+    /// through `note_packets` on both arms, so an unparseable frame is
+    /// still a packet seen.
     pub fn observe_wire(&mut self, t: SimTime, wire: &[u8]) {
         match PacketView::parse(wire) {
             Ok(v) => {
@@ -525,21 +520,32 @@ impl Probe {
     /// Log every query unanswered for longer than the timeout;
     /// returns the earliest `asked_at` still pending.
     fn expire_dns(&mut self, t: SimTime) -> Option<SimTime> {
-        let timeout = self.cfg.dns_timeout;
         let (mut expired, mut oldest) = (Vec::new(), None::<SimTime>);
         for (k, p) in &self.pending_dns {
-            if t - p.asked_at > timeout {
+            if t - p.asked_at > DNS_TIMEOUT {
                 expired.push(k.clone());
             } else {
                 oldest = Some(oldest.map_or(p.asked_at, |o| o.min(p.asked_at)));
             }
         }
-        expired.sort_by(|a, b| {
-            (self.pending_dns[a].asked_at, a.client, a.id).cmp(&(self.pending_dns[b].asked_at, b.client, b.id))
-        });
-        for k in expired {
-            let p = self.pending_dns.remove(&k).expect("expired entry present");
-            let m = metrics();
+        let expired = expired
+            .into_iter()
+            .map(|k| {
+                let p = self.pending_dns.remove(&k).expect("expired entry present");
+                (k, p)
+            })
+            .collect();
+        self.log_timeouts(expired);
+        oldest
+    }
+
+    /// Log queries that will never be answered, ordered by `(asked_at,
+    /// client, id)`; the sort is stable, so entries equal on that key
+    /// keep the order they come in.
+    fn log_timeouts(&mut self, mut timeouts: Vec<(DnsKey, PendingDns)>) {
+        timeouts.sort_by_key(|(k, p)| (p.asked_at, k.client, k.id));
+        let m = metrics();
+        for (k, p) in timeouts {
             m.dns_timeouts.inc();
             m.pending_dns.dec();
             self.log.log_dns(DnsRecord {
@@ -551,7 +557,6 @@ impl Probe {
                 answers: Vec::new(),
             });
         }
-        oldest
     }
 
     /// Finish the capture: flush all live flows and pending queries
@@ -562,21 +567,8 @@ impl Probe {
         self.flush_span_metrics();
         // flush unanswered DNS unconditionally: the capture is over, so
         // every pending query is a timeout
-        let mut pending: Vec<(DnsKey, PendingDns)> = std::mem::take(&mut self.pending_dns).into_iter().collect();
-        pending.sort_by_key(|a| (a.1.asked_at, a.0.client, a.0.id));
-        for (k, p) in pending {
-            let m = metrics();
-            m.dns_timeouts.inc();
-            m.pending_dns.dec();
-            self.log.log_dns(DnsRecord {
-                client: anon_memoized(&self.anon, &mut self.anon_memo, k.client),
-                resolver: k.resolver,
-                query: p.query,
-                ts: p.asked_at,
-                response_ms: None,
-                answers: Vec::new(),
-            });
-        }
+        let pending = std::mem::take(&mut self.pending_dns).into_iter().collect();
+        self.log_timeouts(pending);
         // the live flows leave the way every eviction did
         self.table.finished = self.table.flush();
         self.log_finished();
@@ -636,9 +628,10 @@ impl Probe {
         for p in state.pending_dns {
             let query = self.table.intern(&p.query);
             let key = DnsKey { client: p.client, resolver: p.resolver, id: p.id };
-            if self.pending_dns.insert(key, PendingDns { query, asked_at: p.asked_at }).is_none() {
-                metrics().pending_dns.inc();
+            if self.pending_dns.insert(key, PendingDns { query, asked_at: p.asked_at }).is_some() {
+                return Err(crate::checkpoint::CheckpointError::Corrupt("duplicate pending DNS key"));
             }
+            metrics().pending_dns.inc();
         }
         self.log = unsealed;
         for d in state.dns_log {
@@ -827,6 +820,45 @@ mod tests {
         p.observe_wire(t(0), &huge.encode()[..256]);
         p.observe_wire(t(1), &Packet::udp(c, srv, 1, 2, Bytes::new()).encode());
         assert_eq!((p.packets, p.parse_errors, p.active_flows()), (2, 1, 1));
+    }
+
+    /// A probe with two live flows and two pending DNS queries, and its
+    /// exported state.
+    fn exported() -> crate::checkpoint::ProbeState {
+        let mut p = probe();
+        let (c, resolver) = (Ipv4Addr::new(10, 5, 5, 9), Ipv4Addr::new(8, 8, 8, 8));
+        for (i, name) in ["a.example", "b.example"].into_iter().enumerate() {
+            let q = DnsMessage::query(i as u16, name, RecordType::A);
+            p.observe(t(i as i64), &Packet::udp(c, resolver, 40_000 + i as u16, 53, q.encode()));
+        }
+        let state = p.export_state();
+        assert_eq!((state.flows.len(), state.pending_dns.len()), (2, 2));
+        state
+    }
+
+    #[test]
+    fn a_repeated_pending_dns_key_is_corrupt() {
+        let mut state = exported();
+        let p = &state.pending_dns[0];
+        let (client, resolver, id) = (p.client, p.resolver, p.id);
+        let query = "c.example".into();
+        state.pending_dns.push(crate::checkpoint::PendingDnsEntry { client, resolver, id, query, asked_at: t(1_000) });
+        // still in canonical order, so it decodes; the import refuses it
+        let state = crate::checkpoint::ProbeState::decode(&state.encode()).unwrap();
+        let err = probe().import_state(state, Sealer::default()).unwrap_err();
+        assert_eq!(err, crate::checkpoint::CheckpointError::Corrupt("duplicate pending DNS key"));
+    }
+
+    #[test]
+    fn state_out_of_canonical_order_is_corrupt() {
+        use crate::checkpoint::{CheckpointError, ProbeState};
+        let mut state = exported();
+        state.flows.swap(0, 1);
+        assert_eq!(ProbeState::decode(&state.encode()).unwrap_err(), CheckpointError::Corrupt("flow order"));
+        let mut state = exported();
+        state.pending_dns.swap(0, 1);
+        assert_eq!(ProbeState::decode(&state.encode()).unwrap_err(), CheckpointError::Corrupt("pending DNS order"));
+        assert!(ProbeState::decode(&exported().encode()).is_ok());
     }
 
     #[test]

@@ -214,13 +214,6 @@ pub fn write_flow_rows<W: Write>(w: &mut W, flows: &[FlowRecord]) -> io::Result<
     write_rows(w, None, flows, encode_flow_row)
 }
 
-/// Write one flow record as a TSV row (no header).
-pub fn write_flow_row<W: Write>(w: &mut W, f: &FlowRecord) -> io::Result<()> {
-    let mut row = Vec::with_capacity(256);
-    encode_flow_row(&mut row, f);
-    w.write_all(&row)
-}
-
 /// Append one flow-log row, newline included, without allocating
 /// (beyond `out`'s own growth). The one formatter of the flow log.
 pub fn encode_flow_row(out: &mut Vec<u8>, f: &FlowRecord) {
@@ -597,9 +590,6 @@ pub(crate) mod tests {
             encode_flow_row(&mut got, &f);
             flow_row_oracle(&mut want, &f);
             prop_assert_eq!(String::from_utf8_lossy(&got), String::from_utf8_lossy(&want));
-            let mut one = Vec::new();
-            write_flow_row(&mut one, &f).unwrap();
-            prop_assert_eq!(one, want);
         }
 
         #[test]

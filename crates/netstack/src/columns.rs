@@ -7,7 +7,7 @@
 //! [`PayloadArena`](satwatch_simcore::PayloadArena) block — instead of
 //! a `Vec<(SimTime, Packet)>` of materialized structs. Scheduling (the
 //! probe's passes, the harness's merge via
-//! [`TimedRun`](satwatch_simcore::TimedRun)) only reads the timestamp
+//! [`TimedRun`]) only reads the timestamp
 //! column, the flow table consumes
 //! scalar columns directly, and a real [`Packet`] is materialized only
 //! where something needs one: the pcap/tap boundary, the wire-byte

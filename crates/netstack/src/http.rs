@@ -78,24 +78,6 @@ pub fn extract_host(buf: &[u8]) -> Option<String> {
     None
 }
 
-/// Parse `Content-Length` from a response head.
-pub fn extract_content_length(buf: &[u8]) -> Option<u64> {
-    if !looks_like_response(buf) {
-        return None;
-    }
-    let head_end = find_head_end(buf).unwrap_or(buf.len());
-    for line in buf[..head_end].split(|&b| b == b'\n') {
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        if let Some(colon) = line.iter().position(|&b| b == b':') {
-            let (name, value) = line.split_at(colon);
-            if name.eq_ignore_ascii_case(b"content-length") {
-                return std::str::from_utf8(&value[1..]).ok()?.trim().parse().ok();
-            }
-        }
-    }
-    None
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
@@ -130,15 +112,6 @@ mod tests {
         assert_eq!(extract_host(raw), None);
         assert_eq!(extract_host(b"FOO bar"), None);
         assert_eq!(extract_host(b""), None);
-    }
-
-    #[test]
-    fn response_content_length() {
-        let resp = ok_response(123_456, "video/mp4");
-        assert!(looks_like_response(&resp));
-        assert_eq!(extract_content_length(&resp), Some(123_456));
-        assert_eq!(extract_content_length(b"HTTP/1.1 204 No Content\r\n\r\n"), None);
-        assert_eq!(extract_content_length(b"not http"), None);
     }
 
     #[test]

@@ -14,9 +14,7 @@ impl TcpFlags {
     pub const FIN: TcpFlags = TcpFlags(0x01);
     pub const SYN: TcpFlags = TcpFlags(0x02);
     pub const RST: TcpFlags = TcpFlags(0x04);
-    pub const PSH: TcpFlags = TcpFlags(0x08);
     pub const ACK: TcpFlags = TcpFlags(0x10);
-    pub const URG: TcpFlags = TcpFlags(0x20);
 
     pub const SYN_ACK: TcpFlags = TcpFlags(0x12);
     pub const FIN_ACK: TcpFlags = TcpFlags(0x11);

@@ -59,42 +59,6 @@ impl Beam {
     }
 }
 
-/// Measured per-beam load accumulator (bytes per hour-of-day), used by
-/// the Fig 8b report to relate *observed* utilization to RTT.
-#[derive(Clone, Debug)]
-pub struct BeamLoad {
-    pub beam: BeamId,
-    bytes_by_hour: [u64; 24],
-}
-
-impl BeamLoad {
-    pub fn new(beam: BeamId) -> BeamLoad {
-        BeamLoad { beam, bytes_by_hour: [0; 24] }
-    }
-
-    pub fn add(&mut self, hour: u32, bytes: u64) {
-        self.bytes_by_hour[hour as usize % 24] += bytes;
-    }
-
-    pub fn bytes_at(&self, hour: u32) -> u64 {
-        self.bytes_by_hour[hour as usize % 24]
-    }
-
-    pub fn total(&self) -> u64 {
-        self.bytes_by_hour.iter().sum()
-    }
-
-    /// Busiest hour (ties broken by earliest hour).
-    pub fn peak_hour(&self) -> u32 {
-        self.bytes_by_hour
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &b)| (b, usize::MAX - i))
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,18 +103,5 @@ mod tests {
         let b = beam(0.2, 0.9);
         // peak at 23h: hour 1 is 2h away, hour 11 is 12h away
         assert!(b.utilization_at(1, 23) > b.utilization_at(11, 23));
-    }
-
-    #[test]
-    fn beam_load_accounting() {
-        let mut l = BeamLoad::new(BeamId(7));
-        l.add(9, 500);
-        l.add(9, 250);
-        l.add(21, 100);
-        assert_eq!(l.bytes_at(9), 750);
-        assert_eq!(l.total(), 850);
-        assert_eq!(l.peak_hour(), 9);
-        l.add(33, 5); // hour wraps mod 24
-        assert_eq!(l.bytes_at(9), 755);
     }
 }

@@ -66,38 +66,6 @@ impl SatelliteAccess {
         beam.utilization_at(local_hour, (self.peak_hour_by_country)(beam.country))
     }
 
-    /// Heavy-tail stall term: occasional multi-frame backlogs that the
-    /// paper attributes to the MAC scheduler and the saturated PEP on
-    /// bandwidth-constrained beams ("about 20 % of RTT samples are
-    /// longer than 2 s", §6.1), and to channel impairments at the
-    /// coverage edge (Ireland). Two mechanisms, one Pareto tail:
-    ///
-    /// * congestion pressure `C = util × (1/provisioning − 1)` — zero
-    ///   on well-provisioned beams, large on Congo-like ones;
-    /// * impairment pressure `I = impairment²`.
-    ///
-    /// Each traversal stalls with probability `0.18·C + 0.25·I`
-    /// (clamped), drawing from a bounded Pareto of scale one frame
-    /// floor ~0.7 s and tail index 1.4.
-    pub fn stall_delay(&self, rng: &mut Rng, beam: &Beam, utilization: f64) -> SimDuration {
-        self.stall_delay_impaired(rng, beam, utilization, beam.impairment)
-    }
-
-    /// [`Self::stall_delay`] with an explicit instantaneous impairment
-    /// (static + rain), as computed by [`Self::impairment_at`].
-    pub fn stall_delay_impaired(&self, rng: &mut Rng, beam: &Beam, utilization: f64, impairment: f64) -> SimDuration {
-        let c = (utilization * (1.0 / beam.pep_provisioning.max(0.05) - 1.0)).clamp(0.0, 1.2);
-        let i = impairment * impairment;
-        let p = (0.18 * c + 0.25 * i).clamp(0.0, 0.6);
-        if !rng.chance(p) {
-            return SimDuration::ZERO;
-        }
-        metrics().stalls.inc();
-        // bounded Pareto(xm = 0.7 s, alpha = 1.4, cap = 10 s)
-        let x = 0.7 / rng.f64_open().powf(1.0 / 1.4);
-        SimDuration::from_secs_f64(x.min(10.0))
-    }
-
     /// Instantaneous channel impairment: static geometry/coverage-edge
     /// term plus any rain fade at `t`.
     pub fn impairment_at(&self, beam: &Beam, t: SimTime) -> f64 {
@@ -107,13 +75,12 @@ impl SatelliteAccess {
 
     /// Snapshot the RNG-free delay inputs for one flow: utilization,
     /// channel impairment, bent-pipe propagation and PEP pressure are
-    /// pure functions of (beam, terminal, hour, t) — constant across
-    /// every packet of a flow, yet the per-call samplers recompute
-    /// them (two haversines and a rain-fade lookup each time). The
-    /// snapshot's [`uplink`](DelaySnapshot::uplink)/
-    /// [`downlink`](DelaySnapshot::downlink) draw from the RNG in
-    /// exactly the per-call order, so a flow simulated through a
-    /// snapshot consumes the same stream and emits the same bytes.
+    /// pure functions of (beam, terminal, hour, t), constant across
+    /// every packet of a flow. The snapshot's
+    /// [`uplink`](DelaySnapshot::uplink),
+    /// [`downlink`](DelaySnapshot::downlink) and
+    /// [`pep_setup`](DelaySnapshot::pep_setup) draw the per-packet
+    /// terms from the RNG.
     pub fn delay_snapshot<'a>(
         &'a self,
         beam: &'a Beam,
@@ -130,59 +97,6 @@ impl SatelliteAccess {
             propagation: self.slot.bent_pipe_delay(terminal.location, self.gs_location),
             pep_utilization: PepModel::effective_utilization(utilization, beam.pep_provisioning),
         }
-    }
-
-    /// One-way uplink delay (CPE → ground station) for one packet.
-    pub fn uplink_delay(
-        &self,
-        rng: &mut Rng,
-        beam: &Beam,
-        terminal: &Terminal,
-        local_hour: u32,
-        t: SimTime,
-        cold_start: bool,
-    ) -> SimDuration {
-        self.delay_snapshot(beam, terminal, local_hour, t).uplink(rng, cold_start)
-    }
-
-    /// One-way downlink delay (ground station → CPE) for one packet.
-    pub fn downlink_delay(
-        &self,
-        rng: &mut Rng,
-        beam: &Beam,
-        terminal: &Terminal,
-        local_hour: u32,
-        t: SimTime,
-    ) -> SimDuration {
-        self.delay_snapshot(beam, terminal, local_hour, t).downlink(rng)
-    }
-
-    /// A full satellite-segment RTT sample (down + up), as measured by
-    /// the TLS ServerHello → ClientKeyExchange gap at the ground
-    /// station. Includes the home segment, which the estimator cannot
-    /// separate (§2.2).
-    pub fn segment_rtt(
-        &self,
-        rng: &mut Rng,
-        beam: &Beam,
-        terminal: &Terminal,
-        local_hour: u32,
-        t: SimTime,
-        cold_start: bool,
-    ) -> SimDuration {
-        self.downlink_delay(rng, beam, terminal, local_hour, t)
-            + terminal.home_rtt_sample(rng)
-            + self.uplink_delay(rng, beam, terminal, local_hour, t, cold_start)
-    }
-
-    /// PEP connection-setup delay on this beam at this hour (charged
-    /// once per TCP connection at the ground proxy).
-    pub fn pep_setup_delay(&self, rng: &mut Rng, beam: &Beam, local_hour: u32) -> SimDuration {
-        let u = self.utilization(beam, local_hour);
-        let pep_u = PepModel::effective_utilization(u, beam.pep_provisioning);
-        let d = self.pep.setup_delay(rng, pep_u);
-        metrics().pep_setup_us.record((d.as_nanos() / 1_000).max(0) as u64);
-        d
     }
 }
 
@@ -282,42 +196,59 @@ impl<'a> DelaySnapshot<'a> {
         self.utilization
     }
 
-    /// Snapshot counterpart of [`SatelliteAccess::pep_setup_delay`]:
-    /// identical draw (the snapshot's `pep_utilization` is computed
-    /// from the same (beam, hour) inputs) without re-deriving the
-    /// utilization terms.
+    /// PEP connection-setup delay on this beam at this hour (charged
+    /// once per TCP connection at the ground proxy).
     pub fn pep_setup(&self, rng: &mut Rng) -> SimDuration {
         let d = self.access.pep.setup_delay(rng, self.pep_utilization);
         metrics().pep_setup_us.record((d.as_nanos() / 1_000).max(0) as u64);
         d
     }
 
-    /// Per-packet counterpart of [`SatelliteAccess::uplink_delay`]:
-    /// MAC access/queueing, ARQ recovery, PEP processing and the
-    /// heavy-tail stall draw, in that (RNG-visible) order.
+    /// One-way uplink delay (CPE → ground station) for one packet:
+    /// propagation, MAC access/queueing, ARQ recovery, PEP processing
+    /// and the heavy-tail stall draw, in that (RNG-visible) order.
     pub fn uplink(&self, rng: &mut Rng, cold_start: bool) -> SimDuration {
         metrics().uplink.inc();
         let mac = self.access.mac.uplink_delay(rng, self.utilization, cold_start);
         let arq = self.access.link.arq_delay(rng, self.impairment);
         let pep = self.access.pep.forward_delay(rng, self.pep_utilization);
-        self.propagation
-            + mac
-            + arq
-            + pep
-            + self.access.stall_delay_impaired(rng, self.beam, self.utilization, self.impairment)
+        self.propagation + mac + arq + pep + self.stall(rng)
     }
 
-    /// Per-packet counterpart of [`SatelliteAccess::downlink_delay`].
+    /// One-way downlink delay (ground station → CPE) for one packet,
+    /// in the same draw order as [`uplink`](Self::uplink).
     pub fn downlink(&self, rng: &mut Rng) -> SimDuration {
         metrics().downlink.inc();
         let mac = self.access.mac.downlink_delay(rng, self.utilization);
         let arq = self.access.link.arq_delay(rng, self.impairment);
         let pep = self.access.pep.forward_delay(rng, self.pep_utilization);
-        self.propagation
-            + mac
-            + arq
-            + pep
-            + self.access.stall_delay_impaired(rng, self.beam, self.utilization, self.impairment)
+        self.propagation + mac + arq + pep + self.stall(rng)
+    }
+
+    /// Heavy-tail stall term: occasional multi-frame backlogs that the
+    /// paper attributes to the MAC scheduler and the saturated PEP on
+    /// bandwidth-constrained beams ("about 20 % of RTT samples are
+    /// longer than 2 s", §6.1), and to channel impairments at the
+    /// coverage edge (Ireland). Two mechanisms, one Pareto tail:
+    ///
+    /// * congestion pressure `C = util × (1/provisioning − 1)` — zero
+    ///   on well-provisioned beams, large on Congo-like ones;
+    /// * impairment pressure `I = impairment²`.
+    ///
+    /// Each traversal stalls with probability `0.18·C + 0.25·I`
+    /// (clamped), drawing from a bounded Pareto of scale one frame
+    /// floor ~0.7 s and tail index 1.4.
+    fn stall(&self, rng: &mut Rng) -> SimDuration {
+        let c = (self.utilization * (1.0 / self.beam.pep_provisioning.max(0.05) - 1.0)).clamp(0.0, 1.2);
+        let i = self.impairment * self.impairment;
+        let p = (0.18 * c + 0.25 * i).clamp(0.0, 0.6);
+        if !rng.chance(p) {
+            return SimDuration::ZERO;
+        }
+        metrics().stalls.inc();
+        // bounded Pareto(xm = 0.7 s, alpha = 1.4, cap = 10 s)
+        let x = 0.7 / rng.f64_open().powf(1.0 / 1.4);
+        SimDuration::from_secs_f64(x.min(10.0))
     }
 }
 
@@ -416,12 +347,17 @@ mod tests {
         }
     }
 
+    /// One satellite-segment RTT sample as the TLS estimator sees it:
+    /// downlink, home segment, uplink — flow synthesis's draw order.
+    fn rtt_sample(snap: &DelaySnapshot<'_>, t: &Terminal, rng: &mut Rng, cold: bool) -> SimDuration {
+        snap.downlink(rng) + t.home_rtt_sample(rng) + snap.uplink(rng, cold)
+    }
+
     fn rtt_quantiles(b: &Beam, t: &Terminal, hour: u32, seed: u64) -> (f64, f64, f64) {
         let acc = access();
+        let snap = acc.delay_snapshot(b, t, hour, SimTime::from_secs(hour as u64 * 3600));
         let mut rng = Rng::new(seed);
-        let mut v: Vec<f64> = (0..4000)
-            .map(|_| acc.segment_rtt(&mut rng, b, t, hour, SimTime::from_secs(hour as u64 * 3600), false).as_secs_f64())
-            .collect();
+        let mut v: Vec<f64> = (0..4000).map(|_| rtt_sample(&snap, t, &mut rng, false).as_secs_f64()).collect();
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         (v[v.len() / 10], v[v.len() / 2], v[v.len() * 9 / 10])
     }
@@ -433,9 +369,10 @@ mod tests {
         let b = beam("ES", 0.05, 0.2, 1.0, 0.01);
         let t = terminal("ES", places::SPAIN_MADRID);
         let acc = access();
+        let snap = acc.delay_snapshot(&b, &t, 3, SimTime::from_secs(3 * 3600));
         let mut rng = Rng::new(1);
         for _ in 0..2000 {
-            let rtt = acc.segment_rtt(&mut rng, &b, &t, 3, SimTime::from_secs(3 * 3600), false);
+            let rtt = rtt_sample(&snap, &t, &mut rng, false);
             assert!(rtt >= SimDuration::from_millis(540), "{rtt}");
         }
         let (p10, p50, _) = rtt_quantiles(&b, &t, 3, 2);
@@ -473,9 +410,11 @@ mod tests {
         let acc = access();
         let healthy = beam("ES", 0.2, 0.5, 1.0, 0.0);
         let starved = beam("CD", 0.5, 0.93, 0.4, 0.0);
+        let t = terminal("CD", places::CONGO_KINSHASA);
         let mean = |b: &Beam, seed| {
+            let snap = acc.delay_snapshot(b, &t, 10, SimTime::from_secs(10 * 3600));
             let mut rng = Rng::new(seed);
-            (0..3000).map(|_| acc.pep_setup_delay(&mut rng, b, 10).as_millis_f64()).sum::<f64>() / 3000.0
+            (0..3000).map(|_| snap.pep_setup(&mut rng).as_millis_f64()).sum::<f64>() / 3000.0
         };
         assert!(mean(&starved, 5) > 20.0 * mean(&healthy, 5));
     }
@@ -483,40 +422,38 @@ mod tests {
     #[test]
     fn stall_tail_reaches_seconds_on_starved_beams() {
         let acc = access();
+        let at = SimTime::from_secs(3 * 3600);
         // Congo-like: under-provisioned PEP, high utilization
         let starved = beam("CD", 0.6, 0.93, 0.45, 0.05);
         let t = terminal("CD", places::CONGO_KINSHASA);
+        let snap = acc.delay_snapshot(&starved, &t, 3, at);
         let mut rng = Rng::new(71);
         let n = 6000;
-        let over_2s = (0..n)
-            .filter(|_| {
-                acc.segment_rtt(&mut rng, &starved, &t, 3, SimTime::from_secs(3 * 3600), false)
-                    > SimDuration::from_secs(2)
-            })
-            .count() as f64
+        let over_2s = (0..n).filter(|_| rtt_sample(&snap, &t, &mut rng, false) > SimDuration::from_secs(2)).count()
+            as f64
             / n as f64;
         // paper: ~20 % of samples above 2 s already off-peak
         assert!((0.08..0.40).contains(&over_2s), "{over_2s}");
         // healthy beam: rare
         let healthy = beam("ES", 0.15, 0.45, 1.0, 0.02);
         let te = terminal("ES", places::SPAIN_MADRID);
-        let over_2s_h = (0..n)
-            .filter(|_| {
-                acc.segment_rtt(&mut rng, &healthy, &te, 3, SimTime::from_secs(3 * 3600), false)
-                    > SimDuration::from_secs(2)
-            })
-            .count() as f64
+        let snap = acc.delay_snapshot(&healthy, &te, 3, at);
+        let over_2s_h = (0..n).filter(|_| rtt_sample(&snap, &te, &mut rng, false) > SimDuration::from_secs(2)).count()
+            as f64
             / n as f64;
         assert!(over_2s_h < 0.03, "{over_2s_h}");
     }
 
     #[test]
     fn stall_probability_zero_without_pressure() {
+        // a fully provisioned PEP and a clean channel: no stall at any load
         let acc = access();
         let b = beam("ES", 0.1, 0.3, 1.0, 0.0);
+        let t = terminal("ES", places::SPAIN_MADRID);
+        let snap = acc.delay_snapshot(&b, &t, 19, SimTime::from_secs(19 * 3600));
         let mut rng = Rng::new(5);
         for _ in 0..2000 {
-            assert_eq!(acc.stall_delay(&mut rng, &b, 0.0), SimDuration::ZERO);
+            assert_eq!(snap.stall(&mut rng), SimDuration::ZERO);
         }
     }
 
@@ -525,12 +462,10 @@ mod tests {
         let b = beam("ES", 0.2, 0.5, 1.0, 0.01);
         let t = terminal("ES", places::SPAIN_MADRID);
         let acc = access();
+        let snap = acc.delay_snapshot(&b, &t, 12, SimTime::from_secs(12 * 3600));
         let mean = |cold: bool, seed| {
             let mut rng = Rng::new(seed);
-            (0..3000)
-                .map(|_| acc.segment_rtt(&mut rng, &b, &t, 12, SimTime::from_secs(12 * 3600), cold).as_secs_f64())
-                .sum::<f64>()
-                / 3000.0
+            (0..3000).map(|_| rtt_sample(&snap, &t, &mut rng, cold).as_secs_f64()).sum::<f64>() / 3000.0
         };
         assert!(mean(true, 6) > mean(false, 6) + 0.04);
     }

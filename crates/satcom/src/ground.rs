@@ -1,65 +1,11 @@
-//! The ground station: tunnel terminator, NAT box, operator DNS
-//! resolver endpoint, and the span port the monitor taps (paper §2.1–2.2).
+//! The ground station: tunnel terminator, operator DNS resolver
+//! endpoint, and the span port the monitor taps (paper §2.1–2.2). The
+//! operator mirrors pre-NAT CPE addresses to the span port, so the
+//! probe identifies customers by their private address.
 
 use crate::geo::LatLon;
 use satwatch_netstack::Subnet;
-use satwatch_simcore::{fx_map_with_capacity, FxHashMap};
 use std::net::Ipv4Addr;
-
-/// NAT translation: customers get private addresses; the ground
-/// station rewrites (src addr, src port) on the way out. The paper's
-/// probe sits *behind* the PEP but identifies customers by CPE IP —
-/// the operator mirrors pre-NAT addresses to the span port, so our
-/// monitor also sees CPE addresses; NAT is still modelled because it
-/// constrains reachability (no inbound connections, §2.1).
-#[derive(Debug)]
-pub struct Nat {
-    public_pool: Vec<Ipv4Addr>,
-    next_port: u16,
-    /// (private src, private port) → (public src, public port).
-    /// Fx-hashed: endpoints are simulator-generated, and the NAT is
-    /// consulted per flow — no DoS adversary to defend against.
-    forward: FxHashMap<(Ipv4Addr, u16), (Ipv4Addr, u16)>,
-    /// (public src, public port) → (private src, private port)
-    reverse: FxHashMap<(Ipv4Addr, u16), (Ipv4Addr, u16)>,
-}
-
-impl Nat {
-    pub fn new(public_pool: Vec<Ipv4Addr>) -> Nat {
-        assert!(!public_pool.is_empty());
-        Nat {
-            public_pool,
-            next_port: 10_000,
-            forward: fx_map_with_capacity(1_024),
-            reverse: fx_map_with_capacity(1_024),
-        }
-    }
-
-    /// Translate an outbound (private) endpoint, creating a binding if
-    /// none exists.
-    pub fn translate_out(&mut self, private: (Ipv4Addr, u16)) -> (Ipv4Addr, u16) {
-        if let Some(&m) = self.forward.get(&private) {
-            return m;
-        }
-        let public_addr = self.public_pool[self.forward.len() % self.public_pool.len()];
-        let public = (public_addr, self.next_port);
-        self.next_port = if self.next_port == u16::MAX { 10_000 } else { self.next_port + 1 };
-        self.forward.insert(private, public);
-        self.reverse.insert(public, private);
-        public
-    }
-
-    /// Translate an inbound (public) endpoint back to the private one.
-    /// `None` for unsolicited traffic — which the NAT drops, enforcing
-    /// the paper's "no server can run on the customer's premises".
-    pub fn translate_in(&self, public: (Ipv4Addr, u16)) -> Option<(Ipv4Addr, u16)> {
-        self.reverse.get(&public).copied()
-    }
-
-    pub fn bindings(&self) -> usize {
-        self.forward.len()
-    }
-}
 
 /// Ground station configuration.
 #[derive(Clone, Debug)]
@@ -70,8 +16,6 @@ pub struct GroundStation {
     pub operator_resolver: Ipv4Addr,
     /// Private address space handed to CPEs.
     pub customer_subnet: Subnet,
-    /// Public pool used by the NAT.
-    pub public_pool: Vec<Ipv4Addr>,
 }
 
 impl GroundStation {
@@ -80,7 +24,6 @@ impl GroundStation {
             location: crate::geo::places::GROUND_STATION_ITALY,
             operator_resolver: Ipv4Addr::new(185, 80, 0, 53),
             customer_subnet: Subnet::new(Ipv4Addr::new(10, 0, 0, 0), 9),
-            public_pool: (1..=16).map(|i| Ipv4Addr::new(185, 80, 1, i)).collect(),
         }
     }
 
@@ -88,45 +31,11 @@ impl GroundStation {
     pub fn customer_address(&self, i: u32) -> Ipv4Addr {
         self.customer_subnet.host(i)
     }
-
-    pub fn nat(&self) -> Nat {
-        Nat::new(self.public_pool.clone())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nat_round_trip() {
-        let gs = GroundStation::italy_default();
-        let mut nat = gs.nat();
-        let private = (Ipv4Addr::new(10, 0, 0, 7), 50_123);
-        let public = nat.translate_out(private);
-        assert_ne!(public.0, private.0);
-        assert_eq!(nat.translate_in(public), Some(private));
-        // stable binding on reuse
-        assert_eq!(nat.translate_out(private), public);
-        assert_eq!(nat.bindings(), 1);
-    }
-
-    #[test]
-    fn nat_drops_unsolicited() {
-        let nat = GroundStation::italy_default().nat();
-        assert_eq!(nat.translate_in((Ipv4Addr::new(185, 80, 1, 1), 12_345)), None);
-    }
-
-    #[test]
-    fn distinct_private_endpoints_get_distinct_publics() {
-        let mut nat = GroundStation::italy_default().nat();
-        let a = nat.translate_out((Ipv4Addr::new(10, 0, 0, 1), 1000));
-        let b = nat.translate_out((Ipv4Addr::new(10, 0, 0, 1), 1001));
-        let c = nat.translate_out((Ipv4Addr::new(10, 0, 0, 2), 1000));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(b, c);
-    }
 
     #[test]
     fn customer_addresses_in_subnet() {

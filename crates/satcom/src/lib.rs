@@ -13,11 +13,14 @@
 //! * [`link`] — FEC residual loss + ARQ recovery tails.
 //! * [`pep`] — the split-TCP Performance Enhancing Proxy, including
 //!   the per-beam processing-saturation model behind Fig 8b.
-//! * [`shaper`] — token-bucket QoS shaping and commercial plans.
+//! * [`shaper`] — commercial plans and the per-class rate factors of
+//!   the operator's QoS rules.
 //! * [`cpe`] — subscriber terminals.
-//! * [`ground`] — ground station, NAT, operator resolver, span port.
-//! * [`channel`] — composition of all delay terms into per-packet
-//!   one-way delays and the satellite-segment RTT.
+//! * [`ground`] — ground station, customer subnet, operator resolver.
+//! * [`weather`] — the deterministic rain-fade schedule.
+//! * [`channel`] — composition of all delay terms into a per-flow
+//!   [`DelaySnapshot`](channel::DelaySnapshot) that draws per-packet
+//!   one-way delays.
 
 pub mod acm;
 pub mod beam;
@@ -31,13 +34,13 @@ pub mod pep;
 pub mod shaper;
 pub mod weather;
 
-pub use beam::{Beam, BeamId, BeamLoad};
+pub use beam::{Beam, BeamId};
 pub use channel::{default_peak_hour, DelayCache, SatelliteAccess};
 pub use cpe::{CustomerId, Terminal};
 pub use geo::{GeoSlot, LatLon};
-pub use ground::{GroundStation, Nat};
+pub use ground::GroundStation;
 pub use link::{LinkConfig, LinkModel};
 pub use mac::{Mac, MacConfig};
-pub use pep::{PepConfig, PepModel, PepPath};
-pub use shaper::{Plan, TokenBucket, TrafficClass};
+pub use pep::{PepConfig, PepModel};
+pub use shaper::{Plan, TrafficClass};
 pub use weather::{Climate, RainEvent, WeatherModel};

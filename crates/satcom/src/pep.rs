@@ -16,30 +16,10 @@
 //!    provisioning is an SLA knob.
 //! 2. **Decoupled congestion control.** The ground proxy fetches from
 //!    the origin at backbone rate while the satellite segment drains
-//!    at the shaped plan rate, with a bounded per-user buffer — so
-//!    measured ground-side throughput equals the *satellite-side*
-//!    drain rate for long flows (§6.5).
+//!    at the shaped plan rate — so measured ground-side throughput
+//!    equals the *satellite-side* drain rate for long flows (§6.5).
 
 use satwatch_simcore::{Rng, SimDuration};
-
-/// Whether a flow is accelerated by the PEP.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PepPath {
-    /// TCP: split connection, tunnel, spoofed handshake.
-    Accelerated,
-    /// UDP: forwarded as-is (QUIC deliberately included — the paper
-    /// notes QUIC cannot benefit without breaking authentication).
-    Bypass,
-}
-
-/// Classify by IP protocol number.
-pub fn classify(protocol: u8) -> PepPath {
-    if protocol == satwatch_netstack::ip::proto::TCP {
-        PepPath::Accelerated
-    } else {
-        PepPath::Bypass
-    }
-}
 
 /// Count one spoofed handshake: the CPE ACKs the client's SYN locally
 /// and the ground proxy ACKs data towards the origin on the client's
@@ -57,18 +37,11 @@ pub struct PepConfig {
     pub setup_service: SimDuration,
     /// Mean per-packet forwarding service time.
     pub forward_service: SimDuration,
-    /// Per-user tunnel buffer, bytes (bounds how far the ground proxy
-    /// can run ahead of the satellite segment).
-    pub user_buffer_bytes: u64,
 }
 
 impl Default for PepConfig {
     fn default() -> PepConfig {
-        PepConfig {
-            setup_service: SimDuration::from_millis(2),
-            forward_service: SimDuration::from_micros(80),
-            user_buffer_bytes: 2_000_000,
-        }
+        PepConfig { setup_service: SimDuration::from_millis(2), forward_service: SimDuration::from_micros(80) }
     }
 }
 
@@ -80,14 +53,6 @@ pub struct PepModel {
 impl PepModel {
     pub fn new(cfg: PepConfig) -> PepModel {
         PepModel { cfg }
-    }
-
-    pub fn config(&self) -> &PepConfig {
-        self.cfg_ref()
-    }
-
-    fn cfg_ref(&self) -> &PepConfig {
-        &self.cfg
     }
 
     /// Effective PEP utilization for a beam: traffic load scaled by
@@ -116,30 +81,11 @@ impl PepModel {
         let mean = self.cfg.forward_service.as_secs_f64() / (1.0 - rho);
         SimDuration::from_secs_f64((-rng.f64_open().ln() * mean).min(1.0))
     }
-
-    /// How long the ground proxy can keep fetching at `origin_rate`
-    /// before the per-user buffer fills, given the satellite drains at
-    /// `drain_rate` (bits/s). Returns `None` if the buffer never fills.
-    pub fn buffer_fill_time(&self, origin_rate: u64, drain_rate: u64) -> Option<SimDuration> {
-        if origin_rate <= drain_rate {
-            return None;
-        }
-        let fill_bps = (origin_rate - drain_rate) as f64;
-        let secs = self.cfg.user_buffer_bytes as f64 * 8.0 / fill_bps;
-        Some(SimDuration::from_secs_f64(secs))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification() {
-        assert_eq!(classify(6), PepPath::Accelerated);
-        assert_eq!(classify(17), PepPath::Bypass);
-        assert_eq!(classify(47), PepPath::Bypass);
-    }
 
     #[test]
     fn effective_utilization_amplifies_underprovisioning() {
@@ -177,16 +123,5 @@ mod tests {
         let mut rng = Rng::new(3);
         let mean: f64 = (0..30_000).map(|_| pep.forward_delay(&mut rng, 0.3).as_millis_f64()).sum::<f64>() / 30_000.0;
         assert!(mean < 0.5, "{mean} ms");
-    }
-
-    #[test]
-    fn buffer_fill_semantics() {
-        let pep = PepModel::new(PepConfig::default());
-        // origin at 100 Mb/s, drain at 10 Mb/s → 2 MB buffer fills in
-        // 16 Mbit / 90 Mb/s ≈ 0.178 s
-        let t = pep.buffer_fill_time(100_000_000, 10_000_000).unwrap();
-        assert!((t.as_secs_f64() - 0.1778).abs() < 0.01, "{t}");
-        assert!(pep.buffer_fill_time(5_000_000, 10_000_000).is_none());
-        assert!(pep.buffer_fill_time(10_000_000, 10_000_000).is_none());
     }
 }

@@ -1,28 +1,11 @@
 //! QoS shaping and commercial plans (paper §2.1).
 //!
-//! The ground station enforces the subscriber's contract with a
-//! token-bucket shaper: up to 5 Mb/s uplink and 10/20/30/50/100 Mb/s
-//! downlink, plus L3/L4- and domain-based rules that prioritise
-//! interactive traffic and shape video streaming.
+//! The ground station enforces the subscriber's contract: up to 5 Mb/s
+//! uplink and 10/20/30/50/100 Mb/s downlink, plus domain-based rules
+//! that shape video streaming below the plan rate. Flow synthesis
+//! applies both as a rate cap on each flow.
 
-use satwatch_simcore::{BitRate, Bytes, SimDuration, SimTime};
-use std::sync::OnceLock;
-
-/// Telemetry handles for all token buckets (write-only).
-struct ShaperMetrics {
-    released: &'static satwatch_telemetry::Counter,
-    delayed: &'static satwatch_telemetry::Counter,
-    deficit_bytes: &'static satwatch_telemetry::Histogram,
-}
-
-fn shaper_metrics() -> &'static ShaperMetrics {
-    static M: OnceLock<ShaperMetrics> = OnceLock::new();
-    M.get_or_init(|| ShaperMetrics {
-        released: satwatch_telemetry::counter("satcom_shaper_released_total"),
-        delayed: satwatch_telemetry::counter("satcom_shaper_delayed_total"),
-        deficit_bytes: satwatch_telemetry::histogram("satcom_shaper_deficit_bytes"),
-    })
-}
+use satwatch_simcore::BitRate;
 
 /// A commercial subscription plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -66,8 +49,6 @@ impl Plan {
 /// Traffic classes used by the operator's QoS rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
-    /// DNS, TCP handshakes, small interactive exchanges.
-    Interactive,
     /// Video streaming — shaped below the plan rate to protect the beam.
     Video,
     /// Everything else.
@@ -78,87 +59,11 @@ impl TrafficClass {
     /// Rate multiplier the shaper applies relative to the plan rate.
     pub fn rate_factor(self) -> f64 {
         match self {
-            TrafficClass::Interactive => 1.0,
             // video streams are paced: high-definition needs ~5-8 Mb/s,
             // the shaper allows bursts but paces sustained transfers.
             TrafficClass::Video => 0.8,
             TrafficClass::BestEffort => 1.0,
         }
-    }
-
-    /// Scheduling priority (lower = served first).
-    pub fn priority(self) -> u8 {
-        match self {
-            TrafficClass::Interactive => 0,
-            TrafficClass::BestEffort => 1,
-            TrafficClass::Video => 2,
-        }
-    }
-}
-
-/// A token bucket: `rate` tokens/second (in bytes), burst capacity
-/// `burst` bytes. Deterministic and exact in integer nanoseconds.
-#[derive(Clone, Debug)]
-pub struct TokenBucket {
-    rate: BitRate,
-    burst: Bytes,
-    tokens: f64,
-    last: SimTime,
-}
-
-impl TokenBucket {
-    pub fn new(rate: BitRate, burst: Bytes) -> TokenBucket {
-        assert!(rate.as_bps() > 0);
-        TokenBucket { rate, burst, tokens: burst.as_f64(), last: SimTime::ZERO }
-    }
-
-    pub fn rate(&self) -> BitRate {
-        self.rate
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        if now > self.last {
-            let dt = (now - self.last).as_secs_f64();
-            self.tokens = (self.tokens + dt * self.rate.as_bps() as f64 / 8.0).min(self.burst.as_f64());
-            self.last = now;
-        }
-    }
-
-    /// Try to send `len` bytes at `now`. Returns the extra delay the
-    /// shaper imposes before the packet may leave (zero if tokens are
-    /// available). The packet is always eventually released — the
-    /// shaper delays rather than drops (the PEP tunnel is reliable),
-    /// so the telemetry story is released/delayed counts plus the
-    /// imposed delay, not a drop counter.
-    pub fn delay_for(&mut self, now: SimTime, len: Bytes) -> SimDuration {
-        self.refill(now);
-        let need = len.as_f64();
-        let m = shaper_metrics();
-        if self.tokens >= need {
-            self.tokens -= need;
-            m.released.inc();
-            SimDuration::ZERO
-        } else {
-            let deficit = need - self.tokens;
-            self.tokens = 0.0;
-            let wait = deficit * 8.0 / self.rate.as_bps() as f64;
-            // account the future refill we just spent
-            self.last = now + SimDuration::from_secs_f64(wait);
-            m.delayed.inc();
-            m.deficit_bytes.record(deficit as u64);
-            SimDuration::from_secs_f64(wait)
-        }
-    }
-
-    /// Sustained rate achievable for a transfer of `volume`, given the
-    /// bucket starts full: `volume / (burst_instant + paced_rest)`.
-    pub fn sustained_rate(&self, volume: Bytes) -> BitRate {
-        if volume.as_u64() * 8 <= self.burst.as_u64() * 8 {
-            return BitRate::from_bps(u64::MAX / 2); // all burst, "instant"
-        }
-        let paced = volume.saturating_sub(self.burst);
-        let secs = paced.as_f64() * 8.0 / self.rate.as_bps() as f64;
-        BitRate::from_bps((volume.as_f64() * 8.0 / secs) as u64)
     }
 }
 
@@ -177,62 +82,6 @@ mod tests {
 
     #[test]
     fn class_priorities() {
-        assert!(TrafficClass::Interactive.priority() < TrafficClass::Video.priority());
-        assert!(TrafficClass::Video.rate_factor() < 1.0);
-    }
-
-    #[test]
-    fn bucket_allows_burst_then_paces() {
-        let mut tb = TokenBucket::new(BitRate::from_mbps(8), Bytes::from_kb(100));
-        let t0 = SimTime::from_secs(1);
-        // 100 kB burst passes free
-        assert_eq!(tb.delay_for(t0, Bytes::from_kb(100)), SimDuration::ZERO);
-        // next 100 kB must wait 100kB*8/8Mb/s = 100 ms
-        let d = tb.delay_for(t0, Bytes::from_kb(100));
-        assert!((d.as_millis_f64() - 100.0).abs() < 0.1, "{d}");
-    }
-
-    #[test]
-    fn bucket_refills_over_time() {
-        let mut tb = TokenBucket::new(BitRate::from_mbps(8), Bytes::from_kb(100));
-        let t0 = SimTime::from_secs(1);
-        tb.delay_for(t0, Bytes::from_kb(100)); // drain
-                                               // after 50 ms, 50 kB of tokens are back
-        let t1 = t0 + SimDuration::from_millis(50);
-        assert_eq!(tb.delay_for(t1, Bytes::from_kb(50)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn bucket_never_exceeds_burst() {
-        let mut tb = TokenBucket::new(BitRate::from_mbps(1), Bytes::from_kb(10));
-        // long idle: tokens cap at burst
-        let later = SimTime::from_secs(3_600);
-        assert_eq!(tb.delay_for(later, Bytes::from_kb(10)), SimDuration::ZERO);
-        assert!(tb.delay_for(later, Bytes::from_kb(10)) > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn long_run_rate_converges_to_token_rate() {
-        let rate = BitRate::from_mbps(10);
-        let mut tb = TokenBucket::new(rate, Bytes::from_kb(64));
-        let mut now = SimTime::from_secs(0);
-        let pkt = Bytes(1500);
-        let n = 50_000u64;
-        for _ in 0..n {
-            let d = tb.delay_for(now, pkt);
-            now += d; // send back-to-back as fast as the shaper allows
-        }
-        let achieved = (n * 1500) as f64 * 8.0 / now.as_secs_f64().max(1e-9);
-        assert!((achieved / rate.as_bps() as f64 - 1.0).abs() < 0.02, "achieved {achieved}");
-    }
-
-    #[test]
-    fn sustained_rate_bounds() {
-        let tb = TokenBucket::new(BitRate::from_mbps(10), Bytes::from_mb(1));
-        // tiny transfer: burst-only, effectively unshaped
-        assert!(tb.sustained_rate(Bytes::from_kb(100)).as_bps() > 1_000_000_000);
-        // huge transfer: approaches the token rate from above
-        let r = tb.sustained_rate(Bytes::from_gb(1));
-        assert!(r.as_mbps() > 10.0 && r.as_mbps() < 10.2, "{r}");
+        assert!(TrafficClass::Video.rate_factor() < TrafficClass::BestEffort.rate_factor());
     }
 }

@@ -91,10 +91,6 @@ impl RainEvent {
         let envelope = 1.0 - (2.0 * pos - 1.0).abs(); // 0 → 1 → 0
         self.peak * envelope
     }
-
-    pub fn active_at(&self, second_of_day: u64) -> bool {
-        (self.start_s..self.start_s + self.duration_s).contains(&second_of_day)
-    }
 }
 
 /// The deterministic storm scheduler.
@@ -184,8 +180,7 @@ mod tests {
         let e = RainEvent { start_s: 1000, duration_s: 600, peak: 0.6 };
         assert_eq!(e.impairment_at(999), 0.0);
         assert_eq!(e.impairment_at(1600), 0.0);
-        assert!(e.active_at(1000));
-        assert!(!e.active_at(1600));
+        assert!(e.impairment_at(1001) > 0.0);
         // mid-event reaches the peak
         let mid = e.impairment_at(1300);
         assert!((mid - 0.6).abs() < 0.01, "{mid}");

@@ -9,28 +9,8 @@ use crate::run::Dataset;
 use satwatch_monitor::record::{encode_dns_head, push_answers, write_flows};
 use satwatch_monitor::tsv::write_rows;
 use satwatch_monitor::DnsRecord;
+pub use satwatch_simcore::fnv::{fnv1a, fnv1a_update, FNV1A_INIT};
 use std::io::{self, Write};
-
-/// The FNV-1a 64-bit offset basis — the hash state before any byte.
-pub const FNV1A_INIT: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a 64-bit.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_update(FNV1A_INIT, bytes)
-}
-
-/// Fold more bytes into an FNV-1a 64 state. FNV is a plain byte fold,
-/// so `fnv1a_update(fnv1a_update(INIT, a), b) == fnv1a(a ++ b)` —
-/// which is what lets the campaign engine hash the dataset
-/// incrementally, day by day, and still land on the exact
-/// [`dataset_digest`] value of the equivalent batch run.
-pub fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// FNV-1a 64 as a byte sink: the log writers hand it one block at a
 /// time, so a digest never holds the serialized dataset — only the

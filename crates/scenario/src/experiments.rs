@@ -14,6 +14,10 @@ use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol};
 use satwatch_traffic::Country;
 use std::ops::ControlFlow;
 
+/// Table 2's threshold: a (country, CDN) cell needs this many flows.
+/// Every command renders the report at it.
+pub const MIN_FLOWS: usize = 10;
+
 /// The Fig 6 service subset (services the user intentionally visits).
 pub const FIG6_SERVICES: [&str; 12] = [
     "Google",

@@ -12,9 +12,9 @@
 //!   reappears at the span port one *satellite RTT* later — exactly
 //!   the gap the monitor's estimator measures;
 //! * UDP (DNS, QUIC, RTP) bypasses the PEP and crosses end-to-end;
-//! * bulk data drains at the shaped plan rate (token-bucket limit,
-//!   beam congestion, shared-AP contention), which also bounds what
-//!   the ground proxy fetches (bounded per-user buffer).
+//! * bulk data drains at the shaped plan rate (plan cap, video rate
+//!   factor, beam congestion, shared-AP contention), which also bounds
+//!   what the ground proxy fetches.
 
 use bytes::Bytes;
 use satwatch_internet::{CdnCatalog, Region};
@@ -188,7 +188,7 @@ impl<'a> FlowBuilder<'a> {
 /// Scalar draws land in named fields; the variable-length delay draws
 /// (uplink/downlink traversals, PEP setup, resolver latency, home-RTT
 /// samples) land as a contiguous slice of the cohort's shared delay
-/// column, consumed front-to-back by a [`DelayCursor`]. The "grtt"
+/// column, consumed front-to-back by a `DelayCursor`. The "grtt"
 /// fork is stored as RNG *state*: forking never consumes parent state,
 /// and the ground-RTT jitter draws depend only on the fork and the
 /// (branch-deterministic) call order, so emission can draw them live.
@@ -350,7 +350,7 @@ impl NetModel {
     /// parent-RNG-free, so a cohort is planned in one pass and emitted
     /// in the next.
     ///
-    /// Delay-term draws go through [`satwatch_satcom::DelayPlanner`],
+    /// Delay-term draws go through [`DelayPlanner`](satwatch_satcom::channel::DelayPlanner),
     /// which appends each sample to `delay_col` — the cohort's shared
     /// delay column — and hands back `(start, end)` for the plan.
     ///

@@ -240,7 +240,7 @@ impl IntentQueue {
 /// Day-stepped scenario driver: the campaign engine's seam into the
 /// simulation. Batch [`run`]/[`run_streaming`] and a campaign calling
 /// [`DayRunner::run_day`] for `0..cfg.days` execute the *same* per-day
-/// code path ([`drive_day`]), so a campaign's probe observes the exact
+/// code path (`drive_day`), so a campaign's probe observes the exact
 /// packet stream a batch run would.
 ///
 /// Each simulated day is a pure function of `(cfg.seed, day)`: intent

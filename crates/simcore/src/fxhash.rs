@@ -1,6 +1,6 @@
 //! FxHash: the rustc hasher, in-tree.
 //!
-//! The probe's flow table, the NAT binding maps and the analytics
+//! The probe's flow table, its pending-DNS map and the analytics
 //! group-bys all hash small fixed-size keys (5-tuples, addresses,
 //! enums) millions of times per simulated day. `std`'s default SipHash
 //! is DoS-resistant but ~4× slower on such keys; our keys come from a

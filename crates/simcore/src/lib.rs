@@ -15,12 +15,13 @@
 //! * [`rng`] — reproducible xoshiro256** PRNG with hierarchical seed
 //!   derivation, so subsystems have independent streams.
 //! * [`dist`] — the random distributions the workload and channel
-//!   models draw from (log-normal, Pareto, Weibull, Zipf, …).
+//!   models draw from (log-normal and categorical).
 //! * [`stats`] — streaming and batch statistics (Welford, quantiles,
 //!   CDF/CCDF, boxplot summaries) used to build the paper's figures.
 //! * [`units`] — data volume and rate newtypes.
 //! * [`fxhash`] — the rustc multiply-xor hasher for hot maps keyed by
 //!   small simulator-generated values (no DoS adversary here).
+//! * [`fnv`] — FNV-1a 64, the checksum of every digest and file.
 //!
 //! The design follows the event-driven, sans-IO ethos of smoltcp: the
 //! engine knows nothing about wall-clock time or sockets; everything
@@ -52,6 +53,7 @@
 pub mod arena;
 pub mod dist;
 pub mod event;
+pub mod fnv;
 pub mod fxhash;
 pub mod merge;
 pub mod rng;

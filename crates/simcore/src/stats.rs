@@ -260,66 +260,6 @@ impl Cdf {
     }
 }
 
-/// Fixed-bin linear histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Histogram {
-        assert!(hi > lo && nbins > 0);
-        Histogram { lo, hi, bins: vec![0; nbins], underflow: 0, overflow: 0, count: 0 }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.bins[idx.min(n - 1)] += 1;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Bin centres with normalised densities (sums to the in-range mass).
-    pub fn density(&self) -> Vec<(f64, f64)> {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let centre = self.lo + (i as f64 + 0.5) * width;
-                (centre, if self.count == 0 { 0.0 } else { c as f64 / self.count as f64 })
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,25 +373,5 @@ mod tests {
             assert!(w[1].0 >= w[0].0, "x must be non-decreasing");
             assert!(w[1].1 >= w[0].1, "p must be non-decreasing");
         }
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(10.0);
-        h.push(11.0);
-        assert_eq!(h.count(), 13);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        for i in 0..10 {
-            assert_eq!(h.bin_count(i), 1);
-        }
-        let d = h.density();
-        assert_eq!(d.len(), 10);
-        assert!((d[0].0 - 0.5).abs() < 1e-12);
     }
 }

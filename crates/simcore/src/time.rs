@@ -188,17 +188,6 @@ impl SimDuration {
         self.nanos < 0
     }
 
-    /// Clamp negative spans to zero (used when composing delay terms
-    /// that may individually under-run).
-    #[inline]
-    pub fn max_zero(self) -> SimDuration {
-        if self.nanos < 0 {
-            SimDuration::ZERO
-        } else {
-            self
-        }
-    }
-
     /// Multiply by a non-negative float factor, rounding to nearest ns.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
@@ -347,7 +336,6 @@ mod tests {
         assert_eq!((a - b).as_millis_f64(), 500.0);
         assert_eq!((b - a).as_millis_f64(), -500.0);
         assert!((b - a).is_negative());
-        assert_eq!((b - a).max_zero(), SimDuration::ZERO);
         assert_eq!((a * 2).as_millis_f64(), 1100.0);
         assert_eq!((a / 2).as_millis_f64(), 275.0);
         assert_eq!(a.mul_f64(0.5).as_millis_f64(), 275.0);

@@ -103,15 +103,6 @@ impl BitRate {
         self.0 as f64 / 1e6
     }
 
-    /// Volume transferable in `d` at this rate (truncated to bytes).
-    pub fn volume_in(self, d: SimDuration) -> Bytes {
-        if d.is_negative() {
-            return Bytes::ZERO;
-        }
-        let bits = self.0 as u128 * d.as_nanos() as u128 / NANOS_PER_SEC as u128;
-        Bytes((bits / 8) as u64)
-    }
-
     /// Scale by a factor in `[0, +inf)`; used for congestion/back-off.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> BitRate {
@@ -220,17 +211,6 @@ mod tests {
         assert_eq!(Bytes(1).tx_time(BitRate::from_gbps(1)).as_nanos(), 8);
         let d = Bytes(1).tx_time(BitRate(3));
         assert!(d >= SimDuration::from_secs_f64(8.0 / 3.0));
-    }
-
-    #[test]
-    fn volume_in_inverts_tx_time() {
-        let rate = BitRate::from_mbps(20);
-        let vol = Bytes::from_mb(10);
-        let d = vol.tx_time(rate);
-        let back = rate.volume_in(d);
-        // Round-trip is within one byte of the original (ceil in tx_time).
-        assert!(back.0 >= vol.0 && back.0 <= vol.0 + 3, "{back:?}");
-        assert_eq!(rate.volume_in(SimDuration::from_secs(-1)), Bytes::ZERO);
     }
 
     #[test]

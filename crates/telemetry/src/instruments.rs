@@ -1,18 +1,15 @@
-//! The three instrument types: sharded [`Counter`]s and [`Gauge`]s,
-//! and the log-bucketed [`Histogram`].
+//! The three instrument types: [`Counter`]s, [`Gauge`]s and the
+//! log-bucketed [`Histogram`].
 //!
-//! ## Sharded-slot layout
+//! ## One atomic per instrument
 //!
-//! Counters and gauges carry one cache-line-padded atomic slot per
-//! *worker lane* (a fixed pool of [`SHARDS`] lanes; each OS thread is
-//! assigned a lane round-robin on first touch). Hot paths do a single
-//! relaxed `fetch_add` on their own lane — no CAS loop, no shared
-//! cache line, no contention at any thread count. Reading sums the
-//! lanes, so a read concurrent with writes is a *consistent-enough*
-//! snapshot: it includes every increment that happened-before the
-//! read and may include some in-flight ones, which is exactly the
-//! guarantee operational telemetry needs (and all it can have without
-//! stalling writers).
+//! satwatch records from one thread — the pipeline runs on one, and
+//! the ticker thread only reads (DESIGN.md §7). A counter or gauge is
+//! therefore a single relaxed `AtomicU64`: a record is one uncontended
+//! `fetch_add`, a read is one load. A read concurrent with writes sees
+//! every increment that happened-before it and may see in-flight
+//! ones — all operational telemetry needs, without stalling the
+//! writer.
 //!
 //! ## Why observation cannot perturb determinism
 //!
@@ -22,12 +19,7 @@
 //! path. The pipeline's output is a pure function of (seed, config)
 //! whether telemetry is enabled, disabled, or absent.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-
-/// Number of padded slots per counter/gauge. A small power of two:
-/// more lanes than any sane worker count for this workload, while one
-/// counter stays at 1 KiB.
-pub const SHARDS: usize = 16;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 /// Global record-path switch. Disabled instruments skip their atomic
 /// writes entirely; export still works (it reads whatever was
@@ -45,39 +37,15 @@ pub fn enabled() -> bool {
     ENABLED.load(Relaxed)
 }
 
-/// One cache-line-padded atomic slot. The padding keeps two workers'
-/// lanes out of each other's cache lines (no false sharing).
-#[repr(align(64))]
-#[derive(Default)]
-struct Slot {
-    v: AtomicU64,
-}
-
-/// This thread's lane index, assigned round-robin on first use.
-fn lane() -> usize {
-    static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static LANE: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    LANE.with(|l| {
-        let mut i = l.get();
-        if i == usize::MAX {
-            i = NEXT_LANE.fetch_add(1, Relaxed) % SHARDS;
-            l.set(i);
-        }
-        i
-    })
-}
-
 /// A monotonically increasing counter.
 #[derive(Default)]
 pub struct Counter {
-    slots: [Slot; SHARDS],
+    v: AtomicU64,
 }
 
 impl Counter {
     pub const fn new() -> Counter {
-        Counter { slots: [const { Slot { v: AtomicU64::new(0) } }; SHARDS] }
+        Counter { v: AtomicU64::new(0) }
     }
 
     #[inline]
@@ -88,37 +56,32 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if enabled() {
-            self.slots[lane()].v.fetch_add(n, Relaxed);
+            self.v.fetch_add(n, Relaxed);
         }
     }
 
-    /// Sum across lanes.
     pub fn value(&self) -> u64 {
-        self.slots.iter().map(|s| s.v.load(Relaxed)).fold(0u64, u64::wrapping_add)
+        self.v.load(Relaxed)
     }
 }
 
-/// A signed up/down gauge (queue depths, table sizes).
-///
-/// `add`/`sub` are safe from any number of threads. [`Gauge::set`] is
-/// a single-writer convenience (it reads-then-adjusts); concurrent
-/// setters can interleave, concurrent adders cannot be lost.
+/// A signed up/down gauge (queue depths, table sizes), stored as the
+/// two's-complement bits of an `i64`: a wrapping `fetch_add` of `n as
+/// u64` is an exact signed add.
 #[derive(Default)]
 pub struct Gauge {
-    slots: [Slot; SHARDS],
+    v: AtomicU64,
 }
 
 impl Gauge {
     pub const fn new() -> Gauge {
-        Gauge { slots: [const { Slot { v: AtomicU64::new(0) } }; SHARDS] }
+        Gauge { v: AtomicU64::new(0) }
     }
 
     #[inline]
     pub fn add(&self, n: i64) {
         if enabled() {
-            // two's-complement wrapping add: summing the lanes as i64
-            // recovers the exact signed total
-            self.slots[lane()].v.fetch_add(n as u64, Relaxed);
+            self.v.fetch_add(n as u64, Relaxed);
         }
     }
 
@@ -137,18 +100,15 @@ impl Gauge {
         self.add(-1);
     }
 
-    /// Move the gauge to `v` (single logical writer).
+    /// Move the gauge to `v`.
     pub fn set(&self, v: i64) {
-        // `set` must land even when recording is off? No: same rule as
-        // every instrument — disabled means silent.
         if enabled() {
-            let cur = self.value();
-            self.slots[lane()].v.fetch_add((v - cur) as u64, Relaxed);
+            self.v.store(v as u64, Relaxed);
         }
     }
 
     pub fn value(&self) -> i64 {
-        self.slots.iter().map(|s| s.v.load(Relaxed)).fold(0u64, u64::wrapping_add) as i64
+        self.v.load(Relaxed) as i64
     }
 }
 
@@ -210,9 +170,7 @@ pub fn bucket_upper(idx: usize) -> u64 {
 /// A fixed-size log-bucketed histogram (HDR-style) for latencies
 /// (microseconds, by convention) and sizes (bytes).
 ///
-/// Buckets are plain (unsharded) relaxed atomics: histogram records
-/// happen per *stage or flow*, not per packet, so a shared cache line
-/// is cheap — and 128 padded lanes × 128 buckets would not be.
+/// Buckets are plain relaxed atomics, like every instrument here.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,

@@ -1,5 +1,5 @@
 //! `satwatch-telemetry` — zero-dependency metrics for the satwatch
-//! pipeline: sharded counters/gauges, log-bucketed histograms, RAII
+//! pipeline: atomic counters/gauges, log-bucketed histograms, RAII
 //! span timers, and snapshot export as JSON or Prometheus text.
 //!
 //! Design rules (see DESIGN.md §9 for the full rationale):
@@ -12,9 +12,10 @@
 //!   and record paths never allocate, so observation cannot perturb
 //!   the deterministic output. `crates/scenario` proves this with a
 //!   byte-identity test at multiple thread counts.
-//! - **Contention-free hot paths.** Counters and gauges keep one
-//!   cache-line-padded slot per worker lane; a record is one relaxed
-//!   `fetch_add` on a line no other worker touches. Reads sum lanes.
+//! - **One atomic per instrument.** The pipeline records from one
+//!   thread and the ticker only reads, so a counter or gauge is a
+//!   single relaxed `AtomicU64`: a record is one uncontended
+//!   `fetch_add`, a read one load.
 //!
 //! Typical call-site pattern — resolve handles once, record forever:
 //!
@@ -41,7 +42,7 @@ mod span;
 mod ticker;
 
 pub use instruments::{
-    bucket_lower, bucket_of, bucket_upper, enabled, set_enabled, Counter, Gauge, Histogram, BUCKETS, SHARDS,
+    bucket_lower, bucket_of, bucket_upper, enabled, set_enabled, Counter, Gauge, Histogram, BUCKETS,
 };
 pub use registry::{labelled, registry, Instrument, Registry};
 pub use snapshot::{HistogramSnapshot, Snapshot, Value};

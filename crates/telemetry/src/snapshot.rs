@@ -2,7 +2,7 @@
 //! snapshots, and export as JSON or Prometheus text format.
 //!
 //! A snapshot reads every instrument once, in sorted-name order. The
-//! read is lock-free per instrument (lane sums over relaxed atomics):
+//! read is lock-free per instrument (relaxed atomic loads):
 //! values recorded concurrently with the snapshot may or may not be
 //! included, but every value recorded before the snapshot started is.
 

@@ -181,16 +181,6 @@ impl Country {
         }
     }
 
-    /// Local hour of the country's traffic peak (Fig 4: Europe
-    /// evening prime time, Africa mid-morning).
-    pub fn peak_hour_local(self) -> u32 {
-        if self.is_african() {
-            10
-        } else {
-            19
-        }
-    }
-
     /// Commercial plan mix: Europe buys faster plans (§6.5: 30/50/100
     /// popular in Europe, 10/30 in Africa).
     pub fn plan_weights(self) -> [(Plan, f64); 5] {
@@ -571,8 +561,6 @@ mod tests {
         assert!(Country::Congo.is_african());
         assert!(Country::Nigeria.is_african());
         assert!(!Country::Spain.is_african());
-        assert_eq!(Country::Congo.peak_hour_local(), 10);
-        assert_eq!(Country::Uk.peak_hour_local(), 19);
     }
 
     #[test]

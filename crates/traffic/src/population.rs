@@ -8,9 +8,9 @@ use crate::dnschoice::ResolverChoice;
 use satwatch_internet::ResolverId;
 use satwatch_satcom::beam::{Beam, BeamId};
 use satwatch_satcom::geo::places;
-use satwatch_satcom::{CustomerId, GroundStation, Plan, Terminal};
+use satwatch_satcom::{CustomerId, GroundStation, Terminal};
 use satwatch_simcore::dist::Categorical;
-use satwatch_simcore::{BitRate, Rng, SeedTree, SimDuration};
+use satwatch_simcore::{BitRate, SeedTree, SimDuration};
 
 /// One customer: terminal + behavioural profile.
 #[derive(Clone, Debug)]
@@ -117,18 +117,6 @@ impl Population {
     pub fn beam(&self, id: BeamId) -> &Beam {
         &self.beams[id.0 as usize]
     }
-
-    /// Customers of one country.
-    pub fn by_country(&self, country: Country) -> impl Iterator<Item = &Customer> {
-        self.customers.iter().filter(move |c| c.country == country)
-    }
-}
-
-/// Convenience: sample a plan for a country (used by tests/benches).
-pub fn sample_plan(country: Country, rng: &mut Rng) -> Plan {
-    let plans = country.plan_weights();
-    let dist = Categorical::new(&plans.map(|(_, w)| w));
-    plans[dist.sample_index(rng)].0
 }
 
 #[cfg(test)]
@@ -139,12 +127,16 @@ mod tests {
         build_population(2000, &SeedTree::new(42))
     }
 
+    fn of(p: &Population, country: Country) -> impl Iterator<Item = &Customer> {
+        p.customers.iter().filter(move |c| c.country == country)
+    }
+
     #[test]
     fn country_shares_respected() {
         let p = pop();
         let total = p.customers.len() as f64;
-        let congo = p.by_country(Country::Congo).count() as f64;
-        let spain = p.by_country(Country::Spain).count() as f64;
+        let congo = of(&p, Country::Congo).count() as f64;
+        let spain = of(&p, Country::Spain).count() as f64;
         assert!((congo / total - 0.20).abs() < 0.01, "{}", congo / total);
         assert!((spain / total - 0.16).abs() < 0.01);
     }
@@ -194,11 +186,11 @@ mod tests {
     #[test]
     fn europe_has_idle_second_homes() {
         let p = pop();
-        let idle_es = p.by_country(Country::Spain).filter(|c| c.archetype == Archetype::SecondHome).count() as f64;
-        let es_total = p.by_country(Country::Spain).count() as f64;
+        let idle_es = of(&p, Country::Spain).filter(|c| c.archetype == Archetype::SecondHome).count() as f64;
+        let es_total = of(&p, Country::Spain).count() as f64;
         assert!(idle_es / es_total > 0.35, "{}", idle_es / es_total);
-        let idle_cd = p.by_country(Country::Congo).filter(|c| c.archetype == Archetype::SecondHome).count() as f64;
-        let cd_total = p.by_country(Country::Congo).count() as f64;
+        let idle_cd = of(&p, Country::Congo).filter(|c| c.archetype == Archetype::SecondHome).count() as f64;
+        let cd_total = of(&p, Country::Congo).count() as f64;
         assert!(idle_cd / cd_total < 0.06);
     }
 
@@ -218,7 +210,7 @@ mod tests {
     fn african_plans_slower() {
         let p = pop();
         let mean_plan = |country: Country| {
-            let v: Vec<f64> = p.by_country(country).map(|c| c.terminal.plan.down().as_mbps()).collect();
+            let v: Vec<f64> = of(&p, country).map(|c| c.terminal.plan.down().as_mbps()).collect();
             v.iter().sum::<f64>() / v.len() as f64
         };
         assert!(mean_plan(Country::Congo) < 0.5 * mean_plan(Country::Uk));

@@ -208,23 +208,6 @@ fn sort_flows(mut flows: Vec<FlowIntent>) -> Vec<FlowIntent> {
     flows
 }
 
-/// Aggregate helper used by calibration tests and reports: total
-/// down/up volume and flow count of a day's intents, per category.
-pub fn volume_by_category(
-    intents: &[FlowIntent],
-    catalog: &[ServiceSpec],
-) -> std::collections::HashMap<Category, (u64, u64, u64)> {
-    let mut map = std::collections::HashMap::new();
-    for i in intents {
-        let cat = catalog[i.service.0 as usize].category;
-        let e = map.entry(cat).or_insert((0u64, 0u64, 0u64));
-        e.0 += i.down_bytes;
-        e.1 += i.up_bytes;
-        e.2 += 1;
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,8 +306,12 @@ mod tests {
                 .zip(&all)
                 .filter(|(c, _)| c.country == country && c.activity > 0.0)
                 .filter_map(|(_, flows)| {
-                    let m = volume_by_category(flows, &catalog);
-                    m.get(&Category::Chat).map(|(d, u, _)| (d + u) as f64 / 1e6)
+                    let chat: Vec<u64> = flows
+                        .iter()
+                        .filter(|f| catalog[f.service.0 as usize].category == Category::Chat)
+                        .map(|f| f.down_bytes + f.up_bytes)
+                        .collect();
+                    (!chat.is_empty()).then(|| chat.iter().sum::<u64>() as f64 / 1e6)
                 })
                 .collect();
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -73,8 +73,14 @@ fn rain_degrades_rtt_during_storms_only() {
     let clear = SimTime::from_secs(day * 86_400 + clear_sec);
 
     let mean_rtt = |t: SimTime, seed: u64| {
+        let snap = acc.delay_snapshot(&b, &term, 12, t);
         let mut rng = Rng::new(seed);
-        (0..3_000).map(|_| acc.segment_rtt(&mut rng, &b, &term, 12, t, false).as_secs_f64()).sum::<f64>() / 3_000.0
+        (0..3_000)
+            .map(|_| {
+                (snap.downlink(&mut rng) + term.home_rtt_sample(&mut rng) + snap.uplink(&mut rng, false)).as_secs_f64()
+            })
+            .sum::<f64>()
+            / 3_000.0
     };
     let rainy = mean_rtt(mid_storm, 1);
     let dry = mean_rtt(clear, 1);
