@@ -490,7 +490,7 @@ mod tests {
         for svc in &catalog {
             for _ in 0..20 {
                 let d = svc.sample_domain(&mut rng);
-                let got = c.classify(&d);
+                let got = c.classify(d);
                 assert!(got.is_some(), "{} generated unclassifiable {d}", svc.name);
                 let (name, cat) = got.unwrap();
                 assert_eq!(cat, svc.category, "{d} → {name} ({cat:?}), want {}", svc.name);

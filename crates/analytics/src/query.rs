@@ -121,7 +121,35 @@ impl Pipeline {
         if stages.is_empty() {
             return Err(QueryError::new("pipeline has no stages"));
         }
+        check_shape(&stages)?;
         Ok(Pipeline { stages })
+    }
+}
+
+const GROUP_OVER_TABLE: &str = "\"group\" over an already-grouped result is not supported";
+const SORT_BEFORE_TABLE: &str = "\"sort\" needs a materialized table — add a group or project stage first";
+const NO_TABLE: &str = "pipeline never materialized a table — add a group or project stage";
+
+/// The rows → table shape [`run_with_stats`] executes: `group` and
+/// `project` turn frame rows into a table, `group` reads frame rows
+/// only, `sort` reads a table only, and a pipeline ends in a table. A
+/// parsed pipeline is held to it before any scan — and before
+/// `satwatch query` simulates a single customer; `run_with_stats`
+/// still rejects a hand-built one mid-scan, with the same messages.
+fn check_shape(stages: &[Stage]) -> Result<(), QueryError> {
+    let mut table = false;
+    for stage in stages {
+        match stage {
+            Stage::Group { .. } if table => return Err(QueryError::new(GROUP_OVER_TABLE)),
+            Stage::Sort(_) if !table => return Err(QueryError::new(SORT_BEFORE_TABLE)),
+            Stage::Group { .. } | Stage::Project(_) => table = true,
+            Stage::Match(_) | Stage::Sort(_) | Stage::Limit(_) => {}
+        }
+    }
+    if table {
+        Ok(())
+    } else {
+        Err(QueryError::new(NO_TABLE))
     }
 }
 
@@ -649,9 +677,7 @@ pub fn run_with_stats(
             (Stage::Match(expr), State::Rows(sel)) => State::Rows(Some(run_match(fr, expr, sel, &mut stats)?)),
             (Stage::Match(expr), State::Table(t)) => State::Table(run_table_match(t, expr)?),
             (Stage::Group { by, aggs }, State::Rows(sel)) => State::Table(run_group(fr, by, aggs, sel)?),
-            (Stage::Group { .. }, State::Table(_)) => {
-                return Err(QueryError::new("\"group\" over an already-grouped result is not supported"))
-            }
+            (Stage::Group { .. }, State::Table(_)) => return Err(QueryError::new(GROUP_OVER_TABLE)),
             (Stage::Project(cols), State::Rows(sel)) => State::Table(run_frame_project(fr, cols, sel)?),
             (Stage::Project(cols), State::Table(t)) => State::Table(run_table_project(t, cols)?),
             (Stage::Sort(keys), State::Table(mut t)) => {
@@ -672,9 +698,7 @@ pub fn run_with_stats(
                 });
                 State::Table(t)
             }
-            (Stage::Sort(_), State::Rows(_)) => {
-                return Err(QueryError::new("\"sort\" needs a materialized table — add a group or project stage first"))
-            }
+            (Stage::Sort(_), State::Rows(_)) => return Err(QueryError::new(SORT_BEFORE_TABLE)),
             (Stage::Limit(n), State::Table(mut t)) => {
                 t.rows.truncate(*n);
                 State::Table(t)
@@ -693,7 +717,7 @@ pub fn run_with_stats(
             m.result_rows.add(stats.result_rows);
             Ok((t, stats))
         }
-        State::Rows(_) => Err(QueryError::new("pipeline never materialized a table — add a group or project stage")),
+        State::Rows(_) => Err(QueryError::new(NO_TABLE)),
     }
 }
 
@@ -1018,6 +1042,29 @@ mod tests {
         assert!(Pipeline::parse(r#"[{"limit": -1}]"#).is_err());
         assert!(Pipeline::parse(r#"[{"group": {"by": ["x"], "aggs": {}}}]"#).is_err());
         assert!(Pipeline::parse(r#"[{"group": {"by": ["x"], "aggs": {"q": {"quantile": ["y", 2]}}}}]"#).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_group_over_a_table() {
+        let group = r#"{"group": {"by": ["l7"], "aggs": {"n": {"count": true}}}}"#;
+        for first in [group, r#"{"project": ["l7"]}"#] {
+            let err = Pipeline::parse(&format!("[{first}, {group}]")).unwrap_err();
+            assert_eq!(err.0, GROUP_OVER_TABLE);
+        }
+    }
+
+    #[test]
+    fn parse_rejects_sort_before_a_table() {
+        let err =
+            Pipeline::parse(r#"[{"match": {"isnull": {"col": "country"}}}, {"sort": "bytes"}, {"project": ["l7"]}]"#)
+                .unwrap_err();
+        assert_eq!(err.0, SORT_BEFORE_TABLE);
+    }
+
+    #[test]
+    fn parse_rejects_a_pipeline_without_a_table() {
+        let err = Pipeline::parse(r#"[{"match": {"isnull": {"col": "country"}}}, {"limit": 5}]"#).unwrap_err();
+        assert_eq!(err.0, NO_TABLE);
     }
 
     #[test]

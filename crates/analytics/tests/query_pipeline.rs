@@ -2,7 +2,8 @@
 //! expectations on a synthetic frame.
 
 use satwatch_analytics::agg::{self, Enrichment};
-use satwatch_analytics::query::{self, run_with_stats};
+use satwatch_analytics::expr::{Expr, Json};
+use satwatch_analytics::query::{self, run_with_stats, Agg, AggFunc, Stage};
 use satwatch_analytics::{FlowFrame, Pipeline};
 use satwatch_monitor::record::RttSummary;
 use satwatch_monitor::{FlowRecord, L7Protocol};
@@ -160,22 +161,32 @@ fn table_phase_match_filters_group_rows() {
 #[test]
 fn pipeline_stage_order_errors_are_reported() {
     let fr = small_frame();
-    // sort before any group/project: no table to sort yet
-    let p = Pipeline::parse(r#"[{"sort": "bytes"}]"#).unwrap();
-    assert!(query::run(&fr, &p).is_err());
-    // group after group: the frame is gone
-    let p = Pipeline::parse(
-        r#"[
-            {"group": {"by": ["l7"], "aggs": {"n": {"count": true}}}},
-            {"group": {"by": ["n"], "aggs": {"m": {"count": true}}}}
-        ]"#,
-    )
-    .unwrap();
-    assert!(query::run(&fr, &p).is_err());
-    // a pipeline that never aggregates has no table to render
-    let p = Pipeline::parse(r#"[{"match": {"isnull": {"col": "country"}}}]"#).unwrap();
-    assert!(query::run(&fr, &p).is_err());
-    // unknown column name
+    let group = |by: &str, out: &str| Stage::Group {
+        by: vec![(by.to_string(), Expr::Col(by.to_string()))],
+        aggs: vec![(out.to_string(), Agg { func: AggFunc::Count, arg: None, q: 0.0 })],
+    };
+    let no_country = Expr::from_json(&Json::parse(r#"{"isnull": {"col": "country"}}"#).unwrap()).unwrap();
+    // each shape error is refused by `parse`, before any scan, and by
+    // the executor when the pipeline was built by hand
+    for (src, stages) in [
+        // sort before any group/project: no table to sort yet
+        (r#"[{"sort": "bytes"}]"#, vec![Stage::Sort(vec![("bytes".into(), false)])]),
+        // group after group: the frame is gone
+        (
+            r#"[
+                {"group": {"by": ["l7"], "aggs": {"n": {"count": true}}}},
+                {"group": {"by": ["n"], "aggs": {"m": {"count": true}}}}
+            ]"#,
+            vec![group("l7", "n"), group("n", "m")],
+        ),
+        // a pipeline that never aggregates has no table to render
+        (r#"[{"match": {"isnull": {"col": "country"}}}]"#, vec![Stage::Match(no_country)]),
+    ] {
+        let parsed = Pipeline::parse(src).unwrap_err();
+        let ran = query::run(&fr, &Pipeline { stages }).unwrap_err();
+        assert_eq!(parsed, ran, "{src}");
+    }
+    // unknown column name: a binding error, found against the frame
     let p = Pipeline::parse(r#"[{"group": {"by": ["no_such_col"], "aggs": {"n": {"count": true}}}}]"#).unwrap();
     assert!(query::run(&fr, &p).is_err());
 }

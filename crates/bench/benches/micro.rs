@@ -162,22 +162,18 @@ fn synth_fixture(n_intents: usize) -> SynthFixture {
 }
 
 /// Synthesized per-flow runs holding at least 1k rows between them,
-/// each sorted the way the day loop hands runs to the probe.
+/// each in time order as emission leaves it for the probe.
 fn synth_runs_1k() -> (Vec<PacketColumns>, usize) {
-    use satwatch_netstack::SortScratch;
-
     let f = synth_fixture(256);
     let mut runs: Vec<PacketColumns> = Vec::new();
     let mut rows = 0usize;
     let mut rng = f.seeds.rng_idx("flows", 0);
     let mut arena = satwatch_simcore::PayloadArena::new();
-    let mut scratch = SortScratch::default();
     for intent in &f.intents {
         let customer = &f.population.customers[intent.customer_index];
         let beam = f.population.beam(customer.terminal.beam);
         let mut out = PacketColumns::default();
         f.model.simulate_flow(intent, customer, &f.catalog, beam, &mut rng, &mut arena, &mut out);
-        out.clamp_and_sort(intent.start, &mut scratch);
         rows += out.len();
         runs.push(out);
         if rows >= 1024 {

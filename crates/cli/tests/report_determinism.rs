@@ -52,6 +52,11 @@ fn a_bad_figure_or_format_is_refused_before_anything_runs() {
     for (args, message) in [
         (&["report", "--customers", "240", "--figure", "fig99"][..], "unknown figure \"fig99\""),
         (&["query", "--customers", "240", "--format", "xml", "--pipeline", pipeline], "unknown --format \"xml\""),
+        // a pipeline that could never render a table
+        (
+            &["query", "--customers", "240", "--pipeline", r#"[{"match": {"isnull": {"col": "country"}}}]"#],
+            "pipeline never materialized a table",
+        ),
         // ignored, but still a number
         (&["report", "--customers", "240", "--threads", "x"], "bad value for --threads: x"),
         // no such directory: the figure is refused before a log is opened

@@ -5,9 +5,9 @@
 //! arrays — timestamp, endpoints, flags, seq/ack, wire length, and a
 //! (payload-offset, payload-len) pair into the run's frozen
 //! [`PayloadArena`](satwatch_simcore::PayloadArena) block — instead of
-//! a `Vec<(SimTime, Packet)>` of materialized structs. Scheduling (the
-//! probe's passes, the harness's merge via
-//! [`TimedRun`]) only reads the timestamp
+//! a `Vec<(SimTime, Packet)>` of materialized structs, written in time
+//! order by flow synthesis. Scheduling (the probe's passes, the
+//! harness's merge via [`TimedRun`]) only reads the timestamp
 //! column, the flow table consumes
 //! scalar columns directly, and a real [`Packet`] is materialized only
 //! where something needs one: the pcap/tap boundary, the wire-byte
@@ -256,7 +256,10 @@ impl PacketColumns {
     /// Clamp every timestamp to `>= t0`, then stable-sort all columns
     /// by time (emission order breaks ties) — the columnar equivalent
     /// of scheduling row `i` into an event heap at `max(ts[i], t0)`.
-    /// No-op when already sorted, which is the common case.
+    /// No-op when already sorted. Flow synthesis writes its runs in
+    /// time order, so the day loop calls none of this; it stays for the
+    /// benchmark harness's replica of the old merge loop and for tests
+    /// that build runs by hand.
     pub fn clamp_and_sort(&mut self, t0: SimTime, scratch: &mut SortScratch) {
         for t in &mut self.ts {
             if *t < t0 {

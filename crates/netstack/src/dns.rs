@@ -249,6 +249,38 @@ impl DnsMessage {
     }
 }
 
+/// Append a recursive A query for `name`: the bytes of
+/// `DnsMessage::query(id, name, RecordType::A).encode_into(buf)`,
+/// written in place — the synthesizer's per-lookup path builds no
+/// message.
+pub fn write_a_query(buf: &mut Vec<u8>, id: u16, name: &str) {
+    write_a_head(buf, id, 0x0100, 0, name); // RD
+}
+
+/// Append the answer to [`write_a_query`]`(id, name)` carrying the one
+/// address `addr`: the query's bytes with QR and RA set and
+/// ANCOUNT = 1, then one A record whose name is a `0xC00C` pointer to
+/// the question. The bytes of `DnsMessage::answer_a(&query, &[addr],
+/// ttl).encode_into(buf)`, written in place.
+pub fn write_a_answer(buf: &mut Vec<u8>, id: u16, name: &str, addr: Ipv4Addr, ttl: u32) {
+    write_a_head(buf, id, 0x8180, 1, name); // QR, RD, RA
+    buf.extend_from_slice(&[0xC0, DNS_HEADER_LEN as u8, 0, 1, 0, 1]); // → question name, A, IN
+    buf.extend_from_slice(&ttl.to_be_bytes());
+    buf.extend_from_slice(&4u16.to_be_bytes());
+    buf.extend_from_slice(&addr.octets());
+}
+
+/// Header and A question of a one-question message.
+fn write_a_head(buf: &mut Vec<u8>, id: u16, flags: u16, ancount: u16, name: &str) {
+    buf.extend_from_slice(&id.to_be_bytes());
+    buf.extend_from_slice(&flags.to_be_bytes());
+    buf.extend_from_slice(&1u16.to_be_bytes()); // QD count
+    buf.extend_from_slice(&ancount.to_be_bytes());
+    buf.extend_from_slice(&[0, 0, 0, 0]); // NS, AR count
+    encode_name(buf, name);
+    buf.extend_from_slice(&[0, 1, 0, 1]); // type A, class IN
+}
+
 fn encode_name(b: &mut Vec<u8>, name: &str) {
     for label in name.split('.').filter(|l| !l.is_empty()) {
         debug_assert!(label.len() < 64, "label too long: {label}");

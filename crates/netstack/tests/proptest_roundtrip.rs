@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use satwatch_netstack::dns::{Answer, DnsHeader, DnsMessage, RecordType};
+use satwatch_netstack::dns::{self, Answer, DnsHeader, DnsMessage, RecordType};
 use satwatch_netstack::ip::{common_prefix_len, internet_checksum, Ipv4Header, Subnet};
 use satwatch_netstack::packet::{Packet, PacketView, Transport};
 use satwatch_netstack::quic;
@@ -110,6 +110,20 @@ proptest! {
     fn dns_query_round_trip(id in any::<u16>(), name in arb_domain()) {
         let q = DnsMessage::query(id, &name, RecordType::A);
         prop_assert_eq!(DnsMessage::parse(&q.encode()).unwrap(), q);
+    }
+
+    #[test]
+    fn dns_in_place_writers_match_the_message_encoder(id in any::<u16>(), name in arb_domain(), addr in arb_addr(),
+                                                      ttl in any::<u32>(), prefix in proptest::collection::vec(any::<u8>(), 0..40)) {
+        // what already sits in the arena before the message must not matter
+        let q = DnsMessage::query(id, &name, RecordType::A);
+        let (mut want, mut got) = (prefix.clone(), prefix.clone());
+        q.encode_into(&mut want);
+        dns::write_a_query(&mut got, id, &name);
+        prop_assert_eq!(&got, &want);
+        DnsMessage::answer_a(&q, &[addr], ttl).encode_into(&mut want);
+        dns::write_a_answer(&mut got, id, &name, addr, ttl);
+        prop_assert_eq!(got, want);
     }
 
     #[test]

@@ -130,10 +130,18 @@ impl<'a> FlowBuilder<'a> {
         self.out.push_tcp(t, src, dst, sp, dp, flags, mss, seq, ack, pay_off, pay_len);
     }
 
-    /// Control packets (`zeros_len == 0`) and bulk chunks backed by
-    /// the shared zero buffer: no arena involved.
-    fn tcp(&mut self, t: SimTime, c2s: bool, flags: TcpFlags, zeros_len: usize) {
-        self.push_tcp(t, c2s, flags, NO_ARENA, zeros_len as u32);
+    /// A control row (SYN, SYN-ACK, a bare ACK): no payload.
+    fn tcp(&mut self, t: SimTime, c2s: bool, flags: TcpFlags) {
+        self.push_tcp(t, c2s, flags, NO_ARENA, 0);
+    }
+
+    /// A row backed by the shared zero buffer whose `seq`/`ack` the
+    /// caller numbered: the data phase interleaves both directions in
+    /// time, so the running counters of [`tcp_meta`](Self::tcp_meta)
+    /// stop at its start.
+    fn tcp_numbered(&mut self, t: SimTime, c2s: bool, flags: TcpFlags, seq: SeqNum, ack: SeqNum, zeros_len: u32) {
+        let (src, dst, sp, dp) = self.endpoints(c2s);
+        self.out.push_tcp(t, src, dst, sp, dp, flags, 0, seq.0, ack.0, NO_ARENA, zeros_len);
     }
 
     /// Arena path: `w` appends the payload bytes in place.
@@ -311,10 +319,11 @@ impl NetModel {
     }
 
     /// Simulate one flow; rows are appended to the columnar run `out`
-    /// (unsorted relative to other flows; the caller merges). All
-    /// payload bytes are bump-allocated in `arena` and frozen into one
-    /// `Bytes` block per run — the arena is drained (`take`) before
-    /// returning.
+    /// in time order, none before the intent starts (other flows' rows
+    /// are the reader's business: the probe's passes or the
+    /// reference's heap). All payload bytes are bump-allocated in
+    /// `arena` and frozen into one `Bytes` block per run — the arena is
+    /// drained (`take`) before returning.
     ///
     /// This is the reference's synthesis
     /// ([`run_reference`](crate::reference::run_reference)): the
@@ -400,7 +409,7 @@ impl NetModel {
         // --- resolution chain: hint → serving region → server addr ---
         let hint = intent.resolver.hint_region(rng, customer.country.home_region());
         let region = svc.hosting.serving_region(&self.cdns, hint, rng);
-        let server = satwatch_internet::server::server_address_for_domain(region, &intent.domain, rng);
+        let server = satwatch_internet::server::server_address_for_domain(region, intent.domain, rng);
         let g_base = self.ground_rtt_base(region, customer.country.is_african(), rng);
         let grtt = rng.fork("grtt");
 
@@ -512,6 +521,12 @@ impl NetModel {
     /// parent-stream value is read back from the plan, so emitting a
     /// flow cannot perturb any other flow.
     ///
+    /// The run comes out in time order, its first row at or after the
+    /// intent's start: the handshake, the DNS transaction and the
+    /// UDP/RTP streams are written in time order, and the bulk phase
+    /// merges its sources by time (`tests/emission_order.rs`). Nothing
+    /// downstream sorts a run.
+    ///
     /// Freezes the arena into the run's own payload block. The
     /// cohort loop uses [`emit_flow_open`](Self::emit_flow_open)
     /// instead and freezes once per cohort.
@@ -565,12 +580,14 @@ impl NetModel {
         let mut t_client_ready = intent.start;
         if let Some((dns_port, qid)) = plan.dns {
             let resolver_addr = intent.resolver.address();
-            let query = dns::DnsMessage::query(qid, &intent.domain, dns::RecordType::A);
             let t_q = intent.start + dq.next();
-            fb.udp_raw_w(t_q, terminal.address, resolver_addr, dns_port, 53, |b| query.encode_into(b));
+            fb.udp_raw_w(t_q, terminal.address, resolver_addr, dns_port, 53, |b| {
+                dns::write_a_query(b, qid, intent.domain)
+            });
             let t_r = t_q + dq.next();
-            let response = dns::DnsMessage::answer_a(&query, &[plan.server], 300);
-            fb.udp_raw_w(t_r, resolver_addr, terminal.address, 53, dns_port, |b| response.encode_into(b));
+            fb.udp_raw_w(t_r, resolver_addr, terminal.address, 53, dns_port, |b| {
+                dns::write_a_answer(b, qid, intent.domain, plan.server, 300)
+            });
             t_client_ready = t_r + dq.next();
         }
 
@@ -623,10 +640,10 @@ impl NetModel {
             // spoofed ACK before the tunnel connect crossed the bird
             satwatch_satcom::pep::note_spoofed_ack();
         }
-        fb.tcp(t_syn, true, TcpFlags::SYN, 0);
+        fb.tcp(t_syn, true, TcpFlags::SYN);
         let t_synack = t_syn + g();
-        fb.tcp(t_synack, false, TcpFlags::SYN_ACK, 0);
-        fb.tcp(t_synack + eps, true, TcpFlags::ACK, 0);
+        fb.tcp(t_synack, false, TcpFlags::SYN_ACK);
+        fb.tcp(t_synack + eps, true, TcpFlags::ACK);
 
         #[allow(clippy::needless_late_init)]
         let t_data_start;
@@ -637,7 +654,7 @@ impl NetModel {
                 // learns of SYN-ACK after a satellite round, then the
                 // CH crosses again.
                 let t_ch = if self.pep_enabled { t_synack + eps + eps } else { t_synack + dq.next() + dq.next() };
-                fb.tcp_w(t_ch, true, TcpFlags::PSH_ACK, |b| tls::client_hello_into(b, &intent.domain, *ch_random));
+                fb.tcp_w(t_ch, true, TcpFlags::PSH_ACK, |b| tls::client_hello_into(b, intent.domain, *ch_random));
                 // server flight
                 let t_sh = t_ch.max(t_synack) + g() + *sh_jitter;
                 fb.tcp_w(t_sh, false, TcpFlags::PSH_ACK, |b| tls::server_hello_into(b, *sh_random));
@@ -668,7 +685,7 @@ impl NetModel {
                 let mut pathbuf = [0u8; 20];
                 let path = content_path(&mut pathbuf, *path_n);
                 fb.tcp_w(t_get, true, TcpFlags::PSH_ACK, |b| {
-                    http::get_request_into(b, &intent.domain, path, "satwatch-ua/1.0")
+                    http::get_request_into(b, intent.domain, path, "satwatch-ua/1.0")
                 });
                 let t_head = t_get + g() + *head_jitter;
                 fb.tcp_w(t_head, false, TcpFlags::PSH_ACK, |b| {
@@ -685,54 +702,132 @@ impl NetModel {
                 let t_blob = t_synack + eps + eps;
                 fb.tcp_w(t_blob, true, TcpFlags::PSH_ACK, |b| b.resize(b.len() + 48, 0xd5));
                 let t_blob_ack = t_blob + g();
-                fb.tcp(t_blob_ack, false, TcpFlags::ACK, 0);
+                fb.tcp(t_blob_ack, false, TcpFlags::ACK);
                 t_data_start = t_blob_ack + eps;
             }
         }
 
-        // --- bulk phases ---
-        let t_down_end = emit_bulk(fb, t_data_start, intent.down_bytes, dur_down, false);
-        let t_up_end = emit_bulk(fb, t_data_start, intent.up_bytes, dur_up, true);
-        // server acks the upload tail, sampling the ground RTT again
+        // --- bulk phases, the tail ACK and the FIN exchange ---
+        let mut down = Chunks::bulk(t_data_start, intent.down_bytes, dur_down);
+        let mut up = Chunks::bulk(t_data_start, intent.up_bytes, dur_up);
+        let (t_down_end, t_up_end) = (down.end(), up.end());
+        // "grtt" draws: the server acks the upload tail, sampling the
+        // ground RTT again, then t_end, then the server's FIN
         let mut t_end = t_down_end.max(t_up_end);
+        let mut t_tail_ack = None;
         if intent.up_bytes > 0 {
-            fb.tcp(t_up_end + g(), false, TcpFlags::ACK, 0);
+            t_tail_ack = Some(t_up_end + g());
             t_end = t_end.max(t_up_end + g());
         }
-        // FIN exchange
         let t_fin = t_end + eps;
-        fb.tcp(t_fin, true, TcpFlags::FIN_ACK, 0);
-        fb.tcp(t_fin + g(), false, TcpFlags::FIN_ACK, 0);
+        let (mut t_client_fin, mut t_server_fin) = (Some(t_fin), Some(t_fin + g()));
+
+        // Every row carries the numbers of a download written whole
+        // before the upload: download rows ack the client's sequence
+        // after the head, upload rows the server's after the download.
+        let (c0, s0) = (fb.cseq, fb.sseq);
+        let (c_end, s_end) = (c0 + up.total(), s0 + down.total());
+        let (mut c, mut s) = (c0, s0);
+        // Five sources, each in time order, merged; a time tie goes to
+        // the earlier source in this list, which keeps the bytes of the
+        // download-then-upload writing a stable sort used to reorder.
+        while let Some((t, source)) = first_due([down.peek(), up.peek(), t_tail_ack, t_client_fin, t_server_fin]) {
+            match source {
+                0 => {
+                    let len = down.pop();
+                    fb.tcp_numbered(t, false, TcpFlags::PSH_ACK, s, c0, len);
+                    s = s + len;
+                }
+                1 => {
+                    let len = up.pop();
+                    fb.tcp_numbered(t, true, TcpFlags::PSH_ACK, c, s_end, len);
+                    c = c + len;
+                }
+                2 => {
+                    fb.tcp_numbered(t, false, TcpFlags::ACK, s_end, c_end, 0);
+                    t_tail_ack = None;
+                }
+                3 => {
+                    fb.tcp_numbered(t, true, TcpFlags::FIN_ACK, c_end, s_end, 0);
+                    t_client_fin = None;
+                }
+                _ => {
+                    fb.tcp_numbered(t, false, TcpFlags::FIN_ACK, s_end, c_end + 1, 0);
+                    t_server_fin = None;
+                }
+            }
+        }
     }
 }
 
-/// Planning half of the bulk phase: the drain duration, including the
-/// rate-jitter draw the one-pass synthesis made inside `emit_bulk`
-/// (drawn only when there is anything to send — the emitter returned
-/// before the draw on an empty transfer, and `n == 0 ⇔ bytes == 0`).
+/// The earliest of `heads` and its index; a time tie goes to the
+/// lower index. `None` once every source is spent.
+fn first_due<const N: usize>(heads: [Option<SimTime>; N]) -> Option<(SimTime, usize)> {
+    heads.into_iter().enumerate().filter_map(|(k, t)| Some((t?, k))).min()
+}
+
+/// One direction of a bulk transfer: `n` chunks, the `i`-th at
+/// `t0 + (duration / n) · (i + 1)`, read front to back — in time order.
+struct Chunks {
+    t0: SimTime,
+    step: SimDuration,
+    n: usize,
+    next: usize,
+    /// Payload of every chunk but the last, and of the last.
+    len: u32,
+    last: u32,
+}
+
+impl Chunks {
+    fn new(t0: SimTime, duration: SimDuration, n: usize, len: u64, last: u64) -> Chunks {
+        let step = if n == 0 { SimDuration::ZERO } else { duration / n as i64 };
+        Chunks { t0, step, n, next: 0, len: len.min(MAX_CHUNK) as u32, last: last.min(MAX_CHUNK) as u32 }
+    }
+
+    /// `bytes` cut by [`chunk_plan`], the last chunk taking the rest,
+    /// drained over the planned (jittered) `duration`.
+    fn bulk(t0: SimTime, bytes: u64, duration: SimDuration) -> Chunks {
+        let (chunk, n) = chunk_plan(bytes);
+        Chunks::new(t0, duration, n, chunk, bytes - chunk * (n as u64).saturating_sub(1))
+    }
+
+    /// The next chunk's time.
+    fn peek(&self) -> Option<SimTime> {
+        (self.next < self.n).then(|| self.t0 + self.step * (self.next as i64 + 1))
+    }
+
+    /// Take the next chunk: its payload length.
+    fn pop(&mut self) -> u32 {
+        self.next += 1;
+        if self.next == self.n {
+            self.last
+        } else {
+            self.len
+        }
+    }
+
+    /// The last chunk's time, or `t0` when there is none.
+    fn end(&self) -> SimTime {
+        self.t0 + self.step * self.n as i64
+    }
+
+    /// Payload over every chunk, modulo 2³² like a sequence number.
+    fn total(&self) -> u32 {
+        match self.n {
+            0 => 0,
+            n => (u64::from(self.len) * (n as u64 - 1) + u64::from(self.last)) as u32,
+        }
+    }
+}
+
+/// Planning half of the bulk phase: the drain duration, including its
+/// rate-jitter draw (drawn only when there is anything to send: an
+/// empty transfer has no chunks, and `n == 0 ⇔ bytes == 0`).
 fn plan_bulk(bytes: u64, rate: BitRate, rng: &mut Rng) -> SimDuration {
     if bytes == 0 {
         return SimDuration::ZERO;
     }
     Volume(bytes).tx_time(rate.mul_f64(rng.range_f64(0.92, 1.0)).min(rate)).min(MAX_FLOW_DURATION)
-}
-
-/// Emit a bulk transfer as coalesced data packets between `t0` and
-/// `t0 + duration` (the planned, jittered drain time). Returns the end
-/// time.
-fn emit_bulk(fb: &mut FlowBuilder<'_>, t0: SimTime, bytes: u64, duration: SimDuration, c2s: bool) -> SimTime {
-    let (chunk, n) = chunk_plan(bytes);
-    if n == 0 {
-        return t0;
-    }
-    let step = duration / n as i64;
-    let mut t = t0;
-    for i in 0..n {
-        t = t0 + step * (i as i64 + 1);
-        let len = if i == n - 1 { bytes - chunk * (n as u64 - 1) } else { chunk };
-        fb.tcp(t, c2s, TcpFlags::PSH_ACK, len.min(MAX_CHUNK) as usize);
-    }
-    t
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -750,7 +845,7 @@ fn emit_quic(
 ) {
     // QUIC bypasses the PEP: everything end-to-end over 550 ms.
     let t_init = t_ready + dq.next();
-    fb.udp_w(t_init, true, |b| quic::initial_with_sni_into(b, dcid, scid, &intent.domain, init_random));
+    fb.udp_w(t_init, true, |b| quic::initial_with_sni_into(b, dcid, scid, intent.domain, init_random));
     // server handshake flight
     let t_hs = t_init + g();
     fb.udp_w(t_hs, false, |b| quic::short_packet_into(b, scid, 1200, 0x71));
@@ -759,22 +854,18 @@ fn emit_quic(
     let t_fin = t_hs + dq.next() + dq.next() + dq.next();
     fb.udp_w(t_fin, true, |b| quic::short_packet_into(b, dcid, 80, 0x73));
     let t0 = t_fin + g();
-    let (chunk, n) = chunk_plan(intent.down_bytes);
-    let mut t_end = t0;
-    for i in 0..n {
-        let t = t0 + (dur_down / n as i64) * (i as i64 + 1);
-        let len = if i == n - 1 { intent.down_bytes - chunk * (n as u64 - 1) } else { chunk };
-        fb.udp(t, false, len.min(MAX_CHUNK) as usize);
-        t_end = t;
-    }
+    let mut down = Chunks::bulk(t0, intent.down_bytes, dur_down);
     // sparse client acks/up data
     let (uchunk, un) = chunk_plan(intent.up_bytes.min(intent.down_bytes / 4 + intent.up_bytes));
-    for i in 0..un.min(8) {
-        let t = t0 + (dur_up / un.min(8) as i64) * (i as i64 + 1);
-        fb.udp(t, true, uchunk.min(1200) as usize);
-        t_end = t_end.max(t);
+    let mut up = Chunks::new(t0, dur_up, un.min(8), uchunk.min(1200), uchunk.min(1200));
+    // merged by time, download first on ties
+    while let Some((t, source)) = first_due([down.peek(), up.peek()]) {
+        if source == 0 {
+            fb.udp(t, false, down.pop() as usize);
+        } else {
+            fb.udp(t, true, up.pop() as usize);
+        }
     }
-    let _ = t_end;
 }
 
 fn emit_udp_stream(
@@ -884,7 +975,7 @@ mod tests {
             customer_index: 0,
             start: SimTime::from_secs(12 * 3600),
             service: svc.id,
-            domain: "static.whatsapp.net".into(),
+            domain: "static.whatsapp.net",
             protocol: proto,
             down_bytes: 200_000,
             up_bytes: 40_000,
@@ -1001,7 +1092,7 @@ mod tests {
             customer_index: 0,
             start: SimTime::from_secs(12 * 3600),
             service: svc.id,
-            domain: "www.netflix.com".into(),
+            domain: "www.netflix.com",
             protocol: FlowProtocol::Tls,
             down_bytes: 2_000_000,
             up_bytes: 5_000,

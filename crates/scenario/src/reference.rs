@@ -14,9 +14,10 @@
 //! ties against a later flow's. Within a flow, packets are scheduled in
 //! emission order, which breaks ties among them. The production path's
 //! merged order `(time, push order, row)`, with runs pushed in
-//! intent-pop order and each run stably sorted by clamped time, is the
-//! same total order, and its passes keep that order wherever flows
-//! meet (DESIGN.md "The packet path and its reference").
+//! intent-pop order and each run written in time order by emission,
+//! none of its rows before its intent, is the same total order, and
+//! its passes keep that order wherever flows meet (DESIGN.md "The
+//! packet path and its reference").
 
 use crate::config::ScenarioConfig;
 use crate::run::{build_enrichment, setup, Dataset};
@@ -66,8 +67,9 @@ pub fn run_reference(cfg: ScenarioConfig) -> Dataset {
                 let mut packets = Vec::new();
                 cols.materialize_into(&mut packets);
                 for (t_pkt, packet) in packets {
-                    // synthesis may stamp a packet before its flow starts
-                    queue.schedule(t_pkt.max(t), Event::Packet(packet));
+                    // synthesis stamps no packet before its flow starts
+                    // (tests/emission_order.rs)
+                    queue.schedule(t_pkt, Event::Packet(packet));
                 }
             }
             Event::Packet(packet) => probe.observe(t, &packet),

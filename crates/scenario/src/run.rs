@@ -9,7 +9,7 @@ use satwatch_monitor::anon::CryptoPan;
 /// A per-packet observer of the span port (pcap writers, tests).
 pub use satwatch_monitor::Tap;
 use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, LiveRuns, Piece, ProbeConfig, ShardedProbe};
-use satwatch_netstack::{Packet, PacketColumns, SortScratch};
+use satwatch_netstack::{Packet, PacketColumns};
 use satwatch_satcom::channel::default_peak_hour;
 use satwatch_satcom::geo::places;
 use satwatch_satcom::link::{LinkConfig, LinkModel};
@@ -31,6 +31,8 @@ struct Metrics {
     intent_gen_us: &'static satwatch_telemetry::Histogram,
     day_us: &'static satwatch_telemetry::Histogram,
     flow_synth_us: &'static satwatch_telemetry::Histogram,
+    /// The planning share of `flow_synth_us`; emission is the rest.
+    plan_us: &'static satwatch_telemetry::Histogram,
     probe_us: &'static satwatch_telemetry::Histogram,
     setup_us: &'static satwatch_telemetry::Histogram,
     finish_us: &'static satwatch_telemetry::Histogram,
@@ -51,6 +53,7 @@ fn metrics() -> &'static Metrics {
         intent_gen_us: satwatch_telemetry::histogram("scenario_intent_gen_us"),
         day_us: satwatch_telemetry::histogram("scenario_day_us"),
         flow_synth_us: satwatch_telemetry::histogram("scenario_flow_synth_us"),
+        plan_us: satwatch_telemetry::histogram("scenario_plan_us"),
         probe_us: satwatch_telemetry::histogram("scenario_probe_us"),
         passes: satwatch_telemetry::counter("scenario_passes_total"),
         live_runs: satwatch_telemetry::gauge("scenario_live_runs"),
@@ -167,7 +170,6 @@ struct DayScratch {
     /// — see DESIGN.md "The packet path and its reference" — while
     /// moving no packet data and recycling every run buffer.
     runs: LiveRuns,
-    scratch: SortScratch,
     /// Payload bytes for a cohort's packets are bump-allocated
     /// here and frozen into one refcounted block per cohort; the
     /// arena's capacity hint keeps the steady state at one allocation
@@ -191,7 +193,6 @@ impl DayScratch {
     fn new() -> DayScratch {
         DayScratch {
             runs: LiveRuns::new(),
-            scratch: SortScratch::default(),
             arena: satwatch_simcore::PayloadArena::new(),
             delay_cache: satwatch_satcom::DelayCache::new(),
             intents: IntentQueue::new(),
@@ -232,8 +233,8 @@ impl IntentQueue {
         self.v.last().map(|e| e.0)
     }
 
-    fn pop(&mut self) -> Option<(SimTime, satwatch_traffic::FlowIntent)> {
-        self.v.pop().map(|e| (e.0, e.2))
+    fn pop(&mut self) -> Option<satwatch_traffic::FlowIntent> {
+        self.v.pop().map(|e| e.2)
     }
 }
 
@@ -428,7 +429,7 @@ fn drive_day(
     s: &mut DayScratch,
 ) -> ControlFlow<()> {
     let SimSetup { seeds, population, catalog, model, prop_delays, .. } = sim;
-    let DayScratch { runs, scratch, arena, delay_cache, intents } = s;
+    let DayScratch { runs, arena, delay_cache, intents } = s;
     let m = metrics();
     // Per-phase wall-clock attribution (flow synthesis vs probe),
     // recorded per day. Gated on the telemetry switch: timing reads
@@ -469,7 +470,8 @@ fn drive_day(
         // packets RNG-free into recycled buffers. Runs are pushed in
         // intent-pop order, so push order — the merged order's
         // tie-break — is the reference heap's sequence order; each
-        // run is clamped to its intent time, so one pass per cohort
+        // run leaves emission time-ordered and starting no earlier than
+        // its intent, so it needs no sort, and one pass per cohort
         // reads the rows a pass before every intent would. Intents win
         // time ties against packets, so the bound before each cohort
         // is its first intent time, exclusive; the last pass takes
@@ -479,11 +481,10 @@ fn drive_day(
         // pay geometric-growth memcpy per block.
         const COHORT: usize = 64;
         delay_cache.begin_day(day);
-        let mut cohort: Vec<(SimTime, satwatch_traffic::FlowIntent, crate::flowsim::FlowPlan)> =
-            Vec::with_capacity(COHORT);
+        let mut cohort: Vec<(satwatch_traffic::FlowIntent, crate::flowsim::FlowPlan)> = Vec::with_capacity(COHORT);
         let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(COHORT);
         let mut delay_col: Vec<satwatch_simcore::SimDuration> = Vec::new();
-        let (mut synth_ns, mut probe_ns) = (0u64, 0u64);
+        let (mut synth_ns, mut plan_ns, mut probe_ns) = (0u64, 0u64, 0u64);
         loop {
             let ti = intents.peek_time().filter(|&ti| ti <= horizon);
             let bound = ti.unwrap_or(horizon + satwatch_simcore::SimDuration::from_nanos(1));
@@ -513,7 +514,7 @@ fn drive_day(
             while cohort.len() < COHORT {
                 match intents.peek_time() {
                     Some(ti) if ti <= horizon => {
-                        let (t, intent) = intents.pop().expect("peeked intent vanished");
+                        let intent = intents.pop().expect("peeked intent vanished");
                         let customer = &population.customers[intent.customer_index];
                         let beam = population.beam(customer.terminal.beam);
                         let plan = model.plan_flow_cached(
@@ -526,10 +527,13 @@ fn drive_day(
                             &mut flow_rng,
                             &mut delay_col,
                         );
-                        cohort.push((t, intent, plan));
+                        cohort.push((intent, plan));
                     }
                     _ => break,
                 }
+            }
+            if let Some(t0) = t_synth {
+                plan_ns += t0.elapsed().as_nanos() as u64;
             }
             m.flows.add(cohort.len() as u64);
             // Emission pass: parent-RNG-free; results are pushed in
@@ -539,11 +543,10 @@ fn drive_day(
             // shares the same `Bytes` — one allocation per cohort
             // instead of one per flow, identical resolved payloads
             // (see `emit_flow_open`).
-            for (t, intent, plan) in &cohort {
+            for (intent, plan) in &cohort {
                 let customer = &population.customers[intent.customer_index];
                 let mut run = runs.spare();
                 model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
-                run.clamp_and_sort(*t, scratch);
                 cohort_runs.push(run);
             }
             let block = bytes::Bytes::from(arena.take());
@@ -558,6 +561,7 @@ fn drive_day(
         }
         if timed {
             m.flow_synth_us.record(synth_ns / 1_000);
+            m.plan_us.record(plan_ns / 1_000);
             m.probe_us.record(probe_ns / 1_000);
         }
         // Truncate the post-horizon tail, keeping the buffers.

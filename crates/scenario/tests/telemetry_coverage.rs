@@ -30,6 +30,12 @@ fn snapshot_covers_every_pipeline_layer() {
         assert!(h.count > 0, "{phase} records once per day");
     }
     assert!(snap.histogram("scenario_merge_us").is_none(), "the day loop merges nothing");
+    // planning is timed inside synthesis, once per day beside it:
+    // emission is synthesis minus planning
+    let synth = snap.histogram("scenario_flow_synth_us").expect("synthesis timed");
+    let plan = snap.histogram("scenario_plan_us").expect("scenario_plan_us missing from snapshot");
+    assert_eq!((plan.count, synth.count), (1, 1), "one sample each for the one simulated day");
+    assert!(plan.sum <= synth.sum, "planning {} µs inside synthesis {} µs", plan.sum, synth.sum);
 
     // the passes: at least one per cohort; every DNS record answered
     // took two rows (query, response) through the merged-order DNS

@@ -11,7 +11,8 @@
 use satwatch_internet::cdn::well_known as cdn;
 use satwatch_internet::{Hosting, Region};
 use satwatch_simcore::dist::LogNormal;
-use satwatch_simcore::Rng;
+use satwatch_simcore::{FxHashMap, Rng};
+use std::sync::OnceLock;
 
 /// Service categories from §3.1/Fig 6/Fig 7, plus internal categories
 /// for traffic the paper observes but does not put in the six classes.
@@ -188,16 +189,40 @@ pub struct ServiceSpec {
     pub flows_per_day: f64,
 }
 
+/// How many names one `{n}` template expands to: `{n}` ∈ `0..32`.
+const TEMPLATE_EXPANSIONS: usize = 32;
+
 impl ServiceSpec {
-    /// Pick a concrete domain for one flow.
-    pub fn sample_domain(&self, rng: &mut Rng) -> String {
-        let template = rng.pick(self.domains);
+    /// Pick a concrete domain for one flow. A `{n}` template draws its
+    /// number from `0..32` and returns that name out of one table of
+    /// every template's expansions, built once per process, so a flow's
+    /// domain is a pointer into memory that lives as long as the
+    /// process — no allocation and no lock per flow.
+    pub fn sample_domain(&self, rng: &mut Rng) -> &'static str {
+        let template = *rng.pick(self.domains);
         if template.contains("{n}") {
-            template.replace("{n}", &rng.below(32).to_string())
+            expansions(template)[rng.below(TEMPLATE_EXPANSIONS as u64) as usize]
         } else {
-            (*template).to_string()
+            template
         }
     }
+}
+
+/// The 32 names each `{n}` template of the standard catalog expands to,
+/// built once per process: 16 templates, 512 names. Templates are only
+/// written in [`standard_catalog`], so the table is bounded by it.
+fn expansions(template: &str) -> &'static [&'static str; TEMPLATE_EXPANSIONS] {
+    static TABLE: OnceLock<FxHashMap<&'static str, [&'static str; TEMPLATE_EXPANSIONS]>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let templates = standard_catalog().into_iter().flat_map(|s| s.domains).filter(|d| d.contains("{n}"));
+        templates
+            .map(|&t| {
+                let names = std::array::from_fn(|n| &*Box::leak(t.replace("{n}", &n.to_string()).into_boxed_str()));
+                (t, names)
+            })
+            .collect()
+    });
+    table.get(template).unwrap_or_else(|| panic!("domain template {template:?} is not in the standard catalog"))
 }
 
 macro_rules! svc {
@@ -408,6 +433,22 @@ mod tests {
             let d = insta.sample_domain(&mut rng);
             assert!(!d.contains("{n}"), "{d}");
             assert!(d.contains("instagram") || d.contains("cdninstagram"), "{d}");
+        }
+    }
+
+    #[test]
+    fn every_template_expands_to_its_32_names_once() {
+        let c = standard_catalog();
+        let templates: Vec<&str> =
+            c.iter().flat_map(|s| s.domains.iter().copied()).filter(|d| d.contains("{n}")).collect();
+        assert_eq!(templates.len(), 16);
+        for t in templates {
+            let names = expansions(t);
+            for (n, name) in names.iter().enumerate() {
+                assert_eq!(*name, t.replace("{n}", &n.to_string()));
+            }
+            // the same table every time: a name is never built twice
+            assert!(std::ptr::eq(names, expansions(t)));
         }
     }
 

@@ -22,7 +22,10 @@ pub struct FlowIntent {
     /// Absolute start time.
     pub start: SimTime,
     pub service: ServiceId,
-    pub domain: String,
+    /// The name the flow resolves and puts in SNI/Host: a catalog
+    /// domain or one of its template's interned expansions
+    /// ([`ServiceSpec::sample_domain`]), never a per-flow allocation.
+    pub domain: &'static str,
     pub protocol: FlowProtocol,
     pub down_bytes: u64,
     pub up_bytes: u64,
@@ -386,8 +389,8 @@ mod tests {
     fn deterministic_generation() {
         let (_, a) = one_day_flows(7);
         let (_, b) = one_day_flows(7);
-        let fa: Vec<_> = a.iter().flatten().map(|f| (f.start, f.domain.clone(), f.down_bytes)).collect();
-        let fb: Vec<_> = b.iter().flatten().map(|f| (f.start, f.domain.clone(), f.down_bytes)).collect();
+        let fa: Vec<_> = a.iter().flatten().map(|f| (f.start, f.domain, f.down_bytes)).collect();
+        let fb: Vec<_> = b.iter().flatten().map(|f| (f.start, f.domain, f.down_bytes)).collect();
         assert_eq!(fa, fb);
     }
 

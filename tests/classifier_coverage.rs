@@ -17,7 +17,7 @@ fn every_generated_domain_classifies() {
         for _ in 0..100 {
             let d = svc.sample_domain(&mut rng);
             let (name, cat) =
-                classifier.classify(&d).unwrap_or_else(|| panic!("{} emitted unclassifiable domain {d}", svc.name));
+                classifier.classify(d).unwrap_or_else(|| panic!("{} emitted unclassifiable domain {d}", svc.name));
             assert_eq!(cat, svc.category, "{d} classified as {name}/{cat:?}");
         }
     }
@@ -64,7 +64,7 @@ fn sld_extraction_consistent_with_generated_domains() {
     for svc in &catalog {
         for _ in 0..20 {
             let d = svc.sample_domain(&mut rng);
-            let sld = second_level_domain(&d);
+            let sld = second_level_domain(d);
             assert!(!sld.is_empty());
             assert!(d.ends_with(&sld), "{d} should end with {sld}");
             // an SLD has at most one dot more than its public suffix;
