@@ -188,10 +188,11 @@ fn wire_probe() -> Probe {
     Probe::new(ProbeConfig::new(FlowTableConfig::new(subnet)))
 }
 
-/// The probe's stamp sweep (DESIGN.md §8) against the per-packet
-/// walker: identical synthesized runs go through
-/// `observe_cols` (branch-light scalar-column sweep + deferred DPI)
-/// and through per-packet `observe` on materialized rows.
+/// The probe's one walker (DESIGN.md §8) over long stretches and one
+/// row at a time: identical synthesized runs go through `observe_cols`
+/// (stretches of a run's rows: branch-light stamp sweep + deferred
+/// DPI) and through per-packet `observe` on materialized rows, each a
+/// one-row stretch.
 fn stamp_loop(c: &mut Criterion) {
     let (runs, rows) = synth_runs_1k();
     let mut group = c.benchmark_group("stamp");

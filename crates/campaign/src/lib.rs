@@ -43,7 +43,7 @@ use satwatch_analytics::segment::{read_segment_file, write_segment_file, Segment
 use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
 use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{write_flow_rows, write_flows};
-use satwatch_monitor::{DnsRecord, FlowRecord, Piece, ProbeState, SealMarks, Sealer, ShardedProbe};
+use satwatch_monitor::{DnsRecord, FlowRecord, Piece, Probe, ProbeState, SealMarks, Sealer};
 use satwatch_scenario::digest::{fnv1a, write_dns_lines, Fnv1aSink, FNV1A_INIT};
 use satwatch_scenario::experiments::{FIG6_SERVICES, MIN_FLOWS};
 use satwatch_scenario::{DayRunner, ScenarioConfig};
@@ -321,7 +321,7 @@ impl Campaign {
         let mut runner = DayRunner::new(self.cfg);
         let enr = runner.enrichment();
 
-        let mut probe = ShardedProbe::new(runner.probe_config(), 1);
+        let mut probe = Probe::new(runner.probe_config());
         if let Some((state, unsealed)) = self.probe_carry.take() {
             probe.import_state(state, unsealed)?;
         }
@@ -468,7 +468,7 @@ impl Campaign {
     /// state file first, manifest rename last (the commit point), then
     /// garbage-collect superseded state files. Returns the state file's
     /// size.
-    fn checkpoint(&mut self, day: u64, state: &ProbeState, probe: &ShardedProbe) -> Result<u64, CampaignError> {
+    fn checkpoint(&mut self, day: u64, state: &ProbeState, probe: &Probe) -> Result<u64, CampaignError> {
         let name = format!("state-{day}.bin");
         let path = self.dir.join(&name);
         let (flows, dns) = probe.unsealed();

@@ -11,7 +11,7 @@
 use satwatch_analytics::FlowFrame;
 use satwatch_campaign::codec::{write_state_file, DnsBuckets, FlowBuckets};
 use satwatch_campaign::{Campaign, DaySummary, Manifest, RunOptions, SECS_PER_DAY};
-use satwatch_monitor::ShardedProbe;
+use satwatch_monitor::Probe;
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
 use satwatch_scenario::{dataset_digest, run, DayRunner, ScenarioConfig};
@@ -210,7 +210,7 @@ fn a_day_bucket_checkpoint_of_an_older_binary_resumes_to_the_batch_digests() {
     // day 0 as that binary ran it: evictions bucketed by the day of
     // their first packet, in eviction order
     let mut runner = DayRunner::new(cfg);
-    let mut probe = ShardedProbe::new(runner.probe_config(), 1);
+    let mut probe = Probe::new(runner.probe_config());
     runner.run_day(&mut probe, 0);
     let mut state = probe.export_state();
     let (evicted, logged) = probe.unsealed();

@@ -281,9 +281,8 @@ impl PendingDnsEntry {
 
 /// Complete probe carry-over state: everything a fresh probe needs to
 /// continue a capture bit-identically. Produced by
-/// [`Probe::export_state`](crate::Probe::export_state) /
-/// [`ShardedProbe::export_state`](crate::ShardedProbe::export_state),
-/// consumed by the matching `import_state`.
+/// [`Probe::export_state`](crate::Probe::export_state), consumed by
+/// [`Probe::import_state`](crate::Probe::import_state).
 #[derive(Debug)]
 pub struct ProbeState {
     /// Live flows in canonical order.

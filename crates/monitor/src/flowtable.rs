@@ -9,11 +9,14 @@ use crate::checkpoint::{self, CheckpointError, FlowEntry, Reader};
 use crate::dpi::Dpi;
 use crate::inspect::InspectBuffer;
 use crate::intern::{Domain, DomainInterner};
-use crate::reassembly::StreamReassembler;
+use crate::reassembly::{StreamReassembler, INSPECT_LIMIT, MAX_BUFFERED};
 use crate::record::{EarlyPacket, FlowRecord, L7Protocol, RttSummary};
-use crate::rtt::{GroundRtt, SatRtt};
+use crate::rtt::{GroundRtt, SatRtt, MAX_OUTSTANDING};
+use bytes::Bytes;
 use satwatch_netstack::ip::proto;
-use satwatch_netstack::{FiveTuple, Ipv4Header, Packet, PacketColumns, SeqNum, Subnet, TcpFlags, Transport};
+use satwatch_netstack::{
+    FiveTuple, Ipv4Header, Packet, PacketColumns, PacketView, SeqNum, Subnet, TcpFlags, TcpHeader, Transport,
+};
 use satwatch_simcore::stats::Running;
 use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
 use std::net::Ipv4Addr;
@@ -174,135 +177,6 @@ impl FlowState {
         self.rst_seen || (self.fin_c2s && self.fin_s2c)
     }
 
-    /// The non-counter per-packet touches: last-seen stamp, early
-    /// packet log, download-data timing. Counter accumulation lives
-    /// with the caller so the stretch path can batch it in locals.
-    #[inline]
-    fn stamp(&mut self, t: SimTime, dir: Direction, wire_len: usize, payload_len: u64) {
-        self.last = self.last.max(t);
-        if dir == Direction::S2c && payload_len > 0 {
-            self.s2c_data_first.get_or_insert(t);
-            self.s2c_data_last = Some(t);
-        }
-        if self.early.len() < EARLY_PACKETS {
-            self.early.push(EarlyPacket {
-                offset_ms: (t - self.first).as_millis_f64(),
-                wire_len: wire_len.min(u16::MAX as usize) as u16,
-                c2s: dir == Direction::C2s,
-            });
-        }
-    }
-
-    /// TCP state observation for one segment: handshake/teardown
-    /// flags, retransmission heuristic, RTT estimators, reassembly
-    /// into the DPI. Needs the shared intern table, nothing else from
-    /// the flow table — so the batch path can hold one `&mut` to the
-    /// flow across a whole stretch.
-    ///
-    /// Takes scalar header fields and the payload as a slice of the
-    /// caller's buffer — a wire frame, a `Packet`'s `Bytes`, a column
-    /// run's arena block. `owned` is the same bytes as a `Bytes` and is
-    /// invoked at most once, only when the reassembler has to keep the
-    /// segment behind a hole: the one place payload outlives the call.
-    /// The sequence space the segment occupies is `payload.len()`, the
-    /// bytes in hand, also on a snapped frame (DESIGN.md §14).
-    #[allow(clippy::too_many_arguments)]
-    fn on_tcp(
-        &mut self,
-        t: SimTime,
-        dir: Direction,
-        flags: TcpFlags,
-        seq: SeqNum,
-        ack: SeqNum,
-        payload: &[u8],
-        owned: impl FnOnce() -> bytes::Bytes,
-        names: &mut DomainInterner,
-    ) {
-        let payload_len = payload.len();
-        if flags.syn() {
-            self.syn_seen = true;
-            // anchor the direction's stream at ISN + 1
-            let stream = match dir {
-                Direction::C2s => &mut self.c2s_stream,
-                Direction::S2c => &mut self.s2c_stream,
-            };
-            stream.set_base(seq + 1);
-        }
-        if flags.rst() {
-            self.rst_seen = true;
-        }
-        // Retransmission detection: a payload-bearing segment whose end
-        // does not advance the direction's high-water mark re-occupies
-        // already-seen sequence space (Tstat's rexmit heuristic).
-        if payload_len > 0 {
-            let end = seq + payload_len as u32;
-            let high = match dir {
-                Direction::C2s => &mut self.c2s_high,
-                Direction::S2c => &mut self.s2c_high,
-            };
-            match high {
-                Some(h) if !end.after(*h) => match dir {
-                    Direction::C2s => self.c2s_retrans += 1,
-                    Direction::S2c => self.s2c_retrans += 1,
-                },
-                Some(h) => *h = end,
-                None => *high = Some(end),
-            }
-        }
-        // Reassembly exists only to feed the DPI and the satellite-RTT
-        // estimator. Once both are terminal — the DPI verdict/domain
-        // can never change again (`is_satisfied` contract) and the
-        // handshake RTT sample is captured (`SatRtt` ignores all input
-        // after its first sample) — delivering more stream bytes is
-        // output-identical to dropping them, so skip the per-segment
-        // reassembler insert and inspect-buffer copy entirely. For a
-        // TLS bulk flow that removes ~2×128 KiB of memcpy. Checked
-        // here, per segment, so the per-packet and stretch paths make
-        // the same decision at the same point in the flow.
-        let inspect_done = self.sat.sample_ms().is_some() && self.dpi.is_satisfied();
-        match dir {
-            Direction::C2s => {
-                if flags.fin() {
-                    self.fin_c2s = true;
-                }
-                // outbound data (or SYN/FIN occupying sequence space)
-                let mut consumed = payload_len as u32;
-                if flags.syn() || flags.fin() {
-                    consumed += 1;
-                }
-                if consumed > 0 {
-                    self.ground.on_data_out(t, seq + consumed);
-                }
-                if !inspect_done {
-                    let FlowState { sat, dpi, c2s_stream, c2s_inspect, .. } = self;
-                    c2s_stream.insert(seq, payload, owned, |chunk| {
-                        c2s_inspect.feed(chunk, |unit| {
-                            sat.on_c2s_payload(t, unit);
-                            dpi.inspect(unit, true, names);
-                        })
-                    });
-                }
-            }
-            Direction::S2c => {
-                if flags.fin() {
-                    self.fin_s2c = true;
-                }
-                if flags.ack() {
-                    self.ground.on_ack_in(t, ack);
-                }
-                if !inspect_done {
-                    let FlowState { sat, dpi, s2c_stream, s2c_inspect, .. } = self;
-                    s2c_stream.insert(seq, payload, owned, |chunk| {
-                        s2c_inspect.feed(chunk, |unit| {
-                            sat.on_s2c_payload(t, unit);
-                            dpi.inspect(unit, false, names);
-                        })
-                    });
-                }
-            }
-        }
-    }
-
     /// The flow's output record. Called once, on the boxed state a
     /// finalising path just took out of the map: the state stays where
     /// it is, only the early log's allocation moves into the record.
@@ -438,6 +312,15 @@ impl FlowState {
     /// Inverse of [`write_state`](Self::write_state). Domain names are
     /// re-interned through `names` so restored flows share one
     /// allocation per name like freshly-tracked ones.
+    ///
+    /// A state file comes from outside the program, so a flow is
+    /// refused unless the walker could have left it in the table: no
+    /// more early packets or outstanding ground-RTT samples than their
+    /// caps, not closed (a close finalises the flow on the row that
+    /// closes it), and no reassembler past its delivery limit or its
+    /// out-of-order buffer. The caps only hold for state that starts
+    /// inside them: `GroundRtt` trims a full outstanding vector by one,
+    /// so a longer one would grow with every unacknowledged segment.
     fn read_state(r: &mut Reader<'_>, names: &mut DomainInterner) -> Result<FlowState, CheckpointError> {
         let key = FiveTuple { src: r.ip()?, dst: r.ip()?, src_port: r.u16()?, dst_port: r.u16()?, protocol: r.u8()? };
         let first = SimTime::from_nanos(r.u64()?);
@@ -449,14 +332,21 @@ impl FlowState {
         let s2c_bytes = r.u64()?;
         let s2c_payload = r.u64()?;
         let nearly = r.u32()? as usize;
+        if nearly > EARLY_PACKETS {
+            return Err(CheckpointError::Corrupt("early packets"));
+        }
         // room for the log to fill up, as `new` gives a fresh flow
-        let mut early = Vec::with_capacity(nearly.clamp(EARLY_PACKETS, 64));
+        let mut early = Vec::with_capacity(EARLY_PACKETS);
         for _ in 0..nearly {
             early.push(EarlyPacket { offset_ms: r.f64()?, wire_len: r.u16()?, c2s: r.bool()? });
         }
         let flags = r.u8()?;
         if flags & !0x0f != 0 {
             return Err(CheckpointError::Corrupt("flow flags"));
+        }
+        // RST, or FIN both ways
+        if flags & 8 != 0 || flags & 6 == 6 {
+            return Err(CheckpointError::Corrupt("closed flow"));
         }
         let c2s_retrans = r.u64()?;
         let s2c_retrans = r.u64()?;
@@ -465,7 +355,10 @@ impl FlowState {
         let s2c_data_first = r.opt_u64()?.map(SimTime::from_nanos);
         let s2c_data_last = r.opt_u64()?.map(SimTime::from_nanos);
         let nout = r.u32()? as usize;
-        let mut outstanding = Vec::with_capacity(nout.min(64));
+        if nout > MAX_OUTSTANDING {
+            return Err(CheckpointError::Corrupt("ground RTT outstanding"));
+        }
+        let mut outstanding = Vec::with_capacity(nout);
         for _ in 0..nout {
             outstanding.push((SeqNum(r.u32()?), SimTime::from_nanos(r.u64()?)));
         }
@@ -495,12 +388,20 @@ impl FlowState {
             let base = r.opt_u32()?.map(SeqNum);
             let next_off = r.u64()?;
             let delivered = r.u64()?;
+            if delivered > INSPECT_LIMIT {
+                return Err(CheckpointError::Corrupt("reassembly delivered"));
+            }
             let dropped = r.u64()?;
             let npend = r.u32()? as usize;
-            let mut pending = Vec::with_capacity(npend.min(64));
+            let (mut pending, mut pending_bytes) = (Vec::with_capacity(npend.min(64)), 0);
             for _ in 0..npend {
                 let off = r.u64()?;
-                pending.push((off, bytes::Bytes::copy_from_slice(r.bytes()?)));
+                let seg = r.bytes()?;
+                pending_bytes += seg.len();
+                if pending_bytes > MAX_BUFFERED {
+                    return Err(CheckpointError::Corrupt("reassembly pending"));
+                }
+                pending.push((off, Bytes::copy_from_slice(seg)));
             }
             *stream = StreamReassembler::restore_state(base, next_off, delivered, dropped, pending);
         }
@@ -539,6 +440,159 @@ impl FlowState {
     }
 }
 
+/// What the walker ([`FlowTable::process_stretch`]) reads of row `i`
+/// of a stretch, one accessor per field the walker's loops load.
+///
+/// A row has two lengths (DESIGN.md §14 "Snaplen accounting rule").
+/// [`wire_len`](Self::wire_len) and [`payload_len`](Self::payload_len)
+/// are what the IP header gives: the byte counters, the early-packet
+/// sizes and the download window account them.
+/// [`held_len`](Self::held_len) and [`payload`](Self::payload) are the
+/// bytes in hand: sequence space, the retransmission mark, ground-RTT
+/// expectations, reassembly and DPI candidacy use them. The two differ
+/// only on a frame a capture snapped.
+pub(crate) trait Rows {
+    fn ts(&self, i: usize) -> SimTime;
+    fn src(&self, i: usize) -> Ipv4Addr;
+    fn five_tuple(&self, i: usize) -> FiveTuple;
+    fn is_udp(&self, i: usize) -> bool;
+    /// TCP flags; a UDP row's TCP fields are neutral, and the walker
+    /// reads none of them.
+    fn flags(&self, i: usize) -> TcpFlags;
+    fn seq(&self, i: usize) -> SeqNum;
+    fn ack(&self, i: usize) -> SeqNum;
+    fn wire_len(&self, i: usize) -> u32;
+    fn payload_len(&self, i: usize) -> u32;
+    fn held_len(&self, i: usize) -> u32;
+    fn payload(&self, i: usize) -> &[u8];
+    /// [`payload`](Self::payload) as a `Bytes`, for a segment the
+    /// reassembler has to keep.
+    fn payload_bytes(&self, i: usize) -> Bytes;
+}
+
+/// A columnar run's rows: every length is the full one.
+impl Rows for PacketColumns {
+    fn ts(&self, i: usize) -> SimTime {
+        self.ts[i]
+    }
+    fn src(&self, i: usize) -> Ipv4Addr {
+        self.src[i]
+    }
+    fn five_tuple(&self, i: usize) -> FiveTuple {
+        PacketColumns::five_tuple(self, i)
+    }
+    fn is_udp(&self, i: usize) -> bool {
+        PacketColumns::is_udp(self, i)
+    }
+    fn flags(&self, i: usize) -> TcpFlags {
+        TcpFlags(self.flags[i])
+    }
+    fn seq(&self, i: usize) -> SeqNum {
+        SeqNum(self.seq[i])
+    }
+    fn ack(&self, i: usize) -> SeqNum {
+        SeqNum(self.ack[i])
+    }
+    fn wire_len(&self, i: usize) -> u32 {
+        self.wire[i]
+    }
+    fn payload_len(&self, i: usize) -> u32 {
+        self.pay_len[i]
+    }
+    fn held_len(&self, i: usize) -> u32 {
+        self.pay_len[i]
+    }
+    fn payload(&self, i: usize) -> &[u8] {
+        self.payload_slice(i)
+    }
+    fn payload_bytes(&self, i: usize) -> Bytes {
+        PacketColumns::payload_bytes(self, i)
+    }
+}
+
+/// One parsed packet as a one-row stretch (row 0): how a [`Packet`]
+/// and a wire frame's [`PacketView`] reach the walker.
+pub(crate) struct Parsed<'a> {
+    pub(crate) t: SimTime,
+    pub(crate) ip: &'a Ipv4Header,
+    pub(crate) transport: &'a Transport,
+    /// The lengths the IP header gives.
+    pub(crate) wire_len: usize,
+    pub(crate) payload_len: usize,
+    /// The payload bytes in hand: all of them, or a snapped frame's
+    /// head.
+    pub(crate) payload: &'a [u8],
+    /// `payload` as a shared buffer, where the caller has one; a
+    /// segment the reassembler keeps is copied otherwise.
+    pub(crate) owned: Option<&'a Bytes>,
+}
+
+impl<'a> Parsed<'a> {
+    pub(crate) fn packet(t: SimTime, pkt: &'a Packet) -> Parsed<'a> {
+        let (wire_len, payload_len) = (pkt.wire_len(), pkt.payload_len());
+        Parsed {
+            t,
+            ip: &pkt.ip,
+            transport: &pkt.transport,
+            wire_len,
+            payload_len,
+            payload: &pkt.payload,
+            owned: Some(&pkt.payload),
+        }
+    }
+
+    pub(crate) fn view(t: SimTime, v: &'a PacketView<'_>) -> Parsed<'a> {
+        let (wire_len, payload_len) = (v.wire_len(), v.payload_len());
+        Parsed { t, ip: &v.ip, transport: &v.transport, wire_len, payload_len, payload: v.payload, owned: None }
+    }
+
+    fn tcp(&self) -> Option<&TcpHeader> {
+        match self.transport {
+            Transport::Tcp(tcp) => Some(tcp),
+            Transport::Udp(_) => None,
+        }
+    }
+}
+
+impl Rows for Parsed<'_> {
+    fn ts(&self, _: usize) -> SimTime {
+        self.t
+    }
+    fn src(&self, _: usize) -> Ipv4Addr {
+        self.ip.src
+    }
+    fn five_tuple(&self, _: usize) -> FiveTuple {
+        FiveTuple::of(self.ip, self.transport)
+    }
+    fn is_udp(&self, _: usize) -> bool {
+        self.tcp().is_none()
+    }
+    fn flags(&self, _: usize) -> TcpFlags {
+        self.tcp().map_or(TcpFlags(0), |tcp| tcp.flags)
+    }
+    fn seq(&self, _: usize) -> SeqNum {
+        self.tcp().map_or(SeqNum(0), |tcp| tcp.seq)
+    }
+    fn ack(&self, _: usize) -> SeqNum {
+        self.tcp().map_or(SeqNum(0), |tcp| tcp.ack)
+    }
+    fn wire_len(&self, _: usize) -> u32 {
+        self.wire_len as u32
+    }
+    fn payload_len(&self, _: usize) -> u32 {
+        self.payload_len as u32
+    }
+    fn held_len(&self, _: usize) -> u32 {
+        self.payload.len() as u32
+    }
+    fn payload(&self, _: usize) -> &[u8] {
+        self.payload
+    }
+    fn payload_bytes(&self, _: usize) -> Bytes {
+        self.owned.map_or_else(|| Bytes::copy_from_slice(self.payload), Bytes::clone)
+    }
+}
+
 /// The flow table.
 #[derive(Debug)]
 pub struct FlowTable {
@@ -552,7 +606,7 @@ pub struct FlowTable {
     /// Shared intern table for every name the DPI (or the probe's DNS
     /// log) extracts.
     names: DomainInterner,
-    /// Scratch for the columnar stretch walker: row indices whose
+    /// Scratch for the walker: row indices whose
     /// payload the deferred-DPI second pass must replay (reused across
     /// stretches to stay allocation-free; never part of checkpoints).
     dpi_candidates: Vec<u32>,
@@ -583,14 +637,8 @@ impl FlowTable {
         }
     }
 
-    /// Direction of a packet relative to the customer subnet, or
-    /// `None` for transit traffic.
-    pub fn direction(&self, pkt: &Packet) -> Option<Direction> {
-        self.direction_of(pkt.ip.src, pkt.ip.dst)
-    }
-
-    /// [`direction`](Self::direction) on bare addresses — the columnar
-    /// path classifies rows without materializing a packet.
+    /// Direction of a packet with these addresses relative to the
+    /// customer subnet, or `None` for transit traffic.
     pub fn direction_of(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Option<Direction> {
         let src_cust = self.cfg.customer_subnet.contains(src);
         let dst_cust = self.cfg.customer_subnet.contains(dst);
@@ -601,115 +649,46 @@ impl FlowTable {
         }
     }
 
-    /// Process one packet observed at time `t`.
+    /// Process one packet observed at time `t`: a one-row stretch.
     pub fn process(&mut self, t: SimTime, pkt: &Packet) {
-        self.process_parts(t, &pkt.ip, &pkt.transport, pkt.wire_len(), pkt.payload_len(), &pkt.payload, || {
-            pkt.payload.clone()
-        });
+        self.process_stretch(&Parsed::packet(t, pkt), 0, 1);
     }
 
-    /// The per-packet walker, on borrowed parts: what
-    /// [`process`](Self::process) and the probe's wire path both run.
+    /// The walker: process the maximal same-flow stretch of rows
+    /// `[start, limit)`; returns the index one past the last row
+    /// consumed. Columnar runs come here in long stretches, a parsed
+    /// packet or wire frame as a stretch of one row ([`Parsed`]).
     ///
-    /// `wire_len` and `payload_len` are the lengths on the wire, which
-    /// the byte counters and the early-packet log account; `payload`
-    /// is the bytes in hand, which is all DPI and reassembly can look
-    /// at. They differ only for a frame a capture snapped. `owned`
-    /// yields `payload` as a `Bytes`, should the reassembler have to
-    /// keep it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_parts(
-        &mut self,
-        t: SimTime,
-        ip: &Ipv4Header,
-        transport: &Transport,
-        wire_len: usize,
-        payload_len: usize,
-        payload: &[u8],
-        owned: impl FnOnce() -> bytes::Bytes,
-    ) {
-        let Some(dir) = self.direction_of(ip.src, ip.dst) else {
-            self.transit_packets += 1;
-            metrics().transit.inc();
-            return;
-        };
-        let key = match dir {
-            Direction::C2s => FiveTuple::of(ip, transport),
-            Direction::S2c => FiveTuple::of(ip, transport).reversed(),
-        };
-        // Split borrows: the flow entry stays borrowed across the whole
-        // touch (one hash lookup per packet, where this used to be
-        // three: entry, TCP re-lookup, closed-check get).
-        let FlowTable { flows, finished, names, .. } = self;
-        let mut inserted = false;
-        let flow = flows.entry(key).or_insert_with(|| {
-            inserted = true;
-            Box::new(FlowState::new(key, t))
-        });
-        if inserted {
-            metrics().live_flows.inc();
-        }
-        let (wire, on_wire_payload) = (wire_len as u64, payload_len as u64);
-        match dir {
-            Direction::C2s => {
-                flow.c2s_packets += 1;
-                flow.c2s_bytes += wire;
-                flow.c2s_payload += on_wire_payload;
-            }
-            Direction::S2c => {
-                flow.s2c_packets += 1;
-                flow.s2c_bytes += wire;
-                flow.s2c_payload += on_wire_payload;
-            }
-        }
-        flow.stamp(t, dir, wire_len, on_wire_payload);
-        if let Transport::Tcp(tcp) = transport {
-            flow.on_tcp(t, dir, tcp.flags, tcp.seq, tcp.ack, payload, owned, names);
-        } else if !flow.dpi.is_satisfied() {
-            flow.dpi.inspect(payload, dir == Direction::C2s, names);
-        }
-        // Closed TCP flows are finalised immediately (like Tstat).
-        if flow.closed() {
-            finalise(flows, finished, &key);
-        }
-    }
-
-    /// Process the maximal same-flow stretch of columnar rows
-    /// `[start, limit)` of `cols`, without materializing a single
-    /// [`Packet`]; returns the index one past the last row consumed.
-    ///
-    /// Equivalent to calling [`process`](Self::process) per row, but
-    /// the flow-table entry is resolved once for the whole stretch and
-    /// the per-direction packet/byte/payload counters accumulate in
-    /// locals, written back once. A mid-stretch close (FIN/RST) ends
-    /// the stretch at that row — per-packet semantics let a later
-    /// same-key packet open a *new* flow, so the caller must
-    /// re-resolve.
+    /// Equivalent to a one-row stretch per row, but the flow-table
+    /// entry is resolved once for the whole stretch and the
+    /// per-direction packet/byte/payload counters accumulate in locals,
+    /// written back once. A mid-stretch close (FIN/RST) ends the
+    /// stretch at that row — a later same-key packet opens a *new*
+    /// flow, so the caller must re-resolve.
     ///
     /// Two passes per stretch (DESIGN.md "The packet path and its
-    /// reference"). The **stamp sweep**
-    /// walks the scalar columns only — counters, early log, download
-    /// timing, handshake/teardown flags, the retransmission
-    /// high-water mark and the ground-RTT estimator — with no map
-    /// lookups and no payload touch; it also collects the row indices
-    /// whose payload DPI still needs. The **deferred DPI pass** then
-    /// replays just those candidate rows, in row order, through the
-    /// reassembler/inspector, and short-circuits the whole remainder
-    /// of the stretch the moment inspection turns terminal. Because
-    /// terminality is permanent and only ever advances inside a
+    /// reference"). The **stamp sweep** reads the scalar fields only —
+    /// counters, early log, download timing, handshake/teardown flags,
+    /// the retransmission high-water mark and the ground-RTT estimator
+    /// — with no map lookups and no payload touch; it also collects the
+    /// rows whose payload DPI still needs. The **deferred DPI pass**
+    /// then replays just those candidate rows, in row order, through
+    /// the reassembler/inspector, and short-circuits the whole
+    /// remainder of the stretch the moment inspection turns terminal.
+    /// Because terminality is permanent and only ever advances inside a
     /// payload feed, one liveness check at stretch entry (and one per
-    /// candidate) reproduces the per-row gate of
-    /// [`process_parts`](Self::process_parts) exactly.
-    pub fn process_stretch_cols(&mut self, cols: &PacketColumns, start: usize, limit: usize) -> usize {
-        let t0 = cols.ts[start];
-        let Some(dir0) = self.direction_of(cols.src[start], cols.dst[start]) else {
+    /// candidate) reproduces the per-row gate a one-row stretch makes.
+    pub(crate) fn process_stretch<R: Rows>(&mut self, rows: &R, start: usize, limit: usize) -> usize {
+        let t0 = rows.ts(start);
+        let first = rows.five_tuple(start);
+        let Some(dir0) = self.direction_of(first.src, first.dst) else {
             self.transit_packets += 1;
             metrics().transit.inc();
             return start + 1;
         };
         let key = match dir0 {
-            Direction::C2s => cols.five_tuple(start),
-            Direction::S2c => cols.five_tuple(start).reversed(),
+            Direction::C2s => first,
+            Direction::S2c => first.reversed(),
         };
         // Extend the stretch while rows belong to this flow (either
         // orientation). `key.src` is in the customer subnet and
@@ -717,7 +696,7 @@ impl FlowTable {
         // direction — no subnet checks in the loops below.
         let mut end = start + 1;
         while end < limit {
-            let ft = cols.five_tuple(end);
+            let ft = rows.five_tuple(end);
             if ft != key && ft.reversed() != key {
                 break;
             }
@@ -732,10 +711,18 @@ impl FlowTable {
         if inserted {
             metrics().live_flows.inc();
         }
-        // One protocol and one liveness check for the whole stretch:
-        // every row shares the key's protocol, and inspection
-        // terminality can only advance in the (deferred) payload pass.
-        let is_udp = cols.is_udp(start);
+        // Reassembly exists only to feed the DPI and the satellite-RTT
+        // estimator. Once both are terminal — the DPI verdict/domain
+        // can never change again (`is_satisfied` contract) and the
+        // handshake RTT sample is captured (`SatRtt` ignores all input
+        // after its first sample) — delivering more stream bytes is
+        // output-identical to dropping them, so a flow's bulk skips the
+        // reassembler insert and inspect-buffer copy (≈ 2 × 128 KiB of
+        // memcpy per TLS bulk flow). One protocol and one liveness
+        // check for the whole stretch: every row shares the key's
+        // protocol, and terminality can only advance in the (deferred)
+        // payload pass.
+        let is_udp = rows.is_udp(start);
         let live = if is_udp {
             !flow.dpi.is_satisfied()
         } else {
@@ -743,7 +730,7 @@ impl FlowTable {
         };
         dpi_candidates.clear();
 
-        // --- stamp sweep: scalar columns only ---
+        // --- stamp sweep: scalar fields only ---
         // [C2s, S2c] accumulators, indexed branchlessly by direction.
         let mut pkts = [0u64; 2];
         let mut bytes = [0u64; 2];
@@ -752,11 +739,12 @@ impl FlowTable {
         let mut consumed = end;
         let mut closed = false;
         for i in start..end {
-            let t = cols.ts[i];
-            let di = usize::from(cols.src[i] != key.src);
-            let payload = u64::from(cols.pay_len[i]);
+            let t = rows.ts(i);
+            let di = usize::from(rows.src(i) != key.src);
+            // the IP header's payload length, and the bytes in hand
+            let (payload, held) = (u64::from(rows.payload_len(i)), rows.held_len(i));
             pkts[di] += 1;
-            bytes[di] += u64::from(cols.wire[i]);
+            bytes[di] += u64::from(rows.wire_len(i));
             payloads[di] += payload;
             if di == 1 && payload > 0 {
                 flow.s2c_data_first.get_or_insert(t);
@@ -766,33 +754,34 @@ impl FlowTable {
                 room -= 1;
                 flow.early.push(EarlyPacket {
                     offset_ms: (t - flow.first).as_millis_f64(),
-                    wire_len: (cols.wire[i] as usize).min(u16::MAX as usize) as u16,
+                    wire_len: (rows.wire_len(i) as usize).min(u16::MAX as usize) as u16,
                     c2s: di == 0,
                 });
             }
             if is_udp {
                 // empty-payload inspects are no-ops, so candidates are
                 // payload rows only
-                if live && payload > 0 {
+                if live && held > 0 {
                     dpi_candidates.push(i as u32);
                 }
                 continue;
             }
-            let flags = TcpFlags(cols.flags[i]);
+            let flags = rows.flags(i);
             if flags.syn() {
                 flow.syn_seen = true;
                 // anchor the direction's stream at ISN + 1
                 let stream = if di == 0 { &mut flow.c2s_stream } else { &mut flow.s2c_stream };
-                stream.set_base(SeqNum(cols.seq[i]) + 1);
+                stream.set_base(rows.seq(i) + 1);
             }
             if flags.rst() {
                 flow.rst_seen = true;
             }
             // Retransmission detection: a payload-bearing segment
             // whose end does not advance the direction's high-water
-            // mark re-occupies already-seen sequence space.
-            if payload > 0 {
-                let seq_end = SeqNum(cols.seq[i]) + cols.pay_len[i];
+            // mark re-occupies already-seen sequence space (Tstat's
+            // rexmit heuristic).
+            if held > 0 {
+                let seq_end = rows.seq(i) + held;
                 let high = if di == 0 { &mut flow.c2s_high } else { &mut flow.s2c_high };
                 match high {
                     Some(h) if !seq_end.after(*h) => {
@@ -811,27 +800,27 @@ impl FlowTable {
                     flow.fin_c2s = true;
                 }
                 // outbound data (or SYN/FIN occupying sequence space)
-                let mut seq_consumed = cols.pay_len[i];
+                let mut seq_consumed = held;
                 if flags.syn() || flags.fin() {
                     seq_consumed += 1;
                 }
                 if seq_consumed > 0 {
-                    flow.ground.on_data_out(t, SeqNum(cols.seq[i]) + seq_consumed);
+                    flow.ground.on_data_out(t, rows.seq(i) + seq_consumed);
                 }
             } else {
                 if flags.fin() {
                     flow.fin_s2c = true;
                 }
                 if flags.ack() {
-                    flow.ground.on_ack_in(t, SeqNum(cols.ack[i]));
+                    flow.ground.on_ack_in(t, rows.ack(i));
                 }
             }
-            if live && payload > 0 {
+            if live && held > 0 {
                 dpi_candidates.push(i as u32);
             }
-            // A mid-stretch close ends the stretch at this row —
-            // per-packet semantics let a later same-key packet open a
-            // *new* flow, so the caller must re-resolve.
+            // A mid-stretch close ends the stretch at this row — a
+            // later same-key packet opens a *new* flow, so the caller
+            // must re-resolve.
             if flow.closed() {
                 consumed = i + 1;
                 closed = true;
@@ -839,8 +828,8 @@ impl FlowTable {
             }
         }
         // A flow's rows arrive in time order, so one write covers every
-        // per-row `last = last.max(t)` of `FlowState::stamp`.
-        flow.last = flow.last.max(cols.ts[consumed - 1]);
+        // row's `last = last.max(t)`.
+        flow.last = flow.last.max(rows.ts(consumed - 1));
         flow.c2s_packets += pkts[0];
         flow.c2s_bytes += bytes[0];
         flow.c2s_payload += payloads[0];
@@ -855,20 +844,21 @@ impl FlowTable {
                 let i = ci as usize;
                 // candidates past a mid-stretch close were never
                 // collected (the sweep broke first), so no bound check
-                let di = usize::from(cols.src[i] != key.src);
+                let di = usize::from(rows.src(i) != key.src);
                 if is_udp {
                     if dpi.is_satisfied() {
                         break;
                     }
-                    dpi.inspect(cols.payload_slice(i), di == 0, names);
+                    dpi.inspect(rows.payload(i), di == 0, names);
                 } else {
                     if sat.sample_ms().is_some() && dpi.is_satisfied() {
                         break;
                     }
-                    let t = cols.ts[i];
-                    let seq = SeqNum(cols.seq[i]);
-                    // a buffered segment shares the arena block, zero-copy
-                    let (payload, owned) = (cols.payload_slice(i), || cols.payload_bytes(i));
+                    let t = rows.ts(i);
+                    let seq = rows.seq(i);
+                    // a buffered segment shares the row's buffer where
+                    // it has one (a run's arena block), zero-copy
+                    let (payload, owned) = (rows.payload(i), || rows.payload_bytes(i));
                     if di == 0 {
                         c2s_stream.insert(seq, payload, owned, |chunk| {
                             c2s_inspect.feed(chunk, |unit| {
@@ -975,8 +965,8 @@ pub use crate::record::L7Protocol as Verdict;
 mod tests {
     use super::*;
     use crate::record::L7Protocol;
-    use bytes::Bytes;
-    use satwatch_netstack::tcp::{SeqNum, TcpFlags, TcpHeader};
+    use satwatch_netstack::dns::{DnsMessage, RecordType};
+    use satwatch_netstack::tcp::TcpHeader;
     use satwatch_netstack::tls;
     use std::net::Ipv4Addr;
 
@@ -1097,11 +1087,12 @@ mod tests {
         cols
     }
 
-    /// Deferred DPI — the candidate second pass of
-    /// `process_stretch_cols` — must agree with inline per-packet DPI
-    /// on the verdict *and its timing*: the flow turns terminal
-    /// (satellite RTT sampled and DPI satisfied) at the same packet
-    /// index, and the finished record is bit-identical.
+    /// Deferred DPI — the candidate second pass of `process_stretch` —
+    /// turns terminal (satellite RTT sampled and DPI satisfied) at the
+    /// same packet whether the columnar run walks one row at a time or
+    /// the `Packet` path walks each materialized row as a one-row
+    /// stretch, and a whole-stretch drive, which batches every
+    /// candidate into one DPI pass, finishes the bit-identical record.
     #[test]
     fn deferred_dpi_matches_inline_verdict_and_timing() {
         let cols = tls_flow_cols();
@@ -1109,8 +1100,8 @@ mod tests {
         let terminal = |tbl: &FlowTable| {
             tbl.flows.values().next().is_some_and(|f| f.sat.sample_ms().is_some() && f.dpi.is_satisfied())
         };
-        // inline oracle: per-packet process(), payload inspected as
-        // each row arrives
+        // per-packet oracle: process() on materialized rows, each a
+        // one-row `Parsed` stretch
         let mut inline_tbl = FlowTable::new(cfg());
         let mut inline_first_terminal = None;
         for i in 0..n {
@@ -1120,13 +1111,13 @@ mod tests {
                 inline_first_terminal = Some(i);
             }
         }
-        // deferred path at per-row granularity: each call runs the
+        // the columnar rows at per-row granularity: each call runs the
         // stamp sweep plus the deferred candidate pass for exactly one
         // row, making the terminality flip observable per packet
         let mut def_tbl = FlowTable::new(cfg());
         let mut deferred_first_terminal = None;
         for i in 0..n {
-            assert_eq!(def_tbl.process_stretch_cols(&cols, i, i + 1), i + 1);
+            assert_eq!(def_tbl.process_stretch(&cols, i, i + 1), i + 1);
             if deferred_first_terminal.is_none() && terminal(&def_tbl) {
                 deferred_first_terminal = Some(i);
             }
@@ -1142,7 +1133,7 @@ mod tests {
         let mut batch_tbl = FlowTable::new(cfg());
         let mut start = 0;
         while start < n {
-            start = batch_tbl.process_stretch_cols(&cols, start, n);
+            start = batch_tbl.process_stretch(&cols, start, n);
         }
         let (a, b) = (inline_tbl.flush(), batch_tbl.flush());
         assert_eq!(a.len(), 1);
@@ -1266,5 +1257,237 @@ mod tests {
         let b = build();
         assert_eq!(a.len(), 20);
         assert_eq!(a, b);
+    }
+
+    /// A live TLS flow — handshake and ClientHello in, so it has early
+    /// packets, an outstanding ground-RTT sample and a reassembler —
+    /// exported after `edit` changed one field of its state, then
+    /// imported into a fresh table.
+    fn import_edited(edit: impl FnOnce(&mut FlowState)) -> Result<(), CheckpointError> {
+        let mut table = FlowTable::new(cfg());
+        table.process(t(0), &tcp_pkt(true, TcpFlags::SYN, 100, 0, &[]));
+        table.process(t(12), &tcp_pkt(false, TcpFlags::SYN_ACK, 900, 101, &[]));
+        table.process(t(12), &tcp_pkt(true, TcpFlags::ACK, 101, 901, &[]));
+        let ch = tls::client_hello("video.tiktokv.com", [1; 32]);
+        table.process(t(13), &tcp_pkt(true, TcpFlags::PSH_ACK, 101, 901, &ch));
+        edit(table.flows.values_mut().next().expect("the flow is live"));
+        let entries = table.export_flows();
+        FlowTable::new(cfg()).import_flow(&entries[0])
+    }
+
+    #[test]
+    fn an_unedited_export_imports() {
+        assert_eq!(import_edited(|_| {}), Ok(()));
+    }
+
+    #[test]
+    fn more_early_packets_than_the_log_holds_is_corrupt() {
+        let err = import_edited(|f| f.early.resize(EARLY_PACKETS + 1, f.early[0]));
+        assert_eq!(err, Err(CheckpointError::Corrupt("early packets")));
+    }
+
+    /// `GroundRtt` trims a full outstanding vector by one, so a longer
+    /// one restored would grow by one per unacknowledged segment.
+    #[test]
+    fn more_outstanding_ground_rtt_samples_than_the_cap_is_corrupt() {
+        let err = import_edited(|f| {
+            let (outstanding, highest, samples) = f.ground.export_state();
+            let mut outstanding = outstanding.to_vec();
+            outstanding.resize(MAX_OUTSTANDING + 1, outstanding[0]);
+            f.ground = GroundRtt::restore_state(outstanding, highest, samples.clone());
+        });
+        assert_eq!(err, Err(CheckpointError::Corrupt("ground RTT outstanding")));
+    }
+
+    /// The walker finalises a flow on the row that closes it, so no
+    /// export holds a closed one.
+    #[test]
+    fn a_closed_flow_is_corrupt() {
+        let err = import_edited(|f| f.rst_seen = true);
+        assert_eq!(err, Err(CheckpointError::Corrupt("closed flow")));
+        let err = import_edited(|f| (f.fin_c2s, f.fin_s2c) = (true, true));
+        assert_eq!(err, Err(CheckpointError::Corrupt("closed flow")));
+        assert_eq!(import_edited(|f| f.fin_c2s = true), Ok(()), "a half-closed flow is live");
+    }
+
+    #[test]
+    fn a_reassembler_past_its_delivery_limit_is_corrupt() {
+        let err = import_edited(|f| {
+            let (base, next_off, _, dropped, _) = f.c2s_stream.export_state();
+            f.c2s_stream = StreamReassembler::restore_state(base, next_off, INSPECT_LIMIT + 1, dropped, Vec::new());
+        });
+        assert_eq!(err, Err(CheckpointError::Corrupt("reassembly delivered")));
+    }
+
+    #[test]
+    fn a_reassembler_buffering_past_its_cap_is_corrupt() {
+        let err = import_edited(|f| {
+            let (base, next_off, delivered, dropped, _) = f.s2c_stream.export_state();
+            let pending = vec![(next_off + 1, Bytes::from(vec![0; MAX_BUFFERED + 1]))];
+            f.s2c_stream = StreamReassembler::restore_state(base, next_off, delivered, dropped, pending);
+        });
+        assert_eq!(err, Err(CheckpointError::Corrupt("reassembly pending")));
+    }
+
+    /// One row of a generated conversation: direction, TCP flags (UDP
+    /// when `None`), seq, ack and payload.
+    type Seg = (bool, Option<TcpFlags>, u32, u32, Vec<u8>);
+
+    /// One TCP connection's life on a five-tuple: handshake, a
+    /// ClientHello split in two (the second half ahead of the hole a
+    /// third of the time), the server's flight, the client's key
+    /// exchange, data both ways with maybe a retransmission, then a
+    /// FIN/FIN or RST close — or, when `may_stay_open`, maybe none.
+    fn tcp_life(rng: &mut proptest::TestRng, may_stay_open: bool, out: &mut Vec<Seg>) {
+        let (mut c, mut s) = (rng.next_u64() as u32, rng.next_u64() as u32);
+        out.push((true, Some(TcpFlags::SYN), c, 0, Vec::new()));
+        out.push((false, Some(TcpFlags::SYN_ACK), s, c.wrapping_add(1), Vec::new()));
+        (c, s) = (c.wrapping_add(1), s.wrapping_add(1));
+        out.push((true, Some(TcpFlags::ACK), c, s, Vec::new()));
+        let ch = tls::client_hello("split.example.com", [rng.below(256) as u8; 32]);
+        let cut = 1 + rng.below(ch.len() as u64 - 1) as usize;
+        let head = (true, Some(TcpFlags::PSH_ACK), c, s, ch[..cut].to_vec());
+        let tail = (true, Some(TcpFlags::PSH_ACK), c.wrapping_add(cut as u32), s, ch[cut..].to_vec());
+        if rng.below(3) == 0 {
+            out.extend([tail, head]);
+        } else {
+            out.extend([head, tail]);
+        }
+        c = c.wrapping_add(ch.len() as u32);
+        let mut flight = tls::server_hello([2; 32]).to_vec();
+        flight.extend_from_slice(&tls::certificate(300, 0));
+        flight.extend_from_slice(&tls::server_hello_done());
+        out.push((false, Some(TcpFlags::PSH_ACK), s, c, flight.clone()));
+        s = s.wrapping_add(flight.len() as u32);
+        let mut reply = tls::client_key_exchange(0).to_vec();
+        reply.extend_from_slice(&tls::change_cipher_spec());
+        out.push((true, Some(TcpFlags::PSH_ACK), c, s, reply.clone()));
+        c = c.wrapping_add(reply.len() as u32);
+        for _ in 0..rng.below(6) {
+            let data = tls::application_data(1 + rng.below(1_500) as usize, 7).to_vec();
+            let c2s = rng.below(2) == 0;
+            let (seq, ack) = if c2s { (c, s) } else { (s, c) };
+            out.push((c2s, Some(TcpFlags::PSH_ACK), seq, ack, data.clone()));
+            if rng.below(4) == 0 {
+                out.push((c2s, Some(TcpFlags::PSH_ACK), seq, ack, data.clone()));
+            }
+            if c2s {
+                c = c.wrapping_add(data.len() as u32);
+            } else {
+                s = s.wrapping_add(data.len() as u32);
+            }
+        }
+        match rng.below(if may_stay_open { 3 } else { 2 }) {
+            0 => {
+                out.push((true, Some(TcpFlags::FIN_ACK), c, s, Vec::new()));
+                out.push((false, Some(TcpFlags::FIN_ACK), s, c.wrapping_add(1), Vec::new()));
+            }
+            1 => {
+                let c2s = rng.below(2) == 0;
+                out.push((c2s, Some(TcpFlags::RST), if c2s { c } else { s }, 0, Vec::new()));
+            }
+            _ => {}
+        }
+    }
+
+    /// Traffic over 2–4 five-tuples, as one time-ordered columnar run:
+    /// TCP connections that close and open again on the same
+    /// five-tuple, UDP datagrams both ways (DNS on port 53), and the
+    /// odd transit row. A conversation keeps the wire for a few rows
+    /// at a time, so a close often falls inside a stretch.
+    fn generated_traffic(rng: &mut proptest::TestRng) -> PacketColumns {
+        let conversations = 2 + rng.below(3) as usize;
+        let mut scripts: Vec<(FiveTuple, std::collections::VecDeque<Seg>)> = (0..conversations)
+            .map(|k| {
+                let (udp, dns) = (rng.below(3) == 0, rng.below(2) == 0);
+                let key = FiveTuple {
+                    src: Ipv4Addr::new(10, 0, 0, 1 + rng.below(2) as u8),
+                    dst: Ipv4Addr::new(198, 18, 0, 1 + rng.below(2) as u8),
+                    src_port: 40_000 + k as u16,
+                    dst_port: if udp && dns { 53 } else { 443 },
+                    protocol: if udp { proto::UDP } else { proto::TCP },
+                };
+                let mut segs = Vec::new();
+                if udp {
+                    for id in 0..1 + rng.below(6) as u16 {
+                        let q = DnsMessage::query(id, "cdn.example", RecordType::A);
+                        let payload = if dns { q.encode().to_vec() } else { vec![id as u8; 1 + id as usize * 40] };
+                        segs.push((true, None, 0, 0, payload));
+                        if rng.below(3) != 0 {
+                            let payload = if dns {
+                                let addr = [Ipv4Addr::new(198, 18, 9, 9)];
+                                DnsMessage::answer_a(&q, &addr, 60).encode().to_vec()
+                            } else {
+                                vec![0; 1 + rng.below(900) as usize]
+                            };
+                            segs.push((false, None, 0, 0, payload));
+                        }
+                    }
+                } else {
+                    let lives = 1 + rng.below(3);
+                    for life in 0..lives {
+                        tcp_life(rng, life + 1 == lives, &mut segs);
+                    }
+                }
+                (key, segs.into())
+            })
+            .collect();
+        let (mut cols, mut arena, mut now, mut current) = (PacketColumns::default(), Vec::new(), 0i64, 0);
+        while scripts.iter().any(|(_, segs)| !segs.is_empty()) {
+            if rng.below(4) == 0 || scripts[current].1.is_empty() {
+                current = rng.below(scripts.len() as u64) as usize;
+                continue;
+            }
+            now += rng.below(3) as i64;
+            if rng.below(16) == 0 {
+                let (a, b) = (Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(2, 2, 2, 2));
+                cols.push_udp(t(now), a, b, 1, 2, 0, 0);
+            }
+            let (key, segs) = &mut scripts[current];
+            let (c2s, flags, seq, ack, payload) = segs.pop_front().expect("checked non-empty");
+            let ft = if c2s { *key } else { key.reversed() };
+            let (off, len) = (arena.len() as u32, payload.len() as u32);
+            arena.extend_from_slice(&payload);
+            match flags {
+                Some(f) => {
+                    let mss = if f.syn() { 1_460 } else { 0 };
+                    cols.push_tcp(t(now), ft.src, ft.dst, ft.src_port, ft.dst_port, f, mss, seq, ack, off, len)
+                }
+                None => cols.push_udp(t(now), ft.src, ft.dst, ft.src_port, ft.dst_port, off, len),
+            }
+        }
+        cols.payload = Bytes::from(arena);
+        cols
+    }
+
+    proptest::proptest! {
+        /// Any cut of a run's rows walks like one row at a time: the
+        /// walker over stretches between random cut points, and
+        /// `process` on each materialized row, agree on the live flows
+        /// after every cut, on the records finished so far and their
+        /// order, and on `flush`.
+        #[test]
+        fn any_cut_of_the_rows_walks_like_one_row_at_a_time(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = proptest::TestRng::new(seed);
+            let cols = generated_traffic(&mut rng);
+            let (mut rows, mut cut) = (FlowTable::new(cfg()), FlowTable::new(cfg()));
+            let mut a = 0;
+            while a < cols.len() {
+                let longest = if rng.below(2) == 0 { 4 } else { 64 };
+                let b = (a + 1 + rng.below(longest) as usize).min(cols.len());
+                let mut i = a;
+                while i < b {
+                    i = cut.process_stretch(&cols, i, b);
+                }
+                for k in a..b {
+                    rows.process(cols.ts[k], &cols.materialize(k));
+                }
+                proptest::prop_assert_eq!(cut.active_flows(), rows.active_flows(), "after rows {}..{}", a, b);
+                proptest::prop_assert_eq!(&cut.finished, &rows.finished, "after rows {}..{}", a, b);
+                a = b;
+            }
+            proptest::prop_assert_eq!(cut.transit_packets, rows.transit_packets);
+            proptest::prop_assert_eq!(cut.flush(), rows.flush());
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! monitor for the SatCom ground-station span port (§2.2).
 //!
 //! * [`flowtable`] — 5-tuple flow tracking with per-direction
-//!   statistics, first-10-packet timing and idle eviction.
+//!   statistics, first-10-packet timing and idle eviction, in one
+//!   walker: a columnar run's rows in stretches, a parsed packet as a
+//!   stretch of one row.
 //! * [`rtt`] — the two RTT estimators: data↔ACK matching for the
 //!   ground segment, and the TLS ServerHello→ClientKeyExchange trick
 //!   for the satellite segment.
@@ -25,8 +27,8 @@
 //!   `finish()` yields anonymized records.
 //! * [`pass`] — the span port's pending per-flow runs, which the probe
 //!   consumes a pass at a time, one slice per run.
-//! * [`sharded`] — the probe under the constructor the day loop and
-//!   the benchmark harness call: one inline `Probe`, no threads.
+//! * [`sharded`] — the probe under the constructor the benchmark
+//!   harness calls: one inline `Probe` behind `Deref`, no threads.
 //! * [`seal`] — the probe's output log: per-sweep marks seal its rows
 //!   into canonically ordered pieces, so a consumer holds the live
 //!   tail instead of the capture.

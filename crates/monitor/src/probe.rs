@@ -7,13 +7,13 @@
 //! stored, and only flow-level summaries leave the probe.
 
 use crate::anon::CryptoPan;
-use crate::flowtable::{Direction, FlowTable, FlowTableConfig};
+use crate::flowtable::{Direction, FlowTable, FlowTableConfig, Parsed};
 use crate::intern::Domain;
 use crate::pass::{LiveRuns, PassStats, Tap};
 use crate::record::{DnsRecord, FlowRecord};
 use crate::seal::{Piece, SealMarks, Sealer};
 use satwatch_netstack::dns::DnsHeader;
-use satwatch_netstack::{Ipv4Header, Packet, PacketColumns, PacketView, Transport};
+use satwatch_netstack::{Packet, PacketColumns, PacketView, Transport};
 use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
@@ -174,9 +174,7 @@ impl Probe {
 
     /// Observe one packet at the span port.
     pub fn observe(&mut self, t: SimTime, pkt: &Packet) {
-        self.process_parts(t, &pkt.ip, &pkt.transport, pkt.wire_len(), pkt.payload_len(), &pkt.payload, || {
-            pkt.payload.clone()
-        });
+        self.observe_parsed(&Parsed::packet(t, pkt));
         self.sweep_if_due(t);
     }
 
@@ -287,24 +285,14 @@ impl Probe {
         metrics().packets.add(n);
     }
 
-    /// One packet through the flow table and the DNS log, on borrowed
-    /// parts (see [`FlowTable::process_parts`]): the parsed and the
-    /// wire entry points both end here.
-    #[allow(clippy::too_many_arguments)]
-    fn process_parts(
-        &mut self,
-        t: SimTime,
-        ip: &Ipv4Header,
-        transport: &Transport,
-        wire_len: usize,
-        payload_len: usize,
-        payload: &[u8],
-        owned: impl FnOnce() -> bytes::Bytes,
-    ) {
+    /// One parsed packet through the flow table, as a one-row stretch,
+    /// and the DNS log: the `Packet` and the wire entry points both end
+    /// here.
+    fn observe_parsed(&mut self, row: &Parsed<'_>) {
         self.note_packets(1);
-        self.table.process_parts(t, ip, transport, wire_len, payload_len, payload, owned);
-        if let Transport::Udp(udp) = transport {
-            self.maybe_log_dns_udp(t, ip.src, ip.dst, udp.src_port, udp.dst_port, payload);
+        self.table.process_stretch(row, 0, 1);
+        if let Transport::Udp(udp) = row.transport {
+            self.maybe_log_dns_udp(row.t, row.ip.src, row.ip.dst, udp.src_port, udp.dst_port, row.payload);
         }
         if !self.table.finished.is_empty() {
             self.log_finished();
@@ -332,7 +320,7 @@ impl Probe {
         let mut i = start;
         while i < end {
             let finished = self.table.finished.len();
-            let j = self.table.process_stretch_cols(cols, i, end);
+            let j = self.table.process_stretch(cols, i, end);
             // Every row in a stretch shares its flow's port pair, so
             // one check decides for all of them.
             if cols.is_udp(i) && (cols.dport[i] == 53 || cols.sport[i] == 53) {
@@ -443,9 +431,7 @@ impl Probe {
     pub fn observe_wire(&mut self, t: SimTime, wire: &[u8]) {
         match PacketView::parse(wire) {
             Ok(v) => {
-                self.process_parts(t, &v.ip, &v.transport, v.wire_len(), v.payload_len(), v.payload, || {
-                    bytes::Bytes::copy_from_slice(v.payload)
-                });
+                self.observe_parsed(&Parsed::view(t, &v));
                 self.sweep_if_due(t);
             }
             Err(_) => {

@@ -20,7 +20,7 @@ use satwatch_simcore::SimTime;
 
 /// Maximum outstanding unacked segments tracked per flow; beyond this
 /// the oldest samples are dropped (bounds memory like Tstat does).
-const MAX_OUTSTANDING: usize = 32;
+pub(crate) const MAX_OUTSTANDING: usize = 32;
 
 /// Ground-segment RTT estimator for one flow.
 #[derive(Clone, Debug, Default)]

@@ -1,98 +1,54 @@
-//! The probe as the day loop and the benchmark harness hold it: one
-//! inline [`Probe`], no threads.
+//! The constructor `benchmark/` holds the probe by: one inline
+//! [`Probe`], no threads.
 //!
 //! The type has this name, and `new` a `shards` argument, because
-//! `benchmark/` constructs it that way; the argument is ignored.
-//! DESIGN.md §7 has the measurements that left the paper's one-probe
-//! vantage as the only one.
+//! `benchmark/` constructs it that way; the argument is ignored, and
+//! everything else is the probe's, through `Deref`. Production code
+//! holds a `Probe`. DESIGN.md §7 has the measurements that left the
+//! paper's one-probe vantage as the only one.
 
-use crate::checkpoint::{CheckpointError, ProbeState};
-use crate::pass::{LiveRuns, PassStats, Tap};
 use crate::probe::{Probe, ProbeConfig};
 use crate::record::{DnsRecord, FlowRecord};
-use crate::seal::{Piece, SealMarks, Sealer};
-use satwatch_netstack::PacketColumns;
-use satwatch_simcore::SimTime;
+use std::ops::{Deref, DerefMut};
 
 /// One [`Probe`] behind the constructor signature the harness calls.
-/// Use it like the probe: `observe_runs()` up to each bound (or
-/// `observe_cols()` per span in global time order), then `finish()`.
-pub struct ShardedProbe {
-    probe: Probe,
-    /// Total packets observed (mirrors [`Probe::packets`]).
-    pub packets: u64,
-}
+pub struct ShardedProbe(Probe);
 
 impl ShardedProbe {
     /// `_shards` is ignored: every value runs the one inline probe.
     pub fn new(cfg: ProbeConfig, _shards: usize) -> ShardedProbe {
-        ShardedProbe { probe: Probe::new(cfg), packets: 0 }
-    }
-
-    /// [`Probe::observe_cols`].
-    pub fn observe_cols(&mut self, cols: &PacketColumns, start: usize, end: usize) {
-        self.probe.observe_cols(cols, start, end);
-        self.packets = self.probe.packets;
-    }
-
-    /// [`Probe::observe_runs`].
-    pub fn observe_runs(&mut self, runs: &mut LiveRuns, bound: SimTime, tap: Option<Tap<'_>>) -> PassStats {
-        let stats = self.probe.observe_runs(runs, bound, tap);
-        self.packets = self.probe.packets;
-        stats
-    }
-
-    /// [`Probe::dns_replaced`].
-    pub fn dns_replaced(&self) -> u64 {
-        self.probe.dns_replaced
-    }
-
-    /// [`Probe::take_marks`].
-    pub fn take_marks(&mut self) -> Option<SealMarks> {
-        self.probe.take_marks()
-    }
-
-    /// [`Probe::seal`].
-    pub fn seal(&mut self, marks: SealMarks) -> Piece {
-        self.probe.seal(marks)
-    }
-
-    /// [`Probe::take_flows`].
-    pub fn take_flows(&mut self) -> std::vec::Drain<'_, FlowRecord> {
-        self.probe.take_flows()
-    }
-
-    /// [`Probe::unsealed`].
-    pub fn unsealed(&self) -> (&[FlowRecord], &[DnsRecord]) {
-        self.probe.unsealed()
-    }
-
-    /// [`Probe::export_state`]: leaves the probe undisturbed.
-    pub fn export_state(&mut self) -> ProbeState {
-        self.probe.export_state()
-    }
-
-    /// [`Probe::import_state`], into a fresh probe (campaign resume).
-    /// A state that an earlier version merged from several shards is
-    /// the same unified state and imports the same way.
-    pub fn import_state(&mut self, state: ProbeState, unsealed: Sealer) -> Result<(), CheckpointError> {
-        self.probe.import_state(state, unsealed)?;
-        self.packets = self.probe.packets;
-        Ok(())
+        ShardedProbe(Probe::new(cfg))
     }
 
     /// [`Probe::finish`].
     pub fn finish(self) -> (Vec<FlowRecord>, Vec<DnsRecord>) {
-        self.probe.finish()
+        self.0.finish()
+    }
+}
+
+impl Deref for ShardedProbe {
+    type Target = Probe;
+
+    fn deref(&self) -> &Probe {
+        &self.0
+    }
+}
+
+impl DerefMut for ShardedProbe {
+    fn deref_mut(&mut self) -> &mut Probe {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::ProbeState;
     use crate::flowtable::FlowTableConfig;
     use crate::probe::sort_flows_canonical;
+    use crate::seal::Sealer;
     use bytes::Bytes;
+    use satwatch_netstack::PacketColumns;
     use satwatch_netstack::{SortScratch, Subnet};
     use satwatch_simcore::{SimDuration, SimTime};
     use std::net::Ipv4Addr;

@@ -5,7 +5,8 @@
 //! every config, written to be read in one sitting. It shares only the
 //! config-derived inputs and [`build_enrichment`] with the production
 //! path: no passes over per-flow runs, no cohorts, no delay cache, no
-//! stretch walker, no telemetry.
+//! telemetry, and every packet reaches the flow table's walker as a
+//! stretch of one row, where production walks long ones.
 //!
 //! Why the two agree. All of a day's intents are scheduled before any
 //! packet, so an intent wins a time tie against a packet. A flow's

@@ -8,7 +8,7 @@ use satwatch_internet::{CdnCatalog, ResolverId};
 use satwatch_monitor::anon::CryptoPan;
 /// A per-packet observer of the span port (pcap writers, tests).
 pub use satwatch_monitor::Tap;
-use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, LiveRuns, Piece, ProbeConfig, ShardedProbe};
+use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, LiveRuns, Piece, Probe, ProbeConfig};
 use satwatch_netstack::{Packet, PacketColumns};
 use satwatch_satcom::channel::default_peak_hour;
 use satwatch_satcom::geo::places;
@@ -149,10 +149,10 @@ pub(crate) fn setup(cfg: ScenarioConfig) -> SimSetup {
 /// What [`drive`] calls after every pass: the probe, to read its log,
 /// and the coming midnight — span time steps back to it when the next
 /// day starts, so no seal mark may lie past it. `Break` ends the run.
-type PassHook<'a> = &'a mut dyn FnMut(&mut ShardedProbe, SimTime) -> ControlFlow<()>;
+type PassHook<'a> = &'a mut dyn FnMut(&mut Probe, SimTime) -> ControlFlow<()>;
 
 /// The hook of a run that reads the log only at `finish`.
-fn no_hook(_: &mut ShardedProbe, _: SimTime) -> ControlFlow<()> {
+fn no_hook(_: &mut Probe, _: SimTime) -> ControlFlow<()> {
     ControlFlow::Continue(())
 }
 
@@ -283,7 +283,7 @@ impl DayRunner {
     /// `probe` in global time order. Days must be driven in order
     /// against a probe carrying the previous day's state (live flows
     /// spill up to one hour past midnight).
-    pub fn run_day(&mut self, probe: &mut ShardedProbe, day: u64) {
+    pub fn run_day(&mut self, probe: &mut Probe, day: u64) {
         let _ = drive_day(self.cfg, &self.sim, probe, &mut None, &mut no_hook, day, &mut self.scratch);
     }
 }
@@ -324,7 +324,7 @@ fn drive_and_finish(
     tap: Option<Tap<'_>>,
     hook: PassHook<'_>,
 ) -> (u64, Option<Piece>) {
-    let mut probe = ShardedProbe::new(sim.probe_cfg, 1);
+    let mut probe = Probe::new(sim.probe_cfg);
     if drive(cfg, sim, &mut probe, tap, hook).is_break() {
         return (probe.packets, None);
     }
@@ -352,7 +352,7 @@ pub fn run_sealed(
     };
     let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
     // seal behind the marks of a sweep in the pass, held at midnight
-    let mut seal = |probe: &mut ShardedProbe, midnight| match probe.take_marks() {
+    let mut seal = |probe: &mut Probe, midnight| match probe.take_marks() {
         Some(marks) => on_piece(probe.seal(marks.capped(midnight))),
         None => ControlFlow::Continue(()),
     };
@@ -402,7 +402,7 @@ pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
 fn drive(
     cfg: ScenarioConfig,
     sim: &SimSetup,
-    probe: &mut ShardedProbe,
+    probe: &mut Probe,
     mut tap: Option<Tap<'_>>,
     hook: PassHook<'_>,
 ) -> ControlFlow<()> {
@@ -422,7 +422,7 @@ fn drive(
 fn drive_day(
     cfg: ScenarioConfig,
     sim: &SimSetup,
-    probe: &mut ShardedProbe,
+    probe: &mut Probe,
     tap: &mut Option<Tap<'_>>,
     hook: PassHook<'_>,
     day: u64,

@@ -6,7 +6,7 @@
 //! the probe's marks trust its clock.
 
 use satwatch_monitor::record::{write_dns_log, write_dns_rows, write_flow_rows, write_flows};
-use satwatch_monitor::{Piece, SealMarks, ShardedProbe};
+use satwatch_monitor::{Piece, Probe, SealMarks};
 use satwatch_scenario::{run, run_reference, run_sealed, DayRunner, ScenarioConfig};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::SimTime;
@@ -69,7 +69,7 @@ fn a_break_ends_the_sealed_run() {
 /// sealed at.
 fn seal_daily(cfg: ScenarioConfig, capped: bool) -> Vec<(Option<SealMarks>, Piece)> {
     let mut runner = DayRunner::new(cfg);
-    let mut probe = ShardedProbe::new(runner.probe_config(), 1);
+    let mut probe = Probe::new(runner.probe_config());
     let mut pieces = Vec::new();
     for day in 0..cfg.days {
         runner.run_day(&mut probe, day);
