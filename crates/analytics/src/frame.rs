@@ -34,7 +34,7 @@
 
 use crate::agg::Enrichment;
 use crate::classify::Classifier;
-use satwatch_monitor::{Domain, FlowRecord};
+use satwatch_monitor::{flow_sort_key, Domain, FlowRecord};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::{FxHashMap, SimTime};
 use std::net::Ipv4Addr;
@@ -66,18 +66,14 @@ fn metrics() -> &'static Metrics {
     })
 }
 
-/// One flow, resolved to columns. Kept only inside the builder; the
-/// sort-key fields (ports, server, protocol) are dropped at seal time
+/// One flow, resolved to columns. Kept only inside the builder; of
+/// the sort key only `first` and `client` become columns at seal time,
 /// once the canonical order is restored.
 #[derive(Clone, Debug)]
 struct Row {
-    // canonical sort key (mirrors `monitor::flow_sort_key`)
-    first: SimTime,
-    client: Ipv4Addr,
-    client_port: u16,
-    server: Ipv4Addr,
-    server_port: u16,
-    ip_proto: u8,
+    /// [`flow_sort_key`]: `(first, client, client_port, server,
+    /// server_port, ip_proto)`.
+    key: (SimTime, Ipv4Addr, u16, Ipv4Addr, u16, u8),
     // measurement columns
     bytes_up: u64,
     bytes_down: u64,
@@ -87,11 +83,11 @@ struct Row {
     down_bps: f64,
     dur_s: f64,
     l7: u8,
-    // pre-resolved enrichment columns
+    // pre-resolved enrichment columns (the UTC hour and the day are
+    // read off `key.0` at seal time: stored, they would grow a row by 8
+    // bytes, the sort key's tail padding)
     country: u8,
     local_hour: u8,
-    hour_utc: u8,
-    day: u32,
     beam: u16,
     service: u16,
     category: u8,
@@ -320,12 +316,7 @@ impl FrameBuilder {
             None => DomainEntry { code: NO_DOMAIN, service: NO_SERVICE, category: NO_CATEGORY },
         };
         self.rows.push(Row {
-            first: f.first,
-            client: f.client,
-            client_port: f.client_port,
-            server: f.server,
-            server_port: f.server_port,
-            ip_proto: f.ip_proto,
+            key: flow_sort_key(f),
             bytes_up: f.c2s_bytes,
             bytes_down: f.s2c_bytes,
             ground_rtt_avg: f.ground_rtt.avg_ms,
@@ -336,8 +327,6 @@ impl FrameBuilder {
             l7: f.l7.index() as u8,
             country: country.map_or(NO_COUNTRY, |c| c.index() as u8),
             local_hour: country.map_or(NO_HOUR, |c| f.first.local_hour(c.tz_offset()) as u8),
-            hour_utc: f.first.hour_of_day() as u8,
-            day: (f.first.as_secs() / SECS_PER_DAY) as u32,
             beam: self.enr.beam_of.get(&f.client).copied().unwrap_or(NO_BEAM),
             service: domain.service,
             category: domain.category,
@@ -362,9 +351,8 @@ impl FrameBuilder {
     /// Seal a stream-built frame: sort rows into the probe's canonical
     /// record order, then scatter into columns. Sorting here is what
     /// makes eviction order irrelevant — the key is the same total
-    /// `(first, client, cport, server, sport, proto)` key
-    /// `Probe::finish` sorts by, so any permutation of the same flow
-    /// set seals into the identical frame.
+    /// [`flow_sort_key`] `Probe::finish` sorts by, so any permutation of
+    /// the same flow set seals into the identical frame.
     pub fn seal(self) -> FlowFrame {
         self.finish(true)
     }
@@ -372,7 +360,7 @@ impl FrameBuilder {
     fn finish(mut self, sort: bool) -> FlowFrame {
         let _span = satwatch_telemetry::Span::over(metrics().build_us);
         if sort {
-            self.rows.sort_by_key(|r| (r.first, r.client, r.client_port, r.server, r.server_port, r.ip_proto));
+            self.rows.sort_by_key(|r| r.key);
         }
         let n = self.rows.len();
         metrics().rows.add(n as u64);
@@ -399,8 +387,9 @@ impl FrameBuilder {
             services: self.services,
         };
         for r in self.rows {
-            fr.client.push(r.client);
-            fr.first.push(r.first);
+            let first = r.key.0;
+            fr.client.push(r.key.1);
+            fr.first.push(first);
             fr.bytes_up.push(r.bytes_up);
             fr.bytes_down.push(r.bytes_down);
             fr.ground_rtt_avg.push(r.ground_rtt_avg);
@@ -411,8 +400,8 @@ impl FrameBuilder {
             fr.l7.push(r.l7);
             fr.country.push(r.country);
             fr.local_hour.push(r.local_hour);
-            fr.hour_utc.push(r.hour_utc);
-            fr.day.push(r.day);
+            fr.hour_utc.push(first.hour_of_day() as u8);
+            fr.day.push((first.as_secs() / SECS_PER_DAY) as u32);
             fr.beam.push(r.beam);
             fr.service.push(r.service);
             fr.category.push(r.category);
@@ -493,7 +482,7 @@ mod tests {
     fn sealed_stream_equals_batch_in_any_push_order() {
         let mut flows: Vec<FlowRecord> =
             (0..20).map(|i| flow(i % 5, u32::from(i) % 24, Some("docs.google.com"))).collect();
-        flows.sort_by_key(|f| (f.first, f.client, f.client_port, f.server, f.server_port, f.ip_proto));
+        flows.sort_by_key(flow_sort_key);
         let batch = FlowFrame::from_records(&flows, &enrichment());
         // push in reversed (≠ canonical) order, as an eviction stream might
         let mut b = FrameBuilder::new(enrichment());

@@ -14,7 +14,7 @@
 use crate::CampaignError;
 use satwatch_monitor::checkpoint::{
     put_bool, put_bytes, put_dns_record, put_f64, put_ip, put_opt_f64, put_opt_u64, put_str, put_u16, put_u32, put_u64,
-    put_u8, read_dns_record, Reader,
+    put_u8, read_dns_record, Reader, DNS_RECORD_MIN_SIZE,
 };
 use satwatch_monitor::record::{EarlyPacket, RttSummary};
 use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol, ProbeState};
@@ -28,6 +28,10 @@ use std::path::Path;
 pub const STATE_FILE_MAGIC: &[u8; 8] = b"SWCP\0v1\0";
 /// Magic for `dns/dns-<k>.bin` spill files.
 pub const DNS_FILE_MAGIC: &[u8; 8] = b"SWDN\0v1\0";
+
+/// The fewest bytes [`put_flow_record`] writes: no early packets, no
+/// optional field, no domain.
+pub const FLOW_RECORD_MIN_SIZE: usize = 13 + 8 * 10 + 2 + 3 + 8 + 8 * 4 + 3 + 1 + 1;
 
 /// Serialize one [`FlowRecord`] losslessly (every field, floats as
 /// raw bits). The inverse is [`read_flow_record`].
@@ -192,8 +196,8 @@ pub fn read_dns_file(path: &Path, expect: Option<u64>) -> Result<Vec<DnsRecord>,
     if r.take(8)? != DNS_FILE_MAGIC {
         return Err(CampaignError::Corrupt(format!("{}: bad DNS spill magic", path.display())));
     }
-    let n = r.u32()? as usize;
-    let mut recs = Vec::with_capacity(n.min(1 << 20));
+    let n = r.count(DNS_RECORD_MIN_SIZE)?;
+    let mut recs = Vec::with_capacity(n);
     for _ in 0..n {
         recs.push(read_dns_record(&mut r)?);
     }
@@ -269,8 +273,8 @@ pub fn read_state_file(
     let mut flow_buckets = FlowBuckets::new();
     for _ in 0..r.u32()? {
         let day = r.u64()?;
-        let n = r.u32()? as usize;
-        let mut flows = Vec::with_capacity(n.min(1 << 20));
+        let n = r.count(FLOW_RECORD_MIN_SIZE)?;
+        let mut flows = Vec::with_capacity(n);
         for _ in 0..n {
             flows.push(read_flow_record(&mut r)?);
         }
@@ -279,8 +283,8 @@ pub fn read_state_file(
     let mut dns_buckets = DnsBuckets::new();
     for _ in 0..r.u32()? {
         let day = r.u64()?;
-        let n = r.u32()? as usize;
-        let mut recs = Vec::with_capacity(n.min(1 << 20));
+        let n = r.count(DNS_RECORD_MIN_SIZE)?;
+        let mut recs = Vec::with_capacity(n);
         for _ in 0..n {
             recs.push(read_dns_record(&mut r)?);
         }
@@ -342,6 +346,26 @@ pub(crate) mod tests {
             assert_eq!(back, f);
             assert_eq!(r.remaining(), 0);
         }
+    }
+
+    #[test]
+    fn the_minimum_record_sizes_are_what_the_writers_write() {
+        let mut f = flow(1);
+        (f.early, f.s2c_data_first, f.sat_rtt_ms, f.domain) = (Vec::new(), None, None, None);
+        let mut buf = Vec::new();
+        put_flow_record(&mut buf, &f);
+        assert_eq!(buf.len(), FLOW_RECORD_MIN_SIZE);
+        let d = DnsRecord {
+            client: Ipv4Addr::new(77, 0, 0, 9),
+            resolver: Ipv4Addr::new(8, 8, 8, 8),
+            query: "".into(),
+            ts: SimTime::from_secs(55),
+            response_ms: None,
+            answers: Vec::new(),
+        };
+        buf.clear();
+        put_dns_record(&mut buf, &d);
+        assert_eq!(buf.len(), DNS_RECORD_MIN_SIZE);
     }
 
     #[test]

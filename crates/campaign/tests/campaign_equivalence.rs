@@ -9,9 +9,10 @@
 //!    bytes exactly.
 
 use satwatch_analytics::FlowFrame;
-use satwatch_campaign::codec::{write_state_file, DnsBuckets, FlowBuckets};
-use satwatch_campaign::{Campaign, DaySummary, Manifest, RunOptions, SECS_PER_DAY};
-use satwatch_monitor::Probe;
+use satwatch_campaign::codec::{write_atomic, write_state_file, DnsBuckets, FlowBuckets, STATE_FILE_MAGIC};
+use satwatch_campaign::{Campaign, CampaignError, DaySummary, Manifest, RunOptions, SECS_PER_DAY};
+use satwatch_monitor::checkpoint::{put_bytes, put_u32, put_u64, CheckpointError};
+use satwatch_monitor::{Probe, ProbeState};
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
 use satwatch_scenario::{dataset_digest, run, DayRunner, ScenarioConfig};
@@ -124,6 +125,33 @@ fn corrupted_state_file_is_rejected_on_resume() {
     let msg = err.to_string();
     assert!(msg.contains("checksum") || msg.contains("corrupt"), "unexpected error: {msg}");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A state file whose checksums hold but whose one flow bucket claims
+/// 2³² − 1 rows is refused as truncated before anything is reserved
+/// for those rows: a count read from disk is bounded by the bytes left.
+#[test]
+fn a_state_file_claiming_more_rows_than_it_holds_is_a_typed_error() {
+    let cfg = ScenarioConfig::tiny().with_customers(4).with_days(2).with_seed(7);
+    let dir = tmp_dir("huge-count");
+    {
+        let mut c = Campaign::create(&dir, cfg).unwrap();
+        c.run(&RunOptions { abort_after_day: Some(0), ..RunOptions::default() }).unwrap();
+    }
+    let mut bytes = STATE_FILE_MAGIC.to_vec();
+    put_bytes(&mut bytes, &ProbeState::empty().encode());
+    put_u32(&mut bytes, 1); // one flow bucket:
+    put_u64(&mut bytes, 0); // day 0,
+    put_u32(&mut bytes, u32::MAX); // 2³² − 1 rows, and none follow
+    put_u32(&mut bytes, 0); // no DNS bucket
+    let sum = write_atomic(&dir.join("state-0.bin"), bytes).unwrap();
+    let manifest = dir.join("manifest.json");
+    let m = Manifest::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
+    let m = Manifest { state_file: Some(("state-0.bin".into(), sum)), ..m };
+    std::fs::write(&manifest, m.to_json()).unwrap();
+    let err = Campaign::resume(&dir).err().expect("the state file must be refused");
+    assert!(matches!(err, CampaignError::Checkpoint(CheckpointError::Truncated)), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

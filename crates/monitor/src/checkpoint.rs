@@ -25,6 +25,24 @@
 //! the resumed run's report bytes drift. Integrity is the *caller's*
 //! job: the campaign manifest records an FNV-1a checksum of the
 //! encoded state and verifies it before decoding.
+//!
+//! This module holds the framing and the primitives. A live flow's
+//! bytes are written by the state they describe: `FlowState` writes
+//! its own scalars, then hands the writer to its ground-RTT and
+//! satellite-RTT estimators, its DPI, its two reassemblers and its two
+//! inspect buffers, in that order. Each piece's `read_state` reads what
+//! its `write_state` wrote and refuses, as [`CheckpointError::Corrupt`],
+//! state its own code could not have reached (a cap exceeded, an
+//! unknown tag), so a decoder can be hardened, or fuzzed, one type at
+//! a time.
+//!
+//! ## Bounded decoding
+//!
+//! A state file is input from outside the program. Every count a
+//! decoder reserves room for is read with [`Reader::count`], which
+//! refuses, as [`CheckpointError::Truncated`], a count whose items
+//! cannot fit in the bytes left at their smallest encoding: decoding
+//! never asks for more memory than a small multiple of its input.
 
 use crate::record::DnsRecord;
 use satwatch_simcore::SimTime;
@@ -209,6 +227,18 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A `u32` count of items that each encode to at least `min_size`
+    /// bytes, or `Truncated` when the bytes left cannot hold that many:
+    /// a decoder may reserve room for the count it gets, because the
+    /// input paid for it.
+    pub fn count(&mut self, min_size: usize) -> Result<usize, CheckpointError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_size) > self.remaining() {
+            return Err(CheckpointError::Truncated);
+        }
+        Ok(n)
+    }
+
     pub fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let n = self.u32()? as usize;
         self.take(n)
@@ -274,7 +304,7 @@ pub struct PendingDnsEntry {
 
 impl PendingDnsEntry {
     /// The canonical-order key.
-    fn order_key(&self) -> (SimTime, Ipv4Addr, Ipv4Addr, u16) {
+    pub(crate) fn order_key(&self) -> (SimTime, Ipv4Addr, Ipv4Addr, u16) {
         (self.asked_at, self.client, self.resolver, self.id)
     }
 }
@@ -374,16 +404,18 @@ impl ProbeState {
         let packets = r.u64()?;
         let parse_errors = r.u64()?;
         let transit_packets = r.u64()?;
-        let nflows = r.u32()? as usize;
-        let mut flows = Vec::with_capacity(nflows.min(1 << 20));
+        // a flow entry is a length and at least its 21-byte key prefix
+        let nflows = r.count(4 + 21)?;
+        let mut flows = Vec::with_capacity(nflows);
         for _ in 0..nflows {
             flows.push(FlowEntry::from_bytes(r.bytes()?.to_vec())?);
         }
         if !flows.is_sorted_by(|a, b| a.order_key() < b.order_key()) {
             return Err(CheckpointError::Corrupt("flow order"));
         }
-        let npending = r.u32()? as usize;
-        let mut pending_dns = Vec::with_capacity(npending.min(1 << 20));
+        // client, resolver, id, the query's length, asked_at
+        let npending = r.count(4 + 4 + 2 + 4 + 8)?;
+        let mut pending_dns = Vec::with_capacity(npending);
         for _ in 0..npending {
             pending_dns.push(PendingDnsEntry {
                 client: r.ip()?,
@@ -396,8 +428,8 @@ impl ProbeState {
         if !pending_dns.is_sorted_by(|a, b| a.order_key() < b.order_key()) {
             return Err(CheckpointError::Corrupt("pending DNS order"));
         }
-        let nlog = r.u32()? as usize;
-        let mut dns_log = Vec::with_capacity(nlog.min(1 << 20));
+        let nlog = r.count(DNS_RECORD_MIN_SIZE)?;
+        let mut dns_log = Vec::with_capacity(nlog);
         for _ in 0..nlog {
             dns_log.push(read_dns_record(&mut r)?);
         }
@@ -407,6 +439,10 @@ impl ProbeState {
         Ok(ProbeState { flows, pending_dns, dns_log, last_sweep, packets, parse_errors, transit_packets })
     }
 }
+
+/// The fewest bytes [`put_dns_record`] writes: client, resolver, the
+/// query's length, ts, the response-time tag and the answer count.
+pub const DNS_RECORD_MIN_SIZE: usize = 4 + 4 + 4 + 8 + 1 + 4;
 
 /// Serialize one [`DnsRecord`] (shared with the campaign's on-disk
 /// DNS day buckets — the TSV float formatting is lossy, this is not).
@@ -429,8 +465,8 @@ pub fn read_dns_record(r: &mut Reader<'_>) -> Result<DnsRecord, CheckpointError>
     let query: crate::intern::Domain = r.str()?.into();
     let ts = SimTime::from_nanos(r.u64()?);
     let response_ms = r.opt_f64()?;
-    let n = r.u32()? as usize;
-    let mut answers = Vec::with_capacity(n.min(1 << 16));
+    let n = r.count(4)?;
+    let mut answers = Vec::with_capacity(n);
     for _ in 0..n {
         answers.push(r.ip()?);
     }
@@ -471,6 +507,37 @@ mod tests {
         assert_eq!(r.str().unwrap(), "hello");
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.u8(), Err(CheckpointError::Truncated));
+    }
+
+    #[test]
+    fn a_count_is_bounded_by_the_bytes_left() {
+        let mut w = Vec::new();
+        put_u32(&mut w, 3);
+        w.extend_from_slice(&[0; 12]);
+        let mut r = Reader::new(&w);
+        assert_eq!((r.count(4), r.remaining()), (Ok(3), 12));
+        assert_eq!(Reader::new(&w).count(5), Err(CheckpointError::Truncated));
+        assert_eq!(Reader::new(&w).count(usize::MAX), Err(CheckpointError::Truncated), "no overflow");
+        assert_eq!(Reader::new(&[0; 4]).count(usize::MAX), Ok(0));
+        // every count of a probe state: flows, pending DNS, DNS log, and
+        // a DNS record's answers
+        let d = DnsRecord {
+            client: Ipv4Addr::new(100, 64, 3, 4),
+            resolver: Ipv4Addr::new(8, 8, 8, 8),
+            query: "x".into(),
+            ts: SimTime::ZERO,
+            response_ms: None,
+            answers: Vec::new(),
+        };
+        let state = ProbeState { dns_log: vec![d], ..ProbeState::empty() }.encode();
+        // magic, version, four u64, then the three counts
+        let (flows, pending, log) = (38, 42, 46);
+        let answers = state.len() - 4;
+        for at in [flows, pending, log, answers] {
+            let mut s = state.clone();
+            s[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(ProbeState::decode(&s).unwrap_err(), CheckpointError::Truncated, "count at {at}");
+        }
     }
 
     #[test]

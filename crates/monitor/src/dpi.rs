@@ -6,6 +6,7 @@
 //! header, or the QUIC Initial's embedded ClientHello — and a protocol
 //! verdict matching the paper's Table 1 taxonomy.
 
+use crate::checkpoint::{self, CheckpointError, Reader};
 use crate::intern::{Domain, DomainInterner};
 use crate::record::L7Protocol;
 use satwatch_netstack::{http, quic, rtp, tls};
@@ -29,6 +30,23 @@ pub struct Dpi {
 
 /// Packets of payload to inspect before giving up on classification.
 const INSPECT_CAP: u32 = 12;
+
+/// How a checkpoint stores a verdict: its position here. The flow
+/// table's per-verdict counters are indexed the same way.
+pub(crate) const VERDICT_ORDER: [L7Protocol; 7] = [
+    L7Protocol::TlsHttps,
+    L7Protocol::Http,
+    L7Protocol::Quic,
+    L7Protocol::Dns,
+    L7Protocol::Rtp,
+    L7Protocol::OtherTcp,
+    L7Protocol::OtherUdp,
+];
+
+/// `l7`'s position in [`VERDICT_ORDER`].
+pub(crate) fn verdict_index(l7: L7Protocol) -> usize {
+    VERDICT_ORDER.iter().position(|&v| v == l7).expect("every verdict is in the order")
+}
 
 impl Dpi {
     pub fn new(is_tcp: bool, server_port: u16) -> Dpi {
@@ -164,33 +182,45 @@ impl Dpi {
         self.domain.clone()
     }
 
-    /// Raw state for checkpoint serialization.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn export_state(&self) -> (bool, u16, Option<L7Protocol>, Option<&Domain>, bool, u8, u32) {
-        (
-            self.is_tcp,
-            self.server_port,
-            self.verdict,
-            self.domain.as_ref(),
-            self.saw_tls_client_hello,
-            self.rtp_streak,
-            self.inspected,
-        )
+    /// Checkpoint bytes, fields in declaration order; the verdict as
+    /// its [`verdict_index`], the domain as its name.
+    pub(crate) fn write_state(&self, w: &mut Vec<u8>) {
+        use checkpoint::*;
+        put_bool(w, self.is_tcp);
+        put_u16(w, self.server_port);
+        put_bool(w, self.verdict.is_some());
+        if let Some(v) = self.verdict {
+            put_u8(w, verdict_index(v) as u8);
+        }
+        put_bool(w, self.domain.is_some());
+        if let Some(d) = &self.domain {
+            put_str(w, d);
+        }
+        put_bool(w, self.saw_tls_client_hello);
+        put_u8(w, self.rtp_streak);
+        put_u32(w, self.inspected);
     }
 
-    /// Rebuild from [`export_state`](Self::export_state) output. The
-    /// domain handle should be re-interned through the owning table's
-    /// interner so restored flows keep sharing one allocation per name.
-    pub(crate) fn restore_state(
-        is_tcp: bool,
-        server_port: u16,
-        verdict: Option<L7Protocol>,
-        domain: Option<Domain>,
-        saw_tls_client_hello: bool,
-        rtp_streak: u8,
-        inspected: u32,
-    ) -> Dpi {
-        Dpi { is_tcp, server_port, verdict, domain, saw_tls_client_hello, rtp_streak, inspected }
+    /// Inverse of [`write_state`](Self::write_state). The domain is
+    /// re-interned through the table's `names`, so restored flows share
+    /// one allocation per name like freshly tracked ones.
+    pub(crate) fn read_state(r: &mut Reader<'_>, names: &mut DomainInterner) -> Result<Dpi, CheckpointError> {
+        let (is_tcp, server_port) = (r.bool()?, r.u16()?);
+        let verdict = if r.bool()? {
+            Some(*VERDICT_ORDER.get(usize::from(r.u8()?)).ok_or(CheckpointError::Corrupt("dpi verdict"))?)
+        } else {
+            None
+        };
+        let domain = if r.bool()? { Some(names.intern(r.str()?)) } else { None };
+        Ok(Dpi {
+            is_tcp,
+            server_port,
+            verdict,
+            domain,
+            saw_tls_client_hello: r.bool()?,
+            rtp_streak: r.u8()?,
+            inspected: r.u32()?,
+        })
     }
 }
 
@@ -316,6 +346,31 @@ mod tests {
             d.inspect(&[1, 2, 3], true, &mut names);
         }
         assert!(d.is_satisfied());
+    }
+
+    #[test]
+    fn the_verdict_order_holds_every_verdict() {
+        for v in L7Protocol::ALL {
+            assert_eq!(VERDICT_ORDER[verdict_index(v)], v);
+        }
+    }
+
+    #[test]
+    fn checkpoint_bytes_reread_with_an_interned_domain_and_refuse_an_unknown_verdict() {
+        let mut names = DomainInterner::default();
+        let mut d = Dpi::new(true, 443);
+        d.inspect(&tls::client_hello("state.example", [0; 32]), true, &mut names);
+        let mut w = Vec::new();
+        d.write_state(&mut w);
+        let back = Dpi::read_state(&mut Reader::new(&w), &mut names).unwrap();
+        assert!(std::sync::Arc::ptr_eq(back.domain.as_ref().unwrap(), d.domain.as_ref().unwrap()));
+        let mut again = Vec::new();
+        back.write_state(&mut again);
+        assert_eq!(again, w);
+        // bool, u16, then the verdict tag and its index
+        w[4] = VERDICT_ORDER.len() as u8;
+        let err = Dpi::read_state(&mut Reader::new(&w), &mut names).unwrap_err();
+        assert_eq!(err, CheckpointError::Corrupt("dpi verdict"));
     }
 
     #[test]

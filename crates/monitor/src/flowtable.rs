@@ -6,18 +6,17 @@
 //! the packet stream, with idle-timeout eviction bounding memory.
 
 use crate::checkpoint::{self, CheckpointError, FlowEntry, Reader};
-use crate::dpi::Dpi;
+use crate::dpi::{verdict_index, Dpi, VERDICT_ORDER};
 use crate::inspect::InspectBuffer;
 use crate::intern::{Domain, DomainInterner};
-use crate::reassembly::{StreamReassembler, INSPECT_LIMIT, MAX_BUFFERED};
-use crate::record::{EarlyPacket, FlowRecord, L7Protocol, RttSummary};
-use crate::rtt::{GroundRtt, SatRtt, MAX_OUTSTANDING};
+use crate::reassembly::StreamReassembler;
+use crate::record::{EarlyPacket, FlowRecord, RttSummary};
+use crate::rtt::{GroundRtt, SatRtt};
 use bytes::Bytes;
 use satwatch_netstack::ip::proto;
 use satwatch_netstack::{
     FiveTuple, Ipv4Header, Packet, PacketColumns, PacketView, SeqNum, Subnet, TcpFlags, TcpHeader, Transport,
 };
-use satwatch_simcore::stats::Running;
 use satwatch_simcore::{fx_map_with_capacity, FxHashMap, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
@@ -36,43 +35,14 @@ struct Metrics {
 
 fn metrics() -> &'static Metrics {
     static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| {
-        use crate::record::L7Protocol as P;
-        let v = |p: P| satwatch_telemetry::counter_with("monitor_dpi_verdicts_total", &[("l7", p.label())]);
-        Metrics {
-            live_flows: satwatch_telemetry::gauge("monitor_flowtable_flows"),
-            evictions: satwatch_telemetry::counter("monitor_flowtable_evictions_total"),
-            transit: satwatch_telemetry::counter("monitor_transit_packets_total"),
-            verdicts: [v(P::TlsHttps), v(P::Http), v(P::Quic), v(P::Dns), v(P::Rtp), v(P::OtherTcp), v(P::OtherUdp)],
-        }
+    M.get_or_init(|| Metrics {
+        live_flows: satwatch_telemetry::gauge("monitor_flowtable_flows"),
+        evictions: satwatch_telemetry::counter("monitor_flowtable_evictions_total"),
+        transit: satwatch_telemetry::counter("monitor_transit_packets_total"),
+        verdicts: VERDICT_ORDER
+            .map(|p| satwatch_telemetry::counter_with("monitor_dpi_verdicts_total", &[("l7", p.label())])),
     })
 }
-
-/// Index into [`Metrics::verdicts`] for a DPI verdict.
-fn verdict_index(l7: crate::record::L7Protocol) -> usize {
-    use crate::record::L7Protocol as P;
-    match l7 {
-        P::TlsHttps => 0,
-        P::Http => 1,
-        P::Quic => 2,
-        P::Dns => 3,
-        P::Rtp => 4,
-        P::OtherTcp => 5,
-        P::OtherUdp => 6,
-    }
-}
-
-/// Inverse of [`verdict_index`] — the checkpoint codec stores a DPI
-/// verdict as its index in this array.
-const VERDICT_ORDER: [L7Protocol; 7] = [
-    L7Protocol::TlsHttps,
-    L7Protocol::Http,
-    L7Protocol::Quic,
-    L7Protocol::Dns,
-    L7Protocol::Rtp,
-    L7Protocol::OtherTcp,
-    L7Protocol::OtherUdp,
-];
 
 /// Evict flows idle longer than this (Tstat default is minutes; UDP
 /// flows in particular only end by timeout).
@@ -177,6 +147,14 @@ impl FlowState {
         self.rst_seen || (self.fin_c2s && self.fin_s2c)
     }
 
+    /// The table's canonical flow order: first-seen time, then key —
+    /// the order `sweep` and `flush` evict in and `export_flows` writes.
+    /// The protocol makes it total over distinct five-tuples.
+    fn order_key(&self) -> (SimTime, Ipv4Addr, u16, Ipv4Addr, u16, u8) {
+        let k = &self.key;
+        (self.first, k.src, k.src_port, k.dst, k.dst_port, k.protocol)
+    }
+
     /// The flow's output record. Called once, on the boxed state a
     /// finalising path just took out of the map: the state stays where
     /// it is, only the early log's allocation moves into the record.
@@ -253,74 +231,23 @@ impl FlowState {
         put_opt_u32(w, self.s2c_high.map(|s| s.0));
         put_opt_u64(w, self.s2c_data_first.map(SimTime::as_nanos));
         put_opt_u64(w, self.s2c_data_last.map(SimTime::as_nanos));
-        // ground RTT estimator
-        let (outstanding, highest_sent, samples) = self.ground.export_state();
-        put_u32(w, outstanding.len() as u32);
-        for &(seq, t) in outstanding {
-            put_u32(w, seq.0);
-            put_u64(w, t.as_nanos());
-        }
-        put_opt_u32(w, highest_sent.map(|s| s.0));
-        let (n, mean, m2, min, max) = samples.to_parts();
-        put_u64(w, n);
-        put_f64(w, mean);
-        put_f64(w, m2);
-        put_f64(w, min);
-        put_f64(w, max);
-        // satellite RTT estimator
-        let (server_hello_at, sample_ms) = self.sat.export_state();
-        put_opt_u64(w, server_hello_at.map(SimTime::as_nanos));
-        put_opt_f64(w, sample_ms);
-        // DPI
-        let (is_tcp, server_port, verdict, domain, saw_ch, rtp_streak, inspected) = self.dpi.export_state();
-        put_bool(w, is_tcp);
-        put_u16(w, server_port);
-        match verdict {
-            Some(v) => {
-                put_u8(w, 1);
-                put_u8(w, verdict_index(v) as u8);
-            }
-            None => put_u8(w, 0),
-        }
-        match domain {
-            Some(d) => {
-                put_u8(w, 1);
-                put_str(w, d);
-            }
-            None => put_u8(w, 0),
-        }
-        put_bool(w, saw_ch);
-        put_u8(w, rtp_streak);
-        put_u32(w, inspected);
-        // per-direction reassemblers and inspect buffers
-        for stream in [&self.c2s_stream, &self.s2c_stream] {
-            let (base, next_off, delivered, dropped, pending) = stream.export_state();
-            put_opt_u32(w, base.map(|s| s.0));
-            put_u64(w, next_off);
-            put_u64(w, delivered);
-            put_u64(w, dropped);
-            put_u32(w, pending.len() as u32);
-            for (off, seg) in pending {
-                put_u64(w, off);
-                put_bytes(w, seg);
-            }
-        }
+        self.ground.write_state(w);
+        self.sat.write_state(w);
+        self.dpi.write_state(w);
+        self.c2s_stream.write_state(w);
+        self.s2c_stream.write_state(w);
         self.c2s_inspect.write_state(w);
         self.s2c_inspect.write_state(w);
     }
 
-    /// Inverse of [`write_state`](Self::write_state). Domain names are
-    /// re-interned through `names` so restored flows share one
-    /// allocation per name like freshly-tracked ones.
+    /// Inverse of [`write_state`](Self::write_state); `names` is the
+    /// table's interner, for the DPI's domain.
     ///
     /// A state file comes from outside the program, so a flow is
     /// refused unless the walker could have left it in the table: no
-    /// more early packets or outstanding ground-RTT samples than their
-    /// caps, not closed (a close finalises the flow on the row that
-    /// closes it), and no reassembler past its delivery limit or its
-    /// out-of-order buffer. The caps only hold for state that starts
-    /// inside them: `GroundRtt` trims a full outstanding vector by one,
-    /// so a longer one would grow with every unacknowledged segment.
+    /// more early packets than the log holds, and not closed (a close
+    /// finalises the flow on the row that closes it). Each component's
+    /// `read_state` checks its own caps.
     fn read_state(r: &mut Reader<'_>, names: &mut DomainInterner) -> Result<FlowState, CheckpointError> {
         let key = FiveTuple { src: r.ip()?, dst: r.ip()?, src_port: r.u16()?, dst_port: r.u16()?, protocol: r.u8()? };
         let first = SimTime::from_nanos(r.u64()?);
@@ -354,60 +281,6 @@ impl FlowState {
         let s2c_high = r.opt_u32()?.map(SeqNum);
         let s2c_data_first = r.opt_u64()?.map(SimTime::from_nanos);
         let s2c_data_last = r.opt_u64()?.map(SimTime::from_nanos);
-        let nout = r.u32()? as usize;
-        if nout > MAX_OUTSTANDING {
-            return Err(CheckpointError::Corrupt("ground RTT outstanding"));
-        }
-        let mut outstanding = Vec::with_capacity(nout);
-        for _ in 0..nout {
-            outstanding.push((SeqNum(r.u32()?), SimTime::from_nanos(r.u64()?)));
-        }
-        let highest_sent = r.opt_u32()?.map(SeqNum);
-        let samples = {
-            let n = r.u64()?;
-            let (mean, m2, min, max) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-            Running::from_parts(n, mean, m2, min, max)
-        };
-        let ground = GroundRtt::restore_state(outstanding, highest_sent, samples);
-        let sat = SatRtt::restore_state(r.opt_u64()?.map(SimTime::from_nanos), r.opt_f64()?);
-        let is_tcp = r.bool()?;
-        let server_port = r.u16()?;
-        let verdict = if r.bool()? {
-            let idx = r.u8()? as usize;
-            Some(*VERDICT_ORDER.get(idx).ok_or(CheckpointError::Corrupt("dpi verdict"))?)
-        } else {
-            None
-        };
-        let domain = if r.bool()? { Some(names.intern(r.str()?)) } else { None };
-        let saw_ch = r.bool()?;
-        let rtp_streak = r.u8()?;
-        let inspected = r.u32()?;
-        let dpi = Dpi::restore_state(is_tcp, server_port, verdict, domain, saw_ch, rtp_streak, inspected);
-        let mut streams = [StreamReassembler::new(), StreamReassembler::new()];
-        for stream in &mut streams {
-            let base = r.opt_u32()?.map(SeqNum);
-            let next_off = r.u64()?;
-            let delivered = r.u64()?;
-            if delivered > INSPECT_LIMIT {
-                return Err(CheckpointError::Corrupt("reassembly delivered"));
-            }
-            let dropped = r.u64()?;
-            let npend = r.u32()? as usize;
-            let (mut pending, mut pending_bytes) = (Vec::with_capacity(npend.min(64)), 0);
-            for _ in 0..npend {
-                let off = r.u64()?;
-                let seg = r.bytes()?;
-                pending_bytes += seg.len();
-                if pending_bytes > MAX_BUFFERED {
-                    return Err(CheckpointError::Corrupt("reassembly pending"));
-                }
-                pending.push((off, Bytes::copy_from_slice(seg)));
-            }
-            *stream = StreamReassembler::restore_state(base, next_off, delivered, dropped, pending);
-        }
-        let [c2s_stream, s2c_stream] = streams;
-        let c2s_inspect = InspectBuffer::read_state(r)?;
-        let s2c_inspect = InspectBuffer::read_state(r)?;
         Ok(FlowState {
             key,
             first,
@@ -429,13 +302,14 @@ impl FlowState {
             s2c_high,
             s2c_data_first,
             s2c_data_last,
-            ground,
-            sat,
-            dpi,
-            c2s_stream,
-            s2c_stream,
-            c2s_inspect,
-            s2c_inspect,
+            // fields evaluate in the order written: the file's order
+            ground: GroundRtt::read_state(r)?,
+            sat: SatRtt::read_state(r)?,
+            dpi: Dpi::read_state(r, names)?,
+            c2s_stream: StreamReassembler::read_state(r)?,
+            s2c_stream: StreamReassembler::read_state(r)?,
+            c2s_inspect: InspectBuffer::read_state(r)?,
+            s2c_inspect: InspectBuffer::read_state(r)?,
         })
     }
 }
@@ -895,9 +769,8 @@ impl FlowTable {
                 oldest = Some(oldest.map_or(f.first, |o| o.min(f.first)));
             }
         }
-        // deterministic eviction order (HashMap iteration is not); the
-        // protocol makes the key total over distinct five-tuples
-        expired.sort_by_key(|k| (self.flows[k].first, k.src, k.src_port, k.dst, k.dst_port, k.protocol));
+        // deterministic eviction order (HashMap iteration is not)
+        expired.sort_by_key(|k| self.flows[k].order_key());
         for k in expired {
             metrics().evictions.inc();
             finalise(&mut self.flows, &mut self.finished, &k);
@@ -908,8 +781,7 @@ impl FlowTable {
     /// Finalise every remaining flow and return all records.
     pub fn flush(&mut self) -> Vec<FlowRecord> {
         let mut keys: Vec<FiveTuple> = self.flows.keys().copied().collect();
-        // deterministic output order: by first-seen time then key
-        keys.sort_by_key(|k| (self.flows[k].first, k.src, k.src_port, k.dst, k.dst_port, k.protocol));
+        keys.sort_by_key(|k| self.flows[k].order_key());
         for k in keys {
             finalise(&mut self.flows, &mut self.finished, &k);
         }
@@ -927,16 +799,16 @@ impl FlowTable {
     }
 
     /// Serialize every live flow, in the table's canonical order
-    /// (first-seen time, then key) — the same order `sweep`/`flush`
-    /// evict in, so the export is deterministic.
+    /// ([`FlowState::order_key`]), so the export is deterministic.
     /// Non-destructive: the table keeps tracking.
     pub(crate) fn export_flows(&self) -> Vec<FlowEntry> {
-        let mut keys: Vec<FiveTuple> = self.flows.keys().copied().collect();
-        keys.sort_by_key(|k| (self.flows[k].first, k.src, k.src_port, k.dst, k.dst_port, k.protocol));
-        keys.iter()
-            .map(|k| {
+        let mut flows: Vec<&FlowState> = self.flows.values().map(|f| &**f).collect();
+        flows.sort_by_key(|f| f.order_key());
+        flows
+            .into_iter()
+            .map(|f| {
                 let mut w = Vec::new();
-                self.flows[k].write_state(&mut w);
+                f.write_state(&mut w);
                 FlowEntry::from_bytes(w).expect("self-encoded flow parses")
             })
             .collect()
@@ -1286,19 +1158,6 @@ mod tests {
         assert_eq!(err, Err(CheckpointError::Corrupt("early packets")));
     }
 
-    /// `GroundRtt` trims a full outstanding vector by one, so a longer
-    /// one restored would grow by one per unacknowledged segment.
-    #[test]
-    fn more_outstanding_ground_rtt_samples_than_the_cap_is_corrupt() {
-        let err = import_edited(|f| {
-            let (outstanding, highest, samples) = f.ground.export_state();
-            let mut outstanding = outstanding.to_vec();
-            outstanding.resize(MAX_OUTSTANDING + 1, outstanding[0]);
-            f.ground = GroundRtt::restore_state(outstanding, highest, samples.clone());
-        });
-        assert_eq!(err, Err(CheckpointError::Corrupt("ground RTT outstanding")));
-    }
-
     /// The walker finalises a flow on the row that closes it, so no
     /// export holds a closed one.
     #[test]
@@ -1308,25 +1167,6 @@ mod tests {
         let err = import_edited(|f| (f.fin_c2s, f.fin_s2c) = (true, true));
         assert_eq!(err, Err(CheckpointError::Corrupt("closed flow")));
         assert_eq!(import_edited(|f| f.fin_c2s = true), Ok(()), "a half-closed flow is live");
-    }
-
-    #[test]
-    fn a_reassembler_past_its_delivery_limit_is_corrupt() {
-        let err = import_edited(|f| {
-            let (base, next_off, _, dropped, _) = f.c2s_stream.export_state();
-            f.c2s_stream = StreamReassembler::restore_state(base, next_off, INSPECT_LIMIT + 1, dropped, Vec::new());
-        });
-        assert_eq!(err, Err(CheckpointError::Corrupt("reassembly delivered")));
-    }
-
-    #[test]
-    fn a_reassembler_buffering_past_its_cap_is_corrupt() {
-        let err = import_edited(|f| {
-            let (base, next_off, delivered, dropped, _) = f.s2c_stream.export_state();
-            let pending = vec![(next_off + 1, Bytes::from(vec![0; MAX_BUFFERED + 1]))];
-            f.s2c_stream = StreamReassembler::restore_state(base, next_off, delivered, dropped, pending);
-        });
-        assert_eq!(err, Err(CheckpointError::Corrupt("reassembly pending")));
     }
 
     /// One row of a generated conversation: direction, TCP flags (UDP
@@ -1488,6 +1328,38 @@ mod tests {
             }
             proptest::prop_assert_eq!(cut.transit_packets, rows.transit_packets);
             proptest::prop_assert_eq!(cut.flush(), rows.flush());
+        }
+
+        /// Any checkpoint cut resumes like no cut: a probe observes rows
+        /// `[0, k)` and exports its state, a fresh probe imports it from
+        /// the encoded bytes with the log the first one left unsealed
+        /// and observes `[k, n)`, and `finish` gives the uninterrupted
+        /// run's records. The imported state re-exports to the same
+        /// bytes. Time is stretched at random, so sweeps, idle
+        /// evictions and DNS timeouts fall on either side of the cut.
+        #[test]
+        fn any_checkpoint_cut_resumes_like_no_cut(seed in proptest::prelude::any::<u64>()) {
+            use crate::{checkpoint::ProbeState, seal::Sealer, Probe, ProbeConfig};
+            let mut rng = proptest::TestRng::new(seed);
+            let mut cols = generated_traffic(&mut rng);
+            let stretch = [1, 1_000, 30_000][rng.below(3) as usize];
+            for t in &mut cols.ts {
+                *t = SimTime::from_nanos(t.as_nanos() * stretch);
+            }
+            let (n, probe) = (cols.len(), || Probe::new(ProbeConfig::new(cfg())));
+            let k = rng.below(n as u64 + 1) as usize;
+            let mut whole = probe();
+            whole.observe_cols(&cols, 0, n);
+            let mut first = probe();
+            first.observe_cols(&cols, 0, k);
+            let bytes = first.export_state().encode();
+            let (flows, dns) = first.unsealed();
+            let mut resumed = probe();
+            let state = ProbeState::decode(&bytes).expect("an exported state decodes");
+            resumed.import_state(state, Sealer::carrying(flows.to_vec(), dns.to_vec())).expect("and imports");
+            proptest::prop_assert_eq!(resumed.export_state().encode(), bytes, "cut at row {} of {}", k, n);
+            resumed.observe_cols(&cols, k, n);
+            proptest::prop_assert_eq!(resumed.finish(), whole.finish(), "cut at row {} of {}", k, n);
         }
     }
 }

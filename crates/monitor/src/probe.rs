@@ -585,7 +585,7 @@ impl Probe {
                 asked_at: p.asked_at,
             })
             .collect();
-        pending_dns.sort_by_key(|p| (p.asked_at, p.client, p.resolver, p.id));
+        pending_dns.sort_by_key(crate::checkpoint::PendingDnsEntry::order_key);
         crate::checkpoint::ProbeState {
             flows: self.table.export_flows(),
             pending_dns,

@@ -25,6 +25,7 @@
 //! segment that arrives ahead of a hole has to outlive the call, and
 //! only then is the caller asked for an owned `Bytes` of it.
 
+use crate::checkpoint::{self, CheckpointError, Reader};
 use bytes::Bytes;
 use satwatch_netstack::SeqNum;
 use std::collections::BTreeMap;
@@ -158,42 +159,59 @@ impl StreamReassembler {
         self.delivered
     }
 
-    /// Raw state for checkpoint serialization: `(base, next_off,
-    /// delivered, dropped_segments, pending)` with pending segments in
-    /// ascending stream-offset order (BTreeMap order — deterministic).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn export_state(&self) -> (Option<SeqNum>, u64, u64, u64, Vec<(u64, &Bytes)>) {
-        (
-            self.base,
-            self.next_off,
-            self.delivered,
-            self.dropped_segments,
-            self.pending.iter().map(|(&off, b)| (off, b)).collect(),
-        )
+    /// Checkpoint bytes: base, next offset, delivered and dropped
+    /// counts, then the pending segments in ascending stream-offset
+    /// order.
+    pub(crate) fn write_state(&self, w: &mut Vec<u8>) {
+        use checkpoint::*;
+        put_opt_u32(w, self.base.map(|s| s.0));
+        put_u64(w, self.next_off);
+        put_u64(w, self.delivered);
+        put_u64(w, self.dropped_segments);
+        put_u32(w, self.pending.len() as u32);
+        for (&off, seg) in &self.pending {
+            put_u64(w, off);
+            put_bytes(w, seg);
+        }
     }
 
-    /// Rebuild from [`export_state`](Self::export_state) output.
-    /// Re-registers the buffered bytes with the global pending gauge
-    /// (the exporting reassembler's `Drop` released its share).
-    pub(crate) fn restore_state(
-        base: Option<SeqNum>,
-        next_off: u64,
-        delivered: u64,
-        dropped_segments: u64,
-        pending: Vec<(u64, Bytes)>,
-    ) -> StreamReassembler {
-        let pending_bytes: usize = pending.iter().map(|(_, b)| b.len()).sum();
-        if pending_bytes > 0 {
-            pending_gauge().add(pending_bytes as i64);
+    /// Inverse of [`write_state`](Self::write_state). A reassembler past
+    /// `INSPECT_LIMIT` delivered, buffering more than `MAX_BUFFERED`
+    /// bytes or holding one offset twice is corrupt. The buffered bytes
+    /// re-register with the pending gauge (the exporting reassembler's
+    /// `Drop` released its share).
+    pub(crate) fn read_state(r: &mut Reader<'_>) -> Result<StreamReassembler, CheckpointError> {
+        let base = r.opt_u32()?.map(SeqNum);
+        let next_off = r.u64()?;
+        let delivered = r.u64()?;
+        if delivered > INSPECT_LIMIT {
+            return Err(CheckpointError::Corrupt("reassembly delivered"));
         }
-        StreamReassembler {
+        let dropped_segments = r.u64()?;
+        let mut s = StreamReassembler {
             base,
             next_off,
-            pending: pending.into_iter().collect(),
-            pending_bytes,
+            pending: BTreeMap::new(),
+            pending_bytes: 0,
             delivered,
             dropped_segments,
+        };
+        // an offset and a length each
+        for _ in 0..r.count(8 + 4)? {
+            let off = r.u64()?;
+            let seg = r.bytes()?;
+            if s.pending_bytes + seg.len() > MAX_BUFFERED {
+                return Err(CheckpointError::Corrupt("reassembly pending"));
+            }
+            // counted as it lands, so `Drop` releases exactly this on an
+            // error further on
+            s.pending_bytes += seg.len();
+            pending_gauge().add(seg.len() as i64);
+            if s.pending.insert(off, Bytes::copy_from_slice(seg)).is_some() {
+                return Err(CheckpointError::Corrupt("reassembly pending"));
+            }
         }
+        Ok(s)
     }
 }
 
@@ -326,6 +344,70 @@ mod tests {
         assert!(total as u64 <= INSPECT_LIMIT);
         assert_eq!(r.delivered_bytes(), INSPECT_LIMIT);
         assert!(ins(&mut r, 999_999, &chunk).is_empty());
+    }
+
+    /// `r`'s checkpoint bytes, read back.
+    fn reread(r: &StreamReassembler) -> Result<StreamReassembler, CheckpointError> {
+        let mut w = Vec::new();
+        r.write_state(&mut w);
+        let mut rd = Reader::new(&w);
+        let back = StreamReassembler::read_state(&mut rd)?;
+        assert_eq!(rd.remaining(), 0);
+        Ok(back)
+    }
+
+    #[test]
+    fn a_reassembler_with_a_hole_rereads_and_resumes_alike() {
+        let mut r = StreamReassembler::new();
+        r.set_base(SeqNum(100));
+        ins(&mut r, 100, b"AB");
+        ins(&mut r, 106, b"world");
+        let mut back = reread(&r).unwrap();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        r.write_state(&mut a);
+        back.write_state(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(ins(&mut back, 102, b"CDhl"), ins(&mut r, 102, b"CDhl"));
+    }
+
+    #[test]
+    fn a_reassembler_past_its_delivery_limit_is_corrupt() {
+        let mut r = StreamReassembler::new();
+        r.delivered = INSPECT_LIMIT;
+        assert!(reread(&r).is_ok());
+        r.delivered = INSPECT_LIMIT + 1;
+        assert_eq!(reread(&r).unwrap_err(), CheckpointError::Corrupt("reassembly delivered"));
+    }
+
+    #[test]
+    fn a_reassembler_buffering_past_its_cap_is_corrupt() {
+        // (the gauge is kept whole for the reassembler's `Drop`)
+        let mut r = StreamReassembler::new();
+        r.pending.insert(1, Bytes::from(vec![0; MAX_BUFFERED]));
+        r.pending_bytes = MAX_BUFFERED;
+        pending_gauge().add(MAX_BUFFERED as i64);
+        assert!(reread(&r).is_ok());
+        r.pending.insert(MAX_BUFFERED as u64 + 2, Bytes::from_static(b"x"));
+        r.pending_bytes += 1;
+        pending_gauge().add(1);
+        assert_eq!(reread(&r).unwrap_err(), CheckpointError::Corrupt("reassembly pending"));
+    }
+
+    #[test]
+    fn a_pending_offset_held_twice_is_corrupt() {
+        let mut r = StreamReassembler::new();
+        ins(&mut r, 0, b"a");
+        ins(&mut r, 5, b"bc");
+        let mut w = Vec::new();
+        r.write_state(&mut w);
+        // the one pending segment is the tail: count, offset, length, bytes
+        let segment = w.split_off(w.len() - (8 + 4 + 2));
+        w.truncate(w.len() - 4);
+        checkpoint::put_u32(&mut w, 2);
+        w.extend_from_slice(&segment);
+        w.extend_from_slice(&segment);
+        let err = StreamReassembler::read_state(&mut Reader::new(&w)).unwrap_err();
+        assert_eq!(err, CheckpointError::Corrupt("reassembly pending"));
     }
 
     #[test]

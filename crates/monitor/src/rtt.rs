@@ -13,6 +13,7 @@
 //!   exactly one satellite-segment round trip (plus the negligible
 //!   home RTT).
 
+use crate::checkpoint::{self, CheckpointError, Reader};
 use satwatch_netstack::tcp::SeqNum;
 use satwatch_netstack::tls::{self, ContentType, HandshakeType};
 use satwatch_simcore::stats::Running;
@@ -20,7 +21,7 @@ use satwatch_simcore::SimTime;
 
 /// Maximum outstanding unacked segments tracked per flow; beyond this
 /// the oldest samples are dropped (bounds memory like Tstat does).
-pub(crate) const MAX_OUTSTANDING: usize = 32;
+const MAX_OUTSTANDING: usize = 32;
 
 /// Ground-segment RTT estimator for one flow.
 #[derive(Clone, Debug, Default)]
@@ -83,21 +84,41 @@ impl GroundRtt {
         &self.samples
     }
 
-    /// Raw state for checkpoint serialization: outstanding samples in
-    /// insertion (send) order, the retransmission watermark, and the
-    /// Welford accumulator.
-    pub(crate) fn export_state(&self) -> (&[(SeqNum, SimTime)], Option<SeqNum>, &Running) {
-        (&self.outstanding, self.highest_sent, &self.samples)
+    /// Checkpoint bytes: the outstanding samples in send order, the
+    /// retransmission watermark, and the Welford accumulator's exact
+    /// bits.
+    pub(crate) fn write_state(&self, w: &mut Vec<u8>) {
+        use checkpoint::*;
+        put_u32(w, self.outstanding.len() as u32);
+        for &(seq, t) in &self.outstanding {
+            put_u32(w, seq.0);
+            put_u64(w, t.as_nanos());
+        }
+        put_opt_u32(w, self.highest_sent.map(|s| s.0));
+        let (n, mean, m2, min, max) = self.samples.to_parts();
+        put_u64(w, n);
+        for v in [mean, m2, min, max] {
+            put_f64(w, v);
+        }
     }
 
-    /// Rebuild from [`export_state`](Self::export_state) output,
-    /// bit-exact.
-    pub(crate) fn restore_state(
-        outstanding: Vec<(SeqNum, SimTime)>,
-        highest_sent: Option<SeqNum>,
-        samples: Running,
-    ) -> GroundRtt {
-        GroundRtt { outstanding, highest_sent, samples }
+    /// Inverse of [`write_state`](Self::write_state). More than
+    /// `MAX_OUTSTANDING` samples is corrupt: the cap only holds for a
+    /// vector that starts inside it, because `on_data_out` trims a full
+    /// one by one, so a longer one would grow with every
+    /// unacknowledged segment.
+    pub(crate) fn read_state(r: &mut Reader<'_>) -> Result<GroundRtt, CheckpointError> {
+        let n = r.u32()? as usize;
+        if n > MAX_OUTSTANDING {
+            return Err(CheckpointError::Corrupt("ground RTT outstanding"));
+        }
+        let mut outstanding = Vec::with_capacity(n);
+        for _ in 0..n {
+            outstanding.push((SeqNum(r.u32()?), SimTime::from_nanos(r.u64()?)));
+        }
+        let highest_sent = r.opt_u32()?.map(SeqNum);
+        let samples = Running::from_parts(r.u64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?);
+        Ok(GroundRtt { outstanding, highest_sent, samples })
     }
 }
 
@@ -154,14 +175,15 @@ impl SatRtt {
         self.sample_ms
     }
 
-    /// Raw state for checkpoint serialization.
-    pub(crate) fn export_state(&self) -> (Option<SimTime>, Option<f64>) {
-        (self.server_hello_at, self.sample_ms)
+    /// Checkpoint bytes: the ServerHello time and the sample.
+    pub(crate) fn write_state(&self, w: &mut Vec<u8>) {
+        checkpoint::put_opt_u64(w, self.server_hello_at.map(SimTime::as_nanos));
+        checkpoint::put_opt_f64(w, self.sample_ms);
     }
 
-    /// Rebuild from [`export_state`](Self::export_state) output.
-    pub(crate) fn restore_state(server_hello_at: Option<SimTime>, sample_ms: Option<f64>) -> SatRtt {
-        SatRtt { server_hello_at, sample_ms }
+    /// Inverse of [`write_state`](Self::write_state).
+    pub(crate) fn read_state(r: &mut Reader<'_>) -> Result<SatRtt, CheckpointError> {
+        Ok(SatRtt { server_hello_at: r.opt_u64()?.map(SimTime::from_nanos), sample_ms: r.opt_f64()? })
     }
 }
 
@@ -230,6 +252,41 @@ mod tests {
             g.on_data_out(t(i as i64), SeqNum(1000 * (i + 1)));
         }
         assert!(g.outstanding.len() <= MAX_OUTSTANDING);
+    }
+
+    /// `g`'s checkpoint bytes, read back.
+    fn reread(g: &GroundRtt) -> Result<GroundRtt, CheckpointError> {
+        let mut w = Vec::new();
+        g.write_state(&mut w);
+        let mut r = Reader::new(&w);
+        let back = GroundRtt::read_state(&mut r)?;
+        assert_eq!(r.remaining(), 0);
+        Ok(back)
+    }
+
+    #[test]
+    fn a_ground_rtt_rereads_to_the_same_bytes() {
+        let mut g = GroundRtt::new();
+        for i in 0..100u32 {
+            g.on_data_out(t(i as i64), SeqNum(1000 * (i + 1)));
+        }
+        g.on_ack_in(t(120), SeqNum(80_000));
+        assert_eq!(g.outstanding.len(), MAX_OUTSTANDING - 12);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        g.write_state(&mut a);
+        reread(&g).unwrap().write_state(&mut b);
+        assert_eq!(a, b);
+    }
+
+    /// `on_data_out` trims a full outstanding vector by one, so a longer
+    /// one restored would grow by one per unacknowledged segment.
+    #[test]
+    fn more_outstanding_ground_rtt_samples_than_the_cap_is_corrupt() {
+        let mut g = GroundRtt::new();
+        g.outstanding = vec![(SeqNum(1), t(0)); MAX_OUTSTANDING];
+        assert!(reread(&g).is_ok());
+        g.outstanding.push((SeqNum(2), t(1)));
+        assert_eq!(reread(&g).unwrap_err(), CheckpointError::Corrupt("ground RTT outstanding"));
     }
 
     #[test]

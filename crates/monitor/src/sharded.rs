@@ -209,6 +209,58 @@ mod tests {
         probe.finish();
     }
 
+    /// A probe whose state reaches every piece of a flow's checkpoint:
+    /// a c2s reassembler holding a ClientHello's tail ahead of the hole,
+    /// an outstanding ground-RTT sample, a DPI verdict with a domain, a
+    /// satellite-RTT estimator armed by a ServerHello, an s2c inspect
+    /// buffer holding part of the certificate record after it, an RTP
+    /// streak, and a pending DNS query.
+    fn every_component() -> Probe {
+        use satwatch_netstack::dns::{DnsMessage, RecordType};
+        use satwatch_netstack::{rtp, tls, Packet, SeqNum, TcpFlags, TcpHeader};
+        let (client, server) = (Ipv4Addr::new(10, 0, 0, 7), Ipv4Addr::new(198, 18, 0, 1));
+        let tcp = |c2s: bool, sport: u16, flags: TcpFlags, seq: u32, ack: u32, payload: &[u8]| {
+            let (src, dst, sp, dp) = if c2s { (client, server, sport, 443) } else { (server, client, 443, sport) };
+            let mut h = TcpHeader::new(sp, dp, flags);
+            (h.seq, h.ack) = (SeqNum(seq), SeqNum(ack));
+            Packet::tcp(src, dst, h, Bytes::copy_from_slice(payload))
+        };
+        let hello = tls::client_hello("every.example.net", [5; 32]);
+        let server_hello = tls::server_hello([6; 32]);
+        let mut flight = server_hello.to_vec();
+        flight.extend_from_slice(&tls::certificate(400, 0));
+        let cut = server_hello.len() + 30;
+        let mut p = Probe::new(cfg());
+        for (ms, sport) in [(0, 50_000), (100, 50_001)] {
+            p.observe(t(ms), &tcp(true, sport, TcpFlags::SYN, 100, 0, &[]));
+            p.observe(t(ms + 12), &tcp(false, sport, TcpFlags::SYN_ACK, 900, 101, &[]));
+            p.observe(t(ms + 12), &tcp(true, sport, TcpFlags::ACK, 101, 901, &[]));
+        }
+        // 50 000: the ClientHello's tail only, ahead of the hole
+        p.observe(t(20), &tcp(true, 50_000, TcpFlags::PSH_ACK, 141, 901, &hello[40..]));
+        // 50 001: the whole ClientHello, then the ServerHello and part
+        // of the certificate record
+        p.observe(t(113), &tcp(true, 50_001, TcpFlags::PSH_ACK, 101, 901, &hello));
+        p.observe(t(125), &tcp(false, 50_001, TcpFlags::PSH_ACK, 901, 101 + hello.len() as u32, &flight[..cut]));
+        let rtp = rtp::RtpHeader { payload_type: 111, sequence: 1, timestamp: 0, ssrc: 1, marker: false };
+        p.observe(t(200), &Packet::udp(client, Ipv4Addr::new(198, 18, 0, 2), 40_000, 40_002, rtp.encode(160, 0)));
+        let q = DnsMessage::query(9, "pending.example", RecordType::A);
+        p.observe(t(300), &Packet::udp(client, Ipv4Addr::new(8, 8, 8, 8), 30_000, 53, q.encode()));
+        p
+    }
+
+    /// [`every_component`]'s exported state, pinned (length and Fx hash
+    /// captured before each component wrote its own bytes), and read
+    /// back into a fresh probe it exports the same bytes again.
+    #[test]
+    fn a_state_reaching_every_component_encodes_to_pinned_bytes() {
+        let bytes = every_component().export_state().encode();
+        assert_eq!((bytes.len(), satwatch_simcore::fx_hash_one(&bytes)), (1_325, 0x1b45_7e63_9f6c_aa04));
+        let mut resumed = Probe::new(cfg());
+        resumed.import_state(ProbeState::decode(&bytes).expect("decodes"), Sealer::default()).expect("imports");
+        assert_eq!(resumed.export_state().encode(), bytes);
+    }
+
     #[test]
     fn packet_count_matches_single_probe() {
         let mut sharded = ShardedProbe::new(cfg(), 4);

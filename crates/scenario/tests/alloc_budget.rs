@@ -8,7 +8,9 @@
 //! log, the handshake's SYN options and DPI strings, the record).
 //! Synthesis allocates nothing per flow: intents carry interned domain
 //! names and DNS messages are written in place, pinned by a budget per
-//! intent and one per flow of a whole streaming run.
+//! intent and one per flow of a whole streaming run. A probe state
+//! read from disk reserves no more than its bytes hold, however many
+//! entries its counts claim: the counter also sums the bytes asked for.
 //!
 //! The counter is per thread, so the tests can share the binary's
 //! one global allocator while the harness runs them side by side.
@@ -16,7 +18,8 @@
 //! `unsafe`; it forwards to `System` untouched.
 
 use bytes::Bytes;
-use satwatch_monitor::{FlowTableConfig, Probe, ProbeConfig};
+use satwatch_monitor::checkpoint::CheckpointError;
+use satwatch_monitor::{FlowTableConfig, Probe, ProbeConfig, ProbeState};
 use satwatch_netstack::{tls, Packet, SeqNum, TcpFlags, TcpHeader, TcpOption};
 use satwatch_scenario::{run_with_tap, ScenarioConfig};
 use satwatch_simcore::{SimDuration, SimTime};
@@ -28,6 +31,13 @@ thread_local! {
     // const-initialised and without a destructor: touching it from
     // inside the allocator cannot itself allocate or re-enter
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes.
+fn note(size: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + size as u64));
 }
 
 struct Counting;
@@ -37,7 +47,7 @@ struct Counting;
 // thread-local counter bump that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        note(layout.size());
         // SAFETY: the caller's obligations are passed on as they came
         unsafe { System.alloc(layout) }
     }
@@ -48,7 +58,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        note(new_size);
         // SAFETY: as above
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -62,6 +72,14 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Bytes this thread asks for (a reallocation at its new size) while
+/// `f` runs.
+fn bytes_requested_in(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
 }
 
 fn probe() -> Probe {
@@ -203,4 +221,22 @@ fn a_streaming_run_stays_inside_its_allocation_budget_per_flow() {
     let per_flow = spent as f64 / flows as f64;
     eprintln!("{spent} allocations, {flows} flows: {per_flow:.2} per flow");
     assert!(per_flow <= BUDGET_PER_FLOW, "{per_flow:.2} allocations per flow, budget {BUDGET_PER_FLOW}");
+}
+
+/// Each count of an encoded probe state — live flows, pending DNS
+/// queries, the DNS log — set to 2³² − 1 with no entries behind it:
+/// the decoder refuses it as truncated having asked for a few KiB, not
+/// for the tens of MiB a reservation of the claimed entries would take.
+#[test]
+fn a_probe_state_claiming_more_entries_than_it_holds_reserves_nothing_for_them() {
+    let state = ProbeState::empty().encode();
+    // magic, version, the sweep clock and three counters, then the counts
+    for at in [38, 42, 46] {
+        let mut hostile = state.clone();
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let asked = bytes_requested_in(|| {
+            assert_eq!(ProbeState::decode(&hostile).unwrap_err(), CheckpointError::Truncated);
+        });
+        assert!(asked <= 4_096, "{asked} bytes asked for decoding the count at byte {at}");
+    }
 }
