@@ -12,8 +12,8 @@
 //! No `satwatch` command folds a record slice through them. What the
 //! engine shares with them is production: [`Enrichment`] and its log,
 //! the customer-day figures [`fig5`] / [`fig6`] / [`fig7`] (functions
-//! of the rollup, whichever path built it) and [`fig10`] — the DNS log
-//! has no frame, so `ReportFold::finish` calls it.
+//! of the rollup, whichever path built it) and [`fig10`]'s tallies —
+//! the DNS log has no frame, so `ReportFold` absorbs it the same way.
 
 use crate::classify::{second_level_domain, Classifier, ClassifyCache};
 use crate::report::*;
@@ -417,61 +417,82 @@ pub fn fig9(flows: &[FlowRecord], enr: &Enrichment, countries: &[Country]) -> Fi
     Fig9 { rows }
 }
 
+/// The resolvers Figure 10 breaks out, in row order; every other
+/// resolver counts as `Other`.
+const FIG10_RESOLVERS: [ResolverId; 9] = [
+    ResolverId::OperatorEu,
+    ResolverId::Google,
+    ResolverId::Cloudflare,
+    ResolverId::Nigerian,
+    ResolverId::OpenDns,
+    ResolverId::Level3,
+    ResolverId::Baidu,
+    ResolverId::Dns114,
+    ResolverId::Other,
+];
+
+/// Figure 10's tallies, one DNS record at a time: per-country lookup
+/// counts by resolver and each resolver's response times. Counts are
+/// exact and the times are sorted before the median is read, so the
+/// log may arrive in pieces.
+#[derive(Default)]
+pub(crate) struct Fig10Acc {
+    counts: FxHashMap<(ResolverId, Country), u64>,
+    totals: FxHashMap<Country, u64>,
+    times: FxHashMap<ResolverId, Vec<f64>>,
+}
+
+impl Fig10Acc {
+    pub(crate) fn absorb(&mut self, d: &DnsRecord, enr: &Enrichment) {
+        let Some(c) = enr.country(d.client) else { return };
+        let r = ResolverId::from_address(d.resolver).unwrap_or(ResolverId::Other);
+        // fold the resolvers we don't break out into "Other"
+        let r = if FIG10_RESOLVERS.contains(&r) { r } else { ResolverId::Other };
+        *self.counts.entry((r, c)).or_default() += 1;
+        *self.totals.entry(c).or_default() += 1;
+        if let Some(ms) = d.response_ms {
+            self.times.entry(r).or_default().push(ms);
+        }
+    }
+
+    pub(crate) fn finish(self, countries: &[Country]) -> Fig10 {
+        let share = FIG10_RESOLVERS
+            .iter()
+            .map(|r| {
+                countries
+                    .iter()
+                    .map(|c| {
+                        100.0 * self.counts.get(&(*r, *c)).copied().unwrap_or(0) as f64
+                            / self.totals.get(c).copied().unwrap_or(0).max(1) as f64
+                    })
+                    .collect()
+            })
+            .collect();
+        let median_ms = FIG10_RESOLVERS
+            .iter()
+            .map(|r| {
+                self.times
+                    .get(r)
+                    .map(|v| {
+                        let mut v = v.clone();
+                        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                        v[v.len() / 2]
+                    })
+                    .unwrap_or(f64::NAN)
+            })
+            .collect();
+        Fig10 { resolvers: FIG10_RESOLVERS.to_vec(), countries: countries.to_vec(), share, median_ms }
+    }
+}
+
 /// Figure 10: resolver adoption per country + median response times.
 pub fn fig10(dns: &[DnsRecord], enr: &Enrichment, countries: &[Country]) -> Fig10 {
     let _span = satwatch_telemetry::span("analytics_fig10_us");
-    let resolvers: Vec<ResolverId> = vec![
-        ResolverId::OperatorEu,
-        ResolverId::Google,
-        ResolverId::Cloudflare,
-        ResolverId::Nigerian,
-        ResolverId::OpenDns,
-        ResolverId::Level3,
-        ResolverId::Baidu,
-        ResolverId::Dns114,
-        ResolverId::Other,
-    ];
-    let rid = |addr: Ipv4Addr| ResolverId::from_address(addr).unwrap_or(ResolverId::Other);
-    let mut counts: FxHashMap<(ResolverId, Country), u64> = FxHashMap::default();
-    let mut totals: FxHashMap<Country, u64> = FxHashMap::default();
-    let mut times: FxHashMap<ResolverId, Vec<f64>> = FxHashMap::default();
+    let mut acc = Fig10Acc::default();
     for d in dns {
-        let Some(c) = enr.country(d.client) else { continue };
-        let r = rid(d.resolver);
-        // fold the resolvers we don't break out into "Other"
-        let r = if resolvers.contains(&r) { r } else { ResolverId::Other };
-        *counts.entry((r, c)).or_default() += 1;
-        *totals.entry(c).or_default() += 1;
-        if let Some(ms) = d.response_ms {
-            times.entry(r).or_default().push(ms);
-        }
+        acc.absorb(d, enr);
     }
-    let share = resolvers
-        .iter()
-        .map(|r| {
-            countries
-                .iter()
-                .map(|c| {
-                    100.0 * counts.get(&(*r, *c)).copied().unwrap_or(0) as f64
-                        / totals.get(c).copied().unwrap_or(0).max(1) as f64
-                })
-                .collect()
-        })
-        .collect();
-    let median_ms = resolvers
-        .iter()
-        .map(|r| {
-            times
-                .get(r)
-                .map(|v| {
-                    let mut v = v.clone();
-                    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    v[v.len() / 2]
-                })
-                .unwrap_or(f64::NAN)
-        })
-        .collect();
-    Fig10 { resolvers, countries: countries.to_vec(), share, median_ms }
+    acc.finish(countries)
 }
 
 /// Table 2/4/5: per (SLD, country, resolver) mean ground RTT, joining

@@ -6,6 +6,7 @@
 //! per figure, stable column order, RFC-4180-style quoting where
 //! needed.
 
+use crate::engine::PaperReports;
 use crate::report::*;
 use satwatch_monitor::L7Protocol;
 use std::fmt::Write as _;
@@ -162,6 +163,27 @@ pub fn table_cdn_csv(t: &TableCdnSelection) -> String {
         let _ = writeln!(s, "{},{},{},{rtt:.3},{n}", esc(d), esc(c.name()), esc(r.name()));
     }
     s
+}
+
+/// Every file `satwatch report --csv DIR` writes, `(name, contents)`
+/// in the order it writes them. Table 2's file comes from `table2`,
+/// the table at the export's own flow floor.
+pub fn report_files(r: &PaperReports, table2: &TableCdnSelection) -> [(&'static str, String); 13] {
+    [
+        ("table1.csv", table1_csv(&r.table1)),
+        ("fig2.csv", fig2_csv(&r.fig2)),
+        ("fig3.csv", fig3_csv(&r.fig3)),
+        ("fig4.csv", fig4_csv(&r.fig4)),
+        ("fig5.csv", fig5_csv(&r.fig5, 200)),
+        ("fig6.csv", fig6_csv(&r.fig6)),
+        ("fig7.csv", fig7_csv(&r.fig7)),
+        ("fig8a.csv", fig8a_csv(&r.fig8a, 200)),
+        ("fig8b.csv", fig8b_csv(&r.fig8b)),
+        ("fig9.csv", fig9_csv(&r.fig9, 200)),
+        ("fig10.csv", fig10_csv(&r.fig10)),
+        ("table2.csv", table_cdn_csv(table2)),
+        ("fig11.csv", fig11_csv(&r.fig11, 200)),
+    ]
 }
 
 /// Figure 11 → `country,mbps,ccdf` resampled over ≥10 MB flows.

@@ -27,7 +27,7 @@ use crate::classify::second_level_domain;
 use crate::frame::{FlowFrame, NO_BEAM, NO_CATEGORY, NO_COUNTRY, NO_DOMAIN};
 use crate::report::*;
 use satwatch_internet::ResolverId;
-use satwatch_monitor::{DnsRecord, L7Protocol};
+use satwatch_monitor::{DnsRecord, Domain, L7Protocol};
 use satwatch_simcore::{FxHashMap, SimDuration, SimTime};
 use satwatch_traffic::{Category, Country};
 use std::collections::hash_map::Entry;
@@ -463,55 +463,54 @@ impl Fig11Acc {
 /// "This domain is never looked up" in [`CdnJoin::names_of`].
 const NO_NAME: u32 = u32::MAX;
 
-/// Pre-built DNS side of the Table 2 join: `(client, query name)` →
-/// time-sorted lookups, exactly as `agg::table_cdn_selection` builds
-/// it, with every distinct query name replaced by a small id. Built
-/// once per fold, read-only during the sweeps.
-pub struct CdnJoin<'a> {
-    /// Query name → name id.
-    names: FxHashMap<&'a str, u32>,
+/// DNS side of the Table 2 join: `(client, query name)` → lookups in
+/// `ts` order, exactly as `agg::table_cdn_selection` builds it from
+/// the whole log, with every distinct query name replaced by a small
+/// id. It grows a DNS record at a time, so the log can arrive in
+/// pieces and no record is kept once absorbed.
+#[derive(Default)]
+struct CdnJoin {
+    /// Query name → name id, in first-seen order.
+    names: FxHashMap<Domain, u32>,
     /// Second-level domain of each name, by name id (the Table 2 row
     /// label), as an index into `slds`.
     sld_of: Vec<u32>,
+    sld_ids: FxHashMap<String, u32>,
     slds: Vec<String>,
+    /// Each list is what a stable sort by `ts` of the concatenated
+    /// log gives: a record goes after every earlier one with a `ts` at
+    /// or before its own.
     lookups: FxHashMap<(Ipv4Addr, u32), Vec<(SimTime, ResolverId)>>,
 }
 
-impl<'a> CdnJoin<'a> {
-    pub fn build(dns: &'a [DnsRecord]) -> CdnJoin<'a> {
-        let mut names: FxHashMap<&'a str, u32> = FxHashMap::default();
-        let mut sld_ids: FxHashMap<String, u32> = FxHashMap::default();
-        let mut sld_of = Vec::new();
-        let mut lookups: FxHashMap<(Ipv4Addr, u32), Vec<(SimTime, ResolverId)>> = FxHashMap::default();
-        for d in dns {
-            let r = ResolverId::from_address(d.resolver).unwrap_or(ResolverId::Other);
-            let name = match names.get(&*d.query) {
-                Some(&name) => name,
-                None => {
-                    let name = names.len() as u32;
-                    names.insert(&d.query, name);
-                    let next_sld = sld_ids.len() as u32;
-                    sld_of.push(*sld_ids.entry(second_level_domain(&d.query)).or_insert(next_sld));
-                    name
-                }
-            };
-            lookups.entry((d.client, name)).or_default().push((d.ts, r));
-        }
-        for v in lookups.values_mut() {
-            v.sort_by_key(|(t, _)| *t);
-        }
-        let mut slds = vec![String::new(); sld_ids.len()];
-        for (sld, id) in sld_ids {
-            slds[id as usize] = sld;
-        }
-        CdnJoin { names, sld_of, slds, lookups }
+impl CdnJoin {
+    fn absorb(&mut self, d: &DnsRecord) {
+        let r = ResolverId::from_address(d.resolver).unwrap_or(ResolverId::Other);
+        let name = match self.names.get(&d.query) {
+            Some(&name) => name,
+            None => {
+                let name = self.names.len() as u32;
+                self.names.insert(d.query.clone(), name);
+                let next_sld = self.slds.len() as u32;
+                let sld = *self.sld_ids.entry(second_level_domain(&d.query)).or_insert_with_key(|sld| {
+                    self.slds.push(sld.clone());
+                    next_sld
+                });
+                self.sld_of.push(sld);
+                name
+            }
+        };
+        let v = self.lookups.entry((d.client, name)).or_default();
+        v.insert(v.partition_point(|(t, _)| *t <= d.ts), (d.ts, r));
     }
 
     /// Resolve a frame's domain dictionary against the join, once:
     /// the name id of each dictionary code, or [`NO_NAME`]. After
-    /// this the sweep looks at no domain string at all.
+    /// this the sweep looks at no domain string at all. A name the
+    /// join has not seen yet has no lookup at or before any row of
+    /// the frame (the DNS-first contract of [`ReportFold`]).
     fn names_of(&self, fr: &FlowFrame) -> Vec<u32> {
-        fr.domains.iter().map(|d| self.names.get(&**d).copied().unwrap_or(NO_NAME)).collect()
+        fr.domains.iter().map(|d| self.names.get(d).copied().unwrap_or(NO_NAME)).collect()
     }
 }
 
@@ -520,14 +519,14 @@ impl<'a> CdnJoin<'a> {
 /// as a table.
 struct SweepCtx<'a> {
     fr: &'a FlowFrame,
-    join: &'a CdnJoin<'a>,
+    join: &'a CdnJoin,
     /// [`CdnJoin::names_of`] this frame.
     names: Vec<u32>,
     selected: [bool; N_COUNTRY],
 }
 
 impl<'a> SweepCtx<'a> {
-    fn new(fr: &'a FlowFrame, join: &'a CdnJoin<'a>, countries: &[Country]) -> SweepCtx<'a> {
+    fn new(fr: &'a FlowFrame, join: &'a CdnJoin, countries: &[Country]) -> SweepCtx<'a> {
         let mut selected = [false; N_COUNTRY];
         for c in countries {
             selected[c.index()] = true;
@@ -575,32 +574,20 @@ impl CdnAcc {
         *n += 1;
     }
 
-    fn finish(self, join: &CdnJoin<'_>, min_flows: usize) -> TableCdnSelection {
+    /// Table 2 at the floor `min_flows`; the accumulator stays, so
+    /// one sweep gives the table at any number of floors.
+    fn table(&self, join: &CdnJoin, min_flows: usize) -> TableCdnSelection {
         let mut rows: Vec<(String, Country, ResolverId, f64, usize)> = self
             .acc
-            .into_iter()
+            .iter()
             .filter(|(_, (_, n))| *n >= min_flows)
-            .map(|((sld, ci, r), (sum, n))| {
+            .map(|(&(sld, ci, r), &(sum, n))| {
                 (join.slds[sld as usize].clone(), Country::ALL[ci as usize], r, sum / n as f64, n)
             })
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         TableCdnSelection { rows }
     }
-}
-
-/// [`agg::table_cdn_selection`] as a frame fold of its own: Table 2 at
-/// another flow floor than the fused sweep's (the CSV export's). The
-/// DNS log and the minimum-flow floor are join inputs, not report
-/// context, so they stay explicit.
-pub fn table_cdn_frame(fr: &FlowFrame, dns: &[DnsRecord], ctx: ReportCtx<'_>, min_flows: usize) -> TableCdnSelection {
-    let join = CdnJoin::build(dns);
-    let cx = SweepCtx::new(fr, &join, ctx.countries);
-    let mut acc = CdnAcc::default();
-    for i in 0..fr.len() {
-        acc.absorb(&cx, i);
-    }
-    acc.finish(&join, min_flows)
 }
 
 // ------------------------------------------------------------ fused sweep
@@ -690,17 +677,20 @@ pub fn report_all(
     min_flows: usize,
 ) -> PaperReports {
     let _span = satwatch_telemetry::span("analytics_report_all_us");
-    let mut fold = ReportFold::new(dns, ctx);
+    let mut fold = ReportFold::new(ctx);
+    fold.absorb_dns(dns);
     fold.absorb_frame(fr);
     fold.finish(services, min_flows)
 }
 
 // ------------------------------------------------------- incremental fold
 
-/// [`report_all`] split into absorb/finish so the frame never has to
-/// exist in one piece: the campaign engine feeds day-sized frames
-/// (read back from on-disk segments) one at a time and finishes into
-/// the same [`PaperReports`] the all-in-RAM sweep produces.
+/// [`report_all`] split into absorb/finish so neither the frame nor
+/// the DNS log has to exist in one piece: `report` feeds the rows and
+/// DNS records the probe seals as the run goes, the campaign engine
+/// feeds day-sized frames read back from on-disk segments, and both
+/// finish into the same [`PaperReports`] the all-in-RAM sweep
+/// produces.
 ///
 /// Byte-identity argument: the fold is one accumulator that absorbs
 /// rows in order, and a frame boundary is not an event for it — the
@@ -710,6 +700,14 @@ pub fn report_all(
 /// sort key leads with `first`), so every rendered report is
 /// bit-identical to `report_all` over the concatenated frame.
 ///
+/// The DNS side is built the same way: [`absorb_dns`](Self::absorb_dns)
+/// grows the Table 2 join and Fig 10's tallies, and a join list is
+/// the stable `ts` sort of the pieces' concatenation whatever the cuts.
+/// The one rule between the two streams — **DNS first** — is that a
+/// row is absorbed only after every DNS record with `ts ≤ first`: the
+/// row's join reads those lookups once and never again. Debug builds
+/// check it.
+///
 /// What is frame-local never crosses a frame boundary: domain codes
 /// are resolved to the join's name ids per frame, and the
 /// customer-day cells (frame-local service indices) are resolved to
@@ -717,19 +715,45 @@ pub fn report_all(
 pub struct ReportFold<'a> {
     acc: MegaAcc,
     days: CustomerDays,
-    join: CdnJoin<'a>,
-    dns: &'a [DnsRecord],
+    join: CdnJoin,
+    fig10: agg::Fig10Acc,
     ctx: ReportCtx<'a>,
+    /// The latest `first` absorbed: a DNS record at or before it comes
+    /// too late (the debug check of the DNS-first rule).
+    rows_through: Option<SimTime>,
 }
 
 impl<'a> ReportFold<'a> {
-    /// Build the DNS join side once; frames stream in afterwards.
-    pub fn new(dns: &'a [DnsRecord], ctx: ReportCtx<'a>) -> ReportFold<'a> {
-        ReportFold { acc: MegaAcc::default(), days: CustomerDays::default(), join: CdnJoin::build(dns), dns, ctx }
+    /// An empty fold; DNS records and frames stream in afterwards.
+    pub fn new(ctx: ReportCtx<'a>) -> ReportFold<'a> {
+        ReportFold {
+            acc: MegaAcc::default(),
+            days: CustomerDays::default(),
+            join: CdnJoin::default(),
+            fig10: agg::Fig10Acc::default(),
+            ctx,
+            rows_through: None,
+        }
+    }
+
+    /// Absorb the next piece of the DNS log (pieces in log order):
+    /// the Table 2 join and Fig 10 grow by it, and nothing of it is
+    /// kept beyond that.
+    pub fn absorb_dns(&mut self, dns: &[DnsRecord]) {
+        debug_assert!(
+            self.rows_through.is_none_or(|t| dns.iter().all(|d| d.ts > t)),
+            "a DNS record at or before an absorbed row (first {:?}) came after it: absorb DNS first",
+            self.rows_through
+        );
+        for d in dns {
+            self.join.absorb(d);
+            self.fig10.absorb(d, self.ctx.enrichment);
+        }
     }
 
     /// Absorb one frame. Frames must arrive in canonical row order
-    /// across calls (e.g. day-partitioned segments in day order).
+    /// across calls (e.g. day-partitioned segments in day order), each
+    /// after the DNS records its rows join.
     pub fn absorb_frame(&mut self, fr: &FlowFrame) {
         let cx = SweepCtx::new(fr, &self.join, self.ctx.countries);
         let mut days = DaysAcc::default();
@@ -738,10 +762,20 @@ impl<'a> ReportFold<'a> {
             days.absorb(fr, i);
         }
         merge_customer_days(&mut self.days, days.finish(fr));
+        if let Some(&last) = fr.first.last() {
+            self.rows_through = Some(last);
+        }
+    }
+
+    /// Table 2 at another flow floor than [`finish`](Self::finish)'s
+    /// (the CSV export's), from the same accumulator.
+    pub fn table2(&self, min_flows: usize) -> TableCdnSelection {
+        self.acc.cdn.table(&self.join, min_flows)
     }
 
     /// Finish into the full report set — identical to
-    /// [`report_all`] over the concatenation of the absorbed frames.
+    /// [`report_all`] over the concatenation of the absorbed frames
+    /// and DNS pieces.
     pub fn finish(self, services: &[&'static str], min_flows: usize) -> PaperReports {
         let (enr, countries) = (self.ctx.enrichment, self.ctx.countries);
         let days = self.days;
@@ -756,8 +790,8 @@ impl<'a> ReportFold<'a> {
             fig8a: self.acc.fig8a.finish(countries),
             fig8b: self.acc.fig8b.finish(enr),
             fig9: self.acc.fig9.finish(countries),
-            fig10: agg::fig10(self.dns, enr, countries),
-            table2: self.acc.cdn.finish(&self.join, min_flows),
+            fig10: self.fig10.finish(countries),
+            table2: self.acc.cdn.table(&self.join, min_flows),
             fig11: self.acc.fig11.finish(countries),
         }
     }
@@ -880,8 +914,9 @@ mod tests {
         assert_eq!(format!("{:?}", agg::table_cdn_selection(&flows, &dns, &enr, &top, 1)), format!("{:?}", all.table2));
     }
 
-    /// The one fold that still runs on its own — Table 2 at the CSV
-    /// export's floor — is the fused sweep's Table 2 at that floor.
+    /// Table 2 at a second floor (the CSV export's) comes from the
+    /// fused sweep's accumulator and is the fused sweep's Table 2 at
+    /// that floor.
     #[test]
     fn fused_sweep_matches_individual_folds() {
         let flows = sample_flows();
@@ -890,11 +925,25 @@ mod tests {
         let fr = FlowFrame::from_records(&flows, &enr);
         let top = [Country::Congo, Country::Spain];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
+        let mut fold = ReportFold::new(ctx);
+        fold.absorb_dns(&dns);
+        fold.absorb_frame(&fr);
         for floor in [1, 20] {
             let all = report_all(&fr, &dns, ctx, &["Tiktok", "Google"], floor);
-            assert_eq!(format!("{:?}", all.table2), format!("{:?}", table_cdn_frame(&fr, &dns, ctx, floor)));
+            assert_eq!(format!("{:?}", all.table2), format!("{:?}", fold.table2(floor)));
             assert!(!all.render_all().is_empty());
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "absorb DNS first")]
+    fn a_dns_record_behind_an_absorbed_row_is_caught_in_debug_builds() {
+        let (flows, dns, enr) = (sample_flows(), sample_dns(), enrichment());
+        let ctx = ReportCtx { enrichment: &enr, countries: &[Country::Congo] };
+        let mut fold = ReportFold::new(ctx);
+        fold.absorb_frame(&FlowFrame::from_records(&flows[..1], &enr));
+        fold.absorb_dns(&dns);
     }
 
     /// The same rows under another service numbering. A decoded
@@ -925,7 +974,8 @@ mod tests {
             let services = ["Tiktok", "Google"];
             let ctx = ReportCtx { enrichment: &enr, countries: &top };
             let batch = report_all(&FlowFrame::from_records(&flows, &enr), &dns, ctx, &services, 1);
-            let mut fold = ReportFold::new(&dns, ctx);
+            let mut fold = ReportFold::new(ctx);
+            fold.absorb_dns(&dns);
             let mut start = 0;
             for (k, end) in cuts.iter().copied().chain([flows.len()]).enumerate() {
                 let mut piece = FlowFrame::from_records(&flows[start..end], &enr);
@@ -938,6 +988,73 @@ mod tests {
             let folded = fold.finish(&services, 1);
             prop_assert_eq!(format!("{folded:?}"), format!("{batch:?}"), "cuts {:?}", cuts);
             prop_assert_eq!(folded.render_all(), batch.render_all(), "cuts {:?}", cuts);
+        }
+
+        /// A DNS log in random order and a canonical frame, cut into
+        /// random pieces and absorbed DNS first (every record at or
+        /// before a row's `first` ahead of the row, other records
+        /// early or late at random): Table 2 at both floors and Fig 10
+        /// are the record path's over the whole log. The join lists
+        /// are then the stable `ts` sort of the log, however the
+        /// pieces fell.
+        #[test]
+        fn dns_first_pieces_fold_to_the_batch_join(
+            log in proptest::collection::vec(
+                (1u8..4, 0usize..3, 0u64..24, 0u64..140, 0usize..3, proptest::option::of(1.0f64..900.0)),
+                0..90,
+            ),
+            dns_cuts in proptest::collection::btree_set(1usize..90, 0..12),
+            row_cuts in proptest::collection::btree_set(1usize..211, 0..8),
+            early in any::<u64>(),
+        ) {
+            let names = ["video.tiktokv.com", "www.google.com", "cdn.example.org"];
+            let resolvers = [ResolverId::Google, ResolverId::OperatorEu, ResolverId::Cloudflare];
+            let dns: Vec<DnsRecord> = log
+                .iter()
+                .map(|&(c, q, hour, back, r, response_ms)| DnsRecord {
+                    client: client(c),
+                    resolver: resolvers[r].address(),
+                    query: names[q].into(),
+                    ts: SimTime::from_secs((hour * 3600 + 100).saturating_sub(back)),
+                    response_ms,
+                    answers: vec![],
+                })
+                .collect();
+            let mut flows = sample_flows();
+            flows.sort_by_key(satwatch_monitor::flow_sort_key);
+            let enr = enrichment();
+            let top = [Country::Congo, Country::Spain];
+            let ctx = ReportCtx { enrichment: &enr, countries: &top };
+            // the log prefix a row needs: through its last record at or before `first`
+            let need = |first: SimTime| dns.iter().rposition(|d| d.ts <= first).map_or(0, |k| k + 1);
+            let mut dns_ends = dns_cuts.iter().copied().filter(|&k| k < dns.len()).chain([dns.len()]).peekable();
+            let mut fold = ReportFold::new(ctx);
+            let mut absorbed = 0;
+            let mut start = 0;
+            for (k, end) in row_cuts.iter().copied().chain([flows.len()]).enumerate() {
+                let (need, extra) = (need(flows[end - 1].first), early >> (k % 64) & 1);
+                let mut past_need = 0;
+                while let Some(&to) = dns_ends.peek() {
+                    if absorbed >= need {
+                        if past_need == extra {
+                            break;
+                        }
+                        past_need += 1;
+                    }
+                    dns_ends.next();
+                    fold.absorb_dns(&dns[absorbed..to]);
+                    absorbed = to;
+                }
+                fold.absorb_frame(&FlowFrame::from_records(&flows[start..end], &enr));
+                start = end;
+            }
+            fold.absorb_dns(&dns[absorbed..]);
+            let csv = fold.table2(1);
+            let folded = fold.finish(&["Tiktok"], 2);
+            let oracle = |floor| format!("{:?}", agg::table_cdn_selection(&flows, &dns, &enr, &top, floor));
+            prop_assert_eq!(format!("{csv:?}"), oracle(1));
+            prop_assert_eq!(format!("{:?}", folded.table2), oracle(2));
+            prop_assert_eq!(format!("{:?}", folded.fig10), format!("{:?}", agg::fig10(&dns, &enr, &top)));
         }
     }
 }

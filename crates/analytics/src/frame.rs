@@ -21,12 +21,14 @@
 //!   whole ~250-byte `FlowRecord` (plus its `early` vector and domain
 //!   `Arc`) through the cache.
 //! * **Streaming ingest.** [`FrameBuilder::push`] accepts evicted
-//!   records one at a time, in *any* order, and [`FrameBuilder::seal`]
-//!   restores the probe's canonical record order by sorting on the
-//!   same total key `Probe::finish` uses — so a run can stream flows
-//!   straight from the probe's eviction log into the frame without
-//!   ever materializing `Vec<FlowRecord>`, and still produce
-//!   byte-identical reports (see DESIGN.md §10).
+//!   records one at a time, in *any* order, and
+//!   [`FrameBuilder::seal_behind`] restores the probe's canonical
+//!   record order a watermark at a time, sorting the rows the marks
+//!   have passed on the same total key `Probe::finish` uses — so a run
+//!   can stream flows straight from the probe's eviction log into the
+//!   frame (or, batch by batch, into the report fold) without ever
+//!   materializing `Vec<FlowRecord>` or sorting a day, and still
+//!   produce byte-identical reports (see DESIGN.md §10).
 //!
 //! Row order is the byte-equivalence contract: row `i` of a frame
 //! built by [`FlowFrame::from_records`] is `flows[i]`, and a sealed
@@ -34,7 +36,7 @@
 
 use crate::agg::Enrichment;
 use crate::classify::Classifier;
-use satwatch_monitor::{flow_sort_key, Domain, FlowRecord};
+use satwatch_monitor::{flow_sort_key, Domain, FlowRecord, SealMarks};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::{FxHashMap, SimTime};
 use std::net::Ipv4Addr;
@@ -66,9 +68,9 @@ fn metrics() -> &'static Metrics {
     })
 }
 
-/// One flow, resolved to columns. Kept only inside the builder; of
-/// the sort key only `first` and `client` become columns at seal time,
-/// once the canonical order is restored.
+/// One flow, resolved to columns. Kept only inside the builder, until
+/// a seal passes it; of the sort key only `first` and `client` become
+/// columns then, once the canonical order is restored.
 #[derive(Clone, Debug)]
 struct Row {
     /// [`flow_sort_key`]: `(first, client, client_port, server,
@@ -154,7 +156,8 @@ impl FlowFrame {
         for f in flows {
             b.push(f);
         }
-        b.finish(false)
+        b.sealed.append(b.rows.drain(..));
+        b.sealed
     }
 
     /// Number of rows (flows).
@@ -228,6 +231,75 @@ impl FlowFrame {
         }
         out
     }
+
+    /// Append resolved rows, in the order given.
+    fn append(&mut self, rows: impl ExactSizeIterator<Item = Row>) {
+        let n = rows.len();
+        metrics().rows.add(n as u64);
+        // one reservation per column: a seal of a whole log grows
+        // nothing row by row
+        self.client.reserve(n);
+        self.first.reserve(n);
+        self.bytes_up.reserve(n);
+        self.bytes_down.reserve(n);
+        self.ground_rtt_avg.reserve(n);
+        self.ground_rtt_samples.reserve(n);
+        self.sat_rtt_ms.reserve(n);
+        self.down_bps.reserve(n);
+        self.dur_s.reserve(n);
+        self.l7.reserve(n);
+        self.country.reserve(n);
+        self.local_hour.reserve(n);
+        self.hour_utc.reserve(n);
+        self.day.reserve(n);
+        self.beam.reserve(n);
+        self.service.reserve(n);
+        self.category.reserve(n);
+        self.domain.reserve(n);
+        for r in rows {
+            let first = r.key.0;
+            self.client.push(r.key.1);
+            self.first.push(first);
+            self.bytes_up.push(r.bytes_up);
+            self.bytes_down.push(r.bytes_down);
+            self.ground_rtt_avg.push(r.ground_rtt_avg);
+            self.ground_rtt_samples.push(r.ground_rtt_samples);
+            self.sat_rtt_ms.push(r.sat_rtt_ms);
+            self.down_bps.push(r.down_bps);
+            self.dur_s.push(r.dur_s);
+            self.l7.push(r.l7);
+            self.country.push(r.country);
+            self.local_hour.push(r.local_hour);
+            self.hour_utc.push(first.hour_of_day() as u8);
+            self.day.push((first.as_secs() / SECS_PER_DAY) as u32);
+            self.beam.push(r.beam);
+            self.service.push(r.service);
+            self.category.push(r.category);
+            self.domain.push(r.domain);
+        }
+    }
+
+    /// Drop every row, keeping the dictionaries and the buffers.
+    fn truncate_rows(&mut self) {
+        self.client.clear();
+        self.first.clear();
+        self.bytes_up.clear();
+        self.bytes_down.clear();
+        self.ground_rtt_avg.clear();
+        self.ground_rtt_samples.clear();
+        self.sat_rtt_ms.clear();
+        self.down_bps.clear();
+        self.dur_s.clear();
+        self.l7.clear();
+        self.country.clear();
+        self.local_hour.clear();
+        self.hour_utc.clear();
+        self.day.clear();
+        self.beam.clear();
+        self.service.clear();
+        self.category.clear();
+        self.domain.clear();
+    }
 }
 
 /// What the builder resolved for one distinct domain name: its
@@ -241,7 +313,8 @@ struct DomainEntry {
 
 /// Incremental frame builder: the enrichment pass. Owns the
 /// enrichment maps and the Table 3 classifier, resolves every pushed
-/// record to a `Row`, and seals into a [`FlowFrame`].
+/// record to a `Row`, and seals rows into the columns of a
+/// [`FlowFrame`] behind a watermark, in canonical order.
 pub struct FrameBuilder {
     enr: Enrichment,
     classifier: Classifier,
@@ -253,10 +326,20 @@ pub struct FrameBuilder {
     /// One entry per distinct name, consulted on a handle miss:
     /// handles from different interners share a code.
     by_name: FxHashMap<Domain, DomainEntry>,
-    domains: Vec<Domain>,
-    services: Vec<&'static str>,
-    service_idx: FxHashMap<&'static str, u16>,
+    /// Pushed rows no seal has passed yet, in push order: the live
+    /// tail of an eviction stream.
     rows: Vec<Row>,
+    /// The rows of one seal behind a mark, sorted before they join
+    /// `sealed` (kept for its buffer).
+    behind: Vec<Row>,
+    /// Rows a seal passed, in canonical order, as columns. Its
+    /// `domains` and `services` are the builder's dictionaries, filled
+    /// in as names are first pushed; the rows are read through
+    /// [`sealed`](Self::sealed) or handed out by [`seal`](Self::seal).
+    sealed: FlowFrame,
+    /// The latest mark sealed behind: a row pushed behind it is late
+    /// (the debug check).
+    sealed_to: SimTime,
 }
 
 impl FrameBuilder {
@@ -265,18 +348,16 @@ impl FrameBuilder {
     /// indices are stable across builders.
     pub fn new(enr: Enrichment) -> FrameBuilder {
         let classifier = Classifier::standard();
-        let services: Vec<&'static str> = classifier.rules().iter().map(|r| r.service).collect();
-        let service_idx: FxHashMap<&'static str, u16> =
-            services.iter().enumerate().map(|(i, s)| (*s, i as u16)).collect();
+        let services = classifier.rules().iter().map(|r| r.service).collect();
         FrameBuilder {
             enr,
             classifier,
             by_handle: FxHashMap::default(),
             by_name: FxHashMap::default(),
-            domains: Vec::new(),
-            services,
-            service_idx,
             rows: Vec::new(),
+            behind: Vec::new(),
+            sealed: FlowFrame { services, ..FlowFrame::default() },
+            sealed_to: SimTime::ZERO,
         }
     }
 
@@ -292,11 +373,14 @@ impl FrameBuilder {
             Some(entry) => *entry,
             None => {
                 let (service, category) = match self.classifier.classify(d) {
-                    Some((svc, cat)) => (self.service_idx[svc], cat.index() as u8),
+                    Some((svc, cat)) => {
+                        let service = self.sealed.services.iter().position(|s| *s == svc);
+                        (service.expect("a rule's service is in the table") as u16, cat.index() as u8)
+                    }
                     None => (NO_SERVICE, NO_CATEGORY),
                 };
-                let entry = DomainEntry { code: self.domains.len() as u32, service, category };
-                self.domains.push(d.clone());
+                let entry = DomainEntry { code: self.sealed.domains.len() as u32, service, category };
+                self.sealed.domains.push(d.clone());
                 self.by_name.insert(d.clone(), entry);
                 entry
             }
@@ -305,11 +389,15 @@ impl FrameBuilder {
         entry
     }
 
-    /// Resolve one record into a row. Accepts records in any order;
-    /// [`FrameBuilder::seal`] restores the canonical order. The record
-    /// must carry the *anonymized* client address (as records leaving
-    /// the probe do) or the enrichment lookups will miss.
+    /// Resolve one record into a row. Accepts records in any order
+    /// not behind a mark already sealed at; [`seal_behind`] restores
+    /// the canonical order. The record must carry the *anonymized*
+    /// client address (as records leaving the probe do) or the
+    /// enrichment lookups will miss.
+    ///
+    /// [`seal_behind`]: Self::seal_behind
     pub fn push(&mut self, f: &FlowRecord) {
+        debug_assert!(f.first >= self.sealed_to, "a flow at {:?} arrived behind a sealed mark", f.first);
         let country = self.enr.country(f.client);
         let domain = match &f.domain {
             Some(d) => self.intern(d),
@@ -334,80 +422,53 @@ impl FrameBuilder {
         });
     }
 
-    /// Rows buffered so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The enrichment the builder resolves against.
-    pub fn enrichment(&self) -> &Enrichment {
-        &self.enr
-    }
-
-    /// Seal a stream-built frame: sort rows into the probe's canonical
-    /// record order, then scatter into columns. Sorting here is what
-    /// makes eviction order irrelevant — the key is the same total
-    /// [`flow_sort_key`] `Probe::finish` sorts by, so any permutation of
-    /// the same flow set seals into the identical frame.
-    pub fn seal(self) -> FlowFrame {
-        self.finish(true)
-    }
-
-    fn finish(mut self, sort: bool) -> FlowFrame {
+    /// Seal every row strictly behind *both* marks (`None`: every row
+    /// — the input is over): sort them on the total [`flow_sort_key`]
+    /// `Probe::finish` sorts by and append them to the sealed columns.
+    ///
+    /// The flow mark alone would make them final; the DNS mark as
+    /// well lets a consumer absorb the DNS records sealed at the same
+    /// marks first, so a sealed row's Table 2 lookups are all in by
+    /// then (`ReportFold`'s DNS-first rule). Every row still to come
+    /// starts at or after the flow mark, so the sealed sequence, seal
+    /// after seal, is the canonical order of the whole capture. The
+    /// sort is stable and the rows leave the tail in push order, so a
+    /// tie breaks as it does in one sort of every row.
+    pub fn seal_behind(&mut self, marks: Option<SealMarks>) {
+        let mark = marks.map(|m| m.flows.min(m.dns));
+        if self.rows.is_empty() || mark.is_some_and(|mark| mark <= self.sealed_to) {
+            return; // nothing can be behind it
+        }
         let _span = satwatch_telemetry::Span::over(metrics().build_us);
-        if sort {
-            self.rows.sort_by_key(|r| r.key);
-        }
-        let n = self.rows.len();
-        metrics().rows.add(n as u64);
-        let mut fr = FlowFrame {
-            client: Vec::with_capacity(n),
-            first: Vec::with_capacity(n),
-            bytes_up: Vec::with_capacity(n),
-            bytes_down: Vec::with_capacity(n),
-            ground_rtt_avg: Vec::with_capacity(n),
-            ground_rtt_samples: Vec::with_capacity(n),
-            sat_rtt_ms: Vec::with_capacity(n),
-            down_bps: Vec::with_capacity(n),
-            dur_s: Vec::with_capacity(n),
-            l7: Vec::with_capacity(n),
-            country: Vec::with_capacity(n),
-            local_hour: Vec::with_capacity(n),
-            hour_utc: Vec::with_capacity(n),
-            day: Vec::with_capacity(n),
-            beam: Vec::with_capacity(n),
-            service: Vec::with_capacity(n),
-            category: Vec::with_capacity(n),
-            domain: Vec::with_capacity(n),
-            domains: self.domains,
-            services: self.services,
+        let rows = match mark {
+            Some(mark) => {
+                self.behind.extend(self.rows.extract_if(.., |r| r.key.0 < mark));
+                &mut self.behind
+            }
+            None => &mut self.rows,
         };
-        for r in self.rows {
-            let first = r.key.0;
-            fr.client.push(r.key.1);
-            fr.first.push(first);
-            fr.bytes_up.push(r.bytes_up);
-            fr.bytes_down.push(r.bytes_down);
-            fr.ground_rtt_avg.push(r.ground_rtt_avg);
-            fr.ground_rtt_samples.push(r.ground_rtt_samples);
-            fr.sat_rtt_ms.push(r.sat_rtt_ms);
-            fr.down_bps.push(r.down_bps);
-            fr.dur_s.push(r.dur_s);
-            fr.l7.push(r.l7);
-            fr.country.push(r.country);
-            fr.local_hour.push(r.local_hour);
-            fr.hour_utc.push(first.hour_of_day() as u8);
-            fr.day.push((first.as_secs() / SECS_PER_DAY) as u32);
-            fr.beam.push(r.beam);
-            fr.service.push(r.service);
-            fr.category.push(r.category);
-            fr.domain.push(r.domain);
-        }
-        fr
+        rows.sort_by_key(|r| r.key);
+        self.sealed.append(rows.drain(..));
+        self.sealed_to = mark.unwrap_or(SimTime::MAX);
+    }
+
+    /// The rows sealed since the last [`clear_sealed`](Self::clear_sealed),
+    /// as a frame with the builder's dictionaries (codes are stable
+    /// across seals).
+    pub fn sealed(&self) -> &FlowFrame {
+        &self.sealed
+    }
+
+    /// Drop the sealed rows, keeping the dictionaries and the buffers.
+    pub fn clear_sealed(&mut self) {
+        self.sealed.truncate_rows();
+    }
+
+    /// The frame of everything pushed: every row sealed, for input in
+    /// no known order (a log read back, a whole capture's stream).
+    pub fn seal(mut self) -> FlowFrame {
+        self.seal_behind(None);
+        self.sealed
     }
 }
 
@@ -502,6 +563,46 @@ mod tests {
         for i in 0..batch.len() {
             assert_eq!(sealed.domain_at(i), batch.domain_at(i));
         }
+    }
+
+    fn marks(flows_s: u64, dns_s: u64) -> Option<SealMarks> {
+        Some(SealMarks { flows: SimTime::from_secs(flows_s), dns: SimTime::from_secs(dns_s) })
+    }
+
+    /// A seal passes the rows strictly behind the earlier of the two
+    /// marks, sorted; sealed batch after batch, the rows are the
+    /// canonical frame.
+    #[test]
+    fn rows_seal_behind_the_earlier_mark_in_canonical_order() {
+        // firsts (hour 0): port i at second i, pushed out of order
+        let order = [7u8, 2, 9, 1, 5, 3, 8, 4, 6];
+        let mut flows: Vec<FlowRecord> = order.iter().map(|&i| flow(i, 0, Some("docs.google.com"))).collect();
+        let mut b = FrameBuilder::new(enrichment());
+        flows.iter().for_each(|f| b.push(f));
+        b.seal_behind(marks(6, 4));
+        let first = b.sealed().clone();
+        assert_eq!(first.first, [1, 2, 3].map(SimTime::from_secs), "the DNS mark holds rows the flow mark passed");
+        assert_eq!(first.domains.len(), 1);
+        b.clear_sealed();
+        b.seal_behind(marks(8, 9));
+        b.seal_behind(marks(7, 7));
+        assert_eq!(b.sealed().len(), 4, "an earlier mark afterwards passes nothing");
+        let rest = b.seal();
+        flows.sort_by_key(flow_sort_key);
+        let batch = FlowFrame::from_records(&flows, &enrichment());
+        assert_eq!([first.first, rest.first].concat(), batch.first);
+        assert_eq!([first.client, rest.client].concat(), batch.client);
+        assert_eq!([first.domain, rest.domain].concat(), batch.domain);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "arrived behind a sealed mark")]
+    fn a_row_behind_a_sealed_mark_is_caught_in_debug_builds() {
+        let mut b = FrameBuilder::new(enrichment());
+        b.push(&flow(5, 0, None));
+        b.seal_behind(marks(4, 4));
+        b.push(&flow(3, 0, None));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use satwatch_analytics::agg::{self, Enrichment};
-use satwatch_analytics::engine::{report_all, table_cdn_frame, ReportCtx};
+use satwatch_analytics::engine::{report_all, ReportCtx};
 use satwatch_analytics::frame::FrameBuilder;
 use satwatch_analytics::{encode_segment, Classifier, FlowFrame};
 use satwatch_monitor::record::RttSummary;
@@ -140,7 +140,7 @@ proptest! {
         prop_assert_eq!(format!("{:?}", agg::fig11(&flows, &enr, &top)), format!("{:?}", all.fig11));
         prop_assert_eq!(
             format!("{:?}", agg::table_cdn_selection(&flows, &[], &enr, &top, 1)),
-            format!("{:?}", table_cdn_frame(&fr, &[], ctx, 1))
+            format!("{:?}", all.table2)
         );
     }
 

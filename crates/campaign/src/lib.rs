@@ -528,7 +528,8 @@ impl Campaign {
     /// the batch `report_all` over the full frame.
     fn fold_report(&self, enr: &Enrichment, dns: &[DnsRecord]) -> Result<(String, u64), CampaignError> {
         let ctx = ReportCtx { enrichment: enr, countries: &Country::TOP6 };
-        let mut fold = ReportFold::new(dns, ctx);
+        let mut fold = ReportFold::new(ctx);
+        fold.absorb_dns(dns);
         for info in &self.segments {
             let frame = read_segment_file(&self.segment_path(info.day), Some(info.fnv))?;
             fold.absorb_frame(&frame);

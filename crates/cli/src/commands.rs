@@ -5,7 +5,9 @@ use satwatch_analytics::{read_enrichment_log, report_all, write_enrichment_log, 
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
 use satwatch_monitor::record::{read_dns_log, write_dns_log, write_dns_rows, write_flow_rows, write_flows};
 use satwatch_monitor::Piece;
-use satwatch_scenario::{experiments, run_sealed, run_streaming, ColumnarDataset, ScenarioConfig};
+use satwatch_scenario::{
+    experiments, run_report, run_sealed, run_streaming, ColumnarDataset, ReportRun, ScenarioConfig,
+};
 use satwatch_traffic::Country;
 use std::error::Error;
 use std::fs;
@@ -429,38 +431,24 @@ const REPORT_FIGURES: [Figure; 13] = [
     ("fig11", |r| r.fig11.render()),
 ];
 
-/// `satwatch report`: every figure and table comes from the fused
-/// single-sweep `report_all` over the stream-built [`FlowFrame`].
-///
-/// [`FlowFrame`]: satwatch_analytics::FlowFrame
+/// `satwatch report`: every figure and table is folded from the rows
+/// and DNS records the probe seals as the run goes ([`run_report`]);
+/// the day is never held whole.
 fn report(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
     let names = REPORT_FIGURES.map(|(name, _)| name);
     let which = figure_arg(args, &names)
         .map_err(|which| format!("unknown figure {which:?} (try table1, fig2..fig11, table2, all)"))?;
-    let ColumnarDataset { frame, dns, enrichment: enr, .. } = ingest_with_banner(cfg);
-    let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
-    let reports = report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, experiments::MIN_FLOWS);
+    let t0 = banner_start(cfg);
+    let ReportRun { reports, table2_csv, flows, dns, packets } = run_report(cfg);
+    banner_done(t0, (packets, flows, dns));
     print_figures(&which, &names, &reports);
     if let Some(dir) = args.get("csv") {
-        use satwatch_analytics::csv;
         fs::create_dir_all(dir)?;
-        let d = Path::new(dir);
-        fs::write(d.join("table1.csv"), csv::table1_csv(&reports.table1))?;
-        fs::write(d.join("fig2.csv"), csv::fig2_csv(&reports.fig2))?;
-        fs::write(d.join("fig3.csv"), csv::fig3_csv(&reports.fig3))?;
-        fs::write(d.join("fig4.csv"), csv::fig4_csv(&reports.fig4))?;
-        fs::write(d.join("fig5.csv"), csv::fig5_csv(&reports.fig5, 200))?;
-        fs::write(d.join("fig6.csv"), csv::fig6_csv(&reports.fig6))?;
-        fs::write(d.join("fig7.csv"), csv::fig7_csv(&reports.fig7))?;
-        fs::write(d.join("fig8a.csv"), csv::fig8a_csv(&reports.fig8a, 200))?;
-        fs::write(d.join("fig8b.csv"), csv::fig8b_csv(&reports.fig8b))?;
-        fs::write(d.join("fig9.csv"), csv::fig9_csv(&reports.fig9, 200))?;
-        fs::write(d.join("fig10.csv"), csv::fig10_csv(&reports.fig10))?;
         // the CSV export keeps a lower flow floor than the rendered table
-        let table2_csv = satwatch_analytics::engine::table_cdn_frame(&frame, &dns, ctx, 5);
-        fs::write(d.join("table2.csv"), csv::table_cdn_csv(&table2_csv))?;
-        fs::write(d.join("fig11.csv"), csv::fig11_csv(&reports.fig11, 200))?;
+        for (name, contents) in satwatch_analytics::csv::report_files(&reports, &table2_csv) {
+            fs::write(Path::new(dir).join(name), contents)?;
+        }
         eprintln!("wrote 13 CSV files to {dir}");
     }
     Ok(())

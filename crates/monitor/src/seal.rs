@@ -67,9 +67,10 @@ pub struct Sealer {
 /// `rows` was split at before: what is still here, or still to come,
 /// is at or past it, so a mark that has not moved beyond it has nothing
 /// behind it — every sweep but the last while one long flow holds the
-/// flow mark — and no row is touched.
+/// flow mark — and no row is touched. An empty log keeps its buffer
+/// (a caller that drains the flows with `take_flows` seals only DNS).
 fn take_behind<T>(rows: &mut Vec<T>, mark: Option<SimTime>, sealed_to: SimTime, ts: impl Fn(&T) -> SimTime) -> Vec<T> {
-    if mark.is_some_and(|mark| mark <= sealed_to) {
+    if rows.is_empty() || mark.is_some_and(|mark| mark <= sealed_to) {
         return Vec::new();
     }
     let tail = mark.map_or_else(Vec::new, |mark| rows.extract_if(.., |r| ts(r) >= mark).collect());

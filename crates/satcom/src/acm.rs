@@ -77,10 +77,12 @@ pub fn goodput_factor(impairment: f64) -> f64 {
 /// Record a MODCOD selection, counting transitions from the last one.
 fn note_selection(rung: usize) {
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::OnceLock;
     static LAST: AtomicUsize = AtomicUsize::new(usize::MAX);
+    static SWITCHES: OnceLock<&'static satwatch_telemetry::Counter> = OnceLock::new();
     let prev = LAST.swap(rung, Relaxed);
     if prev != rung && prev != usize::MAX {
-        satwatch_telemetry::counter("satcom_acm_modcod_switches_total").inc();
+        SWITCHES.get_or_init(|| satwatch_telemetry::counter("satcom_acm_modcod_switches_total")).inc();
     }
 }
 

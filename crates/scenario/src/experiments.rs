@@ -18,6 +18,10 @@ use std::ops::ControlFlow;
 /// Every command renders the report at it.
 pub const MIN_FLOWS: usize = 10;
 
+/// Table 2's threshold in `report --csv`'s `table2.csv`: the export
+/// keeps the cells the rendered table drops for thin data.
+pub const CSV_MIN_FLOWS: usize = 5;
+
 /// The Fig 6 service subset (services the user intentionally visits).
 pub const FIG6_SERVICES: [&str; 12] = [
     "Google",

@@ -19,5 +19,6 @@ pub use digest::dataset_digest;
 pub use flowsim::NetModel;
 pub use reference::run_reference;
 pub use run::{
-    build_enrichment, run, run_sealed, run_streaming, run_with_tap, ColumnarDataset, Dataset, DayRunner, SealedRun, Tap,
+    build_enrichment, run, run_report, run_sealed, run_streaming, run_with_tap, ColumnarDataset, Dataset, DayRunner,
+    ReportRun, SealedRun, Tap,
 };

@@ -4,6 +4,8 @@
 use crate::config::ScenarioConfig;
 use crate::flowsim::NetModel;
 use satwatch_analytics::agg::{BeamInfo, Enrichment};
+use satwatch_analytics::report::TableCdnSelection;
+use satwatch_analytics::{FrameBuilder, PaperReports, ReportCtx, ReportFold};
 use satwatch_internet::{CdnCatalog, ResolverId};
 use satwatch_monitor::anon::CryptoPan;
 /// A per-packet observer of the span port (pcap writers, tests).
@@ -305,11 +307,7 @@ pub fn run_with_tap(cfg: ScenarioConfig, mut tap: impl FnMut(SimTime, &Packet)) 
 /// The one body of [`run`] and [`run_with_tap`]: the probe keeps its
 /// log to the end, and `finish` sorts the whole capture.
 fn collect(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
-    let sim = {
-        let _s = satwatch_telemetry::Span::over(metrics().setup_us);
-        setup(cfg)
-    };
-    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
+    let (sim, enrichment) = setup_with_enrichment(cfg);
     let (packets, last) = drive_and_finish(cfg, &sim, tap, &mut no_hook);
     let Piece { flows, dns } = last.expect("nothing breaks off the run");
     Dataset { flows, dns, enrichment, packets }
@@ -346,11 +344,7 @@ pub fn run_sealed(
     tap: Option<Tap<'_>>,
     mut on_piece: impl FnMut(Piece) -> ControlFlow<()>,
 ) -> SealedRun {
-    let sim = {
-        let _s = satwatch_telemetry::Span::over(metrics().setup_us);
-        setup(cfg)
-    };
-    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
+    let (sim, enrichment) = setup_with_enrichment(cfg);
     // seal behind the marks of a sweep in the pass, held at midnight
     let mut seal = |probe: &mut Probe, midnight| match probe.take_marks() {
         Some(marks) => on_piece(probe.seal(marks.capped(midnight))),
@@ -365,27 +359,110 @@ pub fn run_sealed(
 
 /// Run a scenario with streaming flow ingest: after every pass the
 /// flows the probe logged go into an incremental frame builder, in
-/// eviction order. The sealed frame is byte-identical to
-/// `FlowFrame::from_records` over the batch run's flows — eviction
-/// order is a permutation of the same record set, and `seal()`
-/// restores the canonical order (DESIGN.md §10) — while the full
-/// record vector is never materialized.
+/// eviction order, and at every sweep the builder seals the rows
+/// behind the watermarks (DESIGN.md §10). The frame is byte-identical
+/// to `FlowFrame::from_records` over the batch run's flows, and the
+/// DNS log to the batch run's, while the full record vector is never
+/// materialized and no day is sorted.
 pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
-    use satwatch_analytics::FrameBuilder;
-    let t_setup = satwatch_telemetry::Span::over(metrics().setup_us);
-    let sim = setup(cfg);
-    // the operator's enrichment is a pure function of the population,
-    // so the builder can resolve columns while packets still flow
-    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
+    let (sim, enrichment) = setup_with_enrichment(cfg);
     let mut builder = FrameBuilder::new(enrichment.clone());
-    drop(t_setup);
-    let (packets, last) = drive_and_finish(cfg, &sim, None, &mut |probe, _| {
+    let mut dns = Vec::new();
+    let packets = drive_framed(cfg, &sim, &mut builder, |_, piece| dns.extend(piece));
+    ColumnarDataset { frame: builder.seal(), dns, enrichment, packets }
+}
+
+/// What [`run_report`] returns: the paper's reports of the run, and
+/// what its progress line counts.
+pub struct ReportRun {
+    pub reports: PaperReports,
+    /// Table 2 at the CSV export's flow floor,
+    /// [`CSV_MIN_FLOWS`](crate::experiments::CSV_MIN_FLOWS).
+    pub table2_csv: TableCdnSelection,
+    pub flows: usize,
+    pub dns: usize,
+    /// Total packets the probe observed.
+    pub packets: u64,
+}
+
+/// Rows the report fold absorbs at a time. A frame's sweep has costs
+/// of its own (resolving its dictionary against the DNS join, turning
+/// customer-day cells into [`CustomerDay`]s); gathering the sealed
+/// rows keeps them off the per-sweep path.
+///
+/// [`CustomerDay`]: satwatch_analytics::agg::CustomerDay
+const FOLD_ROWS: usize = 8_192;
+
+/// Run a scenario and fold every paper report as the probe seals:
+/// the DNS records each seal releases go into the fold first, then the
+/// frame rows behind the same marks, gathered to 8 192 at a time. What
+/// stays resident is the live tail and the fold's accumulators — no
+/// day-long frame, DNS log or sort. Byte-identical to
+/// [`paper_reports_columnar`](crate::experiments::paper_reports_columnar)
+/// over [`run_streaming`]'s frame and log.
+pub fn run_report(cfg: ScenarioConfig) -> ReportRun {
+    use crate::experiments::{CSV_MIN_FLOWS, FIG6_SERVICES, MIN_FLOWS};
+    let (sim, enrichment) = setup_with_enrichment(cfg);
+    let mut builder = FrameBuilder::new(enrichment.clone());
+    let ctx = ReportCtx { enrichment: &enrichment, countries: &Country::TOP6 };
+    let mut fold = ReportFold::new(ctx);
+    let (mut flows, mut dns) = (0, 0);
+    let mut absorb_rows = |fold: &mut ReportFold<'_>, builder: &mut FrameBuilder| {
+        flows += builder.sealed().len();
+        fold.absorb_frame(builder.sealed());
+        builder.clear_sealed();
+    };
+    let packets = drive_framed(cfg, &sim, &mut builder, |builder, piece| {
+        dns += piece.len();
+        fold.absorb_dns(&piece);
+        if builder.sealed().len() >= FOLD_ROWS {
+            absorb_rows(&mut fold, builder);
+        }
+    });
+    absorb_rows(&mut fold, &mut builder);
+    let table2_csv = fold.table2(CSV_MIN_FLOWS);
+    ReportRun { reports: fold.finish(&FIG6_SERVICES, MIN_FLOWS), table2_csv, flows, dns, packets }
+}
+
+/// The set-up of a run and the operator's enrichment, a pure function
+/// of the population — so a frame builder can resolve columns while
+/// packets still flow.
+fn setup_with_enrichment(cfg: ScenarioConfig) -> (SimSetup, Enrichment) {
+    let _s = satwatch_telemetry::Span::over(metrics().setup_us);
+    let sim = setup(cfg);
+    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
+    (sim, enrichment)
+}
+
+/// Drive `cfg` with its flows sealed into `builder`: the flows the
+/// probe logged go in after every pass, and at every sweep (marks
+/// capped at midnight, as [`run_sealed`] caps them) the builder seals
+/// the rows behind both marks and `on_seal` gets the builder and the
+/// DNS records sealed at the same marks — DNS before the rows it
+/// joins. Rows, not records, wait for the marks: a row is 96 bytes, a
+/// record 232 plus its early-packet log. The closing seal takes every
+/// row. Returns the packets observed.
+fn drive_framed(
+    cfg: ScenarioConfig,
+    sim: &SimSetup,
+    builder: &mut FrameBuilder,
+    mut on_seal: impl FnMut(&mut FrameBuilder, Vec<DnsRecord>),
+) -> u64 {
+    let (packets, last) = drive_and_finish(cfg, sim, None, &mut |probe, midnight| {
         probe.take_flows().for_each(|f| builder.push(&f));
+        if let Some(marks) = probe.take_marks() {
+            let marks = marks.capped(midnight);
+            let dns = probe.seal(marks).dns;
+            builder.seal_behind(Some(marks));
+            on_seal(builder, dns);
+        }
         ControlFlow::Continue(())
     });
-    let Piece { flows: rest, dns } = last.expect("nothing breaks off the run");
-    rest.into_iter().for_each(|f| builder.push(&f));
-    ColumnarDataset { frame: builder.seal(), dns, enrichment, packets }
+    let Piece { flows, dns } = last.expect("nothing breaks off the run");
+    flows.iter().for_each(|f| builder.push(f));
+    builder.seal_behind(None);
+    on_seal(builder, dns);
+    packets
 }
 
 /// The day loop: generate intents, expand flows to packets, feed the

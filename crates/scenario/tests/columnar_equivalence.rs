@@ -126,7 +126,8 @@ proptest! {
             .take(5)
             .collect();
         let ctx = ReportCtx { enrichment: &ds.enrichment, countries: &Country::TOP6 };
-        let mut fold = ReportFold::new(&ds.dns, ctx);
+        let mut fold = ReportFold::new(ctx);
+        fold.absorb_dns(&ds.dns);
         let mut start = 0;
         for (k, end) in cuts.iter().copied().chain([n]).enumerate() {
             let mut piece = FlowFrame::from_records(&ds.flows[start..end], &ds.enrichment);
