@@ -685,12 +685,19 @@ pub fn report_all(
 
 // ------------------------------------------------------- incremental fold
 
+/// Rows a sealing run gathers before its [`ReportFold`] absorbs them.
+/// A sweep has costs of its own (resolving the frame's dictionary
+/// against the DNS join, turning customer-day cells into
+/// [`CustomerDay`]s); gathering the sealed rows keeps them off the
+/// per-sweep path.
+pub const FOLD_ROWS: usize = 8_192;
+
 /// [`report_all`] split into absorb/finish so neither the frame nor
-/// the DNS log has to exist in one piece: `report` feeds the rows and
-/// DNS records the probe seals as the run goes, the campaign engine
-/// feeds day-sized frames read back from on-disk segments, and both
-/// finish into the same [`PaperReports`] the all-in-RAM sweep
-/// produces.
+/// the DNS log has to exist in one piece: `report` and the campaign
+/// engine feed the rows and DNS records the probe seals as the run
+/// goes (a resumed campaign first re-scans the segments it sealed
+/// before), and both finish into the same [`PaperReports`] the
+/// all-in-RAM sweep produces.
 ///
 /// Byte-identity argument: the fold is one accumulator that absorbs
 /// rows in order, and a frame boundary is not an event for it — the
@@ -751,20 +758,28 @@ impl<'a> ReportFold<'a> {
         }
     }
 
-    /// Absorb one frame. Frames must arrive in canonical row order
-    /// across calls (e.g. day-partitioned segments in day order), each
-    /// after the DNS records its rows join.
+    /// Absorb one whole frame: [`absorb_rows`](Self::absorb_rows)
+    /// over all of its rows.
     pub fn absorb_frame(&mut self, fr: &FlowFrame) {
+        self.absorb_rows(fr, 0..fr.len());
+    }
+
+    /// Absorb the rows `rows` of `fr`. Rows must arrive in canonical
+    /// order across calls (e.g. day-partitioned segments in day order,
+    /// or a frame's rows a range at a time), each after the DNS records
+    /// it joins.
+    pub fn absorb_rows(&mut self, fr: &FlowFrame, rows: std::ops::Range<usize>) {
+        if rows.is_empty() {
+            return;
+        }
         let cx = SweepCtx::new(fr, &self.join, self.ctx.countries);
         let mut days = DaysAcc::default();
-        for i in 0..fr.len() {
+        for i in rows.clone() {
             self.acc.absorb(&cx, i);
             days.absorb(fr, i);
         }
         merge_customer_days(&mut self.days, days.finish(fr));
-        if let Some(&last) = fr.first.last() {
-            self.rows_through = Some(last);
-        }
+        self.rows_through = Some(fr.first[rows.end - 1]);
     }
 
     /// Table 2 at another flow floor than [`finish`](Self::finish)'s

@@ -279,6 +279,34 @@ impl FlowFrame {
         }
     }
 
+    /// Split the rows at `at`, like `Vec::split_off`: `self` keeps
+    /// rows `..at`, the returned frame holds rows `at..` and a copy of
+    /// the dictionaries, so its codes mean what they meant here.
+    pub fn split_off(&mut self, at: usize) -> FlowFrame {
+        FlowFrame {
+            client: self.client.split_off(at),
+            first: self.first.split_off(at),
+            bytes_up: self.bytes_up.split_off(at),
+            bytes_down: self.bytes_down.split_off(at),
+            ground_rtt_avg: self.ground_rtt_avg.split_off(at),
+            ground_rtt_samples: self.ground_rtt_samples.split_off(at),
+            sat_rtt_ms: self.sat_rtt_ms.split_off(at),
+            down_bps: self.down_bps.split_off(at),
+            dur_s: self.dur_s.split_off(at),
+            l7: self.l7.split_off(at),
+            country: self.country.split_off(at),
+            local_hour: self.local_hour.split_off(at),
+            hour_utc: self.hour_utc.split_off(at),
+            day: self.day.split_off(at),
+            beam: self.beam.split_off(at),
+            service: self.service.split_off(at),
+            category: self.category.split_off(at),
+            domain: self.domain.split_off(at),
+            domains: self.domains.clone(),
+            services: self.services.clone(),
+        }
+    }
+
     /// Drop every row, keeping the dictionaries and the buffers.
     fn truncate_rows(&mut self) {
         self.client.clear();
@@ -462,6 +490,15 @@ impl FrameBuilder {
     /// Drop the sealed rows, keeping the dictionaries and the buffers.
     pub fn clear_sealed(&mut self) {
         self.sealed.truncate_rows();
+    }
+
+    /// [`clear_sealed`](Self::clear_sealed), handing the sealed rows
+    /// from `at` on to the caller as a frame of their own — for a
+    /// consumer that has read the rows before `at` only.
+    pub fn take_sealed_from(&mut self, at: usize) -> FlowFrame {
+        let rest = self.sealed.split_off(at);
+        self.clear_sealed();
+        rest
     }
 
     /// The frame of everything pushed: every row sealed, for input in

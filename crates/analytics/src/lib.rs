@@ -51,7 +51,7 @@ pub mod topdomains;
 
 pub use agg::{customer_days, read_enrichment_log, write_enrichment_log, Enrichment};
 pub use classify::{second_level_domain, Classifier, ClassifyCache};
-pub use engine::{report_all, PaperReports, ReportCtx, ReportFold};
+pub use engine::{report_all, PaperReports, ReportCtx, ReportFold, FOLD_ROWS};
 pub use frame::{FlowFrame, FrameBuilder};
 pub use query::{Pipeline, QueryStats, ResultTable};
 pub use segment::{decode_segment, encode_segment, SegmentError, SegmentMeta};

@@ -29,8 +29,9 @@ use crate::classify::Classifier;
 use crate::frame::{FlowFrame, NO_DOMAIN};
 use satwatch_monitor::checkpoint::{put_str, put_u16, put_u32, put_u64, Reader};
 use satwatch_monitor::Domain;
-use satwatch_simcore::fnv::{fnv1a, FNV1A_INIT, FNV1A_PRIME};
+use satwatch_simcore::fnv::{fnv1a, fnv1a_update, FNV1A_INIT, FNV1A_PRIME};
 use satwatch_simcore::{FxHashSet, SimTime};
+use std::io::Write;
 use std::net::Ipv4Addr;
 use std::path::Path;
 
@@ -74,6 +75,9 @@ impl From<std::io::Error> for SegmentError {
     }
 }
 
+/// Runs [`fnv1a_lanes`] hashes at once.
+const FNV1A_LANES: usize = 4;
+
 /// FNV-1a 64 of every run, up to four runs at a time in lock-step.
 ///
 /// One FNV-1a chain is a serial xor-multiply dependency per byte, so
@@ -83,14 +87,13 @@ impl From<std::io::Error> for SegmentError {
 /// own run's bytes in order, so every value equals the serial
 /// [`fnv1a`] of that run — the on-disk checksums are unchanged.
 fn fnv1a_lanes(runs: &[&[u8]]) -> Vec<u64> {
-    const LANES: usize = 4;
     let mut out = vec![FNV1A_INIT; runs.len()];
     // (run index, unhashed tail) of each busy lane
-    let mut lanes: Vec<(usize, &[u8])> = Vec::with_capacity(LANES);
+    let mut lanes: Vec<(usize, &[u8])> = Vec::with_capacity(FNV1A_LANES);
     let mut pending = runs.iter().copied().enumerate().filter(|(_, r)| !r.is_empty());
     loop {
         lanes.retain(|(_, tail)| !tail.is_empty());
-        while lanes.len() < LANES {
+        while lanes.len() < FNV1A_LANES {
             match pending.next() {
                 Some(lane) => lanes.push(lane),
                 None => break,
@@ -205,6 +208,15 @@ fn put_run<const W: usize>(data: &mut Vec<u8>, cells: impl ExactSizeIterator<Ite
 /// happened to meet the names in. Canonicalising is an integer remap
 /// of the code column; no name is hashed or compared.
 pub fn encode_segment(fr: &FlowFrame) -> Vec<u8> {
+    let row_bytes: usize = COLUMNS.iter().filter_map(|c| column_width(c)).sum();
+    let mut data = Vec::with_capacity(fr.len() * row_bytes + 4096);
+    write_segment(fr, &mut data).expect("a Vec takes every byte");
+    data
+}
+
+/// Lay `fr` out as a segment into `w`, canonical dictionary and all
+/// (see [`encode_segment`]).
+fn write_segment(fr: &FlowFrame, w: &mut impl Write) -> std::io::Result<()> {
     let order = fr.domain_order();
     let mut remap = vec![NO_DOMAIN; fr.domains.len()];
     for (new, &old) in order.iter().enumerate() {
@@ -212,58 +224,67 @@ pub fn encode_segment(fr: &FlowFrame) -> Vec<u8> {
     }
     let dict: Vec<&str> = order.iter().map(|&d| &*fr.domains[d as usize]).collect();
     let idx: Vec<u32> = fr.domain.iter().map(|&d| if d == NO_DOMAIN { d } else { remap[d as usize] }).collect();
-    encode_columns(fr, &idx, &dict)
+    write_columns(fr, &idx, &dict, w)
+}
+
+/// Append the run of column `name` of `fr` to `data`; `domain_idx`
+/// and `dict` stand in for the frame's own domain codes.
+fn put_column(data: &mut Vec<u8>, fr: &FlowFrame, name: &str, domain_idx: &[u32], dict: &[&str]) {
+    match name {
+        "client" => put_run(data, fr.client.iter().map(Ipv4Addr::octets)),
+        "first" => put_run(data, fr.first.iter().map(|t| t.as_nanos().to_le_bytes())),
+        "bytes_up" => put_run(data, fr.bytes_up.iter().map(|v| v.to_le_bytes())),
+        "bytes_down" => put_run(data, fr.bytes_down.iter().map(|v| v.to_le_bytes())),
+        "ground_rtt_avg" => put_run(data, fr.ground_rtt_avg.iter().map(|v| v.to_bits().to_le_bytes())),
+        "ground_rtt_samples" => put_run(data, fr.ground_rtt_samples.iter().map(|v| v.to_le_bytes())),
+        "sat_rtt_ms" => put_run(data, fr.sat_rtt_ms.iter().map(|v| v.to_bits().to_le_bytes())),
+        "down_bps" => put_run(data, fr.down_bps.iter().map(|v| v.to_bits().to_le_bytes())),
+        "dur_s" => put_run(data, fr.dur_s.iter().map(|v| v.to_bits().to_le_bytes())),
+        "l7" => data.extend_from_slice(&fr.l7),
+        "country" => data.extend_from_slice(&fr.country),
+        "local_hour" => data.extend_from_slice(&fr.local_hour),
+        "hour_utc" => data.extend_from_slice(&fr.hour_utc),
+        "day" => put_run(data, fr.day.iter().map(|v| v.to_le_bytes())),
+        "beam" => put_run(data, fr.beam.iter().map(|v| v.to_le_bytes())),
+        "service" => put_run(data, fr.service.iter().map(|v| v.to_le_bytes())),
+        "category" => data.extend_from_slice(&fr.category),
+        "domain_idx" => put_run(data, domain_idx.iter().map(|v| v.to_le_bytes())),
+        "domain_dict" => {
+            put_u32(data, dict.len() as u32);
+            dict.iter().for_each(|name| put_str(data, name));
+        }
+        _ => unreachable!("column list is closed"),
+    }
 }
 
 /// Lay `fr` out as a segment whose `domain_idx` cells and dictionary
-/// are exactly the ones given.
-fn encode_columns(fr: &FlowFrame, domain_idx: &[u32], dict: &[&str]) -> Vec<u8> {
-    let n = fr.len();
-    let row_bytes: usize = COLUMNS.iter().filter_map(|c| column_width(c)).sum();
-    let mut data = Vec::with_capacity(n * row_bytes + 4096);
-    data.extend_from_slice(SEGMENT_MAGIC);
-    let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(COLUMNS.len());
-    for &name in COLUMNS {
-        let start = data.len();
-        match name {
-            "client" => put_run(&mut data, fr.client.iter().map(Ipv4Addr::octets)),
-            "first" => put_run(&mut data, fr.first.iter().map(|t| t.as_nanos().to_le_bytes())),
-            "bytes_up" => put_run(&mut data, fr.bytes_up.iter().map(|v| v.to_le_bytes())),
-            "bytes_down" => put_run(&mut data, fr.bytes_down.iter().map(|v| v.to_le_bytes())),
-            "ground_rtt_avg" => put_run(&mut data, fr.ground_rtt_avg.iter().map(|v| v.to_bits().to_le_bytes())),
-            "ground_rtt_samples" => put_run(&mut data, fr.ground_rtt_samples.iter().map(|v| v.to_le_bytes())),
-            "sat_rtt_ms" => put_run(&mut data, fr.sat_rtt_ms.iter().map(|v| v.to_bits().to_le_bytes())),
-            "down_bps" => put_run(&mut data, fr.down_bps.iter().map(|v| v.to_bits().to_le_bytes())),
-            "dur_s" => put_run(&mut data, fr.dur_s.iter().map(|v| v.to_bits().to_le_bytes())),
-            "l7" => data.extend_from_slice(&fr.l7),
-            "country" => data.extend_from_slice(&fr.country),
-            "local_hour" => data.extend_from_slice(&fr.local_hour),
-            "hour_utc" => data.extend_from_slice(&fr.hour_utc),
-            "day" => put_run(&mut data, fr.day.iter().map(|v| v.to_le_bytes())),
-            "beam" => put_run(&mut data, fr.beam.iter().map(|v| v.to_le_bytes())),
-            "service" => put_run(&mut data, fr.service.iter().map(|v| v.to_le_bytes())),
-            "category" => data.extend_from_slice(&fr.category),
-            "domain_idx" => put_run(&mut data, domain_idx.iter().map(|v| v.to_le_bytes())),
-            "domain_dict" => {
-                put_u32(&mut data, dict.len() as u32);
-                dict.iter().for_each(|name| put_str(&mut data, name));
-            }
-            _ => unreachable!("column list is closed"),
-        }
-        ranges.push(start..data.len());
-    }
-    let runs: Vec<&[u8]> = ranges.iter().map(|r| &data[r.clone()]).collect();
-    let sums = fnv1a_lanes(&runs);
-    // footer
+/// are exactly the ones given, into `w`. The runs are built one lane
+/// group of [`fnv1a_lanes`] at a time — each group checksummed, then
+/// handed to `w` — so no more than four runs are ever held, and never
+/// the segment.
+fn write_columns(fr: &FlowFrame, domain_idx: &[u32], dict: &[&str], w: &mut impl Write) -> std::io::Result<()> {
+    w.write_all(SEGMENT_MAGIC)?;
+    let mut offset = SEGMENT_MAGIC.len() as u64;
     let mut footer = Vec::new();
     put_u32(&mut footer, COLUMNS.len() as u32);
-    for ((name, range), fnv) in COLUMNS.iter().zip(&ranges).zip(sums) {
-        put_str(&mut footer, name);
-        put_u64(&mut footer, range.start as u64);
-        put_u64(&mut footer, range.len() as u64);
-        put_u64(&mut footer, fnv);
+    let mut group: Vec<Vec<u8>> = Vec::with_capacity(FNV1A_LANES);
+    for names in COLUMNS.chunks(FNV1A_LANES) {
+        group.resize_with(names.len(), Vec::new);
+        for (run, name) in group.iter_mut().zip(names) {
+            run.clear();
+            put_column(run, fr, name, domain_idx, dict);
+        }
+        let runs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
+        for ((name, run), fnv) in names.iter().zip(&runs).zip(fnv1a_lanes(&runs)) {
+            w.write_all(run)?;
+            put_str(&mut footer, name);
+            put_u64(&mut footer, offset);
+            put_u64(&mut footer, run.len() as u64);
+            put_u64(&mut footer, fnv);
+            offset += run.len() as u64;
+        }
     }
-    put_u64(&mut footer, n as u64);
+    put_u64(&mut footer, fr.len() as u64);
     let (min_first, max_first) = match (fr.first.iter().min(), fr.first.iter().max()) {
         (Some(a), Some(b)) => (a.as_nanos(), b.as_nanos()),
         _ => (u64::MAX, 0),
@@ -273,10 +294,9 @@ fn encode_columns(fr: &FlowFrame, domain_idx: &[u32], dict: &[&str]) -> Vec<u8> 
     put_u16(&mut footer, fr.services.len() as u16);
     fr.services.iter().for_each(|s| put_str(&mut footer, s));
     let footer_len = footer.len() as u64;
-    data.extend_from_slice(&footer);
-    put_u64(&mut data, footer_len);
-    data.extend_from_slice(SEGMENT_MAGIC);
-    data
+    put_u64(&mut footer, footer_len);
+    footer.extend_from_slice(SEGMENT_MAGIC);
+    w.write_all(&footer)
 }
 
 /// Parse and checksum-verify the framing + footer, returning the
@@ -432,12 +452,38 @@ pub fn decode_segment(bytes: &[u8]) -> Result<FlowFrame, SegmentError> {
 /// Encode `fr` and write it to `path` (via a `.tmp` sibling + rename,
 /// so a crash mid-write never leaves a half-segment under the final
 /// name). Returns the byte length and whole-file FNV-1a checksum.
+///
+/// The bytes stream to the file as each lane group of runs is laid
+/// down, and the whole-file checksum is folded as they pass: no
+/// segment-sized buffer, no second pass.
 pub fn write_segment_file(path: &Path, fr: &FlowFrame) -> Result<(u64, u64), SegmentError> {
-    let bytes = encode_segment(fr);
     let tmp = path.with_extension("swseg.tmp");
-    std::fs::write(&tmp, &bytes)?;
+    let mut w = Fnv1aWriter { inner: std::io::BufWriter::new(std::fs::File::create(&tmp)?), len: 0, fnv: FNV1A_INIT };
+    write_segment(fr, &mut w)?;
+    w.inner.flush()?;
+    drop(w.inner);
     std::fs::rename(&tmp, path)?;
-    Ok((bytes.len() as u64, fnv1a(&bytes)))
+    Ok((w.len, w.fnv))
+}
+
+/// A writer that counts the bytes it passes on and folds their FNV-1a.
+struct Fnv1aWriter<W> {
+    inner: W,
+    len: u64,
+    fnv: u64,
+}
+
+impl<W: Write> Write for Fnv1aWriter<W> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(bytes)?;
+        self.fnv = fnv1a_update(self.fnv, &bytes[..n]);
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// Read and decode a segment file, optionally verifying the
@@ -550,7 +596,9 @@ mod tests {
 
     fn lay_out(fr: &FlowFrame, idx: Vec<u32>, dict: &[String]) -> Vec<u8> {
         let dict: Vec<&str> = dict.iter().map(String::as_str).collect();
-        encode_columns(fr, &idx, &dict)
+        let mut data = Vec::new();
+        write_columns(fr, &idx, &dict, &mut data).unwrap();
+        data
     }
 
     #[test]

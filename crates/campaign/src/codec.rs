@@ -180,13 +180,50 @@ pub fn read_checksummed(path: &Path, expect: Option<u64>) -> Result<Vec<u8>, Cam
 /// Write one sealed DNS spill. Records must already be in canonical
 /// [`dns_cmp`](satwatch_monitor::dns_cmp) order.
 pub fn write_dns_file(path: &Path, recs: &[DnsRecord]) -> io::Result<u64> {
-    let mut buf = Vec::with_capacity(64 + recs.len() * 64);
-    buf.extend_from_slice(DNS_FILE_MAGIC);
-    put_u32(&mut buf, recs.len() as u32);
-    for d in recs {
-        put_dns_record(&mut buf, d);
+    let mut spill = DnsSpill::new();
+    spill.append(recs);
+    spill.write(path)
+}
+
+/// A DNS spill written piece by piece: the bytes [`write_dns_file`]
+/// writes for the records appended so far — a few dozen bytes a
+/// record, where the records themselves hold their strings and answer
+/// lists.
+pub(crate) struct DnsSpill {
+    buf: Vec<u8>,
+    records: u32,
+}
+
+/// Where a spill's record count sits: after the magic.
+const DNS_COUNT_AT: usize = DNS_FILE_MAGIC.len();
+
+impl DnsSpill {
+    pub(crate) fn new() -> DnsSpill {
+        let mut buf = DNS_FILE_MAGIC.to_vec();
+        put_u32(&mut buf, 0);
+        DnsSpill { buf, records: 0 }
     }
-    write_atomic(path, buf)
+
+    /// Append the next records, in canonical order.
+    pub(crate) fn append(&mut self, recs: &[DnsRecord]) {
+        for d in recs {
+            put_dns_record(&mut self.buf, d);
+        }
+        self.records += recs.len() as u32;
+    }
+
+    /// Records appended since the spill was started.
+    pub(crate) fn records(&self) -> u64 {
+        u64::from(self.records)
+    }
+
+    /// Write the spill to `path` (as [`write_atomic`] does) and start
+    /// the next one. Returns the checksum.
+    pub(crate) fn write(&mut self, path: &Path) -> io::Result<u64> {
+        let mut spill = std::mem::replace(self, DnsSpill::new());
+        spill.buf[DNS_COUNT_AT..DNS_COUNT_AT + 4].copy_from_slice(&spill.records.to_le_bytes());
+        write_atomic(path, spill.buf)
+    }
 }
 
 /// Inverse of [`write_dns_file`].

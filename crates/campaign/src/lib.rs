@@ -2,22 +2,25 @@
 //!
 //! Checkpointed multi-day campaign runner (DESIGN.md §12). The paper's
 //! vantage point observed traffic continuously for ~75 days; this
-//! crate makes such runs practical by holding the evicted flows of the
-//! running day only — what a checkpoint carries over is the live tail,
-//! tens of rows — and by surviving `kill -9` at any instant:
+//! crate makes such runs practical by holding no day of records — the
+//! probe's log is sealed at every sweep, as `simulate` seals it — and
+//! by surviving `kill -9` at any instant:
 //!
-//! * **Segments.** Evicted flows collect in the probe's log (a
-//!   [`Sealer`]), in eviction order. At every
-//!   checkpoint the rows strictly behind the *watermark* (the earlier
-//!   of next midnight and the oldest live flow's first packet) are
-//!   final — nothing live or future can sort before them — and are
-//!   *sealed* (DESIGN.md §10: the call `simulate` makes at every
-//!   sweep, here once a day): split off, sorted into canonical
-//!   order, folded into the running dataset digest, converted to a
-//!   columnar [`FlowFrame`] and written as the next segment,
-//!   `segments/seg-<k>.swseg` (`k` is the seal ordinal; per-column
-//!   checksums, see [`satwatch_analytics::segment`]). DNS transactions
-//!   spill the same way to `dns/dns-<k>.bin`.
+//! * **Segments.** At every sweep the rows strictly behind the probe's
+//!   *watermarks* (for flows, the earlier of the coming midnight and
+//!   the oldest live flow's first packet) are final — nothing live or
+//!   future can sort before them — and are *sealed* (DESIGN.md §10)
+//!   into a canonically sorted piece. Each piece is folded into the
+//!   running dataset digest at once and its flows become rows of the
+//!   day's segment, built up as columns (a [`FrameBuilder`]); its DNS
+//!   transactions are appended to the day's spill, as bytes. At the
+//!   day's checkpoint a last piece is sealed behind the exported
+//!   state's marks, and the day's rows are written as the next
+//!   segment, `segments/seg-<k>.swseg` (`k` is the seal ordinal;
+//!   per-column checksums, see [`satwatch_analytics::segment`]), its
+//!   DNS as `dns/dns-<k>.bin`. Pieces sealed at non-decreasing marks
+//!   concatenate to what one seal at the checkpoint would release, so
+//!   the files are those of a day sealed whole.
 //! * **Checkpoints.** After every simulated day the probe's complete
 //!   carry-over (live flows, pending DNS, sweep clock) plus the
 //!   unsealed tail are written to `state-<day>.bin`, and
@@ -26,12 +29,18 @@
 //!   per-day RNG stream is forked from `(seed, day)` without consuming
 //!   parent state, so `days_completed` *is* the full RNG cursor),
 //!   imports the probe state, and continues — bit-identically.
-//! * **Reports.** At completion the segments are streamed through
-//!   [`ReportFold`] in seal order. Seal-order concatenation of
-//!   canonically sorted pieces, each wholly behind the next, *is* the
-//!   canonical global order (the sort key leads with the first-packet
-//!   time), so both the dataset digest and every rendered report are
-//!   byte-identical to an all-in-RAM batch run of the same config.
+//! * **Reports.** A run that will complete folds every piece into a
+//!   [`ReportFold`] as it is sealed: the DNS records first, then the
+//!   rows behind the DNS mark, gathered [`FOLD_ROWS`] at a time. Rows
+//!   a checkpoint wrote before the DNS mark passed them carry in RAM
+//!   and fold after the next DNS piece. Completion is a `finish()`: no
+//!   segment is read back. A run that starts mid-campaign first
+//!   re-scans what earlier runs sealed; a run that stops early folds
+//!   nothing. Seal-order concatenation of canonically sorted pieces,
+//!   each wholly behind the next, *is* the canonical global order (the
+//!   sort key leads with the first-packet time), so both the dataset
+//!   digest and every rendered report are byte-identical to an
+//!   all-in-RAM batch run of the same config.
 
 pub mod codec;
 pub mod manifest;
@@ -40,11 +49,11 @@ pub use manifest::{config_hash, DnsFileInfo, Manifest, SegmentInfo};
 
 use satwatch_analytics::agg::Enrichment;
 use satwatch_analytics::segment::{read_segment_file, write_segment_file, SegmentError};
-use satwatch_analytics::{FlowFrame, ReportCtx, ReportFold};
+use satwatch_analytics::{FlowFrame, FrameBuilder, PaperReports, ReportCtx, ReportFold, FOLD_ROWS};
 use satwatch_monitor::checkpoint::CheckpointError;
-use satwatch_monitor::record::{write_flow_rows, write_flows};
-use satwatch_monitor::{DnsRecord, FlowRecord, Piece, Probe, ProbeState, SealMarks, Sealer};
-use satwatch_scenario::digest::{fnv1a, write_dns_lines, Fnv1aSink, FNV1A_INIT};
+use satwatch_monitor::record::{encode_flow_row, write_flows};
+use satwatch_monitor::{DnsRecord, Piece, Probe, ProbeState, SealMarks, Sealer};
+use satwatch_scenario::digest::{fnv1a, fnv1a_update, write_dns_lines, Fnv1aSink, FNV1A_INIT};
 use satwatch_scenario::experiments::{FIG6_SERVICES, MIN_FLOWS};
 use satwatch_scenario::{DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
@@ -64,6 +73,14 @@ pub enum CampaignError {
     Corrupt(String),
     Segment(SegmentError),
     Checkpoint(CheckpointError),
+    /// [`RunOptions::abort_after_day`] names a day the run will never
+    /// finish: it simulates days `days_completed..days` (none, when
+    /// the campaign has run them all). Refused before any day runs.
+    AbortOutOfReach {
+        day: u64,
+        days_completed: u64,
+        days: u64,
+    },
 }
 
 impl std::fmt::Display for CampaignError {
@@ -73,6 +90,12 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Corrupt(msg) => write!(f, "corrupt campaign state: {msg}"),
             CampaignError::Segment(e) => write!(f, "campaign segment error: {e}"),
             CampaignError::Checkpoint(e) => write!(f, "campaign probe-state error: {e:?}"),
+            CampaignError::AbortOutOfReach { day, days_completed, days } if days_completed < days => {
+                write!(f, "cannot abort after day {day}: this run simulates days {days_completed} to {}", days - 1)
+            }
+            CampaignError::AbortOutOfReach { day, days, .. } => {
+                write!(f, "cannot abort after day {day}: all {days} days have run")
+            }
         }
     }
 }
@@ -103,7 +126,9 @@ impl From<CheckpointError> for CampaignError {
 pub struct RunOptions {
     /// Checkpoint day `N` (0-based) and then return instead of
     /// continuing — the CI kill-and-resume simulation, equivalent to
-    /// `kill -9` right after day `N`'s checkpoint committed.
+    /// `kill -9` right after day `N`'s checkpoint committed. `N` must
+    /// be a day this run simulates
+    /// ([`CampaignError::AbortOutOfReach`] otherwise).
     pub abort_after_day: Option<u64>,
     /// Append one telemetry delta snapshot per sealed day (and a
     /// final cumulative one) to this file as a stream of JSON objects.
@@ -125,7 +150,7 @@ pub struct DaySummary {
     /// The day just simulated (0-based).
     pub day: u64,
     /// Segments this day's checkpoint sealed: one, holding every
-    /// evicted flow behind the watermark.
+    /// flow the day's seals released.
     pub segments_sealed: u64,
     /// Rows in that segment.
     pub rows_sealed: u64,
@@ -209,6 +234,145 @@ fn metrics() -> &'static CampaignMetrics {
         state_bytes: telemetry::gauge("campaign_state_bytes"),
         sealed: telemetry::counter("campaign_segments_sealed_total"),
     })
+}
+
+/// What the probe sealed since the last checkpoint — the next
+/// segment's rows, as columns, and the next DNS spill, as bytes — with
+/// the flow digest over every row sealed so far and, in a run that
+/// will complete, the report fold.
+struct Sealing<'e> {
+    /// The open segment: `builder.sealed()`.
+    builder: FrameBuilder,
+    dns: codec::DnsSpill,
+    /// FNV-1a state of the flow log through the last row sealed, and
+    /// the rows it covers.
+    flow_digest: u64,
+    flow_rows: u64,
+    /// The flow-log line being hashed, one row at a time.
+    line: Vec<u8>,
+    fold: Option<SealFold<'e>>,
+}
+
+impl<'e> Sealing<'e> {
+    /// Sealing that continues `c`'s digest, feeding `fold` if given.
+    fn new(c: &Campaign, enr: &Enrichment, fold: Option<SealFold<'e>>) -> Sealing<'e> {
+        Sealing {
+            builder: FrameBuilder::new(enr.clone()),
+            dns: codec::DnsSpill::new(),
+            flow_digest: c.flow_digest,
+            flow_rows: c.flow_rows,
+            line: Vec::new(),
+            fold,
+        }
+    }
+
+    /// Take in the next piece, sealed at `marks` (`None`: the closing
+    /// seal, every row): its flows are hashed and become rows of the
+    /// open segment, its DNS goes to the fold and the spill, and the
+    /// fold absorbs the rows now behind the DNS mark once there are
+    /// [`FOLD_ROWS`] of them.
+    fn absorb(&mut self, piece: Piece, marks: Option<SealMarks>) {
+        for f in &piece.flows {
+            self.line.clear();
+            encode_flow_row(&mut self.line, f);
+            self.flow_digest = fnv1a_update(self.flow_digest, &self.line);
+            self.builder.push(f);
+        }
+        self.flow_rows += piece.flows.len() as u64;
+        // every flow of the piece is behind its flow mark
+        self.builder.seal_behind(marks.map(|m| SealMarks { dns: m.flows, ..m }));
+        if let Some(fold) = &mut self.fold {
+            fold.absorb_dns(&piece.dns, marks.map_or(SimTime::MAX, |m| m.dns));
+            fold.absorb_behind(self.builder.sealed(), FOLD_ROWS);
+        }
+        self.dns.append(&piece.dns);
+    }
+}
+
+/// The report fold of a run that will complete, and the sealed rows it
+/// has still to absorb. DNS first: a row is absorbed once every DNS
+/// record at or before its first packet is, that is once it is behind
+/// the DNS mark.
+struct SealFold<'e> {
+    fold: ReportFold<'e>,
+    /// Rows of segments already written that were not behind the DNS
+    /// mark then, in canonical order; every one comes before the open
+    /// segment's rows.
+    carried: Vec<FlowFrame>,
+    /// Rows of the open segment absorbed so far.
+    folded: usize,
+    /// Every DNS record before it has been absorbed.
+    dns_mark: SimTime,
+}
+
+impl<'e> SealFold<'e> {
+    fn new(ctx: ReportCtx<'e>) -> SealFold<'e> {
+        SealFold { fold: ReportFold::new(ctx), carried: Vec::new(), folded: 0, dns_mark: SimTime::ZERO }
+    }
+
+    /// Absorb the next DNS piece, sealed at `mark`.
+    fn absorb_dns(&mut self, dns: &[DnsRecord], mark: SimTime) {
+        self.fold.absorb_dns(dns);
+        self.dns_mark = self.dns_mark.max(mark);
+    }
+
+    /// Absorb the carried rows behind the DNS mark; `true` once none
+    /// is left.
+    fn absorb_carried(&mut self) -> bool {
+        while let Some(front) = self.carried.first_mut() {
+            let behind = front.first.partition_point(|&t| t < self.dns_mark);
+            self.fold.absorb_rows(front, 0..behind);
+            if behind < front.len() {
+                *front = front.split_off(behind);
+                return false;
+            }
+            self.carried.remove(0);
+        }
+        true
+    }
+
+    /// Absorb the rows behind the DNS mark, the carried ones first,
+    /// then those of the open segment `open` — once at least
+    /// `min_rows` of these are waiting.
+    fn absorb_behind(&mut self, open: &FlowFrame, min_rows: usize) {
+        if !self.absorb_carried() {
+            return;
+        }
+        let behind = self.folded + open.first[self.folded..].partition_point(|&t| t < self.dns_mark);
+        if behind > self.folded && behind - self.folded >= min_rows {
+            self.fold.absorb_rows(open, self.folded..behind);
+            self.folded = behind;
+        }
+    }
+
+    /// The open segment in `builder` has been written: absorb what is
+    /// behind the DNS mark, carry the rest, and start the next segment.
+    fn close_segment(&mut self, builder: &mut FrameBuilder) {
+        self.absorb_behind(builder.sealed(), 0);
+        if self.folded < builder.sealed().len() {
+            self.carried.push(builder.take_sealed_from(self.folded));
+        } else {
+            builder.clear_sealed();
+        }
+        self.folded = 0;
+    }
+
+    /// The reports, once the closing seal has been absorbed.
+    fn finish(self) -> PaperReports {
+        debug_assert!(self.carried.is_empty(), "the closing seal passes every row");
+        self.fold.finish(&FIG6_SERVICES, MIN_FLOWS)
+    }
+}
+
+/// The DNS mark a run resumed from `state` and `unsealed` DNS starts
+/// at, on day `day`: no DNS record before it is still to be sealed.
+/// Pending queries log at their `asked_at`, the next day's at or after
+/// midnight, and the unsealed tail is what it is (a whole day of it in
+/// a directory an older binary checkpointed).
+fn resume_dns_mark(state: &ProbeState, unsealed: &[DnsRecord], day: u64) -> SimTime {
+    let midnight = SimTime::from_secs(day * SECS_PER_DAY);
+    let pending = state.min_pending_dns_ts().unwrap_or(midnight);
+    unsealed.iter().map(|d| d.ts).fold(pending.min(midnight), SimTime::min)
 }
 
 impl Campaign {
@@ -308,6 +472,12 @@ impl Campaign {
     /// `opts.abort_after_day`. Safe to call again after an abort or a
     /// crash-resume; a completed campaign returns its recorded result.
     pub fn run(&mut self, opts: &RunOptions) -> Result<CampaignOutcome, CampaignError> {
+        if let Some(day) = opts.abort_after_day {
+            if !(self.days_completed..self.cfg.days).contains(&day) {
+                let (days_completed, days) = (self.days_completed, self.cfg.days);
+                return Err(CampaignError::AbortOutOfReach { day, days_completed, days });
+            }
+        }
         if self.complete {
             return Ok(CampaignOutcome {
                 completed: true,
@@ -322,15 +492,25 @@ impl Campaign {
         let enr = runner.enrichment();
 
         let mut probe = Probe::new(runner.probe_config());
+        let mut dns_mark = SimTime::ZERO;
         if let Some((state, unsealed)) = self.probe_carry.take() {
+            dns_mark = resume_dns_mark(&state, unsealed.unsealed().1, self.days_completed);
             probe.import_state(state, unsealed)?;
         }
+        // Only a run that will complete folds; one that stops early
+        // writes what it always wrote, and the run that completes
+        // re-scans it.
+        let fold = match opts.abort_after_day {
+            None => Some(self.rescan(ReportCtx { enrichment: &enr, countries: &Country::TOP6 }, dns_mark)?),
+            Some(_) => None,
+        };
+        let mut sealing = Sealing::new(self, &enr, fold);
 
         let mut prev_snap = telemetry::Snapshot::take();
         let mut days = Vec::new();
         for day in self.days_completed..self.cfg.days {
             let t0 = std::time::Instant::now();
-            runner.run_day(&mut probe, day);
+            runner.run_day_sealed(&mut probe, day, |piece, marks| sealing.absorb(piece, Some(marks)));
 
             let _sp = telemetry::span("campaign_checkpoint_us");
             let state = probe.export_state();
@@ -344,19 +524,14 @@ impl Campaign {
             let marks = SealMarks {
                 flows: state.min_live_flow_first().unwrap_or(next_midnight),
                 dns: state.min_pending_dns_ts().unwrap_or(next_midnight),
-            };
-            let sealed_before = self.segments.len();
-            self.write_piece(probe.seal(marks.capped(next_midnight)), &enr)?;
+            }
+            .capped(next_midnight);
+            sealing.absorb(probe.seal(marks), Some(marks));
+            let rows_sealed = self.seal_segment(&mut sealing)?;
             let state_bytes = self.checkpoint(day, &state, &probe)?;
             let rows_carried = probe.unsealed().0.len() as u64;
-            let sealed = &self.segments[sealed_before..];
-            let summary = DaySummary {
-                day,
-                segments_sealed: sealed.len() as u64,
-                rows_sealed: sealed.iter().map(|s| s.rows).sum(),
-                rows_carried,
-                live_flows: state.flows.len() as u64,
-            };
+            let summary =
+                DaySummary { day, segments_sealed: 1, rows_sealed, rows_carried, live_flows: state.flows.len() as u64 };
             drop(_sp);
 
             let m = metrics();
@@ -397,16 +572,14 @@ impl Campaign {
         }
 
         // All days simulated: flush the probe, whose closing seal is
-        // the last piece, and fold the final digest and reports.
+        // the last piece and passes every row to the fold.
         let (flows, dns) = probe.finish();
-        self.write_piece(Piece { flows, dns }, &enr)?;
-
-        let dns = self.read_all_dns()?;
-        let mut digest = Fnv1aSink(self.flow_digest);
-        write_dns_lines(&mut digest, &dns).expect("hashing cannot fail");
-        let dataset_digest = digest.0;
-
-        let (report_text, report_digest) = self.fold_report(&enr, &dns)?;
+        sealing.absorb(Piece { flows, dns }, None);
+        self.seal_segment(&mut sealing)?;
+        let dataset_digest = self.dataset_digest()?;
+        let reports = sealing.fold.take().expect("a run that completes folds").finish();
+        let report_text = reports.render_all();
+        let report_digest = fnv1a(report_text.as_bytes());
         std::fs::write(self.dir.join("report.txt"), &report_text)?;
 
         self.complete = true;
@@ -432,36 +605,52 @@ impl Campaign {
         })
     }
 
-    /// Write a sealed piece as the next segment and the next DNS spill.
-    fn write_piece(&mut self, piece: Piece, enr: &Enrichment) -> Result<(), CampaignError> {
-        self.write_segment(piece.flows, enr)?;
-        self.write_dns_spill(&piece.dns)
-    }
-
-    /// Fold canonically sorted `flows` into the digest and write them
-    /// as the next segment.
-    fn write_segment(&mut self, flows: Vec<FlowRecord>, enr: &Enrichment) -> Result<(), CampaignError> {
-        let mut digest = Fnv1aSink(self.flow_digest);
-        write_flow_rows(&mut digest, &flows).expect("hashing cannot fail");
-        self.flow_digest = digest.0;
-        let rows = flows.len() as u64;
-        self.flow_rows += rows;
-        let frame = FlowFrame::from_records(&flows, enr);
-        // the frame is the segment: the records go before it is encoded
-        drop(flows);
+    /// Write what `s` sealed since the last checkpoint as the next
+    /// segment and the next DNS spill, and start the next ones. Returns
+    /// the segment's rows.
+    fn seal_segment(&mut self, s: &mut Sealing<'_>) -> Result<u64, CampaignError> {
         let k = self.segments.len() as u64;
-        let (bytes, fnv) = write_segment_file(&self.segment_path(k), &frame)?;
+        let rows = s.builder.sealed().len() as u64;
+        let (bytes, fnv) = write_segment_file(&self.segment_path(k), s.builder.sealed())?;
         self.segments.push(SegmentInfo { day: k, rows, bytes, fnv });
         metrics().sealed.inc();
-        Ok(())
+        let k = self.dns_files.len() as u64;
+        let records = s.dns.records();
+        let fnv = s.dns.write(&self.dns_path(k))?;
+        self.dns_files.push(DnsFileInfo { day: k, records, fnv });
+        (self.flow_digest, self.flow_rows) = (s.flow_digest, s.flow_rows);
+        match &mut s.fold {
+            Some(fold) => fold.close_segment(&mut s.builder),
+            None => s.builder.clear_sealed(),
+        }
+        Ok(rows)
     }
 
-    /// Write canonically sorted `recs` as the next DNS spill.
-    fn write_dns_spill(&mut self, recs: &[DnsRecord]) -> Result<(), CampaignError> {
-        let k = self.dns_files.len() as u64;
-        let fnv = codec::write_dns_file(&self.dns_path(k), recs)?;
-        self.dns_files.push(DnsFileInfo { day: k, records: recs.len() as u64, fnv });
-        Ok(())
+    /// The fold of a run that starts after earlier runs sealed: every
+    /// DNS spill, then the rows of every segment behind `dns_mark` —
+    /// one file in RAM at a time. The rows at or past it carry.
+    fn rescan<'e>(&self, ctx: ReportCtx<'e>, dns_mark: SimTime) -> Result<SealFold<'e>, CampaignError> {
+        let mut fold = SealFold::new(ctx);
+        for info in &self.dns_files {
+            fold.fold.absorb_dns(&codec::read_dns_file(&self.dns_path(info.day), Some(info.fnv))?);
+        }
+        fold.dns_mark = dns_mark;
+        for info in &self.segments {
+            fold.carried.push(read_segment_file(&self.segment_path(info.day), Some(info.fnv))?);
+            fold.absorb_carried();
+        }
+        Ok(fold)
+    }
+
+    /// The dataset digest: the flow log's, continued over the DNS
+    /// spills in seal order, read back one file at a time.
+    fn dataset_digest(&self) -> Result<u64, CampaignError> {
+        let mut digest = Fnv1aSink(self.flow_digest);
+        for info in &self.dns_files {
+            let dns = codec::read_dns_file(&self.dns_path(info.day), Some(info.fnv))?;
+            write_dns_lines(&mut digest, &dns).expect("hashing cannot fail");
+        }
+        Ok(digest.0)
     }
 
     /// Commit one day — `state` and the rows `probe` holds unsealed —
@@ -511,34 +700,6 @@ impl Campaign {
         }
         Ok(())
     }
-
-    /// Load every sealed DNS spill in seal order (checksums verified).
-    fn read_all_dns(&self) -> Result<Vec<DnsRecord>, CampaignError> {
-        let mut dns = Vec::new();
-        for info in &self.dns_files {
-            dns.extend(codec::read_dns_file(&self.dns_path(info.day), Some(info.fnv))?);
-        }
-        Ok(dns)
-    }
-
-    /// Stream the sealed segments through an incremental report fold
-    /// — one segment's frame in memory at a time, never the whole
-    /// dataset.
-    /// Returns the rendered text and its digest, byte-identical to
-    /// the batch `report_all` over the full frame.
-    fn fold_report(&self, enr: &Enrichment, dns: &[DnsRecord]) -> Result<(String, u64), CampaignError> {
-        let ctx = ReportCtx { enrichment: enr, countries: &Country::TOP6 };
-        let mut fold = ReportFold::new(ctx);
-        fold.absorb_dns(dns);
-        for info in &self.segments {
-            let frame = read_segment_file(&self.segment_path(info.day), Some(info.fnv))?;
-            fold.absorb_frame(&frame);
-        }
-        let reports = fold.finish(&FIG6_SERVICES, MIN_FLOWS);
-        let text = reports.render_all();
-        let digest = fnv1a(text.as_bytes());
-        Ok((text, digest))
-    }
 }
 
 /// Append one per-day telemetry delta to the metrics stream. Each
@@ -558,7 +719,11 @@ fn append_metrics_final(path: &Path, snap: &telemetry::Snapshot) -> std::io::Res
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use satwatch_analytics::report_all;
+    use satwatch_monitor::FlowRecord;
+    use satwatch_scenario::experiments::CSV_MIN_FLOWS;
     use std::net::Ipv4Addr;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Rows and marks sit on one grid, ten slots a day, coarse enough
     /// that canonical keys repeat and that a mark often equals a row's
@@ -664,6 +829,136 @@ mod tests {
                 let mut sealer = Sealer::carrying(Vec::new(), rows);
                 (sealer.seal(marks).dns, sealer.unsealed().1.to_vec())
             });
+        }
+    }
+
+    /// Lookups and flows for the fold test sit on a half-hour grid over
+    /// two days, and so do the marks.
+    const FOLD_SLOT: u64 = 1_800;
+    const FOLD_SLOTS: u64 = 100;
+    const DOMAINS: [&str; 3] = ["a.video-one.com", "b.video-two.net", "c.cdn-three.org"];
+
+    /// Client `i`'s address; all four are enriched, two in one country.
+    fn fold_client(i: u8) -> Ipv4Addr {
+        Ipv4Addr::new(77, 0, 1, i)
+    }
+
+    fn fold_enrichment() -> Enrichment {
+        let mut enr = Enrichment { days: 3, ..Enrichment::default() };
+        for (i, country) in
+            [Country::TOP6[0], Country::TOP6[1], Country::TOP6[0], Country::TOP6[2]].into_iter().enumerate()
+        {
+            enr.country_of.insert(fold_client(i as u8), country);
+            enr.beam_of.insert(fold_client(i as u8), i as u16);
+        }
+        enr
+    }
+
+    /// A fresh directory per case.
+    fn fold_dir() -> PathBuf {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("swcampaign-fold-{}-{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    proptest! {
+        /// The seal-time fold is the batch fold. Each lookup is a DNS
+        /// record and, `delay` seconds later (past the 30 s freshness
+        /// window at times), a flow to the name it asked for. Pieces
+        /// are sealed at rising flow and DNS marks drawn apart, so at a
+        /// checkpoint the DNS mark trails the flow mark as often as it
+        /// leads it; a checkpoint writes the open segment and spill,
+        /// and a kill after one drops everything in RAM but the
+        /// unsealed log — the run that completes re-scans the prefix
+        /// from the files, as a resumed campaign does. The reports
+        /// match `report_all` over the whole: Table 2 at both floors,
+        /// Fig 10 and the rendered text; the flow digest matches the
+        /// flow log's.
+        #[test]
+        fn the_seal_time_fold_is_the_batch_fold(
+            lookups in proptest::collection::vec(
+                (0u64..FOLD_SLOTS, 0u8..4, 0usize..3, any::<bool>(), 0i64..40, any::<bool>()),
+                0..160,
+            ),
+            steps in proptest::collection::vec((0u64..=FOLD_SLOTS, 0u64..=FOLD_SLOTS, any::<bool>(), any::<bool>()), 0..8),
+        ) {
+            let enr = fold_enrichment();
+            let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
+            let (mut flows, mut dns) = (Vec::new(), Vec::new());
+            for (i, &(slot, client, domain, google, delay, flow)) in lookups.iter().enumerate() {
+                let ts = SimTime::from_secs(slot * FOLD_SLOT);
+                let client = fold_client(client);
+                dns.push(DnsRecord {
+                    client,
+                    resolver: if google { Ipv4Addr::new(8, 8, 8, 8) } else { Ipv4Addr::new(1, 1, 1, 1) },
+                    query: DOMAINS[domain].into(),
+                    ts,
+                    response_ms: Some(i as f64),
+                    answers: Vec::new(),
+                });
+                if flow {
+                    let first = ts + satwatch_simcore::SimDuration::from_secs(delay);
+                    let base = codec::tests::flow(0);
+                    flows.push(FlowRecord {
+                        client,
+                        first,
+                        last: first + satwatch_simcore::SimDuration::from_secs(5),
+                        c2s_bytes: i as u64,
+                        ground_rtt: satwatch_monitor::record::RttSummary { avg_ms: 10.0 + i as f64, ..base.ground_rtt },
+                        domain: Some(DOMAINS[domain].into()),
+                        ..base
+                    });
+                }
+            }
+            let whole = Sealer::carrying(flows.clone(), dns.clone()).seal(None);
+
+            let dir = fold_dir();
+            let mut c = Campaign::create(&dir, ScenarioConfig::tiny()).unwrap();
+            let mut log = Sealer::carrying(flows, dns);
+            let mut sealing = Sealing::new(&c, &enr, Some(SealFold::new(ctx)));
+            let mut flow_slots: Vec<u64> = steps.iter().map(|s| s.0).collect();
+            let mut dns_slots: Vec<u64> = steps.iter().map(|s| s.1).collect();
+            flow_slots.sort_unstable();
+            dns_slots.sort_unstable();
+            let mut dns_sealed_to = SimTime::ZERO;
+            for (i, &(_, _, checkpoint, kill)) in steps.iter().enumerate() {
+                let marks = SealMarks {
+                    flows: SimTime::from_secs(flow_slots[i] * FOLD_SLOT),
+                    dns: SimTime::from_secs(dns_slots[i] * FOLD_SLOT),
+                };
+                dns_sealed_to = dns_sealed_to.max(marks.dns);
+                sealing.absorb(log.seal(Some(marks)), Some(marks));
+                if checkpoint {
+                    c.seal_segment(&mut sealing).unwrap();
+                    c.write_manifest(None).unwrap();
+                    if kill {
+                        drop(sealing);
+                        c = Campaign::resume(&dir).unwrap();
+                        let dns_mark = log.unsealed().1.iter().map(|d| d.ts).fold(dns_sealed_to, SimTime::min);
+                        sealing = Sealing::new(&c, &enr, Some(c.rescan(ctx, dns_mark).unwrap()));
+                    }
+                }
+            }
+            sealing.absorb(log.seal(None), None);
+            c.seal_segment(&mut sealing).unwrap();
+            let fold = sealing.fold.take().unwrap();
+            let table2_csv = fold.fold.table2(CSV_MIN_FLOWS);
+            let got = fold.finish();
+
+            let frame = FlowFrame::from_records(&whole.flows, &enr);
+            let want = report_all(&frame, &whole.dns, ctx, &FIG6_SERVICES, MIN_FLOWS);
+            let want_csv = report_all(&frame, &whole.dns, ctx, &FIG6_SERVICES, CSV_MIN_FLOWS).table2;
+            prop_assert_eq!(table2_csv.render(), want_csv.render());
+            prop_assert_eq!(got.table2.render(), want.table2.render());
+            prop_assert_eq!(got.fig10.render(), want.fig10.render());
+            prop_assert_eq!(got.render_all(), want.render_all());
+            let mut log_digest = Fnv1aSink(FNV1A_INIT);
+            write_flows(&mut log_digest, &whole.flows).unwrap();
+            prop_assert_eq!((c.flow_digest, c.flow_rows), (log_digest.0, whole.flows.len() as u64));
+            prop_assert_eq!(c.segments.iter().map(|s| s.rows).sum::<u64>(), whole.flows.len() as u64);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }

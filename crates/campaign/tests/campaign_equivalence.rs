@@ -267,3 +267,38 @@ fn a_day_bucket_checkpoint_of_an_older_binary_resumes_to_the_batch_digests() {
     assert_eq!(out.report_digest, Some(want_rep), "report digest diverged from the batch run");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// An `abort_after_day` the run never reaches is refused before any
+/// day runs, whether it lies past the last day or behind the days a
+/// resumed campaign has already run; the day a resumed run starts with
+/// and the last day stay legal.
+#[test]
+fn an_abort_after_a_day_the_run_never_reaches_is_refused() {
+    let cfg = ScenarioConfig::tiny().with_customers(4).with_days(3).with_seed(7);
+    let dir = tmp_dir("abort-range");
+    let abort = |day| RunOptions { abort_after_day: Some(day), ..RunOptions::default() };
+    let refused = |c: &mut Campaign, day| match c.run(&abort(day)) {
+        Err(CampaignError::AbortOutOfReach { day: d, days_completed, days }) => (d, days_completed, days),
+        other => panic!("abort after day {day} must be refused, got {other:?}"),
+    };
+    let mut c = Campaign::create(&dir, cfg).unwrap();
+    assert_eq!(refused(&mut c, 3), (3, 0, 3), "past the last day");
+    assert_eq!(c.days_completed(), 0, "refused before any day runs");
+    assert!(c.segments().is_empty());
+    assert!(!c.run(&abort(0)).unwrap().completed);
+
+    let mut c = Campaign::resume(&dir).unwrap();
+    assert_eq!(refused(&mut c, 0), (0, 1, 3), "behind the days already run");
+    let err = c.run(&abort(0)).unwrap_err().to_string();
+    assert!(err.contains("day 0") && err.contains("days 1 to 2"), "{err}");
+    assert_eq!((c.days_completed(), c.segments().len()), (1, 1), "refused before any day runs");
+    // the day the run starts with, then the last day
+    assert_eq!(c.run(&abort(1)).unwrap().days_completed, 2);
+    let mut c = Campaign::resume(&dir).unwrap();
+    let out = c.run(&abort(2)).unwrap();
+    assert!(!out.completed && out.days_completed == 3, "the last day is a legal abort");
+    let mut c = Campaign::resume(&dir).unwrap();
+    assert_eq!(refused(&mut c, 2), (2, 3, 3), "no day is left to run");
+    assert!(c.run(&RunOptions::default()).unwrap().completed);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

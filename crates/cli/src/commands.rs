@@ -225,7 +225,7 @@ fn ingest_with_banner(cfg: ScenarioConfig) -> ColumnarDataset {
 }
 
 fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
-    use satwatch_campaign::{Campaign, RunOptions};
+    use satwatch_campaign::{Campaign, CampaignError, RunOptions};
 
     let mut c = match args.get("resume") {
         Some(dir) => {
@@ -260,7 +260,10 @@ fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
         None => None,
     };
     let opts = RunOptions { abort_after_day, metrics_out: args.get("metrics-out").map(Into::into), quiet: false };
-    let outcome = c.run(&opts)?;
+    let outcome = c.run(&opts).map_err(|e| match e {
+        CampaignError::AbortOutOfReach { .. } => format!("--abort-after-day: {e}"),
+        e => e.to_string(),
+    })?;
     if outcome.completed {
         // stdout, machine-greppable — the CI smoke diffs these lines
         // between an interrupted-and-resumed and an uninterrupted run

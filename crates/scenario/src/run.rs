@@ -5,12 +5,12 @@ use crate::config::ScenarioConfig;
 use crate::flowsim::NetModel;
 use satwatch_analytics::agg::{BeamInfo, Enrichment};
 use satwatch_analytics::report::TableCdnSelection;
-use satwatch_analytics::{FrameBuilder, PaperReports, ReportCtx, ReportFold};
+use satwatch_analytics::{FrameBuilder, PaperReports, ReportCtx, ReportFold, FOLD_ROWS};
 use satwatch_internet::{CdnCatalog, ResolverId};
 use satwatch_monitor::anon::CryptoPan;
 /// A per-packet observer of the span port (pcap writers, tests).
 pub use satwatch_monitor::Tap;
-use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, LiveRuns, Piece, Probe, ProbeConfig};
+use satwatch_monitor::{DnsRecord, FlowRecord, FlowTableConfig, LiveRuns, Piece, Probe, ProbeConfig, SealMarks};
 use satwatch_netstack::{Packet, PacketColumns};
 use satwatch_satcom::channel::default_peak_hour;
 use satwatch_satcom::geo::places;
@@ -158,6 +158,14 @@ fn no_hook(_: &mut Probe, _: SimTime) -> ControlFlow<()> {
     ControlFlow::Continue(())
 }
 
+/// Seal the probe's log behind the marks of a sweep in the pass, held
+/// at `midnight`: the piece and the marks it was sealed at, or `None`
+/// when the pass swept nothing.
+fn seal_swept(probe: &mut Probe, midnight: SimTime) -> Option<(Piece, SealMarks)> {
+    let marks = probe.take_marks()?.capped(midnight);
+    Some((probe.seal(marks), marks))
+}
+
 /// Reusable per-day driver buffers. Created once per run (or per
 /// campaign) and recycled across days; every buffer is cleared at the
 /// end of each day, so a fresh `DayScratch` per day would produce the
@@ -284,9 +292,28 @@ impl DayRunner {
     /// Simulate one day (`0`-based), feeding every span-port packet to
     /// `probe` in global time order. Days must be driven in order
     /// against a probe carrying the previous day's state (live flows
-    /// spill up to one hour past midnight).
+    /// spill up to one hour past midnight). The day's evictions stay in
+    /// the probe's log.
     pub fn run_day(&mut self, probe: &mut Probe, day: u64) {
-        let _ = drive_day(self.cfg, &self.sim, probe, &mut None, &mut no_hook, day, &mut self.scratch);
+        self.drive(probe, day, &mut no_hook);
+    }
+
+    /// [`run_day`](Self::run_day), sealing the probe's log at every
+    /// sweep as [`run_sealed`] does (marks capped at the coming
+    /// midnight): `on_piece` gets each piece and the marks it was
+    /// sealed at. What stays in the log is the live tail.
+    pub fn run_day_sealed(&mut self, probe: &mut Probe, day: u64, mut on_piece: impl FnMut(Piece, SealMarks)) {
+        self.drive(probe, day, &mut |probe, midnight| {
+            if let Some((piece, marks)) = seal_swept(probe, midnight) {
+                on_piece(piece, marks);
+            }
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// The one body of both: drive `day`, `hook` after every pass.
+    fn drive(&mut self, probe: &mut Probe, day: u64, hook: PassHook<'_>) {
+        let _ = drive_day(self.cfg, &self.sim, probe, &mut None, hook, day, &mut self.scratch);
     }
 }
 
@@ -345,9 +372,8 @@ pub fn run_sealed(
     mut on_piece: impl FnMut(Piece) -> ControlFlow<()>,
 ) -> SealedRun {
     let (sim, enrichment) = setup_with_enrichment(cfg);
-    // seal behind the marks of a sweep in the pass, held at midnight
-    let mut seal = |probe: &mut Probe, midnight| match probe.take_marks() {
-        Some(marks) => on_piece(probe.seal(marks.capped(midnight))),
+    let mut seal = |probe: &mut Probe, midnight| match seal_swept(probe, midnight) {
+        Some((piece, _)) => on_piece(piece),
         None => ControlFlow::Continue(()),
     };
     let (packets, last) = drive_and_finish(cfg, &sim, tap, &mut seal);
@@ -384,14 +410,6 @@ pub struct ReportRun {
     /// Total packets the probe observed.
     pub packets: u64,
 }
-
-/// Rows the report fold absorbs at a time. A frame's sweep has costs
-/// of its own (resolving its dictionary against the DNS join, turning
-/// customer-day cells into [`CustomerDay`]s); gathering the sealed
-/// rows keeps them off the per-sweep path.
-///
-/// [`CustomerDay`]: satwatch_analytics::agg::CustomerDay
-const FOLD_ROWS: usize = 8_192;
 
 /// Run a scenario and fold every paper report as the probe seals:
 /// the DNS records each seal releases go into the fold first, then the

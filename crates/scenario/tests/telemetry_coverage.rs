@@ -134,13 +134,19 @@ fn snapshot_covers_every_pipeline_layer() {
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = ScenarioConfig::tiny().with_customers(3).with_days(2);
     let before = Snapshot::take();
+    run_sealed(cfg, None, |_| ControlFlow::Continue(()));
+    let sealed_run_pieces = Snapshot::take().delta(&before).counter("probe_seal_pieces_total").unwrap();
+    let before = Snapshot::take();
     let mut campaign = satwatch_campaign::Campaign::create(&dir, cfg).unwrap();
     assert!(campaign.run(&satwatch_campaign::RunOptions::default()).unwrap().completed);
     let snap = Snapshot::take();
     std::fs::remove_dir_all(&dir).unwrap();
-    // a seal per day and the closing one, through the probe's log
+    // a segment per day and the closing one; the probe's log is sealed
+    // at every sweep, as `run_sealed` seals it, and once more at each
+    // day's checkpoint
     assert_eq!(snap.delta(&before).counter("campaign_segments_sealed_total"), Some(3));
-    assert_eq!(snap.delta(&before).counter("probe_seal_pieces_total"), Some(3));
+    assert_eq!(snap.delta(&before).counter("probe_seal_pieces_total"), Some(sealed_run_pieces + cfg.days));
+    assert_eq!(snap.delta(&before).counter("probe_seal_pieces_total"), Some(193));
     assert_eq!(snap.gauge("campaign_days_completed"), Some(2));
     for gauge in ["campaign_rows_carried", "campaign_state_bytes", "campaign_segment_bytes_total"] {
         let v = snap.gauge(gauge).unwrap_or_else(|| panic!("{gauge} missing from snapshot"));
