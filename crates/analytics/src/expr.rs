@@ -11,21 +11,22 @@
 //!   literals, comparisons, boolean ops, arithmetic. Produced by
 //!   [`Expr::from_json`], still unresolved.
 //! * [`BoundExpr`] — the compiled expression: every column name is
-//!   resolved to a [`ColSlot`] (a [`FrameCol`] when compiling against
+//!   resolved to a [`ColSlot`] (a catalog [`Col`] when compiling against
 //!   a [`FlowFrame`], a result-table column index after a group or
 //!   project stage). Evaluation ([`BoundExpr::eval`]) is match-on-enum,
 //!   no string compares per row.
 //!
 //! Predicate pushdown lives here too: [`compile_match`] splits a
 //! `Match` predicate into conjuncts, and every conjunct that touches
-//! exactly one *code-backed* column (country, beam, category, service,
-//! local-hour, hour-utc, l7, domain — the columns `FrameBuilder`
-//! pre-resolved to small integers, see [`CodeCol`]) is compiled into a
+//! exactly one *code-backed* column (one whose catalog entry names a
+//! code table, see [`crate::column`] — the columns `FrameBuilder`
+//! pre-resolved to small integers, `day` excepted) is compiled into a
 //! lookup table over that column's codes. The scan then tests one or
 //! two small cells per row and never touches a wide column, or a
 //! string, until the surviving rows are known.
 
-use crate::frame::{FlowFrame, NO_BEAM, NO_HOUR};
+use crate::column::{Cells, Codes, Col, Column, Kind, Null, CATALOG};
+use crate::frame::FlowFrame;
 use satwatch_monitor::L7Protocol;
 use satwatch_traffic::{Category, Country};
 use std::cmp::Ordering;
@@ -530,213 +531,98 @@ fn two_args(op: &str, arg: &Json) -> Result<(Expr, Expr), QueryError> {
 }
 
 // ---------------------------------------------------------------------------
-// Column catalog
+// Frame columns, as the query reads them
 // ---------------------------------------------------------------------------
 
-/// A queryable `FlowFrame` column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameCol {
-    Country,
-    Beam,
-    Category,
-    Service,
-    LocalHour,
-    HourUtc,
-    Day,
-    L7,
-    BytesUp,
-    BytesDown,
-    Bytes,
-    GroundRttAvg,
-    GroundRttSamples,
-    SatRttMs,
-    DownBps,
-    DurS,
-    Client,
-    Domain,
-}
-
-/// Name → column table, also the reference list for error messages
-/// and docs.
-pub const FRAME_COLS: &[(&str, FrameCol)] = &[
-    ("country", FrameCol::Country),
-    ("beam", FrameCol::Beam),
-    ("category", FrameCol::Category),
-    ("service", FrameCol::Service),
-    ("local_hour", FrameCol::LocalHour),
-    ("hour_utc", FrameCol::HourUtc),
-    ("day", FrameCol::Day),
-    ("l7", FrameCol::L7),
-    ("bytes_up", FrameCol::BytesUp),
-    ("bytes_down", FrameCol::BytesDown),
-    ("bytes", FrameCol::Bytes),
-    ("ground_rtt_avg", FrameCol::GroundRttAvg),
-    ("ground_rtt_samples", FrameCol::GroundRttSamples),
-    ("sat_rtt_ms", FrameCol::SatRttMs),
-    ("down_bps", FrameCol::DownBps),
-    ("dur_s", FrameCol::DurS),
-    ("client", FrameCol::Client),
-    ("domain", FrameCol::Domain),
-];
-
-impl FrameCol {
-    /// Resolve a column name.
-    pub fn from_name(name: &str) -> Option<FrameCol> {
-        FRAME_COLS.iter().find(|(n, _)| *n == name).map(|(_, c)| *c)
-    }
-
-    /// The canonical name of this column.
-    pub fn name(self) -> &'static str {
-        FRAME_COLS.iter().find(|(_, c)| *c == self).map(|(n, _)| *n).unwrap()
+/// The query's view of the column catalog: every method reads the
+/// column's entry, so interpreter, pushdown and group-by agree.
+impl Col {
+    /// Resolve a query column name.
+    pub fn from_name(name: &str) -> Option<Col> {
+        CATALOG.iter().find(|c| c.queryable && c.name == name).map(|c| c.id)
     }
 
     /// The value of this column for row `i`.
     pub fn value(self, fr: &FlowFrame, i: usize) -> Value {
-        if let Some(cc) = self.code_col() {
-            return cc.value_of_code(fr, cc.code(fr, i));
-        }
-        match self {
-            FrameCol::BytesUp => Value::Int(fr.bytes_up[i] as i64),
-            FrameCol::BytesDown => Value::Int(fr.bytes_down[i] as i64),
-            FrameCol::Bytes => Value::Int(fr.flow_bytes(i) as i64),
-            FrameCol::GroundRttAvg => {
-                if fr.ground_rtt_samples[i] > 0 {
-                    Value::Num(fr.ground_rtt_avg[i])
-                } else {
-                    Value::Null
-                }
-            }
-            FrameCol::GroundRttSamples => Value::Int(fr.ground_rtt_samples[i] as i64),
-            FrameCol::SatRttMs => match fr.sat_rtt_at(i) {
-                Some(r) => Value::Num(r),
-                None => Value::Null,
+        let def = self.def();
+        match self.cells(fr) {
+            _ if def.codes.is_some() => self.value_of_code(fr, self.code(fr, i)),
+            Cells::Addr(v) => Value::Str(v[i].to_string()),
+            Cells::F64(v) => match def.null {
+                Null::NaN if v[i].is_nan() => Value::Null,
+                Null::ZeroIn(c) if c.int_at(fr, i) == Some(0) => Value::Null,
+                _ => Value::Num(v[i]),
             },
-            FrameCol::DownBps => Value::Num(fr.down_bps[i]),
-            FrameCol::DurS => Value::Num(fr.dur_s[i]),
-            FrameCol::Client => Value::Str(fr.client[i].to_string()),
-            _ => unreachable!("code-backed columns are decoded above"),
+            _ => self.int_at(fr, i).map_or(Value::Null, Value::Int),
         }
     }
 
     /// The integer in row `i` of an [`is_integer`](Self::is_integer)
-    /// column (`None` = null) — what `value` would wrap in
-    /// [`Value::Int`], without the wrapping. `None` for every other
-    /// column.
+    /// column (`None` = null): what `value` wraps in [`Value::Int`].
     #[inline]
     pub fn int_at(self, fr: &FlowFrame, i: usize) -> Option<i64> {
-        match self {
-            FrameCol::Beam => (fr.beam[i] != NO_BEAM).then(|| i64::from(fr.beam[i])),
-            FrameCol::LocalHour => (fr.local_hour[i] != NO_HOUR).then(|| i64::from(fr.local_hour[i])),
-            FrameCol::HourUtc => Some(i64::from(fr.hour_utc[i])),
-            FrameCol::Day => Some(i64::from(fr.day[i])),
-            FrameCol::BytesUp => Some(fr.bytes_up[i] as i64),
-            FrameCol::BytesDown => Some(fr.bytes_down[i] as i64),
-            FrameCol::Bytes => Some(fr.flow_bytes(i) as i64),
-            FrameCol::GroundRttSamples => Some(fr.ground_rtt_samples[i] as i64),
-            _ => None,
-        }
+        self.def().int_value(self.cells(fr).int(i))
     }
 
-    /// The code-backed view of this column, when it has one: the
-    /// pushdown targets and the group-by's raw keys.
-    pub fn code_col(self) -> Option<CodeCol> {
-        match self {
-            FrameCol::Country => Some(CodeCol::Country),
-            FrameCol::Beam => Some(CodeCol::Beam),
-            FrameCol::Category => Some(CodeCol::Category),
-            FrameCol::Service => Some(CodeCol::Service),
-            FrameCol::LocalHour => Some(CodeCol::LocalHour),
-            FrameCol::HourUtc => Some(CodeCol::HourUtc),
-            FrameCol::L7 => Some(CodeCol::L7),
-            FrameCol::Day => Some(CodeCol::Day),
-            FrameCol::Domain => Some(CodeCol::Domain),
-            _ => None,
-        }
-    }
-
-    /// True when every value of this column is `Int`, `Bool`, or
-    /// `Null` — the "sum stays exact in i64" set.
+    /// True when every value of this column is `Int` or `Null` — the
+    /// "sum stays exact in i64" set.
     pub fn is_integer(self) -> bool {
-        matches!(
-            self,
-            FrameCol::Beam
-                | FrameCol::LocalHour
-                | FrameCol::HourUtc
-                | FrameCol::Day
-                | FrameCol::BytesUp
-                | FrameCol::BytesDown
-                | FrameCol::Bytes
-                | FrameCol::GroundRttSamples
-        )
+        self.def().kind == Kind::Int
     }
-}
 
-/// A column whose cells are small integer *codes*: an index into a
-/// fixed table (`Country::ALL`, `Category::ALL`, `L7Protocol::ALL`),
-/// into one of the frame's dictionaries (`services`, `domains`), or
-/// the number itself (hours, day, beam), with the column's sentinel
-/// for null. A scan compares and hashes the code; the [`Value`] it
-/// stands for is built once per distinct code, not once per row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodeCol {
-    Country,
-    Beam,
-    Category,
-    Service,
-    LocalHour,
-    HourUtc,
-    L7,
-    Day,
-    Domain,
-}
-
-impl CodeCol {
-    /// The raw (sentinel-encoded) cell of row `i`, widened to `u32`.
+    /// The raw (sentinel-encoded) cell of row `i` of a code column.
     #[inline]
     pub fn code(self, fr: &FlowFrame, i: usize) -> u32 {
-        match self {
-            CodeCol::Country => u32::from(fr.country[i]),
-            CodeCol::Beam => u32::from(fr.beam[i]),
-            CodeCol::Category => u32::from(fr.category[i]),
-            CodeCol::Service => u32::from(fr.service[i]),
-            CodeCol::LocalHour => u32::from(fr.local_hour[i]),
-            CodeCol::HourUtc => u32::from(fr.hour_utc[i]),
-            CodeCol::L7 => u32::from(fr.l7[i]),
-            CodeCol::Day => fr.day[i],
-            CodeCol::Domain => fr.domain[i],
-        }
+        self.cells(fr).int(i) as u32
     }
 
     /// The [`Value`] a code decodes to: the column's sentinel, and any
-    /// code past the end of its table, is `Null`.
+    /// code past the end of its table, is `Null`. A scan compares and
+    /// hashes codes; this is built once per distinct code, not once
+    /// per row.
     pub fn value_of_code(self, fr: &FlowFrame, code: u32) -> Value {
         let c = code as usize;
         let label = |s: Option<&str>| s.map_or(Value::Null, |s| Value::Str(s.to_string()));
-        match self {
-            CodeCol::Country => label(Country::ALL.get(c).map(|c| c.code())),
-            CodeCol::Category => label(Category::ALL.get(c).map(|c| c.label())),
-            CodeCol::L7 => label(L7Protocol::ALL.get(c).map(|p| p.label())),
-            CodeCol::Service => label(fr.services.get(c).copied()),
-            CodeCol::Domain => label(fr.domains.get(c).map(|d| &**d)),
-            CodeCol::Beam if c == NO_BEAM as usize => Value::Null,
-            CodeCol::LocalHour if c == NO_HOUR as usize => Value::Null,
-            CodeCol::Beam | CodeCol::LocalHour | CodeCol::HourUtc | CodeCol::Day => Value::Int(i64::from(code)),
+        match self.def().codes.expect("a code column") {
+            Codes::Country => label(Country::ALL.get(c).map(|c| c.code())),
+            Codes::Category => label(Category::ALL.get(c).map(|c| c.label())),
+            Codes::L7 => label(L7Protocol::ALL.get(c).map(|p| p.label())),
+            Codes::Services => label(fr.services.get(c).copied()),
+            Codes::Domains => label(fr.domains.get(c).map(|d| &**d)),
+            Codes::Number if self.def().null == Null::Code(code) => Value::Null,
+            Codes::Number => Value::Int(i64::from(code)),
         }
     }
 
     /// How many lookup-table slots cover every code of this column in
-    /// `fr`: one per non-null code plus a last, null slot that the
-    /// sentinel (and anything else past the table) clamps to — see
-    /// [`Lut::passes`]. The dictionary-coded columns are sized by
-    /// their dictionary, `beam` by the largest beam present; `None`
-    /// for `day`, whose codes are not bounded by any table.
+    /// `fr`: one per non-null code — per dictionary entry, per byte
+    /// value, or per `u16` number up to the largest present — plus a
+    /// last, null slot that the sentinel (and anything else past the
+    /// table) clamps to, see [`Lut::passes`]. `None` for wider numbers
+    /// (`day`), whose codes no table bounds.
     fn lut_slots(self, fr: &FlowFrame) -> Option<usize> {
-        match self {
-            CodeCol::Country | CodeCol::Category | CodeCol::L7 | CodeCol::LocalHour | CodeCol::HourUtc => Some(1 << 8),
-            CodeCol::Service => Some(fr.services.len() + 1),
-            CodeCol::Domain => Some(fr.domains.len() + 1),
-            CodeCol::Beam => Some(fr.beam.iter().filter(|&&b| b != NO_BEAM).max().map_or(0, |&b| b as usize + 1) + 1),
-            CodeCol::Day => None,
+        let null = self.def().null;
+        match (self.def().codes?, self.cells(fr)) {
+            (Codes::Services, _) => Some(fr.services.len() + 1),
+            (Codes::Domains, _) => Some(fr.domains.len() + 1),
+            (_, Cells::U8(_)) => Some(1 << 8),
+            (_, Cells::U16(v)) => {
+                let largest = v.iter().filter(|&&c| null != Null::Code(u32::from(c))).max();
+                Some(largest.map_or(0, |&c| c as usize + 1) + 1)
+            }
+            _ => None,
+        }
+    }
+}
+
+impl Column {
+    /// A row's integer `cell` as the query reads it: `None` for the
+    /// column's null code.
+    #[inline]
+    pub fn int_value(&self, cell: u64) -> Option<i64> {
+        match self.null {
+            Null::Code(null) if u64::from(null) == cell => None,
+            _ => Some(cell as i64),
         }
     }
 }
@@ -749,7 +635,7 @@ impl CodeCol {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColSlot {
     /// A `FlowFrame` column (frame-phase stages).
-    Frame(FrameCol),
+    Frame(Col),
     /// Column `i` of the current result table (table-phase stages).
     Table(usize),
 }
@@ -767,12 +653,11 @@ pub enum BoundExpr {
     Arith(ArithOp, Box<BoundExpr>, Box<BoundExpr>),
 }
 
-/// Resolve every column name in `e` through `resolve`.
-pub fn bind(e: &Expr, resolve: &dyn Fn(&str) -> Option<ColSlot>) -> Result<BoundExpr, QueryError> {
+/// Resolve every column name in `e` through `resolve`, which says
+/// why a name it cannot resolve is wrong.
+pub fn bind(e: &Expr, resolve: &dyn Fn(&str) -> Result<ColSlot, QueryError>) -> Result<BoundExpr, QueryError> {
     Ok(match e {
-        Expr::Col(name) => BoundExpr::Col(
-            resolve(name).ok_or_else(|| QueryError::new(format!("unknown column \"{name}\" in this stage")))?,
-        ),
+        Expr::Col(name) => BoundExpr::Col(resolve(name)?),
         Expr::Lit(v) => BoundExpr::Lit(v.clone()),
         Expr::Cmp(op, a, b) => BoundExpr::Cmp(*op, Box::new(bind(a, resolve)?), Box::new(bind(b, resolve)?)),
         Expr::All(es) => BoundExpr::All(es.iter().map(|e| bind(e, resolve)).collect::<Result<_, _>>()?),
@@ -783,9 +668,15 @@ pub fn bind(e: &Expr, resolve: &dyn Fn(&str) -> Option<ColSlot>) -> Result<Bound
     })
 }
 
-/// Bind against the frame column catalog only.
+/// Bind against the frame column catalog only; an unknown name's error
+/// lists the catalog's.
 pub fn bind_frame(e: &Expr) -> Result<BoundExpr, QueryError> {
-    bind(e, &|name| FrameCol::from_name(name).map(ColSlot::Frame))
+    bind(e, &|name| {
+        Col::from_name(name).map(ColSlot::Frame).ok_or_else(|| {
+            let names: Vec<&str> = CATALOG.iter().filter(|c| c.queryable).map(|c| c.name).collect();
+            QueryError::new(format!("unknown column \"{name}\" (frame columns: {})", names.join(", ")))
+        })
+    })
 }
 
 /// The evaluation context for one row.
@@ -798,7 +689,7 @@ pub enum RowCtx<'a> {
     /// LUT construction: the single frame column `col` reads `value`;
     /// any other column ref reads Null (unreachable for pushed
     /// conjuncts, which reference exactly one column).
-    Subst(FrameCol, &'a Value),
+    Subst(Col, &'a Value),
 }
 
 impl BoundExpr {
@@ -828,7 +719,7 @@ impl BoundExpr {
     }
 
     /// Collect the frame columns this expression reads.
-    pub fn frame_cols(&self, out: &mut Vec<FrameCol>) {
+    pub fn frame_cols(&self, out: &mut Vec<Col>) {
         match self {
             BoundExpr::Col(ColSlot::Frame(c)) => {
                 if !out.contains(c) {
@@ -908,34 +799,36 @@ fn arith(op: ArithOp, a: Value, b: Value) -> Value {
 /// A compiled lookup table over one code column. The last slot
 /// answers for null: the sentinel, like every code past the column's
 /// table, clamps to it.
-pub struct Lut {
-    pub col: CodeCol,
+pub struct Lut<'a> {
+    pub col: Col,
     pub pass: Vec<bool>,
+    /// The column's cells in the frame the table was compiled for.
+    codes: Cells<'a>,
 }
 
-impl Lut {
+impl Lut<'_> {
     /// Does row `i` pass this table?
     #[inline]
-    pub fn passes(&self, fr: &FlowFrame, i: usize) -> bool {
-        self.pass[(self.col.code(fr, i) as usize).min(self.pass.len() - 1)]
+    pub fn passes(&self, i: usize) -> bool {
+        self.pass[(self.codes.int(i) as usize).min(self.pass.len() - 1)]
     }
 }
 
 /// A `Match` predicate compiled for the frame scan: lookup-table
 /// conjuncts over code columns first, then an optional residual
 /// expression for whatever could not be pushed.
-pub struct CompiledMatch {
-    pub luts: Vec<Lut>,
+pub struct CompiledMatch<'a> {
+    pub luts: Vec<Lut<'a>>,
     pub residual: Option<BoundExpr>,
     /// How many conjuncts were pushed into LUTs (observability).
     pub pushed: usize,
 }
 
-impl CompiledMatch {
+impl CompiledMatch<'_> {
     /// Does row `i` pass every lookup table?
     #[inline]
-    pub fn luts_pass(&self, fr: &FlowFrame, i: usize) -> bool {
-        self.luts.iter().all(|l| l.passes(fr, i))
+    pub fn luts_pass(&self, i: usize) -> bool {
+        self.luts.iter().all(|l| l.passes(i))
     }
 }
 
@@ -954,7 +847,7 @@ fn split_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
 /// turn every conjunct that reads exactly one code column into a
 /// [`Lut`] (by evaluating the conjunct once per code the column can
 /// hold in `fr`), and re-join the rest as the residual.
-pub fn compile_match(expr: &BoundExpr, fr: &FlowFrame) -> CompiledMatch {
+pub fn compile_match<'a>(expr: &BoundExpr, fr: &'a FlowFrame) -> CompiledMatch<'a> {
     let mut conjuncts = Vec::new();
     split_and(expr, &mut conjuncts);
 
@@ -963,17 +856,15 @@ pub fn compile_match(expr: &BoundExpr, fr: &FlowFrame) -> CompiledMatch {
     for c in conjuncts {
         let mut cols = Vec::new();
         c.frame_cols(&mut cols);
-        let coded = if cols.len() == 1 { cols[0].code_col() } else { None };
-        match coded.and_then(|cc| Some((cc, cc.lut_slots(fr)?))) {
-            Some((cc, slots)) => {
-                let target = cols[0];
+        match (cols.len() == 1).then(|| cols[0]).and_then(|col| Some((col, col.lut_slots(fr)?))) {
+            Some((col, slots)) => {
                 let pass = (0..slots)
                     .map(|code| {
-                        let v = if code + 1 == slots { Value::Null } else { cc.value_of_code(fr, code as u32) };
-                        truthy(&c.eval(&RowCtx::Subst(target, &v)))
+                        let v = if code + 1 == slots { Value::Null } else { col.value_of_code(fr, code as u32) };
+                        truthy(&c.eval(&RowCtx::Subst(col, &v)))
                     })
                     .collect();
-                luts.push(Lut { col: cc, pass });
+                luts.push(Lut { col, pass, codes: col.cells(fr) });
             }
             None => rest.push(c),
         }

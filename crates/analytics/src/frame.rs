@@ -36,6 +36,7 @@
 
 use crate::agg::Enrichment;
 use crate::classify::Classifier;
+use crate::column::{self, with_vec, CellsMut};
 use satwatch_monitor::{flow_sort_key, Domain, FlowRecord, SealMarks};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::{FxHashMap, SimTime};
@@ -99,7 +100,8 @@ struct Row {
 /// Struct-of-arrays flow table: one `Vec` per field, all of equal
 /// length, row `i` describing one flow. Enrichment (country, beam,
 /// local hour) and classification (service, category) are already
-/// resolved into small integers — see the module docs.
+/// resolved into small integers — see the module docs. Each column has
+/// its line in [`column::CATALOG`].
 #[derive(Clone, Debug, Default)]
 pub struct FlowFrame {
     /// Anonymized client address (needed by the Table 2 DNS join).
@@ -209,25 +211,8 @@ impl FlowFrame {
     /// record slice repeated `n` times.
     pub fn replicate(&self, n: usize) -> FlowFrame {
         let mut out = self.clone();
-        for _ in 1..n.max(1) {
-            out.client.extend_from_slice(&self.client);
-            out.first.extend_from_slice(&self.first);
-            out.bytes_up.extend_from_slice(&self.bytes_up);
-            out.bytes_down.extend_from_slice(&self.bytes_down);
-            out.ground_rtt_avg.extend_from_slice(&self.ground_rtt_avg);
-            out.ground_rtt_samples.extend_from_slice(&self.ground_rtt_samples);
-            out.sat_rtt_ms.extend_from_slice(&self.sat_rtt_ms);
-            out.down_bps.extend_from_slice(&self.down_bps);
-            out.dur_s.extend_from_slice(&self.dur_s);
-            out.l7.extend_from_slice(&self.l7);
-            out.country.extend_from_slice(&self.country);
-            out.local_hour.extend_from_slice(&self.local_hour);
-            out.hour_utc.extend_from_slice(&self.hour_utc);
-            out.day.extend_from_slice(&self.day);
-            out.beam.extend_from_slice(&self.beam);
-            out.service.extend_from_slice(&self.service);
-            out.category.extend_from_slice(&self.category);
-            out.domain.extend_from_slice(&self.domain);
+        for col in column::stored() {
+            with_vec!(col.cells_mut(&mut out), |v| (1..n).for_each(|_| v.extend_from_within(..self.len())));
         }
         out
     }
@@ -238,24 +223,9 @@ impl FlowFrame {
         metrics().rows.add(n as u64);
         // one reservation per column: a seal of a whole log grows
         // nothing row by row
-        self.client.reserve(n);
-        self.first.reserve(n);
-        self.bytes_up.reserve(n);
-        self.bytes_down.reserve(n);
-        self.ground_rtt_avg.reserve(n);
-        self.ground_rtt_samples.reserve(n);
-        self.sat_rtt_ms.reserve(n);
-        self.down_bps.reserve(n);
-        self.dur_s.reserve(n);
-        self.l7.reserve(n);
-        self.country.reserve(n);
-        self.local_hour.reserve(n);
-        self.hour_utc.reserve(n);
-        self.day.reserve(n);
-        self.beam.reserve(n);
-        self.service.reserve(n);
-        self.category.reserve(n);
-        self.domain.reserve(n);
+        for col in column::stored() {
+            with_vec!(col.cells_mut(self), |v| v.reserve(n));
+        }
         for r in rows {
             let first = r.key.0;
             self.client.push(r.key.1);
@@ -283,50 +253,12 @@ impl FlowFrame {
     /// rows `..at`, the returned frame holds rows `at..` and a copy of
     /// the dictionaries, so its codes mean what they meant here.
     pub fn split_off(&mut self, at: usize) -> FlowFrame {
-        FlowFrame {
-            client: self.client.split_off(at),
-            first: self.first.split_off(at),
-            bytes_up: self.bytes_up.split_off(at),
-            bytes_down: self.bytes_down.split_off(at),
-            ground_rtt_avg: self.ground_rtt_avg.split_off(at),
-            ground_rtt_samples: self.ground_rtt_samples.split_off(at),
-            sat_rtt_ms: self.sat_rtt_ms.split_off(at),
-            down_bps: self.down_bps.split_off(at),
-            dur_s: self.dur_s.split_off(at),
-            l7: self.l7.split_off(at),
-            country: self.country.split_off(at),
-            local_hour: self.local_hour.split_off(at),
-            hour_utc: self.hour_utc.split_off(at),
-            day: self.day.split_off(at),
-            beam: self.beam.split_off(at),
-            service: self.service.split_off(at),
-            category: self.category.split_off(at),
-            domain: self.domain.split_off(at),
-            domains: self.domains.clone(),
-            services: self.services.clone(),
+        let mut rest =
+            FlowFrame { domains: self.domains.clone(), services: self.services.clone(), ..FlowFrame::default() };
+        for col in column::stored() {
+            with_vec!(col.cells_mut(self), col.cells_mut(&mut rest), |v, w| *w = v.split_off(at));
         }
-    }
-
-    /// Drop every row, keeping the dictionaries and the buffers.
-    fn truncate_rows(&mut self) {
-        self.client.clear();
-        self.first.clear();
-        self.bytes_up.clear();
-        self.bytes_down.clear();
-        self.ground_rtt_avg.clear();
-        self.ground_rtt_samples.clear();
-        self.sat_rtt_ms.clear();
-        self.down_bps.clear();
-        self.dur_s.clear();
-        self.l7.clear();
-        self.country.clear();
-        self.local_hour.clear();
-        self.hour_utc.clear();
-        self.day.clear();
-        self.beam.clear();
-        self.service.clear();
-        self.category.clear();
-        self.domain.clear();
+        rest
     }
 }
 
@@ -489,7 +421,9 @@ impl FrameBuilder {
 
     /// Drop the sealed rows, keeping the dictionaries and the buffers.
     pub fn clear_sealed(&mut self) {
-        self.sealed.truncate_rows();
+        for col in column::stored() {
+            with_vec!(col.cells_mut(&mut self.sealed), |v| v.clear());
+        }
     }
 
     /// [`clear_sealed`](Self::clear_sealed), handing the sealed rows
@@ -587,19 +521,7 @@ mod tests {
         for f in flows.iter().rev() {
             b.push(f);
         }
-        let sealed = b.seal();
-        assert_eq!(sealed.len(), batch.len());
-        assert_eq!(sealed.first, batch.first);
-        assert_eq!(sealed.client, batch.client);
-        assert_eq!(sealed.bytes_up, batch.bytes_up);
-        assert_eq!(sealed.bytes_down, batch.bytes_down);
-        assert_eq!(sealed.country, batch.country);
-        assert_eq!(sealed.service, batch.service);
-        assert_eq!(sealed.category, batch.category);
-        assert_eq!(sealed.day, batch.day);
-        for i in 0..batch.len() {
-            assert_eq!(sealed.domain_at(i), batch.domain_at(i));
-        }
+        crate::column::tests::assert_same_rows(&b.seal(), &batch);
     }
 
     fn marks(flows_s: u64, dns_s: u64) -> Option<SealMarks> {

@@ -13,6 +13,8 @@
 //! * [`frame`] — struct-of-arrays [`FlowFrame`] with pre-resolved
 //!   enrichment columns, buildable incrementally from an eviction
 //!   stream.
+//! * [`column`](mod@column) — the column catalog the codec, the frame and the
+//!   query binding read: every frame column declared once.
 //! * [`engine`] — every figure as a fold over the frame, all filled by
 //!   the fused [`report_all`] single-pass sweep: production.
 //! * [`expr`] / [`query`] — the aggregation-pipeline DSL: JSON-parsed
@@ -40,6 +42,7 @@
 pub mod agg;
 pub mod ascii;
 pub mod classify;
+pub mod column;
 pub mod csv;
 pub mod engine;
 pub mod expr;

@@ -22,9 +22,8 @@
 //! Table 1 and Figures 2–4 as pipelines and pins them byte-for-byte
 //! against the engine output, proving the DSL subsumes them.
 
-use crate::expr::{
-    bind, compile_match, truthy, BoundExpr, CodeCol, ColSlot, Expr, FrameCol, Json, QueryError, RowCtx, Value,
-};
+use crate::column::{Cells, Col, Column};
+use crate::expr::{bind, bind_frame, compile_match, truthy, BoundExpr, ColSlot, Expr, Json, QueryError, RowCtx, Value};
 use crate::frame::FlowFrame;
 use satwatch_simcore::stats::quantile;
 use satwatch_simcore::FxHashMap;
@@ -121,7 +120,7 @@ impl Pipeline {
         if stages.is_empty() {
             return Err(QueryError::new("pipeline has no stages"));
         }
-        check_shape(&stages)?;
+        check_stages(&stages)?;
         Ok(Pipeline { stages })
     }
 }
@@ -130,27 +129,55 @@ const GROUP_OVER_TABLE: &str = "\"group\" over an already-grouped result is not 
 const SORT_BEFORE_TABLE: &str = "\"sort\" needs a materialized table — add a group or project stage first";
 const NO_TABLE: &str = "pipeline never materialized a table — add a group or project stage";
 
-/// The rows → table shape [`run_with_stats`] executes: `group` and
-/// `project` turn frame rows into a table, `group` reads frame rows
-/// only, `sort` reads a table only, and a pipeline ends in a table. A
-/// parsed pipeline is held to it before any scan — and before
-/// `satwatch query` simulates a single customer; `run_with_stats`
-/// still rejects a hand-built one mid-scan, with the same messages.
-fn check_shape(stages: &[Stage]) -> Result<(), QueryError> {
-    let mut table = false;
+/// Hold a parsed pipeline, before any scan (and before `satwatch query`
+/// simulates a customer), to the shape [`run_with_stats`] executes —
+/// `group` and `project` make a table, `group` reads frame rows only,
+/// `sort` a table only, a pipeline ends in a table — and resolve every
+/// column it names, against the catalog before the table and the
+/// table's columns after. Its first error is the executor's, which
+/// still checks a hand-built pipeline mid-scan.
+fn check_stages(stages: &[Stage]) -> Result<(), QueryError> {
+    // the result table's columns, once a stage has made one
+    let mut table: Option<Vec<String>> = None;
     for stage in stages {
-        match stage {
-            Stage::Group { .. } if table => return Err(QueryError::new(GROUP_OVER_TABLE)),
-            Stage::Sort(_) if !table => return Err(QueryError::new(SORT_BEFORE_TABLE)),
-            Stage::Group { .. } | Stage::Project(_) => table = true,
-            Stage::Match(_) | Stage::Sort(_) | Stage::Limit(_) => {}
+        match (stage, &table) {
+            (Stage::Group { .. }, Some(_)) => return Err(QueryError::new(GROUP_OVER_TABLE)),
+            (Stage::Sort(_), None) => return Err(QueryError::new(SORT_BEFORE_TABLE)),
+            (Stage::Match(e), names) => bind_stage(e, names.as_deref()).map(drop)?,
+            (Stage::Group { by, aggs }, None) => {
+                let args = aggs.iter().filter_map(|(_, a)| a.arg.as_ref());
+                by.iter().map(|(_, e)| e).chain(args).try_for_each(|e| bind_frame(e).map(drop))?;
+                table = Some(by.iter().map(|(n, _)| n).chain(aggs.iter().map(|(n, _)| n)).cloned().collect());
+            }
+            (Stage::Project(cols), names) => {
+                cols.iter().try_for_each(|(_, e)| bind_stage(e, names.as_deref()).map(drop))?;
+                table = Some(cols.iter().map(|(n, _)| n.clone()).collect());
+            }
+            (Stage::Sort(keys), Some(names)) => {
+                keys.iter().try_for_each(|(key, _)| result_col(names, key).map(drop))?
+            }
+            (Stage::Limit(_), _) => {}
         }
     }
-    if table {
-        Ok(())
-    } else {
-        Err(QueryError::new(NO_TABLE))
+    table.map(drop).ok_or_else(|| QueryError::new(NO_TABLE))
+}
+
+/// Bind `e` against the frame catalog (`names` = `None`) or against
+/// the result table's columns.
+fn bind_stage(e: &Expr, names: Option<&[String]>) -> Result<BoundExpr, QueryError> {
+    match names {
+        None => bind_frame(e),
+        Some(names) => bind(e, &|name| result_col(names, name).map(ColSlot::Table)),
     }
+}
+
+/// The index of result column `name`, or an error listing the columns
+/// there are.
+fn result_col(names: &[String], name: &str) -> Result<usize, QueryError> {
+    names
+        .iter()
+        .position(|c| c == name)
+        .ok_or_else(|| QueryError::new(format!("unknown result column \"{name}\" (have: {})", names.join(", "))))
 }
 
 fn parse_stage(j: &Json) -> Result<Stage, QueryError> {
@@ -414,12 +441,6 @@ impl ResultTable {
             .join(",");
         format!("{{\"columns\":[{cols}],\"rows\":[{rows}]}}")
     }
-
-    fn col_index(&self, name: &str) -> Result<usize, QueryError> {
-        self.columns.iter().position(|c| c == name).ok_or_else(|| {
-            QueryError::new(format!("unknown result column \"{name}\" (have: {})", self.columns.join(", ")))
-        })
-    }
 }
 
 /// Scan observability for one [`run_with_stats`] call.
@@ -489,9 +510,9 @@ impl Hash for KeyVal {
 }
 
 /// How one `by` expression yields a `u32` code per row.
-enum KeySlot {
+enum KeySlot<'a> {
     /// A bare code-backed column: the raw cell is the code.
-    Code(CodeCol),
+    Code(Col, Cells<'a>),
     /// Any other expression: evaluated per row and interned, so the
     /// rest of the group-by sees a code column like any other.
     Interned(BoundExpr),
@@ -534,30 +555,30 @@ enum AggState {
 
 /// What an aggregate folds per row.
 #[derive(Clone)]
-enum AggArg {
+enum AggArg<'a> {
     /// `count` with no argument: every row.
     Rows,
     /// A bare integer column: read as `i64`, no [`Value`] in between.
-    IntCol(FrameCol),
+    IntCol(&'static Column, Cells<'a>),
     /// Anything else, through the expression interpreter.
     Expr(BoundExpr),
 }
 
 #[derive(Clone)]
-struct CompiledAgg {
+struct CompiledAgg<'a> {
     func: AggFunc,
-    arg: AggArg,
+    arg: AggArg<'a>,
     q: f64,
     int_sum: bool,
 }
 
-impl CompiledAgg {
-    fn compile(a: &Agg) -> Result<CompiledAgg, QueryError> {
-        let bound = a.arg.as_ref().map(crate::expr::bind_frame).transpose()?;
+impl<'a> CompiledAgg<'a> {
+    fn compile(a: &Agg, fr: &'a FlowFrame) -> Result<CompiledAgg<'a>, QueryError> {
+        let bound = a.arg.as_ref().map(bind_frame).transpose()?;
         let int_sum = a.func == AggFunc::Sum && bound.as_ref().is_some_and(BoundExpr::is_integer);
         let arg = match bound {
             None => AggArg::Rows,
-            Some(BoundExpr::Col(ColSlot::Frame(c))) if c.is_integer() => AggArg::IntCol(c),
+            Some(BoundExpr::Col(ColSlot::Frame(c))) if c.is_integer() => AggArg::IntCol(c.def(), c.cells(fr)),
             Some(e) => AggArg::Expr(e),
         };
         Ok(CompiledAgg { func: a.func, arg, q: a.q, int_sum })
@@ -582,9 +603,13 @@ impl CompiledAgg {
         match (&self.arg, state) {
             (AggArg::Rows, AggState::Count(n)) => *n += 1,
             (AggArg::Rows, _) => unreachable!("only count takes no argument"),
-            (AggArg::IntCol(c), AggState::SumInt(acc)) => *acc = acc.wrapping_add(c.int_at(fr, i).unwrap_or(0)),
-            (AggArg::IntCol(c), AggState::Count(n)) => *n += u64::from(c.int_at(fr, i).is_some()),
-            (AggArg::IntCol(c), state) => absorb_value(state, c.int_at(fr, i).map_or(Value::Null, Value::Int)),
+            (AggArg::IntCol(c, cells), AggState::SumInt(acc)) => {
+                *acc = acc.wrapping_add(c.int_value(cells.int(i)).unwrap_or(0))
+            }
+            (AggArg::IntCol(c, cells), AggState::Count(n)) => *n += u64::from(c.int_value(cells.int(i)).is_some()),
+            (AggArg::IntCol(c, cells), state) => {
+                absorb_value(state, c.int_value(cells.int(i)).map_or(Value::Null, Value::Int))
+            }
             (AggArg::Expr(e), state) => absorb_value(state, e.eval(&RowCtx::Frame(fr, i))),
         }
     }
@@ -684,8 +709,8 @@ pub fn run_with_stats(
                 let _s = satwatch_telemetry::Span::over(m.sort_us);
                 let idx = keys
                     .iter()
-                    .map(|(name, desc)| Ok((t.col_index(name)?, *desc)))
-                    .collect::<Result<Vec<_>, QueryError>>()?;
+                    .map(|(name, desc)| result_col(&t.columns, name).map(|i| (i, *desc)))
+                    .collect::<Result<Vec<_>, _>>()?;
                 t.rows.sort_by(|a, b| {
                     for (i, desc) in &idx {
                         let ord = a[*i].cmp_total(&b[*i]);
@@ -731,7 +756,7 @@ fn run_match(
 ) -> Result<Vec<u32>, QueryError> {
     let m = metrics();
     let _s = satwatch_telemetry::Span::over(m.match_us);
-    let bound = crate::expr::bind_frame(expr)?;
+    let bound = bind_frame(expr)?;
     let cm = compile_match(&bound, fr);
 
     let scanned = sel.as_ref().map_or(fr.len(), Vec::len) as u64;
@@ -740,9 +765,9 @@ fn run_match(
 
     // Pushdown pass: only the code columns are touched.
     let mut rows: Vec<u32> = match sel {
-        None => (0..fr.len() as u32).filter(|&i| cm.luts_pass(fr, i as usize)).collect(),
+        None => (0..fr.len() as u32).filter(|&i| cm.luts_pass(i as usize)).collect(),
         Some(mut sel) => {
-            sel.retain(|&i| cm.luts_pass(fr, i as usize));
+            sel.retain(|&i| cm.luts_pass(i as usize));
             sel
         }
     };
@@ -759,8 +784,7 @@ fn run_match(
 fn run_table_match(t: ResultTable, expr: &Expr) -> Result<ResultTable, QueryError> {
     let m = metrics();
     let _s = satwatch_telemetry::Span::over(m.match_us);
-    let cols = t.columns.clone();
-    let bound = bind(expr, &|name| cols.iter().position(|c| c == name).map(ColSlot::Table))?;
+    let bound = bind_stage(expr, Some(&t.columns))?;
     let rows = t.rows.into_iter().filter(|row| truthy(&bound.eval(&RowCtx::Table(row)))).collect();
     Ok(ResultTable { columns: t.columns, rows })
 }
@@ -886,7 +910,7 @@ impl GroupTable {
             first.clear();
             for ((slot, interner), k) in slots.iter().zip(&mut table.interned).zip(&mut key) {
                 *k = match slot {
-                    KeySlot::Code(c) => c.code(fr, i),
+                    KeySlot::Code(_, cells) => cells.int(i) as u32,
                     KeySlot::Interned(e) => {
                         let (code, v) = interner.intern(e.eval(&RowCtx::Frame(fr, i)));
                         first.push(v);
@@ -921,16 +945,14 @@ fn run_group(
     let slots: Vec<KeySlot> = by
         .iter()
         .map(|(_, e)| {
-            let bound = crate::expr::bind_frame(e)?;
-            let code_col = match &bound {
-                BoundExpr::Col(ColSlot::Frame(c)) => c.code_col(),
-                _ => None,
-            };
-            Ok(code_col.map_or(KeySlot::Interned(bound), KeySlot::Code))
+            Ok(match bind_frame(e)? {
+                BoundExpr::Col(ColSlot::Frame(c)) if c.def().codes.is_some() => KeySlot::Code(c, c.cells(fr)),
+                bound => KeySlot::Interned(bound),
+            })
         })
         .collect::<Result<_, QueryError>>()?;
     let compiled: Vec<CompiledAgg> =
-        aggs.iter().map(|(_, a)| CompiledAgg::compile(a)).collect::<Result<_, QueryError>>()?;
+        aggs.iter().map(|(_, a)| CompiledAgg::compile(a, fr)).collect::<Result<_, QueryError>>()?;
 
     // rows are visited in selection (row) order, so every aggregate
     // sees its observations in that order
@@ -949,7 +971,7 @@ fn run_group(
             let mut row = Vec::with_capacity(slots.len() + compiled.len());
             for (&code, slot) in index.key(g).iter().zip(&slots) {
                 row.push(match slot {
-                    KeySlot::Code(c) => c.value_of_code(fr, code),
+                    KeySlot::Code(c, _) => c.value_of_code(fr, code),
                     KeySlot::Interned(_) => firsts.next().expect("one value per interned slot per group"),
                 });
             }
@@ -977,7 +999,7 @@ fn run_frame_project(
 ) -> Result<ResultTable, QueryError> {
     let m = metrics();
     let _s = satwatch_telemetry::Span::over(m.project_us);
-    let exprs = cols.iter().map(|(_, e)| crate::expr::bind_frame(e)).collect::<Result<Vec<_>, _>>()?;
+    let exprs = cols.iter().map(|(_, e)| bind_frame(e)).collect::<Result<Vec<_>, _>>()?;
     let row = |i: usize| -> Vec<Value> {
         let ctx = RowCtx::Frame(fr, i);
         exprs.iter().map(|e| e.eval(&ctx)).collect()
@@ -992,11 +1014,7 @@ fn run_frame_project(
 fn run_table_project(t: ResultTable, cols: &[(String, Expr)]) -> Result<ResultTable, QueryError> {
     let m = metrics();
     let _s = satwatch_telemetry::Span::over(m.project_us);
-    let names = t.columns.clone();
-    let exprs = cols
-        .iter()
-        .map(|(_, e)| bind(e, &|name| names.iter().position(|c| c == name).map(ColSlot::Table)))
-        .collect::<Result<Vec<_>, _>>()?;
+    let exprs = cols.iter().map(|(_, e)| bind_stage(e, Some(&t.columns))).collect::<Result<Vec<_>, _>>()?;
     let rows = t
         .rows
         .iter()
@@ -1018,7 +1036,7 @@ pub fn match_rows(fr: &FlowFrame, expr: &Expr) -> Result<Vec<u32>, QueryError> {
 /// Row-at-a-time reference filter: no pushdown. The
 /// oracle the proptest checks [`match_rows`] against.
 pub fn match_rows_naive(fr: &FlowFrame, expr: &Expr) -> Result<Vec<u32>, QueryError> {
-    let bound = crate::expr::bind_frame(expr)?;
+    let bound = bind_frame(expr)?;
     Ok((0..fr.len()).filter(|&i| truthy(&bound.eval(&RowCtx::Frame(fr, i)))).map(|i| i as u32).collect())
 }
 
@@ -1065,6 +1083,53 @@ mod tests {
     fn parse_rejects_a_pipeline_without_a_table() {
         let err = Pipeline::parse(r#"[{"match": {"isnull": {"col": "country"}}}, {"limit": 5}]"#).unwrap_err();
         assert_eq!(err.0, NO_TABLE);
+    }
+
+    /// The stages of `src`, parsed one by one and not held to anything:
+    /// a pipeline as a caller could build it by hand.
+    fn unchecked(src: &str) -> Pipeline {
+        let Json::Arr(items) = Json::parse(src).unwrap() else { panic!("a stage array") };
+        Pipeline { stages: items.iter().map(parse_stage).collect::<Result<_, _>>().unwrap() }
+    }
+
+    #[test]
+    fn parse_resolves_every_column_before_any_scan() {
+        let group = r#"{"group": {"by": ["l7"], "aggs": {"n": {"count": true}}}}"#;
+        for (src, message) in [
+            // frame phase: against the catalog
+            (
+                r#"[{"match": {"eq": [{"col": "nosuch"}, 1]}}, {"project": ["l7"]}]"#.to_string(),
+                "unknown column \"nosuch\"",
+            ),
+            (r#"[{"group": {"by": ["l7"], "aggs": {"b": {"sum": "byte"}}}}]"#.to_string(), "unknown column \"byte\""),
+            (
+                r#"[{"project": {"x": {"add": [{"col": "dur_s"}, {"col": "first"}]}}}]"#.to_string(),
+                "unknown column \"first\"",
+            ),
+            // table phase: against what the group or project made
+            (
+                format!(r#"[{group}, {{"match": {{"gt": [{{"col": "bytes"}}, 1]}}}}]"#),
+                "unknown result column \"bytes\" (have: l7, n)",
+            ),
+            (
+                format!(r#"[{group}, {{"project": ["n", "country"]}}]"#),
+                "unknown result column \"country\" (have: l7, n)",
+            ),
+            (r#"[{"project": ["l7"]}, {"sort": "-bytes"}]"#.to_string(), "unknown result column \"bytes\" (have: l7)"),
+        ] {
+            let parsed = Pipeline::parse(&src).unwrap_err();
+            assert!(parsed.0.starts_with(message), "{src}: {parsed}");
+            // the executor, handed the same stages, stops at the same name
+            assert_eq!(run(&FlowFrame::default(), &unchecked(&src)).unwrap_err(), parsed, "{src}");
+        }
+        // a frame-phase error lists the catalog's query names, `first` not among them
+        let err = Pipeline::parse(r#"[{"project": ["nosuch"]}]"#).unwrap_err();
+        assert!(err.0.contains("(frame columns: client, bytes_up, bytes_down, "), "{err}");
+        assert!(!err.0.contains("first"), "{err}");
+        // names the table has are fine after it, and frame names before it
+        pl(&format!(
+            r#"[{{"match": {{"ge": [{{"col": "local_hour"}}, 20]}}}}, {group}, {{"match": {{"gt": [{{"col": "n"}}, 1]}}}}, {{"sort": "-n"}}]"#
+        ));
     }
 
     #[test]

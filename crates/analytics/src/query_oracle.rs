@@ -10,7 +10,8 @@
 //! fast is in here to share a bug with.
 
 use super::*;
-use crate::expr::{bind_frame, ArithOp, CmpOp, FRAME_COLS};
+use crate::column::CATALOG;
+use crate::expr::{bind_frame, ArithOp, CmpOp};
 
 struct Group {
     /// The key values of the first row that fell into the group.
@@ -186,7 +187,8 @@ fn frame(rng: &mut TestRng, n: usize) -> FlowFrame {
 }
 
 fn col(rng: &mut TestRng) -> Expr {
-    Expr::Col(FRAME_COLS[rng.below(FRAME_COLS.len() as u64) as usize].0.to_string())
+    let names: Vec<&str> = CATALOG.iter().filter(|c| c.queryable).map(|c| c.name).collect();
+    Expr::Col(names[rng.below(names.len() as u64) as usize].to_string())
 }
 
 fn lit(rng: &mut TestRng) -> Expr {

@@ -26,6 +26,7 @@
 //! without a seek table and cheaply reject truncated files.
 
 use crate::classify::Classifier;
+use crate::column::{Cells, CellsMut, Codes, Col, CATALOG};
 use crate::frame::{FlowFrame, NO_DOMAIN};
 use satwatch_monitor::checkpoint::{put_str, put_u16, put_u32, put_u64, Reader};
 use satwatch_monitor::Domain;
@@ -128,41 +129,18 @@ fn fnv1a_advance<const N: usize>(out: &mut [u64], lanes: &mut [(usize, &[u8])], 
     }
 }
 
-/// Column names, in file order. The decoder requires exactly this
-/// set in this order — the format has no optional columns.
-const COLUMNS: &[&str] = &[
-    "client",
-    "first",
-    "bytes_up",
-    "bytes_down",
-    "ground_rtt_avg",
-    "ground_rtt_samples",
-    "sat_rtt_ms",
-    "down_bps",
-    "dur_s",
-    "l7",
-    "country",
-    "local_hour",
-    "hour_utc",
-    "day",
-    "beam",
-    "service",
-    "category",
-    "domain_idx",
-    "domain_dict",
-];
+/// One run of a segment: a catalog column's cells, or (`dict`) the
+/// dictionary a [`Codes::Domains`] column's codes index. A file holds
+/// every stored column's runs in [`CATALOG`] order, none optional.
+#[derive(Clone, Copy)]
+struct Run {
+    col: Col,
+    name: &'static str,
+    dict: bool,
+}
 
-/// Fixed row width (bytes) of each column, or `None` for the
-/// variable-length dictionary column.
-fn column_width(name: &str) -> Option<usize> {
-    match name {
-        "client" | "day" | "domain_idx" => Some(4),
-        "first" | "bytes_up" | "bytes_down" | "ground_rtt_samples" => Some(8),
-        "ground_rtt_avg" | "sat_rtt_ms" | "down_bps" | "dur_s" => Some(8),
-        "l7" | "country" | "local_hour" | "hour_utc" | "category" => Some(1),
-        "beam" | "service" => Some(2),
-        _ => None,
-    }
+fn runs() -> impl Iterator<Item = Run> {
+    CATALOG.iter().flat_map(|c| c.runs.iter().enumerate().map(|(k, &name)| Run { col: c.id, name, dict: k == 1 }))
 }
 
 /// Summary a reader can extract without decoding row data — what the
@@ -174,24 +152,22 @@ pub struct SegmentMeta {
     pub min_first: Option<SimTime>,
     /// Latest `first` timestamp, or `None` for an empty segment.
     pub max_first: Option<SimTime>,
-    /// `(name, byte length, fnv1a)` per column, in file order.
-    pub columns: Vec<(String, u64, u64)>,
+    /// `(run name, byte length, fnv1a)` per run, in file order.
+    pub columns: Vec<(&'static str, u64, u64)>,
 }
 
-struct FooterCol {
-    name: &'static str,
-    offset: u64,
-    len: u64,
-    fnv: u64,
+/// A segment's footer, parsed and checksum-verified.
+struct Footer<'a> {
+    /// The run directory, in file order: each run's bytes and FNV-1a.
+    runs: Vec<(Run, &'a [u8], u64)>,
+    rows: u64,
+    /// `u64::MAX` for an empty segment.
+    min_first: u64,
+    max_first: u64,
+    services: Vec<String>,
 }
 
-impl FooterCol {
-    fn run<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
-        &bytes[self.offset as usize..(self.offset + self.len) as usize]
-    }
-}
-
-/// Append one fixed-width column run: `W` little-endian bytes per row.
+/// Append one fixed-width run: `W` little-endian bytes per row.
 fn put_run<const W: usize>(data: &mut Vec<u8>, cells: impl ExactSizeIterator<Item = [u8; W]>) {
     let start = data.len();
     data.resize(start + cells.len() * W, 0);
@@ -208,7 +184,7 @@ fn put_run<const W: usize>(data: &mut Vec<u8>, cells: impl ExactSizeIterator<Ite
 /// happened to meet the names in. Canonicalising is an integer remap
 /// of the code column; no name is hashed or compared.
 pub fn encode_segment(fr: &FlowFrame) -> Vec<u8> {
-    let row_bytes: usize = COLUMNS.iter().filter_map(|c| column_width(c)).sum();
+    let row_bytes: usize = runs().filter(|r| !r.dict).map(|r| r.col.def().width()).sum();
     let mut data = Vec::with_capacity(fr.len() * row_bytes + 4096);
     write_segment(fr, &mut data).expect("a Vec takes every byte");
     data
@@ -227,33 +203,25 @@ fn write_segment(fr: &FlowFrame, w: &mut impl Write) -> std::io::Result<()> {
     write_columns(fr, &idx, &dict, w)
 }
 
-/// Append the run of column `name` of `fr` to `data`; `domain_idx`
-/// and `dict` stand in for the frame's own domain codes.
-fn put_column(data: &mut Vec<u8>, fr: &FlowFrame, name: &str, domain_idx: &[u32], dict: &[&str]) {
-    match name {
-        "client" => put_run(data, fr.client.iter().map(Ipv4Addr::octets)),
-        "first" => put_run(data, fr.first.iter().map(|t| t.as_nanos().to_le_bytes())),
-        "bytes_up" => put_run(data, fr.bytes_up.iter().map(|v| v.to_le_bytes())),
-        "bytes_down" => put_run(data, fr.bytes_down.iter().map(|v| v.to_le_bytes())),
-        "ground_rtt_avg" => put_run(data, fr.ground_rtt_avg.iter().map(|v| v.to_bits().to_le_bytes())),
-        "ground_rtt_samples" => put_run(data, fr.ground_rtt_samples.iter().map(|v| v.to_le_bytes())),
-        "sat_rtt_ms" => put_run(data, fr.sat_rtt_ms.iter().map(|v| v.to_bits().to_le_bytes())),
-        "down_bps" => put_run(data, fr.down_bps.iter().map(|v| v.to_bits().to_le_bytes())),
-        "dur_s" => put_run(data, fr.dur_s.iter().map(|v| v.to_bits().to_le_bytes())),
-        "l7" => data.extend_from_slice(&fr.l7),
-        "country" => data.extend_from_slice(&fr.country),
-        "local_hour" => data.extend_from_slice(&fr.local_hour),
-        "hour_utc" => data.extend_from_slice(&fr.hour_utc),
-        "day" => put_run(data, fr.day.iter().map(|v| v.to_le_bytes())),
-        "beam" => put_run(data, fr.beam.iter().map(|v| v.to_le_bytes())),
-        "service" => put_run(data, fr.service.iter().map(|v| v.to_le_bytes())),
-        "category" => data.extend_from_slice(&fr.category),
-        "domain_idx" => put_run(data, domain_idx.iter().map(|v| v.to_le_bytes())),
-        "domain_dict" => {
+/// Append `run` of `fr` to `data`; `domain_idx` and `dict` stand in
+/// for the frame's own domain codes and dictionary.
+fn lay_run(data: &mut Vec<u8>, fr: &FlowFrame, run: Run, domain_idx: &[u32], dict: &[&str]) {
+    // `f64` as its bit pattern, so `NaN` sentinels and every last ulp
+    // survive the round trip
+    match run.col.cells(fr) {
+        _ if run.dict => {
             put_u32(data, dict.len() as u32);
             dict.iter().for_each(|name| put_str(data, name));
         }
-        _ => unreachable!("column list is closed"),
+        _ if run.col.def().codes == Some(Codes::Domains) => put_run(data, domain_idx.iter().map(|v| v.to_le_bytes())),
+        Cells::Addr(v) => put_run(data, v.iter().map(Ipv4Addr::octets)),
+        Cells::Time(v) => put_run(data, v.iter().map(|t| t.as_nanos().to_le_bytes())),
+        Cells::U8(v) => data.extend_from_slice(v),
+        Cells::U16(v) => put_run(data, v.iter().map(|c| c.to_le_bytes())),
+        Cells::U32(v) => put_run(data, v.iter().map(|c| c.to_le_bytes())),
+        Cells::U64(v) => put_run(data, v.iter().map(|c| c.to_le_bytes())),
+        Cells::F64(v) => put_run(data, v.iter().map(|c| c.to_bits().to_le_bytes())),
+        Cells::Sum(..) => unreachable!("a derived column has no run"),
     }
 }
 
@@ -266,22 +234,23 @@ fn write_columns(fr: &FlowFrame, domain_idx: &[u32], dict: &[&str], w: &mut impl
     w.write_all(SEGMENT_MAGIC)?;
     let mut offset = SEGMENT_MAGIC.len() as u64;
     let mut footer = Vec::new();
-    put_u32(&mut footer, COLUMNS.len() as u32);
+    let all: Vec<Run> = runs().collect();
+    put_u32(&mut footer, all.len() as u32);
     let mut group: Vec<Vec<u8>> = Vec::with_capacity(FNV1A_LANES);
-    for names in COLUMNS.chunks(FNV1A_LANES) {
-        group.resize_with(names.len(), Vec::new);
-        for (run, name) in group.iter_mut().zip(names) {
-            run.clear();
-            put_column(run, fr, name, domain_idx, dict);
+    for lanes in all.chunks(FNV1A_LANES) {
+        group.resize_with(lanes.len(), Vec::new);
+        for (bytes, &run) in group.iter_mut().zip(lanes) {
+            bytes.clear();
+            lay_run(bytes, fr, run, domain_idx, dict);
         }
-        let runs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
-        for ((name, run), fnv) in names.iter().zip(&runs).zip(fnv1a_lanes(&runs)) {
-            w.write_all(run)?;
-            put_str(&mut footer, name);
+        let bytes: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
+        for ((run, bytes), fnv) in lanes.iter().zip(&bytes).zip(fnv1a_lanes(&bytes)) {
+            w.write_all(bytes)?;
+            put_str(&mut footer, run.name);
             put_u64(&mut footer, offset);
-            put_u64(&mut footer, run.len() as u64);
+            put_u64(&mut footer, bytes.len() as u64);
             put_u64(&mut footer, fnv);
-            offset += run.len() as u64;
+            offset += bytes.len() as u64;
         }
     }
     put_u64(&mut footer, fr.len() as u64);
@@ -299,11 +268,9 @@ fn write_columns(fr: &FlowFrame, domain_idx: &[u32], dict: &[&str], w: &mut impl
     w.write_all(&footer)
 }
 
-/// Parse and checksum-verify the framing + footer, returning the
-/// column directory and the data region. Shared by [`decode_segment`]
-/// and [`segment_meta`].
-#[allow(clippy::type_complexity)]
-fn parse_footer(bytes: &[u8]) -> Result<(Vec<FooterCol>, u64, u64, u64, Vec<String>), SegmentError> {
+/// Parse and checksum-verify the framing + footer. Shared by
+/// [`decode_segment`] and [`segment_meta`].
+fn parse_footer(bytes: &[u8]) -> Result<Footer<'_>, SegmentError> {
     let min_len = SEGMENT_MAGIC.len() * 2 + 8;
     if bytes.len() < min_len {
         return Err(SegmentError::Truncated);
@@ -323,14 +290,13 @@ fn parse_footer(bytes: &[u8]) -> Result<(Vec<FooterCol>, u64, u64, u64, Vec<Stri
     }
     let mut r = Reader::new(&bytes[footer_start..footer_end]);
     let bad = |_: satwatch_monitor::CheckpointError| SegmentError::Corrupt("footer undecodable");
-    let n_cols = r.u32().map_err(bad)? as usize;
-    if n_cols != COLUMNS.len() {
+    let n_runs = r.u32().map_err(bad)? as usize;
+    if n_runs != runs().count() {
         return Err(SegmentError::Corrupt("unexpected column count"));
     }
-    let mut cols = Vec::with_capacity(n_cols);
-    for &expected in COLUMNS {
-        let name = r.str().map_err(bad)?;
-        if name != expected {
+    let mut dir = Vec::with_capacity(n_runs);
+    for run in runs() {
+        if r.str().map_err(bad)? != run.name {
             return Err(SegmentError::Corrupt("unexpected column name"));
         }
         let offset = r.u64().map_err(bad)?;
@@ -340,12 +306,17 @@ fn parse_footer(bytes: &[u8]) -> Result<(Vec<FooterCol>, u64, u64, u64, Vec<Stri
         if (offset as usize) < 8 || end as usize > footer_start {
             return Err(SegmentError::Corrupt("column range out of bounds"));
         }
-        cols.push(FooterCol { name: expected, offset, len, fnv });
+        dir.push((run, &bytes[offset as usize..end as usize], fnv));
     }
     let rows = r.u64().map_err(bad)?;
     let min_first = r.u64().map_err(bad)?;
     let max_first = r.u64().map_err(bad)?;
     let n_services = r.u16().map_err(bad)? as usize;
+    // every entry takes at least its 4-byte length prefix: a count the
+    // bytes left cannot hold sizes no allocation
+    if n_services * 4 > r.remaining() {
+        return Err(SegmentError::Corrupt("service count exceeds the footer"));
+    }
     let mut services = Vec::with_capacity(n_services);
     for _ in 0..n_services {
         services.push(r.str().map_err(bad)?.to_string());
@@ -353,100 +324,93 @@ fn parse_footer(bytes: &[u8]) -> Result<(Vec<FooterCol>, u64, u64, u64, Vec<Stri
     if r.remaining() != 0 {
         return Err(SegmentError::Corrupt("trailing footer bytes"));
     }
-    // verify every column checksum before any row decoding
-    let runs: Vec<&[u8]> = cols.iter().map(|c| c.run(bytes)).collect();
-    for (c, fnv) in cols.iter().zip(fnv1a_lanes(&runs)) {
-        if fnv != c.fnv {
-            return Err(SegmentError::Checksum { column: c.name });
+    // verify every run's checksum before any row decoding
+    let data: Vec<&[u8]> = dir.iter().map(|&(_, data, _)| data).collect();
+    for (&(run, data, stored), fnv) in dir.iter().zip(fnv1a_lanes(&data)) {
+        if fnv != stored {
+            return Err(SegmentError::Checksum { column: run.name });
         }
-        if let Some(w) = column_width(c.name) {
-            if rows.checked_mul(w as u64) != Some(c.len) {
-                return Err(SegmentError::Corrupt("column length inconsistent with row count"));
-            }
+        if !run.dict && rows.checked_mul(run.col.def().width() as u64) != Some(data.len() as u64) {
+            return Err(SegmentError::Corrupt("column length inconsistent with row count"));
         }
     }
-    Ok((cols, rows, min_first, max_first, services))
+    Ok(Footer { runs: dir, rows, min_first, max_first, services })
 }
 
 /// Read back the footer summary without decoding rows.
 pub fn segment_meta(bytes: &[u8]) -> Result<SegmentMeta, SegmentError> {
-    let (cols, rows, min_first, max_first, _services) = parse_footer(bytes)?;
+    let footer = parse_footer(bytes)?;
     Ok(SegmentMeta {
-        rows,
-        min_first: (min_first != u64::MAX).then(|| SimTime::from_nanos(min_first)),
-        max_first: (rows > 0).then(|| SimTime::from_nanos(max_first)),
-        columns: cols.iter().map(|c| (c.name.to_string(), c.len, c.fnv)).collect(),
+        rows: footer.rows,
+        min_first: (footer.min_first != u64::MAX).then(|| SimTime::from_nanos(footer.min_first)),
+        max_first: (footer.rows > 0).then(|| SimTime::from_nanos(footer.max_first)),
+        columns: footer.runs.iter().map(|&(run, data, fnv)| (run.name, data.len() as u64, fnv)).collect(),
     })
 }
 
 /// Decode `.swseg` bytes back into the exact [`FlowFrame`] that was
-/// encoded. Every column checksum is verified first; any corruption
-/// or truncation yields a typed error, never a panic.
+/// encoded. Every run's checksum is verified first; any corruption or
+/// truncation yields a typed error, never a panic.
 pub fn decode_segment(bytes: &[u8]) -> Result<FlowFrame, SegmentError> {
-    let (cols, _rows, _min, _max, services) = parse_footer(bytes)?;
-    let run = |name: &str| -> &[u8] { cols.iter().find(|c| c.name == name).expect("closed column list").run(bytes) };
+    let footer = parse_footer(bytes)?;
     // the services table indexes the standard classifier's rule list;
     // map each stored name back to its `&'static str`
     let classifier = Classifier::standard();
     let known: Vec<&'static str> = classifier.rules().iter().map(|r| r.service).collect();
-    let mut svc_static: Vec<&'static str> = Vec::with_capacity(services.len());
-    for s in &services {
+    let mut services: Vec<&'static str> = Vec::with_capacity(footer.services.len());
+    for s in &footer.services {
         match known.iter().find(|k| **k == s.as_str()) {
-            Some(k) => svc_static.push(k),
+            Some(k) => services.push(k),
             None => return Err(SegmentError::Corrupt("service name not in the standard table")),
         }
     }
-    let u64s = |name: &str| run(name).chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()));
-    let f64s =
-        |name: &str| run(name).chunks_exact(8).map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())));
-    let u32s = |name: &str| run(name).chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap()));
-    let u16s = |name: &str| run(name).chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().unwrap()));
-    // domain dictionary: the frame's code column indexes it as stored,
-    // so its entries must be distinct and every index in range
-    let mut dr = Reader::new(run("domain_dict"));
+    let mut fr = FlowFrame { services, ..FlowFrame::default() };
+    for &(run, data, _) in &footer.runs {
+        if run.dict {
+            fr.domains = read_dictionary(data)?;
+        } else {
+            read_cells(run.col.cells_mut(&mut fr), data);
+        }
+    }
+    // the frame's code column indexes the dictionary as stored
+    if fr.domain.iter().any(|&d| d != NO_DOMAIN && d as usize >= fr.domains.len()) {
+        return Err(SegmentError::Corrupt("domain index out of range"));
+    }
+    Ok(fr)
+}
+
+/// Decode a run of cells whose length the footer checked, in one loop.
+fn read_cells(cells: CellsMut<'_>, run: &[u8]) {
+    let u64s = || run.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()));
+    match cells {
+        CellsMut::Addr(v) => *v = run.chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])).collect(),
+        CellsMut::Time(v) => *v = u64s().map(SimTime::from_nanos).collect(),
+        CellsMut::U8(v) => *v = run.to_vec(),
+        CellsMut::U16(v) => *v = run.chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().unwrap())).collect(),
+        CellsMut::U32(v) => *v = run.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect(),
+        CellsMut::U64(v) => *v = u64s().collect(),
+        CellsMut::F64(v) => *v = u64s().map(f64::from_bits).collect(),
+    }
+}
+
+/// A stored domain dictionary: its entries must be distinct.
+fn read_dictionary(run: &[u8]) -> Result<Vec<Domain>, SegmentError> {
+    let mut r = Reader::new(run);
     let bad = |_: satwatch_monitor::CheckpointError| SegmentError::Corrupt("domain dictionary undecodable");
-    let dict_len = dr.u32().map_err(bad)? as usize;
-    // every entry takes at least its length prefix: bound the
-    // allocation by the bytes actually present
-    let mut domains: Vec<Domain> = Vec::with_capacity(dict_len.min(dr.remaining()));
+    let n = r.count(4).map_err(bad)?; // each entry: a length prefix and more
+    let mut domains: Vec<Domain> = Vec::with_capacity(n);
     let mut distinct: FxHashSet<&str> = FxHashSet::default();
-    for _ in 0..dict_len {
-        let name = dr.str().map_err(bad)?;
+    for _ in 0..n {
+        let name = r.str().map_err(bad)?;
         if !distinct.insert(name) {
             return Err(SegmentError::Corrupt("duplicate dictionary entry"));
         }
         domains.push(Domain::from(name));
     }
-    if dr.remaining() != 0 {
+    if r.remaining() != 0 {
         return Err(SegmentError::Corrupt("trailing domain dictionary bytes"));
     }
-    let domain: Vec<u32> = u32s("domain_idx").collect();
-    if domain.iter().any(|&d| d != NO_DOMAIN && d as usize >= domains.len()) {
-        return Err(SegmentError::Corrupt("domain index out of range"));
-    }
-    let fr = FlowFrame {
-        client: run("client").chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])).collect(),
-        first: u64s("first").map(SimTime::from_nanos).collect(),
-        bytes_up: u64s("bytes_up").collect(),
-        bytes_down: u64s("bytes_down").collect(),
-        ground_rtt_avg: f64s("ground_rtt_avg").collect(),
-        ground_rtt_samples: u64s("ground_rtt_samples").collect(),
-        sat_rtt_ms: f64s("sat_rtt_ms").collect(),
-        down_bps: f64s("down_bps").collect(),
-        dur_s: f64s("dur_s").collect(),
-        l7: run("l7").to_vec(),
-        country: run("country").to_vec(),
-        local_hour: run("local_hour").to_vec(),
-        hour_utc: run("hour_utc").to_vec(),
-        day: u32s("day").collect(),
-        beam: u16s("beam").collect(),
-        service: u16s("service").collect(),
-        category: run("category").to_vec(),
-        domain,
-        domains,
-        services: svc_static,
-    };
-    Ok(fr)
+    Ok(domains)
 }
 
 /// Encode `fr` and write it to `path` (via a `.tmp` sibling + rename,
@@ -502,6 +466,7 @@ pub fn read_segment_file(path: &Path, expect_fnv: Option<u64>) -> Result<FlowFra
 mod tests {
     use super::*;
     use crate::agg::Enrichment;
+    use crate::column::tests::assert_same_rows;
     use crate::frame::FrameBuilder;
     use satwatch_monitor::record::RttSummary;
     use satwatch_monitor::{FlowRecord, L7Protocol};
@@ -549,38 +514,12 @@ mod tests {
         b.seal()
     }
 
-    fn frames_equal(a: &FlowFrame, b: &FlowFrame) {
-        assert_eq!(a.client, b.client);
-        assert_eq!(a.first, b.first);
-        assert_eq!(a.bytes_up, b.bytes_up);
-        assert_eq!(a.bytes_down, b.bytes_down);
-        // f64 columns: compare bit patterns (NaN ≠ NaN under ==)
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.ground_rtt_avg), bits(&b.ground_rtt_avg));
-        assert_eq!(a.ground_rtt_samples, b.ground_rtt_samples);
-        assert_eq!(bits(&a.sat_rtt_ms), bits(&b.sat_rtt_ms));
-        assert_eq!(bits(&a.down_bps), bits(&b.down_bps));
-        assert_eq!(bits(&a.dur_s), bits(&b.dur_s));
-        assert_eq!(a.l7, b.l7);
-        assert_eq!(a.country, b.country);
-        assert_eq!(a.local_hour, b.local_hour);
-        assert_eq!(a.hour_utc, b.hour_utc);
-        assert_eq!(a.day, b.day);
-        assert_eq!(a.beam, b.beam);
-        assert_eq!(a.service, b.service);
-        assert_eq!(a.category, b.category);
-        // codes may differ (dictionary order is the frame's own); names may not
-        let names = |fr: &FlowFrame| (0..fr.len()).map(|i| fr.domain_at(i).map(str::to_string)).collect::<Vec<_>>();
-        assert_eq!(names(a), names(b));
-        assert_eq!(a.services, b.services);
-    }
-
     #[test]
     fn round_trip_is_lossless() {
         let fr = sample_frame();
         let bytes = encode_segment(&fr);
         let back = decode_segment(&bytes).unwrap();
-        frames_equal(&fr, &back);
+        assert_same_rows(&fr, &back);
         let meta = segment_meta(&bytes).unwrap();
         assert_eq!(meta.rows, fr.len() as u64);
         assert_eq!(meta.min_first, Some(fr.first[0]));
@@ -611,7 +550,7 @@ mod tests {
         let mut other = fr.clone();
         other.domains = vec!["unused.example".into(), "docs.google.com".into(), "video.tiktokv.com".into()];
         other.domain = fr.domain.iter().map(|&d| if d == NO_DOMAIN { d } else { 2 - d }).collect();
-        frames_equal(&fr, &other);
+        assert_same_rows(&fr, &other);
         assert_eq!(encode_segment(&other), encode_segment(&fr));
     }
 
@@ -642,7 +581,7 @@ mod tests {
         let bytes = lay_out(&fr, shifted, &dict);
         let back = decode_segment(&bytes).expect("an unused entry is valid v1");
         assert_eq!(back.domains.len(), 3, "the frame keeps the dictionary as stored");
-        frames_equal(&fr, &back);
+        assert_same_rows(&fr, &back);
         assert_eq!(encode_segment(&back), encode_segment(&fr), "re-encoding drops it");
     }
 
@@ -651,7 +590,7 @@ mod tests {
         let bytes = encode_segment(&sample_frame());
         let footer_len = u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap()) as usize;
         let footer_start = bytes.len() - 16 - footer_len;
-        let rows_at = footer_start + 4 + COLUMNS.iter().map(|c| 4 + c.len() + 24).sum::<usize>();
+        let rows_at = footer_start + 4 + runs().map(|r| 4 + r.name.len() + 24).sum::<usize>();
         assert_eq!(bytes[rows_at..rows_at + 8], 7u64.to_le_bytes(), "located the row count");
         // 2^61 * 8 wraps to 0; u64::MAX * 2 wraps too: neither may
         // panic (debug) or pass for a wrapped length (release)

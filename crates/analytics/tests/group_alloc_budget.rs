@@ -1,18 +1,22 @@
-//! Allocation budget of a full-scan group-by, and of a leading `limit`.
+//! Allocation budget of a full-scan group-by, of a leading `limit`,
+//! and of a segment footer that lies about its size.
 //!
 //! `group by country, service` keys every row by two integer codes:
 //! no `Value`, no `String`, no boxed key per row. This test counts
 //! heap allocations to keep it that way — what the executor allocates
 //! depends on how many *groups* there are, not on how many rows it
 //! scanned to find them. Likewise a `limit` ahead of any `match`
-//! allocates for the rows it keeps, not for the frame it keeps them of.
+//! allocates for the rows it keeps, not for the frame it keeps them of,
+//! and a segment decoder allocates for the bytes it was given, not for
+//! the counts they claim.
 //!
 //! The counter is the device of `crates/scenario/tests/alloc_budget.rs`:
 //! per thread, forwarding to `System` untouched; implementing
 //! `GlobalAlloc` is the one thing here that needs `unsafe`.
 
 use satwatch_analytics::agg::Enrichment;
-use satwatch_analytics::{query, FlowFrame, Pipeline};
+use satwatch_analytics::segment::segment_meta;
+use satwatch_analytics::{decode_segment, encode_segment, query, FlowFrame, FrameBuilder, Pipeline, SegmentError};
 use satwatch_monitor::record::RttSummary;
 use satwatch_monitor::{FlowRecord, L7Protocol};
 use satwatch_simcore::{SimDuration, SimTime};
@@ -158,4 +162,26 @@ fn a_leading_limit_allocates_for_its_rows_not_for_the_frame() {
     let every_row = query::run(&small, &Pipeline::parse(&format!("[{project}]")).unwrap()).unwrap();
     assert_eq!(t_small.rows, every_row.rows[..5], "the frame's first five rows");
     assert_eq!(t_big, t_small);
+}
+
+/// A footer's service count is checked against the bytes left before
+/// it sizes anything: an empty frame's 1.2 kB segment claiming 0xFFFF
+/// services used to allocate 1.5 MB before it was refused.
+#[test]
+fn a_service_count_the_footer_cannot_hold_allocates_nothing_for_it() {
+    let fr = FrameBuilder::new(Enrichment::default()).seal();
+    let bytes = encode_segment(&fr);
+    let footer_len = u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap()) as usize;
+    let footer_start = bytes.len() - 16 - footer_len;
+    // the run count and directory, then the row count and the `first`
+    // range; the service count follows
+    let dir: usize = segment_meta(&bytes).unwrap().columns.iter().map(|(name, ..)| 4 + name.len() + 24).sum();
+    let at = footer_start + 4 + dir + 24;
+    assert_eq!(u16::from_le_bytes([bytes[at], bytes[at + 1]]) as usize, fr.services.len(), "located the count");
+    let mut bad = bytes;
+    bad[at..at + 2].copy_from_slice(&0xFFFF_u16.to_le_bytes());
+    let (allocated, decoded) = counted(&ALLOCATED_BYTES, || decode_segment(&bad).map(|fr| fr.len()));
+    assert!(matches!(decoded, Err(SegmentError::Corrupt("service count exceeds the footer"))), "{decoded:?}");
+    println!("{allocated} bytes allocated decoding a {}-byte segment", bad.len());
+    assert!(allocated <= bad.len() as u64, "{allocated} bytes allocated for {} bytes of input", bad.len());
 }

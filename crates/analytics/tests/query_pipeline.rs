@@ -186,9 +186,13 @@ fn pipeline_stage_order_errors_are_reported() {
         let ran = query::run(&fr, &Pipeline { stages }).unwrap_err();
         assert_eq!(parsed, ran, "{src}");
     }
-    // unknown column name: a binding error, found against the frame
-    let p = Pipeline::parse(r#"[{"group": {"by": ["no_such_col"], "aggs": {"n": {"count": true}}}}]"#).unwrap();
-    assert!(query::run(&fr, &p).is_err());
+    // unknown column name: refused by `parse` against the catalog, and
+    // by the executor's binding when the pipeline was built by hand
+    let src = r#"[{"group": {"by": ["no_such_col"], "aggs": {"n": {"count": true}}}}]"#;
+    let parsed = Pipeline::parse(src).unwrap_err();
+    let ran = query::run(&fr, &Pipeline { stages: vec![group("no_such_col", "n")] }).unwrap_err();
+    assert_eq!(parsed, ran);
+    assert!(parsed.0.contains("bytes_down"), "the error lists the frame's columns: {parsed}");
 }
 
 #[test]

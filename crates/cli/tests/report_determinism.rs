@@ -73,3 +73,27 @@ fn a_bad_figure_or_format_is_refused_before_anything_runs() {
         assert!(out.stdout.is_empty());
     }
 }
+
+/// A pipeline naming a column it cannot have is refused by its parse,
+/// before the scenario it would scan is simulated, and the error lists
+/// the names there are: the frame's, or the table's a stage made.
+#[test]
+fn an_unknown_column_is_refused_before_the_simulation() {
+    for (pipeline, message) in [
+        (
+            r#"[{"match": {"eq": [{"col": "nosuch"}, 1]}}, {"project": ["l7"]}]"#,
+            "unknown column \"nosuch\" (frame columns: client, bytes_up, bytes_down,",
+        ),
+        (
+            r#"[{"group": {"by": ["l7"], "aggs": {"n": {"count": true}}}}, {"sort": "-bytes"}]"#,
+            "unknown result column \"bytes\" (have: l7, n)",
+        ),
+    ] {
+        let out = satwatch(&["query", "--customers", "240", "--pipeline", pipeline]);
+        assert_eq!(out.status.code(), Some(1), "{pipeline}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{pipeline}: {stderr}");
+        assert!(!stderr.contains("simulating"), "{pipeline}: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
+}
