@@ -24,7 +24,7 @@
 
 use crate::agg::{self, CustomerDay, Enrichment, THROUGHPUT_MIN_BYTES};
 use crate::classify::second_level_domain;
-use crate::frame::{FlowFrame, NO_BEAM, NO_CATEGORY, NO_COUNTRY, NO_DOMAIN};
+use crate::frame::{FlowFrame, FrameBuilder, NO_BEAM, NO_CATEGORY, NO_COUNTRY, NO_DOMAIN};
 use crate::report::*;
 use satwatch_internet::ResolverId;
 use satwatch_monitor::{DnsRecord, Domain, L7Protocol};
@@ -508,7 +508,7 @@ impl CdnJoin {
     /// the name id of each dictionary code, or [`NO_NAME`]. After
     /// this the sweep looks at no domain string at all. A name the
     /// join has not seen yet has no lookup at or before any row of
-    /// the frame (the DNS-first contract of [`ReportFold`]).
+    /// the frame (the DNS-first rule of [`ReportFold`]).
     fn names_of(&self, fr: &FlowFrame) -> Vec<u32> {
         fr.domains.iter().map(|d| self.names.get(d).copied().unwrap_or(NO_NAME)).collect()
     }
@@ -636,7 +636,7 @@ impl PaperReports {
 /// The whole-sweep accumulator: one `absorb` touches every figure's
 /// state, so a single pass over the columns fills the lot. (The
 /// customer-day cells are not in here: they are frame-local, see
-/// [`ReportFold::absorb_frame`].)
+/// [`ReportFold`].)
 #[derive(Default)]
 struct MegaAcc {
     table1: Table1Acc,
@@ -678,8 +678,8 @@ pub fn report_all(
 ) -> PaperReports {
     let _span = satwatch_telemetry::span("analytics_report_all_us");
     let mut fold = ReportFold::new(ctx);
-    fold.absorb_dns(dns);
-    fold.absorb_frame(fr);
+    fold.absorb_dns(dns, SimTime::MAX);
+    fold.absorb_sealed(fr, 0);
     fold.finish(services, min_flows)
 }
 
@@ -694,9 +694,9 @@ pub const FOLD_ROWS: usize = 8_192;
 
 /// [`report_all`] split into absorb/finish so neither the frame nor
 /// the DNS log has to exist in one piece: `report` and the campaign
-/// engine feed the rows and DNS records the probe seals as the run
-/// goes (a resumed campaign first re-scans the segments it sealed
-/// before), and both finish into the same [`PaperReports`] the
+/// engine hand over the DNS records and the rows the probe seals as
+/// the run goes (a resumed campaign first re-scans the segments it
+/// sealed before), and both finish into the same [`PaperReports`] the
 /// all-in-RAM sweep produces.
 ///
 /// Byte-identity argument: the fold is one accumulator that absorbs
@@ -712,8 +712,13 @@ pub const FOLD_ROWS: usize = 8_192;
 /// the stable `ts` sort of the pieces' concatenation whatever the cuts.
 /// The one rule between the two streams — **DNS first** — is that a
 /// row is absorbed only after every DNS record with `ts ≤ first`: the
-/// row's join reads those lookups once and never again. Debug builds
-/// check it.
+/// row's join reads those lookups once and never again. The fold keeps
+/// the rule itself. Each DNS piece comes with the mark it was sealed
+/// at, and rows come sealed behind the flow mark alone; the fold
+/// absorbs the rows behind the DNS mark and holds the rest — the rows
+/// of frames already handed over, and an offset into the open one —
+/// until a DNS piece moves the mark past them. Debug builds check the
+/// rule.
 ///
 /// What is frame-local never crosses a frame boundary: domain codes
 /// are resolved to the join's name ids per frame, and the
@@ -725,6 +730,13 @@ pub struct ReportFold<'a> {
     join: CdnJoin,
     fig10: agg::Fig10Acc,
     ctx: ReportCtx<'a>,
+    /// Every DNS record before it has been absorbed.
+    dns_mark: SimTime,
+    /// Rows of frames handed over before the DNS mark passed them, in
+    /// canonical order; every one comes before the open frame's rows.
+    carried: Vec<FlowFrame>,
+    /// Rows of the open frame absorbed so far.
+    folded: usize,
     /// The latest `first` absorbed: a DNS record at or before it comes
     /// too late (the debug check of the DNS-first rule).
     rows_through: Option<SimTime>,
@@ -739,14 +751,18 @@ impl<'a> ReportFold<'a> {
             join: CdnJoin::default(),
             fig10: agg::Fig10Acc::default(),
             ctx,
+            dns_mark: SimTime::ZERO,
+            carried: Vec::new(),
+            folded: 0,
             rows_through: None,
         }
     }
 
-    /// Absorb the next piece of the DNS log (pieces in log order):
-    /// the Table 2 join and Fig 10 grow by it, and nothing of it is
-    /// kept beyond that.
-    pub fn absorb_dns(&mut self, dns: &[DnsRecord]) {
+    /// Absorb the next piece of the DNS log (pieces in log order),
+    /// sealed at `mark`: with it, every DNS record before `mark` is in
+    /// ([`SimTime::MAX`] for the log's last piece). The Table 2 join
+    /// and Fig 10 grow by it, and nothing of it is kept beyond that.
+    pub fn absorb_dns(&mut self, dns: &[DnsRecord], mark: SimTime) {
         debug_assert!(
             self.rows_through.is_none_or(|t| dns.iter().all(|d| d.ts > t)),
             "a DNS record at or before an absorbed row (first {:?}) came after it: absorb DNS first",
@@ -756,19 +772,64 @@ impl<'a> ReportFold<'a> {
             self.join.absorb(d);
             self.fig10.absorb(d, self.ctx.enrichment);
         }
+        self.dns_mark = self.dns_mark.max(mark);
     }
 
-    /// Absorb one whole frame: [`absorb_rows`](Self::absorb_rows)
-    /// over all of its rows.
-    pub fn absorb_frame(&mut self, fr: &FlowFrame) {
-        self.absorb_rows(fr, 0..fr.len());
+    /// Absorb the rows behind the DNS mark: the carried ones first,
+    /// then those of the open frame `open` — rows sealed behind the
+    /// flow mark, in canonical order, the frame growing between calls
+    /// — once at least `min_rows` of these are waiting.
+    pub fn absorb_sealed(&mut self, open: &FlowFrame, min_rows: usize) {
+        if !self.absorb_carried() {
+            return;
+        }
+        let behind = self.folded + open.first[self.folded..].partition_point(|&t| t < self.dns_mark);
+        if behind > self.folded && behind - self.folded >= min_rows {
+            self.absorb_rows(open, self.folded..behind);
+            self.folded = behind;
+        }
     }
 
-    /// Absorb the rows `rows` of `fr`. Rows must arrive in canonical
-    /// order across calls (e.g. day-partitioned segments in day order,
-    /// or a frame's rows a range at a time), each after the DNS records
-    /// it joins.
-    pub fn absorb_rows(&mut self, fr: &FlowFrame, rows: std::ops::Range<usize>) {
+    /// The open frame, the rows `builder` has sealed, is done with (a
+    /// campaign wrote it as a segment, `report` gathered a batch):
+    /// absorb what is behind the DNS mark, carry the rest, and clear
+    /// the builder's sealed rows for the next open frame.
+    pub fn hand_over(&mut self, builder: &mut FrameBuilder) {
+        self.absorb_sealed(builder.sealed(), 0);
+        if self.folded < builder.sealed().len() {
+            self.carried.push(builder.take_sealed_from(self.folded));
+        } else {
+            builder.clear_sealed();
+        }
+        self.folded = 0;
+    }
+
+    /// Take in a frame sealed before the open one (a segment read
+    /// back): absorb what is behind the DNS mark and carry the rest.
+    pub fn carry(&mut self, fr: FlowFrame) {
+        debug_assert_eq!(self.folded, 0, "carried rows come before the open frame's");
+        self.carried.push(fr);
+        self.absorb_carried();
+    }
+
+    /// Absorb the carried rows behind the DNS mark; `true` once none
+    /// is left.
+    fn absorb_carried(&mut self) -> bool {
+        while !self.carried.is_empty() {
+            let mut front = self.carried.remove(0);
+            let behind = front.first.partition_point(|&t| t < self.dns_mark);
+            self.absorb_rows(&front, 0..behind);
+            if behind < front.len() {
+                self.carried.insert(0, if behind > 0 { front.split_off(behind) } else { front });
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Absorb the rows `rows` of `fr`: rows in canonical order across
+    /// calls, each behind the DNS mark.
+    fn absorb_rows(&mut self, fr: &FlowFrame, rows: std::ops::Range<usize>) {
         if rows.is_empty() {
             return;
         }
@@ -792,6 +853,7 @@ impl<'a> ReportFold<'a> {
     /// [`report_all`] over the concatenation of the absorbed frames
     /// and DNS pieces.
     pub fn finish(self, services: &[&'static str], min_flows: usize) -> PaperReports {
+        debug_assert!(self.carried.is_empty(), "the DNS log's last piece passes every row");
         let (enr, countries) = (self.ctx.enrichment, self.ctx.countries);
         let days = self.days;
         PaperReports {
@@ -941,8 +1003,8 @@ mod tests {
         let top = [Country::Congo, Country::Spain];
         let ctx = ReportCtx { enrichment: &enr, countries: &top };
         let mut fold = ReportFold::new(ctx);
-        fold.absorb_dns(&dns);
-        fold.absorb_frame(&fr);
+        fold.absorb_dns(&dns, SimTime::MAX);
+        fold.absorb_sealed(&fr, 0);
         for floor in [1, 20] {
             let all = report_all(&fr, &dns, ctx, &["Tiktok", "Google"], floor);
             assert_eq!(format!("{:?}", all.table2), format!("{:?}", fold.table2(floor)));
@@ -957,8 +1019,10 @@ mod tests {
         let (flows, dns, enr) = (sample_flows(), sample_dns(), enrichment());
         let ctx = ReportCtx { enrichment: &enr, countries: &[Country::Congo] };
         let mut fold = ReportFold::new(ctx);
-        fold.absorb_frame(&FlowFrame::from_records(&flows[..1], &enr));
-        fold.absorb_dns(&dns);
+        // a mark that claims the log is in, and a late piece after all
+        fold.absorb_dns(&[], SimTime::MAX);
+        fold.carry(FlowFrame::from_records(&flows[..1], &enr));
+        fold.absorb_dns(&dns, SimTime::MAX);
     }
 
     /// The same rows under another service numbering. A decoded
@@ -990,14 +1054,14 @@ mod tests {
             let ctx = ReportCtx { enrichment: &enr, countries: &top };
             let batch = report_all(&FlowFrame::from_records(&flows, &enr), &dns, ctx, &services, 1);
             let mut fold = ReportFold::new(ctx);
-            fold.absorb_dns(&dns);
+            fold.absorb_dns(&dns, SimTime::MAX);
             let mut start = 0;
             for (k, end) in cuts.iter().copied().chain([flows.len()]).enumerate() {
                 let mut piece = FlowFrame::from_records(&flows[start..end], &enr);
                 if k % 2 == 1 {
                     renumber_services(&mut piece);
                 }
-                fold.absorb_frame(&piece);
+                fold.carry(piece);
                 start = end;
             }
             let folded = fold.finish(&services, 1);
@@ -1057,19 +1121,108 @@ mod tests {
                         past_need += 1;
                     }
                     dns_ends.next();
-                    fold.absorb_dns(&dns[absorbed..to]);
+                    fold.absorb_dns(&dns[absorbed..to], SimTime::ZERO);
                     absorbed = to;
                 }
-                fold.absorb_frame(&FlowFrame::from_records(&flows[start..end], &enr));
+                // every record at or before the frame's last row is in
+                fold.absorb_dns(&[], flows[end - 1].first + SimDuration::from_nanos(1));
+                fold.carry(FlowFrame::from_records(&flows[start..end], &enr));
                 start = end;
             }
-            fold.absorb_dns(&dns[absorbed..]);
+            fold.absorb_dns(&dns[absorbed..], SimTime::MAX);
             let csv = fold.table2(1);
             let folded = fold.finish(&["Tiktok"], 2);
             let oracle = |floor| format!("{:?}", agg::table_cdn_selection(&flows, &dns, &enr, &top, floor));
             prop_assert_eq!(format!("{csv:?}"), oracle(1));
             prop_assert_eq!(format!("{:?}", folded.table2), oracle(2));
             prop_assert_eq!(format!("{:?}", folded.fig10), format!("{:?}", agg::fig10(&dns, &enr, &top)));
+        }
+
+        /// The one fold, driven as `report` drives it. Each lookup is a
+        /// DNS record and, `delay` seconds later (past the 30 s
+        /// freshness window at times), maybe a flow to the name it
+        /// asked for, on a half-hour grid over two days. The logs are
+        /// sealed at rising flow and DNS marks drawn apart, so the DNS
+        /// mark trails the flow mark as often as it leads it: each
+        /// piece's DNS goes into the fold at its mark, its flows into a
+        /// builder that seals behind the flow mark alone, and the open
+        /// frame is handed over once `batch` rows wait — nothing is
+        /// written. Table 2 at two floors is the record path's, Fig 10
+        /// and the rendered text `report_all`'s over the whole. (The
+        /// campaign drives the same fold through checkpoints, kills and
+        /// prefix re-scans: `satwatch-campaign`'s
+        /// `the_seal_time_fold_is_the_batch_fold`.)
+        #[test]
+        fn sealed_pieces_fold_to_the_batch_report(
+            lookups in proptest::collection::vec(
+                (0u64..96, 1u8..4, 0usize..3, 0usize..2, 0i64..40, any::<bool>()),
+                0..160,
+            ),
+            steps in proptest::collection::vec((0u64..=96, 0u64..=96), 0..8),
+            batch in 1usize..6,
+        ) {
+            const SLOT: u64 = 1_800;
+            let names = ["video.tiktokv.com", "www.google.com", "cdn.example.org"];
+            let resolvers = [ResolverId::Google, ResolverId::OperatorEu];
+            let (mut flows, mut dns) = (Vec::new(), Vec::new());
+            for (i, &(slot, c, q, r, delay, has_flow)) in lookups.iter().enumerate() {
+                let ts = SimTime::from_secs(slot * SLOT);
+                dns.push(DnsRecord {
+                    client: client(c),
+                    resolver: resolvers[r].address(),
+                    query: names[q].into(),
+                    ts,
+                    response_ms: Some(i as f64),
+                    answers: vec![],
+                });
+                if has_flow {
+                    let mut f = flow(client(c), L7Protocol::TlsHttps, 1_000 + i as u64, 100, 0, Some(names[q]));
+                    f.first = ts + SimDuration::from_secs(delay);
+                    f.last = f.first + SimDuration::from_secs(5);
+                    f.ground_rtt.avg_ms = 10.0 + i as f64 * 0.37;
+                    flows.push(f);
+                }
+            }
+            flows.sort_by_key(satwatch_monitor::flow_sort_key);
+            dns.sort_by(satwatch_monitor::dns_cmp);
+            let (mut flow_marks, mut dns_marks): (Vec<u64>, Vec<u64>) = steps.into_iter().unzip();
+            flow_marks.sort_unstable();
+            dns_marks.sort_unstable();
+            let marks = flow_marks
+                .iter()
+                .zip(&dns_marks)
+                .map(|(&f, &d)| (SimTime::from_secs(f * SLOT), SimTime::from_secs(d * SLOT)))
+                .chain([(SimTime::MAX, SimTime::MAX)]);
+
+            let enr = enrichment();
+            let top = [Country::Congo, Country::Spain];
+            let services = ["Tiktok", "Google"];
+            let ctx = ReportCtx { enrichment: &enr, countries: &top };
+            let mut builder = FrameBuilder::new(enr.clone());
+            let mut fold = ReportFold::new(ctx);
+            let (mut flows_sealed, mut dns_sealed) = (0, 0);
+            for (flow_mark, dns_mark) in marks {
+                // a seal at the marks: the records behind them that no
+                // earlier seal took
+                let to = flows_sealed + flows[flows_sealed..].partition_point(|f| f.first < flow_mark);
+                flows[flows_sealed..to].iter().for_each(|f| builder.push(f));
+                flows_sealed = to;
+                builder.seal_behind(Some(flow_mark));
+                let to = dns_sealed + dns[dns_sealed..].partition_point(|d| d.ts < dns_mark);
+                fold.absorb_dns(&dns[dns_sealed..to], dns_mark);
+                dns_sealed = to;
+                if builder.sealed().len() >= batch || flow_mark == SimTime::MAX {
+                    fold.hand_over(&mut builder);
+                }
+            }
+            let csv = fold.table2(1);
+            let folded = fold.finish(&services, 2);
+            let oracle = |floor| format!("{:?}", agg::table_cdn_selection(&flows, &dns, &enr, &top, floor));
+            prop_assert_eq!(format!("{csv:?}"), oracle(1));
+            prop_assert_eq!(format!("{:?}", folded.table2), oracle(2));
+            let batch_report = report_all(&FlowFrame::from_records(&flows, &enr), &dns, ctx, &services, 2);
+            prop_assert_eq!(format!("{:?}", folded.fig10), format!("{:?}", batch_report.fig10));
+            prop_assert_eq!(folded.render_all(), batch_report.render_all());
         }
     }
 }

@@ -37,7 +37,7 @@
 use crate::agg::Enrichment;
 use crate::classify::Classifier;
 use crate::column::{self, with_vec, CellsMut};
-use satwatch_monitor::{flow_sort_key, Domain, FlowRecord, SealMarks};
+use satwatch_monitor::{flow_sort_key, Domain, FlowRecord};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::{FxHashMap, SimTime};
 use std::net::Ipv4Addr;
@@ -382,20 +382,18 @@ impl FrameBuilder {
         });
     }
 
-    /// Seal every row strictly behind *both* marks (`None`: every row
-    /// — the input is over): sort them on the total [`flow_sort_key`]
-    /// `Probe::finish` sorts by and append them to the sealed columns.
+    /// Seal every row strictly behind the flow mark `mark` (`None`:
+    /// every row — the input is over): sort them on the total
+    /// [`flow_sort_key`] `Probe::finish` sorts by and append them to
+    /// the sealed columns.
     ///
-    /// The flow mark alone would make them final; the DNS mark as
-    /// well lets a consumer absorb the DNS records sealed at the same
-    /// marks first, so a sealed row's Table 2 lookups are all in by
-    /// then (`ReportFold`'s DNS-first rule). Every row still to come
-    /// starts at or after the flow mark, so the sealed sequence, seal
-    /// after seal, is the canonical order of the whole capture. The
-    /// sort is stable and the rows leave the tail in push order, so a
-    /// tie breaks as it does in one sort of every row.
-    pub fn seal_behind(&mut self, marks: Option<SealMarks>) {
-        let mark = marks.map(|m| m.flows.min(m.dns));
+    /// Every row still to come starts at or after the mark, so the
+    /// sealed sequence, seal after seal, is the canonical order of the
+    /// whole capture. The sort is stable and the rows leave the tail in
+    /// push order, so a tie breaks as it does in one sort of every row.
+    /// Whether a sealed row's DNS lookups are in yet is the report
+    /// fold's business (`ReportFold`'s DNS-first rule), not the seal's.
+    pub fn seal_behind(&mut self, mark: Option<SimTime>) {
         if self.rows.is_empty() || mark.is_some_and(|mark| mark <= self.sealed_to) {
             return; // nothing can be behind it
         }
@@ -524,13 +522,13 @@ mod tests {
         crate::column::tests::assert_same_rows(&b.seal(), &batch);
     }
 
-    fn marks(flows_s: u64, dns_s: u64) -> Option<SealMarks> {
-        Some(SealMarks { flows: SimTime::from_secs(flows_s), dns: SimTime::from_secs(dns_s) })
+    fn mark(s: u64) -> Option<SimTime> {
+        Some(SimTime::from_secs(s))
     }
 
-    /// A seal passes the rows strictly behind the earlier of the two
-    /// marks, sorted; sealed batch after batch, the rows are the
-    /// canonical frame.
+    /// A seal passes the rows strictly behind the mark, sorted; an
+    /// earlier mark afterwards passes nothing; sealed batch after
+    /// batch, the rows are the canonical frame.
     #[test]
     fn rows_seal_behind_the_earlier_mark_in_canonical_order() {
         // firsts (hour 0): port i at second i, pushed out of order
@@ -538,13 +536,13 @@ mod tests {
         let mut flows: Vec<FlowRecord> = order.iter().map(|&i| flow(i, 0, Some("docs.google.com"))).collect();
         let mut b = FrameBuilder::new(enrichment());
         flows.iter().for_each(|f| b.push(f));
-        b.seal_behind(marks(6, 4));
+        b.seal_behind(mark(4));
         let first = b.sealed().clone();
-        assert_eq!(first.first, [1, 2, 3].map(SimTime::from_secs), "the DNS mark holds rows the flow mark passed");
+        assert_eq!(first.first, [1, 2, 3].map(SimTime::from_secs), "the rows behind the mark, sorted");
         assert_eq!(first.domains.len(), 1);
         b.clear_sealed();
-        b.seal_behind(marks(8, 9));
-        b.seal_behind(marks(7, 7));
+        b.seal_behind(mark(8));
+        b.seal_behind(mark(7));
         assert_eq!(b.sealed().len(), 4, "an earlier mark afterwards passes nothing");
         let rest = b.seal();
         flows.sort_by_key(flow_sort_key);
@@ -560,7 +558,7 @@ mod tests {
     fn a_row_behind_a_sealed_mark_is_caught_in_debug_builds() {
         let mut b = FrameBuilder::new(enrichment());
         b.push(&flow(5, 0, None));
-        b.seal_behind(marks(4, 4));
+        b.seal_behind(mark(4));
         b.push(&flow(3, 0, None));
     }
 

@@ -14,7 +14,7 @@
 use crate::CampaignError;
 use satwatch_monitor::checkpoint::{
     put_bool, put_bytes, put_dns_record, put_f64, put_ip, put_opt_f64, put_opt_u64, put_str, put_u16, put_u32, put_u64,
-    put_u8, read_dns_record, Reader, DNS_RECORD_MIN_SIZE,
+    put_u8, read_dns_record, CheckpointError, Reader, DNS_RECORD_MIN_SIZE,
 };
 use satwatch_monitor::record::{EarlyPacket, RttSummary};
 use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol, ProbeState};
@@ -79,7 +79,7 @@ pub fn put_flow_record(w: &mut Vec<u8>, f: &FlowRecord) {
 }
 
 /// Inverse of [`put_flow_record`].
-pub fn read_flow_record(r: &mut Reader<'_>) -> Result<FlowRecord, CampaignError> {
+pub fn read_flow_record(r: &mut Reader<'_>) -> Result<FlowRecord, CheckpointError> {
     let client = r.ip()?;
     let server = r.ip()?;
     let client_port = r.u16()?;
@@ -109,9 +109,8 @@ pub fn read_flow_record(r: &mut Reader<'_>) -> Result<FlowRecord, CampaignError>
     let s2c_data_last = r.opt_u64()?.map(SimTime::from_nanos);
     let sat_rtt_ms = r.opt_f64()?;
     let l7_idx = r.u8()? as usize;
-    let l7 = *L7Protocol::ALL
-        .get(l7_idx)
-        .ok_or_else(|| CampaignError::Corrupt("flow record has an unknown L7 protocol index".into()))?;
+    let l7 =
+        *L7Protocol::ALL.get(l7_idx).ok_or(CheckpointError::Corrupt("flow record has an unknown L7 protocol index"))?;
     let domain = if r.bool()? { Some(r.str()?.into()) } else { None };
     Ok(FlowRecord {
         client,
@@ -229,19 +228,26 @@ impl DnsSpill {
 /// Inverse of [`write_dns_file`].
 pub fn read_dns_file(path: &Path, expect: Option<u64>) -> Result<Vec<DnsRecord>, CampaignError> {
     let bytes = read_checksummed(path, expect)?;
-    let mut r = Reader::new(&bytes);
-    if r.take(8)? != DNS_FILE_MAGIC {
-        return Err(CampaignError::Corrupt(format!("{}: bad DNS spill magic", path.display())));
-    }
-    let n = r.count(DNS_RECORD_MIN_SIZE)?;
-    let mut recs = Vec::with_capacity(n);
-    for _ in 0..n {
-        recs.push(read_dns_record(&mut r)?);
-    }
-    if r.remaining() != 0 {
-        return Err(CampaignError::Corrupt(format!("{}: trailing bytes", path.display())));
-    }
-    Ok(recs)
+    decode_in(path, || {
+        let mut r = Reader::new(&bytes);
+        if r.take(8)? != DNS_FILE_MAGIC {
+            return Err(CheckpointError::Corrupt("bad DNS spill magic"));
+        }
+        let n = r.count(DNS_RECORD_MIN_SIZE)?;
+        let mut recs = Vec::with_capacity(n);
+        for _ in 0..n {
+            recs.push(read_dns_record(&mut r)?);
+        }
+        if r.remaining() != 0 {
+            return Err(CheckpointError::Corrupt("trailing bytes"));
+        }
+        Ok(recs)
+    })
+}
+
+/// `decode()`, its error naming `path`.
+fn decode_in<T>(path: &Path, decode: impl FnOnce() -> Result<T, CheckpointError>) -> Result<T, CampaignError> {
+    decode().map_err(|error| CampaignError::Checkpoint { file: path.to_path_buf(), error })
 }
 
 /// Day-keyed buckets of records evicted but not yet sealed: what a
@@ -302,35 +308,37 @@ pub fn read_state_file(
     expect: Option<u64>,
 ) -> Result<(ProbeState, FlowBuckets, DnsBuckets), CampaignError> {
     let bytes = read_checksummed(path, expect)?;
-    let mut r = Reader::new(&bytes);
-    if r.take(8)? != STATE_FILE_MAGIC {
-        return Err(CampaignError::Corrupt(format!("{}: bad state-file magic", path.display())));
-    }
-    let probe = ProbeState::decode(r.bytes()?)?;
-    let mut flow_buckets = FlowBuckets::new();
-    for _ in 0..r.u32()? {
-        let day = r.u64()?;
-        let n = r.count(FLOW_RECORD_MIN_SIZE)?;
-        let mut flows = Vec::with_capacity(n);
-        for _ in 0..n {
-            flows.push(read_flow_record(&mut r)?);
+    decode_in(path, || {
+        let mut r = Reader::new(&bytes);
+        if r.take(8)? != STATE_FILE_MAGIC {
+            return Err(CheckpointError::Corrupt("bad state-file magic"));
         }
-        flow_buckets.insert(day, flows);
-    }
-    let mut dns_buckets = DnsBuckets::new();
-    for _ in 0..r.u32()? {
-        let day = r.u64()?;
-        let n = r.count(DNS_RECORD_MIN_SIZE)?;
-        let mut recs = Vec::with_capacity(n);
-        for _ in 0..n {
-            recs.push(read_dns_record(&mut r)?);
+        let probe = ProbeState::decode(r.bytes()?)?;
+        let mut flow_buckets = FlowBuckets::new();
+        for _ in 0..r.u32()? {
+            let day = r.u64()?;
+            let n = r.count(FLOW_RECORD_MIN_SIZE)?;
+            let mut flows = Vec::with_capacity(n);
+            for _ in 0..n {
+                flows.push(read_flow_record(&mut r)?);
+            }
+            flow_buckets.insert(day, flows);
         }
-        dns_buckets.insert(day, recs);
-    }
-    if r.remaining() != 0 {
-        return Err(CampaignError::Corrupt(format!("{}: trailing bytes", path.display())));
-    }
-    Ok((probe, flow_buckets, dns_buckets))
+        let mut dns_buckets = DnsBuckets::new();
+        for _ in 0..r.u32()? {
+            let day = r.u64()?;
+            let n = r.count(DNS_RECORD_MIN_SIZE)?;
+            let mut recs = Vec::with_capacity(n);
+            for _ in 0..n {
+                recs.push(read_dns_record(&mut r)?);
+            }
+            dns_buckets.insert(day, recs);
+        }
+        if r.remaining() != 0 {
+            return Err(CheckpointError::Corrupt("trailing bytes"));
+        }
+        Ok((probe, flow_buckets, dns_buckets))
+    })
 }
 
 #[cfg(test)]

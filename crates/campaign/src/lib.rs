@@ -30,13 +30,16 @@
 //!   parent state, so `days_completed` *is* the full RNG cursor),
 //!   imports the probe state, and continues — bit-identically.
 //! * **Reports.** A run that will complete folds every piece into a
-//!   [`ReportFold`] as it is sealed: the DNS records first, then the
-//!   rows behind the DNS mark, gathered [`FOLD_ROWS`] at a time. Rows
-//!   a checkpoint wrote before the DNS mark passed them carry in RAM
-//!   and fold after the next DNS piece. Completion is a `finish()`: no
-//!   segment is read back. A run that starts mid-campaign first
-//!   re-scans what earlier runs sealed; a run that stops early folds
-//!   nothing. Seal-order concatenation of canonically sorted pieces,
+//!   [`ReportFold`] as it is sealed — the one fold `report` uses: the
+//!   DNS records at the piece's DNS mark, then the open segment's rows,
+//!   [`FOLD_ROWS`] at a time; the fold absorbs those its DNS mark has
+//!   passed and holds the rest, and at a checkpoint the written segment
+//!   is handed over, its rows the DNS mark has not reached carried in
+//!   RAM. Completion is a `finish()`: no segment is read back. A run
+//!   that starts mid-campaign first re-scans what earlier runs sealed;
+//!   a run that stops early folds nothing. Records, not rows, wait for
+//!   the marks here (in the probe's sealer): the unsealed tail goes
+//!   into the state file, which stores records. Seal-order concatenation of canonically sorted pieces,
 //!   each wholly behind the next, *is* the canonical global order (the
 //!   sort key leads with the first-packet time), so both the dataset
 //!   digest and every rendered report are byte-identical to an
@@ -49,7 +52,7 @@ pub use manifest::{config_hash, DnsFileInfo, Manifest, SegmentInfo};
 
 use satwatch_analytics::agg::Enrichment;
 use satwatch_analytics::segment::{read_segment_file, write_segment_file, SegmentError};
-use satwatch_analytics::{FlowFrame, FrameBuilder, PaperReports, ReportCtx, ReportFold, FOLD_ROWS};
+use satwatch_analytics::{FrameBuilder, ReportCtx, ReportFold, FOLD_ROWS};
 use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{encode_flow_row, write_flows};
 use satwatch_monitor::{DnsRecord, Piece, Probe, ProbeState, SealMarks, Sealer};
@@ -72,7 +75,13 @@ pub enum CampaignError {
     /// mismatch, malformed manifest, config mismatch…).
     Corrupt(String),
     Segment(SegmentError),
-    Checkpoint(CheckpointError),
+    /// `file` — a state file or a DNS spill — passed its checksums but
+    /// does not decode, or (a state file) the probe refused the state
+    /// it holds.
+    Checkpoint {
+        file: PathBuf,
+        error: CheckpointError,
+    },
     /// [`RunOptions::abort_after_day`] names a day the run will never
     /// finish: it simulates days `days_completed..days` (none, when
     /// the campaign has run them all). Refused before any day runs.
@@ -89,7 +98,7 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Io(e) => write!(f, "campaign I/O error: {e}"),
             CampaignError::Corrupt(msg) => write!(f, "corrupt campaign state: {msg}"),
             CampaignError::Segment(e) => write!(f, "campaign segment error: {e}"),
-            CampaignError::Checkpoint(e) => write!(f, "campaign probe-state error: {e:?}"),
+            CampaignError::Checkpoint { file, error } => write!(f, "campaign file {}: {error}", file.display()),
             CampaignError::AbortOutOfReach { day, days_completed, days } if days_completed < days => {
                 write!(f, "cannot abort after day {day}: this run simulates days {days_completed} to {}", days - 1)
             }
@@ -111,12 +120,6 @@ impl From<std::io::Error> for CampaignError {
 impl From<SegmentError> for CampaignError {
     fn from(e: SegmentError) -> CampaignError {
         CampaignError::Segment(e)
-    }
-}
-
-impl From<CheckpointError> for CampaignError {
-    fn from(e: CheckpointError) -> CampaignError {
-        CampaignError::Checkpoint(e)
     }
 }
 
@@ -250,12 +253,12 @@ struct Sealing<'e> {
     flow_rows: u64,
     /// The flow-log line being hashed, one row at a time.
     line: Vec<u8>,
-    fold: Option<SealFold<'e>>,
+    fold: Option<ReportFold<'e>>,
 }
 
 impl<'e> Sealing<'e> {
     /// Sealing that continues `c`'s digest, feeding `fold` if given.
-    fn new(c: &Campaign, enr: &Enrichment, fold: Option<SealFold<'e>>) -> Sealing<'e> {
+    fn new(c: &Campaign, enr: &Enrichment, fold: Option<ReportFold<'e>>) -> Sealing<'e> {
         Sealing {
             builder: FrameBuilder::new(enr.clone()),
             dns: codec::DnsSpill::new(),
@@ -269,7 +272,7 @@ impl<'e> Sealing<'e> {
     /// Take in the next piece, sealed at `marks` (`None`: the closing
     /// seal, every row): its flows are hashed and become rows of the
     /// open segment, its DNS goes to the fold and the spill, and the
-    /// fold absorbs the rows now behind the DNS mark once there are
+    /// fold absorbs the rows its DNS mark has passed once there are
     /// [`FOLD_ROWS`] of them.
     fn absorb(&mut self, piece: Piece, marks: Option<SealMarks>) {
         for f in &piece.flows {
@@ -280,87 +283,12 @@ impl<'e> Sealing<'e> {
         }
         self.flow_rows += piece.flows.len() as u64;
         // every flow of the piece is behind its flow mark
-        self.builder.seal_behind(marks.map(|m| SealMarks { dns: m.flows, ..m }));
+        self.builder.seal_behind(marks.map(|m| m.flows));
         if let Some(fold) = &mut self.fold {
             fold.absorb_dns(&piece.dns, marks.map_or(SimTime::MAX, |m| m.dns));
-            fold.absorb_behind(self.builder.sealed(), FOLD_ROWS);
+            fold.absorb_sealed(self.builder.sealed(), FOLD_ROWS);
         }
         self.dns.append(&piece.dns);
-    }
-}
-
-/// The report fold of a run that will complete, and the sealed rows it
-/// has still to absorb. DNS first: a row is absorbed once every DNS
-/// record at or before its first packet is, that is once it is behind
-/// the DNS mark.
-struct SealFold<'e> {
-    fold: ReportFold<'e>,
-    /// Rows of segments already written that were not behind the DNS
-    /// mark then, in canonical order; every one comes before the open
-    /// segment's rows.
-    carried: Vec<FlowFrame>,
-    /// Rows of the open segment absorbed so far.
-    folded: usize,
-    /// Every DNS record before it has been absorbed.
-    dns_mark: SimTime,
-}
-
-impl<'e> SealFold<'e> {
-    fn new(ctx: ReportCtx<'e>) -> SealFold<'e> {
-        SealFold { fold: ReportFold::new(ctx), carried: Vec::new(), folded: 0, dns_mark: SimTime::ZERO }
-    }
-
-    /// Absorb the next DNS piece, sealed at `mark`.
-    fn absorb_dns(&mut self, dns: &[DnsRecord], mark: SimTime) {
-        self.fold.absorb_dns(dns);
-        self.dns_mark = self.dns_mark.max(mark);
-    }
-
-    /// Absorb the carried rows behind the DNS mark; `true` once none
-    /// is left.
-    fn absorb_carried(&mut self) -> bool {
-        while let Some(front) = self.carried.first_mut() {
-            let behind = front.first.partition_point(|&t| t < self.dns_mark);
-            self.fold.absorb_rows(front, 0..behind);
-            if behind < front.len() {
-                *front = front.split_off(behind);
-                return false;
-            }
-            self.carried.remove(0);
-        }
-        true
-    }
-
-    /// Absorb the rows behind the DNS mark, the carried ones first,
-    /// then those of the open segment `open` — once at least
-    /// `min_rows` of these are waiting.
-    fn absorb_behind(&mut self, open: &FlowFrame, min_rows: usize) {
-        if !self.absorb_carried() {
-            return;
-        }
-        let behind = self.folded + open.first[self.folded..].partition_point(|&t| t < self.dns_mark);
-        if behind > self.folded && behind - self.folded >= min_rows {
-            self.fold.absorb_rows(open, self.folded..behind);
-            self.folded = behind;
-        }
-    }
-
-    /// The open segment in `builder` has been written: absorb what is
-    /// behind the DNS mark, carry the rest, and start the next segment.
-    fn close_segment(&mut self, builder: &mut FrameBuilder) {
-        self.absorb_behind(builder.sealed(), 0);
-        if self.folded < builder.sealed().len() {
-            self.carried.push(builder.take_sealed_from(self.folded));
-        } else {
-            builder.clear_sealed();
-        }
-        self.folded = 0;
-    }
-
-    /// The reports, once the closing seal has been absorbed.
-    fn finish(self) -> PaperReports {
-        debug_assert!(self.carried.is_empty(), "the closing seal passes every row");
-        self.fold.finish(&FIG6_SERVICES, MIN_FLOWS)
     }
 }
 
@@ -468,6 +396,10 @@ impl Campaign {
         self.dir.join("dns").join(format!("dns-{k}.bin"))
     }
 
+    fn state_path(&self, day: u64) -> PathBuf {
+        self.dir.join(format!("state-{day}.bin"))
+    }
+
     /// Run (or continue) the campaign to completion, or up to
     /// `opts.abort_after_day`. Safe to call again after an abort or a
     /// crash-resume; a completed campaign returns its recorded result.
@@ -495,7 +427,10 @@ impl Campaign {
         let mut dns_mark = SimTime::ZERO;
         if let Some((state, unsealed)) = self.probe_carry.take() {
             dns_mark = resume_dns_mark(&state, unsealed.unsealed().1, self.days_completed);
-            probe.import_state(state, unsealed)?;
+            probe.import_state(state, unsealed).map_err(|error| CampaignError::Checkpoint {
+                file: self.state_path(self.days_completed.saturating_sub(1)),
+                error,
+            })?;
         }
         // Only a run that will complete folds; one that stops early
         // writes what it always wrote, and the run that completes
@@ -577,7 +512,7 @@ impl Campaign {
         sealing.absorb(Piece { flows, dns }, None);
         self.seal_segment(&mut sealing)?;
         let dataset_digest = self.dataset_digest()?;
-        let reports = sealing.fold.take().expect("a run that completes folds").finish();
+        let reports = sealing.fold.take().expect("a run that completes folds").finish(&FIG6_SERVICES, MIN_FLOWS);
         let report_text = reports.render_all();
         let report_digest = fnv1a(report_text.as_bytes());
         std::fs::write(self.dir.join("report.txt"), &report_text)?;
@@ -620,7 +555,7 @@ impl Campaign {
         self.dns_files.push(DnsFileInfo { day: k, records, fnv });
         (self.flow_digest, self.flow_rows) = (s.flow_digest, s.flow_rows);
         match &mut s.fold {
-            Some(fold) => fold.close_segment(&mut s.builder),
+            Some(fold) => fold.hand_over(&mut s.builder),
             None => s.builder.clear_sealed(),
         }
         Ok(rows)
@@ -629,15 +564,15 @@ impl Campaign {
     /// The fold of a run that starts after earlier runs sealed: every
     /// DNS spill, then the rows of every segment behind `dns_mark` —
     /// one file in RAM at a time. The rows at or past it carry.
-    fn rescan<'e>(&self, ctx: ReportCtx<'e>, dns_mark: SimTime) -> Result<SealFold<'e>, CampaignError> {
-        let mut fold = SealFold::new(ctx);
+    fn rescan<'e>(&self, ctx: ReportCtx<'e>, dns_mark: SimTime) -> Result<ReportFold<'e>, CampaignError> {
+        let mut fold = ReportFold::new(ctx);
         for info in &self.dns_files {
-            fold.fold.absorb_dns(&codec::read_dns_file(&self.dns_path(info.day), Some(info.fnv))?);
+            fold.absorb_dns(&codec::read_dns_file(&self.dns_path(info.day), Some(info.fnv))?, SimTime::ZERO);
         }
-        fold.dns_mark = dns_mark;
+        // the spills hold every DNS record sealed before the mark
+        fold.absorb_dns(&[], dns_mark);
         for info in &self.segments {
-            fold.carried.push(read_segment_file(&self.segment_path(info.day), Some(info.fnv))?);
-            fold.absorb_carried();
+            fold.carry(read_segment_file(&self.segment_path(info.day), Some(info.fnv))?);
         }
         Ok(fold)
     }
@@ -719,7 +654,7 @@ fn append_metrics_final(path: &Path, snap: &telemetry::Snapshot) -> std::io::Res
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use satwatch_analytics::report_all;
+    use satwatch_analytics::{report_all, FlowFrame};
     use satwatch_monitor::FlowRecord;
     use satwatch_scenario::experiments::CSV_MIN_FLOWS;
     use std::net::Ipv4Addr;
@@ -917,7 +852,7 @@ mod tests {
             let dir = fold_dir();
             let mut c = Campaign::create(&dir, ScenarioConfig::tiny()).unwrap();
             let mut log = Sealer::carrying(flows, dns);
-            let mut sealing = Sealing::new(&c, &enr, Some(SealFold::new(ctx)));
+            let mut sealing = Sealing::new(&c, &enr, Some(ReportFold::new(ctx)));
             let mut flow_slots: Vec<u64> = steps.iter().map(|s| s.0).collect();
             let mut dns_slots: Vec<u64> = steps.iter().map(|s| s.1).collect();
             flow_slots.sort_unstable();
@@ -944,8 +879,8 @@ mod tests {
             sealing.absorb(log.seal(None), None);
             c.seal_segment(&mut sealing).unwrap();
             let fold = sealing.fold.take().unwrap();
-            let table2_csv = fold.fold.table2(CSV_MIN_FLOWS);
-            let got = fold.finish();
+            let table2_csv = fold.table2(CSV_MIN_FLOWS);
+            let got = fold.finish(&FIG6_SERVICES, MIN_FLOWS);
 
             let frame = FlowFrame::from_records(&whole.flows, &enr);
             let want = report_all(&frame, &whole.dns, ctx, &FIG6_SERVICES, MIN_FLOWS);

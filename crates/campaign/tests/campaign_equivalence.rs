@@ -9,7 +9,9 @@
 //!    bytes exactly.
 
 use satwatch_analytics::FlowFrame;
-use satwatch_campaign::codec::{write_atomic, write_state_file, DnsBuckets, FlowBuckets, STATE_FILE_MAGIC};
+use satwatch_campaign::codec::{
+    write_atomic, write_state_file, DnsBuckets, FlowBuckets, DNS_FILE_MAGIC, STATE_FILE_MAGIC,
+};
 use satwatch_campaign::{Campaign, CampaignError, DaySummary, Manifest, RunOptions, SECS_PER_DAY};
 use satwatch_monitor::checkpoint::{put_bytes, put_u32, put_u64, CheckpointError};
 use satwatch_monitor::{Probe, ProbeState};
@@ -151,7 +153,35 @@ fn a_state_file_claiming_more_rows_than_it_holds_is_a_typed_error() {
     let m = Manifest { state_file: Some(("state-0.bin".into(), sum)), ..m };
     std::fs::write(&manifest, m.to_json()).unwrap();
     let err = Campaign::resume(&dir).err().expect("the state file must be refused");
-    assert!(matches!(err, CampaignError::Checkpoint(CheckpointError::Truncated)), "{err}");
+    assert!(matches!(err, CampaignError::Checkpoint { error: CheckpointError::Truncated, .. }), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("state-0.bin") && msg.ends_with("truncated mid-field"), "the error names its file: {msg}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same for a DNS spill: one whose checksums hold but whose record
+/// count is 2³² − 1 with no record behind it is refused as truncated
+/// when the run that completes re-scans it, and the error names the
+/// spill, not the probe state.
+#[test]
+fn a_dns_spill_claiming_more_records_than_it_holds_is_a_typed_error() {
+    let cfg = ScenarioConfig::tiny().with_customers(4).with_days(2).with_seed(7);
+    let dir = tmp_dir("huge-dns-count");
+    {
+        let mut c = Campaign::create(&dir, cfg).unwrap();
+        c.run(&RunOptions { abort_after_day: Some(0), ..RunOptions::default() }).unwrap();
+    }
+    let mut bytes = DNS_FILE_MAGIC.to_vec();
+    put_u32(&mut bytes, u32::MAX); // 2³² − 1 records, and none follow
+    let fnv = write_atomic(&dir.join("dns").join("dns-0.bin"), bytes).unwrap();
+    let manifest = dir.join("manifest.json");
+    let mut m = Manifest::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
+    m.dns_files[0].fnv = fnv;
+    std::fs::write(&manifest, m.to_json()).unwrap();
+    let err = Campaign::resume(&dir).unwrap().run(&RunOptions::default()).expect_err("the spill must be refused");
+    assert!(matches!(err, CampaignError::Checkpoint { error: CheckpointError::Truncated, .. }), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("dns-0.bin") && !msg.contains("state"), "the error names the spill: {msg}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

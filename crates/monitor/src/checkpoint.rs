@@ -65,8 +65,8 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Truncated => write!(f, "checkpoint state truncated"),
-            CheckpointError::Corrupt(what) => write!(f, "checkpoint state corrupt: {what}"),
+            CheckpointError::Truncated => write!(f, "truncated mid-field"),
+            CheckpointError::Corrupt(what) => write!(f, "corrupt: {what}"),
         }
     }
 }

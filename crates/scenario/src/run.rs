@@ -1,5 +1,14 @@
 //! End-to-end scenario execution: population → daily flow intents →
 //! packet synthesis → span port → passive probe → dataset.
+//!
+//! One runner drives every day of every run: [`DayRunner`]. [`run`] and
+//! [`run_with_tap`] keep the probe's log to `finish`; [`run_sealed`]
+//! hands out the pieces sealed at every sweep; [`run_streaming`] and
+//! [`run_report`] seal frame rows behind the flow watermark,
+//! [`run_report`] folding them as they come. Each builds a
+//! [`DayRunner`], drives its days with a pass hook and finishes the
+//! probe; the campaign engine drives the same days one
+//! [`DayRunner::run_day_sealed`] at a time, between checkpoints.
 
 use crate::config::ScenarioConfig;
 use crate::flowsim::NetModel;
@@ -148,7 +157,7 @@ pub(crate) fn setup(cfg: ScenarioConfig) -> SimSetup {
     SimSetup { seeds, population, catalog, model, anon_seed, probe_cfg, prop_delays }
 }
 
-/// What [`drive`] calls after every pass: the probe, to read its log,
+/// What [`drive_day`] calls after every pass: the probe, to read its log,
 /// and the coming midnight — span time steps back to it when the next
 /// day starts, so no seal mark may lie past it. `Break` ends the run.
 type PassHook<'a> = &'a mut dyn FnMut(&mut Probe, SimTime) -> ControlFlow<()>;
@@ -248,11 +257,11 @@ impl IntentQueue {
     }
 }
 
-/// Day-stepped scenario driver: the campaign engine's seam into the
-/// simulation. Batch [`run`]/[`run_streaming`] and a campaign calling
-/// [`DayRunner::run_day`] for `0..cfg.days` execute the *same* per-day
-/// code path (`drive_day`), so a campaign's probe observes the exact
-/// packet stream a batch run would.
+/// The one day runner: every scenario run — [`run`], [`run_with_tap`],
+/// [`run_sealed`], [`run_streaming`], [`run_report`] and the campaign
+/// engine calling [`DayRunner::run_day_sealed`] for `0..cfg.days` —
+/// drives its days through the *same* per-day code path (`drive_day`),
+/// so every probe observes the exact packet stream a batch run would.
 ///
 /// Each simulated day is a pure function of `(cfg.seed, day)`: intent
 /// RNG streams are forked per `(day, customer)` and the flow RNG per
@@ -266,7 +275,10 @@ pub struct DayRunner {
 }
 
 impl DayRunner {
+    /// Derive everything the days need from `cfg` (timed as
+    /// `scenario_setup_us`).
     pub fn new(cfg: ScenarioConfig) -> DayRunner {
+        let _s = satwatch_telemetry::Span::over(metrics().setup_us);
         let sim = setup(cfg);
         export_beam_gauges(&sim.population);
         DayRunner { cfg, sim, scratch: DayScratch::new() }
@@ -276,11 +288,6 @@ impl DayRunner {
     /// derived from the scenario seed, ground-station customer subnet).
     pub fn probe_config(&self) -> ProbeConfig {
         self.sim.probe_cfg
-    }
-
-    /// The CryptoPan key seed (for operator-side enrichment).
-    pub fn anon_seed(&self) -> u64 {
-        self.sim.anon_seed
     }
 
     /// Operator-side enrichment for this population — a pure function
@@ -295,7 +302,7 @@ impl DayRunner {
     /// spill up to one hour past midnight). The day's evictions stay in
     /// the probe's log.
     pub fn run_day(&mut self, probe: &mut Probe, day: u64) {
-        self.drive(probe, day, &mut no_hook);
+        let _ = drive_day(self.cfg, &self.sim, probe, &mut None, &mut no_hook, day, &mut self.scratch);
     }
 
     /// [`run_day`](Self::run_day), sealing the probe's log at every
@@ -303,17 +310,30 @@ impl DayRunner {
     /// midnight): `on_piece` gets each piece and the marks it was
     /// sealed at. What stays in the log is the live tail.
     pub fn run_day_sealed(&mut self, probe: &mut Probe, day: u64, mut on_piece: impl FnMut(Piece, SealMarks)) {
-        self.drive(probe, day, &mut |probe, midnight| {
+        let mut seal = |probe: &mut Probe, midnight| {
             if let Some((piece, marks)) = seal_swept(probe, midnight) {
                 on_piece(piece, marks);
             }
             ControlFlow::Continue(())
-        });
+        };
+        let _ = drive_day(self.cfg, &self.sim, probe, &mut None, &mut seal, day, &mut self.scratch);
     }
 
-    /// The one body of both: drive `day`, `hook` after every pass.
-    fn drive(&mut self, probe: &mut Probe, day: u64, hook: PassHook<'_>) {
-        let _ = drive_day(self.cfg, &self.sim, probe, &mut None, hook, day, &mut self.scratch);
+    /// Drive every day of the scenario through a fresh probe, `hook`
+    /// after each pass, then finish the probe — unless the hook ended
+    /// the run. Returns the packets observed and `finish`'s closing
+    /// seal.
+    fn run_all(mut self, mut tap: Option<Tap<'_>>, hook: PassHook<'_>) -> (u64, Option<Piece>) {
+        let mut probe = Probe::new(self.sim.probe_cfg);
+        for day in 0..self.cfg.days {
+            if drive_day(self.cfg, &self.sim, &mut probe, &mut tap, hook, day, &mut self.scratch).is_break() {
+                return (probe.packets, None);
+            }
+        }
+        let _s = satwatch_telemetry::Span::over(metrics().finish_us);
+        let packets = probe.packets;
+        let (flows, dns) = probe.finish();
+        (packets, Some(Piece { flows, dns }))
     }
 }
 
@@ -334,29 +354,11 @@ pub fn run_with_tap(cfg: ScenarioConfig, mut tap: impl FnMut(SimTime, &Packet)) 
 /// The one body of [`run`] and [`run_with_tap`]: the probe keeps its
 /// log to the end, and `finish` sorts the whole capture.
 fn collect(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
-    let (sim, enrichment) = setup_with_enrichment(cfg);
-    let (packets, last) = drive_and_finish(cfg, &sim, tap, &mut no_hook);
+    let runner = DayRunner::new(cfg);
+    let enrichment = runner.enrichment();
+    let (packets, last) = runner.run_all(tap, &mut no_hook);
     let Piece { flows, dns } = last.expect("nothing breaks off the run");
     Dataset { flows, dns, enrichment, packets }
-}
-
-/// Drive every day of `cfg` through a fresh probe, `hook` after each
-/// pass, then finish the probe — unless the hook ended the run. Returns
-/// the packets observed and `finish`'s closing seal.
-fn drive_and_finish(
-    cfg: ScenarioConfig,
-    sim: &SimSetup,
-    tap: Option<Tap<'_>>,
-    hook: PassHook<'_>,
-) -> (u64, Option<Piece>) {
-    let mut probe = Probe::new(sim.probe_cfg);
-    if drive(cfg, sim, &mut probe, tap, hook).is_break() {
-        return (probe.packets, None);
-    }
-    let _s = satwatch_telemetry::Span::over(metrics().finish_us);
-    let packets = probe.packets;
-    let (flows, dns) = probe.finish();
-    (packets, Some(Piece { flows, dns }))
 }
 
 /// Run a scenario as a stream of sealed [`Piece`]s: whenever the probe
@@ -371,12 +373,13 @@ pub fn run_sealed(
     tap: Option<Tap<'_>>,
     mut on_piece: impl FnMut(Piece) -> ControlFlow<()>,
 ) -> SealedRun {
-    let (sim, enrichment) = setup_with_enrichment(cfg);
+    let runner = DayRunner::new(cfg);
+    let enrichment = runner.enrichment();
     let mut seal = |probe: &mut Probe, midnight| match seal_swept(probe, midnight) {
         Some((piece, _)) => on_piece(piece),
         None => ControlFlow::Continue(()),
     };
-    let (packets, last) = drive_and_finish(cfg, &sim, tap, &mut seal);
+    let (packets, last) = runner.run_all(tap, &mut seal);
     if let Some(piece) = last {
         let _ = on_piece(piece);
     }
@@ -386,15 +389,16 @@ pub fn run_sealed(
 /// Run a scenario with streaming flow ingest: after every pass the
 /// flows the probe logged go into an incremental frame builder, in
 /// eviction order, and at every sweep the builder seals the rows
-/// behind the watermarks (DESIGN.md §10). The frame is byte-identical
-/// to `FlowFrame::from_records` over the batch run's flows, and the
-/// DNS log to the batch run's, while the full record vector is never
-/// materialized and no day is sorted.
+/// behind the flow watermark (DESIGN.md §10). The frame is
+/// byte-identical to `FlowFrame::from_records` over the batch run's
+/// flows, and the DNS log to the batch run's, while the full record
+/// vector is never materialized and no day is sorted.
 pub fn run_streaming(cfg: ScenarioConfig) -> ColumnarDataset {
-    let (sim, enrichment) = setup_with_enrichment(cfg);
+    let runner = DayRunner::new(cfg);
+    let enrichment = runner.enrichment();
     let mut builder = FrameBuilder::new(enrichment.clone());
     let mut dns = Vec::new();
-    let packets = drive_framed(cfg, &sim, &mut builder, |_, piece| dns.extend(piece));
+    let packets = drive_framed(runner, &mut builder, |_, piece, _| dns.extend(piece));
     ColumnarDataset { frame: builder.seal(), dns, enrichment, packets }
 }
 
@@ -412,108 +416,77 @@ pub struct ReportRun {
 }
 
 /// Run a scenario and fold every paper report as the probe seals:
-/// the DNS records each seal releases go into the fold first, then the
-/// frame rows behind the same marks, gathered to 8 192 at a time. What
-/// stays resident is the live tail and the fold's accumulators — no
+/// the DNS records each seal releases go into the fold at their mark,
+/// and the frame rows sealed behind the flow mark are handed over
+/// 8 192 at a time — the fold absorbs those its DNS has reached and
+/// holds the rest ([`ReportFold`]'s DNS-first rule). What stays
+/// resident is the live tail and the fold's accumulators — no
 /// day-long frame, DNS log or sort. Byte-identical to
 /// [`paper_reports_columnar`](crate::experiments::paper_reports_columnar)
 /// over [`run_streaming`]'s frame and log.
 pub fn run_report(cfg: ScenarioConfig) -> ReportRun {
     use crate::experiments::{CSV_MIN_FLOWS, FIG6_SERVICES, MIN_FLOWS};
-    let (sim, enrichment) = setup_with_enrichment(cfg);
+    let runner = DayRunner::new(cfg);
+    let enrichment = runner.enrichment();
     let mut builder = FrameBuilder::new(enrichment.clone());
     let ctx = ReportCtx { enrichment: &enrichment, countries: &Country::TOP6 };
     let mut fold = ReportFold::new(ctx);
     let (mut flows, mut dns) = (0, 0);
-    let mut absorb_rows = |fold: &mut ReportFold<'_>, builder: &mut FrameBuilder| {
-        flows += builder.sealed().len();
-        fold.absorb_frame(builder.sealed());
-        builder.clear_sealed();
-    };
-    let packets = drive_framed(cfg, &sim, &mut builder, |builder, piece| {
+    let packets = drive_framed(runner, &mut builder, |builder, piece, dns_mark| {
         dns += piece.len();
-        fold.absorb_dns(&piece);
-        if builder.sealed().len() >= FOLD_ROWS {
-            absorb_rows(&mut fold, builder);
+        fold.absorb_dns(&piece, dns_mark);
+        // a batch gathered, or the closing seal's
+        if builder.sealed().len() >= FOLD_ROWS || dns_mark == SimTime::MAX {
+            flows += builder.sealed().len();
+            fold.hand_over(builder);
         }
     });
-    absorb_rows(&mut fold, &mut builder);
     let table2_csv = fold.table2(CSV_MIN_FLOWS);
     ReportRun { reports: fold.finish(&FIG6_SERVICES, MIN_FLOWS), table2_csv, flows, dns, packets }
 }
 
-/// The set-up of a run and the operator's enrichment, a pure function
-/// of the population — so a frame builder can resolve columns while
-/// packets still flow.
-fn setup_with_enrichment(cfg: ScenarioConfig) -> (SimSetup, Enrichment) {
-    let _s = satwatch_telemetry::Span::over(metrics().setup_us);
-    let sim = setup(cfg);
-    let enrichment = build_enrichment(&sim.population, sim.anon_seed, cfg.days);
-    (sim, enrichment)
-}
-
-/// Drive `cfg` with its flows sealed into `builder`: the flows the
-/// probe logged go in after every pass, and at every sweep (marks
-/// capped at midnight, as [`run_sealed`] caps them) the builder seals
-/// the rows behind both marks and `on_seal` gets the builder and the
-/// DNS records sealed at the same marks — DNS before the rows it
-/// joins. Rows, not records, wait for the marks: a row is 96 bytes, a
-/// record 232 plus its early-packet log. The closing seal takes every
-/// row. Returns the packets observed.
+/// Drive `runner`'s days with their flows sealed into `builder`: the
+/// flows the probe logged go in after every pass, and at every sweep
+/// (marks capped at midnight, as [`run_sealed`] caps them) the builder
+/// seals the rows behind the flow mark and `on_seal` gets the builder,
+/// the DNS records sealed at the same marks and the DNS mark. Rows,
+/// not records, wait for the marks: a row is 96 bytes, a record 232
+/// plus its early-packet log. The closing seal takes every row, and
+/// its DNS mark is [`SimTime::MAX`]. Returns the packets observed.
 fn drive_framed(
-    cfg: ScenarioConfig,
-    sim: &SimSetup,
+    runner: DayRunner,
     builder: &mut FrameBuilder,
-    mut on_seal: impl FnMut(&mut FrameBuilder, Vec<DnsRecord>),
+    mut on_seal: impl FnMut(&mut FrameBuilder, Vec<DnsRecord>, SimTime),
 ) -> u64 {
-    let (packets, last) = drive_and_finish(cfg, sim, None, &mut |probe, midnight| {
+    let (packets, last) = runner.run_all(None, &mut |probe, midnight| {
         probe.take_flows().for_each(|f| builder.push(&f));
         if let Some(marks) = probe.take_marks() {
             let marks = marks.capped(midnight);
             let dns = probe.seal(marks).dns;
-            builder.seal_behind(Some(marks));
-            on_seal(builder, dns);
+            builder.seal_behind(Some(marks.flows));
+            on_seal(builder, dns, marks.dns);
         }
         ControlFlow::Continue(())
     });
     let Piece { flows, dns } = last.expect("nothing breaks off the run");
     flows.iter().for_each(|f| builder.push(f));
     builder.seal_behind(None);
-    on_seal(builder, dns);
+    on_seal(builder, dns, SimTime::MAX);
     packets
 }
 
-/// The day loop: generate intents, expand flows to packets, feed the
-/// span port in global time order.
+/// Drive one simulated day: generate the day's intents, expand flows
+/// to packets, feed the span port in global time order up to the day
+/// horizon (midnight + 1 h spill), `hook` after every pass (`Break`
+/// from it ends the run). Every [`DayRunner`] day runs it — each day is
+/// a pure function of `(seed, day)` plus the probe state carried in
+/// from the previous day.
 ///
 /// Flows synthesize straight into columnar [`PacketColumns`] runs and
 /// the probe consumes column slices — no `Packet` struct exists on the
 /// hot path unless a `tap` asks for materialized packets. The
 /// per-packet semantics this is pinned byte-identical against live in
 /// [`run_reference`](crate::reference::run_reference).
-///
-/// `hook` reads the probe's log after every pass; `Break` from it ends
-/// the run early.
-fn drive(
-    cfg: ScenarioConfig,
-    sim: &SimSetup,
-    probe: &mut Probe,
-    mut tap: Option<Tap<'_>>,
-    hook: PassHook<'_>,
-) -> ControlFlow<()> {
-    let mut scratch = DayScratch::new();
-    export_beam_gauges(&sim.population);
-    for day in 0..cfg.days {
-        drive_day(cfg, sim, probe, &mut tap, hook, day, &mut scratch)?;
-    }
-    ControlFlow::Continue(())
-}
-
-/// Drive one simulated day: generate the day's intents, expand flows
-/// to packets, feed the span port in global time order up to the day
-/// horizon (midnight + 1 h spill). Shared verbatim by batch runs and
-/// the campaign engine — each day is a pure function of `(seed, day)`
-/// plus the probe state carried in from the previous day.
 fn drive_day(
     cfg: ScenarioConfig,
     sim: &SimSetup,

@@ -20,10 +20,9 @@
 //! entry point instead — the record-equivalence check still covers
 //! the whole stream.
 
-use satwatch_monitor::flowtable::FlowTableConfig;
-use satwatch_monitor::{Probe, ProbeConfig};
+use satwatch_monitor::Probe;
 use satwatch_netstack::Packet;
-use satwatch_scenario::{run_with_tap, ScenarioConfig};
+use satwatch_scenario::{run_with_tap, DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
 
 /// Largest datagram IPv4 can label: u16 total_len.
@@ -36,10 +35,10 @@ fn materialized_columns_roundtrip_and_match_wire_probe() {
     let ds = run_with_tap(cfg, |t, p| tapped.push((t, p.clone())));
     assert_eq!(tapped.len() as u64, ds.packets, "tap must see every probe packet");
 
-    // The probe the dataset came from used the same anonymization seed
-    // derived from the scenario seed; rebuild an identical one and
-    // drive it with wire bytes instead of columns.
-    let mut wire = Probe::new(scenario_probe_cfg(&cfg));
+    // The probe the dataset came from used the config `DayRunner`
+    // derives from the scenario seed; build an identical one and drive
+    // it with wire bytes instead of columns.
+    let mut wire = Probe::new(DayRunner::new(cfg).probe_config());
     let mut roundtripped = 0usize;
     for (t, pkt) in &tapped {
         if pkt.wire_len() > MAX_WIRE {
@@ -63,13 +62,4 @@ fn materialized_columns_roundtrip_and_match_wire_probe() {
     let (flows, dns) = wire.finish();
     assert_eq!(flows, ds.flows, "wire-fed flow records diverge from the columnar probe's");
     assert_eq!(dns, ds.dns, "wire-fed dns records diverge from the columnar probe's");
-}
-
-/// Rebuild the probe config `run`/`run_with_tap` derive internally:
-/// same customer subnet, same anonymization seed stream.
-fn scenario_probe_cfg(cfg: &ScenarioConfig) -> ProbeConfig {
-    let seeds = satwatch_simcore::SeedTree::new(cfg.seed);
-    let anon_seed = seeds.rng("anon").next_u64();
-    let gs = satwatch_satcom::GroundStation::italy_default();
-    ProbeConfig { anon_seed, ..ProbeConfig::new(FlowTableConfig::new(gs.customer_subnet)) }
 }

@@ -7,6 +7,7 @@ use satwatch_analytics::frame::NO_SERVICE;
 use satwatch_analytics::{report_all, FlowFrame, ReportCtx, ReportFold};
 use satwatch_scenario::experiments::{paper_reports_columnar, paper_reports_records, FIG6_SERVICES};
 use satwatch_scenario::{run, run_streaming, Dataset, ScenarioConfig};
+use satwatch_simcore::SimTime;
 use satwatch_traffic::Country;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -127,14 +128,14 @@ proptest! {
             .collect();
         let ctx = ReportCtx { enrichment: &ds.enrichment, countries: &Country::TOP6 };
         let mut fold = ReportFold::new(ctx);
-        fold.absorb_dns(&ds.dns);
+        fold.absorb_dns(&ds.dns, SimTime::MAX);
         let mut start = 0;
         for (k, end) in cuts.iter().copied().chain([n]).enumerate() {
             let mut piece = FlowFrame::from_records(&ds.flows[start..end], &ds.enrichment);
             if k % 2 == 1 {
                 renumber_services(&mut piece);
             }
-            fold.absorb_frame(&piece);
+            fold.carry(piece);
             start = end;
         }
         let folded = fold.finish(&FIG6_SERVICES, MIN_FLOWS);

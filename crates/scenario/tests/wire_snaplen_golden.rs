@@ -13,25 +13,16 @@
 //! Frames above 65 535 bytes (the synthesizer's super-chunks) are not
 //! wire datagrams and are left out of every capture.
 
-use satwatch_monitor::flowtable::FlowTableConfig;
 use satwatch_monitor::pcap::{read_pcap, PcapWriter};
 use satwatch_monitor::record::write_flows;
-use satwatch_monitor::{Probe, ProbeConfig};
+use satwatch_monitor::Probe;
 use satwatch_netstack::Packet;
 use satwatch_scenario::digest::{write_dns_lines, Fnv1aSink, FNV1A_INIT};
-use satwatch_scenario::{run_with_tap, ScenarioConfig};
+use satwatch_scenario::{run_with_tap, DayRunner, ScenarioConfig};
 use satwatch_simcore::SimTime;
 
 /// Largest datagram IPv4 can label: u16 total_len.
 const MAX_WIRE: usize = 65_535;
-
-/// The probe config `run_with_tap` derives from the scenario seed.
-fn scenario_probe_cfg(cfg: &ScenarioConfig) -> ProbeConfig {
-    let seeds = satwatch_simcore::SeedTree::new(cfg.seed);
-    let anon_seed = seeds.rng("anon").next_u64();
-    let gs = satwatch_satcom::GroundStation::italy_default();
-    ProbeConfig { anon_seed, ..ProbeConfig::new(FlowTableConfig::new(gs.customer_subnet)) }
-}
 
 /// `(flows, dns records, digest)` of the capture of `frames` at
 /// `snaplen`, read back and observed from the wire.
@@ -41,7 +32,8 @@ fn wire_digest(cfg: &ScenarioConfig, frames: &[(SimTime, Packet)], snaplen: u32)
         w.write(*t, p).unwrap();
     }
     let capture = w.into_inner();
-    let mut probe = Probe::new(scenario_probe_cfg(cfg));
+    // the probe config `run_with_tap` derives from the scenario
+    let mut probe = Probe::new(DayRunner::new(*cfg).probe_config());
     for rec in read_pcap(&capture[..]).unwrap() {
         probe.observe_wire(rec.t, &rec.data);
     }
