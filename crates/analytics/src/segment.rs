@@ -32,7 +32,8 @@ use satwatch_monitor::checkpoint::{put_str, put_u16, put_u32, put_u64, Reader};
 use satwatch_monitor::Domain;
 use satwatch_simcore::fnv::{fnv1a, fnv1a_update, FNV1A_INIT, FNV1A_PRIME};
 use satwatch_simcore::{FxHashSet, SimTime};
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::net::Ipv4Addr;
 use std::path::Path;
 
@@ -41,8 +42,10 @@ use std::path::Path;
 pub const SEGMENT_MAGIC: &[u8; 8] = b"SWSEG\0v1";
 
 /// Why a segment failed to decode. Corruption and truncation are
-/// ordinary, recoverable errors (a campaign resume re-simulates the
-/// damaged day); only programmer errors panic.
+/// ordinary errors, returned typed and never a panic; only programmer
+/// errors panic. Nothing repairs a damaged segment: a campaign whose
+/// re-scan meets one fails, naming the file (DESIGN.md §12 "Segment
+/// store").
 #[derive(Debug)]
 pub enum SegmentError {
     Io(std::io::Error),
@@ -192,7 +195,7 @@ pub fn encode_segment(fr: &FlowFrame) -> Vec<u8> {
 
 /// Lay `fr` out as a segment into `w`, canonical dictionary and all
 /// (see [`encode_segment`]).
-fn write_segment(fr: &FlowFrame, w: &mut impl Write) -> std::io::Result<()> {
+pub fn write_segment(fr: &FlowFrame, w: &mut impl Write) -> std::io::Result<()> {
     let order = fr.domain_order();
     let mut remap = vec![NO_DOMAIN; fr.domains.len()];
     for (new, &old) in order.iter().enumerate() {
@@ -413,31 +416,54 @@ fn read_dictionary(run: &[u8]) -> Result<Vec<Domain>, SegmentError> {
     Ok(domains)
 }
 
-/// Encode `fr` and write it to `path` (via a `.tmp` sibling + rename,
-/// so a crash mid-write never leaves a half-segment under the final
-/// name). Returns the byte length and whole-file FNV-1a checksum.
+/// Encode `fr` and write it to `path` through [`write_file`], so a
+/// crash mid-write never leaves a half-segment under the final name.
+/// Returns the byte length and whole-file FNV-1a checksum.
 ///
 /// The bytes stream to the file as each lane group of runs is laid
 /// down, and the whole-file checksum is folded as they pass: no
 /// segment-sized buffer, no second pass.
 pub fn write_segment_file(path: &Path, fr: &FlowFrame) -> Result<(u64, u64), SegmentError> {
-    let tmp = path.with_extension("swseg.tmp");
-    let mut w = Fnv1aWriter { inner: std::io::BufWriter::new(std::fs::File::create(&tmp)?), len: 0, fnv: FNV1A_INIT };
-    write_segment(fr, &mut w)?;
-    w.inner.flush()?;
-    drop(w.inner);
-    std::fs::rename(&tmp, path)?;
-    Ok((w.len, w.fnv))
+    Ok(write_file(path, |w| write_segment(fr, w).map(|()| w.written()))?)
 }
 
-/// A writer that counts the bytes it passes on and folds their FNV-1a.
-struct Fnv1aWriter<W> {
-    inner: W,
+/// Write `path` whole or not at all: `fill` streams the bytes through a
+/// [`FileWriter`] into a temp file, `path` with `.tmp` appended, which
+/// is renamed to `path` once they are all written. The workspace's one
+/// temp-file-and-rename: segments and every file of a campaign
+/// directory go through it. Nothing is fsynced (DESIGN.md §12).
+pub fn write_file<T>(path: &Path, fill: impl FnOnce(&mut FileWriter) -> std::io::Result<T>) -> std::io::Result<T> {
+    let tmp = path.with_added_extension("tmp");
+    let mut w = FileWriter { inner: BufWriter::new(File::create(&tmp)?), len: 0, fnv: FNV1A_INIT };
+    let out = fill(&mut w)?;
+    w.inner.into_inner().map_err(|e| e.into_error())?;
+    std::fs::rename(&tmp, path)?;
+    Ok(out)
+}
+
+/// What [`write_file`] hands its `fill`: the temp file, buffered,
+/// behind a writer that counts the bytes it passes on and folds their
+/// FNV-1a.
+pub struct FileWriter {
+    inner: BufWriter<File>,
     len: u64,
     fnv: u64,
 }
 
-impl<W: Write> Write for Fnv1aWriter<W> {
+impl FileWriter {
+    /// The bytes passed on so far: their count and FNV-1a.
+    pub fn written(&self) -> (u64, u64) {
+        (self.len, self.fnv)
+    }
+
+    /// The temp file, every byte written so far flushed to it.
+    pub fn file(&mut self) -> std::io::Result<&File> {
+        self.inner.flush()?;
+        Ok(self.inner.get_ref())
+    }
+}
+
+impl Write for FileWriter {
     fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(bytes)?;
         self.fnv = fnv1a_update(self.fnv, &bytes[..n]);

@@ -9,16 +9,19 @@
 //!
 //! Every file ends with a trailing FNV-1a 64 of everything before it
 //! and is written via temp-file + rename, so a reader either sees a
-//! complete, checksummed artifact or none at all.
+//! complete, checksummed artifact or none at all: the path-based
+//! functions here write and read through the [store](crate::store)'s
+//! `put_trailed` and `read_trailed`.
 
+use crate::store::{named, put_trailed, read_trailed};
 use crate::CampaignError;
+use satwatch_analytics::segment::write_file;
 use satwatch_monitor::checkpoint::{
     put_bool, put_bytes, put_dns_record, put_f64, put_ip, put_opt_f64, put_opt_u64, put_str, put_u16, put_u32, put_u64,
     put_u8, read_dns_record, CheckpointError, Reader, DNS_RECORD_MIN_SIZE,
 };
 use satwatch_monitor::record::{EarlyPacket, RttSummary};
 use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol, ProbeState};
-use satwatch_scenario::digest::fnv1a;
 use satwatch_simcore::SimTime;
 use std::collections::BTreeMap;
 use std::io;
@@ -141,47 +144,12 @@ pub fn read_flow_record(r: &mut Reader<'_>) -> Result<FlowRecord, CheckpointErro
     })
 }
 
-/// Append the trailing whole-file checksum and write `path`
-/// atomically (temp file in the same directory, then rename). Returns
-/// the checksum.
-pub fn write_atomic(path: &Path, mut bytes: Vec<u8>) -> io::Result<u64> {
-    let sum = fnv1a(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(sum)
-}
-
-/// Read a file written by [`write_atomic`]: verify the trailing
-/// checksum (and `expect` when the manifest pinned one) and return
-/// the payload bytes.
-pub fn read_checksummed(path: &Path, expect: Option<u64>) -> Result<Vec<u8>, CampaignError> {
-    let mut bytes = std::fs::read(path)?;
-    if bytes.len() < 8 {
-        return Err(CampaignError::Corrupt(format!("{}: shorter than its checksum", path.display())));
-    }
-    let body = bytes.len() - 8;
-    let stored = u64::from_le_bytes(bytes[body..].try_into().expect("8 bytes"));
-    bytes.truncate(body);
-    let sum = fnv1a(&bytes);
-    if sum != stored {
-        return Err(CampaignError::Corrupt(format!("{}: checksum mismatch", path.display())));
-    }
-    if let Some(want) = expect {
-        if sum != want {
-            return Err(CampaignError::Corrupt(format!("{}: checksum differs from the manifest", path.display())));
-        }
-    }
-    Ok(bytes)
-}
-
 /// Write one sealed DNS spill. Records must already be in canonical
 /// [`dns_cmp`](satwatch_monitor::dns_cmp) order.
 pub fn write_dns_file(path: &Path, recs: &[DnsRecord]) -> io::Result<u64> {
     let mut spill = DnsSpill::new();
     spill.append(recs);
-    spill.write(path)
+    write_file(path, |w| put_trailed(w, &spill.finish().0))
 }
 
 /// A DNS spill written piece by piece: the bytes [`write_dns_file`]
@@ -211,43 +179,30 @@ impl DnsSpill {
         self.records += recs.len() as u32;
     }
 
-    /// Records appended since the spill was started.
-    pub(crate) fn records(&self) -> u64 {
-        u64::from(self.records)
-    }
-
-    /// Write the spill to `path` (as [`write_atomic`] does) and start
-    /// the next one. Returns the checksum.
-    pub(crate) fn write(&mut self, path: &Path) -> io::Result<u64> {
-        let mut spill = std::mem::replace(self, DnsSpill::new());
-        spill.buf[DNS_COUNT_AT..DNS_COUNT_AT + 4].copy_from_slice(&spill.records.to_le_bytes());
-        write_atomic(path, spill.buf)
+    /// The file's bytes before its trailing checksum, and the records
+    /// they hold.
+    pub(crate) fn finish(mut self) -> (Vec<u8>, u64) {
+        self.buf[DNS_COUNT_AT..DNS_COUNT_AT + 4].copy_from_slice(&self.records.to_le_bytes());
+        (self.buf, u64::from(self.records))
     }
 }
 
 /// Inverse of [`write_dns_file`].
 pub fn read_dns_file(path: &Path, expect: Option<u64>) -> Result<Vec<DnsRecord>, CampaignError> {
-    let bytes = read_checksummed(path, expect)?;
-    decode_in(path, || {
-        let mut r = Reader::new(&bytes);
-        if r.take(8)? != DNS_FILE_MAGIC {
-            return Err(CheckpointError::Corrupt("bad DNS spill magic"));
-        }
-        let n = r.count(DNS_RECORD_MIN_SIZE)?;
-        let mut recs = Vec::with_capacity(n);
-        for _ in 0..n {
-            recs.push(read_dns_record(&mut r)?);
-        }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Corrupt("trailing bytes"));
-        }
-        Ok(recs)
-    })
+    named(path, read_trailed(path, expect, read_dns_body))
 }
 
-/// `decode()`, its error naming `path`.
-fn decode_in<T>(path: &Path, decode: impl FnOnce() -> Result<T, CheckpointError>) -> Result<T, CampaignError> {
-    decode().map_err(|error| CampaignError::Checkpoint { file: path.to_path_buf(), error })
+/// A DNS spill's records, from the bytes before its checksum.
+pub(crate) fn read_dns_body(r: &mut Reader<'_>) -> Result<Vec<DnsRecord>, CheckpointError> {
+    if r.take(8)? != DNS_FILE_MAGIC {
+        return Err(CheckpointError::Corrupt("bad DNS spill magic"));
+    }
+    let n = r.count(DNS_RECORD_MIN_SIZE)?;
+    let mut recs = Vec::with_capacity(n);
+    for _ in 0..n {
+        recs.push(read_dns_record(r)?);
+    }
+    Ok(recs)
 }
 
 /// Day-keyed buckets of records evicted but not yet sealed: what a
@@ -272,6 +227,9 @@ pub fn flatten<T>(buckets: BTreeMap<u64, Vec<T>>) -> Vec<T> {
     buckets.into_values().flatten().collect()
 }
 
+/// What a state file holds: the probe carry-over and the unsealed rows.
+pub(crate) type State = (ProbeState, FlowBuckets, DnsBuckets);
+
 /// Write `state-<day>.bin`: the probe carry-over plus the unsealed
 /// rows. Returns the whole-file checksum recorded in the manifest.
 pub fn write_state_file(
@@ -280,6 +238,11 @@ pub fn write_state_file(
     flow_buckets: &FlowBuckets,
     dns_buckets: &DnsBuckets,
 ) -> io::Result<u64> {
+    write_file(path, |w| put_trailed(w, &state_body(probe, flow_buckets, dns_buckets)))
+}
+
+/// The bytes of a state file before its checksum.
+pub(crate) fn state_body(probe: &ProbeState, flow_buckets: &FlowBuckets, dns_buckets: &DnsBuckets) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(STATE_FILE_MAGIC);
     put_bytes(&mut buf, &probe.encode());
@@ -299,7 +262,7 @@ pub fn write_state_file(
             put_dns_record(&mut buf, d);
         }
     }
-    write_atomic(path, buf)
+    buf
 }
 
 /// Inverse of [`write_state_file`].
@@ -307,43 +270,42 @@ pub fn read_state_file(
     path: &Path,
     expect: Option<u64>,
 ) -> Result<(ProbeState, FlowBuckets, DnsBuckets), CampaignError> {
-    let bytes = read_checksummed(path, expect)?;
-    decode_in(path, || {
-        let mut r = Reader::new(&bytes);
-        if r.take(8)? != STATE_FILE_MAGIC {
-            return Err(CheckpointError::Corrupt("bad state-file magic"));
+    named(path, read_trailed(path, expect, read_state_body))
+}
+
+/// A state file's contents, from the bytes before its checksum.
+pub(crate) fn read_state_body(r: &mut Reader<'_>) -> Result<State, CheckpointError> {
+    if r.take(8)? != STATE_FILE_MAGIC {
+        return Err(CheckpointError::Corrupt("bad state-file magic"));
+    }
+    let probe = ProbeState::decode(r.bytes()?)?;
+    let mut flow_buckets = FlowBuckets::new();
+    for _ in 0..r.u32()? {
+        let day = r.u64()?;
+        let n = r.count(FLOW_RECORD_MIN_SIZE)?;
+        let mut flows = Vec::with_capacity(n);
+        for _ in 0..n {
+            flows.push(read_flow_record(r)?);
         }
-        let probe = ProbeState::decode(r.bytes()?)?;
-        let mut flow_buckets = FlowBuckets::new();
-        for _ in 0..r.u32()? {
-            let day = r.u64()?;
-            let n = r.count(FLOW_RECORD_MIN_SIZE)?;
-            let mut flows = Vec::with_capacity(n);
-            for _ in 0..n {
-                flows.push(read_flow_record(&mut r)?);
-            }
-            flow_buckets.insert(day, flows);
+        flow_buckets.insert(day, flows);
+    }
+    let mut dns_buckets = DnsBuckets::new();
+    for _ in 0..r.u32()? {
+        let day = r.u64()?;
+        let n = r.count(DNS_RECORD_MIN_SIZE)?;
+        let mut recs = Vec::with_capacity(n);
+        for _ in 0..n {
+            recs.push(read_dns_record(r)?);
         }
-        let mut dns_buckets = DnsBuckets::new();
-        for _ in 0..r.u32()? {
-            let day = r.u64()?;
-            let n = r.count(DNS_RECORD_MIN_SIZE)?;
-            let mut recs = Vec::with_capacity(n);
-            for _ in 0..n {
-                recs.push(read_dns_record(&mut r)?);
-            }
-            dns_buckets.insert(day, recs);
-        }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Corrupt("trailing bytes"));
-        }
-        Ok((probe, flow_buckets, dns_buckets))
-    })
+        dns_buckets.insert(day, recs);
+    }
+    Ok((probe, flow_buckets, dns_buckets))
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::store::FileError;
     use satwatch_simcore::SimDuration;
     use std::net::Ipv4Addr;
 
@@ -449,7 +411,9 @@ pub(crate) mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[12] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_state_file(&path, Some(sum)), Err(CampaignError::Corrupt(_))));
+        let err = read_state_file(&path, Some(sum)).unwrap_err();
+        assert!(matches!(&err, CampaignError::File { file, error: FileError::Corrupt(_) } if *file == path), "{err}");
+        assert_eq!(err.to_string(), format!("campaign file {}: checksum mismatch", path.display()));
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -29,6 +29,11 @@
 //!   per-day RNG stream is forked from `(seed, day)` without consuming
 //!   parent state, so `days_completed` *is* the full RNG cursor),
 //!   imports the probe state, and continues — bit-identically.
+//! * **Store.** Every file of the campaign directory is named, written
+//!   (a temp file, then a rename), read back against its checksum and
+//!   removed by [`store`], and every error it returns names its file
+//!   ([`CampaignError::File`]). Its tests inject faults at every one of
+//!   its operations and hold a resume to the clean run.
 //! * **Reports.** A run that will complete folds every piece into a
 //!   [`ReportFold`] as it is sealed — the one fold `report` uses: the
 //!   DNS records at the piece's DNS mark, then the open segment's rows,
@@ -47,13 +52,12 @@
 
 pub mod codec;
 pub mod manifest;
+pub mod store;
 
 pub use manifest::{config_hash, DnsFileInfo, Manifest, SegmentInfo};
 
 use satwatch_analytics::agg::Enrichment;
-use satwatch_analytics::segment::{read_segment_file, write_segment_file, SegmentError};
 use satwatch_analytics::{FrameBuilder, ReportCtx, ReportFold, FOLD_ROWS};
-use satwatch_monitor::checkpoint::CheckpointError;
 use satwatch_monitor::record::{encode_flow_row, write_flows};
 use satwatch_monitor::{DnsRecord, Piece, Probe, ProbeState, SealMarks, Sealer};
 use satwatch_scenario::digest::{fnv1a, fnv1a_update, write_dns_lines, Fnv1aSink, FNV1A_INIT};
@@ -64,41 +68,27 @@ use satwatch_telemetry as telemetry;
 use satwatch_traffic::Country;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use store::{named, FileError, Store};
 
 pub const SECS_PER_DAY: u64 = 86_400;
 
 /// Everything that can go wrong while running or resuming a campaign.
 #[derive(Debug)]
 pub enum CampaignError {
-    Io(std::io::Error),
-    /// A campaign artifact failed validation (bad magic, checksum
-    /// mismatch, malformed manifest, config mismatch…).
-    Corrupt(String),
-    Segment(SegmentError),
-    /// `file` — a state file or a DNS spill — passed its checksums but
-    /// does not decode, or (a state file) the probe refused the state
-    /// it holds.
-    Checkpoint {
-        file: PathBuf,
-        error: CheckpointError,
-    },
+    /// `file`, in the campaign directory, could not be created,
+    /// written, read or removed, or does not hold what the campaign
+    /// writes there.
+    File { file: PathBuf, error: FileError },
     /// [`RunOptions::abort_after_day`] names a day the run will never
     /// finish: it simulates days `days_completed..days` (none, when
     /// the campaign has run them all). Refused before any day runs.
-    AbortOutOfReach {
-        day: u64,
-        days_completed: u64,
-        days: u64,
-    },
+    AbortOutOfReach { day: u64, days_completed: u64, days: u64 },
 }
 
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CampaignError::Io(e) => write!(f, "campaign I/O error: {e}"),
-            CampaignError::Corrupt(msg) => write!(f, "corrupt campaign state: {msg}"),
-            CampaignError::Segment(e) => write!(f, "campaign segment error: {e}"),
-            CampaignError::Checkpoint { file, error } => write!(f, "campaign file {}: {error}", file.display()),
+            CampaignError::File { file, error } => write!(f, "campaign file {}: {error}", file.display()),
             CampaignError::AbortOutOfReach { day, days_completed, days } if days_completed < days => {
                 write!(f, "cannot abort after day {day}: this run simulates days {days_completed} to {}", days - 1)
             }
@@ -110,18 +100,6 @@ impl std::fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
-
-impl From<std::io::Error> for CampaignError {
-    fn from(e: std::io::Error) -> CampaignError {
-        CampaignError::Io(e)
-    }
-}
-
-impl From<SegmentError> for CampaignError {
-    fn from(e: SegmentError) -> CampaignError {
-        CampaignError::Segment(e)
-    }
-}
 
 /// Knobs for one [`Campaign::run`] call (not persisted — these shape
 /// *this* invocation, never the output bytes).
@@ -193,18 +171,11 @@ pub struct CampaignOutcome {
     pub report_text: Option<String>,
 }
 
-/// A campaign directory: config, progress, and all on-disk artifacts.
+/// A campaign directory: its store and the manifest last committed
+/// there, or about to be.
 pub struct Campaign {
-    dir: PathBuf,
-    cfg: ScenarioConfig,
-    days_completed: u64,
-    flow_digest: u64,
-    flow_rows: u64,
-    segments: Vec<SegmentInfo>,
-    dns_files: Vec<DnsFileInfo>,
-    complete: bool,
-    dataset_digest: Option<u64>,
-    report_digest: Option<u64>,
+    store: Store,
+    m: Manifest,
     /// Probe carry-over — the exported state and the rows its
     /// checkpoint left unsealed — loaded by `resume` or left by a `run`
     /// that aborted, consumed by the next `run`.
@@ -262,8 +233,8 @@ impl<'e> Sealing<'e> {
         Sealing {
             builder: FrameBuilder::new(enr.clone()),
             dns: codec::DnsSpill::new(),
-            flow_digest: c.flow_digest,
-            flow_rows: c.flow_rows,
+            flow_digest: c.m.flow_digest,
+            flow_rows: c.m.flow_rows,
             line: Vec::new(),
             fold,
         }
@@ -307,29 +278,22 @@ impl Campaign {
     /// Start a new campaign in `dir` (created if missing). Refuses to
     /// clobber an existing campaign — use [`Campaign::resume`].
     pub fn create(dir: &Path, cfg: ScenarioConfig) -> Result<Campaign, CampaignError> {
-        if dir.join("manifest.json").exists() {
-            return Err(CampaignError::Corrupt(format!(
-                "{} already holds a campaign (manifest.json exists); resume it or pick another directory",
-                dir.display()
-            )));
-        }
-        std::fs::create_dir_all(dir.join("segments"))?;
-        std::fs::create_dir_all(dir.join("dns"))?;
-        let c = Campaign {
-            dir: dir.to_path_buf(),
+        let store = Store::create(dir)?;
+        let m = Manifest {
             cfg,
+            config_hash: config_hash(&cfg),
             days_completed: 0,
             flow_digest: header_digest(),
             flow_rows: 0,
             segments: Vec::new(),
             dns_files: Vec::new(),
+            state_file: None,
             complete: false,
             dataset_digest: None,
             report_digest: None,
-            probe_carry: None,
         };
-        c.write_manifest(None)?;
-        Ok(c)
+        store.commit(&m)?;
+        Ok(Campaign { store, m, probe_carry: None })
     }
 
     /// Reopen the campaign in `dir` from its manifest, verifying the
@@ -337,100 +301,56 @@ impl Campaign {
     /// unsealed tail (however many rows the state file holds: a binary
     /// that sealed whole days left a day or two of them).
     pub fn resume(dir: &Path) -> Result<Campaign, CampaignError> {
-        let path = dir.join("manifest.json");
-        let src =
-            std::fs::read_to_string(&path).map_err(|e| CampaignError::Corrupt(format!("{}: {e}", path.display())))?;
-        let m = Manifest::parse(&src)?;
-        let probe_carry = match &m.state_file {
-            Some((file, sum)) => {
-                let (p, f, d) = codec::read_state_file(&dir.join(file), Some(*sum))?;
-                Some((p, Sealer::carrying(codec::flatten(f), codec::flatten(d))))
-            }
-            None => {
-                if m.days_completed > 0 && !m.complete {
-                    return Err(CampaignError::Corrupt("manifest mid-campaign but no state file".into()));
-                }
-                None
-            }
-        };
-        Ok(Campaign {
-            dir: dir.to_path_buf(),
-            cfg: m.cfg,
-            days_completed: m.days_completed,
-            flow_digest: m.flow_digest,
-            flow_rows: m.flow_rows,
-            segments: m.segments,
-            dns_files: m.dns_files,
-            complete: m.complete,
-            dataset_digest: m.dataset_digest,
-            report_digest: m.report_digest,
-            probe_carry,
-        })
+        let store = Store { dir: dir.to_path_buf() };
+        let m = store.manifest()?;
+        let probe_carry = store.state(&m)?.map(|(p, f, d)| (p, Sealer::carrying(codec::flatten(f), codec::flatten(d))));
+        Ok(Campaign { store, m, probe_carry })
     }
 
     pub fn config(&self) -> ScenarioConfig {
-        self.cfg
+        self.m.cfg
     }
 
     pub fn days_completed(&self) -> u64 {
-        self.days_completed
+        self.m.days_completed
     }
 
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.m.complete
     }
 
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.store.dir
     }
 
     pub fn segments(&self) -> &[SegmentInfo] {
-        &self.segments
-    }
-
-    fn segment_path(&self, k: u64) -> PathBuf {
-        self.dir.join("segments").join(format!("seg-{k}.swseg"))
-    }
-
-    fn dns_path(&self, k: u64) -> PathBuf {
-        self.dir.join("dns").join(format!("dns-{k}.bin"))
-    }
-
-    fn state_path(&self, day: u64) -> PathBuf {
-        self.dir.join(format!("state-{day}.bin"))
+        &self.m.segments
     }
 
     /// Run (or continue) the campaign to completion, or up to
     /// `opts.abort_after_day`. Safe to call again after an abort or a
     /// crash-resume; a completed campaign returns its recorded result.
     pub fn run(&mut self, opts: &RunOptions) -> Result<CampaignOutcome, CampaignError> {
+        let (days_completed, days) = (self.m.days_completed, self.m.cfg.days);
         if let Some(day) = opts.abort_after_day {
-            if !(self.days_completed..self.cfg.days).contains(&day) {
-                let (days_completed, days) = (self.days_completed, self.cfg.days);
+            if !(days_completed..days).contains(&day) {
                 return Err(CampaignError::AbortOutOfReach { day, days_completed, days });
             }
         }
-        if self.complete {
-            return Ok(CampaignOutcome {
-                completed: true,
-                days_completed: self.days_completed,
-                days: Vec::new(),
-                dataset_digest: self.dataset_digest,
-                report_digest: self.report_digest,
-                report_text: None,
-            });
+        if self.m.complete {
+            // a crash may have come between the commit and the removal
+            self.store.remove_states(days)?;
+            return Ok(self.outcome(Vec::new(), None));
         }
-        let mut runner = DayRunner::new(self.cfg);
+        let mut runner = DayRunner::new(self.m.cfg);
         let enr = runner.enrichment();
 
         let mut probe = Probe::new(runner.probe_config());
         let mut dns_mark = SimTime::ZERO;
         if let Some((state, unsealed)) = self.probe_carry.take() {
-            dns_mark = resume_dns_mark(&state, unsealed.unsealed().1, self.days_completed);
-            probe.import_state(state, unsealed).map_err(|error| CampaignError::Checkpoint {
-                file: self.state_path(self.days_completed.saturating_sub(1)),
-                error,
-            })?;
+            dns_mark = resume_dns_mark(&state, unsealed.unsealed().1, days_completed);
+            let (file, _) = self.m.state_file.as_ref().expect("a carry-over comes from a state file");
+            named(&self.store.dir.join(file), probe.import_state(state, unsealed).map_err(FileError::Decode))?;
         }
         // Only a run that will complete folds; one that stops early
         // writes what it always wrote, and the run that completes
@@ -443,7 +363,7 @@ impl Campaign {
 
         let mut prev_snap = telemetry::Snapshot::take();
         let mut days = Vec::new();
-        for day in self.days_completed..self.cfg.days {
+        for day in days_completed..self.m.cfg.days {
             let t0 = std::time::Instant::now();
             runner.run_day_sealed(&mut probe, day, |piece, marks| sealing.absorb(piece, Some(marks)));
 
@@ -463,15 +383,17 @@ impl Campaign {
             .capped(next_midnight);
             sealing.absorb(probe.seal(marks), Some(marks));
             let rows_sealed = self.seal_segment(&mut sealing)?;
-            let state_bytes = self.checkpoint(day, &state, &probe)?;
-            let rows_carried = probe.unsealed().0.len() as u64;
+            let (flows, dns) = probe.unsealed();
+            let body = codec::state_body(&state, &codec::by_day(flows, |f| f.first), &codec::by_day(dns, |d| d.ts));
+            let state_bytes = self.store.checkpoint(&mut self.m, day, &body)?;
+            let rows_carried = flows.len() as u64;
             let summary =
                 DaySummary { day, segments_sealed: 1, rows_sealed, rows_carried, live_flows: state.flows.len() as u64 };
             drop(_sp);
 
             let m = metrics();
-            m.days.set(self.days_completed as i64);
-            m.segment_bytes.set(self.segments.iter().map(|s| s.bytes as i64).sum());
+            m.days.set(self.m.days_completed as i64);
+            m.segment_bytes.set(self.m.segments.iter().map(|s| s.bytes as i64).sum());
             m.rows_carried.set(rows_carried as i64);
             m.state_bytes.set(state_bytes as i64);
             if let Some(rss) = telemetry::current_rss_bytes() {
@@ -479,14 +401,15 @@ impl Campaign {
             }
             if let Some(path) = &opts.metrics_out {
                 let snap = telemetry::Snapshot::take();
-                append_metrics_delta(path, day, &snap.delta(&prev_snap))?;
+                let delta = snap.delta(&prev_snap).to_json();
+                append_metrics(path, format!("{{\"campaign_day\": {day}, \"delta\": {}}}", delta.trim_end()))?;
                 prev_snap = snap;
             }
             if !opts.quiet {
                 eprintln!(
                     "campaign: day {}/{} in {:.1?} — {summary}, rss {} MiB",
-                    self.days_completed,
-                    self.cfg.days,
+                    self.m.days_completed,
+                    self.m.cfg.days,
                     t0.elapsed(),
                     telemetry::current_rss_bytes().unwrap_or(0) / (1 << 20),
                 );
@@ -495,14 +418,7 @@ impl Campaign {
             if opts.abort_after_day == Some(day) {
                 let (flows, dns) = probe.unsealed();
                 self.probe_carry = Some((state, Sealer::carrying(flows.to_vec(), dns.to_vec())));
-                return Ok(CampaignOutcome {
-                    completed: false,
-                    days_completed: self.days_completed,
-                    days,
-                    dataset_digest: None,
-                    report_digest: None,
-                    report_text: None,
-                });
+                return Ok(self.outcome(days, None));
             }
         }
 
@@ -515,45 +431,40 @@ impl Campaign {
         let reports = sealing.fold.take().expect("a run that completes folds").finish(&FIG6_SERVICES, MIN_FLOWS);
         let report_text = reports.render_all();
         let report_digest = fnv1a(report_text.as_bytes());
-        std::fs::write(self.dir.join("report.txt"), &report_text)?;
-
-        self.complete = true;
-        self.dataset_digest = Some(dataset_digest);
-        self.report_digest = Some(report_digest);
-        self.write_manifest(None)?;
-        self.remove_stale_state_files(None)?;
-        metrics().days.set(self.days_completed as i64);
+        self.m.complete = true;
+        self.m.state_file = None;
+        (self.m.dataset_digest, self.m.report_digest) = (Some(dataset_digest), Some(report_digest));
+        self.store.complete(&self.m, &report_text)?;
+        metrics().days.set(self.m.days_completed as i64);
 
         if let Some(path) = &opts.metrics_out {
-            append_metrics_final(path, &telemetry::Snapshot::take())?;
+            let total = telemetry::Snapshot::take().to_json();
+            append_metrics(path, format!("{{\"campaign_final\": true, \"total\": {}}}", total.trim_end()))?;
         }
         if !opts.quiet {
             eprintln!("campaign: complete — dataset digest {dataset_digest:016x}, report digest {report_digest:016x}");
         }
-        Ok(CampaignOutcome {
-            completed: true,
-            days_completed: self.days_completed,
-            days,
-            dataset_digest: Some(dataset_digest),
-            report_digest: Some(report_digest),
-            report_text: Some(report_text),
-        })
+        Ok(self.outcome(days, Some(report_text)))
+    }
+
+    /// What `run` achieved: the manifest's progress and digests, the
+    /// `days` it simulated and the report it rendered.
+    fn outcome(&self, days: Vec<DaySummary>, report_text: Option<String>) -> CampaignOutcome {
+        let Manifest { complete: completed, days_completed, dataset_digest, report_digest, .. } = self.m;
+        CampaignOutcome { completed, days_completed, days, dataset_digest, report_digest, report_text }
     }
 
     /// Write what `s` sealed since the last checkpoint as the next
     /// segment and the next DNS spill, and start the next ones. Returns
     /// the segment's rows.
     fn seal_segment(&mut self, s: &mut Sealing<'_>) -> Result<u64, CampaignError> {
-        let k = self.segments.len() as u64;
-        let rows = s.builder.sealed().len() as u64;
-        let (bytes, fnv) = write_segment_file(&self.segment_path(k), s.builder.sealed())?;
-        self.segments.push(SegmentInfo { day: k, rows, bytes, fnv });
+        let segment = self.store.write_segment(self.m.segments.len() as u64, s.builder.sealed())?;
+        let rows = segment.rows;
+        self.m.segments.push(segment);
         metrics().sealed.inc();
-        let k = self.dns_files.len() as u64;
-        let records = s.dns.records();
-        let fnv = s.dns.write(&self.dns_path(k))?;
-        self.dns_files.push(DnsFileInfo { day: k, records, fnv });
-        (self.flow_digest, self.flow_rows) = (s.flow_digest, s.flow_rows);
+        let spill = std::mem::replace(&mut s.dns, codec::DnsSpill::new());
+        self.m.dns_files.push(self.store.write_dns(self.m.dns_files.len() as u64, spill)?);
+        (self.m.flow_digest, self.m.flow_rows) = (s.flow_digest, s.flow_rows);
         match &mut s.fold {
             Some(fold) => fold.hand_over(&mut s.builder),
             None => s.builder.clear_sealed(),
@@ -566,13 +477,13 @@ impl Campaign {
     /// one file in RAM at a time. The rows at or past it carry.
     fn rescan<'e>(&self, ctx: ReportCtx<'e>, dns_mark: SimTime) -> Result<ReportFold<'e>, CampaignError> {
         let mut fold = ReportFold::new(ctx);
-        for info in &self.dns_files {
-            fold.absorb_dns(&codec::read_dns_file(&self.dns_path(info.day), Some(info.fnv))?, SimTime::ZERO);
+        for info in &self.m.dns_files {
+            fold.absorb_dns(&self.store.dns(info)?, SimTime::ZERO);
         }
         // the spills hold every DNS record sealed before the mark
         fold.absorb_dns(&[], dns_mark);
-        for info in &self.segments {
-            fold.carry(read_segment_file(&self.segment_path(info.day), Some(info.fnv))?);
+        for info in &self.m.segments {
+            fold.carry(self.store.segment(info)?);
         }
         Ok(fold)
     }
@@ -580,74 +491,19 @@ impl Campaign {
     /// The dataset digest: the flow log's, continued over the DNS
     /// spills in seal order, read back one file at a time.
     fn dataset_digest(&self) -> Result<u64, CampaignError> {
-        let mut digest = Fnv1aSink(self.flow_digest);
-        for info in &self.dns_files {
-            let dns = codec::read_dns_file(&self.dns_path(info.day), Some(info.fnv))?;
-            write_dns_lines(&mut digest, &dns).expect("hashing cannot fail");
+        let mut digest = Fnv1aSink(self.m.flow_digest);
+        for info in &self.m.dns_files {
+            write_dns_lines(&mut digest, &self.store.dns(info)?).expect("hashing cannot fail");
         }
         Ok(digest.0)
     }
-
-    /// Commit one day — `state` and the rows `probe` holds unsealed —
-    /// state file first, manifest rename last (the commit point), then
-    /// garbage-collect superseded state files. Returns the state file's
-    /// size.
-    fn checkpoint(&mut self, day: u64, state: &ProbeState, probe: &Probe) -> Result<u64, CampaignError> {
-        let name = format!("state-{day}.bin");
-        let path = self.dir.join(&name);
-        let (flows, dns) = probe.unsealed();
-        let sum =
-            codec::write_state_file(&path, state, &codec::by_day(flows, |f| f.first), &codec::by_day(dns, |d| d.ts))?;
-        self.days_completed = day + 1;
-        self.write_manifest(Some((name.clone(), sum)))?;
-        self.remove_stale_state_files(Some(&name))?;
-        Ok(std::fs::metadata(&path)?.len())
-    }
-
-    fn write_manifest(&self, state_file: Option<(String, u64)>) -> Result<(), CampaignError> {
-        let m = Manifest {
-            cfg: self.cfg,
-            config_hash: config_hash(&self.cfg),
-            days_completed: self.days_completed,
-            flow_digest: self.flow_digest,
-            flow_rows: self.flow_rows,
-            segments: self.segments.clone(),
-            dns_files: self.dns_files.clone(),
-            state_file,
-            complete: self.complete,
-            dataset_digest: self.dataset_digest,
-            report_digest: self.report_digest,
-        };
-        let tmp = self.dir.join("manifest.json.tmp");
-        std::fs::write(&tmp, m.to_json())?;
-        std::fs::rename(&tmp, self.dir.join("manifest.json"))?;
-        Ok(())
-    }
-
-    fn remove_stale_state_files(&self, keep: Option<&str>) -> Result<(), CampaignError> {
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("state-") && name.ends_with(".bin") && Some(name.as_ref()) != keep {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-        Ok(())
-    }
 }
 
-/// Append one per-day telemetry delta to the metrics stream. Each
-/// entry is a complete JSON object; the file is a concatenated stream
-/// of them (one campaign day each, plus a final cumulative snapshot).
-fn append_metrics_delta(path: &Path, day: u64, delta: &telemetry::Snapshot) -> std::io::Result<()> {
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    writeln!(f, "{{\"campaign_day\": {day}, \"delta\": {}}}", delta.to_json().trim_end())
-}
-
-fn append_metrics_final(path: &Path, snap: &telemetry::Snapshot) -> std::io::Result<()> {
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    writeln!(f, "{{\"campaign_final\": true, \"total\": {}}}", snap.to_json().trim_end())
+/// Append one JSON object to the `--metrics-out` stream: one per
+/// campaign day, then a final cumulative snapshot.
+fn append_metrics(path: &Path, object: String) -> Result<(), CampaignError> {
+    let file = std::fs::OpenOptions::new().create(true).append(true).open(path);
+    named(path, file.and_then(|mut f| writeln!(f, "{object}")).map_err(FileError::Io))
 }
 
 #[cfg(test)]
@@ -867,7 +723,7 @@ mod tests {
                 sealing.absorb(log.seal(Some(marks)), Some(marks));
                 if checkpoint {
                     c.seal_segment(&mut sealing).unwrap();
-                    c.write_manifest(None).unwrap();
+                    c.store.commit(&c.m).unwrap();
                     if kill {
                         drop(sealing);
                         c = Campaign::resume(&dir).unwrap();
@@ -891,8 +747,8 @@ mod tests {
             prop_assert_eq!(got.render_all(), want.render_all());
             let mut log_digest = Fnv1aSink(FNV1A_INIT);
             write_flows(&mut log_digest, &whole.flows).unwrap();
-            prop_assert_eq!((c.flow_digest, c.flow_rows), (log_digest.0, whole.flows.len() as u64));
-            prop_assert_eq!(c.segments.iter().map(|s| s.rows).sum::<u64>(), whole.flows.len() as u64);
+            prop_assert_eq!((c.m.flow_digest, c.m.flow_rows), (log_digest.0, whole.flows.len() as u64));
+            prop_assert_eq!(c.m.segments.iter().map(|s| s.rows).sum::<u64>(), whole.flows.len() as u64);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -2,17 +2,26 @@
 //!
 //! The manifest is the *commit point* of every checkpoint: segments,
 //! DNS spills, and the state file are written (each atomically) first,
-//! and only then is the manifest renamed into place. A campaign
-//! directory is therefore always interpretable from its manifest
-//! alone; artifacts not referenced by it are leftovers of an
-//! interrupted checkpoint and are overwritten or deleted on resume.
+//! and only then is the manifest renamed into place (the store,
+//! [`crate::store`], does all of it). A campaign directory is therefore
+//! always interpretable from its manifest alone; artifacts not
+//! referenced by it are leftovers of an interrupted checkpoint and are
+//! overwritten or deleted on resume.
+//!
+//! [`Manifest::parse`] refuses a manifest the campaign could not have
+//! written: a negative or oversized number, segment or DNS ordinals
+//! other than `0..n`, more days completed than the campaign has, a
+//! state file other than the store's name for the last day completed,
+//! or a file cut short of its closing line.
 //!
 //! Serialization is hand-rolled (the workspace has no serde) and the
 //! parse side reuses the analytics query DSL's JSON parser. All u64
 //! digests/checksums are stored as hex *strings*: the parser's integer
-//! type is `i64`, which cannot hold an arbitrary u64 bit pattern.
+//! type is `i64`, which cannot hold an arbitrary u64 bit pattern. The
+//! seed is stored as its bits read as an `i64`: the decimal seed below
+//! 2⁶³, negative above.
 
-use crate::CampaignError;
+use crate::store::{dns_name, segment_name, state_name, FileError};
 use satwatch_analytics::expr::Json;
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::ScenarioConfig;
@@ -20,7 +29,7 @@ use std::fmt::Write as _;
 
 pub const MANIFEST_VERSION: i64 = 1;
 
-/// One sealed flow segment (`segments/seg-<day>.swseg`).
+/// One sealed flow segment ([`segment_name`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SegmentInfo {
     /// The seal ordinal — the segment's position in canonical order.
@@ -33,7 +42,7 @@ pub struct SegmentInfo {
     pub fnv: u64,
 }
 
-/// One sealed DNS spill (`dns/dns-<day>.bin`).
+/// One sealed DNS spill ([`dns_name`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DnsFileInfo {
     /// The seal ordinal, as for [`SegmentInfo::day`].
@@ -89,11 +98,12 @@ impl Manifest {
         s.push_str("{\n");
         let _ = writeln!(s, "  \"version\": {MANIFEST_VERSION},");
         let c = &self.cfg;
+        let seed = c.seed as i64; // the parser's integer type
         let _ = writeln!(
             s,
             "  \"config\": {{\"seed\": {}, \"customers\": {}, \"days\": {}, \"pep_enabled\": {}, \
              \"african_ground_station\": {}, \"force_operator_dns\": {}}},",
-            c.seed, c.customers, c.days, c.pep_enabled, c.african_ground_station, c.force_operator_dns
+            seed, c.customers, c.days, c.pep_enabled, c.african_ground_station, c.force_operator_dns
         );
         let _ = writeln!(s, "  \"config_hash\": \"{}\",", hex(self.config_hash));
         let _ = writeln!(s, "  \"days_completed\": {},", self.days_completed);
@@ -106,9 +116,9 @@ impl Manifest {
             }
             let _ = write!(
                 s,
-                "\n    {{\"day\": {}, \"file\": \"segments/seg-{}.swseg\", \"rows\": {}, \"bytes\": {}, \"fnv\": \"{}\"}}",
+                "\n    {{\"day\": {}, \"file\": \"{}\", \"rows\": {}, \"bytes\": {}, \"fnv\": \"{}\"}}",
                 g.day,
-                g.day,
+                segment_name(g.day),
                 g.rows,
                 g.bytes,
                 hex(g.fnv)
@@ -122,9 +132,9 @@ impl Manifest {
             }
             let _ = write!(
                 s,
-                "\n    {{\"day\": {}, \"file\": \"dns/dns-{}.bin\", \"records\": {}, \"fnv\": \"{}\"}}",
+                "\n    {{\"day\": {}, \"file\": \"{}\", \"records\": {}, \"fnv\": \"{}\"}}",
                 d.day,
-                d.day,
+                dns_name(d.day),
                 d.records,
                 hex(d.fnv)
             );
@@ -155,18 +165,24 @@ impl Manifest {
 
     /// Unknown keys are ignored, so a manifest written when the config
     /// had perf knobs, all since removed, still parses; none of them
-    /// was ever part of the hash.
-    pub fn parse(src: &str) -> Result<Manifest, CampaignError> {
-        let j = Json::parse(src).map_err(|e| CampaignError::Corrupt(format!("manifest: {e}")))?;
-        let version = get_i64(&j, "version")?;
+    /// was ever part of the hash. What the campaign could not have
+    /// written is refused (the module doc lists it).
+    pub fn parse(src: &str) -> Result<Manifest, FileError> {
+        // the last line of what `to_json` writes: a manifest without it
+        // lost its tail
+        if !src.ends_with("}\n") {
+            return Err(corrupt("cut short"));
+        }
+        let j = Json::parse(src).map_err(|e| corrupt(&e.to_string()))?;
+        let version: i64 = get_int(&j, "version")?;
         if version != MANIFEST_VERSION {
-            return Err(CampaignError::Corrupt(format!("manifest: unsupported version {version}")));
+            return Err(corrupt(&format!("unsupported version {version}")));
         }
         let cj = j.get("config").ok_or_else(|| corrupt("missing config"))?;
         let mut cfg = ScenarioConfig::tiny()
-            .with_seed(get_i64(cj, "seed")? as u64)
-            .with_customers(get_i64(cj, "customers")? as u32)
-            .with_days(get_i64(cj, "days")? as u64);
+            .with_seed(get_int::<i64>(cj, "seed")? as u64)
+            .with_customers(get_int(cj, "customers")?)
+            .with_days(get_int(cj, "days")?);
         if !get_bool(cj, "pep_enabled")? {
             cfg = cfg.without_pep();
         }
@@ -178,83 +194,92 @@ impl Manifest {
         }
         let stored_hash = get_hex(&j, "config_hash")?;
         if stored_hash != config_hash(&cfg) {
-            return Err(CampaignError::Corrupt("manifest: config_hash does not match the stored config".into()));
+            return Err(corrupt("config_hash does not match the stored config"));
         }
         let mut segments = Vec::new();
         for g in get_arr(&j, "segments")? {
-            segments.push(SegmentInfo {
-                day: get_i64(g, "day")? as u64,
-                rows: get_i64(g, "rows")? as u64,
-                bytes: get_i64(g, "bytes")? as u64,
-                fnv: get_hex(g, "fnv")?,
-            });
+            let (day, rows, bytes) = (get_int(g, "day")?, get_int(g, "rows")?, get_int(g, "bytes")?);
+            segments.push(SegmentInfo { day, rows, bytes, fnv: get_hex(g, "fnv")? });
         }
         let mut dns_files = Vec::new();
         for d in get_arr(&j, "dns_files")? {
-            dns_files.push(DnsFileInfo {
-                day: get_i64(d, "day")? as u64,
-                records: get_i64(d, "records")? as u64,
-                fnv: get_hex(d, "fnv")?,
-            });
+            let (day, records) = (get_int(d, "day")?, get_int(d, "records")?);
+            dns_files.push(DnsFileInfo { day, records, fnv: get_hex(d, "fnv")? });
+        }
+        let (n_segments, n_dns) = (segments.len() as u64, dns_files.len() as u64);
+        if !segments.iter().map(|g| g.day).eq(0..n_segments) || !dns_files.iter().map(|d| d.day).eq(0..n_dns) {
+            return Err(corrupt("segment or DNS spill ordinals other than 0, 1, 2, …"));
         }
         let state_file = match j.get("state_file") {
             None | Some(Json::Null) => None,
             Some(sj) => Some((get_str(sj, "file")?.to_string(), get_hex(sj, "fnv")?)),
         };
+        let (days_completed, complete) = (get_int(&j, "days_completed")?, get_bool(&j, "complete")?);
+        if days_completed > cfg.days {
+            return Err(corrupt(&format!("{days_completed} of {} days completed", cfg.days)));
+        }
+        // a checkpoint names the state file of its last day; a new or a
+        // complete campaign has none
+        let want = (days_completed > 0 && !complete).then(|| state_name(days_completed - 1));
+        let got = state_file.as_ref().map(|(file, _)| file);
+        if got != want.as_ref() {
+            return Err(corrupt(&format!("state file {got:?} after {days_completed} days completed, not {want:?}")));
+        }
         Ok(Manifest {
             cfg,
             config_hash: stored_hash,
-            days_completed: get_i64(&j, "days_completed")? as u64,
+            days_completed,
             flow_digest: get_hex(&j, "flow_digest")?,
-            flow_rows: get_i64(&j, "flow_rows")? as u64,
+            flow_rows: get_int(&j, "flow_rows")?,
             segments,
             dns_files,
             state_file,
-            complete: get_bool(&j, "complete")?,
+            complete,
             dataset_digest: get_opt_hex(&j, "dataset_digest")?,
             report_digest: get_opt_hex(&j, "report_digest")?,
         })
     }
 }
 
-fn corrupt(msg: &str) -> CampaignError {
-    CampaignError::Corrupt(format!("manifest: {msg}"))
+fn corrupt(msg: &str) -> FileError {
+    FileError::Corrupt(format!("manifest: {msg}"))
 }
 
-fn get_i64(j: &Json, key: &str) -> Result<i64, CampaignError> {
+/// An integer field, refused unless `T` holds it.
+fn get_int<T: TryFrom<i64>>(j: &Json, key: &str) -> Result<T, FileError> {
     match j.get(key) {
-        Some(Json::Int(v)) => Ok(*v),
+        Some(Json::Int(v)) => T::try_from(*v).map_err(|_| corrupt(&format!("field {key:?} out of range: {v}"))),
         _ => Err(corrupt(&format!("missing integer field {key:?}"))),
     }
 }
 
-fn get_bool(j: &Json, key: &str) -> Result<bool, CampaignError> {
+fn get_bool(j: &Json, key: &str) -> Result<bool, FileError> {
     match j.get(key) {
         Some(Json::Bool(v)) => Ok(*v),
         _ => Err(corrupt(&format!("missing boolean field {key:?}"))),
     }
 }
 
-fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, CampaignError> {
+fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, FileError> {
     match j.get(key) {
         Some(Json::Str(v)) => Ok(v),
         _ => Err(corrupt(&format!("missing string field {key:?}"))),
     }
 }
 
-fn get_hex(j: &Json, key: &str) -> Result<u64, CampaignError> {
+fn get_hex(j: &Json, key: &str) -> Result<u64, FileError> {
     let s = get_str(j, key)?;
     u64::from_str_radix(s, 16).map_err(|_| corrupt(&format!("field {key:?} is not a hex u64")))
 }
 
-fn get_opt_hex(j: &Json, key: &str) -> Result<Option<u64>, CampaignError> {
+fn get_opt_hex(j: &Json, key: &str) -> Result<Option<u64>, FileError> {
     match j.get(key) {
         None | Some(Json::Null) => Ok(None),
         _ => get_hex(j, key).map(Some),
     }
 }
 
-fn get_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], CampaignError> {
+fn get_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], FileError> {
     match j.get(key) {
         Some(Json::Arr(v)) => Ok(v),
         _ => Err(corrupt(&format!("missing array field {key:?}"))),
@@ -264,6 +289,7 @@ fn get_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], CampaignError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CampaignError;
 
     #[test]
     fn manifest_round_trips_through_json() {
@@ -370,6 +396,133 @@ mod tests {
             report_digest: None,
         };
         let tampered = m.to_json().replace(&format!("\"seed\": {}", cfg.seed), "\"seed\": 777");
-        assert!(matches!(Manifest::parse(&tampered), Err(CampaignError::Corrupt(_))));
+        assert!(matches!(Manifest::parse(&tampered), Err(FileError::Corrupt(_))));
+    }
+
+    /// Two of three days run: two segments, two DNS spills and the state
+    /// file of day 1.
+    fn mid_campaign() -> Manifest {
+        let cfg = ScenarioConfig::tiny().with_customers(5).with_days(3).with_seed(7);
+        Manifest {
+            cfg,
+            config_hash: config_hash(&cfg),
+            days_completed: 2,
+            flow_digest: 1,
+            flow_rows: 20,
+            segments: vec![
+                SegmentInfo { day: 0, rows: 10, bytes: 99, fnv: 2 },
+                SegmentInfo { day: 1, rows: 10, bytes: 99, fnv: 3 },
+            ],
+            dns_files: vec![DnsFileInfo { day: 0, records: 4, fnv: 4 }, DnsFileInfo { day: 1, records: 4, fnv: 5 }],
+            state_file: Some((state_name(1), 6)),
+            complete: false,
+            dataset_digest: None,
+            report_digest: None,
+        }
+    }
+
+    /// `json` with its `config_hash` recomputed for `cfg` — what the old
+    /// `as` casts made of the config it holds — so that the hash does
+    /// not refuse it.
+    fn rehashed(json: &str, cfg: ScenarioConfig) -> String {
+        json.replace(&hex(config_hash(&mid_campaign().cfg)), &hex(config_hash(&cfg)))
+    }
+
+    /// `json` is refused as a manifest the campaign could not have
+    /// written, by `parse` and by a resume, whose error names the file.
+    /// Returns the message.
+    fn refused(json: &str) -> String {
+        assert!(matches!(Manifest::parse(json), Err(FileError::Corrupt(_))), "{json}");
+        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("swcampaign-manifest-{}-{case}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("manifest.json");
+        std::fs::write(&file, json).unwrap();
+        let err = crate::Campaign::resume(&dir).err().expect("refused");
+        assert!(matches!(&err, CampaignError::File { file: f, error: FileError::Corrupt(_) } if *f == file), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let msg = err.to_string();
+        assert!(msg.starts_with(&format!("campaign file {}: manifest: ", file.display())), "{msg}");
+        msg
+    }
+
+    #[test]
+    fn the_mid_campaign_manifest_is_one_the_campaign_writes() {
+        let m = mid_campaign();
+        assert_eq!(Manifest::parse(&m.to_json()).unwrap(), m);
+    }
+
+    #[test]
+    fn negative_customers_are_refused() {
+        let json = mid_campaign().to_json().replace("\"customers\": 5", "\"customers\": -1");
+        let msg = refused(&rehashed(&json, mid_campaign().cfg.with_customers(u32::MAX)));
+        assert!(msg.contains("\"customers\" out of range"), "{msg}");
+    }
+
+    #[test]
+    fn negative_days_are_refused() {
+        let json = mid_campaign().to_json().replace("\"days\": 3", "\"days\": -1");
+        let msg = refused(&rehashed(&json, mid_campaign().cfg.with_days(u64::MAX)));
+        assert!(msg.contains("\"days\" out of range"), "{msg}");
+    }
+
+    /// A segment listed twice passes its checksum twice and would be
+    /// folded twice; so would a DNS spill.
+    #[test]
+    fn ordinals_other_than_0_to_n_are_refused() {
+        let json = mid_campaign().to_json();
+        for (from, to) in [
+            ("\"day\": 1, \"file\": \"segments", "\"day\": 0, \"file\": \"segments"),
+            ("\"day\": 1, \"file\": \"dns", "\"day\": 0, \"file\": \"dns"),
+            ("\"day\": 0, \"file\": \"dns", "\"day\": 2, \"file\": \"dns"),
+        ] {
+            assert!(json.contains(from));
+            let msg = refused(&json.replace(from, to));
+            assert!(msg.contains("ordinals"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn more_days_completed_than_the_campaign_has_are_refused() {
+        let m = Manifest { days_completed: 4, state_file: Some((state_name(3), 6)), ..mid_campaign() };
+        assert!(refused(&m.to_json()).contains("4 of 3 days completed"));
+    }
+
+    /// `resume` joins the state file's name to the directory: only the
+    /// store's name for the last day completed is taken.
+    #[test]
+    fn a_state_file_other_than_the_last_days_is_refused() {
+        for file in ["../x.bin", "state-0.bin", "state-2.bin"] {
+            let m = Manifest { state_file: Some((file.into(), 6)), ..mid_campaign() };
+            assert!(refused(&m.to_json()).contains(&format!("state file Some(\"{file}\")")));
+        }
+        for (days_completed, complete, state_file) in
+            [(0, false, Some(state_name(0))), (2, false, None), (3, true, Some(state_name(2)))]
+        {
+            let m = Manifest { days_completed, complete, state_file: state_file.map(|f| (f, 6)), ..mid_campaign() };
+            refused(&m.to_json());
+        }
+    }
+
+    #[test]
+    fn a_manifest_without_its_last_line_is_refused() {
+        let json = mid_campaign().to_json();
+        for cut in 1..=2 {
+            assert!(refused(&json[..json.len() - cut]).ends_with("manifest: cut short"));
+        }
+    }
+
+    /// The seed is stored as its bits read as an `i64`, so a seed past
+    /// `i64::MAX` resumes (it was written as a decimal the JSON parser
+    /// reads as a float, and never resumed).
+    #[test]
+    fn a_seed_past_i64_max_round_trips() {
+        for seed in [u64::MAX, 1 << 63, (1 << 63) - 1] {
+            let cfg = ScenarioConfig::tiny().with_seed(seed);
+            let m =
+                Manifest { cfg, config_hash: config_hash(&cfg), days_completed: 0, state_file: None, ..mid_campaign() };
+            assert_eq!(Manifest::parse(&m.to_json()).unwrap(), m);
+        }
     }
 }

@@ -9,22 +9,30 @@
 //!    bytes exactly.
 
 use satwatch_analytics::FlowFrame;
-use satwatch_campaign::codec::{
-    write_atomic, write_state_file, DnsBuckets, FlowBuckets, DNS_FILE_MAGIC, STATE_FILE_MAGIC,
-};
+use satwatch_campaign::codec::{write_state_file, DnsBuckets, FlowBuckets, DNS_FILE_MAGIC, STATE_FILE_MAGIC};
+use satwatch_campaign::store::FileError;
 use satwatch_campaign::{Campaign, CampaignError, DaySummary, Manifest, RunOptions, SECS_PER_DAY};
 use satwatch_monitor::checkpoint::{put_bytes, put_u32, put_u64, CheckpointError};
 use satwatch_monitor::{Probe, ProbeState};
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
 use satwatch_scenario::{dataset_digest, run, DayRunner, ScenarioConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swcampaign-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Write `body` and its trailing FNV-1a to `path`, as a state file or
+/// DNS spill ends; returns the FNV-1a.
+fn write_trailed(path: &Path, mut body: Vec<u8>) -> u64 {
+    let sum = fnv1a(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    std::fs::write(path, body).unwrap();
+    sum
 }
 
 fn cfg() -> ScenarioConfig {
@@ -147,13 +155,13 @@ fn a_state_file_claiming_more_rows_than_it_holds_is_a_typed_error() {
     put_u64(&mut bytes, 0); // day 0,
     put_u32(&mut bytes, u32::MAX); // 2³² − 1 rows, and none follow
     put_u32(&mut bytes, 0); // no DNS bucket
-    let sum = write_atomic(&dir.join("state-0.bin"), bytes).unwrap();
+    let sum = write_trailed(&dir.join("state-0.bin"), bytes);
     let manifest = dir.join("manifest.json");
     let m = Manifest::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
     let m = Manifest { state_file: Some(("state-0.bin".into(), sum)), ..m };
     std::fs::write(&manifest, m.to_json()).unwrap();
     let err = Campaign::resume(&dir).err().expect("the state file must be refused");
-    assert!(matches!(err, CampaignError::Checkpoint { error: CheckpointError::Truncated, .. }), "{err}");
+    assert!(matches!(err, CampaignError::File { error: FileError::Decode(CheckpointError::Truncated), .. }), "{err}");
     let msg = err.to_string();
     assert!(msg.contains("state-0.bin") && msg.ends_with("truncated mid-field"), "the error names its file: {msg}");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -173,16 +181,38 @@ fn a_dns_spill_claiming_more_records_than_it_holds_is_a_typed_error() {
     }
     let mut bytes = DNS_FILE_MAGIC.to_vec();
     put_u32(&mut bytes, u32::MAX); // 2³² − 1 records, and none follow
-    let fnv = write_atomic(&dir.join("dns").join("dns-0.bin"), bytes).unwrap();
+    let fnv = write_trailed(&dir.join("dns").join("dns-0.bin"), bytes);
     let manifest = dir.join("manifest.json");
     let mut m = Manifest::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
     m.dns_files[0].fnv = fnv;
     std::fs::write(&manifest, m.to_json()).unwrap();
     let err = Campaign::resume(&dir).unwrap().run(&RunOptions::default()).expect_err("the spill must be refused");
-    assert!(matches!(err, CampaignError::Checkpoint { error: CheckpointError::Truncated, .. }), "{err}");
+    assert!(matches!(err, CampaignError::File { error: FileError::Decode(CheckpointError::Truncated), .. }), "{err}");
     let msg = err.to_string();
     assert!(msg.contains("dns-0.bin") && !msg.contains("state"), "the error names the spill: {msg}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A flipped byte in a segment or a DNS spill that an earlier run
+/// committed fails the resumed run's re-scan with an error naming that
+/// file, whichever the file is.
+#[test]
+fn a_flipped_byte_in_a_committed_file_is_an_error_naming_it() {
+    let cfg = ScenarioConfig::tiny().with_customers(4).with_days(3).with_seed(7);
+    for name in ["segments/seg-1.swseg", "dns/dns-1.bin"] {
+        let dir = tmp_dir("flipped");
+        let mut c = Campaign::create(&dir, cfg).unwrap();
+        c.run(&RunOptions { abort_after_day: Some(1), ..RunOptions::default() }).unwrap();
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&path, bytes).unwrap();
+        let err = Campaign::resume(&dir).unwrap().run(&RunOptions::default()).expect_err("the flip must be caught");
+        assert!(matches!(&err, CampaignError::File { file, .. } if *file == path), "{err}");
+        assert!(err.to_string().starts_with(&format!("campaign file {}: ", path.display())), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// The per-day summary (what the progress line prints): every simulated

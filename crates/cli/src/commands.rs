@@ -270,7 +270,7 @@ fn campaign(args: &Args) -> Result<(), Box<dyn Error>> {
         println!("campaign_days: {}", outcome.days_completed);
         println!("campaign_dataset_digest: {:016x}", outcome.dataset_digest.expect("complete"));
         println!("campaign_report_digest: {:016x}", outcome.report_digest.expect("complete"));
-        eprintln!("campaign: report written to {}", c.dir().join("report.txt").display());
+        eprintln!("campaign: report written to {}", c.dir().join(satwatch_campaign::store::REPORT).display());
     } else {
         println!("campaign_days: {}", outcome.days_completed);
         eprintln!(
