@@ -455,7 +455,7 @@ impl Fig10Acc {
         }
     }
 
-    pub(crate) fn finish(self, countries: &[Country]) -> Fig10 {
+    pub(crate) fn finish(mut self, countries: &[Country]) -> Fig10 {
         let share = FIG10_RESOLVERS
             .iter()
             .map(|r| {
@@ -472,9 +472,8 @@ impl Fig10Acc {
             .iter()
             .map(|r| {
                 self.times
-                    .get(r)
-                    .map(|v| {
-                        let mut v = v.clone();
+                    .remove(r)
+                    .map(|mut v| {
                         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
                         v[v.len() / 2]
                     })
@@ -694,6 +693,81 @@ mod tests {
         assert_eq!(es.2.count, 0, "inactive customers excluded from volume CCDF");
         let cd = f.row(Country::Congo).unwrap();
         assert_eq!(cd.2.count, 1);
+    }
+
+    /// One customer-day: client, day, services used, bytes per category.
+    type Cell = (u8, u64, &'static [&'static str], &'static [(Category, u64)]);
+
+    /// Two days, Congo with one customer and Spain with two; a
+    /// customer the enrichment does not know counts nowhere.
+    fn two_day_customer_days(cells: &[Cell]) -> (FxHashMap<(Ipv4Addr, u64), CustomerDay>, Enrichment) {
+        let mut enr = enrichment();
+        enr.days = 2;
+        enr.country_of.insert(client(3), Country::Spain);
+        let mut days = FxHashMap::default();
+        for &(c, day, services, bytes) in cells {
+            let cd = CustomerDay {
+                services: services.iter().copied().collect(),
+                by_category: bytes.iter().copied().collect(),
+                ..Default::default()
+            };
+            days.insert((client(c), day), cd);
+        }
+        (days, enr)
+    }
+
+    #[test]
+    fn fig6_counts_customer_days_over_customers_times_days() {
+        let (days, enr) = two_day_customer_days(&[
+            (1, 0, &["Whatsapp", "Youtube"], &[]),
+            (1, 1, &["Whatsapp"], &[]),
+            (2, 0, &["Youtube"], &[]),
+            (3, 1, &["Youtube", "Whatsapp"], &[]),
+            (9, 0, &["Youtube", "Netflix"], &[]),
+        ]);
+        let f =
+            fig6(&days, &enr, &["Whatsapp", "Youtube", "Netflix"], &[Country::Congo, Country::Spain, Country::Nigeria]);
+        // Congo: 1 customer × 2 days; Spain: 2 × 2; Nigeria: none, and
+        // an empty denominator reads as 1
+        assert_eq!(f.values, [[100.0, 25.0, 0.0], [50.0, 50.0, 0.0], [0.0, 0.0, 0.0]]);
+        assert_eq!(f.value("Youtube", Country::Spain), Some(50.0));
+    }
+
+    #[test]
+    fn fig7_boxes_each_countrys_customer_days_per_paper_category() {
+        let (days, enr) = two_day_customer_days(&[
+            (1, 0, &[], &[(Category::Chat, 250_000_000), (Category::Video, 10_000_000), (Category::Web, 7_000_000)]),
+            (1, 1, &[], &[(Category::Chat, 50_000_000)]),
+            (2, 0, &[], &[(Category::Chat, 2_000_000)]),
+            (3, 1, &[], &[(Category::Chat, 4_000_000), (Category::Video, 6_000_000)]),
+            (9, 0, &[], &[(Category::Chat, 999_000_000)]),
+        ]);
+        let f = fig7(&days, &enr, &[Country::Congo, Country::Spain]);
+        // countries in the order asked, categories in `PAPER_SIX` order;
+        // `Web` is none of the six
+        let order: Vec<_> = f.rows.iter().map(|(c, cat, _)| (*c, *cat)).collect();
+        assert_eq!(
+            order,
+            [
+                (Country::Congo, Category::Chat),
+                (Country::Congo, Category::Video),
+                (Country::Spain, Category::Chat),
+                (Country::Spain, Category::Video)
+            ]
+        );
+        // MB per customer-day, type-7 quantiles: Congo's chat is
+        // {50, 250}, Spain's {2, 4}
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        let b = f.summary(Country::Congo, Category::Chat).unwrap();
+        let got = [b.p5, b.q1, b.median, b.q3, b.p95, b.mean];
+        assert!(got.iter().zip([60.0, 100.0, 150.0, 200.0, 240.0, 150.0]).all(|(a, b)| close(*a, b)), "{got:?}");
+        assert_eq!(b.count, 2);
+        let b = f.summary(Country::Spain, Category::Chat).unwrap();
+        let got = [b.p5, b.q1, b.median, b.q3, b.p95, b.mean];
+        assert!(got.iter().zip([2.1, 2.5, 3.0, 3.5, 3.9, 3.0]).all(|(a, b)| close(*a, b)), "{got:?}");
+        let b = f.summary(Country::Congo, Category::Video).unwrap();
+        assert_eq!((b.p5, b.median, b.p95, b.count), (10.0, 10.0, 10.0, 1));
+        assert_eq!(f.summary(Country::Spain, Category::Video).unwrap().median, 6.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The column catalog: every column of [`FlowFrame`] declared once, a
 //! line of the `catalog!` table each, which the segment codec, the
 //! frame's structural operations and the query binding walk (DESIGN.md
-//! §10 "The column catalog").
+//! §6 "The frame and its column catalog").
 
 use crate::frame::{FlowFrame, NO_BEAM, NO_CATEGORY, NO_COUNTRY, NO_DOMAIN, NO_HOUR, NO_SERVICE};
 use satwatch_simcore::SimTime;

@@ -6,7 +6,7 @@
 //! row, `finish` into the typed report — and rows are absorbed in
 //! order, on the calling thread. The byte-equivalence contract with
 //! the record-based `agg` functions rests on three facts (DESIGN.md
-//! §10):
+//! §6 "The fused fold and `ReportFold`"):
 //!
 //! 1. integer tallies are exact, so a frame boundary anywhere in the
 //!    row sequence changes no total;

@@ -14,8 +14,8 @@
 //! * **Codes, not strings.** The `domain` column is a `u32` code per
 //!   row into the frame's `domains` dictionary — the `.swseg` layout,
 //!   in RAM. Scans, joins and group-bys compare integers; a name is
-//!   looked at once per dictionary entry (DESIGN.md "Codes end to
-//!   end").
+//!   looked at once per dictionary entry (DESIGN.md §7 "The
+//!   segment").
 //! * **Struct of arrays.** Each figure touches only the columns it
 //!   needs; a sweep over `bytes_up`/`bytes_down` no longer drags the
 //!   whole ~250-byte `FlowRecord` (plus its `early` vector and domain
@@ -28,7 +28,7 @@
 //!   can stream flows straight from the probe's eviction log into the
 //!   frame (or, batch by batch, into the report fold) without ever
 //!   materializing `Vec<FlowRecord>` or sorting a day, and still
-//!   produce byte-identical reports (see DESIGN.md §10).
+//!   produce byte-identical reports (see DESIGN.md §6).
 //!
 //! Row order is the byte-equivalence contract: row `i` of a frame
 //! built by [`FlowFrame::from_records`] is `flows[i]`, and a sealed

@@ -9,7 +9,9 @@
 //!   extraction (two-label TLD aware).
 //! * [`agg`] — one plain pass over the record slice per figure: the
 //!   reference the engine is pinned to, which no `satwatch` command
-//!   runs.
+//!   runs. What both paths share is production: the [`Enrichment`],
+//!   the customer-day finishers `fig5`, `fig6` and `fig7`, and Fig 10's
+//!   tallies, which [`ReportFold::finish`] calls on every report.
 //! * [`frame`] — struct-of-arrays [`FlowFrame`] with pre-resolved
 //!   enrichment columns, buildable incrementally from an eviction
 //!   stream.
@@ -20,10 +22,10 @@
 //! * [`expr`] / [`query`] — the aggregation-pipeline DSL: JSON-parsed
 //!   `match → group → project → sort → limit` pipelines compiled
 //!   against the frame with small-int predicate pushdown and a
-//!   code-keyed group-by (DESIGN.md §11).
+//!   code-keyed group-by (DESIGN.md §8).
 //! * [`segment`] — on-disk columnar `.swseg` segments: one sealed
 //!   frame per file with per-column checksums, the campaign engine's
-//!   spill format (DESIGN.md §12).
+//!   spill format (DESIGN.md §7).
 //! * [`report`] — typed report structs with text renderers.
 //! * [`topdomains`] — the top-domain rankings behind the paper's
 //!   manual service-list curation.

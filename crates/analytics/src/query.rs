@@ -12,7 +12,7 @@
 //! * **Group** buckets the selection by key expressions and folds
 //!   aggregates (`sum`/`count`/`min`/`max`/`mean`/`quantile`) in
 //!   one pass, so every aggregate sees its observations in row order
-//!   (DESIGN.md §11). Output rows are sorted by group key.
+//!   (DESIGN.md §8). Output rows are sorted by group key.
 //! * **Project** computes derived columns; **Sort**/**Limit** shape
 //!   the final [`ResultTable`], renderable as aligned text, CSV, or
 //!   JSON.
@@ -105,7 +105,7 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Parse a pipeline from JSON text: either a bare stage array or
-    /// `{"pipeline": [...]}`. See DESIGN.md §11 for the grammar.
+    /// `{"pipeline": [...]}`. See DESIGN.md §8 for the grammar.
     pub fn parse(src: &str) -> Result<Pipeline, QueryError> {
         let json = Json::parse(src)?;
         let stages_json = match &json {
@@ -686,7 +686,7 @@ pub fn run(fr: &FlowFrame, pipeline: &Pipeline) -> Result<ResultTable, QueryErro
 /// surviving pushdown — the counters behind the
 /// `query_rows_*_total` telemetry). `_workers` is ignored: the scans
 /// run on the calling thread, and the parameter stays only because
-/// `benchmark/` calls this signature (DESIGN.md §7).
+/// `benchmark/` calls this signature (DESIGN.md §10).
 pub fn run_with_stats(
     fr: &FlowFrame,
     pipeline: &Pipeline,

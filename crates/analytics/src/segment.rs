@@ -1,9 +1,10 @@
 //! On-disk columnar segments (`.swseg`): one sealed [`FlowFrame`] per
 //! file, written as per-column byte runs with an integrity footer.
 //!
-//! The campaign engine seals one segment per simulated day, so a
-//! multi-day run holds at most one day of flows in RAM while the full
-//! capture accumulates on disk. The format is deliberately dumb:
+//! The campaign engine writes one segment per checkpoint, so a
+//! multi-day run holds at most a day of rows in RAM while the full
+//! capture accumulates on disk (DESIGN.md §7 "The segment"). The
+//! format is deliberately dumb:
 //!
 //! ```text
 //! [magic 8B] [column byte runs …] [footer] [footer_len u64] [magic 8B]
@@ -44,7 +45,7 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"SWSEG\0v1";
 /// Why a segment failed to decode. Corruption and truncation are
 /// ordinary errors, returned typed and never a panic; only programmer
 /// errors panic. Nothing repairs a damaged segment: a campaign whose
-/// re-scan meets one fails, naming the file (DESIGN.md §12 "Segment
+/// re-scan meets one fails, naming the file (DESIGN.md §7 "The
 /// store").
 #[derive(Debug)]
 pub enum SegmentError {
@@ -431,7 +432,7 @@ pub fn write_segment_file(path: &Path, fr: &FlowFrame) -> Result<(u64, u64), Seg
 /// [`FileWriter`] into a temp file, `path` with `.tmp` appended, which
 /// is renamed to `path` once they are all written. The workspace's one
 /// temp-file-and-rename: segments and every file of a campaign
-/// directory go through it. Nothing is fsynced (DESIGN.md §12).
+/// directory go through it. Nothing is fsynced (DESIGN.md §7 "The store").
 pub fn write_file<T>(path: &Path, fill: impl FnOnce(&mut FileWriter) -> std::io::Result<T>) -> std::io::Result<T> {
     let tmp = path.with_added_extension("tmp");
     let mut w = FileWriter { inner: BufWriter::new(File::create(&tmp)?), len: 0, fnv: FNV1A_INIT };

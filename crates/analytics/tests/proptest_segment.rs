@@ -1,4 +1,4 @@
-//! Property tests for the `.swseg` segment codec (DESIGN.md §12):
+//! Property tests for the `.swseg` segment codec (DESIGN.md §7):
 //!
 //! * `FlowFrame → segment bytes → FlowFrame` is lossless over random
 //!   frames — including bit-exact NaN payloads in the f64 columns and

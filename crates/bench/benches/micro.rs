@@ -188,7 +188,7 @@ fn wire_probe() -> Probe {
     Probe::new(ProbeConfig::new(FlowTableConfig::new(subnet)))
 }
 
-/// The probe's one walker (DESIGN.md §8) over long stretches and one
+/// The probe's one walker (DESIGN.md §4) over long stretches and one
 /// row at a time: identical synthesized runs go through `observe_cols`
 /// (stretches of a run's rows: branch-light stamp sweep + deferred
 /// DPI) and through per-packet `observe` on materialized rows, each a

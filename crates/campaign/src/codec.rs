@@ -20,8 +20,9 @@ use satwatch_monitor::checkpoint::{
     put_bool, put_bytes, put_dns_record, put_f64, put_ip, put_opt_f64, put_opt_u64, put_str, put_u16, put_u32, put_u64,
     put_u8, read_dns_record, CheckpointError, Reader, DNS_RECORD_MIN_SIZE,
 };
-use satwatch_monitor::record::{EarlyPacket, RttSummary};
+use satwatch_monitor::record::{EarlyPacket, RttSummary, EARLY_PACKETS};
 use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol, ProbeState};
+use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::SimTime;
 use std::collections::BTreeMap;
 use std::io;
@@ -99,6 +100,10 @@ pub fn read_flow_record(r: &mut Reader<'_>) -> Result<FlowRecord, CheckpointErro
     let c2s_retrans = r.u64()?;
     let s2c_retrans = r.u64()?;
     let n_early = r.u16()? as usize;
+    // no record the probe wrote has more
+    if n_early > EARLY_PACKETS {
+        return Err(CheckpointError::Corrupt("early packets"));
+    }
     let mut early = Vec::with_capacity(n_early);
     for _ in 0..n_early {
         early.push(EarlyPacket { offset_ms: r.f64()?, wire_len: r.u16()?, c2s: r.bool()? });
@@ -214,7 +219,7 @@ pub type DnsBuckets = BTreeMap<u64, Vec<DnsRecord>>;
 pub fn by_day<T: Clone>(rows: &[T], ts: impl Fn(&T) -> SimTime) -> BTreeMap<u64, Vec<T>> {
     let mut buckets = BTreeMap::<u64, Vec<T>>::new();
     for r in rows {
-        buckets.entry(ts(r).as_secs() / crate::SECS_PER_DAY).or_default().push(r.clone());
+        buckets.entry(ts(r).as_secs() / SECS_PER_DAY).or_default().push(r.clone());
     }
     buckets
 }
@@ -415,6 +420,54 @@ pub(crate) mod tests {
         assert!(matches!(&err, CampaignError::File { file, error: FileError::Corrupt(_) } if *file == path), "{err}");
         assert_eq!(err.to_string(), format!("campaign file {}: checksum mismatch", path.display()));
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A carried record holds at most `EARLY_PACKETS` early packets, as
+    /// the probe logs them. A larger count is refused before anything
+    /// is reserved for it, whether its packets follow or not, and the
+    /// error names the state file.
+    #[test]
+    fn a_carried_record_with_more_early_packets_than_the_probe_logs_is_refused() {
+        let dir = std::env::temp_dir().join(format!("swcampaign-early-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state-0.bin");
+        let state = |records: &[u8]| {
+            let mut body = STATE_FILE_MAGIC.to_vec();
+            put_bytes(&mut body, &ProbeState::empty().encode());
+            put_u32(&mut body, 1); // one flow bucket:
+            put_u64(&mut body, 0); // day 0,
+            put_u32(&mut body, 1); // one record
+            body.extend_from_slice(records);
+            put_u32(&mut body, 0); // no DNS bucket
+            write_file(&path, |w| put_trailed(w, &body)).unwrap()
+        };
+        let read = |sum| read_state_file(&path, Some(sum)).map(|(_, flows, _)| flows);
+
+        let mut f = flow(1);
+        f.early = vec![f.early[0]; EARLY_PACKETS];
+        let mut record = Vec::new();
+        put_flow_record(&mut record, &f);
+        assert_eq!(read(state(&record)).unwrap()[&0], [f.clone()], "as many as the probe logs");
+
+        // the count sits after the addresses, ports, protocol and ten u64s
+        let count_at = 4 + 4 + 2 + 2 + 1 + 8 * 10;
+        let too_many = |n: usize, packets_follow: bool| {
+            let mut g = f.clone();
+            g.early = vec![f.early[0]; if packets_follow { n } else { 0 }];
+            let mut record = Vec::new();
+            put_flow_record(&mut record, &g);
+            record[count_at..count_at + 2].copy_from_slice(&(n as u16).to_le_bytes());
+            record
+        };
+        for (n, packets_follow) in [(11, true), (65_535, true), (65_535, false)] {
+            let err = read(state(&too_many(n, packets_follow))).unwrap_err();
+            assert!(
+                matches!(&err, CampaignError::File { file, error: FileError::Decode(CheckpointError::Corrupt("early packets")) } if *file == path),
+                "{n} early packets: {err}"
+            );
+            assert!(err.to_string().contains("state-0.bin"), "the error names its file: {err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! # satwatch-campaign
 //!
-//! Checkpointed multi-day campaign runner (DESIGN.md §12). The paper's
+//! Checkpointed multi-day campaign runner (DESIGN.md §7). The paper's
 //! vantage point observed traffic continuously for ~75 days; this
 //! crate makes such runs practical by holding no day of records — the
 //! probe's log is sealed at every sweep, as `simulate` seals it — and
@@ -9,7 +9,7 @@
 //! * **Segments.** At every sweep the rows strictly behind the probe's
 //!   *watermarks* (for flows, the earlier of the coming midnight and
 //!   the oldest live flow's first packet) are final — nothing live or
-//!   future can sort before them — and are *sealed* (DESIGN.md §10)
+//!   future can sort before them — and are *sealed* (DESIGN.md §5)
 //!   into a canonically sorted piece. Each piece is folded into the
 //!   running dataset digest at once and its flows become rows of the
 //!   day's segment, built up as columns (a [`FrameBuilder`]); its DNS
@@ -63,14 +63,13 @@ use satwatch_monitor::{DnsRecord, Piece, Probe, ProbeState, SealMarks, Sealer};
 use satwatch_scenario::digest::{fnv1a, fnv1a_update, write_dns_lines, Fnv1aSink, FNV1A_INIT};
 use satwatch_scenario::experiments::{FIG6_SERVICES, MIN_FLOWS};
 use satwatch_scenario::{DayRunner, ScenarioConfig};
+use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::SimTime;
 use satwatch_telemetry as telemetry;
 use satwatch_traffic::Country;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use store::{named, FileError, Store};
-
-pub const SECS_PER_DAY: u64 = 86_400;
 
 /// Everything that can go wrong while running or resuming a campaign.
 #[derive(Debug)]

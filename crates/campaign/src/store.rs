@@ -17,8 +17,8 @@
 //! segment's whole-file FNV-1a lives in the manifest alone (its footer
 //! holds per-column ones), while a state file or a DNS spill ends in
 //! the FNV-1a of everything before it, which the manifest records too.
-//! Nothing is fsynced: DESIGN.md §12 "Checkpoint & resume determinism"
-//! has the fault contract and the reason.
+//! Nothing is fsynced: DESIGN.md §7 "The store" has the fault contract
+//! and the reason.
 
 use crate::codec::{self, DnsSpill};
 use crate::manifest::{DnsFileInfo, Manifest, SegmentInfo};

@@ -11,12 +11,13 @@
 use satwatch_analytics::FlowFrame;
 use satwatch_campaign::codec::{write_state_file, DnsBuckets, FlowBuckets, DNS_FILE_MAGIC, STATE_FILE_MAGIC};
 use satwatch_campaign::store::FileError;
-use satwatch_campaign::{Campaign, CampaignError, DaySummary, Manifest, RunOptions, SECS_PER_DAY};
+use satwatch_campaign::{Campaign, CampaignError, DaySummary, Manifest, RunOptions};
 use satwatch_monitor::checkpoint::{put_bytes, put_u32, put_u64, CheckpointError};
 use satwatch_monitor::{Probe, ProbeState};
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
 use satwatch_scenario::{dataset_digest, run, DayRunner, ScenarioConfig};
+use satwatch_simcore::time::SECS_PER_DAY;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 

@@ -38,7 +38,7 @@ commands:
                 --pipeline JSON        inline pipeline text
                 --pipeline-file FILE   pipeline from a JSON file
                                 (stages: match, group, project, sort,
-                                 limit — see DESIGN.md §11)
+                                 limit — see DESIGN.md §8)
                 --format {text|csv|json}  table rendering (default text)
   profiles    fit and export ERRANT emulation profiles
                 --out FILE (default: stdout)
@@ -53,7 +53,7 @@ commands:
               on-disk columnar segment and the probe state is
               checkpointed with that tail, so `kill -9` at any moment
               loses at most one day — resuming reproduces the exact
-              bytes of an uninterrupted run (DESIGN.md §12)
+              bytes of an uninterrupted run (DESIGN.md §7)
                 --out DIR            directory for a new campaign
                                      (default: satwatch-campaign)
                 --resume DIR         continue the campaign in DIR; the
@@ -80,7 +80,7 @@ execution (all commands):
   --threads N, --shards N
                          accepted and ignored: the packet path and the
                          analytics scans run on one thread (DESIGN.md
-                         §7)
+                         §2)
 
 observability (all commands):
   --metrics-out FILE     write the final telemetry snapshot on exit
@@ -134,7 +134,7 @@ pub fn dispatch(args: &Args) -> Result<(), Box<dyn Error>> {
 fn run_command(args: &Args) -> Result<(), Box<dyn Error>> {
     // The two execution options are accepted because scripts and the
     // benchmark harness pass them, type-checked, and ignored: every
-    // command runs on one thread (DESIGN.md §7).
+    // command runs on one thread (DESIGN.md §2).
     let mut ignored = Vec::new();
     for name in ["threads", "shards"] {
         if args.get_parsed(name, 1usize)? != 1 {
@@ -531,7 +531,7 @@ fn paper_check(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// `satwatch query`: run an aggregation pipeline (DESIGN.md §11) over
+/// `satwatch query`: run an aggregation pipeline (DESIGN.md §8) over
 /// the flow frame of a scenario run. The pipeline comes from
 /// `--pipeline '<json>'` or `--pipeline-file FILE`. The rendered table
 /// goes to stdout, a one-line pushdown/row-count summary to stderr.

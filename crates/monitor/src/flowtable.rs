@@ -10,7 +10,7 @@ use crate::dpi::{verdict_index, Dpi, VERDICT_ORDER};
 use crate::inspect::InspectBuffer;
 use crate::intern::{Domain, DomainInterner};
 use crate::reassembly::StreamReassembler;
-use crate::record::{EarlyPacket, FlowRecord, RttSummary};
+use crate::record::{EarlyPacket, FlowRecord, RttSummary, EARLY_PACKETS};
 use crate::rtt::{GroundRtt, SatRtt};
 use bytes::Bytes;
 use satwatch_netstack::ip::proto;
@@ -47,9 +47,6 @@ fn metrics() -> &'static Metrics {
 /// Evict flows idle longer than this (Tstat default is minutes; UDP
 /// flows in particular only end by timeout).
 const IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(120);
-
-/// How many early packets to time-stamp per flow.
-const EARLY_PACKETS: usize = 10;
 
 /// Flow-table configuration.
 #[derive(Clone, Copy, Debug)]
@@ -317,7 +314,7 @@ impl FlowState {
 /// What the walker ([`FlowTable::process_stretch`]) reads of row `i`
 /// of a stretch, one accessor per field the walker's loops load.
 ///
-/// A row has two lengths (DESIGN.md §14 "Snaplen accounting rule").
+/// A row has two lengths (DESIGN.md §4 "Snaplen accounting").
 /// [`wire_len`](Self::wire_len) and [`payload_len`](Self::payload_len)
 /// are what the IP header gives: the byte counters, the early-packet
 /// sizes and the download window account them.
@@ -540,8 +537,8 @@ impl FlowTable {
     /// stretch at that row — a later same-key packet opens a *new*
     /// flow, so the caller must re-resolve.
     ///
-    /// Two passes per stretch (DESIGN.md "The packet path and its
-    /// reference"). The **stamp sweep** reads the scalar fields only —
+    /// Two passes per stretch (DESIGN.md §4 "One walker: the stamp
+    /// sweep and the deferred DPI"). The **stamp sweep** reads the scalar fields only —
     /// counters, early log, download timing, handshake/teardown flags,
     /// the retransmission high-water mark and the ground-RTT estimator
     /// — with no map lookups and no payload touch; it also collects the

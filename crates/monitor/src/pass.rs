@@ -1,6 +1,6 @@
 //! The span port's pending packets, as the day loop hands them to the
 //! probe: one time-sorted run per flow, consumed a *pass* at a time
-//! (DESIGN.md §8).
+//! (DESIGN.md §4 "Passes reproduce the heap's order").
 //!
 //! A pass hands [`Probe::observe_runs`](crate::Probe::observe_runs)
 //! every live run's unconsumed rows below one bound, as one slice per

@@ -218,7 +218,7 @@ impl Probe {
     /// one slice: flow state is per flow, and a run's rows are in order
     /// among themselves. A pass ends at `bound` or at the row where the
     /// periodic sweep falls due (`LiveRuns::plan`), and the rest of
-    /// the probe sees merged order where flows meet (DESIGN.md §8):
+    /// the probe sees merged order where flows meet (DESIGN.md §4):
     /// * the sweep fires after every row before that cut row and none
     ///   after it;
     /// * DNS rows reach the transaction log in merged order — the

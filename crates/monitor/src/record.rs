@@ -103,6 +103,10 @@ impl RttSummary {
     }
 }
 
+/// How many early packets the probe time-stamps per flow: a record
+/// holds at most this many, and a decoder refuses more.
+pub const EARLY_PACKETS: usize = 10;
+
 /// Timing/size of one of the first packets of a flow.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EarlyPacket {

@@ -1,4 +1,4 @@
-//! Watermark sealing (DESIGN.md §10): the probe's output log, and how
+//! Watermark sealing (DESIGN.md §5): the probe's output log, and how
 //! "rows in eviction order + a mark" become canonically ordered pieces
 //! whose concatenation is the canonical order of the whole capture.
 //!

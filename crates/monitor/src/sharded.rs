@@ -4,8 +4,9 @@
 //! The type has this name, and `new` a `shards` argument, because
 //! `benchmark/` constructs it that way; the argument is ignored, and
 //! everything else is the probe's, through `Deref`. Production code
-//! holds a `Probe`. DESIGN.md §7 has the measurements that left the
-//! paper's one-probe vantage as the only one.
+//! holds a `Probe`. CHANGES.md (PR 18) has the measurements that left
+//! the paper's one-probe vantage as the only one; DESIGN.md §10 lists
+//! what the harness still calls.
 
 use crate::probe::{Probe, ProbeConfig};
 use crate::record::{DnsRecord, FlowRecord};

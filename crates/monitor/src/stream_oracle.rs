@@ -2,9 +2,9 @@
 //! test that holds the production code to them.
 //!
 //! [`VecReassembler`] and [`CopyAllInspect`] are the implementations
-//! the probe ran before payloads were borrowed (DESIGN.md §14): the
-//! reassembler returned a `Vec<Bytes>` per segment, the inspect buffer
-//! copied every chunk before looking at it. They are kept verbatim
+//! the probe ran before payloads were borrowed (DESIGN.md §4
+//! "Borrowed payloads"): the reassembler returned a `Vec<Bytes>` per
+//! segment, the inspect buffer copied every chunk before looking at it. They are kept verbatim
 //! (telemetry aside; the limits are the production constants, which are
 //! policy, not algorithm) and compiled for tests only. The production pair —
 //! callback [`StreamReassembler`] feeding slice-fed [`InspectBuffer`] —

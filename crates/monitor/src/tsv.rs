@@ -1,5 +1,5 @@
-//! The TSV block codec the log formats are built from (DESIGN.md "Log
-//! codec"): allocation-free field encoders, a writer that hands its
+//! The TSV block codec the log formats are built from (DESIGN.md §5 "The
+//! log codec"): allocation-free field encoders, a writer that hands its
 //! sink 64 KiB blocks, and a reader that walks one reused line buffer.
 //!
 //! The schemas live next to their records — flow and DNS logs in

@@ -257,7 +257,7 @@ impl<'a> DelaySnapshot<'a> {
 /// to a shared per-cohort delay column. The flow's `(start, end)`
 /// slice of that column (from [`finish`](Self::finish)) lets the
 /// emission pass replay the terms positionally without touching the
-/// parent RNG — the cohort-synthesis contract of DESIGN.md §8.
+/// parent RNG — the cohort-synthesis contract of DESIGN.md §3.
 pub struct DelayPlanner<'a, 'c> {
     snap: DelaySnapshot<'a>,
     col: &'c mut Vec<SimDuration>,

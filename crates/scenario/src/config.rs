@@ -76,7 +76,7 @@ impl ScenarioConfig {
         self
     }
 
-    /// No-op: the packet path is single-threaded (DESIGN.md §7). Kept
+    /// No-op: the packet path is single-threaded (DESIGN.md §2). Kept
     /// because `benchmark/` calls it.
     pub fn with_threads(self, _threads: usize) -> ScenarioConfig {
         self

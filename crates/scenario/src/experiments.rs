@@ -3,7 +3,7 @@
 //! frame fold every command runs, and [`paper_reports_records`], the
 //! record-slice reference it is pinned to — and the sealed-run ablation
 //! summary. The five per-figure wrappers stay only because `benchmark/`
-//! calls them (DESIGN.md §7); nothing in `satwatch` does.
+//! calls them (DESIGN.md §10); nothing in `satwatch` does.
 
 use crate::config::ScenarioConfig;
 use crate::run::{run_sealed, Dataset};
@@ -93,7 +93,7 @@ pub fn paper_reports_records(
 /// The production path: frame + fused sweep, same outputs byte for
 /// byte. `_workers` is ignored: the sweep runs on the calling thread,
 /// and the parameter stays only because `benchmark/` calls this
-/// signature (DESIGN.md §7).
+/// signature (DESIGN.md §10).
 pub fn paper_reports_columnar(
     fr: &satwatch_analytics::FlowFrame,
     dns: &[DnsRecord],

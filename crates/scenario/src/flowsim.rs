@@ -190,8 +190,8 @@ impl<'a> FlowBuilder<'a> {
 /// All values one flow pulled off the **parent** RNG stream, recorded
 /// by [`NetModel::plan_flow_cached`] in exactly the order a one-pass
 /// synthesis would draw them, so [`NetModel::emit_flow`] can replay
-/// the flow without touching the parent stream at all (DESIGN.md "The
-/// packet path and its reference").
+/// the flow without touching the parent stream at all (DESIGN.md §3,
+/// the draw-order proof).
 ///
 /// Scalar draws land in named fields; the variable-length delay draws
 /// (uplink/downlink traversals, PEP setup, resolver latency, home-RTT

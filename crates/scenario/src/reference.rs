@@ -17,8 +17,8 @@
 //! merged order `(time, push order, row)`, with runs pushed in
 //! intent-pop order and each run written in time order by emission,
 //! none of its rows before its intent, is the same total order, and
-//! its passes keep that order wherever flows meet (DESIGN.md "The
-//! packet path and its reference").
+//! its passes keep that order wherever flows meet (DESIGN.md §4
+//! "Passes reproduce the heap's order").
 
 use crate::config::ScenarioConfig;
 use crate::run::{build_enrichment, setup, Dataset};

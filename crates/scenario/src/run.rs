@@ -186,7 +186,7 @@ struct DayScratch {
     /// merged order `(time, push order, row)` is the
     /// all-packets-through-one-heap `(at, seq)` order of
     /// [`run_reference`](crate::reference::run_reference) bit for bit
-    /// — see DESIGN.md "The packet path and its reference" — while
+    /// — see DESIGN.md §4 "Passes reproduce the heap's order" — while
     /// moving no packet data and recycling every run buffer.
     runs: LiveRuns,
     /// Payload bytes for a cohort's packets are bump-allocated
@@ -366,7 +366,7 @@ fn collect(cfg: ScenarioConfig, tap: Option<Tap<'_>>) -> Dataset {
 /// `on_piece`, canonically sorted, every piece wholly after the one
 /// before — their concatenation is the flow and DNS logs of [`run`],
 /// while only the live tail (minutes of rows) is ever resident
-/// (DESIGN.md §10). `on_piece` returning `Break` ends the run there:
+/// (DESIGN.md §5). `on_piece` returning `Break` ends the run there:
 /// nothing more is simulated or sealed.
 pub fn run_sealed(
     cfg: ScenarioConfig,
@@ -389,7 +389,7 @@ pub fn run_sealed(
 /// Run a scenario with streaming flow ingest: after every pass the
 /// flows the probe logged go into an incremental frame builder, in
 /// eviction order, and at every sweep the builder seals the rows
-/// behind the flow watermark (DESIGN.md §10). The frame is
+/// behind the flow watermark (DESIGN.md §6). The frame is
 /// byte-identical to `FlowFrame::from_records` over the batch run's
 /// flows, and the DNS log to the batch run's, while the full record
 /// vector is never materialized and no day is sorted.
@@ -530,11 +530,11 @@ fn drive_day(
         let next_midnight = SimTime::from_secs((day + 1) * satwatch_simcore::time::SECS_PER_DAY);
         let horizon = next_midnight + satwatch_simcore::SimDuration::from_secs(3_600);
         let mut flow_rng = seeds.rng_idx("flows", day);
-        // Cohort-batched drive (DESIGN.md "The packet path and its
-        // reference"): pop a cohort of consecutive pending intents,
-        // run the *planning* pass serially over the shared flow RNG
-        // (same stream, same draw order per flow as the reference's
-        // flow-at-a-time `simulate_flow`), then expand every plan to
+        // Cohort-batched drive (DESIGN.md §3 "Synthesis"): pop a
+        // cohort of consecutive pending intents, run the *planning*
+        // pass serially over the shared flow RNG (same stream, same
+        // draw order per flow as the reference's flow-at-a-time
+        // `simulate_flow`), then expand every plan to
         // packets RNG-free into recycled buffers. Runs are pushed in
         // intent-pop order, so push order — the merged order's
         // tie-break — is the reference heap's sequence order; each

@@ -1,6 +1,6 @@
-//! The production packet path against its reference (DESIGN.md "The
-//! packet path and its reference"): for any small scenario,
-//! `run(cfg)` — cohort synthesis, tournament merge, stretch walker —
+//! The production packet path against its reference (DESIGN.md §4
+//! "Passes reproduce the heap's order"): for any small scenario,
+//! `run(cfg)` — cohort synthesis, passes, stretch walker —
 //! must equal `run_reference(cfg)`, the single-heap per-packet loop:
 //! same packet count, same flow records, same DNS records, same
 //! dataset digest.

@@ -1,4 +1,4 @@
-//! The sealed stream across day boundaries (DESIGN.md §10): pieces
+//! The sealed stream across day boundaries (DESIGN.md §5): pieces
 //! written through the block codec as they are sealed are the logs the
 //! single-heap reference writes at the end, byte for byte — and they
 //! are only because the drive loop holds every mark at the coming

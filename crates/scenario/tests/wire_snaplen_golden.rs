@@ -3,7 +3,7 @@
 //! `column_wire_roundtrip.rs` drives whole frames through
 //! `Probe::observe_wire`; a capture that keeps only each frame's head
 //! — what `benchmark/`'s `wire_ingest` reads, and what a span-port
-//! deployment stores — takes the accounting rule of DESIGN.md §14:
+//! deployment stores — takes the accounting rule of DESIGN.md §4:
 //! counters from the IP header, sequence space and DPI from the bytes
 //! in hand. This test writes a scenario's span port through
 //! [`PcapWriter`] at three snap lengths, reads each capture back with

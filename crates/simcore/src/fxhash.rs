@@ -14,7 +14,7 @@
 //! no per-instance random state, so map *iteration order* is stable
 //! across runs and processes. Nothing may rely on that order for
 //! output (sorted drains remain mandatory — see DESIGN.md
-//! "Parallelism & determinism"), but stability removes a whole class
+//! §2), but stability removes a whole class
 //! of flaky-ordering bugs from debugging sessions.
 
 use std::hash::{BuildHasherDefault, Hasher};

@@ -32,8 +32,8 @@
 //!
 //! The merge key is `(SimTime, run_id)` where `run_id` is assigned
 //! monotonically at [`push`](ColMerge::push) time; within a run,
-//! items pop in index order. DESIGN.md ("The packet path and its
-//! reference") spells out why this reproduces the event queue's
+//! items pop in index order. DESIGN.md (§4 "Passes reproduce the
+//! heap's order") spells out why this reproduces the event queue's
 //! `(at, seq)` FIFO order exactly when runs are pushed in flow-start
 //! order and each run is stable-sorted by time.
 

@@ -4,7 +4,7 @@
 //! ## One atomic per instrument
 //!
 //! satwatch records from one thread — the pipeline runs on one, and
-//! the ticker thread only reads (DESIGN.md §7). A counter or gauge is
+//! the ticker thread only reads (DESIGN.md §2). A counter or gauge is
 //! therefore a single relaxed `AtomicU64`: a record is one uncontended
 //! `fetch_add`, a read is one load. A read concurrent with writes sees
 //! every increment that happened-before it and may see in-flight

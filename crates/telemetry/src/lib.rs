@@ -11,7 +11,7 @@
 //!   never read back by simulation code, all atomics are `Relaxed`,
 //!   and record paths never allocate, so observation cannot perturb
 //!   the deterministic output. `crates/scenario` proves this with a
-//!   byte-identity test at multiple thread counts.
+//!   byte-identity test with telemetry on and off.
 //! - **One atomic per instrument.** The pipeline records from one
 //!   thread and the ticker only reads, so a counter or gauge is a
 //!   single relaxed `AtomicU64`: a record is one uncontended

@@ -1,6 +1,6 @@
-//! Ablation integration tests (DESIGN.md §5): the design choices the
-//! paper discusses must move the measurements in the predicted
-//! direction when toggled.
+//! Ablation integration tests (DESIGN.md §1 "Experiment index"): the
+//! design choices the paper discusses must move the measurements in
+//! the predicted direction when toggled.
 
 use satwatch::analytics::PaperReports;
 use satwatch::scenario::experiments::{self, paper_reports_columnar, AblationSummary};
