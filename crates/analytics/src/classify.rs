@@ -489,7 +489,7 @@ mod tests {
         let mut rng = satwatch_simcore::Rng::new(9);
         for svc in &catalog {
             for _ in 0..20 {
-                let d = svc.sample_domain(&mut rng);
+                let d = svc.sample_domain(&mut rng).name();
                 let got = c.classify(d);
                 assert!(got.is_some(), "{} generated unclassifiable {d}", svc.name);
                 let (name, cat) = got.unwrap();

@@ -16,7 +16,7 @@ use satwatch_monitor::checkpoint::{put_bytes, put_u32, put_u64, CheckpointError}
 use satwatch_monitor::{Probe, ProbeState};
 use satwatch_scenario::digest::fnv1a;
 use satwatch_scenario::experiments::paper_reports_columnar;
-use satwatch_scenario::{dataset_digest, run, DayRunner, ScenarioConfig};
+use satwatch_scenario::{dataset_digest, run, run_report, DayRunner, ScenarioConfig};
 use satwatch_simcore::time::SECS_PER_DAY;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -114,6 +114,36 @@ fn kill_after_each_day_and_resume_is_bit_identical() {
     assert_eq!(out.dataset_digest, Some(want_ds), "kill/resume changed the dataset bytes");
     assert_eq!(out.report_digest, Some(want_rep), "kill/resume changed the report bytes");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A what-if campaign — PEP off, an African ground station and every
+/// customer forced onto the operator resolver, all at once — killed
+/// after day 0 and resumed ends on `run`'s dataset digest and
+/// `run_report`'s report digest. The forced resolver is written into
+/// each intent as its day is generated, so it must survive the
+/// checkpoint as the batch run has it.
+#[test]
+fn a_what_if_campaign_killed_and_resumed_matches_the_batch_run() {
+    let cfg = ScenarioConfig::tiny()
+        .with_customers(12)
+        .with_days(2)
+        .with_seed(0x5eed_0038)
+        .without_pep()
+        .with_african_ground_station()
+        .with_forced_operator_dns();
+    let want_ds = dataset_digest(&run(cfg));
+    let want_rep = fnv1a(run_report(cfg).reports.render_all().as_bytes());
+    let dir = tmp_dir("what-if");
+    {
+        let mut c = Campaign::create(&dir, cfg).unwrap();
+        let out = c.run(&RunOptions { abort_after_day: Some(0), ..RunOptions::default() }).unwrap();
+        assert!(!out.completed && out.days_completed == 1);
+    }
+    let out = Campaign::resume(&dir).unwrap().run(&RunOptions::default()).unwrap();
+    assert!(out.completed);
+    assert_eq!(out.dataset_digest, Some(want_ds), "the what-if campaign's dataset diverged from the batch run");
+    assert_eq!(out.report_digest, Some(want_rep), "the what-if campaign's reports diverged from run_report's");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

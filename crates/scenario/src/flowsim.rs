@@ -409,7 +409,7 @@ impl NetModel {
         // --- resolution chain: hint → serving region → server addr ---
         let hint = intent.resolver.hint_region(rng, customer.country.home_region());
         let region = svc.hosting.serving_region(&self.cdns, hint, rng);
-        let server = satwatch_internet::server::server_address_for_domain(region, intent.domain, rng);
+        let server = satwatch_internet::server::server_address_for_domain(region, intent.domain.name(), rng);
         let g_base = self.ground_rtt_base(region, customer.country.is_african(), rng);
         let grtt = rng.fork("grtt");
 
@@ -582,11 +582,11 @@ impl NetModel {
             let resolver_addr = intent.resolver.address();
             let t_q = intent.start + dq.next();
             fb.udp_raw_w(t_q, terminal.address, resolver_addr, dns_port, 53, |b| {
-                dns::write_a_query(b, qid, intent.domain)
+                dns::write_a_query(b, qid, intent.domain.name())
             });
             let t_r = t_q + dq.next();
             fb.udp_raw_w(t_r, resolver_addr, terminal.address, 53, dns_port, |b| {
-                dns::write_a_answer(b, qid, intent.domain, plan.server, 300)
+                dns::write_a_answer(b, qid, intent.domain.name(), plan.server, 300)
             });
             t_client_ready = t_r + dq.next();
         }
@@ -654,7 +654,9 @@ impl NetModel {
                 // learns of SYN-ACK after a satellite round, then the
                 // CH crosses again.
                 let t_ch = if self.pep_enabled { t_synack + eps + eps } else { t_synack + dq.next() + dq.next() };
-                fb.tcp_w(t_ch, true, TcpFlags::PSH_ACK, |b| tls::client_hello_into(b, intent.domain, *ch_random));
+                fb.tcp_w(t_ch, true, TcpFlags::PSH_ACK, |b| {
+                    tls::client_hello_into(b, intent.domain.name(), *ch_random)
+                });
                 // server flight
                 let t_sh = t_ch.max(t_synack) + g() + *sh_jitter;
                 fb.tcp_w(t_sh, false, TcpFlags::PSH_ACK, |b| tls::server_hello_into(b, *sh_random));
@@ -685,7 +687,7 @@ impl NetModel {
                 let mut pathbuf = [0u8; 20];
                 let path = content_path(&mut pathbuf, *path_n);
                 fb.tcp_w(t_get, true, TcpFlags::PSH_ACK, |b| {
-                    http::get_request_into(b, intent.domain, path, "satwatch-ua/1.0")
+                    http::get_request_into(b, intent.domain.name(), path, "satwatch-ua/1.0")
                 });
                 let t_head = t_get + g() + *head_jitter;
                 fb.tcp_w(t_head, false, TcpFlags::PSH_ACK, |b| {
@@ -845,7 +847,7 @@ fn emit_quic(
 ) {
     // QUIC bypasses the PEP: everything end-to-end over 550 ms.
     let t_init = t_ready + dq.next();
-    fb.udp_w(t_init, true, |b| quic::initial_with_sni_into(b, dcid, scid, intent.domain, init_random));
+    fb.udp_w(t_init, true, |b| quic::initial_with_sni_into(b, dcid, scid, intent.domain.name(), init_random));
     // server handshake flight
     let t_hs = t_init + g();
     fb.udp_w(t_hs, false, |b| quic::short_packet_into(b, scid, 1200, 0x71));
@@ -947,7 +949,7 @@ mod tests {
     use satwatch_satcom::mac::{Mac, MacConfig};
     use satwatch_satcom::pep::{PepConfig, PepModel};
     use satwatch_simcore::SeedTree;
-    use satwatch_traffic::{build_population, catalog::standard_catalog, Country};
+    use satwatch_traffic::{build_population, catalog::standard_catalog, Country, DomainId};
 
     fn model(pep: bool) -> NetModel {
         NetModel {
@@ -975,7 +977,7 @@ mod tests {
             customer_index: 0,
             start: SimTime::from_secs(12 * 3600),
             service: svc.id,
-            domain: "static.whatsapp.net",
+            domain: DomainId::of("static.whatsapp.net").unwrap(),
             protocol: proto,
             down_bytes: 200_000,
             up_bytes: 40_000,
@@ -1092,7 +1094,7 @@ mod tests {
             customer_index: 0,
             start: SimTime::from_secs(12 * 3600),
             service: svc.id,
-            domain: "www.netflix.com",
+            domain: DomainId::of("www.netflix.com").unwrap(),
             protocol: FlowProtocol::Tls,
             down_bytes: 2_000_000,
             up_bytes: 5_000,

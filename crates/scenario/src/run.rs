@@ -28,7 +28,7 @@ use satwatch_satcom::mac::{Mac, MacConfig};
 use satwatch_satcom::pep::{PepConfig, PepModel};
 use satwatch_satcom::{GroundStation, SatelliteAccess};
 use satwatch_simcore::{SeedTree, SimTime};
-use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, Population};
+use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, FlowIntent, Population};
 use std::ops::ControlFlow;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -51,6 +51,9 @@ struct Metrics {
     /// sweep falling inside one).
     passes: &'static satwatch_telemetry::Counter,
     live_runs: &'static satwatch_telemetry::Gauge,
+    /// Bytes the day's intent queue holds when it is sealed, before
+    /// the first pop.
+    intent_queue_bytes: &'static satwatch_telemetry::Gauge,
     /// Rows that took one of the probe's merged-order lanes.
     ordered_rows: &'static satwatch_telemetry::Counter,
 }
@@ -68,6 +71,7 @@ fn metrics() -> &'static Metrics {
         probe_us: satwatch_telemetry::histogram("scenario_probe_us"),
         passes: satwatch_telemetry::counter("scenario_passes_total"),
         live_runs: satwatch_telemetry::gauge("scenario_live_runs"),
+        intent_queue_bytes: satwatch_telemetry::gauge("scenario_intent_queue_bytes"),
         ordered_rows: satwatch_telemetry::counter("scenario_ordered_rows_total"),
         setup_us: satwatch_telemetry::histogram("scenario_setup_us"),
         finish_us: satwatch_telemetry::histogram("scenario_finish_us"),
@@ -199,12 +203,13 @@ struct DayScratch {
     /// planner — pure-function memoization, value-identical snapshots.
     delay_cache: satwatch_satcom::DelayCache,
     /// The running day's pending intents: the one buffer here whose
-    /// size is a whole day's (≈ 80 B per intent, 5 MB at 100
-    /// customers). A fresh vector per day regrows through the heap
-    /// every day after the first — the allocator stops `mmap`ing it
-    /// once the first one has been freed — and a multi-day run's peak
-    /// crept up by the steps it left behind (`simulate`, 100 customers
-    /// × 4 days: 22.1 MB against 20.6 MB reusing it).
+    /// size is a whole day's when the day starts — 48 B an intent,
+    /// 2.6 MB at 100 customers and 6.3 MB at 240
+    /// (`scenario_intent_queue_bytes`) — and that shrinks as the day
+    /// drains it. What is left of it at midnight is kept for the next
+    /// day: a fresh vector per day regrows through whatever the heap
+    /// holds by then, and peaks higher (`simulate`, 100 customers ×
+    /// 4 days, seed 7: 17.2 MB against 16.4 MB reusing it).
     intents: IntentQueue,
 }
 
@@ -219,41 +224,71 @@ impl DayScratch {
     }
 }
 
+/// Slack, in entries, a draining [`IntentQueue`] may hold beyond what
+/// is still to come before it gives its drained tail back: 384 KiB.
+const RELEASE_BLOCK: usize = 8_192;
+
 /// One day's pending flow intents, popped in `(start, schedule-order)`
 /// order — the order `EventQueue` delivers with its FIFO tie-break.
 /// Intents are all known before the drive loop starts and none is ever
 /// re-scheduled, so a vector sorted once (descending, popped from the
-/// back) replaces the binary heap: no per-pop sift-down shuffling
-/// ~100-byte entries, and `peek`/`pop` are a bounds check.
+/// back) replaces the binary heap: no per-pop sift-down, and
+/// `peek`/`pop` are a bounds check.
+///
+/// Every pop leaves one more unused slot at the end of the buffer.
+/// Once they pass [`RELEASE_BLOCK`], the buffer shrinks to what is
+/// still to come —
+/// for a buffer the allocator `mmap`ed, a shrinking `realloc` is an
+/// `mremap`, so the drained tail's pages go back to the system as
+/// the day advances instead of at midnight (DESIGN.md §3 "Synthesis").
 struct IntentQueue {
-    /// `(start, schedule seq, intent)`, sorted descending by
-    /// `(start, seq)` once [`seal`](Self::seal)ed.
-    v: Vec<(SimTime, u32, satwatch_traffic::FlowIntent)>,
+    /// `(schedule seq, intent)`, sorted descending by `(start, seq)`
+    /// once [`seal`](Self::seal)ed. The intent carries its start, so
+    /// an entry is 48 bytes.
+    v: Vec<(u32, FlowIntent)>,
 }
+
+const _: () = assert!(std::mem::size_of::<FlowIntent>() <= 40 && std::mem::size_of::<(u32, FlowIntent)>() <= 48);
 
 impl IntentQueue {
     fn new() -> IntentQueue {
         IntentQueue { v: Vec::new() }
     }
 
-    fn schedule(&mut self, at: SimTime, intent: satwatch_traffic::FlowIntent) {
+    fn schedule(&mut self, intent: FlowIntent) {
         let seq = self.v.len() as u32;
-        self.v.push((at, seq, intent));
+        self.v.push((seq, intent));
+    }
+
+    /// Bytes the queue's buffer holds, pending or not.
+    fn allocated_bytes(&self) -> usize {
+        self.v.capacity() * std::mem::size_of::<(u32, FlowIntent)>()
     }
 
     /// Sort for popping. Must be called after the last `schedule` and
     /// before the first `peek_time`/`pop`. `(start, seq)` keys are
     /// unique, so the unstable sort is deterministic.
     fn seal(&mut self) {
-        self.v.sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
+        self.v.sort_unstable_by_key(|(seq, intent)| std::cmp::Reverse((intent.start, *seq)));
+        self.release();
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.v.last().map(|e| e.0)
+        self.v.last().map(|(_, intent)| intent.start)
     }
 
-    fn pop(&mut self) -> Option<satwatch_traffic::FlowIntent> {
-        self.v.pop().map(|e| e.2)
+    fn pop(&mut self) -> Option<FlowIntent> {
+        let (_, intent) = self.v.pop()?;
+        self.release();
+        Some(intent)
+    }
+
+    /// Shrink the buffer to the entries still to come once more than a
+    /// [`RELEASE_BLOCK`] of it is drained.
+    fn release(&mut self) {
+        if self.v.capacity() - self.v.len() > RELEASE_BLOCK {
+            self.v.shrink_to_fit();
+        }
     }
 }
 
@@ -521,12 +556,13 @@ fn drive_day(
                     if cfg.force_operator_dns {
                         intent.resolver = ResolverId::OperatorEu;
                     }
-                    intents.schedule(intent.start, intent);
+                    intents.schedule(intent);
                 }
             }
         }
         m.intents.add(intents.v.len() as u64);
         intents.seal();
+        m.intent_queue_bytes.set(intents.allocated_bytes() as i64);
         let next_midnight = SimTime::from_secs((day + 1) * satwatch_simcore::time::SECS_PER_DAY);
         let horizon = next_midnight + satwatch_simcore::SimDuration::from_secs(3_600);
         let mut flow_rng = seeds.rng_idx("flows", day);
@@ -549,7 +585,7 @@ fn drive_day(
         // pay geometric-growth memcpy per block.
         const COHORT: usize = 64;
         delay_cache.begin_day(day);
-        let mut cohort: Vec<(satwatch_traffic::FlowIntent, crate::flowsim::FlowPlan)> = Vec::with_capacity(COHORT);
+        let mut cohort: Vec<(FlowIntent, crate::flowsim::FlowPlan)> = Vec::with_capacity(COHORT);
         let mut cohort_runs: Vec<PacketColumns> = Vec::with_capacity(COHORT);
         let mut delay_col: Vec<satwatch_simcore::SimDuration> = Vec::new();
         let (mut synth_ns, mut plan_ns, mut probe_ns) = (0u64, 0u64, 0u64);
@@ -665,6 +701,51 @@ pub fn build_enrichment(population: &Population, anon_seed: u64, days: u64) -> E
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Random schedules, with equal starts within one customer and
+    /// across customers: pops come out as a stable sort of schedule
+    /// order by start, and the buffer never holds more than a block
+    /// beyond what is still to come.
+    #[test]
+    fn the_queue_pops_in_schedule_order_and_releases_as_it_drains() {
+        use satwatch_traffic::{DomainId, FlowProtocol, ServiceId};
+        let mut rng = satwatch_simcore::Rng::new(38);
+        let mut q = IntentQueue::new();
+        // the queue is reused across days, as a run reuses it
+        for n in [0, 1, 7, 3 * RELEASE_BLOCK + 17, RELEASE_BLOCK, 100, 5 * RELEASE_BLOCK] {
+            // few distinct starts among few customers: ties everywhere
+            let starts = 1 + rng.below(n as u64 / 4 + 1);
+            let scheduled: Vec<FlowIntent> = (0..n)
+                .map(|k| FlowIntent {
+                    customer_index: rng.below(12) as usize,
+                    start: SimTime::from_secs(rng.below(starts)),
+                    service: ServiceId(0),
+                    domain: DomainId(0),
+                    protocol: FlowProtocol::Tls,
+                    down_bytes: k as u64,
+                    up_bytes: 0,
+                    needs_dns: false,
+                    resolver: ResolverId::Google,
+                })
+                .collect();
+            q.v.clear();
+            scheduled.iter().cloned().for_each(|i| q.schedule(i));
+            q.seal();
+            let mut want = scheduled.clone();
+            want.sort_by_key(|i| i.start);
+            let mut got = Vec::with_capacity(n);
+            while let Some(t) = q.peek_time() {
+                let intent = q.pop().unwrap();
+                assert_eq!(t, intent.start);
+                let (slots, left) = (q.v.capacity(), q.v.len());
+                assert!(slots <= left + RELEASE_BLOCK, "{slots} slots for {left} intents");
+                got.push((intent.start, intent.customer_index, intent.down_bytes));
+            }
+            let want: Vec<_> = want.iter().map(|i| (i.start, i.customer_index, i.down_bytes)).collect();
+            assert_eq!(got, want, "{n} intents");
+            assert!(q.allocated_bytes() <= RELEASE_BLOCK * std::mem::size_of::<(u32, FlowIntent)>());
+        }
+    }
 
     #[test]
     fn tiny_scenario_produces_consistent_dataset() {

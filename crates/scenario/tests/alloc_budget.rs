@@ -273,13 +273,16 @@ fn a_probe_state_claiming_more_entries_than_it_holds_reserves_nothing_for_them()
 
 /// `report`'s library call, 40 customers, one day: the rows and DNS
 /// records the probe seals are folded as it goes, so the day's frame,
-/// its sort and its DNS log are never live at once. Measured 260.4 B
-/// of peak live heap per flow; the calls it replaced (`run_streaming`,
-/// then `report_all` and Table 2 at the CSV floor over its frame)
-/// peaked at 335.9. The budget allows ×1.25, below the old peak.
+/// its sort and its DNS log are never live at once, and the day's
+/// intent queue gives its drained tail back as the day advances.
+/// Measured 205.2 B of peak live heap per flow (260.4 while each queue
+/// entry was 72 B and held to midnight); the calls the fold replaced
+/// (`run_streaming`, then `report_all` and Table 2 at the CSV floor
+/// over its frame) peaked at 335.9. The budget allows ×1.25, below the
+/// last peak.
 #[test]
 fn the_report_fold_peaks_at_its_budget_of_live_heap_per_flow() {
-    const BUDGET_PER_FLOW: f64 = 325.0;
+    const BUDGET_PER_FLOW: f64 = 256.0;
     let mut flows = 0;
     let peak = peak_live_bytes_in(|| {
         flows = satwatch_scenario::run_report(ScenarioConfig::tiny().with_customers(40).with_seed(42)).flows
@@ -293,11 +296,12 @@ fn the_report_fold_peaks_at_its_budget_of_live_heap_per_flow() {
 /// A campaign seals the probe's log at every sweep: the day's flows
 /// leave as rows of its segment (columns, ≈ 90 B a row), its DNS as
 /// spill bytes, and the report folds as they go — no day of records is
-/// resident and no segment is read back. Measured 225.9 B of peak live
-/// heap per flow at 40 customers × 2 days; the parent, which held each
-/// day's records until its checkpoint and re-read every segment and
-/// DNS spill at completion, peaked at 525.1. The budget allows ×1.25,
-/// well below the old peak.
+/// resident and no segment is read back, and each day's intent queue
+/// shrinks as it drains. Measured 193.3 B of peak live heap per flow at
+/// 40 customers × 2 days (225.9 while the queue held 72 B an intent to
+/// midnight; 525.1 while each day's records waited for the checkpoint
+/// and every segment and DNS spill was re-read at completion). The
+/// budget allows ×1.25, below the last peak.
 ///
 /// Synthesis leaks one 64 MB zero block for bulk payloads on first use
 /// (`calloc`'d, so it costs no resident memory): a small run first
@@ -305,7 +309,7 @@ fn the_report_fold_peaks_at_its_budget_of_live_heap_per_flow() {
 /// binary meets it first.
 #[test]
 fn the_campaign_peaks_at_its_budget_of_live_heap_per_flow() {
-    const BUDGET_PER_FLOW: f64 = 280.0;
+    const BUDGET_PER_FLOW: f64 = 241.0;
     run_with_tap(ScenarioConfig::tiny().with_customers(5), |_, _| {});
     let dir = std::env::temp_dir().join(format!("swcampaign-alloc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -45,6 +45,9 @@ fn snapshot_covers_every_pipeline_layer() {
     assert!(answered > 0);
     assert!(counter("scenario_ordered_rows_total") >= 2 * answered);
     assert_eq!(snap.gauge("scenario_live_runs"), Some(0));
+    // the day's intent queue, itemised as it stood when sealed
+    let queue = snap.gauge("scenario_intent_queue_bytes").expect("scenario_intent_queue_bytes registered");
+    assert!(queue > 0, "the sealed queue holds the day's intents: {queue} bytes");
 
     // satcom layer
     assert!(counter("satcom_uplink_traversals_total") > 0);

@@ -11,7 +11,7 @@
 use satwatch_internet::cdn::well_known as cdn;
 use satwatch_internet::{Hosting, Region};
 use satwatch_simcore::dist::LogNormal;
-use satwatch_simcore::{FxHashMap, Rng};
+use satwatch_simcore::Rng;
 use std::sync::OnceLock;
 
 /// Service categories from §3.1/Fig 6/Fig 7, plus internal categories
@@ -190,39 +190,87 @@ pub struct ServiceSpec {
 }
 
 /// How many names one `{n}` template expands to: `{n}` ∈ `0..32`.
-const TEMPLATE_EXPANSIONS: usize = 32;
+const TEMPLATE_EXPANSIONS: u16 = 32;
 
-impl ServiceSpec {
-    /// Pick a concrete domain for one flow. A `{n}` template draws its
-    /// number from `0..32` and returns that name out of one table of
-    /// every template's expansions, built once per process, so a flow's
-    /// domain is a pointer into memory that lives as long as the
-    /// process — no allocation and no lock per flow.
-    pub fn sample_domain(&self, rng: &mut Rng) -> &'static str {
-        let template = *rng.pick(self.domains);
-        if template.contains("{n}") {
-            expansions(template)[rng.below(TEMPLATE_EXPANSIONS as u64) as usize]
-        } else {
-            template
-        }
+/// A flow's domain: an index into one table of every name the
+/// standard catalog can put in SNI/Host — each plain domain, and the
+/// 32 expansions of each `{n}` template — built once per process. It
+/// is two bytes of a [`FlowIntent`](crate::FlowIntent), where the
+/// string would take sixteen; [`name`](Self::name) gives back the
+/// string the table holds, so a flow's domain is never a per-flow
+/// allocation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct DomainId(pub u16);
+
+impl DomainId {
+    /// The name this id stands for.
+    pub fn name(self) -> &'static str {
+        domain_table().names[self.0 as usize]
+    }
+
+    /// The id of `name`, if the standard catalog can generate it.
+    pub fn of(name: &str) -> Option<DomainId> {
+        domain_table().names.iter().position(|&n| n == name).map(|i| DomainId(i as u16))
     }
 }
 
-/// The 32 names each `{n}` template of the standard catalog expands to,
-/// built once per process: 16 templates, 512 names. Templates are only
-/// written in [`standard_catalog`], so the table is bounded by it.
-fn expansions(template: &str) -> &'static [&'static str; TEMPLATE_EXPANSIONS] {
-    static TABLE: OnceLock<FxHashMap<&'static str, [&'static str; TEMPLATE_EXPANSIONS]>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let templates = standard_catalog().into_iter().flat_map(|s| s.domains).filter(|d| d.contains("{n}"));
-        templates
-            .map(|&t| {
-                let names = std::array::from_fn(|n| &*Box::leak(t.replace("{n}", &n.to_string()).into_boxed_str()));
-                (t, names)
+/// Every name of the standard catalog, by [`DomainId`].
+struct DomainTable {
+    names: Vec<&'static str>,
+    /// Per service (indexed by [`ServiceId`]), one `(first id, names)`
+    /// per entry of its `domains`: a plain domain is one name, a
+    /// template its 32 expansions, in `{n}` order.
+    slots: Vec<Vec<(u16, u16)>>,
+}
+
+/// The one [`DomainTable`], built on first use from
+/// [`standard_catalog`]: 16 templates × 32 names plus the plain
+/// domains. Templates are only written there, so the table is bounded
+/// by it.
+fn domain_table() -> &'static DomainTable {
+    static TABLE: OnceLock<DomainTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut names: Vec<&'static str> = Vec::new();
+        let slots = standard_catalog()
+            .iter()
+            .map(|s| {
+                s.domains
+                    .iter()
+                    .map(|&d| {
+                        let first = names.len() as u16;
+                        if d.contains("{n}") {
+                            names.extend(
+                                (0..TEMPLATE_EXPANSIONS)
+                                    .map(|n| &*Box::leak(d.replace("{n}", &n.to_string()).into_boxed_str())),
+                            );
+                        } else {
+                            names.push(d);
+                        }
+                        (first, names.len() as u16 - first)
+                    })
+                    .collect()
             })
-            .collect()
-    });
-    table.get(template).unwrap_or_else(|| panic!("domain template {template:?} is not in the standard catalog"))
+            .collect();
+        assert!(names.len() <= usize::from(u16::MAX), "{} domain names overflow a DomainId", names.len());
+        DomainTable { names, slots }
+    })
+}
+
+impl ServiceSpec {
+    /// Pick a concrete domain for one flow: one entry of `domains`, and
+    /// for a `{n}` template its number from `0..32`. The id names a
+    /// string of the process-wide [`DomainId`] table — no allocation
+    /// and no lock per flow.
+    pub fn sample_domain(&self, rng: &mut Rng) -> DomainId {
+        let slots = &domain_table().slots[self.id.0 as usize];
+        assert_eq!(slots.len(), self.domains.len(), "{} is not a standard catalog service", self.name);
+        let &(first, names) = rng.pick(slots);
+        if names == 1 {
+            DomainId(first)
+        } else {
+            DomainId(first + rng.below(u64::from(names)) as u16)
+        }
+    }
 }
 
 macro_rules! svc {
@@ -430,7 +478,7 @@ mod tests {
         let insta = find(&c, "Instagram").unwrap();
         let mut rng = Rng::new(1);
         for _ in 0..50 {
-            let d = insta.sample_domain(&mut rng);
+            let d = insta.sample_domain(&mut rng).name();
             assert!(!d.contains("{n}"), "{d}");
             assert!(d.contains("instagram") || d.contains("cdninstagram"), "{d}");
         }
@@ -439,17 +487,56 @@ mod tests {
     #[test]
     fn every_template_expands_to_its_32_names_once() {
         let c = standard_catalog();
-        let templates: Vec<&str> =
-            c.iter().flat_map(|s| s.domains.iter().copied()).filter(|d| d.contains("{n}")).collect();
+        let templates: Vec<(ServiceId, usize, &str)> = c
+            .iter()
+            .flat_map(|s| s.domains.iter().enumerate().map(move |(j, &d)| (s.id, j, d)))
+            .filter(|(_, _, d)| d.contains("{n}"))
+            .collect();
         assert_eq!(templates.len(), 16);
-        for t in templates {
-            let names = expansions(t);
-            for (n, name) in names.iter().enumerate() {
-                assert_eq!(*name, t.replace("{n}", &n.to_string()));
+        for (id, j, t) in templates {
+            let (first, names) = domain_table().slots[id.0 as usize][j];
+            assert_eq!(names, TEMPLATE_EXPANSIONS);
+            for n in 0..names {
+                let name = t.replace("{n}", &n.to_string());
+                assert_eq!(DomainId(first + n).name(), name);
+                // built once: no other id names it
+                assert_eq!(DomainId::of(&name), Some(DomainId(first + n)));
             }
-            // the same table every time: a name is never built twice
-            assert!(std::ptr::eq(names, expansions(t)));
         }
+    }
+
+    /// Every name `sample_domain` can return has an id, and the id
+    /// gives back the identical `&'static str` the flow used to carry:
+    /// the catalog literal itself for a plain domain, one interned
+    /// expansion for a template.
+    #[test]
+    fn every_sampled_name_maps_to_an_id_and_back() {
+        let c = standard_catalog();
+        let mut seen = 0;
+        for s in &c {
+            let slots = &domain_table().slots[s.id.0 as usize];
+            assert_eq!(slots.len(), s.domains.len(), "{}", s.name);
+            for (&d, &(first, names)) in s.domains.iter().zip(slots) {
+                for n in 0..names {
+                    let id = DomainId(first + n);
+                    let name = id.name();
+                    if d.contains("{n}") {
+                        assert_eq!(name, d.replace("{n}", &n.to_string()));
+                    } else {
+                        assert!(std::ptr::eq(name, d), "{d}: the table holds the catalog's own literal");
+                    }
+                    assert_eq!(DomainId::of(name).map(DomainId::name), Some(name));
+                    seen += 1;
+                }
+            }
+            // and a draw lands only on those names
+            let mut rng = Rng::new(u64::from(s.id.0));
+            for _ in 0..200 {
+                let id = s.sample_domain(&mut rng);
+                assert!(slots.iter().any(|&(first, names)| (first..first + names).contains(&id.0)), "{}", s.name);
+            }
+        }
+        assert_eq!(seen, domain_table().names.len());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod population;
 pub mod session;
 
 pub use archetype::Archetype;
-pub use catalog::{Category, FlowProtocol, ServiceId, ServiceSpec};
+pub use catalog::{Category, DomainId, FlowProtocol, ServiceId, ServiceSpec};
 pub use country::Country;
 pub use population::{build_population, Customer, Population};
 pub use session::{generate_day, FlowIntent};

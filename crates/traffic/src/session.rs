@@ -7,14 +7,15 @@
 //! generator pure makes the Fig 5/6/7 calibrations testable without
 //! running the network.
 
-use crate::catalog::{Category, FlowProtocol, ServiceId, ServiceSpec};
+use crate::catalog::{Category, DomainId, FlowProtocol, ServiceId, ServiceSpec};
 use crate::dnschoice::ResolverChoice;
 use crate::population::Customer;
 use satwatch_internet::ResolverId;
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::{Rng, SimDuration, SimTime};
 
-/// One flow the customer will open.
+/// One flow the customer will open. A day's intents all exist before
+/// its first packet, so the struct is kept to 40 bytes.
 #[derive(Clone, Debug)]
 pub struct FlowIntent {
     /// Index of the customer in the population vector.
@@ -23,9 +24,10 @@ pub struct FlowIntent {
     pub start: SimTime,
     pub service: ServiceId,
     /// The name the flow resolves and puts in SNI/Host: a catalog
-    /// domain or one of its template's interned expansions
-    /// ([`ServiceSpec::sample_domain`]), never a per-flow allocation.
-    pub domain: &'static str,
+    /// domain or one of its template's expansions
+    /// ([`ServiceSpec::sample_domain`]), by its id in the catalog's one
+    /// name table.
+    pub domain: DomainId,
     pub protocol: FlowProtocol,
     pub down_bytes: u64,
     pub up_bytes: u64,
@@ -389,8 +391,8 @@ mod tests {
     fn deterministic_generation() {
         let (_, a) = one_day_flows(7);
         let (_, b) = one_day_flows(7);
-        let fa: Vec<_> = a.iter().flatten().map(|f| (f.start, f.domain, f.down_bytes)).collect();
-        let fb: Vec<_> = b.iter().flatten().map(|f| (f.start, f.domain, f.down_bytes)).collect();
+        let fa: Vec<_> = a.iter().flatten().map(|f| (f.start, f.domain.name(), f.down_bytes)).collect();
+        let fb: Vec<_> = b.iter().flatten().map(|f| (f.start, f.domain.name(), f.down_bytes)).collect();
         assert_eq!(fa, fb);
     }
 

@@ -15,7 +15,7 @@ fn every_generated_domain_classifies() {
     let mut rng = Rng::new(0xC1A551F1);
     for svc in &catalog {
         for _ in 0..100 {
-            let d = svc.sample_domain(&mut rng);
+            let d = svc.sample_domain(&mut rng).name();
             let (name, cat) =
                 classifier.classify(d).unwrap_or_else(|| panic!("{} emitted unclassifiable domain {d}", svc.name));
             assert_eq!(cat, svc.category, "{d} classified as {name}/{cat:?}");
@@ -63,7 +63,7 @@ fn sld_extraction_consistent_with_generated_domains() {
     let mut rng = Rng::new(7);
     for svc in &catalog {
         for _ in 0..20 {
-            let d = svc.sample_domain(&mut rng);
+            let d = svc.sample_domain(&mut rng).name();
             let sld = second_level_domain(d);
             assert!(!sld.is_empty());
             assert!(d.ends_with(&sld), "{d} should end with {sld}");
