@@ -32,6 +32,7 @@ use satwatch_simcore::{FxHashMap, SimDuration, SimTime};
 use satwatch_traffic::{Category, Country};
 use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 const N_PROTO: usize = L7Protocol::ALL.len();
 const N_COUNTRY: usize = Country::ALL.len();
@@ -464,10 +465,12 @@ impl Fig11Acc {
 const NO_NAME: u32 = u32::MAX;
 
 /// DNS side of the Table 2 join: `(client, query name)` → lookups in
-/// `ts` order, exactly as `agg::table_cdn_selection` builds it from
-/// the whole log, with every distinct query name replaced by a small
-/// id. It grows a DNS record at a time, so the log can arrive in
-/// pieces and no record is kept once absorbed.
+/// `ts` order, as `agg::table_cdn_selection` builds it from the whole
+/// log, with every distinct query name replaced by a small id. It
+/// grows a DNS record at a time, so the log can arrive in pieces and
+/// no record is kept once absorbed, and it is pruned behind the rows
+/// absorbed ([`prune`](Self::prune)), so it holds the live DNS tail,
+/// not the run's lookups.
 #[derive(Default)]
 struct CdnJoin {
     /// Query name → name id, in first-seen order.
@@ -478,8 +481,8 @@ struct CdnJoin {
     sld_ids: FxHashMap<String, u32>,
     slds: Vec<String>,
     /// Each list is what a stable sort by `ts` of the concatenated
-    /// log gives: a record goes after every earlier one with a `ts` at
-    /// or before its own.
+    /// log gives, less a pruned prefix: a record goes after every
+    /// earlier one with a `ts` at or before its own. No list is empty.
     lookups: FxHashMap<(Ipv4Addr, u32), Vec<(SimTime, ResolverId)>>,
 }
 
@@ -502,6 +505,24 @@ impl CdnJoin {
         };
         let v = self.lookups.entry((d.client, name)).or_default();
         v.insert(v.partition_point(|(t, _)| *t <= d.ts), (d.ts, r));
+    }
+
+    /// Drop every lookup no row with `first ≥ mark` can be attributed
+    /// to: a lookup more than [`CDN_FRESH`] before `mark` is stale for
+    /// all of them, and so is every earlier lookup of its list. A row's
+    /// match is the newest lookup at or before its `first`; if that
+    /// was dropped it was stale, and now there is no match — neither
+    /// counts (DESIGN.md §6 "The fused fold and `ReportFold`",
+    /// "Pruning the join"). Lists left empty leave the map.
+    fn prune(&mut self, mark: SimTime) {
+        let mut held = 0;
+        self.lookups.retain(|_, v| {
+            let stale = v.partition_point(|&(ts, _)| mark - ts > CDN_FRESH);
+            v.drain(..stale);
+            held += v.len();
+            !v.is_empty()
+        });
+        join_lookups().set(held as i64);
     }
 
     /// Resolve a frame's domain dictionary against the join, once:
@@ -538,6 +559,12 @@ impl<'a> SweepCtx<'a> {
 /// Freshness window for attributing a flow to a DNS lookup (30 s, as
 /// in the record path).
 const CDN_FRESH: SimDuration = SimDuration::from_secs(30);
+
+/// Lookups the Table 2 join holds after its latest prune.
+fn join_lookups() -> &'static satwatch_telemetry::Gauge {
+    static G: OnceLock<&'static satwatch_telemetry::Gauge> = OnceLock::new();
+    G.get_or_init(|| satwatch_telemetry::gauge("analytics_cdn_join_lookups"))
+}
 
 #[derive(Default)]
 struct CdnAcc {
@@ -833,6 +860,12 @@ impl<'a> ReportFold<'a> {
         if rows.is_empty() {
             return;
         }
+        debug_assert!(
+            self.rows_through.is_none_or(|t| fr.first[rows.start] >= t),
+            "a row first at {:?} came after one first at {:?}: rows come in canonical order",
+            fr.first[rows.start],
+            self.rows_through
+        );
         let cx = SweepCtx::new(fr, &self.join, self.ctx.countries);
         let mut days = DaysAcc::default();
         for i in rows.clone() {
@@ -840,7 +873,10 @@ impl<'a> ReportFold<'a> {
             days.absorb(fr, i);
         }
         merge_customer_days(&mut self.days, days.finish(fr));
-        self.rows_through = Some(fr.first[rows.end - 1]);
+        // canonical order: no later row is first before this one
+        let mark = fr.first[rows.end - 1];
+        self.rows_through = Some(mark);
+        self.join.prune(mark);
     }
 
     /// Table 2 at another flow floor than [`finish`](Self::finish)'s
@@ -1037,16 +1073,17 @@ mod tests {
     }
 
     proptest! {
-        /// However the row sequence is cut into frames (1 to 6 of
-        /// them, single-row frames included, every other one under its
-        /// own service numbering), absorbing the frames in order
+        /// However the canonical row sequence is cut into frames (1 to
+        /// 6 of them, single-row frames included, every other one under
+        /// its own service numbering), absorbing the frames in order
         /// finishes to the batch sweep over the whole, to the last bit
         /// of every float.
         #[test]
         fn incremental_fold_matches_batch_sweep(
             cuts in proptest::collection::btree_set(prop_oneof![1usize..211, 1usize..4, 208usize..211], 0..6),
         ) {
-            let flows = sample_flows();
+            let mut flows = sample_flows();
+            flows.sort_by_key(satwatch_monitor::flow_sort_key);
             let dns = sample_dns();
             let enr = enrichment();
             let top = [Country::Congo, Country::Spain];
@@ -1136,6 +1173,88 @@ mod tests {
             prop_assert_eq!(format!("{csv:?}"), oracle(1));
             prop_assert_eq!(format!("{:?}", folded.table2), oracle(2));
             prop_assert_eq!(format!("{:?}", folded.fig10), format!("{:?}", agg::fig10(&dns, &enr, &top)));
+        }
+
+        /// The join is pruned behind the rows and still joins as the
+        /// whole log does. Flows start on a one-minute grid, so rows
+        /// tie on `first` across a cut; each lookup is a DNS record
+        /// and maybe a flow to its name at once, exactly [`CDN_FRESH`],
+        /// `CDN_FRESH` + 1 ns or 12 s after it. Rows are cut into
+        /// random pieces, each carried once the DNS log is in through
+        /// its last row and a random stretch beyond, in random pieces
+        /// too. After every piece no lookup the join holds is more
+        /// than `CDN_FRESH` older than the rows' mark and no list is
+        /// empty; at the end Table 2 at two floors is the record
+        /// path's over the whole logs. Pruning a lookup exactly
+        /// `CDN_FRESH` old loses the match of a row tied with the mark.
+        #[test]
+        fn the_pruned_join_holds_only_what_a_later_row_can_match(
+            lookups in proptest::collection::vec(
+                (0u64..20, 1u8..4, 0usize..3, 0usize..2, 0usize..4, any::<bool>()),
+                0..120,
+            ),
+            row_cuts in proptest::collection::vec(any::<bool>(), 120),
+            dns_cuts in proptest::collection::vec(0usize..4, 120),
+        ) {
+            let names = ["video.tiktokv.com", "www.google.com", "cdn.example.org"];
+            let resolvers = [ResolverId::Google, ResolverId::OperatorEu];
+            let gaps = [SimDuration::ZERO, CDN_FRESH, CDN_FRESH + SimDuration::from_nanos(1), SimDuration::from_secs(12)];
+            let (mut flows, mut dns) = (Vec::new(), Vec::new());
+            for (i, &(slot, c, q, r, gap, has_flow)) in lookups.iter().enumerate() {
+                let first = SimTime::from_secs((slot + 1) * 60);
+                dns.push(DnsRecord {
+                    client: client(c),
+                    resolver: resolvers[r].address(),
+                    query: names[q].into(),
+                    ts: first + -gaps[gap],
+                    response_ms: Some(i as f64),
+                    answers: vec![],
+                });
+                if has_flow {
+                    let mut f = flow(client(c), L7Protocol::TlsHttps, 1_000 + i as u64, 100, 0, Some(names[q]));
+                    (f.first, f.last) = (first, first + SimDuration::from_secs(5));
+                    f.client_port = 50_000 + i as u16;
+                    f.ground_rtt.avg_ms = 10.0 + i as f64 * 0.37;
+                    flows.push(f);
+                }
+            }
+            flows.sort_by_key(satwatch_monitor::flow_sort_key);
+            dns.sort_by(satwatch_monitor::dns_cmp);
+            let enr = enrichment();
+            let top = [Country::Congo, Country::Spain];
+            let ctx = ReportCtx { enrichment: &enr, countries: &top };
+            let mut fold = ReportFold::new(ctx);
+            let (mut start, mut absorbed) = (0, 0);
+            for end in (1..=flows.len()).filter(|&e| e == flows.len() || row_cuts[e]) {
+                let last = flows[end - 1].first;
+                // the log through the piece's last row, and as many
+                // records again past it as the draw says, a record or
+                // two at a time
+                let need = dns.partition_point(|d| d.ts <= last);
+                let to = (need + dns_cuts[end - 1]).min(dns.len());
+                while absorbed < to {
+                    let step = (absorbed + dns_cuts[absorbed % dns_cuts.len()].max(1)).min(to);
+                    let mark = dns.get(step).map_or(SimTime::MAX, |d| d.ts);
+                    fold.absorb_dns(&dns[absorbed..step], mark);
+                    absorbed = step;
+                }
+                fold.absorb_dns(&[], last + SimDuration::from_nanos(1));
+                fold.carry(FlowFrame::from_records(&flows[start..end], &enr));
+                start = end;
+                prop_assert_eq!(fold.rows_through, Some(last));
+                for list in fold.join.lookups.values() {
+                    prop_assert!(!list.is_empty(), "an empty list left in the map");
+                    for &(ts, _) in list {
+                        prop_assert!(last - ts <= CDN_FRESH, "a lookup at {:?} held behind the mark {:?}", ts, last);
+                    }
+                }
+            }
+            fold.absorb_dns(&dns[absorbed..], SimTime::MAX);
+            let csv = fold.table2(1);
+            let folded = fold.finish(&["Tiktok"], 2);
+            let oracle = |floor| format!("{:?}", agg::table_cdn_selection(&flows, &dns, &enr, &top, floor));
+            prop_assert_eq!(format!("{csv:?}"), oracle(1));
+            prop_assert_eq!(format!("{:?}", folded.table2), oracle(2));
         }
 
         /// The one fold, driven as `report` drives it. Each lookup is a

@@ -761,14 +761,15 @@ impl FlowTable {
         let (mut expired, mut oldest) = (Vec::new(), None::<SimTime>);
         for (k, f) in &self.flows {
             if t - f.last > IDLE_TIMEOUT {
-                expired.push(*k);
+                expired.push((f.order_key(), *k));
             } else {
                 oldest = Some(oldest.map_or(f.first, |o| o.min(f.first)));
             }
         }
-        // deterministic eviction order (HashMap iteration is not)
-        expired.sort_by_key(|k| self.flows[k].order_key());
-        for k in expired {
+        // deterministic eviction order (HashMap iteration is not); the
+        // order key is total over distinct five-tuples
+        expired.sort_unstable_by_key(|&(order, _)| order);
+        for (_, k) in expired {
             metrics().evictions.inc();
             finalise(&mut self.flows, &mut self.finished, &k);
         }
@@ -777,9 +778,9 @@ impl FlowTable {
 
     /// Finalise every remaining flow and return all records.
     pub fn flush(&mut self) -> Vec<FlowRecord> {
-        let mut keys: Vec<FiveTuple> = self.flows.keys().copied().collect();
-        keys.sort_by_key(|k| self.flows[k].order_key());
-        for k in keys {
+        let mut keys: Vec<_> = self.flows.iter().map(|(k, f)| (f.order_key(), *k)).collect();
+        keys.sort_unstable_by_key(|&(order, _)| order);
+        for (_, k) in keys {
             finalise(&mut self.flows, &mut self.finished, &k);
         }
         std::mem::take(&mut self.finished)

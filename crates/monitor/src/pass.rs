@@ -12,6 +12,7 @@
 //! the runs, finds where a pass must stop for a sweep, and knows which
 //! runs share a five-tuple.
 
+use bytes::Bytes;
 use satwatch_netstack::columns::UDP_ROW;
 use satwatch_netstack::{Packet, PacketColumns};
 use satwatch_simcore::SimTime;
@@ -54,6 +55,10 @@ pub(crate) struct LiveRun {
     /// Another live run holds one of `keys`: this run's rows reach the
     /// flow table in global order with that run's.
     pub(crate) shared: bool,
+    /// One past the last row that reads `cols.payload`
+    /// ([`PacketColumns::arena_rows_end`]). Once `pos` passes it, no
+    /// row left reads the block, and the run lets go of it.
+    arena_end: usize,
 }
 
 impl LiveRun {
@@ -69,6 +74,12 @@ impl LiveRun {
 /// let [`Probe::observe_runs`](crate::Probe::observe_runs) consume rows
 /// below a bound; a run's buffer goes back to the pool in the pass that
 /// exhausts it. [`clear`](Self::clear) drops what is left (a horizon).
+///
+/// A run drops its payload block in the pass that reads its last row
+/// slicing the block, not when the run ends. In the day loop a flow's
+/// block bytes are its handshake and DNS and its bulk rows slice the
+/// shared zero buffer, so a block shared by a cohort's runs is freed
+/// seconds after they start instead of when the longest of them ends.
 pub struct LiveRuns {
     pub(crate) live: Vec<LiveRun>,
     pool: Vec<PacketColumns>,
@@ -108,7 +119,7 @@ impl LiveRuns {
     /// Add a run. Its rows must be sorted by time (equal times keep
     /// emission order); runs pushed earlier win time ties against runs
     /// pushed later.
-    pub fn push(&mut self, cols: PacketColumns) {
+    pub fn push(&mut self, mut cols: PacketColumns) {
         debug_assert!(cols.ts.windows(2).all(|w| w[0] <= w[1]), "run not time-sorted");
         if cols.is_empty() {
             self.recycle(cols);
@@ -134,7 +145,11 @@ impl LiveRuns {
                 }
             }
         }
-        self.live.push(LiveRun { head: cols.ts[0], cols, pos: 0, end: 0, keys, shared });
+        let arena_end = cols.arena_rows_end();
+        if arena_end == 0 {
+            cols.payload = Bytes::new();
+        }
+        self.live.push(LiveRun { head: cols.ts[0], cols, pos: 0, end: 0, keys, shared, arena_end });
     }
 
     /// Drop every unconsumed row, recycling the buffers.
@@ -186,6 +201,9 @@ impl LiveRuns {
             run.pos = run.end;
             if let Some(&t) = run.cols.ts.get(run.pos) {
                 run.head = t;
+                if run.pos >= run.arena_end {
+                    run.cols.payload = Bytes::new();
+                }
                 return true;
             }
             for k in run.keys.drain(..) {
@@ -254,6 +272,65 @@ mod tests {
             cols.push_udp(SimTime::from_secs(t), c, s, port, 443, satwatch_netstack::columns::NO_ARENA, 0);
         }
         cols
+    }
+
+    /// A run of UDP rows at the given seconds, each reading 4 bytes of
+    /// `block` or, `false`, the zero buffer.
+    fn run_reading(block: &Bytes, rows: &[(u64, bool)]) -> PacketColumns {
+        let (payload, zeros) = (block.clone(), Bytes::from_static(&[0; 4]));
+        let mut cols = PacketColumns { payload, zeros, ..PacketColumns::default() };
+        let (c, s) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(198, 18, 0, 1));
+        for &(t, reads) in rows {
+            let off = if reads { 0 } else { satwatch_netstack::columns::NO_ARENA };
+            cols.push_udp(SimTime::from_secs(t), c, s, 7, 443, off, 4);
+        }
+        cols
+    }
+
+    /// Which live runs still hold their payload block.
+    fn holding(runs: &LiveRuns) -> Vec<bool> {
+        runs.live.iter().map(|r| !r.cols.payload.is_empty()).collect()
+    }
+
+    fn pass(runs: &mut LiveRuns, bound: u64) {
+        assert_eq!(runs.plan(SimTime::MAX, SimTime::from_secs(bound)), None);
+        runs.settle();
+    }
+
+    #[test]
+    fn a_run_releases_its_block_in_the_settle_that_passes_its_last_arena_row() {
+        let block = Bytes::from(vec![1, 2, 3, 4]);
+        let mut runs = LiveRuns::new();
+        // arena rows at 1 s and 3 s, zero-buffer rows after them
+        runs.push(run_reading(&block, &[(1, true), (2, false), (3, true), (4, false), (9, false)]));
+        // no row reads the block: released at push
+        runs.push(run_reading(&block, &[(1, false), (5, false)]));
+        assert_eq!(holding(&runs), [true, false]);
+        pass(&mut runs, 2);
+        assert_eq!(holding(&runs), [true, false], "row 2 still reads the block");
+        pass(&mut runs, 3);
+        assert_eq!(holding(&runs), [true, false], "the pass stopped short of the last arena row");
+        pass(&mut runs, 4);
+        assert_eq!(holding(&runs), [false, false], "its last arena row is read");
+        assert_eq!(runs.len(), 2, "the runs stay live for their zero-buffer rows");
+        // what is left still resolves: the zero buffer, not the block
+        assert_eq!(runs.live[0].cols.payload_slice(3), [0; 4]);
+        pass(&mut runs, 10);
+        assert!(runs.is_empty());
+    }
+
+    #[test]
+    fn a_run_with_arena_rows_to_its_end_keeps_its_block() {
+        let block = Bytes::from(vec![5, 6, 7, 8]);
+        let mut runs = LiveRuns::new();
+        runs.push(run_reading(&block, &[(1, true), (2, true), (3, true)]));
+        for bound in [2, 3] {
+            pass(&mut runs, bound);
+            assert_eq!(holding(&runs), [true], "a later row reads the block (bound {bound} s)");
+            assert_eq!(runs.live[0].cols.payload_slice(runs.live[0].pos), [5, 6, 7, 8]);
+        }
+        pass(&mut runs, 4);
+        assert!(runs.is_empty(), "it lets go only as it retires");
     }
 
     fn slices(runs: &LiveRuns) -> Vec<std::ops::Range<usize>> {

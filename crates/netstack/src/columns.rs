@@ -206,6 +206,13 @@ impl PacketColumns {
         }
     }
 
+    /// One past the last row whose payload slices
+    /// [`payload`](Self::payload), or 0 when none does: rows from here
+    /// on read only the zero buffer, or nothing.
+    pub fn arena_rows_end(&self) -> usize {
+        (0..self.len()).rev().find(|&i| self.pay_len[i] != 0 && self.pay_off[i] != NO_ARENA).map_or(0, |i| i + 1)
+    }
+
     /// Row `i`'s payload as an owned (zero-copy) `Bytes`, for the TCP
     /// reassembler which buffers chunks across packets.
     pub fn payload_bytes(&self, i: usize) -> Bytes {
@@ -356,6 +363,13 @@ mod tests {
         for i in 0..c.len() {
             assert_eq!(c.payload_bytes(i).as_ref(), c.payload_slice(i));
         }
+        // the UDP row is the last to read the arena block, whatever
+        // zero-buffer rows follow it
+        let mut c = c;
+        assert_eq!(c.arena_rows_end(), 4);
+        c.push_tcp(SimTime::from_secs(5), addr(2), addr(1), 443, 40_000, TcpFlags::PSH_ACK, 0, 7, 106, NO_ARENA, 9);
+        assert_eq!(c.arena_rows_end(), 4);
+        assert_eq!(PacketColumns::default().arena_rows_end(), 0);
     }
 
     #[test]

@@ -178,10 +178,10 @@ impl<'a> FlowBuilder<'a> {
     }
 
     /// Seal the run's shared-zero buffer. The arena block itself is
-    /// frozen by the caller — per flow in [`NetModel::emit_flow`],
-    /// once per cohort in the drive loop — so recorded
-    /// (offset, len) pairs resolve against whichever block the caller
-    /// installs as [`PacketColumns::payload`].
+    /// frozen by the caller — per flow in [`NetModel::emit_flow`] (the
+    /// drive loop's RTP runs), once per cohort in the drive loop — so
+    /// recorded (offset, len) pairs resolve against whichever block the
+    /// caller installs as [`PacketColumns::payload`].
     fn finish(self) {
         self.out.zeros = bulk_buffer();
     }
@@ -529,7 +529,8 @@ impl NetModel {
     ///
     /// Freezes the arena into the run's own payload block. The
     /// cohort loop uses [`emit_flow_open`](Self::emit_flow_open)
-    /// instead and freezes once per cohort.
+    /// instead and freezes once per cohort, except for RTP runs, whose
+    /// rows read their region to the stream's end.
     pub fn emit_flow(
         &self,
         intent: &FlowIntent,
@@ -899,6 +900,9 @@ fn emit_udp_stream(
         let stride = 2 * rtp::RTP_HEADER_LEN;
         let region = stride * (n_each - 1) + len_c2s.max(rtp::RTP_HEADER_LEN + len_s2c);
         let (start, _) = fb.arena.write(|b| {
+            // the day loop gives an RTP run an arena of its own: one
+            // allocation of the region's size
+            b.reserve(region);
             for i in 0..n_each {
                 let hdr = rtp::RtpHeader {
                     payload_type: 111,

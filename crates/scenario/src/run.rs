@@ -27,8 +27,10 @@ use satwatch_satcom::link::{LinkConfig, LinkModel};
 use satwatch_satcom::mac::{Mac, MacConfig};
 use satwatch_satcom::pep::{PepConfig, PepModel};
 use satwatch_satcom::{GroundStation, SatelliteAccess};
-use satwatch_simcore::{SeedTree, SimTime};
-use satwatch_traffic::{build_population, catalog::standard_catalog, generate_day, Country, FlowIntent, Population};
+use satwatch_simcore::{PayloadArena, SeedTree, SimTime};
+use satwatch_traffic::{
+    build_population, catalog::standard_catalog, generate_day, Country, FlowIntent, FlowProtocol, Population,
+};
 use std::ops::ControlFlow;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -196,8 +198,9 @@ struct DayScratch {
     /// Payload bytes for a cohort's packets are bump-allocated
     /// here and frozen into one refcounted block per cohort; the
     /// arena's capacity hint keeps the steady state at one allocation
-    /// per cohort.
-    arena: satwatch_simcore::PayloadArena,
+    /// per cohort. RTP runs bypass it, so the hint is the high water
+    /// of cohort blocks alone.
+    arena: PayloadArena,
     /// Memo of the per-flow-constant delay-snapshot inputs (rain
     /// schedule per beam-day, diurnal utilization) for the cohort
     /// planner — pure-function memoization, value-identical snapshots.
@@ -217,7 +220,7 @@ impl DayScratch {
     fn new() -> DayScratch {
         DayScratch {
             runs: LiveRuns::new(),
-            arena: satwatch_simcore::PayloadArena::new(),
+            arena: PayloadArena::new(),
             delay_cache: satwatch_satcom::DelayCache::new(),
             intents: IntentQueue::new(),
         }
@@ -641,21 +644,33 @@ fn drive_day(
             }
             m.flows.add(cohort.len() as u64);
             // Emission pass: parent-RNG-free; results are pushed in
-            // intent order. All of the cohort's payload bytes
-            // accumulate in one arena block, frozen once below:
-            // offsets are absolute within the block, so every run
-            // shares the same `Bytes` — one allocation per cohort
-            // instead of one per flow, identical resolved payloads
-            // (see `emit_flow_open`).
+            // intent order. The cohort's payload bytes accumulate in
+            // one arena block, frozen once below: offsets are absolute
+            // within the block, so every run shares the same `Bytes` —
+            // one allocation per cohort instead of one per flow,
+            // identical resolved payloads (see `emit_flow_open`). A
+            // run lets go of the block once its last row reading it is
+            // consumed (`LiveRuns`), seconds after it starts: the rows
+            // after its handshake and DNS read the zero buffer. RTP's
+            // rows all slice its own region to the stream's end, so an
+            // RTP run freezes a block of its own and pins nothing of
+            // the cohort's.
             for (intent, plan) in &cohort {
                 let customer = &population.customers[intent.customer_index];
                 let mut run = runs.spare();
-                model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
+                if intent.protocol == FlowProtocol::Rtp {
+                    model.emit_flow(intent, customer, plan, &delay_col, &mut PayloadArena::new(), &mut run);
+                } else {
+                    model.emit_flow_open(intent, customer, plan, &delay_col, arena, &mut run);
+                }
                 cohort_runs.push(run);
             }
             let block = bytes::Bytes::from(arena.take());
             for mut run in cohort_runs.drain(..) {
-                run.payload = block.clone();
+                // an RTP run's own block is never empty
+                if run.payload.is_empty() {
+                    run.payload = block.clone();
+                }
                 runs.push(run);
             }
             m.live_runs.set(runs.len() as i64);

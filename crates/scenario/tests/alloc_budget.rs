@@ -237,9 +237,11 @@ fn intent_generation_allocates_per_customer_day_not_per_intent() {
 /// The whole streaming run, intents to sealed frame, per flow logged:
 /// 40 customers, one day. Synthesis writes each flow's DNS messages
 /// straight into the cohort's arena and reuses every run buffer, so
-/// what remains is the probe's per-flow state and record and the
-/// frame. Measured 4.70 per flow; 7.11 while each lookup built a
-/// `DnsMessage` and each intent owned its domain.
+/// what remains is the probe's per-flow state and record, the frame,
+/// and an RTP flow's own payload block (a buffer and its refcount).
+/// Measured 4.77 per flow (4.76 while RTP runs shared their cohort's
+/// block); 7.11 while each lookup built a `DnsMessage` and each intent
+/// owned its domain.
 #[test]
 fn a_streaming_run_stays_inside_its_allocation_budget_per_flow() {
     const BUDGET_PER_FLOW: f64 = 5.2;
@@ -273,16 +275,19 @@ fn a_probe_state_claiming_more_entries_than_it_holds_reserves_nothing_for_them()
 
 /// `report`'s library call, 40 customers, one day: the rows and DNS
 /// records the probe seals are folded as it goes, so the day's frame,
-/// its sort and its DNS log are never live at once, and the day's
-/// intent queue gives its drained tail back as the day advances.
-/// Measured 205.2 B of peak live heap per flow (260.4 while each queue
-/// entry was 72 B and held to midnight); the calls the fold replaced
-/// (`run_streaming`, then `report_all` and Table 2 at the CSV floor
-/// over its frame) peaked at 335.9. The budget allows ×1.25, below the
-/// last peak.
+/// its sort and its DNS log are never live at once, the day's intent
+/// queue gives its drained tail back as the day advances, a cohort's
+/// payload block is freed once its runs have read their handshakes,
+/// and the Table 2 join holds only lookups a later row can match.
+/// Measured 134.1 B of peak live heap per flow (205.2 while each
+/// cohort block lived until its longest flow ended and the join kept
+/// every lookup; 260.4 while each queue entry was 72 B and held to
+/// midnight); the calls the fold replaced (`run_streaming`, then
+/// `report_all` and Table 2 at the CSV floor over its frame) peaked at
+/// 335.9. The budget allows ×1.25, below the last peak.
 #[test]
 fn the_report_fold_peaks_at_its_budget_of_live_heap_per_flow() {
-    const BUDGET_PER_FLOW: f64 = 256.0;
+    const BUDGET_PER_FLOW: f64 = 167.0;
     let mut flows = 0;
     let peak = peak_live_bytes_in(|| {
         flows = satwatch_scenario::run_report(ScenarioConfig::tiny().with_customers(40).with_seed(42)).flows
@@ -296,12 +301,15 @@ fn the_report_fold_peaks_at_its_budget_of_live_heap_per_flow() {
 /// A campaign seals the probe's log at every sweep: the day's flows
 /// leave as rows of its segment (columns, ≈ 90 B a row), its DNS as
 /// spill bytes, and the report folds as they go — no day of records is
-/// resident and no segment is read back, and each day's intent queue
-/// shrinks as it drains. Measured 193.3 B of peak live heap per flow at
-/// 40 customers × 2 days (225.9 while the queue held 72 B an intent to
-/// midnight; 525.1 while each day's records waited for the checkpoint
-/// and every segment and DNS spill was re-read at completion). The
-/// budget allows ×1.25, below the last peak.
+/// resident and no segment is read back, each day's intent queue
+/// shrinks as it drains, payload blocks and the Table 2 join hold only
+/// what a later row can read. Measured 161.2 B of peak live heap per
+/// flow at 40 customers × 2 days (193.3 while cohort blocks lived until
+/// their longest flow ended and the join kept every lookup; 225.9
+/// while the queue held 72 B an intent to midnight; 525.1 while each
+/// day's records waited for the checkpoint and every segment and DNS
+/// spill was re-read at completion). The budget allows ×1.25, below
+/// the last peak.
 ///
 /// Synthesis leaks one 64 MB zero block for bulk payloads on first use
 /// (`calloc`'d, so it costs no resident memory): a small run first
@@ -309,7 +317,7 @@ fn the_report_fold_peaks_at_its_budget_of_live_heap_per_flow() {
 /// binary meets it first.
 #[test]
 fn the_campaign_peaks_at_its_budget_of_live_heap_per_flow() {
-    const BUDGET_PER_FLOW: f64 = 241.0;
+    const BUDGET_PER_FLOW: f64 = 201.0;
     run_with_tap(ScenarioConfig::tiny().with_customers(5), |_, _| {});
     let dir = std::env::temp_dir().join(format!("swcampaign-alloc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -157,4 +157,9 @@ fn snapshot_covers_every_pipeline_layer() {
     }
     let h = snap.histogram("campaign_checkpoint_us").expect("checkpoint span registered");
     assert!(h.count >= 2, "one checkpoint per day");
+    // the campaign's fold prunes its Table 2 join behind the rows it
+    // has absorbed: what is left is the tail of the DNS log
+    let held = snap.gauge("analytics_cdn_join_lookups").expect("analytics_cdn_join_lookups registered");
+    let lookups = snap.delta(&before).counter("monitor_dns_answered_total").unwrap();
+    assert!((0..lookups as i64 / 20).contains(&held), "the join holds {held} of {lookups} lookups");
 }
