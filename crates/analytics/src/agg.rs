@@ -283,9 +283,9 @@ pub fn fig5(days: &FxHashMap<(Ipv4Addr, u64), CustomerDay>, enr: &Enrichment) ->
         if let Some(fl) = flows_by_c.get(&c) {
             rows.push((
                 c,
-                Cdf::from_values(fl),
-                Cdf::from_values(down_by_c.get(&c).map(Vec::as_slice).unwrap_or(&[])),
-                Cdf::from_values(up_by_c.get(&c).map(Vec::as_slice).unwrap_or(&[])),
+                Cdf::from_values(fl.clone()),
+                Cdf::from_values(down_by_c.get(&c).cloned().unwrap_or_default()),
+                Cdf::from_values(up_by_c.get(&c).cloned().unwrap_or_default()),
             ));
         }
     }
@@ -336,7 +336,7 @@ pub fn fig7(days: &FxHashMap<(Ipv4Addr, u64), CustomerDay>, enr: &Enrichment, co
     for c in countries {
         for cat in Category::PAPER_SIX {
             if let Some(v) = volumes.get(&(*c, cat)) {
-                if let Some(b) = BoxplotSummary::from_values(v) {
+                if let Some(b) = BoxplotSummary::from_values(v.clone()) {
                     rows.push((*c, cat, b));
                 }
             }
@@ -363,7 +363,7 @@ pub fn fig8a(flows: &[FlowRecord], enr: &Enrichment, countries: &[Country]) -> F
         .filter_map(|c| {
             let n = night.get(c)?;
             let p = peak.get(c)?;
-            Some((*c, Cdf::from_values(n), Cdf::from_values(p)))
+            Some((*c, Cdf::from_values(n.clone()), Cdf::from_values(p.clone())))
         })
         .collect();
     Fig8a { rows }
@@ -409,7 +409,7 @@ pub fn fig9(flows: &[FlowRecord], enr: &Enrichment, countries: &[Country]) -> Fi
         .iter()
         .filter_map(|c| {
             let v = samples.get(c)?;
-            let cdf = Cdf::from_weighted(v);
+            let cdf = Cdf::from_weighted(v.clone());
             let med = cdf.quantile(0.5);
             Some((*c, cdf, med))
         })
@@ -453,6 +453,11 @@ impl Fig10Acc {
         if let Some(ms) = d.response_ms {
             self.times.entry(r).or_default().push(ms);
         }
+    }
+
+    /// Response times held for the medians.
+    pub(crate) fn held(&self) -> usize {
+        self.times.values().map(Vec::len).sum()
     }
 
     pub(crate) fn finish(mut self, countries: &[Country]) -> Fig10 {
@@ -594,9 +599,9 @@ pub fn fig11(flows: &[FlowRecord], enr: &Enrichment, countries: &[Country]) -> F
             let v = all.get(c)?;
             Some((
                 *c,
-                Cdf::from_values(v),
-                night.get(c).and_then(|v| BoxplotSummary::from_values(v)),
-                peak.get(c).and_then(|v| BoxplotSummary::from_values(v)),
+                Cdf::from_values(v.clone()),
+                night.get(c).and_then(|v| BoxplotSummary::from_values(v.clone())),
+                peak.get(c).and_then(|v| BoxplotSummary::from_values(v.clone())),
             ))
         })
         .collect();

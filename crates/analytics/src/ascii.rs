@@ -53,7 +53,7 @@ mod tests {
 
     #[test]
     fn chart_has_expected_geometry() {
-        let cdf = Cdf::from_values(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let cdf = Cdf::from_values(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
         let s = cdf_chart(&[('*', &cdf)], 0.0, 6.0, 40, 10);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 12, "10 rows + axis + labels");
@@ -67,8 +67,8 @@ mod tests {
 
     #[test]
     fn multiple_series_coexist() {
-        let a = Cdf::from_values(&[1.0, 1.5, 2.0]);
-        let b = Cdf::from_values(&[4.0, 4.5, 5.0]);
+        let a = Cdf::from_values(vec![1.0, 1.5, 2.0]);
+        let b = Cdf::from_values(vec![4.0, 4.5, 5.0]);
         let s = cdf_chart(&[('a', &a), ('b', &b)], 0.0, 6.0, 30, 8);
         assert!(s.contains('a') && s.contains('b'));
     }
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn chart_rejects_degenerate_range() {
-        let cdf = Cdf::from_values(&[1.0]);
+        let cdf = Cdf::from_values(vec![1.0]);
         cdf_chart(&[('x', &cdf)], 5.0, 5.0, 20, 5);
     }
 }

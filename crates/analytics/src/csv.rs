@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn fig8a_resamples_both_periods() {
-        let cdf = Cdf::from_values(&[0.6, 0.7, 0.9, 2.1]);
+        let cdf = Cdf::from_values(vec![0.6, 0.7, 0.9, 2.1]);
         let f = Fig8a { rows: vec![(Country::Congo, cdf.clone(), cdf)] };
         let csv = fig8a_csv(&f, 5);
         assert!(csv.contains("Congo,night,"));

@@ -312,16 +312,20 @@ impl Fig8aAcc {
         }
     }
 
-    fn finish(self, countries: &[Country]) -> Fig8a {
+    fn held(&self) -> usize {
+        self.night.iter().chain(&self.peak).map(Vec::len).sum()
+    }
+
+    fn finish(mut self, countries: &[Country]) -> Fig8a {
+        use satwatch_simcore::stats::Cdf;
         let rows = countries
             .iter()
             .filter_map(|c| {
-                let n = &self.night[c.index()];
-                let p = &self.peak[c.index()];
+                let (n, p) = (&mut self.night[c.index()], &mut self.peak[c.index()]);
                 if n.is_empty() || p.is_empty() {
                     return None;
                 }
-                Some((*c, satwatch_simcore::stats::Cdf::from_values(n), satwatch_simcore::stats::Cdf::from_values(p)))
+                Some((*c, Cdf::from_values(std::mem::take(n)), Cdf::from_values(std::mem::take(p))))
             })
             .collect();
         Fig8a { rows }
@@ -344,6 +348,10 @@ impl Fig8bAcc {
         if agg::is_peak(u32::from(fr.local_hour[i])) {
             self.samples.entry(fr.beam[i]).or_default().push(rtt / 1e3);
         }
+    }
+
+    fn held(&self) -> usize {
+        self.samples.values().map(Vec::len).sum()
     }
 
     fn finish(self, enr: &Enrichment) -> Fig8b {
@@ -384,11 +392,15 @@ impl Fig9Acc {
         self.samples[ci as usize].push((fr.ground_rtt_avg[i], fr.flow_bytes(i) as f64));
     }
 
-    fn finish(self, countries: &[Country]) -> Fig9 {
+    fn held(&self) -> usize {
+        self.samples.iter().map(Vec::len).sum()
+    }
+
+    fn finish(mut self, countries: &[Country]) -> Fig9 {
         let rows = countries
             .iter()
             .filter_map(|c| {
-                let v = &self.samples[c.index()];
+                let v = std::mem::take(&mut self.samples[c.index()]);
                 if v.is_empty() {
                     return None;
                 }
@@ -438,20 +450,24 @@ impl Fig11Acc {
         }
     }
 
-    fn finish(self, countries: &[Country]) -> Fig11 {
+    fn held(&self) -> usize {
+        self.all.iter().chain(&self.night).chain(&self.peak).map(Vec::len).sum()
+    }
+
+    fn finish(mut self, countries: &[Country]) -> Fig11 {
         use satwatch_simcore::stats::{BoxplotSummary, Cdf};
         let rows = countries
             .iter()
             .filter_map(|c| {
-                let v = &self.all[c.index()];
+                let v = std::mem::take(&mut self.all[c.index()]);
                 if v.is_empty() {
                     return None;
                 }
                 Some((
                     *c,
                     Cdf::from_values(v),
-                    BoxplotSummary::from_values(&self.night[c.index()]),
-                    BoxplotSummary::from_values(&self.peak[c.index()]),
+                    BoxplotSummary::from_values(std::mem::take(&mut self.night[c.index()])),
+                    BoxplotSummary::from_values(std::mem::take(&mut self.peak[c.index()])),
                 ))
             })
             .collect();
@@ -887,9 +903,21 @@ impl<'a> ReportFold<'a> {
 
     /// Finish into the full report set — identical to
     /// [`report_all`] over the concatenation of the absorbed frames
-    /// and DNS pieces.
+    /// and DNS pieces. The value lists are sorted where they lie, not
+    /// copied; the gauge `analytics_fold_values{fig}` reads how many
+    /// values each list-keeping figure held.
     pub fn finish(self, services: &[&'static str], min_flows: usize) -> PaperReports {
         debug_assert!(self.carried.is_empty(), "the DNS log's last piece passes every row");
+        let acc = &self.acc;
+        for (fig, held) in [
+            ("8a", acc.fig8a.held()),
+            ("8b", acc.fig8b.held()),
+            ("9", acc.fig9.held()),
+            ("10", self.fig10.held()),
+            ("11", acc.fig11.held()),
+        ] {
+            satwatch_telemetry::gauge_with("analytics_fold_values", &[("fig", fig)]).set(held as i64);
+        }
         let (enr, countries) = (self.ctx.enrichment, self.ctx.countries);
         let days = self.days;
         PaperReports {

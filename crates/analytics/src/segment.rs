@@ -19,23 +19,26 @@
 //!   table of distinct names plus a `u32` index per row
 //!   (`u32::MAX` = no domain).
 //! * The footer carries the row count, the `first`-timestamp range,
-//!   and a per-column FNV-1a 64 checksum; [`decode_segment`] verifies
-//!   every checksum before constructing the frame and reports
-//!   corruption as a typed [`SegmentError`] — never a panic.
+//!   and a per-column FNV-1a 64 checksum; the reader verifies every
+//!   checksum before it hands out a frame and reports corruption as a
+//!   typed [`SegmentError`] — never a panic. It reads the footer
+//!   first and then the runs piece by piece, so a file's bytes are
+//!   never resident beside the frame ([`read_segment_file`]).
 //!
 //! The trailing `footer_len` + magic let a reader locate the footer
 //! without a seek table and cheaply reject truncated files.
 
 use crate::classify::Classifier;
-use crate::column::{Cells, CellsMut, Codes, Col, CATALOG};
+use crate::column::{with_vec, Cells, CellsMut, Codes, Col, CATALOG};
 use crate::frame::{FlowFrame, NO_DOMAIN};
 use satwatch_monitor::checkpoint::{put_str, put_u16, put_u32, put_u64, Reader};
 use satwatch_monitor::Domain;
-use satwatch_simcore::fnv::{fnv1a, fnv1a_update, FNV1A_INIT, FNV1A_PRIME};
+use satwatch_simcore::fnv::{fnv1a_update, FNV1A_INIT, FNV1A_PRIME};
 use satwatch_simcore::{FxHashSet, SimTime};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::net::Ipv4Addr;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// File magic: format name + version. Bump the trailing digit on any
@@ -83,16 +86,18 @@ impl From<std::io::Error> for SegmentError {
 /// Runs [`fnv1a_lanes`] hashes at once.
 const FNV1A_LANES: usize = 4;
 
-/// FNV-1a 64 of every run, up to four runs at a time in lock-step.
+/// Fold each run into its hash — FNV-1a 64, up to four runs at a
+/// time in lock-step. A hash starts at [`FNV1A_INIT`] and can be
+/// carried on over the next piece of its run.
 ///
 /// One FNV-1a chain is a serial xor-multiply dependency per byte, so
 /// a single run hashes at the multiplier's latency; chains over
 /// different runs share nothing, so four of them interleaved fill the
 /// multiplier's pipeline instead. Each lane still folds exactly its
 /// own run's bytes in order, so every value equals the serial
-/// [`fnv1a`] of that run — the on-disk checksums are unchanged.
-fn fnv1a_lanes(runs: &[&[u8]]) -> Vec<u64> {
-    let mut out = vec![FNV1A_INIT; runs.len()];
+/// [`fnv1a`](satwatch_simcore::fnv::fnv1a) of that run — the on-disk
+/// checksums are unchanged.
+fn fnv1a_lanes(hashes: &mut [u64], runs: &[&[u8]]) {
     // (run index, unhashed tail) of each busy lane
     let mut lanes: Vec<(usize, &[u8])> = Vec::with_capacity(FNV1A_LANES);
     let mut pending = runs.iter().copied().enumerate().filter(|(_, r)| !r.is_empty());
@@ -105,13 +110,13 @@ fn fnv1a_lanes(runs: &[&[u8]]) -> Vec<u64> {
             }
         }
         let Some(len) = lanes.iter().map(|(_, tail)| tail.len()).min() else {
-            return out;
+            return;
         };
         match lanes.len() {
-            1 => fnv1a_advance::<1>(&mut out, &mut lanes, len),
-            2 => fnv1a_advance::<2>(&mut out, &mut lanes, len),
-            3 => fnv1a_advance::<3>(&mut out, &mut lanes, len),
-            _ => fnv1a_advance::<4>(&mut out, &mut lanes, len),
+            1 => fnv1a_advance::<1>(hashes, &mut lanes, len),
+            2 => fnv1a_advance::<2>(hashes, &mut lanes, len),
+            3 => fnv1a_advance::<3>(hashes, &mut lanes, len),
+            _ => fnv1a_advance::<4>(hashes, &mut lanes, len),
         }
     }
 }
@@ -160,15 +165,24 @@ pub struct SegmentMeta {
     pub columns: Vec<(&'static str, u64, u64)>,
 }
 
-/// A segment's footer, parsed and checksum-verified.
-struct Footer<'a> {
-    /// The run directory, in file order: each run's bytes and FNV-1a.
-    runs: Vec<(Run, &'a [u8], u64)>,
+/// A segment's footer, parsed: where each run lies, and the summary
+/// of the frame.
+struct Footer {
+    /// The run directory, in file order.
+    runs: Vec<Extent>,
     rows: u64,
     /// `u64::MAX` for an empty segment.
     min_first: u64,
     max_first: u64,
     services: Vec<String>,
+}
+
+/// One run's entry in the footer: its bytes' place and stored FNV-1a.
+struct Extent {
+    run: Run,
+    at: u64,
+    len: u64,
+    fnv: u64,
 }
 
 /// Append one fixed-width run: `W` little-endian bytes per row.
@@ -248,7 +262,9 @@ fn write_columns(fr: &FlowFrame, domain_idx: &[u32], dict: &[&str], w: &mut impl
             lay_run(bytes, fr, run, domain_idx, dict);
         }
         let bytes: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
-        for ((run, bytes), fnv) in lanes.iter().zip(&bytes).zip(fnv1a_lanes(&bytes)) {
+        let mut fnvs = [FNV1A_INIT; FNV1A_LANES];
+        fnv1a_lanes(&mut fnvs[..bytes.len()], &bytes);
+        for ((run, bytes), fnv) in lanes.iter().zip(&bytes).zip(fnvs) {
             w.write_all(bytes)?;
             put_str(&mut footer, run.name);
             put_u64(&mut footer, offset);
@@ -272,27 +288,54 @@ fn write_columns(fr: &FlowFrame, domain_idx: &[u32], dict: &[&str], w: &mut impl
     w.write_all(&footer)
 }
 
-/// Parse and checksum-verify the framing + footer. Shared by
-/// [`decode_segment`] and [`segment_meta`].
-fn parse_footer(bytes: &[u8]) -> Result<Footer<'_>, SegmentError> {
-    let min_len = SEGMENT_MAGIC.len() * 2 + 8;
-    if bytes.len() < min_len {
+/// A run is read this many bytes at a time: a multiple of every cell
+/// width, so a piece holds whole cells.
+const PIECE: usize = 64 * 1024;
+
+/// Where a segment's bytes come from. The one decoder reads a slice
+/// in memory ([`decode_segment`]) and a file ([`read_segment_file`])
+/// alike.
+trait Source {
+    /// The `len` bytes at `at`, a range the caller has placed inside
+    /// the source: a slice lends them, a file reads them into `buf`.
+    fn bytes_at<'b>(&'b self, at: u64, len: usize, buf: &'b mut Vec<u8>) -> std::io::Result<&'b [u8]>;
+}
+
+impl Source for [u8] {
+    fn bytes_at<'b>(&'b self, at: u64, len: usize, _: &'b mut Vec<u8>) -> std::io::Result<&'b [u8]> {
+        Ok(&self[at as usize..][..len])
+    }
+}
+
+impl Source for File {
+    fn bytes_at<'b>(&'b self, at: u64, len: usize, buf: &'b mut Vec<u8>) -> std::io::Result<&'b [u8]> {
+        buf.resize(len, 0);
+        self.read_exact_at(buf, at)?;
+        Ok(buf)
+    }
+}
+
+/// Read the framing and the footer of the `size` bytes of `src`.
+fn read_footer(src: &(impl Source + ?Sized), size: u64) -> Result<Footer, SegmentError> {
+    let magic = SEGMENT_MAGIC.len() as u64;
+    if size < 2 * magic + 8 {
         return Err(SegmentError::Truncated);
     }
-    if &bytes[..8] != SEGMENT_MAGIC {
+    let mut buf = Vec::new();
+    if src.bytes_at(0, SEGMENT_MAGIC.len(), &mut buf)? != SEGMENT_MAGIC {
         return Err(SegmentError::Corrupt("bad leading magic"));
     }
-    if &bytes[bytes.len() - 8..] != SEGMENT_MAGIC {
+    let footer_end = size - magic - 8;
+    let tail = src.bytes_at(footer_end, 16, &mut buf)?;
+    if tail[8..] != SEGMENT_MAGIC[..] {
         return Err(SegmentError::Corrupt("bad trailing magic (truncated?)"));
     }
-    let mut tail = Reader::new(&bytes[bytes.len() - 16..bytes.len() - 8]);
-    let footer_len = tail.u64().map_err(|_| SegmentError::Truncated)? as usize;
-    let footer_end = bytes.len() - 16;
-    let footer_start = footer_end.checked_sub(footer_len).ok_or(SegmentError::Corrupt("footer length out of range"))?;
-    if footer_start < 8 {
-        return Err(SegmentError::Corrupt("footer length out of range"));
-    }
-    let mut r = Reader::new(&bytes[footer_start..footer_end]);
+    let footer_len = u64::from_le_bytes(tail[..8].try_into().expect("8 bytes"));
+    let footer_start = footer_end
+        .checked_sub(footer_len)
+        .filter(|&start| start >= magic)
+        .ok_or(SegmentError::Corrupt("footer length out of range"))?;
+    let mut r = Reader::new(src.bytes_at(footer_start, footer_len as usize, &mut buf)?);
     let bad = |_: satwatch_monitor::CheckpointError| SegmentError::Corrupt("footer undecodable");
     let n_runs = r.u32().map_err(bad)? as usize;
     if n_runs != runs().count() {
@@ -303,14 +346,14 @@ fn parse_footer(bytes: &[u8]) -> Result<Footer<'_>, SegmentError> {
         if r.str().map_err(bad)? != run.name {
             return Err(SegmentError::Corrupt("unexpected column name"));
         }
-        let offset = r.u64().map_err(bad)?;
+        let at = r.u64().map_err(bad)?;
         let len = r.u64().map_err(bad)?;
         let fnv = r.u64().map_err(bad)?;
-        let end = offset.checked_add(len).ok_or(SegmentError::Corrupt("column range overflow"))?;
-        if (offset as usize) < 8 || end as usize > footer_start {
+        let end = at.checked_add(len).ok_or(SegmentError::Corrupt("column range overflow"))?;
+        if at < magic || end > footer_start {
             return Err(SegmentError::Corrupt("column range out of bounds"));
         }
-        dir.push((run, &bytes[offset as usize..end as usize], fnv));
+        dir.push(Extent { run, at, len, fnv });
     }
     let rows = r.u64().map_err(bad)?;
     let min_first = r.u64().map_err(bad)?;
@@ -328,54 +371,103 @@ fn parse_footer(bytes: &[u8]) -> Result<Footer<'_>, SegmentError> {
     if r.remaining() != 0 {
         return Err(SegmentError::Corrupt("trailing footer bytes"));
     }
-    // verify every run's checksum before any row decoding
-    let data: Vec<&[u8]> = dir.iter().map(|&(_, data, _)| data).collect();
-    for (&(run, data, stored), fnv) in dir.iter().zip(fnv1a_lanes(&data)) {
-        if fnv != stored {
-            return Err(SegmentError::Checksum { column: run.name });
-        }
-        if !run.dict && rows.checked_mul(run.col.def().width() as u64) != Some(data.len() as u64) {
-            return Err(SegmentError::Corrupt("column length inconsistent with row count"));
-        }
-    }
     Ok(Footer { runs: dir, rows, min_first, max_first, services })
 }
 
-/// Read back the footer summary without decoding rows.
+/// Read every run of `footer` off `src`, one lane group of
+/// [`fnv1a_lanes`] at a time and [`PIECE`] bytes of each of its runs
+/// per step: the group's pieces are hashed in lock-step, and a piece of
+/// cells is decoded into `fr` while it is at hand (`None`: checksums
+/// only). A cell run decodes only if its length is the row count's, so
+/// a column is reserved once and never outgrows the file. Before the
+/// next group is read, the group's runs are checked in file order —
+/// checksum, then length — so the error is the first bad run's, as if
+/// every run had been hashed first. Returns the dictionary run's
+/// bytes, for the caller to decode once every run has checked out.
+fn read_runs(
+    src: &(impl Source + ?Sized),
+    footer: &Footer,
+    mut fr: Option<&mut FlowFrame>,
+) -> Result<Vec<u8>, SegmentError> {
+    let sized = |e: &Extent| !e.run.dict && footer.rows.checked_mul(e.run.col.def().width() as u64) == Some(e.len);
+    let mut bufs: [Vec<u8>; FNV1A_LANES] = Default::default();
+    let mut dict = Vec::new();
+    for group in footer.runs.chunks(FNV1A_LANES) {
+        if let Some(fr) = fr.as_deref_mut() {
+            for e in group.iter().filter(|e| sized(e)) {
+                with_vec!(e.run.col.cells_mut(fr), |v| v.reserve_exact(footer.rows as usize));
+            }
+        }
+        let mut hashes = [FNV1A_INIT; FNV1A_LANES];
+        let mut done = 0;
+        while group.iter().any(|e| e.len > done) {
+            let mut pieces: [&[u8]; FNV1A_LANES] = [&[]; FNV1A_LANES];
+            for ((piece, buf), e) in pieces.iter_mut().zip(&mut bufs).zip(group) {
+                let len = e.len.saturating_sub(done).min(PIECE as u64) as usize;
+                if len > 0 {
+                    *piece = src.bytes_at(e.at + done, len, buf)?;
+                }
+            }
+            fnv1a_lanes(&mut hashes[..group.len()], &pieces[..group.len()]);
+            for (piece, e) in pieces.iter().zip(group) {
+                match fr.as_deref_mut() {
+                    _ if e.run.dict => dict.extend_from_slice(piece),
+                    Some(fr) if sized(e) => extend_cells(e.run.col.cells_mut(fr), piece),
+                    _ => {}
+                }
+            }
+            done += PIECE as u64;
+        }
+        for (e, &fnv) in group.iter().zip(&hashes) {
+            if fnv != e.fnv {
+                return Err(SegmentError::Checksum { column: e.run.name });
+            }
+            if !e.run.dict && !sized(e) {
+                return Err(SegmentError::Corrupt("column length inconsistent with row count"));
+            }
+        }
+    }
+    Ok(dict)
+}
+
+/// Read back the footer summary, every run checksummed, no row decoded.
 pub fn segment_meta(bytes: &[u8]) -> Result<SegmentMeta, SegmentError> {
-    let footer = parse_footer(bytes)?;
+    let footer = read_footer(bytes, bytes.len() as u64)?;
+    read_runs(bytes, &footer, None)?;
     Ok(SegmentMeta {
         rows: footer.rows,
         min_first: (footer.min_first != u64::MAX).then(|| SimTime::from_nanos(footer.min_first)),
         max_first: (footer.rows > 0).then(|| SimTime::from_nanos(footer.max_first)),
-        columns: footer.runs.iter().map(|&(run, data, fnv)| (run.name, data.len() as u64, fnv)).collect(),
+        columns: footer.runs.iter().map(|e| (e.run.name, e.len, e.fnv)).collect(),
     })
 }
 
 /// Decode `.swseg` bytes back into the exact [`FlowFrame`] that was
-/// encoded. Every run's checksum is verified first; any corruption or
-/// truncation yields a typed error, never a panic.
+/// encoded: [`read_segment_file`]'s decoder over a slice. Any
+/// corruption or truncation yields a typed error, never a panic.
 pub fn decode_segment(bytes: &[u8]) -> Result<FlowFrame, SegmentError> {
-    let footer = parse_footer(bytes)?;
+    decode(bytes, bytes.len() as u64)
+}
+
+/// The one segment decoder, over the `size` bytes of `src`: the
+/// framing and the footer, then the runs ([`read_runs`]), then the
+/// services table, the domain dictionary and the domain codes.
+fn decode(src: &(impl Source + ?Sized), size: u64) -> Result<FlowFrame, SegmentError> {
+    let footer = read_footer(src, size)?;
+    let mut fr = FlowFrame::default();
+    let dict = read_runs(src, &footer, Some(&mut fr))?;
     // the services table indexes the standard classifier's rule list;
     // map each stored name back to its `&'static str`
     let classifier = Classifier::standard();
     let known: Vec<&'static str> = classifier.rules().iter().map(|r| r.service).collect();
-    let mut services: Vec<&'static str> = Vec::with_capacity(footer.services.len());
+    fr.services = Vec::with_capacity(footer.services.len());
     for s in &footer.services {
         match known.iter().find(|k| **k == s.as_str()) {
-            Some(k) => services.push(k),
+            Some(k) => fr.services.push(k),
             None => return Err(SegmentError::Corrupt("service name not in the standard table")),
         }
     }
-    let mut fr = FlowFrame { services, ..FlowFrame::default() };
-    for &(run, data, _) in &footer.runs {
-        if run.dict {
-            fr.domains = read_dictionary(data)?;
-        } else {
-            read_cells(run.col.cells_mut(&mut fr), data);
-        }
-    }
+    fr.domains = read_dictionary(&dict)?;
     // the frame's code column indexes the dictionary as stored
     if fr.domain.iter().any(|&d| d != NO_DOMAIN && d as usize >= fr.domains.len()) {
         return Err(SegmentError::Corrupt("domain index out of range"));
@@ -383,17 +475,20 @@ pub fn decode_segment(bytes: &[u8]) -> Result<FlowFrame, SegmentError> {
     Ok(fr)
 }
 
-/// Decode a run of cells whose length the footer checked, in one loop.
-fn read_cells(cells: CellsMut<'_>, run: &[u8]) {
-    let u64s = || run.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()));
+/// Append the cells of `piece`, whole cells of a run whose length the
+/// footer checked.
+fn extend_cells(cells: CellsMut<'_>, piece: &[u8]) {
+    fn chunks<const W: usize>(piece: &[u8]) -> impl Iterator<Item = [u8; W]> + '_ {
+        piece.chunks_exact(W).map(|c| c.try_into().expect("chunks of W bytes"))
+    }
     match cells {
-        CellsMut::Addr(v) => *v = run.chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])).collect(),
-        CellsMut::Time(v) => *v = u64s().map(SimTime::from_nanos).collect(),
-        CellsMut::U8(v) => *v = run.to_vec(),
-        CellsMut::U16(v) => *v = run.chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().unwrap())).collect(),
-        CellsMut::U32(v) => *v = run.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect(),
-        CellsMut::U64(v) => *v = u64s().collect(),
-        CellsMut::F64(v) => *v = u64s().map(f64::from_bits).collect(),
+        CellsMut::Addr(v) => v.extend(chunks(piece).map(Ipv4Addr::from)),
+        CellsMut::Time(v) => v.extend(chunks(piece).map(|c| SimTime::from_nanos(u64::from_le_bytes(c)))),
+        CellsMut::U8(v) => v.extend_from_slice(piece),
+        CellsMut::U16(v) => v.extend(chunks(piece).map(u16::from_le_bytes)),
+        CellsMut::U32(v) => v.extend(chunks(piece).map(u32::from_le_bytes)),
+        CellsMut::U64(v) => v.extend(chunks(piece).map(u64::from_le_bytes)),
+        CellsMut::F64(v) => v.extend(chunks(piece).map(|c| f64::from_bits(u64::from_le_bytes(c)))),
     }
 }
 
@@ -478,15 +573,27 @@ impl Write for FileWriter {
 }
 
 /// Read and decode a segment file, optionally verifying the
-/// whole-file checksum recorded in a campaign manifest.
+/// whole-file checksum recorded in a campaign manifest. The file is
+/// read in pieces — the footer first, then the runs lane group by lane
+/// group ([`decode_segment`]'s decoder) — so its bytes are never
+/// resident beside the frame. The whole-file checksum is one
+/// sequential pass through a 64 KiB buffer, before any
+/// decoding.
 pub fn read_segment_file(path: &Path, expect_fnv: Option<u64>) -> Result<FlowFrame, SegmentError> {
-    let bytes = std::fs::read(path)?;
+    let file = File::open(path)?;
+    let size = file.metadata()?.len();
     if let Some(want) = expect_fnv {
-        if fnv1a(&bytes) != want {
+        let (mut fnv, mut buf, mut at) = (FNV1A_INIT, Vec::new(), 0);
+        while at < size {
+            let len = (size - at).min(PIECE as u64);
+            fnv = fnv1a_update(fnv, file.bytes_at(at, len as usize, &mut buf)?);
+            at += len;
+        }
+        if fnv != want {
             return Err(SegmentError::Checksum { column: "<whole file>" });
         }
     }
-    decode_segment(&bytes)
+    decode(&file, size)
 }
 
 #[cfg(test)]
@@ -497,6 +604,7 @@ mod tests {
     use crate::frame::FrameBuilder;
     use satwatch_monitor::record::RttSummary;
     use satwatch_monitor::{FlowRecord, L7Protocol};
+    use satwatch_simcore::fnv::fnv1a;
     use satwatch_simcore::SimDuration;
     use satwatch_traffic::Country;
 
@@ -643,6 +751,30 @@ mod tests {
         assert_eq!(meta.max_first, None);
     }
 
+    /// Runs longer than a piece are read, hashed and decoded in
+    /// pieces, off a slice and off a file alike; a flipped byte in a
+    /// later piece of a later lane group is that run's checksum error.
+    #[test]
+    fn runs_of_many_pieces_read_the_same_off_a_file() {
+        let fr = sample_frame().replicate(3_000);
+        let bytes = encode_segment(&fr);
+        let late = segment_meta(&bytes).unwrap().columns.iter().position(|&(name, ..)| name == "dur_s").unwrap();
+        assert!(late >= FNV1A_LANES, "a later lane group");
+        let path = std::env::temp_dir().join(format!("satwatch-segment-pieces-{}.swseg", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let read = read_segment_file(&path, Some(fnv1a(&bytes)));
+        assert!(matches!(read_segment_file(&path, Some(1)), Err(SegmentError::Checksum { column: "<whole file>" })));
+        std::fs::remove_file(&path).unwrap();
+        assert_same_rows(&fr, &decode_segment(&bytes).unwrap());
+        assert_same_rows(&fr, &read.unwrap());
+        let footer = read_footer(&bytes[..], bytes.len() as u64).unwrap();
+        let run = &footer.runs[late];
+        assert!(run.len > 2 * PIECE as u64, "{} bytes", run.len);
+        let mut bad = bytes.clone();
+        bad[(run.at + run.len - 3) as usize] ^= 0x10;
+        assert!(matches!(decode_segment(&bad), Err(SegmentError::Checksum { column: "dur_s" })));
+    }
+
     #[test]
     fn corruption_is_rejected_with_typed_errors() {
         let bytes = encode_segment(&sample_frame());
@@ -658,6 +790,12 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(matches!(decode_segment(&bad), Err(SegmentError::Corrupt(_))));
+    }
+
+    fn lanes(runs: &[&[u8]]) -> Vec<u64> {
+        let mut hashes = vec![FNV1A_INIT; runs.len()];
+        fnv1a_lanes(&mut hashes, runs);
+        hashes
     }
 
     proptest::proptest! {
@@ -679,14 +817,22 @@ mod tests {
                 .collect();
             let slices: Vec<&[u8]> = runs.iter().map(Vec::as_slice).collect();
             let serial: Vec<u64> = slices.iter().map(|r| fnv1a(r)).collect();
-            proptest::prop_assert_eq!(fnv1a_lanes(&slices), serial);
+            proptest::prop_assert_eq!(lanes(&slices), serial);
+            // carried on piece by piece, as the reader hashes a run
+            let cut = rng.below(800) as usize;
+            let mut hashes = vec![FNV1A_INIT; slices.len()];
+            let heads: Vec<&[u8]> = slices.iter().map(|r| &r[..cut.min(r.len())]).collect();
+            let tails: Vec<&[u8]> = slices.iter().map(|r| &r[cut.min(r.len())..]).collect();
+            fnv1a_lanes(&mut hashes, &heads);
+            fnv1a_lanes(&mut hashes, &tails);
+            proptest::prop_assert_eq!(hashes, serial);
         }
     }
 
     #[test]
     fn lockstep_fnv_of_no_runs_and_known_vectors() {
-        assert!(fnv1a_lanes(&[]).is_empty());
+        assert!(lanes(&[]).is_empty());
         // FNV-1a 64 test vectors: "" and "a"
-        assert_eq!(fnv1a_lanes(&[b"", b"a"]), [0xcbf2_9ce4_8422_2325, 0xaf63_dc4c_8601_ec8c]);
+        assert_eq!(lanes(&[b"", b"a"]), [0xcbf2_9ce4_8422_2325, 0xaf63_dc4c_8601_ec8c]);
     }
 }

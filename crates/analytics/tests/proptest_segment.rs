@@ -10,10 +10,13 @@
 //!   under differently ordered dictionaries are the same bytes.
 //! * Any truncation and any byte flip in the column data is rejected
 //!   with a typed error — never a panic, never a silently-wrong frame.
+//! * Every case reads the same off a file as off a slice: the same
+//!   frame, or the same typed error (one decoder, two sources).
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use satwatch_analytics::agg::Enrichment;
+use satwatch_analytics::segment::read_segment_file;
 use satwatch_analytics::{decode_segment, encode_segment, FlowFrame, SegmentError};
 use satwatch_monitor::record::{EarlyPacket, RttSummary};
 use satwatch_monitor::{FlowRecord, L7Protocol};
@@ -85,12 +88,32 @@ fn frame(seed: u64, n: usize) -> FlowFrame {
     FlowFrame::from_records(&flows, &e)
 }
 
+/// [`decode_segment`] of `bytes`, held to [`read_segment_file`] of
+/// the same bytes in a file: the same frame, or the same typed error.
+fn decode(bytes: &[u8]) -> Result<FlowFrame, SegmentError> {
+    let path = std::env::temp_dir().join(format!(
+        "satwatch-proptest-segment-{}-{:?}.swseg",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let read = read_segment_file(&path, None);
+    std::fs::remove_file(&path).unwrap();
+    let decoded = decode_segment(bytes);
+    match (&decoded, &read) {
+        (Ok(a), Ok(b)) => assert_eq!(encode_segment(a), encode_segment(b), "the file decodes to another frame"),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "the file fails otherwise"),
+        _ => panic!("the slice gives {:?}, the file {:?}", decoded.as_ref().err(), read.as_ref().err()),
+    }
+    decoded
+}
+
 proptest! {
     #[test]
     fn round_trip_is_lossless_on_random_frames(seed in any::<u64>(), n in 0usize..60) {
         let fr = frame(seed, n);
         let bytes = encode_segment(&fr);
-        let back = decode_segment(&bytes).expect("fresh segment must decode");
+        let back = decode(&bytes).expect("fresh segment must decode");
         prop_assert_eq!(back.len(), fr.len());
         // byte-stable re-encode == every column (bit patterns, dict,
         // services table) survived the round trip
@@ -129,7 +152,7 @@ proptest! {
         let bytes = encode_segment(&frame(seed, n));
         let cut = ((bytes.len() as f64) * frac) as usize;
         prop_assert!(cut < bytes.len());
-        prop_assert!(decode_segment(&bytes[..cut]).is_err(), "truncated at {} of {}", cut, bytes.len());
+        prop_assert!(decode(&bytes[..cut]).is_err(), "truncated at {} of {}", cut, bytes.len());
     }
 
     #[test]
@@ -146,7 +169,7 @@ proptest! {
         let mut bad = bytes.clone();
         let idx = 8 + (pos as usize % data_len);
         bad[idx] ^= 1 << bit;
-        match decode_segment(&bad) {
+        match decode(&bad) {
             Err(SegmentError::Checksum { .. }) => {}
             Err(other) => prop_assert!(false, "expected a checksum error, got: {}", other),
             Ok(_) => prop_assert!(false, "bit flip at {} went undetected", idx),
@@ -159,6 +182,6 @@ proptest! {
         let mut bytes = encode_segment(&fr);
         let idx = pos as usize % bytes.len();
         bytes[idx] ^= 1 << bit;
-        let _ = decode_segment(&bytes); // Err or Ok — but never a panic
+        let _ = decode(&bytes); // Err or Ok — but never a panic
     }
 }

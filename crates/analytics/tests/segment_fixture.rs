@@ -8,9 +8,11 @@
 
 use satwatch_analytics::agg::Enrichment;
 use satwatch_analytics::engine::{report_all, ReportCtx};
+use satwatch_analytics::segment::read_segment_file;
 use satwatch_analytics::{decode_segment, encode_segment, FlowFrame};
 use satwatch_monitor::record::RttSummary;
 use satwatch_monitor::{DnsRecord, FlowRecord, L7Protocol};
+use satwatch_simcore::fnv::fnv1a;
 use satwatch_simcore::{SimDuration, SimTime};
 use satwatch_traffic::Country;
 use std::net::Ipv4Addr;
@@ -125,6 +127,12 @@ fn parent_segment() -> Vec<u8> {
 fn a_segment_written_before_the_coded_column_reads_and_writes_the_same() {
     let bytes = parent_segment();
     let decoded = decode_segment(&bytes).expect("the previous build's segment decodes");
+    // and reads the same off a file, the whole-file checksum checked
+    let path = std::env::temp_dir().join(format!("satwatch-segment-fixture-{}.swseg", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let read = read_segment_file(&path, Some(fnv1a(&bytes)));
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(encode_segment(&read.expect("the previous build's file reads")), bytes);
     let built = FlowFrame::from_records(&records(), &enrichment());
     assert_eq!(decoded.len(), 6);
     // the coded column holds what the per-row handles held

@@ -1,13 +1,19 @@
 //! Subcommand implementations for the `satwatch` binary.
 
 use crate::args::Args;
-use satwatch_analytics::{read_enrichment_log, report_all, write_enrichment_log, PaperReports, ReportCtx, ResultTable};
+use satwatch_analytics::{
+    read_enrichment_log, write_enrichment_log, FrameBuilder, PaperReports, ReportCtx, ReportFold, ResultTable,
+    FOLD_ROWS,
+};
 use satwatch_errant::{export as errant_export, fit_profiles, leo, Period};
-use satwatch_monitor::record::{read_dns_log, write_dns_log, write_dns_rows, write_flow_rows, write_flows};
+use satwatch_monitor::record::{
+    last_first, write_dns_log, write_dns_rows, write_flow_rows, write_flows, DnsRows, FlowRows,
+};
 use satwatch_monitor::Piece;
 use satwatch_scenario::{
     experiments, run_report, run_sealed, run_streaming, ColumnarDataset, ReportRun, ScenarioConfig,
 };
+use satwatch_simcore::SimTime;
 use satwatch_traffic::Country;
 use std::error::Error;
 use std::fs;
@@ -496,19 +502,59 @@ fn read_log<T>(
 /// not hold (beams are not persisted, so no Fig 8b).
 const REPLAY_FIGURES: [&str; 5] = ["table1", "fig2", "fig9", "fig10", "fig11"];
 
-/// The reports of the logs in `dir`, which go the way a run's flows
-/// do: rows into the frame as they decode, one fused fold.
+/// The reports of the logs in `dir`, folded as they are read: the
+/// rows of `flows.tsv` go into the frame builder as they decode and
+/// are handed to one [`ReportFold`] [`FOLD_ROWS`] at a time, and
+/// `dns.tsv` is read in step, every lookup at or before a row absorbed
+/// ahead of it — the path `report` takes (DESIGN.md §6). Both logs
+/// must be in the order `simulate` writes; what stays resident is the
+/// live batch, the pruned join and the fold's accumulators.
 fn replay_reports(dir: &str) -> Result<PaperReports, String> {
     let mut enr = read_log(dir, "enrichment.tsv", read_enrichment_log)?;
-    let mut builder = satwatch_analytics::FrameBuilder::new(enr.clone());
-    read_log(dir, "flows.tsv", |r| satwatch_monitor::record::read_flow_rows(r, |f| builder.push(&f)))?;
-    let dns = read_log(dir, "dns.tsv", read_dns_log)?;
-    let frame = builder.seal();
+    let open = |name: &str| {
+        let path = Path::new(dir).join(name);
+        fs::File::open(&path).map_err(|e| named(&path, e)).map(|f| (f, path))
+    };
+    let (flow_file, flow_path) = open("flows.tsv")?;
+    let (dns_file, dns_path) = open("dns.tsv")?;
     // the log does not say how long the capture ran: its last day does
-    enr.days = frame.day.iter().max().map_or(1, |&last| u64::from(last) + 1);
-    eprintln!("replaying {} flows / {} DNS transactions from {dir}", frame.len(), dns.len());
-    let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
-    Ok(report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, experiments::MIN_FLOWS))
+    let last = last_first(&flow_file).map_err(|e| named(&flow_path, e))?;
+    enr.days = last.map_or(1, |t| t.day() + 1);
+    let mut builder = FrameBuilder::new(enr.clone());
+    let mut fold = ReportFold::new(ReportCtx { enrichment: &enr, countries: &Country::TOP6 });
+    let mut dns_rows = DnsRows::new(BufReader::new(dns_file)).in_order();
+    let mut next_dns = || dns_rows.next().transpose().map_err(|e| named(&dns_path, e));
+    let (mut next, mut piece) = (next_dns()?, Vec::new());
+    let (mut flows, mut dns, mut batch) = (0, 0, 0);
+    // every DNS record at or before `until` into the fold, marked at
+    // the `ts` of the first one after it
+    let mut absorb_dns = |fold: &mut ReportFold<'_>, until: SimTime| -> Result<(), String> {
+        while let Some(d) = next.take_if(|d| d.ts <= until) {
+            piece.push(d);
+            next = next_dns()?;
+        }
+        dns += piece.len();
+        fold.absorb_dns(&piece, next.as_ref().map_or(SimTime::MAX, |d| d.ts));
+        piece.clear();
+        Ok(())
+    };
+    for f in FlowRows::new(BufReader::new(flow_file)).in_order() {
+        let f = f.map_err(|e| named(&flow_path, e))?;
+        absorb_dns(&mut fold, f.first)?;
+        if batch == FOLD_ROWS {
+            // no row to come is first before this one
+            builder.seal_behind(Some(f.first));
+            fold.hand_over(&mut builder);
+            batch = 0;
+        }
+        builder.push(&f);
+        (flows, batch) = (flows + 1, batch + 1);
+    }
+    absorb_dns(&mut fold, SimTime::MAX)?;
+    builder.seal_behind(None);
+    fold.hand_over(&mut builder);
+    eprintln!("replaying {flows} flows / {dns} DNS transactions from {dir}");
+    Ok(fold.finish(&experiments::FIG6_SERVICES, experiments::MIN_FLOWS))
 }
 
 fn replay(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -605,7 +651,7 @@ fn ablations(args: &Args) -> Result<(), Box<dyn Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use satwatch_monitor::record::read_flows;
+    use satwatch_monitor::record::{read_dns_log, read_flows};
     use satwatch_monitor::FlowRecord;
     use satwatch_scenario::run;
 
@@ -724,6 +770,48 @@ mod tests {
         enr.days = 1;
         assert_replays_to(&[], &enr);
         dispatch(&parse(&["replay", "--logs", &dir_s])).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `replay` folds as it reads — rows handed over [`FOLD_ROWS`] at
+    /// a time, the DNS log read in step — and renders what
+    /// `report_all` renders over the whole frame and DNS log, over
+    /// logs of several batches and a day boundary. A log whose sort
+    /// column goes back fails under its file and line.
+    #[test]
+    fn replay_folds_like_report_all_over_the_whole_frame() {
+        let dir = std::env::temp_dir().join(format!("satwatch-replay-fold-test-{}", std::process::id()));
+        let dir_s = dir.to_str().unwrap().to_string();
+        dispatch(&parse(&["simulate", "--customers", "20", "--days", "2", "--seed", "11", "--out", &dir_s])).unwrap();
+        let flows = read_log(&dir_s, "flows.tsv", read_flows).unwrap();
+        let dns = read_log(&dir_s, "dns.tsv", read_dns_log).unwrap();
+        assert!(flows.len() > 3 * FOLD_ROWS, "{} flows", flows.len());
+        assert_eq!((flows[0].first.day(), flows.last().unwrap().first.day()), (0, 1));
+        let mut enr = read_log(&dir_s, "enrichment.tsv", read_enrichment_log).unwrap();
+        enr.days = 2;
+        let frame = satwatch_analytics::FlowFrame::from_records(&flows, &enr);
+        let ctx = ReportCtx { enrichment: &enr, countries: &Country::TOP6 };
+        let want =
+            satwatch_analytics::report_all(&frame, &dns, ctx, &experiments::FIG6_SERVICES, experiments::MIN_FLOWS);
+        let got = replay_reports(&dir_s).unwrap();
+        for (name, render) in REPORT_FIGURES {
+            assert_eq!(render(&got), render(&want), "{name}");
+        }
+
+        // two rows swapped, in either log
+        for (name, first_field) in [("flows.tsv", 5), ("dns.tsv", 3)] {
+            let path = dir.join(name);
+            let log = std::fs::read_to_string(&path).unwrap();
+            let mut lines: Vec<&str> = log.lines().collect();
+            let key = |l: &str| l.split('\t').nth(first_field).unwrap().parse::<u64>().unwrap();
+            let at = (1000..lines.len() - 1).find(|&i| key(lines[i]) < key(lines[i + 1])).unwrap();
+            lines.swap(at, at + 1);
+            std::fs::write(&path, lines.join("\n")).unwrap();
+            let err = replay_reports(&dir_s).unwrap_err();
+            assert!(err.starts_with(&format!("{}: line {}: ", path.display(), at + 1)), "{err}");
+            assert!(err.contains("goes back"), "{err}");
+            std::fs::write(&path, log).unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

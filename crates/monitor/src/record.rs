@@ -9,10 +9,10 @@
 
 pub use crate::intern::Domain;
 use crate::intern::DomainInterner;
-use crate::tsv::{push_fixed3, push_ipv4, push_u64, read_rows, write_rows};
+use crate::tsv::{push_fixed3, push_ipv4, push_u64, write_rows, Fields, Rows, BLOCK};
 use satwatch_simcore::stats::Running;
 use satwatch_simcore::SimTime;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::net::Ipv4Addr;
 
 /// L7 protocol classification, matching the paper's Table 1 rows.
@@ -272,56 +272,175 @@ fn push_or_dash<T>(out: &mut Vec<u8>, v: Option<T>, push: impl FnOnce(&mut Vec<u
     }
 }
 
-/// Read the flow log back a row at a time: `row` gets each record as
-/// it decodes, in file order, and the log is never resident as a
-/// whole. Early-packet timing is not serialised (Tstat's default logs
-/// omit it too); the field comes back empty. Domains are interned:
-/// rows naming the same domain share one `Arc<str>`.
-pub fn read_flow_rows<R: BufRead>(r: R, mut row: impl FnMut(FlowRecord)) -> io::Result<()> {
-    let mut names = DomainInterner::new();
-    read_rows(r, FLOW_HEADER, "flow log", |mut f| {
-        row(FlowRecord {
-            client: f.parse("client")?,
-            server: f.parse("server")?,
-            client_port: f.uint("cport")?,
-            server_port: f.uint("sport")?,
-            ip_proto: f.uint("proto")?,
-            first: SimTime::from_nanos(f.uint("first")?),
-            last: SimTime::from_nanos(f.uint("last")?),
-            c2s_packets: f.uint("c2s_pkts")?,
-            c2s_bytes: f.uint("c2s_bytes")?,
-            c2s_payload_bytes: f.uint("c2s_payload")?,
-            s2c_packets: f.uint("s2c_pkts")?,
-            s2c_bytes: f.uint("s2c_bytes")?,
-            s2c_payload_bytes: f.uint("s2c_payload")?,
-            c2s_retrans: f.uint("c2s_rtx")?,
-            s2c_retrans: f.uint("s2c_rtx")?,
-            early: Vec::new(),
-            syn_seen: f.text() == "1",
-            fin_seen: f.text() == "1",
-            rst_seen: f.text() == "1",
-            ground_rtt: RttSummary {
-                samples: f.uint("rtt_n")?,
-                min_ms: f.parse("rtt_min")?,
-                avg_ms: f.parse("rtt_avg")?,
-                max_ms: f.parse("rtt_max")?,
-                std_ms: f.parse("rtt_std")?,
-            },
-            s2c_data_first: f.uint_opt("data_first")?.map(SimTime::from_nanos),
-            s2c_data_last: f.uint_opt("data_last")?.map(SimTime::from_nanos),
-            sat_rtt_ms: f.parse_opt("sat_rtt")?,
-            l7: L7Protocol::from_label(f.text()).ok_or_else(|| f.bad("l7"))?,
-            domain: Some(f.text()).filter(|&d| d != "-").map(|d| names.intern(d)),
-        });
-        Ok(())
+/// A TSV log read back a record at a time, through [`Rows`]: the log
+/// is never resident as a whole, and names are interned (rows naming
+/// the same domain share one `Arc<str>`). The flow and DNS logs are
+/// each one of these ([`FlowRows`], [`DnsRows`]); as iterators they
+/// can be pulled in step.
+pub struct LogRows<R, T> {
+    rows: Rows<R>,
+    names: DomainInterner,
+    decode: Decode<T>,
+    /// The sort column's value in the row above, in a log read
+    /// [`in_order`](Self::in_order); `None` in one read in any order.
+    floor: Option<u64>,
+}
+
+/// Decode one row's fields, interning its names and holding its sort
+/// column to the floor.
+type Decode<T> = fn(&mut Fields<'_>, &mut DomainInterner, &mut Option<u64>) -> io::Result<T>;
+
+/// The flow log, a row at a time. Early-packet timing is not
+/// serialised (Tstat's default logs omit it too); the field comes back
+/// empty.
+pub type FlowRows<R> = LogRows<R, FlowRecord>;
+
+/// The DNS transaction log, a row at a time.
+pub type DnsRows<R> = LogRows<R, DnsRecord>;
+
+impl<R: BufRead> FlowRows<R> {
+    /// The rows of a flow log, in any order.
+    pub fn new(r: R) -> FlowRows<R> {
+        LogRows {
+            rows: Rows::new(r, FLOW_HEADER, "flow log"),
+            names: DomainInterner::new(),
+            decode: decode_flow,
+            floor: None,
+        }
+    }
+}
+
+impl<R: BufRead> DnsRows<R> {
+    /// The rows of a DNS log, in any order.
+    pub fn new(r: R) -> DnsRows<R> {
+        LogRows {
+            rows: Rows::new(r, DNS_HEADER, "DNS log"),
+            names: DomainInterner::new(),
+            decode: decode_dns,
+            floor: None,
+        }
+    }
+}
+
+impl<R, T> LogRows<R, T> {
+    /// Hold the log to the order `simulate` writes (DESIGN.md §5): a
+    /// flow row whose `first`, or a DNS row whose `ts`, is before the
+    /// row above it is an error naming its line. Ties are allowed.
+    pub fn in_order(self) -> LogRows<R, T> {
+        LogRows { floor: Some(0), ..self }
+    }
+}
+
+impl<R: BufRead, T> Iterator for LogRows<R, T> {
+    type Item = io::Result<T>;
+
+    fn next(&mut self) -> Option<io::Result<T>> {
+        match self.rows.next_row() {
+            Ok(Some(mut fields)) => Some((self.decode)(&mut fields, &mut self.names, &mut self.floor)),
+            Ok(None) => None,
+            Err(e) => Some(Err(e)),
+        }
+    }
+}
+
+fn decode_flow(f: &mut Fields<'_>, names: &mut DomainInterner, floor: &mut Option<u64>) -> io::Result<FlowRecord> {
+    Ok(FlowRecord {
+        client: f.parse("client")?,
+        server: f.parse("server")?,
+        client_port: f.uint("cport")?,
+        server_port: f.uint("sport")?,
+        ip_proto: f.uint("proto")?,
+        first: SimTime::from_nanos(f.uint_from("first", floor)?),
+        last: SimTime::from_nanos(f.uint("last")?),
+        c2s_packets: f.uint("c2s_pkts")?,
+        c2s_bytes: f.uint("c2s_bytes")?,
+        c2s_payload_bytes: f.uint("c2s_payload")?,
+        s2c_packets: f.uint("s2c_pkts")?,
+        s2c_bytes: f.uint("s2c_bytes")?,
+        s2c_payload_bytes: f.uint("s2c_payload")?,
+        c2s_retrans: f.uint("c2s_rtx")?,
+        s2c_retrans: f.uint("s2c_rtx")?,
+        early: Vec::new(),
+        syn_seen: f.text() == "1",
+        fin_seen: f.text() == "1",
+        rst_seen: f.text() == "1",
+        ground_rtt: RttSummary {
+            samples: f.uint("rtt_n")?,
+            min_ms: f.parse("rtt_min")?,
+            avg_ms: f.parse("rtt_avg")?,
+            max_ms: f.parse("rtt_max")?,
+            std_ms: f.parse("rtt_std")?,
+        },
+        s2c_data_first: f.uint_opt("data_first")?.map(SimTime::from_nanos),
+        s2c_data_last: f.uint_opt("data_last")?.map(SimTime::from_nanos),
+        sat_rtt_ms: f.parse_opt("sat_rtt")?,
+        l7: L7Protocol::from_label(f.text()).ok_or_else(|| f.bad("l7"))?,
+        domain: Some(f.text()).filter(|&d| d != "-").map(|d| names.intern(d)),
     })
+}
+
+fn decode_dns(f: &mut Fields<'_>, names: &mut DomainInterner, floor: &mut Option<u64>) -> io::Result<DnsRecord> {
+    Ok(DnsRecord {
+        client: f.parse("client")?,
+        resolver: f.parse("resolver")?,
+        query: names.intern(f.text()),
+        ts: SimTime::from_nanos(f.uint_from("ts", floor)?),
+        response_ms: f.parse_opt("response_ms")?,
+        answers: match f.text() {
+            "" => Vec::new(),
+            list => list.split(',').map(str::parse).collect::<Result<_, _>>().map_err(|_| f.bad("answers"))?,
+        },
+    })
+}
+
+/// Read the flow log back a row at a time: `row` gets each record as
+/// it decodes, in file order, and the first error it returns stops
+/// the read ([`FlowRows`] driven to the end).
+pub fn read_flow_rows<R: BufRead>(r: R, mut row: impl FnMut(FlowRecord) -> io::Result<()>) -> io::Result<()> {
+    FlowRows::new(r).try_for_each(|f| row(f?))
+}
+
+/// The `first` of a flow log's last row, read off its tail: a seek
+/// and a read of the last line, however long the log. `None` for a
+/// log of no rows, or when the last row's `first` does not parse — a
+/// read of the rows fails on that row. Read order is not checked here:
+/// in a log read [`in_order`](LogRows::in_order) the last row is the
+/// latest. `r` is left at its start, for the read of the rows.
+pub fn last_first<R: Read + Seek>(mut r: R) -> io::Result<Option<SimTime>> {
+    const FIRST_FIELD: usize = 5;
+    let mut start = r.seek(SeekFrom::End(0))?;
+    let mut tail: Vec<u8> = Vec::new();
+    loop {
+        // blank lines at the end are skipped, as `Rows` skips them
+        while matches!(tail.last(), Some(b'\n' | b'\r')) {
+            tail.pop();
+        }
+        let line = match tail.iter().rposition(|&b| b == b'\n') {
+            Some(at) => &tail[at + 1..],
+            None if start == 0 => &tail[..],
+            // no row is longer than the window a reader accepts
+            None if tail.len() > 2 * BLOCK => return Ok(None),
+            None => {
+                let step = start.min(BLOCK as u64);
+                start -= step;
+                let mut chunk = vec![0; step as usize];
+                r.seek(SeekFrom::Start(start))?;
+                r.read_exact(&mut chunk)?;
+                chunk.extend_from_slice(&tail);
+                tail = chunk;
+                continue;
+            }
+        };
+        let first = line.split(|&b| b == b'\t').nth(FIRST_FIELD);
+        let first = first.and_then(|f| std::str::from_utf8(f).ok()?.parse().ok()).map(SimTime::from_nanos);
+        r.rewind()?;
+        return Ok(first);
+    }
 }
 
 /// [`read_flow_rows`], collected.
 pub fn read_flows<R: BufRead>(r: R) -> io::Result<Vec<FlowRecord>> {
-    let mut out = Vec::new();
-    read_flow_rows(r, |f| out.push(f))?;
-    Ok(out)
+    FlowRows::new(r).collect()
 }
 
 /// Write the DNS transaction log as TSV: one header line, then one
@@ -370,23 +489,7 @@ pub fn push_answers(out: &mut Vec<u8>, answers: &[Ipv4Addr], sep: &[u8]) {
 
 /// Read the DNS transaction log back; query names are interned.
 pub fn read_dns_log<R: BufRead>(r: R) -> io::Result<Vec<DnsRecord>> {
-    let mut out = Vec::new();
-    let mut names = DomainInterner::new();
-    read_rows(r, DNS_HEADER, "DNS log", |mut f| {
-        out.push(DnsRecord {
-            client: f.parse("client")?,
-            resolver: f.parse("resolver")?,
-            query: names.intern(f.text()),
-            ts: SimTime::from_nanos(f.uint("ts")?),
-            response_ms: f.parse_opt("response_ms")?,
-            answers: match f.text() {
-                "" => Vec::new(),
-                list => list.split(',').map(str::parse).collect::<Result<_, _>>().map_err(|_| f.bad("answers"))?,
-            },
-        });
-        Ok(())
-    })?;
-    Ok(out)
+    DnsRows::new(r).collect()
 }
 
 #[cfg(test)]
@@ -687,7 +790,11 @@ pub(crate) mod tests {
         // same order, one handle per name (the frame builder's handle
         // memo counts on it)
         let mut streamed = Vec::new();
-        read_flow_rows(&buf[..], |f| streamed.push(f)).unwrap();
+        read_flow_rows(&buf[..], |f| {
+            streamed.push(f);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(streamed, back);
         let handle = |i: usize| streamed[i].domain.as_ref().unwrap();
         assert!(std::sync::Arc::ptr_eq(handle(0), handle(2)) && !std::sync::Arc::ptr_eq(handle(0), handle(1)));
@@ -705,6 +812,60 @@ pub(crate) mod tests {
         let back = read_dns_log(&buf[..]).unwrap();
         assert!(std::sync::Arc::ptr_eq(&back[0].query, &back[2].query));
         assert!(!std::sync::Arc::ptr_eq(&back[0].query, &back[1].query));
+    }
+
+    /// A log read in order takes ties and refuses a row whose sort
+    /// column goes back, naming its line; read in any order, it takes
+    /// every row.
+    #[test]
+    fn logs_read_in_order_refuse_a_row_that_goes_back() {
+        let flow = |secs| FlowRecord { first: SimTime::from_secs(secs), ..sample_flow() };
+        let mut log = Vec::new();
+        write_flows(&mut log, &[flow(5), flow(9), flow(9), flow(7)]).unwrap();
+        assert_eq!(FlowRows::new(&log[..]).count(), 4);
+        let mut rows = FlowRows::new(&log[..]).in_order();
+        assert_eq!(rows.by_ref().take(3).map(|f| f.unwrap().first.as_secs()).collect::<Vec<_>>(), [5, 9, 9]);
+        let err = rows.next().unwrap().unwrap_err().to_string();
+        assert_eq!(err, "line 4: first 7000000000 goes back (the row above has 9000000000)");
+
+        let dns = |secs| DnsRecord {
+            client: Ipv4Addr::new(10, 9, 8, 7),
+            resolver: Ipv4Addr::new(8, 8, 8, 8),
+            query: "a.example".into(),
+            ts: SimTime::from_secs(secs),
+            response_ms: None,
+            answers: Vec::new(),
+        };
+        let mut log = Vec::new();
+        write_dns_log(&mut log, &[dns(3), dns(3), dns(2)]).unwrap();
+        assert_eq!(read_dns_log(&log[..]).unwrap().len(), 3);
+        let err = DnsRows::new(&log[..]).in_order().find_map(Result::err).unwrap().to_string();
+        assert_eq!(err, "line 3: ts 2000000000 goes back (the row above has 3000000000)");
+    }
+
+    /// The last row's `first` comes off the tail, whatever ends the
+    /// log and however long its last row.
+    #[test]
+    fn last_first_reads_the_tail() {
+        let last = |log: &[u8]| last_first(io::Cursor::new(log)).unwrap();
+        let flow = |secs| FlowRecord { first: SimTime::from_secs(secs), ..sample_flow() };
+        let mut log = Vec::new();
+        write_flows(&mut log, &[flow(5), flow(86_400 * 3 + 1)]).unwrap();
+        assert_eq!(last(&log), Some(SimTime::from_secs(86_400 * 3 + 1)));
+        let mut blank_lines = log.clone();
+        blank_lines.extend_from_slice(b"\r\n\n\n");
+        assert_eq!(last(&blank_lines), Some(SimTime::from_secs(86_400 * 3 + 1)));
+        assert_eq!(last(&log[..log.len() - 1]), Some(SimTime::from_secs(86_400 * 3 + 1)), "no newline at the end");
+        let mut long = log.clone();
+        long.truncate(long.len() - 1);
+        long.extend(std::iter::repeat_n(b'x', 3 * BLOCK / 2));
+        assert_eq!(last(&long), Some(SimTime::from_secs(86_400 * 3 + 1)), "a row longer than a read");
+        let header = &log[..FLOW_HEADER.len() + 1];
+        assert_eq!((last(header), last(b"")), (None, None), "no rows");
+        // the reader is left at the start
+        let mut r = io::Cursor::new(&log[..]);
+        last_first(&mut r).unwrap();
+        assert_eq!(read_flows(r).unwrap().len(), 2);
     }
 
     #[test]

@@ -112,46 +112,77 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Feed every data row of a TSV log to `row`, through one reused line
-/// buffer. The first line must equal `header` and every row must have
-/// as many fields as it; empty lines are skipped; `what` names the log
-/// in the header error. Line numbers count from the header as line 0.
+/// A TSV log read a row at a time through one reused line buffer: a
+/// pull cursor, so that two logs can be read in step. The first line
+/// must equal `header` and every row must have as many fields as it;
+/// empty lines are skipped; `what` names the log in the header error.
+/// Line numbers count from the header as line 0.
+pub struct Rows<R> {
+    r: R,
+    header: &'static str,
+    what: &'static str,
+    want: usize,
+    buf: Vec<u8>,
+    /// The line the next read takes.
+    lineno: usize,
+}
+
+impl<R: BufRead> Rows<R> {
+    /// A cursor at the first line of `r`, which must be `header`.
+    pub fn new(r: R, header: &'static str, what: &'static str) -> Rows<R> {
+        Rows { r, header, what, want: header.split('\t').count(), buf: Vec::new(), lineno: 0 }
+    }
+
+    /// The next data row, `None` at the end of the log.
+    pub fn next_row(&mut self) -> io::Result<Option<Fields<'_>>> {
+        loop {
+            let lineno = self.lineno;
+            self.lineno += 1;
+            let buf = &mut self.buf;
+            buf.clear();
+            if self.r.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', buf)? == 0 {
+                return Ok(None);
+            }
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            } else if buf.len() > MAX_LINE {
+                return Err(invalid(format!("line {lineno}: longer than {MAX_LINE} bytes")));
+            }
+            let not_utf8 = || invalid(format!("line {lineno}: not UTF-8"));
+            if lineno == 0 {
+                std::str::from_utf8(buf).map_err(|_| not_utf8())?;
+                if &buf[..] != self.header.as_bytes() {
+                    return Err(invalid(format!("bad {} header", self.what)));
+                }
+                continue;
+            }
+            if buf.is_empty() {
+                continue;
+            }
+            let line = std::str::from_utf8(&self.buf).map_err(|_| not_utf8())?;
+            let got = 1 + line.bytes().filter(|&b| b == b'\t').count();
+            if got != self.want {
+                return Err(invalid(format!("line {lineno}: expected {} fields, got {got}", self.want)));
+            }
+            return Ok(Some(Fields { rest: line, lineno }));
+        }
+    }
+}
+
+/// Feed every data row of a TSV log to `row`: [`Rows`] driven to the
+/// end, or to the first error `row` returns.
 pub fn read_rows<R: BufRead>(
-    mut r: R,
-    header: &str,
-    what: &str,
+    r: R,
+    header: &'static str,
+    what: &'static str,
     mut row: impl FnMut(Fields<'_>) -> io::Result<()>,
 ) -> io::Result<()> {
-    let want = header.split('\t').count();
-    let mut buf = Vec::new();
-    for lineno in 0.. {
-        buf.clear();
-        if r.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', &mut buf)? == 0 {
-            break;
-        }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        } else if buf.len() > MAX_LINE {
-            return Err(invalid(format!("line {lineno}: longer than {MAX_LINE} bytes")));
-        }
-        let line = std::str::from_utf8(&buf).map_err(|_| invalid(format!("line {lineno}: not UTF-8")))?;
-        if lineno == 0 {
-            if line != header {
-                return Err(invalid(format!("bad {what} header")));
-            }
-            continue;
-        }
-        if line.is_empty() {
-            continue;
-        }
-        let got = 1 + line.bytes().filter(|&b| b == b'\t').count();
-        if got != want {
-            return Err(invalid(format!("line {lineno}: expected {want} fields, got {got}")));
-        }
-        row(Fields { rest: line, lineno })?;
+    let mut rows = Rows::new(r, header, what);
+    while let Some(fields) = rows.next_row()? {
+        row(fields)?;
     }
     Ok(())
 }
@@ -205,6 +236,23 @@ impl<'a> Fields<'a> {
             "-" => Ok(None),
             s => self.uint_of(s, column).map(Some),
         }
+    }
+
+    /// [`uint`](Self::uint) of the column the log is sorted on. With a
+    /// `floor` (the row above's value) a value below it is an error
+    /// naming the line, and the value becomes the floor.
+    pub fn uint_from(&mut self, column: &str, floor: &mut Option<u64>) -> io::Result<u64> {
+        let v = self.uint(column)?;
+        if let Some(floor) = floor {
+            if v < *floor {
+                return Err(invalid(format!(
+                    "line {}: {column} {v} goes back (the row above has {floor})",
+                    self.lineno
+                )));
+            }
+            *floor = v;
+        }
+        Ok(v)
     }
 
     fn uint_of<T: TryFrom<u64>>(&self, s: &str, column: &str) -> io::Result<T> {

@@ -162,4 +162,14 @@ fn snapshot_covers_every_pipeline_layer() {
     let held = snap.gauge("analytics_cdn_join_lookups").expect("analytics_cdn_join_lookups registered");
     let lookups = snap.delta(&before).counter("monitor_dns_answered_total").unwrap();
     assert!((0..lookups as i64 / 20).contains(&held), "the join holds {held} of {lookups} lookups");
+    // the values each list-keeping figure of the fold held when it
+    // finished: Fig 9 keeps one per flow with a ground-RTT sample
+    let values = |fig: &str| {
+        let name = satwatch_telemetry::labelled("analytics_fold_values", &[("fig", fig)]);
+        snap.gauge(&name).unwrap_or_else(|| panic!("{name} missing from snapshot"))
+    };
+    for fig in ["8a", "8b", "10", "11"] {
+        assert!(values(fig) >= 0, "Fig {fig}");
+    }
+    assert!(values("9") > 0, "Fig 9 held {} values", values("9"));
 }

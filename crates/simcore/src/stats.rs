@@ -151,8 +151,9 @@ pub struct BoxplotSummary {
 }
 
 impl BoxplotSummary {
-    pub fn from_values(values: &[f64]) -> Option<BoxplotSummary> {
-        let mut v: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
+    /// Summarise `v`, which is sorted in place; NaNs are dropped.
+    pub fn from_values(mut v: Vec<f64>) -> Option<BoxplotSummary> {
+        v.retain(|x| !x.is_nan());
         if v.is_empty() {
             return None;
         }
@@ -179,9 +180,10 @@ pub struct Cdf {
 }
 
 impl Cdf {
-    /// Build from raw samples. Duplicate x-values are collapsed.
-    pub fn from_values(values: &[f64]) -> Cdf {
-        let mut v: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
+    /// Build from raw samples, sorted in place; NaNs are dropped.
+    /// Duplicate x-values are collapsed.
+    pub fn from_values(mut v: Vec<f64>) -> Cdf {
+        v.retain(|x| !x.is_nan());
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let n = v.len();
         let mut points = Vec::new();
@@ -201,8 +203,10 @@ impl Cdf {
     /// Build from weighted samples `(x, weight)` — e.g. a
     /// traffic-volume-weighted RTT distribution. Weights must be
     /// non-negative with a positive sum; NaN x values are dropped.
-    pub fn from_weighted(samples: &[(f64, f64)]) -> Cdf {
-        let mut v: Vec<(f64, f64)> = samples.iter().copied().filter(|(x, w)| !x.is_nan() && *w > 0.0).collect();
+    /// `v` is sorted in place by a stable sort: tied x values sum
+    /// their weights in the order given.
+    pub fn from_weighted(mut v: Vec<(f64, f64)>) -> Cdf {
+        v.retain(|(x, w)| !x.is_nan() && *w > 0.0);
         v.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         let total: f64 = v.iter().map(|(_, w)| w).sum();
         let mut points = Vec::new();
@@ -326,19 +330,19 @@ mod tests {
     #[test]
     fn boxplot_summary_fields() {
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let b = BoxplotSummary::from_values(&v).unwrap();
+        let b = BoxplotSummary::from_values(v).unwrap();
         assert!((b.median - 50.5).abs() < 1e-9);
         assert!((b.q1 - 25.75).abs() < 1e-9);
         assert!((b.q3 - 75.25).abs() < 1e-9);
         assert!((b.p5 - 5.95).abs() < 1e-9);
         assert!((b.p95 - 95.05).abs() < 1e-9);
         assert_eq!(b.count, 100);
-        assert!(BoxplotSummary::from_values(&[]).is_none());
+        assert!(BoxplotSummary::from_values(vec![]).is_none());
     }
 
     #[test]
     fn cdf_basics() {
-        let c = Cdf::from_values(&[1.0, 1.0, 2.0, 3.0]);
+        let c = Cdf::from_values(vec![1.0, 1.0, 2.0, 3.0]);
         assert_eq!(c.count, 4);
         assert_eq!(c.at(0.5), 0.0);
         assert_eq!(c.at(1.0), 0.5);
@@ -352,13 +356,13 @@ mod tests {
 
     #[test]
     fn weighted_cdf() {
-        let c = Cdf::from_weighted(&[(10.0, 1.0), (20.0, 3.0), (5.0, 1.0)]);
+        let c = Cdf::from_weighted(vec![(10.0, 1.0), (20.0, 3.0), (5.0, 1.0)]);
         assert_eq!(c.at(5.0), 0.2);
         assert_eq!(c.at(10.0), 0.4);
         assert_eq!(c.at(20.0), 1.0);
         assert_eq!(c.quantile(0.5), 20.0);
         // zero/negative weights and NaN x dropped
-        let c2 = Cdf::from_weighted(&[(1.0, 0.0), (2.0, 5.0), (f64::NAN, 1.0)]);
+        let c2 = Cdf::from_weighted(vec![(1.0, 0.0), (2.0, 5.0), (f64::NAN, 1.0)]);
         assert_eq!(c2.points.len(), 1);
         assert_eq!(c2.at(2.0), 1.0);
     }
@@ -366,7 +370,7 @@ mod tests {
     #[test]
     fn cdf_resample_monotone() {
         let vals: Vec<f64> = (0..1000).map(|i| (i % 97) as f64).collect();
-        let c = Cdf::from_values(&vals);
+        let c = Cdf::from_values(vals);
         let pts = c.resample(20);
         assert_eq!(pts.len(), 20);
         for w in pts.windows(2) {

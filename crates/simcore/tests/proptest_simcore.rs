@@ -100,7 +100,7 @@ proptest! {
 
     #[test]
     fn boxplot_ordering(values in proptest::collection::vec(0f64..1e6, 2..200)) {
-        let b = BoxplotSummary::from_values(&values).unwrap();
+        let b = BoxplotSummary::from_values(values.clone()).unwrap();
         prop_assert!(b.p5 <= b.q1 + 1e-9);
         prop_assert!(b.q1 <= b.median + 1e-9);
         prop_assert!(b.median <= b.q3 + 1e-9);
@@ -110,7 +110,7 @@ proptest! {
 
     #[test]
     fn cdf_is_monotone_and_normalised(values in proptest::collection::vec(-1e4f64..1e4, 1..200)) {
-        let cdf = Cdf::from_values(&values);
+        let cdf = Cdf::from_values(values);
         let mut last_p = 0.0;
         for &(x, p) in &cdf.points {
             prop_assert!(p >= last_p);
