@@ -173,15 +173,12 @@ fn run_command(args: &Args) -> Result<(), Box<dyn Error>> {
 /// anything else → JSON.
 fn write_metrics(path: &str) -> Result<(), Box<dyn Error>> {
     let snap = satwatch_telemetry::Snapshot::take();
-    let prometheus = Path::new(path).extension().is_some_and(|e| e == "prom" || e == "txt");
+    let path = Path::new(path);
+    let prometheus = path.extension().is_some_and(|e| e == "prom" || e == "txt");
     let text = if prometheus { snap.to_prometheus() } else { snap.to_json() };
-    if let Some(parent) = Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    fs::write(path, text)?;
-    eprintln!("wrote telemetry snapshot to {path}");
+    create_parent(path)?;
+    fs::write(path, text).map_err(|e| named(path, e))?;
+    eprintln!("wrote telemetry snapshot to {}", path.display());
     Ok(())
 }
 
@@ -294,6 +291,14 @@ fn named(path: &Path, e: io::Error) -> String {
     format!("{}: {e}", path.display())
 }
 
+/// Create the directory `path` is to be written in, if it names one.
+fn create_parent(path: &Path) -> Result<(), String> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => fs::create_dir_all(parent).map_err(|e| named(path, e)),
+        _ => Ok(()),
+    }
+}
+
 /// The flow and DNS logs of `simulate`, appended to piece by piece as
 /// the run seals them. The first write that fails is kept, named after
 /// its file, and nothing is written to either log after it.
@@ -344,7 +349,7 @@ impl<W: Write> LogWriter<W> {
 fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     let cfg = scenario_from(args)?;
     let out_dir = Path::new(args.get("out").unwrap_or("satwatch-logs"));
-    fs::create_dir_all(out_dir)?;
+    fs::create_dir_all(out_dir).map_err(|e| named(out_dir, e))?;
     let [flows, dns, enr] = ["flows.tsv", "dns.tsv", "enrichment.tsv"].map(|name| out_dir.join(name));
     let create = |path: &Path| fs::File::create(path).map(|f| (path.to_path_buf(), f)).map_err(|e| named(path, e));
     // rows leave as the probe is done with them: the logs grow while
@@ -354,13 +359,10 @@ fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
         Some(path) => {
             use satwatch_monitor::pcap::PcapWriter;
             let snaplen: u32 = args.get_parsed("snaplen", 256u32)?;
-            if let Some(parent) = Path::new(path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    fs::create_dir_all(parent)?;
-                }
-            }
-            let file = std::io::BufWriter::new(fs::File::create(path)?);
-            let mut writer = PcapWriter::new(file, snaplen)?;
+            let pcap = Path::new(path);
+            create_parent(pcap)?;
+            let file = std::io::BufWriter::new(fs::File::create(pcap).map_err(|e| named(pcap, e))?);
+            let mut writer = PcapWriter::new(file, snaplen).map_err(|e| named(pcap, e))?;
             eprintln!("capturing span traffic to {path} (snaplen {snaplen}) …");
             // the tap cannot return an error: keep the first one and
             // write nothing after it
@@ -453,10 +455,11 @@ fn report(args: &Args) -> Result<(), Box<dyn Error>> {
     banner_done(t0, (packets, flows, dns));
     print_figures(&which, &names, &reports);
     if let Some(dir) = args.get("csv") {
-        fs::create_dir_all(dir)?;
+        fs::create_dir_all(dir).map_err(|e| named(Path::new(dir), e))?;
         // the CSV export keeps a lower flow floor than the rendered table
         for (name, contents) in satwatch_analytics::csv::report_files(&reports, &table2_csv) {
-            fs::write(Path::new(dir).join(name), contents)?;
+            let path = Path::new(dir).join(name);
+            fs::write(&path, contents).map_err(|e| named(&path, e))?;
         }
         eprintln!("wrote 13 CSV files to {dir}");
     }
@@ -471,7 +474,7 @@ fn profiles(args: &Args) -> Result<(), Box<dyn Error>> {
     let text = errant_export::export(&profiles);
     match args.get("out") {
         Some(path) => {
-            fs::write(path, &text)?;
+            fs::write(path, &text).map_err(|e| named(Path::new(path), e))?;
             eprintln!("wrote {} profiles to {path}", profiles.len());
         }
         None => print!("{text}"),
@@ -586,7 +589,7 @@ fn query(args: &Args) -> Result<(), Box<dyn Error>> {
     let src = match (args.get("pipeline"), args.get("pipeline-file")) {
         (Some(_), Some(_)) => return Err("pass either --pipeline or --pipeline-file, not both".into()),
         (Some(s), None) => s.to_string(),
-        (None, Some(path)) => fs::read_to_string(path)?,
+        (None, Some(path)) => fs::read_to_string(path).map_err(|e| named(Path::new(path), e))?,
         (None, None) => {
             return Err("query needs --pipeline '<json>' or --pipeline-file FILE\n\
                  example: satwatch query --pipeline \

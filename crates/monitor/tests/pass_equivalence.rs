@@ -1,27 +1,28 @@
-//! The pass driver against the merge it replaced.
+//! The pass driver against the reference's event heap.
 //!
 //! `Probe::observe_runs` reads every live run's rows below a bound as
-//! one slice per run; the day loop used to merge the runs with
-//! `ColMerge::next_span_upto` and hand each span to
-//! `ShardedProbe::observe_cols` (the benchmark harness still drives
-//! that loop). Both are driven here over random synthetic days built
-//! to meet every place where flows couple: five-tuples reused by two
-//! runs live at once, with a FIN or RST mid-run that makes the reuse
-//! open a new flow; DNS queries from different runs (and ports) under
-//! one `(client, resolver, id)`; rows tied to the nanosecond across
-//! runs, on whole seconds, so sweep boundaries land on rows; a
-//! midnight rewind and the horizon cut. Everything the probe lets out
-//! must agree: the log — evicted flows in eviction order, DNS
-//! transactions in observation order, before any sort — every
-//! `SealMarks`, the rows a tap sees, and the exported state.
+//! one slice per run. The reference (`satwatch_oracle::run_reference`)
+//! schedules every packet on one `EventQueue` and hands each to
+//! `Probe::observe` as it pops. Both are driven here over random
+//! synthetic days built to meet every place where flows couple:
+//! five-tuples reused by two runs live at once, with a FIN or RST
+//! mid-run that makes the reuse open a new flow; DNS queries from
+//! different runs (and ports) under one `(client, resolver, id)`; rows
+//! tied to the nanosecond across runs, on whole seconds, so sweep
+//! boundaries land on rows; a midnight rewind and the horizon cut.
+//! Everything the probe lets out must agree: the log — evicted flows
+//! in eviction order, DNS transactions in observation order, before
+//! any sort — every `SealMarks`, the rows a tap sees, and the exported
+//! state.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use satwatch_monitor::{FlowTableConfig, LiveRuns, ProbeConfig, ShardedProbe};
+use satwatch_monitor::{FlowTableConfig, LiveRuns, Probe, ProbeConfig};
 use satwatch_netstack::columns::NO_ARENA;
 use satwatch_netstack::dns::{DnsMessage, RecordType};
 use satwatch_netstack::{Packet, PacketColumns, SortScratch, Subnet, TcpFlags};
-use satwatch_simcore::{ColMerge, SimDuration, SimTime};
+use satwatch_oracle::EventQueue;
+use satwatch_simcore::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
 /// Seconds of intents per simulated day, and the spill past it: the
@@ -57,7 +58,8 @@ impl RunBuilder {
         self.cols.push_udp(t, src, dst, sport, dport, off as u32, (self.arena.len() - off) as u32);
     }
 
-    /// Clamped to the intent time and sorted, as the day loop does.
+    /// Time-ordered and starting no earlier than the intent, as
+    /// synthesis emits a run (`crates/scenario/tests/emission_order.rs`).
     fn finish(mut self, start: SimTime) -> PacketColumns {
         self.cols.payload = Bytes::from(self.arena);
         self.cols.zeros = Bytes::from_static(&ZEROS);
@@ -167,19 +169,22 @@ fn random_day(rng: &mut TestRng, day: u64) -> Vec<(SimTime, Vec<PacketColumns>)>
 
 proptest! {
     #[test]
-    fn pass_driver_matches_the_merge_drain(seed in any::<u64>(), days in 1u64..=2, tapped in any::<bool>()) {
+    fn pass_driver_matches_the_heap(seed in any::<u64>(), days in 1u64..=2, tapped in any::<bool>()) {
         let mut rng = TestRng::new(seed);
-        let (mut merged, mut passed) = (ShardedProbe::new(cfg(), 1), ShardedProbe::new(cfg(), 1));
-        let mut merge: ColMerge<PacketColumns> = ColMerge::new();
+        let (mut heaped, mut passed) = (Probe::new(cfg()), Probe::new(cfg()));
         let mut runs = LiveRuns::new();
-        let (mut merged_tap, mut passed_tap) = (Vec::new(), Vec::new());
+        let (mut heaped_tap, mut passed_tap) = (Vec::new(), Vec::new());
+        let mut packets = Vec::new();
         let mut steps = 0;
         for day in 0..days {
             let horizon = secs(day * DAY_S + DAY_S + SPILL_S);
+            // one heap per day, as the reference keeps: the next day
+            // rewinds below this one's horizon
+            let mut queue = EventQueue::new();
             let cohorts = random_day(&mut rng, day);
             let bounds: Vec<Option<SimTime>> = cohorts.iter().map(|c| Some(c.0)).chain([None]).collect();
             for (bound, cohort) in bounds.into_iter().zip(cohorts.into_iter().map(Some).chain([None])) {
-                // the merge drains through `bound − 1 ns` (intents win
+                // the heap pops through `bound − 1 ns` (intents win
                 // ties) or the horizon; the passes read below `bound`
                 // or through the horizon
                 let upto = match bound {
@@ -187,37 +192,38 @@ proptest! {
                     None => Some(horizon),
                 };
                 if let Some(upto) = upto {
-                    while merge
-                        .next_span_upto(upto, |cols, start, end| {
-                            if tapped {
-                                merged_tap.extend((start..end).map(|i| (cols.ts[i], cols.materialize(i))));
-                            }
-                            merged.observe_cols(cols, start, end);
-                        })
-                        .is_some()
-                    {}
+                    queue.run_until(upto, |_, t, packet: Packet| {
+                        heaped.observe(t, &packet);
+                        if tapped {
+                            heaped_tap.push((t, packet));
+                        }
+                    });
                 }
                 let mut tap = |t: SimTime, p: &Packet| passed_tap.push((t, p.clone()));
                 let tap = tapped.then_some(&mut tap as &mut dyn FnMut(SimTime, &Packet));
                 let stats = passed.observe_runs(&mut runs, bound.unwrap_or(horizon + SimDuration::from_nanos(1)), tap);
                 prop_assert!(stats.rows == 0 || stats.passes > 0);
-                prop_assert_eq!(passed.packets, merged.packets, "step {}", steps);
-                prop_assert_eq!(passed.take_marks(), merged.take_marks(), "step {}", steps);
-                prop_assert_eq!(passed.unsealed(), merged.unsealed(), "step {}", steps);
+                prop_assert_eq!(passed.packets, heaped.packets, "step {}", steps);
+                prop_assert_eq!(passed.take_marks(), heaped.take_marks(), "step {}", steps);
+                prop_assert_eq!(passed.unsealed(), heaped.unsealed(), "step {}", steps);
                 steps += 1;
+                // each run's rows join the heap in push order, each
+                // run's in emission order
                 for run in cohort.into_iter().flat_map(|c| c.1) {
-                    merge.push(run.clone());
+                    run.materialize_into(&mut packets);
+                    for (t, packet) in packets.drain(..) {
+                        queue.schedule(t, packet);
+                    }
                     runs.push(run);
                 }
             }
-            // the horizon cut; the next day rewinds below it
-            merge.clear();
+            // the horizon cut: rows past it leave with the day's heap
             runs.clear();
-            prop_assert_eq!(passed.export_state().encode(), merged.export_state().encode(), "day {}", day);
+            prop_assert_eq!(passed.export_state().encode(), heaped.export_state().encode(), "day {}", day);
         }
-        prop_assert_eq!(&passed_tap, &merged_tap);
+        prop_assert_eq!(&passed_tap, &heaped_tap);
         prop_assert!(passed.dns_replaced > 0, "the colliding lookups replaced a query");
-        prop_assert_eq!(passed.dns_replaced, merged.dns_replaced);
-        prop_assert_eq!(passed.finish(), merged.finish());
+        prop_assert_eq!(passed.dns_replaced, heaped.dns_replaced);
+        prop_assert_eq!(passed.finish(), heaped.finish());
     }
 }

@@ -5,7 +5,7 @@
 //! heap of timestamped events with stable FIFO tie-breaking so that
 //! identical inputs replay identically.
 
-use crate::time::SimTime;
+use satwatch_simcore::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -124,7 +124,7 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use satwatch_simcore::SimDuration;
 
     #[test]
     fn pops_in_time_order() {

@@ -1,12 +1,13 @@
 //! The packet path's reference: one event heap, one flow at a time,
 //! one packet at a time.
 //!
-//! [`run_reference`] is what [`run`](crate::run::run) must equal on
-//! every config, written to be read in one sitting. It shares only the
-//! config-derived inputs and [`build_enrichment`] with the production
-//! path: no passes over per-flow runs, no cohorts, no delay cache, no
-//! telemetry, and every packet reaches the flow table's walker as a
-//! stretch of one row, where production walks long ones.
+//! [`run_reference`] is what [`run`](satwatch_scenario::run()) must
+//! equal on every config, written to be read in one sitting. It shares
+//! only the config-derived inputs ([`setup`]) and [`build_enrichment`]
+//! with the production path: no passes over per-flow runs, no cohorts,
+//! no delay cache, no telemetry, and every packet reaches the flow
+//! table's walker as a stretch of one row, where production walks long
+//! ones.
 //!
 //! Why the two agree. All of a day's intents are scheduled before any
 //! packet, so an intent wins a time tie against a packet. A flow's
@@ -20,12 +21,13 @@
 //! its passes keep that order wherever flows meet (DESIGN.md §4
 //! "Passes reproduce the heap's order").
 
-use crate::config::ScenarioConfig;
-use crate::run::{build_enrichment, setup, Dataset};
+use crate::EventQueue;
 use satwatch_internet::ResolverId;
 use satwatch_monitor::Probe;
 use satwatch_netstack::{Packet, PacketColumns};
-use satwatch_simcore::{EventQueue, PayloadArena, SimTime};
+use satwatch_scenario::run::setup;
+use satwatch_scenario::{build_enrichment, Dataset, ScenarioConfig};
+use satwatch_simcore::{PayloadArena, SimTime};
 use satwatch_traffic::{generate_day, FlowIntent};
 
 enum Event {

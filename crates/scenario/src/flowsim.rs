@@ -326,7 +326,7 @@ impl NetModel {
     /// drained (`take`) before returning.
     ///
     /// This is the reference's synthesis
-    /// ([`run_reference`](crate::reference::run_reference)): the
+    /// (`satwatch_oracle::run_reference`): the
     /// sampling pass over an uncached delay snapshot (all parent-RNG
     /// draws) followed by [`emit_flow`](Self::emit_flow) (RNG-free
     /// packet emission) — the flow-at-a-time composition of the same

@@ -11,13 +11,11 @@ pub mod digest;
 pub mod experiments;
 pub mod flowsim;
 pub mod paper_check;
-pub mod reference;
 pub mod run;
 
 pub use config::ScenarioConfig;
 pub use digest::dataset_digest;
 pub use flowsim::NetModel;
-pub use reference::run_reference;
 pub use run::{
     build_enrichment, run, run_report, run_sealed, run_streaming, run_with_tap, ColumnarDataset, Dataset, DayRunner,
     ReportRun, SealedRun, Tap,

@@ -118,23 +118,29 @@ pub struct SealedRun {
     pub packets: u64,
 }
 
-/// Everything `run`/`run_streaming`/`run_reference` share: the
-/// deterministic inputs derived from the config before a single packet
-/// moves.
-pub(crate) struct SimSetup {
-    pub(crate) seeds: SeedTree,
-    pub(crate) population: Population,
-    pub(crate) catalog: Vec<satwatch_traffic::ServiceSpec>,
-    pub(crate) model: NetModel,
-    pub(crate) anon_seed: u64,
-    pub(crate) probe_cfg: ProbeConfig,
+/// Everything a run shares with the reference
+/// (`satwatch_oracle::run_reference`): the deterministic inputs derived
+/// from the config before a single packet moves.
+pub struct SimSetup {
+    /// The seed's tree of labelled random streams.
+    pub seeds: SeedTree,
+    pub population: Population,
+    /// The service catalog intents are drawn from (Table 3).
+    pub catalog: Vec<satwatch_traffic::ServiceSpec>,
+    /// The access network and the internet behind it.
+    pub model: NetModel,
+    /// CryptoPan's key, drawn from the seed's `"anon"` stream.
+    pub anon_seed: u64,
+    pub probe_cfg: ProbeConfig,
     /// Bent-pipe propagation per customer (indexed by customer
     /// index): a pure per-terminal constant — two haversines — hoisted
     /// out of the per-flow snapshot for the cohort planner.
     prop_delays: Vec<satwatch_simcore::SimDuration>,
 }
 
-pub(crate) fn setup(cfg: ScenarioConfig) -> SimSetup {
+/// Derive a run's inputs from `cfg`. [`DayRunner::new`] calls it; so
+/// does the reference, which shares nothing else of the packet path.
+pub fn setup(cfg: ScenarioConfig) -> SimSetup {
     let seeds = SeedTree::new(cfg.seed);
     let population = build_population(cfg.customers, &seeds);
     let catalog = standard_catalog();
@@ -191,7 +197,7 @@ struct DayScratch {
     /// flow-start order, which the probe reads a pass at a time. Its
     /// merged order `(time, push order, row)` is the
     /// all-packets-through-one-heap `(at, seq)` order of
-    /// [`run_reference`](crate::reference::run_reference) bit for bit
+    /// `satwatch_oracle::run_reference` bit for bit
     /// — see DESIGN.md §4 "Passes reproduce the heap's order" — while
     /// moving no packet data and recycling every run buffer.
     runs: LiveRuns,
@@ -232,11 +238,11 @@ impl DayScratch {
 const RELEASE_BLOCK: usize = 8_192;
 
 /// One day's pending flow intents, popped in `(start, schedule-order)`
-/// order — the order `EventQueue` delivers with its FIFO tie-break.
-/// Intents are all known before the drive loop starts and none is ever
-/// re-scheduled, so a vector sorted once (descending, popped from the
-/// back) replaces the binary heap: no per-pop sift-down, and
-/// `peek`/`pop` are a bounds check.
+/// order — the order the reference's event heap delivers with its FIFO
+/// tie-break. Intents are all known before the drive loop starts and
+/// none is ever re-scheduled, so a vector sorted once (descending,
+/// popped from the back) replaces the binary heap: no per-pop
+/// sift-down, and `peek`/`pop` are a bounds check.
 ///
 /// Every pop leaves one more unused slot at the end of the buffer.
 /// Once they pass [`RELEASE_BLOCK`], the buffer shrinks to what is
@@ -524,7 +530,7 @@ fn drive_framed(
 /// the probe consumes column slices — no `Packet` struct exists on the
 /// hot path unless a `tap` asks for materialized packets. The
 /// per-packet semantics this is pinned byte-identical against live in
-/// [`run_reference`](crate::reference::run_reference).
+/// `satwatch_oracle::run_reference`.
 fn drive_day(
     cfg: ScenarioConfig,
     sim: &SimSetup,

@@ -12,7 +12,8 @@
 
 use proptest::prelude::*;
 use proptest::test_runner;
-use satwatch_scenario::{dataset_digest, run, run_reference, ScenarioConfig};
+use satwatch_oracle::run_reference;
+use satwatch_scenario::{dataset_digest, run, ScenarioConfig};
 
 /// One reference run of `cfg` against one production run.
 fn assert_matches_reference(cfg: ScenarioConfig, ctx: &str) {

@@ -14,7 +14,8 @@
 //! workload model), refresh the constants with
 //! `cargo run --release --example golden_digest`.
 
-use satwatch_scenario::{dataset_digest, run, run_reference, ScenarioConfig};
+use satwatch_oracle::run_reference;
+use satwatch_scenario::{dataset_digest, run, ScenarioConfig};
 
 /// Digest captured from the pre-run-merge heap scheduler at this
 /// workload (tiny, 12 customers, seed 42, 2 days).

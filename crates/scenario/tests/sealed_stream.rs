@@ -7,7 +7,8 @@
 
 use satwatch_monitor::record::{write_dns_log, write_dns_rows, write_flow_rows, write_flows};
 use satwatch_monitor::{Piece, Probe, SealMarks};
-use satwatch_scenario::{run, run_reference, run_sealed, DayRunner, ScenarioConfig};
+use satwatch_oracle::run_reference;
+use satwatch_scenario::{run, run_sealed, DayRunner, ScenarioConfig};
 use satwatch_simcore::time::SECS_PER_DAY;
 use satwatch_simcore::SimTime;
 use std::ops::ControlFlow;

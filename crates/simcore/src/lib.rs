@@ -6,10 +6,9 @@
 //! * [`time`] — fixed-point simulation clock ([`SimTime`],
 //!   [`SimDuration`]) with wall-clock helpers (hour-of-day, local time)
 //!   used by the diurnal traffic models.
-//! * [`event`] — a deterministic event queue with stable tie-breaking.
-//! * [`merge`] — tournament-tree k-way merge over presorted runs: the
-//!   benchmark harness's replica loop and the probe's pass-driver
-//!   oracle (the day loop itself reads runs a pass at a time).
+//! * [`merge`] — tournament-tree k-way merge over presorted runs:
+//!   harness only, the benchmark's replica of the day loop before it
+//!   read runs a pass at a time.
 //! * [`arena`] — per-run payload bump arena: one contiguous byte
 //!   block per packet run instead of one allocation per payload.
 //! * [`rng`] — reproducible xoshiro256** PRNG with hierarchical seed
@@ -28,20 +27,7 @@
 //! is a pure function of the seed and the configuration.
 //!
 //! ```
-//! use satwatch_simcore::{EventQueue, SimDuration, SimTime, SeedTree};
-//!
-//! // a deterministic event loop
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::from_secs(1), "ping");
-//! q.schedule(SimTime::from_secs(3), "pong");
-//! let mut log = Vec::new();
-//! q.run_until(SimTime::from_secs(10), |q, t, ev| {
-//!     log.push((t, ev));
-//!     if ev == "ping" {
-//!         q.schedule(t + SimDuration::from_millis(500), "echo");
-//!     }
-//! });
-//! assert_eq!(log.len(), 3);
+//! use satwatch_simcore::SeedTree;
 //!
 //! // independent, reproducible random streams per subsystem
 //! let seeds = SeedTree::new(42);
@@ -52,7 +38,6 @@
 
 pub mod arena;
 pub mod dist;
-pub mod event;
 pub mod fnv;
 pub mod fxhash;
 pub mod merge;
@@ -62,7 +47,6 @@ pub mod time;
 pub mod units;
 
 pub use arena::PayloadArena;
-pub use event::EventQueue;
 pub use fxhash::{fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxBuildHasher, FxHashMap, FxHashSet};
 pub use merge::{ColMerge, TimedRun};
 pub use rng::{Rng, SeedTree};

@@ -2,14 +2,14 @@
 //! packet runs.
 //!
 //! The scenario's flow synthesizer emits each flow's packets as one
-//! batch (a *run*). Scheduling those packets individually through the
-//! global [`EventQueue`](crate::EventQueue) heap means hundreds of
-//! thousands of ~100-byte events sifting through a binary heap; this
-//! merge was the day loop's answer until the probe learned to read the
-//! runs a pass at a time (`satwatch_monitor::pass`), which needs no
-//! merged stream at all. It stays for the benchmark harness's replica
-//! of that older loop and as the oracle the pass driver is tested
-//! against (`crates/monitor/tests/pass_equivalence.rs`).
+//! batch (a *run*). Scheduling those packets individually through one
+//! global event heap (`satwatch_oracle::EventQueue`, the reference's)
+//! means hundreds of thousands of ~100-byte events sifting through a
+//! binary heap; this merge was the day loop's answer until the probe
+//! learned to read the runs a pass at a time (`satwatch_monitor::pass`),
+//! which needs no merged stream at all. It stays only for the benchmark
+//! harness's replica of that older loop; `tests/merge_vs_heap.rs`
+//! holds it to the heap.
 //!
 //! [`ColMerge`] keeps every run in place (one buffer per live flow,
 //! recycled through an internal pool) and merges them with a
@@ -367,7 +367,6 @@ impl<R: TimedRun> Default for ColMerge<R> {
 mod tests {
     use super::*;
     use crate::rng::Rng;
-    use crate::EventQueue;
 
     /// The row-oriented instance every test below merges.
     type RowMerge<T> = ColMerge<Vec<(SimTime, T)>>;
@@ -502,7 +501,8 @@ mod tests {
     }
 
     /// Batch drain must reproduce `pop_with` order exactly — same
-    /// random-interleaving regime as the event-queue keystone below.
+    /// random-interleaving regime as the heap keystone in
+    /// `tests/merge_vs_heap.rs`.
     #[test]
     fn batch_drain_matches_pop_order_under_random_interleaving() {
         let mut rng = Rng::new(0xba7c4);
@@ -526,38 +526,6 @@ mod tests {
             let want = drain(&mut popped);
             assert_eq!(got, want);
             assert!(batched.is_empty());
-        }
-    }
-
-    /// The determinism keystone: interleaved push/pop against the
-    /// `EventQueue` heap must agree item for item, including time
-    /// ties within and across runs.
-    #[test]
-    fn matches_event_queue_order_under_random_interleaving() {
-        let mut rng = Rng::new(0xa11_0c8);
-        for _round in 0..20 {
-            let mut m = RowMerge::new();
-            let mut q = EventQueue::new();
-            let mut expected_pushes = 0usize;
-            for _ in 0..rng.below(40) {
-                // build a sorted run with heavy time collisions
-                let n = rng.below(12) as usize;
-                let mut run: Vec<(SimTime, u32)> =
-                    (0..n).map(|_| (SimTime::from_secs(rng.below(6)), rng.next_u32())).collect();
-                run.sort_by_key(|&(t, _)| t); // stable: equal times keep draw order
-                for &(t, v) in &run {
-                    q.schedule(t, v);
-                }
-                expected_pushes += run.len();
-                m.push(run);
-            }
-            let got = drain(&mut m);
-            let mut want = Vec::new();
-            while let Some((t, v)) = q.pop() {
-                want.push((t, v));
-            }
-            assert_eq!(got.len(), expected_pushes);
-            assert_eq!(got, want);
         }
     }
 }

@@ -2,9 +2,10 @@
 //! ordering, statistics invariants, and distribution sanity.
 
 use proptest::prelude::*;
+use satwatch_oracle::EventQueue;
 use satwatch_simcore::dist::{Categorical, LogNormal, Sample};
 use satwatch_simcore::stats::{quantile_sorted, BoxplotSummary, Cdf, Running};
-use satwatch_simcore::{EventQueue, Rng, SimDuration, SimTime};
+use satwatch_simcore::{Rng, SimDuration, SimTime};
 
 proptest! {
     #[test]
