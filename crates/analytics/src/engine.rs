@@ -2,20 +2,36 @@
 //! a [`FlowFrame`], filled together by the fused [`report_all`] sweep
 //! (or, frame by frame, by [`ReportFold`]) — the one way in.
 //!
-//! Each figure is an accumulator with two operations — `absorb` a
-//! row, `finish` into the typed report — and rows are absorbed in
-//! order, on the calling thread. The byte-equivalence contract with
-//! the record-based `agg` functions rests on three facts (DESIGN.md
-//! §6 "The fused fold and `ReportFold`"):
+//! The fold keeps each measured quantity once, in a store a row
+//! updates at most once, and every figure is a finisher that reads a
+//! store:
 //!
-//! 1. integer tallies are exact, so a frame boundary anywhere in the
-//!    row sequence changes no total;
+//! - bytes by country (or none), L7 protocol and UTC hour: Table 1 and
+//!   Figures 2–4 are margins of this one cube;
+//! - satellite RTT, night rows by country and peak rows by `(country,
+//!   beam)`: Fig 8a joins a country's lists, Fig 8b a beam's;
+//! - ground RTT weighted by bytes, by country (Fig 9);
+//! - downlink throughput by country and hour class — night, peak, the
+//!   rest — whose union is Fig 11's `all`;
+//! - the Table 2 RTT sums, the customer-day cells (Figures 5–7) and
+//!   Fig 10's DNS tallies.
+//!
+//! Rows are absorbed in order, on the calling thread. The
+//! byte-equivalence contract with the record-based `agg` functions
+//! rests on three facts (DESIGN.md §6 "The fused fold and
+//! `ReportFold`"):
+//!
+//! 1. integer tallies are exact, so neither a frame boundary anywhere
+//!    in the row sequence nor the order a margin sums in changes a
+//!    total;
 //! 2. every `f64` collection is filled in row order, the record
 //!    path's observation order, before any order-sensitive step
 //!    (weighted-CDF tie handling, the CDN mean's incremental sum);
-//! 3. map-iteration-order differences between the paths are absorbed
-//!    by finishers that sort (`Cdf`, `BoxplotSummary`, row sorts on
-//!    unique keys) before rendering.
+//! 3. map-iteration-order differences between the paths, and the
+//!    order lists are joined in, are absorbed by finishers that sort
+//!    (`Cdf`, `BoxplotSummary`, the Fig 8b median, row sorts on unique
+//!    keys) before they read; a joined sample is never ±0, and no NaN
+//!    reaches a sort.
 //!
 //! The fused sweep exists because the record path reads the ~250-byte
 //! `FlowRecord` once *per figure*; [`report_all`] reads each hot
@@ -46,54 +62,57 @@ pub struct ReportCtx<'a> {
     pub countries: &'a [Country],
 }
 
-// ---------------------------------------------------------------- Table 1
+// ------------------------------------------ bytes (Table 1, Figures 2–4)
 
+/// Bytes by country (row [`N_COUNTRY`]: none), L7 protocol and UTC
+/// hour, and which countries have a row at all. Table 1 and Figures
+/// 2–4 are its margins: integer sums, exact in any order.
 #[derive(Default)]
-struct Table1Acc {
-    by: [u64; N_PROTO],
-    total: u64,
+struct ByteCube {
+    bytes: [[[u64; 24]; N_PROTO]; N_COUNTRY + 1],
+    seen: [bool; N_COUNTRY],
 }
 
-impl Table1Acc {
+impl ByteCube {
     fn absorb(&mut self, fr: &FlowFrame, i: usize) {
-        let b = fr.flow_bytes(i);
-        self.by[fr.l7[i] as usize] += b;
-        self.total += b;
+        let mut ci = fr.country[i] as usize;
+        if ci == NO_COUNTRY as usize {
+            ci = N_COUNTRY;
+        } else {
+            self.seen[ci] = true;
+        }
+        self.bytes[ci][fr.l7[i] as usize][fr.hour_utc[i] as usize] += fr.flow_bytes(i);
     }
 
-    fn finish(self) -> Table1 {
-        let rows = L7Protocol::ALL
-            .into_iter()
-            .map(|p| (p, 100.0 * self.by[p.index()] as f64 / self.total.max(1) as f64))
-            .collect();
+    /// Row `ci`'s bytes by protocol.
+    fn by_proto(&self, ci: usize) -> [u64; N_PROTO] {
+        self.bytes[ci].map(|hours| hours.iter().sum())
+    }
+
+    /// The countries with a row, in `Country::ALL` order: `agg::fig3`
+    /// and `agg::fig4` sort their rows into exactly this order.
+    fn seen(&self) -> impl Iterator<Item = Country> + '_ {
+        Country::ALL.into_iter().filter(|c| self.seen[c.index()])
+    }
+
+    /// Every row, "no country" included.
+    fn table1(&self) -> Table1 {
+        let by: [u64; N_PROTO] = std::array::from_fn(|p| (0..=N_COUNTRY).map(|ci| self.by_proto(ci)[p]).sum());
+        let total: u64 = by.iter().sum();
+        let rows =
+            L7Protocol::ALL.into_iter().map(|p| (p, 100.0 * by[p.index()] as f64 / total.max(1) as f64)).collect();
         Table1 { rows }
     }
-}
 
-// ---------------------------------------------------------------- Figure 2
-
-#[derive(Default)]
-struct Fig2Acc {
-    vol: [u64; N_COUNTRY],
-    total: u64,
-}
-
-impl Fig2Acc {
-    fn absorb(&mut self, fr: &FlowFrame, i: usize) {
-        let ci = fr.country[i];
-        if ci != NO_COUNTRY {
-            let b = fr.flow_bytes(i);
-            self.vol[ci as usize] += b;
-            self.total += b;
-        }
-    }
-
-    fn finish(self, enr: &Enrichment) -> Fig2 {
+    /// The country rows, summed over protocols and hours.
+    fn fig2(&self, enr: &Enrichment) -> Fig2 {
+        let vol: [u64; N_COUNTRY] = std::array::from_fn(|ci| self.by_proto(ci).iter().sum());
+        let total: u64 = vol.iter().sum();
         let total_customers = enr.country_of.len();
         let mut rows: Vec<(Country, f64, f64, f64)> = Country::ALL
             .into_iter()
             .map(|c| {
-                let v = self.vol[c.index()];
+                let v = vol[c.index()];
                 let customers = enr.customers_in(c);
                 let mb_per_day = if customers == 0 || enr.days == 0 {
                     0.0
@@ -102,7 +121,7 @@ impl Fig2Acc {
                 };
                 (
                     c,
-                    100.0 * v as f64 / self.total.max(1) as f64,
+                    100.0 * v as f64 / total.max(1) as f64,
                     100.0 * customers as f64 / total_customers.max(1) as f64,
                     mb_per_day,
                 )
@@ -111,38 +130,13 @@ impl Fig2Acc {
         rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         Fig2 { rows }
     }
-}
 
-// ---------------------------------------------------------------- Figure 3
-
-struct Fig3Acc {
-    vol: [[u64; N_PROTO]; N_COUNTRY],
-    seen: [bool; N_COUNTRY],
-}
-
-impl Default for Fig3Acc {
-    fn default() -> Self {
-        Fig3Acc { vol: [[0; N_PROTO]; N_COUNTRY], seen: [false; N_COUNTRY] }
-    }
-}
-
-impl Fig3Acc {
-    fn absorb(&mut self, fr: &FlowFrame, i: usize) {
-        let ci = fr.country[i];
-        if ci != NO_COUNTRY {
-            self.vol[ci as usize][fr.l7[i] as usize] += fr.flow_bytes(i);
-            self.seen[ci as usize] = true;
-        }
-    }
-
-    fn finish(self) -> Fig3 {
-        // `agg::fig3` sorts its rows by `Country::ALL` position, which
-        // is exactly the order this emits.
-        let rows = Country::ALL
-            .into_iter()
-            .filter(|c| self.seen[c.index()])
+    /// The country rows, summed over hours.
+    fn fig3(&self) -> Fig3 {
+        let rows = self
+            .seen()
             .map(|c| {
-                let protos = &self.vol[c.index()];
+                let protos = self.by_proto(c.index());
                 let total: u64 = protos.iter().sum();
                 let shares = L7Protocol::ALL
                     .into_iter()
@@ -153,42 +147,16 @@ impl Fig3Acc {
             .collect();
         Fig3 { rows }
     }
-}
 
-// ---------------------------------------------------------------- Figure 4
-
-struct Fig4Acc {
-    by: [[u64; 24]; N_COUNTRY],
-    seen: [bool; N_COUNTRY],
-}
-
-impl Default for Fig4Acc {
-    fn default() -> Self {
-        Fig4Acc { by: [[0; 24]; N_COUNTRY], seen: [false; N_COUNTRY] }
-    }
-}
-
-impl Fig4Acc {
-    fn absorb(&mut self, fr: &FlowFrame, i: usize) {
-        let ci = fr.country[i];
-        if ci != NO_COUNTRY {
-            self.by[ci as usize][fr.hour_utc[i] as usize] += fr.flow_bytes(i);
-            self.seen[ci as usize] = true;
-        }
-    }
-
-    fn finish(self) -> Fig4 {
-        let rows = Country::ALL
-            .into_iter()
-            .filter(|c| self.seen[c.index()])
+    /// The country rows, summed over protocols.
+    fn fig4(&self) -> Fig4 {
+        let rows = self
+            .seen()
             .map(|c| {
-                let bytes = &self.by[c.index()];
+                let protos = &self.bytes[c.index()];
+                let bytes: [u64; 24] = std::array::from_fn(|h| protos.iter().map(|hours| hours[h]).sum());
                 let max = bytes.iter().copied().max().unwrap_or(0).max(1) as f64;
-                let mut prof = [0.0; 24];
-                for (p, b) in prof.iter_mut().zip(bytes) {
-                    *p = *b as f64 / max;
-                }
-                (c, prof)
+                (c, bytes.map(|b| b as f64 / max))
             })
             .collect();
         Fig4 { rows }
@@ -284,101 +252,105 @@ fn merge_customer_days(days: &mut CustomerDays, later: CustomerDays) {
     }
 }
 
-// --------------------------------------------------------------- Figure 8a
+// ------------------------------------------------------------ hour classes
 
-struct Fig8aAcc {
-    night: [Vec<f64>; N_COUNTRY],
-    peak: [Vec<f64>; N_COUNTRY],
-}
+/// The local-time hour classes of Figures 8a, 8b and 11 — night,
+/// peak, the rest of the day — as indices. They are disjoint, so a
+/// sample is kept in one list.
+const NIGHT: usize = 0;
+const PEAK: usize = 1;
+const REST: usize = 2;
 
-impl Default for Fig8aAcc {
-    fn default() -> Self {
-        Fig8aAcc { night: std::array::from_fn(|_| Vec::new()), peak: std::array::from_fn(|_| Vec::new()) }
+fn hour_class(local_hour: u8) -> usize {
+    let h = u32::from(local_hour);
+    if agg::is_night(h) {
+        NIGHT
+    } else if agg::is_peak(h) {
+        PEAK
+    } else {
+        REST
     }
 }
 
-impl Fig8aAcc {
+// -------------------------------------- satellite RTT (Figures 8a, 8b)
+
+/// Satellite RTT (s) of the rows with a country and a sample: night
+/// rows by country, peak rows by `(country, beam or NO_BEAM)`. Fig 8a's
+/// peak CDF joins a country's lists, Fig 8b's per-beam median a beam's
+/// lists across countries, so no beam has to belong to one country.
+/// Both sort before they read, and no sample is ±0 or NaN, so the order
+/// the lists are joined in changes no byte.
+#[derive(Default)]
+struct SatRtt {
+    night: [Vec<f64>; N_COUNTRY],
+    peak: FxHashMap<(u8, u16), Vec<f64>>,
+}
+
+impl SatRtt {
     fn absorb(&mut self, fr: &FlowFrame, i: usize) {
-        let ci = fr.country[i];
-        let rtt = fr.sat_rtt_ms[i];
+        let (ci, rtt) = (fr.country[i], fr.sat_rtt_ms[i]);
         if ci == NO_COUNTRY || rtt.is_nan() {
             return;
         }
-        let h = u32::from(fr.local_hour[i]);
-        if agg::is_night(h) {
-            self.night[ci as usize].push(rtt / 1e3);
-        } else if agg::is_peak(h) {
-            self.peak[ci as usize].push(rtt / 1e3);
+        match hour_class(fr.local_hour[i]) {
+            NIGHT => self.night[ci as usize].push(rtt / 1e3),
+            PEAK => self.peak.entry((ci, fr.beam[i])).or_default().push(rtt / 1e3),
+            _ => {}
         }
     }
 
     fn held(&self) -> usize {
-        self.night.iter().chain(&self.peak).map(Vec::len).sum()
+        self.night.iter().chain(self.peak.values()).map(Vec::len).sum()
     }
 
-    fn finish(mut self, countries: &[Country]) -> Fig8a {
+    /// Reads the peak lists, so it comes before [`fig8a`](Self::fig8a)
+    /// takes them.
+    fn fig8b(&self, enr: &Enrichment) -> Fig8b {
+        let max_util = enr.beams.iter().map(|b| b.peak_utilization).fold(0.0f64, f64::max).max(1e-9);
+        let mut beams: Vec<u16> = self.peak.keys().map(|&(_, beam)| beam).filter(|&beam| beam != NO_BEAM).collect();
+        beams.sort_unstable();
+        beams.dedup();
+        let mut rows = Vec::new();
+        for beam in beams {
+            // as `agg::fig8b`: a beam the enrichment does not describe has no row
+            let Some(info) = enr.beams.get(beam as usize) else { continue };
+            let mut v: Vec<f64> =
+                self.peak.iter().filter(|((_, b), _)| *b == beam).flat_map(|(_, l)| l).copied().collect();
+            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            rows.push((info.name.clone(), info.country, info.peak_utilization / max_util, v[v.len() / 2], v.len()));
+        }
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        Fig8b { rows }
+    }
+
+    fn fig8a(mut self, countries: &[Country]) -> Fig8a {
         use satwatch_simcore::stats::Cdf;
         let rows = countries
             .iter()
             .filter_map(|c| {
-                let (n, p) = (&mut self.night[c.index()], &mut self.peak[c.index()]);
-                if n.is_empty() || p.is_empty() {
+                let ci = c.index() as u8;
+                let peak: Vec<f64> = self
+                    .peak
+                    .iter_mut()
+                    .filter(|((pc, _), _)| *pc == ci)
+                    .flat_map(|(_, v)| std::mem::take(v))
+                    .collect();
+                let night = std::mem::take(&mut self.night[c.index()]);
+                if night.is_empty() || peak.is_empty() {
                     return None;
                 }
-                Some((*c, Cdf::from_values(std::mem::take(n)), Cdf::from_values(std::mem::take(p))))
+                Some((*c, Cdf::from_values(night), Cdf::from_values(peak)))
             })
             .collect();
         Fig8a { rows }
     }
 }
 
-// --------------------------------------------------------------- Figure 8b
-
-#[derive(Default)]
-struct Fig8bAcc {
-    samples: FxHashMap<u16, Vec<f64>>,
-}
-
-impl Fig8bAcc {
-    fn absorb(&mut self, fr: &FlowFrame, i: usize) {
-        let rtt = fr.sat_rtt_ms[i];
-        if fr.country[i] == NO_COUNTRY || rtt.is_nan() || fr.beam[i] == NO_BEAM {
-            return;
-        }
-        if agg::is_peak(u32::from(fr.local_hour[i])) {
-            self.samples.entry(fr.beam[i]).or_default().push(rtt / 1e3);
-        }
-    }
-
-    fn held(&self) -> usize {
-        self.samples.values().map(Vec::len).sum()
-    }
-
-    fn finish(self, enr: &Enrichment) -> Fig8b {
-        let max_util = enr.beams.iter().map(|b| b.peak_utilization).fold(0.0f64, f64::max).max(1e-9);
-        let mut rows = Vec::new();
-        for (beam, mut v) in self.samples {
-            // as `agg::fig8b`: a beam the enrichment does not describe has no row
-            let Some(info) = enr.beams.get(beam as usize) else { continue };
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let median = v[v.len() / 2];
-            rows.push((info.name.clone(), info.country, info.peak_utilization / max_util, median, v.len()));
-        }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        Fig8b { rows }
-    }
-}
-
 // ---------------------------------------------------------------- Figure 9
 
+#[derive(Default)]
 struct Fig9Acc {
     samples: [Vec<(f64, f64)>; N_COUNTRY],
-}
-
-impl Default for Fig9Acc {
-    fn default() -> Self {
-        Fig9Acc { samples: std::array::from_fn(|_| Vec::new()) }
-    }
 }
 
 impl Fig9Acc {
@@ -413,25 +385,17 @@ impl Fig9Acc {
     }
 }
 
-// --------------------------------------------------------------- Figure 11
+// ------------------------------------------------ throughput (Figure 11)
 
-struct Fig11Acc {
-    all: [Vec<f64>; N_COUNTRY],
-    night: [Vec<f64>; N_COUNTRY],
-    peak: [Vec<f64>; N_COUNTRY],
+/// Downlink throughput (Mbit/s) of the large flows with a country, by
+/// country and hour class. Fig 11's `all` joins a country's three
+/// classes at finish; `Cdf::from_values` sorts first.
+#[derive(Default)]
+struct Throughput {
+    samples: [[Vec<f64>; 3]; N_COUNTRY],
 }
 
-impl Default for Fig11Acc {
-    fn default() -> Self {
-        Fig11Acc {
-            all: std::array::from_fn(|_| Vec::new()),
-            night: std::array::from_fn(|_| Vec::new()),
-            peak: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-impl Fig11Acc {
+impl Throughput {
     fn absorb(&mut self, fr: &FlowFrame, i: usize) {
         let ci = fr.country[i];
         if ci == NO_COUNTRY || fr.bytes_down[i] < THROUGHPUT_MIN_BYTES {
@@ -441,34 +405,24 @@ impl Fig11Acc {
         if mbps <= 0.0 {
             return;
         }
-        self.all[ci as usize].push(mbps);
-        let h = u32::from(fr.local_hour[i]);
-        if agg::is_night(h) {
-            self.night[ci as usize].push(mbps);
-        } else if agg::is_peak(h) {
-            self.peak[ci as usize].push(mbps);
-        }
+        self.samples[ci as usize][hour_class(fr.local_hour[i])].push(mbps);
     }
 
     fn held(&self) -> usize {
-        self.all.iter().chain(&self.night).chain(&self.peak).map(Vec::len).sum()
+        self.samples.iter().flatten().map(Vec::len).sum()
     }
 
-    fn finish(mut self, countries: &[Country]) -> Fig11 {
+    fn fig11(mut self, countries: &[Country]) -> Fig11 {
         use satwatch_simcore::stats::{BoxplotSummary, Cdf};
         let rows = countries
             .iter()
             .filter_map(|c| {
-                let v = std::mem::take(&mut self.all[c.index()]);
-                if v.is_empty() {
+                let [night, peak, rest] = std::mem::take(&mut self.samples[c.index()]);
+                let all = [&night[..], &peak, &rest].concat();
+                if all.is_empty() {
                     return None;
                 }
-                Some((
-                    *c,
-                    Cdf::from_values(v),
-                    BoxplotSummary::from_values(std::mem::take(&mut self.night[c.index()])),
-                    BoxplotSummary::from_values(std::mem::take(&mut self.peak[c.index()])),
-                ))
+                Some((*c, Cdf::from_values(all), BoxplotSummary::from_values(night), BoxplotSummary::from_values(peak)))
             })
             .collect();
         Fig11 { rows }
@@ -676,38 +630,6 @@ impl PaperReports {
     }
 }
 
-/// The whole-sweep accumulator: one `absorb` touches every figure's
-/// state, so a single pass over the columns fills the lot. (The
-/// customer-day cells are not in here: they are frame-local, see
-/// [`ReportFold`].)
-#[derive(Default)]
-struct MegaAcc {
-    table1: Table1Acc,
-    fig2: Fig2Acc,
-    fig3: Fig3Acc,
-    fig4: Fig4Acc,
-    fig8a: Fig8aAcc,
-    fig8b: Fig8bAcc,
-    fig9: Fig9Acc,
-    fig11: Fig11Acc,
-    cdn: CdnAcc,
-}
-
-impl MegaAcc {
-    fn absorb(&mut self, cx: &SweepCtx<'_>, i: usize) {
-        let fr = cx.fr;
-        self.table1.absorb(fr, i);
-        self.fig2.absorb(fr, i);
-        self.fig3.absorb(fr, i);
-        self.fig4.absorb(fr, i);
-        self.fig8a.absorb(fr, i);
-        self.fig8b.absorb(fr, i);
-        self.fig9.absorb(fr, i);
-        self.fig11.absorb(fr, i);
-        self.cdn.absorb(cx, i);
-    }
-}
-
 /// Fill every paper output in a single fused sweep over the frame
 /// (plus one pass over the DNS log for Fig 10 and the Table 2 join).
 /// Byte-identical to running the record-based `agg` functions one by
@@ -763,12 +685,20 @@ pub const FOLD_ROWS: usize = 8_192;
 /// until a DNS piece moves the mark past them. Debug builds check the
 /// rule.
 ///
+/// Each row updates one byte tally and at most one list of each
+/// value store (satellite RTT, ground RTT, throughput); the finishers
+/// read the stores.
+///
 /// What is frame-local never crosses a frame boundary: domain codes
 /// are resolved to the join's name ids per frame, and the
 /// customer-day cells (frame-local service indices) are resolved to
 /// [`CustomerDay`]s at the end of each frame's sweep.
 pub struct ReportFold<'a> {
-    acc: MegaAcc,
+    bytes: ByteCube,
+    sat_rtt: SatRtt,
+    fig9: Fig9Acc,
+    throughput: Throughput,
+    cdn: CdnAcc,
     days: CustomerDays,
     join: CdnJoin,
     fig10: agg::Fig10Acc,
@@ -789,7 +719,11 @@ impl<'a> ReportFold<'a> {
     /// An empty fold; DNS records and frames stream in afterwards.
     pub fn new(ctx: ReportCtx<'a>) -> ReportFold<'a> {
         ReportFold {
-            acc: MegaAcc::default(),
+            bytes: ByteCube::default(),
+            sat_rtt: SatRtt::default(),
+            fig9: Fig9Acc::default(),
+            throughput: Throughput::default(),
+            cdn: CdnAcc::default(),
             days: CustomerDays::default(),
             join: CdnJoin::default(),
             fig10: agg::Fig10Acc::default(),
@@ -885,7 +819,11 @@ impl<'a> ReportFold<'a> {
         let cx = SweepCtx::new(fr, &self.join, self.ctx.countries);
         let mut days = DaysAcc::default();
         for i in rows.clone() {
-            self.acc.absorb(&cx, i);
+            self.bytes.absorb(fr, i);
+            self.sat_rtt.absorb(fr, i);
+            self.fig9.absorb(fr, i);
+            self.throughput.absorb(fr, i);
+            self.cdn.absorb(&cx, i);
             days.absorb(fr, i);
         }
         merge_customer_days(&mut self.days, days.finish(fr));
@@ -898,42 +836,43 @@ impl<'a> ReportFold<'a> {
     /// Table 2 at another flow floor than [`finish`](Self::finish)'s
     /// (the CSV export's), from the same accumulator.
     pub fn table2(&self, min_flows: usize) -> TableCdnSelection {
-        self.acc.cdn.table(&self.join, min_flows)
+        self.cdn.table(&self.join, min_flows)
     }
 
     /// Finish into the full report set — identical to
     /// [`report_all`] over the concatenation of the absorbed frames
-    /// and DNS pieces. The value lists are sorted where they lie, not
-    /// copied; the gauge `analytics_fold_values{fig}` reads how many
-    /// values each list-keeping figure held.
+    /// and DNS pieces. A list a figure reads alone is sorted where it
+    /// lies; lists a figure joins (Fig 8a's peak CDF, a Fig 8b beam,
+    /// Fig 11's `all`) are copied into one, one figure row at a time.
+    /// The gauge `analytics_fold_values{fig}` reads how many values
+    /// each store held (`8`: the satellite RTTs of Figs 8a and 8b).
     pub fn finish(self, services: &[&'static str], min_flows: usize) -> PaperReports {
         debug_assert!(self.carried.is_empty(), "the DNS log's last piece passes every row");
-        let acc = &self.acc;
         for (fig, held) in [
-            ("8a", acc.fig8a.held()),
-            ("8b", acc.fig8b.held()),
-            ("9", acc.fig9.held()),
+            ("8", self.sat_rtt.held()),
+            ("9", self.fig9.held()),
             ("10", self.fig10.held()),
-            ("11", acc.fig11.held()),
+            ("11", self.throughput.held()),
         ] {
             satwatch_telemetry::gauge_with("analytics_fold_values", &[("fig", fig)]).set(held as i64);
         }
         let (enr, countries) = (self.ctx.enrichment, self.ctx.countries);
         let days = self.days;
+        let fig8b = self.sat_rtt.fig8b(enr);
         PaperReports {
-            table1: self.acc.table1.finish(),
-            fig2: self.acc.fig2.finish(enr),
-            fig3: self.acc.fig3.finish(),
-            fig4: self.acc.fig4.finish(),
+            table1: self.bytes.table1(),
+            fig2: self.bytes.fig2(enr),
+            fig3: self.bytes.fig3(),
+            fig4: self.bytes.fig4(),
             fig5: agg::fig5(&days, enr),
             fig6: agg::fig6(&days, enr, services, countries),
             fig7: agg::fig7(&days, enr, countries),
-            fig8a: self.acc.fig8a.finish(countries),
-            fig8b: self.acc.fig8b.finish(enr),
-            fig9: self.acc.fig9.finish(countries),
+            fig8a: self.sat_rtt.fig8a(countries),
+            fig8b,
+            fig9: self.fig9.finish(countries),
             fig10: self.fig10.finish(countries),
-            table2: self.acc.cdn.table(&self.join, min_flows),
-            fig11: self.acc.fig11.finish(countries),
+            table2: self.cdn.table(&self.join, min_flows),
+            fig11: self.throughput.fig11(countries),
         }
     }
 }

@@ -17,7 +17,9 @@
 //!   stream.
 //! * [`column`](mod@column) — the column catalog the codec, the frame and the
 //!   query binding read: every frame column declared once.
-//! * [`engine`] — every figure as a fold over the frame, all filled by
+//! * [`engine`] — every figure as a finisher over a few shared stores
+//!   (one byte cube for Table 1 and Figs 2–4, one satellite-RTT store
+//!   for Figs 8a and 8b, Fig 11's disjoint hour classes), filled by
 //!   the fused [`report_all`] single-pass sweep: production.
 //! * [`expr`] / [`query`] — the aggregation-pipeline DSL: JSON-parsed
 //!   `match → group → project → sort → limit` pipelines compiled

@@ -34,7 +34,7 @@ fn spec_strategy() -> impl Strategy<Value = FlowSpec> {
     // arity 6, so the 11 fields are split across two nested tuples
     (
         (
-            0u8..4,
+            0u8..5,
             1024u16..u16::MAX,
             0u8..L7Protocol::ALL.len() as u8,
             0u64..30_000_000,
@@ -92,14 +92,18 @@ fn enrichment() -> Enrichment {
 /// The customer map beside a beam table of `beams_known` entries: all
 /// of them (2), one id past the end (1), or none — what a replayed
 /// `enrichment.tsv` gives, which persists `beam_of` and not `beams`.
+/// Client 4 sits in Nigeria on Congo's beam 0, so a beam's samples
+/// span two countries and Nigeria's peak samples two beam keys.
 fn enrichment_describing(beams_known: usize) -> Enrichment {
     let mut e = Enrichment { days: 2, ..Default::default() };
     // client 0 stays unmapped on purpose
     e.country_of.insert(Ipv4Addr::new(77, 0, 0, 1), Country::Congo);
     e.country_of.insert(Ipv4Addr::new(77, 0, 0, 2), Country::Spain);
     e.country_of.insert(Ipv4Addr::new(77, 0, 0, 3), Country::Nigeria);
+    e.country_of.insert(Ipv4Addr::new(77, 0, 0, 4), Country::Nigeria);
     e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 1), 0);
     e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 2), 1);
+    e.beam_of.insert(Ipv4Addr::new(77, 0, 0, 4), 0);
     e.beams = vec![
         agg::BeamInfo { name: "cd-0".into(), country: Country::Congo, peak_utilization: 0.8 },
         agg::BeamInfo { name: "es-0".into(), country: Country::Spain, peak_utilization: 0.5 },

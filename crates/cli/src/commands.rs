@@ -119,10 +119,15 @@ pub fn dispatch(args: &Args) -> Result<(), Box<dyn Error>> {
     drop(ticker);
     // `campaign` owns its --metrics-out file (it appends one delta
     // snapshot per sealed day); a final overwrite here would destroy
-    // that per-day history.
+    // that per-day history. A failed command returns its own error; a
+    // metrics file that cannot be written either is then only reported.
     if args.command != "campaign" {
         if let Some(path) = args.get("metrics-out") {
-            write_metrics(path)?;
+            match (write_metrics(path), &result) {
+                (Err(e), Ok(())) => return Err(e),
+                (Err(e), Err(_)) => eprintln!("metrics not written: {e}"),
+                (Ok(()), _) => {}
+            }
         }
     }
     // Machine-greppable RSS line for memory regression checks: CI

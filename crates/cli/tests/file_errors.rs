@@ -7,11 +7,12 @@ use std::process::Command;
 
 /// A scratch directory holding `plain`, a regular file: a path under it
 /// fails with ENOTDIR, whether created as a file or as a directory.
+/// `test` keeps the directories of tests running at once apart.
 struct Scratch(PathBuf);
 
 impl Scratch {
-    fn new() -> Scratch {
-        let dir = std::env::temp_dir().join(format!("satwatch-file-errors-{}", std::process::id()));
+    fn new(test: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("satwatch-file-errors-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("plain"), "not a directory\n").unwrap();
         Scratch(dir)
@@ -42,7 +43,7 @@ fn error_line(stderr: &str) -> &str {
 
 #[test]
 fn every_file_error_names_its_file() {
-    let s = Scratch::new();
+    let s = Scratch::new("names");
     let logs = s.path("logs");
     let missing = s.path("missing/p.json");
     let [csv, profile, out, pcap, metrics] =
@@ -67,4 +68,17 @@ fn every_file_error_names_its_file() {
         }
     }
     assert!(unnamed.is_empty(), "{}", unnamed.join("\n"));
+}
+
+/// A command that fails keeps its own error when its `--metrics-out`
+/// file cannot be written either: the `error:` line names the command's
+/// file, and the metrics file is still named on stderr.
+#[test]
+fn a_failed_command_keeps_its_error_when_the_metrics_file_fails_too() {
+    let s = Scratch::new("metrics");
+    let (missing, metrics) = (s.path("missing/p.json"), s.path("plain/m.json"));
+    let stderr = fails(&["query", "--pipeline-file", &missing, "--metrics-out", &metrics]);
+    let error = error_line(&stderr);
+    assert!(error.contains(&missing), "{error:?} does not name {missing}");
+    assert!(stderr.contains(&metrics), "stderr does not name {metrics}: {stderr:?}");
 }

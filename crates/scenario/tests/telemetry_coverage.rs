@@ -162,14 +162,16 @@ fn snapshot_covers_every_pipeline_layer() {
     let held = snap.gauge("analytics_cdn_join_lookups").expect("analytics_cdn_join_lookups registered");
     let lookups = snap.delta(&before).counter("monitor_dns_answered_total").unwrap();
     assert!((0..lookups as i64 / 20).contains(&held), "the join holds {held} of {lookups} lookups");
-    // the values each list-keeping figure of the fold held when it
-    // finished: Fig 9 keeps one per flow with a ground-RTT sample
-    let values = |fig: &str| {
-        let name = satwatch_telemetry::labelled("analytics_fold_values", &[("fig", fig)]);
-        snap.gauge(&name).unwrap_or_else(|| panic!("{name} missing from snapshot"))
-    };
-    for fig in ["8a", "8b", "10", "11"] {
+    // the values each of the fold's value stores held when it
+    // finished, one label a store: `8` is the satellite RTTs Figs 8a
+    // and 8b share; Fig 9 keeps one per flow with a ground-RTT sample
+    let name = |fig: &str| satwatch_telemetry::labelled("analytics_fold_values", &[("fig", fig)]);
+    let values = |fig: &str| snap.gauge(&name(fig)).unwrap_or_else(|| panic!("{} missing from snapshot", name(fig)));
+    for fig in ["8", "10", "11"] {
         assert!(values(fig) >= 0, "Fig {fig}");
     }
     assert!(values("9") > 0, "Fig 9 held {} values", values("9"));
+    for fig in ["8a", "8b"] {
+        assert!(snap.gauge(&name(fig)).is_none(), "Figs 8a and 8b share one store, yet {} is set", name(fig));
+    }
 }
